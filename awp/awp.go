@@ -117,16 +117,6 @@ type Scenario struct {
 	// values are rejected. Results are bit-identical across Threads.
 	Threads int
 
-	// CopyHalo selects the legacy copying halo-message path instead of
-	// the default zero-copy buffer lending (benchmarking aid; results
-	// are bit-identical).
-	CopyHalo bool
-
-	// CoalesceHalo packs all faces bound for one neighbor in one phase
-	// into a single message (one per neighbor per phase instead of one
-	// per field per face); results are bit-identical.
-	CoalesceHalo bool
-
 	Comm        solver.CommModel
 	ABC         solver.ABCKind
 	SpongeWidth int // 0: 8 cells (laptop-scale default; production uses 20)
@@ -195,8 +185,6 @@ func Run(q Model, sc Scenario) (*Result, error) {
 		Topo:          topo,
 		Comm:          sc.Comm,
 		Threads:       sc.Threads,
-		CopyHalo:      sc.CopyHalo,
-		CoalesceHalo:  sc.CoalesceHalo,
 		Variant:       variant,
 		Blocking:      blocking,
 		TemporalDepth: tdepth,

@@ -19,8 +19,6 @@ func main() {
 	steps := flag.Int("steps", 300, "time steps")
 	ranks := flag.Int("ranks", 1, "MPI ranks (goroutines)")
 	threads := flag.Int("threads", 1, "worker threads per rank (persistent pool, §IV.D)")
-	copyHalo := flag.Bool("copy-halo", false, "use the legacy copying halo-message path instead of zero-copy")
-	coalesce := flag.Bool("coalesce-halo", false, "send one coalesced halo message per neighbor per phase")
 	comm := flag.String("comm", "async-reduced", "comm model: sync|async|async-reduced|overlap")
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
@@ -81,14 +79,14 @@ func main() {
 
 	sc := awp.Scenario{
 		Dims: dims, H: *h, Steps: *steps, Ranks: *ranks,
-		Threads: *threads, CopyHalo: *copyHalo, CoalesceHalo: *coalesce,
+		Threads: *threads,
 		Variant: *variant, JBlock: *jblock, KBlock: *kblock,
 		TemporalDepth:  *tdepth,
 		TunerCachePath: *tunerCache,
 		CFL:            *cfl,
 		LTS:            *lts,
 		LTSMaxK:        *ltsMaxK, LTSMaxRateRatio: *ltsMaxRatio,
-		FreeSurface:    true, Attenuation: true,
+		FreeSurface: true, Attenuation: true,
 		Sources:   awp.PointMomentSource(*srcI, *srcJ, *srcK, *mw, 0.3, 0.08),
 		Receivers: [][3]int{{*srcI, *srcJ, 0}, {*nx - 10, *srcJ, 0}},
 		TrackPGV:  true,

@@ -112,7 +112,7 @@ var commPhases = []telemetry.Phase{
 // aggregated report. The scenario mirrors the solver test fixture: sponge
 // ABC, free surface, attenuation, explosion source, receivers, PGV maps —
 // every instrumented phase is exercised.
-func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, threads, steps int, coalesce bool) *telemetry.Report {
+func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, threads, steps int) *telemetry.Report {
 	g := grid.Dims{NX: sub.NX * topo.PX, NY: sub.NY * topo.PY, NZ: sub.NZ * topo.PZ}
 	q := cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700})
 	src := source.PointSource{
@@ -121,7 +121,7 @@ func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, threads, st
 	}
 	res, err := solver.Run(q, solver.Options{
 		Global: g, H: 100, Steps: steps, Topo: topo,
-		Comm: model, Threads: threads, CoalesceHalo: coalesce,
+		Comm: model, Threads: threads,
 		Variant: fd.Blocked, Blocking: fd.DefaultBlocking,
 		ABC: solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
@@ -151,7 +151,7 @@ func msgTraffic(rep *telemetry.Report, ranks, steps int) (msgs, bytes float64) {
 // phases cross-validates the telemetry subsystem against the Eq. 7/8
 // performance model: a serial calibration run prices Tcomp and Toutput,
 // alpha/beta are fitted from telemetry comm samples (perfmodel.FitAlphaBeta
-// over a layout/topology/subgrid sweep), and then each comm model's
+// over a topology/subgrid sweep), and then each comm model's
 // measured per-phase breakdown is compared term by term against the model
 // prediction. Writes BENCH_3.json (or outPath).
 func phases(outPath string, short bool) {
@@ -184,7 +184,7 @@ func phases(outPath string, short bool) {
 	// land in the relative error on purpose.
 	calRep := phasesRun(mpi.NewCart(1, 1, 1), grid.Dims{
 		NX: sub.NX * topo.PX, NY: sub.NY * topo.PY, NZ: sub.NZ * topo.PZ,
-	}, solver.Asynchronous, 1, calSteps, false)
+	}, solver.Asynchronous, 1, calSteps)
 	cal := phaseCalibration{
 		Global:        fmt.Sprintf("%dx%dx%d", sub.NX*topo.PX, sub.NY*topo.PY, sub.NZ*topo.PZ),
 		Steps:         calSteps,
@@ -195,23 +195,21 @@ func phases(outPath string, short bool) {
 	fmt.Printf("\ncalibration (%s serial, %d steps): comp %.3g s/step, output %.3g s/step\n",
 		cal.Global, cal.Steps, cal.CompSecStep, cal.OutputSecStep)
 
-	// --- Fit alpha/beta from telemetry comm samples. Coalescing varies the
-	// message count at fixed byte volume and the subgrid sweep varies bytes
-	// at fixed count, so the two terms separate (same decorrelation
-	// argument as the halo experiment, but here the counts and the comm
-	// seconds both come from the telemetry subsystem under test).
+	// --- Fit alpha/beta from telemetry comm samples. The topology sweep
+	// varies the per-rank message count (one per neighbor per phase) and
+	// the subgrid sweep varies bytes at fixed count, so the two terms
+	// separate; counts and comm seconds both come from the telemetry
+	// subsystem under test.
 	var samples []perfmodel.CommSample
-	for _, ft := range []mpi.Cart{mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1)} {
+	for _, ft := range []mpi.Cart{mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)} {
 		for _, fs := range []grid.Dims{{NX: 12, NY: 12, NZ: 12}, {NX: 16, NY: 16, NZ: 16}} {
-			for _, coal := range []bool{false, true} {
-				r := phasesRun(ft, fs, solver.Asynchronous, 1, fitSteps, coal)
-				msgs, bytes := msgTraffic(r, ft.Size(), fitSteps)
-				samples = append(samples, perfmodel.CommSample{
-					Msgs:  int(msgs + 0.5),
-					Bytes: bytes,
-					Sec:   r.MeanStepSec(commPhases...),
-				})
-			}
+			r := phasesRun(ft, fs, solver.Asynchronous, 1, fitSteps)
+			msgs, bytes := msgTraffic(r, ft.Size(), fitSteps)
+			samples = append(samples, perfmodel.CommSample{
+				Msgs:  int(msgs + 0.5),
+				Bytes: bytes,
+				Sec:   r.MeanStepSec(commPhases...),
+			})
 		}
 	}
 	alpha, beta, ok := perfmodel.FitAlphaBeta(samples)
@@ -234,11 +232,11 @@ func phases(outPath string, short bool) {
 		{"overlap", solver.AsyncOverlap},
 	}
 	relErr := func(pred, meas float64) float64 {
-		return abs(pred-meas) / math.Max(meas, 1e-12)
+		return math.Abs(pred-meas) / math.Max(meas, 1e-12)
 	}
 	fmt.Printf("\n%-14s %-8s %14s %14s %10s\n", "model", "term", "measured_s", "predicted_s", "rel_err")
 	for _, m := range models {
-		r := phasesRun(topo, sub, m.model, 1, mainSteps, false)
+		r := phasesRun(topo, sub, m.model, 1, mainSteps)
 		msgs, bytes := msgTraffic(r, topo.Size(), mainSteps)
 		run := phaseModelRun{
 			Model:   m.name,
@@ -291,7 +289,7 @@ func phases(outPath string, short bool) {
 	// hybrid time goes when subdomains shrink.
 	fmt.Printf("\n%-8s %18s %18s\n", "threads", "queue-wait_s/step", "execute_s/step")
 	for _, threads := range []int{1, 4} {
-		r := phasesRun(topo, sub, solver.Asynchronous, threads, mainSteps/2, false)
+		r := phasesRun(topo, sub, solver.Asynchronous, threads, mainSteps/2)
 		qw, ex := r.Stat(telemetry.QueueWait), r.Stat(telemetry.Execute)
 		rep.Pool = append(rep.Pool, phasePoolRun{
 			Threads:          threads,

@@ -34,15 +34,14 @@ type ttileGridRun struct {
 	BestSpeedup  float64         `json:"best_speedup"`
 }
 
-// ttileMsgRow is the analytic halo-traffic accounting of one (topology,
-// subgrid, layout, depth) cell, summed across ranks and amortized per step:
-// depth 1 from the classic two-phase exchange (solver.HaloStats), depth > 1
-// from the deep super-step exchange (solver.TemporalHaloStats, divided by
-// the depth).
+// ttileMsgRow is the halo-traffic accounting of one (topology, subgrid,
+// depth) cell, walked off the exchange schedule, summed across ranks and
+// amortized per step: depth 1 from the classic two-phase exchange
+// (solver.HaloStats), depth > 1 from the deep super-step exchange
+// (solver.TemporalHaloStats, divided by the depth).
 type ttileMsgRow struct {
 	Topo          string  `json:"topo"`
 	Subgrid       string  `json:"subgrid"`
-	Layout        string  `json:"layout"` // per-field | coalesced
 	Depth         int     `json:"depth"`
 	MsgsPerStep   float64 `json:"msgs_per_step"`
 	FloatsPerStep float64 `json:"floats_per_step"`
@@ -64,7 +63,6 @@ type ttileDuelRow struct {
 	Grid                 string  `json:"grid"` // global grid = topo × subgrid
 	Topo                 string  `json:"topo"`
 	Subgrid              string  `json:"subgrid"`
-	Layout               string  `json:"layout"` // per-field | coalesced
 	Depth                int     `json:"depth"`
 	AlphaUs              float64 `json:"alpha_us"`
 	ClassicUsPerStep     float64 `json:"classic_us_per_step"`
@@ -81,7 +79,7 @@ type ttileReport struct {
 	GOMAXPROCS  int    `json:"gomaxprocs"`
 	NumCPU      int    `json:"num_cpu"`
 	Warning     string `json:"warning,omitempty"`
-	// MultiRankChecksum/SerialChecksum: one distributed coalesced depth-2
+	// MultiRankChecksum/SerialChecksum: one distributed depth-2
 	// run against the serial depth-1 reference on the same global grid.
 	SerialChecksum    string         `json:"serial_checksum"`
 	MultiRankChecksum string         `json:"multi_rank_checksum"`
@@ -99,7 +97,7 @@ type ttileReport struct {
 // production feature set the tiled engine covers (sponge, free surface,
 // attenuation, receivers, PGV), so checksum equality certifies the whole
 // observable surface.
-func ttileOptions(g grid.Dims, steps, depth int, topo mpi.Cart, coalesce bool) (cvm.Querier, solver.Options) {
+func ttileOptions(g grid.Dims, steps, depth int, topo mpi.Cart) (cvm.Querier, solver.Options) {
 	q := cvm.SoCal(float64(g.NX)*100, float64(g.NY)*100, float64(g.NZ)*100, 500)
 	src := source.PointSource{
 		GI: g.NX / 2, GJ: g.NY / 2, GK: g.NZ / 2, M0: 1e15,
@@ -107,7 +105,7 @@ func ttileOptions(g grid.Dims, steps, depth int, topo mpi.Cart, coalesce bool) (
 	}
 	return q, solver.Options{
 		Global: g, H: 100, Steps: steps, Topo: topo,
-		Comm: solver.Asynchronous, Threads: 1, CoalesceHalo: coalesce,
+		Comm: solver.Asynchronous, Threads: 1,
 		Variant: fd.Fused, Blocking: fd.DefaultBlocking, TemporalDepth: depth,
 		ABC: solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
@@ -121,7 +119,7 @@ func ttileOptions(g grid.Dims, steps, depth int, topo mpi.Cart, coalesce bool) (
 // timer brackets only the stepping loop (setup — CVM sampling, medium
 // precomputation — is excluded; it is identical across depths anyway).
 func ttileTimedRun(g grid.Dims, steps, depth int) (float64, *solver.Result) {
-	q, opt := ttileOptions(g, steps, depth, mpi.NewCart(1, 1, 1), false)
+	q, opt := ttileOptions(g, steps, depth, mpi.NewCart(1, 1, 1))
 	dc, opt, err := solver.Prepare(opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: ttile: %v\n", err)
@@ -153,8 +151,8 @@ func ttileTimedRun(g grid.Dims, steps, depth int) (float64, *solver.Result) {
 
 // ttileRunChecksum runs the scenario through solver.Run (any topology) and
 // hashes its observables.
-func ttileRunChecksum(g grid.Dims, steps, depth int, topo mpi.Cart, coalesce bool) string {
-	q, opt := ttileOptions(g, steps, depth, topo, coalesce)
+func ttileRunChecksum(g grid.Dims, steps, depth int, topo mpi.Cart) string {
+	q, opt := ttileOptions(g, steps, depth, topo)
 	res, err := solver.Run(q, opt)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: ttile: %v\n", err)
@@ -163,9 +161,9 @@ func ttileRunChecksum(g grid.Dims, steps, depth int, topo mpi.Cart, coalesce boo
 	return kernelChecksum(res)
 }
 
-// ttileTopoStats sums a layout's analytic per-step halo traffic across all
-// ranks of a topology at the given temporal depth.
-func ttileTopoStats(topo mpi.Cart, sub grid.Dims, coalesced bool, depth int) (msgs, floats float64) {
+// ttileTopoStats sums the per-step halo traffic across all ranks of a
+// topology at the given temporal depth.
+func ttileTopoStats(topo mpi.Cart, sub grid.Dims, depth int) (msgs, floats float64) {
 	for r := 0; r < topo.Size(); r++ {
 		var mask [3][2]bool
 		for ax := 0; ax < 3; ax++ {
@@ -173,12 +171,12 @@ func ttileTopoStats(topo mpi.Cart, sub grid.Dims, coalesced bool, depth int) (ms
 			mask[ax][1] = topo.Neighbor(r, ax, +1) >= 0
 		}
 		if depth <= 1 {
-			st := solver.HaloStats(sub, mask, solver.Asynchronous, coalesced)
+			st := solver.HaloStats(sub, mask, solver.Asynchronous)
 			msgs += float64(st.Msgs())
 			floats += float64(st.Floats)
 			continue
 		}
-		st := solver.TemporalHaloStats(sub, mask, coalesced, depth, true, true)
+		st := solver.TemporalHaloStats(sub, mask, depth, true, true)
 		msgs += float64(st.Msgs()) / float64(depth)
 		floats += float64(st.Floats) / float64(depth)
 	}
@@ -188,8 +186,8 @@ func ttileTopoStats(topo mpi.Cart, sub grid.Dims, coalesced bool, depth int) (ms
 // ttile benchmarks the time-tiled execution engine: ns/cell/step across
 // temporal depths {1, 2, 4} on several grids with exact output checksums
 // proving bit identity, a distributed depth-2 run checked against the
-// serial reference, the analytic per-step message accounting showing the
-// ~T-fold (2T-fold when coalesced) reduction a super-step buys, and the
+// serial reference, the per-step message accounting showing the 2T-fold
+// reduction a super-step buys, and the
 // temporal halo duel measuring that reduction as wall time under emulated
 // per-message interconnect overhead (the ≥1.15× acceptance gate). Writes
 // BENCH_6.json (or outPath).
@@ -278,49 +276,42 @@ func ttile(outPath string, short bool) {
 		rep.Grids = append(rep.Grids, run)
 	}
 
-	// One distributed coalesced super-step run against the serial classic
-	// reference: same global grid, 2x2x1 ranks, depth 2.
+	// One distributed super-step run against the serial classic reference:
+	// same global grid, 2x2x1 ranks, depth 2.
 	mg := grids[0]
-	rep.SerialChecksum = ttileRunChecksum(mg, steps, 1, mpi.NewCart(1, 1, 1), false)
-	rep.MultiRankChecksum = ttileRunChecksum(mg, steps, 2, mpi.NewCart(2, 2, 1), true)
-	fmt.Printf("\ndistributed 2x2x1 depth-2 coalesced vs serial depth-1 on %s: %v\n",
+	rep.SerialChecksum = ttileRunChecksum(mg, steps, 1, mpi.NewCart(1, 1, 1))
+	rep.MultiRankChecksum = ttileRunChecksum(mg, steps, 2, mpi.NewCart(2, 2, 1))
+	fmt.Printf("\ndistributed 2x2x1 depth-2 vs serial depth-1 on %s: %v\n",
 		rep.Grids[0].Grid, rep.MultiRankChecksum == rep.SerialChecksum)
 	if rep.MultiRankChecksum != rep.SerialChecksum {
 		fmt.Fprintf(os.Stderr, "benchtab: ttile: distributed depth-2 output diverged from serial depth-1\n")
 		os.Exit(1)
 	}
 
-	// Analytic per-step message accounting: the deep exchange runs once per
-	// T steps, so per-field messages fall from 9 per neighbor per step to
-	// 15/T, and coalesced from 2 per neighbor per step to 1/T.
+	// Per-step message accounting: the deep exchange runs once per T
+	// steps, so messages fall from 2 per neighbor per step to 1/T.
 	topo := mpi.NewCart(2, 2, 1)
 	sub := grid.Dims{NX: grids[0].NX / 2, NY: grids[0].NY / 2, NZ: grids[0].NZ}
-	fmt.Printf("\n%-8s %-10s %-10s %6s %14s %16s %12s\n",
-		"topo", "subgrid", "layout", "depth", "msgs/step", "floats/step", "reduction")
-	for _, coalesced := range []bool{false, true} {
-		layout := "per-field"
-		if coalesced {
-			layout = "coalesced"
+	fmt.Printf("\n%-8s %-10s %6s %14s %16s %12s\n",
+		"topo", "subgrid", "depth", "msgs/step", "floats/step", "reduction")
+	var base float64
+	for _, depth := range depths {
+		msgs, floats := ttileTopoStats(topo, sub, depth)
+		row := ttileMsgRow{
+			Topo:    fmt.Sprintf("%dx%dx%d", topo.PX, topo.PY, topo.PZ),
+			Subgrid: sub.String(), Depth: depth,
+			MsgsPerStep: msgs, FloatsPerStep: floats,
 		}
-		var base float64
-		for _, depth := range depths {
-			msgs, floats := ttileTopoStats(topo, sub, coalesced, depth)
-			row := ttileMsgRow{
-				Topo:    fmt.Sprintf("%dx%dx%d", topo.PX, topo.PY, topo.PZ),
-				Subgrid: sub.String(), Layout: layout, Depth: depth,
-				MsgsPerStep: msgs, FloatsPerStep: floats,
-			}
-			if depth == 1 {
-				base = msgs
-				row.MsgReduction = 1
-			} else {
-				row.MsgReduction = base / msgs
-			}
-			rep.Messages = append(rep.Messages, row)
-			fmt.Printf("%-8s %-10s %-10s %6d %14.1f %16.0f %11.1fx\n",
-				row.Topo, row.Subgrid, row.Layout, row.Depth,
-				row.MsgsPerStep, row.FloatsPerStep, row.MsgReduction)
+		if depth == 1 {
+			base = msgs
+			row.MsgReduction = 1
+		} else {
+			row.MsgReduction = base / msgs
 		}
+		rep.Messages = append(rep.Messages, row)
+		fmt.Printf("%-8s %-10s %6d %14.1f %16.0f %11.1fx\n",
+			row.Topo, row.Subgrid, row.Depth,
+			row.MsgsPerStep, row.FloatsPerStep, row.MsgReduction)
 	}
 
 	// Temporal halo duel on strong-scaled subgrids, with and without
@@ -328,8 +319,8 @@ func ttile(outPath string, short bool) {
 	// transport has α ≈ 0.1µs and memcpy-class bandwidth, a regime no
 	// production interconnect occupies; the α=8µs rows match the Jaguar-
 	// class Alpha of the perfmodel machine descriptions and are where the
-	// super-step exchange's ~T-fold (2T-fold coalesced) message reduction
-	// becomes a measured win.
+	// super-step exchange's 2T-fold message reduction becomes a measured
+	// win.
 	rep.AlphaNote = "alpha_us > 0 rows run under mpi.World.SetLinkLatency: every transmission " +
 		"charges the sender that fixed per-message overhead (busy-wait, no checksum side " +
 		"effects); 8us matches the Jaguar-class Alpha of internal/perfmodel machine descriptions. " +
@@ -340,53 +331,43 @@ func ttile(outPath string, short bool) {
 	duelAlphas := []time.Duration{0, 8 * time.Microsecond}
 	duelSteps := 120
 	duelDepths := []int{2, 4}
-	duelLayouts := []bool{false, true}
 	if short {
 		duelSubs = duelSubs[:1]
 		duelAlphas = duelAlphas[1:]
 		duelSteps = 40
 		duelDepths = []int{2}
-		duelLayouts = []bool{false}
 	}
-	fmt.Printf("\n%-10s %-10s %-10s %6s %9s %13s %13s %9s\n",
-		"grid", "subgrid", "layout", "depth", "alpha_us", "classic_us", "deep_us", "speedup")
+	fmt.Printf("\n%-10s %-10s %6s %9s %13s %13s %9s\n",
+		"grid", "subgrid", "depth", "alpha_us", "classic_us", "deep_us", "speedup")
 	for _, sub := range duelSubs {
 		global := grid.Dims{NX: sub.NX * duelTopo.PX, NY: sub.NY * duelTopo.PY, NZ: sub.NZ * duelTopo.PZ}
 		cells := float64(global.Cells())
-		for _, coalesced := range duelLayouts {
-			layout := "per-field"
-			if coalesced {
-				layout = "coalesced"
-			}
-			for _, alpha := range duelAlphas {
-				for _, depth := range duelDepths {
-					cfg := solver.HaloBenchConfig{
-						Topo: duelTopo, Local: sub, Model: solver.Asynchronous,
-						Coalesce: coalesced, Threads: 1, Steps: duelSteps,
-						EmulatedAlpha: alpha,
-					}
-					classic, deep := solver.RunTemporalHaloDuel(cfg, depth)
-					row := ttileDuelRow{
-						Grid:                 fmt.Sprintf("%dx%dx%d", global.NX, global.NY, global.NZ),
-						Topo:                 fmt.Sprintf("%dx%dx%d", duelTopo.PX, duelTopo.PY, duelTopo.PZ),
-						Subgrid:              sub.String(),
-						Layout:               layout,
-						Depth:                depth,
-						AlphaUs:              alpha.Seconds() * 1e6,
-						ClassicUsPerStep:     classic * 1e6,
-						DeepUsPerStep:        deep * 1e6,
-						ClassicNsPerCellStep: classic * 1e9 / cells,
-						DeepNsPerCellStep:    deep * 1e9 / cells,
-						Speedup:              classic / deep,
-					}
-					rep.HaloDuel = append(rep.HaloDuel, row)
-					if row.AlphaUs > 0 && row.Speedup > rep.DuelBestSpeedup {
-						rep.DuelBestSpeedup = row.Speedup
-					}
-					fmt.Printf("%-10s %-10s %-10s %6d %9.1f %13.1f %13.1f %8.2fx\n",
-						row.Grid, row.Subgrid, row.Layout, row.Depth, row.AlphaUs,
-						row.ClassicUsPerStep, row.DeepUsPerStep, row.Speedup)
+		for _, alpha := range duelAlphas {
+			for _, depth := range duelDepths {
+				cfg := solver.HaloBenchConfig{
+					Topo: duelTopo, Local: sub, Model: solver.Asynchronous,
+					Threads: 1, Steps: duelSteps, EmulatedAlpha: alpha,
 				}
+				classic, deep := solver.RunTemporalHaloDuel(cfg, depth)
+				row := ttileDuelRow{
+					Grid:                 fmt.Sprintf("%dx%dx%d", global.NX, global.NY, global.NZ),
+					Topo:                 fmt.Sprintf("%dx%dx%d", duelTopo.PX, duelTopo.PY, duelTopo.PZ),
+					Subgrid:              sub.String(),
+					Depth:                depth,
+					AlphaUs:              alpha.Seconds() * 1e6,
+					ClassicUsPerStep:     classic * 1e6,
+					DeepUsPerStep:        deep * 1e6,
+					ClassicNsPerCellStep: classic * 1e9 / cells,
+					DeepNsPerCellStep:    deep * 1e9 / cells,
+					Speedup:              classic / deep,
+				}
+				rep.HaloDuel = append(rep.HaloDuel, row)
+				if row.AlphaUs > 0 && row.Speedup > rep.DuelBestSpeedup {
+					rep.DuelBestSpeedup = row.Speedup
+				}
+				fmt.Printf("%-10s %-10s %6d %9.1f %13.1f %13.1f %8.2fx\n",
+					row.Grid, row.Subgrid, row.Depth, row.AlphaUs,
+					row.ClassicUsPerStep, row.DeepUsPerStep, row.Speedup)
 			}
 		}
 	}

@@ -49,33 +49,6 @@ func TestThreadedAllCommModelsBitIdentical(t *testing.T) {
 	}
 }
 
-// The legacy copying message path and the zero-copy lending path carry the
-// same bytes; only allocation behavior differs.
-func TestCopyHaloBitIdentical(t *testing.T) {
-	q := cvm.SoCal(2400, 2400, 1600, 400)
-	for _, model := range []CommModel{Synchronous, AsyncReduced, AsyncOverlap} {
-		mk := func(copyMode bool) *Result {
-			opt := baseOptions(mpi.NewCart(2, 1, 2))
-			opt.Comm = model
-			opt.Threads = 2
-			opt.CopyHalo = copyMode
-			res, err := Run(q, opt)
-			if err != nil {
-				t.Fatalf("%v copy=%v: %v", model, copyMode, err)
-			}
-			return res
-		}
-		zero, legacy := mk(false), mk(true)
-		for r := range zero.Seismograms {
-			for n := range zero.Seismograms[r] {
-				if zero.Seismograms[r][n] != legacy.Seismograms[r][n] {
-					t.Fatalf("%v: copy and zero-copy paths diverge at receiver %d sample %d", model, r, n)
-				}
-			}
-		}
-	}
-}
-
 // The DFR path orders attenuation after the split-node stress correction;
 // the threaded engine must preserve that (it cannot fuse attenuation into
 // the stress tiles when a fault is present).

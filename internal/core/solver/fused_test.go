@@ -33,8 +33,8 @@ func expectResultsExact(t *testing.T, label string, ref, res *Result) {
 
 // The fused sweep (single-pass stress+attenuation, folded sponge/PGV) must
 // reproduce the two-pass Precomp reference bit-exactly across every comm
-// model, threading level, and halo discipline — the engine only changes
-// how memory is streamed, never a single arithmetic result.
+// model and threading level — the engine only changes how memory is
+// streamed, never a single arithmetic result.
 func TestFusedBitIdentityMatrix(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	ref, err := Run(q, baseOptions(mpi.NewCart(1, 1, 1))) // serial Precomp + ApplyTiled
@@ -54,32 +54,41 @@ func TestFusedBitIdentityMatrix(t *testing.T) {
 
 	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
 		for _, threads := range []int{1, 4} {
-			for _, coalesce := range []bool{false, true} {
-				opt := baseOptions(mpi.NewCart(2, 2, 1))
-				opt.Comm = model
-				opt.Threads = threads
-				opt.CoalesceHalo = coalesce
-				opt.Variant = fd.Fused
-				res, err := Run(q, opt)
-				if err != nil {
-					t.Fatalf("%v threads=%d coalesce=%v: %v", model, threads, coalesce, err)
-				}
-				expectResultsExact(t, fmt.Sprintf("%v threads=%d coalesce=%v", model, threads, coalesce), ref, res)
+			opt := baseOptions(mpi.NewCart(2, 2, 1))
+			opt.Comm = model
+			opt.Threads = threads
+			opt.Variant = fd.Fused
+			res, err := Run(q, opt)
+			if err != nil {
+				t.Fatalf("%v threads=%d: %v", model, threads, err)
 			}
+			expectResultsExact(t, fmt.Sprintf("%v threads=%d", model, threads), ref, res)
 		}
 	}
 }
 
-// Unknown variants must be rejected at configuration time, not panic deep
-// inside the first kernel call.
-func TestUnknownVariantRejected(t *testing.T) {
-	opt := baseOptions(mpi.NewCart(1, 1, 1))
-	opt.Variant = fd.Variant(99)
-	if _, err := Run(cvm.HardRock(), opt); err == nil {
-		t.Fatal("Variant=99 accepted; must be rejected by Run")
-	}
-	opt.Variant = fd.Variant(-1)
-	if _, err := Run(cvm.HardRock(), opt); err == nil {
-		t.Fatal("Variant=-1 accepted; must be rejected by Run")
+// Unknown enum values must be rejected at configuration time: a bad
+// Variant must not panic deep inside the first kernel call, and a bad
+// Comm or ABC must not silently run as some other model.
+func TestUnknownEnumsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"Variant=99", func(o *Options) { o.Variant = fd.Variant(99) }},
+		{"Variant=-1", func(o *Options) { o.Variant = fd.Variant(-1) }},
+		{"Comm=9", func(o *Options) { o.Comm = CommModel(9) }},
+		{"Comm=-1", func(o *Options) { o.Comm = CommModel(-1) }},
+		{"ABC=7", func(o *Options) { o.ABC = ABCKind(7) }},
+		{"ABC=-1", func(o *Options) { o.ABC = ABCKind(-1) }},
+	} {
+		opt := baseOptions(mpi.NewCart(1, 1, 1))
+		tc.set(&opt)
+		if _, _, err := Prepare(opt); err == nil {
+			t.Errorf("%s accepted by Prepare", tc.name)
+		}
+		if _, err := Run(cvm.HardRock(), opt); err == nil {
+			t.Errorf("%s accepted by Run", tc.name)
+		}
 	}
 }

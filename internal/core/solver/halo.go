@@ -9,10 +9,7 @@ package solver
 
 import (
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/grid"
-	"repro/internal/mpi"
-	"repro/internal/telemetry"
 )
 
 // CommModel selects the halo-exchange strategy. All models compute
@@ -48,290 +45,6 @@ func (c CommModel) String() string {
 		return "overlap"
 	}
 	return "unknown"
-}
-
-// axesAll is the exchange set for velocity components and for stresses in
-// the non-reduced models.
-var axesAll = []grid.Axis{grid.X, grid.Y, grid.Z}
-
-// stressAxesReduced maps stress component index (xx,yy,zz,xy,xz,yz) to the
-// axes it must be exchanged along (§IV.A: "we only need to update xx in
-// the x direction").
-var stressAxesReduced = [6][]grid.Axis{
-	{grid.X},         // sxx
-	{grid.Y},         // syy
-	{grid.Z},         // szz
-	{grid.X, grid.Y}, // sxy
-	{grid.X, grid.Z}, // sxz
-	{grid.Y, grid.Z}, // syz
-}
-
-// halo manages ghost exchange for one rank. Two buffer disciplines:
-//
-//   - zero-copy (default): faces are packed into pooled buffers
-//     (mpi.GetBuffer) that are lent to the runtime with SendOwned and
-//     claimed by the receiver with RecvTake/IrecvTake, then recycled with
-//     PutBuffer. One pack, zero further copies, zero steady-state
-//     allocations per message.
-//   - copy (legacy, copyMode=true): the original path through
-//     mpi.Comm.Send's defensive copy, kept for benchmarking the
-//     zero-copy gain. Results are bit-identical.
-//
-// Orthogonally, two message layouts:
-//
-//   - per-field (default): one message per (field, axis, side), the
-//     paper's unique-tag scheme — up to 54 messages per step.
-//   - coalesced (coalesce=true): every face bound for one neighbor in
-//     one phase is packed at planned offsets into a single pooled buffer
-//     and sent as one tagged message — at most one message per neighbor
-//     per phase (see coalesce.go). Pack/unpack of the face sections runs
-//     as tiles on the rank's worker pool. Results are bit-identical.
-type halo struct {
-	comm *mpi.Comm
-	topo mpi.Cart
-	// nbr[axis][side] is the neighbor rank or -1.
-	nbr [3][2]int
-	// copyMode selects the legacy copying send path.
-	copyMode bool
-	// coalesce selects the one-message-per-neighbor layout.
-	coalesce bool
-	// pool runs coalesced pack/unpack sections as tiles; nil packs
-	// serially.
-	pool *sched.Pool
-	// Reusable pack buffers per field slot and axis/side (copy path only).
-	bufs map[int][]float32
-	// Cached coalesced layouts per (phase, reduced axis set).
-	plans map[planKey]*coalPlan
-	// tel records pack/send/recv/unpack spans; nil disables (every probe
-	// is a nil check).
-	tel *telemetry.Recorder
-}
-
-func newHalo(c *mpi.Comm, topo mpi.Cart, copyMode, coalesce bool, pool *sched.Pool) *halo {
-	h := &halo{
-		comm: c, topo: topo, copyMode: copyMode, coalesce: coalesce,
-		pool: pool, bufs: map[int][]float32{}, plans: map[planKey]*coalPlan{},
-	}
-	for ax := 0; ax < 3; ax++ {
-		h.nbr[ax][0] = topo.Neighbor(c.Rank(), ax, -1)
-		h.nbr[ax][1] = topo.Neighbor(c.Rank(), ax, +1)
-	}
-	return h
-}
-
-// tag builds a unique message tag from field slot, axis and direction of
-// travel (the paper's unique-tagging scheme that permits out-of-order
-// arrival without ambiguity).
-func tag(slot int, ax grid.Axis, dirHigh bool) int {
-	t := (slot*3+int(ax))*2 + 1
-	if dirHigh {
-		t++
-	}
-	return t
-}
-
-func (h *halo) buf(key, n int) []float32 {
-	b := h.bufs[key]
-	if cap(b) < n {
-		b = make([]float32, n)
-		h.bufs[key] = b
-	}
-	return b[:n]
-}
-
-// exchangeSync performs blocking per-axis send/recv pairs plus nothing
-// else; the caller adds the global barrier the original code had.
-func (h *halo) exchangeSync(fields []*grid.Field3, slots []int, axes func(int) []grid.Axis) {
-	for fi, f := range fields {
-		for _, ax := range axes(fi) {
-			n := f.FaceLen(ax, grid.Ghost)
-			for side := 0; side < 2; side++ {
-				sd := grid.Side(side)
-				peer := h.nbr[ax][side]
-				if peer < 0 {
-					continue
-				}
-				if h.copyMode {
-					out := h.buf(tag(slots[fi], ax, side == 1)*2, n)
-					sp := h.tel.Span(telemetry.Pack)
-					f.PackFace(ax, sd, grid.Ghost, out)
-					sp.End()
-					sp = h.tel.Span(telemetry.Send)
-					h.comm.Send(peer, tag(slots[fi], ax, side == 1), out)
-					sp.End()
-				} else {
-					out := mpi.GetBuffer(n)
-					sp := h.tel.Span(telemetry.Pack)
-					f.PackFace(ax, sd, grid.Ghost, out)
-					sp.End()
-					sp = h.tel.Span(telemetry.Send)
-					h.comm.SendOwned(peer, tag(slots[fi], ax, side == 1), out)
-					sp.End()
-				}
-			}
-			for side := 0; side < 2; side++ {
-				sd := grid.Side(side)
-				peer := h.nbr[ax][side]
-				if peer < 0 {
-					continue
-				}
-				// The message arriving from the low neighbor was sent as
-				// its high-side message, and vice versa.
-				if h.copyMode {
-					in := h.buf(tag(slots[fi], ax, side == 1)*2+1, n)
-					sp := h.tel.Span(telemetry.Recv)
-					h.comm.MustRecv(in, peer, tag(slots[fi], ax, side == 0))
-					sp.End()
-					sp = h.tel.Span(telemetry.Unpack)
-					f.UnpackFace(ax, sd, grid.Ghost, in)
-					sp.End()
-				} else {
-					sp := h.tel.Span(telemetry.Recv)
-					in, _ := h.comm.MustRecvTake(peer, tag(slots[fi], ax, side == 0))
-					sp.End()
-					sp = h.tel.Span(telemetry.Unpack)
-					f.UnpackFace(ax, sd, grid.Ghost, in)
-					sp.End()
-					mpi.PutBuffer(in)
-				}
-			}
-		}
-	}
-}
-
-// postAsync posts all receives and sends with unique tags and returns a
-// finish function that waits and unpacks — the split that enables the
-// overlap model to compute the interior between post and finish.
-func (h *halo) postAsync(fields []*grid.Field3, slots []int, axes func(int) []grid.Axis) func() {
-	type pending struct {
-		f   *grid.Field3
-		ax  grid.Axis
-		sd  grid.Side
-		buf []float32
-		req *mpi.Request
-	}
-	var pend []pending
-	key := 0
-	for fi, f := range fields {
-		for _, ax := range axes(fi) {
-			n := f.FaceLen(ax, grid.Ghost)
-			for side := 0; side < 2; side++ {
-				peer := h.nbr[ax][side]
-				if peer < 0 {
-					continue
-				}
-				if h.copyMode {
-					in := h.buf(1000+key, n)
-					key++
-					req := h.comm.Irecv(in, peer, tag(slots[fi], ax, side == 0))
-					pend = append(pend, pending{f, ax, grid.Side(side), in, req})
-				} else {
-					req := h.comm.IrecvTake(peer, tag(slots[fi], ax, side == 0))
-					pend = append(pend, pending{f, ax, grid.Side(side), nil, req})
-				}
-			}
-		}
-	}
-	for fi, f := range fields {
-		for _, ax := range axes(fi) {
-			n := f.FaceLen(ax, grid.Ghost)
-			for side := 0; side < 2; side++ {
-				peer := h.nbr[ax][side]
-				if peer < 0 {
-					continue
-				}
-				if h.copyMode {
-					out := h.buf(2000+key, n)
-					key++
-					sp := h.tel.Span(telemetry.Pack)
-					f.PackFace(ax, grid.Side(side), grid.Ghost, out)
-					sp.End()
-					sp = h.tel.Span(telemetry.Send)
-					h.comm.Isend(peer, tag(slots[fi], ax, side == 1), out)
-					sp.End()
-				} else {
-					out := mpi.GetBuffer(n)
-					sp := h.tel.Span(telemetry.Pack)
-					f.PackFace(ax, grid.Side(side), grid.Ghost, out)
-					sp.End()
-					sp = h.tel.Span(telemetry.Send)
-					h.comm.IsendOwned(peer, tag(slots[fi], ax, side == 1), out)
-					sp.End()
-				}
-			}
-		}
-	}
-	return func() {
-		for _, p := range pend {
-			sp := h.tel.Span(telemetry.Recv)
-			p.req.Wait()
-			sp.End()
-			sp = h.tel.Span(telemetry.Unpack)
-			if h.copyMode {
-				p.f.UnpackFace(p.ax, p.sd, grid.Ghost, p.buf)
-			} else {
-				in := p.req.Data()
-				p.f.UnpackFace(p.ax, p.sd, grid.Ghost, in)
-				mpi.PutBuffer(in)
-			}
-			sp.End()
-		}
-	}
-}
-
-// velocityAxes and stressAxes return the per-field exchange sets for the
-// model.
-func velocityAxes(CommModel) func(int) []grid.Axis {
-	return func(int) []grid.Axis { return axesAll }
-}
-
-func stressAxes(model CommModel) func(int) []grid.Axis {
-	if model == AsyncReduced || model == AsyncOverlap {
-		return func(fi int) []grid.Axis { return stressAxesReduced[fi] }
-	}
-	return func(int) []grid.Axis { return axesAll }
-}
-
-// phase identifiers for the coalesced tag scheme and plan cache.
-const (
-	phaseVelocity = 0
-	phaseStress   = 1
-)
-
-// post starts the exchange of one phase under the configured message
-// layout and returns the finish function that waits and unpacks — the
-// split the overlap model computes the interior inside.
-func (h *halo) post(phase int, model CommModel, fields []*grid.Field3, slots []int) func() {
-	axes := velocityAxes(model)
-	if phase == phaseStress {
-		axes = stressAxes(model)
-	}
-	if h.coalesce {
-		return h.postCoalesced(phase, model, fields)
-	}
-	return h.postAsync(fields, slots, axes)
-}
-
-// exchangeVelocities exchanges the three velocity components per model.
-func (h *halo) exchangeVelocities(s *fd.State, model CommModel) {
-	fields := s.Velocities()
-	slots := []int{0, 1, 2}
-	if model == Synchronous && !h.coalesce {
-		h.exchangeSync(fields, slots, velocityAxes(model))
-		return
-	}
-	h.post(phaseVelocity, model, fields, slots)()
-}
-
-// exchangeStresses exchanges the six stress components per model.
-func (h *halo) exchangeStresses(s *fd.State, model CommModel) {
-	fields := s.Stresses()
-	slots := []int{3, 4, 5, 6, 7, 8}
-	if model == Synchronous && !h.coalesce {
-		h.exchangeSync(fields, slots, stressAxes(model))
-		return
-	}
-	h.post(phaseStress, model, fields, slots)()
 }
 
 // boundaryStrips splits a subgrid into the halo-adjacent strips (width w
@@ -373,71 +86,58 @@ func boundaryStrips(d grid.Dims, mask [3][2]bool, w int) ([]fd.Box, fd.Box) {
 	return strips, interior
 }
 
-// MessageStats describes one rank's per-step halo traffic: the float32
-// volume (discipline-invariant) and the message counts per phase, which
-// coalescing reduces — the quantity the extended performance model
-// (perfmodel, Eq. 7/8 with the α·nmsgs term) prices.
+// MessageStats describes one rank's halo traffic: the float32 volume and
+// the message counts per phase — the quantity the extended performance
+// model (perfmodel, Eq. 7/8 with the α·nmsgs term) prices.
 type MessageStats struct {
-	Floats     int // float32 values sent per step (both phases)
+	Floats     int // float32 values sent (both phases)
 	VelMsgs    int // messages sent in the velocity phase
 	StressMsgs int // messages sent in the stress phase
 }
 
-// Msgs returns the total messages sent per step.
+// Msgs returns the total messages sent.
 func (s MessageStats) Msgs() int { return s.VelMsgs + s.StressMsgs }
 
-// HaloStats returns the per-step halo traffic of a rank with the given
-// subgrid under the model and message layout, counting only faces with
-// neighbors. Coalescing changes message counts but never float volume.
-func HaloStats(d grid.Dims, nbrMask [3][2]bool, model CommModel, coalesced bool) MessageStats {
-	faceLen := func(ax grid.Axis) int {
-		switch ax {
-		case grid.X:
-			return grid.Ghost * d.NY * d.NZ
-		case grid.Y:
-			return grid.Ghost * d.NX * d.NZ
-		default:
-			return grid.Ghost * d.NX * d.NY
-		}
-	}
-	countAxes := func(axes []grid.Axis) (floats, msgs int) {
-		for _, ax := range axes {
-			for side := 0; side < 2; side++ {
-				if nbrMask[int(ax)][side] {
-					floats += faceLen(ax)
-					msgs++
-				}
+// statsEnv is the transport-less env the traffic accounting builds its
+// schedules on — the same builders the Stepper uses, over nil fields, with
+// placeholder peers on the faces that have a neighbor.
+func statsEnv(d grid.Dims, nbrMask [3][2]bool) haloEnv {
+	e := haloEnv{d: d}
+	for ax := range e.nbr {
+		for sd := range e.nbr[ax] {
+			if !nbrMask[ax][sd] {
+				e.nbr[ax][sd] = -1
 			}
 		}
-		return
+	}
+	return e
+}
+
+// HaloStats returns the per-step halo traffic of a rank with the given
+// subgrid under the model, read off the velocity and stress schedules a
+// Stepper of that shape executes.
+func HaloStats(d grid.Dims, nbrMask [3][2]bool, model CommModel) MessageStats {
+	env := statsEnv(d, nbrMask)
+	var st MessageStats
+	var vf, sf int
+	st.VelMsgs, vf = classicSchedule(env, phaseVelocity, model, make([]*grid.Field3, 3)).traffic()
+	st.StressMsgs, sf = classicSchedule(env, phaseStress, model, make([]*grid.Field3, 6)).traffic()
+	st.Floats = vf + sf
+	return st
+}
+
+// TemporalHaloStats returns the halo traffic of ONE super-step at temporal
+// depth T, read off the deep schedule. Per-step figures are these divided
+// by T — the ~2T-fold message reduction the perfmodel's per-message term
+// prices. The one aggregate per neighbor is counted under VelMsgs; the
+// deep exchange is comm-model independent.
+func TemporalHaloStats(d grid.Dims, nbrMask [3][2]bool, T int, atten, freeSurface bool) MessageStats {
+	nf := 9
+	if atten {
+		nf = 15
 	}
 	var st MessageStats
-	vf, vm := countAxes(axesAll)
-	st.Floats += 3 * vf // velocities: always all axes
-	st.VelMsgs = 3 * vm
-	for c := 0; c < 6; c++ {
-		axes := axesAll
-		if model == AsyncReduced || model == AsyncOverlap {
-			axes = stressAxesReduced[c]
-		}
-		sf, sm := countAxes(axes)
-		st.Floats += sf
-		st.StressMsgs += sm
-	}
-	if coalesced {
-		// One message per neighbor per phase; every neighbor receives at
-		// least one velocity and one stress section in every model.
-		neighbors := 0
-		for ax := 0; ax < 3; ax++ {
-			for side := 0; side < 2; side++ {
-				if nbrMask[ax][side] {
-					neighbors++
-				}
-			}
-		}
-		st.VelMsgs = neighbors
-		st.StressMsgs = neighbors
-	}
+	st.VelMsgs, st.Floats = deepSchedule(statsEnv(d, nbrMask), T, make([]*grid.Field3, nf), freeSurface).traffic()
 	return st
 }
 
@@ -446,5 +146,5 @@ func HaloStats(d grid.Dims, nbrMask [3][2]bool, model CommModel, coalesced bool)
 // counting only faces with neighbors. Used by tests and the performance
 // model to verify the 75%-reduction claim for normal stresses.
 func MessageVolume(d grid.Dims, nbrMask [3][2]bool, model CommModel) int {
-	return HaloStats(d, nbrMask, model, false).Floats
+	return HaloStats(d, nbrMask, model).Floats
 }

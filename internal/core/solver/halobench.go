@@ -11,16 +11,13 @@ import (
 
 // HaloBenchConfig configures a communication-only benchmark run: a full
 // multi-rank world exchanging both wavefield phases with no kernel work,
-// so the per-field and coalesced message layouts can be compared in
-// isolation (cmd/benchtab -exp halo).
+// so the exchange cost can be measured in isolation.
 type HaloBenchConfig struct {
-	Topo     mpi.Cart
-	Local    grid.Dims // per-rank subgrid
-	Model    CommModel
-	CopyHalo bool
-	Coalesce bool
-	Threads  int
-	Steps    int // measured exchange steps (velocity + stress per step)
+	Topo    mpi.Cart
+	Local   grid.Dims // per-rank subgrid
+	Model   CommModel
+	Threads int
+	Steps   int // measured exchange steps (velocity + stress per step)
 
 	// EmulatedAlpha, when positive, arms mpi.World.SetLinkLatency so
 	// every transmission charges the sender a fixed per-message overhead
@@ -45,14 +42,13 @@ type HaloBenchResult struct {
 	StressFloats float64
 
 	// Checksum over every rank's full padded fields (ghosts included)
-	// after the exchanges — identical across layouts and disciplines by
-	// the bit-identity guarantee.
+	// after the exchanges.
 	Checksum float64
 }
 
 // RunHaloExchangeBench runs cfg.Steps velocity+stress halo exchanges on a
 // world of cfg.Topo.Size() ranks with deterministic field contents and
-// returns timing, per-phase message counts and a cross-layout checksum.
+// returns timing, per-phase message counts and a field checksum.
 func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 1
@@ -68,18 +64,20 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 		fillDeterministic(st, c.Rank())
 		pool := sched.NewPool(cfg.Threads)
 		defer pool.Close()
-		hx := newHalo(c, cfg.Topo, cfg.CopyHalo, cfg.Coalesce, pool)
+		env := newHaloEnv(c, cfg.Topo, cfg.Local, pool, nil)
+		vel := classicSchedule(env, phaseVelocity, cfg.Model, st.Velocities())
+		stress := classicSchedule(env, phaseStress, cfg.Model, st.Stresses())
 
 		exchange := func(n int) {
 			for s := 0; s < n; s++ {
-				hx.exchangeVelocities(st, cfg.Model)
-				hx.exchangeStresses(st, cfg.Model)
+				vel.exchange()
+				stress.exchange()
 			}
 		}
 
-		// Warm up buffers and plans, then count each phase separately:
+		// Warm up the buffer pool, then count each phase separately:
 		// exchanges are idempotent (fields never change), so phase-only
-		// loops measure exactly the traffic the layout produces.
+		// loops measure exactly the traffic the schedule produces.
 		exchange(2)
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -87,7 +85,7 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 		}
 		c.Barrier()
 		for s := 0; s < steps; s++ {
-			hx.exchangeVelocities(st, cfg.Model)
+			vel.exchange()
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -98,7 +96,7 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 		}
 		c.Barrier()
 		for s := 0; s < steps; s++ {
-			hx.exchangeStresses(st, cfg.Model)
+			stress.exchange()
 		}
 		c.Barrier()
 		if c.Rank() == 0 {
@@ -122,7 +120,7 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 			}
 		}
 
-		// Cross-layout checksum (ghosts included).
+		// Checksum, ghosts included.
 		var sum float64
 		for _, f := range append(st.Velocities(), st.Stresses()...) {
 			for _, v := range f.Data() {
@@ -137,63 +135,9 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 	return res
 }
 
-// RunHaloLayoutDuel measures per-field vs coalesced sec/step in one world
-// with interleaved repetitions — per-field, coalesced, per-field, ... —
-// taking the per-layout minimum. The paired design cancels the scheduler
-// and heap drift that separate runs suffer on a busy host, which at
-// bandwidth-dominated sizes is larger than the layout difference itself.
-// The two layouts share the comm (their tag spaces are disjoint) and the
-// same fields, so both time exactly the same exchange.
-func RunHaloLayoutDuel(cfg HaloBenchConfig) (perField, coalesced float64) {
-	if cfg.Steps <= 0 {
-		cfg.Steps = 1
-	}
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	steps := cfg.Steps
-	world := mpi.NewWorld(cfg.Topo.Size())
-	world.Run(func(c *mpi.Comm) {
-		st := fd.NewState(cfg.Local)
-		fillDeterministic(st, c.Rank())
-		pool := sched.NewPool(cfg.Threads)
-		defer pool.Close()
-		halos := [2]*halo{
-			newHalo(c, cfg.Topo, cfg.CopyHalo, false, pool),
-			newHalo(c, cfg.Topo, cfg.CopyHalo, true, pool),
-		}
-		times := [2]float64{}
-		run := func(h *halo) {
-			for s := 0; s < steps; s++ {
-				h.exchangeVelocities(st, cfg.Model)
-				h.exchangeStresses(st, cfg.Model)
-			}
-		}
-		run(halos[0])
-		run(halos[1]) // warm buffers and plans
-		for rep := 0; rep < 5; rep++ {
-			for li, h := range halos {
-				c.Barrier()
-				t0 := time.Now()
-				run(h)
-				c.Barrier()
-				if c.Rank() == 0 {
-					if sec := time.Since(t0).Seconds() / float64(steps); rep == 0 || sec < times[li] {
-						times[li] = sec
-					}
-				}
-			}
-		}
-		if c.Rank() == 0 {
-			perField, coalesced = times[0], times[1]
-		}
-	})
-	return perField, coalesced
-}
-
 // fillDeterministic gives every interior cell of every field a value that
-// depends only on (rank, field, i, j, k), so two runs with different
-// message layouts exchange identical data.
+// depends only on (rank, field, i, j, k), so every run exchanges identical
+// data.
 func fillDeterministic(st *fd.State, rank int) {
 	fields := append(st.Velocities(), st.Stresses()...)
 	for fi, f := range fields {
@@ -213,10 +157,10 @@ func fillDeterministic(st *fd.State, rank int) {
 // against the deep super-step exchange at temporal depth T in one world,
 // on an equal per-step basis: each timed repetition advances cfg.Steps
 // steps' worth of communication — cfg.Steps velocity+stress exchange pairs
-// on the classic side, cfg.Steps/T deep exchanges on the other. The
-// interleaved minimum-of-reps design matches RunHaloLayoutDuel: both
-// protocols share the comm (disjoint tag spaces) and the scheduler drift
-// of a busy host hits each alike. Returns wall seconds per simulated step
+// on the classic side, cfg.Steps/T deep exchanges on the other. Timings
+// are the minimum over interleaved repetitions: both protocols share the
+// comm (their tags differ in phase) and the scheduler drift of a busy
+// host hits each alike. Returns wall seconds per simulated step
 // for each protocol (rank-0 values). Fields are exchanged without
 // attenuation memory variables on either side, so the duel compares the
 // protocols on the same nine wavefields.
@@ -240,32 +184,24 @@ func RunTemporalHaloDuel(cfg HaloBenchConfig, T int) (classic, deep float64) {
 		fillDeterministic(stD, c.Rank())
 		pool := sched.NewPool(cfg.Threads)
 		defer pool.Close()
-		hc := newHalo(c, cfg.Topo, cfg.CopyHalo, cfg.Coalesce, pool)
-		hd := newHalo(c, cfg.Topo, cfg.CopyHalo, cfg.Coalesce, pool)
-
-		spec := deepSpec{d: cfg.Local}
-		dv, ds := fd.VelDepth(T), fd.StressDepth(T)
-		for slot, f := range stD.Fields() {
-			depth := ds
-			if slot < 3 {
-				depth = dv
-			}
-			spec.fields = append(spec.fields, deepField{f: f, slot: slot, depth: depth})
-		}
+		env := newHaloEnv(c, cfg.Topo, cfg.Local, pool, nil)
+		vel := classicSchedule(env, phaseVelocity, cfg.Model, stC.Velocities())
+		stress := classicSchedule(env, phaseStress, cfg.Model, stC.Stresses())
+		deepX := deepSchedule(env, T, stD.Fields(), false)
 
 		runClassic := func() {
 			for s := 0; s < steps; s++ {
-				hc.exchangeVelocities(stC, cfg.Model)
-				hc.exchangeStresses(stC, cfg.Model)
+				vel.exchange()
+				stress.exchange()
 			}
 		}
 		runDeep := func() {
 			for s := 0; s < steps/T; s++ {
-				hd.exchangeDeep(spec)
+				deepX.exchange()
 			}
 		}
 		runClassic()
-		runDeep() // warm buffers and plans
+		runDeep() // warm the buffer pool
 		times := [2]float64{}
 		for rep := 0; rep < 5; rep++ {
 			for li, run := range []func(){runClassic, runDeep} {

@@ -86,7 +86,7 @@ type HybridScaling struct {
 func sampleOptions(global grid.Dims, topo mpi.Cart, steps int) Options {
 	return Options{
 		Global: global, H: 100, Steps: steps, Topo: topo,
-		Comm: AsyncReduced, Threads: 1, CoalesceHalo: true,
+		Comm: AsyncReduced, Threads: 1,
 		ABC: SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
 		Telemetry: &telemetry.Options{},
@@ -155,30 +155,31 @@ func MeasureConstants(q cvm.Querier, cfg HybridConfig) (perfmodel.MeasuredConsta
 	}
 
 	// Alpha/beta: halo-exchange sweeps that vary byte volume (two local
-	// sizes) independently of message count (coalesced vs per-field
-	// layout), then the relative least-squares fit. The constants
-	// describe THIS transport — a goroutine runtime's alpha is ~0.1µs,
-	// three orders below Jaguar's; the curves are honest about that.
+	// sizes) independently of message count (the sample topology against
+	// a two-rank line: 1 neighbor per rank instead of the sample's mean),
+	// then the relative least-squares fit. The constants describe THIS
+	// transport — a goroutine runtime's alpha is ~0.1µs, three orders
+	// below Jaguar's; the curves are honest about that.
 	small := grid.Dims{
 		NX: max(4, cfg.PerRank.NX/2),
 		NY: max(4, cfg.PerRank.NY/2),
 		NZ: max(4, cfg.PerRank.NZ/2),
 	}
 	var samples []perfmodel.CommSample
-	var coal HaloBenchResult
-	for _, local := range []grid.Dims{cfg.PerRank, small} {
-		for _, coalesce := range []bool{true, false} {
+	var prod HaloBenchResult // the sample topology at the production size
+	for _, tp := range []mpi.Cart{topo, mpi.NewCart(2, 1, 1)} {
+		for _, local := range []grid.Dims{cfg.PerRank, small} {
 			r := RunHaloExchangeBench(HaloBenchConfig{
-				Topo: topo, Local: local, Model: AsyncReduced,
-				Coalesce: coalesce, Threads: 1, Steps: cfg.Steps,
+				Topo: tp, Local: local, Model: AsyncReduced,
+				Threads: 1, Steps: cfg.Steps,
 			})
 			samples = append(samples, perfmodel.CommSample{
 				Msgs:  int(r.VelMsgs + r.StressMsgs),
 				Bytes: 4 * (r.VelFloats + r.StressFloats),
 				Sec:   r.SecPerStep,
 			})
-			if coalesce && local == cfg.PerRank {
-				coal = r
+			if tp == topo && local == cfg.PerRank {
+				prod = r
 			}
 		}
 	}
@@ -186,15 +187,14 @@ func MeasureConstants(q cvm.Querier, cfg HybridConfig) (perfmodel.MeasuredConsta
 	mc.Alpha, mc.Beta, ok = perfmodel.FitAlphaBeta(samples)
 	if !ok || mc.Alpha < 0 || mc.Beta < 0 {
 		// Degenerate fit (the transport's alpha can sit in measurement
-		// noise): fall back to attributing the whole coalesced exchange
-		// to the volume term and pricing alpha at zero.
+		// noise, or the sample topology is itself the two-rank line):
+		// fall back to attributing the whole production exchange to the
+		// volume term and pricing alpha at zero.
 		mc.Alpha = 0
 		mc.Beta = samples[0].Sec / samples[0].Bytes
 	}
-	// The sampled per-rank traffic, from the production (coalesced)
-	// layout the solver actually runs.
-	mc.MsgsPerRankStep = (coal.VelMsgs + coal.StressMsgs) / float64(topo.Size())
-	mc.BytesPerRankStep = 4 * (coal.VelFloats + coal.StressFloats) / float64(topo.Size())
+	mc.MsgsPerRankStep = (prod.VelMsgs + prod.StressMsgs) / float64(topo.Size())
+	mc.BytesPerRankStep = 4 * (prod.VelFloats + prod.StressFloats) / float64(topo.Size())
 
 	// One tree-barrier round at the sample size.
 	const rounds = 200

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core/fd"
 	"repro/internal/cvm"
-	"repro/internal/grid"
 	"repro/internal/medium"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -164,51 +163,51 @@ func ltsGradeRates(rates []int, topo mpi.Cart, maxRatio int) {
 }
 
 // ltsRank is one rank's view of the multi-rate schedule: the global rate
-// vector, this rank's step multiplier, and its face neighbors classified
-// by relative rate. All cross-rate buffering lives on the fine side, so
-// the schedule needs no state that survives a cycle boundary — checkpoint
-// rollback to a cycle boundary replays bit-identically.
+// vector and this rank's step multiplier. All cross-rate buffering lives
+// on the fine side and is refilled at every window start, so the schedule
+// needs no state that survives a cycle boundary — checkpoint rollback to
+// a cycle boundary replays bit-identically.
 type ltsRank struct {
 	rates   []int // per-rank step-rate multipliers (identical on all ranks)
 	rate    int   // this rank's multiplier
 	maxRate int   // cycle length in base steps
 	baseDt  float64
 	localDt float64 // baseDt * rate
-
-	equal  []ltsNbr        // neighbors at the same rate: classic exchange
-	finer  []ltsNbr        // neighbors stepping more often: this rank is coarse
-	coarse []*ltsCoarseNbr // neighbors stepping less often: window interpolation
 }
 
-type ltsNbr struct {
-	ax   grid.Axis
-	sd   grid.Side
-	peer int
+// ltsWindow buffers a coarser neighbor's phase message over a window of
+// nbRate base steps: old holds the window-start time level (captured from
+// the ghosts by schedule.post), fresh the window-end level (received once
+// per window and kept until the next one replaces it), and ghost fills
+// blend the two linearly in time.
+type ltsWindow struct {
+	old, fresh, blend []float32
+	theta             float32 // blend factor of the next fill
 }
 
-// ltsCoarseNbr buffers one coarse neighbor's face sections over a window
-// of nbRate base steps: Old holds the window-start time level (captured
-// from the ghost region), New the window-end level (received once per
-// window), and ghost fills blend the two linearly in time.
-type ltsCoarseNbr struct {
-	ltsNbr
-	nbRate                 int
-	vOld, vNew, sOld, sNew [][]float32
-	scratch                []float32
+// level installs a newly received window-end buffer, if any, and returns
+// what finish should unpack: the window blended to theta when fill is
+// set, nothing otherwise.
+func (w *ltsWindow) level(received []float32, fill bool, tel *telemetry.Recorder) []float32 {
+	if received != nil {
+		mpi.PutBuffer(w.fresh)
+		w.fresh = received
+	}
+	if !fill {
+		return nil
+	}
+	if w.theta >= 1 {
+		return w.fresh
+	}
+	sp := tel.Span(telemetry.Interp)
+	fd.Lerp(w.blend, w.old, w.fresh, w.theta)
+	sp.End()
+	return w.blend
 }
 
-// ltsTag builds a unique message tag in the LTS tag space (8192+,
-// disjoint from the per-field, coalesced and temporal-tiling spaces) from
-// exchange phase, the sender's face axis/side, and field slot.
-func ltsTag(phase int, ax grid.Axis, sd grid.Side, field int) int {
-	return 8192 + ((phase*3+int(ax))*2+int(sd))*8 + field
-}
-
-func ltsOpp(sd grid.Side) grid.Side { return 1 - sd }
-
-// newLTSRank assigns rates from the already-extracted media (every rank
+// newLTSRank assigns rates from the already-extracted media: every rank
 // learns the full per-rank stable-dt vector through one allreduce and
-// derives the identical graded rate vector) and classifies neighbors.
+// derives the identical graded rate vector.
 func newLTSRank(c *mpi.Comm, opt Options, rs *rankState, baseDt float64) *ltsRank {
 	// Zero-filled sentinel with a Max reduction (stable steps are always
 	// positive; an Inf sentinel would not survive the split-float packing
@@ -222,189 +221,85 @@ func newLTSRank(c *mpi.Comm, opt Options, rs *rankState, baseDt float64) *ltsRan
 	}
 	ltsGradeRates(rates, opt.Topo, opt.LTS.MaxRateRatio)
 
-	me := c.Rank()
-	l := &ltsRank{rates: rates, rate: rates[me], baseDt: baseDt}
+	l := &ltsRank{rates: rates, rate: rates[c.Rank()], baseDt: baseDt}
 	for _, r := range rates {
 		if r > l.maxRate {
 			l.maxRate = r
 		}
 	}
 	l.localDt = baseDt * float64(l.rate)
-	for ax := grid.X; ax <= grid.Z; ax++ {
-		for side := 0; side < 2; side++ {
-			dir := -1
-			if side == 1 {
-				dir = +1
-			}
-			peer := opt.Topo.Neighbor(me, int(ax), dir)
-			if peer < 0 {
-				continue
-			}
-			nb := ltsNbr{ax: ax, sd: grid.Side(side), peer: peer}
-			switch {
-			case rates[peer] == l.rate:
-				l.equal = append(l.equal, nb)
-			case rates[peer] < l.rate:
-				l.finer = append(l.finer, nb)
-			default:
-				cn := &ltsCoarseNbr{ltsNbr: nb, nbRate: rates[peer]}
-				n := rs.st.VX.FaceLen(ax, grid.Ghost)
-				alloc := func(k int) [][]float32 {
-					out := make([][]float32, k)
-					for i := range out {
-						out[i] = make([]float32, n)
-					}
-					return out
-				}
-				cn.vOld, cn.vNew = alloc(3), alloc(3)
-				cn.sOld, cn.sNew = alloc(6), alloc(6)
-				cn.scratch = make([]float32, n)
-				l.coarse = append(l.coarse, cn)
-			}
-		}
-	}
 	return l
 }
 
-// ghostExtents returns the loop bounds of the count-deep ghost slab of
-// the (ax, sd) face — the region UnpackFace writes, used to capture the
-// window-start interpolation anchor with PackRange.
-func ghostExtents(f *grid.Field3, ax grid.Axis, sd grid.Side, count int) (i0, i1, j0, j1, k0, k1 int) {
-	i0, i1, j0, j1, k0, k1 = 0, f.NX, 0, f.NY, 0, f.NZ
-	switch ax {
-	case grid.X:
-		if sd == grid.Low {
-			i0, i1 = -count, 0
-		} else {
-			i0, i1 = f.NX, f.NX+count
-		}
-	case grid.Y:
-		if sd == grid.Low {
-			j0, j1 = -count, 0
-		} else {
-			j0, j1 = f.NY, f.NY+count
-		}
-	default:
-		if sd == grid.Low {
-			k0, k1 = -count, 0
-		} else {
-			k0, k1 = f.NZ, f.NZ+count
+// bind annotates a classic phase schedule with each peer's rate and gives
+// the messages from coarser peers their window buffers.
+func (l *ltsRank) bind(s *schedule) {
+	msgs := s.rounds[0].msgs
+	for i := range msgs {
+		m := &msgs[i]
+		m.nbRate = l.rates[m.peer]
+		if m.nbRate > l.rate {
+			m.win = &ltsWindow{old: make([]float32, m.total), blend: make([]float32, m.total)}
 		}
 	}
-	return
 }
 
-// ltsExchange runs one phase of the mixed-rate halo exchange at global
-// base-step index sub. Same-rate neighbor pairs exchange classically
-// (asynchronous per-field messages); toward finer neighbors this rank
-// ships its post-kernel faces every local step; toward coarser neighbors
-// it runs the window protocol — capture the window-start anchor from the
-// ghost region, receive the window-end faces once, blend ghosts to the
-// time level the next kernel needs, and ship its own faces only on the
-// window's last sub-step. Every send precedes every blocking receive
-// within a phase, so the schedule cannot deadlock. The mixed-rate path
-// ignores the configured comm model: there is no per-sub-step collective
-// a barrier could pair with (documented in DESIGN.md §12).
-func (rs *rankState) ltsExchange(l *ltsRank, sub, phase int) {
-	var fields []*grid.Field3
-	if phase == phaseVelocity {
-		fields = rs.st.Velocities()
-	} else {
-		fields = rs.st.Stresses()
+// arm sets up one phase of the mixed-rate halo exchange at global
+// base-step index sub: the phase's classic round with each message armed
+// by its peer's rate. Same-rate pairs exchange classically. Toward a finer
+// peer this rank ships its post-kernel faces every local step (each opens
+// one of the peer's windows) and absorbs the peer's window-end faces only
+// at the end of its step (absorb). Toward a coarser peer it runs the
+// window protocol: at window start keep the ghosts as the interpolation
+// anchor and receive the window-end faces; on the window's last sub-step
+// ship its own faces; every sub-step blend the ghosts to the time level
+// the next kernel reads (velocity fills feed this sub-step's stress
+// kernel, stress fills the next one's velocity kernel). post sends before
+// finish waits, so the exchange cannot deadlock. The mixed-rate path has
+// no barrier and no overlap whatever the comm model — there is no
+// per-sub-step collective a barrier could pair with (DESIGN.md §12) — but
+// it ships the model's section set.
+func (l *ltsRank) arm(s *schedule, sub int) {
+	msgs := s.rounds[0].msgs
+	for i := range msgs {
+		m := &msgs[i]
+		switch {
+		case m.nbRate == l.rate:
+			m.act = actSend | actRecv
+		case m.nbRate < l.rate:
+			m.act = actSend
+		default:
+			pos := sub % m.nbRate
+			m.act = actFill
+			if pos == 0 {
+				m.act |= actRecv
+			}
+			if pos+l.rate == m.nbRate {
+				m.act |= actSend
+			}
+			m.win.theta = float32(pos+l.rate) / float32(m.nbRate)
+		}
 	}
-	c := rs.comm
+}
 
-	// Same-rate neighbors: post receives first (lazy — they block only
-	// when drained below).
-	type pend struct {
-		f   *grid.Field3
-		ax  grid.Axis
-		sd  grid.Side
-		req *mpi.Request
-	}
-	var pends []pend
-	for _, nb := range l.equal {
-		for fi, f := range fields {
-			req := c.IrecvTake(nb.peer, ltsTag(phase, nb.ax, ltsOpp(nb.sd), fi))
-			pends = append(pends, pend{f, nb.ax, nb.sd, req})
+// armAbsorb arms the receive-only exchange that ends a coarse rank's step:
+// it takes the window-end faces every finer neighbor sent during the step
+// and writes them into the ghosts, leaving them at this rank's new time
+// level for the next step's kernels (the velocity ghosts it absorbs are
+// one coarse step stale when the stress kernel reads them — the documented
+// one-sided lag of the scheme). It reports whether any neighbor is finer.
+func (l *ltsRank) armAbsorb(s *schedule) bool {
+	msgs := s.rounds[0].msgs
+	finer := false
+	for i := range msgs {
+		m := &msgs[i]
+		m.act = 0
+		if m.nbRate < l.rate {
+			m.act = actRecv
+			finer = true
 		}
 	}
-	send := func(peer int, ax grid.Axis, sd grid.Side, fi int, f *grid.Field3) {
-		n := f.FaceLen(ax, grid.Ghost)
-		out := mpi.GetBuffer(n)
-		sp := rs.tel.Span(telemetry.Pack)
-		f.PackFace(ax, sd, grid.Ghost, out)
-		sp.End()
-		sp = rs.tel.Span(telemetry.Send)
-		c.IsendOwned(peer, ltsTag(phase, ax, sd, fi), out)
-		sp.End()
-	}
-	for _, nb := range l.equal {
-		for fi, f := range fields {
-			send(nb.peer, nb.ax, nb.sd, fi, f)
-		}
-	}
-	// Finer neighbors: this rank is their coarse side; every local step
-	// opens one of their windows, so ship this step's post-kernel faces.
-	for _, nb := range l.finer {
-		for fi, f := range fields {
-			send(nb.peer, nb.ax, nb.sd, fi, f)
-		}
-	}
-	// Coarser neighbors: window protocol.
-	for _, cn := range l.coarse {
-		old, fresh := cn.vOld, cn.vNew
-		if phase == phaseStress {
-			old, fresh = cn.sOld, cn.sNew
-		}
-		pos := sub % cn.nbRate
-		if pos == 0 {
-			// Window start: the ghost region still holds the coarse
-			// neighbor's window-start time level (left there by the
-			// previous window's final fill, or zero initial state).
-			for fi, f := range fields {
-				i0, i1, j0, j1, k0, k1 := ghostExtents(f, cn.ax, cn.sd, grid.Ghost)
-				f.PackRange(i0, i1, j0, j1, k0, k1, old[fi])
-			}
-			sp := rs.tel.Span(telemetry.Recv)
-			for fi := range fields {
-				c.MustRecv(fresh[fi], cn.peer, ltsTag(phase, cn.ax, ltsOpp(cn.sd), fi))
-			}
-			sp.End()
-		}
-		if pos+l.rate == cn.nbRate {
-			// Window end: ship this rank's own window-end faces; the
-			// coarse neighbor absorbs them at the end of its step.
-			for fi, f := range fields {
-				send(cn.peer, cn.ax, cn.sd, fi, f)
-			}
-		}
-		// Blend ghosts to the time level the next kernel reads
-		// (velocity fills feed the stress kernel of this sub-step,
-		// stress fills feed the velocity kernel of the next one).
-		theta := float32(pos+l.rate) / float32(cn.nbRate)
-		sp := rs.tel.Span(telemetry.Interp)
-		for fi, f := range fields {
-			src := fresh[fi]
-			if theta < 1 {
-				fd.Lerp(cn.scratch, old[fi], fresh[fi], theta)
-				src = cn.scratch
-			}
-			f.UnpackFace(cn.ax, cn.sd, grid.Ghost, src)
-		}
-		sp.End()
-	}
-	// Drain the same-rate receives.
-	for _, p := range pends {
-		sp := rs.tel.Span(telemetry.Recv)
-		p.req.Wait()
-		sp.End()
-		sp = rs.tel.Span(telemetry.Unpack)
-		in := p.req.Data()
-		p.f.UnpackFace(p.ax, p.sd, grid.Ghost, in)
-		mpi.PutBuffer(in)
-		sp.End()
-	}
+	return finer
 }
 
 // ltsAdvance performs one local step of the multi-rate schedule at
@@ -422,7 +317,8 @@ func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
 	sp.End()
 	tm.Comp += time.Since(t0).Seconds()
 	t0 = time.Now()
-	rs.ltsExchange(l, sub, phaseVelocity)
+	l.arm(rs.vel, sub)
+	rs.vel.exchange()
 	tm.Comm += time.Since(t0).Seconds()
 	t0 = time.Now()
 	if rs.fs != nil {
@@ -436,7 +332,8 @@ func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
 	rs.srcs.Inject(rs.st, dt, tNow)
 	tm.Comp += time.Since(t0).Seconds()
 	t0 = time.Now()
-	rs.ltsExchange(l, sub, phaseStress)
+	l.arm(rs.stress, sub)
+	rs.stress.exchange()
 	tm.Comm += time.Since(t0).Seconds()
 	t0 = time.Now()
 	if rs.sponge != nil {
@@ -458,33 +355,12 @@ func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
 	// Absorb finer neighbors' window-end faces last, leaving the ghost
 	// region at the new time level for the next step.
 	t0 = time.Now()
-	rs.ltsAbsorbFiner(l)
-	tm.Comm += time.Since(t0).Seconds()
-}
-
-// ltsAbsorbFiner receives the window-end faces every finer neighbor sent
-// during this rank's step and writes them into the ghost region, leaving
-// it at this rank's new time level for the next step's kernels (the
-// velocity ghosts it absorbs are one coarse step stale when the stress
-// kernel reads them — the documented one-sided lag of the scheme).
-func (rs *rankState) ltsAbsorbFiner(l *ltsRank) {
-	if len(l.finer) == 0 {
-		return
-	}
-	c := rs.comm
-	for _, nb := range l.finer {
-		for phase, fields := range [2][]*grid.Field3{rs.st.Velocities(), rs.st.Stresses()} {
-			for fi, f := range fields {
-				sp := rs.tel.Span(telemetry.Recv)
-				in, _ := c.MustRecvTake(nb.peer, ltsTag(phase, nb.ax, ltsOpp(nb.sd), fi))
-				sp.End()
-				sp = rs.tel.Span(telemetry.Unpack)
-				f.UnpackFace(nb.ax, nb.sd, grid.Ghost, in)
-				sp.End()
-				mpi.PutBuffer(in)
-			}
+	for _, s := range []*schedule{rs.vel, rs.stress} {
+		if l.armAbsorb(s) {
+			s.exchange()
 		}
 	}
+	tm.Comm += time.Since(t0).Seconds()
 }
 
 // ltsFillReceivers linearly interpolates the seismogram samples a

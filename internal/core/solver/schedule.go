@@ -1,0 +1,392 @@
+package solver
+
+import (
+	"repro/internal/core/fd"
+	"repro/internal/core/sched"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+	"repro/internal/telemetry"
+)
+
+// One halo-exchange engine. A schedule is an ordered list of rounds; a
+// round is at most one message per face neighbor; a message is a list of
+// sections — one field's block, packed from the sender's interior at a
+// fixed offset of one pooled buffer and unpacked into the receiver's
+// ghosts. The schedule is built once per Stepper from (local dims,
+// neighbor ranks, field list) and executed by post and finish; every
+// stepping scheme is a different schedule on the same two functions:
+//
+//   - the classic velocity and stress phases are one-round schedules whose
+//     field list carries the exchange axes (all three, or the §IV.A reduced
+//     stress set);
+//   - the temporal-tiling deep exchange is a three-round (x, y, z) schedule
+//     whose cross-sections extend into the ghosts earlier rounds filled;
+//   - multi-rate LTS runs the classic rounds with a per-message action
+//     mask set from the neighbor's rate (lts.go).
+//
+// Bit-identity across topologies, thread counts and comm models holds by
+// construction: packing reads cells no unpack of the same round writes,
+// sections of one buffer are disjoint sub-slices, and the ghost blocks of
+// distinct (field, axis, side) sections are disjoint — so neither the
+// message layout nor the pool's tile order can reorder a load/store pair
+// that aliases.
+
+// Exchange phases: the phase coordinate of the tag space.
+const (
+	phaseVelocity = iota
+	phaseStress
+	phaseDeep
+)
+
+// haloTag is the one tag function, dense in (phase, axis, direction of
+// travel). A cartesian neighbor lies on exactly one (axis, side), so
+// within a round no two messages to one peer share a tag.
+func haloTag(phase int, ax grid.Axis, dirHigh bool) int {
+	t := (phase*3 + int(ax)) * 2
+	if dirHigh {
+		t++
+	}
+	return t
+}
+
+// Per-message actions of one post/finish pair. Classic and deep schedules
+// always send and receive; LTS re-arms the mask every sub-step.
+const (
+	actSend = 1 << iota // pack the sections and send
+	actRecv             // receive; unpack (or keep as a window-end level)
+	actFill             // coarser LTS neighbor: blend the window into the ghosts
+)
+
+// haloEnv is what a schedule is built against: the rank's transport and
+// worker pool, its subgrid and its face-neighbor ranks (-1: none). The
+// traffic accounting builds schedules on an env with no comm.
+type haloEnv struct {
+	comm *mpi.Comm
+	pool *sched.Pool         // nil packs serially
+	tel  *telemetry.Recorder // nil disables the pack/send/recv/unpack spans
+	d    grid.Dims
+	nbr  [3][2]int
+}
+
+func newHaloEnv(c *mpi.Comm, topo mpi.Cart, d grid.Dims, pool *sched.Pool, tel *telemetry.Recorder) haloEnv {
+	e := haloEnv{comm: c, pool: pool, tel: tel, d: d}
+	for ax := 0; ax < 3; ax++ {
+		e.nbr[ax][0] = topo.Neighbor(c.Rank(), ax, -1)
+		e.nbr[ax][1] = topo.Neighbor(c.Rank(), ax, +1)
+	}
+	return e
+}
+
+// haloField is one entry of a schedule's field list.
+type haloField struct {
+	f     *grid.Field3 // nil when the schedule is only walked for its traffic (halo.go)
+	depth int          // planes exchanged per face
+	axes  [3]bool      // axes the field is exchanged along
+}
+
+// section is one field's slot in a message.
+type section struct {
+	f            *grid.Field3
+	pack, unpack [6]int // interior block sent, ghost block filled
+	off, n       int    // buf[off:off+n]
+}
+
+type message struct {
+	peer             int
+	sendTag, recvTag int
+	total            int // buffer length: sum of section lengths
+	secs             []section
+
+	act uint8 // actSend | actRecv | actFill for the next post/finish
+
+	// LTS annotations (lts.go): the peer's step rate and, toward a
+	// coarser peer, the window buffers its messages are blended from.
+	nbRate int
+	win    *ltsWindow
+
+	// In flight between post and finish.
+	out []float32
+	req *mpi.Request
+	in  []float32
+}
+
+type round struct {
+	msgs []message
+	// tiles flattens (message, section) so pack and unpack run as one tile
+	// queue on the pool.
+	tiles []struct{ mi, si int }
+}
+
+type schedule struct {
+	haloEnv
+	rounds []round
+	cur    *round // posted, not yet finished
+}
+
+// faceBlock returns the block of a depth-df section on face (ax, sd): the
+// interior planes to pack (ghost=false) or the ghost planes to fill
+// (ghost=true). Cross-axes already exchanged by an earlier round (done)
+// extend df cells into the ghosts that round filled, where a neighbor
+// exists; the others stay interior, except z which starts at zlo.
+func (e *haloEnv) faceBlock(done [3]bool, zlo int, ax grid.Axis, sd grid.Side, df int, ghost bool) [6]int {
+	n := [3]int{e.d.NX, e.d.NY, e.d.NZ}
+	lo := [3]int{0, 0, zlo}
+	hi := n
+	for b := 0; b < 3; b++ {
+		if !done[b] {
+			continue
+		}
+		if e.nbr[b][0] >= 0 {
+			lo[b] = -df
+		}
+		if e.nbr[b][1] >= 0 {
+			hi[b] = n[b] + df
+		}
+	}
+	switch {
+	case !ghost && sd == grid.Low:
+		lo[ax], hi[ax] = 0, df
+	case !ghost && sd == grid.High:
+		lo[ax], hi[ax] = n[ax]-df, n[ax]
+	case ghost && sd == grid.Low:
+		lo[ax], hi[ax] = -df, 0
+	default:
+		lo[ax], hi[ax] = n[ax], n[ax]+df
+	}
+	return [6]int{lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]}
+}
+
+// newSchedule lays out one round per entry of rounds (the axes that round
+// exchanges), one message per (axis, side) neighbor, one section per
+// field exchanged along that axis, in field order.
+func newSchedule(env haloEnv, phase int, rounds [][]grid.Axis, fields []haloField, zlo int) *schedule {
+	s := &schedule{haloEnv: env}
+	var done [3]bool
+	for _, axes := range rounds {
+		var r round
+		for _, ax := range axes {
+			for sd := grid.Low; sd <= grid.High; sd++ {
+				peer := env.nbr[ax][sd]
+				if peer < 0 {
+					continue
+				}
+				// A message travelling toward the high side arrives as the
+				// peer's low-side receive, and vice versa.
+				m := message{
+					peer:    peer,
+					sendTag: haloTag(phase, ax, sd == grid.High),
+					recvTag: haloTag(phase, ax, sd == grid.Low),
+					act:     actSend | actRecv,
+				}
+				for _, hf := range fields {
+					if !hf.axes[ax] {
+						continue
+					}
+					sec := section{
+						f:      hf.f,
+						pack:   env.faceBlock(done, zlo, ax, sd, hf.depth, false),
+						unpack: env.faceBlock(done, zlo, ax, sd, hf.depth, true),
+						off:    m.total,
+					}
+					p := sec.pack
+					sec.n = grid.RangeLen(p[0], p[1], p[2], p[3], p[4], p[5])
+					m.total += sec.n
+					m.secs = append(m.secs, sec)
+				}
+				if len(m.secs) == 0 {
+					continue
+				}
+				for si := range m.secs {
+					r.tiles = append(r.tiles, struct{ mi, si int }{len(r.msgs), si})
+				}
+				r.msgs = append(r.msgs, m)
+			}
+		}
+		for _, ax := range axes {
+			done[ax] = true
+		}
+		s.rounds = append(s.rounds, r)
+	}
+	return s
+}
+
+var (
+	axesAll = [3]bool{true, true, true}
+	// stressAxesReduced maps stress component (xx,yy,zz,xy,xz,yz) to the
+	// axes it must be exchanged along (§IV.A: "we only need to update xx
+	// in the x direction").
+	stressAxesReduced = [6][3]bool{
+		{true, false, false}, // sxx
+		{false, true, false}, // syy
+		{false, false, true}, // szz
+		{true, true, false},  // sxy
+		{true, false, true},  // sxz
+		{false, true, true},  // syz
+	}
+)
+
+// classicSchedule is the one-round schedule of a per-step wavefield phase:
+// 2-plane faces of the three velocities, or of the six stresses along the
+// axes the comm model exchanges them.
+func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Field3) *schedule {
+	hfs := make([]haloField, len(fields))
+	for i, f := range fields {
+		hfs[i] = haloField{f: f, depth: grid.Ghost, axes: axesAll}
+		if phase == phaseStress && (model == AsyncReduced || model == AsyncOverlap) {
+			hfs[i].axes = stressAxesReduced[i]
+		}
+	}
+	return newSchedule(env, phase, [][]grid.Axis{{grid.X, grid.Y, grid.Z}}, hfs, 0)
+}
+
+// deepSchedule is the super-step exchange of temporal tiling at depth T:
+// instead of two 2-plane exchanges per step, one exchange per T steps
+// refreshes ghosts deep enough (4T-2 planes of velocity, 4T of stress,
+// 4T-4 of attenuation memory variables) that each rank recomputes the
+// eroded boundary cells locally for T whole steps. fields is the nine
+// wavefields followed, under attenuation, by the six memory variables.
+//
+// The three per-axis rounds run in sequence — the y round ships x-ghost
+// cells the x round just filled, the z round ships both — so corner ghosts
+// fill progressively. Axis peers in a cartesian decomposition share their
+// cross-axis neighbor masks, so the section shapes on both ends of a
+// message agree by construction. The reduced stress axis set does not
+// apply (the recomputed extension cells mix derivative axes).
+//
+// On free-surface ranks the x/y cross-sections start at k = -2: the image
+// planes the free-surface updates write are boundary data the next
+// super-step's first stages read at ghost extensions, and no z round
+// carries them (the surface has no z-low neighbor). Fields whose image
+// planes are never written hold zeros there on every rank, so shipping
+// them is harmless and keeps section shapes uniform.
+func deepSchedule(env haloEnv, T int, fields []*grid.Field3, freeSurface bool) *schedule {
+	hfs := make([]haloField, len(fields))
+	for i, f := range fields {
+		depth := fd.StressDepth(T)
+		switch {
+		case i < 3:
+			depth = fd.VelDepth(T)
+		case i >= 9:
+			depth = fd.MemvarDepth(T)
+		}
+		hfs[i] = haloField{f: f, depth: depth, axes: axesAll}
+	}
+	zlo := 0
+	if freeSurface {
+		zlo = -grid.Ghost
+	}
+	return newSchedule(env, phaseDeep, [][]grid.Axis{{grid.X}, {grid.Y}, {grid.Z}}, hfs, zlo)
+}
+
+// post starts round ri: receives are posted first, every armed message's
+// sections are packed as one tile queue into a pooled buffer, and the
+// buffers are lent to the runtime. The caller may compute between post and
+// finish — that gap is the AsyncOverlap model.
+func (s *schedule) post(ri int) {
+	r := &s.rounds[ri]
+	s.cur = r
+	if len(r.msgs) == 0 {
+		return
+	}
+	for i := range r.msgs {
+		m := &r.msgs[i]
+		// Fault recovery (internal/ft) unwinds a rank out of post or
+		// finish and later reuses the Stepper: whatever an aborted round
+		// left in flight belongs to the dead exchange.
+		m.req, m.in, m.out = nil, nil, nil
+		if m.act&actRecv != 0 {
+			m.req = s.comm.IrecvTake(m.peer, m.recvTag)
+		}
+		if m.act&actSend != 0 {
+			m.out = mpi.GetBuffer(m.total)
+		}
+	}
+	sp := s.tel.Span(telemetry.Pack)
+	s.pool.ForEachN(len(r.tiles), func(t int) {
+		m := &r.msgs[r.tiles[t].mi]
+		sec := &m.secs[r.tiles[t].si]
+		if m.act&actSend != 0 {
+			p := sec.pack
+			sec.f.PackRange(p[0], p[1], p[2], p[3], p[4], p[5], m.out[sec.off:sec.off+sec.n])
+		}
+		if m.win != nil && m.act&actRecv != 0 {
+			// LTS window start: the ghosts still hold the coarser peer's
+			// window-start level; keep it as the interpolation anchor.
+			u := sec.unpack
+			sec.f.PackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.win.old[sec.off:sec.off+sec.n])
+		}
+	})
+	sp.End()
+	sp = s.tel.Span(telemetry.Send)
+	for i := range r.msgs {
+		if m := &r.msgs[i]; m.out != nil {
+			s.comm.IsendOwned(m.peer, m.sendTag, m.out)
+			m.out = nil
+		}
+	}
+	sp.End()
+}
+
+// finish completes the posted round: wait for every receive, unpack all
+// sections as one tile queue, recycle the buffers.
+func (s *schedule) finish() {
+	r := s.cur
+	if len(r.msgs) == 0 {
+		return
+	}
+	sp := s.tel.Span(telemetry.Recv)
+	for i := range r.msgs {
+		if m := &r.msgs[i]; m.req != nil {
+			m.req.Wait()
+			m.in, m.req = m.req.Data(), nil
+		}
+	}
+	sp.End()
+	for i := range r.msgs {
+		if m := &r.msgs[i]; m.win != nil {
+			m.in = m.win.level(m.in, m.act&actFill != 0, s.tel)
+		}
+	}
+	sp = s.tel.Span(telemetry.Unpack)
+	s.pool.ForEachN(len(r.tiles), func(t int) {
+		m := &r.msgs[r.tiles[t].mi]
+		if m.in == nil {
+			return
+		}
+		sec := &m.secs[r.tiles[t].si]
+		u := sec.unpack
+		sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.in[sec.off:sec.off+sec.n])
+	})
+	for i := range r.msgs {
+		m := &r.msgs[i]
+		if m.win == nil {
+			mpi.PutBuffer(m.in) // window levels persist; see ltsWindow
+		}
+		m.in = nil
+	}
+	sp.End()
+}
+
+// exchange runs every round to completion, in order: each round must
+// finish before the next starts, because later rounds ship what earlier
+// rounds received.
+func (s *schedule) exchange() {
+	for ri := range s.rounds {
+		s.post(ri)
+		s.finish()
+	}
+}
+
+// traffic walks the schedule and returns what one execution with the
+// current action masks sends: messages and float32 values.
+func (s *schedule) traffic() (msgs, floats int) {
+	for ri := range s.rounds {
+		for mi := range s.rounds[ri].msgs {
+			if m := &s.rounds[ri].msgs[mi]; m.act&actSend != 0 {
+				msgs++
+				floats += m.total
+			}
+		}
+	}
+	return
+}

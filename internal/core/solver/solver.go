@@ -76,8 +76,8 @@ type Options struct {
 	// TemporalDepth T > 1 enables time-tiled execution: each super-step
 	// advances T leapfrog steps over cache-resident k-chunks with skewed
 	// stage windows, exchanging 4T-deep halos once per super-step (one
-	// message per neighbor per super-step when coalesced) instead of two
-	// 2-deep exchanges per step. Results are bit-identical to depth 1.
+	// message per neighbor per super-step) instead of two 2-deep exchanges
+	// per step. Results are bit-identical to depth 1.
 	// 0 defaults to 1 (classic stepping); the maximum is
 	// fd.MaxTemporalDepth. Depth > 1 requires the AsyncOverlap comm
 	// model, M-PML boundaries and DFR fault mode to be off, and every
@@ -92,19 +92,6 @@ type Options struct {
 	// AsyncOverlap additionally runs the boundary strips and the interior
 	// update on the pool while halo messages are in flight.
 	Threads int
-	// CopyHalo selects the legacy copying message path (mpi.Comm.Send's
-	// defensive copy) instead of the default zero-copy buffer-lending
-	// path. Results are bit-identical; the switch exists so benchmarks can
-	// isolate the messaging-layer gain.
-	CopyHalo bool
-	// CoalesceHalo packs every face bound for one neighbor in one phase
-	// into a single pooled buffer sent as one message (see coalesce.go),
-	// instead of the per-field unique-tag scheme — at most one message per
-	// neighbor per phase. Pack/unpack run as tiles on the rank's worker
-	// pool. Results are bit-identical under every comm model and both
-	// buffer disciplines; the tuner enables it when the per-message cost
-	// dominates (multi-rank runs with small faces).
-	CoalesceHalo bool
 
 	ABC         ABCKind
 	PMLWidth    int
@@ -236,11 +223,13 @@ type rankState struct {
 	sub  decomp.Sub
 	med  *medium.Medium
 	st   *fd.State
-	hx   *halo
 	pool *sched.Pool
 	tel  *telemetry.Recorder // nil: telemetry disabled
 
 	nbrMask [3][2]bool
+	// Halo schedules: vel and stress per step (classic and LTS), or deep
+	// per super-step (TemporalDepth > 1).
+	vel, stress, deep *schedule
 
 	zones    []*boundary.PML
 	compBox  fd.Box // non-PML region the bulk kernels cover
@@ -359,7 +348,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		sp.End()
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		fin := rs.hx.post(phaseVelocity, opt.Comm, rs.st.Velocities(), []int{0, 1, 2})
+		rs.vel.post(0)
 		tm.Comm += time.Since(t0).Seconds()
 		t0 = time.Now()
 		sp = rs.tel.Span(telemetry.Velocity)
@@ -367,7 +356,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		sp.End()
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		fin()
+		rs.vel.finish()
 		tm.Comm += time.Since(t0).Seconds()
 	} else {
 		sp := rs.tel.Span(telemetry.Velocity)
@@ -383,7 +372,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		}
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		rs.hx.exchangeVelocities(rs.st, opt.Comm)
+		rs.vel.exchange()
 		tm.Comm += time.Since(t0).Seconds()
 		if opt.Comm == Synchronous {
 			t0 = time.Now()
@@ -421,14 +410,14 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		rs.srcs.InjectRegion(rs.st, dt, tNow, inner2, false) // strip sources
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		fin := rs.hx.post(phaseStress, opt.Comm, rs.st.Stresses(), []int{3, 4, 5, 6, 7, 8})
+		rs.stress.post(0)
 		tm.Comm += time.Since(t0).Seconds()
 		t0 = time.Now()
 		fd.ForEachTile(inner2, opt.Blocking, rs.pool, rs.stressTile(opt, dt))
 		rs.srcs.InjectRegion(rs.st, dt, tNow, inner2, true) // interior sources
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		fin()
+		rs.stress.finish()
 		tm.Comm += time.Since(t0).Seconds()
 	} else {
 		if rs.fault == nil {
@@ -460,7 +449,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		rs.srcs.Inject(rs.st, dt, tNow)
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		rs.hx.exchangeStresses(rs.st, opt.Comm)
+		rs.stress.exchange()
 		tm.Comm += time.Since(t0).Seconds()
 		if opt.Comm == Synchronous {
 			t0 = time.Now()

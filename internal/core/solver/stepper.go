@@ -42,6 +42,12 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if err := opt.Variant.Validate(); err != nil {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: %w", err)
 	}
+	if opt.Comm < Synchronous || opt.Comm > AsyncOverlap {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: unknown comm model %d", int(opt.Comm))
+	}
+	if opt.ABC < NoABC || opt.ABC > MPMLABC {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: unknown absorbing boundary kind %d", int(opt.ABC))
+	}
 	if opt.Threads == 0 {
 		opt.Threads = 1
 	}
@@ -187,12 +193,10 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 			rs.pool.Close()
 		}
 	}()
-	rs.hx = newHalo(c, opt.Topo, opt.CopyHalo, opt.CoalesceHalo, rs.pool)
 	if opt.Telemetry != nil {
 		rs.tel = telemetry.NewRecorder(c.Rank(), opt.Telemetry.TraceEvents)
 		c.SetTelemetry(rs.tel)
 		rs.pool.SetTelemetry(rs.tel)
-		rs.hx.tel = rs.tel
 	}
 	for ax := 0; ax < 3; ax++ {
 		rs.nbrMask[ax][0] = opt.Topo.Neighbor(c.Rank(), ax, -1) >= 0
@@ -243,6 +247,23 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if opt.Attenuation {
 		rs.atten = attenuation.New(rs.med, opt.Band, stepDt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
+	}
+	// The halo schedule of the stepping scheme: one deep exchange per
+	// super-step, or the two per-step phases (which LTS arms per sub-step).
+	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.pool, rs.tel)
+	if T := opt.TemporalDepth; T > 1 {
+		fields := rs.st.Fields()
+		if a := rs.atten; a != nil {
+			fields = append(fields, a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ)
+		}
+		rs.deep = deepSchedule(env, T, fields, rs.fs != nil)
+	} else {
+		rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
+		rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
+		if rs.lts != nil {
+			rs.lts.bind(rs.vel)
+			rs.lts.bind(rs.stress)
+		}
 	}
 	// At depth > 1 the stress stages recompute ghost cells up to 4T-4 deep
 	// toward neighbors; a neighbor-owned source in that region must inject

@@ -48,7 +48,7 @@ func (rs *rankState) advanceSuper(opt Options, dt float64, baseStep, T int, tm *
 	d := rs.sub.Local
 
 	t0 := time.Now()
-	rs.hx.exchangeDeep(rs.deepFields(opt.TemporalDepth))
+	rs.deep.exchange()
 	tm.Comm += time.Since(t0).Seconds()
 	if opt.Comm == Synchronous {
 		t0 = time.Now()

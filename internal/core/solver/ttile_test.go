@@ -89,9 +89,8 @@ func TestTemporalDepthBitIdentitySingleRank(t *testing.T) {
 	}
 }
 
-// TestTemporalDepthBitIdentityMatrix sweeps comm model x threads x halo
-// coalescing x depth on a decomposed topology against the single-rank
-// depth-1 reference.
+// TestTemporalDepthBitIdentityMatrix sweeps comm model x threads x depth
+// on a decomposed topology against the single-rank depth-1 reference.
 func TestTemporalDepthBitIdentityMatrix(t *testing.T) {
 	g := grid.Dims{NX: 32, NY: 32, NZ: 16}
 	q := cvm.SoCal(2400, 2400, 1600, 400)
@@ -101,45 +100,19 @@ func TestTemporalDepthBitIdentityMatrix(t *testing.T) {
 	}
 	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced} {
 		for _, threads := range []int{1, 4} {
-			for _, coalesce := range []bool{false, true} {
-				for _, depth := range []int{1, 2, 4} {
-					opt := ttileOptions(g, 30, mpi.NewCart(2, 2, 1))
-					opt.Comm = model
-					opt.Threads = threads
-					opt.CoalesceHalo = coalesce
-					opt.TemporalDepth = depth
-					tag := fmt.Sprintf("%v/threads=%d/coalesce=%v/depth=%d",
-						model, threads, coalesce, depth)
-					res, err := Run(q, opt)
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
-					}
-					compareResults(t, tag, ref, res)
+			for _, depth := range []int{1, 2, 4} {
+				opt := ttileOptions(g, 30, mpi.NewCart(2, 2, 1))
+				opt.Comm = model
+				opt.Threads = threads
+				opt.TemporalDepth = depth
+				tag := fmt.Sprintf("%v/threads=%d/depth=%d", model, threads, depth)
+				res, err := Run(q, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
+				compareResults(t, tag, ref, res)
 			}
 		}
-	}
-}
-
-// TestTemporalDepthCopyHalo pins the legacy copying message discipline at
-// depth > 1 (both per-field and coalesced paths reuse keyed buffers).
-func TestTemporalDepthCopyHalo(t *testing.T) {
-	g := grid.Dims{NX: 32, NY: 24, NZ: 16}
-	q := cvm.SoCal(2400, 2400, 1600, 400)
-	ref, err := Run(q, ttileOptions(g, 24, mpi.NewCart(1, 1, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, coalesce := range []bool{false, true} {
-		opt := ttileOptions(g, 24, mpi.NewCart(2, 1, 1))
-		opt.CopyHalo = true
-		opt.CoalesceHalo = coalesce
-		opt.TemporalDepth = 2
-		res, err := Run(q, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		compareResults(t, fmt.Sprintf("copy/coalesce=%v", coalesce), ref, res)
 	}
 }
 
@@ -215,11 +188,11 @@ var ttileFieldNames = []string{
 // components and six memory variables at every interior cell — to match
 // the step-by-step reference exactly.
 func FuzzTemporalTiling(f *testing.F) {
-	f.Add(uint8(25), uint8(21), uint8(17), uint8(2), uint8(1), uint8(1), uint8(2), uint8(11), false)
-	f.Add(uint8(33), uint8(18), uint8(16), uint8(1), uint8(2), uint8(1), uint8(4), uint8(9), true)
-	f.Add(uint8(20), uint8(20), uint8(34), uint8(1), uint8(1), uint8(2), uint8(2), uint8(7), false)
-	f.Add(uint8(26), uint8(27), uint8(28), uint8(2), uint8(2), uint8(1), uint8(4), uint8(13), true)
-	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz, depth, steps uint8, coalesce bool) {
+	f.Add(uint8(25), uint8(21), uint8(17), uint8(2), uint8(1), uint8(1), uint8(2), uint8(11))
+	f.Add(uint8(33), uint8(18), uint8(16), uint8(1), uint8(2), uint8(1), uint8(4), uint8(9))
+	f.Add(uint8(20), uint8(20), uint8(34), uint8(1), uint8(1), uint8(2), uint8(2), uint8(7))
+	f.Add(uint8(26), uint8(27), uint8(28), uint8(2), uint8(2), uint8(1), uint8(4), uint8(13))
+	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz, depth, steps uint8) {
 		g := grid.Dims{
 			NX: 16 + int(nx)%24, NY: 16 + int(ny)%24, NZ: 12 + int(nz)%24,
 		}
@@ -243,7 +216,6 @@ func FuzzTemporalTiling(f *testing.F) {
 
 		opt = ttileOptions(g, nsteps, topo)
 		opt.TemporalDepth = T
-		opt.CoalesceHalo = coalesce
 		got := collectState(t, q, opt)
 		res, err := Run(q, opt)
 		if err != nil {
@@ -265,7 +237,7 @@ func FuzzTemporalTiling(f *testing.F) {
 }
 
 // TestTemporalDepthSoakRace is the depth>1 workload CI runs under the race
-// detector: multi-rank, threaded pools, coalesced deep exchange.
+// detector: multi-rank, threaded pools, deep exchange.
 func TestTemporalDepthSoakRace(t *testing.T) {
 	g := grid.Dims{NX: 34, NY: 30, NZ: 20}
 	q := cvm.SoCal(2400, 2400, 1600, 400)
@@ -276,7 +248,6 @@ func TestTemporalDepthSoakRace(t *testing.T) {
 	opt := ttileOptions(g, 25, mpi.NewCart(2, 2, 2))
 	opt.TemporalDepth = 2
 	opt.Threads = 4
-	opt.CoalesceHalo = true
 	opt.Comm = Synchronous
 	res, err := Run(q, opt)
 	if err != nil {
@@ -347,30 +318,4 @@ func TestSetStepIndexSuperStepBoundary(t *testing.T) {
 			t.Error(err)
 		}
 	})
-}
-
-// TestTemporalHaloStatsMatchAnalytic cross-checks the analytic deep-halo
-// stats against a hand count for a middle rank of a 3x1x1 decomposition.
-func TestTemporalHaloStatsMatchAnalytic(t *testing.T) {
-	d := grid.Dims{NX: 16, NY: 20, NZ: 24}
-	mask := [3][2]bool{{true, true}, {false, false}, {false, false}}
-	T := 2
-	st := TemporalHaloStats(d, mask, false, T, true, true)
-	// Per side: 3 velocity (depth 6) + 6 stress (depth 8) + 6 memvar
-	// (depth 4) sections over (NY) x (NZ+2) cross cells.
-	cross := d.NY * (d.NZ + 2)
-	wantFloats := 2 * cross * (3*6 + 6*8 + 6*4)
-	if st.Floats != wantFloats {
-		t.Errorf("floats: got %d want %d", st.Floats, wantFloats)
-	}
-	if st.VelMsgs != 6 || st.StressMsgs != 24 {
-		t.Errorf("msgs: got %d+%d want 6+24", st.VelMsgs, st.StressMsgs)
-	}
-	co := TemporalHaloStats(d, mask, true, T, true, true)
-	if co.Floats != wantFloats {
-		t.Errorf("coalesced floats: got %d want %d", co.Floats, wantFloats)
-	}
-	if co.Msgs() != 2 {
-		t.Errorf("coalesced msgs: got %d want 2 (one per neighbor per super-step)", co.Msgs())
-	}
 }

@@ -1,7 +1,8 @@
 package farm
 
 import (
-	"math/rand"
+	"encoding/binary"
+	"hash/fnv"
 	"sync"
 	"time"
 )
@@ -35,13 +36,20 @@ type ChaosStats struct {
 	Corruptions int `json:"corruptions"`
 }
 
-// chaosEngine applies a ChaosPlan with a per-job fault budget.
+// chaosEngine applies a ChaosPlan with a per-job fault budget. Every roll
+// is a pure function of (Seed, key, that key's roll ordinal at the site,
+// site), so the faults a scenario suffers do not depend on how worker
+// goroutines interleave: same seed, same faults, for any worker count.
 type chaosEngine struct {
-	mu     sync.Mutex
-	plan   ChaosPlan
-	rng    *rand.Rand
-	perJob map[string]int
-	stats  ChaosStats
+	mu   sync.Mutex
+	plan ChaosPlan
+	// faults is each key's injected-fault sequence; its length is the
+	// key's spent budget.
+	faults map[string][]chaosAction
+	// rolls counts each key's rolls per site (the ordinal the next roll
+	// hashes).
+	rolls map[string][2]uint64
+	stats ChaosStats
 }
 
 func newChaosEngine(plan ChaosPlan) *chaosEngine {
@@ -53,8 +61,8 @@ func newChaosEngine(plan ChaosPlan) *chaosEngine {
 	}
 	return &chaosEngine{
 		plan:   plan,
-		rng:    rand.New(rand.NewSource(plan.Seed)),
-		perJob: map[string]int{},
+		faults: map[string][]chaosAction{},
+		rolls:  map[string][2]uint64{},
 	}
 }
 
@@ -64,7 +72,39 @@ const (
 	chaosNone chaosAction = iota
 	chaosCrash
 	chaosHang
+	chaosCorrupt
 )
+
+// Roll sites.
+const (
+	sitePreAttempt = iota
+	sitePostStore
+)
+
+// roll returns the key's next uniform [0,1) draw at site, or ok=false
+// when the key's fault budget is spent. Callers hold c.mu.
+func (c *chaosEngine) roll(key string, site int) (r float64, ok bool) {
+	if len(c.faults[key]) >= c.plan.MaxFaultsPerJob {
+		return 0, false
+	}
+	n := c.rolls[key]
+	var b [17]byte
+	binary.LittleEndian.PutUint64(b[0:], uint64(c.plan.Seed))
+	binary.LittleEndian.PutUint64(b[8:], n[site])
+	b[16] = byte(site)
+	n[site]++
+	c.rolls[key] = n
+	h := fnv.New64a()
+	h.Write(b[:])
+	h.Write([]byte(key))
+	// splitmix64 finalizer: FNV-1a alone leaves the high bits of
+	// near-identical inputs correlated.
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11) / (1 << 53), true
+}
 
 // preAttempt rolls for a crash or hang at the start of a job attempt.
 func (c *chaosEngine) preAttempt(key string) (chaosAction, time.Duration) {
@@ -73,16 +113,15 @@ func (c *chaosEngine) preAttempt(key string) (chaosAction, time.Duration) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.perJob[key] >= c.plan.MaxFaultsPerJob {
-		return chaosNone, 0
-	}
-	switch r := c.rng.Float64(); {
+	r, ok := c.roll(key, sitePreAttempt)
+	switch {
+	case !ok:
 	case r < c.plan.CrashProb:
-		c.perJob[key]++
+		c.faults[key] = append(c.faults[key], chaosCrash)
 		c.stats.Crashes++
 		return chaosCrash, 0
 	case r < c.plan.CrashProb+c.plan.HangProb:
-		c.perJob[key]++
+		c.faults[key] = append(c.faults[key], chaosHang)
 		c.stats.Hangs++
 		return chaosHang, c.plan.HangDur
 	}
@@ -96,11 +135,8 @@ func (c *chaosEngine) postStore(key string) bool {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.perJob[key] >= c.plan.MaxFaultsPerJob {
-		return false
-	}
-	if c.rng.Float64() < c.plan.CorruptProb {
-		c.perJob[key]++
+	if r, ok := c.roll(key, sitePostStore); ok && r < c.plan.CorruptProb {
+		c.faults[key] = append(c.faults[key], chaosCorrupt)
 		c.stats.Corruptions++
 		return true
 	}

@@ -251,8 +251,10 @@ func (s *Store) VerifyAll() []string {
 }
 
 // CorruptAtRest is the chaos hook: it flips bytes in the stored artifact
-// for key, simulating at-rest bit rot. Returns false if the artifact does
-// not exist.
+// for key, simulating at-rest bit rot. The flip rides the store's retry
+// policy, so a transient PFS fault cannot swallow a corruption the chaos
+// engine has already counted. Returns false if the artifact does not
+// exist.
 func (s *Store) CorruptAtRest(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -268,7 +270,7 @@ func (s *Store) CorruptAtRest(key string) bool {
 	if err := s.fs.ReadAt(path, off, old); err == nil && old[0] == 0x5A {
 		buf[0] = 0xA5
 	}
-	return s.fs.WriteAt(path, off, buf) == nil
+	return s.Retry.Do(func() error { return s.fs.WriteAt(path, off, buf) }) == nil
 }
 
 // Checksum returns the artifact's CRC64 trailer (for external audit and

@@ -350,8 +350,12 @@ func TestWorldLTSIntervalAlignment(t *testing.T) {
 	assertBitIdentical(t, ref, res)
 }
 
-// A rank crash mid-run under mixed-rate LTS: rollback lands on a cycle
-// boundary and replay reproduces the failure-free observables exactly.
+// Under multi-rate LTS a rank can crash at any point of a cycle — mid
+// window, between a coarse rank's phase exchange and its end-of-step
+// absorb — and the surviving Steppers are reused after the rollback. The
+// sweep crashes either rank at every send of the first half of the run
+// (each rank sends about 24 messages): every recovery must replay to the
+// exact bits of the clean run, whatever the aborted exchange left behind.
 func TestWorldLTSCrashRecovery(t *testing.T) {
 	q := ltsSplitQuerier{split: 16 * 100}
 	opt := ltsWorldOptions()
@@ -359,17 +363,25 @@ func TestWorldLTSCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := RunWorld(WorldOptions{
-		Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
-		Chaos: &mpi.ChaosPlan{Seed: 17, CrashAtSend: map[int]uint64{1: 60}},
-	})
-	if err != nil {
-		t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
+	recoveries := 0
+	for rank := 0; rank < 2; rank++ {
+		for at := uint64(3); at <= 14; at++ {
+			t.Run(fmt.Sprintf("rank%d/send%d", rank, at), func(t *testing.T) {
+				res, stats, err := RunWorld(WorldOptions{
+					Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
+					Chaos: &mpi.ChaosPlan{Seed: 17, CrashAtSend: map[int]uint64{rank: at}},
+				})
+				if err != nil {
+					t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
+				}
+				recoveries += stats.Recoveries
+				assertBitIdentical(t, ref, res)
+			})
+		}
 	}
-	if stats.Recoveries == 0 {
-		t.Fatalf("crash never fired; fault vacuous (stats %+v)", stats)
+	if recoveries == 0 {
+		t.Fatal("no crash ever fired; sweep vacuous")
 	}
-	assertBitIdentical(t, ref, res)
 }
 
 // TestWorld16RankCrashRecovery runs coordinated recovery at 16 ranks

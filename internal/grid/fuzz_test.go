@@ -15,11 +15,12 @@ func enumerate(i0, i1, j0, j1, k0, k1 int, fn func(i, j, k int)) {
 	}
 }
 
-// FuzzPackUnpackFaceAt drives the sectioned pack/unpack pair used by the
-// coalesced halo path: pack `count` interior planes of a face into an
-// arbitrary offset of a shared buffer, unpack them into a second field's
-// ghost region, and verify both sides touched exactly the cells they own.
-func FuzzPackUnpackFaceAt(f *testing.F) {
+// FuzzPackUnpackSection drives the sectioned pack/unpack pair the halo
+// schedule uses: pack `count` interior planes of a face into a sub-slice
+// at an arbitrary offset of a shared buffer, unpack them into a second
+// field's ghost region, and verify both sides touched exactly the cells
+// they own.
+func FuzzPackUnpackSection(f *testing.F) {
 	f.Add(uint8(3), uint8(4), uint8(5), uint8(0), uint8(0), uint8(1), uint16(0))
 	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint16(7))
 	f.Add(uint8(8), uint8(2), uint8(3), uint8(2), uint8(0), uint8(2), uint16(31))
@@ -43,7 +44,8 @@ func FuzzPackUnpackFaceAt(f *testing.F) {
 			buf[n] = sentinel
 		}
 
-		if n := src.PackFaceAt(ax, sd, count, buf, off); n != faceLen {
+		i0, i1, j0, j1, k0, k1 := src.planeExtents(ax, sd, count, false)
+		if n := src.PackRange(i0, i1, j0, j1, k0, k1, buf[off:off+faceLen]); n != faceLen {
 			t.Fatalf("pack wrote %d values, want FaceLen %d", n, faceLen)
 		}
 		for n := 0; n < off; n++ {
@@ -56,7 +58,6 @@ func FuzzPackUnpackFaceAt(f *testing.F) {
 				t.Fatalf("pack dirtied buf[%d] past section end %d", n, off+faceLen)
 			}
 		}
-		i0, i1, j0, j1, k0, k1 := src.planeExtents(ax, sd, count, false)
 		pos := off
 		enumerate(i0, i1, j0, j1, k0, k1, func(i, j, k int) {
 			if buf[pos] != src.At(i, j, k) {
@@ -74,10 +75,10 @@ func FuzzPackUnpackFaceAt(f *testing.F) {
 			dst.data[n] = float32(n) - 0.25
 		}
 		before := append([]float32(nil), dst.data...)
-		if n := dst.UnpackFaceAt(ax, sd, count, buf, off); n != faceLen {
+		g0, g1, h0, h1, l0, l1 := dst.planeExtents(ax, sd, count, true)
+		if n := dst.UnpackRange(g0, g1, h0, h1, l0, l1, buf[off:off+faceLen]); n != faceLen {
 			t.Fatalf("unpack consumed %d values, want FaceLen %d", n, faceLen)
 		}
-		g0, g1, h0, h1, l0, l1 := dst.planeExtents(ax, sd, count, true)
 		pos = off
 		touched := make(map[int]bool, faceLen)
 		enumerate(g0, g1, h0, h1, l0, l1, func(i, j, k int) {

@@ -214,25 +214,6 @@ func (f *Field3) UnpackFace(ax Axis, sd Side, count int, src []float32) int {
 	return f.copyBlock(i0, i1, j0, j1, k0, k1, src, false)
 }
 
-// PackFaceAt packs `count` interior planes of the (ax, sd) face into the
-// section dst[off : off+FaceLen(ax, count)] and returns the number of
-// values written. It is the coalesced-message form of PackFace: several
-// faces share one pooled buffer at planner-computed offsets, so sections
-// can be packed concurrently (they are disjoint sub-slices).
-func (f *Field3) PackFaceAt(ax Axis, sd Side, count int, dst []float32, off int) int {
-	n := f.FaceLen(ax, count)
-	return f.PackFace(ax, sd, count, dst[off:off+n])
-}
-
-// UnpackFaceAt unpacks the section src[off : off+FaceLen(ax, count)] into
-// `count` ghost planes of the (ax, sd) face and returns the number of
-// values consumed. The ghost regions of distinct (field, axis, side)
-// triples are disjoint, so sections can be unpacked concurrently.
-func (f *Field3) UnpackFaceAt(ax Axis, sd Side, count int, src []float32, off int) int {
-	n := f.FaceLen(ax, count)
-	return f.UnpackFace(ax, sd, count, src[off:off+n])
-}
-
 // RangeLen returns the number of values in the block
 // [i0,i1)x[j0,j1)x[k0,k1).
 func RangeLen(i0, i1, j0, j1, k0, k1 int) int {
@@ -241,9 +222,10 @@ func RangeLen(i0, i1, j0, j1, k0, k1 int) int {
 
 // PackRange copies the block [i0,i1)x[j0,j1)x[k0,k1) — which may extend
 // into the ghost region — into dst in x-fastest order and returns the
-// number of values written. It is the depth-parameterized pack primitive
-// used by the super-step halo exchange, where cross-sections extend into
-// already-filled ghosts of earlier exchange rounds.
+// number of values written. It is the pack primitive of the halo schedule:
+// several sections share one message buffer as disjoint sub-slices (so
+// they pack concurrently), and deep-exchange cross-sections extend into
+// ghosts earlier rounds filled.
 func (f *Field3) PackRange(i0, i1, j0, j1, k0, k1 int, dst []float32) int {
 	return f.copyBlock(i0, i1, j0, j1, k0, k1, dst, true)
 }

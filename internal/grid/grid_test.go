@@ -334,72 +334,3 @@ func TestAxisSideStrings(t *testing.T) {
 		t.Error("side strings wrong")
 	}
 }
-
-// PackFaceAt/UnpackFaceAt are the coalesced-buffer forms of PackFace and
-// UnpackFace: several faces share one buffer at planner offsets. Packing two
-// faces of two fields into one buffer and unpacking them into a second pair
-// must reproduce PackFace/UnpackFace exactly, and the sections must not
-// bleed into each other.
-func TestPackUnpackFaceAtOffsets(t *testing.T) {
-	d := Dims{NX: 5, NY: 4, NZ: 3}
-	src := [2]*Field3{NewField3(d), NewField3(d)}
-	for fi, f := range src {
-		for k := 0; k < d.NZ; k++ {
-			for j := 0; j < d.NY; j++ {
-				for i := 0; i < d.NX; i++ {
-					f.Set(i, j, k, float32(fi*1000+((k*d.NY+j)*d.NX+i)))
-				}
-			}
-		}
-	}
-	type sec struct {
-		fi  int
-		ax  Axis
-		sd  Side
-		off int
-	}
-	n := src[0].FaceLen(X, Ghost)
-	secs := []sec{{0, X, Low, 0}, {1, X, Low, n}, {0, X, High, 2 * n}, {1, X, High, 3 * n}}
-	buf := make([]float32, 4*n)
-	for i := range buf {
-		buf[i] = -999 // canary: every slot must be overwritten exactly once
-	}
-	for _, s := range secs {
-		if got := src[s.fi].PackFaceAt(s.ax, s.sd, Ghost, buf, s.off); got != n {
-			t.Fatalf("PackFaceAt wrote %d, want %d", got, n)
-		}
-	}
-	for i, v := range buf {
-		if v == -999 {
-			t.Fatalf("buffer slot %d never written", i)
-		}
-	}
-	// Each section must equal the stand-alone PackFace of the same face.
-	single := make([]float32, n)
-	for _, s := range secs {
-		src[s.fi].PackFace(s.ax, s.sd, Ghost, single)
-		for i := 0; i < n; i++ {
-			if buf[s.off+i] != single[i] {
-				t.Fatalf("section (%d,%v,%v) differs from PackFace at %d", s.fi, s.ax, s.sd, i)
-			}
-		}
-	}
-	// Unpack into fresh fields and compare ghost planes against UnpackFace.
-	dstAt := [2]*Field3{NewField3(d), NewField3(d)}
-	dstRef := [2]*Field3{NewField3(d), NewField3(d)}
-	for _, s := range secs {
-		if got := dstAt[s.fi].UnpackFaceAt(s.ax, s.sd, Ghost, buf, s.off); got != n {
-			t.Fatalf("UnpackFaceAt consumed %d, want %d", got, n)
-		}
-		src[s.fi].PackFace(s.ax, s.sd, Ghost, single)
-		dstRef[s.fi].UnpackFace(s.ax, s.sd, Ghost, single)
-	}
-	for fi := range dstAt {
-		a, b := dstAt[fi].Data(), dstRef[fi].Data()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("field %d: ghost data differs at flat index %d", fi, i)
-			}
-		}
-	}
-}

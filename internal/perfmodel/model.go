@@ -47,10 +47,12 @@ type Job struct {
 	// ~35% but pays idle-thread overhead that grows as the per-process
 	// subdomain approaches the arithmetic limits of the decomposition.
 	HybridThreads int
-	// CoalescedComm models the coalesced halo layout (solver coalesce.go):
-	// one message per neighbor per wavefield phase instead of one per
-	// (field, axis, side), shrinking the per-message latency term of Eq. 7
-	// while leaving the byte volume unchanged.
+	// CoalescedComm models this repo's halo schedule (solver schedule.go):
+	// one message per neighbor per wavefield phase. False prices the
+	// paper's own per-field code — one message per (field, axis, side),
+	// 54 or 36 per step — for the Table 2 / figure reproductions. The
+	// switch moves the per-message latency term of Eq. 7 only; the byte
+	// volume is the same.
 	CoalescedComm bool
 	// TemporalDepth T > 1 models the time-tiled engine (solver ttile.go):
 	// one deep halo exchange per T-step super-step instead of two 2-plane

@@ -41,11 +41,7 @@ type Config struct {
 	Comm     solver.CommModel
 	// Threads is the per-rank persistent worker-pool size of the hybrid
 	// MPI/OpenMP execution engine (solver.Options.Threads).
-	Threads int
-	// CoalesceHalo selects the one-message-per-neighbor-per-phase halo
-	// layout (solver.Options.CoalesceHalo) when per-message latency is
-	// visible against the per-neighbor volume cost.
-	CoalesceHalo    bool
+	Threads         int
 	ABC             solver.ABCKind
 	IOMode          IOMode
 	MaxOpenFiles    int // concurrent-open throttle (§IV.E)
@@ -98,19 +94,6 @@ func Tune(in Inputs) Config {
 	}
 	if cfg.Threads > 1 {
 		cfg.Comm = solver.AsyncOverlap
-	}
-
-	// Message layout: coalescing cuts the per-step message count 3-4.5x
-	// for one pooled-buffer indirection, so it wins whenever per-message
-	// latency is visible against the per-neighbor volume cost. Enable it
-	// for multi-rank runs unless the subgrid faces are so large that one
-	// message latency is under ~1% of a single phase-aggregate transfer.
-	if in.Cores > 1 && in.Machine.Beta > 0 {
-		side := math.Cbrt(float64(in.Global.Cells()) / float64(in.Cores))
-		aggBytes := 9 * side * side * float64(grid.Ghost) * 4 // all 9 fields, one face, float32
-		if in.Machine.Alpha >= 0.01*aggBytes*in.Machine.Beta {
-			cfg.CoalesceHalo = true
-		}
 	}
 
 	// ABCs: split-field PMLs are unstable under strong media gradients

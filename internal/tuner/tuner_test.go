@@ -151,37 +151,3 @@ func TestCheckpointIntervalFromMTBF(t *testing.T) {
 		t.Error("interval not increasing with MTBF")
 	}
 }
-
-// Message layout: coalescing is enabled whenever per-message latency is
-// visible against a phase-aggregate face transfer, and never for runs that
-// have no neighbors to message.
-func TestCoalesceHaloFollowsLatencyRule(t *testing.T) {
-	in := baseInputs()
-	in.Global = grid.Dims{NX: 512, NY: 512, NZ: 256}
-	in.Cores = 4096 // side ~25: one phase-aggregate face is ~46 KB
-	in.Machine.Alpha, in.Machine.Beta = 3e-6, 4e-10
-	if cfg := Tune(in); !cfg.CoalesceHalo {
-		t.Error("small faces on a latency-bound machine: want coalesced halos")
-	}
-
-	in.Cores = 1
-	if cfg := Tune(in); cfg.CoalesceHalo {
-		t.Error("single-rank run: no messages to coalesce")
-	}
-
-	// Huge subgrid faces: one message latency is far below 1% of a
-	// phase-aggregate transfer, so the per-field layout is kept.
-	in = baseInputs()
-	in.Cores = 512 // side ~948: aggregate face ~65 MB
-	in.Machine.Alpha, in.Machine.Beta = 3e-6, 7e-10
-	if cfg := Tune(in); cfg.CoalesceHalo {
-		t.Error("bandwidth-dominated faces: want per-field layout")
-	}
-
-	// No bandwidth model at all: the rule cannot price the comparison and
-	// must leave the default layout alone.
-	in.Machine.Beta = 0
-	if cfg := Tune(in); cfg.CoalesceHalo {
-		t.Error("beta=0: rule should not fire")
-	}
-}
