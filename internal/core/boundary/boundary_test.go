@@ -467,6 +467,73 @@ func TestSpongeApplyPoolBitIdentical(t *testing.T) {
 	}
 }
 
+// The row sweep splits each x-row into taper zones and a constant middle;
+// every stored bit must equal the pointwise definition v *= fx*(fy*fz),
+// skipped where that factor is 1 — for ranks holding both, one, or neither
+// x-zone, for zones that overlap, and for a deep-ghost box that starts and
+// ends inside a row.
+func TestSpongeMatchesPointwiseTaper(t *testing.T) {
+	cases := []struct {
+		name          string
+		local, global grid.Dims
+		off           [3]int
+		width         int
+	}{
+		{"both-x-zones", grid.Dims{NX: 18, NY: 13, NZ: 11}, grid.Dims{NX: 18, NY: 13, NZ: 11}, [3]int{}, 5},
+		{"hi-x-zone", grid.Dims{NX: 18, NY: 13, NZ: 11}, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{18, 0, 0}, 6},
+		{"lo-x-zone", grid.Dims{NX: 18, NY: 13, NZ: 11}, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{}, 6},
+		{"no-x-zone", grid.Dims{NX: 8, NY: 13, NZ: 11}, grid.Dims{NX: 60, NY: 13, NZ: 11}, [3]int{26, 0, 0}, 6},
+		{"overlapping-zones", grid.Dims{NX: 9, NY: 7, NZ: 6}, grid.Dims{NX: 9, NY: 7, NZ: 6}, [3]int{}, 7},
+	}
+	for _, c := range cases {
+		sp := NewSpongeGlobal(c.local, c.global, c.off, c.width, 0.1, AllAbsorbing())
+		factor := func(i, j, k int) float32 {
+			fx := sp.factorAxis(clampIdx(c.off[0]+i, c.global.NX), c.global.NX, sp.Faces.XLo, sp.Faces.XHi)
+			fy := sp.factorAxis(clampIdx(c.off[1]+j, c.global.NY), c.global.NY, sp.Faces.YLo, sp.Faces.YHi)
+			fz := sp.factorAxis(clampIdx(c.off[2]+k, c.global.NZ), c.global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
+			return fx * (fy * fz)
+		}
+		check := func(what string, f *grid.Field3, before []float32, box fd.Box) {
+			t.Helper()
+			g := f.G()
+			for k := -g; k < c.local.NZ+g; k++ {
+				for j := -g; j < c.local.NY+g; j++ {
+					for i := -g; i < c.local.NX+g; i++ {
+						n := f.Idx(i, j, k)
+						want := before[n]
+						in := i >= box.I0 && i < box.I1 && j >= box.J0 && j < box.J1 && k >= box.K0 && k < box.K1
+						if w := factor(i, j, k); in && w != 1 {
+							want *= w
+						}
+						if got := f.Data()[n]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("%s %s (%d,%d,%d): got %g, want %g", c.name, what, i, j, k, got, want)
+						}
+					}
+				}
+			}
+		}
+		fillField := func(f *grid.Field3) []float32 {
+			data := f.Data()
+			for n := range data {
+				data[n] = float32(n%97-48) * 1.37
+			}
+			return append([]float32(nil), data...)
+		}
+
+		s := fd.NewState(c.local)
+		before := fillField(s.XY)
+		sp.Apply(s)
+		g := grid.Ghost
+		check("Apply", s.XY, before, fd.Box{I0: -g, I1: c.local.NX + g, J0: -g, J1: c.local.NY + g, K0: -g, K1: c.local.NZ + g})
+
+		deep := grid.NewField3G(c.local, 5)
+		before = fillField(deep)
+		box := fd.Box{I0: -3, I1: c.local.NX - 2, J0: -5, J1: c.local.NY + 1, K0: 1, K1: c.local.NZ + 4}
+		sp.ApplyBoxFields([]*grid.Field3{deep}, box, nil)
+		check("ApplyBoxFields", deep, before, box)
+	}
+}
+
 func fill2(d grid.Dims) *fd.State {
 	s := fd.NewState(d)
 	for _, f := range s.Fields() {

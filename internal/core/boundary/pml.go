@@ -39,6 +39,9 @@ type PML struct {
 	split [3]*fd.State
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
+	// coef[l] are the split-update coefficients of damp[l] at step coefDt.
+	coef   []pmlCoef
+	coefDt float64
 }
 
 // DefaultPMLWidth is the M8 production width (10 cells).
@@ -69,10 +72,14 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	return pm
 }
 
-// depth returns the distance in cells from the inner (interior-facing)
-// edge of the zone for global cell coordinate (i,j,k); the damping index
-// is Width-1-depth ... expressed directly: returns the index into damp.
-func (pm *PML) dampAt(i, j, k int) float64 {
+// Splits returns the zone's three directional split states, each on the
+// zone-sized grid.
+func (pm *PML) Splits() [3]*fd.State { return pm.split }
+
+// dampIndex returns the index into damp (and into the coefficient table)
+// of global cell (i,j,k): its distance in cells from the inner
+// (interior-facing) edge of the zone, clamped to the profile.
+func (pm *PML) dampIndex(i, j, k int) int {
 	var l int
 	switch pm.Axis {
 	case grid.X:
@@ -100,23 +107,35 @@ func (pm *PML) dampAt(i, j, k int) float64 {
 	if l >= len(pm.damp) {
 		l = len(pm.damp) - 1
 	}
-	return pm.damp[l]
+	return l
 }
 
-// coeffs returns the three split-update coefficient pairs (decay, gain)
-// such that phi_s' = decay_s*phi_s + gain_s*dt*T_s.
-func (pm *PML) coeffs(i, j, k int, dt float64) (dec, gain [3]float32) {
-	d := pm.dampAt(i, j, k)
-	for s := 0; s < 3; s++ {
-		ds := pm.P * d
-		if grid.Axis(s) == pm.Axis {
-			ds = d
-		}
-		den := 1 + ds*dt/2
-		dec[s] = float32((1 - ds*dt/2) / den)
-		gain[s] = float32(1 / den)
+// pmlCoef holds the split-update coefficients of one damping depth:
+// phi_s' = dec[s]*phi_s + gain[s]*dt*T_s.
+type pmlCoef struct{ dec, gain [3]float32 }
+
+// coefTable returns the per-depth coefficients for time step dt. They
+// depend on the cell only through its damping index, so the float64
+// divisions are done Width times per dt, not three times per cell per call.
+func (pm *PML) coefTable(dt float64) []pmlCoef {
+	if pm.coef != nil && pm.coefDt == dt {
+		return pm.coef
 	}
-	return
+	pm.coef = make([]pmlCoef, len(pm.damp))
+	pm.coefDt = dt
+	for l, d := range pm.damp {
+		c := &pm.coef[l]
+		for s := 0; s < 3; s++ {
+			ds := pm.P * d
+			if grid.Axis(s) == pm.Axis {
+				ds = d
+			}
+			den := 1 + ds*dt/2
+			c.dec[s] = float32((1 - ds*dt/2) / den)
+			c.gain[s] = float32(1 / den)
+		}
+	}
+	return pm.coef
 }
 
 // UpdateVelocity advances the velocity splits in the zone and writes the
@@ -131,13 +150,14 @@ func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
 	dx, dy, dz := s.VX.Strides()
 	z := pm.Zone
+	coef := pm.coefTable(dt)
 
 	for k := z.K0; k < z.K1; k++ {
 		for j := z.J0; j < z.J1; j++ {
 			for i := z.I0; i < z.I1; i++ {
 				n := s.VX.Idx(i, j, k)
 				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				dec, gain := pm.coeffs(i, j, k, dt)
+				cf := &coef[pm.dampIndex(i, j, k)]
 
 				// Directional force terms (already scaled by dt/h and 1/rho).
 				uTx := dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
@@ -162,9 +182,9 @@ func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 					default:
 						tU, tV, tW = uTz, vTz, wTz
 					}
-					nu := dec[sdir]*sp.VX.At(li, lj, lk) + gain[sdir]*tU
-					nv := dec[sdir]*sp.VY.At(li, lj, lk) + gain[sdir]*tV
-					nw := dec[sdir]*sp.VZ.At(li, lj, lk) + gain[sdir]*tW
+					nu := fd.Quiesce(cf.dec[sdir]*sp.VX.At(li, lj, lk) + cf.gain[sdir]*tU)
+					nv := fd.Quiesce(cf.dec[sdir]*sp.VY.At(li, lj, lk) + cf.gain[sdir]*tV)
+					nw := fd.Quiesce(cf.dec[sdir]*sp.VZ.At(li, lj, lk) + cf.gain[sdir]*tW)
 					sp.VX.Set(li, lj, lk, nu)
 					sp.VY.Set(li, lj, lk, nv)
 					sp.VZ.Set(li, lj, lk, nw)
@@ -172,7 +192,7 @@ func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 					sum[1] += nv
 					sum[2] += nw
 				}
-				u[n], v[n], w[n] = sum[0], sum[1], sum[2]
+				u[n], v[n], w[n] = fd.Quiesce(sum[0]), fd.Quiesce(sum[1]), fd.Quiesce(sum[2])
 			}
 		}
 	}
@@ -190,13 +210,14 @@ func (pm *PML) UpdateStress(s *fd.State, m *medium.Medium, dt float64) {
 	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
 	dx, dy, dz := s.VX.Strides()
 	z := pm.Zone
+	coef := pm.coefTable(dt)
 
 	for k := z.K0; k < z.K1; k++ {
 		for j := z.J0; j < z.J1; j++ {
 			for i := z.I0; i < z.I1; i++ {
 				n := s.VX.Idx(i, j, k)
 				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				dec, gain := pm.coeffs(i, j, k, dt)
+				cf := &coef[pm.dampIndex(i, j, k)]
 
 				exx := dth * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
 				eyy := dth * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
@@ -230,12 +251,12 @@ func (pm *PML) UpdateStress(s *fd.State, m *medium.Medium, dt float64) {
 							return c.tz
 						}
 					}
-					nxx := dec[sdir]*sp.XX.At(li, lj, lk) + gain[sdir]*pick(cXX)
-					nyy := dec[sdir]*sp.YY.At(li, lj, lk) + gain[sdir]*pick(cYY)
-					nzz := dec[sdir]*sp.ZZ.At(li, lj, lk) + gain[sdir]*pick(cZZ)
-					nxy := dec[sdir]*sp.XY.At(li, lj, lk) + gain[sdir]*pick(cXY)
-					nxz := dec[sdir]*sp.XZ.At(li, lj, lk) + gain[sdir]*pick(cXZ)
-					nyz := dec[sdir]*sp.YZ.At(li, lj, lk) + gain[sdir]*pick(cYZ)
+					nxx := cf.dec[sdir]*sp.XX.At(li, lj, lk) + cf.gain[sdir]*pick(cXX)
+					nyy := cf.dec[sdir]*sp.YY.At(li, lj, lk) + cf.gain[sdir]*pick(cYY)
+					nzz := cf.dec[sdir]*sp.ZZ.At(li, lj, lk) + cf.gain[sdir]*pick(cZZ)
+					nxy := cf.dec[sdir]*sp.XY.At(li, lj, lk) + cf.gain[sdir]*pick(cXY)
+					nxz := cf.dec[sdir]*sp.XZ.At(li, lj, lk) + cf.gain[sdir]*pick(cXZ)
+					nyz := cf.dec[sdir]*sp.YZ.At(li, lj, lk) + cf.gain[sdir]*pick(cYZ)
 					sp.XX.Set(li, lj, lk, nxx)
 					sp.YY.Set(li, lj, lk, nyy)
 					sp.ZZ.Set(li, lj, lk, nzz)

@@ -34,6 +34,21 @@ type Sponge struct {
 	Faces  FaceSet // faces of the *global* domain that absorb
 
 	taper []float32 // taper[d] for d in [0, Width)
+
+	// tapers holds the per-axis taper slices over the padded local range,
+	// per ghost width, built at first use (the classic stepper asks for
+	// grid.Ghost every step, the time-tiled engine for its deeper frame
+	// every stage window). A Sponge belongs to one rank's goroutine.
+	tapers map[int]*axisTapers
+}
+
+// axisTapers is one ghost width's fx/fy/fz; uniform reports that every
+// factor is 1 (nothing to damp). fx is 1 throughout [xlo, xhi): the absorbing
+// zones are a prefix and a suffix of the padded x-range.
+type axisTapers struct {
+	fx, fy, fz []float32
+	xlo, xhi   int
+	uniform    bool
 }
 
 // DefaultSpongeWidth and DefaultSpongeAlpha are the classic Cerjan tuning.
@@ -95,8 +110,8 @@ func (sp *Sponge) Apply(s *fd.State) { sp.ApplyPool(s, nil) }
 func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
 	g := grid.Ghost
 	l := sp.Local
-	fx, fy, fz, uniform := sp.factors()
-	if uniform {
+	t := sp.tapersFor(g)
+	if t.uniform {
 		return // subgrid nowhere near an absorbing zone
 	}
 	fields := s.Fields()
@@ -104,7 +119,7 @@ func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
 	p.ForEachN(len(fields)*nz, func(idx int) {
 		f := fields[idx/nz]
 		k := idx%nz - g
-		sp.applyPlane(f, k, fx, fy, fz)
+		sp.applyPlane(f, k, t)
 	})
 }
 
@@ -120,8 +135,8 @@ func (sp *Sponge) ApplyBoxFields(fields []*grid.Field3, box fd.Box, p *sched.Poo
 		return
 	}
 	gw := fields[0].G()
-	fx, fy, fz, uniform := sp.factorsG(gw)
-	if uniform {
+	t := sp.tapersFor(gw)
+	if t.uniform {
 		return
 	}
 	nk := box.K1 - box.K0
@@ -129,60 +144,52 @@ func (sp *Sponge) ApplyBoxFields(fields []*grid.Field3, box fd.Box, p *sched.Poo
 	p.ForEachN(len(fields)*nk, func(idx int) {
 		f := fields[idx/nk]
 		k := box.K0 + idx%nk
-		zk := fz[k+gw]
+		zk := t.fz[k+gw]
 		for j := box.J0; j < box.J1; j++ {
-			fyz := fy[j+gw] * zk
-			if fyz == 1 && !sp.Faces.XLo && !sp.Faces.XHi {
-				continue
-			}
 			base := f.Idx(box.I0, j, k)
-			row := f.Data()[base : base+w]
-			for i := range row {
-				t := fx[box.I0+i+gw] * fyz
-				if t != 1 {
-					row[i] *= t
-				}
-			}
+			t.dampRow(f.Data()[base:base+w], box.I0+gw, t.fy[j+gw]*zk)
 		}
 	})
 }
 
-// factors precomputes the per-axis taper over the padded local range;
-// uniform reports that every factor is 1 (nothing to damp).
-func (sp *Sponge) factors() (fx, fy, fz []float32, uniform bool) {
-	return sp.factorsG(grid.Ghost)
+// tapersFor returns the per-axis tapers over the local range padded by g
+// ghosts (grid.Ghost for the classic stepper; the time-tiled engine damps
+// recomputed extension cells up to 4T deep), built at first use.
+func (sp *Sponge) tapersFor(g int) *axisTapers {
+	t := sp.tapers[g]
+	if t == nil {
+		t = &axisTapers{}
+		var ux, uy, uz bool
+		t.fx, ux = sp.axisTaper(sp.Local.NX, sp.Off[0], g, sp.Global.NX, sp.Faces.XLo, sp.Faces.XHi)
+		t.fy, uy = sp.axisTaper(sp.Local.NY, sp.Off[1], g, sp.Global.NY, sp.Faces.YLo, sp.Faces.YHi)
+		t.fz, uz = sp.axisTaper(sp.Local.NZ, sp.Off[2], g, sp.Global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
+		t.uniform = ux && uy && uz
+		for t.xlo < len(t.fx) && t.fx[t.xlo] != 1 {
+			t.xlo++
+		}
+		for t.xhi = t.xlo; t.xhi < len(t.fx) && t.fx[t.xhi] == 1; t.xhi++ {
+		}
+		if sp.tapers == nil {
+			sp.tapers = map[int]*axisTapers{}
+		}
+		sp.tapers[g] = t
+	}
+	return t
 }
 
-// factorsG is factors with a caller-chosen ghost width (the time-tiled
-// engine damps recomputed extension cells up to 4T deep).
-func (sp *Sponge) factorsG(g int) (fx, fy, fz []float32, uniform bool) {
-	l := sp.Local
-	fx = make([]float32, l.NX+2*g)
-	fy = make([]float32, l.NY+2*g)
-	fz = make([]float32, l.NZ+2*g)
+// axisTaper returns the taper of one axis — n local cells at global offset
+// off, padded by g ghosts, of nGlobal global cells with the given absorbing
+// sides — and whether every factor in it is 1.
+func (sp *Sponge) axisTaper(n, off, g, nGlobal int, lo, hi bool) (f []float32, uniform bool) {
+	f = make([]float32, n+2*g)
 	uniform = true
-	for i := range fx {
-		gi := clampIdx(sp.Off[0]+i-g, sp.Global.NX)
-		fx[i] = sp.factorAxis(gi, sp.Global.NX, sp.Faces.XLo, sp.Faces.XHi)
-		if fx[i] != 1 {
+	for i := range f {
+		f[i] = sp.factorAxis(clampIdx(off+i-g, nGlobal), nGlobal, lo, hi)
+		if f[i] != 1 {
 			uniform = false
 		}
 	}
-	for j := range fy {
-		gj := clampIdx(sp.Off[1]+j-g, sp.Global.NY)
-		fy[j] = sp.factorAxis(gj, sp.Global.NY, sp.Faces.YLo, sp.Faces.YHi)
-		if fy[j] != 1 {
-			uniform = false
-		}
-	}
-	for k := range fz {
-		gk := clampIdx(sp.Off[2]+k-g, sp.Global.NZ)
-		fz[k] = sp.factorAxis(gk, sp.Global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
-		if fz[k] != 1 {
-			uniform = false
-		}
-	}
-	return fx, fy, fz, uniform
+	return f, uniform
 }
 
 // ApplySurfaceFused is ApplyPool with the surface-velocity work fused in:
@@ -199,8 +206,8 @@ func (sp *Sponge) factorsG(g int) (fx, fy, fz []float32, uniform bool) {
 func (sp *Sponge) ApplySurfaceFused(s *fd.State, p *sched.Pool, surface func(j int)) {
 	g := grid.Ghost
 	l := sp.Local
-	fx, fy, fz, uniform := sp.factors()
-	if uniform {
+	t := sp.tapersFor(g)
+	if t.uniform {
 		p.ForEachN(l.NY, surface)
 		return
 	}
@@ -215,49 +222,63 @@ func (sp *Sponge) ApplySurfaceFused(s *fd.State, p *sched.Pool, surface func(j i
 				// Interior rows of the velocity surface planes belong to
 				// the fused items below; keep only the ghost-j rows here.
 				for j := -g; j < 0; j++ {
-					sp.applyRow(fields[fi], j, 0, fx, fy[j+g]*fz[g])
+					sp.applyRow(fields[fi], j, 0, t, t.fy[j+g]*t.fz[g])
 				}
 				for j := l.NY; j < l.NY+g; j++ {
-					sp.applyRow(fields[fi], j, 0, fx, fy[j+g]*fz[g])
+					sp.applyRow(fields[fi], j, 0, t, t.fy[j+g]*t.fz[g])
 				}
 				return
 			}
-			sp.applyPlane(fields[fi], k, fx, fy, fz)
+			sp.applyPlane(fields[fi], k, t)
 			return
 		}
 		j := idx - nplane
-		fyz := fy[j+g] * fz[g]
+		fyz := t.fy[j+g] * t.fz[g]
 		for _, f := range vels {
-			sp.applyRow(f, j, 0, fx, fyz)
+			sp.applyRow(f, j, 0, t, fyz)
 		}
 		surface(j)
 	})
 }
 
 // applyPlane damps one padded k-plane of one field through row slices.
-func (sp *Sponge) applyPlane(f *grid.Field3, k int, fx, fy, fz []float32) {
+func (sp *Sponge) applyPlane(f *grid.Field3, k int, t *axisTapers) {
 	g := grid.Ghost
 	l := sp.Local
-	zk := fz[k+g]
+	zk := t.fz[k+g]
 	for j := -g; j < l.NY+g; j++ {
-		sp.applyRow(f, j, k, fx, fy[j+g]*zk)
+		sp.applyRow(f, j, k, t, t.fy[j+g]*zk)
 	}
 }
 
 // applyRow damps one padded x-row of one field; fyz is the combined y/z
 // taper for the row.
-func (sp *Sponge) applyRow(f *grid.Field3, j, k int, fx []float32, fyz float32) {
-	if fyz == 1 && !sp.Faces.XLo && !sp.Faces.XHi {
-		return
-	}
+func (sp *Sponge) applyRow(f *grid.Field3, j, k int, t *axisTapers, fyz float32) {
 	g := grid.Ghost
 	base := f.Idx(-g, j, k)
-	row := f.Data()[base : base+sp.Local.NX+2*g]
-	for i := range row {
-		t := fx[i] * fyz
-		if t != 1 {
-			row[i] *= t
+	t.dampRow(f.Data()[base:base+sp.Local.NX+2*g], 0, fyz)
+}
+
+// dampRow multiplies row, whose first value sits at padded x-index p0, by
+// fx*fyz. Outside [xlo, xhi) that is two multiplies per value; inside, fx
+// is 1 and the factor is the row's constant fyz — nothing at all when that
+// is 1 too. x*1 == x exactly, so the split changes no stored bit.
+func (t *axisTapers) dampRow(row []float32, p0 int, fyz float32) {
+	n := len(row)
+	lo := min(max(t.xlo-p0, 0), n)
+	hi := min(max(t.xhi-p0, lo), n)
+	fx := t.fx[p0 : p0+n]
+	head, mid, tail := row[:lo], row[lo:hi], row[hi:]
+	for i, f := range fx[:lo] {
+		head[i] *= f * fyz
+	}
+	if fyz != 1 {
+		for i := range mid {
+			mid[i] *= fyz
 		}
+	}
+	for i, f := range fx[hi:] {
+		tail[i] *= f * fyz
 	}
 }
 

@@ -75,15 +75,15 @@ func velocityFused(s *State, m *medium.Medium, dt float64, b Box) {
 			zzp1z := zz[n0+dz:][:ni]
 			zzp2z := zz[n0+2*dz:][:ni]
 			for i := range ur {
-				ur[i] += dth * bxr[i] * (c1*(xxp1x[i]-xxc[i]) + c2*(xxp2x[i]-xxm1x[i]) +
-					c1*(xyc[i]-xym1y[i]) + c2*(xyp1y[i]-xym2y[i]) +
-					c1*(xzc[i]-xzm1z[i]) + c2*(xzp1z[i]-xzm2z[i]))
-				vr[i] += dth * byr[i] * (c1*(xyc[i]-xym1x[i]) + c2*(xyp1x[i]-xym2x[i]) +
-					c1*(yyp1y[i]-yyc[i]) + c2*(yyp2y[i]-yym1y[i]) +
-					c1*(yzc[i]-yzm1z[i]) + c2*(yzp1z[i]-yzm2z[i]))
-				wr[i] += dth * bzr[i] * (c1*(xzc[i]-xzm1x[i]) + c2*(xzp1x[i]-xzm2x[i]) +
-					c1*(yzc[i]-yzm1y[i]) + c2*(yzp1y[i]-yzm2y[i]) +
-					c1*(zzp1z[i]-zzc[i]) + c2*(zzp2z[i]-zzm1z[i]))
+				ur[i] = Quiesce(ur[i] + dth*bxr[i]*(c1*(xxp1x[i]-xxc[i])+c2*(xxp2x[i]-xxm1x[i])+
+					c1*(xyc[i]-xym1y[i])+c2*(xyp1y[i]-xym2y[i])+
+					c1*(xzc[i]-xzm1z[i])+c2*(xzp1z[i]-xzm2z[i])))
+				vr[i] = Quiesce(vr[i] + dth*byr[i]*(c1*(xyc[i]-xym1x[i])+c2*(xyp1x[i]-xym2x[i])+
+					c1*(yyp1y[i]-yyc[i])+c2*(yyp2y[i]-yym1y[i])+
+					c1*(yzc[i]-yzm1z[i])+c2*(yzp1z[i]-yzm2z[i])))
+				wr[i] = Quiesce(wr[i] + dth*bzr[i]*(c1*(xzc[i]-xzm1x[i])+c2*(xzp1x[i]-xzm2x[i])+
+					c1*(yzc[i]-yzm1y[i])+c2*(yzp1y[i]-yzm2y[i])+
+					c1*(zzp1z[i]-zzc[i])+c2*(zzp2z[i]-zzm1z[i])))
 			}
 		}
 	}

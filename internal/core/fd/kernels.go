@@ -165,15 +165,15 @@ func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
 			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
-				u[n] += dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+				u[n] = Quiesce(u[n] + dth*bx[n]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
+					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
+					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
+				v[n] = Quiesce(v[n] + dth*by[n]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
+					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
+					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
+				w[n] = Quiesce(w[n] + dth*bz[n]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
+					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
+					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
 			}
 		}
 	}
@@ -239,15 +239,15 @@ func velocityDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
 					byv = 2 / (rho[n] + rho[n+dy])
 					bzv = 2 / (rho[n] + rho[n+dz])
 				}
-				u[n] += dth * bxv * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * byv * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bzv * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+				u[n] = Quiesce(u[n] + dth*bxv*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
+					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
+					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
+				v[n] = Quiesce(v[n] + dth*byv*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
+					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
+					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
+				w[n] = Quiesce(w[n] + dth*bzv*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
+					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
+					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
 			}
 		}
 	}
@@ -330,36 +330,36 @@ func velocityUnrolled(s *State, m *medium.Medium, dt float64, b Box) {
 			end := n0 + (b.I1 - b.I0)
 			n := n0
 			for ; n+1 < end; n += 2 {
-				u[n] += dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+				u[n] = Quiesce(u[n] + dth*bx[n]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
+					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
+					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
+				v[n] = Quiesce(v[n] + dth*by[n]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
+					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
+					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
+				w[n] = Quiesce(w[n] + dth*bz[n]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
+					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
+					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
 				m := n + 1
-				u[m] += dth * bx[m] * (c1*(xx[m+dx]-xx[m]) + c2*(xx[m+2*dx]-xx[m-dx]) +
-					c1*(xy[m]-xy[m-dy]) + c2*(xy[m+dy]-xy[m-2*dy]) +
-					c1*(xz[m]-xz[m-dz]) + c2*(xz[m+dz]-xz[m-2*dz]))
-				v[m] += dth * by[m] * (c1*(xy[m]-xy[m-dx]) + c2*(xy[m+dx]-xy[m-2*dx]) +
-					c1*(yy[m+dy]-yy[m]) + c2*(yy[m+2*dy]-yy[m-dy]) +
-					c1*(yz[m]-yz[m-dz]) + c2*(yz[m+dz]-yz[m-2*dz]))
-				w[m] += dth * bz[m] * (c1*(xz[m]-xz[m-dx]) + c2*(xz[m+dx]-xz[m-2*dx]) +
-					c1*(yz[m]-yz[m-dy]) + c2*(yz[m+dy]-yz[m-2*dy]) +
-					c1*(zz[m+dz]-zz[m]) + c2*(zz[m+2*dz]-zz[m-dz]))
+				u[m] = Quiesce(u[m] + dth*bx[m]*(c1*(xx[m+dx]-xx[m])+c2*(xx[m+2*dx]-xx[m-dx])+
+					c1*(xy[m]-xy[m-dy])+c2*(xy[m+dy]-xy[m-2*dy])+
+					c1*(xz[m]-xz[m-dz])+c2*(xz[m+dz]-xz[m-2*dz])))
+				v[m] = Quiesce(v[m] + dth*by[m]*(c1*(xy[m]-xy[m-dx])+c2*(xy[m+dx]-xy[m-2*dx])+
+					c1*(yy[m+dy]-yy[m])+c2*(yy[m+2*dy]-yy[m-dy])+
+					c1*(yz[m]-yz[m-dz])+c2*(yz[m+dz]-yz[m-2*dz])))
+				w[m] = Quiesce(w[m] + dth*bz[m]*(c1*(xz[m]-xz[m-dx])+c2*(xz[m+dx]-xz[m-2*dx])+
+					c1*(yz[m]-yz[m-dy])+c2*(yz[m+dy]-yz[m-2*dy])+
+					c1*(zz[m+dz]-zz[m])+c2*(zz[m+2*dz]-zz[m-dz])))
 			}
 			for ; n < end; n++ {
-				u[n] += dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+				u[n] = Quiesce(u[n] + dth*bx[n]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
+					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
+					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
+				v[n] = Quiesce(v[n] + dth*by[n]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
+					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
+					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
+				w[n] = Quiesce(w[n] + dth*bz[n]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
+					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
+					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
 			}
 		}
 	}

@@ -37,25 +37,89 @@ func randomState(d grid.Dims, seed int64) *State {
 	return s
 }
 
+// frontState is randomState with the velocities at rest and the stresses
+// falling by three decades per k-plane, from normal range to far below
+// anything that survives a velocity update: the shape of the numerical
+// precursor ahead of a wavefront. One update keeps its increment in the
+// shallow planes and lands under the quiescence floor in the deep ones.
+func frontState(d grid.Dims, seed int64) *State {
+	s := randomState(d, seed)
+	for _, f := range s.Velocities() {
+		clear(f.Data())
+	}
+	g := grid.Ghost
+	for _, f := range s.Stresses() {
+		for k := -g; k < d.NZ+g; k++ {
+			scale := float32(math.Pow(10, -3*float64(k+g)))
+			for j := -g; j < d.NY+g; j++ {
+				for i := -g; i < d.NX+g; i++ {
+					f.Set(i, j, k, f.At(i, j, k)*scale)
+				}
+			}
+		}
+	}
+	return s
+}
+
 // All kernel variants must produce the same update to within float32
-// round-off (§IV.B: the optimizations are arithmetic restructurings).
+// round-off (§IV.B: the optimizations are arithmetic restructurings), on a
+// filled state and on one that crosses the quiescence floor. On the latter
+// every variant must store exactly +0 where Precomp does not keep a value
+// of at least 2^-100, and the variants that share Precomp's operand order
+// must match it bit for bit.
 func TestVariantsAgree(t *testing.T) {
 	d := grid.Dims{NX: 12, NY: 10, NZ: 14}
 	m := makeMedium(t, heteroQuerier(), d, 200)
 	dt := m.StableDt(0.5)
 	box := FullBox(d)
-	ref := randomState(d, 42)
-	UpdateVelocity(ref, m, dt, box, Precomp, Blocking{})
-	UpdateStress(ref, m, dt, box, Precomp, Blocking{})
+	floor := float32(math.Ldexp(1, -100))
 
-	for _, v := range []Variant{Naive, Recip, Blocked, Unrolled, Fused} {
-		s := randomState(d, 42)
-		UpdateVelocity(s, m, dt, box, v, DefaultBlocking)
-		UpdateStress(s, m, dt, box, v, DefaultBlocking)
-		diff := s.L2Diff(ref)
-		norm := math.Sqrt(ref.VX.SumSq() + 1)
-		if diff/norm > 2e-6 {
-			t.Errorf("variant %v differs from precomp: rel %g", v, diff/norm)
+	for _, tc := range []struct {
+		name   string
+		state  func() *State
+		atRest bool // velocities start at zero, so the floor decides what is stored
+	}{
+		{"filled", func() *State { return randomState(d, 42) }, false},
+		{"front", func() *State { return frontState(d, 42) }, true},
+	} {
+		ref := tc.state()
+		UpdateVelocity(ref, m, dt, box, Precomp, Blocking{})
+		if tc.atRest {
+			kept, zeroed := 0, 0
+			for _, x := range ref.VX.Data() {
+				if x != 0 {
+					kept++
+				} else {
+					zeroed++
+				}
+			}
+			if kept == 0 || zeroed == 0 {
+				t.Fatalf("%s: state does not cross the floor: %d kept, %d zeroed", tc.name, kept, zeroed)
+			}
+		}
+		refVel := ref.Clone()
+		UpdateStress(ref, m, dt, box, Precomp, Blocking{})
+
+		for _, v := range []Variant{Naive, Recip, Precomp, Blocked, Unrolled, Fused} {
+			s := tc.state()
+			UpdateVelocity(s, m, dt, box, v, DefaultBlocking)
+			for fi, f := range s.Velocities() {
+				want := refVel.Velocities()[fi].Data()
+				for n, x := range f.Data() {
+					if x != 0 && float32(math.Abs(float64(x))) < floor || x == 0 && math.Signbit(float64(x)) {
+						t.Fatalf("%s %v: stored %s[%d] = %g, want +0 or |v| >= 2^-100", tc.name, v, FieldNames[fi], n, x)
+					}
+					if v >= Precomp && math.Float32bits(x) != math.Float32bits(want[n]) {
+						t.Fatalf("%s %v: %s[%d] = %g, precomp %g", tc.name, v, FieldNames[fi], n, x, want[n])
+					}
+				}
+			}
+			UpdateStress(s, m, dt, box, v, DefaultBlocking)
+			diff := s.L2Diff(ref)
+			norm := math.Sqrt(ref.VX.SumSq() + 1)
+			if diff/norm > 2e-6 {
+				t.Errorf("%s: variant %v differs from precomp: rel %g", tc.name, v, diff/norm)
+			}
 		}
 	}
 }

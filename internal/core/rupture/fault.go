@@ -202,7 +202,7 @@ func (f *Fault) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 			}
 
 			// Off-fault stencils read the average of the split values.
-			s.VX.Set(i, j0, k, float32((f.vxP[n]+f.vxM[n])/2))
+			s.VX.Set(i, j0, k, fd.Quiesce(float32((f.vxP[n]+f.vxM[n])/2)))
 		}
 	}
 }

@@ -68,6 +68,14 @@ func ltsOptions(g grid.Dims, steps int, topo mpi.Cart) Options {
 // result along with the (all-rank-identical) LTS rate vector.
 func runStepperWorld(t *testing.T, q cvm.Querier, opt Options) (*Result, []int) {
 	t.Helper()
+	return stepWorld(t, q, opt, nil)
+}
+
+// stepWorld is runStepperWorld with a hook: after, when not nil, runs on
+// every rank's goroutine following each Step (a step, a super-step or an
+// LTS cycle). It must use t.Error, not t.Fatal.
+func stepWorld(t *testing.T, q cvm.Querier, opt Options, after func(c *mpi.Comm, st *Stepper)) (*Result, []int) {
+	t.Helper()
 	opt, err := PlanLTS(q, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +100,9 @@ func runStepperWorld(t *testing.T, q cvm.Querier, opt Options) (*Result, []int) 
 		defer st.Close()
 		for !st.Done() {
 			st.Step()
+			if after != nil {
+				after(c, st)
+			}
 		}
 		res, err := st.Finish()
 		if c.Rank() == 0 {

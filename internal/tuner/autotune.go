@@ -329,8 +329,9 @@ func newBenchEnv(d grid.Dims, threads int, useAtten bool) (*benchEnv, error) {
 	if useAtten {
 		env.atten = attenuation.New(m, attenuation.DefaultBand, env.dt)
 	}
-	// Non-zero field values so the kernels stream realistic data (denormal
-	// flushing aside, the timing is value-independent).
+	// Non-zero, normal-range field values: the data a filled grid streams.
+	// Nothing is flushed in hardware; fd.Quiesce keeps stored velocities out
+	// of the subnormal range, so kernel timing is value-independent.
 	for _, f := range env.state.Fields() {
 		data := f.Data()
 		for n := range data {

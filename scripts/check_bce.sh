@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Bounds-check-elimination guard for the fused-sweep kernels.
+# Bounds-check-elimination and inlining guard for the fused-sweep kernels.
 #
 # The fused inner loops are written against explicit per-offset subslice
 # windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
@@ -8,6 +8,10 @@
 # -d=ssa/check_bce and fails if any per-point IsInBounds check appears in a
 # fused kernel file. IsSliceInBounds diagnostics are allowed: they are the
 # once-per-row window creations, not per-point checks.
+#
+# The same build runs with -m and fails if fd.Quiesce — the quiescence floor
+# at every velocity store (DESIGN.md §9) — is not reported inlinable: it sits in the
+# inner loop of every velocity kernel, where a call would dwarf the compare.
 #
 # A fresh GOCACHE is mandatory: the build cache suppresses compiler
 # diagnostics for already-compiled packages, which would make the guard
@@ -22,7 +26,7 @@ tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
 
 diag=$(GOCACHE="$tmpcache" go build \
-    -gcflags="repro/internal/core/fd=-d=ssa/check_bce" \
+    -gcflags="repro/internal/core/fd=-d=ssa/check_bce -m" \
     -gcflags="repro/internal/core/attenuation=-d=ssa/check_bce" \
     ./internal/core/fd ./internal/core/attenuation 2>&1 || true)
 
@@ -38,6 +42,13 @@ for f in $GUARDED; do
         echo "ok: $f has no per-point bounds checks"
     fi
 done
+
+if printf '%s\n' "$diag" | grep -q "quiesce.go:.*can inline Quiesce"; then
+    echo "ok: fd.Quiesce is inlinable"
+else
+    echo "FAIL: fd.Quiesce is not reported inlinable (-gcflags=-m)"
+    status=1
+fi
 
 # Sanity: the diagnostics must actually be present (an empty diag means the
 # flags were dropped or the cache swallowed the output).
