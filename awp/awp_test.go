@@ -219,6 +219,23 @@ func TestNegativeDtRejected(t *testing.T) {
 	}
 }
 
+// TestMPMLGridTooSmallRejected: the production PML width is ten cells, so
+// an M-PML scenario on a grid (or a rank's share of one) it would swallow
+// must come back as an error, not as a panic from inside a rank.
+func TestMPMLGridTooSmallRejected(t *testing.T) {
+	q := HomogeneousModel(Material{Vp: 6000, Vs: 3464, Rho: 2700})
+	for _, sc := range []Scenario{
+		{Dims: Dims{NX: 20, NY: 24, NZ: 16}, Ranks: 1},
+		{Dims: Dims{NX: 32, NY: 32, NZ: 10}, Ranks: 1, FreeSurface: true},
+		{Dims: Dims{NX: 40, NY: 20, NZ: 24}, Ranks: 4, FreeSurface: true},
+	} {
+		sc.H, sc.Steps, sc.ABC = 100, 2, MPMLABC
+		if _, err := Run(q, sc); err == nil {
+			t.Errorf("%v on %d rank(s) accepted", sc.Dims, sc.Ranks)
+		}
+	}
+}
+
 // TestScenarioCFL checks the CFL pass-through: an out-of-range value is
 // rejected by the solver, and an explicit 0.5 matches the default run.
 func TestScenarioCFL(t *testing.T) {

@@ -1,7 +1,9 @@
 package boundary
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -609,4 +611,425 @@ func TestSpongeApplySurfaceFusedBitIdentical(t *testing.T) {
 			t.Fatal("uniform-path subgrid modified")
 		}
 	}
+}
+
+// refPMLCoef and refPMLDampIndex are the coefficient table and the per-cell
+// damping index of the pointwise reference below.
+type refPMLCoef struct{ dec, gain [3]float32 }
+
+func refPMLCoefTable(pm *PML, dt float64) []refPMLCoef {
+	coef := make([]refPMLCoef, len(pm.damp))
+	for l, d := range pm.damp {
+		c := &coef[l]
+		for s := 0; s < 3; s++ {
+			ds := pm.P * d
+			if grid.Axis(s) == pm.Axis {
+				ds = d
+			}
+			den := 1 + ds*dt/2
+			c.dec[s] = float32((1 - ds*dt/2) / den)
+			c.gain[s] = float32(1 / den)
+		}
+	}
+	return coef
+}
+
+func refPMLDampIndex(pm *PML, i, j, k int) int {
+	var l int
+	switch pm.Axis {
+	case grid.X:
+		if pm.Side == grid.Low {
+			l = i - pm.Zone.I0
+		} else {
+			l = pm.Zone.I1 - 1 - i
+		}
+	case grid.Y:
+		if pm.Side == grid.Low {
+			l = j - pm.Zone.J0
+		} else {
+			l = pm.Zone.J1 - 1 - j
+		}
+	default:
+		if pm.Side == grid.Low {
+			l = k - pm.Zone.K0
+		} else {
+			l = pm.Zone.K1 - 1 - k
+		}
+	}
+	if l < 0 {
+		l = 0
+	}
+	if l >= len(pm.damp) {
+		l = len(pm.damp) - 1
+	}
+	return l
+}
+
+// refPMLUpdateVelocity is the pointwise zone update the row kernels
+// replaced (PR 15's body, unchanged): the oracle they must match bit for
+// bit.
+func refPMLUpdateVelocity(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
+	c1, c2 := float32(fd.C1), float32(fd.C2)
+	dth := float32(dt / m.H)
+	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
+	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
+	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
+	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
+	dx, dy, dz := s.VX.Strides()
+	z := pm.Zone
+	coef := refPMLCoefTable(pm, dt)
+
+	for k := z.K0; k < z.K1; k++ {
+		for j := z.J0; j < z.J1; j++ {
+			for i := z.I0; i < z.I1; i++ {
+				n := s.VX.Idx(i, j, k)
+				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
+				cf := &coef[refPMLDampIndex(pm, i, j, k)]
+
+				// Directional force terms (already scaled by dt/h and 1/rho).
+				uTx := dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
+				uTy := dth * bx[n] * (c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]))
+				uTz := dth * bx[n] * (c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
+				vTx := dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]))
+				vTy := dth * by[n] * (c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]))
+				vTz := dth * by[n] * (c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
+				wTx := dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]))
+				wTy := dth * bz[n] * (c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]))
+				wTz := dth * bz[n] * (c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+
+				var sum [3]float32
+				for sdir := 0; sdir < 3; sdir++ {
+					sp := pm.split[sdir]
+					var tU, tV, tW float32
+					switch sdir {
+					case 0:
+						tU, tV, tW = uTx, vTx, wTx
+					case 1:
+						tU, tV, tW = uTy, vTy, wTy
+					default:
+						tU, tV, tW = uTz, vTz, wTz
+					}
+					nu := fd.Quiesce(cf.dec[sdir]*sp.VX.At(li, lj, lk) + cf.gain[sdir]*tU)
+					nv := fd.Quiesce(cf.dec[sdir]*sp.VY.At(li, lj, lk) + cf.gain[sdir]*tV)
+					nw := fd.Quiesce(cf.dec[sdir]*sp.VZ.At(li, lj, lk) + cf.gain[sdir]*tW)
+					sp.VX.Set(li, lj, lk, nu)
+					sp.VY.Set(li, lj, lk, nv)
+					sp.VZ.Set(li, lj, lk, nw)
+					sum[0] += nu
+					sum[1] += nv
+					sum[2] += nw
+				}
+				u[n], v[n], w[n] = fd.Quiesce(sum[0]), fd.Quiesce(sum[1]), fd.Quiesce(sum[2])
+			}
+		}
+	}
+}
+
+// refPMLUpdateStress is the pointwise stress counterpart.
+func refPMLUpdateStress(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
+	c1, c2 := float32(fd.C1), float32(fd.C2)
+	dth := float32(dt / m.H)
+	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
+	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
+	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
+	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
+	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
+	dx, dy, dz := s.VX.Strides()
+	z := pm.Zone
+	coef := refPMLCoefTable(pm, dt)
+
+	for k := z.K0; k < z.K1; k++ {
+		for j := z.J0; j < z.J1; j++ {
+			for i := z.I0; i < z.I1; i++ {
+				n := s.VX.Idx(i, j, k)
+				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
+				cf := &coef[refPMLDampIndex(pm, i, j, k)]
+
+				exx := dth * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
+				eyy := dth * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
+				ezz := dth * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
+				duy := dth * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]))
+				dvx := dth * (c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
+				duz := dth * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]))
+				dwx := dth * (c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
+				dvz := dth * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]))
+				dwy := dth * (c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
+
+				// Per-direction contributions to each stress component.
+				type contrib struct{ tx, ty, tz float32 }
+				cXX := contrib{l2m[n] * exx, lam[n] * eyy, lam[n] * ezz}
+				cYY := contrib{lam[n] * exx, l2m[n] * eyy, lam[n] * ezz}
+				cZZ := contrib{lam[n] * exx, lam[n] * eyy, l2m[n] * ezz}
+				cXY := contrib{mxy[n] * dvx, mxy[n] * duy, 0}
+				cXZ := contrib{mxz[n] * dwx, 0, mxz[n] * duz}
+				cYZ := contrib{0, myz[n] * dwy, myz[n] * dvz}
+
+				var sXX, sYY, sZZ, sXY, sXZ, sYZ float32
+				for sdir := 0; sdir < 3; sdir++ {
+					sp := pm.split[sdir]
+					pick := func(c contrib) float32 {
+						switch sdir {
+						case 0:
+							return c.tx
+						case 1:
+							return c.ty
+						default:
+							return c.tz
+						}
+					}
+					nxx := cf.dec[sdir]*sp.XX.At(li, lj, lk) + cf.gain[sdir]*pick(cXX)
+					nyy := cf.dec[sdir]*sp.YY.At(li, lj, lk) + cf.gain[sdir]*pick(cYY)
+					nzz := cf.dec[sdir]*sp.ZZ.At(li, lj, lk) + cf.gain[sdir]*pick(cZZ)
+					nxy := cf.dec[sdir]*sp.XY.At(li, lj, lk) + cf.gain[sdir]*pick(cXY)
+					nxz := cf.dec[sdir]*sp.XZ.At(li, lj, lk) + cf.gain[sdir]*pick(cXZ)
+					nyz := cf.dec[sdir]*sp.YZ.At(li, lj, lk) + cf.gain[sdir]*pick(cYZ)
+					sp.XX.Set(li, lj, lk, nxx)
+					sp.YY.Set(li, lj, lk, nyy)
+					sp.ZZ.Set(li, lj, lk, nzz)
+					sp.XY.Set(li, lj, lk, nxy)
+					sp.XZ.Set(li, lj, lk, nxz)
+					sp.YZ.Set(li, lj, lk, nyz)
+					sXX += nxx
+					sYY += nyy
+					sZZ += nzz
+					sXY += nxy
+					sXZ += nxz
+					sYZ += nyz
+				}
+				xx[n], yy[n], zz[n] = sXX, sYY, sZZ
+				xy[n], xz[n], yz[n] = sXY, sXZ, sYZ
+			}
+		}
+	}
+}
+
+// randomValue draws ±(1+r)·2^e, or one time in eight an exact ±0.
+func randomValue(rng *rand.Rand, e int) float32 {
+	sign := float64(1 - 2*rng.Intn(2))
+	if rng.Intn(8) == 0 {
+		return float32(sign * 0)
+	}
+	return float32(sign * math.Ldexp(1+rng.Float64(), e))
+}
+
+// fillFront fills every field, ghosts included, with a front decaying along
+// the flat index (so mostly along z) from 2^8 to 2^-140: like the precursor
+// of a real wavefield, each value's neighbours are within a few binades of
+// it, so where the front crosses the quiescence floor (2^-100) the splits
+// and their sums land on either side of it, and below 2^-126 the state is
+// subnormal.
+func fillFront(rng *rand.Rand, fields []*grid.Field3) {
+	for _, f := range fields {
+		data := f.Data()
+		for n := range data {
+			data[n] = randomValue(rng, 8-148*n/len(data)+rng.Intn(2))
+		}
+	}
+}
+
+// scatter overwrites about one value in `every` of every field with a value
+// whose binade is uniform over [2^-140, 2^8), whatever its neighbours hold.
+func scatter(rng *rand.Rand, every int, fields []*grid.Field3) {
+	for _, f := range fields {
+		data := f.Data()
+		for n := rng.Intn(every); n < len(data); n += 1 + rng.Intn(2*every) {
+			data[n] = randomValue(rng, rng.Intn(148)-140)
+		}
+	}
+}
+
+// pmlFields lists the 9 global fields of s and the 27 split fields of the
+// zones, with names for failure messages.
+func pmlFields(s *fd.State, zones []*PML) (fields []*grid.Field3, names []string) {
+	fields = s.Fields()
+	names = append(names, fd.FieldNames...)
+	for zi, z := range zones {
+		for si, sp := range z.Splits() {
+			for fi, f := range sp.Fields() {
+				fields = append(fields, f)
+				names = append(names, fmt.Sprintf("zone%d(%v,%v).split%d.%s", zi, z.Axis, z.Side, si, fd.FieldNames[fi]))
+			}
+		}
+	}
+	return fields, names
+}
+
+// firstBitDiff returns the name and flat index of the first value whose bit
+// pattern differs between the two field lists, or "" when none does.
+func firstBitDiff(a, b []*grid.Field3, names []string) (string, int) {
+	for fi := range a {
+		da, db := a[fi].Data(), b[fi].Data()
+		for n := range da {
+			if math.Float32bits(da[n]) != math.Float32bits(db[n]) {
+				return names[fi], n
+			}
+		}
+	}
+	return "", 0
+}
+
+// TestPMLRowsMatchPointwise steps the row kernels beside the pointwise
+// reference they replaced — interior kernel, zones, free surface, as the
+// solver orders them — over states re-seeded as it goes with
+// random-exponent values (fillFront, scatter), and demands bit equality of all 9 global and 27
+// split fields after every step. The row side runs each zone as tiles cut
+// once more in x, so windows that start inside the zone are covered too.
+func TestPMLRowsMatchPointwise(t *testing.T) {
+	d := grid.Dims{NX: 22, NY: 19, NZ: 17}
+	h := 100.0
+	m := makeMedium(t, cvm.SoCal(2200, 1900, 1700, 400), d, h)
+	dt := m.StableDt(0.45)
+	allSix := AllAbsorbing()
+	allSix.ZLo = true
+	for _, tc := range []struct {
+		name  string
+		faces FaceSet
+		zones int
+	}{{"six-zones", allSix, 6}, {"free-surface-shell", AllAbsorbing(), 5}} {
+		for _, p := range []float64{0, DefaultMPMLRatio} {
+			refZones, interior := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
+			rowZones, _ := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
+			if len(refZones) != tc.zones {
+				t.Fatalf("%s: %d zones, want %d", tc.name, len(refZones), tc.zones)
+			}
+			ref, row := fd.NewState(d), fd.NewState(d)
+			refF, names := pmlFields(ref, refZones)
+			rowF, _ := pmlFields(row, rowZones)
+			var fsf *FreeSurface
+			if !tc.faces.ZLo {
+				fsf = NewFreeSurface(d)
+			}
+			var tiles [][]fd.Box
+			for _, z := range rowZones {
+				z.Prepare(dt)
+				var zt []fd.Box
+				for _, b := range fd.Tiles(z.Zone, fd.Blocking{JBlock: 3, KBlock: 5}) {
+					cut := b.I0 + (b.I1-b.I0)/3
+					lo, hi := b, b
+					lo.I1, hi.I0 = cut, cut
+					zt = append(zt, hi, lo) // hi first: order must not matter
+				}
+				tiles = append(tiles, zt)
+			}
+			seed := int64(p*100) + int64(tc.zones)
+			for step := 1; step <= 32; step++ {
+				// A fresh front every eighth step (large values spread a
+				// cell a step and would bury it), strays every step.
+				for _, fields := range [][]*grid.Field3{refF, rowF} {
+					rng := rand.New(rand.NewSource(seed + int64(step)))
+					if step%8 == 1 {
+						fillFront(rng, fields)
+					}
+					scatter(rng, 50, fields)
+				}
+
+				fd.UpdateVelocity(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
+				fd.UpdateVelocity(row, m, dt, interior, fd.Precomp, fd.Blocking{})
+				for zi, z := range refZones {
+					refPMLUpdateVelocity(z, ref, m, dt)
+					for _, b := range tiles[zi] {
+						rowZones[zi].UpdateVelocityBox(row, m, dt, b)
+					}
+				}
+				if fsf != nil {
+					fsf.ApplyVelocity(ref, m)
+					fsf.ApplyVelocity(row, m)
+				}
+				fd.UpdateStress(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
+				fd.UpdateStress(row, m, dt, interior, fd.Precomp, fd.Blocking{})
+				for zi, z := range refZones {
+					refPMLUpdateStress(z, ref, m, dt)
+					for _, b := range tiles[zi] {
+						rowZones[zi].UpdateStressBox(row, m, dt, b)
+					}
+				}
+				if fsf != nil {
+					fsf.ApplyStress(ref)
+					fsf.ApplyStress(row)
+				}
+				if name, n := firstBitDiff(refF, rowF, names); name != "" {
+					t.Fatalf("%s p=%g step %d: %s differs at flat index %d", tc.name, p, step, name, n)
+				}
+			}
+			if !finite32(ref.MaxAbs()) {
+				t.Fatalf("%s p=%g: state went non-finite; the comparison lost its meaning", tc.name, p)
+			}
+		}
+	}
+}
+
+func finite32(v float32) bool { return !math.IsNaN(float64(v)) && !math.IsInf(float64(v), 0) }
+
+// partitionBox cuts b into disjoint boxes by random recursive bisection
+// along random axes and returns them in random order.
+func partitionBox(rng *rand.Rand, b fd.Box, depth int) []fd.Box {
+	var out []fd.Box
+	var cut func(b fd.Box, depth int)
+	cut = func(b fd.Box, depth int) {
+		lo, hi := [3]int{b.I0, b.J0, b.K0}, [3]int{b.I1, b.J1, b.K1}
+		ax := rng.Intn(3)
+		if depth == 0 || hi[ax]-lo[ax] < 2 {
+			out = append(out, b)
+			return
+		}
+		at := lo[ax] + 1 + rng.Intn(hi[ax]-lo[ax]-1)
+		l, r := b, b
+		switch ax {
+		case 0:
+			l.I1, r.I0 = at, at
+		case 1:
+			l.J1, r.J0 = at, at
+		default:
+			l.K1, r.K0 = at, at
+		}
+		cut(l, depth-1)
+		cut(r, depth-1)
+	}
+	cut(b, depth)
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+// FuzzPMLBoxPartition checks the property the solver's tile queue rests on:
+// a zone updated box by box over any disjoint partition, in any order, holds
+// the same bits as the zone updated whole.
+func FuzzPMLBoxPartition(f *testing.F) {
+	for zone := uint8(0); zone < 6; zone++ {
+		f.Add(int64(zone)+1, zone, uint8(1+zone))
+	}
+	f.Add(int64(99), uint8(2), uint8(0))
+	d := grid.Dims{NX: 13, NY: 12, NZ: 11}
+	h := 100.0
+	m := makeMedium(f, cvm.SoCal(1300, 1200, 1100, 400), d, h)
+	dt := m.StableDt(0.45)
+	faces := AllAbsorbing()
+	faces.ZLo = true
+	f.Fuzz(func(t *testing.T, seed int64, zone, depth uint8) {
+		zi, depthN := int(zone%6), int(depth%7)
+		whole, _ := BuildPML(d, faces, 3, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, h)
+		parts, _ := BuildPML(d, faces, 3, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, h)
+		sw, sp := fd.NewState(d), fd.NewState(d)
+		fw, names := pmlFields(sw, whole[zi:zi+1])
+		fp, _ := pmlFields(sp, parts[zi:zi+1])
+		for _, fields := range [][]*grid.Field3{fw, fp} {
+			rng := rand.New(rand.NewSource(seed))
+			fillFront(rng, fields)
+			scatter(rng, 50, fields)
+		}
+
+		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+		zw, zp := whole[zi], parts[zi]
+		zp.Prepare(dt)
+		zw.UpdateVelocity(sw, m, dt)
+		for _, b := range partitionBox(rng, zp.Zone, depthN) {
+			zp.UpdateVelocityBox(sp, m, dt, b)
+		}
+		zw.UpdateStress(sw, m, dt)
+		for _, b := range partitionBox(rng, zp.Zone, depthN) {
+			zp.UpdateStressBox(sp, m, dt, b)
+		}
+		if name, n := firstBitDiff(fw, fp, names); name != "" {
+			t.Fatalf("seed %d zone %d depth %d: %s differs at flat index %d", seed, zi, depthN, name, n)
+		}
+	})
 }

@@ -39,8 +39,9 @@ type PML struct {
 	split [3]*fd.State
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
-	// coef[l] are the split-update coefficients of damp[l] at step coefDt.
-	coef   []pmlCoef
+	// rows are the split-update coefficients of step coefDt, expanded to
+	// x-row slices (see Prepare).
+	rows   []pmlRowCoef
 	coefDt float64
 }
 
@@ -53,6 +54,9 @@ const DefaultMPMLRatio = 0.1
 // DefaultPMLReflection is the design reflection coefficient R.
 const DefaultPMLReflection = 1e-5
 
+// cacheLine is the assumed cache-line size, in float32 values.
+const cacheLine = 16
+
 // NewPML builds one zone. vpMax and h size the damping profile.
 func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vpMax, h float64) *PML {
 	if zone.Empty() || width <= 0 {
@@ -60,8 +64,24 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	}
 	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
 	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
-	for s := 0; s < 3; s++ {
-		pm.split[s] = fd.NewState(zd)
+	// A row sweep streams the same offset of all 27 split fields. Allocated
+	// one by one they would each start on a page boundary and so contend
+	// for one L1 set; carved from one slab at an odd number of cache lines
+	// apart, they fall in 27 different ones.
+	lines := (grid.PaddedLen(zd, grid.Ghost)+cacheLine-1)/cacheLine | 1
+	slab := make([]float32, 27*lines*cacheLine)
+	field := func() *grid.Field3 {
+		f := grid.NewField3Over(zd, grid.Ghost, slab)
+		slab = slab[lines*cacheLine:]
+		return f
+	}
+	for s := range pm.split {
+		pm.split[s] = &fd.State{
+			Dims: zd,
+			VX:   field(), VY: field(), VZ: field(),
+			XX: field(), YY: field(), ZZ: field(),
+			XY: field(), XZ: field(), YZ: field(),
+		}
 	}
 	d0 := 3 * vpMax * math.Log(1/rcoef) / (2 * float64(width) * h)
 	pm.damp = make([]float64, width)
@@ -76,245 +96,137 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 // zone-sized grid.
 func (pm *PML) Splits() [3]*fd.State { return pm.split }
 
-// dampIndex returns the index into damp (and into the coefficient table)
-// of global cell (i,j,k): its distance in cells from the inner
-// (interior-facing) edge of the zone, clamped to the profile.
-func (pm *PML) dampIndex(i, j, k int) int {
-	var l int
-	switch pm.Axis {
-	case grid.X:
-		if pm.Side == grid.Low {
-			l = i - pm.Zone.I0
-		} else {
-			l = pm.Zone.I1 - 1 - i
-		}
-	case grid.Y:
-		if pm.Side == grid.Low {
-			l = j - pm.Zone.J0
-		} else {
-			l = pm.Zone.J1 - 1 - j
-		}
-	default:
-		if pm.Side == grid.Low {
-			l = k - pm.Zone.K0
-		} else {
-			l = pm.Zone.K1 - 1 - k
-		}
+// depth returns the index into damp of offset c along the zone's normal
+// axis, n cells long: the distance in cells from the low edge of a Low
+// zone or the high edge of a High zone, clamped to the profile.
+func (pm *PML) depth(c, n int) int {
+	if pm.Side == grid.High {
+		c = n - 1 - c
 	}
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(pm.damp) {
-		l = len(pm.damp) - 1
-	}
-	return l
+	return min(max(c, 0), len(pm.damp)-1)
 }
 
-// pmlCoef holds the split-update coefficients of one damping depth:
-// phi_s' = dec[s]*phi_s + gain[s]*dt*T_s.
-type pmlCoef struct{ dec, gain [3]float32 }
+// pmlRowCoef holds the split-update coefficients along one x-row of the
+// zone: phi_s' = dec[s][i]*phi_s + gain[s][i]*dt*T_s at x-offset i.
+type pmlRowCoef struct{ dec, gain [3][]float32 }
 
-// coefTable returns the per-depth coefficients for time step dt. They
-// depend on the cell only through its damping index, so the float64
-// divisions are done Width times per dt, not three times per cell per call.
-func (pm *PML) coefTable(dt float64) []pmlCoef {
-	if pm.coef != nil && pm.coefDt == dt {
-		return pm.coef
+// Prepare builds the coefficient rows for time step dt. An x-normal zone has
+// one row whose entries vary with the x-offset; a y- or z-normal zone has one
+// constant row per depth, picked by the row's j or k — either way the row
+// kernels read coefficient slices and never a depth. The box kernels only
+// read the rows, so whoever runs them concurrently (the solver's tile queue)
+// must have called Prepare first; the whole-zone wrappers call it themselves.
+func (pm *PML) Prepare(dt float64) {
+	if pm.rows != nil && pm.coefDt == dt {
+		return
 	}
-	pm.coef = make([]pmlCoef, len(pm.damp))
-	pm.coefDt = dt
+	// The coefficients depend on a cell only through its damping depth, so
+	// the float64 divisions are done Width times per dt.
+	type coef struct{ dec, gain [3]float32 }
+	byDepth := make([]coef, len(pm.damp))
 	for l, d := range pm.damp {
-		c := &pm.coef[l]
 		for s := 0; s < 3; s++ {
 			ds := pm.P * d
 			if grid.Axis(s) == pm.Axis {
 				ds = d
 			}
 			den := 1 + ds*dt/2
-			c.dec[s] = float32((1 - ds*dt/2) / den)
-			c.gain[s] = float32(1 / den)
+			byDepth[l].dec[s] = float32((1 - ds*dt/2) / den)
+			byDepth[l].gain[s] = float32(1 / den)
 		}
 	}
-	return pm.coef
-}
-
-// UpdateVelocity advances the velocity splits in the zone and writes the
-// recombined velocities back to the global state. Must be called in place
-// of the interior kernel for zone cells.
-func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
-	c1, c2 := float32(fd.C1), float32(fd.C2)
-	dth := float32(dt / m.H)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
-	dx, dy, dz := s.VX.Strides()
-	z := pm.Zone
-	coef := pm.coefTable(dt)
-
-	for k := z.K0; k < z.K1; k++ {
-		for j := z.J0; j < z.J1; j++ {
-			for i := z.I0; i < z.I1; i++ {
-				n := s.VX.Idx(i, j, k)
-				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				cf := &coef[pm.dampIndex(i, j, k)]
-
-				// Directional force terms (already scaled by dt/h and 1/rho).
-				uTx := dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
-				uTy := dth * bx[n] * (c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]))
-				uTz := dth * bx[n] * (c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				vTx := dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]))
-				vTy := dth * by[n] * (c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]))
-				vTz := dth * by[n] * (c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				wTx := dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]))
-				wTy := dth * bz[n] * (c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]))
-				wTz := dth * bz[n] * (c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
-
-				var sum [3]float32
-				for sdir := 0; sdir < 3; sdir++ {
-					sp := pm.split[sdir]
-					var tU, tV, tW float32
-					switch sdir {
-					case 0:
-						tU, tV, tW = uTx, vTx, wTx
-					case 1:
-						tU, tV, tW = uTy, vTy, wTy
-					default:
-						tU, tV, tW = uTz, vTz, wTz
-					}
-					nu := fd.Quiesce(cf.dec[sdir]*sp.VX.At(li, lj, lk) + cf.gain[sdir]*tU)
-					nv := fd.Quiesce(cf.dec[sdir]*sp.VY.At(li, lj, lk) + cf.gain[sdir]*tV)
-					nw := fd.Quiesce(cf.dec[sdir]*sp.VZ.At(li, lj, lk) + cf.gain[sdir]*tW)
-					sp.VX.Set(li, lj, lk, nu)
-					sp.VY.Set(li, lj, lk, nv)
-					sp.VZ.Set(li, lj, lk, nw)
-					sum[0] += nu
-					sum[1] += nv
-					sum[2] += nw
-				}
-				u[n], v[n], w[n] = fd.Quiesce(sum[0]), fd.Quiesce(sum[1]), fd.Quiesce(sum[2])
+	nx := pm.Zone.I1 - pm.Zone.I0
+	nrows := len(byDepth)
+	if pm.Axis == grid.X {
+		nrows = 1
+	}
+	rows := make([]pmlRowCoef, nrows)
+	buf := make([]float32, nrows*6*nx)
+	for r := range rows {
+		row := &rows[r]
+		for s := 0; s < 3; s++ {
+			row.dec[s], row.gain[s], buf = buf[:nx:nx], buf[nx:2*nx:2*nx], buf[2*nx:]
+		}
+		for i := 0; i < nx; i++ {
+			l := r
+			if pm.Axis == grid.X {
+				l = pm.depth(i, nx)
+			}
+			for s := 0; s < 3; s++ {
+				row.dec[s][i], row.gain[s][i] = byDepth[l].dec[s], byDepth[l].gain[s]
 			}
 		}
 	}
+	pm.rows, pm.coefDt = rows, dt
 }
 
-// UpdateStress advances the stress splits in the zone and writes the
+// rowCoef returns the coefficient row of zone row (j,k).
+func (pm *PML) rowCoef(j, k int) *pmlRowCoef {
+	z := pm.Zone
+	switch pm.Axis {
+	case grid.Y:
+		return &pm.rows[pm.depth(j-z.J0, z.J1-z.J0)]
+	case grid.Z:
+		return &pm.rows[pm.depth(k-z.K0, z.K1-z.K0)]
+	}
+	return &pm.rows[0]
+}
+
+// checkBox panics unless b lies inside the zone and Prepare(dt) has run.
+func (pm *PML) checkBox(dt float64, b fd.Box) {
+	z := pm.Zone
+	if b.I0 < z.I0 || b.I1 > z.I1 || b.J0 < z.J0 || b.J1 > z.J1 || b.K0 < z.K0 || b.K1 > z.K1 {
+		panic(fmt.Sprintf("boundary: box %v outside PML zone %v", b, z))
+	}
+	if pm.rows == nil || pm.coefDt != dt {
+		panic(fmt.Sprintf("boundary: PML coefficients prepared for dt %g, stepped with %g", pm.coefDt, dt))
+	}
+}
+
+// UpdateVelocity advances the velocity splits in the whole zone and writes
+// the recombined velocities back to the global state. Must be called in
+// place of the interior kernel for zone cells.
+func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
+	pm.Prepare(dt)
+	pm.UpdateVelocityBox(s, m, dt, pm.Zone)
+}
+
+// UpdateStress advances the stress splits in the whole zone and writes the
 // recombined stresses back to the global state.
 func (pm *PML) UpdateStress(s *fd.State, m *medium.Medium, dt float64) {
-	c1, c2 := float32(fd.C1), float32(fd.C2)
-	dth := float32(dt / m.H)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
-	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
-	dx, dy, dz := s.VX.Strides()
-	z := pm.Zone
-	coef := pm.coefTable(dt)
+	pm.Prepare(dt)
+	pm.UpdateStressBox(s, m, dt, pm.Zone)
+}
 
-	for k := z.K0; k < z.K1; k++ {
-		for j := z.J0; j < z.J1; j++ {
-			for i := z.I0; i < z.I1; i++ {
-				n := s.VX.Idx(i, j, k)
-				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				cf := &coef[pm.dampIndex(i, j, k)]
-
-				exx := dth * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
-				eyy := dth * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
-				ezz := dth * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
-				duy := dth * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]))
-				dvx := dth * (c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				duz := dth * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]))
-				dwx := dth * (c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				dvz := dth * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]))
-				dwy := dth * (c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-
-				// Per-direction contributions to each stress component.
-				type contrib struct{ tx, ty, tz float32 }
-				cXX := contrib{l2m[n] * exx, lam[n] * eyy, lam[n] * ezz}
-				cYY := contrib{lam[n] * exx, l2m[n] * eyy, lam[n] * ezz}
-				cZZ := contrib{lam[n] * exx, lam[n] * eyy, l2m[n] * ezz}
-				cXY := contrib{mxy[n] * dvx, mxy[n] * duy, 0}
-				cXZ := contrib{mxz[n] * dwx, 0, mxz[n] * duz}
-				cYZ := contrib{0, myz[n] * dwy, myz[n] * dvz}
-
-				var sXX, sYY, sZZ, sXY, sXZ, sYZ float32
-				for sdir := 0; sdir < 3; sdir++ {
-					sp := pm.split[sdir]
-					pick := func(c contrib) float32 {
-						switch sdir {
-						case 0:
-							return c.tx
-						case 1:
-							return c.ty
-						default:
-							return c.tz
-						}
-					}
-					nxx := cf.dec[sdir]*sp.XX.At(li, lj, lk) + cf.gain[sdir]*pick(cXX)
-					nyy := cf.dec[sdir]*sp.YY.At(li, lj, lk) + cf.gain[sdir]*pick(cYY)
-					nzz := cf.dec[sdir]*sp.ZZ.At(li, lj, lk) + cf.gain[sdir]*pick(cZZ)
-					nxy := cf.dec[sdir]*sp.XY.At(li, lj, lk) + cf.gain[sdir]*pick(cXY)
-					nxz := cf.dec[sdir]*sp.XZ.At(li, lj, lk) + cf.gain[sdir]*pick(cXZ)
-					nyz := cf.dec[sdir]*sp.YZ.At(li, lj, lk) + cf.gain[sdir]*pick(cYZ)
-					sp.XX.Set(li, lj, lk, nxx)
-					sp.YY.Set(li, lj, lk, nyy)
-					sp.ZZ.Set(li, lj, lk, nzz)
-					sp.XY.Set(li, lj, lk, nxy)
-					sp.XZ.Set(li, lj, lk, nxz)
-					sp.YZ.Set(li, lj, lk, nyz)
-					sXX += nxx
-					sYY += nyy
-					sZZ += nzz
-					sXY += nxy
-					sXZ += nxz
-					sYZ += nyz
-				}
-				xx[n], yy[n], zz[n] = sXX, sYY, sZZ
-				xy[n], xz[n], yz[n] = sXY, sXZ, sYZ
-			}
-		}
-	}
+// PMLInterior returns the box BuildPML's zones leave of a subgrid of dims d:
+// width cells off every face in faces. It is empty when the zones would
+// consume the subgrid along some axis.
+func PMLInterior(d grid.Dims, faces FaceSet, width int) fd.Box {
+	return fd.FullBox(d).Shrink(width, faces.XLo, faces.XHi, faces.YLo, faces.YHi, faces.ZLo, faces.ZHi)
 }
 
 // BuildPML constructs the non-overlapping shell of PML zones for a
 // single-rank (or per-rank, with faces masked to owned physical faces)
 // subgrid: x zones span the full y/z extent, y zones exclude the x zones,
 // z zones exclude both. Returns the zones and the remaining interior box.
+// Zones that leave no interior are a caller's bug and panic: solver.Prepare
+// turns a user's too-wide PMLWidth into an error before any rank gets here.
 func BuildPML(d grid.Dims, faces FaceSet, width int, p, rcoef, vpMax, h float64) ([]*PML, fd.Box) {
-	interior := fd.FullBox(d)
+	in := PMLInterior(d, faces, width)
+	if in.Empty() {
+		panic(fmt.Sprintf("boundary: PML zones (width %d) consume the whole %v subgrid", width, d))
+	}
 	var zones []*PML
-	add := func(zone fd.Box, ax grid.Axis, sd grid.Side) {
-		if !zone.Empty() {
+	add := func(on bool, zone fd.Box, ax grid.Axis, sd grid.Side) {
+		if on {
 			zones = append(zones, NewPML(zone, ax, sd, width, p, rcoef, vpMax, h))
 		}
 	}
-	if faces.XLo {
-		add(fd.Box{I0: 0, I1: width, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}, grid.X, grid.Low)
-		interior.I0 = width
-	}
-	if faces.XHi {
-		add(fd.Box{I0: d.NX - width, I1: d.NX, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}, grid.X, grid.High)
-		interior.I1 = d.NX - width
-	}
-	if faces.YLo {
-		add(fd.Box{I0: interior.I0, I1: interior.I1, J0: 0, J1: width, K0: 0, K1: d.NZ}, grid.Y, grid.Low)
-		interior.J0 = width
-	}
-	if faces.YHi {
-		add(fd.Box{I0: interior.I0, I1: interior.I1, J0: d.NY - width, J1: d.NY, K0: 0, K1: d.NZ}, grid.Y, grid.High)
-		interior.J1 = d.NY - width
-	}
-	if faces.ZLo {
-		add(fd.Box{I0: interior.I0, I1: interior.I1, J0: interior.J0, J1: interior.J1, K0: 0, K1: width}, grid.Z, grid.Low)
-		interior.K0 = width
-	}
-	if faces.ZHi {
-		add(fd.Box{I0: interior.I0, I1: interior.I1, J0: interior.J0, J1: interior.J1, K0: d.NZ - width, K1: d.NZ}, grid.Z, grid.High)
-		interior.K1 = d.NZ - width
-	}
-	if interior.Empty() {
-		panic(fmt.Sprintf("boundary: PML zones (width %d) consume the whole %v subgrid", width, d))
-	}
-	return zones, interior
+	add(faces.XLo, fd.Box{I0: 0, I1: width, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}, grid.X, grid.Low)
+	add(faces.XHi, fd.Box{I0: d.NX - width, I1: d.NX, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}, grid.X, grid.High)
+	add(faces.YLo, fd.Box{I0: in.I0, I1: in.I1, J0: 0, J1: width, K0: 0, K1: d.NZ}, grid.Y, grid.Low)
+	add(faces.YHi, fd.Box{I0: in.I0, I1: in.I1, J0: d.NY - width, J1: d.NY, K0: 0, K1: d.NZ}, grid.Y, grid.High)
+	add(faces.ZLo, fd.Box{I0: in.I0, I1: in.I1, J0: in.J0, J1: in.J1, K0: 0, K1: width}, grid.Z, grid.Low)
+	add(faces.ZHi, fd.Box{I0: in.I0, I1: in.I1, J0: in.J0, J1: in.J1, K0: d.NZ - width, K1: d.NZ}, grid.Z, grid.High)
+	return zones, in
 }

@@ -93,20 +93,6 @@ func ForEachTile(box Box, blk Blocking, p *sched.Pool, fn func(Box)) {
 	p.ForEachN(len(tiles), func(i int) { fn(tiles[i]) })
 }
 
-// ForEachTileMulti runs fn over the combined tile queue of several boxes
-// in one pool batch — the overlap schedule uses it to drain all boundary
-// strips together so thin strips from different faces load-balance.
-func ForEachTileMulti(boxes []Box, blk Blocking, p *sched.Pool, fn func(Box)) {
-	var tiles []Box
-	for _, b := range boxes {
-		tiles = append(tiles, Tiles(b, blk)...)
-	}
-	if len(tiles) == 0 {
-		return
-	}
-	p.ForEachN(len(tiles), func(i int) { fn(tiles[i]) })
-}
-
 // ForEachKSlab splits box into contiguous k-slabs and runs fn
 // concurrently on nthreads freshly spawned workers (nthreads <= 1:
 // inline). This is the legacy spawn-per-call path; the pooled tile

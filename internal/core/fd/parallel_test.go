@@ -173,31 +173,3 @@ func TestForEachTileSerialOrderDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestForEachTileMultiCombinesQueues(t *testing.T) {
-	p := sched.NewPool(4)
-	defer p.Close()
-	boxes := []Box{
-		{0, 2, 0, 10, 0, 10},
-		{}, // empty: contributes nothing
-		{5, 6, 0, 3, 0, 33},
-	}
-	var mu sync.Mutex
-	cells := 0
-	ForEachTileMulti(boxes, Blocking{JBlock: 4, KBlock: 4}, p, func(b Box) {
-		n := (b.I1 - b.I0) * (b.J1 - b.J0) * (b.K1 - b.K0)
-		mu.Lock()
-		cells += n
-		mu.Unlock()
-	})
-	want := 2*10*10 + 1*3*33
-	if cells != want {
-		t.Fatalf("covered %d cells, want %d", cells, want)
-	}
-	// All-empty input: no pool interaction, no calls.
-	calls := 0
-	ForEachTileMulti([]Box{{}, {}}, DefaultBlocking, p, func(Box) { calls++ })
-	if calls != 0 {
-		t.Fatal("empty boxes invoked fn")
-	}
-}

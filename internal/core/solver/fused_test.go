@@ -92,3 +92,47 @@ func TestUnknownEnumsRejected(t *testing.T) {
 		}
 	}
 }
+
+// A PMLWidth whose zones would swallow some rank's subgrid is user input,
+// so Prepare and Run must answer it with an error, not with BuildPML's
+// panic from inside a rank.
+func TestPMLWidthWithoutInteriorRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		topo        mpi.Cart
+		freeSurface bool
+		width       int
+		ok          bool
+	}{
+		// 24x24x16 on one rank: two zones across x and y, one or two across z.
+		{"1rank/fs/width=7", mpi.NewCart(1, 1, 1), true, 7, true},
+		{"1rank/fs/width=half-x", mpi.NewCart(1, 1, 1), true, 12, false},
+		{"1rank/fs/width>half-x", mpi.NewCart(1, 1, 1), true, 13, false},
+		{"1rank/nofs/width=7", mpi.NewCart(1, 1, 1), false, 7, true},
+		{"1rank/nofs/width=half-z", mpi.NewCart(1, 1, 1), false, 8, false},
+		{"1rank/nofs/width>half-z", mpi.NewCart(1, 1, 1), false, 9, false},
+		// 2x1x1: each rank owns one x face of its 12 cells, both y faces.
+		{"2x1x1/fs/width=11", mpi.NewCart(2, 1, 1), true, 11, true},
+		{"2x1x1/fs/width=local-x", mpi.NewCart(2, 1, 1), true, 12, false},
+		{"2x1x1/fs/width>local-x", mpi.NewCart(2, 1, 1), true, 13, false},
+		// 2x2x2: one face per axis on 12x12x8; the bottom ranks own z-high.
+		{"2x2x2/fs/width=7", mpi.NewCart(2, 2, 2), true, 7, true},
+		{"2x2x2/fs/width=local-z", mpi.NewCart(2, 2, 2), true, 8, false},
+		{"2x2x2/nofs/width=local-z", mpi.NewCart(2, 2, 2), false, 8, false},
+		{"2x2x2/nofs/width>local-x", mpi.NewCart(2, 2, 2), false, 13, false},
+	} {
+		opt := baseOptions(tc.topo)
+		opt.ABC = MPMLABC
+		opt.FreeSurface = tc.freeSurface
+		opt.PMLWidth = tc.width
+		opt.Steps = 2
+		_, _, perr := Prepare(opt)
+		_, rerr := Run(cvm.HardRock(), opt)
+		if tc.ok && (perr != nil || rerr != nil) {
+			t.Errorf("%s: rejected: Prepare %v, Run %v", tc.name, perr, rerr)
+		}
+		if !tc.ok && (perr == nil || rerr == nil) {
+			t.Errorf("%s: accepted: Prepare %v, Run %v", tc.name, perr, rerr)
+		}
+	}
+}

@@ -1,0 +1,182 @@
+package solver
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/core/fd"
+	"repro/internal/core/rupture"
+	"repro/internal/core/source"
+	"repro/internal/cvm"
+	"repro/internal/mpi"
+)
+
+// mpmlSnapshot is the state of an M-PML run after one step in global
+// coordinates: the nine wavefield components of every cell, then the 27
+// split components (split-major) of every cell inside a zone, x-fastest.
+// Which zone a cell belongs to depends only on its distance to the domain
+// faces, so the layout is the same under every decomposition.
+type mpmlSnapshot [36][]float32
+
+// TestMPMLBitIdentityMatrix holds M-PML runs under every comm model, pool
+// size and decomposition, with and without a DFR fault, to the serial
+// single-rank run: every value of every field and of every zone split,
+// after every step. Zones are tiles of the same pool queues as the interior,
+// so this is the matrix that says the schedule cannot be seen in the result.
+func TestMPMLBitIdentityMatrix(t *testing.T) {
+	q := cvm.SoCal(2400, 2400, 1600, 400)
+	comms := []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
+	threads := []int{1, 2, 4}
+	// DFR mode needs PY = 1, so the fault runs fold the y split into z.
+	topos := map[bool][]mpi.Cart{
+		false: {mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)},
+		true:  {mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 1, 2)},
+	}
+	if testing.Short() {
+		comms = []CommModel{AsyncReduced, AsyncOverlap}
+		threads = []int{4}
+		topos[false], topos[true] = topos[false][2:], topos[true][2:]
+	}
+	for _, fault := range []bool{false, true} {
+		base := mpmlMatrixOptions(fault)
+		ref := mpmlReference(t, q, base)
+		for _, comm := range comms {
+			if fault && comm == AsyncOverlap {
+				continue // Prepare rejects DFR under the overlap model
+			}
+			for _, nt := range threads {
+				for _, topo := range topos[fault] {
+					opt := base
+					opt.Comm, opt.Threads, opt.Topo = comm, nt, topo
+					tag := fmt.Sprintf("fault=%v/%v/threads%d/%dx%dx%d", fault, comm, nt, topo.PX, topo.PY, topo.PZ)
+					var once sync.Once
+					stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
+						if msg := mpmlCompare(st, ref[st.StepIndex()-1]); msg != "" {
+							once.Do(func() {
+								t.Errorf("%s: rank %d after step %d: %s", tag, c.Rank(), st.StepIndex(), msg)
+							})
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// mpmlMatrixOptions is the matrix scenario: baseOptions' grid under M-PML
+// with the source (or, in DFR mode, a fault overstressed over its whole
+// window, so it radiates from the first step) a few cells from the zones.
+func mpmlMatrixOptions(fault bool) Options {
+	opt := baseOptions(mpi.NewCart(1, 1, 1))
+	opt.ABC = MPMLABC
+	opt.PMLWidth = 3
+	opt.Steps = 16
+	opt.Sources = []source.SampledSource{source.PointSource{
+		GI: 6, GJ: 7, GK: 4, M0: 1e15, Tensor: source.Explosion,
+		STF: source.GaussianPulse(0.08, 0.02),
+	}.Sample(0.002, 200)}
+	if fault {
+		ni, nk := 16, 8
+		tau := make([][]float64, nk)
+		sn := make([][]float64, nk)
+		fr := make([][]rupture.Friction, nk)
+		for k := range tau {
+			tau[k] = make([]float64, ni)
+			sn[k] = make([]float64, ni)
+			fr[k] = make([]rupture.Friction, ni)
+			for i := range tau[k] {
+				sn[k][i], tau[k][i] = 120e6, 84e6
+				fr[k][i] = rupture.Friction{MuS: 0.677, MuD: 0.525, Dc: 0.02}
+			}
+		}
+		opt.Sources = nil
+		opt.Fault = &FaultSpec{
+			J0: 12, I0: 4, I1: 4 + ni, K0: 4, K1: 4 + nk,
+			Tau0: tau, SigmaN: sn, Friction: fr,
+		}
+	}
+	return opt
+}
+
+// mpmlReference runs opt serially on one rank and returns the snapshot
+// after each step. It fails the test unless the zones are carrying signal
+// by the last one.
+func mpmlReference(t *testing.T, q cvm.Querier, opt Options) []mpmlSnapshot {
+	t.Helper()
+	opt.Topo, opt.Threads, opt.Comm = mpi.NewCart(1, 1, 1), 1, Asynchronous
+	g := opt.Global
+	ref := make([]mpmlSnapshot, opt.Steps)
+	stepWorld(t, q, opt, func(_ *mpi.Comm, st *Stepper) {
+		snap := &ref[st.StepIndex()-1]
+		for i := range snap {
+			snap[i] = make([]float32, g.Cells())
+		}
+		mpmlVisit(st, func(slot, cell int, v float32) { snap[slot][cell] = v })
+	})
+	last := ref[opt.Steps-1]
+	for slot := 9; slot < 36; slot++ {
+		moving := false
+		for _, v := range last[slot] {
+			moving = moving || v != 0
+		}
+		// The x, y and z splits of sxy, sxz and syz that take no term stay 0.
+		structurallyZero := slot == 9+2*9+6 || slot == 9+1*9+7 || slot == 9+0*9+8
+		if moving == structurallyZero {
+			t.Fatalf("fault=%v: split slot %d moving=%v after %d steps", opt.Fault != nil, slot, moving, opt.Steps)
+		}
+	}
+	return ref
+}
+
+// mpmlCompare holds this rank's state to the reference snapshot and
+// describes the first difference, or returns "".
+func mpmlCompare(st *Stepper, want mpmlSnapshot) string {
+	var msg string
+	mpmlVisit(st, func(slot, cell int, v float32) {
+		if msg == "" && math.Float32bits(v) != math.Float32bits(want[slot][cell]) {
+			g := st.opt.Global
+			name := fd.FieldNames[slot%9]
+			if slot >= 9 {
+				name = fmt.Sprintf("split%d.%s", slot/9-1, name)
+			}
+			msg = fmt.Sprintf("%s(%d,%d,%d) = %g, serial single rank %g",
+				name, cell%g.NX, cell/g.NX%g.NY, cell/(g.NX*g.NY), v, want[slot][cell])
+		}
+	})
+	return msg
+}
+
+// mpmlVisit calls fn(slot, global cell index, value) for every owned cell
+// of the nine fields (slots 0-8) and every zone cell of the 27 splits
+// (slots 9-35).
+func mpmlVisit(st *Stepper, fn func(slot, cell int, v float32)) {
+	g, sub := st.opt.Global, st.rs.sub
+	cell := func(i, j, k int) int {
+		return ((k+sub.OffZ)*g.NY+j+sub.OffY)*g.NX + i + sub.OffX
+	}
+	for fi, f := range st.State().Fields() {
+		for k := 0; k < sub.Local.NZ; k++ {
+			for j := 0; j < sub.Local.NY; j++ {
+				for i := 0; i < sub.Local.NX; i++ {
+					fn(fi, cell(i, j, k), f.At(i, j, k))
+				}
+			}
+		}
+	}
+	for _, z := range st.rs.zones {
+		b := z.Zone
+		for si, sp := range z.Splits() {
+			for fi, f := range sp.Fields() {
+				for k := b.K0; k < b.K1; k++ {
+					for j := b.J0; j < b.J1; j++ {
+						for i := b.I0; i < b.I1; i++ {
+							fn(9+si*9+fi, cell(i, j, k), f.At(i-b.I0, j-b.J0, k-b.K0))
+						}
+					}
+				}
+			}
+		}
+	}
+}

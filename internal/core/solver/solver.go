@@ -232,7 +232,8 @@ type rankState struct {
 	vel, stress, deep *schedule
 
 	zones    []*boundary.PML
-	compBox  fd.Box // non-PML region the bulk kernels cover
+	compBox  fd.Box   // non-PML region the bulk kernels cover
+	plan     tilePlan // the classic step's tile queues over compBox and zones
 	sponge   *boundary.Sponge
 	fs       *boundary.FreeSurface
 	atten    *attenuation.Model
@@ -326,47 +327,124 @@ func (rs *rankState) setupFault(opt Options, dt float64) error {
 	return nil
 }
 
+// tile is one unit of a phase's work queue: a j/k tile of the bulk kernels'
+// box (zone nil), or the part b of a PML zone.
+type tile struct {
+	b    fd.Box
+	zone *boundary.PML
+}
+
+// queue is one pool batch of a phase: run(i) executes the i-th of n tiles.
+type queue struct {
+	n   int
+	run func(i int)
+}
+
+// tilePlan is the rank's decomposition of a classic step's kernel work,
+// built once per Stepper so that a step tiles, clips and allocates nothing.
+// Each phase drains its pre queue — every tile of compBox and of the zones
+// or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
+// — before its halo post, and under AsyncOverlap its inner queue, the tiles
+// of innerBox (compBox less the strips), while the messages fly. Interior
+// and zone tiles share a queue: BuildPML's zones and compBox partition the
+// subgrid, and within a phase every cell reads one field family and writes
+// the other (plus its zone's splits) on itself only, so tiles are
+// independent and any schedule stores the same bits as the serial sweep.
+type tilePlan struct {
+	velPre, velInner       queue
+	stressPre, stressInner queue
+	innerBox               fd.Box
+}
+
+// buildTilePlan cuts compBox and the zones into tiles of shape opt.Blocking
+// and fixes the zones' coefficient rows for the run's dt, so that no tile
+// builds them while another reads them. It needs rs.atten and rs.fault set:
+// they decide the stress tile body.
+func (rs *rankState) buildTilePlan(opt Options, dt float64) {
+	add := func(dst []tile, box fd.Box, z *boundary.PML) []tile {
+		for _, b := range fd.Tiles(box, opt.Blocking) {
+			dst = append(dst, tile{b, z})
+		}
+		return dst
+	}
+	var pre, inner []tile
+	p := &rs.plan
+	if opt.Comm == AsyncOverlap {
+		strips, innerBox := boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
+		for _, s := range strips {
+			pre = add(pre, intersect(s, rs.compBox), nil)
+		}
+		p.innerBox = intersect(innerBox, rs.compBox)
+		inner = add(nil, p.innerBox, nil)
+	} else {
+		pre = add(nil, rs.compBox, nil)
+	}
+	for _, z := range rs.zones {
+		z.Prepare(dt)
+		pre = add(pre, z.Zone, z)
+	}
+
+	// Bulk tiles are timed from inside the tile, as stressTile times
+	// attenuation, so the zone tiles of the same queue (timed as Boundary)
+	// are not counted as kernel time.
+	velocity := func(b fd.Box) {
+		sp := rs.tel.Span(telemetry.Velocity)
+		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
+		sp.End()
+	}
+	stress := rs.stressTile(opt, dt)
+	if rs.fault != nil {
+		// DFR mode: the split-node correction must see the purely elastic
+		// stress, so attenuation runs after it (the seed ordering) instead
+		// of fused into the stress tiles.
+		stress = rs.elasticTile(opt, dt)
+	}
+	mk := func(tiles []tile, interior func(fd.Box),
+		zone func(*boundary.PML, *fd.State, *medium.Medium, float64, fd.Box)) queue {
+		return queue{len(tiles), func(i int) {
+			t := tiles[i]
+			if t.zone == nil {
+				interior(t.b)
+				return
+			}
+			sp := rs.tel.Span(telemetry.Boundary)
+			zone(t.zone, rs.st, rs.med, dt, t.b)
+			sp.End()
+		}}
+	}
+	p.velPre = mk(pre, velocity, (*boundary.PML).UpdateVelocityBox)
+	p.velInner = mk(inner, velocity, nil)
+	p.stressPre = mk(pre, stress, (*boundary.PML).UpdateStressBox)
+	p.stressInner = mk(inner, stress, nil)
+}
+
+// drain runs one queue of the tile plan on the pool.
+func (rs *rankState) drain(q queue) { rs.pool.ForEachN(q.n, q.run) }
+
 // advance performs one full time step with the configured comm model,
 // accumulating the Eq. 7 timing decomposition. All bulk work runs as tile
 // queues on the rank's persistent worker pool; with Threads=1 the pool
 // degenerates to inline serial execution and the schedule is identical to
 // the original code.
 func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
+	overlap := opt.Comm == AsyncOverlap
+	plan := &rs.plan
+
 	// --- Velocity phase ---
 	t0 := time.Now()
-	if opt.Comm == AsyncOverlap {
-		strips, inner := boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
-		sp := rs.tel.Span(telemetry.Velocity)
-		fd.ForEachTileMulti(rs.clipStrips(strips), opt.Blocking, rs.pool, func(b fd.Box) {
-			fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
-		})
-		sp.End()
-		sp = rs.tel.Span(telemetry.Boundary)
-		for _, z := range rs.zones {
-			z.UpdateVelocity(rs.st, rs.med, dt)
-		}
-		sp.End()
+	rs.drain(plan.velPre)
+	if overlap {
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
 		rs.vel.post(0)
 		tm.Comm += time.Since(t0).Seconds()
 		t0 = time.Now()
-		sp = rs.tel.Span(telemetry.Velocity)
-		fd.UpdateVelocityTiled(rs.st, rs.med, dt, intersect(inner, rs.compBox), opt.Variant, opt.Blocking, rs.pool)
-		sp.End()
+		rs.drain(plan.velInner)
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
 		rs.vel.finish()
 		tm.Comm += time.Since(t0).Seconds()
 	} else {
-		sp := rs.tel.Span(telemetry.Velocity)
-		fd.UpdateVelocityTiled(rs.st, rs.med, dt, rs.compBox, opt.Variant, opt.Blocking, rs.pool)
-		sp.End()
-		sp = rs.tel.Span(telemetry.Boundary)
-		for _, z := range rs.zones {
-			z.UpdateVelocity(rs.st, rs.med, dt)
-		}
-		sp.End()
 		if rs.fault != nil {
 			rs.fault.UpdateVelocity(rs.st, rs.med, dt)
 		}
@@ -376,7 +454,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		tm.Comm += time.Since(t0).Seconds()
 		if opt.Comm == Synchronous {
 			t0 = time.Now()
-			sp = rs.tel.Span(telemetry.Sync)
+			sp := rs.tel.Span(telemetry.Sync)
 			rs.comm.Barrier()
 			sp.End()
 			tm.Sync += time.Since(t0).Seconds()
@@ -398,50 +476,26 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 	// stress update: it writes the same disjoint tile region, so the pair
 	// stays race-free and cell-ordered.
 	t0 = time.Now()
-	if opt.Comm == AsyncOverlap {
-		strips, inner := boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
-		fd.ForEachTileMulti(rs.clipStrips(strips), opt.Blocking, rs.pool, rs.stressTile(opt, dt))
-		sp := rs.tel.Span(telemetry.Boundary)
-		for _, z := range rs.zones {
-			z.UpdateStress(rs.st, rs.med, dt)
-		}
-		sp.End()
-		inner2 := intersect(inner, rs.compBox)
-		rs.srcs.InjectRegion(rs.st, dt, tNow, inner2, false) // strip sources
+	rs.drain(plan.stressPre)
+	if overlap {
+		rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, false) // strip sources
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
 		rs.stress.post(0)
 		tm.Comm += time.Since(t0).Seconds()
 		t0 = time.Now()
-		fd.ForEachTile(inner2, opt.Blocking, rs.pool, rs.stressTile(opt, dt))
-		rs.srcs.InjectRegion(rs.st, dt, tNow, inner2, true) // interior sources
+		rs.drain(plan.stressInner)
+		rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, true) // interior sources
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
 		rs.stress.finish()
 		tm.Comm += time.Since(t0).Seconds()
 	} else {
-		if rs.fault == nil {
-			fd.ForEachTile(rs.compBox, opt.Blocking, rs.pool, rs.stressTile(opt, dt))
-			sp := rs.tel.Span(telemetry.Boundary)
-			for _, z := range rs.zones {
-				z.UpdateStress(rs.st, rs.med, dt)
-			}
-			sp.End()
-		} else {
-			// DFR mode: the split-node correction must see the purely
-			// elastic stress, so attenuation runs after it (the seed
-			// ordering) instead of fused into the stress tiles.
-			sp := rs.tel.Span(telemetry.Stress)
-			fd.UpdateStressTiled(rs.st, rs.med, dt, rs.compBox, opt.Variant, opt.Blocking, rs.pool)
-			sp.End()
-			sp = rs.tel.Span(telemetry.Boundary)
-			for _, z := range rs.zones {
-				z.UpdateStress(rs.st, rs.med, dt)
-			}
-			sp.End()
+		if rs.fault != nil {
+			// DFR mode: the stress tiles were elastic only (buildTilePlan).
 			rs.fault.CorrectStress(rs.st, rs.med, dt)
 			if rs.atten != nil {
-				sp = rs.tel.Span(telemetry.Attenuation)
+				sp := rs.tel.Span(telemetry.Attenuation)
 				rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.compBox, opt.Blocking, rs.pool)
 				sp.End()
 			}
@@ -477,6 +531,15 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 	tm.Comp += time.Since(t0).Seconds()
 }
 
+// elasticTile returns the elastic-only stress tile body of the DFR path.
+func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
+	return func(b fd.Box) {
+		sp := rs.tel.Span(telemetry.Stress)
+		fd.UpdateStress(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
+		sp.End()
+	}
+}
+
 // stressTile returns the fused stress+attenuation tile body shared by the
 // bulk and overlap stress phases. Spans sit inside the tile so the fusion
 // (and hence the pool schedule and bit-identity) is untouched while
@@ -495,28 +558,15 @@ func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
 			sp.End()
 		}
 	}
+	elastic := rs.elasticTile(opt, dt)
 	return func(b fd.Box) {
-		sp := rs.tel.Span(telemetry.Stress)
-		fd.UpdateStress(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
-		sp.End()
+		elastic(b)
 		if rs.atten != nil {
-			sp = rs.tel.Span(telemetry.Attenuation)
+			sp := rs.tel.Span(telemetry.Attenuation)
 			rs.atten.Apply(rs.st, rs.med, dt, b)
 			sp.End()
 		}
 	}
-}
-
-// clipStrips intersects the overlap boundary strips with the non-PML
-// computation box, dropping strips the PML zones fully absorb.
-func (rs *rankState) clipStrips(strips []fd.Box) []fd.Box {
-	out := strips[:0]
-	for _, b := range strips {
-		if sb := intersect(b, rs.compBox); !sb.Empty() {
-			out = append(out, sb)
-		}
-	}
-	return out
 }
 
 // trackPGV folds the current surface velocities into the peak maps,

@@ -145,6 +145,15 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if err != nil {
 		return decomp.Decomp{}, opt, err
 	}
+	if opt.ABC == MPMLABC {
+		for r := 0; r < opt.Topo.Size(); r++ {
+			// The condition boundary.BuildPML would panic on inside the rank.
+			if local := dc.SubFor(r).Local; boundary.PMLInterior(local, ownedFaces(dc, r, opt), opt.PMLWidth).Empty() {
+				return decomp.Decomp{}, opt, fmt.Errorf("solver: PMLWidth %d leaves rank %d no interior: its zones consume the %v subgrid along some axis",
+					opt.PMLWidth, r, local)
+			}
+		}
+	}
 	if opt.Fault != nil && opt.Topo.PY != 1 {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: DFR mode requires PY=1 (fault plane may not cross rank seams in y)")
 	}
@@ -286,6 +295,8 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 			return nil, err
 		}
 	}
+
+	rs.buildTilePlan(opt, dt)
 
 	// Receiver series are preallocated and sample-indexed so a replayed
 	// step overwrites its own sample instead of appending a duplicate.

@@ -47,18 +47,31 @@ func NewField3(d Dims) *Field3 { return NewField3G(d, Ghost) }
 // Time-tiled execution uses deeper ghosts (4T planes for temporal depth T)
 // so a whole super-step of stencil erosion stays local between exchanges.
 func NewField3G(d Dims, ghost int) *Field3 {
+	return NewField3Over(d, ghost, make([]float32, PaddedLen(d, ghost)))
+}
+
+// PaddedLen returns the length of the backing array of a field of interior
+// dims d padded by ghost cells on every face.
+func PaddedLen(d Dims, ghost int) int {
 	if !d.Valid() {
 		panic(fmt.Sprintf("grid: invalid dims %v", d))
 	}
 	if ghost < Ghost {
 		panic(fmt.Sprintf("grid: ghost width %d < minimum %d", ghost, Ghost))
 	}
-	sx, sy, sz := d.NX+2*ghost, d.NY+2*ghost, d.NZ+2*ghost
+	return (d.NX + 2*ghost) * (d.NY + 2*ghost) * (d.NZ + 2*ghost)
+}
+
+// NewField3Over is NewField3G on the first PaddedLen(d, ghost) values of
+// storage the caller has allocated (and zeroed), for owners that lay several
+// fields out in one slab.
+func NewField3Over(d Dims, ghost int, storage []float32) *Field3 {
+	n := PaddedLen(d, ghost)
 	return &Field3{
 		Dims: d,
 		g:    ghost,
-		sx:   sx, sy: sy, sz: sz,
-		data: make([]float32, sx*sy*sz),
+		sx:   d.NX + 2*ghost, sy: d.NY + 2*ghost, sz: d.NZ + 2*ghost,
+		data: storage[:n:n],
 	}
 }
 

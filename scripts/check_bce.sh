@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Bounds-check-elimination and inlining guard for the fused-sweep kernels.
+# Bounds-check-elimination and inlining guard for the fused-sweep kernels
+# and the PML row kernels.
 #
-# The fused inner loops are written against explicit per-offset subslice
-# windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
-# eliminate every per-point bounds check; a regression here silently costs
+# The fused inner loops, and the PML zone sweeps modelled on them, are written
+# against explicit per-offset subslice windows (ap := a[n0+off:][:ni])
+# precisely so the compiler's prove pass can eliminate every per-point bounds
+# check; a regression here silently costs
 # kernel throughput. This script rebuilds the kernel packages with
 # -d=ssa/check_bce and fails if any per-point IsInBounds check appears in a
 # fused kernel file. IsSliceInBounds diagnostics are allowed: they are the
@@ -20,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/fd/ttile.go internal/core/fd/lerp.go'
+GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -28,7 +30,8 @@ trap 'rm -rf "$tmpcache"' EXIT
 diag=$(GOCACHE="$tmpcache" go build \
     -gcflags="repro/internal/core/fd=-d=ssa/check_bce -m" \
     -gcflags="repro/internal/core/attenuation=-d=ssa/check_bce" \
-    ./internal/core/fd ./internal/core/attenuation 2>&1 || true)
+    -gcflags="repro/internal/core/boundary=-d=ssa/check_bce" \
+    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary 2>&1 || true)
 
 status=0
 for f in $GUARDED; do
@@ -43,7 +46,9 @@ for f in $GUARDED; do
     fi
 done
 
-if printf '%s\n' "$diag" | grep -q "quiesce.go:.*can inline Quiesce"; then
+# (Here-strings, not printf | grep -q: under pipefail a grep that exits at its
+# first match kills the printf still writing a long $diag, failing the test.)
+if grep -q "quiesce.go:.*can inline Quiesce" <<<"$diag"; then
     echo "ok: fd.Quiesce is inlinable"
 else
     echo "FAIL: fd.Quiesce is not reported inlinable (-gcflags=-m)"
@@ -52,7 +57,7 @@ fi
 
 # Sanity: the diagnostics must actually be present (an empty diag means the
 # flags were dropped or the cache swallowed the output).
-if ! printf '%s\n' "$diag" | grep -q "Found Is"; then
+if ! grep -q "Found Is" <<<"$diag"; then
     echo "FAIL: no check_bce diagnostics produced — guard is not measuring anything"
     status=1
 fi
