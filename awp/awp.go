@@ -123,7 +123,7 @@ type Scenario struct {
 	FreeSurface bool
 	Attenuation bool
 
-	// Variant selects the stencil kernel: "" (the Blocked default), one of
+	// Variant selects the stencil kernel: "" (the solver's default), one of
 	// the ladder names "naive", "recip", "precomp", "blocked", "unrolled",
 	// "fused", or "auto" to run the per-machine kernel autotuner on the
 	// rank-0 subgrid shape (winner cached in a JSON profile, so only the
@@ -213,9 +213,9 @@ func Run(q Model, sc Scenario) (*Result, error) {
 // decomposition splits near-evenly — and any explicit JBlock/KBlock or
 // TemporalDepth still wins over the tuned values.
 func resolveKernel(sc Scenario, topo mpi.Cart) (fd.Variant, fd.Blocking, int, error) {
-	variant, blocking, tdepth := fd.Blocked, fd.DefaultBlocking, 1
+	variant, blocking, tdepth := fd.Default, fd.DefaultBlocking, 1
 	switch sc.Variant {
-	case "":
+	case "": // the solver's default
 	case "auto":
 		dc, err := decomp.New(sc.Dims, topo)
 		if err != nil {

@@ -22,7 +22,7 @@ func main() {
 	comm := flag.String("comm", "async-reduced", "comm model: sync|async|async-reduced|overlap")
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
-	variant := flag.String("variant", "", "stencil kernel: naive|recip|precomp|blocked|unrolled|fused, auto (per-machine autotuner), or empty for the blocked default")
+	variant := flag.String("variant", "", "stencil kernel: naive|recip|precomp|blocked|unrolled|fused, auto (per-machine autotuner), or empty for the solver's default")
 	jblock := flag.Int("jblock", 0, "cache-blocking tile extent in j (0: default or autotuned)")
 	kblock := flag.Int("kblock", 0, "cache-blocking tile extent in k (0: default or autotuned)")
 	tdepth := flag.Int("tdepth", 0, "temporal tiling depth: steps per deep halo exchange, 1|2|4 (0: 1 or autotuned)")
@@ -122,7 +122,7 @@ func main() {
 	}
 	vname := *variant
 	if vname == "" {
-		vname = "blocked"
+		vname = "default"
 	}
 	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks x %d threads, comm=%s abc=%s variant=%s\n",
 		dims, *h, res.Dt, res.Steps, *ranks, *threads, *comm, *abc, vname)

@@ -1,9 +1,13 @@
 package checkpoint
 
 import (
+	"fmt"
+	"math"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core/attenuation"
+	"repro/internal/core/boundary"
 	"repro/internal/core/fd"
 	"repro/internal/cvm"
 	"repro/internal/decomp"
@@ -128,5 +132,144 @@ func TestThrottledSaveFaster(t *testing.T) {
 	throttled := ThrottledSave(fsys, "b", nranks, bytes, 50)
 	if throttled >= unthrottled {
 		t.Fatalf("throttling did not help: %g vs %g", throttled, unthrottled)
+	}
+}
+
+// l1Line returns which of the 64 cache lines of the 4 KiB period of the L1
+// set index f's backing array starts on. unsafe is confined to this test: it
+// reads an address, which the placement code itself never needs to.
+func l1Line(t *testing.T, f *grid.Field3) int {
+	t.Helper()
+	addr := uintptr(unsafe.Pointer(&f.Data()[0]))
+	if addr%64 != 0 {
+		t.Fatalf("array starts %d bytes into a cache line", addr%64)
+	}
+	return int(addr % 4096 / 64)
+}
+
+// TestHotArraysSpreadOverL1Sets pins the placement rule of grid.LaneFields on
+// the arrays a rank's sweeps stream together — the nine wavefield components,
+// the 14 medium arrays and the eight attenuation arrays: all 31 start on
+// different cache lines modulo 4 KiB, so equal offsets of them fall in
+// different L1 sets, and so do the 27 splits of a PML zone among themselves;
+// a second build lands on the same lines (nothing depends on allocation order
+// or a counter); State.Clone keeps them; deep-ghost builds keep them; and an
+// owner's arrays lie within a page plus two cache lines a field of their
+// total size — the whole cost of the placement. A checkpoint round trip then
+// restores a placed state byte for byte, in place.
+func TestHotArraysSpreadOverL1Sets(t *testing.T) {
+	type build struct {
+		s   *fd.State
+		m   *medium.Medium
+		a   *attenuation.Model
+		pml *boundary.PML
+	}
+	// owners lists each owner's arrays in allocation order; the first three
+	// owners are streamed together.
+	owners := func(b build) [4][]*grid.Field3 {
+		m := b.m
+		var splits []*grid.Field3
+		for _, sp := range b.pml.Splits() {
+			splits = append(splits, sp.Fields()...)
+		}
+		return [4][]*grid.Field3{
+			b.s.Fields(),
+			{m.Rho, m.Lam, m.Mu, m.LamI, m.MuI, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS},
+			append(attenFields(b.a), b.a.DLam, b.a.DMu),
+			splits,
+		}
+	}
+	for _, tc := range []struct {
+		d     grid.Dims
+		ghost int
+	}{
+		{grid.Dims{NX: 56, NY: 56, NZ: 40}, grid.Ghost},
+		{grid.Dims{NX: 28, NY: 28, NZ: 20}, grid.Ghost},
+		{grid.Dims{NX: 28, NY: 28, NZ: 20}, fd.TemporalGhost(2)},
+	} {
+		d := tc.d
+		tag := fmt.Sprintf("%v ghost %d", d, tc.ghost)
+		dc, err := decomp.New(d, mpi.NewCart(1, 1, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mk := func() build {
+			m := medium.FromCVMGhost(cvm.HardRock(), dc, dc.SubFor(0), 100, tc.ghost)
+			return build{
+				s: fd.NewStateG(d, tc.ghost), m: m,
+				a: attenuation.New(m, attenuation.DefaultBand, m.StableDt(0.5)),
+				pml: boundary.NewPML(fd.Box{I0: 0, I1: 10, J0: 0, J1: d.NY, K0: 0, K1: d.NZ},
+					grid.X, grid.Low, 10, 0.1, 1e-5, m.MaxVp, 100),
+			}
+		}
+		first := mk()
+		own, again := owners(first), owners(mk())
+		if n := len(own[0]) + len(own[1]) + len(own[2]); n != 31 || len(own[3]) != 27 {
+			t.Fatalf("%d + %d hot arrays, want 31 + 27", n, len(own[3]))
+		}
+		// Distinct lines: the 31 global arrays as one family, the splits as
+		// another (a zone has its own shape, hence its own stride).
+		global, zone := map[int]bool{}, map[int]bool{}
+		for oi, fields := range own {
+			seen := global
+			if oi == 3 {
+				seen = zone
+			}
+			for fi, f := range fields {
+				line := l1Line(t, f)
+				if seen[line] {
+					t.Errorf("%s: owner %d array %d starts in an L1 set another hot array starts in", tag, oi, fi)
+				}
+				seen[line] = true
+				if l1Line(t, again[oi][fi]) != line {
+					t.Errorf("%s: owner %d array %d moved between two builds", tag, oi, fi)
+				}
+			}
+			// Cost: first start to last end, against the arrays' own bytes.
+			last := fields[len(fields)-1].Data()
+			span := uintptr(unsafe.Pointer(&last[len(last)-1])) + 4 - uintptr(unsafe.Pointer(&fields[0].Data()[0]))
+			lead := uintptr(l1Line(t, fields[0])) * 64
+			if over := lead + span - uintptr(len(fields)*len(last)*4); over > uintptr(4096+128*len(fields)) {
+				t.Errorf("%s: owner %d spends %d bytes on placing %d arrays", tag, oi, over, len(fields))
+			}
+		}
+		for fi, f := range first.s.Clone().Fields() {
+			if l1Line(t, f) != l1Line(t, own[0][fi]) {
+				t.Errorf("%s: Clone moved %s", tag, fd.FieldNames[fi])
+			}
+		}
+
+		// Save a filled state, load it into a second build: same bytes, and
+		// the arrays stay where they were placed.
+		saved := append(first.s.Fields(), attenFields(first.a)...)
+		for fi, f := range saved {
+			for n := range f.Data() {
+				f.Data()[n] = float32(fi+1) * float32(n%97-48) * 1e-3
+			}
+		}
+		fsys := testFS()
+		if _, err := Save(fsys, "ckpt", 0, 1, first.s, first.a); err != nil {
+			t.Fatal(err)
+		}
+		second := mk()
+		loaded := append(second.s.Fields(), attenFields(second.a)...)
+		var before []int
+		for _, f := range loaded {
+			before = append(before, l1Line(t, f))
+		}
+		if err := Load(fsys, "ckpt", 0, 1, second.s, second.a); err != nil {
+			t.Fatal(err)
+		}
+		for fi, f := range loaded {
+			if l1Line(t, f) != before[fi] {
+				t.Errorf("%s: Load moved array %d", tag, fi)
+			}
+			want := saved[fi].Data()
+			for n, x := range f.Data() {
+				if math.Float32bits(x) != math.Float32bits(want[n]) {
+					t.Fatalf("%s: array %d idx %d: loaded %g, saved %g", tag, fi, n, x, want[n])
+				}
+			}
+		}
 	}
 }

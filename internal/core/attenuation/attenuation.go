@@ -117,7 +117,7 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 	// allocate deep-ghost media and need matching deep memory variables for
 	// the recomputed extension cells.
 	gw := m.Rho.G()
-	nf := func() *grid.Field3 { return grid.NewField3G(m.Dims, gw) }
+	nf := grid.LaneFields(m.Dims, gw, grid.LaneAttenuation, 8)
 	a := &Model{
 		Dims: m.Dims,
 		Band: band,
@@ -163,90 +163,6 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 		}
 	}
 	return a
-}
-
-// mechAt returns the relaxation mechanism index for point (i,j,k), cycling
-// through the 2x2x2 cell parity (the coarse-grained distribution).
-func mechAt(i, j, k int) int {
-	return ((k&1)<<2 | (j&1)<<1 | (i & 1)) % NRelax
-}
-
-// Apply advances the memory variables over box using the velocity field of
-// s (whose spatial differences give the strain increments) and applies the
-// anelastic stress corrections in place. Call it immediately after the
-// elastic stress update each time step, with the same dt and box.
-func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
-	if dt != a.dt {
-		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
-	}
-	if box.Empty() {
-		return
-	}
-	c1, c2 := float32(fd.C1), float32(fd.C2)
-	dh := float32(dt / m.H) // strain increment scale
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	zxx, zyy, zzz := a.ZXX.Data(), a.ZYY.Data(), a.ZZZ.Data()
-	zxy, zxz, zyz := a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data()
-	dlam, dmu := a.DLam.Data(), a.DMu.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	var amf, cmf [NRelax]float32
-	for mm := 0; mm < NRelax; mm++ {
-		amf[mm] = float32(a.am[mm])
-		cmf[mm] = float32(a.cm[mm])
-	}
-
-	for k := box.K0; k < box.K1; k++ {
-		for j := box.J0; j < box.J1; j++ {
-			for i := box.I0; i < box.I1; i++ {
-				n := s.VX.Idx(i, j, k)
-				mm := mechAt(i+a.Origin[0], j+a.Origin[1], k+a.Origin[2])
-				am, cm := amf[mm], cmf[mm]
-
-				// Strain increments over this step (dt * strain rate);
-				// shear components are engineering strain, matching the
-				// elastic constitutive update.
-				exx := dh * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
-				eyy := dh * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
-				ezz := dh * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
-				exy := dh * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				exz := dh * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				eyz := dh * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-
-				dl2m := dlam[n] + 2*dmu[n]
-				trace := dlam[n] * (exx + eyy + ezz)
-
-				// zeta' = am*zeta + cm*deltaM*deps, constitutive-shaped;
-				// the SLS stress is sigma = M_R*eps + zeta (the elastic
-				// kernel supplies the relaxed part), so the correction adds
-				// the memory-variable increment.
-				upd := func(z *float32, drive float32, sig *float32) {
-					zn := am*(*z) + cm*drive
-					*sig += zn - *z
-					*z = zn
-				}
-				upd(&zxx[n], dl2m*exx+trace-dlam[n]*exx, &xx[n])
-				upd(&zyy[n], dl2m*eyy+trace-dlam[n]*eyy, &yy[n])
-				upd(&zzz[n], dl2m*ezz+trace-dlam[n]*ezz, &zz[n])
-				upd(&zxy[n], dmu[n]*exy, &xy[n])
-				upd(&zxz[n], dmu[n]*exz, &xz[n])
-				upd(&zyz[n], dmu[n]*eyz, &yz[n])
-			}
-		}
-	}
-}
-
-// ApplyParallel runs Apply over k-slabs on nthreads worker goroutines
-// (the §IV.D hybrid mode); results are bit-identical to Apply.
-func (a *Model) ApplyParallel(s *fd.State, m *medium.Medium, dt float64, box fd.Box, nthreads int) {
-	fd.ForEachKSlab(box, nthreads, func(sub fd.Box) {
-		a.Apply(s, m, dt, sub)
-	})
 }
 
 // ApplyTiled runs Apply over the j/k tiles of box on the persistent pool;

@@ -1,5 +1,12 @@
 package attenuation
 
+// The two sweeps of the memory-variable scheme. Both walk a box row by row
+// through per-row, per-offset subslice windows (ap := a[n0+off:][:ni], as the
+// fd Fused kernels do) so the inner loops carry no bounds checks — this file
+// is guarded by scripts/check_bce.sh — and both collapse the per-mechanism
+// recursion coefficients to a two-entry table per row, because only the x
+// parity of the coarse-graining cell varies along a row.
+
 import (
 	"fmt"
 
@@ -29,11 +36,6 @@ import (
 //     two-pass strain increments bit-for-bit. The Go compiler does not
 //     contract float32 multiply-adds on amd64/arm64, so identical
 //     expressions round identically.
-//
-// The loop uses the same per-row, per-offset subslice windows as the fd
-// Fused kernels (see fd/fused.go) so the inner loop carries no bounds
-// checks; the per-mechanism recursion coefficients reduce to a two-entry
-// table per row because only the x parity varies along a row.
 func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
@@ -54,11 +56,7 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	_, dy, dz := s.VX.Strides()
 	ni := box.I1 - box.I0
 
-	var amf, cmf [NRelax]float32
-	for mm := 0; mm < NRelax; mm++ {
-		amf[mm] = float32(a.am[mm])
-		cmf[mm] = float32(a.cm[mm])
-	}
+	amf, cmf := a.coef32()
 	pari := (box.I0 + a.Origin[0]) & 1
 
 	for k := box.K0; k < box.K1; k++ {
@@ -168,6 +166,140 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 			}
 		}
 	}
+}
+
+// Apply advances the memory variables over box using the velocity field of
+// s (whose spatial differences give the strain increments) and applies the
+// anelastic stress corrections in place: the second of the two passes
+// FusedStress does in one, for the callers that need the elastic stress on
+// its own in between (the DFR split-node correction) or that keep an elastic
+// kernel of their own (the Naive/Recip ablation). Call it after the elastic
+// stress update each time step, with the same dt and box.
+func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
+	if dt != a.dt {
+		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
+	}
+	if box.Empty() {
+		return
+	}
+	dh := float32(dt / m.H) // strain increment scale
+	c1, c2 := float32(fd.C1), float32(fd.C2)
+	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
+	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
+	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
+	zxx, zyy, zzz := a.ZXX.Data(), a.ZYY.Data(), a.ZZZ.Data()
+	zxy, zxz, zyz := a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data()
+	dlam, dmu := a.DLam.Data(), a.DMu.Data()
+	_, dy, dz := s.VX.Strides()
+	ni := box.I1 - box.I0
+	amf, cmf := a.coef32()
+	pari := (box.I0 + a.Origin[0]) & 1
+
+	for k := box.K0; k < box.K1; k++ {
+		gkbit := ((k + a.Origin[2]) & 1) << 2
+		for j := box.J0; j < box.J1; j++ {
+			base := gkbit | ((j+a.Origin[1])&1)<<1
+			amP := [2]float32{amf[base], amf[base|1]}
+			cmP := [2]float32{cmf[base], cmf[base|1]}
+
+			n0 := s.VX.Idx(box.I0, j, k)
+			uc := u[n0:][:ni]
+			um2x := u[n0-2:][:ni]
+			um1x := u[n0-1:][:ni]
+			up1x := u[n0+1:][:ni]
+			um1y := u[n0-dy:][:ni]
+			up1y := u[n0+dy:][:ni]
+			up2y := u[n0+2*dy:][:ni]
+			um1z := u[n0-dz:][:ni]
+			up1z := u[n0+dz:][:ni]
+			up2z := u[n0+2*dz:][:ni]
+			vc := v[n0:][:ni]
+			vm1x := v[n0-1:][:ni]
+			vp1x := v[n0+1:][:ni]
+			vp2x := v[n0+2:][:ni]
+			vm2y := v[n0-2*dy:][:ni]
+			vm1y := v[n0-dy:][:ni]
+			vp1y := v[n0+dy:][:ni]
+			vm1z := v[n0-dz:][:ni]
+			vp1z := v[n0+dz:][:ni]
+			vp2z := v[n0+2*dz:][:ni]
+			wc := w[n0:][:ni]
+			wm1x := w[n0-1:][:ni]
+			wp1x := w[n0+1:][:ni]
+			wp2x := w[n0+2:][:ni]
+			wm1y := w[n0-dy:][:ni]
+			wp1y := w[n0+dy:][:ni]
+			wp2y := w[n0+2*dy:][:ni]
+			wm2z := w[n0-2*dz:][:ni]
+			wm1z := w[n0-dz:][:ni]
+			wp1z := w[n0+dz:][:ni]
+			xxr := xx[n0:][:ni]
+			yyr := yy[n0:][:ni]
+			zzr := zz[n0:][:ni]
+			xyr := xy[n0:][:ni]
+			xzr := xz[n0:][:ni]
+			yzr := yz[n0:][:ni]
+			zxxr := zxx[n0:][:ni]
+			zyyr := zyy[n0:][:ni]
+			zzzr := zzz[n0:][:ni]
+			zxyr := zxy[n0:][:ni]
+			zxzr := zxz[n0:][:ni]
+			zyzr := zyz[n0:][:ni]
+			dlamr := dlam[n0:][:ni]
+			dmur := dmu[n0:][:ni]
+			for i := range xxr {
+				// Strain increments over this step (dt * strain rate);
+				// shear components are engineering strain, matching the
+				// elastic constitutive update.
+				exx := dh * (c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i]))
+				eyy := dh * (c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i]))
+				ezz := dh * (c1*(wc[i]-wm1z[i]) + c2*(wp1z[i]-wm2z[i]))
+				exy := dh * (c1*(up1y[i]-uc[i]) + c2*(up2y[i]-um1y[i]) +
+					c1*(vp1x[i]-vc[i]) + c2*(vp2x[i]-vm1x[i]))
+				exz := dh * (c1*(up1z[i]-uc[i]) + c2*(up2z[i]-um1z[i]) +
+					c1*(wp1x[i]-wc[i]) + c2*(wp2x[i]-wm1x[i]))
+				eyz := dh * (c1*(vp1z[i]-vc[i]) + c2*(vp2z[i]-vm1z[i]) +
+					c1*(wp1y[i]-wc[i]) + c2*(wp2y[i]-wm1y[i]))
+
+				// zeta' = am*zeta + cm*deltaM*deps, constitutive-shaped;
+				// the SLS stress is sigma = M_R*eps + zeta (the elastic
+				// kernel supplies the relaxed part), so the correction adds
+				// the memory-variable increment.
+				p := (i + pari) & 1
+				am, cm := amP[p], cmP[p]
+				dl2m := dlamr[i] + 2*dmur[i]
+				trace := dlamr[i] * (exx + eyy + ezz)
+				zn := am*zxxr[i] + cm*(dl2m*exx+trace-dlamr[i]*exx)
+				xxr[i] += zn - zxxr[i]
+				zxxr[i] = zn
+				zn = am*zyyr[i] + cm*(dl2m*eyy+trace-dlamr[i]*eyy)
+				yyr[i] += zn - zyyr[i]
+				zyyr[i] = zn
+				zn = am*zzzr[i] + cm*(dl2m*ezz+trace-dlamr[i]*ezz)
+				zzr[i] += zn - zzzr[i]
+				zzzr[i] = zn
+				zn = am*zxyr[i] + cm*(dmur[i]*exy)
+				xyr[i] += zn - zxyr[i]
+				zxyr[i] = zn
+				zn = am*zxzr[i] + cm*(dmur[i]*exz)
+				xzr[i] += zn - zxzr[i]
+				zxzr[i] = zn
+				zn = am*zyzr[i] + cm*(dmur[i]*eyz)
+				yzr[i] += zn - zyzr[i]
+				zyzr[i] = zn
+			}
+		}
+	}
+}
+
+// coef32 returns the per-mechanism recursion coefficients in the kernels'
+// precision.
+func (a *Model) coef32() (am, cm [NRelax]float32) {
+	for mm := 0; mm < NRelax; mm++ {
+		am[mm] = float32(a.am[mm])
+		cm[mm] = float32(a.cm[mm])
+	}
+	return
 }
 
 // FusedStressTiled runs FusedStress over the j/k tiles of box on the

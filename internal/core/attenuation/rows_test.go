@@ -1,19 +1,96 @@
 package attenuation
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/core/fd"
 	"repro/internal/core/sched"
 	"repro/internal/cvm"
+	"repro/internal/decomp"
 	"repro/internal/grid"
+	"repro/internal/medium"
+	"repro/internal/mpi"
 )
+
+// mechAt returns the relaxation mechanism index for point (i,j,k), cycling
+// through the 2x2x2 cell parity (the coarse-grained distribution).
+func mechAt(i, j, k int) int {
+	return ((k&1)<<2 | (j&1)<<1 | (i & 1)) % NRelax
+}
+
+// applyPointwise is the memory-variable pass as it was first written — one
+// Idx, one mechAt, one closure and bounds-checked whole-array indexing per
+// cell — kept as the oracle of the row sweeps in rows.go.
+func applyPointwise(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
+	if dt != a.dt {
+		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
+	}
+	if box.Empty() {
+		return
+	}
+	c1, c2 := float32(fd.C1), float32(fd.C2)
+	dh := float32(dt / m.H) // strain increment scale
+	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
+	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
+	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
+	zxx, zyy, zzz := a.ZXX.Data(), a.ZYY.Data(), a.ZZZ.Data()
+	zxy, zxz, zyz := a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data()
+	dlam, dmu := a.DLam.Data(), a.DMu.Data()
+	dx, dy, dz := s.VX.Strides()
+	amf, cmf := a.coef32()
+
+	for k := box.K0; k < box.K1; k++ {
+		for j := box.J0; j < box.J1; j++ {
+			for i := box.I0; i < box.I1; i++ {
+				n := s.VX.Idx(i, j, k)
+				mm := mechAt(i+a.Origin[0], j+a.Origin[1], k+a.Origin[2])
+				am, cm := amf[mm], cmf[mm]
+
+				// Strain increments over this step (dt * strain rate);
+				// shear components are engineering strain, matching the
+				// elastic constitutive update.
+				exx := dh * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
+				eyy := dh * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
+				ezz := dh * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
+				exy := dh * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
+					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
+				exz := dh * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
+					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
+				eyz := dh * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
+					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
+
+				dl2m := dlam[n] + 2*dmu[n]
+				trace := dlam[n] * (exx + eyy + ezz)
+
+				// zeta' = am*zeta + cm*deltaM*deps, constitutive-shaped;
+				// the SLS stress is sigma = M_R*eps + zeta (the elastic
+				// kernel supplies the relaxed part), so the correction adds
+				// the memory-variable increment.
+				upd := func(z *float32, drive float32, sig *float32) {
+					zn := am*(*z) + cm*drive
+					*sig += zn - *z
+					*z = zn
+				}
+				upd(&zxx[n], dl2m*exx+trace-dlam[n]*exx, &xx[n])
+				upd(&zyy[n], dl2m*eyy+trace-dlam[n]*eyy, &yy[n])
+				upd(&zzz[n], dl2m*ezz+trace-dlam[n]*ezz, &zz[n])
+				upd(&zxy[n], dmu[n]*exy, &xy[n])
+				upd(&zxz[n], dmu[n]*exz, &xz[n])
+				upd(&zyz[n], dmu[n]*eyz, &yz[n])
+			}
+		}
+	}
+}
 
 // fillStateSeeded deterministically fills all nine wavefields (including
 // ghosts) with heterogeneous values.
 func fillStateSeeded(d grid.Dims, seed int64) *fd.State {
-	s := fd.NewState(d)
+	return fillSeeded(fd.NewState(d), seed)
+}
+
+func fillSeeded(s *fd.State, seed int64) *fd.State {
 	rng := rand.New(rand.NewSource(seed))
 	for _, f := range s.Fields() {
 		data := f.Data()
@@ -54,6 +131,50 @@ func expectMemVarsEqual(t *testing.T, got, want *Model, label string) {
 	}
 }
 
+// TestApplyRowsMatchPointwise holds Apply's row sweep to the pointwise body
+// bit for bit — stresses and memory variables, over several steps — on the
+// full box, on sub-boxes at odd offsets, on a box reaching into a deep ghost
+// frame (as temporal tiling's recomputed extensions do) and under
+// coarse-graining origins of every parity.
+func TestApplyRowsMatchPointwise(t *testing.T) {
+	d := grid.Dims{NX: 13, NY: 10, NZ: 9}
+	const ghost = 4
+	dc, err := decomp.New(d, mpi.NewCart(1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := medium.FromCVMGhost(cvm.SoCal(1300, 1000, 900, 400), dc, dc.SubFor(0), 100, ghost)
+	dt := m.StableDt(0.5)
+	boxes := []fd.Box{
+		fd.FullBox(d),
+		{I0: 3, I1: 10, J0: 1, J1: 8, K0: 2, K1: 7},
+		{I0: 2, I1: 3, J0: 5, J1: 6, K0: 3, K1: 4},      // single point
+		{I0: 0, I1: 13, J0: 7, J1: 8, K0: 0, K1: 9},     // single j-plane
+		{I0: 5, I1: 5, J0: 0, J1: 10, K0: 0, K1: 9},     // empty
+		{I0: -1, I1: 15, J0: -2, J1: 10, K0: 0, K1: 11}, // into the ghost frame
+	}
+	for bi, box := range boxes {
+		for _, origin := range [][3]int{{0, 0, 0}, {1, 0, 1}, {0, 1, 0}, {5, 9, 2}} {
+			label := fmt.Sprintf("box %v origin %v", box, origin)
+			sRef := fillSeeded(fd.NewStateG(d, ghost), int64(300+bi))
+			sRow := sRef.Clone()
+			aRef := New(m, DefaultBand, dt)
+			aRow := New(m, DefaultBand, dt)
+			aRef.Origin, aRow.Origin = origin, origin
+			for step := 0; step < 3; step++ {
+				for _, s := range []*fd.State{sRef, sRow} {
+					fd.UpdateVelocity(s, m, dt, fd.FullBox(d), fd.Precomp, fd.Blocking{})
+					fd.UpdateStress(s, m, dt, box, fd.Precomp, fd.Blocking{})
+				}
+				applyPointwise(aRef, sRef, m, dt, box)
+				aRow.Apply(sRow, m, dt, box)
+				expectStatesEqual(t, sRow, sRef, label)
+				expectMemVarsEqual(t, aRow, aRef, label)
+			}
+		}
+	}
+}
+
 // FusedStress must be bit-identical to the two-pass UpdateStress + Apply
 // over multiple steps, including with a nonzero coarse-graining origin (as
 // a decomposed rank sees) and a heterogeneous Q model.
@@ -83,7 +204,7 @@ func TestFusedStressBitIdenticalMultiStep(t *testing.T) {
 }
 
 // Sub-boxes at odd offsets exercise the row parity tables against the
-// per-point mechAt reference.
+// per-point mechAt reference (applyPointwise).
 func TestFusedStressSubBoxParity(t *testing.T) {
 	d := grid.Dims{NX: 12, NY: 10, NZ: 9}
 	m := makeMedium(t, cvm.SoCal(1200, 1000, 900, 400), d, 100)
@@ -103,7 +224,7 @@ func TestFusedStressSubBoxParity(t *testing.T) {
 			aFus.Origin = origin
 
 			fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-			aRef.Apply(sRef, m, dt, box)
+			applyPointwise(aRef, sRef, m, dt, box)
 			aFus.FusedStress(sFus, m, dt, box)
 
 			expectStatesEqual(t, sFus, sRef, "sub-box")
@@ -186,7 +307,7 @@ func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 		aFus.Origin = origin
 
 		fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-		aRef.Apply(sRef, m, dt, box)
+		applyPointwise(aRef, sRef, m, dt, box)
 		aFus.FusedStress(sFus, m, dt, box)
 
 		expectStatesEqual(t, sFus, sRef, "fuzz")

@@ -54,9 +54,6 @@ const DefaultMPMLRatio = 0.1
 // DefaultPMLReflection is the design reflection coefficient R.
 const DefaultPMLReflection = 1e-5
 
-// cacheLine is the assumed cache-line size, in float32 values.
-const cacheLine = 16
-
 // NewPML builds one zone. vpMax and h size the damping profile.
 func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vpMax, h float64) *PML {
 	if zone.Empty() || width <= 0 {
@@ -64,17 +61,9 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	}
 	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
 	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
-	// A row sweep streams the same offset of all 27 split fields. Allocated
-	// one by one they would each start on a page boundary and so contend
-	// for one L1 set; carved from one slab at an odd number of cache lines
-	// apart, they fall in 27 different ones.
-	lines := (grid.PaddedLen(zd, grid.Ghost)+cacheLine-1)/cacheLine | 1
-	slab := make([]float32, 27*lines*cacheLine)
-	field := func() *grid.Field3 {
-		f := grid.NewField3Over(zd, grid.Ghost, slab)
-		slab = slab[lines*cacheLine:]
-		return f
-	}
+	// A row sweep streams the same offset of all 27 split fields, so they are
+	// placed apart in the L1 set period (grid.LaneFields).
+	field := grid.LaneFields(zd, grid.Ghost, grid.LanePML, 27)
 	for s := range pm.split {
 		pm.split[s] = &fd.State{
 			Dims: zd,

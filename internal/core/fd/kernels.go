@@ -12,9 +12,14 @@ import (
 type Variant int
 
 const (
+	// Default, the zero value, asks for the production kernel: the solver's
+	// Prepare resolves it to Production, so an Options literal that leaves
+	// Variant out runs what every other caller runs. The kernels themselves
+	// take resolved variants only.
+	Default Variant = iota
 	// Naive computes staggered material averages inline with one division
 	// per operand (the pre-2009 code).
-	Naive Variant = iota
+	Naive
 	// Recip uses stored reciprocal Lamé arrays, leaving one division per
 	// harmonic mean (the "reduced division operations" step, +31%).
 	Recip
@@ -26,16 +31,18 @@ const (
 	// Unrolled is Precomp with the inner x loop manually unrolled by 2 (+2%).
 	Unrolled
 	// Fused is Precomp restructured for bounds-check elimination (explicit
-	// per-row subslice windows instead of whole-array indexing) and, when
-	// the solver runs with attenuation, fused with the coarse-grained
-	// memory-variable update in the same i-loop — one read/modify/write of
-	// the six stress components per step instead of two. Results are
-	// bit-identical to Precomp (+ the two-pass attenuation path).
+	// per-row subslice windows instead of whole-array indexing). Results are
+	// bit-identical to Precomp.
 	Fused
 )
 
+// Production is the kernel Default resolves to.
+const Production = Blocked
+
 func (v Variant) String() string {
 	switch v {
+	case Default:
+		return "default"
 	case Naive:
 		return "naive"
 	case Recip:
@@ -56,11 +63,19 @@ func (v Variant) String() string {
 // rejects unknown values at configuration time instead of panicking deep
 // inside the first UpdateVelocity call.
 func (v Variant) Validate() error {
-	if v < Naive || v > Fused {
+	if v < Default || v > Fused {
 		return fmt.Errorf("fd: unknown kernel variant %d (want %v..%v)", int(v), Naive, Fused)
 	}
 	return nil
 }
+
+// Precomputed reports whether v reads the precomputed staggered coefficient
+// arrays: Precomp and its loop reshapings Blocked, Unrolled and Fused, which
+// store the same bits. One sweep that reads those arrays
+// (attenuation.FusedStress) can stand in for any of them; Naive and Recip form
+// their coefficients in the loop, which is what the §IV.B ablation is there
+// to measure, so they keep kernels of their own.
+func (v Variant) Precomputed() bool { return v >= Precomp && v <= Fused }
 
 // ParseVariant resolves a variant name as used by awp-run -variant.
 func ParseVariant(name string) (Variant, error) {
@@ -69,7 +84,7 @@ func ParseVariant(name string) (Variant, error) {
 			return v, nil
 		}
 	}
-	return Naive, fmt.Errorf("fd: unknown kernel variant %q (want naive|recip|precomp|blocked|unrolled|fused)", name)
+	return Default, fmt.Errorf("fd: unknown kernel variant %q (want naive|recip|precomp|blocked|unrolled|fused)", name)
 }
 
 // Blocking carries the cache-blocking factors; the paper's empirically

@@ -49,7 +49,7 @@ func NewState(d grid.Dims) *State { return NewStateG(d, grid.Ghost) }
 // field; temporal tiling at depth T uses ghost = 4T so one super-step of
 // stencil erosion stays local between halo exchanges.
 func NewStateG(d grid.Dims, ghost int) *State {
-	f := func() *grid.Field3 { return grid.NewField3G(d, ghost) }
+	f := grid.LaneFields(d, ghost, grid.LaneState, 9)
 	return &State{
 		Dims: d,
 		VX:   f(), VY: f(), VZ: f(),
@@ -75,14 +75,14 @@ func (s *State) Stresses() []*grid.Field3 {
 	return []*grid.Field3{s.XX, s.YY, s.ZZ, s.XY, s.XZ, s.YZ}
 }
 
-// Clone deep-copies the state.
+// Clone deep-copies the state into fields placed as NewStateG places them.
 func (s *State) Clone() *State {
-	return &State{
-		Dims: s.Dims,
-		VX:   s.VX.Clone(), VY: s.VY.Clone(), VZ: s.VZ.Clone(),
-		XX: s.XX.Clone(), YY: s.YY.Clone(), ZZ: s.ZZ.Clone(),
-		XY: s.XY.Clone(), XZ: s.XZ.Clone(), YZ: s.YZ.Clone(),
+	c := NewStateG(s.Dims, s.VX.G())
+	src := s.Fields()
+	for i, f := range c.Fields() {
+		f.CopyFrom(src[i])
 	}
+	return c
 }
 
 // L2Diff returns the root-sum-square difference over all nine components.

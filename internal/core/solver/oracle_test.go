@@ -1,0 +1,227 @@
+package solver
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"repro/internal/core/fd"
+	"repro/internal/core/source"
+	"repro/internal/cvm"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+)
+
+// oracleFields returns what the two-pass oracle is compared on: the nine
+// wavefield components and, with attenuation on, the six memory variables.
+func oracleFields(st *Stepper) (fields []*grid.Field3, names []string) {
+	fields = st.State().Fields()
+	names = append(names, fd.FieldNames...)
+	if a := st.Atten(); a != nil {
+		fields = append(fields, a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ)
+		names = append(names, "zxx", "zyy", "zzz", "zxy", "zxz", "zyz")
+	}
+	return
+}
+
+// twoPassOracle advances opt's scenario on one rank with a step written out
+// here, not taken from the stepper: serial fd Precomp kernels over the whole
+// subgrid, then Model.Apply as a second pass over the stresses — the body no
+// production path without a fault runs any more, and one that cannot reach
+// attenuation.FusedStress. It borrows a Stepper for the set-up only (medium,
+// sponge, free surface, memory variables, localized sources) and never calls
+// Step. snaps[step][field] is the interior after that step, x fastest.
+func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][][]float32) {
+	t.Helper()
+	opt.Topo = mpi.NewCart(1, 1, 1)
+	opt.Comm, opt.Threads, opt.TemporalDepth, opt.LTS = Asynchronous, 1, 1, LTSOptions{}
+	dc, opt, err := Prepare(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := opt.Global
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		st, err := NewStepper(c, q, dc, opt)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer st.Close()
+		rs, dt, box := st.rs, st.Dt(), fd.FullBox(g)
+		fields, _ := oracleFields(st)
+		for step := 0; step < opt.Steps; step++ {
+			fd.UpdateVelocity(rs.st, rs.med, dt, box, fd.Precomp, fd.Blocking{})
+			if rs.fs != nil {
+				rs.fs.ApplyVelocity(rs.st, rs.med)
+			}
+			fd.UpdateStress(rs.st, rs.med, dt, box, fd.Precomp, fd.Blocking{})
+			if rs.atten != nil {
+				rs.atten.Apply(rs.st, rs.med, dt, box)
+			}
+			rs.srcs.Inject(rs.st, dt, float64(step+1)*dt)
+			if rs.sponge != nil {
+				rs.sponge.Apply(rs.st)
+			}
+			if rs.fs != nil {
+				rs.fs.ApplyStress(rs.st)
+			}
+			snap := make([][]float32, len(fields))
+			for fi, f := range fields {
+				snap[fi] = f.ExtractBlock(0, g.NX, 0, g.NY, 0, g.NZ)
+			}
+			snaps = append(snaps, snap)
+		}
+	})
+	if len(snaps) != opt.Steps {
+		t.Fatal("two-pass oracle did not run")
+	}
+	return snaps
+}
+
+// holdToOracle runs opt through the production stepper and, after every Step
+// (a step, a super-step or an LTS cycle) on every rank, compares the rank's
+// interior of every oracle field with the oracle's snapshot of that step,
+// bit for bit.
+func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps [][][]float32) {
+	t.Helper()
+	g := opt.Global
+	var once sync.Once
+	_, rates := stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
+		sub := st.rs.sub
+		want := snaps[st.StepIndex()-1]
+		fields, names := oracleFields(st)
+		for fi, f := range fields {
+			for k := 0; k < sub.Local.NZ; k++ {
+				for j := 0; j < sub.Local.NY; j++ {
+					row := want[fi][((k+sub.OffZ)*g.NY+j+sub.OffY)*g.NX+sub.OffX:]
+					for i := 0; i < sub.Local.NX; i++ {
+						if got := f.At(i, j, k); math.Float32bits(got) != math.Float32bits(row[i]) {
+							once.Do(func() {
+								t.Errorf("%s: step %d rank %d: %s(%d,%d,%d) = %g, two-pass oracle %g", tag,
+									st.StepIndex(), c.Rank(), names[fi], i+sub.OffX, j+sub.OffY, k+sub.OffZ, got, row[i])
+							})
+							return
+						}
+					}
+				}
+			}
+		}
+	})
+	for _, r := range rates {
+		if r != 1 {
+			// A rank on a coarser step is a different scheme, not another
+			// schedule of this one; it has no single-rank reference.
+			t.Fatalf("%s: LTS rates %v, want all 1", tag, rates)
+		}
+	}
+}
+
+// TestDefaultPathMatchesTwoPassOracle is the reference the one-pass default
+// answers to. Every path without a fault now runs stress and memory variables
+// as one sweep, so a comparison of two production runs — every other identity
+// matrix in this package — holds fused against fused; this one holds the
+// default path (Variant unset) under every comm model, pool size,
+// decomposition and stepping scheme to twoPassOracle, on every field and
+// memory variable after every step. Two scenarios: the filled wavefield of
+// baseOptions, and a front that reaches the rank seams inside the window, so
+// that the quiescence floor decides what is stored where the comparison is
+// made. LTS is held where it is this scheme on another schedule — every rank
+// at rate 1, which this model gives all three decompositions; mixed rates are
+// another scheme and answer to TestLTSMixedRateAccuracy.
+func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
+	q := cvm.SoCal(2400, 2400, 1600, 400)
+	filled := baseOptions(mpi.NewCart(1, 1, 1))
+	filled.Variant = fd.Default
+	filled.Steps = 40
+	front := filled
+	// Off the seams at 12/12/8, so the front has to travel to them.
+	front.Sources = []source.SampledSource{source.PointSource{
+		GI: 6, GJ: 7, GK: 4, M0: 1e15, Tensor: source.Explosion,
+		STF: source.GaussianPulse(0.08, 0.02),
+	}.Sample(0.002, 200)}
+	front.Steps = 16
+
+	comms := []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
+	threadCounts := []int{1, 4}
+	topos := []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)}
+	if testing.Short() {
+		comms = []CommModel{AsyncReduced, AsyncOverlap}
+		threadCounts = []int{4}
+		topos = topos[2:]
+	}
+	type scheme struct {
+		name  string
+		depth int
+		lts   bool
+	}
+	schemes := []scheme{{"classic", 1, false}, {"lts", 1, true}, {"depth2", 2, false}}
+
+	for _, sc := range []struct {
+		name string
+		opt  Options
+	}{{"filled", filled}, {"front", front}} {
+		snaps := twoPassOracle(t, q, sc.opt)
+		if sc.name == "front" {
+			// The window must hold the crossing: the seam plane i = NX/2 of
+			// vx at rest after the first step and moving by the last.
+			g := sc.opt.Global
+			seamMoving := func(step int) bool {
+				for n := g.NX / 2; n < g.Cells(); n += g.NX {
+					if snaps[step][0][n] != 0 {
+						return true
+					}
+				}
+				return false
+			}
+			if seamMoving(0) || !seamMoving(sc.opt.Steps-1) {
+				t.Fatalf("front: does not reach the x seam inside the %d-step window", sc.opt.Steps)
+			}
+		}
+		for _, comm := range comms {
+			for _, threads := range threadCounts {
+				for _, topo := range topos {
+					for _, sch := range schemes {
+						if sch.depth > 1 && comm == AsyncOverlap {
+							continue // Prepare rejects the pair
+						}
+						opt := sc.opt
+						opt.Topo, opt.Comm, opt.Threads, opt.TemporalDepth = topo, comm, threads, sch.depth
+						if sch.lts {
+							opt.LTS = LTSOptions{Enabled: true, WorkBalance: true}
+						}
+						tag := fmt.Sprintf("%s/%v/threads%d/%dx%dx%d/%s", sc.name, comm, threads, topo.PX, topo.PY, topo.PZ, sch.name)
+						holdToOracle(t, tag, q, opt, snaps)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestZeroVariantIsProduction pins the default: an Options literal that
+// leaves Variant out is resolved by Prepare, before any rank is built, to
+// fd.Production — not to fd.Naive, which the zero value used to be — and runs
+// as the Options that name it.
+func TestZeroVariantIsProduction(t *testing.T) {
+	q := cvm.SoCal(2400, 2400, 1600, 400)
+	opt := baseOptions(mpi.NewCart(1, 1, 1))
+	opt.Variant = fd.Default
+	_, prepared, err := Prepare(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prepared.Variant != fd.Production {
+		t.Fatalf("Prepare resolved the zero Variant to %v, want %v", prepared.Variant, fd.Production)
+	}
+	unset, err := Run(q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Variant = fd.Production
+	named, err := Run(q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectResultsExact(t, "unset vs production", named, unset)
+}

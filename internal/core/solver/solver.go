@@ -384,9 +384,9 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		pre = add(pre, z.Zone, z)
 	}
 
-	// Bulk tiles are timed from inside the tile, as stressTile times
-	// attenuation, so the zone tiles of the same queue (timed as Boundary)
-	// are not counted as kernel time.
+	// Bulk tiles are timed from inside the tile, as stressTile's are, so the
+	// zone tiles of the same queue (timed as Boundary) are not counted as
+	// kernel time.
 	velocity := func(b fd.Box) {
 		sp := rs.tel.Span(telemetry.Velocity)
 		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
@@ -472,9 +472,9 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 	// The sponge runs after the exchange (it damps ghost copies with the
 	// same global taper, so every rank damps identical physical cells);
 	// source injection runs before the strips are packed so neighbor
-	// ghosts include it. Attenuation rides in the same tile as the elastic
-	// stress update: it writes the same disjoint tile region, so the pair
-	// stays race-free and cell-ordered.
+	// ghosts include it. Attenuation rides in the stress tile — in the same
+	// sweep on the default path (stressTile) — and writes only that tile's
+	// cells, so the tiles stay race-free and cell-ordered.
 	t0 = time.Now()
 	rs.drain(plan.stressPre)
 	if overlap {
@@ -540,32 +540,33 @@ func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
 	}
 }
 
-// stressTile returns the fused stress+attenuation tile body shared by the
-// bulk and overlap stress phases. Spans sit inside the tile so the fusion
-// (and hence the pool schedule and bit-identity) is untouched while
-// attenuation time is still attributed separately; Span.End is safe from
-// concurrent pool workers.
+// stressTile returns the stress tile body of the attenuation-aware paths
+// (classic without a fault, LTS, temporal tiling). With attenuation on, every
+// variant that reads the precomputed coefficients runs attenuation.FusedStress:
+// the memory-variable update rides in the elastic i-loop, one read/modify/write
+// of the six stress fields per cell instead of two, bit-identical to the pair
+// of passes it replaces. Its whole time lands in the Stress span — there is no
+// separate attenuation pass to time. Naive and Recip are the §IV.B ablation of
+// the in-loop coefficient arithmetic FusedStress does not have, so they keep
+// their elastic kernel and the second pass, each under its own span; Span.End
+// is safe from concurrent pool workers.
 func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
-	if opt.Variant == fd.Fused && rs.atten != nil {
-		// Fully fused sweep: the memory-variable update runs point-by-point
-		// inside the elastic i-loop, one read/modify/write of the six
-		// stress fields per step instead of two. Bit-identical to the
-		// two-pass tile below; the combined time lands in the Stress span
-		// (there is no separate attenuation pass to time).
+	elastic := rs.elasticTile(opt, dt)
+	switch {
+	case rs.atten == nil:
+		return elastic
+	case opt.Variant.Precomputed():
 		return func(b fd.Box) {
 			sp := rs.tel.Span(telemetry.Stress)
 			rs.atten.FusedStress(rs.st, rs.med, dt, b)
 			sp.End()
 		}
 	}
-	elastic := rs.elasticTile(opt, dt)
 	return func(b fd.Box) {
 		elastic(b)
-		if rs.atten != nil {
-			sp := rs.tel.Span(telemetry.Attenuation)
-			rs.atten.Apply(rs.st, rs.med, dt, b)
-			sp.End()
-		}
+		sp := rs.tel.Span(telemetry.Attenuation)
+		rs.atten.Apply(rs.st, rs.med, dt, b)
+		sp.End()
 	}
 }
 

@@ -42,6 +42,9 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if err := opt.Variant.Validate(); err != nil {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: %w", err)
 	}
+	if opt.Variant == fd.Default {
+		opt.Variant = fd.Production
+	}
 	if opt.Comm < Synchronous || opt.Comm > AsyncOverlap {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: unknown comm model %d", int(opt.Comm))
 	}

@@ -47,12 +47,72 @@ func NewField3(d Dims) *Field3 { return NewField3G(d, Ghost) }
 // Time-tiled execution uses deeper ghosts (4T planes for temporal depth T)
 // so a whole super-step of stencil erosion stays local between exchanges.
 func NewField3G(d Dims, ghost int) *Field3 {
-	return NewField3Over(d, ghost, make([]float32, PaddedLen(d, ghost)))
+	return newField3Over(d, ghost, make([]float32, paddedLen(d, ghost)))
 }
 
-// PaddedLen returns the length of the backing array of a field of interior
+// newField3Over is a field on the first paddedLen(d, ghost) values of storage.
+func newField3Over(d Dims, ghost int, storage []float32) *Field3 {
+	n := paddedLen(d, ghost)
+	return &Field3{
+		Dims: d,
+		g:    ghost,
+		sx:   d.NX + 2*ghost, sy: d.NY + 2*ghost, sz: d.NZ + 2*ghost,
+		data: storage[:n:n],
+	}
+}
+
+// Placement. A row sweep streams the same flat offset of every array it
+// reads — the nine wavefield components, the material coefficients, the
+// memory variables, a PML zone's splits. The allocator starts every object
+// larger than 32 KiB on a page boundary, and the L1 data cache picks a line's
+// set from its address modulo 4 KiB (64 sets of 64-byte lines), so same-sized
+// arrays allocated one make at a time put that offset of all of them in one
+// set, and a sweep over more of them than the set has ways evicts its own
+// lines. LaneFields places them instead: the arrays a rank streams together
+// are numbered 0, 1, 2, … across their owners (the constants below are where
+// each owner's numbers start), every one is stride cache lines long — its
+// length rounded up to an odd number of lines — and array m starts m·stride
+// lines past a 4 KiB boundary. An odd stride is a unit modulo 64, so the 64
+// numbers land on 64 different lines of the period: no two arrays of one
+// shape hold equal offsets in the same set.
+const (
+	cacheLine = 16 // float32 values per 64-byte cache line
+	// Lanes is how many arrays can be placed apart: cache lines per set period.
+	Lanes = 64
+
+	LaneState       = 0  // fd.State: 9 components
+	LaneMedium      = 9  // medium.Medium: 14 arrays
+	LaneAttenuation = 23 // attenuation.Model: 6 memory variables, DLam, DMu
+	LanePML         = 31 // boundary.PML: 27 splits of one zone
+)
+
+// LaneFields returns a constructor of count zeroed fields of one shape, the
+// k-th numbered first+k (see Placement). They are cut from one allocation —
+// the owner's lead-in of under 4 KiB, then the fields stride apart — so the
+// placement costs an owner at most a page and a field at most two cache
+// lines, and it holds whenever the allocator page-aligns the allocation; a
+// smaller one fits the cache whole and has nothing to evict. Indices, strides
+// and Data() of the fields are those of any other field.
+func LaneFields(d Dims, ghost, first, count int) func() *Field3 {
+	if first < 0 || count < 0 || first+count > Lanes {
+		panic(fmt.Sprintf("grid: arrays %d..%d outside the %d lanes", first, first+count, Lanes))
+	}
+	stride := ((paddedLen(d, ghost)+cacheLine-1)/cacheLine | 1) * cacheLine
+	lead := first * stride % (Lanes * cacheLine)
+	slab := make([]float32, lead+count*stride)[lead:]
+	return func() *Field3 {
+		if len(slab) == 0 {
+			panic(fmt.Sprintf("grid: more than the %d fields LaneFields was asked for", count))
+		}
+		f := newField3Over(d, ghost, slab)
+		slab = slab[stride:]
+		return f
+	}
+}
+
+// paddedLen returns the length of the backing array of a field of interior
 // dims d padded by ghost cells on every face.
-func PaddedLen(d Dims, ghost int) int {
+func paddedLen(d Dims, ghost int) int {
 	if !d.Valid() {
 		panic(fmt.Sprintf("grid: invalid dims %v", d))
 	}
@@ -60,19 +120,6 @@ func PaddedLen(d Dims, ghost int) int {
 		panic(fmt.Sprintf("grid: ghost width %d < minimum %d", ghost, Ghost))
 	}
 	return (d.NX + 2*ghost) * (d.NY + 2*ghost) * (d.NZ + 2*ghost)
-}
-
-// NewField3Over is NewField3G on the first PaddedLen(d, ghost) values of
-// storage the caller has allocated (and zeroed), for owners that lay several
-// fields out in one slab.
-func NewField3Over(d Dims, ghost int, storage []float32) *Field3 {
-	n := PaddedLen(d, ghost)
-	return &Field3{
-		Dims: d,
-		g:    ghost,
-		sx:   d.NX + 2*ghost, sy: d.NY + 2*ghost, sz: d.NZ + 2*ghost,
-		data: storage[:n:n],
-	}
 }
 
 // G returns the ghost width of the field.

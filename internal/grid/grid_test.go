@@ -34,6 +34,49 @@ func TestNewField3PanicsOnInvalidDims(t *testing.T) {
 	NewField3(Dims{0, 1, 1})
 }
 
+// LaneFields moves where its fields' storage starts and nothing else: the
+// fields have the length, indices and contents of any other, no spare
+// capacity an append could grow into, and no storage in common.
+func TestLaneFieldsAreOrdinaryFields(t *testing.T) {
+	d := Dims{5, 4, 3}
+	const count = 3
+	next := LaneFields(d, 3, Lanes-count, count)
+	for k := 0; k < count; k++ {
+		f := next()
+		if f.G() != 3 || f.Dims != d {
+			t.Fatalf("field %d: ghost %d dims %v", k, f.G(), f.Dims)
+		}
+		if n := paddedLen(d, 3); len(f.Data()) != n || cap(f.Data()) != n {
+			t.Fatalf("field %d: len %d cap %d, want %d", k, len(f.Data()), cap(f.Data()), n)
+		}
+		for _, v := range f.Data() {
+			if v != 0 {
+				t.Fatalf("field %d: not zeroed, or it shares storage with an earlier field", k)
+			}
+		}
+		f.Fill(float32(k + 1))
+		f.Set(-3, -3, -3, -1)
+		f.Set(d.NX+2, d.NY+2, d.NZ+2, -2)
+		if f.Data()[0] != -1 || f.Data()[len(f.Data())-1] != -2 {
+			t.Fatalf("field %d: corners of the ghost frame are not the ends of Data()", k)
+		}
+	}
+	for _, bad := range []func(){
+		func() { next() }, // a fourth field of three
+		func() { LaneFields(d, 3, Lanes-count+1, count) }, // past the last lane
+		func() { LaneFields(d, 3, -1, count) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
 func TestIdxStrides(t *testing.T) {
 	f := NewField3(Dims{4, 5, 6})
 	dx, dy, dz := f.Strides()

@@ -119,7 +119,7 @@ func FromArrays(dims grid.Dims, h float64, vp, vs, rho []float32) (*Medium, erro
 func alloc(d grid.Dims, h float64) *Medium { return allocG(d, h, grid.Ghost) }
 
 func allocG(d grid.Dims, h float64, ghost int) *Medium {
-	f := func() *grid.Field3 { return grid.NewField3G(d, ghost) }
+	f := grid.LaneFields(d, ghost, grid.LaneMedium, 14)
 	return &Medium{
 		Dims: d, H: h,
 		Rho: f(), Lam: f(), Mu: f(),

@@ -29,9 +29,14 @@ const (
 	// Velocity is the velocity-update kernel (boundary strips and
 	// interior under the overlap model).
 	Velocity Phase = iota
-	// Stress is the elastic stress-update kernel.
+	// Stress is the stress-update kernel. With attenuation on, the solver's
+	// default path updates the memory variables in the same sweep
+	// (attenuation.FusedStress), so their time is in here too.
 	Stress
-	// Attenuation is the coarse-grained memory-variable update.
+	// Attenuation is the coarse-grained memory-variable update where it is a
+	// pass of its own: dynamic-rupture runs (it follows the fault's stress
+	// correction) and the Naive/Recip kernel ablation. On the default path it
+	// reads zero — the work is timed under Stress.
 	Attenuation
 	// Boundary covers absorbing-boundary and free-surface work (PML
 	// zones, sponge taper, FS2 images).

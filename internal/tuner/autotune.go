@@ -57,9 +57,9 @@ type AutotuneOptions struct {
 	// Threads is the per-rank worker-pool size the run will use.
 	Threads int
 	// Attenuation includes the memory-variable update in the benchmarked
-	// sweep (it roughly doubles stress-phase traffic on the two-pass path,
-	// which is exactly what the Fused variant removes — tuning without it
-	// would mis-rank the candidates).
+	// sweep, as the one stress + memory-variable pass the solver runs for
+	// every candidate — the sweep then streams eight more arrays per row,
+	// which moves the best blocking.
 	Attenuation bool
 	// LTS marks that the run uses multi-rate local time stepping, which
 	// is mutually exclusive with temporal tiling: the candidate sweep is
@@ -91,10 +91,11 @@ type profileEntry struct {
 
 // profileVersion is the on-disk profile format version. Bump it whenever
 // the entry schema or the meaning of a key changes (v2 added the temporal
-// depth dimension); a profile with any other version — including the
+// depth dimension; v3 times attenuated candidates on the one-pass stress sweep
+// the solver now runs for all of them); a profile with any other version — including the
 // implicit 0 of pre-versioning files — is treated as a cache miss and
 // rewritten, never migrated or trusted.
-const profileVersion = 2
+const profileVersion = 3
 
 // kernelProfile is the on-disk JSON profile: one entry per machine-visible
 // configuration key.
@@ -355,16 +356,16 @@ func (e *benchEnv) measure(v fd.Variant, blk fd.Blocking, tdepth, reps int) floa
 	velocity := func(b fd.Box) {
 		fd.UpdateVelocityTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
 	}
+	// The stress body the solver's tiles run for v (solver.stressTile).
 	stress := func(b fd.Box) {
-		if e.atten != nil {
-			if v == fd.Fused {
-				e.atten.FusedStressTiled(e.state, e.med, e.dt, b, blk, e.pool)
-			} else {
-				fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
-				e.atten.ApplyTiled(e.state, e.med, e.dt, b, blk, e.pool)
-			}
-		} else {
+		switch {
+		case e.atten == nil:
 			fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
+		case v.Precomputed():
+			e.atten.FusedStressTiled(e.state, e.med, e.dt, b, blk, e.pool)
+		default:
+			fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
+			e.atten.ApplyTiled(e.state, e.med, e.dt, b, blk, e.pool)
 		}
 	}
 	nsteps := 1.0

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Bounds-check-elimination and inlining guard for the fused-sweep kernels
-# and the PML row kernels.
+# Bounds-check-elimination and inlining guard for the fused-sweep kernels,
+# the attenuation row sweeps and the PML row kernels.
 #
 # The fused inner loops, and the PML zone sweeps modelled on them, are written
 # against explicit per-offset subslice windows (ap := a[n0+off:][:ni])
@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go'
+GUARDED='internal/core/fd/fused.go internal/core/attenuation/rows.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -35,11 +35,16 @@ diag=$(GOCACHE="$tmpcache" go build \
 
 status=0
 for f in $GUARDED; do
-    base=$(basename "$f")
-    hits=$(printf '%s\n' "$diag" | grep "Found IsInBounds" | grep -c "$base" || true)
+    if [ ! -f "$f" ]; then
+        echo "FAIL: guarded file $f does not exist"
+        status=1
+        continue
+    fi
+    # By path, not by base name: rows.go is also the tail of pml_rows.go.
+    hits=$(printf '%s\n' "$diag" | grep "Found IsInBounds" | grep -c "^$f:" || true)
     if [ "$hits" -ne 0 ]; then
         echo "FAIL: $hits per-point bounds check(s) in $f:"
-        printf '%s\n' "$diag" | grep "Found IsInBounds" | grep "$base"
+        printf '%s\n' "$diag" | grep "Found IsInBounds" | grep "^$f:"
         status=1
     else
         echo "ok: $f has no per-point bounds checks"
