@@ -101,7 +101,7 @@ type Scenario struct {
 	// from a velocity-model scan. Runs whose assigned rates are all 1 are
 	// bit-identical to LTS off; mixed-rate runs trade rate-boundary
 	// accuracy for wall-clock (see DESIGN.md section 12). Mutually
-	// exclusive with explicit TemporalDepth > 1, M-PML and DFR mode.
+	// exclusive with M-PML and DFR mode.
 	LTS bool
 	// LTSMaxK caps the rate exponent (rates up to 2^LTSMaxK); 0 defaults
 	// to 2. LTSMaxRateRatio caps the rate ratio across a rank seam; 0
@@ -123,23 +123,15 @@ type Scenario struct {
 	FreeSurface bool
 	Attenuation bool
 
-	// Variant selects the stencil kernel: "" (the solver's default), one of
-	// the ladder names "naive", "recip", "precomp", "blocked", "unrolled",
-	// "fused", or "auto" to run the per-machine kernel autotuner on the
-	// rank-0 subgrid shape (winner cached in a JSON profile, so only the
-	// first run on a machine pays the micro-benchmark).
-	Variant string
+	// Autotune times the cache-blocking candidates on the rank-0 subgrid
+	// shape and runs with the one the tuner picks (cached in a JSON profile,
+	// so only the first run on a machine pays the micro-benchmark). Results
+	// are bit-identical either way.
+	Autotune bool
 
 	// JBlock/KBlock override the cache-blocking tile (0: DefaultBlocking,
-	// or the autotuned blocking when Variant is "auto").
+	// or the autotuned blocking when Autotune is set).
 	JBlock, KBlock int
-
-	// TemporalDepth T > 1 enables time-tiled super-steps: T leapfrog steps
-	// per deep halo exchange (allowed values 1, 2, 4; 0 means 1, or the
-	// autotuned depth when Variant is "auto"). Results are bit-identical
-	// across depths. Forced back to 1 when a feature the tiled engine does
-	// not cover is active (M-PML, overlapped comm, dynamic rupture).
-	TemporalDepth int
 
 	// TunerCachePath overrides the autotuner profile location ("" uses the
 	// per-user default under os.UserCacheDir).
@@ -172,31 +164,29 @@ func Run(q Model, sc Scenario) (*Result, error) {
 			topo = bestTopo(sc.Dims, sc.Ranks)
 		}
 	}
-	variant, blocking, tdepth, err := resolveKernel(sc, topo)
+	blocking, err := resolveBlocking(sc, topo)
 	if err != nil {
 		return nil, err
 	}
 	opt := solver.Options{
-		Global:        sc.Dims,
-		H:             sc.H,
-		Dt:            sc.Dt,
-		CFL:           sc.CFL,
-		Steps:         sc.Steps,
-		Topo:          topo,
-		Comm:          sc.Comm,
-		Threads:       sc.Threads,
-		Variant:       variant,
-		Blocking:      blocking,
-		TemporalDepth: tdepth,
-		ABC:           sc.ABC,
-		SpongeWidth:   sc.SpongeWidth,
-		FreeSurface:   sc.FreeSurface,
-		Attenuation:   sc.Attenuation,
-		Sources:       sc.Sources,
-		Fault:         sc.Fault,
-		Receivers:     sc.Receivers,
-		TrackPGV:      sc.TrackPGV,
-		Telemetry:     sc.Telemetry,
+		Global:      sc.Dims,
+		H:           sc.H,
+		Dt:          sc.Dt,
+		CFL:         sc.CFL,
+		Steps:       sc.Steps,
+		Topo:        topo,
+		Comm:        sc.Comm,
+		Threads:     sc.Threads,
+		Blocking:    blocking,
+		ABC:         sc.ABC,
+		SpongeWidth: sc.SpongeWidth,
+		FreeSurface: sc.FreeSurface,
+		Attenuation: sc.Attenuation,
+		Sources:     sc.Sources,
+		Fault:       sc.Fault,
+		Receivers:   sc.Receivers,
+		TrackPGV:    sc.TrackPGV,
+		Telemetry:   sc.Telemetry,
 		LTS: solver.LTSOptions{
 			Enabled:      sc.LTS,
 			MaxK:         sc.LTSMaxK,
@@ -207,41 +197,28 @@ func Run(q Model, sc Scenario) (*Result, error) {
 	return solver.Run(q, opt)
 }
 
-// resolveKernel maps Scenario.Variant/JBlock/KBlock/TemporalDepth onto the
-// solver's kernel configuration. "auto" runs the tuner micro-benchmark on the
-// rank-0 subgrid shape — representative of every rank, since the
-// decomposition splits near-evenly — and any explicit JBlock/KBlock or
-// TemporalDepth still wins over the tuned values.
-func resolveKernel(sc Scenario, topo mpi.Cart) (fd.Variant, fd.Blocking, int, error) {
-	variant, blocking, tdepth := fd.Default, fd.DefaultBlocking, 1
-	switch sc.Variant {
-	case "": // the solver's default
-	case "auto":
+// resolveBlocking maps Scenario.Autotune/JBlock/KBlock onto the solver's
+// cache blocking. Autotune runs the tuner micro-benchmark on the rank-0
+// subgrid shape — representative of every rank, since the decomposition
+// splits near-evenly — and any explicit JBlock/KBlock still wins over the
+// tuned values.
+func resolveBlocking(sc Scenario, topo mpi.Cart) (fd.Blocking, error) {
+	blocking := fd.DefaultBlocking
+	if sc.Autotune {
 		dc, err := decomp.New(sc.Dims, topo)
 		if err != nil {
-			return 0, fd.Blocking{}, 0, fmt.Errorf("awp: %w", err)
-		}
-		threads := sc.Threads
-		if threads <= 0 {
-			threads = 1
+			return fd.Blocking{}, fmt.Errorf("awp: %w", err)
 		}
 		choice, _, err := tuner.AutotuneKernels(tuner.AutotuneOptions{
 			Dims:        dc.SubFor(0).Local,
-			Threads:     threads,
+			Threads:     sc.Threads,
 			Attenuation: sc.Attenuation,
-			LTS:         sc.LTS,
 			CachePath:   sc.TunerCachePath,
 		})
 		if err != nil {
-			return 0, fd.Blocking{}, 0, fmt.Errorf("awp: kernel autotune: %w", err)
+			return fd.Blocking{}, fmt.Errorf("awp: kernel autotune: %w", err)
 		}
-		variant, blocking, tdepth = choice.Variant, choice.Blocking, choice.TemporalDepth
-	default:
-		v, err := fd.ParseVariant(sc.Variant)
-		if err != nil {
-			return 0, fd.Blocking{}, 0, fmt.Errorf("awp: %w", err)
-		}
-		variant = v
+		blocking = choice.Blocking
 	}
 	if sc.JBlock > 0 {
 		blocking.JBlock = sc.JBlock
@@ -249,41 +226,7 @@ func resolveKernel(sc Scenario, topo mpi.Cart) (fd.Variant, fd.Blocking, int, er
 	if sc.KBlock > 0 {
 		blocking.KBlock = sc.KBlock
 	}
-	if sc.TemporalDepth > 0 {
-		tdepth = sc.TemporalDepth
-	}
-	// LTS replaces super-stepping: a tuned depth > 1 silently falls back
-	// to 1 (an explicit TemporalDepth > 1 is left to error in the solver,
-	// since the user asked for two conflicting schemes).
-	if sc.LTS && sc.TemporalDepth <= 0 {
-		tdepth = 1
-	}
-	if tdepth > 1 && !temporalDepthOK(sc, topo) {
-		tdepth = 1
-	}
-	return variant, blocking, tdepth, nil
-}
-
-// temporalDepthOK reports whether the time-tiled engine covers the scenario:
-// it supports the sponge/no-ABC boundaries and the blocking comm models, but
-// not M-PML, communication-computation overlap, dynamic rupture, or subgrids
-// shallower than the deep halo.
-func temporalDepthOK(sc Scenario, topo mpi.Cart) bool {
-	if sc.ABC == MPMLABC || sc.Comm == AsyncOverlap || sc.Fault != nil {
-		return false
-	}
-	T := sc.TemporalDepth
-	if T <= 0 {
-		T = fd.MaxTemporalDepth
-	}
-	parts := [3]int{topo.PX, topo.PY, topo.PZ}
-	dims := [3]int{sc.Dims.NX, sc.Dims.NY, sc.Dims.NZ}
-	for ax := 0; ax < 3; ax++ {
-		if parts[ax] > 1 && dims[ax]/parts[ax] < 4*T {
-			return false
-		}
-	}
-	return true
+	return blocking, nil
 }
 
 // SoCalModel returns the synthetic southern-California velocity model

@@ -2,6 +2,7 @@ package awp
 
 import (
 	"math"
+	"os"
 	"testing"
 )
 
@@ -119,10 +120,11 @@ func TestPointSourceSampling(t *testing.T) {
 	}
 }
 
-// Scenario.Variant must select kernels by name ("fused" bit-identical to
-// the default), reject unknown names, and "auto" must run the tuner end to
-// end — caching its winner so a second run skips the micro-benchmark.
-func TestScenarioVariantSelection(t *testing.T) {
+// Scenario.Autotune must run the tuner end to end — on the scenario's
+// subgrid shape, caching its choice so a second run skips the
+// micro-benchmark — and, the blocking being a scheduling choice, change no
+// result.
+func TestScenarioAutotune(t *testing.T) {
 	q := SoCalModel(2400, 2400, 1600, 500)
 	mk := func() Scenario {
 		return Scenario{
@@ -140,36 +142,24 @@ func TestScenarioVariantSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"precomp", "fused"} {
-		sc := mk()
-		sc.Variant = name
-		res, err := Run(q, sc)
+	auto := mk()
+	auto.Autotune = true
+	auto.TunerCachePath = t.TempDir() + "/profile.json"
+	// The second run reuses the cached profile (observable only as success
+	// here; the tuner package tests assert the skip directly).
+	for _, run := range []string{"cold", "cached"} {
+		res, err := Run(q, auto)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("autotune (%s): %v", run, err)
 		}
 		for n := range ref.Seismograms[0] {
 			if ref.Seismograms[0][n] != res.Seismograms[0][n] {
-				t.Fatalf("%s: sample %d differs from default variant", name, n)
+				t.Fatalf("autotune (%s): sample %d differs from the default blocking", run, n)
 			}
 		}
 	}
-
-	bad := mk()
-	bad.Variant = "vectorized"
-	if _, err := Run(q, bad); err == nil {
-		t.Fatal("unknown variant name accepted")
-	}
-
-	auto := mk()
-	auto.Variant = "auto"
-	auto.TunerCachePath = t.TempDir() + "/profile.json"
-	if _, err := Run(q, auto); err != nil {
-		t.Fatalf("auto: %v", err)
-	}
-	// Second run must reuse the cached profile (observable only as success
-	// here; the tuner package tests assert the skip directly).
-	if _, err := Run(q, auto); err != nil {
-		t.Fatalf("auto (cached): %v", err)
+	if _, err := os.Stat(auto.TunerCachePath); err != nil {
+		t.Fatalf("no profile written: %v", err)
 	}
 }
 
@@ -185,7 +175,6 @@ func TestScenarioBlockingOverride(t *testing.T) {
 			ABC:       SpongeABC,
 			Sources:   ExplosionSource(12, 12, 8, 1e15, 0.06, 0.015),
 			Receivers: [][3]int{{6, 12, 4}},
-			Variant:   "fused",
 		}
 	}
 	ref, err := Run(q, mk())

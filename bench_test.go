@@ -121,7 +121,7 @@ func BenchmarkAblationKernels(b *testing.B) {
 	m := benchMedium(b, d)
 	dt := m.StableDt(0.5)
 	box := fd.FullBox(d)
-	for _, v := range []fd.Variant{fd.Naive, fd.Recip, fd.Precomp, fd.Blocked, fd.Unrolled} {
+	for _, v := range []fd.Variant{fd.Naive, fd.Recip, fd.Precomp, fd.Blocked} {
 		b.Run(v.String(), func(b *testing.B) {
 			s := fd.NewState(d)
 			s.VX.Set(32, 32, 32, 1)

@@ -22,10 +22,9 @@ func main() {
 	comm := flag.String("comm", "async-reduced", "comm model: sync|async|async-reduced|overlap")
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
-	variant := flag.String("variant", "", "stencil kernel: naive|recip|precomp|blocked|unrolled|fused, auto (per-machine autotuner), or empty for the solver's default")
+	autotune := flag.Bool("autotune", false, "time the cache-blocking candidates on this machine and run with the tuner's choice (cached in the profile)")
 	jblock := flag.Int("jblock", 0, "cache-blocking tile extent in j (0: default or autotuned)")
 	kblock := flag.Int("kblock", 0, "cache-blocking tile extent in k (0: default or autotuned)")
-	tdepth := flag.Int("tdepth", 0, "temporal tiling depth: steps per deep halo exchange, 1|2|4 (0: 1 or autotuned)")
 	tunerCache := flag.String("tuner-cache", "", "kernel autotuner profile path (default: per-user cache dir)")
 	cfl := flag.Float64("cfl", 0, "CFL safety factor for the automatic time step, in (0, 1] (0: 0.5)")
 	lts := flag.Bool("lts", false, "multi-rate local time stepping: slow-medium ranks advance with dt*2^k and work-weighted cuts")
@@ -79,9 +78,8 @@ func main() {
 
 	sc := awp.Scenario{
 		Dims: dims, H: *h, Steps: *steps, Ranks: *ranks,
-		Threads: *threads,
-		Variant: *variant, JBlock: *jblock, KBlock: *kblock,
-		TemporalDepth:  *tdepth,
+		Threads:  *threads,
+		Autotune: *autotune, JBlock: *jblock, KBlock: *kblock,
 		TunerCachePath: *tunerCache,
 		CFL:            *cfl,
 		LTS:            *lts,
@@ -120,12 +118,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	vname := *variant
-	if vname == "" {
-		vname = "default"
-	}
-	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks x %d threads, comm=%s abc=%s variant=%s\n",
-		dims, *h, res.Dt, res.Steps, *ranks, *threads, *comm, *abc, vname)
+	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks x %d threads, comm=%s abc=%s\n",
+		dims, *h, res.Dt, res.Steps, *ranks, *threads, *comm, *abc)
 	fmt.Printf("epicentral PGVH: %.4e m/s; distant-receiver PGVH: %.4e m/s\n",
 		awp.PGVH(res.Seismograms[0]), awp.PGVH(res.Seismograms[1]))
 	var pgvMax float64

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core/fd"
 	"repro/internal/core/solver"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
@@ -64,7 +63,7 @@ func ftOptions(topo mpi.Cart, comm solver.CommModel, steps int) solver.Options {
 	}
 	return solver.Options{
 		Global: g, H: 100, Steps: steps, Topo: topo, Comm: comm,
-		Variant: fd.Precomp, ABC: solver.SpongeABC, SpongeWidth: 4,
+		ABC: solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
 		Sources:   []source.SampledSource{src.Sample(0.002, 200)},
 		Receivers: [][3]int{{5, 10, 7}, {15, 10, 7}, {10, 10, 2}},

@@ -16,9 +16,8 @@ import (
 )
 
 // scaleWorldRow is one rank count of the runtime-scaling sweep: world
-// construction cost, steady-state memory, barrier latency (combining
-// tree vs the legacy centralized convoy), Allreduce latency, and a ring
-// halo exchange throughput.
+// construction cost, steady-state memory, barrier latency, Allreduce
+// latency, and a ring halo exchange throughput.
 type scaleWorldRow struct {
 	Ranks        int     `json:"ranks"`
 	NewWorldSec  float64 `json:"new_world_sec"`
@@ -26,22 +25,14 @@ type scaleWorldRow struct {
 	// Per-round wall time of 1 barrier across all ranks. On one core any
 	// barrier is Omega(P) aggregate work, so the honest per-rank view is
 	// the round divided by P. The sweep gates the tree's per-rank cost
-	// staying bounded across a 160x rank growth (sub-linear latency). It
-	// does NOT gate tree-faster-than-convoy: at GOMAXPROCS=1 the
-	// convoy's single mutex is never contended and its one broadcast
-	// wakes all waiters in a single runtime operation, so the serialized
-	// constant can favor it — the tree's payoff is its 2*ceil(log2 P)
-	// critical path (vs the convoy's 2P serialized hops) and the absence
-	// of a shared hot mutex, which need real parallel cores to show up
-	// in wall time. Both are reported for the comparison.
-	TreeBarrierRoundSec   float64 `json:"tree_barrier_round_sec"`
-	ConvoyBarrierRoundSec float64 `json:"convoy_barrier_round_sec"`
-	TreePerRankNs         float64 `json:"tree_per_rank_ns"`
-	ConvoyPerRankNs       float64 `json:"convoy_per_rank_ns"`
-	// Analytic critical-path hops: 2*ceil(log2 P) for the combine+release
-	// tree, 2P for the serialized convoy chain.
+	// staying bounded across a 160x rank growth (sub-linear latency). The
+	// committed BENCH_8.json also holds the centralized convoy barrier the
+	// tree replaced, measured before that barrier was deleted.
+	TreeBarrierRoundSec float64 `json:"tree_barrier_round_sec"`
+	TreePerRankNs       float64 `json:"tree_per_rank_ns"`
+	// Analytic critical-path hops of the combine+release tree:
+	// 2*ceil(log2 P).
 	TreeDepthHops   int     `json:"tree_depth_hops"`
-	ConvoyDepthHops int     `json:"convoy_depth_hops"`
 	AllreduceSec    float64 `json:"allreduce_sec"`
 	HaloStepsPerSec float64 `json:"halo_steps_per_sec"`
 }
@@ -84,9 +75,8 @@ func scaleHeap() uint64 {
 // scaleWorldSweep measures one rank count.
 func scaleWorldSweep(P, rounds, reps, haloSteps int) scaleWorldRow {
 	row := scaleWorldRow{
-		Ranks:           P,
-		TreeDepthHops:   2 * int(math.Ceil(math.Log2(float64(P)))),
-		ConvoyDepthHops: 2 * P,
+		Ranks:         P,
+		TreeDepthHops: 2 * int(math.Ceil(math.Log2(float64(P)))),
 	}
 
 	// World construction: the lazy-inbox fix makes this one slice of
@@ -116,9 +106,9 @@ func scaleWorldSweep(P, rounds, reps, haloSteps int) scaleWorldRow {
 	row.PerRankBytes = float64(scaleHeap()-base) / float64(P)
 
 	// Barrier and Allreduce rounds on the warm world. Host noise on a
-	// shared core is episodic, so reps interleave the tree, the legacy
-	// convoy, and the Allreduce — an episode inflates one rep of each
-	// alike — and the minimum per-round time is kept. A warmup barrier
+	// shared core is episodic, so reps interleave the barrier and the
+	// Allreduce — an episode inflates one rep of each alike — and the
+	// minimum per-round time is kept. A warmup barrier
 	// precedes each timed loop so the world's goroutine spawn (O(P),
 	// paid once per Run) stays out of the round times.
 	timed := func(warm, body func(c *mpi.Comm)) float64 {
@@ -137,23 +127,18 @@ func scaleWorldSweep(P, rounds, reps, haloSteps int) scaleWorldRow {
 		})
 		return sec
 	}
-	tree, convoy, allred := math.Inf(1), math.Inf(1), math.Inf(1)
+	tree, allred := math.Inf(1), math.Inf(1)
 	for rep := 0; rep < reps; rep++ {
 		tree = math.Min(tree, timed(
 			func(c *mpi.Comm) { c.Barrier() },
 			func(c *mpi.Comm) { c.Barrier() }))
-		convoy = math.Min(convoy, timed(
-			func(c *mpi.Comm) { c.BarrierConvoy() },
-			func(c *mpi.Comm) { c.BarrierConvoy() }))
 		allred = math.Min(allred, timed(
 			func(c *mpi.Comm) { c.Barrier() },
 			func(c *mpi.Comm) { c.Allreduce([]float64{float64(c.Rank()), 0}, mpi.Max) }))
 	}
 	row.TreeBarrierRoundSec = tree
-	row.ConvoyBarrierRoundSec = convoy
 	row.AllreduceSec = allred
 	row.TreePerRankNs = row.TreeBarrierRoundSec / float64(P) * 1e9
-	row.ConvoyPerRankNs = row.ConvoyBarrierRoundSec / float64(P) * 1e9
 
 	// Ring halo throughput: every rank lends a pooled buffer to its
 	// successor and takes one from its predecessor (the zero-copy path),
@@ -180,7 +165,7 @@ func scaleWorldSweep(P, rounds, reps, haloSteps int) scaleWorldRow {
 
 // scale benchmarks the 10k-rank runtime and the hybrid model-execution
 // scaling mode: per-rank memory and barrier latency across P in {64,
-// 512, 4096, 10240}, tree vs convoy barrier, Allreduce latency, ring
+// 512, 4096, 10240}, Allreduce latency, ring
 // halo throughput, and the hybrid weak/strong curves with the P=64
 // projection-vs-real parity gate. Gates are enforced in full mode only;
 // -short runs a reduced sweep for CI smoke. Writes BENCH_8.json (or
@@ -198,8 +183,8 @@ func scale(outPath string, short bool) {
 	fmt.Printf("GOMAXPROCS=%d NumCPU=%d\n", rep.GOMAXPROCS, rep.NumCPU)
 	if rep.GOMAXPROCS == 1 {
 		rep.Warning = "GOMAXPROCS=1: rank goroutines serialize, so barrier rounds measure aggregate " +
-			"work, not parallel latency; the per-rank normalization and the tree-vs-convoy comparison " +
-			"remain fair (both serialize alike), and the hybrid curves price a modeled cluster, not this host"
+			"work, not parallel latency; the per-rank normalization remains fair, and the hybrid " +
+			"curves price a modeled cluster, not this host"
 		fmt.Printf("WARNING: %s\n", rep.Warning)
 	}
 
@@ -208,16 +193,15 @@ func scale(outPath string, short bool) {
 	if short {
 		rounds, reps, haloSteps = 5, 2, 8
 	}
-	fmt.Printf("\n%-7s %12s %12s %14s %14s %12s %12s %12s %12s\n",
-		"ranks", "newworld_us", "B/rank", "tree_us/rnd", "convoy_us/rnd",
-		"tree_ns/rk", "convoy_ns/rk", "allred_us", "halo_stp/s")
+	fmt.Printf("\n%-7s %12s %12s %14s %12s %12s %12s\n",
+		"ranks", "newworld_us", "B/rank", "tree_us/rnd",
+		"tree_ns/rk", "allred_us", "halo_stp/s")
 	for _, P := range ranks {
 		row := scaleWorldSweep(P, rounds, reps, haloSteps)
 		rep.Worlds = append(rep.Worlds, row)
-		fmt.Printf("%-7d %12.1f %12.0f %14.1f %14.1f %12.0f %12.0f %12.1f %12.1f\n",
+		fmt.Printf("%-7d %12.1f %12.0f %14.1f %12.0f %12.1f %12.1f\n",
 			P, row.NewWorldSec*1e6, row.PerRankBytes,
-			row.TreeBarrierRoundSec*1e6, row.ConvoyBarrierRoundSec*1e6,
-			row.TreePerRankNs, row.ConvoyPerRankNs,
+			row.TreeBarrierRoundSec*1e6, row.TreePerRankNs,
 			row.AllreduceSec*1e6, row.HaloStepsPerSec)
 	}
 

@@ -67,7 +67,7 @@ func TestAcceptanceAcrossKernelVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, variant := range []fd.Variant{fd.Default, fd.Recip, fd.Blocked, fd.Unrolled} {
+	for _, variant := range []fd.Variant{fd.Default, fd.Recip, fd.Precomp, fd.Blocked} {
 		opt := base
 		opt.Variant = variant
 		got, err := solver.Run(q, opt)

@@ -1,7 +1,6 @@
 package checkpoint
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"unsafe"
@@ -153,8 +152,7 @@ func l1Line(t *testing.T, f *grid.Field3) int {
 // different cache lines modulo 4 KiB, so equal offsets of them fall in
 // different L1 sets, and so do the 27 splits of a PML zone among themselves;
 // a second build lands on the same lines (nothing depends on allocation order
-// or a counter); State.Clone keeps them; deep-ghost builds keep them; and an
-// owner's arrays lie within a page plus two cache lines a field of their
+// or a counter); State.Clone keeps them; and an owner's arrays lie within a page plus two cache lines a field of their
 // total size — the whole cost of the placement. A checkpoint round trip then
 // restores a placed state byte for byte, in place.
 func TestHotArraysSpreadOverL1Sets(t *testing.T) {
@@ -179,24 +177,16 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 			splits,
 		}
 	}
-	for _, tc := range []struct {
-		d     grid.Dims
-		ghost int
-	}{
-		{grid.Dims{NX: 56, NY: 56, NZ: 40}, grid.Ghost},
-		{grid.Dims{NX: 28, NY: 28, NZ: 20}, grid.Ghost},
-		{grid.Dims{NX: 28, NY: 28, NZ: 20}, fd.TemporalGhost(2)},
-	} {
-		d := tc.d
-		tag := fmt.Sprintf("%v ghost %d", d, tc.ghost)
+	for _, d := range []grid.Dims{{NX: 56, NY: 56, NZ: 40}, {NX: 28, NY: 28, NZ: 20}} {
+		tag := d.String()
 		dc, err := decomp.New(d, mpi.NewCart(1, 1, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		mk := func() build {
-			m := medium.FromCVMGhost(cvm.HardRock(), dc, dc.SubFor(0), 100, tc.ghost)
+			m := medium.FromCVM(cvm.HardRock(), dc, dc.SubFor(0), 100)
 			return build{
-				s: fd.NewStateG(d, tc.ghost), m: m,
+				s: fd.NewState(d), m: m,
 				a: attenuation.New(m, attenuation.DefaultBand, m.StableDt(0.5)),
 				pml: boundary.NewPML(fd.Box{I0: 0, I1: 10, J0: 0, J1: d.NY, K0: 0, K1: d.NZ},
 					grid.X, grid.Low, 10, 0.1, 1e-5, m.MaxVp, 100),

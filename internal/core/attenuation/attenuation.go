@@ -113,11 +113,7 @@ type Model struct {
 // New builds the attenuation model for medium m over band, discretized at
 // time step dt (Apply panics if called with a different dt).
 func New(m *medium.Medium, band Band, dt float64) *Model {
-	// Memory variables inherit the medium's ghost width: time-tiled runs
-	// allocate deep-ghost media and need matching deep memory variables for
-	// the recomputed extension cells.
-	gw := m.Rho.G()
-	nf := grid.LaneFields(m.Dims, gw, grid.LaneAttenuation, 8)
+	nf := grid.LaneFields(m.Dims, grid.Ghost, grid.LaneAttenuation, 8)
 	a := &Model{
 		Dims: m.Dims,
 		Band: band,
@@ -136,7 +132,7 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 	// deficit is 8x the full-ensemble per-mechanism deficit, normalized to
 	// the band-center loss.
 	norm := float64(NRelax) / ensembleLoss(a.Taus, band.CenterOmega())
-	g := gw
+	g := grid.Ghost
 	d := m.Dims
 	for k := -g; k < d.NZ+g; k++ {
 		for j := -g; j < d.NY+g; j++ {

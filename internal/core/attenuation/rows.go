@@ -2,7 +2,7 @@ package attenuation
 
 // The two sweeps of the memory-variable scheme. Both walk a box row by row
 // through per-row, per-offset subslice windows (ap := a[n0+off:][:ni], as the
-// fd Fused kernels do) so the inner loops carry no bounds checks — this file
+// fd production kernels do) so the inner loops carry no bounds checks — this file
 // is guarded by scripts/check_bce.sh — and both collapse the per-mechanism
 // recursion coefficients to a two-entry table per row, because only the x
 // parity of the coarse-graining cell varies along a row.

@@ -472,8 +472,7 @@ func TestSpongeApplyPoolBitIdentical(t *testing.T) {
 // The row sweep splits each x-row into taper zones and a constant middle;
 // every stored bit must equal the pointwise definition v *= fx*(fy*fz),
 // skipped where that factor is 1 — for ranks holding both, one, or neither
-// x-zone, for zones that overlap, and for a deep-ghost box that starts and
-// ends inside a row.
+// x-zone, and for zones that overlap.
 func TestSpongeMatchesPointwiseTaper(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -495,44 +494,29 @@ func TestSpongeMatchesPointwiseTaper(t *testing.T) {
 			fz := sp.factorAxis(clampIdx(c.off[2]+k, c.global.NZ), c.global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
 			return fx * (fy * fz)
 		}
-		check := func(what string, f *grid.Field3, before []float32, box fd.Box) {
-			t.Helper()
-			g := f.G()
-			for k := -g; k < c.local.NZ+g; k++ {
-				for j := -g; j < c.local.NY+g; j++ {
-					for i := -g; i < c.local.NX+g; i++ {
-						n := f.Idx(i, j, k)
-						want := before[n]
-						in := i >= box.I0 && i < box.I1 && j >= box.J0 && j < box.J1 && k >= box.K0 && k < box.K1
-						if w := factor(i, j, k); in && w != 1 {
-							want *= w
-						}
-						if got := f.Data()[n]; math.Float32bits(got) != math.Float32bits(want) {
-							t.Fatalf("%s %s (%d,%d,%d): got %g, want %g", c.name, what, i, j, k, got, want)
-						}
+		s := fd.NewState(c.local)
+		f := s.XY
+		data := f.Data()
+		for n := range data {
+			data[n] = float32(n%97-48) * 1.37
+		}
+		before := append([]float32(nil), data...)
+		sp.Apply(s)
+		g := grid.Ghost
+		for k := -g; k < c.local.NZ+g; k++ {
+			for j := -g; j < c.local.NY+g; j++ {
+				for i := -g; i < c.local.NX+g; i++ {
+					n := f.Idx(i, j, k)
+					want := before[n]
+					if w := factor(i, j, k); w != 1 {
+						want *= w
+					}
+					if got := data[n]; math.Float32bits(got) != math.Float32bits(want) {
+						t.Fatalf("%s (%d,%d,%d): got %g, want %g", c.name, i, j, k, got, want)
 					}
 				}
 			}
 		}
-		fillField := func(f *grid.Field3) []float32 {
-			data := f.Data()
-			for n := range data {
-				data[n] = float32(n%97-48) * 1.37
-			}
-			return append([]float32(nil), data...)
-		}
-
-		s := fd.NewState(c.local)
-		before := fillField(s.XY)
-		sp.Apply(s)
-		g := grid.Ghost
-		check("Apply", s.XY, before, fd.Box{I0: -g, I1: c.local.NX + g, J0: -g, J1: c.local.NY + g, K0: -g, K1: c.local.NZ + g})
-
-		deep := grid.NewField3G(c.local, 5)
-		before = fillField(deep)
-		box := fd.Box{I0: -3, I1: c.local.NX - 2, J0: -5, J1: c.local.NY + 1, K0: 1, K1: c.local.NZ + 4}
-		sp.ApplyBoxFields([]*grid.Field3{deep}, box, nil)
-		check("ApplyBoxFields", deep, before, box)
 	}
 }
 
@@ -545,72 +529,6 @@ func fill2(d grid.Dims) *fd.State {
 		}
 	}
 	return s
-}
-
-// ApplySurfaceFused must damp exactly like ApplyPool and call the surface
-// hook once per interior row every step — including on subgrids the
-// uniform fast path would otherwise skip entirely.
-func TestSpongeApplySurfaceFusedBitIdentical(t *testing.T) {
-	d := grid.Dims{NX: 18, NY: 13, NZ: 11}
-	fill := func() *fd.State {
-		s := fd.NewState(d)
-		for fi, f := range s.Fields() {
-			data := f.Data()
-			for n := range data {
-				data[n] = float32(fi+1) * float32(n%89-44)
-			}
-		}
-		return s
-	}
-	sp := NewSpongeGlobal(d, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{18, 0, 0},
-		6, 0.1, AllAbsorbing())
-	ref := fill()
-	sp.Apply(ref)
-	for _, threads := range []int{1, 3, 8} {
-		p := sched.NewPool(threads)
-		s := fill()
-		var mu sync.Mutex
-		seen := make(map[int]int)
-		sp.ApplySurfaceFused(s, p, func(j int) {
-			mu.Lock()
-			seen[j]++
-			mu.Unlock()
-		})
-		p.Close()
-		for fi, f := range s.Fields() {
-			a, b := f.Data(), ref.Fields()[fi].Data()
-			for n := range a {
-				if a[n] != b[n] {
-					t.Fatalf("threads=%d field %d idx %d: %g != %g", threads, fi, n, a[n], b[n])
-				}
-			}
-		}
-		if len(seen) != d.NY {
-			t.Fatalf("threads=%d: surface hook saw %d rows, want %d", threads, len(seen), d.NY)
-		}
-		for j, n := range seen {
-			if j < 0 || j >= d.NY || n != 1 {
-				t.Fatalf("threads=%d: row %d visited %d times", threads, j, n)
-			}
-		}
-	}
-
-	// Uniform fast path: no damping, but the surface hook still runs for
-	// every row (the PGV fold must happen every step).
-	far := NewSpongeGlobal(grid.Dims{NX: 4, NY: 4, NZ: 4}, grid.Dims{NX: 100, NY: 100, NZ: 100},
-		[3]int{48, 48, 48}, 5, 0.1, AllAbsorbing())
-	s := fill2(grid.Dims{NX: 4, NY: 4, NZ: 4})
-	before := append([]float32(nil), s.VX.Data()...)
-	rows := 0
-	far.ApplySurfaceFused(s, nil, func(j int) { rows++ })
-	if rows != 4 {
-		t.Fatalf("uniform path ran surface hook for %d rows, want 4", rows)
-	}
-	for n := range before {
-		if s.VX.Data()[n] != before[n] {
-			t.Fatal("uniform-path subgrid modified")
-		}
-	}
 }
 
 // refPMLCoef and refPMLDampIndex are the coefficient table and the per-cell

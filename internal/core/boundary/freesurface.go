@@ -41,17 +41,9 @@ func NewFreeSurface(d grid.Dims) *FreeSurface { return &FreeSurface{Dims: d} }
 // Call after every stress update.
 func (fs *FreeSurface) ApplyStress(s *fd.State) {
 	d := fs.Dims
-	fs.ApplyStressBox(s, -grid.Ghost, d.NX+grid.Ghost, -grid.Ghost, d.NY+grid.Ghost)
-}
-
-// ApplyStressBox writes the stress images over the horizontal window
-// [i0,i1)x[j0,j1), which may extend into the ghost region. It is the
-// windowed form used by the time-tiled engine, where each step of a
-// super-step refreshes images over exactly the region whose surface
-// stresses it just recomputed.
-func (fs *FreeSurface) ApplyStressBox(s *fd.State, i0, i1, j0, j1 int) {
-	for j := j0; j < j1; j++ {
-		for i := i0; i < i1; i++ {
+	g := grid.Ghost
+	for j := -g; j < d.NY+g; j++ {
+		for i := -g; i < d.NX+g; i++ {
 			// szz at integer levels: antisymmetric about k=-1/2.
 			s.ZZ.Set(i, j, -1, -s.ZZ.At(i, j, 0))
 			s.ZZ.Set(i, j, -2, -s.ZZ.At(i, j, 1))
@@ -72,16 +64,10 @@ func (fs *FreeSurface) ApplyStressBox(s *fd.State, i0, i1, j0, j1 int) {
 func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 	d := fs.Dims
 	g := grid.Ghost
-	fs.ApplyVelocityBox(s, m, -g+1, d.NX+g-1, -g+1, d.NY+g-1)
-}
-
-// ApplyVelocityBox writes the velocity images over the horizontal window
-// [i0,i1)x[j0,j1); the window may extend into the ghost region but the
-// caller must guarantee velocities at (i0-1, j0-1) are valid (the vz image
-// reads one node below the window on both horizontal axes).
-func (fs *FreeSurface) ApplyVelocityBox(s *fd.State, m *medium.Medium, i0, i1, j0, j1 int) {
-	for j := j0; j < j1; j++ {
-		for i := i0; i < i1; i++ {
+	// The vz image reads one node below (i, j) on both horizontal axes, so
+	// the outermost ghost row and column have no image.
+	for j := -g + 1; j < d.NY+g-1; j++ {
+		for i := -g + 1; i < d.NX+g-1; i++ {
 			s.VX.Set(i, j, -1, s.VX.At(i, j, 0))
 			s.VX.Set(i, j, -2, s.VX.At(i, j, 1))
 			s.VY.Set(i, j, -1, s.VY.At(i, j, 0))

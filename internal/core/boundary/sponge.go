@@ -35,16 +35,13 @@ type Sponge struct {
 
 	taper []float32 // taper[d] for d in [0, Width)
 
-	// tapers holds the per-axis taper slices over the padded local range,
-	// per ghost width, built at first use (the classic stepper asks for
-	// grid.Ghost every step, the time-tiled engine for its deeper frame
-	// every stage window). A Sponge belongs to one rank's goroutine.
-	tapers map[int]*axisTapers
+	axes axisTapers
 }
 
-// axisTapers is one ghost width's fx/fy/fz; uniform reports that every
-// factor is 1 (nothing to damp). fx is 1 throughout [xlo, xhi): the absorbing
-// zones are a prefix and a suffix of the padded x-range.
+// axisTapers is fx/fy/fz over the local range padded by grid.Ghost; uniform
+// reports that every factor is 1 (nothing to damp). fx is 1 throughout
+// [xlo, xhi): the absorbing zones are a prefix and a suffix of the padded
+// x-range.
 type axisTapers struct {
 	fx, fy, fz []float32
 	xlo, xhi   int
@@ -75,6 +72,17 @@ func NewSpongeGlobal(local, global grid.Dims, off [3]int, width int, alpha float
 	for dd := 0; dd < width; dd++ {
 		x := alpha * float64(width-dd)
 		sp.taper[dd] = float32(math.Exp(-x * x))
+	}
+	t := &sp.axes
+	var ux, uy, uz bool
+	t.fx, ux = sp.axisTaper(local.NX, off[0], global.NX, faces.XLo, faces.XHi)
+	t.fy, uy = sp.axisTaper(local.NY, off[1], global.NY, faces.YLo, faces.YHi)
+	t.fz, uz = sp.axisTaper(local.NZ, off[2], global.NZ, faces.ZLo, faces.ZHi)
+	t.uniform = ux && uy && uz
+	for t.xlo < len(t.fx) && t.fx[t.xlo] != 1 {
+		t.xlo++
+	}
+	for t.xhi = t.xlo; t.xhi < len(t.fx) && t.fx[t.xhi] == 1; t.xhi++ {
 	}
 	return sp
 }
@@ -110,7 +118,7 @@ func (sp *Sponge) Apply(s *fd.State) { sp.ApplyPool(s, nil) }
 func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
 	g := grid.Ghost
 	l := sp.Local
-	t := sp.tapersFor(g)
+	t := &sp.axes
 	if t.uniform {
 		return // subgrid nowhere near an absorbing zone
 	}
@@ -123,64 +131,11 @@ func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
 	})
 }
 
-// ApplyBoxFields damps the given fields over box — which may extend into
-// the ghost region, as deep as the fields' ghost width — using the same
-// global-coordinate taper as Apply. It is the windowed form used by the
-// time-tiled engine, where each leapfrog step inside a super-step damps
-// only the skewed window it just updated. Planes of distinct (field, k)
-// pairs are disjoint, so the pooled form is race-free and bit-identical
-// to a serial sweep.
-func (sp *Sponge) ApplyBoxFields(fields []*grid.Field3, box fd.Box, p *sched.Pool) {
-	if len(fields) == 0 || box.Empty() {
-		return
-	}
-	gw := fields[0].G()
-	t := sp.tapersFor(gw)
-	if t.uniform {
-		return
-	}
-	nk := box.K1 - box.K0
-	w := box.I1 - box.I0
-	p.ForEachN(len(fields)*nk, func(idx int) {
-		f := fields[idx/nk]
-		k := box.K0 + idx%nk
-		zk := t.fz[k+gw]
-		for j := box.J0; j < box.J1; j++ {
-			base := f.Idx(box.I0, j, k)
-			t.dampRow(f.Data()[base:base+w], box.I0+gw, t.fy[j+gw]*zk)
-		}
-	})
-}
-
-// tapersFor returns the per-axis tapers over the local range padded by g
-// ghosts (grid.Ghost for the classic stepper; the time-tiled engine damps
-// recomputed extension cells up to 4T deep), built at first use.
-func (sp *Sponge) tapersFor(g int) *axisTapers {
-	t := sp.tapers[g]
-	if t == nil {
-		t = &axisTapers{}
-		var ux, uy, uz bool
-		t.fx, ux = sp.axisTaper(sp.Local.NX, sp.Off[0], g, sp.Global.NX, sp.Faces.XLo, sp.Faces.XHi)
-		t.fy, uy = sp.axisTaper(sp.Local.NY, sp.Off[1], g, sp.Global.NY, sp.Faces.YLo, sp.Faces.YHi)
-		t.fz, uz = sp.axisTaper(sp.Local.NZ, sp.Off[2], g, sp.Global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
-		t.uniform = ux && uy && uz
-		for t.xlo < len(t.fx) && t.fx[t.xlo] != 1 {
-			t.xlo++
-		}
-		for t.xhi = t.xlo; t.xhi < len(t.fx) && t.fx[t.xhi] == 1; t.xhi++ {
-		}
-		if sp.tapers == nil {
-			sp.tapers = map[int]*axisTapers{}
-		}
-		sp.tapers[g] = t
-	}
-	return t
-}
-
 // axisTaper returns the taper of one axis — n local cells at global offset
-// off, padded by g ghosts, of nGlobal global cells with the given absorbing
+// off, padded by grid.Ghost, of nGlobal global cells with the given absorbing
 // sides — and whether every factor in it is 1.
-func (sp *Sponge) axisTaper(n, off, g, nGlobal int, lo, hi bool) (f []float32, uniform bool) {
+func (sp *Sponge) axisTaper(n, off, nGlobal int, lo, hi bool) (f []float32, uniform bool) {
+	g := grid.Ghost
 	f = make([]float32, n+2*g)
 	uniform = true
 	for i := range f {
@@ -190,55 +145,6 @@ func (sp *Sponge) axisTaper(n, off, g, nGlobal int, lo, hi bool) (f []float32, u
 		}
 	}
 	return f, uniform
-}
-
-// ApplySurfaceFused is ApplyPool with the surface-velocity work fused in:
-// for each interior surface row j, one work item damps row (j, k=0) of the
-// three velocity components and then calls surface(j) — the solver's PGV
-// fold — so the row is damped, folded, and still warm in cache, instead of
-// being re-streamed by a separate pass after the sponge. surface must not
-// be nil. The velocity k=0 plane items damp only their ghost-j rows; every
-// other (field, plane) item is unchanged. Work items touch disjoint rows,
-// so the fusion is race-free and the damped values are bit-identical to
-// ApplyPool. When the subgrid is nowhere near an absorbing zone the damping
-// is skipped but the surface rows still run (the fold must happen every
-// step).
-func (sp *Sponge) ApplySurfaceFused(s *fd.State, p *sched.Pool, surface func(j int)) {
-	g := grid.Ghost
-	l := sp.Local
-	t := sp.tapersFor(g)
-	if t.uniform {
-		p.ForEachN(l.NY, surface)
-		return
-	}
-	fields := s.Fields()
-	vels := s.Velocities()
-	nz := l.NZ + 2*g
-	nplane := len(fields) * nz
-	p.ForEachN(nplane+l.NY, func(idx int) {
-		if idx < nplane {
-			fi, k := idx/nz, idx%nz-g
-			if k == 0 && fi < len(vels) {
-				// Interior rows of the velocity surface planes belong to
-				// the fused items below; keep only the ghost-j rows here.
-				for j := -g; j < 0; j++ {
-					sp.applyRow(fields[fi], j, 0, t, t.fy[j+g]*t.fz[g])
-				}
-				for j := l.NY; j < l.NY+g; j++ {
-					sp.applyRow(fields[fi], j, 0, t, t.fy[j+g]*t.fz[g])
-				}
-				return
-			}
-			sp.applyPlane(fields[fi], k, t)
-			return
-		}
-		j := idx - nplane
-		fyz := t.fy[j+g] * t.fz[g]
-		for _, f := range vels {
-			sp.applyRow(f, j, 0, t, fyz)
-		}
-		surface(j)
-	})
 }
 
 // applyPlane damps one padded k-plane of one field through row slices.

@@ -6,9 +6,11 @@ import (
 	"repro/internal/medium"
 )
 
-// Variant selects a kernel implementation. All variants compute identical
-// results; they differ only in how material coefficients are obtained and
-// how the loops are scheduled, mirroring the §IV.B optimization steps.
+// Variant selects a kernel implementation. There is one production pair —
+// Blocked — and a three-rung ablation of how it got there (§IV.B), which
+// tests, benchmarks and the acceptance harness reach through UpdateVelocity
+// and UpdateStress; the solver runs Production unless a test or benchmark
+// hands it another rung.
 type Variant int
 
 const (
@@ -23,21 +25,22 @@ const (
 	// Recip uses stored reciprocal Lamé arrays, leaving one division per
 	// harmonic mean (the "reduced division operations" step, +31%).
 	Recip
-	// Precomp uses fully precomputed staggered coefficient arrays — the
-	// production kernel.
+	// Precomp reads fully precomputed staggered coefficient arrays, one
+	// point at a time over the whole box with whole-array indexing. It is
+	// the reference the tests hold the production pair to, bit for bit.
 	Precomp
-	// Blocked is Precomp with jblock/kblock cache blocking (+7%).
+	// Blocked is the production pair: Precomp's arithmetic as a windowed,
+	// bounds-check-free row sweep (rows.go), run per jblock x kblock panel
+	// (§IV.B cache blocking).
 	Blocked
-	// Unrolled is Precomp with the inner x loop manually unrolled by 2 (+2%).
-	Unrolled
-	// Fused is Precomp restructured for bounds-check elimination (explicit
-	// per-row subslice windows instead of whole-array indexing). Results are
-	// bit-identical to Precomp.
-	Fused
 )
 
 // Production is the kernel Default resolves to.
 const Production = Blocked
+
+// Fused is the former name of the row sweep that is now Blocked. The
+// benchmark under bench/ compiles against it; nothing else may.
+const Fused = Blocked
 
 func (v Variant) String() string {
 	switch v {
@@ -51,10 +54,6 @@ func (v Variant) String() string {
 		return "precomp"
 	case Blocked:
 		return "blocked"
-	case Unrolled:
-		return "unrolled"
-	case Fused:
-		return "fused"
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
@@ -63,29 +62,19 @@ func (v Variant) String() string {
 // rejects unknown values at configuration time instead of panicking deep
 // inside the first UpdateVelocity call.
 func (v Variant) Validate() error {
-	if v < Default || v > Fused {
-		return fmt.Errorf("fd: unknown kernel variant %d (want %v..%v)", int(v), Naive, Fused)
+	if v < Default || v > Blocked {
+		return fmt.Errorf("fd: unknown kernel variant %d (want %v..%v)", int(v), Naive, Blocked)
 	}
 	return nil
 }
 
 // Precomputed reports whether v reads the precomputed staggered coefficient
-// arrays: Precomp and its loop reshapings Blocked, Unrolled and Fused, which
-// store the same bits. One sweep that reads those arrays
-// (attenuation.FusedStress) can stand in for any of them; Naive and Recip form
-// their coefficients in the loop, which is what the §IV.B ablation is there
-// to measure, so they keep kernels of their own.
-func (v Variant) Precomputed() bool { return v >= Precomp && v <= Fused }
-
-// ParseVariant resolves a variant name as used by awp-run -variant.
-func ParseVariant(name string) (Variant, error) {
-	for v := Naive; v <= Fused; v++ {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return Default, fmt.Errorf("fd: unknown kernel variant %q (want naive|recip|precomp|blocked|unrolled|fused)", name)
-}
+// arrays: Precomp and the production row sweep, which store the same bits.
+// One sweep that reads those arrays (attenuation.FusedStress) can stand in
+// for either; Naive and Recip form their coefficients in the loop, which is
+// what the §IV.B ablation is there to measure, so they keep kernels of
+// their own.
+func (v Variant) Precomputed() bool { return v == Precomp || v == Blocked }
 
 // Blocking carries the cache-blocking factors; the paper's empirically
 // best values for a loop length ~125 were kblock=16, jblock=8.
@@ -108,11 +97,7 @@ func UpdateVelocity(s *State, m *medium.Medium, dt float64, box Box, v Variant, 
 	case Precomp:
 		velocityPrecomp(s, m, dt, box)
 	case Blocked:
-		forEachBlock(box, blk, func(b Box) { velocityPrecomp(s, m, dt, b) })
-	case Unrolled:
-		velocityUnrolled(s, m, dt, box)
-	case Fused:
-		velocityFused(s, m, dt, box)
+		forEachBlock(box, blk, func(b Box) { velocityRows(s, m, dt, b) })
 	default:
 		panic("fd: unknown variant")
 	}
@@ -130,11 +115,7 @@ func UpdateStress(s *State, m *medium.Medium, dt float64, box Box, v Variant, bl
 	case Precomp:
 		stressPrecomp(s, m, dt, box)
 	case Blocked:
-		forEachBlock(box, blk, func(b Box) { stressPrecomp(s, m, dt, b) })
-	case Unrolled:
-		stressUnrolled(s, m, dt, box)
-	case Fused:
-		stressFused(s, m, dt, box)
+		forEachBlock(box, blk, func(b Box) { stressRows(s, m, dt, b) })
 	default:
 		panic("fd: unknown variant")
 	}
@@ -165,7 +146,7 @@ func forEachBlock(box Box, blk Blocking, fn func(Box)) {
 	}
 }
 
-// velocityPrecomp is the production velocity kernel: all material
+// velocityPrecomp is the pointwise velocity kernel: all material
 // coefficients are precomputed staggered arrays, no divisions.
 func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
@@ -194,7 +175,7 @@ func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	}
 }
 
-// stressPrecomp is the production stress kernel.
+// stressPrecomp is the pointwise stress kernel.
 func stressPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -324,121 +305,4 @@ func hmeanNaive(mu []float32, n, da, db int) float32 {
 // one division (§IV.B "reduced division operations").
 func hmeanRecip(mui []float32, n, da, db int) float32 {
 	return 4 / (mui[n] + mui[n+da] + mui[n+db] + mui[n+da+db])
-}
-
-// velocityUnrolled is velocityPrecomp with the inner loop unrolled by 2
-// (the paper found x2 optimal for the velocity-class subroutines). The
-// unroll bodies are written out inline — a closure call per point would
-// defeat inlining and dominate the loop.
-func velocityUnrolled(s *State, m *medium.Medium, dt float64, b Box) {
-	dth := float32(dt / m.H)
-	c1, c2 := float32(C1), float32(C2)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			n0 := s.VX.Idx(b.I0, j, k)
-			end := n0 + (b.I1 - b.I0)
-			n := n0
-			for ; n+1 < end; n += 2 {
-				u[n] = Quiesce(u[n] + dth*bx[n]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
-					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
-					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
-				v[n] = Quiesce(v[n] + dth*by[n]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
-					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
-					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
-				w[n] = Quiesce(w[n] + dth*bz[n]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
-					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
-					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
-				m := n + 1
-				u[m] = Quiesce(u[m] + dth*bx[m]*(c1*(xx[m+dx]-xx[m])+c2*(xx[m+2*dx]-xx[m-dx])+
-					c1*(xy[m]-xy[m-dy])+c2*(xy[m+dy]-xy[m-2*dy])+
-					c1*(xz[m]-xz[m-dz])+c2*(xz[m+dz]-xz[m-2*dz])))
-				v[m] = Quiesce(v[m] + dth*by[m]*(c1*(xy[m]-xy[m-dx])+c2*(xy[m+dx]-xy[m-2*dx])+
-					c1*(yy[m+dy]-yy[m])+c2*(yy[m+2*dy]-yy[m-dy])+
-					c1*(yz[m]-yz[m-dz])+c2*(yz[m+dz]-yz[m-2*dz])))
-				w[m] = Quiesce(w[m] + dth*bz[m]*(c1*(xz[m]-xz[m-dx])+c2*(xz[m+dx]-xz[m-2*dx])+
-					c1*(yz[m]-yz[m-dy])+c2*(yz[m+dy]-yz[m-2*dy])+
-					c1*(zz[m+dz]-zz[m])+c2*(zz[m+2*dz]-zz[m-dz])))
-			}
-			for ; n < end; n++ {
-				u[n] = Quiesce(u[n] + dth*bx[n]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
-					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
-					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
-				v[n] = Quiesce(v[n] + dth*by[n]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
-					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
-					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
-				w[n] = Quiesce(w[n] + dth*bz[n]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
-					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
-					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
-			}
-		}
-	}
-}
-
-// stressUnrolled is stressPrecomp with the inner loop unrolled by 2. As in
-// velocityUnrolled the bodies are written out inline rather than through a
-// per-point closure.
-func stressUnrolled(s *State, m *medium.Medium, dt float64, b Box) {
-	dth := float32(dt / m.H)
-	c1, c2 := float32(C1), float32(C2)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
-	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			n0 := s.VX.Idx(b.I0, j, k)
-			end := n0 + (b.I1 - b.I0)
-			n := n0
-			for ; n+1 < end; n += 2 {
-				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
-				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
-				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				xx[n] += dth * (l2m[n]*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m[n]*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m[n]*ezz + lam[n]*(exx+eyy))
-				xy[n] += dth * mxy[n] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				xz[n] += dth * mxz[n] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				yz[n] += dth * myz[n] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-				m := n + 1
-				exx2 := c1*(u[m]-u[m-dx]) + c2*(u[m+dx]-u[m-2*dx])
-				eyy2 := c1*(v[m]-v[m-dy]) + c2*(v[m+dy]-v[m-2*dy])
-				ezz2 := c1*(w[m]-w[m-dz]) + c2*(w[m+dz]-w[m-2*dz])
-				xx[m] += dth * (l2m[m]*exx2 + lam[m]*(eyy2+ezz2))
-				yy[m] += dth * (l2m[m]*eyy2 + lam[m]*(exx2+ezz2))
-				zz[m] += dth * (l2m[m]*ezz2 + lam[m]*(exx2+eyy2))
-				xy[m] += dth * mxy[m] * (c1*(u[m+dy]-u[m]) + c2*(u[m+2*dy]-u[m-dy]) +
-					c1*(v[m+dx]-v[m]) + c2*(v[m+2*dx]-v[m-dx]))
-				xz[m] += dth * mxz[m] * (c1*(u[m+dz]-u[m]) + c2*(u[m+2*dz]-u[m-dz]) +
-					c1*(w[m+dx]-w[m]) + c2*(w[m+2*dx]-w[m-dx]))
-				yz[m] += dth * myz[m] * (c1*(v[m+dz]-v[m]) + c2*(v[m+2*dz]-v[m-dz]) +
-					c1*(w[m+dy]-w[m]) + c2*(w[m+2*dy]-w[m-dy]))
-			}
-			for ; n < end; n++ {
-				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
-				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
-				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				xx[n] += dth * (l2m[n]*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m[n]*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m[n]*ezz + lam[n]*(exx+eyy))
-				xy[n] += dth * mxy[n] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				xz[n] += dth * mxz[n] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				yz[n] += dth * myz[n] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-			}
-		}
-	}
 }

@@ -2,8 +2,8 @@ package fd
 
 import "repro/internal/medium"
 
-// The Fused kernels restructure Precomp for bounds-check elimination. The
-// whole-array form indexes u[n±2*dz] etc., which the compiler cannot prove
+// The production kernel pair: Precomp's arithmetic restructured for
+// bounds-check elimination. The whole-array form indexes u[n±2*dz] etc., which the compiler cannot prove
 // in-bounds, so every stencil load carries a bounds check. Here each (j,k)
 // row instead slices one explicit length-ni window per field and stencil
 // offset:
@@ -21,8 +21,9 @@ import "repro/internal/medium"
 // frame (grid.Ghost = 2) guarantees every window of an interior box stays
 // inside the backing array.
 
-// velocityFused is velocityPrecomp with per-row subslice windows.
-func velocityFused(s *State, m *medium.Medium, dt float64, b Box) {
+// velocityRows is the production velocity kernel: velocityPrecomp with
+// per-row subslice windows.
+func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -89,11 +90,11 @@ func velocityFused(s *State, m *medium.Medium, dt float64, b Box) {
 	}
 }
 
-// stressFused is stressPrecomp with per-row subslice windows. It performs
-// only the elastic update; when attenuation is enabled the solver calls
+// stressRows is the production elastic stress kernel: stressPrecomp with
+// per-row subslice windows. When attenuation is enabled the solver calls
 // attenuation.FusedStress instead, which folds the memory-variable update
 // into the same i-loop.
-func stressFused(s *State, m *medium.Medium, dt float64, b Box) {
+func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()

@@ -1,9 +1,10 @@
 // Package fd implements the explicit staggered-grid finite-difference
 // kernels of AWP-ODC (§II.B): 4th-order in space, 2nd-order in time,
-// velocity–stress formulation. Several kernel variants mirror the paper's
-// single-CPU optimization study (§IV.B): a naive variant with per-operand
-// divisions, a reciprocal-array variant, the production precomputed
-// variant, and cache-blocked / unrolled forms of the latter.
+// velocity–stress formulation. One production kernel pair — a windowed row
+// sweep over precomputed coefficients, cache-blocked — and the three rungs
+// of the paper's single-CPU optimization study (§IV.B) that lead to it: a
+// naive variant with per-operand divisions, a reciprocal-array variant, and
+// the pointwise precomputed variant the tests use as the reference.
 //
 // Staggering convention (Graves 1996, the scheme AWP-ODC uses): with
 // storage index (i,j,k),
@@ -42,14 +43,10 @@ type State struct {
 	XY, XZ, YZ *grid.Field3
 }
 
-// NewState allocates a zeroed wavefield with default ghost width.
-func NewState(d grid.Dims) *State { return NewStateG(d, grid.Ghost) }
-
-// NewStateG allocates a zeroed wavefield with ghost-width `ghost` on every
-// field; temporal tiling at depth T uses ghost = 4T so one super-step of
-// stencil erosion stays local between halo exchanges.
-func NewStateG(d grid.Dims, ghost int) *State {
-	f := grid.LaneFields(d, ghost, grid.LaneState, 9)
+// NewState allocates a zeroed wavefield with a grid.Ghost-wide frame on
+// every field.
+func NewState(d grid.Dims) *State {
+	f := grid.LaneFields(d, grid.Ghost, grid.LaneState, 9)
 	return &State{
 		Dims: d,
 		VX:   f(), VY: f(), VZ: f(),
@@ -75,9 +72,9 @@ func (s *State) Stresses() []*grid.Field3 {
 	return []*grid.Field3{s.XX, s.YY, s.ZZ, s.XY, s.XZ, s.YZ}
 }
 
-// Clone deep-copies the state into fields placed as NewStateG places them.
+// Clone deep-copies the state into fields placed as NewState places them.
 func (s *State) Clone() *State {
-	c := NewStateG(s.Dims, s.VX.G())
+	c := NewState(s.Dims)
 	src := s.Fields()
 	for i, f := range c.Fields() {
 		f.CopyFrom(src[i])

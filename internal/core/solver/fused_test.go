@@ -31,11 +31,11 @@ func expectResultsExact(t *testing.T, label string, ref, res *Result) {
 	}
 }
 
-// The Fused variant (subslice-window kernels, folded sponge/PGV surface pass)
-// must reproduce the serial Precomp run bit-exactly across every comm model
-// and threading level — the engine only changes how memory is streamed, never
-// a single arithmetic result. Both sides run the one-pass stress + attenuation
-// sweep; the reference that cannot is TestDefaultPathMatchesTwoPassOracle.
+// The production kernels (row-window sweeps per tile) must reproduce the
+// serial pointwise Precomp run bit-exactly across every comm model and
+// threading level — they only change how memory is streamed, never a single
+// arithmetic result. Both sides run the one-pass stress + attenuation sweep;
+// the reference that cannot is TestDefaultPathMatchesTwoPassOracle.
 func TestFusedBitIdentityMatrix(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	ref, err := Run(q, baseOptions(mpi.NewCart(1, 1, 1))) // serial Precomp
@@ -43,22 +43,22 @@ func TestFusedBitIdentityMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Serial fused first: isolates the kernel restructuring from the
+	// Serial production first: isolates the kernel restructuring from the
 	// decomposition.
 	serial := baseOptions(mpi.NewCart(1, 1, 1))
-	serial.Variant = fd.Fused
+	serial.Variant = fd.Production
 	res, err := Run(q, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectResultsExact(t, "serial fused", ref, res)
+	expectResultsExact(t, "serial production", ref, res)
 
 	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
 		for _, threads := range []int{1, 4} {
 			opt := baseOptions(mpi.NewCart(2, 2, 1))
 			opt.Comm = model
 			opt.Threads = threads
-			opt.Variant = fd.Fused
+			opt.Variant = fd.Production
 			res, err := Run(q, opt)
 			if err != nil {
 				t.Fatalf("%v threads=%d: %v", model, threads, err)
@@ -68,16 +68,14 @@ func TestFusedBitIdentityMatrix(t *testing.T) {
 	}
 }
 
-// Unknown enum values must be rejected at configuration time: a bad
-// Variant must not panic deep inside the first kernel call, and a bad
-// Comm or ABC must not silently run as some other model.
+// Unknown enum values must be rejected at configuration time: a bad Comm
+// or ABC must not silently run as some other model (a bad Variant is
+// TestPrepareRejectsRemovedAxes').
 func TestUnknownEnumsRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		set  func(*Options)
 	}{
-		{"Variant=99", func(o *Options) { o.Variant = fd.Variant(99) }},
-		{"Variant=-1", func(o *Options) { o.Variant = fd.Variant(-1) }},
 		{"Comm=9", func(o *Options) { o.Comm = CommModel(9) }},
 		{"Comm=-1", func(o *Options) { o.Comm = CommModel(-1) }},
 		{"ABC=7", func(o *Options) { o.ABC = ABCKind(7) }},
@@ -91,6 +89,41 @@ func TestUnknownEnumsRejected(t *testing.T) {
 		if _, err := Run(cvm.HardRock(), opt); err == nil {
 			t.Errorf("%s accepted by Run", tc.name)
 		}
+	}
+}
+
+// Temporal tiling and the user-facing kernel-variant axis are gone, but
+// Options keeps both fields for bench/: every value either runs what a step
+// always runs (TemporalDepth 0 or 1; the zero Variant and each rung of the
+// ablation) or is an error from Prepare and Run — never a panic, and never a
+// silent fall-back to classic stepping.
+func TestPrepareRejectsRemovedAxes(t *testing.T) {
+	q := cvm.HardRock()
+	try := func(name string, ok bool, set func(*Options)) {
+		t.Helper()
+		opt := baseOptions(mpi.NewCart(2, 1, 1))
+		opt.Steps = 3
+		set(&opt)
+		_, _, perr := Prepare(opt)
+		_, rerr := Run(q, opt)
+		if ok && (perr != nil || rerr != nil) {
+			t.Errorf("%s: rejected: Prepare %v, Run %v", name, perr, rerr)
+		}
+		if !ok && (perr == nil || rerr == nil) {
+			t.Errorf("%s: accepted: Prepare %v, Run %v", name, perr, rerr)
+		}
+	}
+	for _, depth := range []int{0, 1} {
+		try(fmt.Sprintf("TemporalDepth=%d", depth), true, func(o *Options) { o.TemporalDepth = depth })
+	}
+	for _, depth := range []int{2, 4, -1} {
+		try(fmt.Sprintf("TemporalDepth=%d", depth), false, func(o *Options) { o.TemporalDepth = depth })
+	}
+	for v := fd.Default; v <= fd.Blocked; v++ {
+		try(fmt.Sprintf("Variant=%v", v), true, func(o *Options) { o.Variant = v })
+	}
+	for _, v := range []fd.Variant{-1, fd.Blocked + 1, 99} {
+		try(fmt.Sprintf("Variant=%d", int(v)), false, func(o *Options) { o.Variant = v })
 	}
 }
 

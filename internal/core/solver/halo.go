@@ -126,21 +126,6 @@ func HaloStats(d grid.Dims, nbrMask [3][2]bool, model CommModel) MessageStats {
 	return st
 }
 
-// TemporalHaloStats returns the halo traffic of ONE super-step at temporal
-// depth T, read off the deep schedule. Per-step figures are these divided
-// by T — the ~2T-fold message reduction the perfmodel's per-message term
-// prices. The one aggregate per neighbor is counted under VelMsgs; the
-// deep exchange is comm-model independent.
-func TemporalHaloStats(d grid.Dims, nbrMask [3][2]bool, T int, atten, freeSurface bool) MessageStats {
-	nf := 9
-	if atten {
-		nf = 15
-	}
-	var st MessageStats
-	st.VelMsgs, st.Floats = deepSchedule(statsEnv(d, nbrMask), T, make([]*grid.Field3, nf), freeSurface).traffic()
-	return st
-}
-
 // MessageVolume returns the number of float32 values a rank with the given
 // subgrid exchanges per step under the model (both wavefield phases),
 // counting only faces with neighbors. Used by tests and the performance

@@ -19,15 +19,6 @@ type HaloBenchConfig struct {
 	Threads int
 	Steps   int // measured exchange steps (velocity + stress per step)
 
-	// EmulatedAlpha, when positive, arms mpi.World.SetLinkLatency so
-	// every transmission charges the sender a fixed per-message overhead
-	// of EmulatedAlpha. The in-process transport has near-zero
-	// per-message startup cost, so protocols that trade message count
-	// for message volume cannot be separated without it; a few
-	// microseconds matches the Alpha terms of the perfmodel machine
-	// descriptions (Jaguar-class: 8µs). Zero leaves the transport
-	// unmodified.
-	EmulatedAlpha time.Duration
 }
 
 // HaloBenchResult reports the measured exchange cost and the observed
@@ -151,74 +142,4 @@ func fillDeterministic(st *fd.State, rank int) {
 			}
 		}
 	}
-}
-
-// RunTemporalHaloDuel measures the classic two-exchanges-per-step protocol
-// against the deep super-step exchange at temporal depth T in one world,
-// on an equal per-step basis: each timed repetition advances cfg.Steps
-// steps' worth of communication — cfg.Steps velocity+stress exchange pairs
-// on the classic side, cfg.Steps/T deep exchanges on the other. Timings
-// are the minimum over interleaved repetitions: both protocols share the
-// comm (their tags differ in phase) and the scheduler drift of a busy
-// host hits each alike. Returns wall seconds per simulated step
-// for each protocol (rank-0 values). Fields are exchanged without
-// attenuation memory variables on either side, so the duel compares the
-// protocols on the same nine wavefields.
-func RunTemporalHaloDuel(cfg HaloBenchConfig, T int) (classic, deep float64) {
-	if cfg.Steps < T {
-		cfg.Steps = T
-	}
-	cfg.Steps -= cfg.Steps % T
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
-	steps := cfg.Steps
-	world := mpi.NewWorld(cfg.Topo.Size())
-	if cfg.EmulatedAlpha > 0 {
-		world.SetLinkLatency(cfg.EmulatedAlpha)
-	}
-	world.Run(func(c *mpi.Comm) {
-		stC := fd.NewState(cfg.Local)
-		stD := fd.NewStateG(cfg.Local, fd.TemporalGhost(T))
-		fillDeterministic(stC, c.Rank())
-		fillDeterministic(stD, c.Rank())
-		pool := sched.NewPool(cfg.Threads)
-		defer pool.Close()
-		env := newHaloEnv(c, cfg.Topo, cfg.Local, pool, nil)
-		vel := classicSchedule(env, phaseVelocity, cfg.Model, stC.Velocities())
-		stress := classicSchedule(env, phaseStress, cfg.Model, stC.Stresses())
-		deepX := deepSchedule(env, T, stD.Fields(), false)
-
-		runClassic := func() {
-			for s := 0; s < steps; s++ {
-				vel.exchange()
-				stress.exchange()
-			}
-		}
-		runDeep := func() {
-			for s := 0; s < steps/T; s++ {
-				deepX.exchange()
-			}
-		}
-		runClassic()
-		runDeep() // warm the buffer pool
-		times := [2]float64{}
-		for rep := 0; rep < 5; rep++ {
-			for li, run := range []func(){runClassic, runDeep} {
-				c.Barrier()
-				t0 := time.Now()
-				run()
-				c.Barrier()
-				if c.Rank() == 0 {
-					if sec := time.Since(t0).Seconds() / float64(steps); rep == 0 || sec < times[li] {
-						times[li] = sec
-					}
-				}
-			}
-		}
-		if c.Rank() == 0 {
-			classic, deep = times[0], times[1]
-		}
-	})
-	return classic, deep
 }

@@ -234,9 +234,8 @@ func newLTSRank(c *mpi.Comm, opt Options, rs *rankState, baseDt float64) *ltsRan
 // bind annotates a classic phase schedule with each peer's rate and gives
 // the messages from coarser peers their window buffers.
 func (l *ltsRank) bind(s *schedule) {
-	msgs := s.rounds[0].msgs
-	for i := range msgs {
-		m := &msgs[i]
+	for i := range s.msgs {
+		m := &s.msgs[i]
 		m.nbRate = l.rates[m.peer]
 		if m.nbRate > l.rate {
 			m.win = &ltsWindow{old: make([]float32, m.total), blend: make([]float32, m.total)}
@@ -245,8 +244,8 @@ func (l *ltsRank) bind(s *schedule) {
 }
 
 // arm sets up one phase of the mixed-rate halo exchange at global
-// base-step index sub: the phase's classic round with each message armed
-// by its peer's rate. Same-rate pairs exchange classically. Toward a finer
+// base-step index sub: the phase's schedule with each message armed by its
+// peer's rate. Same-rate pairs exchange classically. Toward a finer
 // peer this rank ships its post-kernel faces every local step (each opens
 // one of the peer's windows) and absorbs the peer's window-end faces only
 // at the end of its step (absorb). Toward a coarser peer it runs the
@@ -260,9 +259,8 @@ func (l *ltsRank) bind(s *schedule) {
 // per-sub-step collective a barrier could pair with (DESIGN.md §12) — but
 // it ships the model's section set.
 func (l *ltsRank) arm(s *schedule, sub int) {
-	msgs := s.rounds[0].msgs
-	for i := range msgs {
-		m := &msgs[i]
+	for i := range s.msgs {
+		m := &s.msgs[i]
 		switch {
 		case m.nbRate == l.rate:
 			m.act = actSend | actRecv
@@ -289,10 +287,9 @@ func (l *ltsRank) arm(s *schedule, sub int) {
 // one coarse step stale when the stress kernel reads them — the documented
 // one-sided lag of the scheme). It reports whether any neighbor is finer.
 func (l *ltsRank) armAbsorb(s *schedule) bool {
-	msgs := s.rounds[0].msgs
 	finer := false
-	for i := range msgs {
-		m := &msgs[i]
+	for i := range s.msgs {
+		m := &s.msgs[i]
 		m.act = 0
 		if m.nbRate < l.rate {
 			m.act = actRecv
@@ -312,9 +309,7 @@ func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
 
 	// --- Velocity phase ---
 	t0 := time.Now()
-	sp := rs.tel.Span(telemetry.Velocity)
-	fd.UpdateVelocityTiled(rs.st, rs.med, dt, rs.compBox, opt.Variant, opt.Blocking, rs.pool)
-	sp.End()
+	fd.ForEachTile(rs.compBox, opt.Blocking, rs.pool, rs.velocityTile(opt, dt))
 	tm.Comp += time.Since(t0).Seconds()
 	t0 = time.Now()
 	l.arm(rs.vel, sub)
@@ -322,7 +317,7 @@ func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
 	tm.Comm += time.Since(t0).Seconds()
 	t0 = time.Now()
 	if rs.fs != nil {
-		sp = rs.tel.Span(telemetry.Boundary)
+		sp := rs.tel.Span(telemetry.Boundary)
 		rs.fs.ApplyVelocity(rs.st, rs.med)
 		sp.End()
 	}
@@ -337,16 +332,12 @@ func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
 	tm.Comm += time.Since(t0).Seconds()
 	t0 = time.Now()
 	if rs.sponge != nil {
-		sp = rs.tel.Span(telemetry.Boundary)
-		if rs.pgvFolded {
-			rs.sponge.ApplySurfaceFused(rs.st, rs.pool, rs.trackPGVRow)
-		} else {
-			rs.sponge.ApplyPool(rs.st, rs.pool)
-		}
+		sp := rs.tel.Span(telemetry.Boundary)
+		rs.sponge.ApplyPool(rs.st, rs.pool)
 		sp.End()
 	}
 	if rs.fs != nil {
-		sp = rs.tel.Span(telemetry.Boundary)
+		sp := rs.tel.Span(telemetry.Boundary)
 		rs.fs.ApplyStress(rs.st)
 		sp.End()
 	}

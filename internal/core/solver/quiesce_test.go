@@ -30,35 +30,28 @@ func countSubnormals(f *grid.Field3) int {
 // after every Step requires that no wavefield, memory variable or PML split
 // state holds a subnormal: the quiescence floor at the velocity stores
 // (fd.Quiesce, DESIGN.md §9) keeps every array either exactly zero or in the
-// normal range, in every kernel variant and stepping scheme.
+// normal range, in the production kernel and the ablation's in-loop kernel,
+// under uniform stepping and LTS.
 func TestNoStoredSubnormals(t *testing.T) {
 	rock, soft := ltsContrast()
 	g := grid.Dims{NX: 32, NY: 16, NZ: 16}
 	q := splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
-	type mode struct {
-		name  string
-		depth int
-		lts   bool
-	}
-	modes := []mode{{"depth1", 1, false}, {"depth2", 2, false}, {"lts", 1, true}}
-
-	for _, variant := range []fd.Variant{fd.Naive, fd.Blocked, fd.Unrolled, fd.Fused} {
+	for _, variant := range []fd.Variant{fd.Naive, fd.Production} {
 		for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
 			for _, threads := range []int{1, 4} {
-				for _, md := range modes {
-					if abc == MPMLABC && (md.depth > 1 || md.lts) {
-						continue // Prepare rejects M-PML under either step-batching scheme
+				for _, lts := range []bool{false, true} {
+					if abc == MPMLABC && lts {
+						continue // Prepare rejects M-PML under LTS
 					}
 					opt := ltsOptions(g, 24, mpi.NewCart(2, 1, 1))
 					opt.Variant = variant
 					opt.ABC = abc
 					opt.PMLWidth = 4
 					opt.Threads = threads
-					opt.TemporalDepth = md.depth
-					if md.lts {
+					if lts {
 						opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
 					}
-					tag := fmt.Sprintf("%v/abc%d/threads%d/%s", variant, abc, threads, md.name)
+					tag := fmt.Sprintf("%v/abc%d/threads%d/lts=%v", variant, abc, threads, lts)
 
 					var once sync.Once
 					_, rates := stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
@@ -85,7 +78,7 @@ func TestNoStoredSubnormals(t *testing.T) {
 							}
 						}
 					})
-					if md.lts && !equalInts(rates, []int{1, 4}) {
+					if lts && !equalInts(rates, []int{1, 4}) {
 						t.Fatalf("%s: LTS rates %v, want mixed [1 4]", tag, rates)
 					}
 				}

@@ -1,46 +1,40 @@
 package solver
 
 import (
-	"repro/internal/core/fd"
 	"repro/internal/core/sched"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
-// One halo-exchange engine. A schedule is an ordered list of rounds; a
-// round is at most one message per face neighbor; a message is a list of
-// sections — one field's block, packed from the sender's interior at a
-// fixed offset of one pooled buffer and unpacked into the receiver's
-// ghosts. The schedule is built once per Stepper from (local dims,
-// neighbor ranks, field list) and executed by post and finish; every
-// stepping scheme is a different schedule on the same two functions:
+// One halo-exchange engine. A schedule is at most one message per face
+// neighbor; a message is a list of sections — one field's block, packed
+// from the sender's interior at a fixed offset of one pooled buffer and
+// unpacked into the receiver's ghosts. The schedule is built once per
+// Stepper from (local dims, neighbor ranks, field list) and executed by
+// post and finish:
 //
-//   - the classic velocity and stress phases are one-round schedules whose
-//     field list carries the exchange axes (all three, or the §IV.A reduced
-//     stress set);
-//   - the temporal-tiling deep exchange is a three-round (x, y, z) schedule
-//     whose cross-sections extend into the ghosts earlier rounds filled;
-//   - multi-rate LTS runs the classic rounds with a per-message action
-//     mask set from the neighbor's rate (lts.go).
+//   - the velocity and stress phases are two schedules whose field list
+//     carries the exchange axes (all three, or the §IV.A reduced stress
+//     set);
+//   - multi-rate LTS runs the same two with a per-message action mask set
+//     from the neighbor's rate (lts.go).
 //
 // Bit-identity across topologies, thread counts and comm models holds by
-// construction: packing reads cells no unpack of the same round writes,
-// sections of one buffer are disjoint sub-slices, and the ghost blocks of
-// distinct (field, axis, side) sections are disjoint — so neither the
-// message layout nor the pool's tile order can reorder a load/store pair
-// that aliases.
+// construction: packing reads cells no unpack writes, sections of one
+// buffer are disjoint sub-slices, and the ghost blocks of distinct (field,
+// axis, side) sections are disjoint — so neither the message layout nor the
+// pool's tile order can reorder a load/store pair that aliases.
 
 // Exchange phases: the phase coordinate of the tag space.
 const (
 	phaseVelocity = iota
 	phaseStress
-	phaseDeep
 )
 
 // haloTag is the one tag function, dense in (phase, axis, direction of
-// travel). A cartesian neighbor lies on exactly one (axis, side), so
-// within a round no two messages to one peer share a tag.
+// travel). A cartesian neighbor lies on exactly one (axis, side), so no two
+// messages of a schedule to one peer share a tag.
 func haloTag(phase int, ax grid.Axis, dirHigh bool) int {
 	t := (phase*3 + int(ax)) * 2
 	if dirHigh {
@@ -49,8 +43,8 @@ func haloTag(phase int, ax grid.Axis, dirHigh bool) int {
 	return t
 }
 
-// Per-message actions of one post/finish pair. Classic and deep schedules
-// always send and receive; LTS re-arms the mask every sub-step.
+// Per-message actions of one post/finish pair. Uniform stepping always
+// sends and receives; LTS re-arms the mask every sub-step.
 const (
 	actSend = 1 << iota // pack the sections and send
 	actRecv             // receive; unpack (or keep as a window-end level)
@@ -110,39 +104,21 @@ type message struct {
 	in  []float32
 }
 
-type round struct {
+type schedule struct {
+	haloEnv
 	msgs []message
 	// tiles flattens (message, section) so pack and unpack run as one tile
 	// queue on the pool.
 	tiles []struct{ mi, si int }
 }
 
-type schedule struct {
-	haloEnv
-	rounds []round
-	cur    *round // posted, not yet finished
-}
-
 // faceBlock returns the block of a depth-df section on face (ax, sd): the
 // interior planes to pack (ghost=false) or the ghost planes to fill
-// (ghost=true). Cross-axes already exchanged by an earlier round (done)
-// extend df cells into the ghosts that round filled, where a neighbor
-// exists; the others stay interior, except z which starts at zlo.
-func (e *haloEnv) faceBlock(done [3]bool, zlo int, ax grid.Axis, sd grid.Side, df int, ghost bool) [6]int {
+// (ghost=true), over the interior extent of the other two axes.
+func (e *haloEnv) faceBlock(ax grid.Axis, sd grid.Side, df int, ghost bool) [6]int {
 	n := [3]int{e.d.NX, e.d.NY, e.d.NZ}
-	lo := [3]int{0, 0, zlo}
+	lo := [3]int{}
 	hi := n
-	for b := 0; b < 3; b++ {
-		if !done[b] {
-			continue
-		}
-		if e.nbr[b][0] >= 0 {
-			lo[b] = -df
-		}
-		if e.nbr[b][1] >= 0 {
-			hi[b] = n[b] + df
-		}
-	}
 	switch {
 	case !ghost && sd == grid.Low:
 		lo[ax], hi[ax] = 0, df
@@ -156,56 +132,47 @@ func (e *haloEnv) faceBlock(done [3]bool, zlo int, ax grid.Axis, sd grid.Side, d
 	return [6]int{lo[0], hi[0], lo[1], hi[1], lo[2], hi[2]}
 }
 
-// newSchedule lays out one round per entry of rounds (the axes that round
-// exchanges), one message per (axis, side) neighbor, one section per
-// field exchanged along that axis, in field order.
-func newSchedule(env haloEnv, phase int, rounds [][]grid.Axis, fields []haloField, zlo int) *schedule {
+// newSchedule lays out one message per (axis, side) neighbor, one section
+// per field exchanged along that axis, in field order.
+func newSchedule(env haloEnv, phase int, fields []haloField) *schedule {
 	s := &schedule{haloEnv: env}
-	var done [3]bool
-	for _, axes := range rounds {
-		var r round
-		for _, ax := range axes {
-			for sd := grid.Low; sd <= grid.High; sd++ {
-				peer := env.nbr[ax][sd]
-				if peer < 0 {
-					continue
-				}
-				// A message travelling toward the high side arrives as the
-				// peer's low-side receive, and vice versa.
-				m := message{
-					peer:    peer,
-					sendTag: haloTag(phase, ax, sd == grid.High),
-					recvTag: haloTag(phase, ax, sd == grid.Low),
-					act:     actSend | actRecv,
-				}
-				for _, hf := range fields {
-					if !hf.axes[ax] {
-						continue
-					}
-					sec := section{
-						f:      hf.f,
-						pack:   env.faceBlock(done, zlo, ax, sd, hf.depth, false),
-						unpack: env.faceBlock(done, zlo, ax, sd, hf.depth, true),
-						off:    m.total,
-					}
-					p := sec.pack
-					sec.n = grid.RangeLen(p[0], p[1], p[2], p[3], p[4], p[5])
-					m.total += sec.n
-					m.secs = append(m.secs, sec)
-				}
-				if len(m.secs) == 0 {
-					continue
-				}
-				for si := range m.secs {
-					r.tiles = append(r.tiles, struct{ mi, si int }{len(r.msgs), si})
-				}
-				r.msgs = append(r.msgs, m)
+	for ax := grid.X; ax <= grid.Z; ax++ {
+		for sd := grid.Low; sd <= grid.High; sd++ {
+			peer := env.nbr[ax][sd]
+			if peer < 0 {
+				continue
 			}
+			// A message travelling toward the high side arrives as the
+			// peer's low-side receive, and vice versa.
+			m := message{
+				peer:    peer,
+				sendTag: haloTag(phase, ax, sd == grid.High),
+				recvTag: haloTag(phase, ax, sd == grid.Low),
+				act:     actSend | actRecv,
+			}
+			for _, hf := range fields {
+				if !hf.axes[ax] {
+					continue
+				}
+				sec := section{
+					f:      hf.f,
+					pack:   env.faceBlock(ax, sd, hf.depth, false),
+					unpack: env.faceBlock(ax, sd, hf.depth, true),
+					off:    m.total,
+				}
+				p := sec.pack
+				sec.n = grid.RangeLen(p[0], p[1], p[2], p[3], p[4], p[5])
+				m.total += sec.n
+				m.secs = append(m.secs, sec)
+			}
+			if len(m.secs) == 0 {
+				continue
+			}
+			for si := range m.secs {
+				s.tiles = append(s.tiles, struct{ mi, si int }{len(s.msgs), si})
+			}
+			s.msgs = append(s.msgs, m)
 		}
-		for _, ax := range axes {
-			done[ax] = true
-		}
-		s.rounds = append(s.rounds, r)
 	}
 	return s
 }
@@ -225,9 +192,9 @@ var (
 	}
 )
 
-// classicSchedule is the one-round schedule of a per-step wavefield phase:
-// 2-plane faces of the three velocities, or of the six stresses along the
-// axes the comm model exchanges them.
+// classicSchedule is the schedule of a per-step wavefield phase: 2-plane
+// faces of the three velocities, or of the six stresses along the axes the
+// comm model exchanges them.
 func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Field3) *schedule {
 	hfs := make([]haloField, len(fields))
 	for i, f := range fields {
@@ -236,62 +203,21 @@ func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Fie
 			hfs[i].axes = stressAxesReduced[i]
 		}
 	}
-	return newSchedule(env, phase, [][]grid.Axis{{grid.X, grid.Y, grid.Z}}, hfs, 0)
+	return newSchedule(env, phase, hfs)
 }
 
-// deepSchedule is the super-step exchange of temporal tiling at depth T:
-// instead of two 2-plane exchanges per step, one exchange per T steps
-// refreshes ghosts deep enough (4T-2 planes of velocity, 4T of stress,
-// 4T-4 of attenuation memory variables) that each rank recomputes the
-// eroded boundary cells locally for T whole steps. fields is the nine
-// wavefields followed, under attenuation, by the six memory variables.
-//
-// The three per-axis rounds run in sequence — the y round ships x-ghost
-// cells the x round just filled, the z round ships both — so corner ghosts
-// fill progressively. Axis peers in a cartesian decomposition share their
-// cross-axis neighbor masks, so the section shapes on both ends of a
-// message agree by construction. The reduced stress axis set does not
-// apply (the recomputed extension cells mix derivative axes).
-//
-// On free-surface ranks the x/y cross-sections start at k = -2: the image
-// planes the free-surface updates write are boundary data the next
-// super-step's first stages read at ghost extensions, and no z round
-// carries them (the surface has no z-low neighbor). Fields whose image
-// planes are never written hold zeros there on every rank, so shipping
-// them is harmless and keeps section shapes uniform.
-func deepSchedule(env haloEnv, T int, fields []*grid.Field3, freeSurface bool) *schedule {
-	hfs := make([]haloField, len(fields))
-	for i, f := range fields {
-		depth := fd.StressDepth(T)
-		switch {
-		case i < 3:
-			depth = fd.VelDepth(T)
-		case i >= 9:
-			depth = fd.MemvarDepth(T)
-		}
-		hfs[i] = haloField{f: f, depth: depth, axes: axesAll}
-	}
-	zlo := 0
-	if freeSurface {
-		zlo = -grid.Ghost
-	}
-	return newSchedule(env, phaseDeep, [][]grid.Axis{{grid.X}, {grid.Y}, {grid.Z}}, hfs, zlo)
-}
-
-// post starts round ri: receives are posted first, every armed message's
-// sections are packed as one tile queue into a pooled buffer, and the
-// buffers are lent to the runtime. The caller may compute between post and
-// finish — that gap is the AsyncOverlap model.
-func (s *schedule) post(ri int) {
-	r := &s.rounds[ri]
-	s.cur = r
-	if len(r.msgs) == 0 {
+// post starts the exchange: receives are posted first, every armed
+// message's sections are packed as one tile queue into a pooled buffer, and
+// the buffers are lent to the runtime. The caller may compute between post
+// and finish — that gap is the AsyncOverlap model.
+func (s *schedule) post() {
+	if len(s.msgs) == 0 {
 		return
 	}
-	for i := range r.msgs {
-		m := &r.msgs[i]
+	for i := range s.msgs {
+		m := &s.msgs[i]
 		// Fault recovery (internal/ft) unwinds a rank out of post or
-		// finish and later reuses the Stepper: whatever an aborted round
+		// finish and later reuses the Stepper: whatever an aborted exchange
 		// left in flight belongs to the dead exchange.
 		m.req, m.in, m.out = nil, nil, nil
 		if m.act&actRecv != 0 {
@@ -302,9 +228,9 @@ func (s *schedule) post(ri int) {
 		}
 	}
 	sp := s.tel.Span(telemetry.Pack)
-	s.pool.ForEachN(len(r.tiles), func(t int) {
-		m := &r.msgs[r.tiles[t].mi]
-		sec := &m.secs[r.tiles[t].si]
+	s.pool.ForEachN(len(s.tiles), func(t int) {
+		m := &s.msgs[s.tiles[t].mi]
+		sec := &m.secs[s.tiles[t].si]
 		if m.act&actSend != 0 {
 			p := sec.pack
 			sec.f.PackRange(p[0], p[1], p[2], p[3], p[4], p[5], m.out[sec.off:sec.off+sec.n])
@@ -318,8 +244,8 @@ func (s *schedule) post(ri int) {
 	})
 	sp.End()
 	sp = s.tel.Span(telemetry.Send)
-	for i := range r.msgs {
-		if m := &r.msgs[i]; m.out != nil {
+	for i := range s.msgs {
+		if m := &s.msgs[i]; m.out != nil {
 			s.comm.IsendOwned(m.peer, m.sendTag, m.out)
 			m.out = nil
 		}
@@ -327,38 +253,37 @@ func (s *schedule) post(ri int) {
 	sp.End()
 }
 
-// finish completes the posted round: wait for every receive, unpack all
+// finish completes the posted exchange: wait for every receive, unpack all
 // sections as one tile queue, recycle the buffers.
 func (s *schedule) finish() {
-	r := s.cur
-	if len(r.msgs) == 0 {
+	if len(s.msgs) == 0 {
 		return
 	}
 	sp := s.tel.Span(telemetry.Recv)
-	for i := range r.msgs {
-		if m := &r.msgs[i]; m.req != nil {
+	for i := range s.msgs {
+		if m := &s.msgs[i]; m.req != nil {
 			m.req.Wait()
 			m.in, m.req = m.req.Data(), nil
 		}
 	}
 	sp.End()
-	for i := range r.msgs {
-		if m := &r.msgs[i]; m.win != nil {
+	for i := range s.msgs {
+		if m := &s.msgs[i]; m.win != nil {
 			m.in = m.win.level(m.in, m.act&actFill != 0, s.tel)
 		}
 	}
 	sp = s.tel.Span(telemetry.Unpack)
-	s.pool.ForEachN(len(r.tiles), func(t int) {
-		m := &r.msgs[r.tiles[t].mi]
+	s.pool.ForEachN(len(s.tiles), func(t int) {
+		m := &s.msgs[s.tiles[t].mi]
 		if m.in == nil {
 			return
 		}
-		sec := &m.secs[r.tiles[t].si]
+		sec := &m.secs[s.tiles[t].si]
 		u := sec.unpack
 		sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.in[sec.off:sec.off+sec.n])
 	})
-	for i := range r.msgs {
-		m := &r.msgs[i]
+	for i := range s.msgs {
+		m := &s.msgs[i]
 		if m.win == nil {
 			mpi.PutBuffer(m.in) // window levels persist; see ltsWindow
 		}
@@ -367,25 +292,19 @@ func (s *schedule) finish() {
 	sp.End()
 }
 
-// exchange runs every round to completion, in order: each round must
-// finish before the next starts, because later rounds ship what earlier
-// rounds received.
+// exchange is post and finish with nothing in between.
 func (s *schedule) exchange() {
-	for ri := range s.rounds {
-		s.post(ri)
-		s.finish()
-	}
+	s.post()
+	s.finish()
 }
 
 // traffic walks the schedule and returns what one execution with the
 // current action masks sends: messages and float32 values.
 func (s *schedule) traffic() (msgs, floats int) {
-	for ri := range s.rounds {
-		for mi := range s.rounds[ri].msgs {
-			if m := &s.rounds[ri].msgs[mi]; m.act&actSend != 0 {
-				msgs++
-				floats += m.total
-			}
+	for mi := range s.msgs {
+		if m := &s.msgs[mi]; m.act&actSend != 0 {
+			msgs++
+			floats += m.total
 		}
 	}
 	return

@@ -11,20 +11,18 @@ import (
 	"repro/internal/mpi"
 )
 
-// checkRoundTags fails when two messages of one round would be
+// checkTags fails when two messages of one schedule would be
 // indistinguishable to a peer: same peer and same tag, in either direction.
-func checkRoundTags(t *testing.T, label string, s *schedule) {
+func checkTags(t *testing.T, label string, s *schedule) {
 	t.Helper()
-	for ri, r := range s.rounds {
-		seen := map[[3]int]bool{}
-		for _, m := range r.msgs {
-			for dir, tag := range [2]int{m.sendTag, m.recvTag} {
-				k := [3]int{m.peer, dir, tag}
-				if seen[k] {
-					t.Errorf("%s round %d: two messages with peer %d share tag %d", label, ri, m.peer, tag)
-				}
-				seen[k] = true
+	seen := map[[3]int]bool{}
+	for _, m := range s.msgs {
+		for dir, tag := range [2]int{m.sendTag, m.recvTag} {
+			k := [3]int{m.peer, dir, tag}
+			if seen[k] {
+				t.Errorf("%s: two messages with peer %d share tag %d", label, m.peer, tag)
 			}
+			seen[k] = true
 		}
 	}
 }
@@ -32,8 +30,7 @@ func checkRoundTags(t *testing.T, label string, s *schedule) {
 // The schedule agrees with its own execution: on every rank, the messages
 // and floats obtained by walking the schedules the Stepper built equal
 // what the runtime counts at its delivery point over one real Step — a
-// step, a super-step or an LTS cycle — and no round reuses a tag toward
-// one peer.
+// step or an LTS cycle — and no schedule reuses a tag toward one peer.
 func TestScheduleMatchesExecution(t *testing.T) {
 	run := func(label string, q cvm.Querier, opt Options) {
 		t.Helper()
@@ -58,20 +55,16 @@ func TestScheduleMatchesExecution(t *testing.T) {
 				m, f := s.traffic()
 				msgs, floats = msgs+m, floats+f
 			}
-			switch l := rs.lts; {
-			case rs.deep != nil:
-				checkRoundTags(t, label, rs.deep)
-				walk(rs.deep)
-			case l != nil && l.maxRate > 1:
+			if l := rs.lts; l != nil && l.maxRate > 1 {
 				for sub := 0; sub < l.maxRate; sub += l.rate {
 					for _, s := range []*schedule{rs.vel, rs.stress} {
 						l.arm(s, sub)
 						walk(s)
 					}
 				}
-			default:
-				checkRoundTags(t, label, rs.vel)
-				checkRoundTags(t, label, rs.stress)
+			} else {
+				checkTags(t, label, rs.vel)
+				checkTags(t, label, rs.stress)
 				walk(rs.vel)
 				walk(rs.stress)
 			}
@@ -105,15 +98,9 @@ func TestScheduleMatchesExecution(t *testing.T) {
 		mpi.NewCart(2, 1, 1), mpi.NewCart(3, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2),
 	} {
 		for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
-			for _, depth := range []int{1, 2} {
-				if depth > 1 && model == AsyncOverlap {
-					continue // rejected by Prepare
-				}
-				opt := ttileOptions(g, 4, topo)
-				opt.Comm = model
-				opt.TemporalDepth = depth
-				run(fmt.Sprintf("%dx%dx%d/%v/depth=%d", topo.PX, topo.PY, topo.PZ, model, depth), q, opt)
-			}
+			opt := ltsOptions(g, 4, topo)
+			opt.Comm = model
+			run(fmt.Sprintf("%dx%dx%d/%v", topo.PX, topo.PY, topo.PZ, model), q, opt)
 		}
 	}
 
@@ -131,8 +118,7 @@ func TestScheduleMatchesExecution(t *testing.T) {
 }
 
 // The walked traffic follows the one-message-per-neighbor-per-phase rule
-// on full and partial neighbor masks, and a super-step's deep exchange is
-// one message per neighbor whatever the field count.
+// on full and partial neighbor masks.
 func TestHaloStatsCounts(t *testing.T) {
 	d := grid.Dims{NX: 20, NY: 24, NZ: 16}
 	all := [3][2]bool{{true, true}, {true, true}, {true, true}}
@@ -144,17 +130,6 @@ func TestHaloStatsCounts(t *testing.T) {
 	mask := [3][2]bool{{true, false}, {false, false}, {false, true}}
 	if st := HaloStats(d, mask, Asynchronous); st.VelMsgs != 2 || st.StressMsgs != 2 {
 		t.Fatalf("partial mask counts %d/%d, want 2/2", st.VelMsgs, st.StressMsgs)
-	}
-	// Middle rank of a 3x1x1 line at depth 2, attenuation and free surface
-	// on. Per side: 3 velocity (depth 6) + 6 stress (depth 8) + 6 memvar
-	// (depth 4) sections over NY x (NZ+2) cross cells.
-	line := [3][2]bool{{true, true}, {false, false}, {false, false}}
-	st := TemporalHaloStats(d, line, 2, true, true)
-	if want := 2 * d.NY * (d.NZ + 2) * (3*6 + 6*8 + 6*4); st.Floats != want {
-		t.Errorf("deep floats: got %d want %d", st.Floats, want)
-	}
-	if st.Msgs() != 2 {
-		t.Errorf("deep msgs: got %d want 2 (one per neighbor per super-step)", st.Msgs())
 	}
 }
 

@@ -67,21 +67,17 @@ type Options struct {
 	CFL float64
 
 	// LTS configures multi-rate local time stepping (see LTSOptions).
-	// Mutually exclusive with TemporalDepth > 1, M-PML and DFR mode.
+	// Mutually exclusive with M-PML and DFR mode.
 	LTS LTSOptions
 
-	Comm     CommModel
+	Comm CommModel
+	// Variant is left unset by every caller but tests and benchmarks: zero
+	// runs fd.Production, any other value selects a rung of the §IV.B
+	// ablation. bench/ compiles against the field.
 	Variant  fd.Variant
 	Blocking fd.Blocking
-	// TemporalDepth T > 1 enables time-tiled execution: each super-step
-	// advances T leapfrog steps over cache-resident k-chunks with skewed
-	// stage windows, exchanging 4T-deep halos once per super-step (one
-	// message per neighbor per super-step) instead of two 2-deep exchanges
-	// per step. Results are bit-identical to depth 1.
-	// 0 defaults to 1 (classic stepping); the maximum is
-	// fd.MaxTemporalDepth. Depth > 1 requires the AsyncOverlap comm
-	// model, M-PML boundaries and DFR fault mode to be off, and every
-	// decomposed axis to give each rank at least 4T cells.
+	// TemporalDepth selected temporal tiling, which is gone. bench/ still
+	// sets it to 1, so Prepare accepts 0 and 1 and rejects anything else.
 	TemporalDepth int
 	// Threads sets the per-rank worker-pool size of the hybrid MPI/OpenMP
 	// mode (§IV.D): a persistent pool of Threads goroutines executes the
@@ -111,9 +107,9 @@ type Options struct {
 
 	// Surface streams decimated free-surface velocity frames to a single
 	// file through the two-phase aggregated I/O layer (internal/agg) —
-	// the production M8 output path. nil disables it. Requires classic
-	// stepping (TemporalDepth <= 1, LTS off): frames are extracted in
-	// step lockstep across ranks because each flush is a collective.
+	// the production M8 output path. nil disables it. Requires LTS off:
+	// frames are extracted in step lockstep across ranks because each
+	// flush is a collective.
 	Surface *SurfaceOptions
 
 	// Telemetry enables the per-rank instrumentation subsystem
@@ -227,9 +223,8 @@ type rankState struct {
 	tel  *telemetry.Recorder // nil: telemetry disabled
 
 	nbrMask [3][2]bool
-	// Halo schedules: vel and stress per step (classic and LTS), or deep
-	// per super-step (TemporalDepth > 1).
-	vel, stress, deep *schedule
+	// Halo schedules of the two per-step phases.
+	vel, stress *schedule
 
 	zones    []*boundary.PML
 	compBox  fd.Box   // non-PML region the bulk kernels cover
@@ -250,10 +245,6 @@ type rankState struct {
 	pgvx      []float64
 	pgvy      []float64
 	pgvz      []float64
-	// pgvFolded marks that the PGV fold rides inside the sponge's fused
-	// surface pass (Fused variant + sponge ABC), so the Output-phase
-	// trackPGV call must not fold a second time.
-	pgvFolded bool
 }
 
 type ownedReceiver struct {
@@ -384,14 +375,7 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		pre = add(pre, z.Zone, z)
 	}
 
-	// Bulk tiles are timed from inside the tile, as stressTile's are, so the
-	// zone tiles of the same queue (timed as Boundary) are not counted as
-	// kernel time.
-	velocity := func(b fd.Box) {
-		sp := rs.tel.Span(telemetry.Velocity)
-		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
-		sp.End()
-	}
+	velocity := rs.velocityTile(opt, dt)
 	stress := rs.stressTile(opt, dt)
 	if rs.fault != nil {
 		// DFR mode: the split-node correction must see the purely elastic
@@ -436,7 +420,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 	if overlap {
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		rs.vel.post(0)
+		rs.vel.post()
 		tm.Comm += time.Since(t0).Seconds()
 		t0 = time.Now()
 		rs.drain(plan.velInner)
@@ -481,7 +465,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, false) // strip sources
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
-		rs.stress.post(0)
+		rs.stress.post()
 		tm.Comm += time.Since(t0).Seconds()
 		t0 = time.Now()
 		rs.drain(plan.stressInner)
@@ -516,11 +500,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 	t0 = time.Now()
 	if rs.sponge != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
-		if rs.pgvFolded {
-			rs.sponge.ApplySurfaceFused(rs.st, rs.pool, rs.trackPGVRow)
-		} else {
-			rs.sponge.ApplyPool(rs.st, rs.pool)
-		}
+		rs.sponge.ApplyPool(rs.st, rs.pool)
 		sp.End()
 	}
 	if rs.fs != nil {
@@ -529,6 +509,17 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		sp.End()
 	}
 	tm.Comp += time.Since(t0).Seconds()
+}
+
+// velocityTile returns the velocity tile body of every path. Bulk tiles are
+// timed from inside the tile, so the zone tiles of the same queue (timed as
+// Boundary) are not counted as kernel time.
+func (rs *rankState) velocityTile(opt Options, dt float64) func(fd.Box) {
+	return func(b fd.Box) {
+		sp := rs.tel.Span(telemetry.Velocity)
+		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
+		sp.End()
+	}
 }
 
 // elasticTile returns the elastic-only stress tile body of the DFR path.
@@ -541,7 +532,7 @@ func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
 }
 
 // stressTile returns the stress tile body of the attenuation-aware paths
-// (classic without a fault, LTS, temporal tiling). With attenuation on, every
+// (classic without a fault, LTS). With attenuation on, every
 // variant that reads the precomputed coefficients runs attenuation.FusedStress:
 // the memory-variable update rides in the elastic i-loop, one read/modify/write
 // of the six stress fields per cell instead of two, bit-identical to the pair
@@ -574,7 +565,7 @@ func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
 // row-sliced over the pool (rows are disjoint, so the parallel fold is
 // race-free and bit-identical to the serial one).
 func (rs *rankState) trackPGV() {
-	if rs.pgvh == nil || rs.pgvFolded {
+	if rs.pgvh == nil {
 		return
 	}
 	rs.pool.ForEachN(rs.sub.Local.NY, rs.trackPGVRow)

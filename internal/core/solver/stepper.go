@@ -69,39 +69,15 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.Band.FMax <= 0 {
 		opt.Band = attenuation.DefaultBand
 	}
-	if opt.TemporalDepth == 0 {
-		opt.TemporalDepth = 1
-	}
-	if opt.TemporalDepth < 1 || opt.TemporalDepth > fd.MaxTemporalDepth {
-		return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth must be in [1, %d], got %d",
-			fd.MaxTemporalDepth, opt.TemporalDepth)
-	}
-	if T := opt.TemporalDepth; T > 1 {
-		if opt.Comm == AsyncOverlap {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth > 1 does not support the overlap comm model (the super-step has no per-step exchange to overlap)")
-		}
-		if opt.ABC == MPMLABC {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth > 1 does not support M-PML boundaries (split-field zone state cannot be recomputed in ghost extensions)")
-		}
-		if opt.Fault != nil {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth > 1 does not support DFR fault mode")
-		}
-		need := 4 * T
-		dims := [3]int{opt.Global.NX, opt.Global.NY, opt.Global.NZ}
-		parts := [3]int{opt.Topo.PX, opt.Topo.PY, opt.Topo.PZ}
-		for ax := 0; ax < 3; ax++ {
-			if parts[ax] > 1 && dims[ax]/parts[ax] < need {
-				return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth %d needs >= %d cells per rank on decomposed axes; axis %d gives %d",
-					T, need, ax, dims[ax]/parts[ax])
-			}
-		}
+	if opt.TemporalDepth != 0 && opt.TemporalDepth != 1 {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth %d: temporal tiling is gone, a Step is one step (0 or 1)", opt.TemporalDepth)
 	}
 	if so := opt.Surface; so != nil {
 		if so.FS == nil || so.Path == "" {
 			return decomp.Decomp{}, opt, fmt.Errorf("solver: Surface output needs FS and Path")
 		}
-		if opt.TemporalDepth > 1 || opt.LTS.Enabled {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: Surface output requires classic stepping (TemporalDepth <= 1, LTS off): collective flushes need step-lockstep ranks")
+		if opt.LTS.Enabled {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: Surface output requires LTS off: collective flushes need step-lockstep ranks")
 		}
 		// Normalize a copy so shared Options values are not mutated.
 		ns := *so
@@ -114,9 +90,6 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 		opt.Surface = &ns
 	}
 	if opt.LTS.Enabled {
-		if opt.TemporalDepth > 1 {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: LTS and TemporalDepth > 1 are mutually exclusive (pick one step-batching scheme)")
-		}
 		if opt.ABC == MPMLABC {
 			return decomp.Decomp{}, opt, fmt.Errorf("solver: LTS does not support M-PML boundaries (split-field zone state has no rate-boundary interpolant)")
 		}
@@ -192,12 +165,8 @@ type Stepper struct {
 // dc must come from Prepare. Callers must Close the Stepper.
 func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Stepper, error) {
 	rs := &rankState{comm: c, sub: dc.SubFor(c.Rank())}
-	// Depth > 1 pads every field (state, medium, memory variables) with a
-	// uniform 4T-cell ghost frame; the kernels share one flat index across
-	// the arrays, so the widths must agree.
-	gw := fd.TemporalGhost(opt.TemporalDepth)
-	rs.med = medium.FromCVMGhost(q, dc, rs.sub, opt.H, gw)
-	rs.st = fd.NewStateG(rs.sub.Local, gw)
+	rs.med = medium.FromCVM(q, dc, rs.sub, opt.H)
+	rs.st = fd.NewState(rs.sub.Local)
 	rs.pool = sched.NewPool(opt.Threads)
 	ok := false
 	defer func() {
@@ -260,38 +229,15 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.atten = attenuation.New(rs.med, opt.Band, stepDt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
 	}
-	// The halo schedule of the stepping scheme: one deep exchange per
-	// super-step, or the two per-step phases (which LTS arms per sub-step).
+	// The two per-step halo phases (which LTS arms per sub-step).
 	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.pool, rs.tel)
-	if T := opt.TemporalDepth; T > 1 {
-		fields := rs.st.Fields()
-		if a := rs.atten; a != nil {
-			fields = append(fields, a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ)
-		}
-		rs.deep = deepSchedule(env, T, fields, rs.fs != nil)
-	} else {
-		rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
-		rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
-		if rs.lts != nil {
-			rs.lts.bind(rs.vel)
-			rs.lts.bind(rs.stress)
-		}
+	rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
+	rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
+	if rs.lts != nil {
+		rs.lts.bind(rs.vel)
+		rs.lts.bind(rs.stress)
 	}
-	// At depth > 1 the stress stages recompute ghost cells up to 4T-4 deep
-	// toward neighbors; a neighbor-owned source in that region must inject
-	// here too, or the recomputed cells diverge from the owner's.
-	var srcLo, srcHi [3]int
-	if e := 4*opt.TemporalDepth - 4; opt.TemporalDepth > 1 {
-		for ax := 0; ax < 3; ax++ {
-			if rs.nbrMask[ax][0] {
-				srcLo[ax] = e
-			}
-			if rs.nbrMask[ax][1] {
-				srcHi[ax] = e
-			}
-		}
-	}
-	rs.srcs = source.LocalizeExt(opt.Sources, rs.sub, opt.H, srcLo, srcHi)
+	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
 
 	if opt.Fault != nil {
 		if err := rs.setupFault(opt, dt); err != nil {
@@ -323,8 +269,6 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.pgvy = make([]float64, n)
 		rs.pgvz = make([]float64, n)
 	}
-	rs.pgvFolded = opt.Variant == fd.Fused && rs.sponge != nil && rs.pgvh != nil &&
-		opt.TemporalDepth <= 1
 
 	if so := opt.Surface; so != nil {
 		var segs []mpiio.Segment
@@ -356,14 +300,10 @@ func (s *Stepper) Dt() float64 { return s.dt }
 func (s *Stepper) StepIndex() int { return s.step }
 
 // SetStepIndex rewinds (or advances) the step cursor — the rollback half
-// of coordinated recovery, paired with a checkpoint.Load into State(). At
-// temporal depth T > 1 the cursor must land on a super-step boundary (a
-// multiple of T): mid-super-step wavefield states never exist to roll back
-// to, and resuming off-boundary would misalign the erosion schedule.
+// of coordinated recovery, paired with a checkpoint.Load into State(). Under
+// LTS the cursor must land on a cycle boundary: mid-cycle, coarse ranks have
+// no wavefield state to roll back to.
 func (s *Stepper) SetStepIndex(n int) error {
-	if T := s.opt.TemporalDepth; T > 1 && n%T != 0 {
-		return fmt.Errorf("solver: step index %d is not a super-step boundary (TemporalDepth %d)", n, T)
-	}
 	if l := s.rs.lts; l != nil && l.maxRate > 1 && n%l.maxRate != 0 {
 		return fmt.Errorf("solver: step index %d is not an LTS cycle boundary (max rate %d)", n, l.maxRate)
 	}
@@ -379,14 +319,11 @@ func (s *Stepper) SetStepIndex(n int) error {
 
 // StepAlign returns the alignment unit of checkpointable step indices:
 // one LTS cycle (the maximum rate — mid-cycle, coarse ranks have no
-// wavefield state to save), one temporal-tiling super-step, or 1 for
-// classic stepping. Harnesses round checkpoint intervals up to it.
+// wavefield state to save), or 1 for classic stepping. Harnesses round
+// checkpoint intervals up to it.
 func (s *Stepper) StepAlign() int {
 	if l := s.rs.lts; l != nil && l.maxRate > 1 {
 		return l.maxRate
-	}
-	if T := s.opt.TemporalDepth; T > 1 {
-		return T
 	}
 	return 1
 }
@@ -415,11 +352,9 @@ func (s *Stepper) Atten() *attenuation.Model { return s.rs.atten }
 func (s *Stepper) Recorder() *telemetry.Recorder { return s.rs.tel }
 
 // Step executes one full time step: kernels, halo exchange, sources,
-// boundaries, and index-addressed observable extraction. At temporal depth
-// T > 1 one call executes a whole super-step — T steps (fewer on the final
-// partial super-step) with a single deep exchange — and the observables of
-// every contained step are extracted inside the sweep; the step cursor
-// advances by the number of steps executed.
+// boundaries, and index-addressed observable extraction. Under mixed-rate
+// LTS one call executes a whole cycle and the step cursor advances by its
+// length.
 func (s *Stepper) Step() {
 	if l := s.rs.lts; l != nil && l.maxRate > 1 {
 		// One call executes a whole cycle: maxRate base steps, during
@@ -457,15 +392,6 @@ func (s *Stepper) Step() {
 		}
 		s.rs.tel.StepEnd()
 		s.step += l.maxRate
-		return
-	}
-	if T := s.opt.TemporalDepth; T > 1 {
-		if left := s.opt.Steps - s.step; left < T {
-			T = left
-		}
-		s.rs.advanceSuper(s.opt, s.dt, s.step, T, &s.tm)
-		s.rs.tel.StepEnd()
-		s.step += T
 		return
 	}
 	step := s.step

@@ -77,7 +77,7 @@ func TestSurfaceOutputMatchesReceivers(t *testing.T) {
 			if got != want {
 				t.Fatalf("frame %d receiver %d: file %v, seismogram %v", f, r, got, want)
 			}
-			if got != (([3]float32{})) {
+			if got != ([3]float32{}) {
 				nonzero = true
 			}
 		}
@@ -138,11 +138,6 @@ func TestSurfaceOutputInvariants(t *testing.T) {
 func TestSurfaceOptionValidation(t *testing.T) {
 	fsys := surfaceFS()
 	opt := surfaceOptions(mpi.NewCart(1, 1, 1), fsys, 1, 1)
-	opt.TemporalDepth = 2
-	if _, _, err := Prepare(opt); err == nil {
-		t.Error("Surface + TemporalDepth accepted")
-	}
-	opt = surfaceOptions(mpi.NewCart(1, 1, 1), fsys, 1, 1)
 	opt.LTS.Enabled = true
 	if _, _, err := Prepare(opt); err == nil {
 		t.Error("Surface + LTS accepted")

@@ -168,22 +168,10 @@ type localSource struct {
 // Localize filters the global sources to those inside sub and resolves
 // their local indices. h is the grid spacing.
 func Localize(all []SampledSource, sub decomp.Sub, h float64) *Set {
-	return LocalizeExt(all, sub, h, [3]int{}, [3]int{})
-}
-
-// LocalizeExt is Localize with the ownership box extended by lo/hi cells
-// per axis into the ghost region. The time-tiled engine recomputes ghost
-// cells up to 4T-4 deep during stress stages, and a recomputed cell that
-// hosts a neighbor-owned source must see the same injection the neighbor
-// applies, or the recomputed value diverges from the owner's.
-func LocalizeExt(all []SampledSource, sub decomp.Sub, h float64, lo, hi [3]int) *Set {
 	st := &Set{h3: h * h * h}
 	for i := range all {
 		s := &all[i]
-		li, lj, lk := s.GI-sub.OffX, s.GJ-sub.OffY, s.GK-sub.OffZ
-		if li >= -lo[0] && li < sub.Local.NX+hi[0] &&
-			lj >= -lo[1] && lj < sub.Local.NY+hi[1] &&
-			lk >= -lo[2] && lk < sub.Local.NZ+hi[2] {
+		if li, lj, lk, ok := sub.Contains(s.GI, s.GJ, s.GK); ok {
 			st.local = append(st.local, localSource{li, lj, lk, s})
 		}
 	}

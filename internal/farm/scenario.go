@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/core/fd"
 	"repro/internal/core/solver"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
@@ -203,8 +202,8 @@ func (e EnsembleSpec) Options(sc Scenario) solver.Options {
 	}
 	return solver.Options{
 		Global: e.Dims, H: e.H, Steps: e.Steps, Topo: topo,
-		Comm: solver.AsyncReduced, Variant: fd.Precomp,
-		ABC: solver.SpongeABC, SpongeWidth: 4,
+		Comm: solver.AsyncReduced,
+		ABC:  solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: e.Attenuation,
 		Sources:  []source.SampledSource{ps.Sample(0.002, 120)},
 		TrackPGV: true,

@@ -220,15 +220,6 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	if err != nil {
 		return nil, WorldStats{}, err
 	}
-	// Checkpoints must land on super-step boundaries: mid-super-step
-	// wavefield states never exist, so an off-boundary cadence could not
-	// be honored (and rollback targets must divide by the depth).
-	if T := opt.TemporalDepth; T > 1 && o.Interval%T != 0 {
-		rounded := (o.Interval/T + 1) * T
-		o.Logf("ft: checkpoint interval %d is not a multiple of TemporalDepth %d; rounding up to %d",
-			o.Interval, T, rounded)
-		o.Interval = rounded
-	}
 	world := mpi.NewWorld(opt.Topo.Size())
 	if o.Chaos != nil {
 		world.InjectChaos(*o.Chaos)
@@ -387,9 +378,9 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 		}
 		*stp = st
 		// Multi-rate LTS only exposes its cycle length after stepper
-		// construction (rate assignment needs the per-rank media); like the
-		// TemporalDepth rounding above, checkpoints must land on cycle
-		// boundaries, where StepIndex is settable.
+		// construction (rate assignment needs the per-rank media);
+		// checkpoints must land on cycle boundaries, where StepIndex is
+		// settable.
 		if a := st.StepAlign(); a > 1 && h.interval%a != 0 {
 			rounded := (h.interval/a + 1) * a
 			if h.comm.Rank() == 0 {

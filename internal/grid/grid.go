@@ -28,7 +28,7 @@ func (d Dims) Valid() bool { return d.NX > 0 && d.NY > 0 && d.NZ > 0 }
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.NX, d.NY, d.NZ) }
 
 // Field3 is a 3D scalar field of float32 with ghost padding (Ghost wide
-// by default, deeper for temporally tiled fields). Interior indices run
+// unless the caller chose deeper). Interior indices run
 // i in [0,NX), j in [0,NY), k in [0,NZ); ghost indices extend to
 // [-G(), N+G()). The backing slice is contiguous with x fastest, then y,
 // then z.
@@ -44,8 +44,6 @@ type Field3 struct {
 func NewField3(d Dims) *Field3 { return NewField3G(d, Ghost) }
 
 // NewField3G allocates a zeroed field with a caller-chosen ghost width.
-// Time-tiled execution uses deeper ghosts (4T planes for temporal depth T)
-// so a whole super-step of stencil erosion stays local between exchanges.
 func NewField3G(d Dims, ghost int) *Field3 {
 	return newField3Over(d, ghost, make([]float32, paddedLen(d, ghost)))
 }
@@ -284,8 +282,8 @@ func RangeLen(i0, i1, j0, j1, k0, k1 int) int {
 // into the ghost region — into dst in x-fastest order and returns the
 // number of values written. It is the pack primitive of the halo schedule:
 // several sections share one message buffer as disjoint sub-slices (so
-// they pack concurrently), and deep-exchange cross-sections extend into
-// ghosts earlier rounds filled.
+// they pack concurrently), and an LTS window start packs the ghost block a
+// coarser peer filled.
 func (f *Field3) PackRange(i0, i1, j0, j1, k0, k1 int, dst []float32) int {
 	return f.copyBlock(i0, i1, j0, j1, k0, k1, dst, true)
 }

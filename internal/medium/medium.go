@@ -49,17 +49,8 @@ type Medium struct {
 // spacing h (meters). Node (i,j,k) samples the model at global position
 // ((OffX+i)·h, (OffY+j)·h, (OffZ+k)·h) with z measured as depth.
 func FromCVM(q cvm.Querier, d decomp.Decomp, s decomp.Sub, h float64) *Medium {
-	return FromCVMGhost(q, d, s, h, grid.Ghost)
-}
-
-// FromCVMGhost is FromCVM with a caller-chosen ghost width, used by
-// time-tiled execution where recomputing into deep ghost regions needs
-// material properties 4T nodes beyond the subgrid. Because every node is a
-// deterministic function of its global coordinate, deep-ghost media agree
-// bit-for-bit with the owning rank's interior values.
-func FromCVMGhost(q cvm.Querier, d decomp.Decomp, s decomp.Sub, h float64, ghost int) *Medium {
-	m := allocG(s.Local, h, ghost)
-	g := ghost
+	m := alloc(s.Local, h)
+	g := grid.Ghost
 	minVs, maxVp, minRho := math.Inf(1), 0.0, math.Inf(1)
 	for k := -g; k < s.Local.NZ+g; k++ {
 		for j := -g; j < s.Local.NY+g; j++ {
@@ -116,10 +107,8 @@ func FromArrays(dims grid.Dims, h float64, vp, vs, rho []float32) (*Medium, erro
 	return m, nil
 }
 
-func alloc(d grid.Dims, h float64) *Medium { return allocG(d, h, grid.Ghost) }
-
-func allocG(d grid.Dims, h float64, ghost int) *Medium {
-	f := grid.LaneFields(d, ghost, grid.LaneMedium, 14)
+func alloc(d grid.Dims, h float64) *Medium {
+	f := grid.LaneFields(d, grid.Ghost, grid.LaneMedium, 14)
 	return &Medium{
 		Dims: d, H: h,
 		Rho: f(), Lam: f(), Mu: f(),
@@ -148,7 +137,7 @@ func convert(m cvm.Material) (rho, lam, mu float64) {
 // stencils touching the subgrid edge have valid coefficients.
 func (m *Medium) finalize() {
 	d := m.Dims
-	g := m.Rho.G() - 1 // staggered averages reach one node beyond; keep 1-ghost margin
+	g := grid.Ghost - 1 // staggered averages reach one node beyond; keep 1-ghost margin
 	for k := -g; k < d.NZ+g; k++ {
 		for j := -g; j < d.NY+g; j++ {
 			for i := -g; i < d.NX+g; i++ {

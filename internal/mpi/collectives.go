@@ -17,9 +17,9 @@ import (
 // Each rank parks exactly once (on its own node's release) and both
 // directions touch only a rank's own node and its parent/children, so
 // a barrier is O(log P) lock handoffs deep instead of P-1 waiters
-// convoying on one mutex and one condvar (the legacy BarrierConvoy,
-// kept for comparison). Like the
-// convoy, the tree barrier sends no messages: it never touches the
+// convoying on one mutex and one condvar (the centralized barrier this
+// replaced; BENCH_8.json holds the comparison). The tree barrier sends
+// no messages: it never touches the
 // inbox path, is never charged by SetLinkLatency, never appears in
 // MessageStats, and composes with chaos injection trivially (there is
 // nothing to drop or corrupt).

@@ -90,16 +90,10 @@ type World struct {
 	sentMsgs   atomic.Uint64
 	sentFloats atomic.Uint64
 
-	// Legacy centralized barrier (one mutex + one condvar shared by all
-	// ranks). Kept as BarrierConvoy so benchtab -exp scale can measure
-	// the convoy against the combining tree that Barrier now uses; the
-	// tree itself lives in barrier (collectives.go), built lazily under
+	// Barrier's combining tree (collectives.go), built lazily under
 	// barrierMu.
-	barrierMu   sync.Mutex
-	barrierCond *sync.Cond
-	barrierCnt  int
-	barrierGen  int
-	barrier     atomic.Pointer[barrierTree]
+	barrierMu sync.Mutex
+	barrier   atomic.Pointer[barrierTree]
 }
 
 // NewWorld creates a world with the given number of ranks. Creation is
@@ -109,9 +103,7 @@ func NewWorld(size int) *World {
 	if size <= 0 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	w := &World{size: size, inboxes: make([]atomic.Pointer[inbox], size)}
-	w.barrierCond = sync.NewCond(&w.barrierMu)
-	return w
+	return &World{size: size, inboxes: make([]atomic.Pointer[inbox], size)}
 }
 
 // inboxAt returns rank r's inbox, creating it on first use. Creation
@@ -146,8 +138,8 @@ func (w *World) Size() int { return w.size }
 // enqueued. The in-process transport's own per-message startup cost is
 // ~0.1µs, two orders of magnitude below the α ≈ 3–8µs of the perfmodel
 // machine descriptions, so protocols that trade message count against
-// message volume — coalesced halos, temporal tiling's deep exchange —
-// cannot be separated on the raw transport. The charge is a calibrated
+// message volume — coalesced halos against per-field ones — cannot be
+// separated on the raw transport. The charge is a calibrated
 // busy-wait rather than a Sleep: the emulated cluster's per-rank sender
 // overhead is CPU time, and on a time-shared host it must consume CPU to
 // appear in wall clock at all (a Sleep yields the processor and the
@@ -308,11 +300,6 @@ func (w *World) Abort() {
 		b.cond.Broadcast()
 		b.mu.Unlock()
 	}
-	w.barrierMu.Lock()
-	w.barrierGen++
-	w.barrierCnt = 0
-	w.barrierCond.Broadcast()
-	w.barrierMu.Unlock()
 	if t := w.barrier.Load(); t != nil {
 		t.abort()
 	}
@@ -338,10 +325,6 @@ func (w *World) Reset() {
 		b.closed = false
 		b.mu.Unlock()
 	}
-	w.barrierMu.Lock()
-	w.barrierGen++
-	w.barrierCnt = 0
-	w.barrierMu.Unlock()
 	if t := w.barrier.Load(); t != nil {
 		t.reset()
 	}
@@ -669,33 +652,6 @@ func Waitall(reqs []*Request) {
 		if r != nil {
 			r.Wait()
 		}
-	}
-}
-
-// BarrierConvoy is the legacy centralized barrier: one mutex, one
-// condvar, one generation counter shared by every rank. At O(10^4)
-// ranks the single lock serializes arrival and the final Broadcast
-// wakes all P-1 waiters into a convoy on that same lock. Kept so the
-// scale benchmark (benchtab -exp scale) can measure it against the
-// combining tree that Barrier uses; new code should call Barrier.
-func (c *Comm) BarrierConvoy() {
-	w := c.world
-	w.barrierMu.Lock()
-	gen := w.barrierGen
-	w.barrierCnt++
-	if w.barrierCnt == w.size {
-		w.barrierCnt = 0
-		w.barrierGen++
-		w.barrierCond.Broadcast()
-		w.barrierMu.Unlock()
-		return
-	}
-	for gen == w.barrierGen {
-		w.barrierCond.Wait()
-	}
-	w.barrierMu.Unlock()
-	if w.aborted.Load() {
-		panic(fmt.Errorf("mpi: barrier: %w", ErrWorldAborted))
 	}
 }
 

@@ -193,24 +193,6 @@ func TestTreeBarrierGenerationWraparound(t *testing.T) {
 	}
 }
 
-// TestBarrierConvoyStillWorks keeps the legacy centralized barrier
-// honest while it exists for benchmarking.
-func TestBarrierConvoyStillWorks(t *testing.T) {
-	const P = 16
-	w := NewWorld(P)
-	var n atomic.Int64
-	w.Run(func(c *Comm) {
-		for i := 0; i < 10; i++ {
-			n.Add(1)
-			c.BarrierConvoy()
-			if got := n.Load(); got < int64((i+1)*P) {
-				panic("convoy barrier released early")
-			}
-			c.BarrierConvoy()
-		}
-	})
-}
-
 // TestBarrierAbortReleasesTree verifies Abort wakes tree-barrier
 // waiters into ErrWorldAborted panics instead of deadlock, and that
 // Reset rearms the tree for a subsequent Run.

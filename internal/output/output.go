@@ -1,81 +1,17 @@
 // Package output implements the parallel-output machinery of §III.E:
 // run-time aggregation of decimated velocity output in memory buffers
-// flushed at a controlled frequency (the optimization that cut I/O
-// overhead from 49% to under 2%), MPI-IO-style single-file writes, and
-// parallel MD5 checksumming of the sub-arrays for integrity tracking.
+// flushed at a controlled frequency (Dist; the optimization that cut I/O
+// overhead from 49% to under 2%, priced by OverheadModel), and parallel MD5
+// checksumming of the sub-arrays for integrity tracking.
 package output
 
 import (
 	"crypto/md5"
 	"encoding/hex"
-	"fmt"
 	"sync"
 
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
-
-// Aggregator buffers per-step output records and flushes them to one file
-// on the simulated PFS every FlushEvery appended steps.
-type Aggregator struct {
-	FS         *pfs.FS
-	Path       string
-	FlushEvery int
-
-	buf       []float32
-	steps     int
-	offset    int
-	flushes   int
-	Checksums []string       // MD5 of each flushed chunk
-	IOStats   pfs.PhaseStats // accumulated flush costs
-}
-
-// NewAggregator creates an aggregator; flushEvery <= 0 flushes every step
-// (the pathological unaggregated mode).
-func NewAggregator(fsys *pfs.FS, path string, flushEvery int) *Aggregator {
-	if flushEvery <= 0 {
-		flushEvery = 1
-	}
-	return &Aggregator{FS: fsys, Path: path, FlushEvery: flushEvery}
-}
-
-// Append adds one step's output record.
-func (a *Aggregator) Append(data []float32) {
-	a.buf = append(a.buf, data...)
-	a.steps++
-	if a.steps%a.FlushEvery == 0 {
-		a.Flush()
-	}
-}
-
-// Flush writes the buffered records and clears the buffer.
-func (a *Aggregator) Flush() {
-	if len(a.buf) == 0 {
-		return
-	}
-	data := mpiio.PutFloat32s(a.buf)
-	a.FS.WriteAt(a.Path, a.offset, data)
-	st := a.FS.SimulatePhase([]pfs.Op{{Path: a.Path, Off: a.offset, Bytes: len(data), Write: true, Open: true}})
-	a.accumulate(st)
-	sum := md5.Sum(data)
-	a.Checksums = append(a.Checksums, hex.EncodeToString(sum[:]))
-	a.offset += len(data)
-	a.buf = a.buf[:0]
-	a.flushes++
-}
-
-func (a *Aggregator) accumulate(st pfs.PhaseStats) {
-	a.IOStats.Elapsed += st.Elapsed
-	a.IOStats.MDSTime += st.MDSTime
-	a.IOStats.IOTime += st.IOTime
-	a.IOStats.Bytes += st.Bytes
-}
-
-// Flushes returns how many flushes have happened.
-func (a *Aggregator) Flushes() int { return a.flushes }
-
-// BytesWritten returns the total bytes flushed so far.
-func (a *Aggregator) BytesWritten() int { return a.offset }
 
 // ParallelMD5 computes MD5 checksums of nparts contiguous sub-arrays of
 // data concurrently — the parallelized integrity pass that "substantially
@@ -146,22 +82,4 @@ func OverheadModel(fsys *pfs.FS, path string, steps int, stepCompute float64, pe
 		return 0
 	}
 	return ioTime / total
-}
-
-// Verify recomputes the MD5 of each flushed chunk and compares with the
-// recorded checksums; chunk sizes must be supplied in flush order.
-func (a *Aggregator) Verify(chunkBytes []int) error {
-	off := 0
-	for i, n := range chunkBytes {
-		buf := make([]byte, n)
-		if err := a.FS.ReadAt(a.Path, off, buf); err != nil {
-			return err
-		}
-		sum := md5.Sum(buf)
-		if got := hex.EncodeToString(sum[:]); got != a.Checksums[i] {
-			return fmt.Errorf("output: chunk %d checksum mismatch", i)
-		}
-		off += n
-	}
-	return nil
 }

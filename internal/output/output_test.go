@@ -4,63 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
 
 func testFS() *pfs.FS {
 	return pfs.New(pfs.Config{OSTs: 8, OSTBandwidth: 1e8, MDSLatency: 1e-3, MDSConcurrent: 4})
-}
-
-func TestAggregatorFlushCadence(t *testing.T) {
-	fsys := testFS()
-	a := NewAggregator(fsys, "out/surface.bin", 5)
-	rec := []float32{1, 2, 3}
-	for s := 0; s < 12; s++ {
-		a.Append(rec)
-	}
-	if a.Flushes() != 2 {
-		t.Fatalf("flushes = %d, want 2 (12 steps / 5)", a.Flushes())
-	}
-	a.Flush() // drain the remaining 2 steps
-	if a.Flushes() != 3 {
-		t.Fatalf("flushes after drain = %d", a.Flushes())
-	}
-	if a.BytesWritten() != 12*3*4 {
-		t.Fatalf("bytes = %d, want %d", a.BytesWritten(), 12*3*4)
-	}
-	// Content round trip.
-	raw := make([]byte, a.BytesWritten())
-	if err := fsys.ReadAt("out/surface.bin", 0, raw); err != nil {
-		t.Fatal(err)
-	}
-	vals := mpiio.GetFloat32s(raw)
-	for s := 0; s < 12; s++ {
-		for c := 0; c < 3; c++ {
-			if vals[s*3+c] != rec[c] {
-				t.Fatalf("sample %d comp %d = %g", s, c, vals[s*3+c])
-			}
-		}
-	}
-}
-
-func TestChecksumsVerify(t *testing.T) {
-	fsys := testFS()
-	a := NewAggregator(fsys, "out/v.bin", 2)
-	for s := 0; s < 6; s++ {
-		a.Append([]float32{float32(s)})
-	}
-	if len(a.Checksums) != 3 {
-		t.Fatalf("checksums = %d", len(a.Checksums))
-	}
-	if err := a.Verify([]int{8, 8, 8}); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt a byte; verification must fail.
-	fsys.WriteAt("out/v.bin", 3, []byte{0xFF})
-	if err := a.Verify([]int{8, 8, 8}); err == nil {
-		t.Fatal("corruption not detected")
-	}
 }
 
 func TestParallelMD5MatchesSerial(t *testing.T) {

@@ -54,21 +54,12 @@ type Job struct {
 	// switch moves the per-message latency term of Eq. 7 only; the byte
 	// volume is the same.
 	CoalescedComm bool
-	// TemporalDepth T > 1 models the time-tiled engine (solver ttile.go):
-	// one deep halo exchange per T-step super-step instead of two 2-plane
-	// exchanges per step. The per-message latency term of Eq. 7 drops
-	// ~T-fold per step (with coalescing, to one message per neighbor per
-	// super-step); the byte volume per step grows, because the deep halo
-	// ships (4T-2)-, 4T- and (4T-4)-plane sections of the velocity, stress
-	// and attenuation memory-variable fields.
-	TemporalDepth int
 	// LTSShares models multi-rate local time stepping (solver lts.go):
 	// the fraction of cells advancing at each rate-2^k step multiplier. A
 	// rate-r cluster runs its kernels and sends its messages once per r
 	// base steps, so the amortized per-base-step compute AND the
 	// per-message/byte communication terms both scale by
 	// sum(frac/rate)/sum(frac). Nil or empty models a classic run.
-	// Mutually exclusive with TemporalDepth > 1, as in the solver.
 	LTSShares []LTSShare
 }
 
@@ -183,25 +174,6 @@ func StepTime(j Job) Breakdown {
 		msgsStep = 12
 		nMsgsPerPhase = 2 * (1 + 3) // one aggregate per side: velocity + 3 stress axes
 	}
-	if j.TemporalDepth > 1 {
-		// Time-tiled super-steps: one exchange per T steps, full field set
-		// (no reduced stress axes — the recomputed extensions mix
-		// derivative axes) plus the six memory variables. Amortized per
-		// step, the latency term shrinks ~T-fold while the volume grows.
-		T := float64(j.TemporalDepth)
-		deepPlanes := (3*(4*T-2) + 6*(4*T) + 6*(4*T-4)) / T // per side, per step
-		bytesX = 2 * deepPlanes * ny * nz * 4
-		bytesY = 2 * deepPlanes * nx * nz * 4
-		bytesZ = 2 * deepPlanes * nx * ny * 4
-		if j.CoalescedComm {
-			msgsStep = 6 / T // one message per neighbor per super-step
-			nMsgsPerPhase = 2
-		} else {
-			msgsStep = 15 * 6 / T
-			nMsgsPerPhase = 2 * 15
-		}
-	}
-
 	if ltsWork < 1 {
 		// LTS thins the exchange the same way it thins compute: a rate-r
 		// rank sends its faces once per r base steps (window-end messages

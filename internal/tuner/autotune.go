@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/core/attenuation"
@@ -20,31 +21,26 @@ import (
 )
 
 // The heuristic Tune above encodes the paper's Jaguar-era decision rules;
-// the kernel autotuner below replaces the hard-coded {JBlock:8, KBlock:16}
-// with a startup micro-benchmark on the actual machine: it sweeps kernel
-// variant x blocking factors on a representative tile of the per-rank
-// subgrid, picks the fastest, and caches the winner in a JSON profile keyed
-// by grid shape + threads + GOMAXPROCS so later runs skip the benchmark
-// entirely (awp-run -variant=auto).
+// the kernel autotuner below checks the hard-coded {JBlock:8, KBlock:16}
+// against a startup micro-benchmark on the actual machine: it times the
+// production kernels under six blocking factors on a representative tile of
+// the per-rank subgrid and caches the choice in a JSON profile keyed by grid
+// shape + threads + GOMAXPROCS so later runs skip the benchmark entirely
+// (awp-run -autotune). The blocking is the only axis: there is one kernel
+// pair and one stepping scheme to run it under.
 
 // KernelChoice is the autotuned kernel configuration.
 type KernelChoice struct {
-	Variant  fd.Variant
-	Blocking fd.Blocking
-	// TemporalDepth is the autotuned super-step length: 1 is classic
-	// stepping; T > 1 runs the time-skewed chunk sweep (fd.SuperStepSweep)
-	// that keeps each k-chunk cache-resident for T steps.
-	TemporalDepth int
-	NsPerCell     float64 // measured cost per cell per step of the winner
-	FromCache     bool    // true when loaded from the profile without re-benchmarking
+	Blocking  fd.Blocking
+	NsPerCell float64 // fastest measured repetition of the choice, per cell per step
+	FromCache bool    // true when loaded from the profile without re-benchmarking
 }
 
-// KernelSample is one micro-benchmark measurement of the sweep.
+// KernelSample is one blocking's micro-benchmark measurement: its fastest
+// timed repetition.
 type KernelSample struct {
-	Variant   string  `json:"variant"`
 	JBlock    int     `json:"jblock"`
 	KBlock    int     `json:"kblock"`
-	TDepth    int     `json:"tdepth"`
 	NsPerCell float64 `json:"ns_per_cell"`
 }
 
@@ -57,45 +53,38 @@ type AutotuneOptions struct {
 	// Threads is the per-rank worker-pool size the run will use.
 	Threads int
 	// Attenuation includes the memory-variable update in the benchmarked
-	// sweep, as the one stress + memory-variable pass the solver runs for
-	// every candidate — the sweep then streams eight more arrays per row,
-	// which moves the best blocking.
+	// sweep, as the one stress + memory-variable pass the solver runs — the
+	// sweep then streams eight more arrays per row, which moves the best
+	// blocking.
 	Attenuation bool
-	// LTS marks that the run uses multi-rate local time stepping, which
-	// is mutually exclusive with temporal tiling: the candidate sweep is
-	// restricted to depth 1 and the profile entry is keyed separately so
-	// a depth > 1 winner cached by a classic run never leaks into an LTS
-	// run (and vice versa).
-	LTS bool
 	// CachePath overrides the profile location ("" uses DefaultProfilePath).
 	CachePath string
-	// Quick restricts the sweep to two blockings and one timed repetition —
-	// for smoke tests and CI, not production tuning.
+	// Quick restricts the sweep to one candidate beside the default — for
+	// smoke tests and CI, not production tuning.
 	Quick bool
 
-	// benchFn replaces the micro-benchmark in tests; it returns ns/cell/step
-	// for one candidate.
-	benchFn func(v fd.Variant, blk fd.Blocking, tdepth int) float64
+	// benchFn replaces the micro-benchmark in tests; it returns the
+	// ns/cell/step of each timed repetition of one blocking.
+	benchFn func(blk fd.Blocking) []float64
 }
 
-// profileEntry is the cached winner for one key.
+// profileEntry is the cached choice for one key.
 type profileEntry struct {
-	Variant   string         `json:"variant"`
 	JBlock    int            `json:"jblock"`
 	KBlock    int            `json:"kblock"`
-	TDepth    int            `json:"tdepth"`
 	NsPerCell float64        `json:"ns_per_cell"`
 	Samples   []KernelSample `json:"samples,omitempty"`
 	CreatedAt string         `json:"created_at,omitempty"`
 }
 
 // profileVersion is the on-disk profile format version. Bump it whenever
-// the entry schema or the meaning of a key changes (v2 added the temporal
-// depth dimension; v3 times attenuated candidates on the one-pass stress sweep
-// the solver now runs for all of them); a profile with any other version — including the
+// the entry schema or the meaning of a key changes (v2 added a temporal
+// depth dimension; v3 timed attenuated candidates on the one-pass stress
+// sweep; v4 dropped the variant and depth dimensions and with them the
+// "|lts" key suffix); a profile with any other version — including the
 // implicit 0 of pre-versioning files — is treated as a cache miss and
 // rewritten, never migrated or trusted.
-const profileVersion = 3
+const profileVersion = 4
 
 // kernelProfile is the on-disk JSON profile: one entry per machine-visible
 // configuration key.
@@ -114,61 +103,49 @@ func DefaultProfilePath() (string, error) {
 	return filepath.Join(dir, "awp-odc", "kernel-profile.json"), nil
 }
 
-// profileKey identifies a tuning configuration: the kernel ranking depends
+// profileKey identifies a tuning configuration: the best blocking depends
 // on the subgrid shape (cache footprint), the pool size (tile parallelism),
-// the machine's scheduling width, whether attenuation rides along, and
-// whether the run is LTS (which forbids temporal depth > 1).
-func profileKey(d grid.Dims, threads int, atten, lts bool) string {
+// the machine's scheduling width, and whether attenuation rides along.
+func profileKey(d grid.Dims, threads int, atten bool) string {
 	a := 0
 	if atten {
 		a = 1
 	}
-	key := fmt.Sprintf("%dx%dx%d|t%d|p%d|a%d", d.NX, d.NY, d.NZ, threads, runtime.GOMAXPROCS(0), a)
-	if lts {
-		key += "|lts"
-	}
-	return key
+	return fmt.Sprintf("%dx%dx%d|t%d|p%d|a%d", d.NX, d.NY, d.NZ, threads, runtime.GOMAXPROCS(0), a)
 }
 
-// autotuneCandidates returns the (variant, blocking) sweep. Precomp is the
-// unblocked baseline; Blocked/Unrolled are the paper's §IV.B ladder;
-// Fused is the subslice-window engine. The blocking also shapes the pool
-// tiles, so it matters for every variant.
-func autotuneCandidates(quick, lts bool) []KernelChoice {
-	variants := []fd.Variant{fd.Blocked, fd.Unrolled, fd.Fused}
-	blockings := []fd.Blocking{
+// autotuneCandidates returns the blockings timed against fd.DefaultBlocking
+// (the paper's Jaguar tuning). The blocking shapes the cache panels and the
+// pool tiles alike.
+func autotuneCandidates(quick bool) []fd.Blocking {
+	if quick {
+		return []fd.Blocking{{JBlock: 16, KBlock: 16}}
+	}
+	return []fd.Blocking{
 		{JBlock: 4, KBlock: 8},
 		{JBlock: 8, KBlock: 8},
-		{JBlock: 8, KBlock: 16}, // the paper's Jaguar tuning
 		{JBlock: 16, KBlock: 16},
 		{JBlock: 16, KBlock: 32},
 		{JBlock: 32, KBlock: 32},
 	}
-	depths := []int{1, 2, 4}
-	if quick {
-		blockings = []fd.Blocking{{JBlock: 8, KBlock: 16}, {JBlock: 16, KBlock: 16}}
-		depths = []int{1, 2}
-	}
-	if lts {
-		depths = []int{1}
-	}
-	var out []KernelChoice
-	for _, v := range variants {
-		for _, b := range blockings {
-			for _, td := range depths {
-				out = append(out, KernelChoice{Variant: v, Blocking: b, TemporalDepth: td})
-			}
-		}
-	}
-	return out
 }
 
-// AutotuneKernels returns the fastest kernel configuration for the given
-// subgrid, benchmarking at most once per profile key: if the cached profile
-// already holds an entry for this shape/threads/GOMAXPROCS, it is returned
+// AutotuneKernels returns the blocking to run the given subgrid with,
+// benchmarking at most once per profile key: if the cached profile already
+// holds an entry for this shape/threads/GOMAXPROCS, it is returned
 // immediately (FromCache=true) and no kernels run. A missing or unreadable
 // profile is not an error — the benchmark runs and a fresh profile is
 // written; only a failure to produce any measurement is.
+//
+// The candidates' times differ by a few percent, less than one blocking's
+// own repetitions do, so the fastest single measurement is a different
+// blocking on every sweep. fd.DefaultBlocking is therefore the incumbent: it
+// is timed before and after the candidates — so a change of machine state
+// during the sweep slows one of its passes instead of flattering whoever ran
+// in the faster state — and it is replaced only by a candidate whose fastest
+// repetition beats the incumbent's by more than the sweep's repetition
+// spread, the median over the blockings of slowest minus fastest; among
+// several such, the fastest. Two sweeps on an unchanged machine then agree.
 func AutotuneKernels(opt AutotuneOptions) (KernelChoice, []KernelSample, error) {
 	if opt.Dims.NX <= 0 || opt.Dims.NY <= 0 || opt.Dims.NZ <= 0 {
 		return KernelChoice{}, nil, fmt.Errorf("tuner: invalid dims %+v", opt.Dims)
@@ -183,75 +160,76 @@ func AutotuneKernels(opt AutotuneOptions) (KernelChoice, []KernelSample, error) 
 			return KernelChoice{}, nil, err
 		}
 	}
-	key := profileKey(opt.Dims, opt.Threads, opt.Attenuation, opt.LTS)
+	key := profileKey(opt.Dims, opt.Threads, opt.Attenuation)
 
 	prof := loadProfile(path)
-	if e, ok := prof.Entries[key]; ok {
-		if v, err := fd.ParseVariant(e.Variant); err == nil && e.TDepth >= 1 {
-			return KernelChoice{
-				Variant:       v,
-				Blocking:      fd.Blocking{JBlock: e.JBlock, KBlock: e.KBlock},
-				TemporalDepth: e.TDepth,
-				NsPerCell:     e.NsPerCell,
-				FromCache:     true,
-			}, e.Samples, nil
-		}
-		// Unknown variant name or invalid depth: re-benchmark.
+	if e, ok := prof.Entries[key]; ok && e.JBlock > 0 && e.KBlock > 0 {
+		return KernelChoice{
+			Blocking:  fd.Blocking{JBlock: e.JBlock, KBlock: e.KBlock},
+			NsPerCell: e.NsPerCell,
+			FromCache: true,
+		}, e.Samples, nil
 	}
 
 	bench := opt.benchFn
 	if bench == nil {
-		bd := benchDims(opt.Dims)
-		reps := 3
-		if opt.Quick {
-			reps = 1
-		}
-		env, err := newBenchEnv(bd, opt.Threads, opt.Attenuation)
+		env, err := newBenchEnv(benchDims(opt.Dims), opt.Threads, opt.Attenuation)
 		if err != nil {
 			return KernelChoice{}, nil, err
 		}
 		defer env.close()
-		bench = func(v fd.Variant, blk fd.Blocking, tdepth int) float64 {
-			return env.measure(v, blk, tdepth, reps)
+		bench = env.measure
+	}
+	// sample reduces one blocking's repetitions to the fastest and to their
+	// spread, slowest minus fastest.
+	sample := func(blk fd.Blocking, reps []float64) (KernelSample, float64) {
+		s := KernelSample{JBlock: blk.JBlock, KBlock: blk.KBlock, NsPerCell: math.Inf(1)}
+		worst := 0.0
+		for _, ns := range reps {
+			s.NsPerCell = min(s.NsPerCell, ns)
+			worst = max(worst, ns)
 		}
+		return s, worst - s.NsPerCell
 	}
 
-	best := KernelChoice{NsPerCell: math.Inf(1)}
-	var samples []KernelSample
-	for _, cand := range autotuneCandidates(opt.Quick, opt.LTS) {
-		ns := bench(cand.Variant, cand.Blocking, cand.TemporalDepth)
-		samples = append(samples, KernelSample{
-			Variant: cand.Variant.String(),
-			JBlock:  cand.Blocking.JBlock, KBlock: cand.Blocking.KBlock,
-			TDepth:    cand.TemporalDepth,
-			NsPerCell: ns,
-		})
-		if ns < best.NsPerCell {
-			best = cand
-			best.NsPerCell = ns
+	first := bench(fd.DefaultBlocking)
+	samples := make([]KernelSample, 1) // [0] is the incumbent's
+	spreads := make([]float64, 1)
+	for _, blk := range autotuneCandidates(opt.Quick) {
+		s, spread := sample(blk, bench(blk))
+		samples, spreads = append(samples, s), append(spreads, spread)
+	}
+	samples[0], spreads[0] = sample(fd.DefaultBlocking, append(first, bench(fd.DefaultBlocking)...))
+	incumbent := samples[0]
+	sort.Float64s(spreads)
+	bar := incumbent.NsPerCell - spreads[len(spreads)/2]
+	best := incumbent
+	for _, s := range samples[1:] {
+		if s.NsPerCell < bar && s.NsPerCell < best.NsPerCell {
+			best = s
 		}
 	}
 	if math.IsInf(best.NsPerCell, 1) {
-		return KernelChoice{}, nil, fmt.Errorf("tuner: no kernel candidate produced a measurement")
+		return KernelChoice{}, nil, fmt.Errorf("tuner: the kernel benchmark produced no measurement")
+	}
+	choice := KernelChoice{
+		Blocking:  fd.Blocking{JBlock: best.JBlock, KBlock: best.KBlock},
+		NsPerCell: best.NsPerCell,
 	}
 
 	if prof.Entries == nil {
 		prof.Entries = map[string]profileEntry{}
 	}
 	prof.Entries[key] = profileEntry{
-		Variant: best.Variant.String(),
-		JBlock:  best.Blocking.JBlock, KBlock: best.Blocking.KBlock,
-		TDepth:    best.TemporalDepth,
+		JBlock: best.JBlock, KBlock: best.KBlock,
 		NsPerCell: best.NsPerCell,
 		Samples:   samples,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 	}
-	if err := saveProfile(path, prof); err != nil {
-		// A read-only cache dir should not fail the run; the choice is
-		// still valid, it just will not be remembered.
-		return best, samples, nil
-	}
-	return best, samples, nil
+	// A read-only cache dir should not fail the run; the choice is still
+	// valid, it just will not be remembered.
+	_ = saveProfile(path, prof)
+	return choice, samples, nil
 }
 
 // loadProfile reads the profile, returning an empty one on any error or on
@@ -344,52 +322,26 @@ func newBenchEnv(d grid.Dims, threads int, useAtten bool) (*benchEnv, error) {
 
 func (e *benchEnv) close() { e.pool.Close() }
 
-// measure times the candidate and returns the best ns/cell/step over reps
-// timed repetitions (after one warmup). Using the minimum rejects
-// scheduler noise — the quantity of interest is the kernel's cost, not
-// the machine's worst case. At tdepth 1 a repetition is one full
-// velocity+stress(+attenuation) sweep; at tdepth > 1 it is one
-// time-skewed super-step (fd.SuperStepSweep) advancing tdepth steps, and
-// the measured time is divided by tdepth so depths rank on equal terms.
-func (e *benchEnv) measure(v fd.Variant, blk fd.Blocking, tdepth, reps int) float64 {
+// measure times one velocity + stress(+attenuation) sweep of the production
+// kernels under blk — the bodies the solver's tiles run (solver.velocityTile,
+// solver.stressTile) — and returns the ns/cell of each of three timed
+// repetitions, after one warmup.
+func (e *benchEnv) measure(blk fd.Blocking) []float64 {
 	box := fd.FullBox(e.dims)
-	velocity := func(b fd.Box) {
-		fd.UpdateVelocityTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
-	}
-	// The stress body the solver's tiles run for v (solver.stressTile).
-	stress := func(b fd.Box) {
-		switch {
-		case e.atten == nil:
-			fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
-		case v.Precomputed():
-			e.atten.FusedStressTiled(e.state, e.med, e.dt, b, blk, e.pool)
-		default:
-			fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
-			e.atten.ApplyTiled(e.state, e.med, e.dt, b, blk, e.pool)
-		}
-	}
-	nsteps := 1.0
-	var step func()
-	if tdepth <= 1 {
-		step = func() {
-			velocity(box)
-			stress(box)
-		}
-	} else {
-		nsteps = float64(tdepth)
-		step = func() {
-			fd.SuperStepSweep(e.dims, tdepth, blk.KBlock, velocity, stress)
+	step := func() {
+		fd.UpdateVelocityTiled(e.state, e.med, e.dt, box, fd.Production, blk, e.pool)
+		if e.atten != nil {
+			e.atten.FusedStressTiled(e.state, e.med, e.dt, box, blk, e.pool)
+		} else {
+			fd.UpdateStressTiled(e.state, e.med, e.dt, box, fd.Production, blk, e.pool)
 		}
 	}
 	step() // warmup: page in fields, settle the pool
-	cells := float64(box.Cells()) * nsteps
-	best := math.Inf(1)
-	for r := 0; r < reps; r++ {
+	reps := make([]float64, 3)
+	for r := range reps {
 		t0 := time.Now()
 		step()
-		if ns := time.Since(t0).Seconds() * 1e9 / cells; ns < best {
-			best = ns
-		}
+		reps[r] = time.Since(t0).Seconds() * 1e9 / float64(box.Cells())
 	}
-	return best
+	return reps
 }

@@ -4,36 +4,38 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core/fd"
 	"repro/internal/grid"
 )
 
+// flat is a benchFn whose every repetition of every blocking costs ns.
+func flat(calls *int, ns float64) func(fd.Blocking) []float64 {
+	return func(fd.Blocking) []float64 {
+		*calls++
+		return []float64{ns, ns, ns}
+	}
+}
+
 // The profile must round-trip: the first call benchmarks and writes, the
-// second call for the same key returns the cached winner without invoking
+// second call for the same key returns the cached choice without invoking
 // the benchmark at all.
 func TestAutotuneRoundTrip(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "profile.json")
 	calls := 0
+	winner := fd.Blocking{JBlock: 16, KBlock: 16}
 	opt := AutotuneOptions{
 		Dims:      grid.Dims{NX: 96, NY: 80, NZ: 64},
 		Threads:   4,
 		CachePath: cache,
-		benchFn: func(v fd.Variant, blk fd.Blocking, tdepth int) float64 {
+		benchFn: func(blk fd.Blocking) []float64 {
 			calls++
-			// Craft a clear winner: Fused {16,16} at depth 2.
-			cost := 10.0
-			if v == fd.Fused {
-				cost = 5.0
+			if blk == winner {
+				return []float64{2.0, 2.1, 2.2}
 			}
-			if v == fd.Fused && blk.JBlock == 16 && blk.KBlock == 16 {
-				cost = 2.0
-				if tdepth == 2 {
-					cost = 1.0
-				}
-			}
-			return cost
+			return []float64{5.0, 5.2, 5.1}
 		},
 	}
 	choice, samples, err := AutotuneKernels(opt)
@@ -46,12 +48,14 @@ func TestAutotuneRoundTrip(t *testing.T) {
 	if choice.FromCache {
 		t.Fatal("cold-cache choice reported FromCache")
 	}
-	if choice.Variant != fd.Fused || choice.Blocking.JBlock != 16 ||
-		choice.Blocking.KBlock != 16 || choice.TemporalDepth != 2 {
-		t.Fatalf("wrong winner: %v %+v depth %d", choice.Variant, choice.Blocking, choice.TemporalDepth)
+	if choice.Blocking != winner || choice.NsPerCell != 2.0 {
+		t.Fatalf("wrong winner: %+v", choice)
 	}
-	if len(samples) != len(autotuneCandidates(false, false)) {
-		t.Fatalf("expected %d samples, got %d", len(autotuneCandidates(false, false)), len(samples))
+	if want := 1 + len(autotuneCandidates(false)); len(samples) != want || want != 6 {
+		t.Fatalf("expected the default and five candidates, got %d samples", len(samples))
+	}
+	if s := samples[0]; s.JBlock != fd.DefaultBlocking.JBlock || s.KBlock != fd.DefaultBlocking.KBlock {
+		t.Fatalf("first sample is %+v, want the default blocking", s)
 	}
 
 	calls = 0
@@ -65,12 +69,61 @@ func TestAutotuneRoundTrip(t *testing.T) {
 	if !cached.FromCache {
 		t.Fatal("warm-cache choice not reported FromCache")
 	}
-	if cached.Variant != choice.Variant || cached.Blocking != choice.Blocking ||
-		cached.TemporalDepth != choice.TemporalDepth || cached.NsPerCell != choice.NsPerCell {
+	if cached.Blocking != choice.Blocking || cached.NsPerCell != choice.NsPerCell {
 		t.Fatalf("cached choice %+v differs from original %+v", cached, choice)
 	}
 	if len(samples2) != len(samples) {
 		t.Fatalf("cached samples %d != original %d", len(samples2), len(samples))
+	}
+}
+
+// The candidates' times sit inside one another's repetition spread, so the
+// fastest single measurement is noise. The default blocking is the incumbent
+// and goes only to a candidate whose best repetition beats its best — over
+// both its passes, the second being where a machine that changed speed
+// mid-sweep shows — by more than the median spread of the sweep's samples.
+func TestAutotuneKeepsDefaultWithinSpread(t *testing.T) {
+	cand := fd.Blocking{JBlock: 32, KBlock: 32}
+	def := [2][]float64{{10, 10.4, 11}, {10.2, 10.1, 10.9}} // spread 1.0
+	for _, tc := range []struct {
+		name       string
+		def        [2][]float64 // the default's repetitions, before and after the candidates
+		cand, rest []float64    // rest: the other four candidates
+		want       fd.Blocking
+	}{
+		{"tie", [2][]float64{{10, 10, 10}, {10, 10, 10}}, []float64{10, 10, 10}, []float64{10, 10, 10}, fd.DefaultBlocking},
+		{"noiseless and a hair faster", [2][]float64{{10, 10, 10}, {10, 10, 10}}, []float64{9.99, 9.99, 9.99}, []float64{10, 10, 10}, cand},
+		{"faster best, inside the spread", def, []float64{9.7, 10.3, 10.6}, []float64{10.5, 11.1, 11.3}, fd.DefaultBlocking},
+		{"every repetition faster, by less than the spread", def, []float64{9.7, 9.8, 9.9}, []float64{10.5, 11.1, 11.3}, fd.DefaultBlocking},
+		{"clear winner", def, []float64{7, 7.9, 7.1}, []float64{10.5, 11.1, 11.3}, cand},
+		{"two clear winners, the faster is taken", def, []float64{7, 7.9, 7.1}, []float64{8, 8.1, 8.8}, cand},
+		{"machine sped up after the default was first timed", [2][]float64{{14, 14.2, 14.5}, {10, 10.1, 10.2}},
+			[]float64{9.9, 10.2, 10.3}, []float64{10.4, 10.5, 10.6}, fd.DefaultBlocking},
+	} {
+		defCalls := 0
+		choice, _, err := AutotuneKernels(AutotuneOptions{
+			Dims: grid.Dims{NX: 28, NY: 28, NZ: 20}, Threads: 1,
+			CachePath: filepath.Join(t.TempDir(), "profile.json"),
+			benchFn: func(blk fd.Blocking) []float64 {
+				switch blk {
+				case fd.DefaultBlocking:
+					defCalls++
+					return tc.def[defCalls-1]
+				case cand:
+					return tc.cand
+				}
+				return tc.rest
+			},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if defCalls != 2 {
+			t.Fatalf("%s: default blocking timed %d times, want before and after the candidates", tc.name, defCalls)
+		}
+		if choice.Blocking != tc.want {
+			t.Errorf("%s: chose %+v, want %+v", tc.name, choice.Blocking, tc.want)
+		}
 	}
 }
 
@@ -81,7 +134,7 @@ func TestAutotuneKeySeparation(t *testing.T) {
 	mk := func(d grid.Dims, threads int, atten bool) AutotuneOptions {
 		return AutotuneOptions{
 			Dims: d, Threads: threads, Attenuation: atten, CachePath: cache,
-			benchFn: func(fd.Variant, fd.Blocking, int) float64 { calls++; return 1 },
+			benchFn: flat(&calls, 1),
 		}
 	}
 	base := grid.Dims{NX: 32, NY: 32, NZ: 32}
@@ -118,7 +171,7 @@ func TestAutotuneCorruptProfile(t *testing.T) {
 	calls := 0
 	opt := AutotuneOptions{
 		Dims: grid.Dims{NX: 16, NY: 16, NZ: 16}, Threads: 1, CachePath: cache,
-		benchFn: func(fd.Variant, fd.Blocking, int) float64 { calls++; return 1 },
+		benchFn: flat(&calls, 1),
 	}
 	if _, _, err := AutotuneKernels(opt); err != nil {
 		t.Fatal(err)
@@ -141,7 +194,7 @@ func TestAutotuneCorruptProfile(t *testing.T) {
 }
 
 // End-to-end with the real micro-benchmark on a tiny grid: the sweep must
-// complete, return a valid ladder variant, and persist a parseable profile.
+// complete, return a usable blocking, and persist a parseable profile.
 func TestAutotuneEndToEndQuick(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "profile.json")
 	opt := AutotuneOptions{
@@ -155,14 +208,14 @@ func TestAutotuneEndToEndQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := choice.Variant.Validate(); err != nil {
-		t.Fatalf("winner has invalid variant: %v", err)
+	if choice.Blocking.JBlock <= 0 || choice.Blocking.KBlock <= 0 {
+		t.Fatalf("unusable blocking %+v", choice.Blocking)
 	}
 	if choice.NsPerCell <= 0 {
 		t.Fatalf("non-positive measurement: %g", choice.NsPerCell)
 	}
-	if len(samples) != len(autotuneCandidates(true, false)) {
-		t.Fatalf("expected %d quick samples, got %d", len(autotuneCandidates(true, false)), len(samples))
+	if len(samples) != 2 {
+		t.Fatalf("expected 2 quick samples, got %d", len(samples))
 	}
 	for _, s := range samples {
 		if s.NsPerCell <= 0 {
@@ -200,7 +253,7 @@ func TestAutotuneProfileVersionMismatch(t *testing.T) {
 	calls := 0
 	opt := AutotuneOptions{
 		Dims: grid.Dims{NX: 16, NY: 16, NZ: 16}, Threads: 1, CachePath: cache,
-		benchFn: func(fd.Variant, fd.Blocking, int) float64 { calls++; return 1 },
+		benchFn: flat(&calls, 1),
 	}
 	if _, _, err := AutotuneKernels(opt); err != nil {
 		t.Fatal(err)
@@ -243,61 +296,46 @@ func TestAutotuneProfileVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestAutotuneLTSKeySeparation pins the LTS cache discipline: an LTS run
-// never reuses a classic run's cached winner (whose depth may exceed 1),
-// its candidate sweep is depth-1 only, and its winner is cached under a
-// separate key so the classic entry survives.
-func TestAutotuneLTSKeySeparation(t *testing.T) {
+// A version-3 profile as PR 18 wrote it — variant and depth in the entry,
+// an "|lts" key beside the plain one — is a miss, and what replaces it is a
+// version-4 file holding only what this sweep measured.
+func TestAutotuneV3ProfileRewritten(t *testing.T) {
 	cache := filepath.Join(t.TempDir(), "profile.json")
+	d := grid.Dims{NX: 28, NY: 28, NZ: 20}
+	key := profileKey(d, 1, true)
+	v3 := `{"version": 3, "entries": {
+		"` + key + `": {"variant": "unrolled", "jblock": 32, "kblock": 32, "tdepth": 2, "ns_per_cell": 11.5},
+		"` + key + `|lts": {"variant": "fused", "jblock": 4, "kblock": 8, "tdepth": 1, "ns_per_cell": 12}}}`
+	if err := os.WriteFile(cache, []byte(v3), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	calls := 0
-	opt := AutotuneOptions{
-		Dims:      grid.Dims{NX: 64, NY: 48, NZ: 32},
-		Threads:   2,
-		CachePath: cache,
-		benchFn: func(v fd.Variant, blk fd.Blocking, tdepth int) float64 {
-			calls++
-			if tdepth > 1 {
-				return 1.0 // classic tuning prefers depth > 1
-			}
-			return 2.0
-		},
-	}
-	classic, _, err := AutotuneKernels(opt)
+	choice, _, err := AutotuneKernels(AutotuneOptions{
+		Dims: d, Threads: 1, Attenuation: true, CachePath: cache, benchFn: flat(&calls, 12),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if classic.TemporalDepth <= 1 {
-		t.Fatalf("classic winner depth %d, expected > 1", classic.TemporalDepth)
+	if calls == 0 || choice.FromCache {
+		t.Fatal("version-3 profile treated as a hit")
 	}
-
-	calls = 0
-	opt.LTS = true
-	lts, samples, err := AutotuneKernels(opt)
+	if choice.Blocking != fd.DefaultBlocking {
+		t.Fatalf("chose %+v from a flat sweep, want the default", choice.Blocking)
+	}
+	data, err := os.ReadFile(cache)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls == 0 {
-		t.Fatal("LTS run reused the classic cache entry")
+	var p kernelProfile
+	if err := json.Unmarshal(data, &p); err != nil {
+		t.Fatal(err)
 	}
-	if lts.TemporalDepth != 1 {
-		t.Fatalf("LTS winner depth %d, want 1", lts.TemporalDepth)
+	if p.Version != 4 || len(p.Entries) != 1 || p.Entries[key].JBlock != fd.DefaultBlocking.JBlock {
+		t.Fatalf("rewritten profile: version %d, entries %+v", p.Version, p.Entries)
 	}
-	for _, s := range samples {
-		if s.TDepth != 1 {
-			t.Fatalf("LTS sweep benchmarked depth %d", s.TDepth)
+	for _, stale := range []string{"variant", "tdepth", "|lts"} {
+		if strings.Contains(string(data), stale) {
+			t.Errorf("rewritten profile still holds %q", stale)
 		}
-	}
-
-	// Both entries must coexist in the profile.
-	calls = 0
-	if again, _, err := AutotuneKernels(opt); err != nil || calls != 0 || !again.FromCache {
-		t.Fatalf("LTS entry not cached (err %v, calls %d)", err, calls)
-	}
-	opt.LTS = false
-	if again, _, err := AutotuneKernels(opt); err != nil || calls != 0 || !again.FromCache {
-		t.Fatalf("classic entry lost after LTS tuning (err %v, calls %d)", err, calls)
-	}
-	if again, _, _ := AutotuneKernels(opt); again.TemporalDepth != classic.TemporalDepth {
-		t.Fatalf("classic cached depth changed to %d", again.TemporalDepth)
 	}
 }

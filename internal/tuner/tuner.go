@@ -36,7 +36,6 @@ func (m IOMode) String() string {
 
 // Config is the tuned run-time configuration.
 type Config struct {
-	Variant  fd.Variant
 	Blocking fd.Blocking // cache-blocking factors, also the pool tile shape
 	Comm     solver.CommModel
 	// Threads is the per-rank persistent worker-pool size of the hybrid
@@ -67,10 +66,7 @@ type Inputs struct {
 // Tune selects the configuration for the observed system, encoding the
 // paper's decision rules.
 func Tune(in Inputs) Config {
-	cfg := Config{
-		Variant:  fd.Blocked,
-		Blocking: fd.DefaultBlocking,
-	}
+	cfg := Config{Blocking: fd.DefaultBlocking}
 
 	// Communication: synchronous survives only on single-socket torus
 	// machines at modest scale; NUMA systems need the async redesign, and
@@ -104,31 +100,24 @@ func Tune(in Inputs) Config {
 		cfg.ABC = solver.MPMLABC
 	}
 
-	// Small subgrids fit in cache: blocking buys nothing, skip the tiling
-	// overhead (§IV.B found blocking's 7% at production sizes only).
-	if in.Cores > 0 {
+	// Tile shape doubles as the pool's work-unit size: the queue needs
+	// ~4 tiles per worker for dynamic load balance when PML trimming
+	// makes panels uneven. Halve the blocking factors (floor 2) until
+	// the per-rank subgrid yields enough tiles.
+	if in.Cores > 0 && cfg.Threads > 1 {
 		cellsPerCore := float64(in.Global.Cells()) / float64(in.Cores)
-		if cellsPerCore < 64*64*64 {
-			cfg.Variant = fd.Precomp
+		side := int(math.Cbrt(cellsPerCore))
+		if side < 1 {
+			side = 1
 		}
-		// Tile shape doubles as the pool's work-unit size: the queue needs
-		// ~4 tiles per worker for dynamic load balance when PML trimming
-		// makes panels uneven. Halve the blocking factors (floor 2) until
-		// the per-rank subgrid yields enough tiles.
-		if cfg.Threads > 1 {
-			side := int(math.Cbrt(cellsPerCore))
-			if side < 1 {
-				side = 1
-			}
-			tiles := func(b fd.Blocking) int {
-				return ((side + b.JBlock - 1) / b.JBlock) * ((side + b.KBlock - 1) / b.KBlock)
-			}
-			for tiles(cfg.Blocking) < 4*cfg.Threads && (cfg.Blocking.JBlock > 2 || cfg.Blocking.KBlock > 2) {
-				if cfg.Blocking.KBlock >= cfg.Blocking.JBlock {
-					cfg.Blocking.KBlock /= 2
-				} else {
-					cfg.Blocking.JBlock /= 2
-				}
+		tiles := func(b fd.Blocking) int {
+			return ((side + b.JBlock - 1) / b.JBlock) * ((side + b.KBlock - 1) / b.KBlock)
+		}
+		for tiles(cfg.Blocking) < 4*cfg.Threads && (cfg.Blocking.JBlock > 2 || cfg.Blocking.KBlock > 2) {
+			if cfg.Blocking.KBlock >= cfg.Blocking.JBlock {
+				cfg.Blocking.KBlock /= 2
+			} else {
+				cfg.Blocking.JBlock /= 2
 			}
 		}
 	}

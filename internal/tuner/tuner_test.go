@@ -29,8 +29,8 @@ func TestM8ProductionChoices(t *testing.T) {
 	if cfg.ABC != solver.MPMLABC {
 		t.Errorf("ABC = %v, want M-PML on smooth media", cfg.ABC)
 	}
-	if cfg.Variant != fd.Blocked {
-		t.Errorf("variant = %v, want blocked at production subgrids", cfg.Variant)
+	if cfg.Blocking != fd.DefaultBlocking {
+		t.Errorf("blocking = %+v, want the paper's 8/16 at production subgrids", cfg.Blocking)
 	}
 	if cfg.MaxOpenFiles != 650 {
 		t.Errorf("open throttle = %d, want the 650-OST policy", cfg.MaxOpenFiles)
@@ -48,15 +48,6 @@ func TestStrongGradientsFallBackToSponge(t *testing.T) {
 	in.MediaGradient = 0.8
 	if cfg := Tune(in); cfg.ABC != solver.SpongeABC {
 		t.Errorf("ABC = %v, want sponge under strong gradients (§II.D)", cfg.ABC)
-	}
-}
-
-func TestSmallSubgridsSkipBlocking(t *testing.T) {
-	in := baseInputs()
-	in.Global = grid.Dims{NX: 512, NY: 512, NZ: 256}
-	in.Cores = 4096 // ~16K cells/core: fits in cache
-	if cfg := Tune(in); cfg.Variant != fd.Precomp {
-		t.Errorf("variant = %v, want precomp for cache-resident subgrids", cfg.Variant)
 	}
 }
 

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Bounds-check-elimination and inlining guard for the fused-sweep kernels,
-# the attenuation row sweeps and the PML row kernels.
+# Bounds-check-elimination and inlining guard for the production kernel
+# pair, the attenuation row sweeps and the PML row kernels.
 #
-# The fused inner loops, and the PML zone sweeps modelled on them, are written
-# against explicit per-offset subslice windows (ap := a[n0+off:][:ni])
-# precisely so the compiler's prove pass can eliminate every per-point bounds
-# check; a regression here silently costs
+# The production inner loops (fd/rows.go), and the attenuation and PML zone
+# sweeps modelled on them, are written against explicit per-offset subslice
+# windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
+# eliminate every per-point bounds check; a regression here silently costs
 # kernel throughput. This script rebuilds the kernel packages with
 # -d=ssa/check_bce and fails if any per-point IsInBounds check appears in a
-# fused kernel file. IsSliceInBounds diagnostics are allowed: they are the
+# guarded file. IsSliceInBounds diagnostics are allowed: they are the
 # once-per-row window creations, not per-point checks.
 #
 # The same build runs with -m and fails if fd.Quiesce — the quiescence floor
@@ -22,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/fused.go internal/core/attenuation/rows.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go'
+GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
