@@ -100,8 +100,9 @@ type Scenario struct {
 	// ghost sections, and the decomposition places work-weighted cuts
 	// from a velocity-model scan. Runs whose assigned rates are all 1 are
 	// bit-identical to LTS off; mixed-rate runs trade rate-boundary
-	// accuracy for wall-clock (see DESIGN.md section 12). Mutually
-	// exclusive with M-PML and DFR mode.
+	// accuracy for wall-clock (see DESIGN.md section 12). It composes
+	// with every comm model and both absorbing boundaries; it is mutually
+	// exclusive with DFR mode.
 	LTS bool
 	// LTSMaxK caps the rate exponent (rates up to 2^LTSMaxK); 0 defaults
 	// to 2. LTSMaxRateRatio caps the rate ratio across a rank seam; 0

@@ -242,28 +242,19 @@ func BenchmarkSolverStep(b *testing.B) {
 	})
 }
 
-// --- Execution engine ablations: pool vs spawn, threaded overlap, ---
-// --- zero-copy messaging (the persistent-engine PR's three layers) ---
+// --- Execution engine: the pool, threaded overlap, zero-copy ---
+// --- messaging (the persistent-engine PR's three layers)      ---
 
-// BenchmarkEnginePoolVsSpawn isolates scheduling overhead at equal thread
-// counts: the legacy spawn-per-call k-slab path against the persistent
-// pool draining the same work as j/k tiles.
+// BenchmarkEnginePoolVsSpawn runs the kernel pair as j/k tiles on the
+// persistent pool at several thread counts. The spawn-per-call k-slab path it
+// was once compared with is gone (BENCH_1.json holds that comparison); the
+// name stays so benchmark histories line up.
 func BenchmarkEnginePoolVsSpawn(b *testing.B) {
 	d := grid.Dims{NX: 64, NY: 64, NZ: 64}
 	m := benchMedium(b, d)
 	dt := m.StableDt(0.5)
 	box := fd.FullBox(d)
 	for _, threads := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("spawn/threads=%d", threads), func(b *testing.B) {
-			s := fd.NewState(d)
-			s.VX.Set(32, 32, 32, 1)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fd.UpdateVelocityParallel(s, m, dt, box, fd.Blocked, fd.DefaultBlocking, threads)
-				fd.UpdateStressParallel(s, m, dt, box, fd.Blocked, fd.DefaultBlocking, threads)
-			}
-			b.ReportMetric(float64(d.Cells())*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcells/s")
-		})
 		b.Run(fmt.Sprintf("pool/threads=%d", threads), func(b *testing.B) {
 			p := sched.NewPool(threads)
 			defer p.Close()

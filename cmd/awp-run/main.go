@@ -62,20 +62,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	commModels := map[string]int{"sync": int(awp.Synchronous), "async": int(awp.Asynchronous),
-		"async-reduced": int(awp.AsyncReduced), "overlap": int(awp.AsyncOverlap)}
-	cm, ok := commModels[*comm]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown comm model %q\n", *comm)
-		os.Exit(2)
-	}
-	abcKinds := map[string]int{"none": int(awp.NoABC), "sponge": int(awp.SpongeABC), "mpml": int(awp.MPMLABC)}
-	ak, ok := abcKinds[*abc]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown abc %q\n", *abc)
-		os.Exit(2)
-	}
-
 	sc := awp.Scenario{
 		Dims: dims, H: *h, Steps: *steps, Ranks: *ranks,
 		Threads:  *threads,
@@ -92,25 +78,29 @@ func main() {
 	if *trace != "" {
 		sc.Telemetry = &awp.TelemetryOptions{TraceEvents: *traceEvents}
 	}
-	// The zero values of CommModel/ABCKind are already Synchronous/NoABC;
-	// assign through the typed constants.
-	switch cm {
-	case int(awp.Synchronous):
+	switch *comm {
+	case "sync":
 		sc.Comm = awp.Synchronous
-	case int(awp.Asynchronous):
+	case "async":
 		sc.Comm = awp.Asynchronous
-	case int(awp.AsyncReduced):
+	case "async-reduced":
 		sc.Comm = awp.AsyncReduced
-	case int(awp.AsyncOverlap):
+	case "overlap":
 		sc.Comm = awp.AsyncOverlap
+	default:
+		fmt.Fprintf(os.Stderr, "unknown comm model %q\n", *comm)
+		os.Exit(2)
 	}
-	switch ak {
-	case int(awp.NoABC):
+	switch *abc {
+	case "none":
 		sc.ABC = awp.NoABC
-	case int(awp.SpongeABC):
+	case "sponge":
 		sc.ABC = awp.SpongeABC
-	case int(awp.MPMLABC):
+	case "mpml":
 		sc.ABC = awp.MPMLABC
+	default:
+		fmt.Fprintf(os.Stderr, "unknown abc %q\n", *abc)
+		os.Exit(2)
 	}
 
 	res, err := awp.Run(q, sc)

@@ -1,7 +1,7 @@
 // Command benchtab regenerates every table and figure of the paper's
 // evaluation: -exp selects one of table1, table2, table3, fig3, fig11,
 // fig12, fig13, fig14, fig19, fig21, fig22, fig23, sustained, the
-// benchmark experiments (engine, phases, ft, lts, scale, io, farm), or
+// benchmark experiments (phases, ft, lts, scale, io, farm), or
 // all. Petascale quantities come from the validated performance model
 // (internal/perfmodel); physics quantities come from scaled production
 // runs of the real solver.
@@ -28,8 +28,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1, table2, table3, fig3, fig11, fig12, fig13, fig14, fig19, fig21, fig22, fig23, sustained, engine, phases, ft, lts, scale, io, farm, all)")
-	out := flag.String("out", "", "output path for a benchmark experiment's JSON report (default: BENCH_1.json for engine, BENCH_3.json for phases, BENCH_5.json for ft, ...)")
+	exp := flag.String("exp", "all", "experiment id (table1, table2, table3, fig3, fig11, fig12, fig13, fig14, fig19, fig21, fig22, fig23, sustained, phases, ft, lts, scale, io, farm, all)")
+	out := flag.String("out", "", "output path for a benchmark experiment's JSON report (default: BENCH_3.json for phases, BENCH_5.json for ft, ...)")
 	short := flag.Bool("short", false, "reduced sweep for CI smoke runs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -84,7 +84,6 @@ func main() {
 		"fig22":     fig21to23,
 		"fig23":     fig21to23,
 		"sustained": sustained,
-		"engine":    func() { engine(outFor("BENCH_1.json")) },
 		"phases":    func() { phases(outFor("BENCH_3.json"), *short) },
 		"ft":        func() { ftExp(outFor("BENCH_5.json"), *short) },
 		"lts":       func() { ltsExp(outFor("BENCH_7.json"), *short) },

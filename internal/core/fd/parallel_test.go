@@ -1,86 +1,11 @@
 package fd
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/core/sched"
 	"repro/internal/grid"
 )
-
-// The hybrid mode's defining property: k-slab threading is bit-identical
-// to the serial kernel (cells are independent within a kernel
-// application).
-func TestParallelKernelsBitIdentical(t *testing.T) {
-	d := grid.Dims{NX: 16, NY: 14, NZ: 18}
-	m := makeMedium(t, heteroQuerier(), d, 200)
-	dt := m.StableDt(0.5)
-	box := FullBox(d)
-
-	ref := randomState(d, 11)
-	UpdateVelocity(ref, m, dt, box, Precomp, Blocking{})
-	UpdateStress(ref, m, dt, box, Precomp, Blocking{})
-
-	for _, threads := range []int{2, 3, 7, 32} {
-		s := randomState(d, 11)
-		UpdateVelocityParallel(s, m, dt, box, Precomp, Blocking{}, threads)
-		UpdateStressParallel(s, m, dt, box, Precomp, Blocking{}, threads)
-		if diff := s.L2Diff(ref); diff != 0 {
-			t.Fatalf("threads=%d: differs from serial by %g", threads, diff)
-		}
-	}
-}
-
-func TestForEachKSlabCoversBox(t *testing.T) {
-	box := Box{1, 5, 0, 3, 2, 19}
-	var mu sync.Mutex
-	counts := map[int]int{}
-	ForEachKSlab(box, 4, func(b Box) {
-		if b.I0 != box.I0 || b.I1 != box.I1 || b.J0 != box.J0 || b.J1 != box.J1 {
-			t.Errorf("i/j extents altered: %v", b)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		for k := b.K0; k < b.K1; k++ {
-			counts[k]++
-		}
-	})
-	for k := box.K0; k < box.K1; k++ {
-		if counts[k] != 1 {
-			t.Fatalf("k=%d covered %d times", k, counts[k])
-		}
-	}
-	if len(counts) != box.K1-box.K0 {
-		t.Fatalf("covered %d slabs, want %d", len(counts), box.K1-box.K0)
-	}
-}
-
-func TestForEachKSlabDegenerate(t *testing.T) {
-	// Empty box: no calls.
-	called := 0
-	ForEachKSlab(Box{0, 0, 0, 1, 0, 1}, 4, func(Box) { called++ })
-	if called != 0 {
-		t.Fatal("empty box invoked fn")
-	}
-	// More threads than slabs: still exact cover.
-	var n atomic.Int64
-	ForEachKSlab(Box{0, 2, 0, 2, 0, 3}, 16, func(b Box) { n.Add(int64(b.K1 - b.K0)) })
-	if n.Load() != 3 {
-		t.Fatalf("covered %d k-levels, want 3", n.Load())
-	}
-	// Single thread: one call with the full box.
-	calls := 0
-	ForEachKSlab(Box{0, 2, 0, 2, 0, 5}, 1, func(b Box) {
-		calls++
-		if b.K1-b.K0 != 5 {
-			t.Fatal("serial path split the box")
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("serial path made %d calls", calls)
-	}
-}
 
 // The pooled tile scheduler must reproduce the serial kernel bit-exactly
 // for every variant — tiles are the forEachBlock panels, and cells are

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core/fd"
 	"repro/internal/cvm"
@@ -19,9 +18,9 @@ import (
 // one velocity-ghost time level of lag on the coarse side), which the
 // `-exp lts` benchmark quantifies against the global-dt reference.
 type LTSOptions struct {
-	// Enabled turns the multi-rate schedule on. A run whose assigned
-	// rates are all 1 dispatches to the classic path and is bit-identical
-	// to LTS off.
+	// Enabled turns the multi-rate schedule on. Uniform stepping is the
+	// same step program with every rate 1, so a run whose assigned rates
+	// are all 1 is bit-identical to LTS off by construction.
 	Enabled bool
 	// MaxK caps the rate exponent: ranks step at dt·2^k with k <= MaxK.
 	// 0 defaults to 2 (rates 1/2/4); valid explicit values are 1 and 2.
@@ -162,11 +161,12 @@ func ltsGradeRates(rates []int, topo mpi.Cart, maxRatio int) {
 	}
 }
 
-// ltsRank is one rank's view of the multi-rate schedule: the global rate
-// vector and this rank's step multiplier. All cross-rate buffering lives
-// on the fine side and is refilled at every window start, so the schedule
-// needs no state that survives a cycle boundary — checkpoint rollback to
-// a cycle boundary replays bit-identically.
+// ltsRank is one rank's view of the step schedule: the global rate vector
+// and this rank's step multiplier. Every Stepper has one — with LTS off it
+// is the all-ones vector, a cycle of length one. All cross-rate buffering
+// lives on the fine side and is refilled at every window start, so the
+// schedule needs no state that survives a cycle boundary — checkpoint
+// rollback to a cycle boundary replays bit-identically.
 type ltsRank struct {
 	rates   []int // per-rank step-rate multipliers (identical on all ranks)
 	rate    int   // this rank's multiplier
@@ -207,32 +207,35 @@ func (w *ltsWindow) level(received []float32, fill bool, tel *telemetry.Recorder
 
 // newLTSRank assigns rates from the already-extracted media: every rank
 // learns the full per-rank stable-dt vector through one allreduce and
-// derives the identical graded rate vector.
+// derives the identical graded rate vector. With LTS off every rate is 1
+// and nothing is reduced: localDt is baseDt, the cycle is one step.
 func newLTSRank(c *mpi.Comm, opt Options, rs *rankState, baseDt float64) *ltsRank {
-	// Zero-filled sentinel with a Max reduction (stable steps are always
-	// positive; an Inf sentinel would not survive the split-float packing
-	// of the reduction payload).
-	vec := make([]float64, c.Size())
-	vec[c.Rank()] = rs.med.StableDt(opt.CFL)
-	dts := c.Allreduce(vec, mpi.Max)
-	rates := make([]int, len(dts))
-	for r, d := range dts {
-		rates[r] = ltsRateFor(d, baseDt, opt.LTS.MaxK, opt.Steps)
+	rates := make([]int, c.Size())
+	for r := range rates {
+		rates[r] = 1
 	}
-	ltsGradeRates(rates, opt.Topo, opt.LTS.MaxRateRatio)
+	if opt.LTS.Enabled {
+		// Zero-filled sentinel with a Max reduction (stable steps are always
+		// positive; an Inf sentinel would not survive the split-float packing
+		// of the reduction payload).
+		vec := make([]float64, c.Size())
+		vec[c.Rank()] = rs.med.StableDt(opt.CFL)
+		for r, d := range c.Allreduce(vec, mpi.Max) {
+			rates[r] = ltsRateFor(d, baseDt, opt.LTS.MaxK, opt.Steps)
+		}
+		ltsGradeRates(rates, opt.Topo, opt.LTS.MaxRateRatio)
+	}
 
 	l := &ltsRank{rates: rates, rate: rates[c.Rank()], baseDt: baseDt}
 	for _, r := range rates {
-		if r > l.maxRate {
-			l.maxRate = r
-		}
+		l.maxRate = max(l.maxRate, r)
 	}
 	l.localDt = baseDt * float64(l.rate)
 	return l
 }
 
-// bind annotates a classic phase schedule with each peer's rate and gives
-// the messages from coarser peers their window buffers.
+// bind annotates a phase schedule with each peer's rate and gives the
+// messages from coarser peers their window buffers.
 func (l *ltsRank) bind(s *schedule) {
 	for i := range s.msgs {
 		m := &s.msgs[i]
@@ -243,21 +246,20 @@ func (l *ltsRank) bind(s *schedule) {
 	}
 }
 
-// arm sets up one phase of the mixed-rate halo exchange at global
-// base-step index sub: the phase's schedule with each message armed by its
-// peer's rate. Same-rate pairs exchange classically. Toward a finer
-// peer this rank ships its post-kernel faces every local step (each opens
-// one of the peer's windows) and absorbs the peer's window-end faces only
-// at the end of its step (absorb). Toward a coarser peer it runs the
-// window protocol: at window start keep the ghosts as the interpolation
-// anchor and receive the window-end faces; on the window's last sub-step
-// ship its own faces; every sub-step blend the ghosts to the time level
-// the next kernel reads (velocity fills feed this sub-step's stress
-// kernel, stress fills the next one's velocity kernel). post sends before
-// finish waits, so the exchange cannot deadlock. The mixed-rate path has
-// no barrier and no overlap whatever the comm model — there is no
-// per-sub-step collective a barrier could pair with (DESIGN.md §12) — but
-// it ships the model's section set.
+// arm sets up one phase of the halo exchange at global base-step index
+// sub: the phase's schedule with each message armed by its peer's rate.
+// Same-rate pairs send and receive every step — all there is when every
+// rate is 1. Toward a finer peer this rank ships its post-kernel faces every
+// local step (each opens one of the peer's windows) and absorbs the peer's
+// window-end faces only at the end of its step (absorb). Toward a coarser
+// peer it runs the window protocol: at window start keep the ghosts as the
+// interpolation anchor and receive the window-end faces; on the window's
+// last sub-step ship its own faces; every sub-step blend the ghosts to the
+// time level the next kernel reads (velocity fills feed this sub-step's
+// stress kernel, stress fills the next one's velocity kernel). post sends
+// before finish waits, so the exchange cannot deadlock, and neither touches
+// a cell an inner tile touches, so the overlap model's gap between them
+// holds at any rate.
 func (l *ltsRank) arm(s *schedule, sub int) {
 	for i := range s.msgs {
 		m := &s.msgs[i]
@@ -297,61 +299,6 @@ func (l *ltsRank) armAbsorb(s *schedule) bool {
 		}
 	}
 	return finer
-}
-
-// ltsAdvance performs one local step of the multi-rate schedule at
-// global base-step index sub (a multiple of this rank's rate), advancing
-// by localDt = baseDt·rate. The body mirrors the classic advance without
-// the features Prepare excludes under LTS (M-PML, DFR, overlap).
-func (rs *rankState) ltsAdvance(opt Options, l *ltsRank, sub int, tm *Timing) {
-	dt := l.localDt
-	tNow := float64(sub+l.rate) * l.baseDt
-
-	// --- Velocity phase ---
-	t0 := time.Now()
-	fd.ForEachTile(rs.compBox, opt.Blocking, rs.pool, rs.velocityTile(opt, dt))
-	tm.Comp += time.Since(t0).Seconds()
-	t0 = time.Now()
-	l.arm(rs.vel, sub)
-	rs.vel.exchange()
-	tm.Comm += time.Since(t0).Seconds()
-	t0 = time.Now()
-	if rs.fs != nil {
-		sp := rs.tel.Span(telemetry.Boundary)
-		rs.fs.ApplyVelocity(rs.st, rs.med)
-		sp.End()
-	}
-
-	// --- Stress phase ---
-	fd.ForEachTile(rs.compBox, opt.Blocking, rs.pool, rs.stressTile(opt, dt))
-	rs.srcs.Inject(rs.st, dt, tNow)
-	tm.Comp += time.Since(t0).Seconds()
-	t0 = time.Now()
-	l.arm(rs.stress, sub)
-	rs.stress.exchange()
-	tm.Comm += time.Since(t0).Seconds()
-	t0 = time.Now()
-	if rs.sponge != nil {
-		sp := rs.tel.Span(telemetry.Boundary)
-		rs.sponge.ApplyPool(rs.st, rs.pool)
-		sp.End()
-	}
-	if rs.fs != nil {
-		sp := rs.tel.Span(telemetry.Boundary)
-		rs.fs.ApplyStress(rs.st)
-		sp.End()
-	}
-	tm.Comp += time.Since(t0).Seconds()
-
-	// Absorb finer neighbors' window-end faces last, leaving the ghost
-	// region at the new time level for the next step.
-	t0 = time.Now()
-	for _, s := range []*schedule{rs.vel, rs.stress} {
-		if l.armAbsorb(s) {
-			s.exchange()
-		}
-	}
-	tm.Comm += time.Since(t0).Seconds()
 }
 
 // ltsFillReceivers linearly interpolates the seismogram samples a

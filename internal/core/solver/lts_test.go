@@ -225,12 +225,13 @@ func TestLTSValidation(t *testing.T) {
 	base := ltsOptions(grid.Dims{NX: 16, NY: 12, NZ: 12}, 8, mpi.NewCart(1, 1, 1))
 	base.LTS.Enabled = true
 
-	bad := base
-	bad.ABC = MPMLABC
-	if _, _, err := Prepare(bad); err == nil {
-		t.Error("LTS + M-PML accepted")
+	// M-PML composes with LTS: the zones are tiles of the one plan.
+	mpml := base
+	mpml.ABC, mpml.PMLWidth = MPMLABC, 3
+	if _, err := Run(cvm.HardRock(), mpml); err != nil {
+		t.Errorf("LTS + M-PML rejected: %v", err)
 	}
-	bad = base
+	bad := base
 	bad.LTS.MaxK = 3
 	if _, _, err := Prepare(bad); err == nil {
 		t.Error("MaxK 3 accepted")
@@ -352,54 +353,104 @@ func relL2(a, b [][3]float32) float64 {
 // adds little beyond time-refinement error (measured: rate 2 <= 0.18,
 // rate 4 <= 0.39; PGV <= 2.3%/3.6%). `benchtab -exp lts` enforces the
 // same bounds on its benchmark scenario.
+//
+// The ABC axis holds M-PML to the sponge's tolerances against its own
+// uniform-dt reference: the zones are tiles of the one plan prepared at the
+// rank's local dt, on a grid whose ten-cell zones leave an interior, for
+// twice as many steps — a split-field instability at the coarse step would
+// have grown by then.
 func TestLTSMixedRateAccuracy(t *testing.T) {
+	rock, soft := ltsContrast()
+	topo := mpi.NewCart(2, 1, 1)
+	for _, bc := range []struct {
+		name  string
+		abc   ABCKind
+		g     grid.Dims
+		steps int
+	}{
+		{"sponge", SpongeABC, grid.Dims{NX: 32, NY: 16, NZ: 16}, 192},
+		{"mpml", MPMLABC, grid.Dims{NX: 48, NY: 32, NZ: 32}, 384},
+	} {
+		t.Run(bc.name, func(t *testing.T) {
+			q := splitXModel{split: float64(bc.g.NX/2) * 100, rock: rock, soft: soft}
+			mkOpt := func() Options {
+				opt := ltsOptions(bc.g, bc.steps, topo)
+				opt.ABC = bc.abc
+				return opt
+			}
+			ref, err := Run(q, mkOpt())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tc := range []struct {
+				ratio, wantRate int
+				seisTol, pgvTol float64
+			}{
+				{2, 2, 0.25, 0.05},
+				{4, 4, 0.50, 0.08},
+			} {
+				opt := mkOpt()
+				opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: tc.ratio}
+				res, rates := runStepperWorld(t, q, opt)
+				if want := []int{1, tc.wantRate}; !equalInts(rates, want) {
+					t.Fatalf("ratio %d: rates %v, want %v (test medium no longer drives mixed rates)",
+						tc.ratio, rates, want)
+				}
+				for r := range ref.Seismograms {
+					e := relL2(res.Seismograms[r], ref.Seismograms[r])
+					t.Logf("ratio %d receiver %d: rel L2 %.4f", tc.ratio, r, e)
+					if !(e <= tc.seisTol) {
+						t.Errorf("ratio %d receiver %d: rel L2 error %.4f exceeds %.2f",
+							tc.ratio, r, e, tc.seisTol)
+					}
+				}
+				var maxRef, maxDiff float64
+				for i := range ref.PGVH {
+					if ref.PGVH[i] > maxRef {
+						maxRef = ref.PGVH[i]
+					}
+					if d := math.Abs(res.PGVH[i] - ref.PGVH[i]); !(d <= maxDiff) {
+						maxDiff = d
+					}
+				}
+				t.Logf("ratio %d PGV: max abs diff %.3e vs peak %.3e (%.4f rel)",
+					tc.ratio, maxDiff, maxRef, maxDiff/maxRef)
+				if !(maxDiff <= tc.pgvTol*maxRef) {
+					t.Errorf("ratio %d: PGV max deviation %.3e exceeds %.0f%% of peak %.3e",
+						tc.ratio, maxDiff, tc.pgvTol*100, maxRef)
+				}
+			}
+		})
+	}
+}
+
+// TestLTSMixedRateCommModelsBitIdentical pins that a mixed-rate run honours
+// Options.Comm without the result showing it: rates 1/4 across the x seam of
+// a 2x2x1 world, under all four comm models (the barrier-free Synchronous,
+// full and reduced section sets, the overlap model's strips and inner tiles
+// around windowed messages) x Threads {1, 4}, every seismogram sample and PGV
+// value exact against the serial Asynchronous run.
+func TestLTSMixedRateCommModelsBitIdentical(t *testing.T) {
 	rock, soft := ltsContrast()
 	g := grid.Dims{NX: 32, NY: 16, NZ: 16}
 	q := splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
-	topo := mpi.NewCart(2, 1, 1)
-	steps := 192
-
-	ref, err := Run(q, ltsOptions(g, steps, topo))
-	if err != nil {
-		t.Fatal(err)
+	mkOpt := func(comm CommModel, threads int) Options {
+		opt := ltsOptions(g, 32, mpi.NewCart(2, 2, 1))
+		opt.Comm, opt.Threads = comm, threads
+		opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
+		return opt
 	}
-
-	for _, tc := range []struct {
-		ratio, wantRate int
-		seisTol, pgvTol float64
-	}{
-		{2, 2, 0.25, 0.05},
-		{4, 4, 0.50, 0.08},
-	} {
-		opt := ltsOptions(g, steps, topo)
-		opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: tc.ratio}
-		res, rates := runStepperWorld(t, q, opt)
-		if want := []int{1, tc.wantRate}; !equalInts(rates, want) {
-			t.Fatalf("ratio %d: rates %v, want %v (test medium no longer drives mixed rates)",
-				tc.ratio, rates, want)
-		}
-		for r := range ref.Seismograms {
-			e := relL2(res.Seismograms[r], ref.Seismograms[r])
-			t.Logf("ratio %d receiver %d: rel L2 %.4f", tc.ratio, r, e)
-			if e > tc.seisTol {
-				t.Errorf("ratio %d receiver %d: rel L2 error %.4f exceeds %.2f",
-					tc.ratio, r, e, tc.seisTol)
-			}
-		}
-		var maxRef, maxDiff float64
-		for i := range ref.PGVH {
-			if ref.PGVH[i] > maxRef {
-				maxRef = ref.PGVH[i]
-			}
-			if d := math.Abs(res.PGVH[i] - ref.PGVH[i]); d > maxDiff {
-				maxDiff = d
-			}
-		}
-		t.Logf("ratio %d PGV: max abs diff %.3e vs peak %.3e (%.4f rel)",
-			tc.ratio, maxDiff, maxRef, maxDiff/maxRef)
-		if maxDiff > tc.pgvTol*maxRef {
-			t.Errorf("ratio %d: PGV max deviation %.3e exceeds %.0f%% of peak %.3e",
-				tc.ratio, maxDiff, tc.pgvTol*100, maxRef)
+	ref, rates := runStepperWorld(t, q, mkOpt(Asynchronous, 1))
+	if want := []int{1, 4, 1, 4}; !equalInts(rates, want) {
+		t.Fatalf("rates %v, want %v", rates, want)
+	}
+	if maxSeriesAbs(ref.Seismograms[1]) == 0 {
+		t.Fatal("no signal reached the rate-4 half; comparison vacuous")
+	}
+	for _, comm := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
+		for _, threads := range []int{1, 4} {
+			res, _ := runStepperWorld(t, q, mkOpt(comm, threads))
+			expectResultsExact(t, fmt.Sprintf("%v threads=%d", comm, threads), ref, res)
 		}
 	}
 }

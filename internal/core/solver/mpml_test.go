@@ -25,6 +25,12 @@ type mpmlSnapshot [36][]float32
 // single-rank run: every value of every field and of every zone split,
 // after every step. Zones are tiles of the same pool queues as the interior,
 // so this is the matrix that says the schedule cannot be seen in the result.
+//
+// The mixed-rate column runs the same scenario over a rock | basin contrast
+// with the basin half at rate 4. Where the rate seam lies is part of that
+// scheme's arithmetic, so its reference is the serial 2x1x1 run and its
+// decompositions all cut x at the contrast; states are compared after every
+// cycle, the only steps at which every rank has one.
 func TestMPMLBitIdentityMatrix(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	comms := []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
@@ -39,18 +45,17 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 		threads = []int{4}
 		topos[false], topos[true] = topos[false][2:], topos[true][2:]
 	}
-	for _, fault := range []bool{false, true} {
-		base := mpmlMatrixOptions(fault)
-		ref := mpmlReference(t, q, base)
+	matrix := func(label string, q cvm.Querier, base Options, refTopo mpi.Cart, topos []mpi.Cart) {
+		ref := mpmlReference(t, q, base, refTopo)
 		for _, comm := range comms {
-			if fault && comm == AsyncOverlap {
+			if base.Fault != nil && comm == AsyncOverlap {
 				continue // Prepare rejects DFR under the overlap model
 			}
 			for _, nt := range threads {
-				for _, topo := range topos[fault] {
+				for _, topo := range topos {
 					opt := base
 					opt.Comm, opt.Threads, opt.Topo = comm, nt, topo
-					tag := fmt.Sprintf("fault=%v/%v/threads%d/%dx%dx%d", fault, comm, nt, topo.PX, topo.PY, topo.PZ)
+					tag := fmt.Sprintf("%s/%v/threads%d/%dx%dx%d", label, comm, nt, topo.PX, topo.PY, topo.PZ)
 					var once sync.Once
 					stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
 						if msg := mpmlCompare(st, ref[st.StepIndex()-1]); msg != "" {
@@ -63,6 +68,19 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 			}
 		}
 	}
+	for _, fault := range []bool{false, true} {
+		matrix(fmt.Sprintf("fault=%v", fault), q, mpmlMatrixOptions(fault), mpi.NewCart(1, 1, 1), topos[fault])
+	}
+
+	mixed := mpmlMatrixOptions(false)
+	mixed.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
+	rock, soft := ltsContrast()
+	contrast := splitXModel{split: float64(mixed.Global.NX/2) * mixed.H, rock: rock, soft: soft}
+	mixedTopos := []mpi.Cart{mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)}
+	if testing.Short() {
+		mixedTopos = mixedTopos[2:]
+	}
+	matrix("rates 1/4", contrast, mixed, mpi.NewCart(2, 1, 1), mixedTopos)
 }
 
 // mpmlMatrixOptions is the matrix scenario: baseOptions' grid under M-PML
@@ -78,43 +96,56 @@ func mpmlMatrixOptions(fault bool) Options {
 		STF: source.GaussianPulse(0.08, 0.02),
 	}.Sample(0.002, 200)}
 	if fault {
-		ni, nk := 16, 8
-		tau := make([][]float64, nk)
-		sn := make([][]float64, nk)
-		fr := make([][]rupture.Friction, nk)
-		for k := range tau {
-			tau[k] = make([]float64, ni)
-			sn[k] = make([]float64, ni)
-			fr[k] = make([]rupture.Friction, ni)
-			for i := range tau[k] {
-				sn[k][i], tau[k][i] = 120e6, 84e6
-				fr[k][i] = rupture.Friction{MuS: 0.677, MuD: 0.525, Dc: 0.02}
-			}
-		}
 		opt.Sources = nil
-		opt.Fault = &FaultSpec{
-			J0: 12, I0: 4, I1: 4 + ni, K0: 4, K1: 4 + nk,
-			Tau0: tau, SigmaN: sn, Friction: fr,
-		}
+		opt.Fault = overstressedFault(12, 4, 16, 4, 8)
 	}
 	return opt
 }
 
-// mpmlReference runs opt serially on one rank and returns the snapshot
-// after each step. It fails the test unless the zones are carrying signal
-// by the last one.
-func mpmlReference(t *testing.T, q cvm.Querier, opt Options) []mpmlSnapshot {
+// overstressedFault is a fault window of ni x nk nodes from (i0, k0) on the
+// plane y = j0, overstressed everywhere, so it slips from the first step.
+func overstressedFault(j0, i0, ni, k0, nk int) *FaultSpec {
+	tau := make([][]float64, nk)
+	sn := make([][]float64, nk)
+	fr := make([][]rupture.Friction, nk)
+	for k := range tau {
+		tau[k] = make([]float64, ni)
+		sn[k] = make([]float64, ni)
+		fr[k] = make([]rupture.Friction, ni)
+		for i := range tau[k] {
+			sn[k][i], tau[k][i] = 120e6, 84e6
+			fr[k][i] = rupture.Friction{MuS: 0.677, MuD: 0.525, Dc: 0.02}
+		}
+	}
+	return &FaultSpec{J0: j0, I0: i0, I1: i0 + ni, K0: k0, K1: k0 + nk,
+		Tau0: tau, SigmaN: sn, Friction: fr}
+}
+
+// mpmlReference runs opt serially (one thread a rank, Asynchronous) on topo
+// and returns the snapshot after each Step, indexed by the step it reached;
+// under mixed rates only the cycle ends are filled. It fails the test unless
+// the zones are carrying signal by the last one.
+func mpmlReference(t *testing.T, q cvm.Querier, opt Options, topo mpi.Cart) []mpmlSnapshot {
 	t.Helper()
-	opt.Topo, opt.Threads, opt.Comm = mpi.NewCart(1, 1, 1), 1, Asynchronous
+	opt.Topo, opt.Threads, opt.Comm = topo, 1, Asynchronous
 	g := opt.Global
 	ref := make([]mpmlSnapshot, opt.Steps)
-	stepWorld(t, q, opt, func(_ *mpi.Comm, st *Stepper) {
+	var mu sync.Mutex
+	_, rates := stepWorld(t, q, opt, func(_ *mpi.Comm, st *Stepper) {
 		snap := &ref[st.StepIndex()-1]
-		for i := range snap {
-			snap[i] = make([]float32, g.Cells())
+		mu.Lock()
+		if snap[0] == nil {
+			for i := range snap {
+				snap[i] = make([]float32, g.Cells())
+			}
 		}
+		mu.Unlock()
+		// Ranks own disjoint cells.
 		mpmlVisit(st, func(slot, cell int, v float32) { snap[slot][cell] = v })
 	})
+	if opt.LTS.Enabled && !equalInts(rates, []int{1, 4}) {
+		t.Fatalf("mixed-rate reference ran at rates %v, want [1 4]", rates)
+	}
 	last := ref[opt.Steps-1]
 	for slot := 9; slot < 36; slot++ {
 		moving := false

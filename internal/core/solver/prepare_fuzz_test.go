@@ -1,0 +1,95 @@
+package solver
+
+import (
+	"testing"
+
+	"repro/internal/core/source"
+	"repro/internal/cvm"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+)
+
+// FuzzPrepare is the gate on Options → run: whatever the fields hold, the
+// answer is an error (from Prepare, or from a rank's set-up through Run) or a
+// two-step Run that completes — never a panic from inside a rank, where it
+// would take the world down. The seeds
+// reach each row of stepExclusions and each feature the rows mention running
+// alone and composed (M-PML under LTS among them).
+func FuzzPrepare(f *testing.F) {
+	type seed struct {
+		nx, ny, nz, px, py, pz   uint8
+		comm, abc, threads       int8
+		pmlWidth                 uint8
+		lts, balance             bool
+		maxK, ratio              int8
+		fault, surface, fs, attn bool
+		cflPct, dtSign           int8
+	}
+	for _, s := range []seed{
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, threads: 1, attn: true, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, lts: true, ratio: 4, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 0, abc: 2, threads: 1, pmlWidth: 3, fault: true},
+		// The three exclusions.
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, lts: true, fault: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 2, abc: 1, lts: true, surface: true, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 3, abc: 1, fault: true},
+		// Surface output without LTS runs; zones that swallow a rank, a
+		// topology the grid cannot hold and unknown enums do not.
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 2, abc: 1, surface: true, fs: true},
+		{nx: 20, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 2, pmlWidth: 10},
+		{nx: 6, ny: 6, nz: 6, px: 4, py: 1, pz: 1, comm: 1, abc: 1},
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 9, abc: -1, threads: -1, maxK: 3, ratio: 3, lts: true, cflPct: 120, dtSign: -1},
+		{},
+	} {
+		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.threads, s.pmlWidth,
+			s.lts, s.balance, s.maxK, s.ratio, s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign)
+	}
+	rock, soft := ltsContrast()
+	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz uint8, comm, abc, threads int8, pmlWidth uint8,
+		lts, balance bool, maxK, ratio int8, fault, surface, fs, attn bool, cflPct, dtSign int8) {
+		// Bounded so that one input is milliseconds: ≤ 32³ cells, ≤ 27 ranks.
+		g := grid.Dims{NX: int(nx % 33), NY: int(ny % 33), NZ: int(nz % 33)}
+		opt := Options{
+			Global: g, H: 100, Steps: 2,
+			Topo:    mpi.Cart{PX: int(px % 4), PY: int(py % 4), PZ: int(pz % 4)},
+			Comm:    CommModel(comm),
+			ABC:     ABCKind(abc),
+			Threads: int(threads),
+			CFL:     float64(cflPct) / 100,
+			Dt:      float64(dtSign) * 1e-3,
+
+			PMLWidth: int(pmlWidth), SpongeWidth: 3,
+			FreeSurface: fs, Attenuation: attn,
+			LTS: LTSOptions{Enabled: lts, WorkBalance: balance, MaxK: int(maxK), MaxRateRatio: int(ratio)},
+			Sources: []source.SampledSource{source.PointSource{
+				GI: g.NX / 4, GJ: g.NY / 2, GK: g.NZ / 2, M0: 1e15,
+				Tensor: source.Explosion, STF: source.GaussianPulse(0.08, 0.02),
+			}.Sample(0.002, 50)},
+			Receivers: [][3]int{{g.NX / 4, g.NY / 2, 0}},
+			TrackPGV:  true,
+		}
+		if fault {
+			// A window over the middle of whatever the dims give, valid or
+			// not: an impossible one must come back as an error too.
+			opt.Fault = overstressedFault(g.NY/2, 2, max(g.NX-4, 0), 2, max(g.NZ-4, 0))
+		}
+		if surface {
+			opt.Surface = &SurfaceOptions{FS: surfaceFS(), Path: "out/surface.bin"}
+		}
+		var q cvm.Querier = splitXModel{split: float64(g.NX/2) * opt.H, rock: rock, soft: soft}
+
+		_, _, perr := Prepare(opt)
+		res, rerr := Run(q, opt)
+		if (perr == nil) != (rerr == nil) {
+			t.Fatalf("Prepare says %v, Run says %v", perr, rerr)
+		}
+		if rerr == nil && (res == nil || res.Steps != 2) {
+			t.Fatalf("Run returned %+v without an error", res)
+		}
+		for _, x := range stepExclusions {
+			if x.hit(&opt) && perr == nil {
+				t.Fatalf("%s accepted", x.pair)
+			}
+		}
+	})
+}

@@ -55,18 +55,13 @@ func TestScheduleMatchesExecution(t *testing.T) {
 				m, f := s.traffic()
 				msgs, floats = msgs+m, floats+f
 			}
-			if l := rs.lts; l != nil && l.maxRate > 1 {
-				for sub := 0; sub < l.maxRate; sub += l.rate {
-					for _, s := range []*schedule{rs.vel, rs.stress} {
-						l.arm(s, sub)
-						walk(s)
-					}
+			checkTags(t, label, rs.vel)
+			checkTags(t, label, rs.stress)
+			for l, sub := rs.lts, 0; sub < l.maxRate; sub += l.rate {
+				for _, s := range []*schedule{rs.vel, rs.stress} {
+					l.arm(s, sub)
+					walk(s)
 				}
-			} else {
-				checkTags(t, label, rs.vel)
-				checkTags(t, label, rs.stress)
-				walk(rs.vel)
-				walk(rs.stress)
 			}
 			mu.Lock()
 			walkMsgs, walkFloats = walkMsgs+msgs, walkFloats+floats

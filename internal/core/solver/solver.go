@@ -67,7 +67,7 @@ type Options struct {
 	CFL float64
 
 	// LTS configures multi-rate local time stepping (see LTSOptions).
-	// Mutually exclusive with M-PML and DFR mode.
+	// Mutually exclusive with DFR mode and Surface output.
 	LTS LTSOptions
 
 	Comm CommModel
@@ -228,7 +228,7 @@ type rankState struct {
 
 	zones    []*boundary.PML
 	compBox  fd.Box   // non-PML region the bulk kernels cover
-	plan     tilePlan // the classic step's tile queues over compBox and zones
+	plan     tilePlan // the step's tile queues over compBox and zones
 	sponge   *boundary.Sponge
 	fs       *boundary.FreeSurface
 	atten    *attenuation.Model
@@ -236,7 +236,7 @@ type rankState struct {
 	fault    *rupture.Fault
 	recorder *rupture.SlipRateHistoryRecorder
 
-	lts *ltsRank // non-nil when Options.LTS.Enabled
+	lts *ltsRank // the rank's rate, local dt and cycle; all ones with LTS off
 
 	surf *output.Dist // aggregated surface output (nil: disabled)
 
@@ -331,8 +331,9 @@ type queue struct {
 	run func(i int)
 }
 
-// tilePlan is the rank's decomposition of a classic step's kernel work,
-// built once per Stepper so that a step tiles, clips and allocates nothing.
+// tilePlan is the rank's decomposition of a local step's kernel work, built
+// once per Stepper so that a step — at any rate — tiles, clips and allocates
+// nothing.
 // Each phase drains its pre queue — every tile of compBox and of the zones
 // or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
 // — before its halo post, and under AsyncOverlap its inner queue, the tiles
@@ -348,8 +349,10 @@ type tilePlan struct {
 }
 
 // buildTilePlan cuts compBox and the zones into tiles of shape opt.Blocking
-// and fixes the zones' coefficient rows for the run's dt, so that no tile
-// builds them while another reads them. It needs rs.atten and rs.fault set:
+// and fixes the zones' coefficient rows for dt, the rank's local step
+// (base dt × its rate), so that no tile builds them while another reads them.
+// A zone's split fields live on its rank and never cross a seam, so a zone is
+// a tile like any other at every rate. It needs rs.atten and rs.fault set:
 // they decide the stress tile body.
 func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	add := func(dst []tile, box fd.Box, z *boundary.PML) []tile {
@@ -405,99 +408,74 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 // drain runs one queue of the tile plan on the pool.
 func (rs *rankState) drain(q queue) { rs.pool.ForEachN(q.n, q.run) }
 
-// advance performs one full time step with the configured comm model,
-// accumulating the Eq. 7 timing decomposition. All bulk work runs as tile
-// queues on the rank's persistent worker pool; with Threads=1 the pool
-// degenerates to inline serial execution and the schedule is identical to
-// the original code.
-func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
-	overlap := opt.Comm == AsyncOverlap
-	plan := &rs.plan
+// advance performs one local step of this rank, at global base-step index
+// sub (a multiple of the rank's rate), by its local dt — the one step
+// program of every comm model and every rate, accumulating the Eq. 7 timing
+// decomposition. Each phase drains its pre queue, arms and posts its halo
+// messages, drains its inner queue while they fly and finishes the exchange.
+// Without AsyncOverlap the inner queues and innerBox are empty, so post and
+// finish are adjacent; with every rate 1 arm leaves each message a send and
+// a receive and armAbsorb finds nothing to absorb — uniform stepping is the
+// multi-rate cycle of length one. All bulk work runs as tile queues on the
+// rank's persistent worker pool; with Threads=1 the pool degenerates to
+// inline serial execution.
+func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
+	l, plan := rs.lts, &rs.plan
+	dt := l.localDt
+	tNow := float64(sub+l.rate) * l.baseDt
 
 	// --- Velocity phase ---
 	t0 := time.Now()
 	rs.drain(plan.velPre)
-	if overlap {
-		tm.Comp += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.vel.post()
-		tm.Comm += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.drain(plan.velInner)
-		tm.Comp += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.vel.finish()
-		tm.Comm += time.Since(t0).Seconds()
-	} else {
-		if rs.fault != nil {
-			rs.fault.UpdateVelocity(rs.st, rs.med, dt)
-		}
-		tm.Comp += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.vel.exchange()
-		tm.Comm += time.Since(t0).Seconds()
-		if opt.Comm == Synchronous {
-			t0 = time.Now()
-			sp := rs.tel.Span(telemetry.Sync)
-			rs.comm.Barrier()
-			sp.End()
-			tm.Sync += time.Since(t0).Seconds()
-		}
+	if rs.fault != nil {
+		// DFR mode: the split-node correction needs the whole velocity field
+		// before anything is packed (Prepare excludes DFR with overlap).
+		rs.fault.UpdateVelocity(rs.st, rs.med, dt)
 	}
-	t0 = time.Now()
+	lap(&tm.Comp, &t0)
+	l.arm(rs.vel, sub)
+	rs.vel.post()
+	lap(&tm.Comm, &t0)
+	rs.drain(plan.velInner)
+	lap(&tm.Comp, &t0)
+	rs.vel.finish()
+	lap(&tm.Comm, &t0)
+	rs.syncBarrier(opt, tm, &t0)
 	if rs.fs != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
 		rs.fs.ApplyVelocity(rs.st, rs.med)
 		sp.End()
 	}
-	tm.Comp += time.Since(t0).Seconds()
 
 	// --- Stress phase ---
 	// The sponge runs after the exchange (it damps ghost copies with the
 	// same global taper, so every rank damps identical physical cells);
-	// source injection runs before the strips are packed so neighbor
-	// ghosts include it. Attenuation rides in the stress tile — in the same
-	// sweep on the default path (stressTile) — and writes only that tile's
-	// cells, so the tiles stay race-free and cell-ordered.
-	t0 = time.Now()
+	// source injection runs before a cell's strip is packed so neighbor
+	// ghosts include it — the sources outside innerBox before the post, the
+	// ones inside after the inner tiles. Attenuation rides in the stress tile
+	// — in the same sweep on the default path (stressTile) — and writes only
+	// that tile's cells, so the tiles stay race-free and cell-ordered.
 	rs.drain(plan.stressPre)
-	if overlap {
-		rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, false) // strip sources
-		tm.Comp += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.stress.post()
-		tm.Comm += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.drain(plan.stressInner)
-		rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, true) // interior sources
-		tm.Comp += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.stress.finish()
-		tm.Comm += time.Since(t0).Seconds()
-	} else {
-		if rs.fault != nil {
-			// DFR mode: the stress tiles were elastic only (buildTilePlan).
-			rs.fault.CorrectStress(rs.st, rs.med, dt)
-			if rs.atten != nil {
-				sp := rs.tel.Span(telemetry.Attenuation)
-				rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.compBox, opt.Blocking, rs.pool)
-				sp.End()
-			}
-		}
-		rs.srcs.Inject(rs.st, dt, tNow)
-		tm.Comp += time.Since(t0).Seconds()
-		t0 = time.Now()
-		rs.stress.exchange()
-		tm.Comm += time.Since(t0).Seconds()
-		if opt.Comm == Synchronous {
-			t0 = time.Now()
-			sp := rs.tel.Span(telemetry.Sync)
-			rs.comm.Barrier()
+	if rs.fault != nil {
+		// DFR mode: the stress tiles were elastic only (buildTilePlan).
+		rs.fault.CorrectStress(rs.st, rs.med, dt)
+		if rs.atten != nil {
+			sp := rs.tel.Span(telemetry.Attenuation)
+			rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.compBox, opt.Blocking, rs.pool)
 			sp.End()
-			tm.Sync += time.Since(t0).Seconds()
 		}
 	}
-	t0 = time.Now()
+	rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, false)
+	lap(&tm.Comp, &t0)
+	l.arm(rs.stress, sub)
+	rs.stress.post()
+	lap(&tm.Comm, &t0)
+	rs.drain(plan.stressInner)
+	rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, true)
+	lap(&tm.Comp, &t0)
+	rs.stress.finish()
+	lap(&tm.Comm, &t0)
+	rs.syncBarrier(opt, tm, &t0)
 	if rs.sponge != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
 		rs.sponge.ApplyPool(rs.st, rs.pool)
@@ -508,7 +486,38 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		rs.fs.ApplyStress(rs.st)
 		sp.End()
 	}
-	tm.Comp += time.Since(t0).Seconds()
+	lap(&tm.Comp, &t0)
+
+	// Absorb finer neighbors' window-end faces last, leaving the ghost
+	// region at the new time level for the next step.
+	if l.armAbsorb(rs.vel) {
+		rs.vel.exchange()
+	}
+	if l.armAbsorb(rs.stress) {
+		rs.stress.exchange()
+	}
+	lap(&tm.Comm, &t0)
+}
+
+// lap adds the time since *t0 to acc and restarts the clock.
+func lap(acc *float64, t0 *time.Time) {
+	now := time.Now()
+	*acc += now.Sub(*t0).Seconds()
+	*t0 = now
+}
+
+// syncBarrier is the Synchronous model's global barrier after a phase's
+// exchange. It runs only when every rank steps at rate 1: ranks of different
+// rates take different numbers of local steps per cycle, so there is no
+// per-step collective a barrier could pair with (DESIGN.md §12).
+func (rs *rankState) syncBarrier(opt Options, tm *Timing, t0 *time.Time) {
+	if opt.Comm != Synchronous || rs.lts.maxRate > 1 {
+		return
+	}
+	sp := rs.tel.Span(telemetry.Sync)
+	rs.comm.Barrier()
+	sp.End()
+	lap(&tm.Sync, t0)
 }
 
 // velocityTile returns the velocity tile body of every path. Bulk tiles are
@@ -531,16 +540,16 @@ func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
 	}
 }
 
-// stressTile returns the stress tile body of the attenuation-aware paths
-// (classic without a fault, LTS). With attenuation on, every
-// variant that reads the precomputed coefficients runs attenuation.FusedStress:
-// the memory-variable update rides in the elastic i-loop, one read/modify/write
-// of the six stress fields per cell instead of two, bit-identical to the pair
-// of passes it replaces. Its whole time lands in the Stress span — there is no
-// separate attenuation pass to time. Naive and Recip are the §IV.B ablation of
-// the in-loop coefficient arithmetic FusedStress does not have, so they keep
-// their elastic kernel and the second pass, each under its own span; Span.End
-// is safe from concurrent pool workers.
+// stressTile returns the stress tile body of a run without a fault. With
+// attenuation on, every variant that reads the precomputed coefficients runs
+// attenuation.FusedStress: the memory-variable update rides in the elastic
+// i-loop, one read/modify/write of the six stress fields per cell instead of
+// two, bit-identical to the pair of passes it replaces. Its whole time lands
+// in the Stress span — there is no separate attenuation pass to time. Naive
+// and Recip are the §IV.B ablation of the in-loop coefficient arithmetic
+// FusedStress does not have, so they keep their elastic kernel and the second
+// pass, each under its own span; Span.End is safe from concurrent pool
+// workers.
 func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
 	elastic := rs.elasticTile(opt, dt)
 	switch {

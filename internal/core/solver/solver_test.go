@@ -253,6 +253,14 @@ func TestDFRRejectsBadConfigs(t *testing.T) {
 	if _, err := Run(cvm.HardRock(), opt); err == nil {
 		t.Error("DFR with overlap accepted")
 	}
+	// A window only rank 0 holds, on a plane too close to the y edge: the
+	// rank that would reject it in set-up must not get the chance, or rank 1
+	// waits on its halo for ever.
+	opt = baseOptions(mpi.NewCart(2, 1, 1))
+	opt.Fault = overstressedFault(1, 2, 6, 2, 6)
+	if _, _, err := Prepare(opt); err == nil {
+		t.Error("fault plane on the subgrid edge accepted by Prepare")
+	}
 }
 
 func TestBoundaryStripsTile(t *testing.T) {

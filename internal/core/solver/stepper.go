@@ -8,6 +8,7 @@ import (
 	"repro/internal/core/attenuation"
 	"repro/internal/core/boundary"
 	"repro/internal/core/fd"
+	"repro/internal/core/rupture"
 	"repro/internal/core/sched"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
@@ -19,6 +20,25 @@ import (
 	"repro/internal/output"
 	"repro/internal/telemetry"
 )
+
+// stepExclusions is the table of option pairs the one step program cannot
+// run, each with the reason it cannot; Prepare rejects a hit with that
+// reason. Everything else composes.
+var stepExclusions = []struct {
+	pair string
+	hit  func(*Options) bool
+	why  string
+}{
+	{"LTS with DFR fault mode",
+		func(o *Options) bool { return o.LTS.Enabled && o.Fault != nil },
+		"the moment rate is recorded per base step, and ranks of different rates hold the fault at different times"},
+	{"Surface output with LTS",
+		func(o *Options) bool { return o.Surface != nil && o.LTS.Enabled },
+		"frame f is the state after step f·Every on every rank and each flush is a collective, and no step inside a cycle is a state of every rank"},
+	{"DFR fault mode with the overlap comm model",
+		func(o *Options) bool { return o.Fault != nil && o.Comm == AsyncOverlap },
+		"the split-node correction needs the whole velocity field before anything is packed"},
+}
 
 // Prepare normalizes opt (defaulting exactly as Run does) and builds the
 // domain decomposition. External harnesses (internal/ft) call it once
@@ -76,9 +96,6 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 		if so.FS == nil || so.Path == "" {
 			return decomp.Decomp{}, opt, fmt.Errorf("solver: Surface output needs FS and Path")
 		}
-		if opt.LTS.Enabled {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: Surface output requires LTS off: collective flushes need step-lockstep ranks")
-		}
 		// Normalize a copy so shared Options values are not mutated.
 		ns := *so
 		if ns.Every <= 0 {
@@ -89,13 +106,12 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 		}
 		opt.Surface = &ns
 	}
+	for _, x := range stepExclusions {
+		if x.hit(&opt) {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: %s is not supported: %s", x.pair, x.why)
+		}
+	}
 	if opt.LTS.Enabled {
-		if opt.ABC == MPMLABC {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: LTS does not support M-PML boundaries (split-field zone state has no rate-boundary interpolant)")
-		}
-		if opt.Fault != nil {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: LTS does not support DFR fault mode")
-		}
 		switch opt.LTS.MaxK {
 		case 0:
 			opt.LTS.MaxK = 2
@@ -130,11 +146,18 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 			}
 		}
 	}
-	if opt.Fault != nil && opt.Topo.PY != 1 {
-		return decomp.Decomp{}, opt, fmt.Errorf("solver: DFR mode requires PY=1 (fault plane may not cross rank seams in y)")
-	}
-	if opt.Fault != nil && opt.Comm == AsyncOverlap {
-		return decomp.Decomp{}, opt, fmt.Errorf("solver: DFR mode does not support the overlap comm model")
+	if f := opt.Fault; f != nil {
+		if opt.Topo.PY != 1 {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: DFR mode requires PY=1 (fault plane may not cross rank seams in y)")
+		}
+		// With PY = 1 every rank's clipped window is a sub-window of this one
+		// on the same NY, so a spec valid here is valid on every rank: no
+		// rank fails its set-up alone and leaves its peers waiting on it.
+		global := rupture.Config{J0: f.J0, I0: f.I0, I1: f.I1, K0: f.K0, K1: f.K1,
+			Tau0: f.Tau0, SigmaN: f.SigmaN, Friction: f.Friction}
+		if err := global.Validate(opt.Global); err != nil {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: %w", err)
+		}
 	}
 	return dc, opt, nil
 }
@@ -189,14 +212,12 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if dt <= 0 {
 		dt = c.Allreduce([]float64{rs.med.StableDt(opt.CFL)}, mpi.Min)[0]
 	}
-	// Multi-rate local time stepping: assign per-rank rate-2^k clusters.
-	// This rank's own state (attenuation coefficients, sponge strength,
-	// source injection) is built against its local step dt·rate below.
-	stepDt := dt
-	if opt.LTS.Enabled {
-		rs.lts = newLTSRank(c, opt, rs, dt)
-		stepDt = rs.lts.localDt
-	}
+	// Assign the per-rank rate-2^k clusters (all rate 1 with LTS off). This
+	// rank's own state (attenuation coefficients, sponge strength, PML
+	// coefficient rows, source injection) is built against its local step
+	// dt·rate below.
+	rs.lts = newLTSRank(c, opt, rs, dt)
+	stepDt := rs.lts.localDt
 
 	// Boundary conditions on the physical faces this rank owns.
 	faces := ownedFaces(dc, c.Rank(), opt)
@@ -211,13 +232,10 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 			XLo: true, XHi: true, YLo: true, YHi: true,
 			ZLo: !opt.FreeSurface, ZHi: true,
 		}
-		alpha := opt.SpongeAlpha
-		if rs.lts != nil && rs.lts.rate > 1 {
-			// One coarse-step application must damp like `rate` base-step
-			// applications; the exponential taper g = exp(-(αx)²)
-			// composes exactly as g^rate = exp(-(α√rate·x)²).
-			alpha *= math.Sqrt(float64(rs.lts.rate))
-		}
+		// One coarse-step application must damp like `rate` base-step
+		// applications; the exponential taper g = exp(-(αx)²) composes
+		// exactly as g^rate = exp(-(α√rate·x)²) (√1 is exactly 1).
+		alpha := opt.SpongeAlpha * math.Sqrt(float64(rs.lts.rate))
 		rs.sponge = boundary.NewSpongeGlobal(rs.sub.Local, opt.Global,
 			[3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ},
 			opt.SpongeWidth, alpha, globalFaces)
@@ -229,14 +247,13 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.atten = attenuation.New(rs.med, opt.Band, stepDt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
 	}
-	// The two per-step halo phases (which LTS arms per sub-step).
+	// The two per-step halo phases, armed every local step from the peers'
+	// rates.
 	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.pool, rs.tel)
 	rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
 	rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
-	if rs.lts != nil {
-		rs.lts.bind(rs.vel)
-		rs.lts.bind(rs.stress)
-	}
+	rs.lts.bind(rs.vel)
+	rs.lts.bind(rs.stress)
 	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
 
 	if opt.Fault != nil {
@@ -245,7 +262,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		}
 	}
 
-	rs.buildTilePlan(opt, dt)
+	rs.buildTilePlan(opt, stepDt)
 
 	// Receiver series are preallocated and sample-indexed so a replayed
 	// step overwrites its own sample instead of appending a duplicate.
@@ -256,7 +273,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 				idx: idx, li: li, lj: lj, lk: lk,
 				series: make([][3]float32, nSamples),
 			}
-			if rs.lts != nil && rs.lts.rate > 1 {
+			if rs.lts.rate > 1 {
 				or.sampled = make([]bool, nSamples)
 			}
 			rs.receivers = append(rs.receivers, or)
@@ -300,11 +317,11 @@ func (s *Stepper) Dt() float64 { return s.dt }
 func (s *Stepper) StepIndex() int { return s.step }
 
 // SetStepIndex rewinds (or advances) the step cursor — the rollback half
-// of coordinated recovery, paired with a checkpoint.Load into State(). Under
-// LTS the cursor must land on a cycle boundary: mid-cycle, coarse ranks have
-// no wavefield state to roll back to.
+// of coordinated recovery, paired with a checkpoint.Load into State(). The
+// cursor must land on a cycle boundary: mid-cycle, coarse ranks have no
+// wavefield state to roll back to.
 func (s *Stepper) SetStepIndex(n int) error {
-	if l := s.rs.lts; l != nil && l.maxRate > 1 && n%l.maxRate != 0 {
+	if l := s.rs.lts; n%l.maxRate != 0 {
 		return fmt.Errorf("solver: step index %d is not an LTS cycle boundary (max rate %d)", n, l.maxRate)
 	}
 	if s.rs.surf != nil {
@@ -317,25 +334,15 @@ func (s *Stepper) SetStepIndex(n int) error {
 	return nil
 }
 
-// StepAlign returns the alignment unit of checkpointable step indices:
-// one LTS cycle (the maximum rate — mid-cycle, coarse ranks have no
-// wavefield state to save), or 1 for classic stepping. Harnesses round
-// checkpoint intervals up to it.
-func (s *Stepper) StepAlign() int {
-	if l := s.rs.lts; l != nil && l.maxRate > 1 {
-		return l.maxRate
-	}
-	return 1
-}
+// StepAlign returns the alignment unit of checkpointable step indices: one
+// cycle (the maximum rate — mid-cycle, coarse ranks have no wavefield state
+// to save), which is 1 for uniform stepping. Harnesses round checkpoint
+// intervals up to it.
+func (s *Stepper) StepAlign() int { return s.rs.lts.maxRate }
 
-// LTSRates returns the per-rank step-rate multipliers of an LTS run
-// (identical on every rank), or nil when LTS is disabled.
-func (s *Stepper) LTSRates() []int {
-	if s.rs.lts == nil {
-		return nil
-	}
-	return append([]int(nil), s.rs.lts.rates...)
-}
+// LTSRates returns the per-rank step-rate multipliers of the run (identical
+// on every rank; all 1 when LTS is disabled).
+func (s *Stepper) LTSRates() []int { return append([]int(nil), s.rs.lts.rates...) }
 
 // Done reports whether every configured step has executed.
 func (s *Stepper) Done() bool { return s.step >= s.opt.Steps }
@@ -351,83 +358,54 @@ func (s *Stepper) Atten() *attenuation.Model { return s.rs.atten }
 // disabled) so harnesses can attribute checkpoint and recovery spans.
 func (s *Stepper) Recorder() *telemetry.Recorder { return s.rs.tel }
 
-// Step executes one full time step: kernels, halo exchange, sources,
-// boundaries, and index-addressed observable extraction. Under mixed-rate
-// LTS one call executes a whole cycle and the step cursor advances by its
-// length.
+// Step executes one cycle: maxRate base steps, during which this rank takes
+// maxRate/rate local steps — kernels, halo exchange, sources, boundaries —
+// each followed by index-addressed observable extraction, and the step cursor
+// advances by the cycle length. Uniform stepping is the cycle of length one.
+// All messages a cycle produces are consumed within it, so cycle boundaries
+// are clean checkpoint/rollback points.
 func (s *Stepper) Step() {
-	if l := s.rs.lts; l != nil && l.maxRate > 1 {
-		// One call executes a whole cycle: maxRate base steps, during
-		// which this rank takes maxRate/rate local steps. All messages a
-		// cycle produces are consumed within it, so cycle boundaries are
-		// clean checkpoint/rollback points.
-		for u := 0; u < l.maxRate; u++ {
-			sub := s.step + u
-			if sub%l.rate != 0 {
-				continue
+	rs, l := s.rs, s.rs.lts
+	for sub := s.step; sub < s.step+l.maxRate; sub += l.rate {
+		rs.advance(s.opt, sub, &s.tm)
+		// Observables land on the base-step index this local step reaches
+		// (its post-step state).
+		step := sub + l.rate - 1
+
+		if rs.fault != nil {
+			s.momentRate[step] = rs.fault.MomentRate(rs.med)
+			if rs.recorder != nil && step%s.opt.Fault.RecordEvery == 0 {
+				rs.recorder.Record()
 			}
-			s.rs.ltsAdvance(s.opt, l, sub, &s.tm)
-			// Observables land on the base-step index this local step
-			// reaches (its post-step state).
-			rec := sub + l.rate - 1
-			t0 := time.Now()
-			sp := s.rs.tel.Span(telemetry.Output)
-			if rec%s.opt.RecordEvery == 0 {
-				si := rec / s.opt.RecordEvery
-				for i := range s.rs.receivers {
-					r := &s.rs.receivers[i]
-					r.series[si] = [3]float32{
-						s.rs.st.VX.At(r.li, r.lj, r.lk),
-						s.rs.st.VY.At(r.li, r.lj, r.lk),
-						s.rs.st.VZ.At(r.li, r.lj, r.lk),
-					}
-					if r.sampled != nil {
-						r.sampled[si] = true
-					}
+		}
+
+		t0 := time.Now()
+		sp := rs.tel.Span(telemetry.Output)
+		if step%s.opt.RecordEvery == 0 {
+			si := step / s.opt.RecordEvery
+			for i := range rs.receivers {
+				r := &rs.receivers[i]
+				r.series[si] = [3]float32{
+					rs.st.VX.At(r.li, r.lj, r.lk),
+					rs.st.VY.At(r.li, r.lj, r.lk),
+					rs.st.VZ.At(r.li, r.lj, r.lk),
+				}
+				if r.sampled != nil {
+					r.sampled[si] = true
 				}
 			}
-			s.rs.trackPGV()
-			sp.End()
-			s.tm.Output += time.Since(t0).Seconds()
 		}
-		s.rs.tel.StepEnd()
-		s.step += l.maxRate
-		return
-	}
-	step := s.step
-	tNow := float64(step+1) * s.dt
-	s.rs.advance(s.opt, s.dt, tNow, &s.tm)
-
-	if s.rs.fault != nil {
-		s.momentRate[step] = s.rs.fault.MomentRate(s.rs.med)
-		if s.rs.recorder != nil && step%s.opt.Fault.RecordEvery == 0 {
-			s.rs.recorder.Record()
-		}
-	}
-
-	t0 := time.Now()
-	sp := s.rs.tel.Span(telemetry.Output)
-	if step%s.opt.RecordEvery == 0 {
-		si := step / s.opt.RecordEvery
-		for i := range s.rs.receivers {
-			r := &s.rs.receivers[i]
-			r.series[si] = [3]float32{
-				s.rs.st.VX.At(r.li, r.lj, r.lk),
-				s.rs.st.VY.At(r.li, r.lj, r.lk),
-				s.rs.st.VZ.At(r.li, r.lj, r.lk),
+		rs.trackPGV()
+		sp.End()
+		if rs.surf != nil && step%s.opt.Surface.Every == 0 {
+			if err := rs.surf.AppendFrame(step/s.opt.Surface.Every, rs.packSurfaceFrame()); err != nil && s.surfErr == nil {
+				s.surfErr = err
 			}
 		}
+		s.tm.Output += time.Since(t0).Seconds()
 	}
-	s.rs.trackPGV()
-	sp.End()
-	if s.rs.surf != nil && step%s.opt.Surface.Every == 0 {
-		if err := s.rs.surf.AppendFrame(step/s.opt.Surface.Every, s.rs.packSurfaceFrame()); err != nil && s.surfErr == nil {
-			s.surfErr = err
-		}
-	}
-	s.tm.Output += time.Since(t0).Seconds()
-	s.rs.tel.StepEnd()
-	s.step = step + 1
+	rs.tel.StepEnd()
+	s.step += l.maxRate
 }
 
 // Finish gathers all per-rank outputs at rank 0 (collective: every rank

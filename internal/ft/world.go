@@ -8,7 +8,8 @@
 // The protocol per attempt:
 //
 //  1. each rank steps its solver.Stepper, writing a checkpoint every
-//     Interval steps (step 0 included, so rollback always has a floor);
+//     Interval steps (step 0 included, so rollback always has a floor) —
+//     unless the run's state is more than a checkpoint carries, see below;
 //  2. a rank that faults — injected crash panic, aborted-world panic
 //     after a peer crashed, send-retry exhaustion — aborts the world so
 //     blocked peers unwind, then parks at an out-of-band coordinator;
@@ -21,6 +22,13 @@
 //  4. on rollback every rank reloads its checkpoint, rewinds its step
 //     cursor, and re-enters 1. Recovery wall time lands in the telemetry
 //     Recovery phase.
+//
+// A checkpoint carries the wavefield and the attenuation memory variables
+// and nothing else. A run whose state is more than that — M-PML zone split
+// fields, a DFR fault's slip, slip rate and peak rate — takes no checkpoints
+// at all: a rollback would restore the wavefield against un-rolled-back zone
+// or fault state and replay to a silently wrong result. Every recovery of
+// such a run is the rebuild arm of step 3.
 //
 // Because the solver is deterministic, per-step observables are
 // index-addressed, and PGV maps are monotone max-folds, a replayed step
@@ -127,11 +135,14 @@ type coordinator struct {
 	fs       *pfs.FS
 	dir      string
 	maxRecov int
+	// checkpoints is false for a run whose state a checkpoint does not
+	// carry: nothing is saved, and nothing found in dir is trusted.
+	checkpoints bool
 }
 
-func newCoordinator(n int, world *mpi.World, fs *pfs.FS, dir string, maxRecov int) *coordinator {
+func newCoordinator(n int, world *mpi.World, fs *pfs.FS, dir string, maxRecov int, checkpoints bool) *coordinator {
 	c := &coordinator{n: n, allDone: true, allStep: true, minIdx: int(^uint(0) >> 1),
-		world: world, fs: fs, dir: dir, maxRecov: maxRecov}
+		world: world, fs: fs, dir: dir, maxRecov: maxRecov, checkpoints: checkpoints}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -181,7 +192,7 @@ func (c *coordinator) decide() decision {
 	}
 	c.world.Reset()
 	step := -1
-	if c.allStep {
+	if c.allStep && c.checkpoints {
 		step = checkpoint.FindLatestValid(c.fs, c.dir, c.n)
 	}
 	// A restart must be a genuine rollback on every rank: jumping a
@@ -227,7 +238,11 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	if o.PFSFaults != nil {
 		o.FS.InjectFaults(*o.PFSFaults)
 	}
-	coord := newCoordinator(opt.Topo.Size(), world, o.FS, o.Dir, o.MaxRecoveries)
+	checkpoints := opt.ABC != solver.MPMLABC && opt.Fault == nil
+	if !checkpoints {
+		o.Logf("ft: checkpoints carry neither M-PML zone splits nor fault slip; this run takes none and recovers by rebuild and replay")
+	}
+	coord := newCoordinator(opt.Topo.Size(), world, o.FS, o.Dir, o.MaxRecoveries, checkpoints)
 
 	var (
 		mu                        sync.Mutex
@@ -381,7 +396,7 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 		// construction (rate assignment needs the per-rank media);
 		// checkpoints must land on cycle boundaries, where StepIndex is
 		// settable.
-		if a := st.StepAlign(); a > 1 && h.interval%a != 0 {
+		if a := st.StepAlign(); h.interval%a != 0 {
 			rounded := (h.interval/a + 1) * a
 			if h.comm.Rank() == 0 {
 				h.logf("ft: checkpoint interval %d is not a multiple of the step alignment %d; rounding up to %d",
@@ -393,7 +408,7 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 	st := *stp
 	for !st.Done() {
 		idx := st.StepIndex()
-		if idx%h.interval == 0 {
+		if h.coord.checkpoints && idx%h.interval == 0 {
 			if _, serr := checkpoint.Save(h.fs, h.dir, h.comm.Rank(), idx,
 				st.State(), st.Atten(), st.Recorder()); serr != nil {
 				// Survivable: recovery rolls back further instead.

@@ -3,10 +3,12 @@ package ft
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core/fd"
+	"repro/internal/core/rupture"
 	"repro/internal/core/solver"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
@@ -381,6 +383,71 @@ func TestWorldLTSCrashRecovery(t *testing.T) {
 	}
 	if recoveries == 0 {
 		t.Fatal("no crash ever fired; sweep vacuous")
+	}
+}
+
+// A checkpoint carries the wavefield and the attenuation memory variables
+// only, so a rollback under M-PML would replay against un-rolled-back zone
+// split fields, and under DFR against un-rolled-back fault slip — a completed
+// run with silently wrong numbers. Until a checkpoint carries that state such
+// a world takes no checkpoints and every recovery is a rebuild and replay:
+// the sweep crashes rank 1 at sends on both sides of several would-be
+// checkpoint steps, and each recovery must land on the bits of solver.Run.
+func TestWorldMPMLCrashRecoveryRebuilds(t *testing.T) {
+	mpml := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
+	mpml.ABC, mpml.PMLWidth = solver.MPMLABC, 4
+
+	dfr := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
+	ni, nk := 12, 8
+	tau := make([][]float64, nk)
+	sn := make([][]float64, nk)
+	fr := make([][]rupture.Friction, nk)
+	for k := range tau {
+		tau[k] = make([]float64, ni)
+		sn[k] = make([]float64, ni)
+		fr[k] = make([]rupture.Friction, ni)
+		for i := range tau[k] {
+			// Overstressed over the whole window: it slips from the first step.
+			sn[k][i], tau[k][i] = 120e6, 84e6
+			fr[k][i] = rupture.Friction{MuS: 0.677, MuD: 0.525, Dc: 0.02}
+		}
+	}
+	dfr.Sources = nil
+	dfr.Fault = &solver.FaultSpec{J0: 10, I0: 4, I1: 4 + ni, K0: 3, K1: 3 + nk,
+		Tau0: tau, SigmaN: sn, Friction: fr}
+
+	q := worldQuerier()
+	for _, tc := range []struct {
+		name string
+		opt  solver.Options
+	}{{"mpml", mpml}, {"dfr", dfr}} {
+		ref, err := solver.Run(q, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, at := range []uint64{30, 40, 50, 60} {
+			t.Run(fmt.Sprintf("%s/send%d", tc.name, at), func(t *testing.T) {
+				logged := 0
+				res, stats, err := RunWorld(WorldOptions{
+					Solver: tc.opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
+					Chaos: &mpi.ChaosPlan{Seed: 17, CrashAtSend: map[int]uint64{1: at}},
+					Logf:  func(string, ...any) { logged++ },
+				})
+				if err != nil {
+					t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
+				}
+				if stats.Recoveries == 0 || stats.Rebuilds != stats.Recoveries || stats.Checkpoints != 0 {
+					t.Fatalf("want every recovery a rebuild and no checkpoint taken: %+v", stats)
+				}
+				if logged != 1 {
+					t.Errorf("the missing checkpoints were logged %d times, want once", logged)
+				}
+				assertBitIdentical(t, ref, res)
+				if !reflect.DeepEqual(ref.MomentRate, res.MomentRate) || !reflect.DeepEqual(ref.FaultSlip, res.FaultSlip) {
+					t.Error("fault moment rate or slip not bit-identical")
+				}
+			})
+		}
 	}
 }
 

@@ -20,8 +20,7 @@ import (
 // convoying on one mutex and one condvar (the centralized barrier this
 // replaced; BENCH_8.json holds the comparison). The tree barrier sends
 // no messages: it never touches the
-// inbox path, is never charged by SetLinkLatency, never appears in
-// MessageStats, and composes with chaos injection trivially (there is
+// inbox path, never appears in MessageStats, and composes with chaos injection trivially (there is
 // nothing to drop or corrupt).
 //
 // Bcast and Reduce are binomial trees (the classic MPICH recursive-

@@ -80,10 +80,6 @@ type World struct {
 	chaos   *chaosEngine // nil: fault-free transport
 	aborted atomic.Bool
 
-	// linkAlphaNs, when positive, charges every transmission a fixed
-	// per-message sender overhead (see SetLinkLatency).
-	linkAlphaNs atomic.Int64
-
 	// Message-traffic counters (point-to-point only, collectives
 	// included): the measured side of the perfmodel's per-message
 	// latency term. Read with MessageStats, zero with ResetMessageStats.
@@ -131,36 +127,6 @@ func (w *World) inboxAt(r int) *inbox {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// SetLinkLatency arms per-message latency emulation: every point-to-point
-// transmission (collective legs included — they ride the same deliver
-// path) charges the sending rank a busy-wait of d before the payload is
-// enqueued. The in-process transport's own per-message startup cost is
-// ~0.1µs, two orders of magnitude below the α ≈ 3–8µs of the perfmodel
-// machine descriptions, so protocols that trade message count against
-// message volume — coalesced halos against per-field ones — cannot be
-// separated on the raw transport. The charge is a calibrated
-// busy-wait rather than a Sleep: the emulated cluster's per-rank sender
-// overhead is CPU time, and on a time-shared host it must consume CPU to
-// appear in wall clock at all (a Sleep yields the processor and the
-// charges of concurrent ranks collapse onto each other). d ≤ 0 disables
-// emulation. Unlike InjectChaos this leaves payloads unstamped: no
-// checksum is computed, so the per-float cost of the transport is
-// unchanged and only the per-message term moves.
-func (w *World) SetLinkLatency(d time.Duration) {
-	w.linkAlphaNs.Store(int64(d))
-}
-
-// chargeLink spins for the armed per-message latency, if any.
-func (w *World) chargeLink() {
-	d := time.Duration(w.linkAlphaNs.Load())
-	if d <= 0 {
-		return
-	}
-	t0 := time.Now()
-	for time.Since(t0) < d {
-	}
-}
 
 // MessageStats returns the total point-to-point messages and float32
 // values delivered since creation (or the last ResetMessageStats),
@@ -375,7 +341,6 @@ func (c *Comm) deliver(dst, tag int, data []float32) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, c.world.size))
 	}
-	c.world.chargeLink()
 	ch := c.world.chaos
 	if ch == nil {
 		c.enqueue(dst, tag, data, 0)

@@ -494,59 +494,3 @@ func TestSortedTags(t *testing.T) {
 		}
 	})
 }
-
-func TestLinkLatencyChargesPerMessage(t *testing.T) {
-	const alpha = 200 * time.Microsecond
-	const n = 20
-	run := func(w *World) time.Duration {
-		var elapsed time.Duration
-		w.Run(func(c *Comm) {
-			c.Barrier()
-			t0 := time.Now()
-			if c.Rank() == 0 {
-				for i := 0; i < n; i++ {
-					c.Send(1, i, []float32{float32(i)})
-				}
-			} else {
-				buf := make([]float32, 1)
-				for i := 0; i < n; i++ {
-					c.MustRecv(buf, 0, i)
-				}
-			}
-			c.Barrier()
-			if c.Rank() == 0 {
-				elapsed = time.Since(t0)
-			}
-		})
-		return elapsed
-	}
-
-	armed := NewWorld(2)
-	armed.SetLinkLatency(alpha)
-	if got := run(armed); got < n*alpha {
-		t.Errorf("armed world took %v, want >= %v (n*alpha)", got, n*alpha)
-	}
-
-	// Disarming restores the raw transport; a full per-message charge
-	// would make this run as slow as the armed one.
-	disarmed := NewWorld(2)
-	disarmed.SetLinkLatency(alpha)
-	disarmed.SetLinkLatency(0)
-	if got := run(disarmed); got >= n*alpha {
-		t.Errorf("disarmed world took %v, want < %v", got, n*alpha)
-	}
-}
-
-func TestLinkLatencyZeroValueUnarmed(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []float32{1})
-		} else {
-			buf := make([]float32, 1)
-			c.MustRecv(buf, 0, 0)
-		}
-	})
-	// Reaching here without stalls or panics is the assertion; the zero
-	// value of linkAlphaNs must leave deliver untouched.
-}
