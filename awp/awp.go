@@ -21,16 +21,13 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
-	"repro/internal/core/fd"
 	"repro/internal/core/rupture"
 	"repro/internal/core/solver"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
-	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
-	"repro/internal/tuner"
 )
 
 // Dims is the global grid extent in cells.
@@ -124,20 +121,6 @@ type Scenario struct {
 	FreeSurface bool
 	Attenuation bool
 
-	// Autotune times the cache-blocking candidates on the rank-0 subgrid
-	// shape and runs with the one the tuner picks (cached in a JSON profile,
-	// so only the first run on a machine pays the micro-benchmark). Results
-	// are bit-identical either way.
-	Autotune bool
-
-	// JBlock/KBlock override the cache-blocking tile (0: DefaultBlocking,
-	// or the autotuned blocking when Autotune is set).
-	JBlock, KBlock int
-
-	// TunerCachePath overrides the autotuner profile location ("" uses the
-	// per-user default under os.UserCacheDir).
-	TunerCachePath string
-
 	Sources   []source.SampledSource
 	Fault     *FaultSpec
 	Receivers [][3]int
@@ -158,16 +141,11 @@ func Run(q Model, sc Scenario) (*Result, error) {
 	}
 	topo := mpi.NewCart(1, 1, 1)
 	if sc.Ranks > 1 {
-		if sc.Fault != nil {
-			// DFR mode keeps the fault plane on one rank in y.
-			topo = faultTopo(sc.Dims, sc.Ranks)
-		} else {
-			topo = bestTopo(sc.Dims, sc.Ranks)
+		// DFR mode keeps the fault plane on one rank in y.
+		var err error
+		if topo, err = topoSearch(sc.Dims, sc.Ranks, sc.Fault != nil); err != nil {
+			return nil, err
 		}
-	}
-	blocking, err := resolveBlocking(sc, topo)
-	if err != nil {
-		return nil, err
 	}
 	opt := solver.Options{
 		Global:      sc.Dims,
@@ -178,7 +156,6 @@ func Run(q Model, sc Scenario) (*Result, error) {
 		Topo:        topo,
 		Comm:        sc.Comm,
 		Threads:     sc.Threads,
-		Blocking:    blocking,
 		ABC:         sc.ABC,
 		SpongeWidth: sc.SpongeWidth,
 		FreeSurface: sc.FreeSurface,
@@ -196,38 +173,6 @@ func Run(q Model, sc Scenario) (*Result, error) {
 		},
 	}
 	return solver.Run(q, opt)
-}
-
-// resolveBlocking maps Scenario.Autotune/JBlock/KBlock onto the solver's
-// cache blocking. Autotune runs the tuner micro-benchmark on the rank-0
-// subgrid shape — representative of every rank, since the decomposition
-// splits near-evenly — and any explicit JBlock/KBlock still wins over the
-// tuned values.
-func resolveBlocking(sc Scenario, topo mpi.Cart) (fd.Blocking, error) {
-	blocking := fd.DefaultBlocking
-	if sc.Autotune {
-		dc, err := decomp.New(sc.Dims, topo)
-		if err != nil {
-			return fd.Blocking{}, fmt.Errorf("awp: %w", err)
-		}
-		choice, _, err := tuner.AutotuneKernels(tuner.AutotuneOptions{
-			Dims:        dc.SubFor(0).Local,
-			Threads:     sc.Threads,
-			Attenuation: sc.Attenuation,
-			CachePath:   sc.TunerCachePath,
-		})
-		if err != nil {
-			return fd.Blocking{}, fmt.Errorf("awp: kernel autotune: %w", err)
-		}
-		blocking = choice.Blocking
-	}
-	if sc.JBlock > 0 {
-		blocking.JBlock = sc.JBlock
-	}
-	if sc.KBlock > 0 {
-		blocking.KBlock = sc.KBlock
-	}
-	return blocking, nil
 }
 
 // SoCalModel returns the synthetic southern-California velocity model
@@ -299,18 +244,11 @@ func PGVH(s Seismogram) float64 { return analysis.PGVHFromSeries(s) }
 // GeomMeanPGV returns the NGA-style geometric-mean horizontal peak.
 func GeomMeanPGV(s Seismogram) float64 { return analysis.GeomMeanPGV(s) }
 
-// bestTopo wraps the decomposition heuristic.
-func bestTopo(g Dims, ranks int) mpi.Cart {
-	return topoSearch(g, ranks, false)
-}
-
-// faultTopo constrains PY=1 for DFR mode.
-func faultTopo(g Dims, ranks int) mpi.Cart {
-	return topoSearch(g, ranks, true)
-}
-
-func topoSearch(g Dims, ranks int, py1 bool) mpi.Cart {
-	best := mpi.NewCart(1, 1, 1)
+// topoSearch picks the 3D topology of ranks with the least halo surface
+// among those that leave every rank at least 4 cells per axis (py1 pins
+// PY = 1), or reports that none does.
+func topoSearch(g Dims, ranks int, py1 bool) (mpi.Cart, error) {
+	var best mpi.Cart
 	bestCost := -1.0
 	for px := 1; px <= ranks; px++ {
 		if ranks%px != 0 {
@@ -334,5 +272,8 @@ func topoSearch(g Dims, ranks int, py1 bool) mpi.Cart {
 			}
 		}
 	}
-	return best
+	if bestCost < 0 {
+		return best, fmt.Errorf("awp: no topology of %d ranks leaves each rank 4 cells per axis of the %v grid", ranks, g)
+	}
+	return best, nil
 }

@@ -22,10 +22,6 @@ func main() {
 	comm := flag.String("comm", "async-reduced", "comm model: sync|async|async-reduced|overlap")
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
-	autotune := flag.Bool("autotune", false, "time the cache-blocking candidates on this machine and run with the tuner's choice (cached in the profile)")
-	jblock := flag.Int("jblock", 0, "cache-blocking tile extent in j (0: default or autotuned)")
-	kblock := flag.Int("kblock", 0, "cache-blocking tile extent in k (0: default or autotuned)")
-	tunerCache := flag.String("tuner-cache", "", "kernel autotuner profile path (default: per-user cache dir)")
 	cfl := flag.Float64("cfl", 0, "CFL safety factor for the automatic time step, in (0, 1] (0: 0.5)")
 	lts := flag.Bool("lts", false, "multi-rate local time stepping: slow-medium ranks advance with dt*2^k and work-weighted cuts")
 	ltsMaxK := flag.Int("lts-max-k", 0, "LTS rate-exponent cap: rates up to 2^k, 1|2 (0: 2)")
@@ -64,15 +60,15 @@ func main() {
 
 	sc := awp.Scenario{
 		Dims: dims, H: *h, Steps: *steps, Ranks: *ranks,
-		Threads:  *threads,
-		Autotune: *autotune, JBlock: *jblock, KBlock: *kblock,
-		TunerCachePath: *tunerCache,
-		CFL:            *cfl,
-		LTS:            *lts,
-		LTSMaxK:        *ltsMaxK, LTSMaxRateRatio: *ltsMaxRatio,
+		Threads: *threads,
+		CFL:     *cfl,
+		LTS:     *lts,
+		LTSMaxK: *ltsMaxK, LTSMaxRateRatio: *ltsMaxRatio,
 		FreeSurface: true, Attenuation: true,
-		Sources:   awp.PointMomentSource(*srcI, *srcJ, *srcK, *mw, 0.3, 0.08),
-		Receivers: [][3]int{{*srcI, *srcJ, 0}, {*nx - 10, *srcJ, 0}},
+		Sources: awp.PointMomentSource(*srcI, *srcJ, *srcK, *mw, 0.3, 0.08),
+		// The distant receiver sits ten cells in from the x-high face, or
+		// on the x-low face of a grid narrower than that.
+		Receivers: [][3]int{{*srcI, *srcJ, 0}, {max(*nx-10, 0), *srcJ, 0}},
 		TrackPGV:  true,
 	}
 	if *trace != "" {

@@ -16,27 +16,27 @@ import (
 
 // farmRun is one farm execution (clean baseline or fault storm).
 type farmRun struct {
-	Label            string     `json:"label"`
-	Scenarios        int        `json:"scenarios"`
-	Completed        int        `json:"completed"`
-	Failed           int        `json:"failed"`
-	Attempts         int        `json:"attempts"`
-	Retries          int        `json:"retries"`
-	WorkerCrashes    int        `json:"worker_crashes"`
-	DeadlineMisses   int        `json:"deadline_misses"`
-	BreakerTrips     int        `json:"breaker_trips"`
-	CorruptRequeued  int        `json:"corrupt_requeued"`
+	Label            string          `json:"label"`
+	Scenarios        int             `json:"scenarios"`
+	Completed        int             `json:"completed"`
+	Failed           int             `json:"failed"`
+	Attempts         int             `json:"attempts"`
+	Retries          int             `json:"retries"`
+	WorkerCrashes    int             `json:"worker_crashes"`
+	DeadlineMisses   int             `json:"deadline_misses"`
+	BreakerTrips     int             `json:"breaker_trips"`
+	CorruptRequeued  int             `json:"corrupt_requeued"`
 	ChaosInjected    farm.ChaosStats `json:"chaos_injected"`
-	PFSFaults        uint64     `json:"pfs_faults"`
-	WallSec          float64    `json:"wall_sec"`
-	ScenariosPerHour float64    `json:"scenarios_per_hour"`
-	Queries          int        `json:"queries"`
-	Non200           int        `json:"non_200"`
-	DegradedAnswers  int        `json:"degraded_answers"`
-	ShedQueries      int        `json:"shed_queries"`
-	P99QueryMs       float64    `json:"p99_query_ms"`
-	JobPhaseSec      float64    `json:"job_phase_sec"`
-	ServePhaseSec    float64    `json:"serve_phase_sec"`
+	PFSFaults        uint64          `json:"pfs_faults"`
+	WallSec          float64         `json:"wall_sec"`
+	ScenariosPerHour float64         `json:"scenarios_per_hour"`
+	Queries          int             `json:"queries"`
+	Non200           int             `json:"non_200"`
+	DegradedAnswers  int             `json:"degraded_answers"`
+	ShedQueries      int             `json:"shed_queries"`
+	P99QueryMs       float64         `json:"p99_query_ms"`
+	JobPhaseSec      float64         `json:"job_phase_sec"`
+	ServePhaseSec    float64         `json:"serve_phase_sec"`
 }
 
 type farmReport struct {
@@ -136,9 +136,9 @@ func farmExp(outPath string, short bool) {
 			Spec: spec, Workers: workers, MaxAttempts: 10,
 			Deadline:  deadline,
 			RetryBase: time.Millisecond, RetryMax: 10 * time.Millisecond,
-			Breaker:   farm.BreakerConfig{Threshold: 5, Cooldown: 20 * time.Millisecond},
-			Chaos:     chaos,
-			Rec:       rec,
+			Breaker: farm.BreakerConfig{Threshold: 5, Cooldown: 20 * time.Millisecond},
+			Chaos:   chaos,
+			Rec:     rec,
 		}, store, farm.NewSurrogate(rng))
 		defer f.Close()
 		srv := farm.NewServer(f, farm.ServerConfig{MaxConcurrent: 8})

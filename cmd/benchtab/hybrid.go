@@ -1,9 +1,10 @@
-package solver
+package main
 
 import (
 	"fmt"
 	"time"
 
+	"repro/internal/core/solver"
 	"repro/internal/cvm"
 	"repro/internal/decomp"
 	"repro/internal/grid"
@@ -22,37 +23,24 @@ import (
 // constants rather than Table 1 constants — the same fit-small,
 // predict-large validation the paper itself performs (§V.A).
 
-// HybridConfig configures a hybrid scaling run.
-type HybridConfig struct {
+// hybridConfig configures a hybrid scaling run.
+type hybridConfig struct {
 	// PerRank is the per-rank subgrid of the weak-scaling sweep; every
 	// decomposed axis must be >= 4 (the solver's halo-depth floor).
 	PerRank grid.Dims
 	// SampleRanks is the number of ranks that execute for real (both to
-	// measure constants and as the VirtualWorld sample). 0 defaults to 8.
+	// measure constants and as the VirtualWorld sample).
 	SampleRanks int
-	// Steps is the measured/virtual step count. 0 defaults to 10.
+	// Steps is the measured/virtual step count.
 	Steps int
-	// Reps is the number of measurement repetitions (min is kept). 0
-	// defaults to 2.
+	// Reps is the number of measurement repetitions (min is kept).
 	Reps int
 	// Ranks is the weak/strong sweep, e.g. {64, 512, 4096, 10240}.
 	Ranks []int
 }
 
-func (cfg *HybridConfig) fillDefaults() {
-	if cfg.SampleRanks <= 0 {
-		cfg.SampleRanks = 8
-	}
-	if cfg.Steps <= 0 {
-		cfg.Steps = 10
-	}
-	if cfg.Reps <= 0 {
-		cfg.Reps = 2
-	}
-}
-
-// HybridPoint is one rank count of the hybrid weak-scaling curve.
-type HybridPoint struct {
+// hybridPoint is one rank count of the hybrid weak-scaling curve.
+type hybridPoint struct {
 	Ranks        int
 	Topo         [3]int
 	Global       grid.Dims
@@ -72,10 +60,10 @@ type HybridPoint struct {
 	HostProjStepSec float64
 }
 
-// HybridScaling is the full output of HybridRun.
-type HybridScaling struct {
+// hybridScaling is the full output of hybridRun.
+type hybridScaling struct {
 	Constants perfmodel.MeasuredConstants
-	Weak      []HybridPoint
+	Weak      []hybridPoint
 	// Strong is the Fig. 6-style strong-scaling sweep over the largest
 	// weak-point global grid, priced from the same measured constants.
 	Strong []perfmodel.ScalingPoint
@@ -83,20 +71,19 @@ type HybridScaling struct {
 
 // sampleOptions builds the instrumented solver options for a real
 // execution of topo over global cells.
-func sampleOptions(global grid.Dims, topo mpi.Cart, steps int) Options {
-	return Options{
+func sampleOptions(global grid.Dims, topo mpi.Cart, steps int) solver.Options {
+	return solver.Options{
 		Global: global, H: 100, Steps: steps, Topo: topo,
-		Comm: AsyncReduced, Threads: 1,
-		ABC: SpongeABC, SpongeWidth: 4,
+		Comm: solver.AsyncReduced, Threads: 1,
+		ABC: solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
 		Telemetry: &telemetry.Options{},
 	}
 }
 
-// MeasureConstants executes the sampled ranks for real and distills the
+// measureConstants executes the sampled ranks for real and distills the
 // per-rank constants the hybrid extrapolation prices from.
-func MeasureConstants(q cvm.Querier, cfg HybridConfig) (perfmodel.MeasuredConstants, error) {
-	cfg.fillDefaults()
+func measureConstants(q cvm.Querier, cfg hybridConfig) (perfmodel.MeasuredConstants, error) {
 	var mc perfmodel.MeasuredConstants
 	mc.SampleRanks = cfg.SampleRanks
 	cells := cfg.PerRank.Cells()
@@ -105,7 +92,7 @@ func MeasureConstants(q cvm.Querier, cfg HybridConfig) (perfmodel.MeasuredConsta
 	// measurement uncontended — on an oversubscribed host, multi-rank
 	// per-rank spans include descheduled time and would overstate comp.
 	for rep := 0; rep < cfg.Reps; rep++ {
-		res, err := Run(q, sampleOptions(cfg.PerRank, mpi.NewCart(1, 1, 1), cfg.Steps))
+		res, err := solver.Run(q, sampleOptions(cfg.PerRank, mpi.NewCart(1, 1, 1), cfg.Steps))
 		if err != nil {
 			return mc, fmt.Errorf("hybrid comp measurement: %w", err)
 		}
@@ -166,11 +153,11 @@ func MeasureConstants(q cvm.Querier, cfg HybridConfig) (perfmodel.MeasuredConsta
 		NZ: max(4, cfg.PerRank.NZ/2),
 	}
 	var samples []perfmodel.CommSample
-	var prod HaloBenchResult // the sample topology at the production size
+	var prod solver.HaloBenchResult // the sample topology at the production size
 	for _, tp := range []mpi.Cart{topo, mpi.NewCart(2, 1, 1)} {
 		for _, local := range []grid.Dims{cfg.PerRank, small} {
-			r := RunHaloExchangeBench(HaloBenchConfig{
-				Topo: tp, Local: local, Model: AsyncReduced,
+			r := solver.RunHaloExchangeBench(solver.HaloBenchConfig{
+				Topo: tp, Local: local, Model: solver.AsyncReduced,
 				Threads: 1, Steps: cfg.Steps,
 			})
 			samples = append(samples, perfmodel.CommSample{
@@ -222,7 +209,7 @@ func measureStepSec(q cvm.Querier, global grid.Dims, topo mpi.Cart, steps, reps 
 		best := 0.0
 		for rep := 0; rep < reps; rep++ {
 			t0 := time.Now()
-			if _, err := Run(q, sampleOptions(global, topo, n)); err != nil {
+			if _, err := solver.Run(q, sampleOptions(global, topo, n)); err != nil {
 				return 0, err
 			}
 			sec := time.Since(t0).Seconds()
@@ -277,21 +264,20 @@ func neighborCount(t mpi.Cart, r int) int {
 	return n
 }
 
-// HybridRun measures constants on the sampled ranks and extrapolates
+// hybridRun measures constants on the sampled ranks and extrapolates
 // the weak/strong scaling curves across cfg.Ranks with a VirtualWorld
 // per point: sampled ranks advance by their measured per-step cost,
 // virtual ranks by the Eq. 7 breakdown, with per-rank communication
 // scaled by each rank's neighbor count (corner/edge/face/interior).
-func HybridRun(q cvm.Querier, cfg HybridConfig) (*HybridScaling, error) {
-	cfg.fillDefaults()
+func hybridRun(q cvm.Querier, cfg hybridConfig) (*hybridScaling, error) {
 	if len(cfg.Ranks) == 0 {
 		return nil, fmt.Errorf("hybrid: empty rank sweep")
 	}
-	mc, err := MeasureConstants(q, cfg)
+	mc, err := measureConstants(q, cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := &HybridScaling{Constants: mc}
+	out := &hybridScaling{Constants: mc}
 	cellsPerRank := cfg.PerRank.Cells()
 	// T(N,1) has no communication: the weak-efficiency baseline is the
 	// single-rank compute time, the Eq. 8 numerator.
@@ -337,16 +323,16 @@ func HybridRun(q cvm.Querier, cfg HybridConfig) (*HybridScaling, error) {
 			}
 		}
 		st := vw.MaxTime() / float64(cfg.Steps)
-		out.Weak = append(out.Weak, HybridPoint{
-			Ranks:        p,
-			Topo:         [3]int{topo.PX, topo.PY, topo.PZ},
-			Global:       global,
-			SampledRanks: len(sampled),
-			StepSec:      st,
-			Model:        b,
-			SkewSec:      vw.Skew(),
-			Efficiency:   t1 / st,
-			Tflops:       perfmodel.UsefulFlopsPerCell * float64(global.Cells()) / st / 1e12,
+		out.Weak = append(out.Weak, hybridPoint{
+			Ranks:           p,
+			Topo:            [3]int{topo.PX, topo.PY, topo.PZ},
+			Global:          global,
+			SampledRanks:    len(sampled),
+			StepSec:         st,
+			Model:           b,
+			SkewSec:         vw.Skew(),
+			Efficiency:      t1 / st,
+			Tflops:          perfmodel.UsefulFlopsPerCell * float64(global.Cells()) / st / 1e12,
 			HostProjStepSec: mc.HostProjectedStepSec(p, sumNeighbors(topo)),
 		})
 	}
@@ -354,14 +340,13 @@ func HybridRun(q cvm.Querier, cfg HybridConfig) (*HybridScaling, error) {
 	return out, nil
 }
 
-// RunFullWeakPoint really executes every rank of one weak-scaling point
+// runFullWeakPoint really executes every rank of one weak-scaling point
 // on this host and returns the measured wall seconds per step — the
 // ground truth the hybrid host projection is gated against at a size
 // the host can still hold (the BENCH_8 parity check at P=64). It uses
 // the same setup-cancelling differencing as the sampled measurement so
 // both sides of the parity gate estimate the identical quantity.
-func RunFullWeakPoint(q cvm.Querier, cfg HybridConfig, ranks int) (float64, error) {
-	cfg.fillDefaults()
+func runFullWeakPoint(q cvm.Querier, cfg hybridConfig, ranks int) (float64, error) {
 	topo := decomp.WeakTopo(cfg.PerRank, ranks)
 	global := grid.Dims{
 		NX: cfg.PerRank.NX * topo.PX,

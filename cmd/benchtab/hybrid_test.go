@@ -1,4 +1,4 @@
-package solver
+package main
 
 import (
 	"testing"
@@ -7,8 +7,8 @@ import (
 	"repro/internal/grid"
 )
 
-func hybridTestConfig() HybridConfig {
-	return HybridConfig{
+func hybridTestConfig() hybridConfig {
+	return hybridConfig{
 		PerRank:     grid.Dims{NX: 10, NY: 10, NZ: 10},
 		SampleRanks: 8,
 		Steps:       10,
@@ -17,7 +17,7 @@ func hybridTestConfig() HybridConfig {
 	}
 }
 
-func hybridQuerier(cfg HybridConfig) cvm.Querier {
+func hybridQuerier(cfg hybridConfig) cvm.Querier {
 	g := cfg.PerRank
 	return cvm.SoCal(float64(g.NX)*100*8, float64(g.NY)*100*8, float64(g.NZ)*100*4, 500)
 }
@@ -33,7 +33,7 @@ func TestHybridCurves(t *testing.T) {
 		t.Skip("hybrid mode needs real timed runs; skipped in -short")
 	}
 	cfg := hybridTestConfig()
-	hs, err := HybridRun(hybridQuerier(cfg), cfg)
+	hs, err := hybridRun(hybridQuerier(cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestMeasureConstantsSane(t *testing.T) {
 		t.Skip("measurement runs skipped in -short")
 	}
 	cfg := hybridTestConfig()
-	mc, err := MeasureConstants(hybridQuerier(cfg), cfg)
+	mc, err := measureConstants(hybridQuerier(cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,21 +23,21 @@ import (
 // the per-rank path must produce bit-identical files, and the aggregator's
 // write-time per-stripe checksums must equal the per-rank reference file's.
 type ioIdentity struct {
-	Ranks         int    `json:"ranks"`
-	Aggregators   int    `json:"aggregators"`
-	Writers       int    `json:"writers"`
-	Bytes         int    `json:"bytes"`
-	StripeCount   int    `json:"stripe_count"`
-	StripeSize    int    `json:"stripe_size"`
-	AggMD5        string `json:"agg_md5"`
-	PerRankMD5    string `json:"per_rank_md5"`
-	FilesEqual    bool   `json:"files_equal"`
-	Stripes       int    `json:"stripes"`
-	StripesEqual  bool   `json:"stripes_equal"`
-	AggOpens      int    `json:"agg_opens"`
-	PerRankOpens  int    `json:"per_rank_opens"`
-	MaxConcOpens  int    `json:"max_concurrent_opens"`
-	ShippedBytes  int    `json:"shipped_bytes"`
+	Ranks        int    `json:"ranks"`
+	Aggregators  int    `json:"aggregators"`
+	Writers      int    `json:"writers"`
+	Bytes        int    `json:"bytes"`
+	StripeCount  int    `json:"stripe_count"`
+	StripeSize   int    `json:"stripe_size"`
+	AggMD5       string `json:"agg_md5"`
+	PerRankMD5   string `json:"per_rank_md5"`
+	FilesEqual   bool   `json:"files_equal"`
+	Stripes      int    `json:"stripes"`
+	StripesEqual bool   `json:"stripes_equal"`
+	AggOpens     int    `json:"agg_opens"`
+	PerRankOpens int    `json:"per_rank_opens"`
+	MaxConcOpens int    `json:"max_concurrent_opens"`
+	ShippedBytes int    `json:"shipped_bytes"`
 }
 
 // ioModelRow is one point of the perfmodel 49%->2% curve: the M8 job at a
@@ -45,9 +45,9 @@ type ioIdentity struct {
 // (v6-era, IOAggregated=false) vs the aggregated path with 670 writer
 // ranks.
 type ioModelRow struct {
-	Cores        int     `json:"cores"`
-	PerRankFrac  float64 `json:"per_rank_io_frac"`
-	AggFrac      float64 `json:"agg_io_frac"`
+	Cores       int     `json:"cores"`
+	PerRankFrac float64 `json:"per_rank_io_frac"`
+	AggFrac     float64 `json:"agg_io_frac"`
 }
 
 // ioSweepRow is one point of the virtual overhead sweep on the Jaguar PFS

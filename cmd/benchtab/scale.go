@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core/solver"
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -42,7 +41,7 @@ type scaleWorldRow struct {
 // parity check that anchors them.
 type scaleHybrid struct {
 	Constants       perfmodel.MeasuredConstants `json:"constants"`
-	Weak            []solver.HybridPoint        `json:"weak"`
+	Weak            []hybridPoint               `json:"weak"`
 	Strong          []perfmodel.ScalingPoint    `json:"strong"`
 	ParityRanks     int                         `json:"parity_ranks"`
 	ParityProjected float64                     `json:"parity_projected_step_sec"`
@@ -208,7 +207,7 @@ func scale(outPath string, short bool) {
 	// Hybrid model-execution scaling: measure constants on sampled real
 	// executions, extrapolate the weak/strong curves, and anchor them
 	// with the P=64 projection-vs-real parity check.
-	cfg := solver.HybridConfig{
+	cfg := hybridConfig{
 		PerRank:     grid.Dims{NX: 10, NY: 10, NZ: 10},
 		SampleRanks: 8,
 		Steps:       10,
@@ -230,10 +229,10 @@ func scale(outPath string, short bool) {
 	if short {
 		attempts = 1
 	}
-	var hs *solver.HybridScaling
+	var hs *hybridScaling
 	for attempt := 1; attempt <= attempts; attempt++ {
 		var err error
-		hs, err = solver.HybridRun(q, cfg)
+		hs, err = hybridRun(q, cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: scale: %v\n", err)
 			os.Exit(1)
@@ -244,7 +243,7 @@ func scale(outPath string, short bool) {
 				proj = pt.HostProjStepSec
 			}
 		}
-		measured, err := solver.RunFullWeakPoint(q, cfg, rep.Hybrid.ParityRanks)
+		measured, err := runFullWeakPoint(q, cfg, rep.Hybrid.ParityRanks)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "benchtab: scale: %v\n", err)
 			os.Exit(1)

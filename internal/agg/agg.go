@@ -76,7 +76,7 @@ func (c Config) tag() int {
 // the written file: CRC64-ECMA (the checkpoint-format polynomial) and
 // MD5 (the paper's §III.E integrity pass).
 type StripeChecksum struct {
-	Index int    // stripe index (byte range [Index*size, (Index+1)*size))
+	Index int // stripe index (byte range [Index*size, (Index+1)*size))
 	CRC64 uint64
 	MD5   string // hex
 }
@@ -84,16 +84,16 @@ type StripeChecksum struct {
 // WriteStats summarizes one collective aggregated write. Every rank
 // returns identical scalar stats; Stripes is populated on rank 0 only.
 type WriteStats struct {
-	Bytes        int // payload bytes of the collective view
-	Segments     int // input segments across all ranks
-	ShippedBytes int // payload bytes shipped to a remote writer rank
-	Writers      int // aggregator ranks that issued writes
-	Writes       int // coalesced writes issued to the PFS
-	Opens        int // file opens charged (= Writers)
-	Waves        int // open-throttle waves of the priced phase
+	Bytes              int // payload bytes of the collective view
+	Segments           int // input segments across all ranks
+	ShippedBytes       int // payload bytes shipped to a remote writer rank
+	Writers            int // aggregator ranks that issued writes
+	Writes             int // coalesced writes issued to the PFS
+	Opens              int // file opens charged (= Writers)
+	Waves              int // open-throttle waves of the priced phase
 	MaxConcurrentOpens int
-	Phase        pfs.PhaseStats // virtual cost of the aggregated phase
-	Stripes      []StripeChecksum
+	Phase              pfs.PhaseStats // virtual cost of the aggregated phase
+	Stripes            []StripeChecksum
 }
 
 // Placement maps file offsets to writer ranks, striping-aware.

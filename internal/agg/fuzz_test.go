@@ -103,7 +103,7 @@ func FuzzCoalesceWriteIdentity(f *testing.F) {
 						t.Fatalf("piece byte at file off %d is %d, want %d", pc.off+j, bb, want)
 					}
 				}
-				if own := pl.Owner(pc.off); own != pl.Owner(pc.off + len(pc.data) - 1) {
+				if own := pl.Owner(pc.off); own != pl.Owner(pc.off+len(pc.data)-1) {
 					// A piece may span columns only when every spanned
 					// column has the same owner; endpoints agree by
 					// construction of splitByOwner.

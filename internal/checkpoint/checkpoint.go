@@ -163,23 +163,3 @@ func ckptSpan(rec []*telemetry.Recorder) telemetry.Span {
 	}
 	return rec[0].Span(telemetry.Checkpoint)
 }
-
-// ThrottledSave prices a full-job checkpoint phase in which nranks ranks
-// write `bytes` each, with at most maxConcurrent files open at once (the
-// §IV.E open-throttling policy). It returns the total simulated elapsed
-// time; untrottled behaviour is obtained with maxConcurrent >= nranks.
-func ThrottledSave(fsys *pfs.FS, dir string, nranks, bytes, maxConcurrent int) float64 {
-	if maxConcurrent <= 0 {
-		maxConcurrent = nranks
-	}
-	var total float64
-	for w := 0; w < nranks; w += maxConcurrent {
-		hi := min(w+maxConcurrent, nranks)
-		ops := make([]pfs.Op, 0, hi-w)
-		for r := w; r < hi; r++ {
-			ops = append(ops, pfs.Op{Path: FileName(dir, r, 0), Bytes: bytes, Write: true, Open: true})
-		}
-		total += fsys.SimulatePhase(ops).Elapsed
-	}
-	return total
-}

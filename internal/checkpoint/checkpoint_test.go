@@ -121,19 +121,6 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
-// Throttled checkpointing must beat the unthrottled metadata storm at
-// scale (§IV.E applied to checkpoint files).
-func TestThrottledSaveFaster(t *testing.T) {
-	fsys := pfs.New(pfs.Config{OSTs: 64, OSTBandwidth: 1e8, MDSLatency: 1e-3, MDSConcurrent: 50})
-	nranks := 400
-	bytes := 1 << 20
-	unthrottled := ThrottledSave(fsys, "a", nranks, bytes, nranks)
-	throttled := ThrottledSave(fsys, "b", nranks, bytes, 50)
-	if throttled >= unthrottled {
-		t.Fatalf("throttling did not help: %g vs %g", throttled, unthrottled)
-	}
-}
-
 // l1Line returns which of the 64 cache lines of the 4 KiB period of the L1
 // set index f's backing array starts on. unsafe is confined to this test: it
 // reads an address, which the placement code itself never needs to.

@@ -31,11 +31,17 @@ func expectResultsExact(t *testing.T, label string, ref, res *Result) {
 	}
 }
 
+// matrixBlockings is the tile-shape axis of the identity matrices: the
+// default, a smaller and a larger power-of-two pair (32/32 makes a 12x12
+// rank one tile), and a pair that divides no extent of the test grids.
+var matrixBlockings = []fd.Blocking{{}, {JBlock: 4, KBlock: 8}, {JBlock: 32, KBlock: 32}, {JBlock: 3, KBlock: 5}}
+
 // The production kernels (row-window sweeps per tile) must reproduce the
-// serial pointwise Precomp run bit-exactly across every comm model and
-// threading level — they only change how memory is streamed, never a single
-// arithmetic result. Both sides run the one-pass stress + attenuation sweep;
-// the reference that cannot is TestDefaultPathMatchesTwoPassOracle.
+// serial pointwise Precomp run bit-exactly across every comm model,
+// threading level and tile shape — they only change how memory is streamed
+// and in what order, never a single arithmetic result. Both sides run the
+// one-pass stress + attenuation sweep; the reference that cannot is
+// TestDefaultPathMatchesTwoPassOracle.
 func TestFusedBitIdentityMatrix(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	ref, err := Run(q, baseOptions(mpi.NewCart(1, 1, 1))) // serial Precomp
@@ -55,15 +61,19 @@ func TestFusedBitIdentityMatrix(t *testing.T) {
 
 	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
 		for _, threads := range []int{1, 4} {
-			opt := baseOptions(mpi.NewCart(2, 2, 1))
-			opt.Comm = model
-			opt.Threads = threads
-			opt.Variant = fd.Production
-			res, err := Run(q, opt)
-			if err != nil {
-				t.Fatalf("%v threads=%d: %v", model, threads, err)
+			for _, blk := range matrixBlockings {
+				opt := baseOptions(mpi.NewCart(2, 2, 1))
+				opt.Comm = model
+				opt.Threads = threads
+				opt.Blocking = blk
+				opt.Variant = fd.Production
+				label := fmt.Sprintf("%v threads=%d blocking=%d/%d", model, threads, blk.JBlock, blk.KBlock)
+				res, err := Run(q, opt)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				expectResultsExact(t, label, ref, res)
 			}
-			expectResultsExact(t, fmt.Sprintf("%v threads=%d", model, threads), ref, res)
 		}
 	}
 }

@@ -21,10 +21,11 @@ import (
 type mpmlSnapshot [36][]float32
 
 // TestMPMLBitIdentityMatrix holds M-PML runs under every comm model, pool
-// size and decomposition, with and without a DFR fault, to the serial
-// single-rank run: every value of every field and of every zone split,
-// after every step. Zones are tiles of the same pool queues as the interior,
-// so this is the matrix that says the schedule cannot be seen in the result.
+// size, decomposition and tile shape, with and without a DFR fault, to the
+// serial single-rank run at the default tile shape: every value of every
+// field and of every zone split, after every step. Zones are tiles of the
+// same pool queues as the interior, so this is the matrix that says the
+// schedule cannot be seen in the result.
 //
 // The mixed-rate column runs the same scenario over a rock | basin contrast
 // with the basin half at rate 4. Where the rate seam lies is part of that
@@ -40,10 +41,12 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 		false: {mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)},
 		true:  {mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 1, 2)},
 	}
+	blockings := matrixBlockings
 	if testing.Short() {
 		comms = []CommModel{AsyncReduced, AsyncOverlap}
 		threads = []int{4}
 		topos[false], topos[true] = topos[false][2:], topos[true][2:]
+		blockings = blockings[3:]
 	}
 	matrix := func(label string, q cvm.Querier, base Options, refTopo mpi.Cart, topos []mpi.Cart) {
 		ref := mpmlReference(t, q, base, refTopo)
@@ -53,17 +56,20 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 			}
 			for _, nt := range threads {
 				for _, topo := range topos {
-					opt := base
-					opt.Comm, opt.Threads, opt.Topo = comm, nt, topo
-					tag := fmt.Sprintf("%s/%v/threads%d/%dx%dx%d", label, comm, nt, topo.PX, topo.PY, topo.PZ)
-					var once sync.Once
-					stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
-						if msg := mpmlCompare(st, ref[st.StepIndex()-1]); msg != "" {
-							once.Do(func() {
-								t.Errorf("%s: rank %d after step %d: %s", tag, c.Rank(), st.StepIndex(), msg)
-							})
-						}
-					})
+					for _, blk := range blockings {
+						opt := base
+						opt.Comm, opt.Threads, opt.Topo, opt.Blocking = comm, nt, topo, blk
+						tag := fmt.Sprintf("%s/%v/threads%d/%dx%dx%d/blocking%d.%d", label, comm, nt,
+							topo.PX, topo.PY, topo.PZ, blk.JBlock, blk.KBlock)
+						var once sync.Once
+						stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
+							if msg := mpmlCompare(st, ref[st.StepIndex()-1]); msg != "" {
+								once.Do(func() {
+									t.Errorf("%s: rank %d after step %d: %s", tag, c.Rank(), st.StepIndex(), msg)
+								})
+							}
+						})
+					}
 				}
 			}
 		}

@@ -23,7 +23,7 @@ func FuzzPrepare(f *testing.F) {
 		lts, balance             bool
 		maxK, ratio              int8
 		fault, surface, fs, attn bool
-		cflPct, dtSign           int8
+		cflPct, dtSign, recvOff  int8
 	}
 	for _, s := range []seed{
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, threads: 1, attn: true, fs: true},
@@ -34,19 +34,22 @@ func FuzzPrepare(f *testing.F) {
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 2, abc: 1, lts: true, surface: true, fs: true},
 		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 3, abc: 1, fault: true},
 		// Surface output without LTS runs; zones that swallow a rank, a
-		// topology the grid cannot hold and unknown enums do not.
+		// topology the grid cannot hold, a receiver no rank owns and unknown
+		// enums do not.
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 2, abc: 1, surface: true, fs: true},
 		{nx: 20, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 2, pmlWidth: 10},
 		{nx: 6, ny: 6, nz: 6, px: 4, py: 1, pz: 1, comm: 1, abc: 1},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, recvOff: -10},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, recvOff: 18},
 		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 9, abc: -1, threads: -1, maxK: 3, ratio: 3, lts: true, cflPct: 120, dtSign: -1},
 		{},
 	} {
 		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.threads, s.pmlWidth,
-			s.lts, s.balance, s.maxK, s.ratio, s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign)
+			s.lts, s.balance, s.maxK, s.ratio, s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign, s.recvOff)
 	}
 	rock, soft := ltsContrast()
 	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz uint8, comm, abc, threads int8, pmlWidth uint8,
-		lts, balance bool, maxK, ratio int8, fault, surface, fs, attn bool, cflPct, dtSign int8) {
+		lts, balance bool, maxK, ratio int8, fault, surface, fs, attn bool, cflPct, dtSign, recvOff int8) {
 		// Bounded so that one input is milliseconds: ≤ 32³ cells, ≤ 27 ranks.
 		g := grid.Dims{NX: int(nx % 33), NY: int(ny % 33), NZ: int(nz % 33)}
 		opt := Options{
@@ -65,7 +68,7 @@ func FuzzPrepare(f *testing.F) {
 				GI: g.NX / 4, GJ: g.NY / 2, GK: g.NZ / 2, M0: 1e15,
 				Tensor: source.Explosion, STF: source.GaussianPulse(0.08, 0.02),
 			}.Sample(0.002, 50)},
-			Receivers: [][3]int{{g.NX / 4, g.NY / 2, 0}},
+			Receivers: [][3]int{{g.NX/4 + int(recvOff), g.NY / 2, 0}},
 			TrackPGV:  true,
 		}
 		if fault {
@@ -85,6 +88,9 @@ func FuzzPrepare(f *testing.F) {
 		}
 		if rerr == nil && (res == nil || res.Steps != 2) {
 			t.Fatalf("Run returned %+v without an error", res)
+		}
+		if rerr == nil && len(res.Seismograms[0]) != 2 {
+			t.Fatalf("receiver %v on the %v grid: no error and a %d-sample seismogram", opt.Receivers[0], g, len(res.Seismograms[0]))
 		}
 		for _, x := range stepExclusions {
 			if x.hit(&opt) && perr == nil {

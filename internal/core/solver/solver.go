@@ -92,18 +92,17 @@ type Options struct {
 	ABC         ABCKind
 	PMLWidth    int
 	SpongeWidth int
-	SpongeAlpha float64
 	FreeSurface bool
 
 	Attenuation bool
-	Band        attenuation.Band
 
 	Sources []source.SampledSource
 	Fault   *FaultSpec
 
-	Receivers   [][3]int // global (i,j,k) seismogram locations
-	RecordEvery int      // seismogram decimation (default 1)
-	TrackPGV    bool     // accumulate surface peak velocity maps
+	// Receivers are the global (i,j,k) seismogram locations, sampled every
+	// step; Prepare rejects one outside Global.
+	Receivers [][3]int
+	TrackPGV  bool // accumulate surface peak velocity maps
 
 	// Surface streams decimated free-surface velocity frames to a single
 	// file through the two-phase aggregated I/O layer (internal/agg) —

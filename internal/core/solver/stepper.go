@@ -74,20 +74,11 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.Threads == 0 {
 		opt.Threads = 1
 	}
-	if opt.RecordEvery <= 0 {
-		opt.RecordEvery = 1
-	}
 	if opt.PMLWidth <= 0 {
 		opt.PMLWidth = boundary.DefaultPMLWidth
 	}
 	if opt.SpongeWidth <= 0 {
 		opt.SpongeWidth = boundary.DefaultSpongeWidth
-	}
-	if opt.SpongeAlpha <= 0 {
-		opt.SpongeAlpha = boundary.DefaultSpongeAlpha
-	}
-	if opt.Band.FMax <= 0 {
-		opt.Band = attenuation.DefaultBand
 	}
 	if opt.TemporalDepth != 0 && opt.TemporalDepth != 1 {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: TemporalDepth %d: temporal tiling is gone, a Step is one step (0 or 1)", opt.TemporalDepth)
@@ -105,6 +96,13 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 			ns.FlushEvery = 1
 		}
 		opt.Surface = &ns
+	}
+	for i, r := range opt.Receivers {
+		// No rank owns a point outside the grid: its seismogram would come
+		// back nil.
+		if g := opt.Global; r[0] < 0 || r[0] >= g.NX || r[1] < 0 || r[1] >= g.NY || r[2] < 0 || r[2] >= g.NZ {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: receiver %d at %v lies outside the %v grid", i, r, g)
+		}
 	}
 	for _, x := range stepExclusions {
 		if x.hit(&opt) {
@@ -235,7 +233,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		// One coarse-step application must damp like `rate` base-step
 		// applications; the exponential taper g = exp(-(αx)²) composes
 		// exactly as g^rate = exp(-(α√rate·x)²) (√1 is exactly 1).
-		alpha := opt.SpongeAlpha * math.Sqrt(float64(rs.lts.rate))
+		alpha := boundary.DefaultSpongeAlpha * math.Sqrt(float64(rs.lts.rate))
 		rs.sponge = boundary.NewSpongeGlobal(rs.sub.Local, opt.Global,
 			[3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ},
 			opt.SpongeWidth, alpha, globalFaces)
@@ -244,7 +242,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.fs = boundary.NewFreeSurface(rs.sub.Local)
 	}
 	if opt.Attenuation {
-		rs.atten = attenuation.New(rs.med, opt.Band, stepDt)
+		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, stepDt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
 	}
 	// The two per-step halo phases, armed every local step from the peers'
@@ -266,15 +264,14 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 
 	// Receiver series are preallocated and sample-indexed so a replayed
 	// step overwrites its own sample instead of appending a duplicate.
-	nSamples := (opt.Steps + opt.RecordEvery - 1) / opt.RecordEvery
 	for idx, r := range opt.Receivers {
 		if li, lj, lk, ok := rs.sub.Contains(r[0], r[1], r[2]); ok {
 			or := ownedReceiver{
 				idx: idx, li: li, lj: lj, lk: lk,
-				series: make([][3]float32, nSamples),
+				series: make([][3]float32, opt.Steps),
 			}
 			if rs.lts.rate > 1 {
-				or.sampled = make([]bool, nSamples)
+				or.sampled = make([]bool, opt.Steps)
 			}
 			rs.receivers = append(rs.receivers, or)
 		}
@@ -381,18 +378,15 @@ func (s *Stepper) Step() {
 
 		t0 := time.Now()
 		sp := rs.tel.Span(telemetry.Output)
-		if step%s.opt.RecordEvery == 0 {
-			si := step / s.opt.RecordEvery
-			for i := range rs.receivers {
-				r := &rs.receivers[i]
-				r.series[si] = [3]float32{
-					rs.st.VX.At(r.li, r.lj, r.lk),
-					rs.st.VY.At(r.li, r.lj, r.lk),
-					rs.st.VZ.At(r.li, r.lj, r.lk),
-				}
-				if r.sampled != nil {
-					r.sampled[si] = true
-				}
+		for i := range rs.receivers {
+			r := &rs.receivers[i]
+			r.series[step] = [3]float32{
+				rs.st.VX.At(r.li, r.lj, r.lk),
+				rs.st.VY.At(r.li, r.lj, r.lk),
+				rs.st.VZ.At(r.li, r.lj, r.lk),
+			}
+			if r.sampled != nil {
+				r.sampled[step] = true
 			}
 		}
 		rs.trackPGV()
@@ -433,11 +427,6 @@ func (s *Stepper) Finish() (*Result, error) {
 	}
 	return res, nil
 }
-
-// SurfaceWriter exposes the rank's aggregated surface-output writer
-// (nil when Options.Surface is unset) so harnesses can verify stripe
-// checksums after a run.
-func (s *Stepper) SurfaceWriter() *output.Dist { return s.rs.surf }
 
 // Close releases the rank's worker pool.
 func (s *Stepper) Close() { s.rs.pool.Close() }

@@ -36,7 +36,7 @@ func TestFarmChaosSoakRace(t *testing.T) {
 		Spec: testSpec(), Workers: 4, MaxAttempts: 10,
 		Deadline:  500 * time.Millisecond,
 		RetryBase: time.Millisecond, RetryMax: 10 * time.Millisecond,
-		Breaker:   BreakerConfig{Threshold: 4, Cooldown: 30 * time.Millisecond},
+		Breaker: BreakerConfig{Threshold: 4, Cooldown: 30 * time.Millisecond},
 		Chaos: &ChaosPlan{
 			Seed: 99, CrashProb: 0.15, HangProb: 0.2,
 			HangDur: 900 * time.Millisecond, CorruptProb: 0.15,
@@ -141,7 +141,7 @@ func TestFarmCleanVsStormThroughput(t *testing.T) {
 		st := NewStore(pfs.New(pfs.Jaguar()), nil)
 		f := New(Config{
 			Spec: testSpec(), Workers: 4, MaxAttempts: 10,
-			Deadline: 500 * time.Millisecond,
+			Deadline:  500 * time.Millisecond,
 			RetryBase: time.Millisecond, RetryMax: 10 * time.Millisecond,
 			Chaos: chaos,
 		}, st, nil)

@@ -58,20 +58,20 @@ type FTConfig struct {
 
 // Stats snapshots the supervisor's counters.
 type Stats struct {
-	Submitted   int `json:"submitted"`
-	Completed   int `json:"completed"`
-	Duplicates  int `json:"duplicates"`
-	Failed      int `json:"failed"` // permanently, after MaxAttempts
-	Attempts    int `json:"attempts"`
-	Retries     int `json:"retries"`
-	WorkerCrashes int `json:"worker_crashes"`
-	WorkersReplaced int `json:"workers_replaced"`
-	DeadlineMisses  int `json:"deadline_misses"`
-	BreakerParks    int `json:"breaker_parks"`
-	BreakerTrips    int `json:"breaker_trips"`
-	CorruptRequeued int `json:"corrupt_requeued"`
-	Recoveries      int `json:"recoveries"` // in-world coordinated rollbacks
-	BackoffSec      float64 `json:"backoff_sec"`
+	Submitted       int        `json:"submitted"`
+	Completed       int        `json:"completed"`
+	Duplicates      int        `json:"duplicates"`
+	Failed          int        `json:"failed"` // permanently, after MaxAttempts
+	Attempts        int        `json:"attempts"`
+	Retries         int        `json:"retries"`
+	WorkerCrashes   int        `json:"worker_crashes"`
+	WorkersReplaced int        `json:"workers_replaced"`
+	DeadlineMisses  int        `json:"deadline_misses"`
+	BreakerParks    int        `json:"breaker_parks"`
+	BreakerTrips    int        `json:"breaker_trips"`
+	CorruptRequeued int        `json:"corrupt_requeued"`
+	Recoveries      int        `json:"recoveries"` // in-world coordinated rollbacks
+	BackoffSec      float64    `json:"backoff_sec"`
 	Chaos           ChaosStats `json:"chaos"`
 }
 
@@ -108,15 +108,15 @@ type Farm struct {
 	chaos    *chaosEngine
 	sur      *Surrogate
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	queue   []string // keys, FIFO
-	jobs    map[string]*jobState
+	mu       sync.Mutex
+	cond     *sync.Cond
+	queue    []string // keys, FIFO
+	jobs     map[string]*jobState
 	inflight int // queued + running + awaiting requeue
-	closed  bool
-	stats   Stats
-	pending sync.WaitGroup // delayed requeue timers
-	workers sync.WaitGroup
+	closed   bool
+	stats    Stats
+	pending  sync.WaitGroup // delayed requeue timers
+	workers  sync.WaitGroup
 }
 
 // New creates and starts a farm: Workers goroutines begin pulling

@@ -234,7 +234,7 @@ func TestFarmFTWorldRecovery(t *testing.T) {
 	crash := mpi.ChaosPlan{Seed: 11, CrashAtSend: map[int]uint64{1: 9}}
 	f := newTestFarm(t, Config{Spec: spec, Workers: 1, MaxAttempts: 4,
 		Deadline: time.Minute,
-		FT: &FTConfig{Interval: 4, Chaos: &crash}})
+		FT:       &FTConfig{Interval: 4, Chaos: &crash}})
 	f.Submit(sc)
 	f.Wait()
 	st := f.Stats()

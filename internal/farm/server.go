@@ -32,9 +32,9 @@ type Server struct {
 	cfg  ServerConfig
 	sem  chan struct{}
 
-	mu     sync.Mutex
-	shed   int
-	served int
+	mu       sync.Mutex
+	shed     int
+	served   int
 	degraded int
 }
 
@@ -51,13 +51,13 @@ func NewServer(f *Farm, cfg ServerConfig) *Server {
 
 // HazardResponse is the /hazard reply.
 type HazardResponse struct {
-	Key      string    `json:"key"`
-	Scenario Scenario  `json:"scenario"`
-	PeakPGV  float64   `json:"peak_pgv"`
-	Degraded bool      `json:"degraded"`
-	Source   string    `json:"source"` // "store", "surrogate", "prior"
-	Queued   bool      `json:"queued,omitempty"`
-	Curve    []float64 `json:"curve,omitempty"`
+	Key        string    `json:"key"`
+	Scenario   Scenario  `json:"scenario"`
+	PeakPGV    float64   `json:"peak_pgv"`
+	Degraded   bool      `json:"degraded"`
+	Source     string    `json:"source"` // "store", "surrogate", "prior"
+	Queued     bool      `json:"queued,omitempty"`
+	Curve      []float64 `json:"curve,omitempty"`
 	Thresholds []float64 `json:"thresholds,omitempty"`
 }
 
@@ -72,14 +72,14 @@ type MapResponse struct {
 
 // StatusResponse is the /status reply.
 type StatusResponse struct {
-	Stats    Stats             `json:"stats"`
-	Breakers map[string]string `json:"breakers"`
-	Queue    int               `json:"queue_depth"`
-	Stored   int               `json:"stored"`
-	Served   int               `json:"served"`
-	Degraded int               `json:"degraded"`
-	Shed     int               `json:"shed"`
-	SurrogateN int             `json:"surrogate_n"`
+	Stats      Stats             `json:"stats"`
+	Breakers   map[string]string `json:"breakers"`
+	Queue      int               `json:"queue_depth"`
+	Stored     int               `json:"stored"`
+	Served     int               `json:"served"`
+	Degraded   int               `json:"degraded"`
+	Shed       int               `json:"shed"`
+	SurrogateN int               `json:"surrogate_n"`
 }
 
 // ServeHTTP routes /hazard, /map and /status. It never returns a 5xx:
@@ -272,13 +272,13 @@ func (s *Server) handleStatus(w http.ResponseWriter) {
 		surN = sur.N()
 	}
 	writeJSON(w, http.StatusOK, StatusResponse{
-		Stats:    s.farm.Stats(),
-		Breakers: s.farm.Breakers().States(),
-		Queue:    s.farm.QueueDepth(),
-		Stored:   len(s.farm.Store().Keys()),
-		Served:   served,
-		Degraded: degraded,
-		Shed:     shed,
+		Stats:      s.farm.Stats(),
+		Breakers:   s.farm.Breakers().States(),
+		Queue:      s.farm.QueueDepth(),
+		Stored:     len(s.farm.Store().Keys()),
+		Served:     served,
+		Degraded:   degraded,
+		Shed:       shed,
 		SurrogateN: surN,
 	})
 }

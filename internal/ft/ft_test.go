@@ -3,108 +3,11 @@ package ft
 import (
 	"testing"
 
-	"repro/internal/core/attenuation"
-	"repro/internal/core/fd"
-	"repro/internal/cvm"
-	"repro/internal/decomp"
-	"repro/internal/grid"
-	"repro/internal/medium"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 )
 
-func setup(t testing.TB) (*medium.Medium, float64, StepFunc) {
-	t.Helper()
-	d := grid.Dims{NX: 10, NY: 10, NZ: 10}
-	dc, err := decomp.New(d, mpi.NewCart(1, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := medium.FromCVM(cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}),
-		dc, dc.SubFor(0), 100)
-	dt := m.StableDt(0.5)
-	step := func(s *fd.State, _ int) {
-		box := fd.FullBox(d)
-		fd.UpdateVelocity(s, m, dt, box, fd.Precomp, fd.Blocking{})
-		fd.UpdateStress(s, m, dt, box, fd.Precomp, fd.Blocking{})
-	}
-	return m, dt, step
-}
-
-func newState() *fd.State {
-	s := fd.NewState(grid.Dims{NX: 10, NY: 10, NZ: 10})
-	s.VX.Set(5, 5, 5, 1)
-	return s
-}
-
 func testFS() *pfs.FS {
 	return pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
-}
-
-// The core FT property: a run with injected failures produces exactly the
-// failure-free wavefield.
-func TestRecoveryReproducesFailureFreeRun(t *testing.T) {
-	m, dt, step := setup(t)
-	a := attenuation.New(m, attenuation.DefaultBand, dt)
-
-	// Failure-free reference.
-	ref := newState()
-	refA := attenuation.New(m, attenuation.DefaultBand, dt)
-	hRef := &Harness{FS: testFS(), Dir: "ref", CheckpointEvery: 10}
-	if err := hRef.Run(ref, refA, m, 60, func(s *fd.State, n int) {
-		step(s, n)
-		refA.Apply(s, m, dt, fd.FullBox(s.Dims))
-	}, NoFailures); err != nil {
-		t.Fatal(err)
-	}
-
-	// Faulty run: several injected failures.
-	got := newState()
-	h := &Harness{FS: testFS(), Dir: "ckpt", CheckpointEvery: 10}
-	if err := h.Run(got, a, m, 60, func(s *fd.State, n int) {
-		step(s, n)
-		a.Apply(s, m, dt, fd.FullBox(s.Dims))
-	}, RandomFailures(0.05, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if h.Failures == 0 {
-		t.Fatal("injector fired no failures; test vacuous")
-	}
-	if diff := got.L2Diff(ref); diff != 0 {
-		t.Fatalf("recovered run differs from failure-free run: L2 %g (failures=%d rolled back=%d)",
-			diff, h.Failures, h.RolledBack)
-	}
-	if h.Overhead() <= 0 {
-		t.Error("failures should cost recomputation")
-	}
-}
-
-func TestFailAtRollsBackBoundedWork(t *testing.T) {
-	m, _, step := setup(t)
-	_ = m
-	s := newState()
-	h := &Harness{FS: testFS(), Dir: "c", CheckpointEvery: 5}
-	if err := h.Run(s, nil, m, 20, step, FailAt(13)); err != nil {
-		t.Fatal(err)
-	}
-	if h.Failures != 1 {
-		t.Fatalf("failures = %d", h.Failures)
-	}
-	// Failure at 13 rolls back to checkpoint 10: 3 steps recomputed.
-	if h.RolledBack != 3 {
-		t.Fatalf("rolled back %d steps, want 3", h.RolledBack)
-	}
-	if h.StepsExecuted != 23 {
-		t.Fatalf("executed %d steps, want 23", h.StepsExecuted)
-	}
-}
-
-func TestHarnessValidation(t *testing.T) {
-	m, _, step := setup(t)
-	h := &Harness{FS: testFS(), Dir: "c", CheckpointEvery: 0}
-	if err := h.Run(newState(), nil, m, 5, step, NoFailures); err == nil {
-		t.Fatal("zero checkpoint interval accepted")
-	}
 }
 
 func TestOptimalInterval(t *testing.T) {
@@ -118,24 +21,5 @@ func TestOptimalInterval(t *testing.T) {
 	// Longer MTBF -> longer interval.
 	if OptimalInterval(2, 10000) <= OptimalInterval(2, 100) {
 		t.Fatal("interval not increasing with MTBF")
-	}
-}
-
-func TestFrequentFailuresStillComplete(t *testing.T) {
-	m, _, step := setup(t)
-	s := newState()
-	h := &Harness{FS: testFS(), Dir: "c", CheckpointEvery: 3}
-	// 20% failure rate: the run must still terminate and produce the
-	// correct state.
-	if err := h.Run(s, nil, m, 30, step, RandomFailures(0.2, 9)); err != nil {
-		t.Fatal(err)
-	}
-	ref := newState()
-	h2 := &Harness{FS: testFS(), Dir: "r", CheckpointEvery: 3}
-	if err := h2.Run(ref, nil, m, 30, step, NoFailures); err != nil {
-		t.Fatal(err)
-	}
-	if s.L2Diff(ref) != 0 {
-		t.Fatal("high-failure run diverged")
 	}
 }

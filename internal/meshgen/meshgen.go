@@ -123,13 +123,13 @@ type StreamSpec struct {
 // StreamStats extends Stats with the streaming pipeline's accounting.
 type StreamStats struct {
 	Stats
-	Rounds        int // collective write rounds
-	PeakCoreBytes int // max live mesh bytes on any one core at any time
-	Writers       int // aggregator ranks per round
-	Writes        int // coalesced writes issued, summed over rounds
-	Opens         int // file opens, summed over rounds
+	Rounds             int // collective write rounds
+	PeakCoreBytes      int // max live mesh bytes on any one core at any time
+	Writers            int // aggregator ranks per round
+	Writes             int // coalesced writes issued, summed over rounds
+	Opens              int // file opens, summed over rounds
 	MaxConcurrentOpens int // max opens in flight at any point of any round
-	ShippedBytes  int // bytes shipped core→aggregator, summed over rounds
+	ShippedBytes       int // bytes shipped core→aggregator, summed over rounds
 }
 
 // GenerateStreamed extracts the mesh out-of-core: cores sweep the z

@@ -25,8 +25,8 @@ type Dist struct {
 	c          *mpi.Comm
 	fsys       *pfs.FS
 	path       string
-	frameBytes int              // global bytes per frame
-	segs       []mpiio.Segment  // this rank's in-frame view (may be empty)
+	frameBytes int             // global bytes per frame
+	segs       []mpiio.Segment // this rank's in-frame view (may be empty)
 	flushEvery int
 	cfg        agg.Config
 	tel        *telemetry.Recorder
@@ -46,15 +46,15 @@ type distFrame struct {
 
 // DistStats is the accumulated outcome of a Dist writer.
 type DistStats struct {
-	Frames  int // frames appended (per rank == global, appends are collective)
-	Flushes int
-	Bytes   int // payload bytes written, summed over ranks and flushes
-	Writes  int // coalesced writes issued
-	Opens   int // file opens charged
+	Frames             int // frames appended (per rank == global, appends are collective)
+	Flushes            int
+	Bytes              int // payload bytes written, summed over ranks and flushes
+	Writes             int // coalesced writes issued
+	Opens              int // file opens charged
 	MaxConcurrentOpens int
 	ShippedBytes       int
-	Phase   pfs.PhaseStats // summed virtual cost of all flush phases
-	Stripes map[int]agg.StripeChecksum
+	Phase              pfs.PhaseStats // summed virtual cost of all flush phases
+	Stripes            map[int]agg.StripeChecksum
 }
 
 // NewDist creates a distributed writer on communicator c. frameBytes is
@@ -78,7 +78,7 @@ func NewDist(c *mpi.Comm, fsys *pfs.FS, path string, frameBytes int,
 	}
 	return &Dist{
 		c: c, fsys: fsys, path: path, frameBytes: frameBytes,
-		segs: append([]mpiio.Segment(nil), segs...),
+		segs:       append([]mpiio.Segment(nil), segs...),
 		flushEvery: flushEvery, cfg: cfg, tel: tel,
 		Stats: DistStats{Stripes: map[int]agg.StripeChecksum{}},
 	}, nil

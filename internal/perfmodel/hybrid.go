@@ -13,7 +13,7 @@ package perfmodel
 import "repro/internal/grid"
 
 // MeasuredConstants are the per-rank execution constants a hybrid run
-// measures on the sampled ranks (solver.MeasureConstants fills them).
+// measures on the sampled ranks (cmd/benchtab's measureConstants fills them).
 type MeasuredConstants struct {
 	// CompSecPerCell is the measured compute time of one cell for one
 	// step on one core, from an instrumented uncontended solver run.
@@ -88,44 +88,6 @@ func (mc MeasuredConstants) HybridJob(global grid.Dims, cores int) Job {
 		Cores:         cores,
 		CoalescedComm: true,
 	}
-}
-
-// WeakPoint is one point of a Fig. 5-style weak-scaling curve: per-rank
-// work fixed, ranks swept.
-type WeakPoint struct {
-	Ranks      int
-	Global     grid.Dims
-	Step       Breakdown
-	StepSec    float64
-	Efficiency float64 // T(1 rank) / T(P ranks), per-rank work fixed
-	Tflops     float64
-}
-
-// HybridWeakCurve prices a weak-scaling sweep: each rank holds perRank
-// cells, the global grid grows with the topology. The efficiency
-// baseline is the single-rank compute time — T(N,1) has no
-// communication, matching the Eq. 8 numerator StrongScaling uses.
-// topoFor is the caller's rank-count → topology map (decomp.WeakTopo);
-// it is a parameter to keep perfmodel free of a decomp dependency here.
-func (mc MeasuredConstants) HybridWeakCurve(perRank grid.Dims, ranks []int, topo func(int) (px, py, pz int)) []WeakPoint {
-	b1 := StepTime(mc.HybridJob(perRank, 1))
-	t1 := b1.Comp + b1.IO
-	out := make([]WeakPoint, 0, len(ranks))
-	for _, p := range ranks {
-		px, py, pz := topo(p)
-		g := grid.Dims{NX: perRank.NX * px, NY: perRank.NY * py, NZ: perRank.NZ * pz}
-		b := StepTime(mc.HybridJob(g, p))
-		st := b.Total()
-		out = append(out, WeakPoint{
-			Ranks:      p,
-			Global:     g,
-			Step:       b,
-			StepSec:    st,
-			Efficiency: t1 / st,
-			Tflops:     UsefulFlopsPerCell * float64(g.Cells()) / st / 1e12,
-		})
-	}
-	return out
 }
 
 // HybridStrongCurve prices a strong-scaling sweep (Fig. 6): global grid

@@ -222,21 +222,21 @@ func TestConcurrentOpensUnderRace(t *testing.T) {
 // prefix, and a prefix longer than the path.
 func TestStripePrefixEdgeCases(t *testing.T) {
 	fs := New(Config{OSTs: 64, OSTBandwidth: 1e6, MDSLatency: 1e-3, MDSConcurrent: 4})
-	fs.SetStripe("", 2, 1<<10)           // root default
-	fs.SetStripe("out/", 4, 1<<10)       // mid prefix
-	fs.SetStripe("out/ckpt/", 8, 1<<10)  // nested, longer prefix wins
+	fs.SetStripe("", 2, 1<<10)          // root default
+	fs.SetStripe("out/", 4, 1<<10)      // mid prefix
+	fs.SetStripe("out/ckpt/", 8, 1<<10) // nested, longer prefix wins
 	fs.SetStripe("out/ckpt/deep/very/long/prefix/", 16, 1<<10)
 
 	cases := []struct {
 		path  string
 		count int
 	}{
-		{"misc", 2},                // only root matches
-		{"out/x", 4},               // mid prefix
-		{"out/ckpt/r0", 8},         // nested beats mid
-		{"out/ckptX", 4},           // "out/ckpt/" is NOT a prefix of this
-		{"out/", 4},                // path exactly equals the prefix
-		{"ou", 2},                  // prefix longer than path cannot match
+		{"misc", 2},        // only root matches
+		{"out/x", 4},       // mid prefix
+		{"out/ckpt/r0", 8}, // nested beats mid
+		{"out/ckptX", 4},   // "out/ckpt/" is NOT a prefix of this
+		{"out/", 4},        // path exactly equals the prefix
+		{"ou", 2},          // prefix longer than path cannot match
 		{"out/ckpt/deep/very/long/prefix/f", 16},
 	}
 	for _, tc := range cases {

@@ -1,16 +1,13 @@
 // Package tuner implements the run-time architecture adaptation of
 // §III.G: AWP-ODC determines fundamental system attributes at startup and
-// selects cache-blocking sizes, communication model, I/O model, buffer
-// aggregation, and checkpoint policy to match the machine — "a unique
-// feature [that] facilitates a run-time simulation configuration".
+// selects communication model, I/O model, buffer aggregation, and
+// checkpoint policy to match the machine — "a unique feature [that]
+// facilitates a run-time simulation configuration". Cache blocking is not
+// among them here: it is the constant fd.DefaultBlocking.
 package tuner
 
 import (
-	"math"
-
-	"repro/internal/core/fd"
 	"repro/internal/core/solver"
-	"repro/internal/grid"
 	"repro/internal/perfmodel"
 	"repro/internal/pfs"
 )
@@ -36,8 +33,7 @@ func (m IOMode) String() string {
 
 // Config is the tuned run-time configuration.
 type Config struct {
-	Blocking fd.Blocking // cache-blocking factors, also the pool tile shape
-	Comm     solver.CommModel
+	Comm solver.CommModel
 	// Threads is the per-rank persistent worker-pool size of the hybrid
 	// MPI/OpenMP execution engine (solver.Options.Threads).
 	Threads         int
@@ -53,7 +49,6 @@ type Config struct {
 type Inputs struct {
 	Machine       perfmodel.Machine
 	FS            pfs.Config
-	Global        grid.Dims
 	Cores         int
 	Steps         int
 	MediaGradient float64 // max relative Vs jump between neighbor cells
@@ -66,7 +61,7 @@ type Inputs struct {
 // Tune selects the configuration for the observed system, encoding the
 // paper's decision rules.
 func Tune(in Inputs) Config {
-	cfg := Config{Blocking: fd.DefaultBlocking}
+	var cfg Config
 
 	// Communication: synchronous survives only on single-socket torus
 	// machines at modest scale; NUMA systems need the async redesign, and
@@ -98,28 +93,6 @@ func Tune(in Inputs) Config {
 		cfg.ABC = solver.SpongeABC
 	} else {
 		cfg.ABC = solver.MPMLABC
-	}
-
-	// Tile shape doubles as the pool's work-unit size: the queue needs
-	// ~4 tiles per worker for dynamic load balance when PML trimming
-	// makes panels uneven. Halve the blocking factors (floor 2) until
-	// the per-rank subgrid yields enough tiles.
-	if in.Cores > 0 && cfg.Threads > 1 {
-		cellsPerCore := float64(in.Global.Cells()) / float64(in.Cores)
-		side := int(math.Cbrt(cellsPerCore))
-		if side < 1 {
-			side = 1
-		}
-		tiles := func(b fd.Blocking) int {
-			return ((side + b.JBlock - 1) / b.JBlock) * ((side + b.KBlock - 1) / b.KBlock)
-		}
-		for tiles(cfg.Blocking) < 4*cfg.Threads && (cfg.Blocking.JBlock > 2 || cfg.Blocking.KBlock > 2) {
-			if cfg.Blocking.KBlock >= cfg.Blocking.JBlock {
-				cfg.Blocking.KBlock /= 2
-			} else {
-				cfg.Blocking.JBlock /= 2
-			}
-		}
 	}
 
 	// I/O model: per-rank pre-partitioned files need the MDS to tolerate

@@ -3,9 +3,7 @@ package tuner
 import (
 	"testing"
 
-	"repro/internal/core/fd"
 	"repro/internal/core/solver"
-	"repro/internal/grid"
 	"repro/internal/perfmodel"
 	"repro/internal/pfs"
 )
@@ -14,7 +12,6 @@ func baseInputs() Inputs {
 	return Inputs{
 		Machine: perfmodel.Jaguar,
 		FS:      pfs.Jaguar(),
-		Global:  grid.Dims{NX: 20250, NY: 10125, NZ: 2125},
 		Cores:   223074,
 		Steps:   100000,
 	}
@@ -28,9 +25,6 @@ func TestM8ProductionChoices(t *testing.T) {
 	}
 	if cfg.ABC != solver.MPMLABC {
 		t.Errorf("ABC = %v, want M-PML on smooth media", cfg.ABC)
-	}
-	if cfg.Blocking != fd.DefaultBlocking {
-		t.Errorf("blocking = %+v, want the paper's 8/16 at production subgrids", cfg.Blocking)
 	}
 	if cfg.MaxOpenFiles != 650 {
 		t.Errorf("open throttle = %d, want the 650-OST policy", cfg.MaxOpenFiles)
@@ -96,32 +90,6 @@ func TestHybridThreadsSelectOverlap(t *testing.T) {
 	}
 	if cfg.Comm != solver.AsyncOverlap {
 		t.Errorf("comm = %v, want overlap when the pool can hide the exchange", cfg.Comm)
-	}
-}
-
-func TestHybridShrinksTilesForLoadBalance(t *testing.T) {
-	in := baseInputs()
-	// Small subgrid (~32^3 per rank) with a wide pool: the default 8x16
-	// tiles would yield too few work units.
-	in.Global = grid.Dims{NX: 256, NY: 256, NZ: 128}
-	in.Cores = 256
-	in.ThreadsPerRank = 8
-	cfg := Tune(in)
-	def := fd.DefaultBlocking
-	if cfg.Blocking.JBlock > def.JBlock || cfg.Blocking.KBlock > def.KBlock {
-		t.Fatalf("blocking %+v grew beyond default %+v", cfg.Blocking, def)
-	}
-	if cfg.Blocking == def {
-		t.Errorf("blocking %+v unchanged; small hybrid subgrids need more tiles than workers", cfg.Blocking)
-	}
-	if cfg.Blocking.JBlock < 2 || cfg.Blocking.KBlock < 2 {
-		t.Errorf("blocking %+v shrank below the floor", cfg.Blocking)
-	}
-	// Production-size subgrids already yield plenty of tiles: unchanged.
-	big := baseInputs()
-	big.ThreadsPerRank = 4
-	if got := Tune(big).Blocking; got != def {
-		t.Errorf("production blocking %+v, want default %+v", got, def)
 	}
 }
 
