@@ -115,8 +115,8 @@ func main() {
 		}
 	}
 	fmt.Printf("surface PGVH max: %.4e m/s\n", pgvMax)
-	fmt.Printf("timing: comp=%.2fs comm=%.2fs sync=%.2fs output=%.2fs\n",
-		res.Timing.Comp, res.Timing.Comm, res.Timing.Sync, res.Timing.Output)
+	fmt.Printf("timing: comp=%.2fs comm=%.2fs sync=%.2fs output=%.2fs active=%.3f\n",
+		res.Timing.Comp, res.Timing.Comm, res.Timing.Sync, res.Timing.Output, res.ActiveShare)
 
 	if *trace != "" {
 		if err := writeTrace(*trace, res.Telemetry); err != nil {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core/solver"
+	"repro/internal/core/source"
 	"repro/internal/cvm"
 	"repro/internal/decomp"
 	"repro/internal/grid"
@@ -70,13 +71,29 @@ type hybridScaling struct {
 }
 
 // sampleOptions builds the instrumented solver options for a real
-// execution of topo over global cells.
+// execution of topo over global cells. Every rank has an explosion at the
+// centre of its subgrid, live from the first step, so its active box fills
+// the subgrid within two steps and a step costs what the rank owns: a run
+// with no source sweeps nothing, and would measure that.
 func sampleOptions(global grid.Dims, topo mpi.Cart, steps int) solver.Options {
+	per := grid.Dims{NX: global.NX / topo.PX, NY: global.NY / topo.PY, NZ: global.NZ / topo.PZ}
+	var srcs []source.SampledSource
+	for pz := 0; pz < topo.PZ; pz++ {
+		for py := 0; py < topo.PY; py++ {
+			for px := 0; px < topo.PX; px++ {
+				srcs = append(srcs, source.PointSource{
+					GI: px*per.NX + per.NX/2, GJ: py*per.NY + per.NY/2, GK: pz*per.NZ + per.NZ/2,
+					M0: 1e15, Tensor: source.Explosion, STF: source.GaussianPulse(0.06, 0.02),
+				}.Sample(0.002, 200))
+			}
+		}
+	}
 	return solver.Options{
 		Global: global, H: 100, Steps: steps, Topo: topo,
 		Comm: solver.AsyncReduced, Threads: 1,
 		ABC: solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
+		Sources:   srcs,
 		Telemetry: &telemetry.Options{},
 	}
 }

@@ -111,8 +111,8 @@ func main() {
 			pgvMax = v
 		}
 	}
-	fmt.Printf("AWM:       %d steps on %d ranks; PGVH max %.3f m/s; comp %.2fs comm %.2fs\n",
-		res.Steps, topo.Size(), pgvMax, res.Timing.Comp, res.Timing.Comm)
+	fmt.Printf("AWM:       %d steps on %d ranks; PGVH max %.3f m/s; comp %.2fs comm %.2fs active %.3f\n",
+		res.Steps, topo.Size(), pgvMax, res.Timing.Comp, res.Timing.Comm, res.ActiveShare)
 
 	// --- Two-phase aggregated surface output with per-stripe checksums ---
 	so := res.Surface

@@ -423,6 +423,61 @@ func TestClassicPMLUnstableMPMLStable(t *testing.T) {
 	}
 }
 
+// ApplyBox over a box that holds everything that is not ±0 must store the
+// bits Apply does — on the whole padded arrays, signed zeros included — and
+// must leave what lies outside the box alone whatever it holds.
+func TestSpongeApplyBoxMatchesWhole(t *testing.T) {
+	d := grid.Dims{NX: 18, NY: 13, NZ: 11}
+	sp := NewSpongeGlobal(d, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{18, 0, 0},
+		6, 0.1, AllAbsorbing())
+	negZero := math.Float32frombits(1 << 31)
+	for _, box := range []fd.Box{
+		{I0: -2, I1: 20, J0: -2, J1: 15, K0: -2, K1: 13}, // the padded subgrid
+		{I0: 3, I1: 9, J0: -2, J1: 4, K0: 5, K1: 13},     // ghosts on two faces, rows starting inside the x zone
+		{I0: 14, I1: 20, J0: 6, J1: 7, K0: -1, K1: 2},    // one row thick, ending in the x zone
+		{I0: -9, I1: 40, J0: 2, J1: 3, K0: 3, K1: 4},     // wider than the subgrid: clamped
+		{},
+	} {
+		fill := func(outside float32) *fd.State {
+			s := fd.NewState(d)
+			for fi, f := range s.Fields() {
+				for k := -2; k < d.NZ+2; k++ {
+					for j := -2; j < d.NY+2; j++ {
+						for i := -2; i < d.NX+2; i++ {
+							v := outside
+							if i >= box.I0 && i < box.I1 && j >= box.J0 && j < box.J1 && k >= box.K0 && k < box.K1 {
+								v = float32(fi+1) * float32((i*7+j*3+k)%97-48)
+							}
+							f.Set(i, j, k, v)
+						}
+					}
+				}
+			}
+			return s
+		}
+		for _, threads := range []int{1, 3} {
+			p := sched.NewPool(threads)
+			want, got := fill(negZero), fill(negZero)
+			sp.Apply(want)
+			sp.ApplyBox(got, p, box)
+			untouched, before := fill(0.5), fill(0.5)
+			sp.ApplyBox(untouched, p, box)
+			p.Close()
+			for fi, f := range got.Fields() {
+				w, u, b := want.Fields()[fi].Data(), untouched.Fields()[fi].Data(), before.Fields()[fi].Data()
+				for n, v := range f.Data() {
+					if math.Float32bits(v) != math.Float32bits(w[n]) {
+						t.Fatalf("box %v threads %d: field %d idx %d = %g, Apply stores %g", box, threads, fi, n, v, w[n])
+					}
+					if b[n] == 0.5 && u[n] != 0.5 {
+						t.Fatalf("box %v threads %d: field %d idx %d outside the box changed to %g", box, threads, fi, n, u[n])
+					}
+				}
+			}
+		}
+	}
+}
+
 // ApplyPool must reproduce Apply bit-exactly: planes are disjoint rows of
 // the padded arrays, so scheduling cannot change the arithmetic.
 func TestSpongeApplyPoolBitIdentical(t *testing.T) {

@@ -131,6 +131,30 @@ func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
 	})
 }
 
+// ApplyBox is ApplyPool over the part of the padded subgrid inside box
+// (local indices, ghost-inclusive). A factor times ±0 is that ±0, so where
+// everything outside box is zero it stores the bits ApplyPool would.
+func (sp *Sponge) ApplyBox(s *fd.State, p *sched.Pool, box fd.Box) {
+	g := grid.Ghost
+	l := sp.Local
+	t := &sp.axes
+	box = box.Intersect(fd.Box{I0: -g, I1: l.NX + g, J0: -g, J1: l.NY + g, K0: -g, K1: l.NZ + g})
+	if t.uniform || box.Empty() {
+		return
+	}
+	fields := s.Fields()
+	nz := box.K1 - box.K0
+	p.ForEachN(len(fields)*nz, func(idx int) {
+		f := fields[idx/nz]
+		k := box.K0 + idx%nz
+		zk := t.fz[k+g]
+		for j := box.J0; j < box.J1; j++ {
+			base := f.Idx(box.I0, j, k)
+			t.dampRow(f.Data()[base:base+box.I1-box.I0], box.I0+g, t.fy[j+g]*zk)
+		}
+	})
+}
+
 // axisTaper returns the taper of one axis — n local cells at global offset
 // off, padded by grid.Ghost, of nGlobal global cells with the given absorbing
 // sides — and whether every factor in it is 1.

@@ -105,7 +105,9 @@ func (s *State) MaxAbs() float32 {
 	return m
 }
 
-// Box is a half-open index region [I0,I1)x[J0,J1)x[K0,K1) of the interior.
+// Box is a half-open index region [I0,I1)x[J0,J1)x[K0,K1) in local indices.
+// The kernels take boxes of the interior; negative indices and those past the
+// dims name ghost cells (the solver's active box reaches into the frame).
 type Box struct {
 	I0, I1, J0, J1, K0, K1 int
 }
@@ -125,6 +127,33 @@ func (b Box) Cells() int {
 	}
 	return (b.I1 - b.I0) * (b.J1 - b.J0) * (b.K1 - b.K0)
 }
+
+// Intersect returns the cells in both boxes (an empty box if none).
+func (b Box) Intersect(o Box) Box {
+	return Box{
+		I0: max(b.I0, o.I0), I1: min(b.I1, o.I1),
+		J0: max(b.J0, o.J0), J1: min(b.J1, o.J1),
+		K0: max(b.K0, o.K0), K1: min(b.K1, o.K1),
+	}
+}
+
+// Hull returns the smallest box holding both; an empty box adds nothing.
+func (b Box) Hull(o Box) Box {
+	switch {
+	case o.Empty():
+		return b
+	case b.Empty():
+		return o
+	}
+	return Box{
+		I0: min(b.I0, o.I0), I1: max(b.I1, o.I1),
+		J0: min(b.J0, o.J0), J1: max(b.J1, o.J1),
+		K0: min(b.K0, o.K0), K1: max(b.K1, o.K1),
+	}
+}
+
+// Contains reports whether every cell of o lies in b.
+func (b Box) Contains(o Box) bool { return o.Empty() || b.Intersect(o) == o }
 
 func (b Box) String() string {
 	return fmt.Sprintf("[%d,%d)x[%d,%d)x[%d,%d)", b.I0, b.I1, b.J0, b.J1, b.K0, b.K1)

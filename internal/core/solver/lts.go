@@ -60,6 +60,11 @@ func PlanLTS(q cvm.Querier, opt Options) (Options, error) {
 	if !opt.Global.Valid() {
 		return opt, fmt.Errorf("solver: PlanLTS needs valid global dims, got %v", opt.Global)
 	}
+	// Run plans before it prepares; a NaN spacing would make every plane's
+	// stable step NaN, which no rate bound compares above.
+	if err := checkSpacing(opt.H); err != nil {
+		return opt, err
+	}
 	cfl := opt.CFL
 	if cfl == 0 {
 		cfl = 0.5

@@ -17,6 +17,11 @@ func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt floa
 	// Timing: max across ranks (the slowest rank sets the pace).
 	tmax := c.Allreduce([]float64{tm.Comp, tm.Comm, tm.Sync, tm.Output}, mpi.Max)
 
+	// Active share: cells swept and cells owned, summed across ranks.
+	swept, owned := rs.sweptCells()
+	rs.tel.SetSweptCells(swept, owned)
+	cells := c.Reduce([]float64{float64(swept), float64(owned)}, mpi.Sum, 0)
+
 	// Moment rate: sum across ranks per step.
 	if opt.Fault != nil {
 		if len(momentRate) < opt.Steps {
@@ -115,6 +120,9 @@ func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt floa
 		Timing: Timing{
 			Comp: tmax[0], Comm: tmax[1], Sync: tmax[2], Output: tmax[3],
 		},
+	}
+	if cells[1] > 0 {
+		res.ActiveShare = cells[0] / cells[1]
 	}
 
 	if telAll != nil {

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"repro/internal/core/fd"
 	"repro/internal/core/sched"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -90,6 +91,7 @@ type message struct {
 	sendTag, recvTag int
 	total            int // buffer length: sum of section lengths
 	secs             []section
+	slab             fd.Box // hull of the ghost blocks the sections fill
 
 	act uint8 // actSend | actRecv | actFill for the next post/finish
 
@@ -110,6 +112,9 @@ type schedule struct {
 	// tiles flattens (message, section) so pack and unpack run as one tile
 	// queue on the pool.
 	tiles []struct{ mi, si int }
+	// box, while the rank has an active box, learns in finish where the
+	// ghosts stopped being zero; nil once the rank dropped it.
+	box *activeBox
 }
 
 // faceBlock returns the block of a depth-df section on face (ax, sd): the
@@ -164,6 +169,8 @@ func newSchedule(env haloEnv, phase int, fields []haloField) *schedule {
 				sec.n = grid.RangeLen(p[0], p[1], p[2], p[3], p[4], p[5])
 				m.total += sec.n
 				m.secs = append(m.secs, sec)
+				u := sec.unpack
+				m.slab = m.slab.Hull(fd.Box{I0: u[0], I1: u[1], J0: u[2], J1: u[3], K0: u[4], K1: u[5]})
 			}
 			if len(m.secs) == 0 {
 				continue
@@ -273,6 +280,9 @@ func (s *schedule) finish() {
 		}
 	}
 	sp = s.tel.Span(telemetry.Unpack)
+	if s.box != nil {
+		s.box.takeHalo(s.msgs)
+	}
 	s.pool.ForEachN(len(s.tiles), func(t int) {
 		m := &s.msgs[s.tiles[t].mi]
 		if m.in == nil {

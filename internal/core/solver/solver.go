@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -151,6 +152,12 @@ type Result struct {
 	// Timing is the per-phase max across ranks (the Eq. 7 decomposition).
 	Timing Timing
 
+	// ActiveShare is the cells the velocity and stress sweeps covered over
+	// the cells the ranks own, summed over ranks and local steps: below 1 for
+	// as long as some rank's active box had not filled its subgrid (DESIGN.md
+	// §7), exactly 1 for the steps after every rank's had.
+	ActiveShare float64
+
 	// Telemetry is the aggregated per-phase instrumentation report; nil
 	// unless Options.Telemetry was set.
 	Telemetry *telemetry.Report
@@ -225,9 +232,18 @@ type rankState struct {
 	// Halo schedules of the two per-step phases.
 	vel, stress *schedule
 
-	zones    []*boundary.PML
-	compBox  fd.Box   // non-PML region the bulk kernels cover
-	plan     tilePlan // the step's tile queues over compBox and zones
+	zones   []*boundary.PML
+	compBox fd.Box   // non-PML region the bulk kernels cover
+	plan    tilePlan // the step's tile queues over compBox and zones
+	// box is the rank's active box and plan the tile plan clipped to it,
+	// until dropBox sets box nil and plan = whole (activebox.go). steps counts
+	// the local steps taken (replays included), liveSteps those taken with the
+	// box and swept the cells their clipped tiles covered (Result.ActiveShare).
+	box              *activeBox
+	whole            tilePlan
+	swept            atomic.Int64
+	steps, liveSteps int64
+
 	sponge   *boundary.Sponge
 	fs       *boundary.FreeSurface
 	atten    *attenuation.Model
@@ -311,6 +327,9 @@ func (rs *rankState) setupFault(opt Options, dt float64) error {
 		return err
 	}
 	rs.fault = ft
+	// The window radiates from step 0: the split-node passes write vx on the
+	// plane and sxy on the two rows either side of it.
+	rs.box.join(fd.Box{I0: cfg.I0, I1: cfg.I1, J0: cfg.J0 - 2, J1: cfg.J0 + 2, K0: cfg.K0, K1: cfg.K1})
 	if f.RecordEvery > 0 {
 		rs.recorder = rupture.NewRecorder(ft, dt*float64(f.RecordEvery), 1<<20)
 	}
@@ -331,8 +350,9 @@ type queue struct {
 }
 
 // tilePlan is the rank's decomposition of a local step's kernel work, built
-// once per Stepper so that a step — at any rate — tiles, clips and allocates
-// nothing.
+// once per Stepper — as the whole-tile plan and, over the same tiles, as the
+// plan whose tile bodies run on their intersection with the rank's active box
+// — so that a step, at any rate, tiles and allocates nothing.
 // Each phase drains its pre queue — every tile of compBox and of the zones
 // or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
 // — before its halo post, and under AsyncOverlap its inner queue, the tiles
@@ -361,14 +381,15 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		return dst
 	}
 	var pre, inner []tile
-	p := &rs.plan
+	var innerBox fd.Box
 	if opt.Comm == AsyncOverlap {
-		strips, innerBox := boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
+		var strips []fd.Box
+		strips, innerBox = boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
 		for _, s := range strips {
-			pre = add(pre, intersect(s, rs.compBox), nil)
+			pre = add(pre, s.Intersect(rs.compBox), nil)
 		}
-		p.innerBox = intersect(innerBox, rs.compBox)
-		inner = add(nil, p.innerBox, nil)
+		innerBox = innerBox.Intersect(rs.compBox)
+		inner = add(nil, innerBox, nil)
 	} else {
 		pre = add(nil, rs.compBox, nil)
 	}
@@ -385,23 +406,35 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		// of fused into the stress tiles.
 		stress = rs.elasticTile(opt, dt)
 	}
+	// mk binds tiles to a phase's bodies twice: whole, and with every tile cut
+	// to the active box — a tile outside it returns at once. Only a rank that
+	// still has its box drains the clipped queues.
 	mk := func(tiles []tile, interior func(fd.Box),
-		zone func(*boundary.PML, *fd.State, *medium.Medium, float64, fd.Box)) queue {
-		return queue{len(tiles), func(i int) {
-			t := tiles[i]
-			if t.zone == nil {
-				interior(t.b)
+		zone func(*boundary.PML, *fd.State, *medium.Medium, float64, fd.Box)) (whole, clipped queue) {
+		run := func(z *boundary.PML, b fd.Box) {
+			if z == nil {
+				interior(b)
 				return
 			}
 			sp := rs.tel.Span(telemetry.Boundary)
-			zone(t.zone, rs.st, rs.med, dt, t.b)
+			zone(z, rs.st, rs.med, dt, b)
 			sp.End()
+		}
+		whole = queue{len(tiles), func(i int) { run(tiles[i].zone, tiles[i].b) }}
+		clipped = queue{len(tiles), func(i int) {
+			if b := tiles[i].b.Intersect(rs.box.Box); !b.Empty() {
+				rs.swept.Add(int64(b.Cells()))
+				run(tiles[i].zone, b)
+			}
 		}}
+		return whole, clipped
 	}
-	p.velPre = mk(pre, velocity, (*boundary.PML).UpdateVelocityBox)
-	p.velInner = mk(inner, velocity, nil)
-	p.stressPre = mk(pre, stress, (*boundary.PML).UpdateStressBox)
-	p.stressInner = mk(inner, stress, nil)
+	w, p := &rs.whole, &rs.plan
+	w.innerBox, p.innerBox = innerBox, innerBox
+	w.velPre, p.velPre = mk(pre, velocity, (*boundary.PML).UpdateVelocityBox)
+	w.velInner, p.velInner = mk(inner, velocity, nil)
+	w.stressPre, p.stressPre = mk(pre, stress, (*boundary.PML).UpdateStressBox)
+	w.stressInner, p.stressInner = mk(inner, stress, nil)
 }
 
 // drain runs one queue of the tile plan on the pool.
@@ -425,6 +458,13 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 
 	// --- Velocity phase ---
 	t0 := time.Now()
+	rs.steps++
+	if rs.box != nil && rs.box.grow() {
+		rs.dropBox()
+	}
+	if rs.box != nil {
+		rs.liveSteps++
+	}
 	rs.drain(plan.velPre)
 	if rs.fault != nil {
 		// DFR mode: the split-node correction needs the whole velocity field
@@ -454,30 +494,40 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 	// ones inside after the inner tiles. Attenuation rides in the stress tile
 	// — in the same sweep on the default path (stressTile) — and writes only
 	// that tile's cells, so the tiles stay race-free and cell-ordered.
+	if rs.box != nil && rs.box.grow() {
+		// Filled between the sweeps of a step counted as clipped: its stress
+		// sweep is whole.
+		rs.swept.Add(int64(rs.sub.Local.Cells()))
+		rs.dropBox()
+	}
 	rs.drain(plan.stressPre)
 	if rs.fault != nil {
 		// DFR mode: the stress tiles were elastic only (buildTilePlan).
 		rs.fault.CorrectStress(rs.st, rs.med, dt)
 		if rs.atten != nil {
 			sp := rs.tel.Span(telemetry.Attenuation)
-			rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.compBox, opt.Blocking, rs.pool)
+			rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.clip(rs.compBox), opt.Blocking, rs.pool)
 			sp.End()
 		}
 	}
-	rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, false)
+	rs.inject(dt, tNow, false)
 	lap(&tm.Comp, &t0)
 	l.arm(rs.stress, sub)
 	rs.stress.post()
 	lap(&tm.Comm, &t0)
 	rs.drain(plan.stressInner)
-	rs.srcs.InjectRegion(rs.st, dt, tNow, plan.innerBox, true)
+	rs.inject(dt, tNow, true)
 	lap(&tm.Comp, &t0)
 	rs.stress.finish()
 	lap(&tm.Comm, &t0)
 	rs.syncBarrier(opt, tm, &t0)
 	if rs.sponge != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
-		rs.sponge.ApplyPool(rs.st, rs.pool)
+		if rs.box != nil {
+			rs.sponge.ApplyBox(rs.st, rs.pool, rs.box.Box)
+		} else {
+			rs.sponge.ApplyPool(rs.st, rs.pool)
+		}
 		sp.End()
 	}
 	if rs.fs != nil {
@@ -496,6 +546,24 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 		rs.stress.exchange()
 	}
 	lap(&tm.Comm, &t0)
+}
+
+// clip returns b cut to the rank's active box, or b once that is dropped.
+func (rs *rankState) clip(b fd.Box) fd.Box {
+	if rs.box == nil {
+		return b
+	}
+	return b.Intersect(rs.box.Box)
+}
+
+// inject feeds the sources inside (or outside) the plan's innerBox, and the
+// nodes whose rate was nonzero join the active box: until its rate first
+// samples nonzero a source adds ±0, which changes no stored bit.
+func (rs *rankState) inject(dt, t float64, inside bool) {
+	fed := rs.srcs.InjectRegion(rs.st, dt, t, rs.plan.innerBox, inside)
+	if rs.box != nil {
+		rs.box.join(fed)
+	}
 }
 
 // lap adds the time since *t0 to acc and restarts the clock.
@@ -571,27 +639,33 @@ func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
 
 // trackPGV folds the current surface velocities into the peak maps,
 // row-sliced over the pool (rows are disjoint, so the parallel fold is
-// race-free and bit-identical to the serial one).
+// race-free and bit-identical to the serial one). Outside the active box the
+// velocities are zero and fold to what the maps hold.
 func (rs *rankState) trackPGV() {
 	if rs.pgvh == nil {
 		return
 	}
-	rs.pool.ForEachN(rs.sub.Local.NY, rs.trackPGVRow)
+	b := rs.clip(fd.Box{I1: rs.sub.Local.NX, J1: rs.sub.Local.NY, K1: 1})
+	if b.Empty() {
+		return
+	}
+	rs.pool.ForEachN(b.J1-b.J0, func(n int) { rs.trackPGVRow(b.J0+n, b.I0, b.I1) })
 }
 
-// trackPGVRow folds surface row j through contiguous row slices instead
-// of per-point bounds-checked At() calls.
-func (rs *rankState) trackPGVRow(j int) {
-	nx := rs.sub.Local.NX
-	base := rs.st.VX.Idx(0, j, 0) // identical layout across components
-	vxr := rs.st.VX.Data()[base : base+nx]
-	vyr := rs.st.VY.Data()[base : base+nx]
-	vzr := rs.st.VZ.Data()[base : base+nx]
-	ph := rs.pgvh[j*nx : (j+1)*nx]
-	px := rs.pgvx[j*nx : (j+1)*nx]
-	py := rs.pgvy[j*nx : (j+1)*nx]
-	pz := rs.pgvz[j*nx : (j+1)*nx]
-	for i := 0; i < nx; i++ {
+// trackPGVRow folds columns [i0, i1) of surface row j through contiguous row
+// slices instead of per-point bounds-checked At() calls.
+func (rs *rankState) trackPGVRow(j, i0, i1 int) {
+	n := i1 - i0
+	base := rs.st.VX.Idx(i0, j, 0) // identical layout across components
+	vxr := rs.st.VX.Data()[base : base+n]
+	vyr := rs.st.VY.Data()[base : base+n]
+	vzr := rs.st.VZ.Data()[base : base+n]
+	o := j*rs.sub.Local.NX + i0
+	ph := rs.pgvh[o : o+n]
+	px := rs.pgvx[o : o+n]
+	py := rs.pgvy[o : o+n]
+	pz := rs.pgvz[o : o+n]
+	for i := 0; i < n; i++ {
 		vx, vy, vz := float64(vxr[i]), float64(vyr[i]), float64(vzr[i])
 		if h := math.Hypot(vx, vy); h > ph[i] {
 			ph[i] = h
@@ -632,12 +706,4 @@ func (rs *rankState) packSurfaceFrame() []byte {
 		}
 	}
 	return mpiio.PutFloat32s(buf)
-}
-
-func intersect(a, b fd.Box) fd.Box {
-	return fd.Box{
-		I0: max(a.I0, b.I0), I1: min(a.I1, b.I1),
-		J0: max(a.J0, b.J0), J1: min(a.J1, b.J1),
-		K0: max(a.K0, b.K0), K1: min(a.K1, b.K1),
-	}
 }

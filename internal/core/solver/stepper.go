@@ -50,6 +50,12 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.Threads < 0 {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: Threads must be >= 0, got %d", opt.Threads)
 	}
+	if opt.Steps < 0 {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: Steps must be >= 0, got %d", opt.Steps)
+	}
+	if err := checkSpacing(opt.H); err != nil {
+		return decomp.Decomp{}, opt, err
+	}
 	if opt.Dt < 0 {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: Dt must be positive, or zero for automatic; got %g", opt.Dt)
 	}
@@ -100,8 +106,15 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	for i, r := range opt.Receivers {
 		// No rank owns a point outside the grid: its seismogram would come
 		// back nil.
-		if g := opt.Global; r[0] < 0 || r[0] >= g.NX || r[1] < 0 || r[1] >= g.NY || r[2] < 0 || r[2] >= g.NZ {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: receiver %d at %v lies outside the %v grid", i, r, g)
+		if !inGrid(opt.Global, r[0], r[1], r[2]) {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: receiver %d at %v lies outside the %v grid", i, r, opt.Global)
+		}
+	}
+	for i := range opt.Sources {
+		// Like a receiver: source.Localize would hand it to no rank, and the
+		// run would radiate nothing.
+		if s := &opt.Sources[i]; !inGrid(opt.Global, s.GI, s.GJ, s.GK) {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: source %d at (%d,%d,%d) lies outside the %v grid", i, s.GI, s.GJ, s.GK, opt.Global)
 		}
 	}
 	for _, x := range stepExclusions {
@@ -158,6 +171,21 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 		}
 	}
 	return dc, opt, nil
+}
+
+// inGrid reports whether global node (i, j, k) is a cell of g.
+func inGrid(g grid.Dims, i, j, k int) bool {
+	return i >= 0 && i < g.NX && j >= 0 && j < g.NY && k >= 0 && k < g.NZ
+}
+
+// checkSpacing rejects a grid spacing the stable step cannot be derived from:
+// dt scales with H, so zero or NaN would run every step at dt = 0 and return
+// an all-zero wavefield without a word.
+func checkSpacing(h float64) error {
+	if !(h > 0) || math.IsInf(h, 0) {
+		return fmt.Errorf("solver: H must be a positive, finite grid spacing; got %g", h)
+	}
+	return nil
 }
 
 // Stepper drives one rank of a prepared run one time step at a time —
@@ -241,6 +269,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if opt.FreeSurface && rs.sub.OffZ == 0 {
 		rs.fs = boundary.NewFreeSurface(rs.sub.Local)
 	}
+	rs.box = newActiveBox(rs.sub.Local, rs.fs != nil)
 	if opt.Attenuation {
 		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, stepDt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
@@ -252,6 +281,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
 	rs.lts.bind(rs.vel)
 	rs.lts.bind(rs.stress)
+	rs.vel.box, rs.stress.box = rs.box, rs.box
 	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
 
 	if opt.Fault != nil {
@@ -316,8 +346,12 @@ func (s *Stepper) StepIndex() int { return s.step }
 // SetStepIndex rewinds (or advances) the step cursor — the rollback half
 // of coordinated recovery, paired with a checkpoint.Load into State(). The
 // cursor must land on a cycle boundary: mid-cycle, coarse ranks have no
-// wavefield state to roll back to.
+// wavefield state to roll back to. It is also the one way to tell the
+// Stepper that State() or Atten() was written from outside — between steps
+// they are otherwise read-only — so the rank drops its active box, which
+// describes the state the Stepper itself computed.
 func (s *Stepper) SetStepIndex(n int) error {
+	s.rs.dropBox()
 	if l := s.rs.lts; n%l.maxRate != 0 {
 		return fmt.Errorf("solver: step index %d is not an LTS cycle boundary (max rate %d)", n, l.maxRate)
 	}

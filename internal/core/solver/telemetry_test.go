@@ -3,6 +3,7 @@ package solver
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cvm"
@@ -61,6 +62,19 @@ func TestTelemetryBitIdentity(t *testing.T) {
 			}
 			if len(rep.Events) == 0 {
 				t.Fatalf("%s: event trace empty", label)
+			}
+			// The four ranks own equal subgrids and take equal numbers of
+			// steps, so the run's share is the mean of theirs.
+			mean := 0.0
+			for _, share := range rep.ActiveShare {
+				if share <= 0 || share >= 1 {
+					t.Fatalf("%s: per-rank active shares %v, want each inside (0, 1)", label, rep.ActiveShare)
+				}
+				mean += share / 4
+			}
+			if len(rep.ActiveShare) != 4 || math.Abs(mean-got.ActiveShare) > 1e-12 || ref.ActiveShare != got.ActiveShare {
+				t.Fatalf("%s: per-rank active shares %v, Result.ActiveShare %g (telemetry off: %g)",
+					label, rep.ActiveShare, got.ActiveShare, ref.ActiveShare)
 			}
 		}
 	}

@@ -192,7 +192,11 @@ func (st *Set) Inject(s *fd.State, dt, t float64) {
 // inside is true) or outside it (when inside is false, with the zero box
 // meaning "all sources"). The overlap communication schedule uses this to
 // keep the per-cell operation order identical to the non-overlap models.
-func (st *Set) InjectRegion(s *fd.State, dt, t float64, box fd.Box, inside bool) {
+// It reports the hull of the nodes it fed a nonzero rate, in local indices
+// (empty when every sampled rate was zero): the cells this call may have
+// made nonzero, which is how the solver's active box learns that a source
+// has gone live.
+func (st *Set) InjectRegion(s *fd.State, dt, t float64, box fd.Box, inside bool) (fed fd.Box) {
 	for _, ls := range st.local {
 		in := ls.li >= box.I0 && ls.li < box.I1 &&
 			ls.lj >= box.J0 && ls.lj < box.J1 &&
@@ -209,7 +213,11 @@ func (st *Set) InjectRegion(s *fd.State, dt, t float64, box fd.Box, inside bool)
 		s.XY.Add(i, j, k, float32(-r[3]*scale))
 		s.XZ.Add(i, j, k, float32(-r[4]*scale))
 		s.YZ.Add(i, j, k, float32(-r[5]*scale))
+		if r != ([6]float64{}) {
+			fed = fed.Hull(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1})
+		}
 	}
+	return fed
 }
 
 // Mw2M0 converts moment magnitude to seismic moment (N*m).

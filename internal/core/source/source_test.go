@@ -147,6 +147,52 @@ func TestLocalizeAndInject(t *testing.T) {
 	}
 }
 
+// InjectRegion reports the hull of the nodes it fed a nonzero rate: nothing
+// before a source's onset or after its last sample, the node while it is
+// live, and the hull of all that are — of the side of box it was asked for.
+func TestInjectRegionReportsLiveNodes(t *testing.T) {
+	g := grid.Dims{NX: 16, NY: 8, NZ: 8}
+	dc, err := decomp.New(g, mpi.NewCart(1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Live on [0.1, 0.3]; live on [0.3, 0.5] with a −0 in its silent samples
+	// (a zero-mean wavelet times a zero tensor entry samples to −0); never.
+	negZero := float32(math.Copysign(0, -1))
+	srcs := []SampledSource{
+		{GI: 2, GJ: 4, GK: 4, Dt: 0.1, Rate: [][6]float32{{}, {3: 10}, {3: 10}, {3: 10}, {}, {}, {}}},
+		{GI: 12, GJ: 1, GK: 6, Dt: 0.1, Rate: [][6]float32{{1: negZero}, {}, {1: negZero}, {0: 5}, {0: 5}, {0: 5}, {}}},
+		{GI: 7, GJ: 7, GK: 0, Dt: 0.1, Rate: [][6]float32{{}, {}, {}, {}, {}, {}, {}}},
+	}
+	set := Localize(srcs, dc.SubFor(0), 100)
+	s := fd.NewState(g)
+	node := func(i, j, k int) fd.Box { return fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1} }
+	left := fd.Box{I1: 8, J1: 8, K1: 8}
+	for _, c := range []struct {
+		t      float64
+		box    fd.Box
+		inside bool
+		want   fd.Box
+	}{
+		{t: 0, want: fd.Box{}},
+		{t: 0.05, want: node(2, 4, 4)}, // interpolating toward the first live sample
+		{t: 0.2, want: node(2, 4, 4)},
+		{t: 0.3, want: node(2, 4, 4).Hull(node(12, 1, 6))},
+		{t: 0.3, box: left, inside: true, want: node(2, 4, 4)},
+		{t: 0.3, box: left, inside: false, want: node(12, 1, 6)},
+		{t: 0.45, want: node(12, 1, 6)},
+		{t: 0.65, want: fd.Box{}},
+		{t: 9, want: fd.Box{}},
+	} {
+		if got := set.InjectRegion(s, 0.01, c.t, c.box, c.inside); got != c.want {
+			t.Errorf("t = %g, box %v inside %v: fed %v, want %v", c.t, c.box, c.inside, got, c.want)
+		}
+	}
+	if s.XX.At(7, 7, 0) != 0 || math.Signbit(float64(s.YY.At(12, 1, 6))) {
+		t.Error("a silent rate changed a stored zero")
+	}
+}
+
 func TestHaskellValidate(t *testing.T) {
 	good := HaskellSpec{GJ: 4, I0: 2, I1: 20, K0: 0, K1: 10, HypoI: 5, HypoK: 5,
 		H: 100, Mw: 7, Vr: 2800, RiseTime: 1, Mu: 3e10, Dt: 0.01, NT: 100}

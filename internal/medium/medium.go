@@ -132,46 +132,6 @@ func convert(m cvm.Material) (rho, lam, mu float64) {
 	return
 }
 
-// finalize fills reciprocal and staggered arrays from the node arrays.
-// It computes one ghost layer of staggered values beyond the interior so
-// stencils touching the subgrid edge have valid coefficients.
-func (m *Medium) finalize() {
-	d := m.Dims
-	g := grid.Ghost - 1 // staggered averages reach one node beyond; keep 1-ghost margin
-	for k := -g; k < d.NZ+g; k++ {
-		for j := -g; j < d.NY+g; j++ {
-			for i := -g; i < d.NX+g; i++ {
-				lam := m.Lam.At(i, j, k)
-				mu := m.Mu.At(i, j, k)
-				m.LamI.Set(i, j, k, 1/lam)
-				m.MuI.Set(i, j, k, 1/mu)
-				m.Lam2Mu.Set(i, j, k, lam+2*mu)
-
-				// Reciprocal densities at velocity points (2-point
-				// arithmetic mean of rho).
-				m.BX.Set(i, j, k, 2/(m.Rho.At(i, j, k)+m.Rho.At(i+1, j, k)))
-				m.BY.Set(i, j, k, 2/(m.Rho.At(i, j, k)+m.Rho.At(i, j+1, k)))
-				m.BZ.Set(i, j, k, 2/(m.Rho.At(i, j, k)+m.Rho.At(i, j, k+1)))
-
-				// Harmonic-mean mu at shear-stress points (4-point).
-				m.MuXY.Set(i, j, k, harmonic4(
-					m.Mu.At(i, j, k), m.Mu.At(i+1, j, k),
-					m.Mu.At(i, j+1, k), m.Mu.At(i+1, j+1, k)))
-				m.MuXZ.Set(i, j, k, harmonic4(
-					m.Mu.At(i, j, k), m.Mu.At(i+1, j, k),
-					m.Mu.At(i, j, k+1), m.Mu.At(i+1, j, k+1)))
-				m.MuYZ.Set(i, j, k, harmonic4(
-					m.Mu.At(i, j, k), m.Mu.At(i, j+1, k),
-					m.Mu.At(i, j, k+1), m.Mu.At(i, j+1, k+1)))
-			}
-		}
-	}
-}
-
-func harmonic4(a, b, c, d float32) float32 {
-	return 4 / (1/a + 1/b + 1/c + 1/d)
-}
-
 // SetUniformQ overwrites the quality-factor fields with uniform values,
 // for controlled attenuation experiments. Non-positive values disable the
 // corresponding loss mechanism.

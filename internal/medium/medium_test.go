@@ -183,3 +183,84 @@ func rel(got, want float64) float64 {
 	}
 	return math.Abs(got-want) / math.Abs(want)
 }
+
+// refFinalize is the pointwise form of finalize — the body it had before it
+// became row sweeps — kept as its oracle.
+func refFinalize(m *Medium) {
+	d := m.Dims
+	g := grid.Ghost - 1 // staggered averages reach one node beyond; keep 1-ghost margin
+	for k := -g; k < d.NZ+g; k++ {
+		for j := -g; j < d.NY+g; j++ {
+			for i := -g; i < d.NX+g; i++ {
+				lam := m.Lam.At(i, j, k)
+				mu := m.Mu.At(i, j, k)
+				m.LamI.Set(i, j, k, 1/lam)
+				m.MuI.Set(i, j, k, 1/mu)
+				m.Lam2Mu.Set(i, j, k, lam+2*mu)
+
+				// Reciprocal densities at velocity points (2-point
+				// arithmetic mean of rho).
+				m.BX.Set(i, j, k, 2/(m.Rho.At(i, j, k)+m.Rho.At(i+1, j, k)))
+				m.BY.Set(i, j, k, 2/(m.Rho.At(i, j, k)+m.Rho.At(i, j+1, k)))
+				m.BZ.Set(i, j, k, 2/(m.Rho.At(i, j, k)+m.Rho.At(i, j, k+1)))
+
+				// Harmonic-mean mu at shear-stress points (4-point).
+				m.MuXY.Set(i, j, k, harmonic4(
+					m.Mu.At(i, j, k), m.Mu.At(i+1, j, k),
+					m.Mu.At(i, j+1, k), m.Mu.At(i+1, j+1, k)))
+				m.MuXZ.Set(i, j, k, harmonic4(
+					m.Mu.At(i, j, k), m.Mu.At(i+1, j, k),
+					m.Mu.At(i, j, k+1), m.Mu.At(i+1, j, k+1)))
+				m.MuYZ.Set(i, j, k, harmonic4(
+					m.Mu.At(i, j, k), m.Mu.At(i, j+1, k),
+					m.Mu.At(i, j, k+1), m.Mu.At(i, j+1, k+1)))
+			}
+		}
+	}
+}
+
+func harmonic4(a, b, c, d float32) float32 {
+	return 4 / (1/a + 1/b + 1/c + 1/d)
+}
+
+// TestFinalizeRowsMatchPointwise holds the row-sweep finalize to the
+// pointwise oracle on the whole padded Data() of all fourteen arrays: a
+// heterogeneous model with a water layer's zero rigidity (1/mu = +Inf, a
+// harmonic mean of exactly 0) on a cube, a pencil and a slab of a subgrid.
+func TestFinalizeRowsMatchPointwise(t *testing.T) {
+	for _, d := range []grid.Dims{{NX: 13, NY: 9, NZ: 7}, {NX: 40, NY: 1, NZ: 2}, {NX: 1, NY: 6, NZ: 11}} {
+		got, want := alloc(d, 50), alloc(d, 50)
+		for _, m := range []*Medium{got, want} {
+			for idx := range m.Rho.Data() {
+				// A deterministic scramble: properties vary node to node along
+				// every axis, and every seventh node is fluid.
+				x := float64((idx*2654435761)%1000) / 1000
+				vs := 400 + 3000*x
+				if idx%7 == 3 {
+					vs = 0
+				}
+				rho, lam, mu := convert(cvm.Material{Vp: 1500 + 5000*x, Vs: vs, Rho: 1000 + 1800*x})
+				m.Rho.Data()[idx], m.Lam.Data()[idx], m.Mu.Data()[idx] = float32(rho), float32(lam), float32(mu)
+			}
+		}
+		got.finalize()
+		refFinalize(want)
+		names := []string{"Rho", "Lam", "Mu", "LamI", "MuI", "BX", "BY", "BZ", "MuXY", "MuXZ", "MuYZ", "Lam2Mu", "QP", "QS"}
+		gf := []*grid.Field3{got.Rho, got.Lam, got.Mu, got.LamI, got.MuI, got.BX, got.BY, got.BZ, got.MuXY, got.MuXZ, got.MuYZ, got.Lam2Mu, got.QP, got.QS}
+		wf := []*grid.Field3{want.Rho, want.Lam, want.Mu, want.LamI, want.MuI, want.BX, want.BY, want.BZ, want.MuXY, want.MuXZ, want.MuYZ, want.Lam2Mu, want.QP, want.QS}
+		zeroMeans := 0
+		for fi := range gf {
+			for idx, v := range gf[fi].Data() {
+				if w := wf[fi].Data()[idx]; math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("%v: %s[%d] = %g (%#x), pointwise %g (%#x)", d, names[fi], idx, v, math.Float32bits(v), w, math.Float32bits(w))
+				}
+				if names[fi] == "MuXY" && v == 0 && got.MuI.Data()[idx] != 0 {
+					zeroMeans++
+				}
+			}
+		}
+		if zeroMeans == 0 {
+			t.Errorf("%v: no harmonic mean touched a fluid node", d)
+		}
+	}
+}

@@ -51,6 +51,8 @@ type Snapshot struct {
 	// overwrites.
 	Events  []Event
 	Dropped uint64
+	// SweptCells and OwnedCells are the rank's SetSweptCells pair.
+	SweptCells, OwnedCells int64
 }
 
 // EncodeSnapshot serializes the recorder — rank, step samples, span
@@ -63,12 +65,14 @@ func (r *Recorder) EncodeSnapshot() []float32 {
 	events, dropped := r.Events()
 	nbrs := r.Neighbors()
 
-	out := make([]float32, 0, 2*(5+NumPhases*(len(r.steps)+1)+8*len(nbrs)+3*len(events)))
+	out := make([]float32, 0, 2*(7+NumPhases*(len(r.steps)+1)+8*len(nbrs)+3*len(events)))
 	out = appendWide(out, float64(r.rank))
 	out = appendWide(out, float64(len(r.steps)))
 	out = appendWide(out, float64(len(nbrs)))
 	out = appendWide(out, float64(len(events)))
 	out = appendWide(out, float64(dropped))
+	out = appendWide(out, float64(r.swept))
+	out = appendWide(out, float64(r.owned))
 	for _, row := range r.steps {
 		for p := 0; p < NumPhases; p++ {
 			out = appendWide(out, float64(row[p]))
@@ -104,6 +108,7 @@ func DecodeSnapshot(payload []float32) (*Snapshot, error) {
 	nNbrs := int(rd.nextInt())
 	nEvents := int(rd.nextInt())
 	s.Dropped = uint64(rd.nextInt())
+	s.SweptCells, s.OwnedCells = rd.nextInt(), rd.nextInt()
 	if rd.err != nil {
 		return nil, rd.err
 	}

@@ -50,6 +50,10 @@ type Report struct {
 	Neighbors     []NeighborStats `json:"neighbors,omitempty"`
 	Events        []Event         `json:"-"` // merged trace, time-ordered
 	DroppedEvents uint64          `json:"dropped_events,omitempty"`
+	// ActiveShare holds, per rank in snapshot order, the cells its kernel
+	// sweeps covered over the cells whole sweeps would have (1: every sweep
+	// was whole; 0 also for a rank that reported no sweeps).
+	ActiveShare []float64 `json:"active_share,omitempty"`
 }
 
 // BuildReport decodes the gathered per-rank payloads and aggregates them.
@@ -75,6 +79,11 @@ func buildFromSnapshots(snaps []*Snapshot) *Report {
 		if len(s.Steps) > rep.StepWindows {
 			rep.StepWindows = len(s.Steps)
 		}
+		share := 0.0
+		if s.OwnedCells > 0 {
+			share = float64(s.SweptCells) / float64(s.OwnedCells)
+		}
+		rep.ActiveShare = append(rep.ActiveShare, share)
 		rankTotal := make([]float64, NumPhases)
 		for _, row := range s.Steps {
 			for p := 0; p < NumPhases; p++ {

@@ -197,6 +197,10 @@ type Recorder struct {
 	// supervisor in one process.
 	cntMu sync.Mutex
 	cnt   map[string]int64
+
+	// Cells the rank's kernel sweeps covered and the cells whole sweeps
+	// would have (SetSweptCells); owner goroutine only.
+	swept, owned int64
 }
 
 // NewRecorder creates a recorder for the given rank. traceEvents sets the
@@ -398,6 +402,15 @@ func (r *Recorder) Counts() map[string]int64 {
 		out[k] = v
 	}
 	return out
+}
+
+// SetSweptCells records, once at the end of a run, the cells the rank's
+// velocity and stress sweeps covered and the cells whole sweeps of its
+// subgrid would have — its row of Report.ActiveShare.
+func (r *Recorder) SetSweptCells(swept, owned int64) {
+	if r != nil {
+		r.swept, r.owned = swept, owned
+	}
 }
 
 // StepEnd closes one step window: the per-phase deltas since the previous

@@ -41,6 +41,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	sp := r.Span(Velocity)
 	sp.End() // must not panic
 	r.AddDur(Stress, time.Second)
+	r.SetSweptCells(1, 2)
 	r.CountSent(1, 10)
 	r.CountRecv(1, 10, 5)
 	r.StepEnd()
@@ -201,6 +202,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.CountSent(1, 100)
 	r.CountRecv(1, 50, 1000)
 	r.CountRecv(2, 10, 0)
+	r.SetSweptCells(123456789012, 987654321098)
 	for i := 0; i < 3; i++ {
 		sp := r.Span(Pack)
 		sp.End()
@@ -231,6 +233,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(s.Events) != 3 || s.Dropped != 0 {
 		t.Errorf("events = %d, dropped %d", len(s.Events), s.Dropped)
 	}
+	if s.SweptCells != 123456789012 || s.OwnedCells != 987654321098 {
+		t.Errorf("swept %d of %d cells", s.SweptCells, s.OwnedCells)
+	}
 	for _, e := range s.Events {
 		if e.Rank != 3 || e.Phase != Pack {
 			t.Errorf("event %+v", e)
@@ -245,7 +250,7 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 	// Header only: claims zero of everything but is missing the per-phase
 	// span counts that always follow.
 	var hdr []float32
-	for _, v := range []float64{0, 0, 0, 0, 0} {
+	for _, v := range []float64{0, 0, 0, 0, 0, 0, 0} {
 		hdr = appendWide(hdr, v)
 	}
 	if _, err := DecodeSnapshot(hdr); err == nil {
@@ -253,7 +258,7 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 	}
 	// Corrupt header: claims more step rows than the payload could carry.
 	var big []float32
-	for _, v := range []float64{0, 1000, 0, 0, 0} {
+	for _, v := range []float64{0, 1000, 0, 0, 0, 0, 0} {
 		big = appendWide(big, v)
 	}
 	if _, err := DecodeSnapshot(big); err == nil {
@@ -261,7 +266,7 @@ func TestDecodeSnapshotErrors(t *testing.T) {
 	}
 	// Out-of-range event phase.
 	var bad []float32
-	for _, v := range []float64{0, 0, 0, 1, 0} {
+	for _, v := range []float64{0, 0, 0, 1, 0, 0, 0} {
 		bad = appendWide(bad, v)
 	}
 	for p := 0; p < NumPhases; p++ {
@@ -286,6 +291,10 @@ func TestBuildReportAggregation(t *testing.T) {
 			r.AddDur(Velocity, time.Duration(ms)*time.Millisecond)
 			r.StepEnd()
 		}
+		// Rank 0 swept a quarter of its cells; rank 1 never reports.
+		if rank == 0 {
+			r.SetSweptCells(250, 1000)
+		}
 		return r.EncodeSnapshot()
 	}
 	rep, err := BuildReport([][]float32{
@@ -298,6 +307,9 @@ func TestBuildReportAggregation(t *testing.T) {
 	}
 	if rep.Ranks != 2 || rep.StepWindows != 4 {
 		t.Fatalf("ranks %d windows %d", rep.Ranks, rep.StepWindows)
+	}
+	if len(rep.ActiveShare) != 2 || rep.ActiveShare[0] != 0.25 || rep.ActiveShare[1] != 0 {
+		t.Errorf("ActiveShare = %v, want [0.25 0]", rep.ActiveShare)
 	}
 	v := rep.Stat(Velocity)
 	tol := 1e-9

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Bounds-check-elimination and inlining guard for the production kernel
-# pair, the attenuation row sweeps and the PML row kernels.
+# pair, the attenuation row sweeps, the PML row kernels and the medium's
+# set-up sweep.
 #
-# The production inner loops (fd/rows.go), and the attenuation and PML zone
-# sweeps modelled on them, are written against explicit per-offset subslice
+# The production inner loops (fd/rows.go), and the attenuation, PML zone and
+# medium.finalize sweeps modelled on them, are written against explicit per-offset subslice
 # windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
 # eliminate every per-point bounds check; a regression here silently costs
 # kernel throughput. This script rebuilds the kernel packages with
@@ -22,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go'
+GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/medium/rows.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -31,7 +32,8 @@ diag=$(GOCACHE="$tmpcache" go build \
     -gcflags="repro/internal/core/fd=-d=ssa/check_bce -m" \
     -gcflags="repro/internal/core/attenuation=-d=ssa/check_bce" \
     -gcflags="repro/internal/core/boundary=-d=ssa/check_bce" \
-    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary 2>&1 || true)
+    -gcflags="repro/internal/medium=-d=ssa/check_bce" \
+    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium 2>&1 || true)
 
 status=0
 for f in $GUARDED; do
