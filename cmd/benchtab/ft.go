@@ -13,6 +13,7 @@ import (
 	"repro/internal/ft"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/perfmodel"
 	"repro/internal/pfs"
 	"repro/internal/telemetry"
 )
@@ -211,7 +212,7 @@ func ftExp(outPath string, short bool) {
 				rep.CkptCostSteps = saveSec / stepSec
 				rep.MTBFSteps = float64(steps) / float64(faults)
 				rep.FaultsPerRun = faults
-				rep.YoungInterval = ft.OptimalInterval(rep.CkptCostSteps, rep.MTBFSteps)
+				rep.YoungInterval = perfmodel.OptimalInterval(rep.CkptCostSteps, rep.MTBFSteps)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
-// Command benchtab regenerates every table and figure of the paper's
-// evaluation: -exp selects one of table1, table2, table3, fig3, fig11,
-// fig12, fig13, fig14, fig19, fig21, fig22, fig23, sustained, the
-// benchmark experiments (phases, ft, lts, scale, io, farm), or
-// all. Petascale quantities come from the validated performance model
+// Command benchtab regenerates the tables and figures of the paper's
+// evaluation (Tables 1-3, Figs 3-23 and the sustained-performance
+// summary) and the three benchmark experiments that still hold a question
+// no bench/ row or test asks (Eq. 7/8 residual, checkpoint interval,
+// multi-rate stepping); -exp selects one by id, or all for the paper
+// set. Petascale quantities come from the validated performance model
 // (internal/perfmodel); physics quantities come from scaled production
 // runs of the real solver.
 package main
@@ -14,6 +15,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -27,13 +29,76 @@ import (
 	"repro/internal/perfmodel"
 )
 
+// exps maps every -exp id to its generator. A benchmark experiment
+// writes its JSON report to -out, or to its own committed default.
+var exps = map[string]func(out string, short bool){
+	"table1":    paper(table1),
+	"table2":    paper(table2),
+	"table3":    paper(table3),
+	"fig3":      paper(fig3),
+	"fig11":     paper(fig11),
+	"fig12":     paper(fig12),
+	"fig13":     paper(fig13),
+	"fig14":     paper(fig14),
+	"fig19":     paper(fig19),
+	"fig21":     paper(fig21to23),
+	"fig22":     paper(fig21to23),
+	"fig23":     paper(fig21to23),
+	"sustained": paper(sustained),
+	"phases":    report("BENCH_3.json", phases),
+	"ft":        report("BENCH_5.json", ftExp),
+	"lts":       report("BENCH_7.json", ltsExp),
+}
+
+// allOrder is what -exp all runs: every paper table and figure once.
+var allOrder = []string{"table1", "table2", "table3", "sustained",
+	"fig11", "fig12", "fig13", "fig14", "fig3", "fig19", "fig21"}
+
+func paper(f func()) func(string, bool) { return func(string, bool) { f() } }
+
+func report(def string, f func(out string, short bool)) func(string, bool) {
+	return func(out string, short bool) {
+		if out == "" {
+			out = def
+		}
+		f(out, short)
+	}
+}
+
+// expIDs lists what -exp accepts: the keys of exps, sorted, then all.
+func expIDs() string {
+	ids := make([]string, 0, len(exps)+1)
+	for id := range exps {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return strings.Join(append(ids, "all"), ", ")
+}
+
+// resolve returns the experiment ids -exp id runs, in order.
+func resolve(id string) ([]string, error) {
+	if id == "all" {
+		return allOrder, nil
+	}
+	if exps[id] == nil {
+		return nil, fmt.Errorf("unknown experiment %q (have %s)", id, expIDs())
+	}
+	return []string{id}, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment id (table1, table2, table3, fig3, fig11, fig12, fig13, fig14, fig19, fig21, fig22, fig23, sustained, phases, ft, lts, scale, io, farm, all)")
-	out := flag.String("out", "", "output path for a benchmark experiment's JSON report (default: BENCH_3.json for phases, BENCH_5.json for ft, ...)")
+	exp := flag.String("exp", "all", "experiment id ("+expIDs()+")")
+	out := flag.String("out", "", "output path for a benchmark experiment's JSON report (default: BENCH_3.json for phases, BENCH_5.json for ft, BENCH_7.json for lts)")
 	short := flag.Bool("short", false, "reduced sweep for CI smoke runs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+
+	ids, err := resolve(*exp)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -63,47 +128,9 @@ func main() {
 		}()
 	}
 
-	// Benchmark experiments resolve their own default report path.
-	outFor := func(def string) string {
-		if *out != "" {
-			return *out
-		}
-		return def
+	for _, id := range ids {
+		exps[id](*out, *short)
 	}
-	exps := map[string]func(){
-		"table1":    table1,
-		"table2":    table2,
-		"table3":    table3,
-		"fig3":      fig3,
-		"fig11":     fig11,
-		"fig12":     fig12,
-		"fig13":     fig13,
-		"fig14":     fig14,
-		"fig19":     fig19,
-		"fig21":     fig21to23,
-		"fig22":     fig21to23,
-		"fig23":     fig21to23,
-		"sustained": sustained,
-		"phases":    func() { phases(outFor("BENCH_3.json"), *short) },
-		"ft":        func() { ftExp(outFor("BENCH_5.json"), *short) },
-		"lts":       func() { ltsExp(outFor("BENCH_7.json"), *short) },
-		"scale":     func() { scale(outFor("BENCH_8.json"), *short) },
-		"io":        func() { ioExp(outFor("BENCH_9.json"), *short) },
-		"farm":      func() { farmExp(outFor("BENCH_10.json"), *short) },
-	}
-	if *exp == "all" {
-		for _, name := range []string{"table1", "table2", "table3", "sustained",
-			"fig11", "fig12", "fig13", "fig14", "fig3", "fig19", "fig21"} {
-			exps[name]()
-		}
-		return
-	}
-	fn := exps[*exp]
-	if fn == nil {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
-	fn()
 }
 
 func header(s string) { fmt.Printf("\n=== %s ===\n", s) }

@@ -39,6 +39,10 @@ func main() {
 	serve := flag.String("serve", "", "address to serve HTTP on after the ensemble (empty: batch mode)")
 	jsonOut := flag.Bool("json", false, "print stats as JSON")
 	flag.Parse()
+	if *n < 0 {
+		fmt.Fprintf(os.Stderr, "farm: -n must be >= 0, got %d\n", *n)
+		os.Exit(1)
+	}
 
 	fs := pfs.New(pfs.Jaguar())
 	if *pfsFaults {

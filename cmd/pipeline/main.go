@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	"repro/internal/agg"
 	"repro/internal/core/solver"
@@ -38,6 +39,9 @@ func main() {
 	stripeSize := flag.Int("stripe-size", 4<<20, "stripe size in bytes for output files")
 	chunkPlanes := flag.Int("chunk-planes", 2, "z-planes held live per core in streaming mesh extraction")
 	flag.Parse()
+	if *ranks < 1 {
+		check(fmt.Errorf("-ranks must be >= 1, got %d", *ranks))
+	}
 
 	aggCfg := agg.Config{Aggregators: *aggs, OpenThrottle: *throttle}
 	h := 400.0
@@ -146,6 +150,7 @@ func main() {
 
 func check(err error) {
 	if err != nil {
-		panic(err)
+		fmt.Fprintf(os.Stderr, "pipeline: %v\n", err)
+		os.Exit(1)
 	}
 }

@@ -191,40 +191,6 @@ func (d Decomp) InteriorCells(rank, width int) int {
 	return nx * ny * nz
 }
 
-// WeakTopo chooses the PX×PY×PZ factorization of nranks for a
-// weak-scaling sweep, where every rank holds a fixed perRank subgrid
-// and the global grid is perRank scaled by the topology. It picks the
-// factorization whose global box is most cubical (minimum box surface
-// area): a slab factorization would minimize total cut area — every
-// rank keeps only two neighbors — but a weak-scaling study that never
-// grows past 1D decomposition measures nothing about 3D halo pressure.
-// The paper's weak scaling grows a 3D region, so the sweep should too.
-func WeakTopo(perRank grid.Dims, nranks int) mpi.Cart {
-	best := mpi.Cart{PX: nranks, PY: 1, PZ: 1}
-	bestCost := -1.0
-	for px := 1; px <= nranks; px++ {
-		if nranks%px != 0 {
-			continue
-		}
-		rem := nranks / px
-		for py := 1; py <= rem; py++ {
-			if rem%py != 0 {
-				continue
-			}
-			pz := rem / py
-			gx := float64(perRank.NX * px)
-			gy := float64(perRank.NY * py)
-			gz := float64(perRank.NZ * pz)
-			cost := gx*gy + gx*gz + gy*gz
-			if bestCost < 0 || cost < bestCost {
-				bestCost = cost
-				best = mpi.Cart{PX: px, PY: py, PZ: pz}
-			}
-		}
-	}
-	return best
-}
-
 // BestTopo chooses the PX×PY×PZ factorization of nranks that minimizes
 // total halo surface for the given global grid — the heuristic the mesh
 // partitioner applies when the user does not pin a topology.

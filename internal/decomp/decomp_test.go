@@ -182,55 +182,3 @@ func TestBestTopoAlwaysExactSize(t *testing.T) {
 		}
 	}
 }
-
-func TestWeakTopoCubicalForCubicPerRank(t *testing.T) {
-	// With a cubic per-rank block, the most-cubical global box is the
-	// most-cubical factorization of the rank count itself.
-	g := grid.Dims{NX: 10, NY: 10, NZ: 10}
-	for _, tc := range []struct {
-		n    int
-		want mpi.Cart
-	}{
-		{8, mpi.Cart{PX: 2, PY: 2, PZ: 2}},
-		{64, mpi.Cart{PX: 4, PY: 4, PZ: 4}},
-		{512, mpi.Cart{PX: 8, PY: 8, PZ: 8}},
-	} {
-		if topo := WeakTopo(g, tc.n); topo != tc.want {
-			t.Fatalf("WeakTopo(10^3, %d) = %+v, want %+v", tc.n, topo, tc.want)
-		}
-	}
-}
-
-func TestWeakTopoCompensatesAnisotropy(t *testing.T) {
-	// A flat per-rank block (short NZ) should be stacked deeper in Z so
-	// the GLOBAL box comes out cubical — WeakTopo minimizes the surface
-	// of perRank scaled by the topology, not of the topology alone.
-	g := grid.Dims{NX: 16, NY: 16, NZ: 4}
-	topo := WeakTopo(g, 64)
-	if topo.PZ <= topo.PX || topo.PZ <= topo.PY {
-		t.Fatalf("WeakTopo(flat block, 64) = %+v: expected deepest split along Z", topo)
-	}
-	gx := float64(g.NX * topo.PX)
-	gy := float64(g.NY * topo.PY)
-	gz := float64(g.NZ * topo.PZ)
-	cost := gx*gy + gx*gz + gy*gz
-	// The chosen box must beat the slab and the topology-cubical 4x4x4
-	// alternative on global surface area.
-	for _, alt := range []mpi.Cart{{PX: 64, PY: 1, PZ: 1}, {PX: 4, PY: 4, PZ: 4}} {
-		ax := float64(g.NX * alt.PX)
-		ay := float64(g.NY * alt.PY)
-		az := float64(g.NZ * alt.PZ)
-		if acost := ax*ay + ax*az + ay*az; acost < cost {
-			t.Fatalf("WeakTopo %+v (surface %g) beaten by %+v (surface %g)", topo, cost, alt, acost)
-		}
-	}
-}
-
-func TestWeakTopoAlwaysExactSize(t *testing.T) {
-	g := grid.Dims{NX: 10, NY: 10, NZ: 10}
-	for _, n := range []int{1, 2, 3, 6, 8, 24, 64, 512, 4096, 10240} {
-		if topo := WeakTopo(g, n); topo.Size() != n {
-			t.Fatalf("WeakTopo size %d != %d (%+v)", topo.Size(), n, topo)
-		}
-	}
-}

@@ -129,11 +129,11 @@ func TestFarmChaosSoakRace(t *testing.T) {
 	}
 }
 
-// TestFarmCleanVsStormThroughput is a scaled-down version of the
-// BENCH_10 throughput gate: the fault storm may slow the farm down but
-// not break it. (The 35% gate itself lives in cmd/benchtab where the
-// ensemble is bigger; here we only require the storm run to finish and
-// both runs to agree byte-for-byte on every artifact.)
+// TestFarmCleanVsStormThroughput: the fault storm may slow the farm down
+// but not break it — the storm run must finish and both runs must agree
+// byte-for-byte on every artifact. How much it slows the farm down is a
+// stopwatch reading, so it is no verdict here (BENCH_10.json recorded a
+// 5% drop; the farm.* rows of bench/ time the farm now).
 func TestFarmCleanVsStormThroughput(t *testing.T) {
 	scs := LatinHypercube(8, 14, DefaultRange())
 

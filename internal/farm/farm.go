@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -61,7 +62,7 @@ type Stats struct {
 	Submitted       int        `json:"submitted"`
 	Completed       int        `json:"completed"`
 	Duplicates      int        `json:"duplicates"`
-	Failed          int        `json:"failed"` // permanently, after MaxAttempts
+	Failed          int        `json:"failed"` // permanently: after MaxAttempts, or rejected by solver.Prepare
 	Attempts        int        `json:"attempts"`
 	Retries         int        `json:"retries"`
 	WorkerCrashes   int        `json:"worker_crashes"`
@@ -364,10 +365,17 @@ func (f *Farm) runAttempt(key string) {
 	}
 }
 
+// rejectedError marks a failure no retry can heal: solver.Prepare refused
+// the job's options.
+type rejectedError struct{ error }
+
 // compute runs the scenario to a product, either as a plain single-rank
 // solve or as a fault-tolerant checkpointed world.
 func (f *Farm) compute(sc Scenario) (Product, error) {
 	opt := f.cfg.Spec.Options(sc)
+	if _, _, err := solver.Prepare(opt); err != nil {
+		return Product{}, rejectedError{err}
+	}
 	model := f.cfg.Spec.Model(sc)
 	var res *solver.Result
 	var err error
@@ -448,26 +456,32 @@ func (f *Farm) attemptSucceeded(key string, p Product) {
 }
 
 // attemptFailed books a failed attempt: breaker feedback, then either a
-// backoff-delayed requeue or permanent failure after MaxAttempts.
+// backoff-delayed requeue or permanent failure after MaxAttempts. A
+// rejected job fails at once and says nothing to its class's breaker:
+// the configuration is at fault, not the class's health.
 func (f *Farm) attemptFailed(key string, cause error) {
+	var rej rejectedError
+	rejected := errors.As(cause, &rej)
 	f.mu.Lock()
 	js := f.jobs[key]
 	if js == nil || js.status == jobDone || js.status == jobFailed {
 		f.mu.Unlock()
 		return
 	}
-	trips0 := f.breakers.Trips()
-	f.mu.Unlock()
+	if !rejected {
+		trips0 := f.breakers.Trips()
+		f.mu.Unlock()
 
-	f.breakers.OnFailure(js.sc.Class())
+		f.breakers.OnFailure(js.sc.Class())
 
-	f.mu.Lock()
-	if t := f.breakers.Trips(); t > trips0 {
-		f.stats.BreakerTrips = t
-		f.cfg.Rec.AddCount("farm.breaker_trips", int64(t-trips0))
-		f.cfg.Logf("farm: breaker tripped for class %s (%s)", js.sc.Class(), cause)
+		f.mu.Lock()
+		if t := f.breakers.Trips(); t > trips0 {
+			f.stats.BreakerTrips = t
+			f.cfg.Rec.AddCount("farm.breaker_trips", int64(t-trips0))
+			f.cfg.Logf("farm: breaker tripped for class %s (%s)", js.sc.Class(), cause)
+		}
 	}
-	if js.attempts >= f.cfg.MaxAttempts {
+	if rejected || js.attempts >= f.cfg.MaxAttempts {
 		js.status = jobFailed
 		f.stats.Failed++
 		f.cfg.Rec.AddCount("farm.failed", 1)

@@ -214,6 +214,37 @@ func TestFarmBreakerTrips(t *testing.T) {
 	}
 }
 
+// TestFarmRejectedSpecFailsOnce: a configuration solver.Prepare refuses
+// (64 ranks on a 12-cell axis) can never heal, so each job fails on its
+// first attempt with no retry, and the class's breaker hears nothing — a
+// valid job of the same class submitted afterwards completes although
+// the breaker would have opened for an hour after two failures.
+func TestFarmRejectedSpecFailsOnce(t *testing.T) {
+	bad := testSpec()
+	bad.Ranks = 64
+	f := newTestFarm(t, Config{Spec: bad, Workers: 2,
+		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour}})
+	const n = 4
+	for i := 0; i < n; i++ {
+		f.Submit(Scenario{Mw: 6.1 + 0.1*float64(i), HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1})
+	}
+	f.Wait()
+	st := f.Stats()
+	if st.Attempts != n || st.Retries != 0 || st.BreakerTrips != 0 || st.Failed != n {
+		t.Fatalf("rejected spec: %+v", st)
+	}
+
+	// The farm is idle: no attempt or requeue timer reads the spec now.
+	f.mu.Lock()
+	f.cfg.Spec = testSpec()
+	f.mu.Unlock()
+	f.Submit(Scenario{Mw: 6.6, HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1})
+	f.Wait()
+	if st := f.Stats(); st.Completed != 1 || st.BreakerParks != 0 {
+		t.Fatalf("valid job behind the rejected ones: %+v", st)
+	}
+}
+
 // TestFarmFTWorldRecovery: FT mode runs each job as a checkpointed world
 // with in-world rank crashes; coordinated recovery must still produce
 // clean artifacts identical to an undisturbed run.

@@ -88,8 +88,12 @@ func DefaultRange() ScenarioRange {
 // LatinHypercube draws n scenarios by Latin-hypercube sampling over the
 // range: each of the 5 axes is split into n strata and each stratum is
 // hit exactly once, giving far better space coverage than n independent
-// uniform draws (the VECMA UQ-ensemble sampling plan).
+// uniform draws (the VECMA UQ-ensemble sampling plan). n <= 0 draws
+// nothing.
 func LatinHypercube(n int, seed int64, r ScenarioRange) []Scenario {
+	if n <= 0 {
+		return nil
+	}
 	rng := rand.New(rand.NewSource(seed))
 	const axes = 5
 	// perm[a][i] is the stratum axis a uses for sample i.

@@ -1,9 +1,13 @@
-// Multi-rank coordinated checkpoint/restart (§III.F). RunWorld drives
-// the real solver across an in-process MPI world under injected chaos —
-// message drop/corrupt/delay, whole-rank crash, and transient or silent
-// PFS faults — and recovers from every fault class by coordinated
-// rollback: all ranks return to the newest step for which every rank has
-// a CRC-valid checkpoint (checkpoint.FindLatestValid) and replay.
+// Package ft implements the application-level fault tolerance of §III.F
+// as multi-rank coordinated checkpoint/restart: a fault costs the work
+// since the last checkpoint every rank holds, the run resumes from saved
+// state, and the recovered result is identical to a failure-free run.
+// RunWorld drives the real solver across an in-process MPI world under
+// injected chaos — message drop/corrupt/delay, whole-rank crash, and
+// transient or silent PFS faults — and recovers from every fault class by
+// coordinated rollback: all ranks return to the newest step for which
+// every rank has a CRC-valid checkpoint (checkpoint.FindLatestValid) and
+// replay.
 //
 // The protocol per attempt:
 //

@@ -17,6 +17,10 @@ import (
 	"repro/internal/pfs"
 )
 
+func testFS() *pfs.FS {
+	return pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
+}
+
 func worldSolverOptions(topo mpi.Cart, comm solver.CommModel) solver.Options {
 	g := grid.Dims{NX: 20, NY: 20, NZ: 14}
 	src := source.PointSource{

@@ -361,3 +361,18 @@ func StrongScaling(m Machine, v Version, g grid.Dims, cores []int) []ScalingPoin
 	}
 	return out
 }
+
+// OptimalInterval returns Young's approximation of the checkpoint interval
+// (in steps) that minimizes expected lost work: sqrt(2 * C * MTBF) rounded
+// down, with C the checkpoint cost and MTBF the mean steps between
+// failures.
+func OptimalInterval(checkpointCostSteps, mtbfSteps float64) int {
+	if checkpointCostSteps <= 0 || mtbfSteps <= 0 {
+		return 1
+	}
+	n := int(math.Sqrt(2 * checkpointCostSteps * mtbfSteps))
+	if n < 1 {
+		n = 1
+	}
+	return n
+}

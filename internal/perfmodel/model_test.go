@@ -319,3 +319,17 @@ func TestLTSSharesScaleStepTime(t *testing.T) {
 		t.Errorf("unnormalized shares factor %g, want 0.75", f)
 	}
 }
+
+func TestOptimalInterval(t *testing.T) {
+	// Young's formula: sqrt(2*C*MTBF).
+	if got := OptimalInterval(2, 400); got != 40 {
+		t.Fatalf("OptimalInterval = %d, want 40", got)
+	}
+	if OptimalInterval(0, 100) != 1 || OptimalInterval(1, 0) != 1 {
+		t.Fatal("degenerate inputs should clamp to 1")
+	}
+	// Longer MTBF -> longer interval.
+	if OptimalInterval(2, 10000) <= OptimalInterval(2, 100) {
+		t.Fatal("interval not increasing with MTBF")
+	}
+}

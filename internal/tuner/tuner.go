@@ -121,15 +121,7 @@ func Tune(in Inputs) Config {
 	// reliable systems (M8 ran 24 h without checkpoints to spare the FS).
 	if in.FailureMTBF > 0 {
 		// Checkpoint cost ~ a few steps of wall clock.
-		cfg.CheckpointEvery = optimalInterval(3, in.FailureMTBF)
+		cfg.CheckpointEvery = perfmodel.OptimalInterval(3, float64(in.FailureMTBF))
 	}
 	return cfg
-}
-
-func optimalInterval(costSteps, mtbf int) int {
-	n := 1
-	for n*n < 2*costSteps*mtbf {
-		n++
-	}
-	return n
 }
