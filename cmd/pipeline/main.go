@@ -145,7 +145,7 @@ func main() {
 	for _, p := range paths {
 		check(reg.VerifyReplica(archive, p))
 	}
-	fmt.Println("integrity: all archive replicas verified against registered MD5 checksums")
+	fmt.Println("integrity: all archive replicas verified against registered MD5 hash-list digests")
 }
 
 func check(err error) {

@@ -2,21 +2,52 @@
 // run-time aggregation of decimated velocity output in memory buffers
 // flushed at a controlled frequency (Dist; the optimization that cut I/O
 // overhead from 49% to under 2%, priced by OverheadModel), and parallel MD5
-// checksumming of the sub-arrays for integrity tracking.
+// checksumming for integrity tracking: ParallelMD5 of a buffer's sub-arrays,
+// and HashListMD5, the archive workflow's digest of a whole file.
 package output
 
 import (
 	"crypto/md5"
 	"encoding/hex"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pfs"
 )
 
+// hashListChunk is HashListMD5's chunk size. It is a constant so that a
+// file's digest is the same on every host and at every worker count.
+const hashListChunk = 1 << 20
+
+// forEachPart calls fn(p) for every p in [0, nparts) on at most GOMAXPROCS
+// goroutines, each taking the next part when it finishes one.
+func forEachPart(nparts int, fn func(p int)) {
+	workers := min(nparts, runtime.GOMAXPROCS(0))
+	if workers <= 1 {
+		for p := 0; p < nparts; p++ {
+			fn(p)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := int(next.Add(1)) - 1; p < nparts; p = int(next.Add(1)) - 1 {
+				fn(p)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // ParallelMD5 computes MD5 checksums of nparts contiguous sub-arrays of
-// data concurrently — the parallelized integrity pass that "substantially
-// decreases the time needed to generate the checksums for several
-// terabytes" (§III.E).
+// data on at most GOMAXPROCS goroutines — the parallelized integrity pass
+// that "substantially decreases the time needed to generate the checksums
+// for several terabytes" (§III.E).
 func ParallelMD5(data []byte, nparts int) []string {
 	if nparts <= 0 {
 		nparts = 1
@@ -25,18 +56,10 @@ func ParallelMD5(data []byte, nparts int) []string {
 		nparts = len(data)
 	}
 	sums := make([]string, nparts)
-	var wg sync.WaitGroup
-	for p := 0; p < nparts; p++ {
-		lo := p * len(data) / nparts
-		hi := (p + 1) * len(data) / nparts
-		wg.Add(1)
-		go func(p, lo, hi int) {
-			defer wg.Done()
-			s := md5.Sum(data[lo:hi])
-			sums[p] = hex.EncodeToString(s[:])
-		}(p, lo, hi)
-	}
-	wg.Wait()
+	forEachPart(nparts, func(p int) {
+		s := md5.Sum(data[p*len(data)/nparts : (p+1)*len(data)/nparts])
+		sums[p] = hex.EncodeToString(s[:])
+	})
 	return sums
 }
 
@@ -56,6 +79,22 @@ func SerialMD5(data []byte, nparts int) []string {
 		sums[p] = hex.EncodeToString(s[:])
 	}
 	return sums
+}
+
+// HashListMD5 is the archive's one-string digest of data, hashed on all
+// cores: the hex MD5 of the MD5s of data's consecutive 1 MiB chunks, in
+// order (an MD5 hash list; the last chunk may be short, and empty data has
+// no chunks). It is not the MD5 of data.
+func HashListMD5(data []byte) string {
+	n := (len(data) + hashListChunk - 1) / hashListChunk
+	list := make([]byte, n*md5.Size)
+	forEachPart(n, func(c int) {
+		lo := c * hashListChunk
+		s := md5.Sum(data[lo:min(lo+hashListChunk, len(data))])
+		copy(list[c*md5.Size:], s[:])
+	})
+	top := md5.Sum(list)
+	return hex.EncodeToString(top[:])
 }
 
 // OverheadModel prices the I/O overhead fraction of a run: stepCompute is

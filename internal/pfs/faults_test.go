@@ -317,3 +317,117 @@ func TestReadFaultNeverFiresDisarmed(t *testing.T) {
 		}
 	}
 }
+
+// TestViewDrawsLikeReadAt: View is ReadAt without the copy, so under one
+// FaultPlan seed a sequence of Views and the same sequence of ReadAts fail
+// on the same calls and leave equal FaultStats — one read draw per call,
+// interleaved here with writes that draw from the same stream.
+func TestViewDrawsLikeReadAt(t *testing.T) {
+	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	trace := func(view bool) ([]bool, FaultStats) {
+		fs := New(Jaguar())
+		if err := fs.WriteAt("f", 0, data); err != nil {
+			t.Fatal(err)
+		}
+		fs.InjectFaults(FaultPlan{Seed: 21, ReadFailProb: 0.4, WriteFailProb: 0.2})
+		var outcome []bool
+		buf := make([]byte, 4)
+		for i := 0; i < 200; i++ {
+			off := i % 5
+			var got []byte
+			var err error
+			if view {
+				err = fs.View("f", off, len(buf), func(b []byte) {
+					if cap(b) != len(buf) {
+						t.Errorf("View handed cap %d for %d bytes", cap(b), len(buf))
+					}
+					got = bytes.Clone(b)
+				})
+			} else if err = fs.ReadAt("f", off, buf); err == nil {
+				got = bytes.Clone(buf)
+			}
+			if err == nil && !bytes.Equal(got, data[off:off+len(buf)]) {
+				t.Fatalf("call %d read %v, want %v", i, got, data[off:off+len(buf)])
+			}
+			if err != nil && !IsTransient(err) {
+				t.Fatalf("call %d: %v", i, err)
+			}
+			outcome = append(outcome, err == nil)
+			fs.WriteAt("f", 0, data) // a failed write persists nothing
+		}
+		return outcome, fs.FaultStats()
+	}
+	viewOK, viewStats := trace(true)
+	readOK, readStats := trace(false)
+	if viewStats != readStats {
+		t.Fatalf("FaultStats differ: View %+v, ReadAt %+v", viewStats, readStats)
+	}
+	for i := range readOK {
+		if viewOK[i] != readOK[i] {
+			t.Fatalf("call %d: View ok=%v, ReadAt ok=%v", i, viewOK[i], readOK[i])
+		}
+	}
+	if readStats.FailedReads == 0 || readStats.FailedWrites == 0 {
+		t.Fatalf("stats = %+v: the plan injected too little to compare", readStats)
+	}
+}
+
+// TestViewErrorsLikeReadAt: a missing file and a range past EOF give
+// ReadAt's errors, and fn is not called.
+func TestViewErrorsLikeReadAt(t *testing.T) {
+	fs := New(Jaguar())
+	if err := fs.WriteAt("f", 0, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path   string
+		off, n int
+	}{{"missing", 0, 1}, {"f", 1, 3}} {
+		called := false
+		viewErr := fs.View(c.path, c.off, c.n, func([]byte) { called = true })
+		readErr := fs.ReadAt(c.path, c.off, make([]byte, c.n))
+		if viewErr == nil || readErr == nil || viewErr.Error() != readErr.Error() {
+			t.Errorf("%s [%d,+%d): View %v, ReadAt %v", c.path, c.off, c.n, viewErr, readErr)
+		}
+		if called {
+			t.Errorf("%s [%d,+%d): fn called on a failed View", c.path, c.off, c.n)
+		}
+	}
+}
+
+// TestViewConcurrentWithWrites: Views of a file other goroutines keep
+// rewriting see whole writes only, since View holds the FS mutex while fn
+// runs (run with -race).
+func TestViewConcurrentWithWrites(t *testing.T) {
+	fs := New(Jaguar())
+	const n = 4096
+	if err := fs.WriteAt("f", 0, make([]byte, n)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fill := bytes.Repeat([]byte{byte(w)}, n)
+			for i := 0; i < 50; i++ {
+				if err := fs.WriteAt("f", 0, fill); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := fs.View("f", 0, n, func(b []byte) {
+					for _, v := range b {
+						if v != b[0] {
+							t.Errorf("View saw a mix of writes")
+							return
+						}
+					}
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

@@ -201,18 +201,46 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 func (fs *FS) ReadAt(path string, off int, buf []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	b, err := fs.readLocked(path, off, len(buf))
+	if err != nil {
+		return err
+	}
+	copy(buf, b)
+	return nil
+}
+
+// View is ReadAt without the copy: it calls fn with the n stored bytes of
+// path at offset off. It fails as ReadAt does — a missing file, a range
+// past EOF, or one transient read fault drawn per call — and then fn is not
+// called. View holds the FS mutex while fn runs — that is what keeps a
+// concurrent write from changing the bytes under fn — so fn must not call
+// back into this FS, and it must not keep the slice: a later write may
+// change or replace the bytes.
+func (fs *FS) View(path string, off, n int, fn func([]byte)) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	b, err := fs.readLocked(path, off, n)
+	if err != nil {
+		return err
+	}
+	fn(b)
+	return nil
+}
+
+// readLocked checks that [off, off+n) of path is stored, draws the read's
+// fault and returns the stored range; caller holds the lock.
+func (fs *FS) readLocked(path string, off, n int) ([]byte, error) {
 	f := fs.files[path]
 	if f == nil {
-		return fmt.Errorf("pfs: %s: no such file", path)
+		return nil, fmt.Errorf("pfs: %s: no such file", path)
 	}
-	if off+len(buf) > len(f.data) {
-		return fmt.Errorf("pfs: %s: read [%d,%d) beyond EOF %d", path, off, off+len(buf), len(f.data))
+	if off+n > len(f.data) {
+		return nil, fmt.Errorf("pfs: %s: read [%d,%d) beyond EOF %d", path, off, off+n, len(f.data))
 	}
 	if fe := fs.faults; fe != nil && fe.drawRead() {
-		return &TransientError{Op: "read", Path: path}
+		return nil, &TransientError{Op: "read", Path: path}
 	}
-	copy(buf, f.data[off:])
-	return nil
+	return f.data[off : off+n : off+n], nil
 }
 
 // Size returns the file size or -1 if absent.

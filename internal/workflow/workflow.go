@@ -1,20 +1,21 @@
 // Package workflow implements E2EaW (§III.I), the end-to-end workflow that
 // moves simulation products from the compute site to the archive: GridFTP-
 // style multi-stream transfers between simulated sites with failure
-// injection and automatic retransfer, pipelined parallel MD5 verification,
-// and an iRODS-like registry with replica and integrity metadata ingested
-// through the aggregated PIPUT path (an order of magnitude faster than
-// serial iPUT).
+// injection and automatic retransfer, parallel MD5 verification, and an
+// iRODS-like registry with replica and integrity metadata ingested through
+// the aggregated PIPUT path (an order of magnitude faster than serial
+// iPUT). Every integrity pass hashes a file where it lies (pfs View) into
+// one output.HashListMD5 digest, its chunks on all cores; the only copy of a
+// file is the one Transfer writes from.
 package workflow
 
 import (
-	"crypto/md5"
-	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 
+	"repro/internal/output"
 	"repro/internal/pfs"
 )
 
@@ -63,9 +64,11 @@ func NewTransferer(link Link, seed int64) *Transferer {
 }
 
 // Transfer copies the named files from src to dst with up to MaxStreams
-// parallel streams, verifying MD5 checksums end to end and automatically
+// parallel streams, verifying digests end to end and automatically
 // retransferring failed or corrupted files (§III.I: "transaction records
-// are maintained to allow automatic recovery").
+// are maintained to allow automatic recovery"). Each source is read once,
+// into one buffer reused across files; a verified replica is exactly the
+// source's length.
 func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (TransferStats, error) {
 	if nStreams <= 0 || nStreams > t.Link.MaxStreams {
 		nStreams = t.Link.MaxStreams
@@ -84,16 +87,26 @@ func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (Tran
 	// stream moves its files serially. Simulated time = slowest stream.
 	streams := make([]float64, nStreams)
 	const maxAttempts = 8
+	var buf []byte
 	for idx, p := range paths {
 		sz := src.FS.Size(p)
 		if sz < 0 {
 			return st, fmt.Errorf("workflow: %s missing at %s", p, src.Name)
 		}
-		data := make([]byte, sz)
+		if cap(buf) < sz {
+			buf = make([]byte, sz)
+		}
+		data := buf[:sz]
 		if err := src.FS.ReadAt(p, 0, data); err != nil {
 			return st, err
 		}
-		want := md5.Sum(data)
+		want := output.HashListMD5(data)
+		// A write at offset 0 keeps the tail of a longer file: remove it
+		// first. Re-creating it may draw an MDS fault, which is a failed
+		// attempt like any other.
+		if dst.FS.Size(p) > sz {
+			dst.FS.Remove(p)
+		}
 		stream := idx % nStreams
 		ok := false
 		backoff := baseBackoff
@@ -131,15 +144,15 @@ func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (Tran
 				st.Retries++
 				continue
 			}
-			got := make([]byte, sz)
-			if err := dst.FS.ReadAt(p, 0, got); err != nil {
+			got, err := digest(dst.FS, p, sz)
+			if err != nil {
 				st.Retries++
 				if !pfs.IsTransient(err) {
 					return st, err
 				}
 				continue
 			}
-			if md5.Sum(got) != want {
+			if got != want {
 				st.Retries++
 				continue
 			}
@@ -163,8 +176,16 @@ func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (Tran
 	return st, nil
 }
 
+// digest hashes the first n bytes of path in place: one View, so one read
+// and one read-fault draw, and no copy.
+func digest(fs *pfs.FS, path string, n int) (string, error) {
+	var sum string
+	err := fs.View(path, 0, n, func(b []byte) { sum = output.HashListMD5(b) })
+	return sum, err
+}
+
 // Registry is the iRODS-like digital-library catalogue: per object the
-// MD5 checksum and the sites holding replicas.
+// checksum and the sites holding replicas.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*Entry
@@ -172,7 +193,9 @@ type Registry struct {
 
 // Entry is one catalogued object.
 type Entry struct {
-	Path     string
+	Path string
+	// Checksum is output.HashListMD5 of the object's bytes: the hex MD5 of
+	// the MD5s of its 1 MiB chunks in order, not the MD5 of the object.
 	Checksum string
 	Bytes    int
 	Replicas []string // site names
@@ -186,7 +209,9 @@ func NewRegistry() *Registry {
 // Ingest registers files present at a site, computing checksums in
 // parallel with nWorkers concurrent workers (the PIPUT aggregated path;
 // nWorkers=1 is the serial iPUT baseline). Returns the simulated ingestion
-// time assuming perStreamBandwidth per worker.
+// time assuming perStreamBandwidth per worker. A file already catalogued
+// adds the site as a replica only if its checksum matches the registered
+// one; a copy that differs is an error naming the path and the site.
 func (r *Registry) Ingest(site Site, paths []string, nWorkers int, perStreamBandwidth float64) (float64, error) {
 	if nWorkers <= 0 {
 		nWorkers = 1
@@ -211,15 +236,14 @@ func (r *Registry) Ingest(site Site, paths []string, nWorkers int, perStreamBand
 					results <- result{err: fmt.Errorf("workflow: %s missing", p)}
 					continue
 				}
-				data := make([]byte, sz)
-				if err := site.FS.ReadAt(p, 0, data); err != nil {
+				sum, err := digest(site.FS, p, sz)
+				if err != nil {
 					results <- result{err: err}
 					continue
 				}
-				sum := md5.Sum(data)
 				workerTime[w] += float64(sz) / perStreamBandwidth
 				results <- result{entry: &Entry{
-					Path: p, Checksum: hex.EncodeToString(sum[:]), Bytes: sz,
+					Path: p, Checksum: sum, Bytes: sz,
 					Replicas: []string{site.Name},
 				}}
 			}
@@ -233,19 +257,12 @@ func (r *Registry) Ingest(site Site, paths []string, nWorkers int, perStreamBand
 	// channel, and the caller still learns the ingest was incomplete.
 	var firstErr error
 	for res := range results {
-		if res.err != nil {
-			if firstErr == nil {
-				firstErr = res.err
-			}
-			continue
+		if res.err == nil {
+			res.err = r.addReplica(site, res.entry)
 		}
-		r.mu.Lock()
-		if e := r.entries[res.entry.Path]; e != nil {
-			e.Replicas = mergeReplicas(e.Replicas, res.entry.Replicas)
-		} else {
-			r.entries[res.entry.Path] = res.entry
+		if res.err != nil && firstErr == nil {
+			firstErr = res.err
 		}
-		r.mu.Unlock()
 	}
 	if firstErr != nil {
 		return 0, firstErr
@@ -268,13 +285,12 @@ func (r *Registry) Register(site Site, path string) (Entry, error) {
 	if sz < 0 {
 		return Entry{}, fmt.Errorf("workflow: %s missing at %s", path, site.Name)
 	}
-	data := make([]byte, sz)
-	if err := site.FS.ReadAt(path, 0, data); err != nil {
+	sum, err := digest(site.FS, path, sz)
+	if err != nil {
 		return Entry{}, err
 	}
-	sum := md5.Sum(data)
 	entry := &Entry{
-		Path: path, Checksum: hex.EncodeToString(sum[:]), Bytes: sz,
+		Path: path, Checksum: sum, Bytes: sz,
 		Replicas: []string{site.Name},
 	}
 	r.mu.Lock()
@@ -287,6 +303,23 @@ func (r *Registry) Register(site Site, path string) (Entry, error) {
 	}
 	r.entries[path] = entry
 	return *entry, nil
+}
+
+// addReplica catalogues an ingested copy: a new entry, or one more replica
+// of an entry whose checksum and size it matches.
+func (r *Registry) addReplica(site Site, entry *Entry) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.entries[entry.Path]
+	if e == nil {
+		r.entries[entry.Path] = entry
+		return nil
+	}
+	if e.Checksum != entry.Checksum || e.Bytes != entry.Bytes {
+		return fmt.Errorf("workflow: %s at %s does not match its registered checksum", entry.Path, site.Name)
+	}
+	e.Replicas = mergeReplicas(e.Replicas, entry.Replicas)
+	return nil
 }
 
 func mergeReplicas(a, b []string) []string {
@@ -315,18 +348,21 @@ func (r *Registry) Lookup(path string) (Entry, bool) {
 	return *e, true
 }
 
-// VerifyReplica checks that a site's copy matches the registered checksum.
+// VerifyReplica checks that a site's copy has the registered size and
+// checksum.
 func (r *Registry) VerifyReplica(site Site, path string) error {
 	e, ok := r.Lookup(path)
 	if !ok {
 		return fmt.Errorf("workflow: %s not registered", path)
 	}
-	data := make([]byte, e.Bytes)
-	if err := site.FS.ReadAt(path, 0, data); err != nil {
+	if sz := site.FS.Size(path); sz >= 0 && sz != e.Bytes {
+		return fmt.Errorf("workflow: %s replica at %s is %d bytes, registered %d", path, site.Name, sz, e.Bytes)
+	}
+	sum, err := digest(site.FS, path, e.Bytes)
+	if err != nil {
 		return err
 	}
-	sum := md5.Sum(data)
-	if hex.EncodeToString(sum[:]) != e.Checksum {
+	if sum != e.Checksum {
 		return fmt.Errorf("workflow: %s replica at %s corrupt", path, site.Name)
 	}
 	return nil
