@@ -25,6 +25,7 @@ import (
 	"repro/internal/core/solver"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
+	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -107,7 +108,8 @@ type Scenario struct {
 	LTSMaxK, LTSMaxRateRatio int
 
 	// Ranks is the number of MPI ranks (goroutines); 0 or 1 runs single
-	// rank. The 3D topology is chosen automatically.
+	// rank, negative values are rejected. The 3D topology is chosen
+	// automatically (decomp.BestTopo).
 	Ranks int
 
 	// Threads is each rank's persistent worker-pool size (the hybrid
@@ -136,14 +138,18 @@ func Run(q Model, sc Scenario) (*Result, error) {
 	if sc.Dt < 0 {
 		return nil, fmt.Errorf("awp: Dt must be positive, or zero for automatic; got %g", sc.Dt)
 	}
+	if sc.Ranks < 0 {
+		return nil, fmt.Errorf("awp: Ranks must be positive, or zero for one rank; got %d", sc.Ranks)
+	}
 	if sc.SpongeWidth <= 0 {
 		sc.SpongeWidth = 8
 	}
 	topo := mpi.NewCart(1, 1, 1)
 	if sc.Ranks > 1 {
-		// DFR mode keeps the fault plane on one rank in y.
+		// decomp.New needs 2·Ghost cells per rank on a split axis; DFR
+		// mode keeps the fault plane on one rank in y.
 		var err error
-		if topo, err = topoSearch(sc.Dims, sc.Ranks, sc.Fault != nil); err != nil {
+		if topo, err = decomp.BestTopo(sc.Dims, sc.Ranks, 2*grid.Ghost, sc.Fault != nil); err != nil {
 			return nil, err
 		}
 	}
@@ -243,37 +249,3 @@ func PGVH(s Seismogram) float64 { return analysis.PGVHFromSeries(s) }
 
 // GeomMeanPGV returns the NGA-style geometric-mean horizontal peak.
 func GeomMeanPGV(s Seismogram) float64 { return analysis.GeomMeanPGV(s) }
-
-// topoSearch picks the 3D topology of ranks with the least halo surface
-// among those that leave every rank at least 4 cells per axis (py1 pins
-// PY = 1), or reports that none does.
-func topoSearch(g Dims, ranks int, py1 bool) (mpi.Cart, error) {
-	var best mpi.Cart
-	bestCost := -1.0
-	for px := 1; px <= ranks; px++ {
-		if ranks%px != 0 {
-			continue
-		}
-		rem := ranks / px
-		for py := 1; py <= rem; py++ {
-			if rem%py != 0 || (py1 && py != 1) {
-				continue
-			}
-			pz := rem / py
-			if px*4 > g.NX || py*4 > g.NY || pz*4 > g.NZ {
-				continue
-			}
-			cost := float64(px-1)*float64(g.NY*g.NZ) +
-				float64(py-1)*float64(g.NX*g.NZ) +
-				float64(pz-1)*float64(g.NX*g.NY)
-			if bestCost < 0 || cost < bestCost {
-				bestCost = cost
-				best = mpi.NewCart(px, py, pz)
-			}
-		}
-	}
-	if bestCost < 0 {
-		return best, fmt.Errorf("awp: no topology of %d ranks leaves each rank 4 cells per axis of the %v grid", ranks, g)
-	}
-	return best, nil
-}

@@ -94,33 +94,19 @@ func TestGMPEAccessors(t *testing.T) {
 	}
 }
 
-func TestTopoSearchRespectsConstraints(t *testing.T) {
-	topo, err := topoSearch(Dims{NX: 64, NY: 32, NZ: 32}, 8, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topo.PY != 1 {
-		t.Fatalf("fault topo PY=%d, want 1", topo.PY)
-	}
-	if topo.Size() != 8 {
-		t.Fatalf("topo size %d", topo.Size())
-	}
-	free, err := topoSearch(Dims{NX: 64, NY: 64, NZ: 64}, 8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if free.Size() != 8 {
-		t.Fatalf("free topo size %d", free.Size())
-	}
-	// 64 ranks need 4 per axis and so 16 cells per axis: no candidate fits
-	// an 8-cube, and Run must say so rather than run one rank.
-	small := Dims{NX: 8, NY: 8, NZ: 8}
-	if topo, err := topoSearch(small, 64, false); err == nil {
-		t.Fatalf("64 ranks on %v: got topology %v, want an error", small, topo)
-	}
+// TestBadRanksRejected: a negative rank count used to run one rank under
+// its own banner, and a count no topology fits used to run 1x1x1.
+func TestBadRanksRejected(t *testing.T) {
 	q := HomogeneousModel(Material{Vp: 6000, Vs: 3464, Rho: 2700})
-	if _, err := Run(q, Scenario{Dims: small, H: 100, Steps: 2, Ranks: 64}); err == nil {
-		t.Fatalf("Run accepted 64 ranks on %v", small)
+	for _, sc := range []Scenario{
+		{Dims: Dims{NX: 16, NY: 16, NZ: 12}, Ranks: -1},
+		{Dims: Dims{NX: 16, NY: 16, NZ: 12}, Ranks: -2},
+		{Dims: Dims{NX: 8, NY: 8, NZ: 8}, Ranks: 64},
+	} {
+		sc.H, sc.Steps = 100, 2
+		if _, err := Run(q, sc); err == nil {
+			t.Errorf("Run accepted %d ranks on %v", sc.Ranks, sc.Dims)
+		}
 	}
 }
 
@@ -263,4 +249,53 @@ func (m *laterallySplitModel) Query(x, _, _ float64) Material {
 		return m.rock
 	}
 	return m.soft
+}
+
+// TestDirectivity runs a scaled ShakeOut-K scenario: a kinematic Haskell
+// rupture on a San Andreas analogue in the SoCal model, nucleating at the
+// SE end and rupturing NW at a sub-shear 2600 m/s. The forward (NW) region
+// beyond the fault end must shake several times harder than the backward
+// (SE) region at the same distance — the directivity contrast of the
+// TeraShake/ShakeOut simulations (§VI).
+func TestDirectivity(t *testing.T) {
+	dims := Dims{NX: 64, NY: 32, NZ: 12}
+	h := 800.0
+	q := SoCalModel(float64(dims.NX)*h, float64(dims.NY)*h, float64(dims.NZ)*h, 500)
+	srcs, err := HaskellRupture{
+		GJ: 16, I0: 14, I1: 50, K0: 1, K1: 6,
+		HypoI: 48, HypoK: 3,
+		H: h, Mw: 6.6, Vr: 2600, RiseTime: 1.0,
+		Mu: 3.3e10, Dt: 0.02, NT: 900, TaperCells: 2,
+	}.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(q, Scenario{
+		Dims: dims, H: h, Steps: 700,
+		Comm: AsyncReduced, ABC: SpongeABC,
+		FreeSurface: true, Attenuation: true,
+		Sources: srcs, TrackPGV: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean := func(i0, i1 int) float64 {
+		var s float64
+		n := 0
+		for j := 6; j < dims.NY-6; j++ {
+			for i := i0; i < i1; i++ {
+				s += res.PGVH[j*dims.NX+i]
+				n++
+			}
+		}
+		return s / float64(n)
+	}
+	// Each region is a band of eight columns within ten cells beyond one
+	// fault end. The full-size run (128x64x24 at 400 m, 1400 steps) reads
+	// 5.5x; this half-resolution grid reads 5.9x.
+	fwd, bwd := mean(4, 12), mean(52, 60)
+	t.Logf("mean PGVH forward (NW) %.3f, backward (SE) %.3f m/s: %.2fx", fwd, bwd, fwd/bwd)
+	if !(bwd > 0 && fwd/bwd > 3) {
+		t.Fatalf("forward/backward mean PGVH %.3f/%.3f m/s, want a ratio above 3", fwd, bwd)
+	}
 }

@@ -34,6 +34,10 @@ func main() {
 	traceEvents := flag.Int("trace-events", 1<<15, "per-rank trace ring capacity (oldest events overwritten)")
 	flag.Parse()
 
+	if *ranks < 1 {
+		fmt.Fprintf(os.Stderr, "awp-run: -ranks must be at least 1, got %d\n", *ranks)
+		os.Exit(1)
+	}
 	if *srcI < 0 {
 		*srcI = *nx / 2
 	}

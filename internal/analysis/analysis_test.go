@@ -47,34 +47,10 @@ func TestCB08CloseToBA08(t *testing.T) {
 	}
 }
 
-func TestPOEProperties(t *testing.T) {
-	g := BooreAtkinson2008{}
-	med := g.MedianPGV(8, 20, 760)
-	// At the median, POE = 50%.
-	if p := POE(g, med, 8, 20, 760); math.Abs(p-0.5) > 1e-9 {
-		t.Errorf("POE at median = %g", p)
-	}
-	// +1 sigma -> ~16%.
-	if p := POE(g, med*math.Exp(g.Sigma()), 8, 20, 760); math.Abs(p-0.1587) > 0.01 {
-		t.Errorf("POE at +1 sigma = %g, want ~0.159", p)
-	}
-	// Monotone decreasing in observed value.
-	if POE(g, 10, 8, 20, 760) <= POE(g, 100, 8, 20, 760) {
-		t.Error("POE not monotone")
-	}
-	p84, p16 := PlusMinusSigma(g, 8, 20, 760)
-	if !(p84 < med && med < p16) {
-		t.Errorf("sigma band wrong: %g %g %g", p84, med, p16)
-	}
-}
-
 func TestSeriesPGVAndPGVH(t *testing.T) {
 	series := [][3]float32{{3, 4, 1}, {-6, 0, 0}, {0.5, 0.5, 10}}
 	if got := PGVHFromSeries(series); math.Abs(got-6) > 1e-9 {
 		t.Errorf("PGVH = %g, want 6", got)
-	}
-	if got := SeriesPGV([]float32{1, -7, 3}); got != 7 {
-		t.Errorf("SeriesPGV = %g", got)
 	}
 	// Geometric mean uses per-component peaks: px=6, py=4 -> sqrt(24).
 	if got := GeomMeanPGV(series); math.Abs(got-math.Sqrt(24)) > 1e-9 {

@@ -18,16 +18,13 @@ type GMPE interface {
 	// MedianPGV returns the median PGV in cm/s for moment magnitude mw at
 	// Joyner-Boore distance rjb (km) on a site with Vs30 (m/s).
 	MedianPGV(mw, rjb, vs30 float64) float64
-	// Sigma returns the total aleatory standard deviation in ln units.
-	Sigma() float64
 	Name() string
 }
 
 // BooreAtkinson2008 is the B&A08 PGV relation (strike-slip mechanism).
 type BooreAtkinson2008 struct{}
 
-func (BooreAtkinson2008) Name() string   { return "B&A08" }
-func (BooreAtkinson2008) Sigma() float64 { return 0.560 }
+func (BooreAtkinson2008) Name() string { return "B&A08" }
 
 // PGV coefficients from Boore & Atkinson (2008), Earthquake Spectra 24(1).
 const (
@@ -66,8 +63,7 @@ func (BooreAtkinson2008) MedianPGV(mw, rjb, vs30 float64) float64 {
 // CampbellBozorgnia2008 is a simplified rock-site C&B08 PGV curve.
 type CampbellBozorgnia2008 struct{}
 
-func (CampbellBozorgnia2008) Name() string   { return "C&B08" }
-func (CampbellBozorgnia2008) Sigma() float64 { return 0.525 }
+func (CampbellBozorgnia2008) Name() string { return "C&B08" }
 
 // MedianPGV follows the C&B08 shape: slightly higher near-fault medians
 // and a marginally steeper far-field decay than B&A08, staying within
@@ -77,22 +73,4 @@ func (CampbellBozorgnia2008) MedianPGV(mw, rjb, vs30 float64) float64 {
 	nearBoost := 1.25 * math.Exp(-rjb/40)
 	farDecay := math.Pow((rjb+10)/10, -0.08)
 	return base * (1 + nearBoost) * farDecay * 0.85
-}
-
-// POE returns the probability of exceedance of the observed PGV given the
-// GMPE's lognormal distribution at (mw, rjb, vs30).
-func POE(g GMPE, observed, mw, rjb, vs30 float64) float64 {
-	med := g.MedianPGV(mw, rjb, vs30)
-	if observed <= 0 || med <= 0 {
-		return 1
-	}
-	z := math.Log(observed/med) / g.Sigma()
-	return 0.5 * math.Erfc(z/math.Sqrt2)
-}
-
-// PlusMinusSigma returns the 16% and 84% exceedance levels (median
-// exp(+-sigma)) for Fig 23's band comparison.
-func PlusMinusSigma(g GMPE, mw, rjb, vs30 float64) (p84, p16 float64) {
-	med := g.MedianPGV(mw, rjb, vs30)
-	return med * math.Exp(-g.Sigma()), med * math.Exp(g.Sigma())
 }

@@ -5,18 +5,6 @@ import (
 	"sort"
 )
 
-// SeriesPGV returns the peak absolute value of a velocity component
-// series.
-func SeriesPGV(series []float32) float64 {
-	var m float64
-	for _, v := range series {
-		if a := math.Abs(float64(v)); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // PGVHFromSeries returns the peak root-sum-square horizontal velocity of a
 // 3-component seismogram (the Fig 21 measure).
 func PGVHFromSeries(series [][3]float32) float64 {

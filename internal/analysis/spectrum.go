@@ -28,15 +28,6 @@ func Amplitude(series []float32, dt, f float64) float64 {
 	return 2 * math.Hypot(re, im) / float64(n)
 }
 
-// Spectrum evaluates the amplitude spectrum at the given frequencies.
-func Spectrum(series []float32, dt float64, freqs []float64) []float64 {
-	out := make([]float64, len(freqs))
-	for i, f := range freqs {
-		out[i] = Amplitude(series, dt, f)
-	}
-	return out
-}
-
 // LogFreqs returns n log-spaced frequencies spanning [fmin, fmax].
 func LogFreqs(fmin, fmax float64, n int) []float64 {
 	if n < 2 {

@@ -65,11 +65,18 @@ func TestSpectrumAndLogFreqs(t *testing.T) {
 			t.Fatal("not increasing")
 		}
 	}
+	// The amplitude spectrum of a 1 Hz sine over those frequencies peaks at
+	// the 1 Hz probe.
 	dt := 0.01
 	s := sine(1.0, dt, 2000, 1)
-	spec := Spectrum(s, dt, freqs)
-	if len(spec) != len(freqs) {
-		t.Fatal("length mismatch")
+	peak := 0
+	for i, f := range freqs {
+		if Amplitude(s, dt, f) > Amplitude(s, dt, freqs[peak]) {
+			peak = i
+		}
+	}
+	if math.Abs(freqs[peak]-1) > 1e-9 {
+		t.Fatalf("spectrum peaks at %g Hz, want 1 Hz", freqs[peak])
 	}
 	if LogFreqs(1, 2, 1)[0] != 1 {
 		t.Fatal("degenerate LogFreqs")

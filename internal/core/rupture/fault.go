@@ -278,51 +278,56 @@ type Stats struct {
 	SupershearFraction  float64 // fraction of ruptured nodes with vr > local Vs
 }
 
-// ComputeStats derives the summary; vs is sampled from the medium on the
-// fault plane.
-func (f *Fault) ComputeStats(m *medium.Medium) Stats {
+// Summarize derives the summary from fault-window arrays indexed [k][i]
+// over the whole fault: final slip, peak slip rate, rupture time rup
+// (negative where the node never ruptured) and the local S-wave speed vs.
+// h is the grid spacing; the rupture velocity is 1/|grad t_r| by central
+// differences, so it needs the whole rupture-time field, not one rank's
+// share.
+func Summarize(slip, peak, rup, vs [][]float64, h float64) Stats {
 	var st Stats
-	var slipSum float64
+	nk := len(slip)
+	if nk == 0 {
+		return st
+	}
+	ni := len(slip[0])
+	var sum float64
 	nRup := 0
-	for n := range f.Slip {
-		if f.Slip[n] > st.MaxSlip {
-			st.MaxSlip = f.Slip[n]
-		}
-		slipSum += f.Slip[n]
-		if f.PeakRate[n] > st.MaxPeakRate {
-			st.MaxPeakRate = f.PeakRate[n]
-		}
-		if f.RupTime[n] >= 0 {
-			nRup++
+	for k := 0; k < nk; k++ {
+		for i := 0; i < ni; i++ {
+			if slip[k][i] > st.MaxSlip {
+				st.MaxSlip = slip[k][i]
+			}
+			sum += slip[k][i]
+			if peak[k][i] > st.MaxPeakRate {
+				st.MaxPeakRate = peak[k][i]
+			}
+			if rup[k][i] >= 0 {
+				nRup++
+			}
 		}
 	}
-	total := f.ni * f.nk
-	st.MeanSlip = slipSum / float64(total)
-	st.RupturedFraction = float64(nRup) / float64(total)
+	st.MeanSlip = sum / float64(nk*ni)
+	st.RupturedFraction = float64(nRup) / float64(nk*ni)
 
-	// Rupture velocity from |grad t_r|: vr = 1/|grad|.
 	var vrSum float64
 	var nvr, nss int
-	for k := 1; k < f.nk-1; k++ {
-		for i := 1; i < f.ni-1; i++ {
-			n := k*f.ni + i
-			if f.RupTime[n] < 0 || f.RupTime[n-1] < 0 || f.RupTime[n+1] < 0 ||
-				f.RupTime[n-f.ni] < 0 || f.RupTime[n+f.ni] < 0 {
+	for k := 1; k < nk-1; k++ {
+		for i := 1; i < ni-1; i++ {
+			if rup[k][i] < 0 || rup[k][i-1] < 0 || rup[k][i+1] < 0 ||
+				rup[k-1][i] < 0 || rup[k+1][i] < 0 {
 				continue
 			}
-			gx := (f.RupTime[n+1] - f.RupTime[n-1]) / (2 * f.h)
-			gz := (f.RupTime[n+f.ni] - f.RupTime[n-f.ni]) / (2 * f.h)
-			g := math.Hypot(gx, gz)
-			if g < 1e-9 {
+			gx := (rup[k][i+1] - rup[k][i-1]) / (2 * h)
+			gz := (rup[k+1][i] - rup[k-1][i]) / (2 * h)
+			g := gx*gx + gz*gz
+			if g < 1e-18 {
 				continue
 			}
-			vr := 1 / g
+			vr := 1 / math.Sqrt(g)
 			vrSum += vr
 			nvr++
-			vsLoc := float64(m.Mu.At(f.cfg.I0+i, f.cfg.J0, f.cfg.K0+k))
-			rho := float64(m.Rho.At(f.cfg.I0+i, f.cfg.J0, f.cfg.K0+k))
-			vsLoc = math.Sqrt(vsLoc / rho)
-			if vr > vsLoc {
+			if vr > vs[k][i] {
 				nss++
 			}
 		}

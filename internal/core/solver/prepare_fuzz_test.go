@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core/source"
@@ -50,6 +51,9 @@ func FuzzPrepare(f *testing.F) {
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, stepsOff: -3},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, hPct: -100},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, srcOff: 20},
+		// A grid with an empty axis is rejected as a grid, not as a
+		// misplaced receiver.
+		{nx: 0, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 1, abc: 1},
 		// Run plans work-balanced LTS before it prepares: a NaN spacing has to
 		// stop there too (no rate bound compares above NaN; found by this fuzz).
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, lts: true, balance: true, maxK: 92, hPct: 126},
@@ -102,6 +106,9 @@ func FuzzPrepare(f *testing.F) {
 		var q cvm.Querier = splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
 
 		_, _, perr := Prepare(opt)
+		if !g.Valid() && (perr == nil || !strings.Contains(perr.Error(), "grid has an axis of no cells")) {
+			t.Fatalf("the %v grid: Prepare says %v", g, perr)
+		}
 		res, rerr := Run(q, opt)
 		if (perr == nil) != (rerr == nil) {
 			t.Fatalf("Prepare says %v, Run says %v", perr, rerr)
@@ -123,7 +130,8 @@ func FuzzPrepare(f *testing.F) {
 // TestPrepareRejectsWhatRunCannotExecute: a negative step count used to panic
 // inside the world, a non-positive or non-finite grid spacing ran every step
 // at dt = 0, and a source outside the grid belonged to no rank — the last two
-// returned an all-zero PGV map and no error.
+// returned an all-zero PGV map and no error. A grid with an empty axis was
+// reported as a misplaced receiver.
 func TestPrepareRejectsWhatRunCannotExecute(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	for name, mutate := range map[string]func(*Options){
@@ -135,6 +143,8 @@ func TestPrepareRejectsWhatRunCannotExecute(t *testing.T) {
 		"source past NX":      func(o *Options) { o.Sources[0].GI = o.Global.NX },
 		"source above k = 0":  func(o *Options) { o.Sources[0].GK = -1 },
 		"second source at -1": func(o *Options) { o.Sources = append(o.Sources, o.Sources[0]); o.Sources[1].GJ = -1 },
+		"NX 0":                func(o *Options) { o.Global.NX = 0 },
+		"NZ -4":               func(o *Options) { o.Global.NZ = -4 },
 	} {
 		opt := baseOptions(mpi.NewCart(2, 1, 1))
 		opt.Steps = 2

@@ -203,7 +203,7 @@ func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt floa
 			}
 		}
 		res.MomentRate = momentRate
-		res.FaultStats = globalFaultStats(res, vsMap, opt)
+		res.FaultStats = rupture.Summarize(res.FaultSlip, res.FaultPeakRate, res.FaultRupTime, vsMap, opt.H)
 
 		if f.RecordEvery > 0 {
 			for _, payload := range slipAll {
@@ -241,65 +241,4 @@ func alloc2(nk, ni int, fill ...float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// globalFaultStats recomputes the Fig 19 summary from the assembled global
-// fault arrays (rupture velocity needs the full rupture-time field).
-func globalFaultStats(res *Result, vsMap [][]float64, opt Options) rupture.Stats {
-	var st rupture.Stats
-	slip := res.FaultSlip
-	rate := res.FaultPeakRate
-	rup := res.FaultRupTime
-	nk := len(slip)
-	if nk == 0 {
-		return st
-	}
-	ni := len(slip[0])
-	var sum float64
-	nRup := 0
-	for k := 0; k < nk; k++ {
-		for i := 0; i < ni; i++ {
-			if slip[k][i] > st.MaxSlip {
-				st.MaxSlip = slip[k][i]
-			}
-			sum += slip[k][i]
-			if rate[k][i] > st.MaxPeakRate {
-				st.MaxPeakRate = rate[k][i]
-			}
-			if rup[k][i] >= 0 {
-				nRup++
-			}
-		}
-	}
-	st.MeanSlip = sum / float64(nk*ni)
-	st.RupturedFraction = float64(nRup) / float64(nk*ni)
-
-	h := opt.H
-	var vrSum float64
-	var nvr, nss int
-	for k := 1; k < nk-1; k++ {
-		for i := 1; i < ni-1; i++ {
-			if rup[k][i] < 0 || rup[k][i-1] < 0 || rup[k][i+1] < 0 ||
-				rup[k-1][i] < 0 || rup[k+1][i] < 0 {
-				continue
-			}
-			gx := (rup[k][i+1] - rup[k][i-1]) / (2 * h)
-			gz := (rup[k+1][i] - rup[k-1][i]) / (2 * h)
-			g := gx*gx + gz*gz
-			if g < 1e-18 {
-				continue
-			}
-			vr := 1 / math.Sqrt(g)
-			vrSum += vr
-			nvr++
-			if vr > vsMap[k][i] {
-				nss++
-			}
-		}
-	}
-	if nvr > 0 {
-		st.MeanRuptureVelocity = vrSum / float64(nvr)
-		st.SupershearFraction = float64(nss) / float64(nvr)
-	}
-	return st
 }

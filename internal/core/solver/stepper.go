@@ -47,6 +47,11 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.Topo.Size() == 0 {
 		opt.Topo = mpi.NewCart(1, 1, 1)
 	}
+	// The grid itself first: on a grid with an empty axis every receiver
+	// and source lies outside, and the error would name the wrong field.
+	if !opt.Global.Valid() {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: the %v grid has an axis of no cells", opt.Global)
+	}
 	if opt.Threads < 0 {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: Threads must be >= 0, got %d", opt.Threads)
 	}

@@ -45,30 +45,6 @@ func Triangle(t0, dur float64) STF {
 	}
 }
 
-// Brune returns the unit-area Brune (1970) far-field source pulse with
-// corner frequency fc, starting at t0.
-func Brune(t0, fc float64) STF {
-	wc := 2 * math.Pi * fc
-	return func(t float64) float64 {
-		s := t - t0
-		if s < 0 {
-			return 0
-		}
-		return wc * wc * s * math.Exp(-wc*s)
-	}
-}
-
-// Ricker returns a Ricker wavelet with peak frequency fc centred at t0.
-// Unlike the pulses above it is zero-mean (a velocity-like wavelet); its
-// absolute peak is 1.
-func Ricker(t0, fc float64) STF {
-	return func(t float64) float64 {
-		a := math.Pi * fc * (t - t0)
-		a2 := a * a
-		return (1 - 2*a2) * math.Exp(-a2)
-	}
-}
-
 // MomentTensor holds the six independent components in the canonical
 // (xx, yy, zz, xy, xz, yz) order, unit-normalized (scaled by M0 at use).
 type MomentTensor [6]float64

@@ -166,36 +166,13 @@ func (d Decomp) BoundaryFaces(rank int) map[grid.Axis][2]bool {
 	return out
 }
 
-// InteriorCells returns the total cells of the subgrid that are at least
-// `width` cells away from every subgrid face with a neighbor — the cells
-// whose update needs no halo data, used by the computation/communication
-// overlap schedule (§IV.C).
-func (d Decomp) InteriorCells(rank, width int) int {
-	s := d.SubFor(rank)
-	nx, ny, nz := s.Local.NX, s.Local.NY, s.Local.NZ
-	shrink := func(n int, loNbr, hiNbr bool) int {
-		if loNbr {
-			n -= width
-		}
-		if hiNbr {
-			n -= width
-		}
-		if n < 0 {
-			n = 0
-		}
-		return n
-	}
-	nx = shrink(nx, d.Topo.Neighbor(rank, 0, -1) >= 0, d.Topo.Neighbor(rank, 0, +1) >= 0)
-	ny = shrink(ny, d.Topo.Neighbor(rank, 1, -1) >= 0, d.Topo.Neighbor(rank, 1, +1) >= 0)
-	nz = shrink(nz, d.Topo.Neighbor(rank, 2, -1) >= 0, d.Topo.Neighbor(rank, 2, +1) >= 0)
-	return nx * ny * nz
-}
-
-// BestTopo chooses the PX×PY×PZ factorization of nranks that minimizes
-// total halo surface for the given global grid — the heuristic the mesh
-// partitioner applies when the user does not pin a topology.
-func BestTopo(global grid.Dims, nranks int) mpi.Cart {
-	best := mpi.Cart{PX: nranks, PY: 1, PZ: 1}
+// BestTopo picks the PX×PY×PZ factorization of nranks with the least halo
+// surface for the global grid, among those that leave every rank at least
+// minCells cells per axis; pinY admits only PY = 1 (dynamic rupture keeps
+// the fault plane on one rank in y). It reports an error when no
+// factorization fits.
+func BestTopo(global grid.Dims, nranks, minCells int, pinY bool) (mpi.Cart, error) {
+	var best mpi.Cart
 	bestCost := -1.0
 	for px := 1; px <= nranks; px++ {
 		if nranks%px != 0 {
@@ -203,11 +180,11 @@ func BestTopo(global grid.Dims, nranks int) mpi.Cart {
 		}
 		rem := nranks / px
 		for py := 1; py <= rem; py++ {
-			if rem%py != 0 {
+			if rem%py != 0 || (pinY && py != 1) {
 				continue
 			}
 			pz := rem / py
-			if px > global.NX || py > global.NY || pz > global.NZ {
+			if px*minCells > global.NX || py*minCells > global.NY || pz*minCells > global.NZ {
 				continue
 			}
 			// Total communication volume = sum over axes of
@@ -221,5 +198,8 @@ func BestTopo(global grid.Dims, nranks int) mpi.Cart {
 			}
 		}
 	}
-	return best
+	if bestCost < 0 {
+		return best, fmt.Errorf("decomp: no topology of %d ranks leaves each rank %d cells per axis of the %v grid", nranks, minCells, global)
+	}
+	return best, nil
 }

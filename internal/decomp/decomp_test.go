@@ -116,18 +116,6 @@ func TestBoundaryFaces(t *testing.T) {
 	}
 }
 
-func TestInteriorCells(t *testing.T) {
-	d := mustNew(t, grid.Dims{NX: 16, NY: 8, NZ: 8}, mpi.NewCart(2, 1, 1))
-	// Each sub is 8x8x8 with one x-neighbor: interior at width 2 is 6x8x8.
-	if got := d.InteriorCells(0, 2); got != 6*8*8 {
-		t.Fatalf("InteriorCells = %d, want %d", got, 6*8*8)
-	}
-	// Width so large nothing remains.
-	if got := d.InteriorCells(0, 10); got != 0 {
-		t.Fatalf("InteriorCells(width=10) = %d, want 0", got)
-	}
-}
-
 func TestSplit1BalancedAndComplete(t *testing.T) {
 	prop := func(n16, p16 uint16) bool {
 		n := int(n16%100) + 1
@@ -153,9 +141,18 @@ func TestSplit1BalancedAndComplete(t *testing.T) {
 	}
 }
 
+func mustBestTopo(t *testing.T, g grid.Dims, n, minCells int, pinY bool) mpi.Cart {
+	t.Helper()
+	topo, err := BestTopo(g, n, minCells, pinY)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func TestBestTopoPrefersCubes(t *testing.T) {
 	g := grid.Dims{NX: 64, NY: 64, NZ: 64}
-	topo := BestTopo(g, 8)
+	topo := mustBestTopo(t, g, 8, 1, false)
 	if topo.PX != 2 || topo.PY != 2 || topo.PZ != 2 {
 		t.Fatalf("BestTopo(64^3, 8) = %+v, want 2x2x2", topo)
 	}
@@ -167,7 +164,7 @@ func TestBestTopoPrefersCubes(t *testing.T) {
 func TestBestTopoRespectsAnisotropy(t *testing.T) {
 	// A pencil-shaped domain should be split along its long axis.
 	g := grid.Dims{NX: 1024, NY: 8, NZ: 8}
-	topo := BestTopo(g, 4)
+	topo := mustBestTopo(t, g, 4, 1, false)
 	if topo.PX != 4 || topo.PY != 1 || topo.PZ != 1 {
 		t.Fatalf("BestTopo(pencil, 4) = %+v, want 4x1x1", topo)
 	}
@@ -176,9 +173,39 @@ func TestBestTopoRespectsAnisotropy(t *testing.T) {
 func TestBestTopoAlwaysExactSize(t *testing.T) {
 	g := grid.Dims{NX: 100, NY: 100, NZ: 100}
 	for _, n := range []int{1, 2, 3, 5, 6, 7, 12, 24, 36, 60} {
-		topo := BestTopo(g, n)
-		if topo.Size() != n {
+		if topo := mustBestTopo(t, g, n, 4, false); topo.Size() != n {
 			t.Fatalf("BestTopo size %d != %d", topo.Size(), n)
 		}
+	}
+}
+
+// TestBestTopoRespectsConstraints: the PY = 1 pin holds, every rank keeps
+// minCells per axis, and a count that cannot be placed is an error, not an
+// N×1×1 cart that does not fit.
+func TestBestTopoRespectsConstraints(t *testing.T) {
+	if topo := mustBestTopo(t, grid.Dims{NX: 64, NY: 32, NZ: 32}, 8, 4, true); topo.PY != 1 || topo.Size() != 8 {
+		t.Fatalf("pinned topo %+v, want PY = 1 and 8 ranks", topo)
+	}
+	// 64 ranks need 4 per axis and so 16 cells per axis: no candidate fits
+	// an 8-cube at 4 cells, while 1 cell per rank still places them.
+	small := grid.Dims{NX: 8, NY: 8, NZ: 8}
+	if topo, err := BestTopo(small, 64, 4, false); err == nil {
+		t.Fatalf("64 ranks on %v: got topology %+v, want an error", small, topo)
+	}
+	if topo := mustBestTopo(t, small, 64, 1, false); topo != (mpi.Cart{PX: 4, PY: 4, PZ: 4}) {
+		t.Fatalf("64 ranks at 1 cell on %v: %+v, want 4x4x4", small, topo)
+	}
+	// A prime count larger than every axis has no factorization at all.
+	if topo, err := BestTopo(small, 11, 1, false); err == nil {
+		t.Fatalf("11 ranks on %v: got topology %+v, want an error", small, topo)
+	}
+	for _, n := range []int{0, -1} {
+		if _, err := BestTopo(small, n, 1, false); err == nil {
+			t.Fatalf("%d ranks: no error", n)
+		}
+	}
+	// The bench's 8-rank topology.
+	if topo := mustBestTopo(t, grid.Dims{NX: 48, NY: 48, NZ: 32}, 8, 4, false); topo != (mpi.Cart{PX: 2, PY: 2, PZ: 2}) {
+		t.Fatalf("8 ranks on 48x48x32: %+v, want 2x2x2", topo)
 	}
 }

@@ -30,10 +30,6 @@ type Config struct {
 	RetryBase, RetryMax time.Duration
 	// Breaker tunes the per-class circuit breakers.
 	Breaker BreakerConfig
-	// MaxParks bounds how many times one job may be parked behind its
-	// class's open breaker before it is failed fast (default 100) —
-	// Wait always terminates even if a class never heals.
-	MaxParks int
 	// Chaos, when non-nil, arms the farm-level fault injector.
 	Chaos *ChaosPlan
 	// FT, when non-nil, runs each job as a fault-tolerant multi-rank
@@ -94,6 +90,11 @@ type jobState struct {
 	backoff  time.Duration
 }
 
+// maxParks bounds how many times one job may be parked behind its class's
+// open breaker before it is failed fast, so Wait always terminates even if
+// a class never heals.
+const maxParks = 100
+
 // Farm is the supervised scenario queue: a bounded persistent worker
 // fleet pulls jobs, runs them under a per-attempt deadline with panic
 // isolation, retries with bounded exponential backoff up to MaxAttempts,
@@ -137,9 +138,6 @@ func New(cfg Config, store *Store, sur *Surrogate) *Farm {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = 50 * time.Millisecond
-	}
-	if cfg.MaxParks <= 0 {
-		cfg.MaxParks = 100
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -271,14 +269,14 @@ func (f *Farm) worker(id int) {
 
 		// Failure isolation: a tripped class parks its jobs (delayed
 		// requeue) instead of burning attempts; other classes flow. A
-		// job parked past MaxParks fails fast so Wait terminates even
+		// job parked past maxParks fails fast so Wait terminates even
 		// if the class never heals.
 		if !f.breakers.Allow(class) {
 			f.mu.Lock()
 			f.stats.BreakerParks++
 			f.cfg.Rec.AddCount("farm.breaker_parks", 1)
 			js.parks++
-			if js.parks > f.cfg.MaxParks {
+			if js.parks > maxParks {
 				js.status = jobFailed
 				f.stats.Failed++
 				f.cfg.Rec.AddCount("farm.failed", 1)

@@ -65,12 +65,6 @@ func (s Scenario) Class() string {
 	}
 }
 
-// M0 converts Mw to scalar seismic moment (N·m), the standard
-// Hanks–Kanamori relation.
-func (s Scenario) M0() float64 {
-	return math.Pow(10, 1.5*s.Mw+9.05)
-}
-
 // ScenarioRange bounds the ensemble's parameter box.
 type ScenarioRange struct {
 	Lo, Hi Scenario
@@ -120,8 +114,8 @@ func LatinHypercube(n int, seed int64, r ScenarioRange) []Scenario {
 }
 
 // EnsembleSpec fixes the simulation configuration shared by every member:
-// the grid, physics options and base velocity model. Scenario parameters
-// perturb around it.
+// the grid and physics options; the base velocity model is the SoCal
+// synthetic sized to the grid. Scenario parameters perturb around it.
 type EnsembleSpec struct {
 	Dims  grid.Dims
 	H     float64 // grid spacing, m
@@ -132,9 +126,6 @@ type EnsembleSpec struct {
 	// Attenuation toggles the anelastic update (off keeps demonstration
 	// jobs cheap).
 	Attenuation bool
-	// BaseModel supplies the unperturbed velocity model; nil defaults to
-	// the SoCal synthetic sized to the grid.
-	BaseModel cvm.Querier
 }
 
 // DefaultSpec is the laptop-scale demonstration ensemble configuration.
@@ -146,11 +137,8 @@ func DefaultSpec() EnsembleSpec {
 
 // Model returns the scenario's perturbed velocity model.
 func (e EnsembleSpec) Model(sc Scenario) cvm.Querier {
-	base := e.BaseModel
-	if base == nil {
-		base = cvm.SoCal(float64(e.Dims.NX-1)*e.H, float64(e.Dims.NY-1)*e.H,
-			float64(e.Dims.NZ-1)*e.H, 400)
-	}
+	base := cvm.SoCal(float64(e.Dims.NX-1)*e.H, float64(e.Dims.NY-1)*e.H,
+		float64(e.Dims.NZ-1)*e.H, 400)
 	if sc.VsScale == 0 || sc.VsScale == 1 {
 		return base
 	}

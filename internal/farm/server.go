@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/analysis"
+	"repro/internal/core/source"
 	"repro/internal/telemetry"
 )
 
@@ -17,9 +18,10 @@ type ServerConfig struct {
 	// MaxConcurrent bounds in-flight queries; excess load is shed to the
 	// degraded path instead of queuing (default 16).
 	MaxConcurrent int
-	// CurvePoints is the hazard-curve resolution (default 16).
-	CurvePoints int
 }
+
+// curvePoints is the hazard-curve resolution.
+const curvePoints = 16
 
 // Server is the HTTP/JSON hazard front end. Availability is the contract:
 // every well-formed query gets a 200. When the exact product is served it
@@ -42,9 +44,6 @@ type Server struct {
 func NewServer(f *Farm, cfg ServerConfig) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 16
-	}
-	if cfg.CurvePoints <= 0 {
-		cfg.CurvePoints = 16
 	}
 	return &Server{farm: f, cfg: cfg, sem: make(chan struct{}, cfg.MaxConcurrent)}
 }
@@ -177,7 +176,7 @@ func (s *Server) handleHazard(w http.ResponseWriter, r *http.Request) {
 	case gerr == nil:
 		resp.PeakPGV = p.Peak
 		resp.Source = "store"
-		resp.Curve, resp.Thresholds = hazardCurve(p, s.cfg.CurvePoints)
+		resp.Curve, resp.Thresholds = hazardCurve(p)
 	case errors.Is(gerr, ErrCorrupt):
 		// Corrupted artifact: delete and re-queue the real compute; the
 		// caller gets a surrogate answer now, never the corrupt bytes.
@@ -222,14 +221,14 @@ func (s *Server) degradedAnswer(sc Scenario, queued bool) HazardResponse {
 		}
 	}
 	// Prior: exponential moment scaling normalized at the range floor.
-	resp.PeakPGV = 1e-6 * sc.M0() / Scenario{Mw: 5.5}.M0()
+	resp.PeakPGV = 1e-6 * source.Mw2M0(sc.Mw) / source.Mw2M0(5.5)
 	resp.Source = "prior"
 	return resp
 }
 
-// hazardCurve turns a PGV map into an exceedance curve over log-spaced
-// thresholds (fraction of surface sites exceeding each level).
-func hazardCurve(p Product, points int) (curve, thresholds []float64) {
+// hazardCurve turns a PGV map into an exceedance curve over curvePoints
+// log-spaced thresholds (fraction of surface sites exceeding each level).
+func hazardCurve(p Product) (curve, thresholds []float64) {
 	if p.Peak <= 0 || len(p.PGVH) == 0 {
 		return nil, nil
 	}
@@ -237,7 +236,7 @@ func hazardCurve(p Product, points int) (curve, thresholds []float64) {
 	for i, v := range p.PGVH {
 		vals[i] = float64(v)
 	}
-	thresholds = analysis.HazardThresholds(p.Peak/1e3, p.Peak, points)
+	thresholds = analysis.HazardThresholds(p.Peak/1e3, p.Peak, curvePoints)
 	curve = analysis.ExceedanceCurve(vals, thresholds)
 	return curve, thresholds
 }

@@ -158,10 +158,3 @@ func (m *Medium) StableDt(sf float64) float64 {
 func StableDtFor(vp, h, sf float64) float64 {
 	return sf * cfl4 * h / (math.Sqrt(3) * vp)
 }
-
-// PointsPerWavelength returns the number of grid points per minimum
-// S wavelength at frequency f — the dispersion criterion (AWP-ODC requires
-// >= 5 points; M8's 40 m / 400 m/s / 2 Hz gives exactly 5).
-func (m *Medium) PointsPerWavelength(f float64) float64 {
-	return m.MinVs / (f * m.H)
-}

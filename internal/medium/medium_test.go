@@ -168,15 +168,6 @@ func TestStableDt(t *testing.T) {
 	}
 }
 
-func TestPointsPerWavelengthM8(t *testing.T) {
-	// The M8 discretization: 40 m spacing, 400 m/s floor, 2 Hz -> exactly
-	// 5 points per minimum wavelength.
-	m := &Medium{H: 40, MinVs: 400}
-	if got := m.PointsPerWavelength(2.0); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("PPW = %g, want 5", got)
-	}
-}
-
 func rel(got, want float64) float64 {
 	if want == 0 {
 		return math.Abs(got)

@@ -16,7 +16,6 @@ package mpi
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -698,22 +697,4 @@ func unpackF64(src []float32, dst []float64) {
 	for i := range dst {
 		dst[i] = float64(src[2*i]) + float64(src[2*i+1])
 	}
-}
-
-// SortedTags returns the distinct tags currently queued in this rank's
-// inbox, sorted; a test/debug helper.
-func (c *Comm) SortedTags() []int {
-	b := c.world.inboxAt(c.rank)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	seen := map[int]bool{}
-	for _, m := range b.queue[b.head:] {
-		seen[m.tag] = true
-	}
-	tags := make([]int, 0, len(seen))
-	for t := range seen {
-		tags = append(tags, t)
-	}
-	sort.Ints(tags)
-	return tags
 }

@@ -475,22 +475,3 @@ func TestNeighborSymmetry(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedTags(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 5, []float32{1})
-			c.Send(1, 2, []float32{1})
-			c.Send(1, 9, []float32{1})
-			c.Send(1, 2, []float32{1})
-		} else {
-			buf := make([]float32, 1)
-			c.Recv(buf, 0, 9) // ensure all arrived (FIFO per pair: 9 is last)
-			tags := c.SortedTags()
-			if len(tags) != 2 || tags[0] != 2 || tags[1] != 5 {
-				t.Errorf("tags = %v", tags)
-			}
-		}
-	})
-}

@@ -1,9 +1,10 @@
 // Package output implements the parallel-output machinery of §III.E:
 // run-time aggregation of decimated velocity output in memory buffers
 // flushed at a controlled frequency (Dist; the optimization that cut I/O
-// overhead from 49% to under 2%, priced by OverheadModel), and parallel MD5
-// checksumming for integrity tracking: ParallelMD5 of a buffer's sub-arrays,
-// and HashListMD5, the archive workflow's digest of a whole file.
+// overhead from 49% to under 2%, priced by perfmodel's Eq. 7 I/O term), and
+// parallel MD5 checksumming for integrity tracking: ParallelMD5 of a
+// buffer's sub-arrays, and HashListMD5, the archive workflow's digest of a
+// whole file.
 package output
 
 import (
@@ -12,8 +13,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/pfs"
 )
 
 // hashListChunk is HashListMD5's chunk size. It is a constant so that a
@@ -95,30 +94,4 @@ func HashListMD5(data []byte) string {
 	})
 	top := md5.Sum(list)
 	return hex.EncodeToString(top[:])
-}
-
-// OverheadModel prices the I/O overhead fraction of a run: stepCompute is
-// the per-step compute time, perStepBytes the output volume per recorded
-// step, flushEvery the aggregation interval. It reproduces the 49% -> <2%
-// aggregation result as a function of flushEvery.
-func OverheadModel(fsys *pfs.FS, path string, steps int, stepCompute float64, perStepBytes, flushEvery int) (ioFraction float64) {
-	if flushEvery <= 0 {
-		flushEvery = 1
-	}
-	var ioTime float64
-	nFlushes := steps / flushEvery
-	if nFlushes == 0 {
-		nFlushes = 1
-	}
-	for f := 0; f < nFlushes; f++ {
-		st := fsys.SimulatePhase([]pfs.Op{{
-			Path: path, Bytes: perStepBytes * flushEvery, Write: true, Open: true,
-		}})
-		ioTime += st.Elapsed
-	}
-	total := float64(steps)*stepCompute + ioTime
-	if total == 0 {
-		return 0
-	}
-	return ioTime / total
 }

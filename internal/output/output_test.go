@@ -7,13 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-
-	"repro/internal/pfs"
 )
-
-func testFS() *pfs.FS {
-	return pfs.New(pfs.Config{OSTs: 8, OSTBandwidth: 1e8, MDSLatency: 1e-3, MDSConcurrent: 4})
-}
 
 func TestParallelMD5MatchesSerial(t *testing.T) {
 	data := make([]byte, 1<<16)
@@ -94,27 +88,5 @@ func TestHashListMD5DetectsEdits(t *testing.T) {
 				t.Errorf("len %d: %s leaves the digest unchanged", n, name)
 			}
 		}
-	}
-}
-
-// Aggregation must collapse the I/O overhead the way §III.E reports:
-// per-step flushing is dominated by metadata+latency, while flushing every
-// 20k steps makes I/O negligible.
-func TestOverheadAggregationEffect(t *testing.T) {
-	fsys := testFS()
-	steps := 2000
-	stepCompute := 1e-3 // 1 ms/step compute
-	perStep := 1 << 10  // 1 KiB/step output
-
-	unagg := OverheadModel(fsys, "out/u.bin", steps, stepCompute, perStep, 1)
-	agg := OverheadModel(fsys, "out/a.bin", steps, stepCompute, perStep, 500)
-	if !(unagg > 0.15) {
-		t.Fatalf("unaggregated overhead %g, expected substantial (>15%%)", unagg)
-	}
-	if !(agg < 0.02) {
-		t.Fatalf("aggregated overhead %g, want < 2%%", agg)
-	}
-	if agg >= unagg/10 {
-		t.Fatalf("aggregation gain too small: %g vs %g", agg, unagg)
 	}
 }

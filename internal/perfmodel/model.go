@@ -1,6 +1,7 @@
 package perfmodel
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/decomp"
@@ -98,9 +99,13 @@ type Breakdown struct {
 func (b Breakdown) Total() float64 { return b.Comp + b.Comm + b.Sync + b.IO }
 
 // topoFor picks the communication topology for p cores over the global
-// grid, matching the solver's heuristic.
+// grid: the search awp.Run uses, at one cell per rank and axis. Every
+// modelled job factors; one that does not is a bug in its inputs.
 func topoFor(g grid.Dims, p int) (px, py, pz int) {
-	t := decomp.BestTopo(g, p)
+	t, err := decomp.BestTopo(g, p, 1, false)
+	if err != nil {
+		panic(fmt.Sprintf("perfmodel: %v", err))
+	}
 	return t.PX, t.PY, t.PZ
 }
 
@@ -295,11 +300,6 @@ func SustainedTflops(j Job) float64 {
 	step := StepTime(j).Total()
 	flops := UsefulFlopsPerCell * float64(j.Global.Cells())
 	return flops / step / 1e12
-}
-
-// TimeToSolution returns the wall-clock for nsteps steps, in seconds.
-func TimeToSolution(j Job, nsteps int) float64 {
-	return StepTime(j).Total() * float64(nsteps)
 }
 
 // M8Job returns the M8 production configuration on Jaguar: 436 billion

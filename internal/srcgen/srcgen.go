@@ -1,15 +1,15 @@
 // Package srcgen implements the kinematic source tool chain of §III.D:
-// dSrcG writes the moment-rate file; PetaSrcP partitions it spatially onto
-// solver ranks and temporally into loops, bounding the per-rank memory
-// high-water mark (M8: the 2.1 TB source fit into 228 MB/core only after
-// splitting into 36 temporal segments).
+// dSrcG writes the moment-rate file; PetaSrcP partitions it temporally into
+// loops, bounding the per-rank memory high-water mark (M8: the 2.1 TB
+// source fit into 228 MB/core only after splitting into 36 temporal
+// segments). The spatial split onto ranks is source.Localize's: each rank
+// keeps the sub-faults it owns.
 package srcgen
 
 import (
 	"fmt"
 
 	"repro/internal/core/source"
-	"repro/internal/decomp"
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
@@ -68,16 +68,6 @@ func ReadSourceFile(fsys *pfs.FS, path string) ([]source.SampledSource, error) {
 		out = append(out, src)
 	}
 	return out, nil
-}
-
-// PartitionSpatial splits sources by owning rank (PetaSrcP stage 1).
-func PartitionSpatial(srcs []source.SampledSource, dc decomp.Decomp) map[int][]source.SampledSource {
-	out := map[int][]source.SampledSource{}
-	for i := range srcs {
-		r := dc.Owner(srcs[i].GI, srcs[i].GJ, srcs[i].GK)
-		out[r] = append(out[r], srcs[i])
-	}
-	return out
 }
 
 // Segment is one temporal loop of a partitioned source: the sources carry

@@ -5,9 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core/source"
-	"repro/internal/decomp"
-	"repro/internal/grid"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 )
 
@@ -58,29 +55,6 @@ func TestReadErrors(t *testing.T) {
 	fsys := pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
 	if _, err := ReadSourceFile(fsys, "missing"); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-func TestPartitionSpatialCoversAll(t *testing.T) {
-	srcs := demoSources(t)
-	g := grid.Dims{NX: 24, NY: 16, NZ: 12}
-	dc, err := decomp.New(g, mpi.NewCart(2, 2, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := PartitionSpatial(srcs, dc)
-	total := 0
-	for r, list := range parts {
-		total += len(list)
-		sub := dc.SubFor(r)
-		for i := range list {
-			if _, _, _, ok := sub.Contains(list[i].GI, list[i].GJ, list[i].GK); !ok {
-				t.Fatalf("rank %d assigned foreign source", r)
-			}
-		}
-	}
-	if total != len(srcs) {
-		t.Fatalf("partitioned %d of %d sources", total, len(srcs))
 	}
 }
 
