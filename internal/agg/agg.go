@@ -24,9 +24,11 @@ package agg
 
 import (
 	"crypto/md5"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc64"
+	"math"
 	"sort"
 
 	"repro/internal/mpi"
@@ -39,10 +41,10 @@ import (
 // Jaguar (≤650 readers kept the Lustre MDS out of its degraded regime).
 const DefaultOpenThrottle = 650
 
-// defaultTag is the base message tag of the shipment phase, disjoint
-// from the solver's halo (0..), coalesced (4096+), deep-halo and
-// meshpart (7000+) tag spaces.
-const defaultTag = 1 << 20
+// shipTag is the message tag of the shipment phase, disjoint from the
+// solver's halo tags (haloTag) and meshpart's rectangles (7000+). Two
+// collective writes on one communicator therefore run one after the other.
+const shipTag = 1 << 20
 
 // Config tunes one collective aggregated write.
 type Config struct {
@@ -53,9 +55,6 @@ type Config struct {
 	// OpenThrottle bounds concurrent opens per pricing wave. 0 defaults
 	// to DefaultOpenThrottle (650).
 	OpenThrottle int
-	// Tag overrides the base message tag (0 = default). Two concurrent
-	// collective writes on one communicator must use distinct tags.
-	Tag int
 }
 
 func (c Config) throttle() int {
@@ -63,13 +62,6 @@ func (c Config) throttle() int {
 		return DefaultOpenThrottle
 	}
 	return c.OpenThrottle
-}
-
-func (c Config) tag() int {
-	if c.Tag == 0 {
-		return defaultTag
-	}
-	return c.Tag
 }
 
 // StripeChecksum is the integrity record of one stripe-sized extent of
@@ -240,155 +232,132 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 	// Phase 1: ship per-writer shipments. Every rank sends exactly one
 	// message (possibly empty) to every writer, so receive counts are
 	// deterministic without a handshake.
-	tag := cfg.tag()
 	byWriter := pl.splitByOwner(segs, data)
 	shipped := 0
 	for w := 0; w < pl.Writers; w++ {
-		msg := putInt(nil, len(byWriter[w]))
-		for _, pc := range byWriter[w] {
-			msg = putInt(msg, pc.off)
-			msg = putInt(msg, len(pc.data))
-			msg = putBytes(msg, pc.data)
-		}
 		if w != c.Rank() {
 			for _, pc := range byWriter[w] {
 				shipped += len(pc.data)
 			}
 		}
-		c.Send(w, tag, msg)
+		c.SendOwned(w, shipTag, mpi.EncodeBytes(appendShipment(byWriter[w])))
 	}
 
 	// Phase 2: writers drain the shipments, coalesce, write.
+	var out writerOutcome
 	var writeErr error
-	var runs []mpiio.Segment
-	var stripeSums []StripeChecksum
 	if c.Rank() < pl.Writers {
 		var pieces []piece
 		for src := 0; src < c.Size(); src++ {
-			msg, _, err := c.RecvTake(src, tag)
+			msg, _, err := c.RecvTake(src, shipTag)
+			if err == nil {
+				pieces, err = readShipment(pieces, msg)
+			}
 			if err != nil {
 				return WriteStats{}, fmt.Errorf("agg: shipment from rank %d: %w", src, err)
 			}
-			n, i := getInt(msg, 0)
-			for k := 0; k < n; k++ {
-				var off, ln int
-				off, i = getInt(msg, i)
-				ln, i = getInt(msg, i)
-				var b []byte
-				b, i = getBytes(msg, i, ln)
-				pieces = append(pieces, piece{off: off, data: b})
-			}
 		}
-		runs, writeErr = writeCoalesced(fsys, path, pieces)
+		out.Runs, writeErr = writeCoalesced(fsys, path, pieces)
 		if writeErr == nil {
-			stripeSums, writeErr = stripeChecksums(fsys, path, runs, size, fileLen)
+			out.Stripes, writeErr = stripeChecksums(fsys, path, out.Runs, size, fileLen)
 		}
+		out.Failed = writeErr != nil
 	}
 
 	// Gather write outcomes, run lists and stripe checksums at rank 0.
-	// Every rank participates (non-writers contribute an empty payload),
-	// so a failed writer cannot deadlock the collective.
-	payload := putInt(nil, boolInt(writeErr != nil))
-	payload = putInt(payload, len(runs))
-	for _, r := range runs {
-		payload = putInt(payload, r.Off)
-		payload = putInt(payload, r.Len)
-	}
-	payload = putInt(payload, len(stripeSums))
-	for _, s := range stripeSums {
-		payload = putInt(payload, s.Index)
-		payload = putInt(payload, int(int64(s.CRC64)))
-		payload = putBytes(payload, mustHex(s.MD5))
-	}
-	gathered := c.Gather(payload, 0)
-
-	// Rank 0 prices the aggregated phase under the open throttle and
-	// broadcasts the scalar outcome so every rank returns the same stats.
-	out := make([]float32, 26)
+	// Every rank participates (non-writers contribute an empty outcome),
+	// so a failed writer cannot deadlock the collective. Rank 0 prices the
+	// aggregated phase under the open throttle — one open per writer with
+	// runs — and broadcasts its stats, so every rank returns the same.
+	outcomes, err := mpi.GatherValue(c, out, 0)
+	failed := 0
 	if c.Rank() == 0 {
 		var ops []pfs.Op
-		failed := 0
-		writes := 0
-		for _, p := range gathered {
-			ef, i := getInt(p, 0)
-			failed += ef
-			var n int
-			n, i = getInt(p, i)
-			open := true
-			for k := 0; k < n; k++ {
-				var off, ln int
-				off, i = getInt(p, i)
-				ln, i = getInt(p, i)
-				ops = append(ops, pfs.Op{Path: path, Off: off, Bytes: ln, Write: true, Open: open})
-				open = false
-				writes++
+		for _, o := range outcomes {
+			for k, r := range o.Runs {
+				ops = append(ops, pfs.Op{Path: path, Off: r.Off, Bytes: r.Len, Write: true, Open: k == 0})
+				st.Opens += boolInt(k == 0)
 			}
-			var ns int
-			ns, i = getInt(p, i)
-			for k := 0; k < ns; k++ {
-				var idx, crc int
-				idx, i = getInt(p, i)
-				crc, i = getInt(p, i)
-				var md [16]byte
-				var b []byte
-				b, i = getBytes(p, i, 16)
-				copy(md[:], b)
-				st.Stripes = append(st.Stripes, StripeChecksum{
-					Index: idx, CRC64: uint64(int64(crc)), MD5: hex.EncodeToString(md[:]),
-				})
-			}
+			failed += boolInt(o.Failed)
+			st.Stripes = append(st.Stripes, o.Stripes...)
 		}
 		sort.Slice(st.Stripes, func(a, b int) bool { return st.Stripes[a].Index < st.Stripes[b].Index })
-		opens := 0
-		for _, op := range ops {
-			if op.Open {
-				opens++
-			}
-		}
-		phase, waves := ThrottledPhase(fsys, ops, cfg.throttle())
-		st.Writes = writes
-		st.Opens = opens
-		st.Waves = waves
-		st.MaxConcurrentOpens = opens
-		if t := cfg.throttle(); st.MaxConcurrentOpens > t {
-			st.MaxConcurrentOpens = t
-		}
-		st.Phase = phase
-
-		w := putInt(nil, failed)
-		w = putInt(w, st.Writes)
-		w = putInt(w, st.Opens)
-		w = putInt(w, st.Waves)
-		w = putInt(w, st.MaxConcurrentOpens)
-		w = putInt(w, st.Phase.Bytes)
-		w = putF64(w, st.Phase.Elapsed)
-		w = putF64(w, st.Phase.MDSTime)
-		w = putF64(w, st.Phase.IOTime)
-		w = putF64(w, st.Phase.Throughput)
-		w = putF64(w, st.Phase.MaxOSTLoad)
-		copy(out, w)
+		st.Writes = len(ops)
+		st.Phase, st.Waves = ThrottledPhase(fsys, ops, cfg.throttle())
+		st.MaxConcurrentOpens = min(st.Opens, cfg.throttle())
+		failed += boolInt(err != nil)
 	}
-	c.Bcast(out, 0)
-	failed, i := getInt(out, 0)
-	st.Writes, i = getInt(out, i)
-	st.Opens, i = getInt(out, i)
-	st.Waves, i = getInt(out, i)
-	st.MaxConcurrentOpens, i = getInt(out, i)
-	st.Phase.Bytes, i = getInt(out, i)
-	st.Phase.Elapsed, i = getF64(out, i)
-	st.Phase.MDSTime, i = getF64(out, i)
-	st.Phase.IOTime, i = getF64(out, i)
-	st.Phase.Throughput, i = getF64(out, i)
-	st.Phase.MaxOSTLoad, _ = getF64(out, i)
+	type summary struct {
+		Failed int
+		Stats  WriteStats
+	}
+	stripes := st.Stripes
+	st.Stripes = nil
+	sum, bcastErr := mpi.BcastValue(c, summary{failed, st}, 0)
+	st, st.Stripes = sum.Stats, stripes
 	st.ShippedBytes = int(c.Allreduce([]float64{float64(shipped)}, mpi.Sum)[0])
 
-	if writeErr != nil {
+	switch {
+	case writeErr != nil:
 		return st, fmt.Errorf("agg: writer rank %d: %w", c.Rank(), writeErr)
-	}
-	if failed > 0 {
-		return st, fmt.Errorf("agg: %d writer rank(s) failed the aggregated write of %s", failed, path)
+	case err != nil:
+		return st, fmt.Errorf("agg: write outcomes: %w", err)
+	case bcastErr != nil:
+		return st, fmt.Errorf("agg: phase stats: %w", bcastErr)
+	case sum.Failed > 0:
+		return st, fmt.Errorf("agg: %d writer rank(s) failed the aggregated write of %s", sum.Failed, path)
 	}
 	return st, nil
+}
+
+// writerOutcome is what one rank reports to rank 0 after phase 2: whether
+// its writes failed, the runs it wrote and their stripe checksums (empty
+// on non-writers).
+type writerOutcome struct {
+	Failed  bool
+	Runs    []mpiio.Segment
+	Stripes []StripeChecksum
+}
+
+// appendShipment lays a writer's pieces out as one byte string: per piece,
+// its offset and length (little-endian uint64s), then its bytes.
+func appendShipment(pieces []piece) []byte {
+	n := 0
+	for _, pc := range pieces {
+		n += 16 + len(pc.data)
+	}
+	b := make([]byte, 0, n)
+	for _, pc := range pieces {
+		b = binary.LittleEndian.AppendUint64(b, uint64(pc.off))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(pc.data)))
+		b = append(b, pc.data...)
+	}
+	return b
+}
+
+// readShipment decodes one shipment message and appends its pieces, which
+// alias the decoded bytes, to pieces.
+func readShipment(pieces []piece, msg []float32) ([]piece, error) {
+	b, err := mpi.DecodeBytes(msg)
+	for err == nil && len(b) > 0 {
+		if len(b) < 16 {
+			return pieces, fmt.Errorf("agg: shipment ends in a %d-byte piece header", len(b))
+		}
+		off, n := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+		if b = b[16:]; off > math.MaxInt || n > uint64(len(b)) {
+			return pieces, fmt.Errorf("agg: shipment piece [%d,+%d) with %d bytes left", off, n, len(b))
+		}
+		pieces = append(pieces, piece{off: int(off), data: b[:n:n]})
+		b = b[n:]
+	}
+	return pieces, err
+}
+
+func boolInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // writeCoalesced merges pieces into maximal contiguous runs and writes
@@ -543,19 +512,4 @@ func ThrottledPhase(fsys *pfs.FS, ops []pfs.Op, throttle int) (pfs.PhaseStats, i
 		total.Throughput = float64(total.Bytes) / total.Elapsed
 	}
 	return total, waves
-}
-
-func boolInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func mustHex(s string) []byte {
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		panic(fmt.Sprintf("agg: bad hex %q: %v", s, err))
-	}
-	return b
 }

@@ -18,45 +18,6 @@ func testFS() *pfs.FS {
 	return pfs.New(pfs.Config{OSTs: 8, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 16})
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	ints := []int{0, 1, -1, 1 << 24, (1 << 24) + 1, 1<<40 + 12345, -(1<<33 + 7), math.MaxInt64, math.MinInt64}
-	var w []float32
-	for _, v := range ints {
-		w = putInt(w, v)
-	}
-	i := 0
-	for _, want := range ints {
-		var got int
-		got, i = getInt(w, i)
-		if got != want {
-			t.Fatalf("int round trip: got %d, want %d", got, want)
-		}
-	}
-
-	for n := 0; n <= 9; n++ {
-		b := make([]byte, n)
-		for j := range b {
-			b[j] = byte(0xA0 + j)
-		}
-		w := putBytes(nil, b)
-		if len(w) != wordsFor(n) {
-			t.Fatalf("%d bytes packed into %d words, want %d", n, len(w), wordsFor(n))
-		}
-		got, next := getBytes(w, 0, n)
-		if next != wordsFor(n) || !bytes.Equal(got, b) {
-			t.Fatalf("bytes round trip failed at n=%d: %v != %v", n, got, b)
-		}
-	}
-
-	floats := []float64{0, 1.5, -2.75e300, 3.14159265358979, math.Inf(1), math.SmallestNonzeroFloat64}
-	for _, v := range floats {
-		got, _ := getF64(putF64(nil, v), 0)
-		if got != v {
-			t.Fatalf("f64 round trip: got %g, want %g", got, v)
-		}
-	}
-}
-
 func TestPlacementOneWriterPerColumn(t *testing.T) {
 	for _, tc := range []struct{ count, agg, ranks, wantWriters int }{
 		{8, 4, 64, 4},

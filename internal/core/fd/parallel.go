@@ -14,17 +14,9 @@ import (
 // a call costs no goroutine spawns and uneven tiles (PML trimming)
 // load-balance dynamically.
 
-// UpdateVelocityTiled runs UpdateVelocity over box as a tile queue on the
+// UpdateStressTiled runs UpdateStress over box as a tile queue on the
 // persistent pool. Results are bit-identical to the serial kernel for
 // every Variant.
-func UpdateVelocityTiled(s *State, m *medium.Medium, dt float64, box Box, v Variant, blk Blocking, p *sched.Pool) {
-	ForEachTile(box, blk, p, func(b Box) {
-		UpdateVelocity(s, m, dt, b, v, blk)
-	})
-}
-
-// UpdateStressTiled runs UpdateStress over box as a tile queue on the
-// persistent pool.
 func UpdateStressTiled(s *State, m *medium.Medium, dt float64, box Box, v Variant, blk Blocking, p *sched.Pool) {
 	ForEachTile(box, blk, p, func(b Box) {
 		UpdateStress(s, m, dt, b, v, blk)

@@ -25,7 +25,7 @@ func TestTiledKernelsBitIdenticalAllVariants(t *testing.T) {
 		for _, threads := range []int{1, 2, 5, 16} {
 			p := sched.NewPool(threads)
 			s := randomState(d, 23)
-			UpdateVelocityTiled(s, m, dt, box, v, blk, p)
+			ForEachTile(box, blk, p, func(b Box) { UpdateVelocity(s, m, dt, b, v, blk) })
 			UpdateStressTiled(s, m, dt, box, v, blk, p)
 			p.Close()
 			if diff := s.L2Diff(ref); diff != 0 {

@@ -220,9 +220,9 @@ func newLTSRank(c *mpi.Comm, opt Options, rs *rankState, baseDt float64) *ltsRan
 		rates[r] = 1
 	}
 	if opt.LTS.Enabled {
-		// Zero-filled sentinel with a Max reduction (stable steps are always
-		// positive; an Inf sentinel would not survive the split-float packing
-		// of the reduction payload).
+		// Zero-filled vector with a Max reduction: stable steps are always
+		// positive, so each lane's maximum is its rank's value, exactly (the
+		// reduction carries float64 bit for bit).
 		vec := make([]float64, c.Size())
 		vec[c.Rank()] = rs.med.StableDt(opt.CFL)
 		for r, d := range c.Allreduce(vec, mpi.Max) {

@@ -3,26 +3,105 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core/rupture"
-	"repro/internal/decomp"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
 )
 
+// rankReport is everything one rank reports to rank 0 at the end of a run;
+// it crosses the runtime as one value (mpi.GatherValue). Field values keep
+// the float32 precision they had on the wire before, so the assembled
+// Result does not depend on the rank count.
+type rankReport struct {
+	Seismograms map[int][][3]float32 // by receiver index
+	PGV         *pgvBlock            // nil without TrackPGV
+	Fault       *faultBlock          // nil on ranks that own no fault nodes
+	Slip        []slipSeries
+	Telemetry   *telemetry.Snapshot // nil with telemetry off
+	Timing      Timing
+	Swept       int64 // cells the sweeps covered (Result.ActiveShare)
+	Owned       int64 // cells whole sweeps would have covered
+}
+
+// pgvBlock is a rank's NX×NY surface block of the four PGV maps at (X, Y).
+type pgvBlock struct {
+	X, Y, NX, NY  int
+	H, PX, PY, PZ []float32
+}
+
+// faultBlock is a rank's [K0,K1)×[I0,I1) part of the fault window, with the
+// local Vs for the supershear classification.
+type faultBlock struct {
+	I0, I1, K0, K1              int
+	Slip, PeakRate, RupTime, Vs []float32
+}
+
+type slipSeries struct {
+	I, K   int
+	Series []float32
+}
+
+func float32s(v []float64) []float32 {
+	out := make([]float32, len(v))
+	for i, x := range v {
+		out[i] = float32(x)
+	}
+	return out
+}
+
+// report assembles this rank's rankReport.
+func (rs *rankState) report(opt Options, tm Timing) rankReport {
+	rep := rankReport{Seismograms: map[int][][3]float32{}, Timing: tm}
+	rep.Swept, rep.Owned = rs.sweptCells()
+	rs.tel.SetSweptCells(rep.Swept, rep.Owned)
+	for _, r := range rs.receivers {
+		rep.Seismograms[r.idx] = slices.Clone(r.series)
+	}
+	if rs.pgvh != nil {
+		rep.PGV = &pgvBlock{
+			X: rs.sub.OffX, Y: rs.sub.OffY, NX: rs.sub.Local.NX, NY: rs.sub.Local.NY,
+			H: float32s(rs.pgvh), PX: float32s(rs.pgvx), PY: float32s(rs.pgvy), PZ: float32s(rs.pgvz),
+		}
+	}
+	if rs.fault != nil {
+		f := opt.Fault
+		b := &faultBlock{
+			I0: max(f.I0, rs.sub.OffX), I1: min(f.I1, rs.sub.OffX+rs.sub.Local.NX),
+			K0: max(f.K0, rs.sub.OffZ), K1: min(f.K1, rs.sub.OffZ+rs.sub.Local.NZ),
+			Slip: float32s(rs.fault.Slip), PeakRate: float32s(rs.fault.PeakRate), RupTime: float32s(rs.fault.RupTime),
+		}
+		j0 := f.J0 - rs.sub.OffY
+		for k := b.K0; k < b.K1; k++ {
+			for i := b.I0; i < b.I1; i++ {
+				li, lk := i-rs.sub.OffX, k-rs.sub.OffZ
+				mu := float64(rs.med.Mu.At(li, j0, lk))
+				rho := float64(rs.med.Rho.At(li, j0, lk))
+				b.Vs = append(b.Vs, float32(math.Sqrt(mu/rho)))
+			}
+		}
+		rep.Fault = b
+	}
+	if rs.recorder != nil && opt.Fault.RecordEvery > 0 {
+		for n, series := range rs.recorder.Series {
+			if len(series) == 0 {
+				continue
+			}
+			gi, _, gk := rs.recorder.NodeGlobal(n)
+			rep.Slip = append(rep.Slip, slipSeries{I: gi + rs.sub.OffX, K: gk + rs.sub.OffZ, Series: slices.Clone(series)})
+		}
+	}
+	if rs.tel != nil {
+		snap := rs.tel.Snapshot()
+		rep.Telemetry = &snap
+	}
+	return rep
+}
+
 // collect gathers all per-rank outputs at rank 0 and assembles the Result.
-func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt float64,
-	momentRate []float64, tm Timing) (*Result, error) {
-
-	// Timing: max across ranks (the slowest rank sets the pace).
-	tmax := c.Allreduce([]float64{tm.Comp, tm.Comm, tm.Sync, tm.Output}, mpi.Max)
-
-	// Active share: cells swept and cells owned, summed across ranks.
-	swept, owned := rs.sweptCells()
-	rs.tel.SetSweptCells(swept, owned)
-	cells := c.Reduce([]float64{float64(swept), float64(owned)}, mpi.Sum, 0)
-
-	// Moment rate: sum across ranks per step.
+func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []float64, tm Timing) (*Result, error) {
+	// Moment rate: sum across ranks per step, in the tree's fixed order.
 	if opt.Fault != nil {
 		if len(momentRate) < opt.Steps {
 			// Ranks without fault nodes contribute zeros.
@@ -31,152 +110,74 @@ func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt floa
 		momentRate = c.Reduce(momentRate, mpi.Sum, 0)
 	}
 
-	// Seismograms: flatten owned receivers.
-	var seisPayload []float32
-	for _, r := range rs.receivers {
-		seisPayload = append(seisPayload, float32(r.idx), float32(len(r.series)))
-		for _, v := range r.series {
-			seisPayload = append(seisPayload, v[0], v[1], v[2])
-		}
-	}
-	seisAll := c.Gather(seisPayload, 0)
-
-	// PGV maps.
-	var pgvPayload []float32
-	if rs.pgvh != nil {
-		pgvPayload = append(pgvPayload,
-			float32(rs.sub.OffX), float32(rs.sub.OffY),
-			float32(rs.sub.Local.NX), float32(rs.sub.Local.NY))
-		for _, arr := range [][]float64{rs.pgvh, rs.pgvx, rs.pgvy, rs.pgvz} {
-			for _, v := range arr {
-				pgvPayload = append(pgvPayload, float32(v))
-			}
-		}
-	}
-	pgvAll := c.Gather(pgvPayload, 0)
-
-	// Fault arrays (slip, peak rate, rupture time, local Vs for the
-	// supershear classification).
-	var faultPayload []float32
-	if rs.fault != nil {
-		f := opt.Fault
-		i0 := max(f.I0, rs.sub.OffX)
-		i1 := min(f.I1, rs.sub.OffX+rs.sub.Local.NX)
-		k0 := max(f.K0, rs.sub.OffZ)
-		k1 := min(f.K1, rs.sub.OffZ+rs.sub.Local.NZ)
-		faultPayload = append(faultPayload,
-			float32(i0), float32(i1), float32(k0), float32(k1))
-		for _, arr := range [][]float64{rs.fault.Slip, rs.fault.PeakRate, rs.fault.RupTime} {
-			for _, v := range arr {
-				faultPayload = append(faultPayload, float32(v))
-			}
-		}
-		j0 := f.J0 - rs.sub.OffY
-		for k := k0; k < k1; k++ {
-			for i := i0; i < i1; i++ {
-				li, lk := i-rs.sub.OffX, k-rs.sub.OffZ
-				mu := float64(rs.med.Mu.At(li, j0, lk))
-				rho := float64(rs.med.Rho.At(li, j0, lk))
-				faultPayload = append(faultPayload, float32(math.Sqrt(mu/rho)))
-			}
-		}
-	}
-	faultAll := c.Gather(faultPayload, 0)
-
-	// Slip-rate histories.
-	var slipPayload []float32
-	if rs.recorder != nil {
-		for n, series := range rs.recorder.Series {
-			if len(series) == 0 {
-				continue
-			}
-			gi, _, gk := rs.recorder.NodeGlobal(n)
-			gi += rs.sub.OffX
-			gk += rs.sub.OffZ
-			slipPayload = append(slipPayload, float32(gi), float32(gk), float32(len(series)))
-			slipPayload = append(slipPayload, series...)
-		}
-	}
-	var slipAll [][]float32
-	if opt.Fault != nil && opt.Fault.RecordEvery > 0 {
-		slipAll = c.Gather(slipPayload, 0)
-	}
-
-	// Telemetry: gather every rank's snapshot (step samples, neighbor
-	// counters, event trace) at rank 0 — the way the paper aggregates
-	// Jaguar timings — and reduce to the per-phase report.
-	var telAll [][]float32
-	if rs.tel != nil {
-		telAll = c.Gather(rs.tel.EncodeSnapshot(), 0)
-	}
-
+	// Seismograms, PGV maps, fault arrays, slip-rate histories, timings,
+	// swept cells and the telemetry snapshot (step samples, neighbor
+	// counters, event trace — the way the paper aggregates Jaguar timings)
+	// travel as one value.
+	reports, err := mpi.GatherValue(c, rs.report(opt, tm), 0)
 	if c.Rank() != 0 {
-		return nil, nil
+		return nil, err
+	}
+	if err != nil {
+		return nil, fmt.Errorf("solver: collect: %w", err)
 	}
 
-	res := &Result{
-		Steps: opt.Steps,
-		Dt:    dt,
-		Timing: Timing{
-			Comp: tmax[0], Comm: tmax[1], Sync: tmax[2], Output: tmax[3],
-		},
+	res := &Result{Steps: opt.Steps, Dt: dt}
+	var swept, owned int64
+	for _, r := range reports {
+		// Timing: max across ranks (the slowest rank sets the pace).
+		t := &res.Timing
+		t.Comp, t.Comm = max(t.Comp, r.Timing.Comp), max(t.Comm, r.Timing.Comm)
+		t.Sync, t.Output = max(t.Sync, r.Timing.Sync), max(t.Output, r.Timing.Output)
+		swept, owned = swept+r.Swept, owned+r.Owned
 	}
-	if cells[1] > 0 {
-		res.ActiveShare = cells[0] / cells[1]
+	if owned > 0 {
+		res.ActiveShare = float64(swept) / float64(owned)
 	}
 
-	if telAll != nil {
-		rep, err := telemetry.BuildReport(telAll)
+	if rs.tel != nil {
+		snaps := make([]telemetry.Snapshot, 0, len(reports))
+		for _, r := range reports {
+			if r.Telemetry != nil {
+				snaps = append(snaps, *r.Telemetry)
+			}
+		}
+		rep, err := telemetry.BuildReport(snaps)
 		if err != nil {
 			return nil, fmt.Errorf("solver: telemetry aggregation: %w", err)
 		}
 		res.Telemetry = rep
 	}
 
-	// Decode seismograms.
 	res.Seismograms = make([][][3]float32, len(opt.Receivers))
-	for _, payload := range seisAll {
-		p := 0
-		for p < len(payload) {
-			idx := int(payload[p])
-			nt := int(payload[p+1])
-			p += 2
-			series := make([][3]float32, nt)
-			for n := 0; n < nt; n++ {
-				series[n] = [3]float32{payload[p], payload[p+1], payload[p+2]}
-				p += 3
-			}
-			res.Seismograms[idx] = series
+	for _, r := range reports {
+		for idx, s := range r.Seismograms {
+			res.Seismograms[idx] = s
 		}
 	}
 
-	// Decode PGV maps.
 	if opt.TrackPGV {
 		nx, ny := opt.Global.NX, opt.Global.NY
 		res.PGVH = make([]float64, nx*ny)
 		res.PGVX = make([]float64, nx*ny)
 		res.PGVY = make([]float64, nx*ny)
 		res.PGVZ = make([]float64, nx*ny)
-		for _, payload := range pgvAll {
-			if len(payload) == 0 {
+		for _, r := range reports {
+			b := r.PGV
+			if b == nil {
 				continue
 			}
-			ox, oy := int(payload[0]), int(payload[1])
-			lnx, lny := int(payload[2]), int(payload[3])
-			block := lnx * lny
-			maps := []([]float64){res.PGVH, res.PGVX, res.PGVY, res.PGVZ}
-			for mi, m := range maps {
-				base := 4 + mi*block
-				for j := 0; j < lny; j++ {
-					for i := 0; i < lnx; i++ {
-						m[(oy+j)*nx+(ox+i)] = float64(payload[base+j*lnx+i])
+			for m, src := range [][]float32{b.H, b.PX, b.PY, b.PZ} {
+				dst := [][]float64{res.PGVH, res.PGVX, res.PGVY, res.PGVZ}[m]
+				for j := 0; j < b.NY; j++ {
+					for i := 0; i < b.NX; i++ {
+						dst[(b.Y+j)*nx+(b.X+i)] = float64(src[j*b.NX+i])
 					}
 				}
 			}
 		}
 	}
 
-	// Decode fault arrays.
 	if opt.Fault != nil {
 		f := opt.Fault
 		ni, nk := f.I1-f.I0, f.K1-f.K0
@@ -184,20 +185,17 @@ func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt floa
 		res.FaultPeakRate = alloc2(nk, ni)
 		res.FaultRupTime = alloc2(nk, ni, -1)
 		vsMap := alloc2(nk, ni)
-		for _, payload := range faultAll {
-			if len(payload) == 0 {
+		for _, r := range reports {
+			b := r.Fault
+			if b == nil {
 				continue
 			}
-			i0, i1 := int(payload[0]), int(payload[1])
-			k0, k1 := int(payload[2]), int(payload[3])
-			lni, lnk := i1-i0, k1-k0
-			block := lni * lnk
-			arrs := [][][]float64{res.FaultSlip, res.FaultPeakRate, res.FaultRupTime, vsMap}
-			for ai, arr := range arrs {
-				base := 4 + ai*block
-				for k := 0; k < lnk; k++ {
-					for i := 0; i < lni; i++ {
-						arr[k0+k-f.K0][i0+i-f.I0] = float64(payload[base+k*lni+i])
+			lni := b.I1 - b.I0
+			for m, src := range [][]float32{b.Slip, b.PeakRate, b.RupTime, b.Vs} {
+				dst := [][][]float64{res.FaultSlip, res.FaultPeakRate, res.FaultRupTime, vsMap}[m]
+				for k := b.K0; k < b.K1; k++ {
+					for i := b.I0; i < b.I1; i++ {
+						dst[k-f.K0][i-f.I0] = float64(src[(k-b.K0)*lni+(i-b.I0)])
 					}
 				}
 			}
@@ -206,17 +204,10 @@ func (rs *rankState) collect(c *mpi.Comm, dc decomp.Decomp, opt Options, dt floa
 		res.FaultStats = rupture.Summarize(res.FaultSlip, res.FaultPeakRate, res.FaultRupTime, vsMap, opt.H)
 
 		if f.RecordEvery > 0 {
-			for _, payload := range slipAll {
-				p := 0
-				for p < len(payload) {
-					gi, gk := int(payload[p]), int(payload[p+1])
-					nt := int(payload[p+2])
-					p += 3
-					series := make([]float32, nt)
-					copy(series, payload[p:p+nt])
-					p += nt
-					res.SlipNodes = append(res.SlipNodes, [3]int{gi, f.J0, gk})
-					res.SlipSeries = append(res.SlipSeries, series)
+			for _, r := range reports {
+				for _, s := range r.Slip {
+					res.SlipNodes = append(res.SlipNodes, [3]int{s.I, f.J0, s.K})
+					res.SlipSeries = append(res.SlipSeries, s.Series)
 				}
 			}
 			res.SlipDt = dt * float64(f.RecordEvery)

@@ -253,7 +253,7 @@ func (s *schedule) post() {
 	sp = s.tel.Span(telemetry.Send)
 	for i := range s.msgs {
 		if m := &s.msgs[i]; m.out != nil {
-			s.comm.IsendOwned(m.peer, m.sendTag, m.out)
+			s.comm.SendOwned(m.peer, m.sendTag, m.out)
 			m.out = nil
 		}
 	}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core/fd"
@@ -341,6 +342,54 @@ func TestHybridThreadsBitIdentical(t *testing.T) {
 		for n := range ref.Seismograms[r] {
 			if ref.Seismograms[r][n] != got.Seismograms[r][n] {
 				t.Fatalf("hybrid mode changed receiver %d sample %d", r, n)
+			}
+		}
+	}
+}
+
+// TestDtIsRanksExactMinimum: Result.Dt is, bit for bit, the minimum over
+// ranks of each rank's medium.StableDt at the run's CFL — the reduction
+// carries float64 exactly, so it returns a value some rank sent.
+func TestDtIsRanksExactMinimum(t *testing.T) {
+	for _, topo := range []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 2)} {
+		for _, h := range []float64{100, 200} {
+			opt := baseOptions(topo)
+			opt.H, opt.Steps = h, 2
+			q := cvm.SoCal(24*h, 24*h, 16*h, 500)
+			dc, opt, err := Prepare(opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mu sync.Mutex
+			want := math.Inf(1)
+			var res *Result
+			mpi.NewWorld(topo.Size()).Run(func(c *mpi.Comm) {
+				st, err := NewStepper(c, q, dc, opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer st.Close()
+				local := st.rs.med.StableDt(opt.CFL)
+				for !st.Done() {
+					st.Step()
+				}
+				r, err := st.Finish()
+				mu.Lock()
+				defer mu.Unlock()
+				want = math.Min(want, local)
+				if err != nil {
+					t.Error(err)
+				}
+				if c.Rank() == 0 {
+					res = r
+				}
+			})
+			if res == nil {
+				t.Fatalf("%v h=%g: no result", topo, h)
+			}
+			if math.Float64bits(res.Dt) != math.Float64bits(want) {
+				t.Errorf("%v h=%g: Dt = %.17g, minimum over ranks %.17g", topo, h, res.Dt, want)
 			}
 		}
 	}

@@ -206,7 +206,6 @@ func checkSpacing(h float64) error {
 type Stepper struct {
 	rs         *rankState
 	opt        Options
-	dc         decomp.Decomp
 	c          *mpi.Comm
 	dt         float64
 	step       int
@@ -334,7 +333,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.surf = d
 	}
 
-	s := &Stepper{rs: rs, opt: opt, dc: dc, c: c, dt: dt}
+	s := &Stepper{rs: rs, opt: opt, c: c, dt: dt}
 	if opt.Fault != nil {
 		s.momentRate = make([]float64, opt.Steps)
 	}
@@ -454,7 +453,7 @@ func (s *Stepper) Finish() (*Result, error) {
 	// Coarse LTS ranks fill the seismogram samples they never computed
 	// by linear interpolation before the gather.
 	s.rs.ltsFillReceivers()
-	res, err := s.rs.collect(s.c, s.dc, s.opt, s.dt, s.momentRate, s.tm)
+	res, err := s.rs.collect(s.c, s.opt, s.dt, s.momentRate, s.tm)
 	if err == nil && s.surfErr != nil {
 		err = s.surfErr
 	}

@@ -1,10 +1,10 @@
 package farm
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"sync"
 	"time"
+
+	"repro/internal/pfs"
 )
 
 // ChaosPlan configures the farm-level fault injector: worker crashes
@@ -37,9 +37,9 @@ type ChaosStats struct {
 }
 
 // chaosEngine applies a ChaosPlan with a per-job fault budget. Every roll
-// is a pure function of (Seed, key, that key's roll ordinal at the site,
-// site), so the faults a scenario suffers do not depend on how worker
-// goroutines interleave: same seed, same faults, for any worker count.
+// is pfs.Roll of (Seed, key, site, that key's roll ordinal at the site),
+// so the faults a scenario suffers do not depend on how worker goroutines
+// interleave: same seed, same faults, for any worker count.
 type chaosEngine struct {
 	mu   sync.Mutex
 	plan ChaosPlan
@@ -88,22 +88,10 @@ func (c *chaosEngine) roll(key string, site int) (r float64, ok bool) {
 		return 0, false
 	}
 	n := c.rolls[key]
-	var b [17]byte
-	binary.LittleEndian.PutUint64(b[0:], uint64(c.plan.Seed))
-	binary.LittleEndian.PutUint64(b[8:], n[site])
-	b[16] = byte(site)
+	r = pfs.Roll(c.plan.Seed, key, byte(site), n[site])
 	n[site]++
 	c.rolls[key] = n
-	h := fnv.New64a()
-	h.Write(b[:])
-	h.Write([]byte(key))
-	// splitmix64 finalizer: FNV-1a alone leaves the high bits of
-	// near-identical inputs correlated.
-	x := h.Sum64()
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53), true
+	return r, true
 }
 
 // preAttempt rolls for a crash or hang at the start of a job attempt.

@@ -122,7 +122,8 @@ func TestFarmChaosSoakRace(t *testing.T) {
 	}
 	// Telemetry saw the storm.
 	if rec.Count("farm.worker_crashes") == 0 || rec.Count("farm.attempts") == 0 {
-		t.Fatalf("telemetry counters empty: %v", rec.Counts())
+		t.Fatalf("telemetry counters empty: crashes %d, attempts %d",
+			rec.Count("farm.worker_crashes"), rec.Count("farm.attempts"))
 	}
 	if _, n := rec.PhaseTotal(telemetry.Serve); n == 0 {
 		t.Fatal("no Serve spans recorded")

@@ -224,7 +224,7 @@ func TestResetRestoresAbortedWorld(t *testing.T) {
 
 func TestChaosCollectivesSurvive(t *testing.T) {
 	// Collectives ride the same chaos transport; drop+corrupt must stay
-	// invisible to Bcast/Allreduce/Gather semantics.
+	// invisible to bcast/Allreduce/Gather semantics.
 	w := NewWorld(4)
 	w.InjectChaos(ChaosPlan{Seed: 11, DropProb: 0.15, CorruptProb: 0.1, RetryBackoff: time.Microsecond})
 	w.Run(func(c *Comm) {
@@ -232,7 +232,7 @@ func TestChaosCollectivesSurvive(t *testing.T) {
 		if c.Rank() == 0 {
 			buf[0] = 42
 		}
-		c.Bcast(buf, 0)
+		buf = c.bcast(buf, 0)
 		if buf[0] != 42 {
 			t.Errorf("rank %d: Bcast got %v", c.Rank(), buf[0])
 		}
@@ -285,7 +285,7 @@ func TestChaosTreeCollectivesParity(t *testing.T) {
 				if c.Rank() == root {
 					buf[0], buf[1], buf[2] = float32(round), 2, 3
 				}
-				c.Bcast(buf, root)
+				buf = c.bcast(buf, root)
 				acc = append(acc, float64(buf[0]), float64(buf[1]), float64(buf[2]))
 				c.Barrier()
 				red := c.Reduce([]float64{float64(c.Rank() + round)}, Sum, root)

@@ -23,13 +23,13 @@ import (
 // inbox path, never appears in MessageStats, and composes with chaos injection trivially (there is
 // nothing to drop or corrupt).
 //
-// Bcast and Reduce are binomial trees (the classic MPICH recursive-
-// halving schedule), and Allreduce remains tree-Reduce-to-0 plus
-// tree-Bcast. Each carries exactly the message count and float volume
-// of the flat versions they replace — P-1 messages for Bcast/Reduce,
-// 2(P-1) for Allreduce — so MessageStats-based tests and the perfmodel
-// fit are unaffected; only the critical path drops from O(P) to
-// O(log P). The payloads ride the ordinary Send path, so link-latency
+// bcast (under Allreduce and BcastValue) and Reduce are binomial trees
+// (the classic MPICH recursive-halving schedule), and Allreduce is
+// tree-Reduce-to-0 plus tree-bcast. Each carries exactly the message count
+// and float volume of the flat versions they replace — P-1 messages for
+// bcast/Reduce, 2(P-1) for Allreduce — so MessageStats-based tests and
+// the perfmodel fit are unaffected; only the critical path drops from
+// O(P) to O(log P). The payloads ride the ordinary Send path, so link-latency
 // charging, telemetry counters, and chaos (drop/corrupt/delay/crash +
 // checksum retransmission) all apply to collectives exactly as to
 // point-to-point traffic.
@@ -210,14 +210,13 @@ func (c *Comm) collectiveSpan() func() {
 	return func() { c.tel.AddDur(telemetry.Collective, time.Since(t0)) }
 }
 
-// Bcast broadcasts buf from root to all ranks; every rank returns with
-// buf holding root's data. Binomial tree: rank r (relative to root)
-// receives from the rank that differs in its lowest set bit, then
-// forwards to the ranks it dominates — P-1 messages total, ceil(log2 P)
-// rounds on the critical path.
-func (c *Comm) Bcast(buf []float32, root int) {
+// bcast sends root's data down a binomial tree and returns it on every
+// rank, whatever its length: rank r (relative to root) receives from the
+// rank that differs in its lowest set bit, then forwards to the ranks it
+// dominates — P-1 messages total, ceil(log2 P) rounds on the critical path.
+func (c *Comm) bcast(data []float32, root int) []float32 {
 	if c.world.size == 1 {
-		return
+		return data
 	}
 	done := c.collectiveSpan()
 	defer done()
@@ -227,7 +226,7 @@ func (c *Comm) Bcast(buf []float32, root int) {
 	for mask < size {
 		if rel&mask != 0 {
 			src := (rel - mask + root) % size
-			c.MustRecv(buf, src, tagBcast)
+			data = c.takeMatchFrom(src, tagBcast).data
 			break
 		}
 		mask <<= 1
@@ -237,19 +236,20 @@ func (c *Comm) Bcast(buf []float32, root int) {
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if rel+mask < size {
 			dst := (rel + mask + root) % size
-			c.Send(dst, tagBcast, buf)
+			c.Send(dst, tagBcast, data)
 		}
 	}
+	return data
 }
 
 // Reduce combines elementwise values from all ranks at root with op.
 // Non-root ranks return their input unchanged; root returns the
-// reduction. Binomial tree, mirroring Bcast upside down: each rank
-// folds in its subtree's partials, then sends one message up. The
-// combine order differs from the old flat rank-0..P-1 scan, so
-// floating-point Sum results may differ in the last bits between the
-// two schedules — but the tree order is deterministic for a given
-// (size, root), which is what the repo's bit-identity tests pin.
+// reduction. Binomial tree, mirroring bcast upside down: each rank
+// folds in its subtree's partials, then sends one message up, two words
+// per value (packF64: exact). The combine order differs from a flat
+// rank-0..P-1 scan, so a floating-point Sum may differ from it in the
+// last bits — but the tree order is deterministic for a given (size,
+// root), and the result is bit for bit a serial fold in that order.
 func (c *Comm) Reduce(vals []float64, op Op, root int) []float64 {
 	if c.world.size == 1 {
 		return append([]float64(nil), vals...)
@@ -282,15 +282,16 @@ func (c *Comm) Reduce(vals []float64, op Op, root int) []float64 {
 
 // Allreduce performs Reduce at rank 0 then broadcasts the result; both
 // halves run on the binomial trees above, so the critical path is
-// 2·ceil(log2 P) rounds while the wire traffic (2(P-1) messages, the
-// same split-float payloads) matches the flat implementation.
+// 2·ceil(log2 P) rounds while the wire traffic (2(P-1) messages of two
+// words per value) matches the flat implementation. Every rank returns
+// exactly the value rank 0 reduced.
 func (c *Comm) Allreduce(vals []float64, op Op) []float64 {
 	res := c.Reduce(vals, op, 0)
 	f32 := make([]float32, 2*len(vals))
 	if c.rank == 0 {
 		packF64(res, f32)
 	}
-	c.Bcast(f32, 0)
+	f32 = c.bcast(f32, 0)
 	out := make([]float64, len(vals))
 	unpackF64(f32, out)
 	return out

@@ -1,9 +1,10 @@
 // Package mpi is an in-process message-passing runtime with MPI-like
 // semantics. It is the substrate standing in for the MPI library the paper's
 // AWP-ODC code runs on: ranks are goroutines, point-to-point messages are
-// matched by (source, tag) with per-pair FIFO ordering, and both blocking
-// (Send/Recv) and non-blocking (Isend/Irecv/Wait/Waitall) operations are
-// provided, along with barriers and the collectives the tool chain needs.
+// matched by (source, tag) with per-pair FIFO ordering, and blocking
+// (Send/Recv), zero-copy (SendOwned/RecvTake/IrecvTake) and collective
+// operations are provided. Messages are []float32; anything else crosses
+// as bytes or as a Go value through the one codec of wire.go.
 //
 // Send has buffered (eager) semantics: it copies the payload and returns
 // immediately, exactly like a small-message MPI_Send on a real
@@ -28,10 +29,10 @@ import (
 // panic with it; error-returning operations wrap it.
 var ErrWorldAborted = errors.New("mpi: operation on aborted world")
 
-// AnySource matches a message from any source rank in Recv/Irecv.
+// AnySource matches a message from any source rank in Recv/RecvTake.
 const AnySource = -1
 
-// AnyTag matches a message with any tag in Recv/Irecv.
+// AnyTag matches a message with any tag in Recv/RecvTake.
 const AnyTag = -1
 
 // message is one in-flight point-to-point payload.
@@ -543,80 +544,37 @@ rescan:
 	}
 }
 
-// Request is a handle to a non-blocking operation.
+// Request is a posted zero-copy receive (IrecvTake).
 type Request struct {
 	done   bool
-	isRecv bool
-	take   bool // zero-copy receive: claim the message buffer on Wait
 	comm   *Comm
-	buf    []float32
+	data   []float32
 	src    int
 	tag    int
 	status Status
-}
-
-// Isend starts a non-blocking send. With the eager transport the operation
-// completes immediately; the returned request exists so call sites mirror
-// the structure of the original MPI code (unique tags + MPI_Waitall).
-func (c *Comm) Isend(dst, tag int, data []float32) *Request {
-	c.Send(dst, tag, data)
-	return &Request{done: true, comm: c}
-}
-
-// IsendOwned is Isend with SendOwned semantics: no copy, the runtime takes
-// ownership of data.
-func (c *Comm) IsendOwned(dst, tag int, data []float32) *Request {
-	c.SendOwned(dst, tag, data)
-	return &Request{done: true, comm: c}
-}
-
-// Irecv posts a non-blocking receive into buf. The receive is matched and
-// completed when Wait (or Waitall) is called on the returned request.
-func (c *Comm) Irecv(buf []float32, src, tag int) *Request {
-	return &Request{isRecv: true, comm: c, buf: buf, src: src, tag: tag}
 }
 
 // IrecvTake posts a non-blocking zero-copy receive: no buffer is supplied,
 // and after Wait the message payload is available from Data(). The
 // receiver owns the buffer; recycle it with PutBuffer after unpacking.
 func (c *Comm) IrecvTake(src, tag int) *Request {
-	return &Request{isRecv: true, take: true, comm: c, src: src, tag: tag}
+	return &Request{comm: c, src: src, tag: tag}
 }
 
-// Wait blocks until the request completes and returns its status. Like
-// MustRecv, it panics on receive errors (aborted world, overflow); the
-// Run/RunErr boundary converts the panic into a per-rank error.
+// Wait blocks until the receive completes and returns its status. Like
+// MustRecv, it panics on receive errors (aborted world); the Run/RunErr
+// boundary converts the panic into a per-rank error.
 func (r *Request) Wait() Status {
-	if r.done {
-		return r.status
+	if !r.done {
+		r.data, r.status = r.comm.MustRecvTake(r.src, r.tag)
+		r.done = true
 	}
-	if r.isRecv {
-		if r.take {
-			r.buf, r.status = r.comm.MustRecvTake(r.src, r.tag)
-		} else {
-			r.status = r.comm.MustRecv(r.buf, r.src, r.tag)
-		}
-	}
-	r.done = true
 	return r.status
 }
 
-// Data returns the payload of a completed zero-copy receive (IrecvTake
-// after Wait); nil otherwise.
+// Data returns the payload of a completed receive; nil before Wait.
 func (r *Request) Data() []float32 {
-	if !r.done || !r.take {
-		return nil
-	}
-	return r.buf
-}
-
-// Waitall completes every request in reqs.
-func Waitall(reqs []*Request) {
-	for _, r := range reqs {
-		if r != nil {
-			r.Wait()
-		}
-	}
+	return r.data
 }
 
 // Reserved internal tag space for collectives; user tags must be >= 0, so
@@ -665,8 +623,6 @@ func (c *Comm) Gather(data []float32, root int) [][]float32 {
 		if r == root {
 			continue
 		}
-		// Probe-free gather with potentially unequal sizes: use a large
-		// temporary sized by a first-class length exchange.
 		m := c.takeMatchFrom(r, tagGather)
 		out[r] = m.data
 	}
@@ -680,21 +636,4 @@ func (c *Comm) takeMatchFrom(src, tag int) message {
 	}
 	c.noteRecv(m)
 	return m
-}
-
-// packF64 encodes float64 values into pairs of float32 (hi/lo split) so the
-// float32 transport can carry them without precision loss beyond ~1e-14.
-func packF64(src []float64, dst []float32) {
-	for i, v := range src {
-		hi := float32(v)
-		lo := float32(v - float64(hi))
-		dst[2*i] = hi
-		dst[2*i+1] = lo
-	}
-}
-
-func unpackF64(src []float32, dst []float64) {
-	for i := range dst {
-		dst[i] = float64(src[2*i]) + float64(src[2*i+1])
-	}
 }

@@ -177,43 +177,21 @@ func TestRecvInvalidRankError(t *testing.T) {
 	}
 }
 
-func TestIsendIrecvWaitall(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		peer := 1 - c.Rank()
-		nmsg := 4
-		recvBufs := make([][]float32, nmsg)
-		reqs := make([]*Request, 0, 2*nmsg)
-		for m := 0; m < nmsg; m++ {
-			recvBufs[m] = make([]float32, 2)
-			reqs = append(reqs, c.Irecv(recvBufs[m], peer, m))
-		}
-		for m := 0; m < nmsg; m++ {
-			reqs = append(reqs, c.Isend(peer, m, []float32{float32(c.Rank()), float32(m)}))
-		}
-		Waitall(reqs)
-		for m := 0; m < nmsg; m++ {
-			if int(recvBufs[m][0]) != peer || int(recvBufs[m][1]) != m {
-				t.Errorf("rank %d msg %d: got %v", c.Rank(), m, recvBufs[m])
-			}
-		}
-	})
-}
-
 func TestWaitIdempotent(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
-			r := c.Isend(1, 0, []float32{5})
-			r.Wait()
-			r.Wait()
+			c.Send(1, 0, []float32{5})
+			c.Send(1, 0, []float32{6})
 		} else {
-			buf := make([]float32, 1)
-			r := c.Irecv(buf, 0, 0)
+			r := c.IrecvTake(0, 0)
 			s1 := r.Wait()
 			s2 := r.Wait()
-			if s1 != s2 {
-				t.Errorf("Wait not idempotent: %+v vs %+v", s1, s2)
+			if s1 != s2 || r.Data()[0] != 5 {
+				t.Errorf("Wait not idempotent: %+v vs %+v, data %v", s1, s2, r.Data())
+			}
+			if got, _ := c.MustRecvTake(0, 0); got[0] != 6 {
+				t.Errorf("a second Wait consumed a message: next is %v", got)
 			}
 		}
 	})
@@ -245,7 +223,7 @@ func TestBcast(t *testing.T) {
 		if c.Rank() == 2 {
 			copy(buf, []float32{9, 8, 7})
 		}
-		c.Bcast(buf, 2)
+		buf = c.bcast(buf, 2)
 		if buf[0] != 9 || buf[1] != 8 || buf[2] != 7 {
 			t.Errorf("rank %d: bcast got %v", c.Rank(), buf)
 		}
@@ -274,15 +252,15 @@ func TestReduceSumMaxMin(t *testing.T) {
 }
 
 func TestAllreducePrecision(t *testing.T) {
-	// float64 values ride the float32 transport via hi/lo splitting; check
-	// precision holds to ~1e-14 relative.
+	// float64 values ride the float32 transport as the two halves of their
+	// bit pattern: the sum is exactly the tree's fold, (v0+v1)+v2.
+	v := func(r int) float64 { return 1.0 + 1e-12*float64(r) }
+	want := (v(0) + v(1)) + v(2)
 	w := NewWorld(3)
 	w.Run(func(c *Comm) {
-		v := []float64{1.0 + 1e-12*float64(c.Rank())}
-		got := c.Allreduce(v, Sum)
-		want := 3.0 + 1e-12*(0+1+2)
-		if math.Abs(got[0]-want) > 1e-13 {
-			t.Errorf("allreduce precision: got %.17g want %.17g", got[0], want)
+		got := c.Allreduce([]float64{v(c.Rank())}, Sum)
+		if math.Float64bits(got[0]) != math.Float64bits(want) {
+			t.Errorf("allreduce: got %.17g want %.17g", got[0], want)
 		}
 	})
 }

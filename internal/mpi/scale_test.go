@@ -226,7 +226,7 @@ func TestBarrierAbortReleasesTree(t *testing.T) {
 }
 
 // TestTreeCollectivesMessageStats pins the wire-compatibility claim:
-// the binomial Bcast/Reduce and the tree Allreduce carry exactly the
+// the binomial bcast/Reduce and the tree Allreduce carry exactly the
 // message counts and float volumes of the flat schedules they replaced.
 func TestTreeCollectivesMessageStats(t *testing.T) {
 	for _, P := range []int{2, 5, 8, 13} {
@@ -236,7 +236,7 @@ func TestTreeCollectivesMessageStats(t *testing.T) {
 			if c.Rank() == 1%P {
 				buf = []float32{1, 2, 3}
 			}
-			c.Bcast(buf, 1%P)
+			buf = c.bcast(buf, 1%P)
 			if buf[2] != 3 {
 				panic("bcast payload wrong")
 			}

@@ -47,13 +47,13 @@ func TestSendOwnedDoesNotCopy(t *testing.T) {
 	}
 }
 
-func TestIsendOwnedIrecvTakeData(t *testing.T) {
+func TestSendOwnedIrecvTakeData(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(c *Comm) {
 		if c.Rank() == 0 {
 			buf := GetBuffer(2)
 			buf[0], buf[1] = 7, 8
-			c.IsendOwned(1, 3, buf).Wait()
+			c.SendOwned(1, 3, buf)
 		} else {
 			req := c.IrecvTake(0, 3)
 			st := req.Wait()

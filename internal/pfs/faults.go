@@ -13,21 +13,24 @@
 //   - MDS timeout: file creation or rename times out at the metadata
 //     server with no side effect (retryable).
 //
-// Decisions come from one seeded rand.Rand guarded by the FS mutex, so a
-// given (plan, operation sequence) faults identically on every run.
+// Each decision is a pure function of the seed, the operation, the path,
+// the offset and that key's call count, so a given plan faults each file
+// identically on every run, however goroutines sharing the FS interleave.
 package pfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
+	"hash/fnv"
+	"strconv"
 )
 
 // FaultPlan configures deterministic transient-fault injection. The zero
 // value of each probability disables that fault class.
 type FaultPlan struct {
-	// Seed drives every decision; same seed + same op sequence = same
-	// faults.
+	// Seed drives every decision; same seed + same calls on a key = same
+	// faults on that key.
 	Seed int64
 
 	// WriteFailProb is the per-write probability of a rejected write
@@ -47,8 +50,9 @@ type FaultPlan struct {
 	// hiccup of an overloaded MDS/OST.
 	ReadFailProb float64
 
-	// MaxConsecutive bounds back-to-back injected faults (default 2), so
-	// a bounded retry loop always converges.
+	// MaxConsecutive bounds back-to-back faulted calls on one key — an
+	// operation on one path and offset — (default 2), so a bounded retry
+	// loop always converges.
 	MaxConsecutive int
 }
 
@@ -78,97 +82,121 @@ func IsTransient(err error) bool {
 	return errors.As(err, &te)
 }
 
-// faultEngine is the per-FS injection state; fs.mu guards it.
+// faultEngine is the per-FS injection state; fs.mu guards it. Every draw is
+// a pure function of the seed, the call's key — operation, path, offset —
+// and how many calls that key has seen, so the faults one file suffers do
+// not depend on what other goroutines do to other files on the same FS.
 type faultEngine struct {
-	plan   FaultPlan
-	rng    *rand.Rand
-	consec int
-	stats  FaultStats
+	plan  FaultPlan
+	paths map[string]*pathRuns
+	stats FaultStats
 }
 
-// writeFate is one write operation's injected outcome.
-type writeFate int
+// pathRuns is one path's fault state. A file's keys go when it is removed
+// or renamed away, leaving one generation count, so a path that is reused
+// (a checkpoint's temp file, a retry loop that removes and rewrites) holds
+// O(1) state, and the file created there next draws a fresh sequence rather
+// than replaying the one that just failed.
+type pathRuns struct {
+	gen  uint64
+	keys map[string]*keyRun // for the file there now
+}
 
+// keyRun is one key's state: the Roll arguments of its current call — the
+// n-th, n = calls-1 — and its run of faulted calls. A key that has faulted
+// MaxConsecutive calls in a row gets one clean call, so a bounded retry
+// loop always converges.
+type keyRun struct {
+	seed   int64
+	key    string
+	calls  uint64
+	consec int
+	clean  bool
+}
+
+// Draw sites within one call.
 const (
-	wfOK writeFate = iota
-	wfFail
-	wfShort
-	wfTorn
+	siteOp     byte = iota // the operation's own fault
+	siteCreate             // the MDS create a write to a new file pays
+	siteLen                // the prefix length of a short or torn write
 )
 
 func newFaultEngine(plan FaultPlan) *faultEngine {
 	if plan.MaxConsecutive <= 0 {
 		plan.MaxConsecutive = 2
 	}
-	return &faultEngine{plan: plan, rng: rand.New(rand.NewSource(plan.Seed))}
+	return &faultEngine{plan: plan, paths: map[string]*pathRuns{}}
 }
 
-// drawWrite decides one write's fate and, for partial outcomes, how many
-// of n bytes land. Caller holds fs.mu.
-func (e *faultEngine) drawWrite(n int) (writeFate, int) {
-	if e.consec >= e.plan.MaxConsecutive {
-		e.consec = 0
-		return wfOK, n
+// begin opens the next call on (op, path, off). Caller holds fs.mu.
+func (e *faultEngine) begin(op, path string, off int) *keyRun {
+	p := e.paths[path]
+	if p == nil {
+		p = &pathRuns{keys: map[string]*keyRun{}}
+		e.paths[path] = p
 	}
-	u := e.rng.Float64()
-	p := e.plan
-	switch {
-	case u < p.WriteFailProb:
-		e.consec++
-		e.stats.FailedWrites++
-		return wfFail, 0
-	case u < p.WriteFailProb+p.ShortWriteProb && n > 1:
-		e.consec++
-		e.stats.ShortWrites++
-		return wfShort, 1 + e.rng.Intn(n-1)
-	case u < p.WriteFailProb+p.ShortWriteProb+p.TornWriteProb && n > 1:
-		// Torn writes report success, so they never trip the retry loop
-		// and do not count toward the consecutive-fault bound.
-		e.stats.TornWrites++
-		return wfTorn, 1 + e.rng.Intn(n-1)
+	key := op + " " + path + "@" + strconv.Itoa(off)
+	if p.gen > 0 {
+		key += "#" + strconv.FormatUint(p.gen, 10)
 	}
-	e.consec = 0
-	return wfOK, n
+	r := p.keys[key]
+	if r == nil {
+		r = &keyRun{seed: e.plan.Seed, key: key}
+		p.keys[key] = r
+	}
+	r.calls++
+	r.clean = r.consec >= e.plan.MaxConsecutive
+	return r
 }
 
-// drawMDS decides whether a metadata op times out. Caller holds fs.mu.
-// A disarmed class (prob 0) draws nothing, so it neither consumes
-// randomness nor breaks a consecutive-fault run of another class.
-func (e *faultEngine) drawMDS() bool {
-	if e.plan.MDSTimeoutProb <= 0 {
-		return false
+// forget ends the file at path: its keys go and the path's generation
+// moves on. Caller holds fs.mu.
+func (e *faultEngine) forget(path string) {
+	if e == nil || e.paths[path] == nil {
+		return
 	}
-	if e.consec >= e.plan.MaxConsecutive {
-		e.consec = 0
-		return false
-	}
-	if e.rng.Float64() < e.plan.MDSTimeoutProb {
-		e.consec++
-		e.stats.MDSTimeouts++
-		return true
-	}
-	e.consec = 0
-	return false
+	p := e.paths[path]
+	p.gen++
+	p.keys = map[string]*keyRun{}
 }
 
-// drawRead decides whether a read fails transiently. Caller holds fs.mu.
-// A disarmed class (prob 0) draws nothing, so it neither consumes
-// randomness nor breaks a consecutive-fault run of another class.
-func (e *faultEngine) drawRead() bool {
-	if e.plan.ReadFailProb <= 0 {
-		return false
+// u is the current call's uniform [0,1) draw at site; 1 (no fault at any
+// probability) on a clean call.
+func (r *keyRun) u(site byte) float64 {
+	if r.clean {
+		return 1
 	}
-	if e.consec >= e.plan.MaxConsecutive {
-		e.consec = 0
-		return false
+	return Roll(r.seed, r.key, site, r.calls-1)
+}
+
+// end closes the call and returns faulted: a faulted call extends the
+// key's run, any other call ends it.
+func (r *keyRun) end(faulted bool) bool {
+	if r.consec++; !faulted {
+		r.consec = 0
 	}
-	if e.rng.Float64() < e.plan.ReadFailProb {
-		e.consec++
-		e.stats.FailedReads++
-		return true
-	}
-	e.consec = 0
-	return false
+	return faulted
+}
+
+// Roll is the seeded uniform [0,1) draw both fault injectors use: FNV-1a
+// over (seed, ordinal, site, key) with a splitmix64 finalizer. It is a pure
+// function of its arguments, so a key's n-th draw at a site is the same
+// whatever other keys were drawn before it.
+func Roll(seed int64, key string, site byte, n uint64) float64 {
+	var b [17]byte
+	binary.LittleEndian.PutUint64(b[0:], uint64(seed))
+	binary.LittleEndian.PutUint64(b[8:], n)
+	b[16] = site
+	h := fnv.New64a()
+	h.Write(b[:])
+	h.Write([]byte(key))
+	// splitmix64 finalizer: FNV-1a alone leaves the high bits of
+	// near-identical inputs correlated.
+	x := h.Sum64()
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11) / (1 << 53)
 }
 
 // InjectFaults arms the file system with a transient-fault plan.

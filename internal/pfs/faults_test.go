@@ -3,6 +3,9 @@ package pfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -430,4 +433,105 @@ func TestViewConcurrentWithWrites(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestFaultsPerFileIgnoreInterleaving: goroutines sharing one FS, each
+// writing and reading its own file, see the faults each file would see on
+// an FS of its own — at any GOMAXPROCS, on every repeat.
+func TestFaultsPerFileIgnoreInterleaving(t *testing.T) {
+	plan := FaultPlan{Seed: 7, WriteFailProb: 0.3, ShortWriteProb: 0.1, TornWriteProb: 0.1, MDSTimeoutProb: 0.2, ReadFailProb: 0.3}
+	const files, calls = 4, 40
+	trace := func(fs *FS, f int) string {
+		path := "out/f" + string(rune('a'+f))
+		var b strings.Builder
+		buf := make([]byte, 4)
+		for i := 0; i < calls; i++ {
+			off := 4 * (i % 5)
+			err := fs.WriteAt(path, off, []byte{1, 2, 3, byte(i)})
+			fmt.Fprintf(&b, "w%d:%v/%d ", i, err == nil, fs.Size(path))
+			err = fs.ReadAt(path, 0, buf)
+			fmt.Fprintf(&b, "r%d:%v ", i, err == nil)
+		}
+		return b.String()
+	}
+	want := make([]string, files)
+	for f := range want {
+		fs := New(Jaguar())
+		fs.InjectFaults(plan)
+		want[f] = trace(fs, f)
+	}
+	if want[0] == want[1] {
+		t.Fatal("two files drew the same faults: the draws ignore the path")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for rep := 0; rep < 5; rep++ {
+			fs := New(Jaguar())
+			fs.InjectFaults(plan)
+			got := make([]string, files)
+			var wg sync.WaitGroup
+			for f := range got {
+				wg.Add(1)
+				go func(f int) {
+					defer wg.Done()
+					got[f] = trace(fs, f)
+				}(f)
+			}
+			wg.Wait()
+			for f := range got {
+				if got[f] != want[f] {
+					t.Fatalf("GOMAXPROCS=%d repeat %d file %d:\n got %s\nwant %s", procs, rep, f, got[f], want[f])
+				}
+			}
+		}
+	}
+}
+
+// TestFaultStateCollapsesWithFile: a file's per-key call counts go with
+// the file. A long-lived faulted FS that rotates files (checkpoint
+// write-temp-then-rename, then remove) keeps one generation count per path,
+// not one run per offset ever touched; each generation draws a fresh
+// sequence, so a retry loop that removes and rewrites does not replay the
+// faults that just failed it; and the whole history is seeded.
+func TestFaultStateCollapsesWithFile(t *testing.T) {
+	rotate := func() string {
+		fs := New(Jaguar())
+		fs.InjectFaults(FaultPlan{Seed: 3, WriteFailProb: 0.3, MDSTimeoutProb: 0.3, ReadFailProb: 0.3})
+		retry := DefaultRetry()
+		retry.Sleep = func(time.Duration) {}
+		must := func(op func() error) {
+			t.Helper()
+			if err := retry.Do(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b strings.Builder
+		for gen := 0; gen < 50; gen++ {
+			for i := 0; i < 8; i++ {
+				fmt.Fprintf(&b, "%v", fs.WriteAt("ckpt.tmp", 4*i, []byte{1, 2, 3, 4}) == nil)
+			}
+			must(func() error { return fs.WriteAt("ckpt.tmp", 0, make([]byte, 32)) })
+			must(func() error { return fs.Rename("ckpt.tmp", "ckpt") })
+			must(func() error { return fs.ReadAt("ckpt", 0, make([]byte, 32)) })
+			fs.Remove("ckpt")
+			b.WriteByte('\n')
+		}
+		if n := len(fs.faults.paths); n != 2 {
+			t.Fatalf("fault state on %d paths, want 2 (ckpt.tmp, ckpt)", n)
+		}
+		for path, p := range fs.faults.paths {
+			if len(p.keys) != 0 || p.gen != 50 {
+				t.Fatalf("%s: %d keys at generation %d after 50 rotations, want none at 50", path, len(p.keys), p.gen)
+			}
+		}
+		return b.String()
+	}
+	first := rotate()
+	if gens := strings.Split(first, "\n"); gens[0] == gens[1] && gens[1] == gens[2] {
+		t.Fatalf("generations replay one fault sequence: %q", gens[:3])
+	}
+	if again := rotate(); again != first {
+		t.Fatal("same seed, same calls, different faults")
+	}
 }

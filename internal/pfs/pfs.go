@@ -144,20 +144,32 @@ func (fs *FS) WriteAt(path string, off int, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fe := fs.faults; fe != nil {
-		if fs.files[path] == nil && fe.drawMDS() {
+		c, p := fe.begin("write", path, off), fe.plan
+		if fs.files[path] == nil && c.u(siteCreate) < p.MDSTimeoutProb {
+			c.end(true)
+			fe.stats.MDSTimeouts++
 			return &TransientError{Op: "create", Path: path}
 		}
-		fate, n := fe.drawWrite(len(data))
-		switch fate {
-		case wfFail:
-			return &TransientError{Op: "write", Path: path}
-		case wfShort:
-			fs.writeLocked(path, off, data[:n])
-			return &TransientError{Op: "write", Path: path}
-		case wfTorn:
-			fs.writeLocked(path, off, data[:n])
-			return nil
+		u, n := c.u(siteOp), len(data)
+		if n > 1 {
+			n = 1 + int(c.u(siteLen)*float64(n-1))
 		}
+		switch {
+		case u < p.WriteFailProb:
+			c.end(true)
+			fe.stats.FailedWrites++
+			return &TransientError{Op: "write", Path: path}
+		case len(data) > 1 && u < p.WriteFailProb+p.ShortWriteProb:
+			c.end(true)
+			fe.stats.ShortWrites++
+			fs.writeLocked(path, off, data[:n])
+			return &TransientError{Op: "write", Path: path}
+		case len(data) > 1 && u < p.WriteFailProb+p.ShortWriteProb+p.TornWriteProb:
+			// A torn write reports success, so it ends a run of faults.
+			fe.stats.TornWrites++
+			data = data[:n]
+		}
+		c.end(false)
 	}
 	fs.writeLocked(path, off, data)
 	return nil
@@ -186,10 +198,14 @@ func (fs *FS) Rename(oldPath, newPath string) error {
 	if f == nil {
 		return fmt.Errorf("pfs: rename %s: no such file", oldPath)
 	}
-	if fe := fs.faults; fe != nil && fe.drawMDS() {
-		return &TransientError{Op: "rename", Path: oldPath}
+	if fe := fs.faults; fe != nil {
+		if c := fe.begin("rename", oldPath, 0); c.end(c.u(siteOp) < fe.plan.MDSTimeoutProb) {
+			fe.stats.MDSTimeouts++
+			return &TransientError{Op: "rename", Path: oldPath}
+		}
 	}
 	delete(fs.files, oldPath)
+	fs.faults.forget(oldPath)
 	fs.files[newPath] = f
 	return nil
 }
@@ -237,8 +253,11 @@ func (fs *FS) readLocked(path string, off, n int) ([]byte, error) {
 	if off+n > len(f.data) {
 		return nil, fmt.Errorf("pfs: %s: read [%d,%d) beyond EOF %d", path, off, off+n, len(f.data))
 	}
-	if fe := fs.faults; fe != nil && fe.drawRead() {
-		return nil, &TransientError{Op: "read", Path: path}
+	if fe := fs.faults; fe != nil {
+		if c := fe.begin("read", path, off); c.end(c.u(siteOp) < fe.plan.ReadFailProb) {
+			fe.stats.FailedReads++
+			return nil, &TransientError{Op: "read", Path: path}
+		}
 	}
 	return f.data[off : off+n : off+n], nil
 }
@@ -262,6 +281,7 @@ func (fs *FS) Remove(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	delete(fs.files, path)
+	fs.faults.forget(path)
 }
 
 // List returns all file paths, sorted.

@@ -1,6 +1,6 @@
 // Cross-rank aggregation and Chrome trace export. BuildReport consumes
-// the per-rank snapshots collected by a Gather over the in-process MPI
-// runtime — the way the paper aggregates Jaguar timings at rank 0 — and
+// the per-rank snapshots gathered over the in-process MPI runtime — the
+// way the paper aggregates Jaguar timings at rank 0 — and
 // reduces them to per-phase distribution statistics over (rank, step)
 // sample windows plus a merged, time-ordered event trace.
 
@@ -8,6 +8,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"sort"
@@ -56,23 +57,54 @@ type Report struct {
 	ActiveShare []float64 `json:"active_share,omitempty"`
 }
 
-// BuildReport decodes the gathered per-rank payloads and aggregates them.
-func BuildReport(payloads [][]float32) (*Report, error) {
-	snaps := make([]*Snapshot, 0, len(payloads))
-	for _, p := range payloads {
-		if len(p) == 0 {
-			continue
-		}
-		s, err := DecodeSnapshot(p)
-		if err != nil {
-			return nil, err
-		}
-		snaps = append(snaps, s)
-	}
-	return buildFromSnapshots(snaps), nil
+// Snapshot is one rank's telemetry, the unit of cross-rank aggregation: it
+// crosses to rank 0 as a value (mpi.GatherValue).
+type Snapshot struct {
+	Rank int
+	// Steps holds per-step phase nanoseconds, one row per step window.
+	Steps [][NumPhases]int64
+	// Counts holds the per-phase span counts over the whole run.
+	Counts [NumPhases]int64
+	// Neighbors holds the per-peer message counters.
+	Neighbors []Neighbor
+	// Events is the (possibly truncated) event trace; Dropped counts ring
+	// overwrites.
+	Events  []Event
+	Dropped uint64
+	// SweptCells and OwnedCells are the rank's SetSweptCells pair.
+	SweptCells, OwnedCells int64
 }
 
-func buildFromSnapshots(snaps []*Snapshot) *Report {
+// Snapshot copies the recorder's rank, step samples, span counts,
+// neighbor counters and event trace (the zero Snapshot on a nil recorder).
+func (r *Recorder) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
+	s := Snapshot{
+		Rank:       r.rank,
+		Steps:      append([][NumPhases]int64(nil), r.steps...),
+		Neighbors:  r.Neighbors(),
+		SweptCells: r.swept,
+		OwnedCells: r.owned,
+	}
+	for p := range s.Counts {
+		s.Counts[p] = r.acc[p].n.Load()
+	}
+	s.Events, s.Dropped = r.Events()
+	return s
+}
+
+// BuildReport aggregates the gathered per-rank snapshots. A snapshot whose
+// events name a phase that does not exist is an error.
+func BuildReport(snaps []Snapshot) (*Report, error) {
+	for _, s := range snaps {
+		for _, e := range s.Events {
+			if int(e.Phase) >= NumPhases {
+				return nil, fmt.Errorf("telemetry: rank %d: corrupt event phase %d", s.Rank, e.Phase)
+			}
+		}
+	}
 	rep := &Report{Ranks: len(snaps), Phases: make([]PhaseStats, NumPhases)}
 	samples := make([][]float64, NumPhases)
 	for _, s := range snaps {
@@ -142,7 +174,7 @@ func buildFromSnapshots(snaps []*Snapshot) *Report {
 	sort.Slice(rep.Events, func(i, j int) bool {
 		return rep.Events[i].Start < rep.Events[j].Start
 	})
-	return rep
+	return rep, nil
 }
 
 // quantile returns the q-th quantile of an ascending-sorted sample using

@@ -112,16 +112,6 @@ func (p Phase) String() string {
 	return fmt.Sprintf("phase(%d)", int(p))
 }
 
-// PhaseByName returns the phase with the given name.
-func PhaseByName(name string) (Phase, bool) {
-	for i, n := range phaseNames {
-		if n == name {
-			return Phase(i), true
-		}
-	}
-	return 0, false
-}
-
 // epoch anchors every timestamp. All ranks of the in-process runtime
 // share it, so traces and message latencies line up across ranks without
 // clock synchronization.
@@ -390,20 +380,6 @@ func (r *Recorder) Count(name string) int64 {
 	return r.cnt[name]
 }
 
-// Counts returns a copy of all named counters.
-func (r *Recorder) Counts() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.cntMu.Lock()
-	defer r.cntMu.Unlock()
-	out := make(map[string]int64, len(r.cnt))
-	for k, v := range r.cnt {
-		out[k] = v
-	}
-	return out
-}
-
 // SetSweptCells records, once at the end of a run, the cells the rank's
 // velocity and stress sweeps covered and the cells whole sweeps of its
 // subgrid would have — its row of Report.ActiveShare.
@@ -428,14 +404,6 @@ func (r *Recorder) StepEnd() {
 		r.prev[p] = cur
 	}
 	r.steps = append(r.steps, row)
-}
-
-// Steps returns the number of closed step windows.
-func (r *Recorder) Steps() int {
-	if r == nil {
-		return 0
-	}
-	return len(r.steps)
 }
 
 // Events returns the ring contents in push order plus the count of events

@@ -2,8 +2,10 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -20,16 +22,9 @@ func TestPhaseNames(t *testing.T) {
 			t.Fatalf("duplicate phase name %q", name)
 		}
 		seen[name] = true
-		got, ok := PhaseByName(name)
-		if !ok || got != Phase(p) {
-			t.Fatalf("PhaseByName(%q) = %v, %v", name, got, ok)
-		}
 	}
 	if Phase(NumPhases).String() != fmt.Sprintf("phase(%d)", NumPhases) {
 		t.Errorf("out-of-range String = %q", Phase(NumPhases).String())
-	}
-	if _, ok := PhaseByName("no-such-phase"); ok {
-		t.Error("PhaseByName accepted an unknown name")
 	}
 }
 
@@ -51,14 +46,11 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if r.Neighbors() != nil {
 		t.Error("nil Neighbors not nil")
 	}
-	if r.Steps() != 0 {
-		t.Error("nil Steps not 0")
-	}
 	if ev, d := r.Events(); ev != nil || d != 0 {
 		t.Error("nil Events not empty")
 	}
-	if r.EncodeSnapshot() != nil {
-		t.Error("nil EncodeSnapshot not nil")
+	if s := r.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
+		t.Errorf("nil Snapshot = %+v", s)
 	}
 }
 
@@ -133,8 +125,8 @@ func TestStepWindows(t *testing.T) {
 	r.AddDur(Stress, 7*time.Millisecond)
 	r.AddDur(Pack, 1*time.Millisecond)
 	r.StepEnd()
-	if r.Steps() != 2 {
-		t.Fatalf("Steps = %d", r.Steps())
+	if len(r.steps) != 2 {
+		t.Fatalf("Steps = %d", len(r.steps))
 	}
 	if r.steps[0][Stress] != int64(5*time.Millisecond) {
 		t.Errorf("window 0 stress = %d", r.steps[0][Stress])
@@ -208,9 +200,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		sp.End()
 	}
 
-	s, err := DecodeSnapshot(r.EncodeSnapshot())
-	if err != nil {
+	// The snapshot crosses the runtime as a gob-encoded value.
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(r.Snapshot()); err != nil {
 		t.Fatal(err)
+	}
+	var s Snapshot
+	if err := gob.NewDecoder(&buf).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(s, r.Snapshot()) {
+		t.Errorf("round trip changed the snapshot:\n%+v\n%+v", s, r.Snapshot())
 	}
 	if s.Rank != 3 {
 		t.Errorf("rank = %d", s.Rank)
@@ -243,49 +243,22 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDecodeSnapshotErrors(t *testing.T) {
-	if _, err := DecodeSnapshot([]float32{1, 2, 3}); err == nil {
-		t.Error("truncated header accepted")
-	}
-	// Header only: claims zero of everything but is missing the per-phase
-	// span counts that always follow.
-	var hdr []float32
-	for _, v := range []float64{0, 0, 0, 0, 0, 0, 0} {
-		hdr = appendWide(hdr, v)
-	}
-	if _, err := DecodeSnapshot(hdr); err == nil {
-		t.Error("payload truncated in counts accepted")
-	}
-	// Corrupt header: claims more step rows than the payload could carry.
-	var big []float32
-	for _, v := range []float64{0, 1000, 0, 0, 0, 0, 0} {
-		big = appendWide(big, v)
-	}
-	if _, err := DecodeSnapshot(big); err == nil {
-		t.Error("oversized header accepted")
-	}
-	// Out-of-range event phase.
-	var bad []float32
-	for _, v := range []float64{0, 0, 0, 1, 0, 0, 0} {
-		bad = appendWide(bad, v)
-	}
-	for p := 0; p < NumPhases; p++ {
-		bad = appendWide(bad, 0)
-	}
-	bad = appendWide(bad, 99) // phase
-	bad = appendWide(bad, 1)  // start
-	bad = appendWide(bad, 1)  // dur
-	if _, err := DecodeSnapshot(bad); err == nil {
+// TestBuildReportRejectsCorruptPhase: an event naming a phase that does
+// not exist is an error, not an index out of range.
+func TestBuildReportRejectsCorruptPhase(t *testing.T) {
+	good := NewRecorder(0, 4)
+	good.Span(Velocity).End()
+	bad := Snapshot{Rank: 1, Events: []Event{{Rank: 1, Phase: Phase(NumPhases), Start: 1, Dur: 1}}}
+	if _, err := BuildReport([]Snapshot{good.Snapshot(), bad}); err == nil {
 		t.Error("corrupt event phase accepted")
 	}
-	// BuildReport propagates decode failures.
-	if _, err := BuildReport([][]float32{{1, 2, 3}}); err == nil {
-		t.Error("BuildReport accepted a corrupt payload")
+	if _, err := BuildReport([]Snapshot{good.Snapshot()}); err != nil {
+		t.Error(err)
 	}
 }
 
 func TestBuildReportAggregation(t *testing.T) {
-	mk := func(rank int, stepsMs ...int) []float32 {
+	mk := func(rank int, stepsMs ...int) Snapshot {
 		r := NewRecorder(rank, 0)
 		for _, ms := range stepsMs {
 			r.AddDur(Velocity, time.Duration(ms)*time.Millisecond)
@@ -295,11 +268,10 @@ func TestBuildReportAggregation(t *testing.T) {
 		if rank == 0 {
 			r.SetSweptCells(250, 1000)
 		}
-		return r.EncodeSnapshot()
+		return r.Snapshot()
 	}
-	rep, err := BuildReport([][]float32{
+	rep, err := BuildReport([]Snapshot{
 		mk(0, 10, 20, 30, 40),
-		nil, // a rank with telemetry disabled is skipped
 		mk(1, 20, 20, 20, 20),
 	})
 	if err != nil {
@@ -370,7 +342,7 @@ func TestWriteChromeTrace(t *testing.T) {
 		sp = r.Span(Recv)
 		sp.End()
 	}
-	rep, err := BuildReport([][]float32{ra.EncodeSnapshot(), rb.EncodeSnapshot()})
+	rep, err := BuildReport([]Snapshot{ra.Snapshot(), rb.Snapshot()})
 	if err != nil {
 		t.Fatal(err)
 	}
