@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"runtime"
 	"time"
 
@@ -78,33 +79,9 @@ func ftFS() *pfs.FS {
 }
 
 func sameFTResult(ref, got *solver.Result) bool {
-	if got == nil || len(got.Seismograms) != len(ref.Seismograms) {
-		return false
-	}
-	for r := range ref.Seismograms {
-		if len(got.Seismograms[r]) != len(ref.Seismograms[r]) {
-			return false
-		}
-		for n, v := range ref.Seismograms[r] {
-			if got.Seismograms[r][n] != v {
-				return false
-			}
-		}
-	}
-	for _, pair := range [][2][]float64{
-		{ref.PGVH, got.PGVH}, {ref.PGVX, got.PGVX},
-		{ref.PGVY, got.PGVY}, {ref.PGVZ, got.PGVZ},
-	} {
-		if len(pair[1]) != len(pair[0]) {
-			return false
-		}
-		for i, v := range pair[0] {
-			if pair[1][i] != v {
-				return false
-			}
-		}
-	}
-	return true
+	return got != nil && reflect.DeepEqual(ref.Seismograms, got.Seismograms) &&
+		reflect.DeepEqual([][]float64{ref.PGVH, ref.PGVX, ref.PGVY, ref.PGVZ},
+			[][]float64{got.PGVH, got.PGVX, got.PGVY, got.PGVZ})
 }
 
 // ftExp measures the recovery cost of coordinated checkpoint/restart as a

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"runtime"
+	"slices"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core/fd"
@@ -333,36 +335,16 @@ func phasesIODemo() phaseIODemo {
 	_, saveErr := checkpoint.Save(fsys, "ckpt", 0, 10, st, nil, rec)
 	st2 := fd.NewState(d)
 	err := checkpoint.Load(fsys, "ckpt", 0, 10, st2, nil, rec)
-	match := saveErr == nil && err == nil
-	if match {
-		vx2 := st2.VX.Data()
-		for i := range vx {
-			if vx[i] != vx2[i] {
-				match = false
-				break
-			}
-		}
-	}
+	match := saveErr == nil && err == nil && slices.Equal(vx, st2.VX.Data())
 
 	segs := mpiio.BlockSegments(d, 0, d.NX, 0, d.NY, 0, 1, 4)
 	payload := make([]byte, mpiio.TotalLen(segs))
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	if err := mpiio.WriteIndexed(fsys, "surface.bin", segs, payload, rec); err != nil {
-		match = false
-	}
+	werr := mpiio.WriteIndexed(fsys, "surface.bin", segs, payload, rec)
 	back, err := mpiio.ReadIndexed(fsys, "surface.bin", segs, rec)
-	if err != nil || len(back) != len(payload) {
-		match = false
-	} else {
-		for i := range payload {
-			if payload[i] != back[i] {
-				match = false
-				break
-			}
-		}
-	}
+	match = match && werr == nil && err == nil && bytes.Equal(back, payload)
 
 	ioSec, ioN := rec.PhaseTotal(telemetry.IO)
 	ckSec, ckN := rec.PhaseTotal(telemetry.Checkpoint)

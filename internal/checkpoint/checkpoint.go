@@ -1,13 +1,13 @@
 // Package checkpoint implements application-level checkpoint/restart
-// (§III.F): each rank periodically serializes its full solver state — all
-// nine wavefield components including ghost cells, plus the attenuation
-// memory variables — to its own file on the simulated parallel file
-// system, with open throttling to protect the metadata server. Restart
-// reproduces the uninterrupted run bit-for-bit.
+// (§III.F): each rank periodically writes its restart state — the named
+// sections its owners hand over (grid.Section) — to its own file on the
+// simulated parallel file system. Restart reproduces the uninterrupted run
+// bit-for-bit.
 package checkpoint
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core/attenuation"
 	"repro/internal/core/fd"
@@ -21,26 +21,14 @@ func FileName(dir string, rank, step int) string {
 	return fmt.Sprintf("%s/ckpt.%06d.step%09d", dir, rank, step)
 }
 
-// Save writes one rank's state at the given step as a v2 checkpoint file
-// (exact int64 header, CRC64 trailer) using the atomic write-temp-then-
-// rename protocol: a reader concurrently scanning the directory never
-// observes a half-written file under the final name. Transient PFS
-// faults are retried with bounded backoff; a torn write that slips
-// through is caught later by the CRC in Load/FindLatestValid. atten may
-// be nil. An optional telemetry recorder (at most one) attributes the
-// serialization wall time to the Checkpoint phase.
-func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, rec ...*telemetry.Recorder) (pfs.PhaseStats, error) {
+// Write saves one rank's sections at step as a v3 file, written under a temp
+// name and renamed, so a concurrent scan never sees half a file. Transient PFS
+// faults are retried with bounded backoff; a torn write that slips through
+// fails the CRC in Read and FindLatestValid. An optional telemetry recorder
+// (at most one) times it as the Checkpoint phase.
+func Write(fsys *pfs.FS, dir string, rank, step int, secs []grid.Section, rec ...*telemetry.Recorder) (pfs.PhaseStats, error) {
 	defer ckptSpan(rec).End()
-	var buf []float32
-	for _, f := range s.Fields() {
-		buf = append(buf, f.Data()...)
-	}
-	if atten != nil {
-		for _, f := range attenFields(atten) {
-			buf = append(buf, f.Data()...)
-		}
-	}
-	data := Encode(step, s.Dims, atten != nil, buf)
+	data := encode(step, secs)
 	path := FileName(dir, rank, step)
 	tmp := path + ".tmp"
 	retry := pfs.DefaultRetry()
@@ -53,11 +41,11 @@ func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuat
 	return fsys.SimulatePhase([]pfs.Op{{Path: path, Bytes: len(data), Write: true, Open: true}}), nil
 }
 
-// Load restores one rank's state saved at step. The destination state and
-// attenuation model must already have the right dims. An optional
-// telemetry recorder (at most one) attributes the restore wall time to the
+// Read restores one rank's sections saved at step, in place, from a file
+// whose section table is the one secs describe: names, kinds and counts, in
+// order. An optional telemetry recorder (at most one) times it as the
 // Checkpoint phase.
-func Load(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, rec ...*telemetry.Recorder) error {
+func Read(fsys *pfs.FS, dir string, rank, step int, secs []grid.Section, rec ...*telemetry.Recorder) error {
 	defer ckptSpan(rec).End()
 	path := FileName(dir, rank, step)
 	sz := fsys.Size(path)
@@ -68,52 +56,45 @@ func Load(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuat
 	if err := fsys.ReadAt(path, 0, raw); err != nil {
 		return err
 	}
-	h, vals, err := Decode(raw)
-	if err != nil {
+	got, tab, vals, err := decode(raw)
+	switch {
+	case err != nil:
 		return fmt.Errorf("checkpoint: %s: %w", path, err)
+	case got != int64(step):
+		return fmt.Errorf("checkpoint: %s holds step %d", path, got)
+	case !slices.Equal(tab, tableOf(secs)):
+		return fmt.Errorf("checkpoint: %s: %d sections, not the rank's %d: %w", path, len(tab), len(secs), ErrTable)
 	}
-	if h.Step != int64(step) {
-		return fmt.Errorf("checkpoint: %s step %d, want %d", path, h.Step, step)
-	}
-	if h.Dims != s.Dims {
-		return fmt.Errorf("checkpoint: dims %v, state has %v", h.Dims, s.Dims)
-	}
-	if h.HasAtten != (atten != nil) {
-		return fmt.Errorf("checkpoint: attenuation presence mismatch")
-	}
-	p := 0
-	for _, f := range s.Fields() {
-		n := len(f.Data())
-		if p+n > len(vals) {
-			return fmt.Errorf("checkpoint: %s truncated in wavefield", path)
-		}
-		copy(f.Data(), vals[p:p+n])
-		p += n
-	}
-	if atten != nil {
-		for _, f := range attenFields(atten) {
-			n := len(f.Data())
-			if p+n > len(vals) {
-				return fmt.Errorf("checkpoint: %s truncated in memory variables", path)
-			}
-			copy(f.Data(), vals[p:p+n])
-			p += n
-		}
-	}
-	if p != len(vals) {
-		return fmt.Errorf("checkpoint: %s has %d trailing payload values", path, len(vals)-p)
-	}
+	fill(secs, vals)
 	return nil
+}
+
+// Save writes one rank's wavefield and, when atten is not nil, its memory
+// variables at step: Write of their sections.
+func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, rec ...*telemetry.Recorder) (pfs.PhaseStats, error) {
+	return Write(fsys, dir, rank, step, stateSections(s, atten), rec...)
+}
+
+// Load restores what Save wrote into s and atten: Read of their sections.
+func Load(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, rec ...*telemetry.Recorder) error {
+	return Read(fsys, dir, rank, step, stateSections(s, atten), rec...)
+}
+
+func stateSections(s *fd.State, atten *attenuation.Model) []grid.Section {
+	if atten == nil {
+		return s.Sections()
+	}
+	return append(s.Sections(), atten.Sections()...)
 }
 
 // FindLatestValid scans dir for per-rank checkpoint files and returns
 // the newest coordinated step: the largest step for which every rank in
 // [0, nranks) has a checkpoint whose CRC64 verifies and whose header
-// step matches its filename. Truncated, torn, bit-flipped, legacy-v1,
+// step matches its filename. Truncated, torn, bit-flipped, older-format,
 // and in-flight .tmp files are skipped. Returns -1 when no coordinated
 // step exists.
 func FindLatestValid(fsys *pfs.FS, dir string, nranks int) int {
-	valid := map[int]map[int]bool{} // step -> set of ranks with a valid file
+	valid := map[int]int{} // step -> ranks with a valid file (one name a rank)
 	prefix := dir + "/"
 	for _, path := range fsys.List() {
 		if len(path) <= len(prefix) || path[:len(prefix)] != prefix {
@@ -133,26 +114,17 @@ func FindLatestValid(fsys *pfs.FS, dir string, nranks int) int {
 		if err := fsys.ReadAt(path, 0, raw); err != nil {
 			continue
 		}
-		h, _, err := Decode(raw)
-		if err != nil || h.Step != int64(step) {
-			continue
+		if got, _, _, err := decode(raw); err == nil && got == int64(step) {
+			valid[step]++
 		}
-		if valid[step] == nil {
-			valid[step] = map[int]bool{}
-		}
-		valid[step][rank] = true
 	}
 	best := -1
 	for step, ranks := range valid {
-		if len(ranks) == nranks && step > best {
+		if ranks == nranks && step > best {
 			best = step
 		}
 	}
 	return best
-}
-
-func attenFields(a *attenuation.Model) []*grid.Field3 {
-	return []*grid.Field3{a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ}
 }
 
 // ckptSpan opens a Checkpoint span on the first recorder, if any; a nil

@@ -160,7 +160,7 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		return [4][]*grid.Field3{
 			b.s.Fields(),
 			{m.Rho, m.Lam, m.Mu, m.LamI, m.MuI, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS},
-			append(attenFields(b.a), b.a.DLam, b.a.DMu),
+			{b.a.ZXX, b.a.ZYY, b.a.ZZZ, b.a.ZXY, b.a.ZXZ, b.a.ZYZ, b.a.DLam, b.a.DMu},
 			splits,
 		}
 	}
@@ -218,7 +218,7 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 
 		// Save a filled state, load it into a second build: same bytes, and
 		// the arrays stay where they were placed.
-		saved := append(first.s.Fields(), attenFields(first.a)...)
+		saved := append(first.s.Fields(), own[2][:6]...) // the memory variables
 		for fi, f := range saved {
 			for n := range f.Data() {
 				f.Data()[n] = float32(fi+1) * float32(n%97-48) * 1e-3
@@ -229,7 +229,7 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 			t.Fatal(err)
 		}
 		second := mk()
-		loaded := append(second.s.Fields(), attenFields(second.a)...)
+		loaded := append(second.s.Fields(), owners(second)[2][:6]...)
 		var before []int
 		for _, f := range loaded {
 			before = append(before, l1Line(t, f))

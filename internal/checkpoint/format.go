@@ -1,25 +1,18 @@
-// Checkpoint file format v2 — the on-disk contract of the coordinated
-// restart protocol (§III.F). Version 1 encoded step and dims as float32
-// in-band with the payload, silently losing precision past 2^24 and
-// offering no integrity check at all; a torn or bit-flipped file loaded
-// cleanly and corrupted the restart. Version 2 fixes both:
+// Checkpoint file format v3 — the on-disk contract of the coordinated
+// restart protocol (§III.F). A file is one rank's list of named sections
+// (grid.Section) at one step, laid out by a table ahead of the values, as a
+// DMPlex checkpoint is by its section layout. Little-endian throughout:
 //
-//	offset  size  field
-//	0       4     magic "AWPC" (little-endian uint32)
-//	4       4     version (2)
-//	8       4     flags (bit 0: attenuation memory variables present)
-//	12      4     reserved (zero)
-//	16      8     step   (int64, exact)
-//	24      8     NX     (int64)
-//	32      8     NY     (int64)
-//	40      8     NZ     (int64)
-//	48      4n    payload: n float32 values, little-endian
-//	48+4n   8     CRC64-ECMA of bytes [0, 48+4n)
+//	magic "AWPC" uint32 | version 3 uint32 | step int64 | sections n uint32
+//	n × { name length uint32 | name | kind uint32 (4: float32, 8: float64) | count uint64 }
+//	the sections' values, in table order
+//	CRC64-ECMA of every byte before it, uint64
 //
-// The trailer covers the header too, so a corrupted step/dims field is as
-// detectable as a corrupted wavefield value, and a truncated file always
-// fails (the length implied by the header never matches, or the CRC
-// does not).
+// No field names an owner: Read refuses a file whose table differs from the
+// sections the reader hands over. The trailer covers the table too, and a
+// file whose length is not what its table implies is refused. v1 files
+// (float32 step and dims, no magic) and v2 files (a fixed wavefield and
+// memory-variable layout) are refused, not read.
 package checkpoint
 
 import (
@@ -27,119 +20,150 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc64"
+	"math"
 
 	"repro/internal/grid"
-	"repro/internal/mpiio"
 )
 
 const (
-	// FormatMagic identifies a v2+ checkpoint file ("AWPC" LE).
-	FormatMagic = uint32(0x43505741)
-	// FormatVersion is the current format version.
-	FormatVersion = uint32(2)
-
-	flagAtten = uint32(1 << 0)
-
-	headerLen  = 48
+	magic      = uint32(0x43505741) // "AWPC"
+	version    = uint32(3)
+	headerLen  = 20
+	entryLen   = 16 // an entry less its name
 	trailerLen = 8
 )
 
-// Format/validation failure classes, wrapped in the errors Decode
-// returns; classify with errors.Is.
+// Failure classes of the errors Read returns; classify with errors.Is.
 var (
-	// ErrNotCheckpoint marks a file without the v2 magic — including
-	// legacy v1 files, which stored float32 step/dims with no magic and
-	// no checksum and are rejected rather than trusted.
-	ErrNotCheckpoint = errors.New("not a v2+ checkpoint file (legacy v1 float32-header files are no longer readable; re-checkpoint)")
-	// ErrVersion marks an unsupported (future) format version.
-	ErrVersion = errors.New("unsupported checkpoint format version")
-	// ErrTruncated marks a file shorter than its header implies.
-	ErrTruncated = errors.New("truncated checkpoint file")
-	// ErrChecksum marks a CRC64 mismatch (bit rot, torn write).
-	ErrChecksum = errors.New("checkpoint CRC64 mismatch")
+	ErrNotCheckpoint = errors.New("not a checkpoint file")                 // no magic: v1 files too
+	ErrVersion       = errors.New("unsupported checkpoint format version") // v2 files too
+	ErrTruncated     = errors.New("truncated checkpoint file")             // shorter than its header or table
+	ErrChecksum      = errors.New("checkpoint CRC64 mismatch")             // bit rot, torn write
+	ErrTable         = errors.New("checkpoint section table mismatch")     // malformed, or not the reader's
 )
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
-// Header is the decoded fixed-size prefix of a v2 checkpoint file.
-type Header struct {
-	Version  uint32
-	Step     int64
-	Dims     grid.Dims
-	HasAtten bool
-	// PayloadVals is the number of float32 payload values implied by the
-	// file length (only set by Decode, which has the whole file).
-	PayloadVals int
+// entry is one row of the section table.
+type entry struct {
+	name  string
+	kind  int // bytes a value: 4 or 8
+	count int
 }
 
-// Encode serializes one rank's state snapshot into a v2 checkpoint file
-// image: header, float32 payload, CRC64 trailer.
-func Encode(step int, dims grid.Dims, hasAtten bool, vals []float32) []byte {
-	out := make([]byte, headerLen+4*len(vals)+trailerLen)
-	binary.LittleEndian.PutUint32(out[0:], FormatMagic)
-	binary.LittleEndian.PutUint32(out[4:], FormatVersion)
-	flags := uint32(0)
-	if hasAtten {
-		flags |= flagAtten
-	}
-	binary.LittleEndian.PutUint32(out[8:], flags)
-	binary.LittleEndian.PutUint64(out[16:], uint64(step))
-	binary.LittleEndian.PutUint64(out[24:], uint64(dims.NX))
-	binary.LittleEndian.PutUint64(out[32:], uint64(dims.NY))
-	binary.LittleEndian.PutUint64(out[40:], uint64(dims.NZ))
-	copy(out[headerLen:], mpiio.PutFloat32s(vals))
-	sum := crc64.Checksum(out[:headerLen+4*len(vals)], crcTable)
-	binary.LittleEndian.PutUint64(out[headerLen+4*len(vals):], sum)
-	return out
-}
-
-// DecodeHeader parses and validates the fixed-size prefix without
-// verifying the payload CRC (cheap screening for directory scans).
-func DecodeHeader(raw []byte) (Header, error) {
-	var h Header
-	// Magic screens first: a legacy v1 file (float32 header, often shorter
-	// than the v2 header) must report ErrNotCheckpoint, not ErrTruncated.
-	if len(raw) >= 4 {
-		if magic := binary.LittleEndian.Uint32(raw[0:]); magic != FormatMagic {
-			return h, fmt.Errorf("checkpoint: magic %#x: %w", magic, ErrNotCheckpoint)
+func tableOf(secs []grid.Section) []entry {
+	tab := make([]entry, len(secs))
+	for i, s := range secs {
+		tab[i] = entry{s.Name, 4, len(s.F32)}
+		if s.F64 != nil {
+			tab[i] = entry{s.Name, 8, len(s.F64)}
 		}
 	}
-	if len(raw) < headerLen {
-		return h, fmt.Errorf("checkpoint: %d-byte file: %w", len(raw), ErrTruncated)
-	}
-	h.Version = binary.LittleEndian.Uint32(raw[4:])
-	if h.Version != FormatVersion {
-		return h, fmt.Errorf("checkpoint: version %d (supported: %d): %w", h.Version, FormatVersion, ErrVersion)
-	}
-	flags := binary.LittleEndian.Uint32(raw[8:])
-	h.HasAtten = flags&flagAtten != 0
-	h.Step = int64(binary.LittleEndian.Uint64(raw[16:]))
-	h.Dims = grid.Dims{
-		NX: int(int64(binary.LittleEndian.Uint64(raw[24:]))),
-		NY: int(int64(binary.LittleEndian.Uint64(raw[32:]))),
-		NZ: int(int64(binary.LittleEndian.Uint64(raw[40:]))),
-	}
-	if h.Step < 0 || h.Dims.NX <= 0 || h.Dims.NY <= 0 || h.Dims.NZ <= 0 {
-		return h, fmt.Errorf("checkpoint: implausible header (step %d dims %v): %w", h.Step, h.Dims, ErrNotCheckpoint)
-	}
-	return h, nil
+	return tab
 }
 
-// Decode parses a whole v2 file image, verifying the CRC64 trailer, and
-// returns the header and payload values.
-func Decode(raw []byte) (Header, []float32, error) {
-	h, err := DecodeHeader(raw)
-	if err != nil {
-		return h, nil, err
+// encode serializes secs at step into one v3 file image.
+func encode(step int, secs []grid.Section) []byte {
+	tab := tableOf(secs)
+	n := headerLen + trailerLen
+	for _, e := range tab {
+		n += entryLen + len(e.name) + e.kind*e.count
 	}
-	body := len(raw) - trailerLen
-	if body < headerLen || (body-headerLen)%4 != 0 {
-		return h, nil, fmt.Errorf("checkpoint: %d-byte file: %w", len(raw), ErrTruncated)
+	le := binary.LittleEndian
+	out := make([]byte, headerLen, n)
+	le.PutUint32(out, magic)
+	le.PutUint32(out[4:], version)
+	le.PutUint64(out[8:], uint64(step))
+	le.PutUint32(out[16:], uint32(len(tab)))
+	for _, e := range tab {
+		out = le.AppendUint32(out, uint32(len(e.name)))
+		out = append(out, e.name...)
+		out = le.AppendUint32(out, uint32(e.kind))
+		out = le.AppendUint64(out, uint64(e.count))
 	}
-	want := binary.LittleEndian.Uint64(raw[body:])
-	if got := crc64.Checksum(raw[:body], crcTable); got != want {
-		return h, nil, fmt.Errorf("checkpoint: crc %#x, trailer %#x: %w", got, want, ErrChecksum)
+	for _, s := range secs {
+		p := len(out)
+		out = out[:p+4*len(s.F32)+8*len(s.F64)]
+		for i, v := range s.F32 {
+			le.PutUint32(out[p+4*i:], math.Float32bits(v))
+		}
+		for i, v := range s.F64 {
+			le.PutUint64(out[p+8*i:], math.Float64bits(v))
+		}
 	}
-	h.PayloadVals = (body - headerLen) / 4
-	return h, mpiio.GetFloat32s(raw[headerLen:body]), nil
+	return le.AppendUint64(out, crc64.Checksum(out, crcTable))
+}
+
+// decode parses a whole v3 file image, verifying the CRC64 trailer before it
+// reads the table, and returns the step, the table and the values' bytes.
+// Every length is checked against the bytes left before it is used, so what
+// decode allocates is bounded by the file's length.
+func decode(raw []byte) (step int64, tab []entry, vals []byte, err error) {
+	le := binary.LittleEndian
+	fail := func(class error, format string, args ...any) (int64, []entry, []byte, error) {
+		return 0, nil, nil, fmt.Errorf("checkpoint: "+format+": %w", append(args, class)...)
+	}
+	// Magic screens first: a legacy v1 file (float32 header, often shorter
+	// than the v3 header) must report ErrNotCheckpoint, not ErrTruncated.
+	if len(raw) >= 4 && le.Uint32(raw) != magic {
+		return fail(ErrNotCheckpoint, "magic %#x", le.Uint32(raw))
+	}
+	if len(raw) < headerLen+trailerLen {
+		return fail(ErrTruncated, "%d-byte file", len(raw))
+	}
+	if v := le.Uint32(raw[4:]); v != version {
+		return fail(ErrVersion, "version %d (supported: %d)", v, version)
+	}
+	body := raw[:len(raw)-trailerLen]
+	if got, want := crc64.Checksum(body, crcTable), le.Uint64(raw[len(body):]); got != want {
+		return fail(ErrChecksum, "crc %#x, trailer %#x", got, want)
+	}
+	step, n, rest := int64(le.Uint64(raw[8:])), le.Uint32(raw[16:]), body[headerLen:]
+	if step < 0 {
+		return fail(ErrTable, "step %d", step)
+	}
+	if uint64(n) > uint64(len(rest)/entryLen) {
+		return fail(ErrTruncated, "%d sections in %d bytes", n, len(raw))
+	}
+	tab = make([]entry, n)
+	need := 0 // value bytes the table so far claims
+	for i := range tab {
+		if len(rest) < entryLen || uint64(le.Uint32(rest)) > uint64(len(rest)-entryLen) {
+			return fail(ErrTruncated, "section %d in the last %d bytes", i, len(rest))
+		}
+		l := le.Uint32(rest)
+		e := &tab[i]
+		e.name, rest = string(rest[4:4+l]), rest[4+l:]
+		kind, count := le.Uint32(rest), le.Uint64(rest[4:])
+		if rest = rest[12:]; kind != 4 && kind != 8 {
+			return fail(ErrTable, "section %q of kind %d", e.name, kind)
+		}
+		if left := len(rest) - need; left < 0 || count > uint64(left)/uint64(kind) {
+			return fail(ErrTruncated, "section %q of %d values", e.name, count)
+		}
+		e.kind, e.count = int(kind), int(count)
+		need += e.kind * e.count
+	}
+	if need > len(rest) {
+		return fail(ErrTruncated, "a table of %d value bytes in %d", need, len(rest))
+	}
+	if need < len(rest) {
+		return fail(ErrTable, "a table of %d value bytes in %d", need, len(rest))
+	}
+	return step, tab, rest, nil
+}
+
+// fill copies the values decode returned into secs, whose table they match.
+func fill(secs []grid.Section, vals []byte) {
+	le := binary.LittleEndian
+	for _, s := range secs {
+		for i := range s.F32 {
+			s.F32[i] = math.Float32frombits(le.Uint32(vals[4*i:]))
+		}
+		vals = vals[4*len(s.F32):]
+		for i := range s.F64 {
+			s.F64[i] = math.Float64frombits(le.Uint64(vals[8*i:]))
+		}
+		vals = vals[8*len(s.F64):]
+	}
 }

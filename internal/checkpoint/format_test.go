@@ -1,7 +1,11 @@
 package checkpoint
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc64"
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core/fd"
@@ -11,20 +15,23 @@ import (
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	dims := grid.Dims{NX: 7, NY: 5, NZ: 3}
-	vals := []float32{1.5, -2.25, 0, 3e-38, 1e20}
-	raw := Encode(123456789, dims, true, vals)
-	h, got, err := Decode(raw)
+	secs := []grid.Section{
+		{Name: "vx", F32: []float32{1.5, -2.25, 0, 3e-38, 1e20}},
+		{Name: "fault.clock", F64: []float64{math.Pi}},
+		{Name: "empty", F64: []float64{}},
+	}
+	raw := encode(123456789, secs)
+	step, tab, vals, err := decode(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Step != 123456789 || h.Dims != dims || !h.HasAtten || h.PayloadVals != len(vals) {
-		t.Fatalf("header = %+v", h)
+	if want := []entry{{"vx", 4, 5}, {"fault.clock", 8, 1}, {"empty", 8, 0}}; step != 123456789 || !reflect.DeepEqual(tab, want) {
+		t.Fatalf("step %d, table %v", step, tab)
 	}
-	for i := range vals {
-		if got[i] != vals[i] {
-			t.Fatalf("payload[%d] = %v, want %v", i, got[i], vals[i])
-		}
+	got := []grid.Section{{Name: "vx", F32: make([]float32, 5)}, {Name: "fault.clock", F64: make([]float64, 1)}, {Name: "empty", F64: []float64{}}}
+	fill(got, vals)
+	if !reflect.DeepEqual(got, secs) {
+		t.Fatalf("values %v, want %v", got, secs)
 	}
 }
 
@@ -32,55 +39,93 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // exact-int64 regression the format change exists for.
 func TestLargeStepExact(t *testing.T) {
 	const step = 1<<24 + 1 // not representable in float32
-	raw := Encode(step, grid.Dims{NX: 1, NY: 1, NZ: 1}, false, []float32{0})
-	h, _, err := Decode(raw)
+	got, _, _, err := decode(encode(step, []grid.Section{{Name: "v", F32: []float32{0}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Step != step {
-		t.Fatalf("step %d round-tripped as %d", step, h.Step)
+	if got != step {
+		t.Fatalf("step %d round-tripped as %d", step, got)
 	}
 }
 
+// resum rewrites the CRC trailer, so a corrupt table reaches the table parser.
+func resum(b []byte) []byte {
+	body := len(b) - trailerLen
+	binary.LittleEndian.PutUint64(b[body:], crc64.Checksum(b[:body], crcTable))
+	return b
+}
+
+// TestDecodeRejectsCorruption runs every class of damage through decode and
+// through Read of the file on the file system: the v2 format, torn and
+// flipped bytes, and section tables — resummed, so only the table is wrong —
+// whose names, kinds or counts do not describe the file.
 func TestDecodeRejectsCorruption(t *testing.T) {
-	dims := grid.Dims{NX: 4, NY: 4, NZ: 4}
-	clean := Encode(10, dims, false, make([]float32, 64))
+	d := grid.Dims{NX: 4, NY: 4, NZ: 4}
+	secs := fd.NewState(d).Sections()
+	clean := encode(10, secs)
+	count0 := headerLen + 4 + len(secs[0].Name) + 4 // the first entry's count
+
+	// A v2 file: magic, version 2, flags, reserved, step, dims, 64 values, CRC.
+	v2 := make([]byte, 48+4*64+8)
+	binary.LittleEndian.PutUint32(v2, magic)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	binary.LittleEndian.PutUint64(v2[16:], 10)
+	for i := 0; i < 3; i++ {
+		binary.LittleEndian.PutUint64(v2[24+8*i:], 4)
+	}
 
 	for _, tc := range []struct {
 		name   string
 		mutate func([]byte) []byte
 		want   error
 	}{
-		{"bit flip in payload", func(b []byte) []byte { b[headerLen+9] ^= 0x10; return b }, ErrChecksum},
-		{"bit flip in header step", func(b []byte) []byte { b[17] ^= 0x01; return b }, ErrChecksum},
+		{"bit flip in payload", func(b []byte) []byte { b[len(b)-trailerLen-9] ^= 0x10; return b }, ErrChecksum},
+		{"bit flip in header step", func(b []byte) []byte { b[9] ^= 0x01; return b }, ErrChecksum},
+		{"bit flip in a section name", func(b []byte) []byte { b[headerLen+5] ^= 0x20; return b }, ErrChecksum},
 		{"truncated mid-payload", func(b []byte) []byte { return b[:len(b)-40] }, ErrChecksum},
-		{"truncated to sub-header", func(b []byte) []byte { return b[:20] }, ErrTruncated},
+		{"truncated to sub-header", func(b []byte) []byte { return b[:12] }, ErrTruncated},
 		{"header only, no trailer room", func(b []byte) []byte { return b[:headerLen+2] }, ErrTruncated},
 		{"wrong magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrNotCheckpoint},
 		{"future version", func(b []byte) []byte { b[4] = 99; return b }, ErrVersion},
 		{"empty", func(b []byte) []byte { return nil }, ErrTruncated},
+		{"v2 image", func([]byte) []byte { return resum(v2) }, ErrVersion},
+		{"negative step", func(b []byte) []byte { b[15] = 0x80; return resum(b) }, ErrTable},
+		{"section count past the file", func(b []byte) []byte { b[19] = 0x7f; return resum(b) }, ErrTruncated},
+		{"name length past the file", func(b []byte) []byte { b[headerLen+3] = 0x7f; return resum(b) }, ErrTruncated},
+		{"kind neither 4 nor 8", func(b []byte) []byte { b[count0-4] = 2; return resum(b) }, ErrTable},
+		{"count past the file", func(b []byte) []byte { b[count0+7] = 0x10; return resum(b) }, ErrTruncated},
+		{"count one past the values", func(b []byte) []byte { b[count0]++; return resum(b) }, ErrTruncated},
+		{"count short of the values", func(b []byte) []byte { b[count0+1]--; return resum(b) }, ErrTable},
+		{"float32 section read as float64", func(b []byte) []byte { b[count0-4] = 8; return resum(b) }, ErrTruncated},
 	} {
 		raw := tc.mutate(append([]byte(nil), clean...))
-		if _, _, err := Decode(raw); !errors.Is(err, tc.want) {
+		if _, _, _, err := decode(raw); !errors.Is(err, tc.want) {
 			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		fsys := testFS()
+		if err := fsys.WriteAt(FileName("c", 0, 10), 0, raw); err != nil {
+			t.Fatal(err)
+		}
+		if err := Read(fsys, "c", 0, 10, secs); !errors.Is(err, tc.want) {
+			t.Errorf("%s: Read err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 }
 
 // Legacy v1 files (float32 header, no magic, no CRC) must be rejected
-// with the versioned ErrNotCheckpoint, not silently mis-parsed.
+// with ErrNotCheckpoint, not silently mis-parsed.
 func TestLegacyV1Rejected(t *testing.T) {
 	v1 := mpiio.PutFloat32s([]float32{10, 6, 6, 6, 0, 1, 2, 3})
-	if _, _, err := Decode(v1); !errors.Is(err, ErrNotCheckpoint) {
+	if _, _, _, err := decode(v1); !errors.Is(err, ErrNotCheckpoint) {
 		t.Fatalf("err = %v, want ErrNotCheckpoint", err)
 	}
 	fsys := testFS()
 	if err := fsys.WriteAt(FileName("c", 0, 10), 0, v1); err != nil {
 		t.Fatal(err)
 	}
-	s := fd.NewState(grid.Dims{NX: 6, NY: 6, NZ: 6})
-	if err := Load(fsys, "c", 0, 10, s, nil); !errors.Is(err, ErrNotCheckpoint) {
-		t.Fatalf("Load err = %v, want ErrNotCheckpoint", err)
+	secs := fd.NewState(grid.Dims{NX: 6, NY: 6, NZ: 6}).Sections()
+	if err := Read(fsys, "c", 0, 10, secs); !errors.Is(err, ErrNotCheckpoint) {
+		t.Fatalf("Read err = %v, want ErrNotCheckpoint", err)
 	}
 }
 
@@ -127,7 +172,7 @@ func TestFindLatestValidSkipsDamage(t *testing.T) {
 	if err := fsys.ReadAt(path2, 0, raw2); err != nil {
 		t.Fatal(err)
 	}
-	raw2[headerLen+5] ^= 0x40
+	raw2[len(raw2)/2] ^= 0x40
 	if err := fsys.WriteAt(path2, 0, raw2); err != nil {
 		t.Fatal(err)
 	}
@@ -155,8 +200,7 @@ func TestFindLatestValidIgnoresTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Orphaned in-flight temp for a newer step.
-	orphan := Encode(50, d, false, make([]float32, 16))
-	if err := fsys.WriteAt(FileName("c", 0, 50)+".tmp", 0, orphan); err != nil {
+	if err := fsys.WriteAt(FileName("c", 0, 50)+".tmp", 0, encode(50, s.Sections())); err != nil {
 		t.Fatal(err)
 	}
 	if got := FindLatestValid(fsys, "c", 1); got != 10 {

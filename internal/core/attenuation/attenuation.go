@@ -161,6 +161,13 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 	return a
 }
 
+// Sections names the six padded memory-variable arrays as restart sections.
+func (a *Model) Sections() []grid.Section {
+	return []grid.Section{{Name: "zxx", F32: a.ZXX.Data()}, {Name: "zyy", F32: a.ZYY.Data()},
+		{Name: "zzz", F32: a.ZZZ.Data()}, {Name: "zxy", F32: a.ZXY.Data()},
+		{Name: "zxz", F32: a.ZXZ.Data()}, {Name: "zyz", F32: a.ZYZ.Data()}}
+}
+
 // ApplyTiled runs Apply over the j/k tiles of box on the persistent pool;
 // memory variables and stress corrections are per-point, so any disjoint
 // tiling is race-free and bit-identical to Apply.

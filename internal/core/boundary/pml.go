@@ -85,6 +85,19 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 // zone-sized grid.
 func (pm *PML) Splits() [3]*fd.State { return pm.split }
 
+// Sections names the zone's 27 split arrays as restart sections after its
+// face, of which a rank has one zone at most: "pml.xlow.y.vx" is vx's y split.
+func (pm *PML) Sections() []grid.Section {
+	var secs []grid.Section
+	for s, sp := range pm.split {
+		for _, sec := range sp.Sections() {
+			sec.Name = fmt.Sprintf("pml.%v%v.%v.%s", pm.Axis, pm.Side, grid.Axis(s), sec.Name)
+			secs = append(secs, sec)
+		}
+	}
+	return secs
+}
+
 // depth returns the index into damp of offset c along the zone's normal
 // axis, n cells long: the distance in cells from the low edge of a Low
 // zone or the high edge of a High zone, clamped to the profile.

@@ -64,6 +64,15 @@ func (s *State) Fields() []*grid.Field3 {
 // FieldNames matches the order of Fields.
 var FieldNames = []string{"vx", "vy", "vz", "sxx", "syy", "szz", "sxy", "sxz", "syz"}
 
+// Sections names the nine padded component arrays as restart sections.
+func (s *State) Sections() []grid.Section {
+	secs := make([]grid.Section, 9)
+	for i, f := range s.Fields() {
+		secs[i] = grid.Section{Name: FieldNames[i], F32: f.Data()}
+	}
+	return secs
+}
+
 // Velocities returns only the velocity components.
 func (s *State) Velocities() []*grid.Field3 { return []*grid.Field3{s.VX, s.VY, s.VZ} }
 

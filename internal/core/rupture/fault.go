@@ -105,7 +105,7 @@ type Fault struct {
 	RupTime  []float64 // first time slip rate exceeded rupture threshold; -1 if unbroken
 	Traction []float64 // current total shear traction tau0 + T, Pa
 
-	timeNow float64
+	now [1]float64 // the fault's clock, which stamps RupTime
 }
 
 // RuptureThreshold is the slip-rate threshold defining rupture time
@@ -135,6 +135,15 @@ func NewFault(cfg Config, d grid.Dims, h float64) (*Fault, error) {
 	return f, nil
 }
 
+// Sections names what a step of the fault reads and writes as restart
+// sections: the split velocities, the slip history and the clock.
+func (f *Fault) Sections() []grid.Section {
+	return []grid.Section{{Name: "fault.vxp", F64: f.vxP}, {Name: "fault.vxm", F64: f.vxM},
+		{Name: "fault.slip", F64: f.Slip}, {Name: "fault.sliprate", F64: f.SlipRate},
+		{Name: "fault.peakrate", F64: f.PeakRate}, {Name: "fault.ruptime", F64: f.RupTime},
+		{Name: "fault.traction", F64: f.Traction}, {Name: "fault.clock", F64: f.now[:]}}
+}
+
 // idx maps fault-local (i,k) (already offset by I0/K0) to flat index.
 func (f *Fault) idx(i, k int) int { return (k-f.cfg.K0)*f.ni + (i - f.cfg.I0) }
 
@@ -146,7 +155,7 @@ func (f *Fault) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 	c := &f.cfg
 	j0 := c.J0
 	h := f.h
-	f.timeNow += dt
+	f.now[0] += dt
 
 	for k := c.K0; k < c.K1; k++ {
 		for i := c.I0; i < c.I1; i++ {
@@ -198,7 +207,7 @@ func (f *Fault) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 				f.PeakRate[n] = math.Abs(rate)
 			}
 			if f.RupTime[n] < 0 && math.Abs(rate) >= RuptureThreshold {
-				f.RupTime[n] = f.timeNow
+				f.RupTime[n] = f.now[0]
 			}
 
 			// Off-fault stencils read the average of the split values.
@@ -342,26 +351,27 @@ func Summarize(slip, peak, rup, vs [][]float64, h float64) Stats {
 // SlipRateHistoryRecorder captures per-node slip-rate time series for the
 // dynamic-to-kinematic transfer (dSrcG output).
 type SlipRateHistoryRecorder struct {
-	Dt      float64
-	Series  [][]float32 // [node][step]
-	Fault   *Fault
-	maxSamp int
+	Series [][]float32 // [node][sample]
+	Fault  *Fault
 }
 
-// NewRecorder allocates a recorder for up to maxSteps samples.
-func NewRecorder(f *Fault, dt float64, maxSteps int) *SlipRateHistoryRecorder {
-	return &SlipRateHistoryRecorder{
-		Dt: dt, Fault: f, maxSamp: maxSteps,
-		Series: make([][]float32, len(f.SlipRate)),
-	}
+// NewRecorder allocates a recorder of f's nodes.
+func NewRecorder(f *Fault) *SlipRateHistoryRecorder {
+	return &SlipRateHistoryRecorder{Fault: f, Series: make([][]float32, len(f.SlipRate))}
 }
 
 // Record appends the current slip rates.
 func (r *SlipRateHistoryRecorder) Record() {
 	for n, v := range r.Fault.SlipRate {
-		if len(r.Series[n]) < r.maxSamp {
-			r.Series[n] = append(r.Series[n], float32(math.Abs(v)))
-		}
+		r.Series[n] = append(r.Series[n], float32(math.Abs(v)))
+	}
+}
+
+// Truncate keeps the first n samples of every node's series, so that a run
+// rolled back before its later samples records them afresh.
+func (r *SlipRateHistoryRecorder) Truncate(n int) {
+	for i, s := range r.Series {
+		r.Series[i] = s[:min(n, len(s))]
 	}
 }
 

@@ -319,7 +319,7 @@ func momentToMw(m0 float64) float64 { return (math.Log10(m0) - 9.05) / 1.5 }
 
 func TestRecorderCapturesSlipRates(t *testing.T) {
 	f, s, m, dt, _ := buildTPV(t, true)
-	rec := NewRecorder(f, dt, 50)
+	rec := NewRecorder(f)
 	for n := 0; n < 50; n++ {
 		stepRupture(f, s, m, dt, nil)
 		rec.Record()

@@ -16,19 +16,16 @@ import (
 	"repro/internal/telemetry"
 )
 
-// boxArrays lists every array a step stores into: the nine wavefield
-// components, the six memory variables and the 27 splits of every zone.
-func boxArrays(st *Stepper) (arrays []*grid.Field3, names []string) {
-	arrays, names = oracleFields(st)
-	for zi, z := range st.rs.zones {
-		for si, sp := range z.Splits() {
-			for fi, f := range sp.Fields() {
-				arrays = append(arrays, f)
-				names = append(names, fmt.Sprintf("zone%d.split%d.%s", zi, si, fd.FieldNames[fi]))
-			}
-		}
+// sectionBits copies a section's values as their bit patterns.
+func sectionBits(sec grid.Section) []uint64 {
+	bits := make([]uint64, 0, len(sec.F32)+len(sec.F64))
+	for _, v := range sec.F32 {
+		bits = append(bits, uint64(math.Float32bits(v)))
 	}
-	return
+	for _, v := range sec.F64 {
+		bits = append(bits, math.Float64bits(v))
+	}
+	return bits
 }
 
 // boxWorld runs opt with one Stepper a rank. whole drops every rank's active
@@ -107,9 +104,10 @@ func boxScenario(abc ABCKind) Options {
 }
 
 // TestActiveBoxMatchesWholeSweeps holds the run with the active box to the
-// same run with the box dropped before the first step, on the whole padded
-// Data() — ghosts, free-surface images and all — of every array a step
-// stores into, bit for bit, after every step (every cycle under mixed
+// same run with the box dropped before the first step, on every section of
+// the rank — the whole padded wavefield, memory variables and zone splits,
+// ghosts, free-surface images and all, and the fault's state — bit for bit,
+// after every step (every cycle under mixed
 // rates): sponge and M-PML, every comm model, serial and pooled, one rank and
 // two decompositions, uniform and mixed-rate stepping, and a DFR fault.
 func TestActiveBoxMatchesWholeSweeps(t *testing.T) {
@@ -174,16 +172,16 @@ func TestActiveBoxMatchesWholeSweeps(t *testing.T) {
 func holdBoxToWhole(t *testing.T, tag string, q cvm.Querier, opt Options) {
 	t.Helper()
 	ranks := opt.Topo.Size()
-	// ref[rank][step][array]
-	ref := make([][][][]float32, ranks)
+	// ref[rank][step][section], each value as its bits
+	ref := make([][][][]uint64, ranks)
 	for r := range ref {
-		ref[r] = make([][][]float32, opt.Steps+1)
+		ref[r] = make([][][]uint64, opt.Steps+1)
 	}
 	want := boxWorld(t, q, opt, true, func(c *mpi.Comm, st *Stepper) {
-		arrays, _ := boxArrays(st)
-		snap := make([][]float32, len(arrays))
-		for i, f := range arrays {
-			snap[i] = append([]float32(nil), f.Data()...)
+		secs := st.Sections()
+		snap := make([][]uint64, len(secs))
+		for i, sec := range secs {
+			snap[i] = sectionBits(sec)
 		}
 		ref[c.Rank()][st.StepIndex()] = snap
 	})
@@ -205,16 +203,12 @@ func holdBoxToWhole(t *testing.T, tag string, q cvm.Querier, opt Options) {
 		if failed {
 			return
 		}
-		arrays, names := boxArrays(st)
-		for ai, f := range arrays {
-			w := ref[c.Rank()][st.StepIndex()][ai]
-			for n, v := range f.Data() {
-				if math.Float32bits(v) != math.Float32bits(w[n]) {
-					sx, sy, _ := f.PaddedDims()
-					g := f.G()
-					t.Errorf("%s: rank %d after step %d: %s(%d,%d,%d) = %g (%#x), whole sweeps %g (%#x); box %v",
-						tag, c.Rank(), st.StepIndex(), names[ai], n%sx-g, n/sx%sy-g, n/(sx*sy)-g,
-						v, math.Float32bits(v), w[n], math.Float32bits(w[n]), rs.box)
+		for si, sec := range st.Sections() {
+			w := ref[c.Rank()][st.StepIndex()][si]
+			for n, v := range sectionBits(sec) {
+				if v != w[n] {
+					t.Errorf("%s: rank %d after step %d: %s[%d] = %#x, whole sweeps %#x; box %v",
+						tag, c.Rank(), st.StepIndex(), sec.Name, n, v, w[n], rs.box)
 					failed = true
 					return
 				}
@@ -336,14 +330,14 @@ func TestSetStepIndexDropsActiveBox(t *testing.T) {
 		}
 		defer st.Close()
 		st.Step()
-		if _, err := checkpoint.Save(fsys, "ckpt", c.Rank(), 1, st.State(), st.Atten()); err != nil {
+		if _, err := checkpoint.Write(fsys, "ckpt", c.Rank(), 1, st.Sections()); err != nil {
 			t.Error(err)
 		}
 		st.Step()
 		if st.rs.box == nil {
 			t.Errorf("rank %d: box already dropped after two steps: the rollback point is not live", c.Rank())
 		}
-		if err := checkpoint.Load(fsys, "ckpt", c.Rank(), 1, st.State(), st.Atten()); err != nil {
+		if err := checkpoint.Read(fsys, "ckpt", c.Rank(), 1, st.Sections()); err != nil {
 			t.Error(err)
 		}
 		if err := st.SetStepIndex(1); err != nil {

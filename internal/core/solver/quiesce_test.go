@@ -13,11 +13,11 @@ import (
 	"repro/internal/mpi"
 )
 
-// countSubnormals returns how many values of f, ghosts included, are
-// non-zero with a zero exponent field.
-func countSubnormals(f *grid.Field3) int {
+// countSubnormals returns how many values of data are non-zero with a zero
+// exponent field.
+func countSubnormals(data []float32) int {
 	n := 0
-	for _, x := range f.Data() {
+	for _, x := range data {
 		if b := math.Float32bits(x) & 0x7fffffff; b != 0 && b < 0x00800000 {
 			n++
 		}
@@ -27,11 +27,11 @@ func countSubnormals(f *grid.Field3) int {
 
 // TestNoStoredSubnormals steps a point source in a quiet grid — the numerical
 // precursor of the wavefront sweeps the whole domain within the run — and
-// after every Step requires that no wavefield, memory variable or PML split
-// state holds a subnormal: the quiescence floor at the velocity stores
-// (fd.Quiesce, DESIGN.md §9) keeps every array either exactly zero or in the
-// normal range, in the production kernel and the ablation's in-loop kernel,
-// under uniform stepping and LTS.
+// after every Step requires that no section of the rank — wavefield, memory
+// variable or PML split — holds a subnormal, ghosts included: the quiescence
+// floor at the velocity stores (fd.Quiesce, DESIGN.md §9) keeps every array
+// either exactly zero or in the normal range, in the production kernel and the
+// ablation's in-loop kernel, under uniform stepping and LTS.
 func TestNoStoredSubnormals(t *testing.T) {
 	rock, soft := ltsContrast()
 	g := grid.Dims{NX: 32, NY: 16, NZ: 16}
@@ -55,25 +55,11 @@ func TestNoStoredSubnormals(t *testing.T) {
 
 					var once sync.Once
 					_, rates := stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
-						fields := st.State().Fields()
-						names := append([]string{}, fd.FieldNames[:]...)
-						if a := st.Atten(); a != nil {
-							fields = append(fields, a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ)
-							names = append(names, "zxx", "zyy", "zzz", "zxy", "zxz", "zyz")
-						}
-						for zi, z := range st.rs.zones {
-							for si, sp := range z.Splits() {
-								for fi, f := range sp.Fields() {
-									fields = append(fields, f)
-									names = append(names, fmt.Sprintf("zone%d.split%d.%s", zi, si, fd.FieldNames[fi]))
-								}
-							}
-						}
-						for i, f := range fields {
-							if n := countSubnormals(f); n > 0 {
+						for _, sec := range st.Sections() {
+							if n := countSubnormals(sec.F32); n > 0 {
 								once.Do(func() {
 									t.Errorf("%s: rank %d after step %d: %d subnormal values in %s",
-										tag, c.Rank(), st.StepIndex(), n, names[i])
+										tag, c.Rank(), st.StepIndex(), n, sec.Name)
 								})
 							}
 						}

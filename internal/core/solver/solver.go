@@ -296,7 +296,7 @@ func ownedFaces(dc decomp.Decomp, rank int, opt Options) boundary.FaceSet {
 	return fs
 }
 
-func (rs *rankState) setupFault(opt Options, dt float64) error {
+func (rs *rankState) setupFault(opt Options) error {
 	f := opt.Fault
 	// Clip the global window to this rank's x/z extent.
 	i0 := max(f.I0, rs.sub.OffX)
@@ -331,7 +331,7 @@ func (rs *rankState) setupFault(opt Options, dt float64) error {
 	// plane and sxy on the two rows either side of it.
 	rs.box.join(fd.Box{I0: cfg.I0, I1: cfg.I1, J0: cfg.J0 - 2, J1: cfg.J0 + 2, K0: cfg.K0, K1: cfg.K1})
 	if f.RecordEvery > 0 {
-		rs.recorder = rupture.NewRecorder(ft, dt*float64(f.RecordEvery), 1<<20)
+		rs.recorder = rupture.NewRecorder(ft)
 	}
 	return nil
 }

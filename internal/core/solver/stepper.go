@@ -200,9 +200,8 @@ func checkSpacing(h float64) error {
 // index-addressed (receiver samples by sample index, moment rate by step,
 // PGV by monotone max-fold), so replaying a step range after a rollback
 // overwrites identical values and the final outputs stay bit-identical
-// to an uninterrupted run. (DFR slip-rate *history* recording appends and
-// is not replay-safe; harnesses must not combine Fault.RecordEvery with
-// rollback.)
+// to an uninterrupted run; the one appending observable, the DFR slip-rate
+// history, is cut back to the rollback step by SetStepIndex.
 type Stepper struct {
 	rs         *rankState
 	opt        Options
@@ -289,7 +288,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
 
 	if opt.Fault != nil {
-		if err := rs.setupFault(opt, dt); err != nil {
+		if err := rs.setupFault(opt); err != nil {
 			return nil, err
 		}
 	}
@@ -348,10 +347,10 @@ func (s *Stepper) Dt() float64 { return s.dt }
 func (s *Stepper) StepIndex() int { return s.step }
 
 // SetStepIndex rewinds (or advances) the step cursor — the rollback half
-// of coordinated recovery, paired with a checkpoint.Load into State(). The
+// of coordinated recovery, paired with a checkpoint.Read into Sections(). The
 // cursor must land on a cycle boundary: mid-cycle, coarse ranks have no
 // wavefield state to roll back to. It is also the one way to tell the
-// Stepper that State() or Atten() was written from outside — between steps
+// Stepper that its sections were written from outside — between steps
 // they are otherwise read-only — so the rank drops its active box, which
 // describes the state the Stepper itself computed.
 func (s *Stepper) SetStepIndex(n int) error {
@@ -359,11 +358,16 @@ func (s *Stepper) SetStepIndex(n int) error {
 	if l := s.rs.lts; n%l.maxRate != 0 {
 		return fmt.Errorf("solver: step index %d is not an LTS cycle boundary (max rate %d)", n, l.maxRate)
 	}
+	// Drop what the replay records again: buffered surface frames (flushed
+	// ones are offset-addressed and overwrite identically) and the slip-rate
+	// samples of steps n and on.
 	if s.rs.surf != nil {
-		// Drop buffered surface frames the replay will re-extract; flushed
-		// frames are offset-addressed and overwrite identically.
 		e := s.opt.Surface.Every
 		s.rs.surf.Rewind((n + e - 1) / e)
+	}
+	if s.rs.recorder != nil {
+		e := s.opt.Fault.RecordEvery
+		s.rs.recorder.Truncate((n + e - 1) / e)
 	}
 	s.step = n
 	return nil
@@ -382,12 +386,26 @@ func (s *Stepper) LTSRates() []int { return append([]int(nil), s.rs.lts.rates...
 // Done reports whether every configured step has executed.
 func (s *Stepper) Done() bool { return s.step >= s.opt.Steps }
 
-// State exposes the rank's wavefield state for checkpoint save/restore.
+// State exposes the rank's wavefield state.
 func (s *Stepper) State() *fd.State { return s.rs.st }
 
-// Atten exposes the rank's attenuation memory variables (nil when
-// attenuation is off) for checkpoint save/restore.
-func (s *Stepper) Atten() *attenuation.Model { return s.rs.atten }
+// Sections lists the rank's restart state by walking its owners — wavefield,
+// memory variables, M-PML zone splits, fault — each aliasing live state, for
+// checkpoint.Write to save and checkpoint.Read to restore in place.
+func (s *Stepper) Sections() []grid.Section {
+	rs := s.rs
+	secs := rs.st.Sections()
+	if rs.atten != nil {
+		secs = append(secs, rs.atten.Sections()...)
+	}
+	for _, z := range rs.zones {
+		secs = append(secs, z.Sections()...)
+	}
+	if rs.fault != nil {
+		secs = append(secs, rs.fault.Sections()...)
+	}
+	return secs
+}
 
 // Recorder exposes the rank's telemetry recorder (nil when telemetry is
 // disabled) so harnesses can attribute checkpoint and recovery spans.

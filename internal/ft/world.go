@@ -11,9 +11,9 @@
 //
 // The protocol per attempt:
 //
-//  1. each rank steps its solver.Stepper, writing a checkpoint every
-//     Interval steps (step 0 included, so rollback always has a floor) —
-//     unless the run's state is more than a checkpoint carries, see below;
+//  1. each rank steps its solver.Stepper, writing its sections — whatever
+//     restart state its owners hand over — as a checkpoint every Interval
+//     steps (step 0 included, so rollback always has a floor);
 //  2. a rank that faults — injected crash panic, aborted-world panic
 //     after a peer crashed, send-retry exhaustion — aborts the world so
 //     blocked peers unwind, then parks at an out-of-band coordinator;
@@ -23,16 +23,9 @@
 //     (when no coordinated checkpoint survived, or some rank faulted
 //     before its solver state even existed), or give up (recovery
 //     budget exhausted);
-//  4. on rollback every rank reloads its checkpoint, rewinds its step
-//     cursor, and re-enters 1. Recovery wall time lands in the telemetry
-//     Recovery phase.
-//
-// A checkpoint carries the wavefield and the attenuation memory variables
-// and nothing else. A run whose state is more than that — M-PML zone split
-// fields, a DFR fault's slip, slip rate and peak rate — takes no checkpoints
-// at all: a rollback would restore the wavefield against un-rolled-back zone
-// or fault state and replay to a silently wrong result. Every recovery of
-// such a run is the rebuild arm of step 3.
+//  4. on rollback every rank reads its checkpoint back into its sections,
+//     rewinds its step cursor, and re-enters 1. Recovery wall time lands in
+//     the telemetry Recovery phase.
 //
 // Because the solver is deterministic, per-step observables are
 // index-addressed, and PGV maps are monotone max-folds, a replayed step
@@ -135,18 +128,12 @@ type coordinator struct {
 	rebuilds     int
 	restartSteps []int
 
-	world    *mpi.World
-	fs       *pfs.FS
-	dir      string
-	maxRecov int
-	// checkpoints is false for a run whose state a checkpoint does not
-	// carry: nothing is saved, and nothing found in dir is trusted.
-	checkpoints bool
+	world *mpi.World
+	o     *WorldOptions
 }
 
-func newCoordinator(n int, world *mpi.World, fs *pfs.FS, dir string, maxRecov int, checkpoints bool) *coordinator {
-	c := &coordinator{n: n, allDone: true, allStep: true, minIdx: int(^uint(0) >> 1),
-		world: world, fs: fs, dir: dir, maxRecov: maxRecov, checkpoints: checkpoints}
+func newCoordinator(n int, world *mpi.World, o *WorldOptions) *coordinator {
+	c := &coordinator{n: n, allDone: true, allStep: true, minIdx: int(^uint(0) >> 1), world: world, o: o}
 	c.cond = sync.NewCond(&c.mu)
 	return c
 }
@@ -191,13 +178,13 @@ func (c *coordinator) decide() decision {
 		return decision{kind: decideFinish}
 	}
 	c.recoveries++
-	if c.recoveries > c.maxRecov {
+	if c.recoveries > c.o.MaxRecoveries {
 		return decision{kind: decideFail}
 	}
 	c.world.Reset()
 	step := -1
-	if c.allStep && c.checkpoints {
-		step = checkpoint.FindLatestValid(c.fs, c.dir, c.n)
+	if c.allStep {
+		step = checkpoint.FindLatestValid(c.o.FS, c.o.Dir, c.n)
 	}
 	// A restart must be a genuine rollback on every rank: jumping a
 	// cursor FORWARD (possible when stale checkpoints from a previous
@@ -242,11 +229,7 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	if o.PFSFaults != nil {
 		o.FS.InjectFaults(*o.PFSFaults)
 	}
-	checkpoints := opt.ABC != solver.MPMLABC && opt.Fault == nil
-	if !checkpoints {
-		o.Logf("ft: checkpoints carry neither M-PML zone splits nor fault slip; this run takes none and recovers by rebuild and replay")
-	}
-	coord := newCoordinator(opt.Topo.Size(), world, o.FS, o.Dir, o.MaxRecoveries, checkpoints)
+	coord := newCoordinator(opt.Topo.Size(), world, &o)
 
 	var (
 		mu                        sync.Mutex
@@ -255,11 +238,8 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	)
 
 	runErr := world.RunErr(func(c *mpi.Comm) error {
-		h := &rankHarness{
-			comm: c, world: world, coord: coord, query: o.Query, dc: dc, opt: opt,
-			fs: o.FS, dir: o.Dir, interval: o.Interval, logf: o.Logf,
-			saved: &saved, saveErrs: &saveErrs, replayed: &replayed,
-		}
+		h := &rankHarness{comm: c, world: world, coord: coord, o: o, dc: dc, opt: opt,
+			saved: &saved, saveErrs: &saveErrs, replayed: &replayed}
 		res, err := h.run()
 		if err != nil {
 			return err
@@ -290,16 +270,12 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 
 // rankHarness is one rank's side of the recovery protocol.
 type rankHarness struct {
-	comm     *mpi.Comm
-	world    *mpi.World
-	coord    *coordinator
-	query    cvm.Querier
-	dc       decomp.Decomp
-	opt      solver.Options
-	fs       *pfs.FS
-	dir      string
-	interval int
-	logf     func(format string, args ...any)
+	comm  *mpi.Comm
+	world *mpi.World
+	coord *coordinator
+	o     WorldOptions // this rank's copy: it rounds o.Interval to its cycle
+	dc    decomp.Decomp
+	opt   solver.Options
 
 	saved, saveErrs, replayed *atomic.Int64
 }
@@ -349,8 +325,7 @@ func (h *rankHarness) run() (*solver.Result, error) {
 				// The leader only picks restart when every rank reported a
 				// live Stepper, so st != nil here.
 				sp := st.Recorder().Span(telemetry.Recovery)
-				lerr := checkpoint.Load(h.fs, h.dir, h.comm.Rank(), dec.step,
-					st.State(), st.Atten())
+				lerr := checkpoint.Read(h.o.FS, h.o.Dir, h.comm.Rank(), dec.step, st.Sections())
 				if lerr == nil {
 					prev := st.StepIndex()
 					if serr := st.SetStepIndex(dec.step); serr != nil {
@@ -391,7 +366,7 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 		}
 	}()
 	if *stp == nil {
-		st, nerr := solver.NewStepper(h.comm, h.query, h.dc, h.opt)
+		st, nerr := solver.NewStepper(h.comm, h.o.Query, h.dc, h.opt)
 		if nerr != nil {
 			return nil, nerr
 		}
@@ -400,21 +375,20 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 		// construction (rate assignment needs the per-rank media);
 		// checkpoints must land on cycle boundaries, where StepIndex is
 		// settable.
-		if a := st.StepAlign(); h.interval%a != 0 {
-			rounded := (h.interval/a + 1) * a
+		if a := st.StepAlign(); h.o.Interval%a != 0 {
+			rounded := (h.o.Interval/a + 1) * a
 			if h.comm.Rank() == 0 {
-				h.logf("ft: checkpoint interval %d is not a multiple of the step alignment %d; rounding up to %d",
-					h.interval, a, rounded)
+				h.o.Logf("ft: checkpoint interval %d is not a multiple of the step alignment %d; rounding up to %d",
+					h.o.Interval, a, rounded)
 			}
-			h.interval = rounded
+			h.o.Interval = rounded
 		}
 	}
 	st := *stp
 	for !st.Done() {
 		idx := st.StepIndex()
-		if h.coord.checkpoints && idx%h.interval == 0 {
-			if _, serr := checkpoint.Save(h.fs, h.dir, h.comm.Rank(), idx,
-				st.State(), st.Atten(), st.Recorder()); serr != nil {
+		if idx%h.o.Interval == 0 {
+			if _, serr := checkpoint.Write(h.o.FS, h.o.Dir, h.comm.Rank(), idx, st.Sections(), st.Recorder()); serr != nil {
 				// Survivable: recovery rolls back further instead.
 				h.saveErrs.Add(1)
 			} else {

@@ -390,14 +390,13 @@ func TestWorldLTSCrashRecovery(t *testing.T) {
 	}
 }
 
-// A checkpoint carries the wavefield and the attenuation memory variables
-// only, so a rollback under M-PML would replay against un-rolled-back zone
-// split fields, and under DFR against un-rolled-back fault slip — a completed
-// run with silently wrong numbers. Until a checkpoint carries that state such
-// a world takes no checkpoints and every recovery is a rebuild and replay:
-// the sweep crashes rank 1 at sends on both sides of several would-be
-// checkpoint steps, and each recovery must land on the bits of solver.Run.
-func TestWorldMPMLCrashRecoveryRebuilds(t *testing.T) {
+// A checkpoint is the rank's sections, so M-PML zone splits and a DFR fault's
+// split velocities, slip history and clock roll back like the wavefield: the
+// sweep crashes rank 1 at sends on both sides of several checkpoint steps,
+// and every recovery must be a rollback that replays at most one interval a
+// rank and lands on the bits of solver.Run — moment rate, final slip and the
+// slip-rate histories recorded every other step included.
+func TestWorldMPMLAndDFRCrashRollback(t *testing.T) {
 	mpml := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
 	mpml.ABC, mpml.PMLWidth = solver.MPMLABC, 4
 
@@ -411,14 +410,20 @@ func TestWorldMPMLCrashRecoveryRebuilds(t *testing.T) {
 		sn[k] = make([]float64, ni)
 		fr[k] = make([]rupture.Friction, ni)
 		for i := range tau[k] {
-			// Overstressed over the whole window: it slips from the first step.
-			sn[k][i], tau[k][i] = 120e6, 84e6
+			// Overstressed on a patch at the window's low end, just below
+			// strength beyond it: rupture spreads from the patch and reaches
+			// new nodes between checkpoints, so their rupture times are
+			// stamped by a clock that was rolled back.
+			sn[k][i], tau[k][i] = 120e6, 81e6
+			if i < 3 {
+				tau[k][i] = 84e6
+			}
 			fr[k][i] = rupture.Friction{MuS: 0.677, MuD: 0.525, Dc: 0.02}
 		}
 	}
 	dfr.Sources = nil
 	dfr.Fault = &solver.FaultSpec{J0: 10, I0: 4, I1: 4 + ni, K0: 3, K1: 3 + nk,
-		Tau0: tau, SigmaN: sn, Friction: fr}
+		Tau0: tau, SigmaN: sn, Friction: fr, RecordEvery: 2}
 
 	q := worldQuerier()
 	for _, tc := range []struct {
@@ -431,24 +436,33 @@ func TestWorldMPMLCrashRecoveryRebuilds(t *testing.T) {
 		}
 		for _, at := range []uint64{30, 40, 50, 60} {
 			t.Run(fmt.Sprintf("%s/send%d", tc.name, at), func(t *testing.T) {
-				logged := 0
+				const interval, ranks = 8, 2
 				res, stats, err := RunWorld(WorldOptions{
-					Solver: tc.opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
+					Solver: tc.opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: interval,
 					Chaos: &mpi.ChaosPlan{Seed: 17, CrashAtSend: map[int]uint64{1: at}},
-					Logf:  func(string, ...any) { logged++ },
 				})
 				if err != nil {
 					t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
 				}
-				if stats.Recoveries == 0 || stats.Rebuilds != stats.Recoveries || stats.Checkpoints != 0 {
-					t.Fatalf("want every recovery a rebuild and no checkpoint taken: %+v", stats)
+				if stats.Recoveries == 0 || stats.Rebuilds != 0 || stats.Checkpoints == 0 {
+					t.Fatalf("want every recovery a rollback onto a checkpoint: %+v", stats)
 				}
-				if logged != 1 {
-					t.Errorf("the missing checkpoints were logged %d times, want once", logged)
+				if stats.ReplayedSteps > stats.Recoveries*ranks*interval {
+					t.Errorf("%d steps replayed over %d recoveries of %d ranks, more than one %d-step interval each",
+						stats.ReplayedSteps, stats.Recoveries, ranks, interval)
 				}
 				assertBitIdentical(t, ref, res)
-				if !reflect.DeepEqual(ref.MomentRate, res.MomentRate) || !reflect.DeepEqual(ref.FaultSlip, res.FaultSlip) {
-					t.Error("fault moment rate or slip not bit-identical")
+				for name, pair := range map[string][2]any{
+					"MomentRate":    {ref.MomentRate, res.MomentRate},
+					"FaultSlip":     {ref.FaultSlip, res.FaultSlip},
+					"FaultPeakRate": {ref.FaultPeakRate, res.FaultPeakRate},
+					"FaultRupTime":  {ref.FaultRupTime, res.FaultRupTime},
+					"SlipNodes":     {ref.SlipNodes, res.SlipNodes},
+					"SlipSeries":    {ref.SlipSeries, res.SlipSeries},
+				} {
+					if !reflect.DeepEqual(pair[0], pair[1]) {
+						t.Errorf("%s not bit-identical to solver.Run", name)
+					}
 				}
 			})
 		}

@@ -175,6 +175,15 @@ func (f *Field3) Clone() *Field3 {
 	return g
 }
 
+// Section is one named array of a rank's restart state, aliasing its owner's
+// live values: F32 for float32 arrays, F64 (set, even when empty) for float64
+// ones. A checkpoint is a rank's list of sections (internal/checkpoint).
+type Section struct {
+	Name string
+	F32  []float32
+	F64  []float64
+}
+
 // Axis identifies one of the three grid axes.
 type Axis int
 

@@ -15,6 +15,7 @@
 package meshpart
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/agg"
@@ -61,8 +62,6 @@ func extract(global grid.Dims, sub decomp.Sub, rec func(gi, gj, gk int) (float32
 		Rank: sub.Rank, Dims: d,
 		VP: make([]float32, paddedLen(d)), VS: make([]float32, paddedLen(d)), Rho: make([]float32, paddedLen(d)),
 	}
-	sx := d.NX + 2*g
-	sy := d.NY + 2*g
 	n := 0
 	for k := -g; k < d.NZ+g; k++ {
 		gk := clamp(sub.OffZ+k, global.NZ)
@@ -76,8 +75,6 @@ func extract(global grid.Dims, sub decomp.Sub, rec func(gi, gj, gk int) (float32
 			}
 		}
 	}
-	_ = sx
-	_ = sy
 	return sm
 }
 
@@ -218,10 +215,10 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 	planeBytes := global.NX * global.NY * meshgen.RecBytes
 	out := make([]SubMesh, nranks)
 	views := make([][]mpiio.Segment, nReaders)
-	var runErr error
+	readErrs := make([]error, nReaders)
 
 	world := mpi.NewWorld(nranks)
-	world.Run(func(c *mpi.Comm) {
+	runErr := world.RunErr(func(c *mpi.Comm) error {
 		rank := c.Rank()
 		sub := dc.SubFor(rank)
 		g := grid.Ghost
@@ -245,8 +242,11 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 					segOff := k*planeBytes + yb*global.NX*meshgen.RecBytes
 					raw, err := mpiio.ReadIndexed(fsys, meshPath, []mpiio.Segment{{Off: segOff, Len: segLen}})
 					if err != nil {
-						runErr = err
-						return
+						// Abort, so the receivers waiting on this reader's
+						// rectangles unwind instead of blocking forever.
+						readErrs[rank] = fmt.Errorf("meshpart: reader %d: %w", rank, err)
+						world.Abort()
+						return readErrs[rank]
 					}
 					vals := mpiio.GetFloat32s(raw)
 					view = append(view, mpiio.Segment{Off: segOff, Len: segLen})
@@ -320,7 +320,11 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 			panic(fmt.Sprintf("meshpart: rank %d missing record (%d,%d,%d)", rank, gi, gj, gk))
 		}
 		out[rank] = extract(global, sub, rec)
+		return nil
 	})
+	if err := errors.Join(readErrs...); err != nil {
+		return nil, pfs.PhaseStats{}, err
+	}
 	if runErr != nil {
 		return nil, pfs.PhaseStats{}, runErr
 	}

@@ -1,8 +1,10 @@
 package meshpart
 
 import (
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/cvm"
 	"repro/internal/decomp"
@@ -122,6 +124,36 @@ func TestOnDemandValidation(t *testing.T) {
 	}
 	if _, _, err := OnDemand(fsys, "in/mesh.bin", g, dc, 5, 1); err == nil {
 		t.Error("more readers than ranks accepted")
+	}
+}
+
+// A reader whose read fails — the mesh file is missing, or ends before the
+// planes it reads — must abort the world and OnDemand return that error,
+// not leave the receivers waiting for its rectangles forever.
+func TestOnDemandReadFailureReturns(t *testing.T) {
+	g := grid.Dims{NX: 16, NY: 16, NZ: 8}
+	fsys, dc, _, _ := setup(t, g, mpi.NewCart(2, 2, 1))
+	whole := make([]byte, fsys.Size("in/mesh.bin"))
+	if err := fsys.ReadAt("in/mesh.bin", 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.WriteAt("in/short.bin", 0, whole[:len(whole)*3/4]); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"in/missing.bin", "in/short.bin"} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := OnDemand(fsys, path, g, dc, 2, 1)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || errors.Is(err, mpi.ErrWorldAborted) {
+				t.Errorf("%s: err = %v, want the reader's read error", path, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: OnDemand has not returned after a minute", path)
+		}
 	}
 }
 
