@@ -1,8 +1,14 @@
 package awp
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core/solver"
+	"repro/internal/mpi"
 )
 
 func TestQuickstartScenario(t *testing.T) {
@@ -297,5 +303,77 @@ func TestDirectivity(t *testing.T) {
 	t.Logf("mean PGVH forward (NW) %.3f, backward (SE) %.3f m/s: %.2fx", fwd, bwd, fwd/bwd)
 	if !(bwd > 0 && fwd/bwd > 3) {
 		t.Fatalf("forward/backward mean PGVH %.3f/%.3f m/s, want a ratio above 3", fwd, bwd)
+	}
+}
+
+// halfBad is rock below x = cut and a NaN P-wave speed from there on.
+type halfBad struct{ cut float64 }
+
+func (h halfBad) Query(x, _, _ float64) Material {
+	if x >= h.cut {
+		return Material{Vp: math.NaN(), Vs: 3464, Rho: 2700}
+	}
+	return Material{Vp: 6000, Vs: 3464, Rho: 2700}
+}
+
+// TestDegenerateModelReturnsError: a velocity model no stable time step
+// exists for — zero or negative Vs (a homogeneous model then computes Vp as
+// 0·Inf or -0), a NaN Vp, or one rank's half of the grid bad — makes Run
+// return the solver's error on every path, Dt given or not, with no panic
+// inside the world and no rank left waiting on a peer that returned.
+func TestDegenerateModelReturnsError(t *testing.T) {
+	rock := Material{Vp: 6000, Vs: 3464, Rho: 2700}
+	bad := func(m func(*Material)) Model {
+		mat := rock
+		m(&mat)
+		return HomogeneousModel(mat)
+	}
+	sc := Scenario{Dims: Dims{NX: 32, NY: 8, NZ: 8}, H: 100, Steps: 4, Sources: ExplosionSource(8, 4, 4, 1e15, 0.06, 0.015)}
+	// On 2×1×1, rank 0's padded subgrid ends at x = 17·H: only rank 1 is bad.
+	half := halfBad{cut: 18 * sc.H}
+	viaSolver := func(q Model, dt float64) error {
+		_, err := solver.Run(q, solver.Options{Global: sc.Dims, H: sc.H, Steps: sc.Steps, Dt: dt,
+			Topo: mpi.NewCart(2, 1, 1), Sources: sc.Sources})
+		return err
+	}
+	viaAWP := func(q Model, ranks int, dt float64, lts bool) func() error {
+		return func() error {
+			s := sc
+			s.Ranks, s.Dt, s.LTS = ranks, dt, lts
+			_, err := Run(q, s)
+			return err
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"Vs 0", viaAWP(bad(func(m *Material) { m.Vs = 0 }), 1, 0, false), "rank 0"},
+		{"Vs -1000", viaAWP(bad(func(m *Material) { m.Vs = -1000 }), 1, 0, false), "rank 0"},
+		{"Vp NaN", viaAWP(bad(func(m *Material) { m.Vp = math.NaN() }), 1, 0, false), "rank 0"},
+		{"Vs 0, Dt given", viaAWP(bad(func(m *Material) { m.Vs = 0 }), 1, 1e-3, false), "rank 0"},
+		{"Vp NaN, 2 ranks", viaAWP(bad(func(m *Material) { m.Vp = math.NaN() }), 2, 0, false), "rank 0"},
+		{"half bad, LTS", viaAWP(half, 2, 0, true), "rank 1"},
+		{"half bad, solver", func() error { return viaSolver(half, 0) }, "rank 1"},
+		{"half bad, solver, Dt given", func() error { return viaSolver(half, 1e-3) }, "rank 1"},
+	} {
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					done <- fmt.Errorf("panic: %v", p)
+				}
+			}()
+			done <- tc.run()
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "velocity model gives "+tc.want) {
+				t.Errorf("%s: err = %v, want the solver naming %s", tc.name, err, tc.want)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("%s: Run has not returned after a minute", tc.name)
+		}
 	}
 }

@@ -135,7 +135,7 @@ func l1Line(t *testing.T, f *grid.Field3) int {
 
 // TestHotArraysSpreadOverL1Sets pins the placement rule of grid.LaneFields on
 // the arrays a rank's sweeps stream together — the nine wavefield components,
-// the 14 medium arrays and the eight attenuation arrays: all 31 start on
+// the 12 medium arrays and the eight attenuation arrays: all 29 start on
 // different cache lines modulo 4 KiB, so equal offsets of them fall in
 // different L1 sets, and so do the 27 splits of a PML zone among themselves;
 // a second build lands on the same lines (nothing depends on allocation order
@@ -159,7 +159,7 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		}
 		return [4][]*grid.Field3{
 			b.s.Fields(),
-			{m.Rho, m.Lam, m.Mu, m.LamI, m.MuI, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS},
+			{m.Rho, m.Lam, m.Mu, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS},
 			{b.a.ZXX, b.a.ZYY, b.a.ZZZ, b.a.ZXY, b.a.ZXZ, b.a.ZYZ, b.a.DLam, b.a.DMu},
 			splits,
 		}
@@ -181,10 +181,10 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		}
 		first := mk()
 		own, again := owners(first), owners(mk())
-		if n := len(own[0]) + len(own[1]) + len(own[2]); n != 31 || len(own[3]) != 27 {
-			t.Fatalf("%d + %d hot arrays, want 31 + 27", n, len(own[3]))
+		if n := len(own[0]) + len(own[1]) + len(own[2]); n != 29 || len(own[3]) != 27 {
+			t.Fatalf("%d + %d hot arrays, want 29 + 27", n, len(own[3]))
 		}
-		// Distinct lines: the 31 global arrays as one family, the splits as
+		// Distinct lines: the 29 global arrays as one family, the splits as
 		// another (a zone has its own shape, hence its own stride).
 		global, zone := map[int]bool{}, map[int]bool{}
 		for oi, fields := range own {

@@ -131,33 +131,7 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 	// Coarse-grain normalization: each point carries one mechanism, so its
 	// deficit is 8x the full-ensemble per-mechanism deficit, normalized to
 	// the band-center loss.
-	norm := float64(NRelax) / ensembleLoss(a.Taus, band.CenterOmega())
-	g := grid.Ghost
-	d := m.Dims
-	for k := -g; k < d.NZ+g; k++ {
-		for j := -g; j < d.NY+g; j++ {
-			for i := -g; i < d.NX+g; i++ {
-				qp := float64(m.QP.At(i, j, k))
-				qs := float64(m.QS.At(i, j, k))
-				lam2mu := float64(m.Lam.At(i, j, k)) + 2*float64(m.Mu.At(i, j, k))
-				mu := float64(m.Mu.At(i, j, k))
-				var dl, dm float64
-				if qs > 0 {
-					dm = norm * mu / qs
-				}
-				if qp > 0 {
-					// Qp controls the P modulus (lam+2mu); subtract the mu
-					// part so lambda's deficit is consistent.
-					dl = norm*lam2mu/qp - 2*dm
-					if dl < 0 {
-						dl = 0
-					}
-				}
-				a.DLam.Set(i, j, k, float32(dl))
-				a.DMu.Set(i, j, k, float32(dm))
-			}
-		}
-	}
+	a.deficits(m, float64(NRelax)/ensembleLoss(a.Taus, band.CenterOmega()))
 	return a
 }
 

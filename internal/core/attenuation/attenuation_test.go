@@ -1,6 +1,7 @@
 package attenuation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -106,7 +107,8 @@ func TestApplyDtMismatchPanics(t *testing.T) {
 func TestZeroQDisablesAttenuation(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 8, NZ: 8}
 	m := makeMedium(t, cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), d, 100)
-	m.SetUniformQ(0, 0)
+	m.QP.Fill(0)
+	m.QS.Fill(0)
 	dt := m.StableDt(0.5)
 	a := New(m, DefaultBand, dt)
 	s := fd.NewState(d)
@@ -148,7 +150,8 @@ func TestAmplitudeDecayMatchesQ(t *testing.T) {
 	d := grid.Dims{NX: nx, NY: 4, NZ: 4}
 	m := makeMedium(t, cvm.Homogeneous(mat), d, h)
 	targetQ := 50.0
-	m.SetUniformQ(2*targetQ, targetQ)
+	m.QP.Fill(float32(2 * targetQ))
+	m.QS.Fill(float32(targetQ))
 
 	L := float64(nx) * h
 	kw := 2 * math.Pi / L
@@ -278,6 +281,71 @@ func TestApplyTiledBitIdentical(t *testing.T) {
 		for n := range za {
 			if za[n] != zb[n] {
 				t.Fatalf("threads=%d memory variable idx %d differs", threads, n)
+			}
+		}
+	}
+}
+
+// refDeficits is the pointwise form of the deficit sweep — New's loop before
+// it became deficits in rows.go — kept as its oracle.
+func refDeficits(a *Model, m *medium.Medium) {
+	norm := float64(NRelax) / ensembleLoss(a.Taus, a.Band.CenterOmega())
+	g := grid.Ghost
+	d := m.Dims
+	for k := -g; k < d.NZ+g; k++ {
+		for j := -g; j < d.NY+g; j++ {
+			for i := -g; i < d.NX+g; i++ {
+				qp := float64(m.QP.At(i, j, k))
+				qs := float64(m.QS.At(i, j, k))
+				lam2mu := float64(m.Lam.At(i, j, k)) + 2*float64(m.Mu.At(i, j, k))
+				mu := float64(m.Mu.At(i, j, k))
+				var dl, dm float64
+				if qs > 0 {
+					dm = norm * mu / qs
+				}
+				if qp > 0 {
+					dl = norm*lam2mu/qp - 2*dm
+					if dl < 0 {
+						dl = 0
+					}
+				}
+				a.DLam.Set(i, j, k, float32(dl))
+				a.DMu.Set(i, j, k, float32(dm))
+			}
+		}
+	}
+}
+
+// TestDeficitsRowsMatchPointwise holds New's deficit sweep to refDeficits,
+// bit for bit over the padded DLam and DMu: on every subgrid of 1×1×1, 2×2×2
+// and 2×2×1 of the solve and pipeline benchmarks' SoCal shapes.
+func TestDeficitsRowsMatchPointwise(t *testing.T) {
+	expect := func(tag string, m *medium.Medium) {
+		t.Helper()
+		dt := m.StableDt(0.5)
+		got, want := New(m, DefaultBand, dt), New(m, DefaultBand, dt)
+		refDeficits(want, m)
+		for _, f := range [][2]*grid.Field3{{got.DLam, want.DLam}, {got.DMu, want.DMu}} {
+			for idx, v := range f[0].Data() {
+				if w := f[1].Data()[idx]; math.Float32bits(v) != math.Float32bits(w) {
+					t.Fatalf("%s: deficit[%d] = %g (%#x), pointwise %g (%#x)", tag, idx, v, math.Float32bits(v), w, math.Float32bits(w))
+				}
+			}
+		}
+	}
+	for _, shape := range []struct {
+		d grid.Dims
+		h float64
+	}{{grid.Dims{NX: 56, NY: 56, NZ: 40}, 200}, {grid.Dims{NX: 192, NY: 128, NZ: 64}, 400}} {
+		d, h := shape.d, shape.h
+		q := cvm.SoCal(float64(d.NX-1)*h, float64(d.NY-1)*h, float64(d.NZ-1)*h, 500)
+		for _, topo := range []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 2), mpi.NewCart(2, 2, 1)} {
+			dc, err := decomp.New(d, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < topo.Size(); r++ {
+				expect(fmt.Sprintf("%v %v rank %d", d, topo, r), medium.FromCVM(q, dc, dc.SubFor(r), h))
 			}
 		}
 	}

@@ -1,11 +1,12 @@
 package attenuation
 
-// The two sweeps of the memory-variable scheme. Both walk a box row by row
-// through per-row, per-offset subslice windows (ap := a[n0+off:][:ni], as the
-// fd production kernels do) so the inner loops carry no bounds checks — this file
-// is guarded by scripts/check_bce.sh — and both collapse the per-mechanism
-// recursion coefficients to a two-entry table per row, because only the x
-// parity of the coarse-graining cell varies along a row.
+// The two sweeps of the memory-variable scheme, and the set-up sweep of its
+// deficits. The step sweeps walk a box row by row through per-row, per-offset
+// subslice windows (ap := a[n0+off:][:ni], as the fd production kernels do)
+// so the inner loops carry no bounds checks — this file is guarded by
+// scripts/check_bce.sh — and both collapse the per-mechanism recursion
+// coefficients to a two-entry table per row, because only the x parity of
+// the coarse-graining cell varies along a row.
 
 import (
 	"fmt"
@@ -14,6 +15,31 @@ import (
 	"repro/internal/core/sched"
 	"repro/internal/medium"
 )
+
+// deficits fills DLam and DMu, norm being the coarse-grain normalization,
+// in one sweep over the padded arrays (the medium's share their layout);
+// refDeficits in attenuation_test.go is the pointwise oracle.
+func (a *Model) deficits(m *medium.Medium, norm float64) {
+	dlam := a.DLam.Data()
+	n := len(dlam)
+	dmu, qpr, qsr, lamr, mur := a.DMu.Data()[:n], m.QP.Data()[:n], m.QS.Data()[:n], m.Lam.Data()[:n], m.Mu.Data()[:n]
+	for i := range dlam {
+		qp, qs, mu, lam2mu := float64(qpr[i]), float64(qsr[i]), float64(mur[i]), float64(lamr[i])+2*float64(mur[i])
+		var dl, dm float64
+		if qs > 0 {
+			dm = norm * mu / qs
+		}
+		if qp > 0 {
+			// Qp controls the P modulus (lam+2mu); subtract the mu part so
+			// lambda's deficit is consistent.
+			dl = norm*lam2mu/qp - 2*dm
+			if dl < 0 {
+				dl = 0
+			}
+		}
+		dlam[i], dmu[i] = float32(dl), float32(dm)
+	}
+}
 
 // FusedStress advances the six stress components and the coarse-grained
 // memory variables over box in a single sweep: the Day (1998) update runs
@@ -173,7 +199,7 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 // anelastic stress corrections in place: the second of the two passes
 // FusedStress does in one, for the callers that need the elastic stress on
 // its own in between (the DFR split-node correction) or that keep an elastic
-// kernel of their own (the Naive/Recip ablation). Call it after the elastic
+// kernel of their own (the Naive ablation). Call it after the elastic
 // stress update each time step, with the same dt and box.
 func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {

@@ -7,7 +7,7 @@ import (
 )
 
 // Variant selects a kernel implementation. There is one production pair —
-// Blocked — and a three-rung ablation of how it got there (§IV.B), which
+// Blocked — and a two-rung ablation of how it got there (§IV.B), which
 // tests, benchmarks and the acceptance harness reach through UpdateVelocity
 // and UpdateStress; the solver runs Production unless a test or benchmark
 // hands it another rung.
@@ -22,9 +22,6 @@ const (
 	// Naive computes staggered material averages inline with one division
 	// per operand (the pre-2009 code).
 	Naive
-	// Recip uses stored reciprocal Lamé arrays, leaving one division per
-	// harmonic mean (the "reduced division operations" step, +31%).
-	Recip
 	// Precomp reads fully precomputed staggered coefficient arrays, one
 	// point at a time over the whole box with whole-array indexing. It is
 	// the reference the tests hold the production pair to, bit for bit.
@@ -48,8 +45,6 @@ func (v Variant) String() string {
 		return "default"
 	case Naive:
 		return "naive"
-	case Recip:
-		return "recip"
 	case Precomp:
 		return "precomp"
 	case Blocked:
@@ -71,9 +66,8 @@ func (v Variant) Validate() error {
 // Precomputed reports whether v reads the precomputed staggered coefficient
 // arrays: Precomp and the production row sweep, which store the same bits.
 // One sweep that reads those arrays (attenuation.FusedStress) can stand in
-// for either; Naive and Recip form their coefficients in the loop, which is
-// what the §IV.B ablation is there to measure, so they keep kernels of
-// their own.
+// for either; Naive forms its coefficients in the loop, which is what the
+// §IV.B ablation is there to measure, so it keeps kernels of its own.
 func (v Variant) Precomputed() bool { return v == Precomp || v == Blocked }
 
 // Blocking carries the cache-blocking factors; the paper's empirically
@@ -92,8 +86,8 @@ func UpdateVelocity(s *State, m *medium.Medium, dt float64, box Box, v Variant, 
 		return
 	}
 	switch v {
-	case Naive, Recip:
-		velocityDivide(s, m, dt, box, v == Naive)
+	case Naive:
+		velocityNaive(s, m, dt, box)
 	case Precomp:
 		velocityPrecomp(s, m, dt, box)
 	case Blocked:
@@ -110,8 +104,8 @@ func UpdateStress(s *State, m *medium.Medium, dt float64, box Box, v Variant, bl
 		return
 	}
 	switch v {
-	case Naive, Recip:
-		stressDivide(s, m, dt, box, v == Naive)
+	case Naive:
+		stressNaive(s, m, dt, box)
 	case Precomp:
 		stressPrecomp(s, m, dt, box)
 	case Blocked:
@@ -207,11 +201,10 @@ func stressPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	}
 }
 
-// velocityDivide implements the Naive/Recip variants: the per-point
-// reciprocal densities are formed in the loop. In the naive form each
-// operand costs a division; in the recip form the stored reciprocal
-// density arrays are read but re-averaged in the loop (one division).
-func velocityDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
+// velocityNaive implements the Naive variant: the per-point reciprocal
+// densities are formed in the loop, a division per operand pair as the
+// original code did.
+func velocityNaive(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -224,17 +217,9 @@ func velocityDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
 			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
-				var bxv, byv, bzv float32
-				if naive {
-					// One division per operand pair, as the original code.
-					bxv = 1 / ((rho[n] + rho[n+dx]) / 2)
-					byv = 1 / ((rho[n] + rho[n+dy]) / 2)
-					bzv = 1 / ((rho[n] + rho[n+dz]) / 2)
-				} else {
-					bxv = 2 / (rho[n] + rho[n+dx])
-					byv = 2 / (rho[n] + rho[n+dy])
-					bzv = 2 / (rho[n] + rho[n+dz])
-				}
+				bxv := 1 / ((rho[n] + rho[n+dx]) / 2)
+				byv := 1 / ((rho[n] + rho[n+dy]) / 2)
+				bzv := 1 / ((rho[n] + rho[n+dz]) / 2)
 				u[n] = Quiesce(u[n] + dth*bxv*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
 					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
 					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
@@ -249,17 +234,15 @@ func velocityDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
 	}
 }
 
-// stressDivide implements the Naive/Recip variants of the stress kernel:
-// harmonic means of mu are formed in the loop, with four divisions per
-// shear point in the naive form and one in the recip form (the stored
-// reciprocal arrays make the harmonic mean a sum, cf. §IV.B).
-func stressDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
+// stressNaive implements the Naive variant of the stress kernel: harmonic
+// means of mu are formed in the loop, with a division per operand.
+func stressNaive(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
 	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
 	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	lam, mu, mui := m.Lam.Data(), m.Mu.Data(), m.MuI.Data()
+	lam, mu := m.Lam.Data(), m.Mu.Data()
 	dx, dy, dz := s.VX.Strides()
 
 	for k := b.K0; k < b.K1; k++ {
@@ -273,16 +256,9 @@ func stressDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
 				xx[n] += dth * (l2m*exx + lam[n]*(eyy+ezz))
 				yy[n] += dth * (l2m*eyy + lam[n]*(exx+ezz))
 				zz[n] += dth * (l2m*ezz + lam[n]*(exx+eyy))
-				var hxy, hxz, hyz float32
-				if naive {
-					hxy = hmeanNaive(mu, n, dx, dy)
-					hxz = hmeanNaive(mu, n, dx, dz)
-					hyz = hmeanNaive(mu, n, dy, dz)
-				} else {
-					hxy = hmeanRecip(mui, n, dx, dy)
-					hxz = hmeanRecip(mui, n, dx, dz)
-					hyz = hmeanRecip(mui, n, dy, dz)
-				}
+				hxy := hmeanNaive(mu, n, dx, dy)
+				hxz := hmeanNaive(mu, n, dx, dz)
+				hyz := hmeanNaive(mu, n, dy, dz)
 				xy[n] += dth * hxy * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
 					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
 				xz[n] += dth * hxz * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
@@ -299,10 +275,4 @@ func stressDivide(s *State, m *medium.Medium, dt float64, b Box, naive bool) {
 // in the inner loop inlines.
 func hmeanNaive(mu []float32, n, da, db int) float32 {
 	return 4 / (1/mu[n] + 1/mu[n+da] + 1/mu[n+db] + 1/mu[n+da+db])
-}
-
-// hmeanRecip forms the harmonic mean from stored reciprocals — a sum and
-// one division (§IV.B "reduced division operations").
-func hmeanRecip(mui []float32, n, da, db int) float32 {
-	return 4 / (mui[n] + mui[n+da] + mui[n+db] + mui[n+da+db])
 }

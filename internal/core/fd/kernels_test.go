@@ -108,7 +108,7 @@ func TestVariantsAgree(t *testing.T) {
 			refVel := ref.Clone()
 			UpdateStress(ref, m, dt, box, Precomp, Blocking{})
 
-			for _, v := range []Variant{Naive, Recip, Precomp, Blocked} {
+			for _, v := range []Variant{Naive, Precomp, Blocked} {
 				s := tc.state()
 				UpdateVelocity(s, m, dt, box, v, DefaultBlocking)
 				for fi, f := range s.Velocities() {
@@ -391,7 +391,7 @@ func TestBoxHelpers(t *testing.T) {
 }
 
 func TestVariantStrings(t *testing.T) {
-	names := map[Variant]string{Default: "default", Naive: "naive", Recip: "recip", Precomp: "precomp", Blocked: "blocked"}
+	names := map[Variant]string{Default: "default", Naive: "naive", Precomp: "precomp", Blocked: "blocked"}
 	for v, want := range names {
 		if v.String() != want {
 			t.Errorf("String(%d) = %q", int(v), v.String())

@@ -1,10 +1,10 @@
 // Package fd implements the explicit staggered-grid finite-difference
 // kernels of AWP-ODC (§II.B): 4th-order in space, 2nd-order in time,
 // velocity–stress formulation. One production kernel pair — a windowed row
-// sweep over precomputed coefficients, cache-blocked — and the three rungs
-// of the paper's single-CPU optimization study (§IV.B) that lead to it: a
-// naive variant with per-operand divisions, a reciprocal-array variant, and
-// the pointwise precomputed variant the tests use as the reference.
+// sweep over precomputed coefficients, cache-blocked — and two rungs of the
+// paper's single-CPU optimization study (§IV.B) that lead to it: a naive
+// variant with per-operand divisions, and the pointwise precomputed variant
+// the tests use as the reference.
 //
 // Staggering convention (Graves 1996, the scheme AWP-ODC uses): with
 // storage index (i,j,k),

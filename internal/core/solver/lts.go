@@ -77,12 +77,16 @@ func PlanLTS(q cvm.Querier, opt Options) (Options, error) {
 	maxVpX := make([]float64, nx)
 	maxVpY := make([]float64, ny)
 	maxVpZ := make([]float64, nz)
+	xs, mats := make([]float64, nx), make([]cvm.Material, nx)
+	for i := range xs {
+		xs[i] = float64(i) * opt.H
+	}
 	for k := 0; k < nz; k++ {
 		z := float64(k) * opt.H
 		for j := 0; j < ny; j++ {
-			y := float64(j) * opt.H
-			for i := 0; i < nx; i++ {
-				vp := q.Query(float64(i)*opt.H, y, z).Vp
+			cvm.QueryRow(q, float64(j)*opt.H, z, xs, mats)
+			for i := range mats {
+				vp := mats[i].Vp
 				if vp > maxVpX[i] {
 					maxVpX[i] = vp
 				}

@@ -613,10 +613,9 @@ func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
 // i-loop, one read/modify/write of the six stress fields per cell instead of
 // two, bit-identical to the pair of passes it replaces. Its whole time lands
 // in the Stress span — there is no separate attenuation pass to time. Naive
-// and Recip are the §IV.B ablation of the in-loop coefficient arithmetic
-// FusedStress does not have, so they keep their elastic kernel and the second
-// pass, each under its own span; Span.End is safe from concurrent pool
-// workers.
+// is the §IV.B ablation of the in-loop coefficient arithmetic FusedStress does
+// not have, so it keeps its elastic kernel and the second pass, each under its
+// own span; Span.End is safe from concurrent pool workers.
 func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
 	elastic := rs.elasticTile(opt, dt)
 	switch {

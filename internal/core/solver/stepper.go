@@ -236,10 +236,19 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.nbrMask[ax][1] = opt.Topo.Neighbor(c.Rank(), ax, +1) >= 0
 	}
 
-	// Global stable dt at the configured CFL safety factor.
+	// One collective, Dt given or not: the stable dt, and the lowest rank whose
+	// medium is Unphysical — every rank returns one error, none waits on another.
+	bad := math.Inf(1)
+	if rs.med.Unphysical {
+		bad = float64(c.Rank())
+	}
+	agreed := c.Allreduce([]float64{rs.med.StableDt(opt.CFL), bad}, mpi.Min)
+	if bad = agreed[1]; !math.IsInf(bad, 1) {
+		return nil, fmt.Errorf("solver: the velocity model gives rank %d a material that is not finite or has Vp <= 0, Vs < 0 or density <= 0", int(bad))
+	}
 	dt := opt.Dt
 	if dt <= 0 {
-		dt = c.Allreduce([]float64{rs.med.StableDt(opt.CFL)}, mpi.Min)[0]
+		dt = agreed[0]
 	}
 	// Assign the per-rank rate-2^k clusters (all rate 1 with LTS off). This
 	// rank's own state (attenuation coefficients, sponge strength, PML

@@ -121,14 +121,7 @@ func (m *Model) Query(x, y, z float64) Material {
 	x = clamp(x, m.LX)
 	y = clamp(y, m.LY)
 	z = clamp(z, m.LZ)
-
-	vs := m.SurfaceVs + m.GradVs*math.Sqrt(z)
-	if vs > m.MaxVs {
-		vs = m.MaxVs
-	}
-	vp := vs * m.VpVs
-	rho := nafeDrake(vp)
-
+	vs, vp, rho := m.background(z)
 	// Basin override: take the strongest (lowest-Vs) basin influence.
 	for i := range m.Basins {
 		b := &m.Basins[i]
@@ -136,6 +129,21 @@ func (m *Model) Query(x, y, z float64) Material {
 			vs, vp, rho = bvs, bvp, brho
 		}
 	}
+	return m.finish(vs, vp, rho)
+}
+
+// background is the crustal material at clamped depth z.
+func (m *Model) background(z float64) (vs, vp, rho float64) {
+	vs = m.SurfaceVs + m.GradVs*math.Sqrt(z)
+	if vs > m.MaxVs {
+		vs = m.MaxVs
+	}
+	vp = vs * m.VpVs
+	return vs, vp, nafeDrake(vp)
+}
+
+// finish applies the Vs floor and the fixed density.
+func (m *Model) finish(vs, vp, rho float64) Material {
 	if vs < m.MinVs {
 		ratio := m.MinVs / vs
 		vs = m.MinVs

@@ -154,6 +154,76 @@ func TestQuickSoCalPlausibility(t *testing.T) {
 	}
 }
 
+// fuzzModels are the models FuzzQueryRow draws from: the M8-scale and a
+// bench-scale SoCal, SoCal with a fixed density and with a Vs floor above
+// most of the crust, a basin centred on the y = 0 edge (ghost rows clamp
+// into it), Homogeneous, and the layered HardRock (which QueryRow samples
+// point by point).
+func fuzzModels() []Querier {
+	rho := SoCal(810e3, 405e3, 85e3, 400)
+	rho.FixedRho = 2500
+	edge := SoCal(20e3, 20e3, 8e3, 400)
+	edge.Basins = []Basin{{Name: "edge", CX: 5e3, CY: 0, RX: 4e3, RY: 3e3, Depth: 3e3, SurfVs: 450, SurfVpVs: 2, SurfRho: 1900}}
+	return []Querier{
+		SoCal(810e3, 405e3, 85e3, 400),
+		SoCal(55*200, 55*200, 39*200, 500),
+		rho,
+		SoCal(810e3, 405e3, 85e3, 2000),
+		edge,
+		Homogeneous(Material{Vp: 6000, Vs: 3464, Rho: 2700}),
+		HardRock(),
+	}
+}
+
+// FuzzQueryRow holds each model's QueryRow to its pointwise Query, bit for
+// bit. A model with basins puts the row where dy²+dz² of one basin is
+// 1-delta (shifted by yShift) and the row's xs around that basin's centre,
+// so small deltas graze the edge the row cull decides on; a basin leaves
+// bits a few ulps deep only when 1-r2 is above about 1e-8, so the 1e-7 and
+// 1e-4 seeds are the ones a cull that drops a live basin fails.
+func FuzzQueryRow(f *testing.F) {
+	f.Add(uint8(0), uint8(0), 1e-12, 0.3, 0.0, -20e3, 1e3, uint8(41))   // inside by 1e-12
+	f.Add(uint8(0), uint8(2), -1e-12, 0.0, 0.0, -5e3, 250.0, uint8(41)) // outside by 1e-12
+	f.Add(uint8(0), uint8(1), 1e-7, 0.0, 0.0, -4e3, 200.0, uint8(41))
+	f.Add(uint8(1), uint8(0), 1e-4, 0.2, 0.0, -1e3, 200.0, uint8(60))
+	f.Add(uint8(1), uint8(3), 0.5, 0.5, 0.0, -7e3, 200.0, uint8(60))
+	f.Add(uint8(2), uint8(0), 0.3, 0.1, 0.0, -30e3, 1e3, uint8(61))     // FixedRho
+	f.Add(uint8(3), uint8(0), 0.9, 0.0, 0.0, -30e3, 1e3, uint8(61))     // MinVs floor
+	f.Add(uint8(4), uint8(0), 0.5, 0.2, -400.0, -6e3, 200.0, uint8(64)) // ghost rows: y < 0, xs < 0
+	f.Add(uint8(4), uint8(0), 0.5, -0.1, -1e9, -6e3, 200.0, uint8(64))
+	f.Add(uint8(5), uint8(0), 0.0, 0.4, 10.0, -400.0, 200.0, uint8(30)) // Homogeneous
+	f.Add(uint8(6), uint8(0), 0.0, 0.1, 0.0, -400.0, 200.0, uint8(30))  // Layered
+	models := fuzzModels()
+	f.Fuzz(func(t *testing.T, model, basin uint8, delta, zf, yShift, x0, step float64, n uint8) {
+		q := models[int(model)%len(models)]
+		y, z, cx := yShift, zf*20e3, 0.0
+		if m, ok := q.(*Model); ok && len(m.Basins) > 0 {
+			b := m.Basins[int(basin)%len(m.Basins)]
+			z = zf * b.Depth
+			y = b.CY + b.RY*math.Sqrt(math.Max(0, 1-delta-zf*zf)) + yShift
+			cx = b.CX
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = cx + x0 + float64(i)*step
+		}
+		got := make([]Material, n)
+		QueryRow(q, y, z, xs, got)
+		for i, x := range xs {
+			want := q.Query(x, y, z)
+			if !sameBits(got[i], want) {
+				t.Fatalf("row (y=%g, z=%g) x=%g: QueryRow %+v, Query %+v", y, z, x, got[i], want)
+			}
+		}
+	})
+}
+
+func sameBits(a, b Material) bool {
+	return math.Float64bits(a.Vp) == math.Float64bits(b.Vp) &&
+		math.Float64bits(a.Vs) == math.Float64bits(b.Vs) &&
+		math.Float64bits(a.Rho) == math.Float64bits(b.Rho)
+}
+
 // Property: the quality-factor relations hold exactly for any material.
 func TestQuickQualityRelations(t *testing.T) {
 	prop := func(vsk float64) bool {

@@ -79,9 +79,9 @@ const (
 	Lanes = 64
 
 	LaneState       = 0  // fd.State: 9 components
-	LaneMedium      = 9  // medium.Medium: 14 arrays
-	LaneAttenuation = 23 // attenuation.Model: 6 memory variables, DLam, DMu
-	LanePML         = 31 // boundary.PML: 27 splits of one zone
+	LaneMedium      = 9  // medium.Medium: 12 arrays
+	LaneAttenuation = 21 // attenuation.Model: 6 memory variables, DLam, DMu
+	LanePML         = 29 // boundary.PML: 27 splits of one zone
 )
 
 // LaneFields returns a constructor of count zeroed fields of one shape, the

@@ -1,10 +1,9 @@
 // Package medium holds the discretized material model for one rank's
 // subgrid: density and Lamé parameters at grid nodes, plus the staggered
-// averages the velocity–stress scheme needs. Following the paper's
-// single-CPU optimization (§IV.B), reciprocals of the Lamé arrays are
-// stored so the hot loops harmonic-average without dividing per operand,
-// and fully precomputed staggered coefficient arrays are available for the
-// fastest kernel variant.
+// coefficients the velocity–stress scheme needs. Following the paper's
+// single-CPU optimization (§IV.B), the staggered averages — reciprocal
+// densities and harmonic means of mu — are precomputed once, so the hot
+// loops divide not at all.
 package medium
 
 import (
@@ -29,10 +28,6 @@ type Medium struct {
 	Lam *grid.Field3 // Lamé lambda
 	Mu  *grid.Field3 // Lamé mu
 
-	// Reciprocals (the §IV.B storage optimization).
-	LamI *grid.Field3 // 1/lambda
-	MuI  *grid.Field3 // 1/mu
-
 	// Precomputed staggered coefficients.
 	BX, BY, BZ       *grid.Field3 // 1/rho averaged at vx, vy, vz points
 	MuXY, MuXZ, MuYZ *grid.Field3 // harmonic-mean mu at shear-stress points
@@ -42,39 +37,31 @@ type Medium struct {
 	QP, QS *grid.Field3
 
 	// Extremes over the interior, for stability and dispersion checks.
-	MinVs, MaxVp, MinRho float64
+	MinVs, MaxVp float64
+
+	// Unphysical: some node, ghosts included, has a material that is not
+	// finite or has Vp <= 0, Vs < 0 or density <= 0. A solver must refuse it.
+	Unphysical bool
 }
 
 // FromCVM extracts the material model for subgrid s of d from q at grid
 // spacing h (meters). Node (i,j,k) samples the model at global position
-// ((OffX+i)·h, (OffY+j)·h, (OffZ+k)·h) with z measured as depth.
+// ((OffX+i)·h, (OffY+j)·h, (OffZ+k)·h) with z measured as depth, a padded
+// x-row per cvm.QueryRow call.
 func FromCVM(q cvm.Querier, d decomp.Decomp, s decomp.Sub, h float64) *Medium {
 	m := alloc(s.Local, h)
 	g := grid.Ghost
-	minVs, maxVp, minRho := math.Inf(1), 0.0, math.Inf(1)
+	xs, mats := make([]float64, s.Local.NX+2*g), make([]cvm.Material, s.Local.NX+2*g)
+	for i := range xs {
+		xs[i] = float64(s.OffX+i-g) * h
+	}
 	for k := -g; k < s.Local.NZ+g; k++ {
+		z := float64(s.OffZ+k) * h
 		for j := -g; j < s.Local.NY+g; j++ {
-			for i := -g; i < s.Local.NX+g; i++ {
-				x := float64(s.OffX+i) * h
-				y := float64(s.OffY+j) * h
-				z := float64(s.OffZ+k) * h
-				mat := q.Query(x, y, z)
-				rho, lam, mu := convert(mat)
-				m.Rho.Set(i, j, k, float32(rho))
-				m.Lam.Set(i, j, k, float32(lam))
-				m.Mu.Set(i, j, k, float32(mu))
-				qp, qs := mat.Quality()
-				m.QP.Set(i, j, k, float32(qp))
-				m.QS.Set(i, j, k, float32(qs))
-				if interior(i, j, k, s.Local) {
-					minVs = math.Min(minVs, mat.Vs)
-					maxVp = math.Max(maxVp, mat.Vp)
-					minRho = math.Min(minRho, mat.Rho)
-				}
-			}
+			cvm.QueryRow(q, float64(s.OffY+j)*h, z, xs, mats)
+			m.writeRow(j, k, mats)
 		}
 	}
-	m.MinVs, m.MaxVp, m.MinRho = minVs, maxVp, minRho
 	m.finalize()
 	return m
 }
@@ -82,46 +69,40 @@ func FromCVM(q cvm.Querier, d decomp.Decomp, s decomp.Sub, h float64) *Medium {
 // FromArrays builds a Medium from explicit per-node property arrays, which
 // is how the partitioned-mesh reader hands sub-meshes to the solver. The
 // arrays must cover the padded (ghost-inclusive) extent in x-fastest
-// order, matching grid.Field3 layout.
+// order, matching grid.Field3 layout. As in FromCVM, MinVs and MaxVp fold
+// the interior nodes only, while any node, ghosts included, can set
+// Unphysical.
 func FromArrays(dims grid.Dims, h float64, vp, vs, rho []float32) (*Medium, error) {
 	m := alloc(dims, h)
 	if len(vp) != len(m.Rho.Data()) || len(vs) != len(vp) || len(rho) != len(vp) {
 		return nil, fmt.Errorf("medium: array length %d, want padded %d", len(vp), len(m.Rho.Data()))
 	}
-	minVs, maxVp, minRho := math.Inf(1), 0.0, math.Inf(1)
-	for n := range vp {
-		mat := cvm.Material{Vp: float64(vp[n]), Vs: float64(vs[n]), Rho: float64(rho[n])}
-		r, lam, mu := convert(mat)
-		m.Rho.Data()[n] = float32(r)
-		m.Lam.Data()[n] = float32(lam)
-		m.Mu.Data()[n] = float32(mu)
-		qp, qs := mat.Quality()
-		m.QP.Data()[n] = float32(qp)
-		m.QS.Data()[n] = float32(qs)
-		minVs = math.Min(minVs, mat.Vs)
-		maxVp = math.Max(maxVp, mat.Vp)
-		minRho = math.Min(minRho, mat.Rho)
+	g := grid.Ghost
+	mats := make([]cvm.Material, dims.NX+2*g)
+	for k := -g; k < dims.NZ+g; k++ {
+		for j := -g; j < dims.NY+g; j++ {
+			n0 := m.Rho.Idx(-g, j, k)
+			for i := range mats {
+				mats[i] = cvm.Material{Vp: float64(vp[n0+i]), Vs: float64(vs[n0+i]), Rho: float64(rho[n0+i])}
+			}
+			m.writeRow(j, k, mats)
+		}
 	}
-	m.MinVs, m.MaxVp, m.MinRho = minVs, maxVp, minRho
 	m.finalize()
 	return m, nil
 }
 
 func alloc(d grid.Dims, h float64) *Medium {
-	f := grid.LaneFields(d, grid.Ghost, grid.LaneMedium, 14)
+	f := grid.LaneFields(d, grid.Ghost, grid.LaneMedium, 12)
 	return &Medium{
 		Dims: d, H: h,
 		Rho: f(), Lam: f(), Mu: f(),
-		LamI: f(), MuI: f(),
 		BX: f(), BY: f(), BZ: f(),
 		MuXY: f(), MuXZ: f(), MuYZ: f(),
 		Lam2Mu: f(),
 		QP:     f(), QS: f(),
+		MinVs: math.Inf(1),
 	}
-}
-
-func interior(i, j, k int, d grid.Dims) bool {
-	return i >= 0 && i < d.NX && j >= 0 && j < d.NY && k >= 0 && k < d.NZ
 }
 
 // convert maps (Vp, Vs, rho) to (rho, lambda, mu).
@@ -130,14 +111,6 @@ func convert(m cvm.Material) (rho, lam, mu float64) {
 	mu = rho * m.Vs * m.Vs
 	lam = rho*m.Vp*m.Vp - 2*mu
 	return
-}
-
-// SetUniformQ overwrites the quality-factor fields with uniform values,
-// for controlled attenuation experiments. Non-positive values disable the
-// corresponding loss mechanism.
-func (m *Medium) SetUniformQ(qp, qs float64) {
-	m.QP.Fill(float32(qp))
-	m.QS.Fill(float32(qs))
 }
 
 // cfl4 is the stability constant of the 4th-order staggered-grid scheme:

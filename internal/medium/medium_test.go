@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,19 +50,22 @@ func TestFromCVMHomogeneous(t *testing.T) {
 	}
 }
 
+// TestReciprocalsMatch checks the stored reciprocal coefficients against the
+// node values they stand for: in a laterally uniform model the reciprocal
+// densities at vx and vy points are 1/rho, and the harmonic mean at xy points
+// is mu itself.
 func TestReciprocalsMatch(t *testing.T) {
 	q := cvm.HardRock()
 	d := grid.Dims{NX: 6, NY: 6, NZ: 12}
 	dc, sub := singleRank(t, d)
 	m := FromCVM(q, dc, sub, 500)
 	for k := 0; k < d.NZ; k++ {
-		lam := m.Lam.At(3, 3, k)
-		if rel(float64(m.LamI.At(3, 3, k)), 1/float64(lam)) > 1e-5 {
-			t.Fatalf("LamI mismatch at k=%d", k)
+		rho := float64(m.Rho.At(3, 3, k))
+		if rel(float64(m.BX.At(3, 3, k)), 1/rho) > 1e-5 || rel(float64(m.BY.At(3, 3, k)), 1/rho) > 1e-5 {
+			t.Fatalf("BX/BY = %g/%g at k=%d, want 1/rho = %g", m.BX.At(3, 3, k), m.BY.At(3, 3, k), k, 1/rho)
 		}
-		mu := m.Mu.At(3, 3, k)
-		if rel(float64(m.MuI.At(3, 3, k)), 1/float64(mu)) > 1e-5 {
-			t.Fatalf("MuI mismatch at k=%d", k)
+		if mu := float64(m.Mu.At(3, 3, k)); rel(float64(m.MuXY.At(3, 3, k)), mu) > 1e-5 {
+			t.Fatalf("MuXY = %g at k=%d, want mu = %g", m.MuXY.At(3, 3, k), k, mu)
 		}
 	}
 }
@@ -185,8 +189,6 @@ func refFinalize(m *Medium) {
 			for i := -g; i < d.NX+g; i++ {
 				lam := m.Lam.At(i, j, k)
 				mu := m.Mu.At(i, j, k)
-				m.LamI.Set(i, j, k, 1/lam)
-				m.MuI.Set(i, j, k, 1/mu)
 				m.Lam2Mu.Set(i, j, k, lam+2*mu)
 
 				// Reciprocal densities at velocity points (2-point
@@ -215,7 +217,7 @@ func harmonic4(a, b, c, d float32) float32 {
 }
 
 // TestFinalizeRowsMatchPointwise holds the row-sweep finalize to the
-// pointwise oracle on the whole padded Data() of all fourteen arrays: a
+// pointwise oracle on the whole padded Data() of all twelve arrays: a
 // heterogeneous model with a water layer's zero rigidity (1/mu = +Inf, a
 // harmonic mean of exactly 0) on a cube, a pencil and a slab of a subgrid.
 func TestFinalizeRowsMatchPointwise(t *testing.T) {
@@ -236,22 +238,236 @@ func TestFinalizeRowsMatchPointwise(t *testing.T) {
 		}
 		got.finalize()
 		refFinalize(want)
-		names := []string{"Rho", "Lam", "Mu", "LamI", "MuI", "BX", "BY", "BZ", "MuXY", "MuXZ", "MuYZ", "Lam2Mu", "QP", "QS"}
-		gf := []*grid.Field3{got.Rho, got.Lam, got.Mu, got.LamI, got.MuI, got.BX, got.BY, got.BZ, got.MuXY, got.MuXZ, got.MuYZ, got.Lam2Mu, got.QP, got.QS}
-		wf := []*grid.Field3{want.Rho, want.Lam, want.Mu, want.LamI, want.MuI, want.BX, want.BY, want.BZ, want.MuXY, want.MuXZ, want.MuYZ, want.Lam2Mu, want.QP, want.QS}
+		expectSameBits(t, d.String(), got, want)
 		zeroMeans := 0
-		for fi := range gf {
-			for idx, v := range gf[fi].Data() {
-				if w := wf[fi].Data()[idx]; math.Float32bits(v) != math.Float32bits(w) {
-					t.Fatalf("%v: %s[%d] = %g (%#x), pointwise %g (%#x)", d, names[fi], idx, v, math.Float32bits(v), w, math.Float32bits(w))
-				}
-				if names[fi] == "MuXY" && v == 0 && got.MuI.Data()[idx] != 0 {
-					zeroMeans++
-				}
+		for idx, v := range got.MuXY.Data() {
+			if v == 0 && got.Mu.Data()[idx] != 0 {
+				zeroMeans++
 			}
 		}
 		if zeroMeans == 0 {
 			t.Errorf("%v: no harmonic mean touched a fluid node", d)
 		}
 	}
+}
+
+// fieldNames names the twelve arrays of a Medium in allocation order.
+var fieldNames = []string{"Rho", "Lam", "Mu", "BX", "BY", "BZ", "MuXY", "MuXZ", "MuYZ", "Lam2Mu", "QP", "QS"}
+
+func fields(m *Medium) []*grid.Field3 {
+	return []*grid.Field3{m.Rho, m.Lam, m.Mu, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS}
+}
+
+// expectSameBits fails unless got and want hold the same bits in the whole
+// padded Data() of all twelve arrays.
+func expectSameBits(t *testing.T, tag string, got, want *Medium) {
+	t.Helper()
+	gf, wf := fields(got), fields(want)
+	for fi := range gf {
+		for idx, v := range gf[fi].Data() {
+			if w := wf[fi].Data()[idx]; math.Float32bits(v) != math.Float32bits(w) {
+				t.Fatalf("%s: %s[%d] = %g (%#x), pointwise %g (%#x)", tag, fieldNames[fi], idx, v, math.Float32bits(v), w, math.Float32bits(w))
+			}
+		}
+	}
+}
+
+// refFromCVM is the pointwise form of FromCVM — the body it had before it
+// wrote rows from cvm.QueryRow — kept as its oracle.
+func refFromCVM(q cvm.Querier, s decomp.Sub, h float64) *Medium {
+	m := alloc(s.Local, h)
+	g := grid.Ghost
+	minVs, maxVp := math.Inf(1), 0.0
+	for k := -g; k < s.Local.NZ+g; k++ {
+		for j := -g; j < s.Local.NY+g; j++ {
+			for i := -g; i < s.Local.NX+g; i++ {
+				x := float64(s.OffX+i) * h
+				y := float64(s.OffY+j) * h
+				z := float64(s.OffZ+k) * h
+				mat := q.Query(x, y, z)
+				rho, lam, mu := convert(mat)
+				m.Rho.Set(i, j, k, float32(rho))
+				m.Lam.Set(i, j, k, float32(lam))
+				m.Mu.Set(i, j, k, float32(mu))
+				qp, qs := mat.Quality()
+				m.QP.Set(i, j, k, float32(qp))
+				m.QS.Set(i, j, k, float32(qs))
+				if i >= 0 && i < s.Local.NX && j >= 0 && j < s.Local.NY && k >= 0 && k < s.Local.NZ {
+					minVs = math.Min(minVs, mat.Vs)
+					maxVp = math.Max(maxVp, mat.Vp)
+				}
+			}
+		}
+	}
+	m.MinVs, m.MaxVp = minVs, maxVp
+	m.finalize()
+	return m
+}
+
+// pointOnly hides a model's QueryRow, so cvm.QueryRow falls back to Query.
+type pointOnly struct{ cvm.Querier }
+
+// float32Model rounds a model's materials to float32, as a mesh file stores
+// them.
+type float32Model struct{ cvm.Querier }
+
+func (q float32Model) Query(x, y, z float64) cvm.Material {
+	m := q.Querier.Query(x, y, z)
+	return cvm.Material{Vp: float64(float32(m.Vp)), Vs: float64(float32(m.Vs)), Rho: float64(float32(m.Rho))}
+}
+
+// paddedArrays samples q over sub's padded extent into the three arrays
+// FromArrays takes, in grid.Field3 layout.
+func paddedArrays(q cvm.Querier, s decomp.Sub, h float64) (vp, vs, rho []float32) {
+	f, g := grid.NewField3(s.Local), grid.Ghost
+	vp, vs, rho = make([]float32, len(f.Data())), make([]float32, len(f.Data())), make([]float32, len(f.Data()))
+	for k := -g; k < s.Local.NZ+g; k++ {
+		for j := -g; j < s.Local.NY+g; j++ {
+			for i := -g; i < s.Local.NX+g; i++ {
+				mat, n := q.Query(float64(s.OffX+i)*h, float64(s.OffY+j)*h, float64(s.OffZ+k)*h), f.Idx(i, j, k)
+				vp[n], vs[n], rho[n] = float32(mat.Vp), float32(mat.Vs), float32(mat.Rho)
+			}
+		}
+	}
+	return vp, vs, rho
+}
+
+// TestFromCVMRowsMatchPointwise holds FromCVM and FromArrays to refFromCVM —
+// all twelve arrays, ghosts included, and the interior extremes, bit for bit
+// — on every subgrid of 1×1×1, 2×2×2 and 2×2×1 at the solve and pipeline
+// benchmark shapes of the SoCal model, and on models cvm.QueryRow samples
+// point by point (Layered, and a SoCal seen through Query alone). FromArrays
+// is fed the padded arrays of the float32-rounded model and held to
+// refFromCVM of that model.
+func TestFromCVMRowsMatchPointwise(t *testing.T) {
+	socal := func(d grid.Dims, h float64) cvm.Querier {
+		return cvm.SoCal(float64(d.NX-1)*h, float64(d.NY-1)*h, float64(d.NZ-1)*h, 500)
+	}
+	solve, pipe := grid.Dims{NX: 56, NY: 56, NZ: 40}, grid.Dims{NX: 192, NY: 128, NZ: 64}
+	cases := []struct {
+		name string
+		q    cvm.Querier
+		d    grid.Dims
+		h    float64
+	}{
+		{"solve", socal(solve, 200), solve, 200},
+		{"pipeline", socal(pipe, 400), pipe, 400},
+		{"layered", cvm.HardRock(), grid.Dims{NX: 12, NY: 10, NZ: 30}, 100},
+		{"homogeneous", cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), grid.Dims{NX: 9, NY: 8, NZ: 8}, 100},
+		{"point-only", pointOnly{socal(solve, 200)}, solve, 200},
+	}
+	expect := func(tag string, got, want *Medium) {
+		t.Helper()
+		expectSameBits(t, tag, got, want)
+		if math.Float64bits(got.MinVs) != math.Float64bits(want.MinVs) || math.Float64bits(got.MaxVp) != math.Float64bits(want.MaxVp) {
+			t.Fatalf("%s: extremes %g/%g, pointwise %g/%g", tag, got.MinVs, got.MaxVp, want.MinVs, want.MaxVp)
+		}
+		if got.Unphysical {
+			t.Fatalf("%s: a physical model flagged Unphysical", tag)
+		}
+	}
+	for _, tc := range cases {
+		for _, topo := range []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 2), mpi.NewCart(2, 2, 1)} {
+			dc, err := decomp.New(tc.d, topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := 0; r < topo.Size(); r++ {
+				tag, sub := fmt.Sprintf("%s %v rank %d", tc.name, topo, r), dc.SubFor(r)
+				expect("FromCVM "+tag, FromCVM(tc.q, dc, sub, tc.h), refFromCVM(tc.q, sub, tc.h))
+				vp, vs, rho := paddedArrays(tc.q, sub, tc.h)
+				got, err := FromArrays(sub.Local, tc.h, vp, vs, rho)
+				if err != nil {
+					t.Fatal(err)
+				}
+				expect("FromArrays "+tag, got, refFromCVM(float32Model{tc.q}, sub, tc.h))
+			}
+		}
+	}
+}
+
+// TestFromArraysGhosts: ghost nodes take part in the stored arrays and in
+// Unphysical, but not in MinVs/MaxVp, which fold the interior alone.
+func TestFromArraysGhosts(t *testing.T) {
+	d := grid.Dims{NX: 5, NY: 4, NZ: 3}
+	f := grid.NewField3(d)
+	build := func(ghost, odd [3]float32) *Medium {
+		t.Helper()
+		n := len(f.Data())
+		vp, vs, rho := make([]float32, n), make([]float32, n), make([]float32, n)
+		for k := -grid.Ghost; k < d.NZ+grid.Ghost; k++ {
+			for j := -grid.Ghost; j < d.NY+grid.Ghost; j++ {
+				for i := -grid.Ghost; i < d.NX+grid.Ghost; i++ {
+					mat := [3]float32{6000, 3464, 2700}
+					if i < 0 || i >= d.NX || j < 0 || j >= d.NY || k < 0 || k >= d.NZ {
+						mat = ghost
+					}
+					if i == d.NX+1 && j == 1 && k == 2 { // one ghost node past the high-x face
+						mat = odd
+					}
+					n := f.Idx(i, j, k)
+					vp[n], vs[n], rho[n] = mat[0], mat[1], mat[2]
+				}
+			}
+		}
+		m, err := FromArrays(d, 100, vp, vs, rho)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	fast := [3]float32{9000, 100, 2000} // faster P, slower S than the interior
+	m := build(fast, fast)
+	if m.MinVs != 3464 || m.MaxVp != 6000 || m.Unphysical {
+		t.Fatalf("ghosts %v: extremes %g/%g, Unphysical %v; want the interior's 3464/6000, false", fast, m.MinVs, m.MaxVp, m.Unphysical)
+	}
+	if got, want := m.Mu.At(-1, 0, 0), float32(2000*100*100); got != want {
+		t.Fatalf("ghost mu = %g, want %g", got, want)
+	}
+	for _, bad := range [][3]float32{{float32(math.NaN()), 100, 2000}, {9000, -1, 2000}, {9000, 100, 0}} {
+		if m := build(fast, bad); !m.Unphysical || m.MinVs != 3464 || m.MaxVp != 6000 {
+			t.Fatalf("ghost node %v: Unphysical %v, extremes %g/%g; want true, 3464/6000", bad, m.Unphysical, m.MinVs, m.MaxVp)
+		}
+	}
+}
+
+// TestUnphysicalFlagged: a material no wave can cross anywhere in the padded
+// subgrid — a ghost node included — sets Unphysical; a fluid's Vs = 0 does
+// not.
+func TestUnphysicalFlagged(t *testing.T) {
+	d := grid.Dims{NX: 4, NY: 4, NZ: 4}
+	dc, sub := singleRank(t, d)
+	good := cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}
+	for _, tc := range []struct {
+		name string
+		bad  cvm.Material
+		want bool
+	}{
+		{"fluid", cvm.Material{Vp: 1500, Vs: 0, Rho: 1000}, false},
+		{"negative zero Vs", cvm.Material{Vp: 1500, Vs: math.Copysign(0, -1), Rho: 1000}, false},
+		{"NaN Vp", cvm.Material{Vp: math.NaN(), Vs: 3464, Rho: 2700}, true},
+		{"zero Vp", cvm.Material{Vp: 0, Vs: 0, Rho: 2700}, true},
+		{"negative Vs", cvm.Material{Vp: 6000, Vs: -1000, Rho: 2700}, true},
+		{"zero density", cvm.Material{Vp: 6000, Vs: 3464, Rho: 0}, true},
+		{"infinite Vs", cvm.Material{Vp: 6000, Vs: math.Inf(1), Rho: 2700}, true},
+	} {
+		// The odd node sits in the high-x ghost layer of the corner row.
+		q := oneNode{x: float64(d.NX+1) * 100, y: -200, z: -200, at: tc.bad, other: good}
+		if got := FromCVM(q, dc, sub, 100).Unphysical; got != tc.want {
+			t.Errorf("%s: Unphysical = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// oneNode answers at for the point (x, y, z) and other everywhere else.
+type oneNode struct {
+	x, y, z   float64
+	at, other cvm.Material
+}
+
+func (o oneNode) Query(x, y, z float64) cvm.Material {
+	if x == o.x && y == o.y && z == o.z {
+		return o.at
+	}
+	return o.other
 }

@@ -54,14 +54,18 @@ func (sp Spec) check() error {
 	return nil
 }
 
-// extractPlane fills vals with plane k of the mesh (x fastest, then y) —
-// the one place that defines the record layout, shared by both write
-// paths so they are bit-identical.
+// extractPlane fills vals with plane k of the mesh (x fastest, then y), an
+// x-row per cvm.QueryRow call — the one place that defines the record
+// layout, shared by both write paths so they are bit-identical.
 func extractPlane(q cvm.Querier, sp Spec, k int, vals []float32) {
+	xs, mats := make([]float64, sp.Global.NX), make([]cvm.Material, sp.Global.NX)
+	for i := range xs {
+		xs[i] = float64(i) * sp.H
+	}
 	idx := 0
 	for j := 0; j < sp.Global.NY; j++ {
-		for i := 0; i < sp.Global.NX; i++ {
-			m := q.Query(float64(i)*sp.H, float64(j)*sp.H, float64(k)*sp.H)
+		cvm.QueryRow(q, float64(j)*sp.H, float64(k)*sp.H, xs, mats)
+		for _, m := range mats {
 			vals[idx] = float32(m.Vp)
 			vals[idx+1] = float32(m.Vs)
 			vals[idx+2] = float32(m.Rho)

@@ -35,7 +35,7 @@ const (
 	Stress
 	// Attenuation is the coarse-grained memory-variable update where it is a
 	// pass of its own: dynamic-rupture runs (it follows the fault's stress
-	// correction) and the Naive/Recip kernel ablation. On the default path it
+	// correction) and the Naive kernel ablation. On the default path it
 	// reads zero — the work is timed under Stress.
 	Attenuation
 	// Boundary covers absorbing-boundary and free-surface work (PML

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Bounds-check-elimination and inlining guard for the production kernel
-# pair, the attenuation row sweeps, the PML row kernels and the medium's
-# set-up sweep.
+# pair, the attenuation row sweeps, the PML row kernels and the set-up row
+# sweeps (the velocity model's rows, the medium's and the deficits').
 #
 # The production inner loops (fd/rows.go), and the attenuation, PML zone and
-# medium.finalize sweeps modelled on them, are written against explicit per-offset subslice
+# medium.finalize sweeps modelled on them, and the set-up rows of cvm, medium
+# and the attenuation deficits, are written against explicit per-offset subslice
 # windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
 # eliminate every per-point bounds check; a regression here silently costs
 # kernel throughput. This script rebuilds the kernel packages with
@@ -23,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/medium/rows.go'
+GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/medium/rows.go internal/cvm/rows.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -33,7 +34,8 @@ diag=$(GOCACHE="$tmpcache" go build \
     -gcflags="repro/internal/core/attenuation=-d=ssa/check_bce" \
     -gcflags="repro/internal/core/boundary=-d=ssa/check_bce" \
     -gcflags="repro/internal/medium=-d=ssa/check_bce" \
-    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium 2>&1 || true)
+    -gcflags="repro/internal/cvm=-d=ssa/check_bce" \
+    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium ./internal/cvm 2>&1 || true)
 
 status=0
 for f in $GUARDED; do
