@@ -9,7 +9,7 @@ import (
 	"repro/internal/grid"
 )
 
-// mpmlSections is a small M-PML rank's list: a wavefield and one zone's 27
+// mpmlSections is a small M-PML rank's list: a wavefield and one zone's 24
 // splits.
 func mpmlSections() []grid.Section {
 	d := grid.Dims{NX: 4, NY: 3, NZ: 3}

@@ -750,24 +750,22 @@ func refPMLUpdateStress(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
 							return c.tz
 						}
 					}
-					nxx := cf.dec[sdir]*sp.XX.At(li, lj, lk) + cf.gain[sdir]*pick(cXX)
-					nyy := cf.dec[sdir]*sp.YY.At(li, lj, lk) + cf.gain[sdir]*pick(cYY)
-					nzz := cf.dec[sdir]*sp.ZZ.At(li, lj, lk) + cf.gain[sdir]*pick(cZZ)
-					nxy := cf.dec[sdir]*sp.XY.At(li, lj, lk) + cf.gain[sdir]*pick(cXY)
-					nxz := cf.dec[sdir]*sp.XZ.At(li, lj, lk) + cf.gain[sdir]*pick(cXZ)
-					nyz := cf.dec[sdir]*sp.YZ.At(li, lj, lk) + cf.gain[sdir]*pick(cYZ)
-					sp.XX.Set(li, lj, lk, nxx)
-					sp.YY.Set(li, lj, lk, nyy)
-					sp.ZZ.Set(li, lj, lk, nzz)
-					sp.XY.Set(li, lj, lk, nxy)
-					sp.XZ.Set(li, lj, lk, nxz)
-					sp.YZ.Set(li, lj, lk, nyz)
-					sXX += nxx
-					sYY += nyy
-					sZZ += nzz
-					sXY += nxy
-					sXZ += nxz
-					sYZ += nyz
+					// Split `none` of a shear stress takes no term (its contrib
+					// is 0): it is not stored and adds nothing.
+					upd := func(f *grid.Field3, c contrib, sum *float32, none int) {
+						if sdir == none {
+							return
+						}
+						n := cf.dec[sdir]*f.At(li, lj, lk) + cf.gain[sdir]*pick(c)
+						f.Set(li, lj, lk, n)
+						*sum += n
+					}
+					upd(sp.XX, cXX, &sXX, -1)
+					upd(sp.YY, cYY, &sYY, -1)
+					upd(sp.ZZ, cZZ, &sZZ, -1)
+					upd(sp.XY, cXY, &sXY, 2)
+					upd(sp.XZ, cXZ, &sXZ, 1)
+					upd(sp.YZ, cYZ, &sYZ, 0)
 				}
 				xx[n], yy[n], zz[n] = sXX, sYY, sZZ
 				xy[n], xz[n], yz[n] = sXY, sXZ, sYZ
@@ -811,14 +809,17 @@ func scatter(rng *rand.Rand, every int, fields []*grid.Field3) {
 	}
 }
 
-// pmlFields lists the 9 global fields of s and the 27 split fields of the
-// zones, with names for failure messages.
+// pmlFields lists the 9 global fields of s and the 24 split fields of each
+// zone, with names for failure messages.
 func pmlFields(s *fd.State, zones []*PML) (fields []*grid.Field3, names []string) {
 	fields = s.Fields()
 	names = append(names, fd.FieldNames...)
 	for zi, z := range zones {
 		for si, sp := range z.Splits() {
 			for fi, f := range sp.Fields() {
+				if f == nil {
+					continue // a split that takes no term is not stored
+				}
 				fields = append(fields, f)
 				names = append(names, fmt.Sprintf("zone%d(%v,%v).split%d.%s", zi, z.Axis, z.Side, si, fd.FieldNames[fi]))
 			}
@@ -844,8 +845,8 @@ func firstBitDiff(a, b []*grid.Field3, names []string) (string, int) {
 // TestPMLRowsMatchPointwise steps the row kernels beside the pointwise
 // reference they replaced — interior kernel, zones, free surface, as the
 // solver orders them — over states re-seeded as it goes with
-// random-exponent values (fillFront, scatter), and demands bit equality of all 9 global and 27
-// split fields after every step. The row side runs each zone as tiles cut
+// random-exponent values (fillFront, scatter), and demands bit equality of all 9 global and 24
+// split fields of each zone after every step. The row side runs each zone as tiles cut
 // once more in x, so windows that start inside the zone are covered too.
 func TestPMLRowsMatchPointwise(t *testing.T) {
 	d := grid.Dims{NX: 22, NY: 19, NZ: 17}

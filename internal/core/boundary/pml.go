@@ -34,8 +34,10 @@ type PML struct {
 	Width int
 	P     float64 // M-PML parallel damping ratio
 
-	// split[s] holds the s-direction split of all nine components, stored
-	// on a zone-sized grid (local index = global - zone origin).
+	// split[s] holds the s-direction split of the nine components, stored
+	// on a zone-sized grid (local index = global - zone origin). The shear
+	// stress whose strain has no s-derivative takes no term of split s, so
+	// that field is nil: split x has no YZ, split y no XZ, split z no XY.
 	split [3]*fd.State
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
@@ -61,16 +63,21 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	}
 	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
 	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
-	// A row sweep streams the same offset of all 27 split fields, so they are
+	// A row sweep streams the same offset of all 24 split fields, so they are
 	// placed apart in the L1 set period (grid.LaneFields).
-	field := grid.LaneFields(zd, grid.Ghost, grid.LanePML, 27)
+	field := grid.LaneFields(zd, grid.Ghost, grid.LanePML, 24)
 	for s := range pm.split {
-		pm.split[s] = &fd.State{
+		sp := &fd.State{
 			Dims: zd,
 			VX:   field(), VY: field(), VZ: field(),
 			XX: field(), YY: field(), ZZ: field(),
-			XY: field(), XZ: field(), YZ: field(),
 		}
+		for t, f := range [3]**grid.Field3{&sp.XY, &sp.XZ, &sp.YZ} {
+			if t != 2-s { // x has no YZ, y no XZ, z no XY
+				*f = field()
+			}
+		}
+		pm.split[s] = sp
 	}
 	d0 := 3 * vpMax * math.Log(1/rcoef) / (2 * float64(width) * h)
 	pm.damp = make([]float64, width)
@@ -82,17 +89,19 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 }
 
 // Splits returns the zone's three directional split states, each on the
-// zone-sized grid.
+// zone-sized grid, with the one shear field of each that takes no term nil.
 func (pm *PML) Splits() [3]*fd.State { return pm.split }
 
-// Sections names the zone's 27 split arrays as restart sections after its
+// Sections names the zone's 24 split arrays as restart sections after its
 // face, of which a rank has one zone at most: "pml.xlow.y.vx" is vx's y split.
 func (pm *PML) Sections() []grid.Section {
 	var secs []grid.Section
 	for s, sp := range pm.split {
-		for _, sec := range sp.Sections() {
-			sec.Name = fmt.Sprintf("pml.%v%v.%v.%s", pm.Axis, pm.Side, grid.Axis(s), sec.Name)
-			secs = append(secs, sec)
+		for i, f := range sp.Fields() {
+			if f != nil {
+				name := fmt.Sprintf("pml.%v%v.%v.%s", pm.Axis, pm.Side, grid.Axis(s), fd.FieldNames[i])
+				secs = append(secs, grid.Section{Name: name, F32: f.Data()})
+			}
 		}
 	}
 	return secs

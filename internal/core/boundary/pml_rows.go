@@ -10,11 +10,12 @@ import (
 // the nine global fields and the medium, one per split field and one per
 // coefficient slice, so the inner loops carry no bounds check (guarded by
 // scripts/check_bce.sh). The three splits are unrolled in the order x, y, z
-// and each recombined sum is accumulated ((0+x)+y)+z; a split that receives
-// no term of a component still adds gain*0, so -0 + 0 rounds to +0 exactly
-// where the pointwise reference of boundary_test.go does. A cell reads one
-// field family and writes the other (and its own splits) on itself only, so
-// any partition of a zone into boxes, run in any order or concurrently,
+// and each recombined sum is accumulated ((0+x)+y)+z from a var s float32.
+// The x split of syz, y of sxz and z of sxy take no term and would hold +0
+// forever, so a zone stores 24 splits; a partial sum +0 + x is never -0, so
+// skipping a +0 term changes no bit of the recombined stresses. A cell reads
+// one field family and writes the other (and its own splits) on itself only,
+// so any partition of a zone into boxes, run in any order or concurrently,
 // stores the same bits as one whole-zone sweep.
 
 // UpdateVelocityBox advances the velocity splits over the part b of the
@@ -147,11 +148,11 @@ func (pm *PML) UpdateStressBox(s *fd.State, m *medium.Medium, dt float64, b fd.B
 	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
 	sx, sy, sz := pm.split[0], pm.split[1], pm.split[2]
 	xxx, xyy, xzz := sx.XX.Data(), sx.YY.Data(), sx.ZZ.Data()
-	xxy, xxz, xyz := sx.XY.Data(), sx.XZ.Data(), sx.YZ.Data()
+	xxy, xxz := sx.XY.Data(), sx.XZ.Data()
 	yxx, yyy, yzz := sy.XX.Data(), sy.YY.Data(), sy.ZZ.Data()
-	yxy, yxz, yyz := sy.XY.Data(), sy.XZ.Data(), sy.YZ.Data()
+	yxy, yyz := sy.XY.Data(), sy.YZ.Data()
 	zxx, zyy, zzz := sz.XX.Data(), sz.YY.Data(), sz.ZZ.Data()
-	zxy, zxz, zyz := sz.XY.Data(), sz.XZ.Data(), sz.YZ.Data()
+	zxz, zyz := sz.XZ.Data(), sz.YZ.Data()
 	_, dy, dz := s.VX.Strides()
 	z := pm.Zone
 	i0 := b.I0 - z.I0
@@ -203,11 +204,11 @@ func (pm *PML) UpdateStressBox(s *fd.State, m *medium.Medium, dt float64, b fd.B
 			mxzr := mxz[n0:][:ni]
 			myzr := myz[n0:][:ni]
 			xxxr, xyyr, xzzr := xxx[l0:][:ni], xyy[l0:][:ni], xzz[l0:][:ni]
-			xxyr, xxzr, xyzr := xxy[l0:][:ni], xxz[l0:][:ni], xyz[l0:][:ni]
+			xxyr, xxzr := xxy[l0:][:ni], xxz[l0:][:ni]
 			yxxr, yyyr, yzzr := yxx[l0:][:ni], yyy[l0:][:ni], yzz[l0:][:ni]
-			yxyr, yxzr, yyzr := yxy[l0:][:ni], yxz[l0:][:ni], yyz[l0:][:ni]
+			yxyr, yyzr := yxy[l0:][:ni], yyz[l0:][:ni]
 			zxxr, zyyr, zzzr := zxx[l0:][:ni], zyy[l0:][:ni], zzz[l0:][:ni]
-			zxyr, zxzr, zyzr := zxy[l0:][:ni], zxz[l0:][:ni], zyz[l0:][:ni]
+			zxzr, zyzr := zxz[l0:][:ni], zyz[l0:][:ni]
 			for i := range xxr {
 				exx := dth * (c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i]))
 				eyy := dth * (c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i]))
@@ -226,43 +227,37 @@ func (pm *PML) UpdateStressBox(s *fd.State, m *medium.Medium, dt float64, b fd.B
 				nzz := decx[i]*xzzr[i] + gainx[i]*(lamr[i]*exx)
 				nxy := decx[i]*xxyr[i] + gainx[i]*(mxyr[i]*dvx)
 				nxz := decx[i]*xxzr[i] + gainx[i]*(mxzr[i]*dwx)
-				nyz := decx[i]*xyzr[i] + gainx[i]*0
 				xxxr[i], xyyr[i], xzzr[i] = nxx, nyy, nzz
-				xxyr[i], xxzr[i], xyzr[i] = nxy, nxz, nyz
+				xxyr[i], xxzr[i] = nxy, nxz
 				sxx += nxx
 				syy += nyy
 				szz += nzz
 				sxy += nxy
 				sxz += nxz
-				syz += nyz
 				// y split (none in sxz).
 				nxx = decy[i]*yxxr[i] + gainy[i]*(lamr[i]*eyy)
 				nyy = decy[i]*yyyr[i] + gainy[i]*(l2mr[i]*eyy)
 				nzz = decy[i]*yzzr[i] + gainy[i]*(lamr[i]*eyy)
 				nxy = decy[i]*yxyr[i] + gainy[i]*(mxyr[i]*duy)
-				nxz = decy[i]*yxzr[i] + gainy[i]*0
-				nyz = decy[i]*yyzr[i] + gainy[i]*(myzr[i]*dwy)
+				nyz := decy[i]*yyzr[i] + gainy[i]*(myzr[i]*dwy)
 				yxxr[i], yyyr[i], yzzr[i] = nxx, nyy, nzz
-				yxyr[i], yxzr[i], yyzr[i] = nxy, nxz, nyz
+				yxyr[i], yyzr[i] = nxy, nyz
 				sxx += nxx
 				syy += nyy
 				szz += nzz
 				sxy += nxy
-				sxz += nxz
 				syz += nyz
 				// z split (none in sxy).
 				nxx = decz[i]*zxxr[i] + gainz[i]*(lamr[i]*ezz)
 				nyy = decz[i]*zyyr[i] + gainz[i]*(lamr[i]*ezz)
 				nzz = decz[i]*zzzr[i] + gainz[i]*(l2mr[i]*ezz)
-				nxy = decz[i]*zxyr[i] + gainz[i]*0
 				nxz = decz[i]*zxzr[i] + gainz[i]*(mxzr[i]*duz)
 				nyz = decz[i]*zyzr[i] + gainz[i]*(myzr[i]*dvz)
 				zxxr[i], zyyr[i], zzzr[i] = nxx, nyy, nzz
-				zxyr[i], zxzr[i], zyzr[i] = nxy, nxz, nyz
+				zxzr[i], zyzr[i] = nxz, nyz
 				sxx += nxx
 				syy += nyy
 				szz += nzz
-				sxy += nxy
 				sxz += nxz
 				syz += nyz
 				xxr[i], yyr[i], zzr[i] = sxx, syy, szz

@@ -76,7 +76,8 @@ type Blocking struct {
 	JBlock, KBlock int
 }
 
-// DefaultBlocking is the paper's tuned 16/8 configuration.
+// DefaultBlocking is the panel of bench's kernel probes and the fall-back of a
+// non-positive factor; the solver derives its own from each box and its pool.
 var DefaultBlocking = Blocking{JBlock: 8, KBlock: 16}
 
 // UpdateVelocity advances the three velocity components over box by one

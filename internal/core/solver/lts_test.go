@@ -603,3 +603,32 @@ func TestLTSCheckpointRollbackBitIdentity(t *testing.T) {
 	}
 	expectResultsExact(t, "rollback replay", ref, result)
 }
+
+// A work-balanced cut leaves a rank on an M-PML face its zone and an interior
+// plane. On 25 x-planes 160 m apart, rock on the first eight and soft on the
+// rest, the balance alone gave rank 0 those eight under its ten-cell zone,
+// and Run failed where the even cut runs (found by FuzzPrepare).
+func TestLTSWorkBalanceKeepsPMLZones(t *testing.T) {
+	rock, soft := ltsContrast()
+	q := splitXModel{split: 1200, rock: rock, soft: soft}
+	opt := ltsOptions(grid.Dims{NX: 25, NY: 26, NZ: 16}, 2, mpi.NewCart(2, 1, 1))
+	opt.H = 160
+	opt.ABC = MPMLABC
+	opt.LTS = LTSOptions{Enabled: true, WorkBalance: true, MaxRateRatio: 4}
+	planned, err := PlanLTS(q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, planned, err := Prepare(planned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if nx := dc.SubFor(r).Local.NX; nx <= planned.PMLWidth {
+			t.Fatalf("rank %d holds %d x-planes under a %d-cell zone", r, nx, planned.PMLWidth)
+		}
+	}
+	if _, err := Run(q, opt); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -15,14 +15,15 @@ import (
 
 // mpmlSnapshot is the state of an M-PML run after one step in global
 // coordinates: the nine wavefield components of every cell, then the 27
-// split components (split-major) of every cell inside a zone, x-fastest.
+// split components (split-major) of every cell inside a zone, x-fastest; the
+// three splits a zone does not store (boundary.PML.Splits) stay 0.
 // Which zone a cell belongs to depends only on its distance to the domain
 // faces, so the layout is the same under every decomposition.
 type mpmlSnapshot [36][]float32
 
 // TestMPMLBitIdentityMatrix holds M-PML runs under every comm model, pool
 // size, decomposition and tile shape, with and without a DFR fault, to the
-// serial single-rank run at the default tile shape: every value of every
+// serial single-rank run at one tile a box: every value of every
 // field and of every zone split, after every step. Zones are tiles of the
 // same pool queues as the interior, so this is the matrix that says the
 // schedule cannot be seen in the result.
@@ -35,7 +36,7 @@ type mpmlSnapshot [36][]float32
 func TestMPMLBitIdentityMatrix(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	comms := []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
-	threads := []int{1, 2, 4}
+	threads := []int{1, 2, 3, 4}
 	// DFR mode needs PY = 1, so the fault runs fold the y split into z.
 	topos := map[bool][]mpi.Cart{
 		false: {mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)},
@@ -46,7 +47,7 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 		comms = []CommModel{AsyncReduced, AsyncOverlap}
 		threads = []int{4}
 		topos[false], topos[true] = topos[false][2:], topos[true][2:]
-		blockings = blockings[3:]
+		blockings = blockings[:1]
 	}
 	matrix := func(label string, q cvm.Querier, base Options, refTopo mpi.Cart, topos []mpi.Cart) {
 		ref := mpmlReference(t, q, base, refTopo)
@@ -158,7 +159,8 @@ func mpmlReference(t *testing.T, q cvm.Querier, opt Options, topo mpi.Cart) []mp
 		for _, v := range last[slot] {
 			moving = moving || v != 0
 		}
-		// The x, y and z splits of sxy, sxz and syz that take no term stay 0.
+		// The x, y and z splits of syz, sxz and sxy take no term: a zone does
+		// not store them, so nothing visits their slots.
 		structurallyZero := slot == 9+2*9+6 || slot == 9+1*9+7 || slot == 9+0*9+8
 		if moving == structurallyZero {
 			t.Fatalf("fault=%v: split slot %d moving=%v after %d steps", opt.Fault != nil, slot, moving, opt.Steps)
@@ -186,8 +188,8 @@ func mpmlCompare(st *Stepper, want mpmlSnapshot) string {
 }
 
 // mpmlVisit calls fn(slot, global cell index, value) for every owned cell
-// of the nine fields (slots 0-8) and every zone cell of the 27 splits
-// (slots 9-35).
+// of the nine fields (slots 0-8) and every zone cell of the 24 stored splits
+// (slots 9-35, split-major).
 func mpmlVisit(st *Stepper, fn func(slot, cell int, v float32)) {
 	g, sub := st.opt.Global, st.rs.sub
 	cell := func(i, j, k int) int {
@@ -206,6 +208,9 @@ func mpmlVisit(st *Stepper, fn func(slot, cell int, v float32)) {
 		b := z.Zone
 		for si, sp := range z.Splits() {
 			for fi, f := range sp.Fields() {
+				if f == nil {
+					continue
+				}
 				for k := b.K0; k < b.K1; k++ {
 					for j := b.J0; j < b.J1; j++ {
 						for i := b.I0; i < b.I1; i++ {

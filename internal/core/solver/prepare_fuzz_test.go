@@ -109,6 +109,13 @@ func FuzzPrepare(f *testing.F) {
 		if !g.Valid() && (perr == nil || !strings.Contains(perr.Error(), "grid has an axis of no cells")) {
 			t.Fatalf("the %v grid: Prepare says %v", g, perr)
 		}
+		// Run plans work-balanced LTS before it prepares, as ft.RunWorld does;
+		// the oracle takes the same two steps.
+		if planned, err := PlanLTS(q, opt); err != nil {
+			perr = err
+		} else {
+			_, _, perr = Prepare(planned)
+		}
 		res, rerr := Run(q, opt)
 		if (perr == nil) != (rerr == nil) {
 			t.Fatalf("Prepare says %v, Run says %v", perr, rerr)

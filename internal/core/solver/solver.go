@@ -75,14 +75,16 @@ type Options struct {
 	// Variant is left unset by every caller but tests and benchmarks: zero
 	// runs fd.Production, any other value selects a rung of the §IV.B
 	// ablation. bench/ compiles against the field.
-	Variant  fd.Variant
+	Variant fd.Variant
+	// Blocking, when non-zero, overrides the derived tile shape (tileShape); it
+	// goes when bench's traced redrive, its one setter outside tests, does.
 	Blocking fd.Blocking
 	// TemporalDepth selected temporal tiling, which is gone. bench/ still
 	// sets it to 1, so Prepare accepts 0 and 1 and rejects anything else.
 	TemporalDepth int
 	// Threads sets the per-rank worker-pool size of the hybrid MPI/OpenMP
 	// mode (§IV.D): a persistent pool of Threads goroutines executes the
-	// kernel loops as a queue of j/k tiles (shape Blocking). 0 defaults to
+	// kernel loops as a queue of j/k tiles (tileShape). 0 defaults to
 	// 1 (pure MPI); negative values are rejected by Run. Every comm model
 	// honors Threads: Synchronous, Asynchronous and AsyncReduced run the
 	// bulk kernels, attenuation, sponge and PGV tracking on the pool;
@@ -367,36 +369,17 @@ type tilePlan struct {
 	innerBox               fd.Box
 }
 
-// buildTilePlan cuts compBox and the zones into tiles of shape opt.Blocking
-// and fixes the zones' coefficient rows for dt, the rank's local step
-// (base dt × its rate), so that no tile builds them while another reads them.
+// buildTilePlan fixes the zones' coefficient rows for dt, the rank's local
+// step (base dt × its rate), so that no tile builds them while another reads
+// them, and binds the tiles of cutTiles to the phases' bodies.
 // A zone's split fields live on its rank and never cross a seam, so a zone is
 // a tile like any other at every rate. It needs rs.atten and rs.fault set:
 // they decide the stress tile body.
 func (rs *rankState) buildTilePlan(opt Options, dt float64) {
-	add := func(dst []tile, box fd.Box, z *boundary.PML) []tile {
-		for _, b := range fd.Tiles(box, opt.Blocking) {
-			dst = append(dst, tile{b, z})
-		}
-		return dst
-	}
-	var pre, inner []tile
-	var innerBox fd.Box
-	if opt.Comm == AsyncOverlap {
-		var strips []fd.Box
-		strips, innerBox = boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
-		for _, s := range strips {
-			pre = add(pre, s.Intersect(rs.compBox), nil)
-		}
-		innerBox = innerBox.Intersect(rs.compBox)
-		inner = add(nil, innerBox, nil)
-	} else {
-		pre = add(nil, rs.compBox, nil)
-	}
 	for _, z := range rs.zones {
 		z.Prepare(dt)
-		pre = add(pre, z.Zone, z)
 	}
+	pre, inner, innerBox := rs.cutTiles(opt)
 
 	velocity := rs.velocityTile(opt, dt)
 	stress := rs.stressTile(opt, dt)
@@ -435,6 +418,55 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	w.velInner, p.velInner = mk(inner, velocity, nil)
 	w.stressPre, p.stressPre = mk(pre, stress, (*boundary.PML).UpdateStressBox)
 	w.stressInner, p.stressInner = mk(inner, stress, nil)
+}
+
+// tileShape is the j/k shape box is cut into unless opt.Blocking overrides
+// it: halving the longer extent in turn, the largest tile that gives each of
+// the Threads executors one (the whole box at Threads 1), and the cache block
+// its body sweeps (EXPERIMENTS.md, "Tile shapes from the box and the pool").
+func tileShape(opt Options, box fd.Box) fd.Blocking {
+	if opt.Blocking != (fd.Blocking{}) {
+		return opt.Blocking
+	}
+	nj, nk := max(box.J1-box.J0, 1), max(box.K1-box.K0, 1)
+	jb, kb := nj, nk
+	for ((nj+jb-1)/jb)*((nk+kb-1)/kb) < opt.Threads && max(jb, kb) > 1 {
+		if jb >= kb {
+			jb = (jb + 1) / 2
+		} else {
+			kb = (kb + 1) / 2
+		}
+	}
+	return fd.Blocking{JBlock: jb, KBlock: kb}
+}
+
+// shapeOf is the blocking that sweeps tile b as one block.
+func shapeOf(b fd.Box) fd.Blocking { return fd.Blocking{JBlock: b.J1 - b.J0, KBlock: b.K1 - b.K0} }
+
+// cutTiles cuts compBox (under AsyncOverlap, its halo-adjacent strips and,
+// for the inner queue, innerBox) and the zones into tiles of their tileShape.
+func (rs *rankState) cutTiles(opt Options) (pre, inner []tile, innerBox fd.Box) {
+	add := func(dst []tile, box fd.Box, z *boundary.PML) []tile {
+		for _, b := range fd.Tiles(box, tileShape(opt, box)) {
+			dst = append(dst, tile{b, z})
+		}
+		return dst
+	}
+	if opt.Comm == AsyncOverlap {
+		var strips []fd.Box
+		strips, innerBox = boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
+		for _, s := range strips {
+			pre = add(pre, s.Intersect(rs.compBox), nil)
+		}
+		innerBox = innerBox.Intersect(rs.compBox)
+		inner = add(nil, innerBox, nil)
+	} else {
+		pre = add(nil, rs.compBox, nil)
+	}
+	for _, z := range rs.zones {
+		pre = add(pre, z.Zone, z)
+	}
+	return pre, inner, innerBox
 }
 
 // drain runs one queue of the tile plan on the pool.
@@ -506,7 +538,7 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 		rs.fault.CorrectStress(rs.st, rs.med, dt)
 		if rs.atten != nil {
 			sp := rs.tel.Span(telemetry.Attenuation)
-			rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.clip(rs.compBox), opt.Blocking, rs.pool)
+			rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.clip(rs.compBox), tileShape(opt, rs.compBox), rs.pool)
 			sp.End()
 		}
 	}
@@ -593,7 +625,7 @@ func (rs *rankState) syncBarrier(opt Options, tm *Timing, t0 *time.Time) {
 func (rs *rankState) velocityTile(opt Options, dt float64) func(fd.Box) {
 	return func(b fd.Box) {
 		sp := rs.tel.Span(telemetry.Velocity)
-		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
+		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
 		sp.End()
 	}
 }
@@ -602,7 +634,7 @@ func (rs *rankState) velocityTile(opt Options, dt float64) func(fd.Box) {
 func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
 	return func(b fd.Box) {
 		sp := rs.tel.Span(telemetry.Stress)
-		fd.UpdateStress(rs.st, rs.med, dt, b, opt.Variant, opt.Blocking)
+		fd.UpdateStress(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
 		sp.End()
 	}
 }

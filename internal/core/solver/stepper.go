@@ -146,7 +146,15 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	var dc decomp.Decomp
 	var err error
 	if pr := opt.LTS.PlaneRates; opt.LTS.Enabled && pr != nil {
-		dc, err = decomp.NewWorkBalanced(opt.Global, opt.Topo, pr.X, pr.Y, pr.Z)
+		// An end rank on a face with an M-PML zone holds it and an interior plane.
+		var ends [3][2]int
+		if w := opt.PMLWidth + 1; opt.ABC == MPMLABC {
+			ends = [3][2]int{{w, w}, {w, w}, {w, w}}
+			if opt.FreeSurface {
+				ends[2][0] = 0
+			}
+		}
+		dc, err = decomp.NewWorkBalanced(opt.Global, opt.Topo, pr.X, pr.Y, pr.Z, ends)
 	} else {
 		dc, err = decomp.New(opt.Global, opt.Topo)
 	}

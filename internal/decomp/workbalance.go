@@ -21,8 +21,10 @@ import (
 // width / min(rate over the segment), which is the exact per-rank work
 // profile when the topology decomposes a single axis and a conservative
 // estimate otherwise. Every part keeps at least grid.Ghost*2 planes so
-// the stencil halo never spans more than one neighbor.
-func NewWorkBalanced(global grid.Dims, topo mpi.Cart, rateX, rateY, rateZ []int) (Decomp, error) {
+// the stencil halo never spans more than one neighbor, and the first and last
+// part along axis a at least ends[a][0] and ends[a][1] planes: a part on a
+// face that carries an absorbing zone must hold the zone and an interior.
+func NewWorkBalanced(global grid.Dims, topo mpi.Cart, rateX, rateY, rateZ []int, ends [3][2]int) (Decomp, error) {
 	d, err := New(global, topo)
 	if err != nil {
 		return Decomp{}, err
@@ -42,7 +44,7 @@ func NewWorkBalanced(global grid.Dims, topo mpi.Cart, rateX, rateY, rateZ []int)
 		if len(a.rates) != a.n {
 			return Decomp{}, fmt.Errorf("decomp: axis %d has %d plane rates for %d planes", ax, len(a.rates), a.n)
 		}
-		cuts, err := balanceAxis(a.rates, a.p)
+		cuts, err := balanceAxis(a.rates, a.p, ends[ax][0], ends[ax][1])
 		if err != nil {
 			return Decomp{}, fmt.Errorf("decomp: axis %d: %w", ax, err)
 		}
@@ -52,14 +54,26 @@ func NewWorkBalanced(global grid.Dims, topo mpi.Cart, rateX, rateY, rateZ []int)
 }
 
 // balanceAxis partitions n planes into p contiguous segments minimizing
-// the maximum segment cost width/minRate under a minimum-width constraint,
-// by exact dynamic programming (O(p·n²), fine for grid-scale n). Returns
-// the p+1 cut offsets.
-func balanceAxis(rate []int, p int) ([]int, error) {
+// the maximum segment cost width/minRate under a minimum-width constraint —
+// grid.Ghost*2 planes, and at least lo for the first and hi for the last
+// segment — by exact dynamic programming (O(p·n²), fine for grid-scale n).
+// Returns the p+1 cut offsets.
+func balanceAxis(rate []int, p, lo, hi int) ([]int, error) {
 	n := len(rate)
-	minW := grid.Ghost * 2
-	if n < p*minW {
-		return nil, fmt.Errorf("%d planes cannot host %d parts of >= %d planes", n, p, minW)
+	// least[k] is the fewest planes the first k segments can take.
+	least := make([]int, p+1)
+	for k := 1; k <= p; k++ {
+		w := grid.Ghost * 2
+		if k == 1 {
+			w = max(w, lo)
+		}
+		if k == p {
+			w = max(w, hi)
+		}
+		least[k] = least[k-1] + w
+	}
+	if n < least[p] {
+		return nil, fmt.Errorf("%d planes cannot host %d parts of >= %d planes with ends of >= %d and %d", n, p, grid.Ghost*2, lo, hi)
 	}
 	for i, r := range rate {
 		if r < 1 {
@@ -80,13 +94,14 @@ func balanceAxis(rate []int, p int) ([]int, error) {
 	}
 	f[0][0] = 0
 	for k := 1; k <= p; k++ {
-		bMax := n - (p-k)*minW
-		for b := k * minW; b <= bMax; b++ {
+		minW := least[k] - least[k-1]
+		bMax := n - (least[p] - least[k])
+		for b := least[k]; b <= bMax; b++ {
 			// Scan the last cut a downward with a running min of the
 			// segment's rate (segment = planes [a, b)).
 			minRate := math.MaxInt
 			best, bestA := math.Inf(1), -1
-			for a := b - 1; a >= (k-1)*minW; a-- {
+			for a := b - 1; a >= least[k-1]; a-- {
 				if rate[a] < minRate {
 					minRate = rate[a]
 				}

@@ -12,7 +12,7 @@ func TestBalanceAxisUniform(t *testing.T) {
 	for i := range rates {
 		rates[i] = 1
 	}
-	cuts, err := balanceAxis(rates, 4)
+	cuts, err := balanceAxis(rates, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestBalanceAxisBasinOverRock(t *testing.T) {
 			rates[i] = 4
 		}
 	}
-	cuts, err := balanceAxis(rates, 4)
+	cuts, err := balanceAxis(rates, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +64,42 @@ func TestBalanceAxisBasinOverRock(t *testing.T) {
 
 func TestBalanceAxisMinWidth(t *testing.T) {
 	rates := []int{1, 1, 1, 1, 1, 1, 1}
-	if _, err := balanceAxis(rates, 2); err == nil {
+	if _, err := balanceAxis(rates, 2, 0, 0); err == nil {
 		t.Fatal("7 planes in 2 parts of >= 4 should fail")
 	}
-	if _, err := balanceAxis(append(rates, 1), 2); err != nil {
+	if _, err := balanceAxis(append(rates, 1), 2, 0, 0); err != nil {
 		t.Fatalf("8 planes in 2 parts: %v", err)
+	}
+}
+
+// An end segment bounded below keeps its planes even where the balance
+// would rather cut it narrow: 25 planes, the low 8 at rate 1 and the rest at
+// rate 4, split in two put 5 planes in the first part unbounded; with both
+// ends at 11 the first part takes 11 and the second 14.
+func TestBalanceAxisEndWidths(t *testing.T) {
+	rates := make([]int, 25)
+	for i := range rates {
+		rates[i] = 1
+		if i >= 8 {
+			rates[i] = 4
+		}
+	}
+	free, err := balanceAxis(rates, 2, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if free[1] >= 11 {
+		t.Fatalf("unbounded cuts %v: the case no longer needs a bound", free)
+	}
+	cuts, err := balanceAxis(rates, 2, 11, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cuts[1] != 11 {
+		t.Fatalf("cuts %v, want the first part at its bound of 11 planes", cuts)
+	}
+	if _, err := balanceAxis(rates, 2, 11, 15); err == nil {
+		t.Fatal("25 planes with ends of 11 and 15 accepted")
 	}
 }
 
@@ -82,7 +113,7 @@ func TestNewWorkBalancedSubsAndOwner(t *testing.T) {
 			rx[i] = 2
 		}
 	}
-	d, err := NewWorkBalanced(g, mpi.NewCart(3, 1, 1), rx, nil, nil)
+	d, err := NewWorkBalanced(g, mpi.NewCart(3, 1, 1), rx, nil, nil, [3][2]int{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +162,11 @@ func TestNewWorkBalancedSubsAndOwner(t *testing.T) {
 
 func TestNewWorkBalancedValidation(t *testing.T) {
 	g := grid.Dims{NX: 16, NY: 8, NZ: 8}
-	if _, err := NewWorkBalanced(g, mpi.NewCart(2, 1, 1), make([]int, 7), nil, nil); err == nil {
+	if _, err := NewWorkBalanced(g, mpi.NewCart(2, 1, 1), make([]int, 7), nil, nil, [3][2]int{}); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
 	bad := make([]int, 16)
-	if _, err := NewWorkBalanced(g, mpi.NewCart(2, 1, 1), bad, nil, nil); err == nil {
+	if _, err := NewWorkBalanced(g, mpi.NewCart(2, 1, 1), bad, nil, nil, [3][2]int{}); err == nil {
 		t.Fatal("zero rates should fail")
 	}
 }

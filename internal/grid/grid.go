@@ -81,7 +81,7 @@ const (
 	LaneState       = 0  // fd.State: 9 components
 	LaneMedium      = 9  // medium.Medium: 12 arrays
 	LaneAttenuation = 21 // attenuation.Model: 6 memory variables, DLam, DMu
-	LanePML         = 29 // boundary.PML: 27 splits of one zone
+	LanePML         = 29 // boundary.PML: 24 splits of one zone
 )
 
 // LaneFields returns a constructor of count zeroed fields of one shape, the

@@ -241,7 +241,7 @@ func TestGhostClampingAtBoundariesWorkBalanced(t *testing.T) {
 	g := grid.Dims{NX: 20, NY: 8, NZ: 8}
 	topo := mpi.NewCart(3, 1, 1)
 	fsys, _, q, h := setup(t, g, topo)
-	dc, err := decomp.NewWorkBalanced(g, topo, workRates(g.NX, 8, 4), nil, nil)
+	dc, err := decomp.NewWorkBalanced(g, topo, workRates(g.NX, 8, 4), nil, nil, [3][2]int{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestOnDemandParityOnWorkBalancedDecomp(t *testing.T) {
 	g := grid.Dims{NX: 24, NY: 10, NZ: 8}
 	topo := mpi.NewCart(4, 1, 1)
 	fsys, _, _, _ := setup(t, g, topo)
-	dc, err := decomp.NewWorkBalanced(g, topo, workRates(g.NX, 12, 4), nil, nil)
+	dc, err := decomp.NewWorkBalanced(g, topo, workRates(g.NX, 12, 4), nil, nil, [3][2]int{})
 	if err != nil {
 		t.Fatal(err)
 	}
