@@ -59,15 +59,30 @@ func (a *Model) deficits(m *medium.Medium, norm float64) {
 //   - The two passes scale derivatives by the same constant (dth == dh ==
 //     float32(dt/m.H)) from identical difference expressions, so reusing the
 //     elastic derivative sums here (aexx = dth*exx, ...) reproduces the
-//     two-pass strain increments bit-for-bit. The Go compiler does not
-//     contract float32 multiply-adds on amd64/arm64, so identical
-//     expressions round identically.
+//     two-pass strain increments bit-for-bit. On amd64 the Go compiler
+//     emits an FMA only for an explicit math.FMA, so identical expressions
+//     round identically, and the 8-lane body (simd_amd64.s) evaluates the
+//     same expressions lane-wise without FMA. On arm64 the compiler fuses a
+//     float32 multiply feeding an add or subtract into one FMADDS/FMSUBS
+//     (ARM64.rules), so there the identity holds only where both bodies
+//     fuse alike; no test runs on arm64 (DESIGN.md §9).
 func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
+	a.fusedStress(s, m, dt, box, fd.VectorCells(box.I1-box.I0))
+}
+
+// fusedStress is FusedStress with the first lanes cells of each row (a
+// multiple of 8, at most the row) in the 8-lane body and the rest in the Go
+// loop. lanes 0 is the Go loop alone, what a host without AVX2 runs.
+func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box, lanes int) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
 	}
 	if box.Empty() {
 		return
+	}
+	ni := box.I1 - box.I0
+	if lanes < 0 || lanes > ni || lanes%8 != 0 {
+		panic(fmt.Sprintf("attenuation: %d vector cells in a %d-cell row", lanes, ni))
 	}
 	dth := float32(dt / m.H)
 	c1, c2 := float32(fd.C1), float32(fd.C2)
@@ -80,7 +95,6 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	zxy, zxz, zyz := a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data()
 	dlam, dmu := a.DLam.Data(), a.DMu.Data()
 	_, dy, dz := s.VX.Strides()
-	ni := box.I1 - box.I0
 
 	amf, cmf := a.coef32()
 	pari := (box.I0 + a.Origin[0]) & 1
@@ -144,7 +158,22 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 			zyzr := zyz[n0:][:ni]
 			dlamr := dlam[n0:][:ni]
 			dmur := dmu[n0:][:ni]
-			for i := range xxr {
+			if lanes > 0 {
+				// Lane l of every 8-cell chunk is cell i ≡ l (mod 2).
+				var amv, cmv [8]float32
+				for l := range amv {
+					amv[l], cmv[l] = amP[(l+pari)&1], cmP[(l+pari)&1]
+				}
+				fusedStressRow8(lanes, dth, c1, c2, &amv[0], &cmv[0],
+					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
+					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
+					&wc[0], &wm1x[0], &wp1x[0], &wp2x[0], &wm1y[0], &wp1y[0], &wp2y[0], &wm2z[0], &wm1z[0], &wp1z[0],
+					&xxr[0], &yyr[0], &zzr[0], &xyr[0], &xzr[0], &yzr[0],
+					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0],
+					&zxxr[0], &zyyr[0], &zzzr[0], &zxyr[0], &zxzr[0], &zyzr[0],
+					&dlamr[0], &dmur[0])
+			}
+			for i := lanes; i < ni; i++ {
 				// Elastic constitutive update (== stressPrecomp).
 				exx := c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i])
 				eyy := c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i])

@@ -96,6 +96,19 @@ func fillStateSeeded(d grid.Dims, seed int64) *fd.State {
 	return s
 }
 
+// fillMemVarsSeeded fills the six memory variables of a, so that a step
+// reads am as well as cm (from zero memory variables am*zeta is +0 whatever
+// am is).
+func fillMemVarsSeeded(a *Model, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	for _, f := range []*grid.Field3{a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ} {
+		data := f.Data()
+		for n := range data {
+			data[n] = (rng.Float32() - 0.5) * 1e-3
+		}
+	}
+}
+
 // expectStatesEqual asserts exact (bitwise) equality of all nine wavefields.
 func expectStatesEqual(t *testing.T, got, want *fd.State, label string) {
 	t.Helper()
@@ -191,32 +204,67 @@ func TestFusedStressBitIdenticalMultiStep(t *testing.T) {
 	expectMemVarsEqual(t, aFus, aRef, "multi-step")
 }
 
-// Sub-boxes at odd offsets exercise the row parity tables against the
+// parityDims and parityBoxes are the grid and boxes of the sub-box parity
+// tests: sub-boxes at odd offsets, and rows of 7, 8, 9, 16 and 17 cells —
+// the vector body, the Go tail and both — from an even and an odd I0, so that
+// under the even and odd x origins below both x parities of the mechanism
+// table fall on the first lane of a vector chunk.
+var parityDims = grid.Dims{NX: 20, NY: 10, NZ: 9}
+
+var parityBoxes = []fd.Box{
+	{I0: 3, I1: 10, J0: 1, J1: 8, K0: 2, K1: 7},
+	{I0: 2, I1: 3, J0: 5, J1: 6, K0: 3, K1: 4},  // single point
+	{I0: 0, I1: 20, J0: 7, J1: 8, K0: 0, K1: 9}, // single j-plane
+	{I0: 2, I1: 10, J0: 1, J1: 8, K0: 2, K1: 7},
+	{I0: 1, I1: 10, J0: 1, J1: 8, K0: 2, K1: 7},
+	{I0: 2, I1: 11, J0: 3, J1: 6, K0: 0, K1: 9},
+	{I0: 1, I1: 17, J0: 3, J1: 6, K0: 0, K1: 9},
+	{I0: 2, I1: 19, J0: 0, J1: 10, K0: 4, K1: 6},
+	{I0: 3, I1: 20, J0: 0, J1: 10, K0: 4, K1: 6},
+}
+
+var parityOrigins = [][3]int{{0, 0, 0}, {1, 0, 1}, {5, 9, 2}}
+
+// Sub-boxes at odd offsets exercise the row parity tables — the Go body's
+// two-entry table and the vector body's alternating lanes — against the
 // per-point mechAt reference (applyPointwise).
 func TestFusedStressSubBoxParity(t *testing.T) {
-	d := grid.Dims{NX: 12, NY: 10, NZ: 9}
-	m := makeMedium(t, cvm.SoCal(1200, 1000, 900, 400), d, 100)
+	testSubBoxParity(t, func(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
+		a.FusedStress(s, m, dt, box)
+	})
+}
+
+// TestFusedStressGoBodyMatchesTwoPass holds FusedStress with no cell in the
+// 8-lane body — all a host without AVX2 runs — to the two-pass reference on
+// every host.
+func TestFusedStressGoBodyMatchesTwoPass(t *testing.T) {
+	testSubBoxParity(t, func(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
+		a.fusedStress(s, m, dt, box, 0)
+	})
+}
+
+func testSubBoxParity(t *testing.T, fused func(*Model, *fd.State, *medium.Medium, float64, fd.Box)) {
+	d := parityDims
+	m := makeMedium(t, cvm.SoCal(2000, 1000, 900, 400), d, 100)
 	dt := m.StableDt(0.5)
-	boxes := []fd.Box{
-		{I0: 3, I1: 10, J0: 1, J1: 8, K0: 2, K1: 7},
-		{I0: 2, I1: 3, J0: 5, J1: 6, K0: 3, K1: 4},  // single point
-		{I0: 0, I1: 12, J0: 7, J1: 8, K0: 0, K1: 9}, // single j-plane
-	}
-	for bi, box := range boxes {
-		for _, origin := range [][3]int{{0, 0, 0}, {1, 0, 1}, {5, 9, 2}} {
+	for bi, box := range parityBoxes {
+		for _, origin := range parityOrigins {
+			label := fmt.Sprintf("box %v origin %v", box, origin)
 			sRef := fillStateSeeded(d, int64(100+bi))
 			sFus := sRef.Clone()
 			aRef := New(m, DefaultBand, dt)
 			aFus := New(m, DefaultBand, dt)
 			aRef.Origin = origin
 			aFus.Origin = origin
+			fillMemVarsSeeded(aRef, int64(bi))
+			fillMemVarsSeeded(aFus, int64(bi))
 
 			fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
 			applyPointwise(aRef, sRef, m, dt, box)
-			aFus.FusedStress(sFus, m, dt, box)
+			fused(aFus, sFus, m, dt, box)
 
-			expectStatesEqual(t, sFus, sRef, "sub-box")
-			expectMemVarsEqual(t, aFus, aRef, "sub-box")
+			expectStatesEqual(t, sFus, sRef, label)
+			expectMemVarsEqual(t, aFus, aRef, label)
 		}
 	}
 }
@@ -257,14 +305,19 @@ func TestFusedStressDtMismatchPanics(t *testing.T) {
 }
 
 // FuzzFusedStressMatchesTwoPass drives the fused kernel with random Q
-// scatter (including Q<=0 points), random coarse-graining cell phase, and
-// random box offsets, asserting exact equality against the two-pass
-// reference on all wavefields and memory variables.
+// scatter (including Q<=0 points), random coarse-graining cell phase, random
+// box offsets and filled memory variables, asserting exact equality against
+// the two-pass reference on all wavefields and memory variables.
 func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(3), uint8(2), uint8(3), uint8(1), uint8(2))
 	f.Add(int64(3), uint8(255), uint8(254), uint8(253), uint8(7), uint8(5), uint8(4))
-	d := grid.Dims{NX: 10, NY: 9, NZ: 8}
+	// Rows of 17, 16 and 9 cells with an odd x parity on the first lane (the
+	// seeds above start their rows on an even one).
+	f.Add(int64(4), uint8(0), uint8(2), uint8(1), uint8(3), uint8(0), uint8(2))
+	f.Add(int64(5), uint8(1), uint8(0), uint8(0), uint8(4), uint8(2), uint8(1))
+	f.Add(int64(6), uint8(2), uint8(3), uint8(2), uint8(11), uint8(4), uint8(3))
+	d := grid.Dims{NX: 20, NY: 9, NZ: 8}
 
 	f.Fuzz(func(t *testing.T, seed int64, ox, oy, oz, i0, j0, k0 uint8) {
 		m := makeMedium(t, cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), d, 100)
@@ -293,6 +346,8 @@ func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 		aFus := New(m, DefaultBand, dt)
 		aRef.Origin = origin
 		aFus.Origin = origin
+		fillMemVarsSeeded(aRef, seed)
+		fillMemVarsSeeded(aFus, seed)
 
 		fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
 		applyPointwise(aRef, sRef, m, dt, box)

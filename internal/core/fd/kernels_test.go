@@ -1,6 +1,7 @@
 package fd
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,35 +62,69 @@ func frontState(d grid.Dims, seed int64) *State {
 	return s
 }
 
+// rowDims is the grid of the row-body tests: rows long enough for two
+// 8-lane chunks and a tail, at either parity of their first cell.
+var rowDims = grid.Dims{NX: 19, NY: 10, NZ: 14}
+
+// rowBoxes are the full box, sub-boxes whose rows start and end at odd
+// offsets (a window one cell off in either direction reads a neighbour's
+// value, which the full box's symmetric frame can hide), and rows of every
+// length around the 8-lane chunk — 1, 7, 8, 9, 15, 16 and 17 cells: the
+// vector body alone, the Go tail alone and the two together — each starting
+// at an even and at an odd I0.
+func rowBoxes() []Box {
+	boxes := []Box{
+		FullBox(rowDims),
+		{I0: 1, I1: 12, J0: 3, J1: 8, K0: 1, K1: 13},
+		{I0: 3, I1: 8, J0: 1, J1: 9, K0: 5, K1: 6},
+		{I0: 5, I1: 6, J0: 0, J1: 10, K0: 0, K1: 14}, // single i-column
+	}
+	for _, ni := range []int{1, 7, 8, 9, 15, 16, 17} {
+		for _, i0 := range []int{2, 1} {
+			boxes = append(boxes, Box{I0: i0, I1: i0 + ni, J0: 2, J1: 7, K0: 1, K1: 12})
+		}
+	}
+	return boxes
+}
+
+// rowStates are a filled state and one crossing the quiescence floor.
+var rowStates = []struct {
+	name   string
+	state  func() *State
+	atRest bool // velocities start at zero, so the floor decides what is stored
+}{
+	{"filled", func() *State { return randomState(rowDims, 42) }, false},
+	{"front", func() *State { return frontState(rowDims, 42) }, true},
+}
+
+// expectBits fails unless every value of got's fields holds want's bits.
+func expectBits(t *testing.T, label string, got, want []*grid.Field3, names []string) {
+	t.Helper()
+	for fi, f := range got {
+		w := want[fi].Data()
+		for n, x := range f.Data() {
+			if math.Float32bits(x) != math.Float32bits(w[n]) {
+				t.Fatalf("%s: %s[%d] = %g, precomp %g", label, names[fi], n, x, w[n])
+			}
+		}
+	}
+}
+
 // All kernel variants must produce the same update to within float32
 // round-off (§IV.B: the optimizations are arithmetic restructurings), on a
 // filled state and on one that crosses the quiescence floor. On the latter
 // every variant must store exactly +0 where Precomp does not keep a value
 // of at least 2^-100. The production pair rewrites every operand expression
 // of the pointwise pair as a row window, so it is held to Precomp bit for
-// bit, over the full box and over sub-boxes whose rows start and end at odd
-// offsets (a window one cell off in either direction reads a neighbour's
-// value, which the full box's symmetric frame can hide).
+// bit over rowBoxes: the 8-lane body, the Go tail and tail-only rows.
 func TestVariantsAgree(t *testing.T) {
-	d := grid.Dims{NX: 13, NY: 10, NZ: 14}
+	d := rowDims
 	m := makeMedium(t, heteroQuerier(), d, 200)
 	dt := m.StableDt(0.5)
 	floor := float32(math.Ldexp(1, -100))
 
-	for _, tc := range []struct {
-		name   string
-		state  func() *State
-		atRest bool // velocities start at zero, so the floor decides what is stored
-	}{
-		{"filled", func() *State { return randomState(d, 42) }, false},
-		{"front", func() *State { return frontState(d, 42) }, true},
-	} {
-		for _, box := range []Box{
-			FullBox(d),
-			{I0: 1, I1: 12, J0: 3, J1: 8, K0: 1, K1: 13},
-			{I0: 3, I1: 8, J0: 1, J1: 9, K0: 5, K1: 6},
-			{I0: 5, I1: 6, J0: 0, J1: 10, K0: 0, K1: 14}, // single i-column
-		} {
+	for _, tc := range rowStates {
+		for _, box := range rowBoxes() {
 			ref := tc.state()
 			UpdateVelocity(ref, m, dt, box, Precomp, Blocking{})
 			if tc.atRest && box == FullBox(d) {
@@ -142,6 +177,79 @@ func TestVariantsAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestGoRowBodyMatchesPrecomp holds the row sweeps with no cell in the
+// 8-lane body — all a host without AVX2 runs — to Precomp bit for bit, on
+// every host, over the boxes and states of TestVariantsAgree.
+func TestGoRowBodyMatchesPrecomp(t *testing.T) {
+	m := makeMedium(t, heteroQuerier(), rowDims, 200)
+	dt := m.StableDt(0.5)
+	for _, tc := range rowStates {
+		for _, box := range rowBoxes() {
+			label := fmt.Sprintf("%s %v", tc.name, box)
+			ref, s := tc.state(), tc.state()
+			velocityPrecomp(ref, m, dt, box)
+			velocitySweep(s, m, dt, box, 0)
+			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
+			stressPrecomp(ref, m, dt, box)
+			stressSweep(s, m, dt, box, 0)
+			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
+		}
+	}
+}
+
+// With the stresses at rest a velocity update stores Quiesce of the old
+// value, so a row of special values holds the vector body's floor to the
+// scalar one: the unsigned compare on the shifted bits keeps |v| >= 2^-100
+// of either sign and any magnitude, ±Inf and NaN, and stores +0 for -0,
+// subnormals and anything else under the floor.
+func TestVectorQuiesceMatchesScalar(t *testing.T) {
+	d := grid.Dims{NX: 24, NY: 1, NZ: 1}
+	m := makeMedium(t, heteroQuerier(), d, 200)
+	floor := float32(math.Ldexp(1, -100))
+	inf := float32(math.Inf(1))
+	vals := []float32{
+		0, float32(math.Copysign(0, -1)), floor, -floor, math.Nextafter32(floor, 0), -math.Nextafter32(floor, 0),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-38, 1.5, -2, 3e5,
+		-7e20, math.MaxFloat32, -math.MaxFloat32, inf, -inf, float32(math.NaN()),
+		math.Float32frombits(0xffc00001), 1, -1, 2, 1e30, -1e-30,
+	}
+	s := NewState(d)
+	box := FullBox(d)
+	for _, f := range s.Velocities() {
+		for i, x := range vals {
+			f.Set(i, 0, 0, x)
+		}
+	}
+	velocityRows(s, m, m.StableDt(0.5), box)
+	for fi, f := range s.Velocities() {
+		for i, x := range vals {
+			if got, want := f.At(i, 0, 0), Quiesce(x); math.Float32bits(got) != math.Float32bits(want) {
+				t.Errorf("%s[%d]: %g (%#x) stored %g (%#x), want %g (%#x)", FieldNames[fi], i,
+					x, math.Float32bits(x), got, math.Float32bits(got), want, math.Float32bits(want))
+			}
+		}
+	}
+}
+
+// A vector-cell count the body cannot take is a bug in the caller.
+func TestSweepRejectsBadLaneCounts(t *testing.T) {
+	m := makeMedium(t, heteroQuerier(), rowDims, 200)
+	box := Box{I0: 1, I1: 18, J0: 0, J1: 1, K0: 0, K1: 1}
+	for _, lanes := range []int{-8, 4, 24} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("velocitySweep with %d vector cells of a 17-cell row: no panic", lanes)
+				}
+			}()
+			velocitySweep(NewState(rowDims), m, m.StableDt(0.5), box, lanes)
+		}()
+	}
+	if got := VectorCells(17); got != 0 && got != 16 {
+		t.Errorf("VectorCells(17) = %d, want 0 or 16", got)
 	}
 }
 

@@ -1,6 +1,10 @@
 package fd
 
-import "repro/internal/medium"
+import (
+	"fmt"
+
+	"repro/internal/medium"
+)
 
 // The production kernel pair: Precomp's arithmetic restructured for
 // bounds-check elimination. The whole-array form indexes u[n±2*dz] etc., which the compiler cannot prove
@@ -22,8 +26,20 @@ import "repro/internal/medium"
 // inside the backing array.
 
 // velocityRows is the production velocity kernel: velocityPrecomp with
-// per-row subslice windows.
+// per-row subslice windows, the leading VectorCells of each row in the 8-lane
+// body.
 func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
+	velocitySweep(s, m, dt, b, VectorCells(b.I1-b.I0))
+}
+
+// velocitySweep is velocityRows with the first lanes cells of each row (a
+// multiple of 8, at most the row) in the 8-lane body and the rest in the Go
+// loop. lanes 0 is the Go loop alone, what a host without AVX2 runs.
+func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
+	ni := b.I1 - b.I0
+	if lanes < 0 || lanes > ni || lanes%8 != 0 {
+		panic(fmt.Sprintf("fd: %d vector cells in a %d-cell row", lanes, ni))
+	}
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -31,7 +47,6 @@ func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
 	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
 	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
 	_, dy, dz := s.VX.Strides()
-	ni := b.I1 - b.I0
 
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
@@ -75,7 +90,17 @@ func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
 			zzm1z := zz[n0-dz:][:ni]
 			zzp1z := zz[n0+dz:][:ni]
 			zzp2z := zz[n0+2*dz:][:ni]
-			for i := range ur {
+			if lanes > 0 {
+				velocityRow8(lanes, dth, c1, c2,
+					&ur[0], &vr[0], &wr[0], &bxr[0], &byr[0], &bzr[0],
+					&xxc[0], &xxm1x[0], &xxp1x[0], &xxp2x[0],
+					&xyc[0], &xym2x[0], &xym1x[0], &xyp1x[0], &xym2y[0], &xym1y[0], &xyp1y[0],
+					&xzc[0], &xzm2x[0], &xzm1x[0], &xzp1x[0], &xzm2z[0], &xzm1z[0], &xzp1z[0],
+					&yyc[0], &yym1y[0], &yyp1y[0], &yyp2y[0],
+					&yzc[0], &yzm2y[0], &yzm1y[0], &yzp1y[0], &yzm2z[0], &yzm1z[0], &yzp1z[0],
+					&zzc[0], &zzm1z[0], &zzp1z[0], &zzp2z[0])
+			}
+			for i := lanes; i < ni; i++ {
 				ur[i] = Quiesce(ur[i] + dth*bxr[i]*(c1*(xxp1x[i]-xxc[i])+c2*(xxp2x[i]-xxm1x[i])+
 					c1*(xyc[i]-xym1y[i])+c2*(xyp1y[i]-xym2y[i])+
 					c1*(xzc[i]-xzm1z[i])+c2*(xzp1z[i]-xzm2z[i])))
@@ -95,6 +120,16 @@ func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
 // attenuation.FusedStress instead, which folds the memory-variable update
 // into the same i-loop.
 func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
+	stressSweep(s, m, dt, b, VectorCells(b.I1-b.I0))
+}
+
+// stressSweep is stressRows with the first lanes cells of each row in the
+// 8-lane body, under velocitySweep's contract.
+func stressSweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
+	ni := b.I1 - b.I0
+	if lanes < 0 || lanes > ni || lanes%8 != 0 {
+		panic(fmt.Sprintf("fd: %d vector cells in a %d-cell row", lanes, ni))
+	}
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -103,7 +138,6 @@ func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
 	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
 	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
 	_, dy, dz := s.VX.Strides()
-	ni := b.I1 - b.I0
 
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
@@ -149,7 +183,15 @@ func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
 			mxyr := mxy[n0:][:ni]
 			mxzr := mxz[n0:][:ni]
 			myzr := myz[n0:][:ni]
-			for i := range xxr {
+			if lanes > 0 {
+				stressRow8(lanes, dth, c1, c2,
+					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
+					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
+					&wc[0], &wm1x[0], &wp1x[0], &wp2x[0], &wm1y[0], &wp1y[0], &wp2y[0], &wm2z[0], &wm1z[0], &wp1z[0],
+					&xxr[0], &yyr[0], &zzr[0], &xyr[0], &xzr[0], &yzr[0],
+					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0])
+			}
+			for i := lanes; i < ni; i++ {
 				exx := c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i])
 				eyy := c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i])
 				ezz := c1*(wc[i]-wm1z[i]) + c2*(wp1z[i]-wm2z[i])

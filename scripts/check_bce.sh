@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Bounds-check-elimination and inlining guard for the production kernel
-# pair, the attenuation row sweeps, the PML row kernels and the set-up row
-# sweeps (the velocity model's rows, the medium's and the deficits').
+# Bounds-check-elimination, inlining and loop-alignment guard for the
+# production kernel pair, the attenuation row sweeps, the PML row kernels and
+# the set-up row sweeps (the velocity model's rows, the medium's and the
+# deficits').
 #
 # The production inner loops (fd/rows.go), and the attenuation, PML zone and
 # medium.finalize sweeps modelled on them, and the set-up rows of cvm, medium
@@ -17,6 +18,10 @@
 # at every velocity store (DESIGN.md §9) — is not reported inlinable: it sits in the
 # inner loop of every velocity kernel, where a call would dwarf the compare.
 #
+# It also fails if an 8-lane row kernel in ROWASM loses the PCALIGN $32 ahead
+# of its loop: unaligned, the loop moves with whatever the linker places
+# before it, and the kernel's speed with it.
+#
 # A fresh GOCACHE is mandatory: the build cache suppresses compiler
 # diagnostics for already-compiled packages, which would make the guard
 # vacuously pass.
@@ -25,6 +30,9 @@ cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
 GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/medium/rows.go internal/cvm/rows.go'
+
+# Assembly row kernels (file:symbol) whose 8-lane loop must be 32-byte aligned.
+ROWASM='internal/core/fd/simd_amd64.s:velocityRow8 internal/core/fd/simd_amd64.s:stressRow8 internal/core/attenuation/simd_amd64.s:fusedStressRow8'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -63,6 +71,26 @@ else
     echo "FAIL: fd.Quiesce is not reported inlinable (-gcflags=-m)"
     status=1
 fi
+
+for entry in $ROWASM; do
+    f=${entry%%:*} sym=${entry#*:}
+    if [ ! -f "$f" ]; then
+        echo "FAIL: row kernel file $f does not exist"
+        status=1
+        continue
+    fi
+    # The kernel's text runs from its TEXT line to the next one.
+    body=$(awk -v sym="·$sym(SB)" '/^TEXT/ { on = index($0, sym) > 0 } on' "$f")
+    if [ -z "$body" ]; then
+        echo "FAIL: $f has no TEXT ·$sym"
+        status=1
+    elif grep -q 'PCALIGN[[:space:]]*\$32' <<<"$body"; then
+        echo "ok: $sym's loop in $f is 32-byte aligned"
+    else
+        echo "FAIL: $sym in $f has no PCALIGN \$32 ahead of its loop"
+        status=1
+    fi
+done
 
 # Sanity: the diagnostics must actually be present (an empty diag means the
 # flags were dropped or the cache swallowed the output).
