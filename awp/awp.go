@@ -117,13 +117,17 @@ type Scenario struct {
 	// values are rejected. Results are bit-identical across Threads.
 	Threads int
 
+	// Comm is the communication model (§IV.A); every model composes with
+	// DFR mode, AsyncOverlap included.
 	Comm        solver.CommModel
 	ABC         solver.ABCKind
 	SpongeWidth int // 0: 8 cells (laptop-scale default; production uses 20)
 	FreeSurface bool
 	Attenuation bool
 
-	Sources   []source.SampledSource
+	Sources []source.SampledSource
+	// Fault, when set, runs DFR mode: a spontaneous rupture on the plane
+	// y = J0. The ranks are then never split in y, and LTS is rejected.
 	Fault     *FaultSpec
 	Receivers [][3]int
 	TrackPGV  bool
@@ -246,6 +250,3 @@ func CampbellBozorgnia2008() GMPE { return analysis.CampbellBozorgnia2008{} }
 
 // PGVH returns the peak RSS horizontal velocity of a seismogram.
 func PGVH(s Seismogram) float64 { return analysis.PGVHFromSeries(s) }
-
-// GeomMeanPGV returns the NGA-style geometric-mean horizontal peak.
-func GeomMeanPGV(s Seismogram) float64 { return analysis.GeomMeanPGV(s) }

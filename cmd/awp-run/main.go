@@ -35,8 +35,7 @@ func main() {
 	flag.Parse()
 
 	if *ranks < 1 {
-		fmt.Fprintf(os.Stderr, "awp-run: -ranks must be at least 1, got %d\n", *ranks)
-		os.Exit(1)
+		fail("-ranks must be at least 1, got %d", *ranks)
 	}
 	if *srcI < 0 {
 		*srcI = *nx / 2
@@ -58,8 +57,7 @@ func main() {
 	case "rock":
 		q = awp.HomogeneousModel(awp.Material{Vp: 6000, Vs: 3464, Rho: 2700})
 	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		os.Exit(2)
+		fail("-model %q is not one of socal|layered|rock", *model)
 	}
 
 	sc := awp.Scenario{
@@ -88,8 +86,7 @@ func main() {
 	case "overlap":
 		sc.Comm = awp.AsyncOverlap
 	default:
-		fmt.Fprintf(os.Stderr, "unknown comm model %q\n", *comm)
-		os.Exit(2)
+		fail("-comm %q is not one of sync|async|async-reduced|overlap", *comm)
 	}
 	switch *abc {
 	case "none":
@@ -99,14 +96,12 @@ func main() {
 	case "mpml":
 		sc.ABC = awp.MPMLABC
 	default:
-		fmt.Fprintf(os.Stderr, "unknown abc %q\n", *abc)
-		os.Exit(2)
+		fail("-abc %q is not one of none|sponge|mpml", *abc)
 	}
 
 	res, err := awp.Run(q, sc)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
 	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks x %d threads, comm=%s abc=%s\n",
 		dims, *h, res.Dt, res.Steps, *ranks, *threads, *comm, *abc)
@@ -124,17 +119,22 @@ func main() {
 
 	if *trace != "" {
 		if err := writeTrace(*trace, res.Telemetry); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 	}
+}
+
+// fail reports a bad flag or a failed run on one prefixed line and exits 1.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "awp-run: "+format+"\n", args...)
+	os.Exit(1)
 }
 
 // writeTrace exports the telemetry report as Chrome trace-event JSON and
 // prints the per-phase summary table.
 func writeTrace(path string, rep *awp.TelemetryReport) error {
 	if rep == nil {
-		return fmt.Errorf("awp-run: no telemetry report in result")
+		return fmt.Errorf("no telemetry report in result")
 	}
 	f, err := os.Create(path)
 	if err != nil {

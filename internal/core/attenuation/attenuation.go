@@ -33,8 +33,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/grid"
 	"repro/internal/medium"
 )
@@ -140,15 +138,6 @@ func (a *Model) Sections() []grid.Section {
 	return []grid.Section{{Name: "zxx", F32: a.ZXX.Data()}, {Name: "zyy", F32: a.ZYY.Data()},
 		{Name: "zzz", F32: a.ZZZ.Data()}, {Name: "zxy", F32: a.ZXY.Data()},
 		{Name: "zxz", F32: a.ZXZ.Data()}, {Name: "zyz", F32: a.ZYZ.Data()}}
-}
-
-// ApplyTiled runs Apply over the j/k tiles of box on the persistent pool;
-// memory variables and stress corrections are per-point, so any disjoint
-// tiling is race-free and bit-identical to Apply.
-func (a *Model) ApplyTiled(s *fd.State, m *medium.Medium, dt float64, box fd.Box, blk fd.Blocking, p *sched.Pool) {
-	fd.ForEachTile(box, blk, p, func(b fd.Box) {
-		a.Apply(s, m, dt, b)
-	})
 }
 
 // FlopsPerCell is the approximate flop count of the attenuation pass per

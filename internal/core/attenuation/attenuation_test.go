@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/cvm"
 	"repro/internal/decomp"
 	"repro/internal/grid"
@@ -236,53 +235,6 @@ func TestNoDecayWithoutAttenuation(t *testing.T) {
 	a1 := rms()
 	if math.Abs(a1-a0)/a0 > 0.01 {
 		t.Fatalf("elastic wave decayed: %g -> %g", a0, a1)
-	}
-}
-
-// The tiled pool schedule must reproduce serial Apply bit-exactly: memory
-// variables and stress corrections are per-point, so any disjoint tiling
-// is race-free.
-func TestApplyTiledBitIdentical(t *testing.T) {
-	d := grid.Dims{NX: 14, NY: 17, NZ: 19}
-	m := makeMedium(t, cvm.SoCal(1400, 1700, 1900, 400), d, 100)
-	dt := m.StableDt(0.5)
-	box := fd.FullBox(d)
-	fill := func() *fd.State {
-		s := fd.NewState(d)
-		for fi, f := range s.Fields() {
-			data := f.Data()
-			for n := range data {
-				data[n] = float32(fi+2) * float32(n%89-44) * 1e-3
-			}
-		}
-		return s
-	}
-
-	ref := fill()
-	ar := New(m, DefaultBand, dt)
-	ar.Apply(ref, m, dt, box)
-
-	for _, threads := range []int{1, 3, 8} {
-		p := sched.NewPool(threads)
-		s := fill()
-		at := New(m, DefaultBand, dt)
-		at.ApplyTiled(s, m, dt, box, fd.Blocking{JBlock: 4, KBlock: 4}, p)
-		p.Close()
-		for fi, f := range s.Fields() {
-			a, b := f.Data(), ref.Fields()[fi].Data()
-			for n := range a {
-				if a[n] != b[n] {
-					t.Fatalf("threads=%d field %d idx %d: %g != %g", threads, fi, n, a[n], b[n])
-				}
-			}
-		}
-		// Memory variables advanced identically too.
-		za, zb := at.ZXY.Data(), ar.ZXY.Data()
-		for n := range za {
-			if za[n] != zb[n] {
-				t.Fatalf("threads=%d memory variable idx %d differs", threads, n)
-			}
-		}
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/medium"
 )
 
@@ -355,13 +354,4 @@ func (a *Model) coef32() (am, cm [NRelax]float32) {
 		cm[mm] = float32(a.cm[mm])
 	}
 	return
-}
-
-// FusedStressTiled runs FusedStress over the j/k tiles of box on the
-// persistent pool. Stress and memory-variable writes are per-point, so any
-// disjoint tiling is race-free and bit-identical to FusedStress.
-func (a *Model) FusedStressTiled(s *fd.State, m *medium.Medium, dt float64, box fd.Box, blk fd.Blocking, p *sched.Pool) {
-	fd.ForEachTile(box, blk, p, func(b fd.Box) {
-		a.FusedStress(s, m, dt, b)
-	})
 }

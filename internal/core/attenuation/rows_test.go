@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/medium"
@@ -266,28 +265,6 @@ func testSubBoxParity(t *testing.T, fused func(*Model, *fd.State, *medium.Medium
 			expectStatesEqual(t, sFus, sRef, label)
 			expectMemVarsEqual(t, aFus, aRef, label)
 		}
-	}
-}
-
-func TestFusedStressTiledBitIdentical(t *testing.T) {
-	d := grid.Dims{NX: 14, NY: 17, NZ: 19}
-	m := makeMedium(t, cvm.SoCal(1400, 1700, 1900, 400), d, 100)
-	dt := m.StableDt(0.5)
-	box := fd.FullBox(d)
-
-	sRef := fillStateSeeded(d, 11)
-	aRef := New(m, DefaultBand, dt)
-	fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-	aRef.Apply(sRef, m, dt, box)
-
-	for _, threads := range []int{1, 3, 8} {
-		p := sched.NewPool(threads)
-		s := fillStateSeeded(d, 11)
-		a := New(m, DefaultBand, dt)
-		a.FusedStressTiled(s, m, dt, box, fd.Blocking{JBlock: 4, KBlock: 4}, p)
-		p.Close()
-		expectStatesEqual(t, s, sRef, "tiled")
-		expectMemVarsEqual(t, a, aRef, "tiled")
 	}
 }
 

@@ -147,18 +147,26 @@ func (f *Fault) Sections() []grid.Section {
 // idx maps fault-local (i,k) (already offset by I0/K0) to flat index.
 func (f *Fault) idx(i, k int) int { return (k-f.cfg.K0)*f.ni + (i - f.cfg.I0) }
 
-// UpdateVelocity replaces the solver's velocity update on the fault row:
-// call it after the bulk velocity kernel each step. It recomputes vx on
-// the fault plane with split-node dynamics and friction, writing the
-// average back into the global field (the value off-fault stencils see).
-func (f *Fault) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
+// Tick advances the fault's clock by one step of dt: call it once per step,
+// before that step's UpdateVelocity calls, which stamp rupture times with it.
+func (f *Fault) Tick(dt float64) { f.now[0] += dt }
+
+// UpdateVelocity replaces the solver's velocity update at the fault nodes in
+// box b: call it after the bulk velocity kernel has swept b. It recomputes vx
+// on the fault plane with split-node dynamics and friction, writing the
+// average back into the global field (the value off-fault stencils see). A
+// node reads only stresses and writes only its own vx and split state, so
+// boxes that partition the plane store the bits of one call over the whole.
+func (f *Fault) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64, b fd.Box) {
 	c := &f.cfg
 	j0 := c.J0
+	if j0 < b.J0 || j0 >= b.J1 {
+		return
+	}
 	h := f.h
-	f.now[0] += dt
 
-	for k := c.K0; k < c.K1; k++ {
-		for i := c.I0; i < c.I1; i++ {
+	for k := max(c.K0, b.K0); k < min(c.K1, b.K1); k++ {
+		for i := max(c.I0, b.I0); i < min(c.I1, b.I1); i++ {
 			n := f.idx(i, k)
 			rho := float64(m.Rho.At(i, j0, k))
 
@@ -216,38 +224,32 @@ func (f *Fault) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 	}
 }
 
-// CorrectStress replaces the shear-stress update adjacent to the fault:
-// call it after the bulk stress kernel. The sxy rows at j0 and j0-1 are
-// recomputed with one-sided 2nd-order differences using the proper split
-// velocity (Eq. 4b/4c).
-func (f *Fault) CorrectStress(s *fd.State, m *medium.Medium, dt float64) {
+// CorrectStress corrects the shear stress adjacent to the fault on the cells
+// of box b: call it after the bulk stress kernel has swept b, before
+// attenuation. Each sxy row whose Dyf(vx) stencil touches the fault node must
+// see the split value instead of the average the bulk kernel used (Eq. 4b/4c):
+// rows j0 and j0+1 see vxP, rows j0-1 and j0-2 see vxM, and the correction
+// adds dt*mu*(coefficient)*(split - avg). A cell reads only the split
+// velocities and writes only itself, so boxes that partition the rows store
+// the bits of one call over the whole.
+func (f *Fault) CorrectStress(s *fd.State, m *medium.Medium, dt float64, b fd.Box) {
 	c := &f.cfg
-	j0 := c.J0
 	dth := float32(dt / f.h)
+	c1, c2 := float32(fd.C1), float32(fd.C2)
+	coef := [4]float32{c2, c1, -c1, -c2} // rows j0-2 … j0+1
 
-	for k := c.K0; k < c.K1; k++ {
-		for i := c.I0; i < c.I1; i++ {
-			n := f.idx(i, k)
-			// Undo the bulk kernel's contribution on these two rows and
-			// redo with the split values: recompute the full update from
-			// the pre-update field is complex, so instead apply the
-			// *difference* between split and averaged vx in the dvx/dy
-			// term. The bulk kernel used avg = (vxP+vxM)/2 at j0; the
-			// correct values are vxP for the j0 row and vxM for j0-1.
-			avg := (f.vxP[n] + f.vxM[n]) / 2
-			dP := float32(f.vxP[n] - avg)
-			dM := float32(f.vxM[n] - avg)
-			c1, c2 := float32(fd.C1), float32(fd.C2)
-
-			// Each sxy row whose Dyf(vx) stencil touches the fault node
-			// must see the correct split value instead of the average the
-			// bulk kernel used (Eq. 4b/4c): rows j0 and j0+1 see vxP, rows
-			// j0-1 and j0-2 see vxM. The correction adds
-			// dt*mu*(coefficient)*(split - avg).
-			s.XY.Add(i, j0, k, dth*m.MuXY.At(i, j0, k)*(-c1)*dP)
-			s.XY.Add(i, j0+1, k, dth*m.MuXY.At(i, j0+1, k)*(-c2)*dP)
-			s.XY.Add(i, j0-1, k, dth*m.MuXY.At(i, j0-1, k)*c1*dM)
-			s.XY.Add(i, j0-2, k, dth*m.MuXY.At(i, j0-2, k)*c2*dM)
+	for j := max(c.J0-2, b.J0); j < min(c.J0+2, b.J1); j++ {
+		r := j - (c.J0 - 2)
+		for k := max(c.K0, b.K0); k < min(c.K1, b.K1); k++ {
+			for i := max(c.I0, b.I0); i < min(c.I1, b.I1); i++ {
+				n := f.idx(i, k)
+				avg := (f.vxP[n] + f.vxM[n]) / 2
+				split := f.vxM[n]
+				if r >= 2 {
+					split = f.vxP[n]
+				}
+				s.XY.Add(i, j, k, dth*m.MuXY.At(i, j, k)*coef[r]*float32(split-avg))
+			}
 		}
 	}
 }

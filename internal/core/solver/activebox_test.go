@@ -150,9 +150,6 @@ func TestActiveBoxMatchesWholeSweeps(t *testing.T) {
 			}
 			for _, topo := range topos {
 				for _, comm := range comms {
-					if row.opt.Fault != nil && comm == AsyncOverlap {
-						continue // Prepare rejects DFR under the overlap model
-					}
 					for _, nt := range threads {
 						opt := row.opt
 						opt.Topo, opt.Comm, opt.Threads = topo, comm, nt

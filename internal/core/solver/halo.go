@@ -125,11 +125,3 @@ func HaloStats(d grid.Dims, nbrMask [3][2]bool, model CommModel) MessageStats {
 	st.Floats = vf + sf
 	return st
 }
-
-// MessageVolume returns the number of float32 values a rank with the given
-// subgrid exchanges per step under the model (both wavefield phases),
-// counting only faces with neighbors. Used by tests and the performance
-// model to verify the 75%-reduction claim for normal stresses.
-func MessageVolume(d grid.Dims, nbrMask [3][2]bool, model CommModel) int {
-	return HaloStats(d, nbrMask, model).Floats
-}

@@ -52,9 +52,6 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 	matrix := func(label string, q cvm.Querier, base Options, refTopo mpi.Cart, topos []mpi.Cart) {
 		ref := mpmlReference(t, q, base, refTopo)
 		for _, comm := range comms {
-			if base.Fault != nil && comm == AsyncOverlap {
-				continue // Prepare rejects DFR under the overlap model
-			}
 			for _, nt := range threads {
 				for _, topo := range topos {
 					for _, blk := range blockings {
@@ -91,8 +88,10 @@ func TestMPMLBitIdentityMatrix(t *testing.T) {
 }
 
 // mpmlMatrixOptions is the matrix scenario: baseOptions' grid under M-PML
-// with the source (or, in DFR mode, a fault overstressed over its whole
-// window, so it radiates from the first step) a few cells from the zones.
+// with the source a few cells from the zones or, in DFR mode, a fault
+// overstressed over its whole window, so that it radiates from the first
+// step. The window's first two columns lie in the x-low zone, so zone tiles
+// carry fault nodes and correction rows.
 func mpmlMatrixOptions(fault bool) Options {
 	opt := baseOptions(mpi.NewCart(1, 1, 1))
 	opt.ABC = MPMLABC
@@ -104,7 +103,7 @@ func mpmlMatrixOptions(fault bool) Options {
 	}.Sample(0.002, 200)}
 	if fault {
 		opt.Sources = nil
-		opt.Fault = overstressedFault(12, 4, 16, 4, 8)
+		opt.Fault = overstressedFault(12, 1, 16, 4, 8)
 	}
 	return opt
 }
@@ -138,7 +137,7 @@ func mpmlReference(t *testing.T, q cvm.Querier, opt Options, topo mpi.Cart) []mp
 	g := opt.Global
 	ref := make([]mpmlSnapshot, opt.Steps)
 	var mu sync.Mutex
-	_, rates := stepWorld(t, q, opt, func(_ *mpi.Comm, st *Stepper) {
+	res, rates := stepWorld(t, q, opt, func(_ *mpi.Comm, st *Stepper) {
 		snap := &ref[st.StepIndex()-1]
 		mu.Lock()
 		if snap[0] == nil {
@@ -152,6 +151,16 @@ func mpmlReference(t *testing.T, q cvm.Querier, opt Options, topo mpi.Cart) []mp
 	})
 	if opt.LTS.Enabled && !equalInts(rates, []int{1, 4}) {
 		t.Fatalf("mixed-rate reference ran at rates %v, want [1 4]", rates)
+	}
+	if opt.Fault != nil {
+		// Overstressed everywhere, every node slips — those in the zone too.
+		for k, row := range res.FaultSlip {
+			for i, slip := range row {
+				if !(slip > 0) {
+					t.Fatalf("fault node (%d,%d) did not slip in the reference", opt.Fault.I0+i, opt.Fault.K0+k)
+				}
+			}
+		}
 	}
 	last := ref[opt.Steps-1]
 	for slot := 9; slot < 36; slot++ {

@@ -3,6 +3,7 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -14,22 +15,41 @@ import (
 )
 
 // sectionAt reads interior cell (i, j, k) of a section that is a padded array
-// of a subgrid of dims d. The two-pass oracle is compared on every section of
-// the rank: its scenarios have no zone and no fault, so those are the nine
-// wavefield components and, with attenuation on, the six memory variables.
+// of a subgrid of dims d.
 func sectionAt(sec grid.Section, d grid.Dims, i, j, k int) float32 {
 	g := grid.Ghost
 	return sec.F32[((k+g)*(d.NY+2*g)+j+g)*(d.NX+2*g)+i+g]
 }
 
+// oracleSections is what the two-pass oracle is compared on: the nine
+// wavefield components, with attenuation on the six memory variables, and in
+// DFR mode the fault's sections (on a rank that holds fault nodes). An M-PML
+// zone's splits are not among them — TestMPMLBitIdentityMatrix and the
+// boundary package hold those — but the wavefield inside the zones is.
+func oracleSections(rs *rankState) []grid.Section {
+	secs := rs.st.Sections()
+	if rs.atten != nil {
+		secs = append(secs, rs.atten.Sections()...)
+	}
+	if rs.fault != nil {
+		secs = append(secs, rs.fault.Sections()...)
+	}
+	return secs
+}
+
 // twoPassOracle advances opt's scenario on one rank with a step written out
-// here, not taken from the stepper: serial fd Precomp kernels over the whole
-// subgrid, then Model.Apply as a second pass over the stresses — the body no
-// production path without a fault runs any more, and one that cannot reach
-// attenuation.FusedStress. It borrows a Stepper for the set-up only (medium,
-// sponge, free surface, memory variables, localized sources) and never calls
-// Step. snaps[step][field] is the interior after that step, x fastest.
-func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][][]float32) {
+// here, not taken from the stepper: serial fd Precomp kernels over the bulk
+// box and each M-PML zone swept whole, then Model.Apply as a second pass over
+// the stresses — the body no production path without a fault runs any more,
+// and one that cannot reach attenuation.FusedStress. In DFR mode the fault
+// runs as whole-plane passes: one clock tick, the split-node update of the
+// whole plane after the velocity sweeps, the correction of all four rows
+// after the stress sweeps and before attenuation. It borrows a
+// Stepper for the set-up only (medium, sponge, zones, free surface, memory
+// variables, localized sources, fault) and never calls Step. snaps[step] is
+// oracleSections after that step: the interior of every padded array x
+// fastest, the fault's sections as they are.
+func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][]grid.Section) {
 	t.Helper()
 	opt.Topo = mpi.NewCart(1, 1, 1)
 	opt.Comm, opt.Threads, opt.LTS = Asynchronous, 1, LTSOptions{}
@@ -45,14 +65,27 @@ func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][][]float3
 			return
 		}
 		defer st.Close()
-		rs, dt, box := st.rs, st.Dt(), fd.FullBox(g)
-		secs := st.Sections()
+		rs, dt, box, whole := st.rs, st.Dt(), st.rs.compBox, fd.FullBox(g)
+		secs := oracleSections(rs)
 		for step := 0; step < opt.Steps; step++ {
 			fd.UpdateVelocity(rs.st, rs.med, dt, box, fd.Precomp, fd.Blocking{})
+			for _, z := range rs.zones {
+				z.UpdateVelocityBox(rs.st, rs.med, dt, z.Zone)
+			}
+			if rs.fault != nil {
+				rs.fault.Tick(dt)
+				rs.fault.UpdateVelocity(rs.st, rs.med, dt, whole)
+			}
 			if rs.fs != nil {
 				rs.fs.ApplyVelocity(rs.st, rs.med)
 			}
 			fd.UpdateStress(rs.st, rs.med, dt, box, fd.Precomp, fd.Blocking{})
+			for _, z := range rs.zones {
+				z.UpdateStressBox(rs.st, rs.med, dt, z.Zone)
+			}
+			if rs.fault != nil {
+				rs.fault.CorrectStress(rs.st, rs.med, dt, whole)
+			}
 			if rs.atten != nil {
 				rs.atten.Apply(rs.st, rs.med, dt, box)
 			}
@@ -63,12 +96,17 @@ func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][][]float3
 			if rs.fs != nil {
 				rs.fs.ApplyStress(rs.st)
 			}
-			snap := make([][]float32, len(secs))
+			snap := make([]grid.Section, len(secs))
 			for si, sec := range secs {
+				snap[si].Name = sec.Name
+				if sec.F64 != nil {
+					snap[si].F64 = slices.Clone(sec.F64)
+					continue
+				}
 				for k := 0; k < g.NZ; k++ {
 					for j := 0; j < g.NY; j++ {
 						for i := 0; i < g.NX; i++ {
-							snap[si] = append(snap[si], sectionAt(sec, g, i, j, k))
+							snap[si].F32 = append(snap[si].F32, sectionAt(sec, g, i, j, k))
 						}
 					}
 				}
@@ -84,30 +122,63 @@ func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][][]float3
 
 // holdToOracle runs opt through the production stepper and, after every Step
 // (a step or an LTS cycle) on every rank, compares the rank's
-// interior of every oracle field with the oracle's snapshot of that step,
-// bit for bit.
-func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps [][][]float32) {
+// interior of every oracle field, and its share of the fault's state, with
+// the oracle's snapshot of that step, bit for bit.
+func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps [][]grid.Section) {
 	t.Helper()
 	g := opt.Global
 	var once sync.Once
+	fail := func(format string, args ...any) {
+		once.Do(func() { t.Errorf(tag+": "+format, args...) })
+	}
 	_, rates := stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
 		sub := st.rs.sub
 		want := snaps[st.StepIndex()-1]
-		secs := st.Sections()
-		if len(secs) != len(want) {
-			once.Do(func() { t.Errorf("%s: rank %d has %d sections, the oracle %d", tag, c.Rank(), len(secs), len(want)) })
+		secs := oracleSections(st.rs)
+		wantN := len(want)
+		if st.rs.fault == nil {
+			// A rank that holds no fault node has no fault sections.
+			for _, w := range want {
+				if w.F64 != nil {
+					wantN--
+				}
+			}
+		}
+		if len(secs) != wantN {
+			fail("rank %d has %d sections, the oracle %d", c.Rank(), len(secs), wantN)
 			return
 		}
 		for si, sec := range secs {
+			if sec.Name != want[si].Name {
+				fail("rank %d section %d is %s, the oracle's %s", c.Rank(), si, sec.Name, want[si].Name)
+				return
+			}
+			if sec.F64 != nil {
+				// The rank's fault window, flattened k-major, inside the
+				// whole one; the clock is one value.
+				f := opt.Fault
+				i0, k0 := max(f.I0, sub.OffX), max(f.K0, sub.OffZ)
+				ni := min(f.I1, sub.OffX+sub.Local.NX) - i0
+				for n, v := range sec.F64 {
+					w := want[si].F64[0]
+					if len(sec.F64) > 1 {
+						w = want[si].F64[(k0+n/ni-f.K0)*(f.I1-f.I0)+i0+n%ni-f.I0]
+					}
+					if math.Float64bits(v) != math.Float64bits(w) {
+						fail("step %d rank %d: %s node (%d,%d) = %g, two-pass oracle %g",
+							st.StepIndex(), c.Rank(), sec.Name, i0+n%ni, k0+n/ni, v, w)
+						return
+					}
+				}
+				continue
+			}
 			for k := 0; k < sub.Local.NZ; k++ {
 				for j := 0; j < sub.Local.NY; j++ {
-					row := want[si][((k+sub.OffZ)*g.NY+j+sub.OffY)*g.NX+sub.OffX:]
+					row := want[si].F32[((k+sub.OffZ)*g.NY+j+sub.OffY)*g.NX+sub.OffX:]
 					for i := 0; i < sub.Local.NX; i++ {
 						if got := sectionAt(sec, sub.Local, i, j, k); math.Float32bits(got) != math.Float32bits(row[i]) {
-							once.Do(func() {
-								t.Errorf("%s: step %d rank %d: %s(%d,%d,%d) = %g, two-pass oracle %g", tag,
-									st.StepIndex(), c.Rank(), sec.Name, i+sub.OffX, j+sub.OffY, k+sub.OffZ, got, row[i])
-							})
+							fail("step %d rank %d: %s(%d,%d,%d) = %g, two-pass oracle %g",
+								st.StepIndex(), c.Rank(), sec.Name, i+sub.OffX, j+sub.OffY, k+sub.OffZ, got, row[i])
 							return
 						}
 					}
@@ -132,13 +203,18 @@ func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps []
 // the default path (Variant unset) under every comm model, pool size,
 // decomposition and stepping scheme to twoPassOracle — pointwise kernels over
 // the whole subgrid, none of the production path's code — on every field and
-// memory variable after every step. Two scenarios: the filled wavefield of
-// baseOptions, and a front that reaches the rank seams inside the window, so
+// memory variable after every step. Three scenarios: the filled wavefield of
+// baseOptions; a front that reaches the rank seams inside the window, so
 // that the quiescence floor decides what is stored where the comparison is
 // made, cut into 3 x 5 tiles so that the row sweeps start and end at odd j
-// and k offsets. LTS is held where it is this scheme on another schedule — every rank
-// at rate 1, which this model gives all three decompositions; mixed rates are
-// another scheme and answer to TestLTSMixedRateAccuracy.
+// and k offsets; and a DFR fault under M-PML, its window across both seams
+// and into the x-low zone, cut into the same tiles — so the split-node update
+// and the stress correction run as post-bodies of interior and zone tiles,
+// strips and inner boxes, split across tiles row by row, against the oracle's
+// whole-plane passes, the fault's own state compared as well. LTS is held
+// where it is this scheme on another schedule — every rank at rate 1, which
+// this model gives all three decompositions; mixed rates are another scheme
+// and answer to TestLTSMixedRateAccuracy. A fault excludes LTS.
 func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	filled := baseOptions(mpi.NewCart(1, 1, 1))
@@ -152,20 +228,29 @@ func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 	}.Sample(0.002, 200)}
 	front.Steps = 16
 	front.Blocking = fd.Blocking{JBlock: 3, KBlock: 5}
+	fault := front
+	fault.Sources = nil
+	fault.ABC, fault.PMLWidth = MPMLABC, 3
+	fault.Fault = overstressedFault(12, 1, 16, 3, 10)
 
 	comms := []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
 	threadCounts := []int{1, 4}
 	topos := []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)}
+	// DFR mode needs PY = 1, so the fault runs fold the y split into z.
+	faultTopos := []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 1, 2)}
 	if testing.Short() {
 		comms = []CommModel{AsyncReduced, AsyncOverlap}
 		threadCounts = []int{4}
-		topos = topos[2:]
+		topos, faultTopos = topos[2:], faultTopos[2:]
 	}
 
 	for _, sc := range []struct {
-		name string
-		opt  Options
-	}{{"filled", filled}, {"front", front}} {
+		name  string
+		opt   Options
+		topos []mpi.Cart
+		lts   []bool
+	}{{"filled", filled, topos, []bool{false, true}}, {"front", front, topos, []bool{false, true}},
+		{"fault", fault, faultTopos, []bool{false}}} {
 		snaps := twoPassOracle(t, q, sc.opt)
 		if sc.name == "front" {
 			// The window must hold the crossing: the seam plane i = NX/2 of
@@ -173,7 +258,7 @@ func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 			g := sc.opt.Global
 			seamMoving := func(step int) bool {
 				for n := g.NX / 2; n < g.Cells(); n += g.NX {
-					if snaps[step][0][n] != 0 {
+					if snaps[step][0].F32[n] != 0 {
 						return true
 					}
 				}
@@ -185,8 +270,8 @@ func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 		}
 		for _, comm := range comms {
 			for _, threads := range threadCounts {
-				for _, topo := range topos {
-					for _, lts := range []bool{false, true} {
+				for _, topo := range sc.topos {
+					for _, lts := range sc.lts {
 						opt := sc.opt
 						opt.Topo, opt.Comm, opt.Threads = topo, comm, threads
 						if lts {

@@ -32,10 +32,13 @@ func FuzzPrepare(f *testing.F) {
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, threads: 1, attn: true, fs: true},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, lts: true, ratio: 4, fs: true},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 0, abc: 2, threads: 1, pmlWidth: 3, fault: true},
-		// The three exclusions.
+		// DFR under the overlap model, once an exclusion, runs: alone, and
+		// with M-PML zones on a pool.
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 3, abc: 1, fault: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 3, abc: 2, threads: 3, pmlWidth: 3, fault: true, attn: true},
+		// The two exclusions.
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, lts: true, fault: true},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 2, abc: 1, lts: true, surface: true, fs: true},
-		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 3, abc: 1, fault: true},
 		// Surface output without LTS runs; zones that swallow a rank, a
 		// topology the grid cannot hold, a receiver no rank owns and unknown
 		// enums do not.

@@ -374,26 +374,29 @@ type tilePlan struct {
 // them, and binds the tiles of cutTiles to the phases' bodies.
 // A zone's split fields live on its rank and never cross a seam, so a zone is
 // a tile like any other at every rate. It needs rs.atten and rs.fault set:
-// they decide the stress tile body.
+// they decide the tile bodies. In DFR mode the fault hooks onto every tile:
+// the split-node update ends each velocity tile, the stress correction each
+// stress tile's elastic pass, on the tile's own fault nodes and correction
+// rows — per-cell work that reads only what its phase does not write — so the
+// fault runs wherever its cells' tiles run, before the post or after it.
 func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	for _, z := range rs.zones {
 		z.Prepare(dt)
 	}
 	pre, inner, innerBox := rs.cutTiles(opt)
 
-	velocity := rs.velocityTile(opt, dt)
-	stress := rs.stressTile(opt, dt)
-	if rs.fault != nil {
-		// DFR mode: the split-node correction must see the purely elastic
-		// stress, so attenuation runs after it (the seed ordering) instead
-		// of fused into the stress tiles.
-		stress = rs.elasticTile(opt, dt)
+	var velHook, stressHook faultHook
+	velZone, stressZone := zoneBody((*boundary.PML).UpdateVelocityBox), zoneBody((*boundary.PML).UpdateStressBox)
+	if f := rs.fault; f != nil {
+		velHook, stressHook = f.UpdateVelocity, f.CorrectStress
+		velZone, stressZone = velHook.after(velZone), stressHook.after(stressZone)
 	}
+	velocity := rs.kernelTile(opt, dt, telemetry.Velocity, fd.UpdateVelocity, velHook)
+	stress := rs.stressTile(opt, dt, stressHook)
 	// mk binds tiles to a phase's bodies twice: whole, and with every tile cut
 	// to the active box — a tile outside it returns at once. Only a rank that
 	// still has its box drains the clipped queues.
-	mk := func(tiles []tile, interior func(fd.Box),
-		zone func(*boundary.PML, *fd.State, *medium.Medium, float64, fd.Box)) (whole, clipped queue) {
+	mk := func(tiles []tile, interior func(fd.Box), zone zoneBody) (whole, clipped queue) {
 		run := func(z *boundary.PML, b fd.Box) {
 			if z == nil {
 				interior(b)
@@ -414,9 +417,9 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	}
 	w, p := &rs.whole, &rs.plan
 	w.innerBox, p.innerBox = innerBox, innerBox
-	w.velPre, p.velPre = mk(pre, velocity, (*boundary.PML).UpdateVelocityBox)
+	w.velPre, p.velPre = mk(pre, velocity, velZone)
 	w.velInner, p.velInner = mk(inner, velocity, nil)
-	w.stressPre, p.stressPre = mk(pre, stress, (*boundary.PML).UpdateStressBox)
+	w.stressPre, p.stressPre = mk(pre, stress, stressZone)
 	w.stressInner, p.stressInner = mk(inner, stress, nil)
 }
 
@@ -498,11 +501,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 		rs.liveSteps++
 	}
 	rs.drain(plan.velPre)
-	if rs.fault != nil {
-		// DFR mode: the split-node correction needs the whole velocity field
-		// before anything is packed (Prepare excludes DFR with overlap).
-		rs.fault.UpdateVelocity(rs.st, rs.med, dt)
-	}
 	lap(&tm.Comp, &t0)
 	l.arm(rs.vel, sub)
 	rs.vel.post()
@@ -533,15 +531,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 		rs.dropBox()
 	}
 	rs.drain(plan.stressPre)
-	if rs.fault != nil {
-		// DFR mode: the stress tiles were elastic only (buildTilePlan).
-		rs.fault.CorrectStress(rs.st, rs.med, dt)
-		if rs.atten != nil {
-			sp := rs.tel.Span(telemetry.Attenuation)
-			rs.atten.ApplyTiled(rs.st, rs.med, dt, rs.clip(rs.compBox), tileShape(opt, rs.compBox), rs.pool)
-			sp.End()
-		}
-	}
 	rs.inject(dt, tNow, false)
 	lap(&tm.Comp, &t0)
 	l.arm(rs.stress, sub)
@@ -580,14 +569,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 	lap(&tm.Comm, &t0)
 }
 
-// clip returns b cut to the rank's active box, or b once that is dropped.
-func (rs *rankState) clip(b fd.Box) fd.Box {
-	if rs.box == nil {
-		return b
-	}
-	return b.Intersect(rs.box.Box)
-}
-
 // inject feeds the sources inside (or outside) the plan's innerBox, and the
 // nodes whose rate was nonzero join the active box: until its rate first
 // samples nonzero a source adds ±0, which changes no stored bit.
@@ -619,41 +600,58 @@ func (rs *rankState) syncBarrier(opt Options, tm *Timing, t0 *time.Time) {
 	lap(&tm.Sync, t0)
 }
 
-// velocityTile returns the velocity tile body of every path. Bulk tiles are
-// timed from inside the tile, so the zone tiles of the same queue (timed as
-// Boundary) are not counted as kernel time.
-func (rs *rankState) velocityTile(opt Options, dt float64) func(fd.Box) {
+// faultHook is a fault pass over one box: rupture.Fault's UpdateVelocity or
+// CorrectStress.
+type faultHook func(*fd.State, *medium.Medium, float64, fd.Box)
+
+// zoneBody is an M-PML zone's pass over the part b of its zone.
+type zoneBody func(z *boundary.PML, s *fd.State, m *medium.Medium, dt float64, b fd.Box)
+
+// after returns the zone body followed on the same box by the hook.
+func (h faultHook) after(zone zoneBody) zoneBody {
+	return func(z *boundary.PML, s *fd.State, m *medium.Medium, dt float64, b fd.Box) {
+		zone(z, s, m, dt, b)
+		h(s, m, dt, b)
+	}
+}
+
+// kernelTile returns the tile body that runs an fd kernel on the tile and,
+// in DFR mode, the fault's hook on the same box, both timed under phase from
+// inside the tile, so the zone tiles of the same queue (timed as Boundary)
+// are not counted as kernel time.
+func (rs *rankState) kernelTile(opt Options, dt float64, phase telemetry.Phase,
+	kernel func(*fd.State, *medium.Medium, float64, fd.Box, fd.Variant, fd.Blocking), hook faultHook) func(fd.Box) {
+	if hook != nil {
+		return func(b fd.Box) {
+			sp := rs.tel.Span(phase)
+			kernel(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
+			hook(rs.st, rs.med, dt, b)
+			sp.End()
+		}
+	}
 	return func(b fd.Box) {
-		sp := rs.tel.Span(telemetry.Velocity)
-		fd.UpdateVelocity(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
+		sp := rs.tel.Span(phase)
+		kernel(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
 		sp.End()
 	}
 }
 
-// elasticTile returns the elastic-only stress tile body of the DFR path.
-func (rs *rankState) elasticTile(opt Options, dt float64) func(fd.Box) {
-	return func(b fd.Box) {
-		sp := rs.tel.Span(telemetry.Stress)
-		fd.UpdateStress(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
-		sp.End()
-	}
-}
-
-// stressTile returns the stress tile body of a run without a fault. With
-// attenuation on, every variant that reads the precomputed coefficients runs
-// attenuation.FusedStress: the memory-variable update rides in the elastic
-// i-loop, one read/modify/write of the six stress fields per cell instead of
-// two, bit-identical to the pair of passes it replaces. Its whole time lands
-// in the Stress span — there is no separate attenuation pass to time. Naive
-// is the §IV.B ablation of the in-loop coefficient arithmetic FusedStress does
-// not have, so it keeps its elastic kernel and the second pass, each under its
-// own span; Span.End is safe from concurrent pool workers.
-func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
-	elastic := rs.elasticTile(opt, dt)
+// stressTile returns the stress tile body. With attenuation on, every variant
+// that reads the precomputed coefficients runs attenuation.FusedStress: the
+// memory-variable update rides in the elastic i-loop, one read/modify/write
+// of the six stress fields per cell instead of two, bit-identical to the pair
+// of passes it replaces. Its whole time lands in the Stress span — there is no
+// separate attenuation pass to time. Two bodies keep the pair: Naive, the
+// §IV.B ablation of the in-loop coefficient arithmetic FusedStress does not
+// have, and DFR mode, whose stress correction (hook) must see the purely
+// elastic stress, so attenuation runs after it on the same tile. Each pass is
+// timed under its own span; Span.End is safe from concurrent pool workers.
+func (rs *rankState) stressTile(opt Options, dt float64, hook faultHook) func(fd.Box) {
+	elastic := rs.kernelTile(opt, dt, telemetry.Stress, fd.UpdateStress, hook)
 	switch {
 	case rs.atten == nil:
 		return elastic
-	case opt.Variant.Precomputed():
+	case hook == nil && opt.Variant.Precomputed():
 		return func(b fd.Box) {
 			sp := rs.tel.Span(telemetry.Stress)
 			rs.atten.FusedStress(rs.st, rs.med, dt, b)
@@ -676,7 +674,10 @@ func (rs *rankState) trackPGV() {
 	if rs.pgvh == nil {
 		return
 	}
-	b := rs.clip(fd.Box{I1: rs.sub.Local.NX, J1: rs.sub.Local.NY, K1: 1})
+	b := fd.Box{I1: rs.sub.Local.NX, J1: rs.sub.Local.NY, K1: 1}
+	if rs.box != nil {
+		b = b.Intersect(rs.box.Box)
+	}
 	if b.Empty() {
 		return
 	}

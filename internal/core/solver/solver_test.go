@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -171,6 +173,17 @@ func TestMPMLInSolver(t *testing.T) {
 	}
 }
 
+// TestDFRModeMultiRankMatchesSingle holds a spontaneous rupture under every
+// comm model, at 2x1x1 and 2x1x2 and on one and three threads, to the
+// single-rank run. The window crosses both seams, so under AsyncOverlap the
+// halo strips cut it and its nodes are updated partly before the post and
+// partly in the inner box after it; three threads cut it into tiles. Every
+// Result field the decomposition cannot change is bit-identical to the
+// reference: seismograms, PGV maps, Dt, the fault maps, their summary and the
+// slip-rate series. The moment rate is each rank's sum over its nodes,
+// reduced across ranks, so its rounding follows the decomposition: it is
+// bit-identical across comm models and pool sizes of one topology and within
+// a relative 1e-12 of the single-rank sum.
 func TestDFRModeMultiRankMatchesSingle(t *testing.T) {
 	g := grid.Dims{NX: 48, NY: 24, NZ: 24}
 	h := 100.0
@@ -192,52 +205,87 @@ func TestDFRModeMultiRankMatchesSingle(t *testing.T) {
 			}
 		}
 	}
-	mkOpt := func(topo mpi.Cart) Options {
+	mkOpt := func(topo mpi.Cart, comm CommModel, threads int) Options {
 		return Options{
 			Global: g, H: h, Steps: 150, Topo: topo,
-			Comm: AsyncReduced, Variant: fd.Precomp,
+			Comm: comm, Threads: threads, Variant: fd.Precomp,
 			ABC: SpongeABC, SpongeWidth: 4,
 			Fault: &FaultSpec{
 				J0: 12, I0: 4, I1: 4 + ni, K0: 3, K1: 3 + nk,
 				Tau0: tau, SigmaN: sn, Friction: fr,
 				RecordEvery: 2,
 			},
-			TrackPGV: true,
+			Receivers: [][3]int{{12, 6, 4}, {36, 18, 12}, {24, 12, 12}},
+			TrackPGV:  true,
 		}
 	}
 	q := cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700})
-	ref, err := Run(q, mkOpt(mpi.NewCart(1, 1, 1)))
+	ref, err := Run(q, mkOpt(mpi.NewCart(1, 1, 1), AsyncReduced, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.FaultStats.MaxSlip == 0 {
-		t.Fatal("reference rupture did not slip")
+	if ref.FaultStats.MaxSlip == 0 || len(ref.SlipSeries) == 0 {
+		t.Fatal("reference rupture did not slip or recorded no slip rates")
 	}
-	multi, err := Run(q, mkOpt(mpi.NewCart(2, 1, 2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fault fields must match across the rank seams.
-	for k := range ref.FaultSlip {
-		for i := range ref.FaultSlip[k] {
-			if d := math.Abs(ref.FaultSlip[k][i] - multi.FaultSlip[k][i]); d > 1e-9 {
-				t.Fatalf("slip mismatch at k=%d i=%d: %g vs %g",
-					k, i, ref.FaultSlip[k][i], multi.FaultSlip[k][i])
+	for _, topo := range []mpi.Cart{mpi.NewCart(2, 1, 1), mpi.NewCart(2, 1, 2)} {
+		var first *Result
+		for _, comm := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
+			for _, threads := range []int{1, 3} {
+				tag := fmt.Sprintf("%dx%dx%d/%v/threads%d", topo.PX, topo.PY, topo.PZ, comm, threads)
+				res, err := Run(q, mkOpt(topo, comm, threads))
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
+				}
+				expectFaultResultsExact(t, tag, ref, res)
+				if first == nil {
+					first = res
+					for n, v := range ref.MomentRate {
+						if d := math.Abs(v - res.MomentRate[n]); d > 1e-12*math.Abs(v) {
+							t.Fatalf("%s: moment rate at step %d = %g, single rank %g", tag, n, res.MomentRate[n], v)
+						}
+					}
+				} else if !slices.Equal(first.MomentRate, res.MomentRate) {
+					t.Fatalf("%s: moment rate differs from the same topology's first run", tag)
+				}
 			}
 		}
 	}
-	if math.Abs(ref.FaultStats.MaxPeakRate-multi.FaultStats.MaxPeakRate) > 1e-9 {
-		t.Errorf("peak rate differs: %g vs %g", ref.FaultStats.MaxPeakRate, multi.FaultStats.MaxPeakRate)
+}
+
+// expectFaultResultsExact holds res to ref on every Result field of a DFR run
+// that the decomposition cannot change, bit for bit; slip-rate series are
+// matched by node, since the gather orders them by rank.
+func expectFaultResultsExact(t *testing.T, tag string, ref, res *Result) {
+	t.Helper()
+	expectResultsExact(t, tag, ref, res)
+	if res.Steps != ref.Steps || res.Dt != ref.Dt || res.SlipDt != ref.SlipDt {
+		t.Fatalf("%s: steps/dt/slip dt %d/%g/%g, reference %d/%g/%g", tag, res.Steps, res.Dt, res.SlipDt, ref.Steps, ref.Dt, ref.SlipDt)
 	}
-	// Moment-rate series identical.
-	for n := range ref.MomentRate {
-		if d := math.Abs(ref.MomentRate[n] - multi.MomentRate[n]); d > 1e-3*math.Abs(ref.MomentRate[n])+1 {
-			t.Fatalf("moment rate differs at step %d: %g vs %g", n, ref.MomentRate[n], multi.MomentRate[n])
+	for name, m := range map[string][2][][]float64{
+		"FaultSlip":     {ref.FaultSlip, res.FaultSlip},
+		"FaultPeakRate": {ref.FaultPeakRate, res.FaultPeakRate},
+		"FaultRupTime":  {ref.FaultRupTime, res.FaultRupTime},
+	} {
+		for k := range m[0] {
+			if !slices.Equal(m[0][k], m[1][k]) {
+				t.Fatalf("%s: %s row %d differs from the reference", tag, name, k)
+			}
 		}
 	}
-	// Slip-rate recordings present and matched in node count.
-	if len(ref.SlipSeries) == 0 || len(ref.SlipSeries) != len(multi.SlipSeries) {
-		t.Errorf("slip series counts: %d vs %d", len(ref.SlipSeries), len(multi.SlipSeries))
+	if res.FaultStats != ref.FaultStats {
+		t.Fatalf("%s: FaultStats %+v, reference %+v", tag, res.FaultStats, ref.FaultStats)
+	}
+	series := map[[3]int][]float32{}
+	for n, node := range ref.SlipNodes {
+		series[node] = ref.SlipSeries[n]
+	}
+	if len(res.SlipNodes) != len(series) {
+		t.Fatalf("%s: %d slip-rate series, reference %d", tag, len(res.SlipNodes), len(series))
+	}
+	for n, node := range res.SlipNodes {
+		if !slices.Equal(series[node], res.SlipSeries[n]) {
+			t.Fatalf("%s: slip-rate series of node %v differs from the reference", tag, node)
+		}
 	}
 }
 
@@ -247,12 +295,6 @@ func TestDFRRejectsBadConfigs(t *testing.T) {
 		Tau0: [][]float64{{0}}, SigmaN: [][]float64{{0}}, Friction: [][]rupture.Friction{{{}}}}
 	if _, err := Run(cvm.HardRock(), opt); err == nil {
 		t.Error("DFR with PY=2 accepted")
-	}
-	opt = baseOptions(mpi.NewCart(1, 1, 1))
-	opt.Comm = AsyncOverlap
-	opt.Fault = &FaultSpec{}
-	if _, err := Run(cvm.HardRock(), opt); err == nil {
-		t.Error("DFR with overlap accepted")
 	}
 	// A window only rank 0 holds, on a plane too close to the y edge: the
 	// rank that would reject it in set-up must not get the chance, or rank 1
@@ -295,8 +337,8 @@ func TestBoundaryStripsTile(t *testing.T) {
 func TestMessageVolumeReduction(t *testing.T) {
 	d := grid.Dims{NX: 20, NY: 20, NZ: 20}
 	all := [3][2]bool{{true, true}, {true, true}, {true, true}}
-	full := MessageVolume(d, all, Asynchronous)
-	reduced := MessageVolume(d, all, AsyncReduced)
+	full := HaloStats(d, all, Asynchronous).Floats
+	reduced := HaloStats(d, all, AsyncReduced).Floats
 	// Full: 9 components x 3 axes; reduced: velocities 3x3, stresses
 	// 1+1+1+2+2+2 = 9 axes -> (9+9)/(9+18) = 2/3.
 	want := 2.0 / 3.0
@@ -307,8 +349,8 @@ func TestMessageVolumeReduction(t *testing.T) {
 	// each in 3 axes x 2 dirs... the paper's statement: sxx goes from 3
 	// directions (6 faces) to x only, with 2+1 planes instead of 2x2 — at
 	// the message-count level each normal stress drops from 6 to 2 faces.
-	vol1 := MessageVolume(grid.Dims{NX: 10, NY: 10, NZ: 10}, all, Asynchronous)
-	vol2 := MessageVolume(grid.Dims{NX: 10, NY: 10, NZ: 10}, all, AsyncReduced)
+	vol1 := HaloStats(grid.Dims{NX: 10, NY: 10, NZ: 10}, all, Asynchronous).Floats
+	vol2 := HaloStats(grid.Dims{NX: 10, NY: 10, NZ: 10}, all, AsyncReduced).Floats
 	if vol2 >= vol1 {
 		t.Fatal("reduced model does not reduce volume")
 	}

@@ -35,9 +35,6 @@ var stepExclusions = []struct {
 	{"Surface output with LTS",
 		func(o *Options) bool { return o.Surface != nil && o.LTS.Enabled },
 		"frame f is the state after step f·Every on every rank and each flush is a collective, and no step inside a cycle is a state of every rank"},
-	{"DFR fault mode with the overlap comm model",
-		func(o *Options) bool { return o.Fault != nil && o.Comm == AsyncOverlap },
-		"the split-node correction needs the whole velocity field before anything is packed"},
 }
 
 // Prepare normalizes opt (defaulting exactly as Run does) and builds the
@@ -437,6 +434,11 @@ func (s *Stepper) Recorder() *telemetry.Recorder { return s.rs.tel }
 func (s *Stepper) Step() {
 	rs, l := s.rs, s.rs.lts
 	for sub := s.step; sub < s.step+l.maxRate; sub += l.rate {
+		if rs.fault != nil {
+			// Once a step, before any tile's split-node update stamps a
+			// rupture time with it.
+			rs.fault.Tick(l.localDt)
+		}
 		rs.advance(s.opt, sub, &s.tm)
 		// Observables land on the base-step index this local step reaches
 		// (its post-step state).

@@ -395,7 +395,8 @@ func TestWorldLTSCrashRecovery(t *testing.T) {
 // sweep crashes rank 1 at sends on both sides of several checkpoint steps,
 // and every recovery must be a rollback that replays at most one interval a
 // rank and lands on the bits of solver.Run — moment rate, final slip and the
-// slip-rate histories recorded every other step included.
+// slip-rate histories recorded every other step included — the fault under
+// the overlap model too.
 func TestWorldMPMLAndDFRCrashRollback(t *testing.T) {
 	mpml := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
 	mpml.ABC, mpml.PMLWidth = solver.MPMLABC, 4
@@ -425,11 +426,16 @@ func TestWorldMPMLAndDFRCrashRollback(t *testing.T) {
 	dfr.Fault = &solver.FaultSpec{J0: 10, I0: 4, I1: 4 + ni, K0: 3, K1: 3 + nk,
 		Tau0: tau, SigmaN: sn, Friction: fr, RecordEvery: 2}
 
+	// The same fault under the overlap model on a two-thread pool: its nodes
+	// in the seam strips are updated before the post, the rest after it.
+	dfrOverlap := dfr
+	dfrOverlap.Comm, dfrOverlap.Threads = solver.AsyncOverlap, 2
+
 	q := worldQuerier()
 	for _, tc := range []struct {
 		name string
 		opt  solver.Options
-	}{{"mpml", mpml}, {"dfr", dfr}} {
+	}{{"mpml", mpml}, {"dfr", dfr}, {"dfr-overlap", dfrOverlap}} {
 		ref, err := solver.Run(q, tc.opt)
 		if err != nil {
 			t.Fatal(err)
