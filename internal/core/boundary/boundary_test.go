@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestSpongeOnlyDampsSelectedFaces(t *testing.T) {
 	for _, f := range s.Fields() {
 		f.Fill(1)
 	}
-	sp.Apply(s)
+	sp.ApplyPool(s, nil)
 	if s.VX.At(2, 4, 4) != 1 {
 		t.Fatal("interior/low-x damped unexpectedly")
 	}
@@ -202,7 +203,7 @@ func TestABCReflectionOrdering(t *testing.T) {
 				z.UpdateStress(s, m, dt)
 			}
 			if sp != nil {
-				sp.Apply(s)
+				sp.ApplyPool(s, nil)
 			}
 		}
 		return velocityEnergyWindow(s, window) / e0
@@ -423,54 +424,121 @@ func TestClassicPMLUnstableMPMLStable(t *testing.T) {
 	}
 }
 
-// ApplyBox over a box that holds everything that is not ±0 must store the
-// bits Apply does — on the whole padded arrays, signed zeros included — and
-// must leave what lies outside the box alone whatever it holds.
-func TestSpongeApplyBoxMatchesWhole(t *testing.T) {
-	d := grid.Dims{NX: 18, NY: 13, NZ: 11}
-	sp := NewSpongeGlobal(d, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{18, 0, 0},
-		6, 0.1, AllAbsorbing())
-	negZero := math.Float32frombits(1 << 31)
-	for _, box := range []fd.Box{
-		{I0: -2, I1: 20, J0: -2, J1: 15, K0: -2, K1: 13}, // the padded subgrid
-		{I0: 3, I1: 9, J0: -2, J1: 4, K0: 5, K1: 13},     // ghosts on two faces, rows starting inside the x zone
-		{I0: 14, I1: 20, J0: 6, J1: 7, K0: -1, K1: 2},    // one row thick, ending in the x zone
-		{I0: -9, I1: 40, J0: 2, J1: 3, K0: 3, K1: 4},     // wider than the subgrid: clamped
-		{},
+// DampBox over any partition of the owned box, the parts damped in any order
+// or concurrently, must store on the owned cells the bits ApplyPool stores
+// there, and leave every ghost alone.
+func TestSpongeDampBoxMatchesApplyPool(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	for _, c := range []struct {
+		name          string
+		local, global grid.Dims
+		off           [3]int
+		width         int
+	}{
+		{"hi-x-zone", grid.Dims{NX: 18, NY: 13, NZ: 11}, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{18, 0, 0}, 6},
+		{"both-x-zones", grid.Dims{NX: 29, NY: 17, NZ: 9}, grid.Dims{NX: 29, NY: 17, NZ: 9}, [3]int{}, 5},
+		{"no-x-zone", grid.Dims{NX: 10, NY: 13, NZ: 11}, grid.Dims{NX: 60, NY: 13, NZ: 11}, [3]int{26, 0, 0}, 6},
+		{"overlapping-zones", grid.Dims{NX: 9, NY: 7, NZ: 6}, grid.Dims{NX: 9, NY: 7, NZ: 6}, [3]int{}, 7},
 	} {
-		fill := func(outside float32) *fd.State {
-			s := fd.NewState(d)
+		sp := NewSpongeGlobal(c.local, c.global, c.off, c.width, 0.1, AllAbsorbing())
+		fill := func() *fd.State {
+			s := fd.NewState(c.local)
 			for fi, f := range s.Fields() {
-				for k := -2; k < d.NZ+2; k++ {
-					for j := -2; j < d.NY+2; j++ {
-						for i := -2; i < d.NX+2; i++ {
-							v := outside
-							if i >= box.I0 && i < box.I1 && j >= box.J0 && j < box.J1 && k >= box.K0 && k < box.K1 {
-								v = float32(fi+1) * float32((i*7+j*3+k)%97-48)
-							}
-							f.Set(i, j, k, v)
-						}
-					}
+				for n := range f.Data() {
+					f.Data()[n] = float32(fi+1) * float32(n%97-48) * 1.37
 				}
 			}
 			return s
 		}
-		for _, threads := range []int{1, 3} {
-			p := sched.NewPool(threads)
-			want, got := fill(negZero), fill(negZero)
-			sp.Apply(want)
-			sp.ApplyBox(got, p, box)
-			untouched, before := fill(0.5), fill(0.5)
-			sp.ApplyBox(untouched, p, box)
+		want, before := fill(), fill()
+		sp.ApplyPool(want, nil)
+		for trial := 0; trial < 6; trial++ {
+			parts := partition(rng, fd.FullBox(c.local), 1+rng.Intn(12))
+			rng.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+			p := sched.NewPool(1 + trial%3)
+			got := fill()
+			fields := got.Fields()
+			p.ForEachN(len(parts), func(n int) { sp.DampBox(fields, parts[n]) })
 			p.Close()
-			for fi, f := range got.Fields() {
-				w, u, b := want.Fields()[fi].Data(), untouched.Fields()[fi].Data(), before.Fields()[fi].Data()
-				for n, v := range f.Data() {
-					if math.Float32bits(v) != math.Float32bits(w[n]) {
-						t.Fatalf("box %v threads %d: field %d idx %d = %g, Apply stores %g", box, threads, fi, n, v, w[n])
+			for fi, f := range fields {
+				w, b := want.Fields()[fi], before.Fields()[fi]
+				for k := -grid.Ghost; k < c.local.NZ+grid.Ghost; k++ {
+					for j := -grid.Ghost; j < c.local.NY+grid.Ghost; j++ {
+						for i := -grid.Ghost; i < c.local.NX+grid.Ghost; i++ {
+							ref := b
+							if i >= 0 && i < c.local.NX && j >= 0 && j < c.local.NY && k >= 0 && k < c.local.NZ {
+								ref = w
+							}
+							if g, r := f.At(i, j, k), ref.At(i, j, k); math.Float32bits(g) != math.Float32bits(r) {
+								t.Fatalf("%s trial %d (%d parts): %s(%d,%d,%d) = %g, want %g",
+									c.name, trial, len(parts), fd.FieldNames[fi], i, j, k, g, r)
+							}
+						}
 					}
-					if b[n] == 0.5 && u[n] != 0.5 {
-						t.Fatalf("box %v threads %d: field %d idx %d outside the box changed to %g", box, threads, fi, n, u[n])
+				}
+			}
+		}
+	}
+}
+
+// partition cuts b into n boxes (fewer if b runs out of cells to cut) by
+// random axis-aligned splits.
+func partition(rng *rand.Rand, b fd.Box, n int) []fd.Box {
+	parts := []fd.Box{b}
+	for tries := 0; len(parts) < n && tries < 100; tries++ {
+		i := rng.Intn(len(parts))
+		p, q := parts[i], parts[i]
+		lo := [3]*int{&p.I0, &p.J0, &p.K0}
+		hi := [3]*int{&p.I1, &p.J1, &p.K1}
+		qlo := [3]*int{&q.I0, &q.J0, &q.K0}
+		ax := rng.Intn(3)
+		if *hi[ax]-*lo[ax] < 2 {
+			continue
+		}
+		cut := *lo[ax] + 1 + rng.Intn(*hi[ax]-*lo[ax]-1)
+		*hi[ax], *qlo[ax] = cut, cut
+		parts[i] = p
+		parts = append(parts, q)
+	}
+	return parts
+}
+
+// TestSpongeWalkerMatchesGo holds the 8-lane walker to the Go row loop, bit
+// for bit: rows of 1–17, 20, 28 and 56 values (below 8, the walker's
+// 0-vector-cell path, all of it its scalar tail), starting in an x zone and
+// in the middle where fx is 1, on rows whose fy·fz is 1 and is not, over
+// values holding ±0, a subnormal, ±Inf and NaN; and the stride gap between
+// rows untouched.
+func TestSpongeWalkerMatchesGo(t *testing.T) {
+	if !vectorWalker {
+		t.Skip("no 8-lane walker on this host")
+	}
+	sp := NewSpongeGlobal(grid.Dims{NX: 80, NY: 4, NZ: 4}, grid.Dims{NX: 80, NY: 4, NZ: 4}, [3]int{}, 8, 0.1, AllAbsorbing())
+	fx := sp.axes.fx
+	fy := []float32{1, sp.taper[3], 1, sp.taper[0], sp.taper[7]}
+	special := []float32{0, float32(math.Copysign(0, -1)), math.Float32frombits(1), math.Float32frombits(0x807fffff),
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 3.5e-38, -7.25, 1e30}
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 28, 56}
+	for _, n := range lengths {
+		for _, p0 := range []int{0, 3, 10, 20, len(fx) - n} {
+			for _, fz := range []float32{1, sp.taper[5]} {
+				stride := n + 3
+				rows := len(fy)
+				x := make([]float32, rows*stride)
+				for i := range x {
+					x[i] = special[(i*7+n+p0)%len(special)] * float32(1+i%5)
+				}
+				want := slices.Clone(x)
+				got := slices.Clone(x)
+				dampRows(want, stride, fx[p0:p0+n], fy, fz, false)
+				dampRows(got, stride, fx[p0:p0+n], fy, fz, true)
+				for i := range got {
+					if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+						t.Fatalf("n %d p0 %d fz %g: value %d (row %d) = %#x, Go stores %#x",
+							n, p0, fz, i, i/stride, math.Float32bits(got[i]), math.Float32bits(want[i]))
+					}
+					if i%stride >= n && math.Float32bits(got[i]) != math.Float32bits(x[i]) {
+						t.Fatalf("n %d p0 %d: gap value %d changed", n, p0, i)
 					}
 				}
 			}
@@ -495,7 +563,7 @@ func TestSpongeApplyPoolBitIdentical(t *testing.T) {
 	sp := NewSpongeGlobal(d, grid.Dims{NX: 36, NY: 13, NZ: 11}, [3]int{18, 0, 0},
 		6, 0.1, AllAbsorbing())
 	ref := fill()
-	sp.Apply(ref)
+	sp.ApplyPool(ref, nil)
 	for _, threads := range []int{2, 4, 9} {
 		p := sched.NewPool(threads)
 		s := fill()
@@ -524,10 +592,11 @@ func TestSpongeApplyPoolBitIdentical(t *testing.T) {
 	}
 }
 
-// The row sweep splits each x-row into taper zones and a constant middle;
-// every stored bit must equal the pointwise definition v *= fx*(fy*fz),
-// skipped where that factor is 1 — for ranks holding both, one, or neither
-// x-zone, and for zones that overlap.
+// The sponge damps a plane as whole rows, and as x zones only on the rows
+// whose fy·fz is 1; every stored bit must equal the pointwise definition
+// v *= fx*(fy*fz), skipped where that factor is 1 — for ranks holding both,
+// one, or neither x-zone, and for zones that overlap — through the Go loop
+// (what a host without AVX2 runs) and the 8-lane walker.
 func TestSpongeMatchesPointwiseTaper(t *testing.T) {
 	cases := []struct {
 		name          string
@@ -542,32 +611,35 @@ func TestSpongeMatchesPointwiseTaper(t *testing.T) {
 		{"overlapping-zones", grid.Dims{NX: 9, NY: 7, NZ: 6}, grid.Dims{NX: 9, NY: 7, NZ: 6}, [3]int{}, 7},
 	}
 	for _, c := range cases {
-		sp := NewSpongeGlobal(c.local, c.global, c.off, c.width, 0.1, AllAbsorbing())
-		factor := func(i, j, k int) float32 {
-			fx := sp.factorAxis(clampIdx(c.off[0]+i, c.global.NX), c.global.NX, sp.Faces.XLo, sp.Faces.XHi)
-			fy := sp.factorAxis(clampIdx(c.off[1]+j, c.global.NY), c.global.NY, sp.Faces.YLo, sp.Faces.YHi)
-			fz := sp.factorAxis(clampIdx(c.off[2]+k, c.global.NZ), c.global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
-			return fx * (fy * fz)
-		}
-		s := fd.NewState(c.local)
-		f := s.XY
-		data := f.Data()
-		for n := range data {
-			data[n] = float32(n%97-48) * 1.37
-		}
-		before := append([]float32(nil), data...)
-		sp.Apply(s)
-		g := grid.Ghost
-		for k := -g; k < c.local.NZ+g; k++ {
-			for j := -g; j < c.local.NY+g; j++ {
-				for i := -g; i < c.local.NX+g; i++ {
-					n := f.Idx(i, j, k)
-					want := before[n]
-					if w := factor(i, j, k); w != 1 {
-						want *= w
-					}
-					if got := data[n]; math.Float32bits(got) != math.Float32bits(want) {
-						t.Fatalf("%s (%d,%d,%d): got %g, want %g", c.name, i, j, k, got, want)
+		for _, vec := range []bool{false, vectorWalker} {
+			sp := NewSpongeGlobal(c.local, c.global, c.off, c.width, 0.1, AllAbsorbing())
+			sp.axes.vec = vec
+			factor := func(i, j, k int) float32 {
+				fx := sp.factorAxis(clampIdx(c.off[0]+i, c.global.NX), c.global.NX, sp.Faces.XLo, sp.Faces.XHi)
+				fy := sp.factorAxis(clampIdx(c.off[1]+j, c.global.NY), c.global.NY, sp.Faces.YLo, sp.Faces.YHi)
+				fz := sp.factorAxis(clampIdx(c.off[2]+k, c.global.NZ), c.global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
+				return fx * (fy * fz)
+			}
+			s := fd.NewState(c.local)
+			f := s.XY
+			data := f.Data()
+			for n := range data {
+				data[n] = float32(n%97-48) * 1.37
+			}
+			before := append([]float32(nil), data...)
+			sp.ApplyPool(s, nil)
+			g := grid.Ghost
+			for k := -g; k < c.local.NZ+g; k++ {
+				for j := -g; j < c.local.NY+g; j++ {
+					for i := -g; i < c.local.NX+g; i++ {
+						n := f.Idx(i, j, k)
+						want := before[n]
+						if w := factor(i, j, k); w != 1 {
+							want *= w
+						}
+						if got := data[n]; math.Float32bits(got) != math.Float32bits(want) {
+							t.Fatalf("%s vec %v (%d,%d,%d): got %g, want %g", c.name, vec, i, j, k, got, want)
+						}
 					}
 				}
 			}

@@ -16,12 +16,6 @@ type FaceSet struct {
 	XLo, XHi, YLo, YHi, ZLo, ZHi bool
 }
 
-// AllAbsorbing returns the M8 configuration: absorbing on the four sides
-// and the bottom, free surface (not absorbing) on top (z low).
-func AllAbsorbing() FaceSet {
-	return FaceSet{XLo: true, XHi: true, YLo: true, YHi: true, ZLo: false, ZHi: true}
-}
-
 // FreeSurface implements the FS2 planar free-surface condition
 // (Gottschammer & Olsen 2001): the zero-stress surface is located at the
 // vertical level of the sxz and syz stresses, half a cell above the first

@@ -20,11 +20,11 @@ import (
 // the fallback AWP-ODC uses when split-field PMLs go unstable on strong
 // media gradients.
 //
-// The taper is defined in global coordinates and applied to ghost cells as
-// well, so that in a decomposed run every rank damps exactly the same
-// physical cells (including its copies of neighbor cells) and the result
-// is independent of the decomposition and of where in the step the damping
-// runs relative to the halo exchange.
+// The taper is defined in global coordinates, so the factor of a cell does
+// not depend on which rank holds it: a rank that damps its own cells stores
+// the bits a neighbour's copy of them would get from the same multiply, and
+// the solver damps owned cells only (DESIGN.md §7, "The sponge rides the
+// tiles").
 type Sponge struct {
 	Local  grid.Dims
 	Global grid.Dims
@@ -38,14 +38,15 @@ type Sponge struct {
 	axes axisTapers
 }
 
-// axisTapers is fx/fy/fz over the local range padded by grid.Ghost; uniform
-// reports that every factor is 1 (nothing to damp). fx is 1 throughout
-// [xlo, xhi): the absorbing zones are a prefix and a suffix of the padded
-// x-range.
+// axisTapers is fx/fy/fz over the local range padded by grid.Ghost. ones is
+// the box of local indices where every factor is 1: the absorbing zones are a
+// prefix and a suffix of each padded axis, so along each axis the factors
+// that are 1 form one range. vec selects the 8-lane walker (sponge_rows.go).
 type axisTapers struct {
 	fx, fy, fz []float32
-	xlo, xhi   int
-	uniform    bool
+	padded     fd.Box
+	ones       fd.Box
+	vec        bool
 }
 
 // DefaultSpongeWidth and DefaultSpongeAlpha are the classic Cerjan tuning.
@@ -53,11 +54,6 @@ const (
 	DefaultSpongeWidth = 20
 	DefaultSpongeAlpha = 0.015
 )
-
-// NewSponge builds a single-rank sponge (local == global).
-func NewSponge(d grid.Dims, width int, alpha float64, faces FaceSet) *Sponge {
-	return NewSpongeGlobal(d, d, [3]int{}, width, alpha, faces)
-}
 
 // NewSpongeGlobal builds a sponge for one rank's subgrid of a decomposed
 // global domain. faces describes the absorbing faces of the global domain;
@@ -74,16 +70,12 @@ func NewSpongeGlobal(local, global grid.Dims, off [3]int, width int, alpha float
 		sp.taper[dd] = float32(math.Exp(-x * x))
 	}
 	t := &sp.axes
-	var ux, uy, uz bool
-	t.fx, ux = sp.axisTaper(local.NX, off[0], global.NX, faces.XLo, faces.XHi)
-	t.fy, uy = sp.axisTaper(local.NY, off[1], global.NY, faces.YLo, faces.YHi)
-	t.fz, uz = sp.axisTaper(local.NZ, off[2], global.NZ, faces.ZLo, faces.ZHi)
-	t.uniform = ux && uy && uz
-	for t.xlo < len(t.fx) && t.fx[t.xlo] != 1 {
-		t.xlo++
-	}
-	for t.xhi = t.xlo; t.xhi < len(t.fx) && t.fx[t.xhi] == 1; t.xhi++ {
-	}
+	g := grid.Ghost
+	t.padded = fd.Box{I0: -g, I1: local.NX + g, J0: -g, J1: local.NY + g, K0: -g, K1: local.NZ + g}
+	t.fx, t.ones.I0, t.ones.I1 = sp.axisTaper(local.NX, off[0], global.NX, faces.XLo, faces.XHi)
+	t.fy, t.ones.J0, t.ones.J1 = sp.axisTaper(local.NY, off[1], global.NY, faces.YLo, faces.YHi)
+	t.fz, t.ones.K0, t.ones.K1 = sp.axisTaper(local.NZ, off[2], global.NZ, faces.ZLo, faces.ZHi)
+	t.vec = vectorWalker
 	return sp
 }
 
@@ -107,109 +99,93 @@ func (sp *Sponge) factorAxis(g, n int, lo, hi bool) float32 {
 	return 1
 }
 
-// Apply damps all nine components in the sponge zones, ghost cells
-// included. Call once per time step, after the stress exchange.
-func (sp *Sponge) Apply(s *fd.State) { sp.ApplyPool(s, nil) }
-
-// ApplyPool is Apply with the per-field k-planes run as a work queue on
-// the persistent pool (nil or serial pool: inline). Planes are disjoint
-// rows of the padded arrays, so the parallel form is race-free and
-// bit-identical to the serial one.
-func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
+// axisTaper returns the taper of one axis — n local cells at global offset
+// off, padded by grid.Ghost, of nGlobal global cells with the given absorbing
+// sides — and the local range [lo, hi) where it is 1 (empty, at the padded
+// end, if no factor is).
+func (sp *Sponge) axisTaper(n, off, nGlobal int, lo, hi bool) (f []float32, onesLo, onesHi int) {
 	g := grid.Ghost
-	l := sp.Local
+	f = make([]float32, n+2*g)
+	for i := range f {
+		f[i] = sp.factorAxis(clampIdx(off+i-g, nGlobal), nGlobal, lo, hi)
+	}
+	a := 0
+	for a < len(f) && f[a] != 1 {
+		a++
+	}
+	b := a
+	for b < len(f) && f[b] == 1 {
+		b++
+	}
+	return f, a - g, b - g
+}
+
+// DampBox multiplies every value of fields inside b (local, ghost-inclusive
+// indices, clamped to the padded subgrid) by its taper fx·(fy·fz), a k-plane
+// and a field at a time, each plane one or a few calls of the row walker.
+// A box inside the region where the taper is 1 is skipped; on a plane whose
+// fz is 1 the rows whose fy is 1 damp their x zones only. Either way a value
+// stores what x·(fx·(fy·fz)) stores, skipped where that factor is 1.
+func (sp *Sponge) DampBox(fields []*grid.Field3, b fd.Box) {
 	t := &sp.axes
-	if t.uniform {
+	b = b.Intersect(t.padded)
+	if t.ones.Contains(b) {
+		return
+	}
+	for k := b.K0; k < b.K1; k++ {
+		for _, f := range fields {
+			t.dampPlane(f, b, k)
+		}
+	}
+}
+
+// ApplyPool damps all nine components over the padded subgrid, ghosts
+// included, one (field, k-plane) of DampBox per item of a pool queue (nil or
+// serial pool: inline). The solver no longer runs it: it is the padded pass
+// of the tests' two-pass oracle and of bench's sponge probe, and moves into
+// bench/ with the probe when the benchmark is next revised.
+func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
+	t := &sp.axes
+	if t.ones.Contains(t.padded) {
 		return // subgrid nowhere near an absorbing zone
 	}
 	fields := s.Fields()
-	nz := l.NZ + 2*g
+	nz := t.padded.K1 - t.padded.K0
 	p.ForEachN(len(fields)*nz, func(idx int) {
-		f := fields[idx/nz]
-		k := idx%nz - g
-		sp.applyPlane(f, k, t)
+		k := t.padded.K0 + idx%nz
+		t.dampPlane(fields[idx/nz], t.padded, k)
 	})
 }
 
-// ApplyBox is ApplyPool over the part of the padded subgrid inside box
-// (local indices, ghost-inclusive). A factor times ±0 is that ±0, so where
-// everything outside box is zero it stores the bits ApplyPool would.
-func (sp *Sponge) ApplyBox(s *fd.State, p *sched.Pool, box fd.Box) {
-	g := grid.Ghost
-	l := sp.Local
-	t := &sp.axes
-	box = box.Intersect(fd.Box{I0: -g, I1: l.NX + g, J0: -g, J1: l.NY + g, K0: -g, K1: l.NZ + g})
-	if t.uniform || box.Empty() {
+// dampPlane damps plane k of f inside b. Rows whose fy·fz is 1 — those in
+// ones' y range on a plane in its z range — hold values to damp only in the
+// x zones; every other row is damped whole.
+func (t *axisTapers) dampPlane(f *grid.Field3, b fd.Box, k int) {
+	fz := t.fz[k+grid.Ghost]
+	ja, jb := b.J1, b.J1 // rows [ja, jb) have fy·fz == 1
+	if k >= t.ones.K0 && k < t.ones.K1 {
+		ja = min(max(t.ones.J0, b.J0), b.J1)
+		jb = min(max(t.ones.J1, ja), b.J1)
+	}
+	ia := min(max(t.ones.I0, b.I0), b.I1)
+	ib := min(max(t.ones.I1, ia), b.I1)
+	t.walk(f, b.I0, b.I1, b.J0, ja, k, fz)
+	t.walk(f, b.I0, ia, ja, jb, k, fz)
+	t.walk(f, ib, b.I1, ja, jb, k, fz)
+	t.walk(f, b.I0, b.I1, jb, b.J1, k, fz)
+}
+
+// walk damps the rows [j0, j1) of plane k of f over [i0, i1) in one walker
+// call.
+func (t *axisTapers) walk(f *grid.Field3, i0, i1, j0, j1, k int, fz float32) {
+	if i1 <= i0 || j1 <= j0 {
 		return
 	}
-	fields := s.Fields()
-	nz := box.K1 - box.K0
-	p.ForEachN(len(fields)*nz, func(idx int) {
-		f := fields[idx/nz]
-		k := box.K0 + idx%nz
-		zk := t.fz[k+g]
-		for j := box.J0; j < box.J1; j++ {
-			base := f.Idx(box.I0, j, k)
-			t.dampRow(f.Data()[base:base+box.I1-box.I0], box.I0+g, t.fy[j+g]*zk)
-		}
-	})
-}
-
-// axisTaper returns the taper of one axis — n local cells at global offset
-// off, padded by grid.Ghost, of nGlobal global cells with the given absorbing
-// sides — and whether every factor in it is 1.
-func (sp *Sponge) axisTaper(n, off, nGlobal int, lo, hi bool) (f []float32, uniform bool) {
 	g := grid.Ghost
-	f = make([]float32, n+2*g)
-	uniform = true
-	for i := range f {
-		f[i] = sp.factorAxis(clampIdx(off+i-g, nGlobal), nGlobal, lo, hi)
-		if f[i] != 1 {
-			uniform = false
-		}
-	}
-	return f, uniform
-}
-
-// applyPlane damps one padded k-plane of one field through row slices.
-func (sp *Sponge) applyPlane(f *grid.Field3, k int, t *axisTapers) {
-	g := grid.Ghost
-	l := sp.Local
-	zk := t.fz[k+g]
-	for j := -g; j < l.NY+g; j++ {
-		sp.applyRow(f, j, k, t, t.fy[j+g]*zk)
-	}
-}
-
-// applyRow damps one padded x-row of one field; fyz is the combined y/z
-// taper for the row.
-func (sp *Sponge) applyRow(f *grid.Field3, j, k int, t *axisTapers, fyz float32) {
-	g := grid.Ghost
-	base := f.Idx(-g, j, k)
-	t.dampRow(f.Data()[base:base+sp.Local.NX+2*g], 0, fyz)
-}
-
-// dampRow multiplies row, whose first value sits at padded x-index p0, by
-// fx*fyz. Outside [xlo, xhi) that is two multiplies per value; inside, fx
-// is 1 and the factor is the row's constant fyz — nothing at all when that
-// is 1 too. x*1 == x exactly, so the split changes no stored bit.
-func (t *axisTapers) dampRow(row []float32, p0 int, fyz float32) {
-	n := len(row)
-	lo := min(max(t.xlo-p0, 0), n)
-	hi := min(max(t.xhi-p0, lo), n)
-	fx := t.fx[p0 : p0+n]
-	head, mid, tail := row[:lo], row[lo:hi], row[hi:]
-	for i, f := range fx[:lo] {
-		head[i] *= f * fyz
-	}
-	if fyz != 1 {
-		for i := range mid {
-			mid[i] *= fyz
-		}
-	}
-	for i, f := range fx[hi:] {
-		tail[i] *= f * fyz
-	}
+	_, stride, _ := f.Strides()
+	base := f.Idx(i0, j0, k)
+	x := f.Data()[base : base+(j1-j0-1)*stride+i1-i0]
+	dampRows(x, stride, t.fx[i0+g:i1+g], t.fy[j0+g:j1+g], fz, t.vec)
 }
 
 // clampIdx clamps a (possibly ghost) global index into [0, n).

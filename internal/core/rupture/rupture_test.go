@@ -242,6 +242,10 @@ func buildTPV(t testing.TB, overstress bool) (*Fault, *fd.State, *medium.Medium,
 	return f, fd.NewState(d), m, dt, d
 }
 
+// allAbsorbing is the M8 configuration: absorbing on the four sides and the
+// bottom, free surface (not absorbing) on top.
+var allAbsorbing = boundary.FaceSet{XLo: true, XHi: true, YLo: true, YHi: true, ZHi: true}
+
 // stepRupture advances the coupled bulk + fault system by one step.
 func stepRupture(f *Fault, s *fd.State, m *medium.Medium, dt float64, sp *boundary.Sponge) {
 	box := fd.FullBox(s.Dims)
@@ -251,7 +255,7 @@ func stepRupture(f *Fault, s *fd.State, m *medium.Medium, dt float64, sp *bounda
 	fd.UpdateStress(s, m, dt, box, fd.Precomp, fd.Blocking{})
 	f.CorrectStress(s, m, dt, box)
 	if sp != nil {
-		sp.Apply(s)
+		sp.ApplyPool(s, nil)
 	}
 }
 
@@ -302,7 +306,7 @@ func TestBoxesPartitionTheFault(t *testing.T) {
 
 func TestNoSpontaneousRuptureWithoutNucleation(t *testing.T) {
 	f, s, m, dt, d := buildTPV(t, false)
-	sp := boundary.NewSponge(d, 6, 0.03, boundary.AllAbsorbing())
+	sp := boundary.NewSpongeGlobal(d, d, [3]int{}, 6, 0.03, allAbsorbing)
 	for n := 0; n < 100; n++ {
 		stepRupture(f, s, m, dt, sp)
 	}
@@ -314,7 +318,7 @@ func TestNoSpontaneousRuptureWithoutNucleation(t *testing.T) {
 
 func TestSpontaneousRupturePropagates(t *testing.T) {
 	f, s, m, dt, d := buildTPV(t, true)
-	sp := boundary.NewSponge(d, 6, 0.03, boundary.AllAbsorbing())
+	sp := boundary.NewSpongeGlobal(d, d, [3]int{}, 6, 0.03, allAbsorbing)
 	steps := int(2.5 / dt) // 2.5 s: the full 4 km fault at the observed vr
 	for n := 0; n < steps; n++ {
 		stepRupture(f, s, m, dt, sp)

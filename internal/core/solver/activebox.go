@@ -10,9 +10,11 @@ import (
 // activeBox is a rank's domain of dependence (DESIGN.md §7, "The active
 // box"): a box of local, ghost-inclusive indices outside which every value of
 // the padded arrays — the nine fields, the memory variables, the zone splits —
-// is a zero no sweep of the step can change. While a rank has one, every tile
-// of its plan, the sponge, the DFR attenuation pass and the PGV fold run on
-// their intersection with it. It starts empty and only grows: by the stencil
+// is a zero no sweep of the step can change (the free-surface images aside:
+// they are written whole, and no clipped pass touches them). While a rank has
+// one, every tile of its plan — with the fault, the sources and the sponge's
+// stress damping riding it — the sponge's velocity pass and the PGV fold run
+// on their intersection with it. It starts empty and only grows: by the stencil
 // radius ahead of each sweep (grow), by the source nodes that went live and
 // the fault window (join), and by the hull of the ghost values that arrived
 // nonzero (takeHalo). Once it fills the padded subgrid the rank drops it
@@ -20,36 +22,25 @@ import (
 type activeBox struct {
 	fd.Box
 	padded fd.Box // the padded subgrid: growth clamps to it
-	// images: the rank carries the free-surface image planes k < 0, which
-	// hold values (-0 among them) wherever the planes below them do.
-	images bool
 }
 
-func newActiveBox(d grid.Dims, images bool) *activeBox {
+func newActiveBox(d grid.Dims) *activeBox {
 	g := grid.Ghost
-	return &activeBox{
-		padded: fd.Box{I0: -g, I1: d.NX + g, J0: -g, J1: d.NY + g, K0: -g, K1: d.NZ + g},
-		images: images,
-	}
+	return &activeBox{padded: fd.Box{I0: -g, I1: d.NX + g, J0: -g, J1: d.NY + g, K0: -g, K1: d.NZ + g}}
 }
 
 // join takes b into the box.
 func (a *activeBox) join(b fd.Box) { a.Box = a.Hull(b.Intersect(a.padded)) }
 
 // grow dilates the box by the stencil radius — what one sweep can reach —
-// and reports whether it now fills the padded subgrid. A box that has come
-// within that radius of a free surface takes in the image planes above it.
+// and reports whether it now fills the padded subgrid.
 func (a *activeBox) grow() (full bool) {
 	if a.Empty() {
 		return false
 	}
 	g := grid.Ghost
-	b := fd.Box{I0: a.I0 - g, I1: a.I1 + g, J0: a.J0 - g, J1: a.J1 + g, K0: a.K0 - g, K1: a.K1 + g}.Intersect(a.padded)
-	if a.images && b.K0 < g {
-		b.K0 = a.padded.K0
-	}
-	a.Box = b
-	return b == a.padded
+	a.Box = fd.Box{I0: a.I0 - g, I1: a.I1 + g, J0: a.J0 - g, J1: a.J1 + g, K0: a.K0 - g, K1: a.K1 + g}.Intersect(a.padded)
+	return a.Box == a.padded
 }
 
 // takeHalo takes in the hull of the ghost cells the messages of a finished

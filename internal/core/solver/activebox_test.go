@@ -80,9 +80,9 @@ func boxWorld(t *testing.T, q cvm.Querier, opt Options, whole bool, after func(c
 // cells to grow toward the far faces. A second, weaker source of pure sxy
 // sits at depth 1 in the y-low absorbing zone, three cells from the x seam —
 // outside the planes a stress exchange ships: the first its x neighbor sees of
-// it is vy(k=1) in its ghosts, a hull one plane thick, whose image at k = -2
-// lies above what the stencil radius alone adds to that hull and is damped
-// there by the sponge.
+// it is vy(k=1) in its ghosts, a hull one plane thick. In the sponge rows its
+// stress tile must add it before damping the plane (the two-pass oracle's
+// sponge scenario).
 func boxScenario(abc ABCKind) Options {
 	stf := source.GaussianPulse(0.08, 0.02)
 	return Options{

@@ -44,8 +44,11 @@ func oracleSections(rs *rankState) []grid.Section {
 // and one that cannot reach attenuation.FusedStress. In DFR mode the fault
 // runs as whole-plane passes: one clock tick, the split-node update of the
 // whole plane after the velocity sweeps, the correction of all four rows
-// after the stress sweeps and before attenuation. It borrows a
-// Stepper for the set-up only (medium, sponge, zones, free surface, memory
+// after the stress sweeps and before attenuation. The sources are added after
+// attenuation, and the sponge damps all nine fields after them as one padded
+// pass (Sponge.ApplyPool: ghosts and images included, velocities at step end)
+// before the free surface writes the stress images — the order of the passes
+// the production tiles replaced. It borrows a Stepper for the set-up only (medium, sponge, zones, free surface, memory
 // variables, localized sources, fault) and never calls Step. snaps[step] is
 // oracleSections after that step: the interior of every padded array x
 // fastest, the fault's sections as they are.
@@ -89,9 +92,10 @@ func twoPassOracle(t *testing.T, q cvm.Querier, opt Options) (snaps [][]grid.Sec
 			if rs.atten != nil {
 				rs.atten.Apply(rs.st, rs.med, dt, box)
 			}
-			rs.srcs.Inject(rs.st, dt, float64(step+1)*dt)
+			rs.srcs.Rates(dt, float64(step+1)*dt)
+			rs.srcs.AddBox(rs.st, whole)
 			if rs.sponge != nil {
-				rs.sponge.Apply(rs.st)
+				rs.sponge.ApplyPool(rs.st, nil)
 			}
 			if rs.fs != nil {
 				rs.fs.ApplyStress(rs.st)
@@ -203,18 +207,24 @@ func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps []
 // the default path (Variant unset) under every comm model, pool size,
 // decomposition and stepping scheme to twoPassOracle — pointwise kernels over
 // the whole subgrid, none of the production path's code — on every field and
-// memory variable after every step. Three scenarios: the filled wavefield of
+// memory variable after every step. Five scenarios: the filled wavefield of
 // baseOptions; a front that reaches the rank seams inside the window, so
 // that the quiescence floor decides what is stored where the comparison is
 // made, cut into 3 x 5 tiles so that the row sweeps start and end at odd j
-// and k offsets; and a DFR fault under M-PML, its window across both seams
+// and k offsets; a DFR fault under M-PML, its window across both seams
 // and into the x-low zone, cut into the same tiles — so the split-node update
 // and the stress correction run as post-bodies of interior and zone tiles,
 // strips and inner boxes, split across tiles row by row, against the oracle's
-// whole-plane passes, the fault's own state compared as well. LTS is held
-// where it is this scheme on another schedule — every rank at rate 1, which
-// this model gives all three decompositions; mixed rates are another scheme
-// and answer to TestLTSMixedRateAccuracy. A fault excludes LTS.
+// whole-plane passes, the fault's own state compared as well; boxScenario's
+// sponge, whose second source sits in the y-low taper, so that its tile adds
+// it before damping the plane or the bits move; and a DFR fault under that
+// sponge, where attenuation must run before the damping. The sponge scenarios
+// are where a tile's order — update, source, damping — and the velocity pass's
+// place in the step — after the inner tiles read the velocities — are seen:
+// the oracle damps all nine fields as one pass at the end of the step. LTS is
+// held where it is this scheme on another schedule — every rank at rate 1,
+// which this model gives all three decompositions; mixed rates are another
+// scheme and answer to TestLTSMixedRateAccuracy. A fault excludes LTS.
 func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	filled := baseOptions(mpi.NewCart(1, 1, 1))
@@ -232,54 +242,78 @@ func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 	fault.Sources = nil
 	fault.ABC, fault.PMLWidth = MPMLABC, 3
 	fault.Fault = overstressedFault(12, 1, 16, 3, 10)
+	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
+	sponge := boxScenario(SpongeABC)
+	spongeFault := sponge
+	spongeFault.Sources = nil
+	spongeFault.Fault = overstressedFault(11, 10, 10, 2, 6)
 
 	comms := []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
 	threadCounts := []int{1, 4}
+	spongeThreads := []int{1, 3}
 	topos := []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)}
 	// DFR mode needs PY = 1, so the fault runs fold the y split into z.
 	faultTopos := []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 1, 2)}
+	spongeTopos := []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 2)}
 	if testing.Short() {
 		comms = []CommModel{AsyncReduced, AsyncOverlap}
-		threadCounts = []int{4}
-		topos, faultTopos = topos[2:], faultTopos[2:]
+		threadCounts, spongeThreads = []int{4}, []int{3}
+		topos, faultTopos, spongeTopos = topos[2:], faultTopos[2:], spongeTopos[1:]
 	}
 
-	for _, sc := range []struct {
-		name  string
-		opt   Options
-		topos []mpi.Cart
-		lts   []bool
-	}{{"filled", filled, topos, []bool{false, true}}, {"front", front, topos, []bool{false, true}},
-		{"fault", fault, faultTopos, []bool{false}}} {
-		snaps := twoPassOracle(t, q, sc.opt)
-		if sc.name == "front" {
-			// The window must hold the crossing: the seam plane i = NX/2 of
-			// vx at rest after the first step and moving by the last.
-			g := sc.opt.Global
-			seamMoving := func(step int) bool {
-				for n := g.NX / 2; n < g.Cells(); n += g.NX {
-					if snaps[step][0].F32[n] != 0 {
-						return true
-					}
+	for _, sc := range []oracleScenario{
+		{"filled", q, filled, topos, threadCounts, []bool{false, true}},
+		{"front", q, front, topos, threadCounts, []bool{false, true}},
+		{"fault", q, fault, faultTopos, threadCounts, []bool{false}},
+		{"sponge", boxQ, sponge, spongeTopos, spongeThreads, []bool{false}},
+		{"sponge-fault", boxQ, spongeFault, spongeTopos, spongeThreads, []bool{false}},
+	} {
+		t.Run(sc.name, func(t *testing.T) { sc.hold(t, comms) })
+	}
+}
+
+// oracleScenario is one scenario of TestDefaultPathMatchesTwoPassOracle and
+// the decompositions, pool sizes and stepping schemes it is held under.
+type oracleScenario struct {
+	name    string
+	q       cvm.Querier
+	opt     Options
+	topos   []mpi.Cart
+	threads []int
+	lts     []bool
+}
+
+// hold runs the scenario's oracle and holds the production stepper to it
+// under each of comms and every combination of the scenario's axes.
+func (sc oracleScenario) hold(t *testing.T, comms []CommModel) {
+	snaps := twoPassOracle(t, sc.q, sc.opt)
+	if sc.name == "front" {
+		// The window must hold the crossing: the seam plane i = NX/2 of
+		// vx at rest after the first step and moving by the last.
+		g := sc.opt.Global
+		seamMoving := func(step int) bool {
+			for n := g.NX / 2; n < g.Cells(); n += g.NX {
+				if snaps[step][0].F32[n] != 0 {
+					return true
 				}
-				return false
 			}
-			if seamMoving(0) || !seamMoving(sc.opt.Steps-1) {
-				t.Fatalf("front: does not reach the x seam inside the %d-step window", sc.opt.Steps)
-			}
+			return false
 		}
-		for _, comm := range comms {
-			for _, threads := range threadCounts {
-				for _, topo := range sc.topos {
-					for _, lts := range sc.lts {
-						opt := sc.opt
-						opt.Topo, opt.Comm, opt.Threads = topo, comm, threads
-						if lts {
-							opt.LTS = LTSOptions{Enabled: true, WorkBalance: true}
-						}
-						tag := fmt.Sprintf("%s/%v/threads%d/%dx%dx%d/lts=%v", sc.name, comm, threads, topo.PX, topo.PY, topo.PZ, lts)
-						holdToOracle(t, tag, q, opt, snaps)
+		if seamMoving(0) || !seamMoving(sc.opt.Steps-1) {
+			t.Fatalf("front: does not reach the x seam inside the %d-step window", sc.opt.Steps)
+		}
+	}
+	for _, comm := range comms {
+		for _, threads := range sc.threads {
+			for _, topo := range sc.topos {
+				for _, lts := range sc.lts {
+					opt := sc.opt
+					opt.Topo, opt.Comm, opt.Threads = topo, comm, threads
+					if lts {
+						opt.LTS = LTSOptions{Enabled: true, WorkBalance: true}
 					}
+					tag := fmt.Sprintf("%s/%v/threads%d/%dx%dx%d/lts=%v", sc.name, comm, threads, topo.PX, topo.PY, topo.PZ, lts)
+					holdToOracle(t, tag, sc.q, opt, snaps)
 				}
 			}
 		}

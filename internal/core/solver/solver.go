@@ -87,9 +87,10 @@ type Options struct {
 	// kernel loops as a queue of j/k tiles (tileShape). 0 defaults to
 	// 1 (pure MPI); negative values are rejected by Run. Every comm model
 	// honors Threads: Synchronous, Asynchronous and AsyncReduced run the
-	// bulk kernels, attenuation, sponge and PGV tracking on the pool;
-	// AsyncOverlap additionally runs the boundary strips and the interior
-	// update on the pool while halo messages are in flight.
+	// tiles of the bulk kernels — attenuation, sources and the sponge's
+	// stress damping ride them — the sponge's velocity pass and PGV tracking
+	// on the pool; AsyncOverlap additionally runs the boundary strips and the
+	// interior update on the pool while halo messages are in flight.
 	Threads int
 
 	ABC         ABCKind
@@ -252,6 +253,8 @@ type rankState struct {
 	srcs     *source.Set
 	fault    *rupture.Fault
 	recorder *rupture.SlipRateHistoryRecorder
+	// The state's velocities and stresses: the field lists the sponge damps.
+	velocities, stresses []*grid.Field3
 
 	lts *ltsRank // the rank's rate, local dt and cycle; all ones with LTS off
 
@@ -358,15 +361,19 @@ type queue struct {
 // Each phase drains its pre queue — every tile of compBox and of the zones
 // or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
 // — before its halo post, and under AsyncOverlap its inner queue, the tiles
-// of innerBox (compBox less the strips), while the messages fly. Interior
+// of compBox less the strips, while the messages fly. Interior
 // and zone tiles share a queue: BuildPML's zones and compBox partition the
 // subgrid, and within a phase every cell reads one field family and writes
 // the other (plus its zone's splits) on itself only, so tiles are
 // independent and any schedule stores the same bits as the serial sweep.
+//
+// With a sponge, velDamp is the sponge's velocity pass: the owned k-planes of
+// the subgrid — clipped, their intersection with the active box — each
+// damping the three velocities (the stresses are damped inside their tiles).
 type tilePlan struct {
 	velPre, velInner       queue
 	stressPre, stressInner queue
-	innerBox               fd.Box
+	velDamp                queue
 }
 
 // buildTilePlan fixes the zones' coefficient rows for dt, the rank's local
@@ -378,20 +385,25 @@ type tilePlan struct {
 // the split-node update ends each velocity tile, the stress correction each
 // stress tile's elastic pass, on the tile's own fault nodes and correction
 // rows — per-cell work that reads only what its phase does not write — so the
-// fault runs wherever its cells' tiles run, before the post or after it.
+// fault runs wherever its cells' tiles run, before the post or after it. So
+// do the sources: every stress tile ends by adding the sources whose node it
+// holds (stressTile), and with a sponge damps its stresses after them.
 func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	for _, z := range rs.zones {
 		z.Prepare(dt)
 	}
-	pre, inner, innerBox := rs.cutTiles(opt)
+	pre, inner, _ := rs.cutTiles(opt)
 
-	var velHook, stressHook faultHook
+	var velHook, stressHook tileHook
 	velZone, stressZone := zoneBody((*boundary.PML).UpdateVelocityBox), zoneBody((*boundary.PML).UpdateStressBox)
 	if f := rs.fault; f != nil {
 		velHook, stressHook = f.UpdateVelocity, f.CorrectStress
 		velZone, stressZone = velHook.after(velZone), stressHook.after(stressZone)
 	}
-	velocity := rs.kernelTile(opt, dt, telemetry.Velocity, fd.UpdateVelocity, velHook)
+	if rs.srcs.Count() > 0 {
+		stressZone = tileHook(rs.addSources).after(stressZone)
+	}
+	velocity := rs.kernelTile(opt, dt, rs.tel, telemetry.Velocity, fd.UpdateVelocity, velHook)
 	stress := rs.stressTile(opt, dt, stressHook)
 	// mk binds tiles to a phase's bodies twice: whole, and with every tile cut
 	// to the active box — a tile outside it returns at once. Only a rank that
@@ -416,11 +428,16 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		return whole, clipped
 	}
 	w, p := &rs.whole, &rs.plan
-	w.innerBox, p.innerBox = innerBox, innerBox
 	w.velPre, p.velPre = mk(pre, velocity, velZone)
 	w.velInner, p.velInner = mk(inner, velocity, nil)
 	w.stressPre, p.stressPre = mk(pre, stress, stressZone)
 	w.stressInner, p.stressInner = mk(inner, stress, nil)
+	if rs.sponge != nil {
+		owned := fd.FullBox(rs.sub.Local)
+		plane := func(k int) fd.Box { b := owned; b.K0, b.K1 = k, k+1; return b }
+		w.velDamp = queue{owned.K1, func(k int) { rs.sponge.DampBox(rs.velocities, plane(k)) }}
+		p.velDamp = queue{owned.K1, func(k int) { rs.sponge.DampBox(rs.velocities, plane(k).Intersect(rs.box.Box)) }}
+	}
 }
 
 // tileShape is the j/k shape box is cut into unless opt.Blocking overrides
@@ -480,12 +497,12 @@ func (rs *rankState) drain(q queue) { rs.pool.ForEachN(q.n, q.run) }
 // program of every comm model and every rate, accumulating the Eq. 7 timing
 // decomposition. Each phase drains its pre queue, arms and posts its halo
 // messages, drains its inner queue while they fly and finishes the exchange.
-// Without AsyncOverlap the inner queues and innerBox are empty, so post and
-// finish are adjacent; with every rate 1 arm leaves each message a send and
-// a receive and armAbsorb finds nothing to absorb — uniform stepping is the
-// multi-rate cycle of length one. All bulk work runs as tile queues on the
-// rank's persistent worker pool; with Threads=1 the pool degenerates to
-// inline serial execution.
+// Without AsyncOverlap the inner queues are empty, so post and finish are
+// adjacent but for the sponge's velocity pass; with every rate 1 arm leaves
+// each message a send and a receive and armAbsorb finds nothing to absorb —
+// uniform stepping is the multi-rate cycle of length one. All bulk work runs
+// as tile queues on the rank's persistent worker pool; with Threads=1 the
+// pool degenerates to inline serial execution.
 func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 	l, plan := rs.lts, &rs.plan
 	dt := l.localDt
@@ -517,40 +534,38 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 	}
 
 	// --- Stress phase ---
-	// The sponge runs after the exchange (it damps ghost copies with the
-	// same global taper, so every rank damps identical physical cells);
-	// source injection runs before a cell's strip is packed so neighbor
-	// ghosts include it — the sources outside innerBox before the post, the
-	// ones inside after the inner tiles. Attenuation rides in the stress tile
-	// — in the same sweep on the default path (stressTile) — and writes only
-	// that tile's cells, so the tiles stay race-free and cell-ordered.
+	// A stress tile is its cells' whole stress step: elastic update, fault
+	// correction, attenuation, the sources on its cells and the sponge
+	// (stressTile), so a strip's cells are final when the post packs them and
+	// a neighbour's ghost copies arrive damped. The sources' rates are
+	// evaluated once, here, and the nodes gone live join the active box
+	// before any tile is clipped to it. The velocities are damped by one
+	// queue after the inner tiles, the last that read them: under
+	// AsyncOverlap while the messages fly.
 	if rs.box != nil && rs.box.grow() {
 		// Filled between the sweeps of a step counted as clipped: its stress
 		// sweep is whole.
 		rs.swept.Add(int64(rs.sub.Local.Cells()))
 		rs.dropBox()
 	}
+	if live := rs.srcs.Rates(dt, tNow); rs.box != nil {
+		rs.box.join(live)
+	}
 	rs.drain(plan.stressPre)
-	rs.inject(dt, tNow, false)
 	lap(&tm.Comp, &t0)
 	l.arm(rs.stress, sub)
 	rs.stress.post()
 	lap(&tm.Comm, &t0)
 	rs.drain(plan.stressInner)
-	rs.inject(dt, tNow, true)
+	if plan.velDamp.n > 0 {
+		sp := rs.tel.Span(telemetry.Boundary)
+		rs.drain(plan.velDamp)
+		sp.End()
+	}
 	lap(&tm.Comp, &t0)
 	rs.stress.finish()
 	lap(&tm.Comm, &t0)
 	rs.syncBarrier(opt, tm, &t0)
-	if rs.sponge != nil {
-		sp := rs.tel.Span(telemetry.Boundary)
-		if rs.box != nil {
-			rs.sponge.ApplyBox(rs.st, rs.pool, rs.box.Box)
-		} else {
-			rs.sponge.ApplyPool(rs.st, rs.pool)
-		}
-		sp.End()
-	}
 	if rs.fs != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
 		rs.fs.ApplyStress(rs.st)
@@ -567,16 +582,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 		rs.stress.exchange()
 	}
 	lap(&tm.Comm, &t0)
-}
-
-// inject feeds the sources inside (or outside) the plan's innerBox, and the
-// nodes whose rate was nonzero join the active box: until its rate first
-// samples nonzero a source adds ±0, which changes no stored bit.
-func (rs *rankState) inject(dt, t float64, inside bool) {
-	fed := rs.srcs.InjectRegion(rs.st, dt, t, rs.plan.innerBox, inside)
-	if rs.box != nil {
-		rs.box.join(fed)
-	}
 }
 
 // lap adds the time since *t0 to acc and restarts the clock.
@@ -600,15 +605,15 @@ func (rs *rankState) syncBarrier(opt Options, tm *Timing, t0 *time.Time) {
 	lap(&tm.Sync, t0)
 }
 
-// faultHook is a fault pass over one box: rupture.Fault's UpdateVelocity or
-// CorrectStress.
-type faultHook func(*fd.State, *medium.Medium, float64, fd.Box)
+// tileHook is a cell-local pass over one box that ends a tile body:
+// rupture.Fault's UpdateVelocity or CorrectStress, or addSources.
+type tileHook func(*fd.State, *medium.Medium, float64, fd.Box)
 
 // zoneBody is an M-PML zone's pass over the part b of its zone.
 type zoneBody func(z *boundary.PML, s *fd.State, m *medium.Medium, dt float64, b fd.Box)
 
 // after returns the zone body followed on the same box by the hook.
-func (h faultHook) after(zone zoneBody) zoneBody {
+func (h tileHook) after(zone zoneBody) zoneBody {
 	return func(z *boundary.PML, s *fd.State, m *medium.Medium, dt float64, b fd.Box) {
 		zone(z, s, m, dt, b)
 		h(s, m, dt, b)
@@ -616,27 +621,62 @@ func (h faultHook) after(zone zoneBody) zoneBody {
 }
 
 // kernelTile returns the tile body that runs an fd kernel on the tile and,
-// in DFR mode, the fault's hook on the same box, both timed under phase from
-// inside the tile, so the zone tiles of the same queue (timed as Boundary)
-// are not counted as kernel time.
-func (rs *rankState) kernelTile(opt Options, dt float64, phase telemetry.Phase,
-	kernel func(*fd.State, *medium.Medium, float64, fd.Box, fd.Variant, fd.Blocking), hook faultHook) func(fd.Box) {
+// in DFR mode, the fault's hook on the same box, both timed on tel under
+// phase from inside the tile, so the zone tiles of the same queue (timed as
+// Boundary) are not counted as kernel time. A nil tel leaves the timing to
+// the caller.
+func (rs *rankState) kernelTile(opt Options, dt float64, tel *telemetry.Recorder, phase telemetry.Phase,
+	kernel func(*fd.State, *medium.Medium, float64, fd.Box, fd.Variant, fd.Blocking), hook tileHook) func(fd.Box) {
 	if hook != nil {
 		return func(b fd.Box) {
-			sp := rs.tel.Span(phase)
+			sp := tel.Span(phase)
 			kernel(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
 			hook(rs.st, rs.med, dt, b)
 			sp.End()
 		}
 	}
 	return func(b fd.Box) {
-		sp := rs.tel.Span(phase)
+		sp := tel.Span(phase)
 		kernel(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
 		sp.End()
 	}
 }
 
-// stressTile returns the stress tile body. With attenuation on, every variant
+// stressTile returns the stress tile body: stressBody, then the sources whose
+// node the tile holds, then, with a sponge, the damping of the six stresses.
+// With a sponge the tile runs a k-plane at a time — the update on the plane,
+// the plane's sources and Sponge.DampBox while the plane is in cache — and is
+// timed whole under Stress, not a span a pass and a plane. Per cell that is
+// the order of the passes it replaces: update, source, damping.
+func (rs *rankState) stressTile(opt Options, dt float64, hook tileHook) func(fd.Box) {
+	src := rs.srcs.Count() > 0
+	if rs.sponge != nil {
+		update := rs.stressBody(opt, dt, nil, hook)
+		return func(b fd.Box) {
+			sp := rs.tel.Span(telemetry.Stress)
+			for k := b.K0; k < b.K1; k++ {
+				p := b
+				p.K0, p.K1 = k, k+1
+				update(p)
+				if src {
+					rs.srcs.AddBox(rs.st, p)
+				}
+				rs.sponge.DampBox(rs.stresses, p)
+			}
+			sp.End()
+		}
+	}
+	body := rs.stressBody(opt, dt, rs.tel, hook)
+	if src {
+		return func(b fd.Box) {
+			body(b)
+			rs.srcs.AddBox(rs.st, b)
+		}
+	}
+	return body
+}
+
+// stressBody is a stress tile's update. With attenuation on, every variant
 // that reads the precomputed coefficients runs attenuation.FusedStress: the
 // memory-variable update rides in the elastic i-loop, one read/modify/write
 // of the six stress fields per cell instead of two, bit-identical to the pair
@@ -645,25 +685,32 @@ func (rs *rankState) kernelTile(opt Options, dt float64, phase telemetry.Phase,
 // §IV.B ablation of the in-loop coefficient arithmetic FusedStress does not
 // have, and DFR mode, whose stress correction (hook) must see the purely
 // elastic stress, so attenuation runs after it on the same tile. Each pass is
-// timed under its own span; Span.End is safe from concurrent pool workers.
-func (rs *rankState) stressTile(opt Options, dt float64, hook faultHook) func(fd.Box) {
-	elastic := rs.kernelTile(opt, dt, telemetry.Stress, fd.UpdateStress, hook)
+// timed on tel under its own span (none with a nil tel); Span.End is safe
+// from concurrent pool workers.
+func (rs *rankState) stressBody(opt Options, dt float64, tel *telemetry.Recorder, hook tileHook) func(fd.Box) {
+	elastic := rs.kernelTile(opt, dt, tel, telemetry.Stress, fd.UpdateStress, hook)
 	switch {
 	case rs.atten == nil:
 		return elastic
 	case hook == nil && opt.Variant.Precomputed():
 		return func(b fd.Box) {
-			sp := rs.tel.Span(telemetry.Stress)
+			sp := tel.Span(telemetry.Stress)
 			rs.atten.FusedStress(rs.st, rs.med, dt, b)
 			sp.End()
 		}
 	}
 	return func(b fd.Box) {
 		elastic(b)
-		sp := rs.tel.Span(telemetry.Attenuation)
+		sp := tel.Span(telemetry.Attenuation)
 		rs.atten.Apply(rs.st, rs.med, dt, b)
 		sp.End()
 	}
+}
+
+// addSources is the sources' tileHook: it adds the step's increments of the
+// sources whose node lies in b (source.Set.AddBox).
+func (rs *rankState) addSources(s *fd.State, _ *medium.Medium, _ float64, b fd.Box) {
+	rs.srcs.AddBox(s, b)
 }
 
 // trackPGV folds the current surface velocities into the peak maps,

@@ -286,7 +286,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if opt.FreeSurface && rs.sub.OffZ == 0 {
 		rs.fs = boundary.NewFreeSurface(rs.sub.Local)
 	}
-	rs.box = newActiveBox(rs.sub.Local, rs.fs != nil)
+	rs.box = newActiveBox(rs.sub.Local)
 	if opt.Attenuation {
 		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, stepDt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
@@ -300,6 +300,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	rs.lts.bind(rs.stress)
 	rs.vel.box, rs.stress.box = rs.box, rs.box
 	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
+	rs.velocities, rs.stresses = rs.st.Velocities(), rs.st.Stresses()
 
 	if opt.Fault != nil {
 		if err := rs.setupFault(opt); err != nil {

@@ -10,6 +10,7 @@ package source
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core/fd"
 	"repro/internal/decomp"
@@ -130,26 +131,36 @@ func (s *SampledSource) Moment() float64 {
 }
 
 // Set is a collection of sampled sources owned by one rank, with local
-// indices resolved.
+// indices resolved, ordered by local k (in the given order within a plane, so
+// sources on one node add in that order).
 type Set struct {
 	local []localSource
+	byK   []int   // the sources on plane k are local[byK[k]:byK[k+1]]
 	h3    float64 // cell volume
 }
 
 type localSource struct {
 	li, lj, lk int
 	src        *SampledSource
+	inc        [6]float32 // the stress increments Rates evaluated last
 }
 
 // Localize filters the global sources to those inside sub and resolves
 // their local indices. h is the grid spacing.
 func Localize(all []SampledSource, sub decomp.Sub, h float64) *Set {
-	st := &Set{h3: h * h * h}
+	st := &Set{h3: h * h * h, byK: make([]int, sub.Local.NZ+1)}
 	for i := range all {
 		s := &all[i]
 		if li, lj, lk, ok := sub.Contains(s.GI, s.GJ, s.GK); ok {
-			st.local = append(st.local, localSource{li, lj, lk, s})
+			st.local = append(st.local, localSource{li: li, lj: lj, lk: lk, src: s})
 		}
+	}
+	slices.SortStableFunc(st.local, func(a, b localSource) int { return a.lk - b.lk })
+	for _, ls := range st.local {
+		st.byK[ls.lk+1]++
+	}
+	for k := 1; k < len(st.byK); k++ {
+		st.byK[k] += st.byK[k-1]
 	}
 	return st
 }
@@ -157,43 +168,49 @@ func Localize(all []SampledSource, sub decomp.Sub, h float64) *Set {
 // Count returns the number of locally owned sub-faults.
 func (st *Set) Count() int { return len(st.local) }
 
-// Inject adds the moment-rate contributions for the step ending at time t
-// into the stress field: sigma_ij -= dt * Mdot_ij(t) / V_cell, the
-// standard staggered-grid moment insertion.
-func (st *Set) Inject(s *fd.State, dt, t float64) {
-	st.InjectRegion(s, dt, t, fd.Box{}, false)
-}
-
-// InjectRegion injects only the sources whose cell lies inside box (when
-// inside is true) or outside it (when inside is false, with the zero box
-// meaning "all sources"). The overlap communication schedule uses this to
-// keep the per-cell operation order identical to the non-overlap models.
-// It reports the hull of the nodes it fed a nonzero rate, in local indices
-// (empty when every sampled rate was zero): the cells this call may have
-// made nonzero, which is how the solver's active box learns that a source
-// has gone live.
-func (st *Set) InjectRegion(s *fd.State, dt, t float64, box fd.Box, inside bool) (fed fd.Box) {
-	for _, ls := range st.local {
-		in := ls.li >= box.I0 && ls.li < box.I1 &&
-			ls.lj >= box.J0 && ls.lj < box.J1 &&
-			ls.lk >= box.K0 && ls.lk < box.K1
-		if in != inside {
-			continue
-		}
+// Rates evaluates, once a step, every source's stress increment for the step
+// of length dt ending at time t — sigma_ij -= dt * Mdot_ij(t) / V_cell, the
+// standard staggered-grid moment insertion — for AddBox to add. It reports
+// the hull of the nodes whose sampled rate is nonzero, in local indices
+// (empty when every rate is zero): the cells the step's adds may make
+// nonzero, which is how the solver's active box learns that a source has gone
+// live. A silent source's increments are ±0, which add to no stored bit.
+func (st *Set) Rates(dt, t float64) (live fd.Box) {
+	scale := dt / st.h3
+	for n := range st.local {
+		ls := &st.local[n]
 		r := ls.src.RateAt(t)
-		scale := dt / st.h3
-		i, j, k := ls.li, ls.lj, ls.lk
-		s.XX.Add(i, j, k, float32(-r[0]*scale))
-		s.YY.Add(i, j, k, float32(-r[1]*scale))
-		s.ZZ.Add(i, j, k, float32(-r[2]*scale))
-		s.XY.Add(i, j, k, float32(-r[3]*scale))
-		s.XZ.Add(i, j, k, float32(-r[4]*scale))
-		s.YZ.Add(i, j, k, float32(-r[5]*scale))
+		for c, v := range r {
+			ls.inc[c] = float32(-v * scale)
+		}
 		if r != ([6]float64{}) {
-			fed = fed.Hull(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1})
+			live = live.Hull(fd.Box{I0: ls.li, I1: ls.li + 1, J0: ls.lj, J1: ls.lj + 1, K0: ls.lk, K1: ls.lk + 1})
 		}
 	}
-	return fed
+	return live
+}
+
+// AddBox adds the increments of the last Rates call of the sources whose
+// node lies inside b to the six stresses. Boxes that partition the sources'
+// nodes add each increment once, in any order or concurrently.
+func (st *Set) AddBox(s *fd.State, b fd.Box) {
+	k0, k1 := max(b.K0, 0), min(b.K1, len(st.byK)-1)
+	if k1 <= k0 {
+		return
+	}
+	for n := st.byK[k0]; n < st.byK[k1]; n++ {
+		ls := &st.local[n]
+		i, j, k := ls.li, ls.lj, ls.lk
+		if i < b.I0 || i >= b.I1 || j < b.J0 || j >= b.J1 {
+			continue
+		}
+		s.XX.Add(i, j, k, ls.inc[0])
+		s.YY.Add(i, j, k, ls.inc[1])
+		s.ZZ.Add(i, j, k, ls.inc[2])
+		s.XY.Add(i, j, k, ls.inc[3])
+		s.XZ.Add(i, j, k, ls.inc[4])
+		s.YZ.Add(i, j, k, ls.inc[5])
+	}
 }
 
 // Mw2M0 converts moment magnitude to seismic moment (N*m).

@@ -116,7 +116,8 @@ func TestLocalizeAndInject(t *testing.T) {
 	}
 	s := fd.NewState(dc.SubFor(0).Local)
 	dt := 0.05
-	set0.Inject(s, dt, 0.1)
+	set0.Rates(dt, 0.1)
+	set0.AddBox(s, fd.FullBox(s.Dims))
 	want := float32(-10 * dt / (h * h * h))
 	if got := s.XY.At(2, 4, 4); math.Abs(float64(got-want)) > 1e-12 {
 		t.Errorf("injected sxy = %g, want %g", got, want)
@@ -126,16 +127,19 @@ func TestLocalizeAndInject(t *testing.T) {
 	}
 	// Rank 1's source is at local index 12-8=4.
 	s1 := fd.NewState(dc.SubFor(1).Local)
-	set1.Inject(s1, dt, 0.1)
+	set1.Rates(dt, 0.1)
+	set1.AddBox(s1, fd.FullBox(s1.Dims))
 	if s1.XY.At(4, 4, 4) == 0 {
 		t.Error("rank-1 source not injected at local index")
 	}
 }
 
-// InjectRegion reports the hull of the nodes it fed a nonzero rate: nothing
-// before a source's onset or after its last sample, the node while it is
-// live, and the hull of all that are — of the side of box it was asked for.
-func TestInjectRegionReportsLiveNodes(t *testing.T) {
+// Rates reports the hull of the nodes whose rate is nonzero: nothing before a
+// source's onset or after its last sample, the node while it is live, and the
+// hull of all that are. AddBox adds only the sources whose node lies in its
+// box, so boxes that partition the grid add each once, and a silent source
+// changes no stored zero.
+func TestRatesReportLiveNodes(t *testing.T) {
 	g := grid.Dims{NX: 16, NY: 8, NZ: 8}
 	dc, err := decomp.New(g, mpi.NewCart(1, 1, 1))
 	if err != nil {
@@ -150,31 +154,42 @@ func TestInjectRegionReportsLiveNodes(t *testing.T) {
 		{GI: 7, GJ: 7, GK: 0, Dt: 0.1, Rate: [][6]float32{{}, {}, {}, {}, {}, {}, {}}},
 	}
 	set := Localize(srcs, dc.SubFor(0), 100)
-	s := fd.NewState(g)
 	node := func(i, j, k int) fd.Box { return fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1} }
-	left := fd.Box{I1: 8, J1: 8, K1: 8}
+	left, right := fd.Box{I1: 8, J1: 8, K1: 8}, fd.Box{I0: 8, I1: 16, J1: 8, K1: 8}
 	for _, c := range []struct {
-		t      float64
-		box    fd.Box
-		inside bool
-		want   fd.Box
+		t    float64
+		want fd.Box
 	}{
 		{t: 0, want: fd.Box{}},
 		{t: 0.05, want: node(2, 4, 4)}, // interpolating toward the first live sample
 		{t: 0.2, want: node(2, 4, 4)},
 		{t: 0.3, want: node(2, 4, 4).Hull(node(12, 1, 6))},
-		{t: 0.3, box: left, inside: true, want: node(2, 4, 4)},
-		{t: 0.3, box: left, inside: false, want: node(12, 1, 6)},
 		{t: 0.45, want: node(12, 1, 6)},
 		{t: 0.65, want: fd.Box{}},
 		{t: 9, want: fd.Box{}},
 	} {
-		if got := set.InjectRegion(s, 0.01, c.t, c.box, c.inside); got != c.want {
-			t.Errorf("t = %g, box %v inside %v: fed %v, want %v", c.t, c.box, c.inside, got, c.want)
+		if got := set.Rates(0.01, c.t); got != c.want {
+			t.Errorf("t = %g: live %v, want %v", c.t, got, c.want)
 		}
-	}
-	if s.XX.At(7, 7, 0) != 0 || math.Signbit(float64(s.YY.At(12, 1, 6))) {
-		t.Error("a silent rate changed a stored zero")
+		whole, halves := fd.NewState(g), fd.NewState(g)
+		set.AddBox(whole, fd.FullBox(g))
+		set.AddBox(halves, right)
+		set.AddBox(halves, left)
+		for fi, f := range whole.Fields() {
+			for n, v := range f.Data() {
+				if h := halves.Fields()[fi].Data()[n]; math.Float32bits(h) != math.Float32bits(v) {
+					t.Fatalf("t = %g: %s[%d] = %g over two halves, %g whole", c.t, fd.FieldNames[fi], n, h, v)
+				}
+			}
+		}
+		if whole.XX.At(7, 7, 0) != 0 || math.Signbit(float64(whole.YY.At(12, 1, 6))) {
+			t.Errorf("t = %g: a silent rate changed a stored zero", c.t)
+		}
+		only := fd.NewState(g)
+		set.AddBox(only, left)
+		if only.XX.At(12, 1, 6) != 0 {
+			t.Errorf("t = %g: AddBox(left) added the source at (12,1,6)", c.t)
+		}
 	}
 }
 
