@@ -95,6 +95,10 @@ type Model struct {
 	am, cm [NRelax]float64
 	dt     float64
 
+	// walk[p] is the 8-lane walker's coefficient table (fusedStressTile)
+	// for a tile whose first cell has global parity p = x | y<<1 | z<<2.
+	walk [8][2][4][8]float32
+
 	// Origin is the global index of the local (0,0,0) cell; the
 	// coarse-grained mechanism assignment uses global parity so that a
 	// decomposed run matches a single-rank run exactly.
@@ -125,6 +129,16 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 		tau := a.Taus[mm]
 		a.am[mm] = (2*tau - dt) / (2*tau + dt)
 		a.cm[mm] = 2 * tau / (2*tau + dt)
+	}
+	for p := range a.walk {
+		for t := range a.walk[p][0] {
+			for l := range a.walk[p][0][t] {
+				// Lane l of a chunk is x parity p+l, row t has j parity
+				// p>>1 + t&1 and k parity p>>2 + t>>1.
+				mm := ((p>>2)+(t>>1))&1<<2 | ((p>>1)+(t&1))&1<<1 | (p+l)&1
+				a.walk[p][0][t][l], a.walk[p][1][t][l] = float32(a.am[mm]), float32(a.cm[mm])
+			}
+		}
 	}
 	// Coarse-grain normalization: each point carries one mechanism, so its
 	// deficit is 8x the full-ensemble per-mechanism deficit, normalized to

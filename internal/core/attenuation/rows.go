@@ -66,22 +66,19 @@ func (a *Model) deficits(m *medium.Medium, norm float64) {
 //     (ARM64.rules), so there the identity holds only where both bodies
 //     fuse alike; no test runs on arm64 (DESIGN.md §9).
 func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
-	a.fusedStress(s, m, dt, box, fd.VectorCells(box.I1-box.I0))
+	a.fusedStress(s, m, dt, box, fd.Vector)
 }
 
-// fusedStress is FusedStress with the first lanes cells of each row (a
-// multiple of 8, at most the row) in the 8-lane body and the rest in the Go
-// loop. lanes 0 is the Go loop alone, what a host without AVX2 runs.
-func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box, lanes int) {
+// fusedStress is FusedStress with the body chosen by vec: true walks the
+// tile in one fusedStressTile call, from the windows of its first row; false
+// runs the Go loop, what a host without AVX2 runs and the walker's oracle.
+func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box, vec bool) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
 	}
-	if box.Empty() {
-		return
-	}
 	ni := box.I1 - box.I0
-	if lanes < 0 || lanes > ni || lanes%8 != 0 {
-		panic(fmt.Sprintf("attenuation: %d vector cells in a %d-cell row", lanes, ni))
+	if ni <= 0 {
+		return
 	}
 	dth := float32(dt / m.H)
 	c1, c2 := float32(fd.C1), float32(fd.C2)
@@ -95,18 +92,13 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	dlam, dmu := a.DLam.Data(), a.DMu.Data()
 	_, dy, dz := s.VX.Strides()
 
-	amf, cmf := a.coef32()
-	pari := (box.I0 + a.Origin[0]) & 1
+	// The walker's coefficient table for the box's first cell serves the Go
+	// loop too: only the x parity varies along a row, so row t of it holds
+	// the row's two mechanisms, alternating with i from lane 0.
+	tab := &a.walk[((box.I0+a.Origin[0])&1|((box.J0+a.Origin[1])&1)<<1|((box.K0+a.Origin[2])&1)<<2)&7]
 
 	for k := box.K0; k < box.K1; k++ {
-		gkbit := ((k + a.Origin[2]) & 1) << 2
 		for j := box.J0; j < box.J1; j++ {
-			// Only the x parity varies along a row: collapse the mechanism
-			// table to the two entries this row can select.
-			base := gkbit | ((j+a.Origin[1])&1)<<1
-			amP := [2]float32{amf[base], amf[base|1]}
-			cmP := [2]float32{cmf[base], cmf[base|1]}
-
 			n0 := s.VX.Idx(box.I0, j, k)
 			uc := u[n0:][:ni]
 			um2x := u[n0-2:][:ni]
@@ -157,13 +149,17 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 			zyzr := zyz[n0:][:ni]
 			dlamr := dlam[n0:][:ni]
 			dmur := dmu[n0:][:ni]
-			if lanes > 0 {
-				// Lane l of every 8-cell chunk is cell i ≡ l (mod 2).
-				var amv, cmv [8]float32
-				for l := range amv {
-					amv[l], cmv[l] = amP[(l+pari)&1], cmP[(l+pari)&1]
-				}
-				fusedStressRow8(lanes, dth, c1, c2, &amv[0], &cmv[0],
+			if vec {
+				// The first row's windows bound every window from below;
+				// the highest window of each field bounds the tile's last
+				// row from above.
+				span := box.Span(dy, dz)
+				_, _, _ = u[n0+2*dz:][:span], v[n0+2*dz:][:span], w[n0+dz:][:span]
+				_, _, _, _, _, _ = xx[n0:][:span], yy[n0:][:span], zz[n0:][:span], xy[n0:][:span], xz[n0:][:span], yz[n0:][:span]
+				_, _, _, _, _ = lam[n0:][:span], l2m[n0:][:span], mxy[n0:][:span], mxz[n0:][:span], myz[n0:][:span]
+				_, _, _, _, _, _ = zxx[n0:][:span], zyy[n0:][:span], zzz[n0:][:span], zxy[n0:][:span], zxz[n0:][:span], zyz[n0:][:span]
+				_, _ = dlam[n0:][:span], dmu[n0:][:span]
+				fusedStressTile(ni, box.J1-box.J0, box.K1-box.K0, dy, dz, dth, c1, c2, &tab[0][0][0],
 					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
 					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
 					&wc[0], &wm1x[0], &wp1x[0], &wp2x[0], &wm1y[0], &wp1y[0], &wp2y[0], &wm2z[0], &wm1z[0], &wp1z[0],
@@ -171,8 +167,11 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0],
 					&zxxr[0], &zyyr[0], &zzzr[0], &zxyr[0], &zxzr[0], &zyzr[0],
 					&dlamr[0], &dmur[0])
+				return
 			}
-			for i := lanes; i < ni; i++ {
+			t := ((j-box.J0)&1 | ((k-box.K0)&1)<<1) & 3
+			amT, cmT := &tab[0][t], &tab[1][t]
+			for i := range uc {
 				// Elastic constitutive update (== stressPrecomp).
 				exx := c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i])
 				eyy := c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i])
@@ -192,8 +191,7 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 
 				// Memory-variable update (== Apply) on the just-written
 				// stress: zeta' = am*zeta + cm*drive, sigma += zeta' - zeta.
-				p := (i + pari) & 1
-				am, cm := amP[p], cmP[p]
+				am, cm := amT[i&1], cmT[i&1]
 				aexx := dth * exx
 				aeyy := dth * eyy
 				aezz := dth * ezz

@@ -2,6 +2,7 @@ package attenuation
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -238,7 +239,7 @@ func TestFusedStressSubBoxParity(t *testing.T) {
 // every host.
 func TestFusedStressGoBodyMatchesTwoPass(t *testing.T) {
 	testSubBoxParity(t, func(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
-		a.fusedStress(s, m, dt, box, 0)
+		a.fusedStress(s, m, dt, box, false)
 	})
 }
 
@@ -264,6 +265,110 @@ func testSubBoxParity(t *testing.T, fused func(*Model, *fd.State, *medium.Medium
 
 			expectStatesEqual(t, sFus, sRef, label)
 			expectMemVarsEqual(t, aFus, aRef, label)
+		}
+	}
+}
+
+// walkerDims holds rows of up to 56 cells from an odd I0, and tiles whose
+// highest windows (u's and v's +2 plane) end at the padded arrays' last
+// value.
+var walkerDims = grid.Dims{NX: 58, NY: 6, NZ: 7}
+
+// walkerBoxes are tiles of 1×1, 1×3, 3×1 and 4×3 rows (j×k) of 1–17, 20,
+// 28 and 56 cells from odd and even starts on all three axes — under
+// parityOrigins, every row parity of the walker's coefficient table — and
+// the tiles that end at the arrays' last value.
+func walkerBoxes() []fd.Box {
+	d := walkerDims
+	var boxes []fd.Box
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 28, 56} {
+		for _, o := range [][3]int{{1, 1, 1}, {2, 0, 2}} {
+			for _, nt := range [][2]int{{1, 1}, {1, 3}, {3, 1}, {4, 3}} {
+				boxes = append(boxes, fd.Box{I0: o[0], I1: o[0] + n, J0: o[1], J1: o[1] + nt[0], K0: o[2], K1: o[2] + nt[1]})
+			}
+		}
+	}
+	for _, n := range []int{5, 12, 21} {
+		boxes = append(boxes, fd.Box{I0: d.NX + 2 - n, I1: d.NX + 2, J0: d.NY - 1, J1: d.NY + 2, K0: d.NZ - 3, K1: d.NZ})
+	}
+	return boxes
+}
+
+// sentinel marks the values the walker must not store.
+var sentinel = math.Float32frombits(0x7fa5a5a5)
+
+// TestFusedStressWalkerMatchesGoBody holds the 8-lane tile walker to the Go
+// row loop bit for bit — stresses and memory variables — over walkerBoxes
+// under every origin of parityOrigins. The stresses and memory variables
+// hold a sentinel outside the tile, past I1 and in the stride gap, which
+// must come back untouched.
+func TestFusedStressWalkerMatchesGoBody(t *testing.T) {
+	if !fd.Vector {
+		t.Skip("no 8-lane walker on this host")
+	}
+	d := walkerDims
+	m := makeMedium(t, cvm.SoCal(5800, 600, 700, 400), d, 100)
+	dt := m.StableDt(0.5)
+	for bi, box := range walkerBoxes() {
+		for _, origin := range parityOrigins {
+			label := fmt.Sprintf("box %v origin %v", box, origin)
+			sRef := fillStateSeeded(d, int64(bi))
+			aRef := New(m, DefaultBand, dt)
+			aRef.Origin = origin
+			fillMemVarsSeeded(aRef, int64(bi))
+			for _, f := range written(sRef, aRef) {
+				forOutside(f, box, func(n int) { f.Data()[n] = sentinel })
+			}
+			sWalk := sRef.Clone()
+			aWalk := New(m, DefaultBand, dt)
+			aWalk.Origin = origin
+			for zi, f := range memVars(aWalk) {
+				f.CopyFrom(memVars(aRef)[zi])
+			}
+
+			aRef.fusedStress(sRef, m, dt, box, false)
+			aWalk.fusedStress(sWalk, m, dt, box, true)
+			got, want := append(sWalk.Fields(), memVars(aWalk)...), append(sRef.Fields(), memVars(aRef)...)
+			for fi, f := range got {
+				w := want[fi].Data()
+				for n, x := range f.Data() {
+					if math.Float32bits(x) != math.Float32bits(w[n]) {
+						t.Fatalf("%s: field %d value %d = %#x, Go body %#x", label, fi, n, math.Float32bits(x), math.Float32bits(w[n]))
+					}
+				}
+			}
+			for _, f := range written(sWalk, aWalk) {
+				forOutside(f, box, func(n int) {
+					if x := f.Data()[n]; math.Float32bits(x) != math.Float32bits(sentinel) {
+						t.Fatalf("%s: value %d outside the tile = %#x", label, n, math.Float32bits(x))
+					}
+				})
+			}
+		}
+	}
+}
+
+// memVars returns a's six memory variables.
+func memVars(a *Model) []*grid.Field3 {
+	return []*grid.Field3{a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ}
+}
+
+// written returns the fields FusedStress stores: the stresses of s and the
+// memory variables of a.
+func written(s *fd.State, a *Model) []*grid.Field3 {
+	return append(s.Stresses(), memVars(a)...)
+}
+
+// forOutside calls fn with the index of every value of f outside box.
+func forOutside(f *grid.Field3, box fd.Box, fn func(n int)) {
+	g := f.G()
+	for k := -g; k < f.NZ+g; k++ {
+		for j := -g; j < f.NY+g; j++ {
+			for i := -g; i < f.NX+g; i++ {
+				if i < box.I0 || i >= box.I1 || j < box.J0 || j >= box.J1 || k < box.K0 || k >= box.K1 {
+					fn(f.Idx(i, j, k))
+				}
+			}
 		}
 	}
 }

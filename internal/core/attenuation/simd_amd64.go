@@ -1,14 +1,17 @@
 package attenuation
 
-// fusedStressRow8 runs FusedStress's cell body over the first n cells (a
-// positive multiple of 8) of each window, eight lanes at a time, in the Go
-// body's association order and without FMA (simd_amd64.s, DESIGN.md §9). am
-// and cm are the row's recursion coefficients as 8 lanes, alternating with
-// the x parity from the row's first cell. It reads 8 lanes at am and cm,
-// reads and writes [p, p+4n) of each window p, and nothing else.
+// fusedStressTile runs FusedStress's cell body over a tile of nk planes of
+// nj rows of n cells, eight lanes at a time and the row's last n mod 8 cells
+// under a lane mask, in the Go body's association order and without FMA
+// (simd_amd64.s, DESIGN.md §9). Each window p is the tile's first row. coef
+// is the tile's recursion coefficients, [2][4][8]float32: am then cm, a lane
+// vector for each row parity (j−J0)&1 | ((k−K0)&1)<<1, alternating with the
+// x parity from the row's first cell. It reads coef, reads and writes
+// [p+4(r·dy+q·dz), +4n) of each window p for r < nj and q < nk, and nothing
+// else.
 //
 //go:noescape
-func fusedStressRow8(n int, dth, c1, c2 float32, am, cm *float32,
+func fusedStressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, coef *float32,
 	uc, um2x, um1x, up1x, um1y, up1y, up2y, um1z, up1z, up2z,
 	vc, vm1x, vp1x, vp2x, vm2y, vm1y, vp1y, vm1z, vp1z, vp2z,
 	wc, wm1x, wp1x, wp2x, wm1y, wp1y, wp2y, wm2z, wm1z, wp1z,

@@ -322,6 +322,74 @@ func TestFreeSurfaceStressImages(t *testing.T) {
 	}
 }
 
+// refApplyStress is FreeSurface.ApplyStress as it was first written, one
+// At/Set per value, kept as the oracle of the row windows.
+func refApplyStress(fs *FreeSurface, s *fd.State) {
+	d := fs.Dims
+	g := grid.Ghost
+	for j := -g; j < d.NY+g; j++ {
+		for i := -g; i < d.NX+g; i++ {
+			s.ZZ.Set(i, j, -1, -s.ZZ.At(i, j, 0))
+			s.ZZ.Set(i, j, -2, -s.ZZ.At(i, j, 1))
+			s.XZ.Set(i, j, -1, 0)
+			s.XZ.Set(i, j, -2, -s.XZ.At(i, j, 0))
+			s.YZ.Set(i, j, -1, 0)
+			s.YZ.Set(i, j, -2, -s.YZ.At(i, j, 0))
+		}
+	}
+}
+
+// refApplyVelocity is FreeSurface.ApplyVelocity as it was first written,
+// the oracle of the row windows.
+func refApplyVelocity(fs *FreeSurface, s *fd.State, m *medium.Medium) {
+	d := fs.Dims
+	g := grid.Ghost
+	for j := -g + 1; j < d.NY+g-1; j++ {
+		for i := -g + 1; i < d.NX+g-1; i++ {
+			s.VX.Set(i, j, -1, s.VX.At(i, j, 0))
+			s.VX.Set(i, j, -2, s.VX.At(i, j, 1))
+			s.VY.Set(i, j, -1, s.VY.At(i, j, 0))
+			s.VY.Set(i, j, -2, s.VY.At(i, j, 1))
+
+			lam := m.Lam.At(i, j, 0)
+			l2m := m.Lam2Mu.At(i, j, 0)
+			div := (s.VX.At(i, j, 0) - s.VX.At(i-1, j, 0)) +
+				(s.VY.At(i, j, 0) - s.VY.At(i, j-1, 0))
+			w0 := s.VZ.At(i, j, 0)
+			wm1 := w0 + lam/l2m*div
+			s.VZ.Set(i, j, -1, wm1)
+			s.VZ.Set(i, j, -2, 2*wm1-w0)
+		}
+	}
+}
+
+// TestFreeSurfaceRowsMatchPointwise holds both free-surface passes to their
+// pointwise oracles bit for bit, every padded value of the nine fields, over
+// states of random-exponent values (±0, subnormals and values far apart in
+// one divergence) on a heterogeneous medium, on grids whose rows are odd and
+// even and one cell wide.
+func TestFreeSurfaceRowsMatchPointwise(t *testing.T) {
+	for _, d := range []grid.Dims{{NX: 7, NY: 5, NZ: 4}, {NX: 12, NY: 9, NZ: 5}, {NX: 1, NY: 3, NZ: 4}} {
+		m := makeMedium(t, cvm.SoCal(float64(d.NX)*100, float64(d.NY)*100, float64(d.NZ)*100, 400), d, 100)
+		fs := NewFreeSurface(d)
+		rng := rand.New(rand.NewSource(int64(d.NX)))
+		for round := 0; round < 3; round++ {
+			ref := fd.NewState(d)
+			fillFront(rng, ref.Fields())
+			scatter(rng, 5, ref.Fields())
+			got := ref.Clone()
+			refApplyVelocity(fs, ref, m)
+			fs.ApplyVelocity(got, m)
+			refApplyStress(fs, ref)
+			fs.ApplyStress(got)
+			if name, n := firstBitDiff(got.Fields(), ref.Fields(), fd.FieldNames); name != "" {
+				t.Fatalf("%v round %d: %s[%d] = %g, pointwise %g", d, round, name, n,
+					got.Fields()[slices.Index(fd.FieldNames, name)].Data()[n], ref.Fields()[slices.Index(fd.FieldNames, name)].Data()[n])
+			}
+		}
+	}
+}
+
 // TestFreeSurfaceReflectionDoubling: a plane P wave incident vertically on
 // the free surface reflects with velocity doubling at the surface and full
 // amplitude on return (free-surface reflection coefficient -1 for stress,
@@ -510,7 +578,7 @@ func partition(rng *rand.Rand, b fd.Box, n int) []fd.Box {
 // values holding ±0, a subnormal, ±Inf and NaN; and the stride gap between
 // rows untouched.
 func TestSpongeWalkerMatchesGo(t *testing.T) {
-	if !vectorWalker {
+	if !fd.Vector {
 		t.Skip("no 8-lane walker on this host")
 	}
 	sp := NewSpongeGlobal(grid.Dims{NX: 80, NY: 4, NZ: 4}, grid.Dims{NX: 80, NY: 4, NZ: 4}, [3]int{}, 8, 0.1, AllAbsorbing())
@@ -611,7 +679,7 @@ func TestSpongeMatchesPointwiseTaper(t *testing.T) {
 		{"overlapping-zones", grid.Dims{NX: 9, NY: 7, NZ: 6}, grid.Dims{NX: 9, NY: 7, NZ: 6}, [3]int{}, 7},
 	}
 	for _, c := range cases {
-		for _, vec := range []bool{false, vectorWalker} {
+		for _, vec := range []bool{false, fd.Vector} {
 			sp := NewSpongeGlobal(c.local, c.global, c.off, c.width, 0.1, AllAbsorbing())
 			sp.axes.vec = vec
 			factor := func(i, j, k int) float32 {

@@ -32,21 +32,38 @@ type FreeSurface struct {
 func NewFreeSurface(d grid.Dims) *FreeSurface { return &FreeSurface{Dims: d} }
 
 // ApplyStress writes the antisymmetric stress images above the surface.
-// Call after every stress update.
+// Call after every stress update. Each padded row of the surface plane is
+// one set of windows (ap := a[n0+off:][:ni], as the row kernels of fd take
+// them), so the loop carries no bounds check; refApplyStress in
+// boundary_test.go is the pointwise oracle.
 func (fs *FreeSurface) ApplyStress(s *fd.State) {
 	d := fs.Dims
 	g := grid.Ghost
+	ni := d.NX + 2*g
+	zz, xz, yz := s.ZZ.Data(), s.XZ.Data(), s.YZ.Data()
+	_, _, dz := s.ZZ.Strides()
 	for j := -g; j < d.NY+g; j++ {
-		for i := -g; i < d.NX+g; i++ {
+		n0 := s.ZZ.Idx(-g, j, 0)
+		zz0 := zz[n0:][:ni]
+		zz1 := zz[n0+dz:][:ni]
+		zzm1 := zz[n0-dz:][:ni]
+		zzm2 := zz[n0-2*dz:][:ni]
+		xz0 := xz[n0:][:ni]
+		xzm1 := xz[n0-dz:][:ni]
+		xzm2 := xz[n0-2*dz:][:ni]
+		yz0 := yz[n0:][:ni]
+		yzm1 := yz[n0-dz:][:ni]
+		yzm2 := yz[n0-2*dz:][:ni]
+		for i := range zz0 {
 			// szz at integer levels: antisymmetric about k=-1/2.
-			s.ZZ.Set(i, j, -1, -s.ZZ.At(i, j, 0))
-			s.ZZ.Set(i, j, -2, -s.ZZ.At(i, j, 1))
+			zzm1[i] = -zz0[i]
+			zzm2[i] = -zz1[i]
 			// sxz, syz at half levels: the k=-1 node lies exactly on the
 			// surface (zero), the k=-2 node images -value(k=0).
-			s.XZ.Set(i, j, -1, 0)
-			s.XZ.Set(i, j, -2, -s.XZ.At(i, j, 0))
-			s.YZ.Set(i, j, -1, 0)
-			s.YZ.Set(i, j, -2, -s.YZ.At(i, j, 0))
+			xzm1[i] = 0
+			xzm2[i] = -xz0[i]
+			yzm1[i] = 0
+			yzm2[i] = -yz0[i]
 		}
 	}
 }
@@ -54,29 +71,47 @@ func (fs *FreeSurface) ApplyStress(s *fd.State) {
 // ApplyVelocity writes the velocity ghost images above the surface. Call
 // after every velocity update. Horizontal velocities are mirrored
 // (d/dz -> 0 at the surface); the vertical velocity image enforces the
-// zero normal traction: (lam+2mu) dw/dz = -lam (du/dx + dv/dy).
+// zero normal traction: (lam+2mu) dw/dz = -lam (du/dx + dv/dy). Rows as in
+// ApplyStress; refApplyVelocity in boundary_test.go is the pointwise oracle.
 func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 	d := fs.Dims
 	g := grid.Ghost
 	// The vz image reads one node below (i, j) on both horizontal axes, so
 	// the outermost ghost row and column have no image.
+	ni := d.NX + 2*g - 2
+	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
+	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
+	_, dy, dz := s.VX.Strides()
 	for j := -g + 1; j < d.NY+g-1; j++ {
-		for i := -g + 1; i < d.NX+g-1; i++ {
-			s.VX.Set(i, j, -1, s.VX.At(i, j, 0))
-			s.VX.Set(i, j, -2, s.VX.At(i, j, 1))
-			s.VY.Set(i, j, -1, s.VY.At(i, j, 0))
-			s.VY.Set(i, j, -2, s.VY.At(i, j, 1))
-
-			lam := m.Lam.At(i, j, 0)
-			l2m := m.Lam2Mu.At(i, j, 0)
+		n0 := s.VX.Idx(-g+1, j, 0)
+		u0 := u[n0:][:ni]
+		u0m1x := u[n0-1:][:ni]
+		u1 := u[n0+dz:][:ni]
+		um1 := u[n0-dz:][:ni]
+		um2 := u[n0-2*dz:][:ni]
+		v0 := v[n0:][:ni]
+		v0m1y := v[n0-dy:][:ni]
+		v1 := v[n0+dz:][:ni]
+		vm1 := v[n0-dz:][:ni]
+		vm2 := v[n0-2*dz:][:ni]
+		w0 := w[n0:][:ni]
+		wm1 := w[n0-dz:][:ni]
+		wm2 := w[n0-2*dz:][:ni]
+		nm := m.Lam.Idx(-g+1, j, 0)
+		lamr := lam[nm:][:ni]
+		l2mr := l2m[nm:][:ni]
+		for i := range u0 {
+			um1[i] = u0[i]
+			um2[i] = u1[i]
+			vm1[i] = v0[i]
+			vm2[i] = v1[i]
 			// 2nd-order horizontal divergence at the surface node (the h
 			// factors cancel against the dz discretization).
-			div := (s.VX.At(i, j, 0) - s.VX.At(i-1, j, 0)) +
-				(s.VY.At(i, j, 0) - s.VY.At(i, j-1, 0))
-			w0 := s.VZ.At(i, j, 0)
-			wm1 := w0 + lam/l2m*div
-			s.VZ.Set(i, j, -1, wm1)
-			s.VZ.Set(i, j, -2, 2*wm1-w0)
+			div := (u0[i] - u0m1x[i]) + (v0[i] - v0m1y[i])
+			w0i := w0[i]
+			wm1i := w0i + lamr[i]/l2mr[i]*div
+			wm1[i] = wm1i
+			wm2[i] = 2*wm1i - w0i
 		}
 	}
 }

@@ -75,7 +75,7 @@ func NewSpongeGlobal(local, global grid.Dims, off [3]int, width int, alpha float
 	t.fx, t.ones.I0, t.ones.I1 = sp.axisTaper(local.NX, off[0], global.NX, faces.XLo, faces.XHi)
 	t.fy, t.ones.J0, t.ones.J1 = sp.axisTaper(local.NY, off[1], global.NY, faces.YLo, faces.YHi)
 	t.fz, t.ones.K0, t.ones.K1 = sp.axisTaper(local.NZ, off[2], global.NZ, faces.ZLo, faces.ZHi)
-	t.vec = vectorWalker
+	t.vec = fd.Vector
 	return sp
 }
 

@@ -1,11 +1,5 @@
 package boundary
 
-import "repro/internal/core/fd"
-
-// vectorWalker reports whether the host runs the sponge's 8-lane walker
-// (simd_amd64.s): fd's CPUID switch, read once.
-var vectorWalker = fd.VectorCells(8) != 0
-
 // dampRows is the sponge's row walker: x holds len(fy) rows of len(fx) values
 // each, stride apart, and row r is multiplied in place by fx[i]·(fy[r]·fz) —
 // the row factor formed in float32 first, as one product a row. vec runs the

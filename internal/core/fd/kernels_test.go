@@ -104,7 +104,7 @@ func expectBits(t *testing.T, label string, got, want []*grid.Field3, names []st
 		w := want[fi].Data()
 		for n, x := range f.Data() {
 			if math.Float32bits(x) != math.Float32bits(w[n]) {
-				t.Fatalf("%s: %s[%d] = %g, precomp %g", label, names[fi], n, x, w[n])
+				t.Fatalf("%s: %s[%d] = %g (%#x), want %g (%#x)", label, names[fi], n, x, math.Float32bits(x), w[n], math.Float32bits(w[n]))
 			}
 		}
 	}
@@ -191,10 +191,10 @@ func TestGoRowBodyMatchesPrecomp(t *testing.T) {
 			label := fmt.Sprintf("%s %v", tc.name, box)
 			ref, s := tc.state(), tc.state()
 			velocityPrecomp(ref, m, dt, box)
-			velocitySweep(s, m, dt, box, 0)
+			velocitySweep(s, m, dt, box, false)
 			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
 			stressPrecomp(ref, m, dt, box)
-			stressSweep(s, m, dt, box, 0)
+			stressSweep(s, m, dt, box, false)
 			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
 		}
 	}
@@ -206,7 +206,17 @@ func TestGoRowBodyMatchesPrecomp(t *testing.T) {
 // of either sign and any magnitude, ±Inf and NaN, and stores +0 for -0,
 // subnormals and anything else under the floor.
 func TestVectorQuiesceMatchesScalar(t *testing.T) {
-	d := grid.Dims{NX: 24, NY: 1, NZ: 1}
+	t.Run("24", func(t *testing.T) { testVectorQuiesce(t, 24, 0) })
+	for rot := 0; rot < 24; rot += 5 {
+		t.Run(fmt.Sprintf("21/rot%d", rot), func(t *testing.T) { testVectorQuiesce(t, 21, rot) })
+	}
+}
+
+// testVectorQuiesce runs the special values, rotated left by rot, through
+// an nx-cell row: 24 cells are three full chunks; 21 put the last five in
+// the masked tail, and the five rotations of 21 put each value there once.
+func testVectorQuiesce(t *testing.T, nx, rot int) {
+	d := grid.Dims{NX: nx, NY: 1, NZ: 1}
 	m := makeMedium(t, heteroQuerier(), d, 200)
 	floor := float32(math.Ldexp(1, -100))
 	inf := float32(math.Inf(1))
@@ -216,6 +226,7 @@ func TestVectorQuiesceMatchesScalar(t *testing.T) {
 		-7e20, math.MaxFloat32, -math.MaxFloat32, inf, -inf, float32(math.NaN()),
 		math.Float32frombits(0xffc00001), 1, -1, 2, 1e30, -1e-30,
 	}
+	vals = append(vals[rot:], vals[:rot]...)[:nx]
 	s := NewState(d)
 	box := FullBox(d)
 	for _, f := range s.Velocities() {
@@ -234,22 +245,166 @@ func TestVectorQuiesceMatchesScalar(t *testing.T) {
 	}
 }
 
-// A vector-cell count the body cannot take is a bug in the caller.
-func TestSweepRejectsBadLaneCounts(t *testing.T) {
+// A tile whose windows run past the padded arrays is a bug in the caller:
+// the Go loop panics at the first row that leaves the array, and the walker
+// path panics at its span checks before the walker stores anything.
+func TestSweepRejectsTilesPastTheArray(t *testing.T) {
 	m := makeMedium(t, heteroQuerier(), rowDims, 200)
-	box := Box{I0: 1, I1: 18, J0: 0, J1: 1, K0: 0, K1: 1}
-	for _, lanes := range []int{-8, 4, 24} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("velocitySweep with %d vector cells of a 17-cell row: no panic", lanes)
-				}
-			}()
-			velocitySweep(NewState(rowDims), m, m.StableDt(0.5), box, lanes)
-		}()
+	dt := m.StableDt(0.5)
+	d := rowDims
+	boxes := []Box{
+		{I0: 0, I1: d.NX, J0: 0, J1: d.NY, K0: d.NZ - 2, K1: d.NZ + 1}, // a plane past the interior
+		{I0: 1, I1: 9, J0: 0, J1: d.NY + 3, K0: d.NZ - 1, K1: d.NZ},    // rows past the padded plane
 	}
-	if got := VectorCells(17); got != 0 && got != 16 {
-		t.Errorf("VectorCells(17) = %d, want 0 or 16", got)
+	sweeps := []struct {
+		name  string
+		sweep func(*State, *medium.Medium, float64, Box, bool)
+	}{{"velocity", velocitySweep}, {"stress", stressSweep}}
+	for _, sw := range sweeps {
+		for _, box := range boxes {
+			for _, vec := range []bool{false, Vector} {
+				s := randomState(d, 3)
+				before := s.Clone()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("%s sweep vec=%v over %v: no panic", sw.name, vec, box)
+						}
+					}()
+					sw.sweep(s, m, dt, box, vec)
+				}()
+				if vec {
+					expectBits(t, fmt.Sprintf("%s walker over %v", sw.name, box), s.Fields(), before.Fields(), FieldNames)
+				}
+			}
+		}
+	}
+}
+
+// walkerDims holds rows of up to 56 cells from an odd I0, and a box whose
+// last window ends at the padded arrays' last value.
+var walkerDims = grid.Dims{NX: 58, NY: 6, NZ: 7}
+
+// walkerBoxes are tiles of 1×1, 1×3, 3×1 and 4×3 rows (j×k) of 1–17, 20, 28
+// and 56 cells from odd and even starts on all three axes, and the tiles
+// whose highest windows (zz's +2 plane in the velocity sweep, u's and v's in
+// the stress sweep) end at the padded arrays' last value.
+func walkerBoxes() []Box {
+	d := walkerDims
+	var boxes []Box
+	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 28, 56}
+	for _, n := range lengths {
+		for _, o := range [][3]int{{1, 1, 1}, {2, 0, 2}} {
+			for _, nt := range [][2]int{{1, 1}, {1, 3}, {3, 1}, {4, 3}} {
+				boxes = append(boxes, Box{I0: o[0], I1: o[0] + n, J0: o[1], J1: o[1] + nt[0], K0: o[2], K1: o[2] + nt[1]})
+			}
+		}
+	}
+	for _, n := range []int{5, 12, 21} {
+		boxes = append(boxes, Box{I0: d.NX + 2 - n, I1: d.NX + 2, J0: d.NY - 1, J1: d.NY + 2, K0: d.NZ - 3, K1: d.NZ})
+	}
+	return boxes
+}
+
+// walkerSpecials are the values a velocity update passes through Quiesce:
+// ±0, a subnormal, values about the floor, ±Inf and NaN.
+var walkerSpecials = []float32{
+	0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -1e-39, float32(math.Ldexp(1, -100)),
+	-math.Nextafter32(float32(math.Ldexp(1, -100)), 0), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), 1.5, -3e5,
+}
+
+// sentinel marks the cells a sweep must not store: any value it wrote
+// there would have to reproduce this NaN's payload.
+var sentinel = math.Float32frombits(0x7fa5a5a5)
+
+// forOutside calls fn with the index of every value of f outside box.
+func forOutside(f *grid.Field3, box Box, fn func(n int)) {
+	g := f.G()
+	for k := -g; k < f.NZ+g; k++ {
+		for j := -g; j < f.NY+g; j++ {
+			for i := -g; i < f.NX+g; i++ {
+				if i < box.I0 || i >= box.I1 || j < box.J0 || j >= box.J1 || k < box.K0 || k >= box.K1 {
+					fn(f.Idx(i, j, k))
+				}
+			}
+		}
+	}
+}
+
+// fillOutside sets every value of fs outside box to sentinel.
+func fillOutside(fs []*grid.Field3, box Box) {
+	for _, f := range fs {
+		forOutside(f, box, func(n int) { f.Data()[n] = sentinel })
+	}
+}
+
+// TestTileWalkerMatchesGoBody holds the 8-lane walkers to the Go row loop —
+// the body without AVX2 — bit for bit, over walkerBoxes: full chunks and
+// masked tails alone and together, row, plane and tile steps, and the last
+// value of the arrays. The fields a sweep writes hold a sentinel everywhere
+// outside the tile, past I1 and in the stride gap, which must come back
+// untouched. A state of walkerSpecials at rest runs Quiesce in every lane of
+// the masked tail.
+func TestTileWalkerMatchesGoBody(t *testing.T) {
+	if !Vector {
+		t.Skip("no 8-lane walker on this host")
+	}
+	d := walkerDims
+	m := makeMedium(t, heteroQuerier(), d, 200)
+	dt := m.StableDt(0.5)
+	specials := func() *State {
+		s := NewState(d)
+		for fi, f := range s.Velocities() {
+			for n := range f.Data() {
+				f.Data()[n] = walkerSpecials[(n+3*fi)%len(walkerSpecials)]
+			}
+		}
+		return s
+	}
+	states := []struct {
+		name   string
+		state  func() *State
+		stress bool
+	}{
+		{"filled", func() *State { return randomState(d, 42) }, true},
+		{"front", func() *State { return frontState(d, 42) }, true},
+		{"specials", specials, false},
+	}
+	for _, tc := range states {
+		for _, box := range walkerBoxes() {
+			label := fmt.Sprintf("%s %v", tc.name, box)
+			ref, s := tc.state(), tc.state()
+			fillOutside(ref.Velocities(), box)
+			fillOutside(s.Velocities(), box)
+			velocitySweep(ref, m, dt, box, false)
+			velocitySweep(s, m, dt, box, true)
+			expectBits(t, "velocity "+label, s.Fields(), ref.Fields(), FieldNames)
+			expectSentinels(t, "velocity "+label, s.Velocities(), box)
+			if !tc.stress {
+				continue
+			}
+			// Fresh states: the stencil reads velocities outside the tile.
+			ref, s = tc.state(), tc.state()
+			fillOutside(ref.Stresses(), box)
+			fillOutside(s.Stresses(), box)
+			stressSweep(ref, m, dt, box, false)
+			stressSweep(s, m, dt, box, true)
+			expectBits(t, "stress "+label, s.Fields(), ref.Fields(), FieldNames)
+			expectSentinels(t, "stress "+label, s.Stresses(), box)
+		}
+	}
+}
+
+// expectSentinels fails unless every value of fs outside box holds sentinel.
+func expectSentinels(t *testing.T, label string, fs []*grid.Field3, box Box) {
+	t.Helper()
+	for fi, f := range fs {
+		forOutside(f, box, func(n int) {
+			if x := f.Data()[n]; math.Float32bits(x) != math.Float32bits(sentinel) {
+				t.Fatalf("%s: field %d value %d outside the tile = %#x", label, fi, n, math.Float32bits(x))
+			}
+		})
 	}
 }
 

@@ -1,10 +1,6 @@
 package fd
 
-import (
-	"fmt"
-
-	"repro/internal/medium"
-)
+import "repro/internal/medium"
 
 // The production kernel pair: Precomp's arithmetic restructured for
 // bounds-check elimination. The whole-array form indexes u[n±2*dz] etc., which the compiler cannot prove
@@ -26,19 +22,19 @@ import (
 // inside the backing array.
 
 // velocityRows is the production velocity kernel: velocityPrecomp with
-// per-row subslice windows, the leading VectorCells of each row in the 8-lane
-// body.
+// per-row subslice windows, the whole tile in one call of the 8-lane walker
+// where the host has one.
 func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
-	velocitySweep(s, m, dt, b, VectorCells(b.I1-b.I0))
+	velocitySweep(s, m, dt, b, Vector)
 }
 
-// velocitySweep is velocityRows with the first lanes cells of each row (a
-// multiple of 8, at most the row) in the 8-lane body and the rest in the Go
-// loop. lanes 0 is the Go loop alone, what a host without AVX2 runs.
-func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
+// velocitySweep is velocityRows with the body chosen by vec: true walks the
+// tile in one velocityTile call, from the windows of its first row; false
+// runs the Go loop, what a host without AVX2 runs and the walker's oracle.
+func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 	ni := b.I1 - b.I0
-	if lanes < 0 || lanes > ni || lanes%8 != 0 {
-		panic(fmt.Sprintf("fd: %d vector cells in a %d-cell row", lanes, ni))
+	if ni <= 0 {
+		return
 	}
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -90,8 +86,14 @@ func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
 			zzm1z := zz[n0-dz:][:ni]
 			zzp1z := zz[n0+dz:][:ni]
 			zzp2z := zz[n0+2*dz:][:ni]
-			if lanes > 0 {
-				velocityRow8(lanes, dth, c1, c2,
+			if vec {
+				// The first row's windows bound every window from below;
+				// the highest window of each field bounds the tile's last
+				// row from above.
+				span := b.Span(dy, dz)
+				_, _, _, _, _, _ = u[n0:][:span], v[n0:][:span], w[n0:][:span], bx[n0:][:span], by[n0:][:span], bz[n0:][:span]
+				_, _, _, _, _, _ = xx[n0+2:][:span], xy[n0+dy:][:span], xz[n0+dz:][:span], yy[n0+2*dy:][:span], yz[n0+dz:][:span], zz[n0+2*dz:][:span]
+				velocityTile(ni, b.J1-b.J0, b.K1-b.K0, dy, dz, dth, c1, c2,
 					&ur[0], &vr[0], &wr[0], &bxr[0], &byr[0], &bzr[0],
 					&xxc[0], &xxm1x[0], &xxp1x[0], &xxp2x[0],
 					&xyc[0], &xym2x[0], &xym1x[0], &xyp1x[0], &xym2y[0], &xym1y[0], &xyp1y[0],
@@ -99,8 +101,9 @@ func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
 					&yyc[0], &yym1y[0], &yyp1y[0], &yyp2y[0],
 					&yzc[0], &yzm2y[0], &yzm1y[0], &yzp1y[0], &yzm2z[0], &yzm1z[0], &yzp1z[0],
 					&zzc[0], &zzm1z[0], &zzp1z[0], &zzp2z[0])
+				return
 			}
-			for i := lanes; i < ni; i++ {
+			for i := range ur {
 				ur[i] = Quiesce(ur[i] + dth*bxr[i]*(c1*(xxp1x[i]-xxc[i])+c2*(xxp2x[i]-xxm1x[i])+
 					c1*(xyc[i]-xym1y[i])+c2*(xyp1y[i]-xym2y[i])+
 					c1*(xzc[i]-xzm1z[i])+c2*(xzp1z[i]-xzm2z[i])))
@@ -120,15 +123,15 @@ func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
 // attenuation.FusedStress instead, which folds the memory-variable update
 // into the same i-loop.
 func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
-	stressSweep(s, m, dt, b, VectorCells(b.I1-b.I0))
+	stressSweep(s, m, dt, b, Vector)
 }
 
-// stressSweep is stressRows with the first lanes cells of each row in the
-// 8-lane body, under velocitySweep's contract.
-func stressSweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
+// stressSweep is stressRows with the body chosen by vec, as in
+// velocitySweep.
+func stressSweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 	ni := b.I1 - b.I0
-	if lanes < 0 || lanes > ni || lanes%8 != 0 {
-		panic(fmt.Sprintf("fd: %d vector cells in a %d-cell row", lanes, ni))
+	if ni <= 0 {
+		return
 	}
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -183,15 +186,21 @@ func stressSweep(s *State, m *medium.Medium, dt float64, b Box, lanes int) {
 			mxyr := mxy[n0:][:ni]
 			mxzr := mxz[n0:][:ni]
 			myzr := myz[n0:][:ni]
-			if lanes > 0 {
-				stressRow8(lanes, dth, c1, c2,
+			if vec {
+				// Span checks as in velocitySweep.
+				span := b.Span(dy, dz)
+				_, _, _ = u[n0+2*dz:][:span], v[n0+2*dz:][:span], w[n0+dz:][:span]
+				_, _, _, _, _, _ = xx[n0:][:span], yy[n0:][:span], zz[n0:][:span], xy[n0:][:span], xz[n0:][:span], yz[n0:][:span]
+				_, _, _, _, _ = lam[n0:][:span], l2m[n0:][:span], mxy[n0:][:span], mxz[n0:][:span], myz[n0:][:span]
+				stressTile(ni, b.J1-b.J0, b.K1-b.K0, dy, dz, dth, c1, c2,
 					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
 					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
 					&wc[0], &wm1x[0], &wp1x[0], &wp2x[0], &wm1y[0], &wp1y[0], &wp2y[0], &wm2z[0], &wm1z[0], &wp1z[0],
 					&xxr[0], &yyr[0], &zzr[0], &xyr[0], &xzr[0], &yzr[0],
 					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0])
+				return
 			}
-			for i := lanes; i < ni; i++ {
+			for i := range uc {
 				exx := c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i])
 				eyy := c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i])
 				ezz := c1*(wc[i]-wm1z[i]) + c2*(wp1z[i]-wm2z[i])

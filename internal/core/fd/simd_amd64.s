@@ -1,30 +1,73 @@
 #include "textflag.h"
 
-// The 8-lane bodies of velocityRows and stressRows (DESIGN.md §9). Each lane
-// evaluates the Go expression tree of rows.go in its association order, one
-// rounding per operation and no FMA, so a lane stores what the Go loop stores
-// for that cell. Every operand is the 8 lanes at cell SI of one window the Go
-// side sliced; SI runs over [0, n) in steps of 8.
+// The 8-lane tile walkers of velocityRows and stressRows (DESIGN.md §9).
+// Each lane evaluates the Go expression tree of rows.go in its association
+// order, one rounding per operation and no FMA, so a lane stores what the Go
+// loop stores for that cell. One call sweeps a whole tile: nk planes of nj
+// rows of n cells. Every operand is the 8 lanes at byte cursor SI of one
+// window the Go side sliced for the tile's first row; SI steps 32 bytes a
+// chunk, dy·4 bytes a row and dz·4 bytes a plane. A row's ⌊n/8⌋ full chunks
+// run the cell program with plain loads and stores, its last n mod 8 cells
+// the same program under the lane mask Y10, through VMASKMOVPS: masked lanes
+// load +0 and are never stored, so nothing past the row is read or written.
 //
-// Registers across the loop: Y15 = c1, Y14 = c2, Y13 = dth, and in the
-// velocity body Y12 = the Quiesce floor. Every instruction between the first
-// YMM write and VZEROUPPER is VEX-encoded: one legacy SSE instruction there
-// (a MOVQ to X12 after the broadcasts) made the velocity body 1.8× slower on
-// a 2-core Intel Xeon with AVX-512.
+// Registers across the walk: Y15 = c1, Y14 = c2, Y13 = dth, Y10 = the tail
+// mask, Y9 the tail's load temporary, and in the velocity walker Y12 = the
+// Quiesce floor. SI = the cursor, DX = the row's first byte, CX = the end of
+// its full chunks, R8 = rows left in the plane, R9 = planes left, R10 = the
+// row step, R11 = the plane step less nj row steps, R12 = the full chunks'
+// bytes a row, R13 = n mod 8. Every instruction between the first YMM write
+// and VZEROUPPER is VEX-encoded: one legacy SSE instruction there (a MOVQ to
+// X12 after the broadcasts) made the velocity body 1.8× slower on a 2-core
+// Intel Xeon with AVX-512.
 
-// LOAD sets dst to the 8 lanes of window p at cell SI.
-#define LOAD(p, dst) MOVQ p, AX; VMOVUPS (AX)(SI*4), dst
+// tailMask<>+32-4t is the mask of a t-cell tail: t lanes of all ones, then
+// zeros.
+DATA tailMask<>+0(SB)/8, $-1
+DATA tailMask<>+8(SB)/8, $-1
+DATA tailMask<>+16(SB)/8, $-1
+DATA tailMask<>+24(SB)/8, $-1
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// Window access, full chunk: LDF sets dst to window p, OPF sets dst to
+// op(src, window p) and STF stores src into the window LDF last loaded.
+#define LDF(p, dst) MOVQ p, AX; VMOVUPS (AX)(SI*1), dst
+#define OPF(op, p, src, dst) MOVQ p, BX; op (BX)(SI*1), src, dst
+#define STF(src) VMOVUPS src, (AX)(SI*1)
+
+// Window access, masked tail: the same three under the mask in Y10.
+#define LDM(p, dst) MOVQ p, AX; VMASKMOVPS (AX)(SI*1), Y10, dst
+#define OPM(op, p, src, dst) MOVQ p, BX; VMASKMOVPS (BX)(SI*1), Y10, Y9; op Y9, src, dst
+#define STM(src) VMASKMOVPS src, Y10, (AX)(SI*1)
 
 // DIFF sets dst to c*(a-b).
-#define DIFF(c, a, b, dst) \
-	MOVQ a, AX; \
-	MOVQ b, BX; \
-	VMOVUPS (AX)(SI*4), dst; \
-	VSUBPS (BX)(SI*4), dst, dst; \
-	VMULPS dst, c, dst
+#define DIFF(LD, OP, c, a, b, dst) LD(a, dst); OP(VSUBPS, b, dst, dst); VMULPS dst, c, dst
 
 // ADDDIFF sets acc to acc + c*(a-b), through tmp.
-#define ADDDIFF(c, a, b, acc, tmp) DIFF(c, a, b, tmp); VADDPS tmp, acc, acc
+#define ADDDIFF(LD, OP, c, a, b, acc, tmp) DIFF(LD, OP, c, a, b, tmp); VADDPS tmp, acc, acc
+
+// TILE sets up a walk from n in R12, nj in R8, nk in R9, dy in R10 and dz
+// in R11: the strides in bytes, the full chunks' bytes, n mod 8 in R13 and
+// DX at the first row. It returns at once from an empty tile.
+#define TILE \
+	TESTQ R12, R12; \
+	JLE done; \
+	TESTQ R8, R8; \
+	JLE done; \
+	TESTQ R9, R9; \
+	JLE done; \
+	SHLQ $2, R10; \
+	SHLQ $2, R11; \
+	IMULQ R10, R8; \
+	SUBQ R8, R11; \
+	MOVQ R12, R13; \
+	ANDQ $7, R13; \
+	ANDQ $-8, R12; \
+	SHLQ $2, R12; \
+	XORQ DX, DX
+
+// MASK sets dst to the mask of an R13-cell tail.
+#define MASK(dst) MOVQ R13, AX; NEGQ AX; LEAQ tailMask<>+32(SB), BX; VMOVUPS (BX)(AX*4), dst
 
 // QUIESCE is fd.Quiesce on 8 lanes: x becomes +0 where its bits shifted left
 // by one are below the floor's (an unsigned compare, so the sign drops out
@@ -36,137 +79,184 @@
 	VPAND x, t, x
 
 // VSTEP stores p + dth*b*sum into window p through Quiesce, through t and u.
-#define VSTEP(b, p, sum, t, u) \
-	MOVQ b, AX; \
-	VMULPS (AX)(SI*4), Y13, t; \
+#define VSTEP(LD, OP, ST, b, p, sum, t, u) \
+	OP(VMULPS, b, Y13, t); \
 	VMULPS sum, t, t; \
-	MOVQ p, AX; \
-	VMOVUPS (AX)(SI*4), u; \
+	LD(p, u); \
 	VADDPS t, u, u; \
 	QUIESCE(u, sum, t); \
-	VMOVUPS u, (AX)(SI*4)
+	ST(u)
 
-// func velocityRow8(n int, dth, c1, c2 float32, u, v, w, bx, by, bz, ... *float32)
-TEXT ·velocityRow8(SB), NOSPLIT, $0-336
-	MOVQ n+0(FP), CX
-	TESTQ CX, CX
-	JLE vdone
-	VBROADCASTSS dth+8(FP), Y13
-	VBROADCASTSS c1+12(FP), Y15
-	VBROADCASTSS c2+16(FP), Y14
+// func velocityTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, u, v, w, bx, by, bz, ... *float32)
+TEXT ·velocityTile(SB), NOSPLIT, $0-368
+
+// VELOCITY is velocityRows' cell program on the 8 lanes at SI, defined
+// inside the TEXT block so that vet's asmdecl checks its frame offsets.
+#define VELOCITY(LD, OP, ST) \
+	DIFF(LD, OP, Y15, xxp1x+120(FP), xxc+104(FP), Y0); \
+	ADDDIFF(LD, OP, Y14, xxp2x+128(FP), xxm1x+112(FP), Y0, Y1); \
+	ADDDIFF(LD, OP, Y15, xyc+136(FP), xym1y+176(FP), Y0, Y1); \
+	ADDDIFF(LD, OP, Y14, xyp1y+184(FP), xym2y+168(FP), Y0, Y1); \
+	ADDDIFF(LD, OP, Y15, xzc+192(FP), xzm1z+232(FP), Y0, Y1); \
+	ADDDIFF(LD, OP, Y14, xzp1z+240(FP), xzm2z+224(FP), Y0, Y1); \
+	VSTEP(LD, OP, ST, bx+80(FP), u+56(FP), Y0, Y1, Y2); \
+	DIFF(LD, OP, Y15, xyc+136(FP), xym1x+152(FP), Y3); \
+	ADDDIFF(LD, OP, Y14, xyp1x+160(FP), xym2x+144(FP), Y3, Y4); \
+	ADDDIFF(LD, OP, Y15, yyp1y+264(FP), yyc+248(FP), Y3, Y4); \
+	ADDDIFF(LD, OP, Y14, yyp2y+272(FP), yym1y+256(FP), Y3, Y4); \
+	ADDDIFF(LD, OP, Y15, yzc+280(FP), yzm1z+320(FP), Y3, Y4); \
+	ADDDIFF(LD, OP, Y14, yzp1z+328(FP), yzm2z+312(FP), Y3, Y4); \
+	VSTEP(LD, OP, ST, by+88(FP), v+64(FP), Y3, Y4, Y5); \
+	DIFF(LD, OP, Y15, xzc+192(FP), xzm1x+208(FP), Y6); \
+	ADDDIFF(LD, OP, Y14, xzp1x+216(FP), xzm2x+200(FP), Y6, Y7); \
+	ADDDIFF(LD, OP, Y15, yzc+280(FP), yzm1y+296(FP), Y6, Y7); \
+	ADDDIFF(LD, OP, Y14, yzp1y+304(FP), yzm2y+288(FP), Y6, Y7); \
+	ADDDIFF(LD, OP, Y15, zzp1z+352(FP), zzc+336(FP), Y6, Y7); \
+	ADDDIFF(LD, OP, Y14, zzp2z+360(FP), zzm1z+344(FP), Y6, Y7); \
+	VSTEP(LD, OP, ST, bz+96(FP), w+72(FP), Y6, Y7, Y8)
+
+	MOVQ n+0(FP), R12
+	MOVQ nj+8(FP), R8
+	MOVQ nk+16(FP), R9
+	MOVQ dy+24(FP), R10
+	MOVQ dz+32(FP), R11
+	TILE
+	MASK(Y10)
+	VBROADCASTSS dth+40(FP), Y13
+	VBROADCASTSS c1+44(FP), Y15
+	VBROADCASTSS c2+48(FP), Y14
 	MOVL $0x1b000000, AX // quiescenceFloor2
 	VMOVD AX, X12
 	VPBROADCASTD X12, Y12
-	XORQ SI, SI
+
+vplane:
+	MOVQ nj+8(FP), R8
+
+vrow:
+	MOVQ DX, SI
+	LEAQ (DX)(R12*1), CX
+	CMPQ SI, CX
+	JGE vtail
 	PCALIGN $32
 
-vloop:
-	// vx
-	DIFF(Y15, xxp1x+88(FP), xxc+72(FP), Y0)
-	ADDDIFF(Y14, xxp2x+96(FP), xxm1x+80(FP), Y0, Y1)
-	ADDDIFF(Y15, xyc+104(FP), xym1y+144(FP), Y0, Y1)
-	ADDDIFF(Y14, xyp1y+152(FP), xym2y+136(FP), Y0, Y1)
-	ADDDIFF(Y15, xzc+160(FP), xzm1z+200(FP), Y0, Y1)
-	ADDDIFF(Y14, xzp1z+208(FP), xzm2z+192(FP), Y0, Y1)
-	VSTEP(bx+48(FP), u+24(FP), Y0, Y1, Y2)
-
-	// vy
-	DIFF(Y15, xyc+104(FP), xym1x+120(FP), Y3)
-	ADDDIFF(Y14, xyp1x+128(FP), xym2x+112(FP), Y3, Y4)
-	ADDDIFF(Y15, yyp1y+232(FP), yyc+216(FP), Y3, Y4)
-	ADDDIFF(Y14, yyp2y+240(FP), yym1y+224(FP), Y3, Y4)
-	ADDDIFF(Y15, yzc+248(FP), yzm1z+288(FP), Y3, Y4)
-	ADDDIFF(Y14, yzp1z+296(FP), yzm2z+280(FP), Y3, Y4)
-	VSTEP(by+56(FP), v+32(FP), Y3, Y4, Y5)
-
-	// vz
-	DIFF(Y15, xzc+160(FP), xzm1x+176(FP), Y6)
-	ADDDIFF(Y14, xzp1x+184(FP), xzm2x+168(FP), Y6, Y7)
-	ADDDIFF(Y15, yzc+248(FP), yzm1y+264(FP), Y6, Y7)
-	ADDDIFF(Y14, yzp1y+272(FP), yzm2y+256(FP), Y6, Y7)
-	ADDDIFF(Y15, zzp1z+320(FP), zzc+304(FP), Y6, Y7)
-	ADDDIFF(Y14, zzp2z+328(FP), zzm1z+312(FP), Y6, Y7)
-	VSTEP(bz+64(FP), w+40(FP), Y6, Y7, Y8)
-
-	ADDQ $8, SI
+vfull:
+	VELOCITY(LDF, OPF, STF)
+	ADDQ $32, SI
 	CMPQ SI, CX
-	JLT vloop
+	JLT vfull
+
+vtail:
+	TESTQ R13, R13
+	JEQ vnext
+	VELOCITY(LDM, OPM, STM)
+
+vnext:
+	ADDQ R10, DX
+	DECQ R8
+	JNZ vrow
+	ADDQ R11, DX
+	DECQ R9
+	JNZ vplane
 	VZEROUPPER
 
-vdone:
+done:
 	RET
 
 // NSTEP stores p + dth*(l2m*e + lam*(f+g)) into window p, with l2m in Y6
 // and lam in Y7, through Y3 and Y4.
-#define NSTEP(p, e, f, g) \
+#define NSTEP(LD, ST, p, e, f, g) \
 	VMULPS e, Y6, Y3; \
 	VADDPS g, f, Y4; \
 	VMULPS Y4, Y7, Y4; \
 	VADDPS Y4, Y3, Y3; \
 	VMULPS Y3, Y13, Y3; \
-	MOVQ p, AX; \
-	VMOVUPS (AX)(SI*4), Y4; \
+	LD(p, Y4); \
 	VADDPS Y3, Y4, Y4; \
-	VMOVUPS Y4, (AX)(SI*4)
+	ST(Y4)
 
 // SSTEP stores p + dth*mu*d into window p, through Y3 and Y4.
-#define SSTEP(mu, p, d) \
-	MOVQ mu, AX; \
-	VMULPS (AX)(SI*4), Y13, Y3; \
+#define SSTEP(LD, OP, ST, mu, p, d) \
+	OP(VMULPS, mu, Y13, Y3); \
 	VMULPS d, Y3, Y3; \
-	MOVQ p, AX; \
-	VMOVUPS (AX)(SI*4), Y4; \
+	LD(p, Y4); \
 	VADDPS Y3, Y4, Y4; \
-	VMOVUPS Y4, (AX)(SI*4)
+	ST(Y4)
 
-// func stressRow8(n int, dth, c1, c2 float32, uc, um2x, ... *float32)
-TEXT ·stressRow8(SB), NOSPLIT, $0-352
-	MOVQ n+0(FP), CX
-	TESTQ CX, CX
-	JLE sdone
-	VBROADCASTSS dth+8(FP), Y13
-	VBROADCASTSS c1+12(FP), Y15
-	VBROADCASTSS c2+16(FP), Y14
-	XORQ SI, SI
+// func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, uc, um2x, ... *float32)
+TEXT ·stressTile(SB), NOSPLIT, $0-384
+
+// STRESS is stressRows' cell program on the 8 lanes at SI, inside its
+// TEXT block as VELOCITY is.
+#define STRESS(LD, OP, ST) \
+	DIFF(LD, OP, Y15, uc+56(FP), um1x+72(FP), Y0); \
+	ADDDIFF(LD, OP, Y14, up1x+80(FP), um2x+64(FP), Y0, Y3); \
+	DIFF(LD, OP, Y15, vc+136(FP), vm1y+176(FP), Y1); \
+	ADDDIFF(LD, OP, Y14, vp1y+184(FP), vm2y+168(FP), Y1, Y3); \
+	DIFF(LD, OP, Y15, wc+216(FP), wm1z+280(FP), Y2); \
+	ADDDIFF(LD, OP, Y14, wp1z+288(FP), wm2z+272(FP), Y2, Y3); \
+	LD(l2m+352(FP), Y6); \
+	LD(lam+344(FP), Y7); \
+	NSTEP(LD, ST, xx+296(FP), Y0, Y1, Y2); \
+	NSTEP(LD, ST, yy+304(FP), Y1, Y0, Y2); \
+	NSTEP(LD, ST, zz+312(FP), Y2, Y0, Y1); \
+	DIFF(LD, OP, Y15, up1y+96(FP), uc+56(FP), Y0); \
+	ADDDIFF(LD, OP, Y14, up2y+104(FP), um1y+88(FP), Y0, Y3); \
+	ADDDIFF(LD, OP, Y15, vp1x+152(FP), vc+136(FP), Y0, Y3); \
+	ADDDIFF(LD, OP, Y14, vp2x+160(FP), vm1x+144(FP), Y0, Y3); \
+	SSTEP(LD, OP, ST, mxy+360(FP), xy+320(FP), Y0); \
+	DIFF(LD, OP, Y15, up1z+120(FP), uc+56(FP), Y0); \
+	ADDDIFF(LD, OP, Y14, up2z+128(FP), um1z+112(FP), Y0, Y3); \
+	ADDDIFF(LD, OP, Y15, wp1x+232(FP), wc+216(FP), Y0, Y3); \
+	ADDDIFF(LD, OP, Y14, wp2x+240(FP), wm1x+224(FP), Y0, Y3); \
+	SSTEP(LD, OP, ST, mxz+368(FP), xz+328(FP), Y0); \
+	DIFF(LD, OP, Y15, vp1z+200(FP), vc+136(FP), Y0); \
+	ADDDIFF(LD, OP, Y14, vp2z+208(FP), vm1z+192(FP), Y0, Y3); \
+	ADDDIFF(LD, OP, Y15, wp1y+256(FP), wc+216(FP), Y0, Y3); \
+	ADDDIFF(LD, OP, Y14, wp2y+264(FP), wm1y+248(FP), Y0, Y3); \
+	SSTEP(LD, OP, ST, myz+376(FP), yz+336(FP), Y0)
+
+	MOVQ n+0(FP), R12
+	MOVQ nj+8(FP), R8
+	MOVQ nk+16(FP), R9
+	MOVQ dy+24(FP), R10
+	MOVQ dz+32(FP), R11
+	TILE
+	MASK(Y10)
+	VBROADCASTSS dth+40(FP), Y13
+	VBROADCASTSS c1+44(FP), Y15
+	VBROADCASTSS c2+48(FP), Y14
+
+splane:
+	MOVQ nj+8(FP), R8
+
+srow:
+	MOVQ DX, SI
+	LEAQ (DX)(R12*1), CX
+	CMPQ SI, CX
+	JGE stail
 	PCALIGN $32
 
-sloop:
-	DIFF(Y15, uc+24(FP), um1x+40(FP), Y0)       // exx
-	ADDDIFF(Y14, up1x+48(FP), um2x+32(FP), Y0, Y3)
-	DIFF(Y15, vc+104(FP), vm1y+144(FP), Y1)     // eyy
-	ADDDIFF(Y14, vp1y+152(FP), vm2y+136(FP), Y1, Y3)
-	DIFF(Y15, wc+184(FP), wm1z+248(FP), Y2)     // ezz
-	ADDDIFF(Y14, wp1z+256(FP), wm2z+240(FP), Y2, Y3)
-	LOAD(l2m+320(FP), Y6)
-	LOAD(lam+312(FP), Y7)
-	NSTEP(xx+264(FP), Y0, Y1, Y2)
-	NSTEP(yy+272(FP), Y1, Y0, Y2)
-	NSTEP(zz+280(FP), Y2, Y0, Y1)
-
-	DIFF(Y15, up1y+64(FP), uc+24(FP), Y0)       // xy
-	ADDDIFF(Y14, up2y+72(FP), um1y+56(FP), Y0, Y3)
-	ADDDIFF(Y15, vp1x+120(FP), vc+104(FP), Y0, Y3)
-	ADDDIFF(Y14, vp2x+128(FP), vm1x+112(FP), Y0, Y3)
-	SSTEP(mxy+328(FP), xy+288(FP), Y0)
-
-	DIFF(Y15, up1z+88(FP), uc+24(FP), Y0)       // xz
-	ADDDIFF(Y14, up2z+96(FP), um1z+80(FP), Y0, Y3)
-	ADDDIFF(Y15, wp1x+200(FP), wc+184(FP), Y0, Y3)
-	ADDDIFF(Y14, wp2x+208(FP), wm1x+192(FP), Y0, Y3)
-	SSTEP(mxz+336(FP), xz+296(FP), Y0)
-
-	DIFF(Y15, vp1z+168(FP), vc+104(FP), Y0)     // yz
-	ADDDIFF(Y14, vp2z+176(FP), vm1z+160(FP), Y0, Y3)
-	ADDDIFF(Y15, wp1y+224(FP), wc+184(FP), Y0, Y3)
-	ADDDIFF(Y14, wp2y+232(FP), wm1y+216(FP), Y0, Y3)
-	SSTEP(myz+344(FP), yz+304(FP), Y0)
-
-	ADDQ $8, SI
+sfull:
+	STRESS(LDF, OPF, STF)
+	ADDQ $32, SI
 	CMPQ SI, CX
-	JLT sloop
+	JLT sfull
+
+stail:
+	TESTQ R13, R13
+	JEQ snext
+	STRESS(LDM, OPM, STM)
+
+snext:
+	ADDQ R10, DX
+	DECQ R8
+	JNZ srow
+	ADDQ R11, DX
+	DECQ R9
+	JNZ splane
 	VZEROUPPER
 
-sdone:
+done:
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -2,11 +2,11 @@
 
 package fd
 
-// VectorCells returns 0: there is no vector body off amd64, so the Go loop
-// sweeps every cell.
-func VectorCells(ni int) int { return 0 }
+// Vector is false: there is no vector body off amd64, so the Go loop sweeps
+// every cell.
+var Vector = false
 
-func velocityRow8(n int, dth, c1, c2 float32,
+func velocityTile(n, nj, nk, dy, dz int, dth, c1, c2 float32,
 	u, v, w, bx, by, bz,
 	xxc, xxm1x, xxp1x, xxp2x,
 	xyc, xym2x, xym1x, xyp1x, xym2y, xym1y, xyp1y,
@@ -17,7 +17,7 @@ func velocityRow8(n int, dth, c1, c2 float32,
 	panic("fd: no vector body on this platform")
 }
 
-func stressRow8(n int, dth, c1, c2 float32,
+func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32,
 	uc, um2x, um1x, up1x, um1y, up1y, up2y, um1z, up1z, up2z,
 	vc, vm1x, vp1x, vp2x, vm2y, vm1y, vp1y, vm1z, vp1z, vp2z,
 	wc, wm1x, wp1x, wp2x, wm1y, wp1y, wp2y, wm2z, wm1z, wp1z,

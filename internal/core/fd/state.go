@@ -137,6 +137,13 @@ func (b Box) Cells() int {
 	return (b.I1 - b.I0) * (b.J1 - b.J0) * (b.K1 - b.K0)
 }
 
+// Span returns how many values of an array with row and plane strides dy
+// and dz lie from the box's first cell to its last, both included: what a
+// tile walk reads of each window.
+func (b Box) Span(dy, dz int) int {
+	return (b.J1-b.J0-1)*dy + (b.K1-b.K0-1)*dz + b.I1 - b.I0
+}
+
 // Intersect returns the cells in both boxes (an empty box if none).
 func (b Box) Intersect(o Box) Box {
 	return Box{

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Bounds-check-elimination, inlining and loop-alignment guard for the
 # production kernel pair, the attenuation row sweeps, the PML row kernels, the
-# sponge's row walker and the set-up row sweeps (the velocity model's rows, the
-# medium's and the deficits').
+# sponge's row walker, the free surface and the set-up row sweeps (the velocity
+# model's rows, the medium's and the deficits').
 #
 # The production inner loops (fd/rows.go), and the attenuation, PML zone and
 # medium.finalize sweeps modelled on them, and the set-up rows of cvm, medium
@@ -18,9 +18,9 @@
 # at every velocity store (DESIGN.md §9) — is not reported inlinable: it sits in the
 # inner loop of every velocity kernel, where a call would dwarf the compare.
 #
-# It also fails if an 8-lane row kernel in ROWASM loses the PCALIGN $32 ahead
-# of its loop: unaligned, the loop moves with whatever the linker places
-# before it, and the kernel's speed with it.
+# It also fails if an 8-lane walker in ROWASM loses the PCALIGN $32 ahead of
+# its full-chunk loop: unaligned, the loop moves with whatever the linker
+# places before it, and the walker's speed with it.
 #
 # A fresh GOCACHE is mandatory: the build cache suppresses compiler
 # diagnostics for already-compiled packages, which would make the guard
@@ -29,10 +29,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/core/boundary/sponge_rows.go internal/medium/rows.go internal/cvm/rows.go'
+GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/core/boundary/sponge_rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go'
 
-# Assembly row kernels (file:symbol) whose 8-lane loop must be 32-byte aligned.
-ROWASM='internal/core/fd/simd_amd64.s:velocityRow8 internal/core/fd/simd_amd64.s:stressRow8 internal/core/attenuation/simd_amd64.s:fusedStressRow8 internal/core/boundary/simd_amd64.s:dampRows8'
+# Assembly walkers (file:symbol) whose 8-lane loop must be 32-byte aligned.
+ROWASM='internal/core/fd/simd_amd64.s:velocityTile internal/core/fd/simd_amd64.s:stressTile internal/core/attenuation/simd_amd64.s:fusedStressTile internal/core/boundary/simd_amd64.s:dampRows8'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
