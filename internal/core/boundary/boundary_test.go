@@ -987,7 +987,8 @@ func firstBitDiff(a, b []*grid.Field3, names []string) (string, int) {
 // solver orders them — over states re-seeded as it goes with
 // random-exponent values (fillFront, scatter), and demands bit equality of all 9 global and 24
 // split fields of each zone after every step. The row side runs each zone as tiles cut
-// once more in x, so windows that start inside the zone are covered too.
+// once more in x, so windows that start inside the zone are covered too, through
+// the Go row loop (what a host without AVX2 runs) and the 8-lane walkers.
 func TestPMLRowsMatchPointwise(t *testing.T) {
 	d := grid.Dims{NX: 22, NY: 19, NZ: 17}
 	h := 100.0
@@ -1001,72 +1002,75 @@ func TestPMLRowsMatchPointwise(t *testing.T) {
 		zones int
 	}{{"six-zones", allSix, 6}, {"free-surface-shell", AllAbsorbing(), 5}} {
 		for _, p := range []float64{0, DefaultMPMLRatio} {
-			refZones, interior := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
-			rowZones, _ := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
-			if len(refZones) != tc.zones {
-				t.Fatalf("%s: %d zones, want %d", tc.name, len(refZones), tc.zones)
-			}
-			ref, row := fd.NewState(d), fd.NewState(d)
-			refF, names := pmlFields(ref, refZones)
-			rowF, _ := pmlFields(row, rowZones)
-			var fsf *FreeSurface
-			if !tc.faces.ZLo {
-				fsf = NewFreeSurface(d)
-			}
-			var tiles [][]fd.Box
-			for _, z := range rowZones {
-				z.Prepare(dt)
-				var zt []fd.Box
-				for _, b := range fd.Tiles(z.Zone, fd.Blocking{JBlock: 3, KBlock: 5}) {
-					cut := b.I0 + (b.I1-b.I0)/3
-					lo, hi := b, b
-					lo.I1, hi.I0 = cut, cut
-					zt = append(zt, hi, lo) // hi first: order must not matter
+			for _, vec := range []bool{false, fd.Vector} {
+				label := fmt.Sprintf("%s p=%g vec %v", tc.name, p, vec)
+				refZones, interior := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
+				rowZones, _ := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
+				if len(refZones) != tc.zones {
+					t.Fatalf("%s: %d zones, want %d", label, len(refZones), tc.zones)
 				}
-				tiles = append(tiles, zt)
-			}
-			seed := int64(p*100) + int64(tc.zones)
-			for step := 1; step <= 32; step++ {
-				// A fresh front every eighth step (large values spread a
-				// cell a step and would bury it), strays every step.
-				for _, fields := range [][]*grid.Field3{refF, rowF} {
-					rng := rand.New(rand.NewSource(seed + int64(step)))
-					if step%8 == 1 {
-						fillFront(rng, fields)
+				ref, row := fd.NewState(d), fd.NewState(d)
+				refF, names := pmlFields(ref, refZones)
+				rowF, _ := pmlFields(row, rowZones)
+				var fsf *FreeSurface
+				if !tc.faces.ZLo {
+					fsf = NewFreeSurface(d)
+				}
+				var tiles [][]fd.Box
+				for _, z := range rowZones {
+					z.Prepare(dt)
+					var zt []fd.Box
+					for _, b := range fd.Tiles(z.Zone, fd.Blocking{JBlock: 3, KBlock: 5}) {
+						cut := b.I0 + (b.I1-b.I0)/3
+						lo, hi := b, b
+						lo.I1, hi.I0 = cut, cut
+						zt = append(zt, hi, lo) // hi first: order must not matter
 					}
-					scatter(rng, 50, fields)
+					tiles = append(tiles, zt)
 				}
+				seed := int64(p*100) + int64(tc.zones)
+				for step := 1; step <= 32; step++ {
+					// A fresh front every eighth step (large values spread a
+					// cell a step and would bury it), strays every step.
+					for _, fields := range [][]*grid.Field3{refF, rowF} {
+						rng := rand.New(rand.NewSource(seed + int64(step)))
+						if step%8 == 1 {
+							fillFront(rng, fields)
+						}
+						scatter(rng, 50, fields)
+					}
 
-				fd.UpdateVelocity(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
-				fd.UpdateVelocity(row, m, dt, interior, fd.Precomp, fd.Blocking{})
-				for zi, z := range refZones {
-					refPMLUpdateVelocity(z, ref, m, dt)
-					for _, b := range tiles[zi] {
-						rowZones[zi].UpdateVelocityBox(row, m, dt, b)
+					fd.UpdateVelocity(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
+					fd.UpdateVelocity(row, m, dt, interior, fd.Precomp, fd.Blocking{})
+					for zi, z := range refZones {
+						refPMLUpdateVelocity(z, ref, m, dt)
+						for _, b := range tiles[zi] {
+							rowZones[zi].velocitySweep(row, m, dt, b, vec)
+						}
+					}
+					if fsf != nil {
+						fsf.ApplyVelocity(ref, m)
+						fsf.ApplyVelocity(row, m)
+					}
+					fd.UpdateStress(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
+					fd.UpdateStress(row, m, dt, interior, fd.Precomp, fd.Blocking{})
+					for zi, z := range refZones {
+						refPMLUpdateStress(z, ref, m, dt)
+						for _, b := range tiles[zi] {
+							rowZones[zi].stressSweep(row, m, dt, b, vec)
+						}
+					}
+					if fsf != nil {
+						fsf.ApplyStress(ref)
+						fsf.ApplyStress(row)
+					}
+					if name, n := firstBitDiff(refF, rowF, names); name != "" {
+						t.Fatalf("%s step %d: %s differs at flat index %d", label, step, name, n)
 					}
 				}
-				if fsf != nil {
-					fsf.ApplyVelocity(ref, m)
-					fsf.ApplyVelocity(row, m)
+				if !finite32(ref.MaxAbs()) {
+					t.Fatalf("%s: state went non-finite; the comparison lost its meaning", label)
 				}
-				fd.UpdateStress(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
-				fd.UpdateStress(row, m, dt, interior, fd.Precomp, fd.Blocking{})
-				for zi, z := range refZones {
-					refPMLUpdateStress(z, ref, m, dt)
-					for _, b := range tiles[zi] {
-						rowZones[zi].UpdateStressBox(row, m, dt, b)
-					}
-				}
-				if fsf != nil {
-					fsf.ApplyStress(ref)
-					fsf.ApplyStress(row)
-				}
-				if name, n := firstBitDiff(refF, rowF, names); name != "" {
-					t.Fatalf("%s p=%g step %d: %s differs at flat index %d", tc.name, p, step, name, n)
-				}
-			}
-			if !finite32(ref.MaxAbs()) {
-				t.Fatalf("%s p=%g: state went non-finite; the comparison lost its meaning", tc.name, p)
 			}
 		}
 	}

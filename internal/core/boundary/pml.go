@@ -41,10 +41,12 @@ type PML struct {
 	split [3]*fd.State
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
-	// rows are the split-update coefficients of step coefDt, expanded to
-	// x-row slices (see Prepare).
-	rows   []pmlRowCoef
-	coefDt float64
+	// coef holds the split-update coefficients of step coefDt as rows of
+	// 6·nx values (see Prepare); coefRow and coefPlane are the offsets in
+	// coef of one zone row and one zone plane.
+	coef               []float32
+	coefRow, coefPlane int
+	coefDt             float64
 }
 
 // DefaultPMLWidth is the M8 production width (10 cells).
@@ -117,18 +119,18 @@ func (pm *PML) depth(c, n int) int {
 	return min(max(c, 0), len(pm.damp)-1)
 }
 
-// pmlRowCoef holds the split-update coefficients along one x-row of the
-// zone: phi_s' = dec[s][i]*phi_s + gain[s][i]*dt*T_s at x-offset i.
-type pmlRowCoef struct{ dec, gain [3][]float32 }
-
-// Prepare builds the coefficient rows for time step dt. An x-normal zone has
-// one row whose entries vary with the x-offset; a y- or z-normal zone has one
-// constant row per depth, picked by the row's j or k — either way the row
-// kernels read coefficient slices and never a depth. The box kernels only
-// read the rows, so whoever runs them concurrently (the solver's tile queue)
-// must have called Prepare first; the whole-zone wrappers call it themselves.
+// Prepare builds the coefficients for time step dt: phi_s' = dec_s·phi_s +
+// gain_s·dt·T_s. They are stored as rows of 6·nx values — dec_x, gain_x,
+// dec_y, gain_y, dec_z, gain_z, each nx long over the zone's x extent — one
+// row per zone-local plane along the zone's normal, in zone order, with the
+// depth clamped to the profile here: an x-normal zone has one row whose
+// entries vary with the x-offset, a y- or z-normal zone one constant row per
+// j or k. A zone row (j,k) reads the row at coefAt(j,k), so the row kernels
+// read coefficient windows and never a depth. The box kernels only read the
+// rows, so whoever runs them concurrently (the solver's tile queue) must
+// have called Prepare first; the whole-zone wrappers call it themselves.
 func (pm *PML) Prepare(dt float64) {
-	if pm.rows != nil && pm.coefDt == dt {
+	if pm.coef != nil && pm.coefDt == dt {
 		return
 	}
 	// The coefficients depend on a cell only through its damping depth, so
@@ -146,41 +148,35 @@ func (pm *PML) Prepare(dt float64) {
 			byDepth[l].gain[s] = float32(1 / den)
 		}
 	}
-	nx := pm.Zone.I1 - pm.Zone.I0
-	nrows := len(byDepth)
-	if pm.Axis == grid.X {
-		nrows = 1
+	z := pm.Zone
+	nx := z.I1 - z.I0
+	nrows := 1
+	pm.coefRow, pm.coefPlane = 0, 0
+	switch pm.Axis {
+	case grid.Y:
+		nrows, pm.coefRow = z.J1-z.J0, 6*nx
+	case grid.Z:
+		nrows, pm.coefPlane = z.K1-z.K0, 6*nx
 	}
-	rows := make([]pmlRowCoef, nrows)
-	buf := make([]float32, nrows*6*nx)
-	for r := range rows {
-		row := &rows[r]
-		for s := 0; s < 3; s++ {
-			row.dec[s], row.gain[s], buf = buf[:nx:nx], buf[nx:2*nx:2*nx], buf[2*nx:]
-		}
+	pm.coef = make([]float32, nrows*6*nx)
+	for r := 0; r < nrows; r++ {
+		row := pm.coef[r*6*nx:][:6*nx]
 		for i := 0; i < nx; i++ {
-			l := r
+			l := pm.depth(r, nrows)
 			if pm.Axis == grid.X {
 				l = pm.depth(i, nx)
 			}
 			for s := 0; s < 3; s++ {
-				row.dec[s][i], row.gain[s][i] = byDepth[l].dec[s], byDepth[l].gain[s]
+				row[2*s*nx+i], row[(2*s+1)*nx+i] = byDepth[l].dec[s], byDepth[l].gain[s]
 			}
 		}
 	}
-	pm.rows, pm.coefDt = rows, dt
+	pm.coefDt = dt
 }
 
-// rowCoef returns the coefficient row of zone row (j,k).
-func (pm *PML) rowCoef(j, k int) *pmlRowCoef {
-	z := pm.Zone
-	switch pm.Axis {
-	case grid.Y:
-		return &pm.rows[pm.depth(j-z.J0, z.J1-z.J0)]
-	case grid.Z:
-		return &pm.rows[pm.depth(k-z.K0, z.K1-z.K0)]
-	}
-	return &pm.rows[0]
+// coefAt returns the offset in coef of zone row (j,k)'s coefficient row.
+func (pm *PML) coefAt(j, k int) int {
+	return (j-pm.Zone.J0)*pm.coefRow + (k-pm.Zone.K0)*pm.coefPlane
 }
 
 // checkBox panics unless b lies inside the zone and Prepare(dt) has run.
@@ -189,7 +185,7 @@ func (pm *PML) checkBox(dt float64, b fd.Box) {
 	if b.I0 < z.I0 || b.I1 > z.I1 || b.J0 < z.J0 || b.J1 > z.J1 || b.K0 < z.K0 || b.K1 > z.K1 {
 		panic(fmt.Sprintf("boundary: box %v outside PML zone %v", b, z))
 	}
-	if pm.rows == nil || pm.coefDt != dt {
+	if pm.coef == nil || pm.coefDt != dt {
 		panic(fmt.Sprintf("boundary: PML coefficients prepared for dt %g, stepped with %g", pm.coefDt, dt))
 	}
 }

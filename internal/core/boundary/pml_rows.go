@@ -5,24 +5,48 @@ import (
 	"repro/internal/medium"
 )
 
-// The PML box kernels are row sweeps in the style of fd/fused.go: per (j,k)
-// row, one length-ni window a[n0+off:][:ni] per field and stencil offset on
-// the nine global fields and the medium, one per split field and one per
-// coefficient slice, so the inner loops carry no bounds check (guarded by
-// scripts/check_bce.sh). The three splits are unrolled in the order x, y, z
-// and each recombined sum is accumulated ((0+x)+y)+z from a var s float32.
-// The x split of syz, y of sxz and z of sxy take no term and would hold +0
-// forever, so a zone stores 24 splits; a partial sum +0 + x is never -0, so
-// skipping a +0 term changes no bit of the recombined stresses. A cell reads
-// one field family and writes the other (and its own splits) on itself only,
-// so any partition of a zone into boxes, run in any order or concurrently,
-// stores the same bits as one whole-zone sweep.
+// The PML box kernels sweep a zone tile row by row, as fd's production
+// sweeps do (fd/rows.go): per (j,k) row, one length-ni window a[n0+off:][:ni]
+// per field and stencil offset, so the inner loops carry no bounds check
+// (guarded by scripts/check_bce.sh). A row reads three kinds of array, each
+// with its own row and plane strides:
+//
+//   - the nine global fields and the medium, at n0 on the padded grid: the
+//     stencil of one field family, the medium and the other family's cell,
+//     which is written;
+//   - the zone's 24 splits, at l0 on the zone-sized grid (local index =
+//     global − zone origin): read and written at the cell only;
+//   - the coefficient row of the row's plane along the zone's normal (see
+//     Prepare), at coefAt(j,k): read at the cell's x-offset only.
+//
+// The three splits are unrolled in the order x, y, z and each recombined sum
+// is accumulated ((0+x)+y)+z from a var s float32, so a sum starts by adding
+// +0: a stress split can be −0, and +0 + (−0) is +0. The x split of syz, y of
+// sxz and z of sxy take no term and would hold +0 forever, so a zone stores
+// 24 splits; a partial sum +0 + x is never −0, so skipping a +0 term changes
+// no bit of the recombined stresses. A cell reads one field family and
+// writes the other (and its own splits) on itself only, so any partition of
+// a zone into boxes, run in any order or concurrently, stores the same bits
+// as one whole-zone sweep.
+//
+// Where fd.Vector, one call of an 8-lane walker (simd_amd64.s) sweeps the
+// whole tile from the windows of its first row, stepping a cursor for each
+// kind of array by its own strides; the Go side checks each array's span
+// once before the call. The Go row loop is the body off amd64 and without
+// AVX2, and the walkers' oracle.
 
 // UpdateVelocityBox advances the velocity splits over the part b of the
 // zone and writes the recombined velocities back to the global state.
 // Prepare(dt) must have run.
 func (pm *PML) UpdateVelocityBox(s *fd.State, m *medium.Medium, dt float64, b fd.Box) {
-	if b.Empty() {
+	pm.velocitySweep(s, m, dt, b, fd.Vector)
+}
+
+// velocitySweep is UpdateVelocityBox with the body chosen by vec: true walks
+// the tile in one pmlVelocityTile call, false runs the Go row loop.
+func (pm *PML) velocitySweep(s *fd.State, m *medium.Medium, dt float64, b fd.Box, vec bool) {
+	ni := b.I1 - b.I0
+	if ni <= 0 || b.Empty() { // ni > 0, said outright, proves the walker's &w[0] in bounds
 		return
 	}
 	pm.checkBox(dt, b)
@@ -37,18 +61,19 @@ func (pm *PML) UpdateVelocityBox(s *fd.State, m *medium.Medium, dt float64, b fd
 	yu, yv, yw := sy.VX.Data(), sy.VY.Data(), sy.VZ.Data()
 	zu, zv, zw := sz.VX.Data(), sz.VY.Data(), sz.VZ.Data()
 	_, dy, dz := s.VX.Strides()
+	_, ldy, ldz := sx.VX.Strides()
 	z := pm.Zone
+	nx := z.I1 - z.I0
 	i0 := b.I0 - z.I0
-	ni := b.I1 - b.I0
 
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
 			l0 := sx.VX.Idx(i0, j-z.J0, k-z.K0)
-			cf := pm.rowCoef(j, k)
-			decx, gainx := cf.dec[0][i0:][:ni], cf.gain[0][i0:][:ni]
-			decy, gainy := cf.dec[1][i0:][:ni], cf.gain[1][i0:][:ni]
-			decz, gainz := cf.dec[2][i0:][:ni], cf.gain[2][i0:][:ni]
+			c0 := pm.coefAt(j, k) + i0
+			decx, gainx := pm.coef[c0:][:ni], pm.coef[c0+nx:][:ni]
+			decy, gainy := pm.coef[c0+2*nx:][:ni], pm.coef[c0+3*nx:][:ni]
+			decz, gainz := pm.coef[c0+4*nx:][:ni], pm.coef[c0+5*nx:][:ni]
 			ur := u[n0:][:ni]
 			vr := v[n0:][:ni]
 			wr := w[n0:][:ni]
@@ -91,6 +116,29 @@ func (pm *PML) UpdateVelocityBox(s *fd.State, m *medium.Medium, dt float64, b fd
 			zzm1z := zz[n0-dz:][:ni]
 			zzp1z := zz[n0+dz:][:ni]
 			zzp2z := zz[n0+2*dz:][:ni]
+			if vec {
+				// The first row's windows bound every window from below; the
+				// highest window of each array bounds the tile's last row
+				// from above.
+				nj, nk := b.J1-b.J0, b.K1-b.K0
+				span := b.Span(dy, dz)
+				_, _, _, _, _, _ = u[n0:][:span], v[n0:][:span], w[n0:][:span], bx[n0:][:span], by[n0:][:span], bz[n0:][:span]
+				_, _, _, _, _, _ = xx[n0+2:][:span], xy[n0+dy:][:span], xz[n0+dz:][:span], yy[n0+2*dy:][:span], yz[n0+dz:][:span], zz[n0+2*dz:][:span]
+				lspan := b.Span(ldy, ldz)
+				_, _, _, _, _, _, _, _, _ = xu[l0:][:lspan], xv[l0:][:lspan], xw[l0:][:lspan], yu[l0:][:lspan], yv[l0:][:lspan], yw[l0:][:lspan], zu[l0:][:lspan], zv[l0:][:lspan], zw[l0:][:lspan]
+				_ = pm.coef[c0+5*nx:][:b.Span(pm.coefRow, pm.coefPlane)]
+				pmlVelocityTile(ni, nj, nk, 4*dy, 4*(dz-nj*dy), 4*ldy, 4*(ldz-nj*ldy), 4*pm.coefRow, 4*(pm.coefPlane-nj*pm.coefRow), dth, c1, c2,
+					&ur[0], &vr[0], &wr[0], &bxr[0], &byr[0], &bzr[0],
+					&xxc[0], &xxm1x[0], &xxp1x[0], &xxp2x[0],
+					&xyc[0], &xym2x[0], &xym1x[0], &xyp1x[0], &xym2y[0], &xym1y[0], &xyp1y[0],
+					&xzc[0], &xzm2x[0], &xzm1x[0], &xzp1x[0], &xzm2z[0], &xzm1z[0], &xzp1z[0],
+					&yyc[0], &yym1y[0], &yyp1y[0], &yyp2y[0],
+					&yzc[0], &yzm2y[0], &yzm1y[0], &yzp1y[0], &yzm2z[0], &yzm1z[0], &yzp1z[0],
+					&zzc[0], &zzm1z[0], &zzp1z[0], &zzp2z[0],
+					&xur[0], &xvr[0], &xwr[0], &yur[0], &yvr[0], &ywr[0], &zur[0], &zvr[0], &zwr[0],
+					&decx[0], &gainx[0], &decy[0], &gainy[0], &decz[0], &gainz[0])
+				return
+			}
 			for i := range ur {
 				// Directional force terms (already scaled by dt/h and 1/rho).
 				uTx := dth * bxr[i] * (c1*(xxp1x[i]-xxc[i]) + c2*(xxp2x[i]-xxm1x[i]))
@@ -135,7 +183,14 @@ func (pm *PML) UpdateVelocityBox(s *fd.State, m *medium.Medium, dt float64, b fd
 // and writes the recombined stresses back to the global state. Prepare(dt)
 // must have run.
 func (pm *PML) UpdateStressBox(s *fd.State, m *medium.Medium, dt float64, b fd.Box) {
-	if b.Empty() {
+	pm.stressSweep(s, m, dt, b, fd.Vector)
+}
+
+// stressSweep is UpdateStressBox with the body chosen by vec, as in
+// velocitySweep.
+func (pm *PML) stressSweep(s *fd.State, m *medium.Medium, dt float64, b fd.Box, vec bool) {
+	ni := b.I1 - b.I0
+	if ni <= 0 || b.Empty() { // ni > 0, said outright, proves the walker's &w[0] in bounds
 		return
 	}
 	pm.checkBox(dt, b)
@@ -154,18 +209,19 @@ func (pm *PML) UpdateStressBox(s *fd.State, m *medium.Medium, dt float64, b fd.B
 	zxx, zyy, zzz := sz.XX.Data(), sz.YY.Data(), sz.ZZ.Data()
 	zxz, zyz := sz.XZ.Data(), sz.YZ.Data()
 	_, dy, dz := s.VX.Strides()
+	_, ldy, ldz := sx.VX.Strides()
 	z := pm.Zone
+	nx := z.I1 - z.I0
 	i0 := b.I0 - z.I0
-	ni := b.I1 - b.I0
 
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
 			l0 := sx.VX.Idx(i0, j-z.J0, k-z.K0)
-			cf := pm.rowCoef(j, k)
-			decx, gainx := cf.dec[0][i0:][:ni], cf.gain[0][i0:][:ni]
-			decy, gainy := cf.dec[1][i0:][:ni], cf.gain[1][i0:][:ni]
-			decz, gainz := cf.dec[2][i0:][:ni], cf.gain[2][i0:][:ni]
+			c0 := pm.coefAt(j, k) + i0
+			decx, gainx := pm.coef[c0:][:ni], pm.coef[c0+nx:][:ni]
+			decy, gainy := pm.coef[c0+2*nx:][:ni], pm.coef[c0+3*nx:][:ni]
+			decz, gainz := pm.coef[c0+4*nx:][:ni], pm.coef[c0+5*nx:][:ni]
 			uc := u[n0:][:ni]
 			um2x := u[n0-2:][:ni]
 			um1x := u[n0-1:][:ni]
@@ -209,6 +265,30 @@ func (pm *PML) UpdateStressBox(s *fd.State, m *medium.Medium, dt float64, b fd.B
 			yxyr, yyzr := yxy[l0:][:ni], yyz[l0:][:ni]
 			zxxr, zyyr, zzzr := zxx[l0:][:ni], zyy[l0:][:ni], zzz[l0:][:ni]
 			zxzr, zyzr := zxz[l0:][:ni], zyz[l0:][:ni]
+			if vec {
+				// Span checks as in velocitySweep.
+				nj, nk := b.J1-b.J0, b.K1-b.K0
+				span := b.Span(dy, dz)
+				_, _, _ = u[n0+2*dz:][:span], v[n0+2*dz:][:span], w[n0+dz:][:span]
+				_, _, _, _, _, _ = xx[n0:][:span], yy[n0:][:span], zz[n0:][:span], xy[n0:][:span], xz[n0:][:span], yz[n0:][:span]
+				_, _, _, _, _ = lam[n0:][:span], l2m[n0:][:span], mxy[n0:][:span], mxz[n0:][:span], myz[n0:][:span]
+				lspan := b.Span(ldy, ldz)
+				_, _, _, _, _ = xxx[l0:][:lspan], xyy[l0:][:lspan], xzz[l0:][:lspan], xxy[l0:][:lspan], xxz[l0:][:lspan]
+				_, _, _, _, _ = yxx[l0:][:lspan], yyy[l0:][:lspan], yzz[l0:][:lspan], yxy[l0:][:lspan], yyz[l0:][:lspan]
+				_, _, _, _, _ = zxx[l0:][:lspan], zyy[l0:][:lspan], zzz[l0:][:lspan], zxz[l0:][:lspan], zyz[l0:][:lspan]
+				_ = pm.coef[c0+5*nx:][:b.Span(pm.coefRow, pm.coefPlane)]
+				pmlStressTile(ni, nj, nk, 4*dy, 4*(dz-nj*dy), 4*ldy, 4*(ldz-nj*ldy), 4*pm.coefRow, 4*(pm.coefPlane-nj*pm.coefRow), dth, c1, c2,
+					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
+					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
+					&wc[0], &wm1x[0], &wp1x[0], &wp2x[0], &wm1y[0], &wp1y[0], &wp2y[0], &wm2z[0], &wm1z[0], &wp1z[0],
+					&xxr[0], &yyr[0], &zzr[0], &xyr[0], &xzr[0], &yzr[0],
+					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0],
+					&xxxr[0], &xyyr[0], &xzzr[0], &xxyr[0], &xxzr[0],
+					&yxxr[0], &yyyr[0], &yzzr[0], &yxyr[0], &yyzr[0],
+					&zxxr[0], &zyyr[0], &zzzr[0], &zxzr[0], &zyzr[0],
+					&decx[0], &gainx[0], &decy[0], &gainy[0], &decz[0], &gainz[0])
+				return
+			}
 			for i := range xxr {
 				exx := dth * (c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i]))
 				eyy := dth * (c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i]))

@@ -32,7 +32,7 @@ cd "$(dirname "$0")/.."
 GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/core/boundary/sponge_rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go'
 
 # Assembly walkers (file:symbol) whose 8-lane loop must be 32-byte aligned.
-ROWASM='internal/core/fd/simd_amd64.s:velocityTile internal/core/fd/simd_amd64.s:stressTile internal/core/attenuation/simd_amd64.s:fusedStressTile internal/core/boundary/simd_amd64.s:dampRows8'
+ROWASM='internal/core/fd/simd_amd64.s:velocityTile internal/core/fd/simd_amd64.s:stressTile internal/core/attenuation/simd_amd64.s:fusedStressTile internal/core/boundary/simd_amd64.s:dampRows8 internal/core/boundary/simd_amd64.s:pmlVelocityTile internal/core/boundary/simd_amd64.s:pmlStressTile'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
