@@ -66,13 +66,25 @@ func (a *Model) deficits(m *medium.Medium, norm float64) {
 //     (ARM64.rules), so there the identity holds only where both bodies
 //     fuse alike; no test runs on arm64 (DESIGN.md §9).
 func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
-	a.fusedStress(s, m, dt, box, fd.Vector)
+	a.fusedStress(s, m, dt, box, fd.Taper{}, fd.Vector)
+}
+
+// FusedStressTapered is FusedStress with each of the six stresses — not the
+// memory variables — multiplied by tp's factor before it is stored: the bits
+// of FusedStress over box followed by damping the six stresses over box by
+// tp, a row at a time as the sponge does.
+func (a *Model) FusedStressTapered(s *fd.State, m *medium.Medium, dt float64, box fd.Box, tp fd.Taper) {
+	if box.Empty() {
+		return
+	}
+	a.fusedStress(s, m, dt, box, tp, fd.Vector)
 }
 
 // fusedStress is FusedStress with the body chosen by vec: true walks the
 // tile in one fusedStressTile call, from the windows of its first row; false
 // runs the Go loop, what a host without AVX2 runs and the walker's oracle.
-func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box, vec bool) {
+// Each stress is multiplied by tp before it is stored.
+func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box, tp fd.Taper, vec bool) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
 	}
@@ -80,6 +92,7 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	if ni <= 0 {
 		return
 	}
+	fx, fy, fz := tp.Windows(box)
 	dth := float32(dt / m.H)
 	c1, c2 := float32(fd.C1), float32(fd.C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -159,6 +172,7 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 				_, _, _, _, _ = lam[n0:][:span], l2m[n0:][:span], mxy[n0:][:span], mxz[n0:][:span], myz[n0:][:span]
 				_, _, _, _, _, _ = zxx[n0:][:span], zyy[n0:][:span], zzz[n0:][:span], zxy[n0:][:span], zxz[n0:][:span], zyz[n0:][:span]
 				_, _ = dlam[n0:][:span], dmu[n0:][:span]
+				px, py, pz := tp.Args(box)
 				fusedStressTile(ni, box.J1-box.J0, box.K1-box.K0, dy, dz, dth, c1, c2, &tab[0][0][0],
 					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
 					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
@@ -166,7 +180,7 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 					&xxr[0], &yyr[0], &zzr[0], &xyr[0], &xzr[0], &yzr[0],
 					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0],
 					&zxxr[0], &zyyr[0], &zzzr[0], &zxyr[0], &zxzr[0], &zyzr[0],
-					&dlamr[0], &dmur[0])
+					&dlamr[0], &dmur[0], px, py, pz)
 				return
 			}
 			t := ((j-box.J0)&1 | ((k-box.K0)&1)<<1) & 3
@@ -215,6 +229,9 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 				zn = am*zyzr[i] + cm*(dmur[i]*(dth*dyz))
 				yzr[i] += zn - zyzr[i]
 				zyzr[i] = zn
+			}
+			if fx != nil {
+				fd.DampRow(fx, fy, fz, j-box.J0, k-box.K0, xxr, yyr, zzr, xyr, xzr, yzr)
 			}
 		}
 	}

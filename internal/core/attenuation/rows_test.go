@@ -239,7 +239,7 @@ func TestFusedStressSubBoxParity(t *testing.T) {
 // every host.
 func TestFusedStressGoBodyMatchesTwoPass(t *testing.T) {
 	testSubBoxParity(t, func(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
-		a.fusedStress(s, m, dt, box, false)
+		a.fusedStress(s, m, dt, box, fd.Taper{}, false)
 	})
 }
 
@@ -299,9 +299,12 @@ var sentinel = math.Float32frombits(0x7fa5a5a5)
 
 // TestFusedStressWalkerMatchesGoBody holds the 8-lane tile walker to the Go
 // row loop bit for bit — stresses and memory variables — over walkerBoxes
-// under every origin of parityOrigins. The stresses and memory variables
-// hold a sentinel outside the tile, past I1 and in the stride gap, which
-// must come back untouched.
+// under every origin of parityOrigins, untapered and under one of the other
+// testTapers in turn, from a filled state and from one of walkerSpecials in
+// the stresses with the velocities and memory variables at rest, which
+// hands every special to the taper. The
+// stresses and memory variables hold a sentinel outside the tile, past I1
+// and in the stride gap, which must come back untouched.
 func TestFusedStressWalkerMatchesGoBody(t *testing.T) {
 	if !fd.Vector {
 		t.Skip("no 8-lane walker on this host")
@@ -309,40 +312,162 @@ func TestFusedStressWalkerMatchesGoBody(t *testing.T) {
 	d := walkerDims
 	m := makeMedium(t, cvm.SoCal(5800, 600, 700, 400), d, 100)
 	dt := m.StableDt(0.5)
+	tapers := testTapers(d, 11)
 	for bi, box := range walkerBoxes() {
-		for _, origin := range parityOrigins {
-			label := fmt.Sprintf("box %v origin %v", box, origin)
-			sRef := fillStateSeeded(d, int64(bi))
-			aRef := New(m, DefaultBand, dt)
-			aRef.Origin = origin
-			fillMemVarsSeeded(aRef, int64(bi))
-			for _, f := range written(sRef, aRef) {
-				forOutside(f, box, func(n int) { f.Data()[n] = sentinel })
-			}
-			sWalk := sRef.Clone()
-			aWalk := New(m, DefaultBand, dt)
-			aWalk.Origin = origin
-			for zi, f := range memVars(aWalk) {
-				f.CopyFrom(memVars(aRef)[zi])
-			}
+		for oi, origin := range parityOrigins {
+			for _, st := range walkerStates(d, int64(bi)) {
+				for _, tp := range []namedTaper{tapers[0], tapers[1+(bi+oi)%3]} {
+					label := fmt.Sprintf("%s %s box %v origin %v", st.name, tp.name, box, origin)
+					sRef, aRef := st.state(m, dt)
+					aRef.Origin = origin
+					for _, f := range written(sRef, aRef) {
+						forOutside(f, box, func(n int) { f.Data()[n] = sentinel })
+					}
+					sWalk := sRef.Clone()
+					aWalk := New(m, DefaultBand, dt)
+					aWalk.Origin = origin
+					for zi, f := range memVars(aWalk) {
+						f.CopyFrom(memVars(aRef)[zi])
+					}
 
-			aRef.fusedStress(sRef, m, dt, box, false)
-			aWalk.fusedStress(sWalk, m, dt, box, true)
-			got, want := append(sWalk.Fields(), memVars(aWalk)...), append(sRef.Fields(), memVars(aRef)...)
-			for fi, f := range got {
-				w := want[fi].Data()
-				for n, x := range f.Data() {
-					if math.Float32bits(x) != math.Float32bits(w[n]) {
-						t.Fatalf("%s: field %d value %d = %#x, Go body %#x", label, fi, n, math.Float32bits(x), math.Float32bits(w[n]))
+					aRef.fusedStress(sRef, m, dt, box, tp.tp, false)
+					aWalk.fusedStress(sWalk, m, dt, box, tp.tp, true)
+					expectBits(t, label, append(sWalk.Fields(), memVars(aWalk)...), append(sRef.Fields(), memVars(aRef)...))
+					for _, f := range written(sWalk, aWalk) {
+						forOutside(f, box, func(n int) {
+							if x := f.Data()[n]; math.Float32bits(x) != math.Float32bits(sentinel) {
+								t.Fatalf("%s: value %d outside the tile = %#x", label, n, math.Float32bits(x))
+							}
+						})
 					}
 				}
 			}
-			for _, f := range written(sWalk, aWalk) {
-				forOutside(f, box, func(n int) {
-					if x := f.Data()[n]; math.Float32bits(x) != math.Float32bits(sentinel) {
-						t.Fatalf("%s: value %d outside the tile = %#x", label, n, math.Float32bits(x))
-					}
-				})
+		}
+	}
+}
+
+// expectBits fails unless every value of got holds want's bits.
+func expectBits(t *testing.T, label string, got, want []*grid.Field3) {
+	t.Helper()
+	for fi, f := range got {
+		w := want[fi].Data()
+		for n, x := range f.Data() {
+			if math.Float32bits(x) != math.Float32bits(w[n]) {
+				t.Fatalf("%s: field %d value %d = %#x, want %#x", label, fi, n, math.Float32bits(x), math.Float32bits(w[n]))
+			}
+		}
+	}
+}
+
+// walkerState is a state and memory variables a walker test starts from.
+type walkerState struct {
+	name  string
+	state func(m *medium.Medium, dt float64) (*fd.State, *Model)
+}
+
+// walkerStates are a filled state with filled memory variables, and
+// walkerSpecials in the stresses with the velocities and memory variables
+// at rest, so that a stress stores its special plus +0 twice, times the
+// taper.
+func walkerStates(d grid.Dims, seed int64) []walkerState {
+	return []walkerState{
+		{"filled", func(m *medium.Medium, dt float64) (*fd.State, *Model) {
+			a := New(m, DefaultBand, dt)
+			fillMemVarsSeeded(a, seed)
+			return fillStateSeeded(d, seed), a
+		}},
+		{"specials", func(m *medium.Medium, dt float64) (*fd.State, *Model) {
+			s := fd.NewState(d)
+			for fi, f := range s.Stresses() {
+				for n := range f.Data() {
+					f.Data()[n] = walkerSpecials[(n+3*fi)%len(walkerSpecials)]
+				}
+			}
+			return s, New(m, DefaultBand, dt)
+		}},
+	}
+}
+
+// walkerSpecials are ±0, subnormals, values about the quiescence floor, ±Inf
+// and NaN.
+var walkerSpecials = []float32{
+	0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -1e-39, float32(math.Ldexp(1, -100)),
+	-math.Nextafter32(float32(math.Ldexp(1, -100)), 0), float32(math.Inf(1)), float32(math.Inf(-1)),
+	float32(math.NaN()), 1.5, -3e5,
+}
+
+// namedTaper is one of testTapers.
+type namedTaper struct {
+	name string
+	tp   fd.Taper
+}
+
+// testTapers are the tapers the fused sweep is held under: none; random
+// factors in (0, 1]; a sponge's shape, factors in (0, 1] on the first and
+// last three padded cells of each axis and exactly 1 between, so that whole
+// rows, and the middles of rows, multiply by 1 exactly; and 1 everywhere.
+func testTapers(d grid.Dims, seed int64) []namedTaper {
+	rng := rand.New(rand.NewSource(seed))
+	axis := func(n, edge int) []float32 {
+		f := make([]float32, n+2*grid.Ghost)
+		for i := range f {
+			f[i] = 1
+			if i < edge || i >= len(f)-edge {
+				f[i] = 1 - rng.Float32()
+			}
+		}
+		return f
+	}
+	taper := func(edge int) fd.Taper {
+		return fd.Taper{X: axis(d.NX, edge), Y: axis(d.NY, edge), Z: axis(d.NZ, edge)}
+	}
+	return []namedTaper{{"untapered", fd.Taper{}}, {"random", taper(1 << 20)}, {"sponge", taper(3)}, {"ones", taper(0)}}
+}
+
+// dampAfter is the sponge's pass over the stresses in b as boundary's row
+// walker runs it in Go: each value times fx[i]·fyz, fyz = fy[j]·fz[k] formed
+// once a row.
+func dampAfter(s *fd.State, b fd.Box, tp fd.Taper) {
+	g := grid.Ghost
+	for _, f := range s.Stresses() {
+		for k := b.K0; k < b.K1; k++ {
+			for j := b.J0; j < b.J1; j++ {
+				fyz := tp.Y[j+g] * tp.Z[k+g]
+				for i := b.I0; i < b.I1; i++ {
+					f.Set(i, j, k, f.At(i, j, k)*(tp.X[i+g]*fyz))
+				}
+			}
+		}
+	}
+}
+
+// TestFusedStressTaperGoBodyMatchesSpongePass holds the tapered Go body to
+// the untapered one followed by the sponge's pass (dampAfter) bit for bit —
+// stresses and memory variables — over parityBoxes and walkerBoxes: the test
+// that sees the order of the taper's products, that it multiplies the
+// stress after the memory variable's correction, and that it leaves the
+// memory variables alone. The walker answers to the Go body
+// (TestFusedStressWalkerMatchesGoBody).
+func TestFusedStressTaperGoBodyMatchesSpongePass(t *testing.T) {
+	for _, d := range []grid.Dims{parityDims, walkerDims} {
+		m := makeMedium(t, cvm.SoCal(5800, 600, 700, 400), d, 100)
+		dt := m.StableDt(0.5)
+		boxes := parityBoxes
+		if d == walkerDims {
+			boxes = walkerBoxes()
+		}
+		for bi, box := range boxes {
+			for _, st := range walkerStates(d, int64(bi)) {
+				for _, tp := range testTapers(d, 5)[1:] {
+					label := fmt.Sprintf("%s %s box %v", st.name, tp.name, box)
+					sRef, aRef := st.state(m, dt)
+					s, a := st.state(m, dt)
+					aRef.Origin, a.Origin = parityOrigins[2], parityOrigins[2]
+					aRef.fusedStress(sRef, m, dt, box, fd.Taper{}, false)
+					dampAfter(sRef, box, tp.tp)
+					a.fusedStress(s, m, dt, box, tp.tp, false)
+					expectBits(t, label, append(s.Fields(), memVars(a)...), append(sRef.Fields(), memVars(aRef)...))
+				}
 			}
 		}
 	}

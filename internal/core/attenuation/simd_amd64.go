@@ -8,7 +8,9 @@ package attenuation
 // vector for each row parity (j−J0)&1 | ((k−K0)&1)<<1, alternating with the
 // x parity from the row's first cell. It reads coef, reads and writes
 // [p+4(r·dy+q·dz), +4n) of each window p for r < nj and q < nk, and nothing
-// else.
+// else. With fx non-nil it multiplies each stress, not the memory variables,
+// by fx[i]·(fy[r]·fz[q]) before storing it, reading n values at fx, nj at fy
+// and nk at fz.
 //
 //go:noescape
 func fusedStressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, coef *float32,
@@ -18,4 +20,5 @@ func fusedStressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, coef *float32,
 	xx, yy, zz, xy, xz, yz,
 	lam, l2m, mxy, mxz, myz,
 	zxx, zyy, zzz, zxy, zxz, zyz,
-	dlam, dmu *float32)
+	dlam, dmu,
+	fx, fy, fz *float32)

@@ -89,9 +89,10 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 // NMEM advances the memory variable z of the normal stress held in s, with
 // strain increment ae (clobbered), dlam in Y6, dl2m in Y7 and the trace in
 // Y8: zn = am*z + cm*(dl2m*ae + trace - dlam*ae), s += zn - z. It stores zn
-// into z and s into p, through Y9 and Y10. am and cm are finite, so their
-// products are the same bits with the operands either way round.
-#define NMEM(LD, ST, AM, CM, s, ae, z, p) \
+// into z through ST and s into p through STS, through Y9 and Y10. am and cm
+// are finite, so their products are the same bits with the operands either
+// way round.
+#define NMEM(LD, ST, STS, AM, CM, s, ae, z, p) \
 	VMULPS ae, Y7, Y9; \
 	VADDPS Y8, Y9, Y9; \
 	VMULPS ae, Y6, Y10; \
@@ -104,13 +105,13 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	VSUBPS Y10, ae, Y10; \
 	VADDPS Y10, s, s; \
 	MOVQ p, AX; \
-	ST(s)
+	STS(s)
 
 // SSTEP advances the shear stress p with derivative sum d, modulus mu and
 // memory variable z, dmu in Y4: p += dth*mu*d, then zn = am*z +
-// cm*(dmu*(dth*d)) and p += zn - z. It stores zn into z and the stress into
-// p, through Y1, Y2, Y3 and Y5.
-#define SSTEP(LD, OP, ST, AM, CM, mu, p, z, d) \
+// cm*(dmu*(dth*d)) and p += zn - z. It stores zn into z through ST and the
+// stress into p through STS, through Y1, Y2, Y3 and Y5.
+#define SSTEP(LD, OP, ST, STS, AM, CM, mu, p, z, d) \
 	OP(VMULPS, mu, Y13, Y1); \
 	VMULPS d, Y1, Y1; \
 	LD(p, Y2); \
@@ -125,15 +126,40 @@ GLOBL tailMask<>(SB), RODATA|NOPTR, $64
 	VSUBPS Y5, Y1, Y5; \
 	VADDPS Y5, Y2, Y2; \
 	MOVQ p, AX; \
-	ST(Y2)
+	STS(Y2)
 
-// func fusedStressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, coef *float32, uc, ... *float32)
-TEXT ·fusedStressTile(SB), NOSPLIT, $0-456
+// The tapered stress stores, full chunk and masked tail: src times the
+// chunk's taper, spilled to (SP), then STF's or STM's store.
+#define STFT(src) VMULPS (SP), src, src; STF(src)
+#define STMT(src) VMULPS (SP), src, src; STM(src)
+
+// ALPHA spills the chunk's taper α = fx·fyz to (SP), fx loaded at the cursor
+// through LD (fx less the row's first byte in AX) and fyz from 32(SP), through
+// Y0, which the cell program loads first.
+#define ALPHA(LD) \
+	SUBQ DX, AX; \
+	LD(Y0); \
+	VMULPS 32(SP), Y0, Y0; \
+	VMOVUPS Y0, (SP)
+#define FXF(dst) VMOVUPS (AX)(SI*1), dst
+#define FXM(dst) VMASKMOVPS (AX)(SI*1), Y11, dst
+
+// func fusedStressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, coef *float32, uc, ... *float32, fx, fy, fz *float32)
+//
+// With fx non-nil the walk is tapered: every stress, not the memory
+// variables, is multiplied by α = fx[i]·fyz just before its store, fyz =
+// fy[r]·fz[q] formed once a row, in that order and in float32 as the sponge
+// forms them. No register is free for them: a row spills fyz on 8 lanes to
+// 32(SP), a chunk α to (SP), the fx, fy and fz cursors are the argument
+// slots indexed by the byte cursor, the row and the plane, and the tail loads
+// fx under the mask, since fx ends with the row.
+TEXT ·fusedStressTile(SB), NOSPLIT, $64-480
 
 // FUSED is FusedStress's cell program on the 8 lanes at SI, with the row's
-// coefficients in AM and CM; defined inside the TEXT block so that vet's
-// asmdecl checks its frame offsets.
-#define FUSED(LD, OP, ST, AM, CM) \
+// coefficients in AM and CM, storing memory variables through ST and
+// stresses through STS; defined inside the TEXT block so that vet's asmdecl
+// checks its frame offsets.
+#define FUSED(LD, OP, ST, STS, AM, CM) \
 	DIFF(LD, OP, Y15, uc+64(FP), um1x+80(FP), Y0); \
 	ADDDIFF(LD, OP, Y14, up1x+88(FP), um2x+72(FP), Y0, Y3); \
 	DIFF(LD, OP, Y15, vc+144(FP), vm1y+184(FP), Y1); \
@@ -155,25 +181,25 @@ TEXT ·fusedStressTile(SB), NOSPLIT, $0-456
 	VADDPS Y1, Y0, Y8; \
 	VADDPS Y2, Y8, Y8; \
 	VMULPS Y8, Y6, Y8; \
-	NMEM(LD, ST, AM, CM, Y3, Y0, zxx+392(FP), xx+304(FP)); \
-	NMEM(LD, ST, AM, CM, Y4, Y1, zyy+400(FP), yy+312(FP)); \
-	NMEM(LD, ST, AM, CM, Y5, Y2, zzz+408(FP), zz+320(FP)); \
+	NMEM(LD, ST, STS, AM, CM, Y3, Y0, zxx+392(FP), xx+304(FP)); \
+	NMEM(LD, ST, STS, AM, CM, Y4, Y1, zyy+400(FP), yy+312(FP)); \
+	NMEM(LD, ST, STS, AM, CM, Y5, Y2, zzz+408(FP), zz+320(FP)); \
 	LD(dmu+448(FP), Y4); \
 	DIFF(LD, OP, Y15, up1y+104(FP), uc+64(FP), Y0); \
 	ADDDIFF(LD, OP, Y14, up2y+112(FP), um1y+96(FP), Y0, Y1); \
 	ADDDIFF(LD, OP, Y15, vp1x+160(FP), vc+144(FP), Y0, Y1); \
 	ADDDIFF(LD, OP, Y14, vp2x+168(FP), vm1x+152(FP), Y0, Y1); \
-	SSTEP(LD, OP, ST, AM, CM, mxy+368(FP), xy+328(FP), zxy+416(FP), Y0); \
+	SSTEP(LD, OP, ST, STS, AM, CM, mxy+368(FP), xy+328(FP), zxy+416(FP), Y0); \
 	DIFF(LD, OP, Y15, up1z+128(FP), uc+64(FP), Y0); \
 	ADDDIFF(LD, OP, Y14, up2z+136(FP), um1z+120(FP), Y0, Y1); \
 	ADDDIFF(LD, OP, Y15, wp1x+240(FP), wc+224(FP), Y0, Y1); \
 	ADDDIFF(LD, OP, Y14, wp2x+248(FP), wm1x+232(FP), Y0, Y1); \
-	SSTEP(LD, OP, ST, AM, CM, mxz+376(FP), xz+336(FP), zxz+424(FP), Y0); \
+	SSTEP(LD, OP, ST, STS, AM, CM, mxz+376(FP), xz+336(FP), zxz+424(FP), Y0); \
 	DIFF(LD, OP, Y15, vp1z+208(FP), vc+144(FP), Y0); \
 	ADDDIFF(LD, OP, Y14, vp2z+216(FP), vm1z+200(FP), Y0, Y1); \
 	ADDDIFF(LD, OP, Y15, wp1y+264(FP), wc+224(FP), Y0, Y1); \
 	ADDDIFF(LD, OP, Y14, wp2y+272(FP), wm1y+256(FP), Y0, Y1); \
-	SSTEP(LD, OP, ST, AM, CM, myz+384(FP), yz+344(FP), zyz+432(FP), Y0)
+	SSTEP(LD, OP, ST, STS, AM, CM, myz+384(FP), yz+344(FP), zyz+432(FP), Y0)
 
 	MOVQ n+0(FP), R12
 	MOVQ nj+8(FP), R8
@@ -186,6 +212,9 @@ TEXT ·fusedStressTile(SB), NOSPLIT, $0-456
 	VBROADCASTSS c2+48(FP), Y14
 	MOVQ coef+56(FP), DI
 	XORQ R14, R14
+	MOVQ fx+456(FP), AX
+	TESTQ AX, AX
+	JNE tplane
 
 plane:
 	MOVQ nj+8(FP), R8
@@ -200,7 +229,7 @@ row:
 	PCALIGN $32
 
 full:
-	FUSED(LDF, OPF, STF, Y12, Y11)
+	FUSED(LDF, OPF, STF, STF, Y12, Y11)
 	ADDQ $32, SI
 	CMPQ SI, CX
 	JLT full
@@ -209,7 +238,7 @@ tail:
 	TESTQ R13, R13
 	JEQ next
 	MASK(Y11)
-	FUSED(LDM, OPM, STM, (DI)(R14*1), 128(DI)(R14*1))
+	FUSED(LDM, OPM, STM, STM, (DI)(R14*1), 128(DI)(R14*1))
 
 next:
 	XORQ $32, R14 // the next row's j parity
@@ -224,4 +253,55 @@ next:
 	VZEROUPPER
 
 done:
+	RET
+
+tplane:
+	MOVQ nj+8(FP), R8
+
+trow:
+	MOVQ nj+8(FP), AX
+	SUBQ R8, AX
+	MOVQ fy+464(FP), BX
+	VMOVSS (BX)(AX*4), X0
+	MOVQ nk+16(FP), AX
+	SUBQ R9, AX
+	MOVQ fz+472(FP), BX
+	VMULSS (BX)(AX*4), X0, X0
+	VBROADCASTSS X0, Y0
+	VMOVUPS Y0, 32(SP)
+	MOVQ DX, SI
+	LEAQ (DX)(R12*1), CX
+	CMPQ SI, CX
+	JGE ttail
+	VMOVUPS (DI)(R14*1), Y12
+	VMOVUPS 128(DI)(R14*1), Y11
+	PCALIGN $32
+
+tfull:
+	MOVQ fx+456(FP), AX
+	ALPHA(FXF)
+	FUSED(LDF, OPF, STF, STFT, Y12, Y11)
+	ADDQ $32, SI
+	CMPQ SI, CX
+	JLT tfull
+
+ttail:
+	TESTQ R13, R13
+	JEQ tnext
+	MASK(Y11)
+	MOVQ fx+456(FP), AX
+	ALPHA(FXM)
+	FUSED(LDM, OPM, STM, STMT, (DI)(R14*1), 128(DI)(R14*1))
+
+tnext:
+	XORQ $32, R14
+	ADDQ R10, DX
+	DECQ R8
+	JNZ trow
+	ANDQ $64, R14
+	XORQ $64, R14
+	ADDQ R11, DX
+	DECQ R9
+	JNZ tplane
+	VZEROUPPER
 	RET

@@ -9,6 +9,7 @@ func fusedStressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, coef *float32,
 	xx, yy, zz, xy, xz, yz,
 	lam, l2m, mxy, mxz, myz,
 	zxx, zyy, zzz, zxy, zxz, zyz,
-	dlam, dmu *float32) {
+	dlam, dmu,
+	fx, fy, fz *float32) {
 	panic("attenuation: no vector body on this platform")
 }

@@ -120,6 +120,15 @@ func (sp *Sponge) axisTaper(n, off, nGlobal int, lo, hi bool) (f []float32, ones
 	return f, a - g, b - g
 }
 
+// Taper returns the sponge's factors as the production stress sweeps take
+// them (fd.UpdateStressTapered, attenuation's FusedStressTapered): fx, fy and
+// fz over the padded subgrid, Alpha — on a mixed-rate rank the LTS owner's
+// α·√rate — already in them. The sweeps store what DampBox stores.
+func (sp *Sponge) Taper() fd.Taper {
+	t := &sp.axes
+	return fd.Taper{X: t.fx, Y: t.fy, Z: t.fz}
+}
+
 // DampBox multiplies every value of fields inside b (local, ghost-inclusive
 // indices, clamped to the padded subgrid) by its taper fx·(fy·fz), a k-plane
 // and a field at a time, each plane one or a few calls of the row walker.

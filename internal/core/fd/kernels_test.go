@@ -194,7 +194,7 @@ func TestGoRowBodyMatchesPrecomp(t *testing.T) {
 			velocitySweep(s, m, dt, box, false)
 			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
 			stressPrecomp(ref, m, dt, box)
-			stressSweep(s, m, dt, box, false)
+			stressSweep(s, m, dt, box, Taper{}, false)
 			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
 		}
 	}
@@ -259,7 +259,9 @@ func TestSweepRejectsTilesPastTheArray(t *testing.T) {
 	sweeps := []struct {
 		name  string
 		sweep func(*State, *medium.Medium, float64, Box, bool)
-	}{{"velocity", velocitySweep}, {"stress", stressSweep}}
+	}{{"velocity", velocitySweep}, {"stress", func(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
+		stressSweep(s, m, dt, b, Taper{}, vec)
+	}}}
 	for _, sw := range sweeps {
 		for _, box := range boxes {
 			for _, vec := range []bool{false, Vector} {
@@ -345,7 +347,9 @@ func fillOutside(fs []*grid.Field3, box Box) {
 // value of the arrays. The fields a sweep writes hold a sentinel everywhere
 // outside the tile, past I1 and in the stride gap, which must come back
 // untouched. A state of walkerSpecials at rest runs Quiesce in every lane of
-// the masked tail.
+// the masked tail; one with walkerSpecials in the stresses and the
+// velocities at rest runs them through the taper. The stress walker is held
+// untapered and under one of the other testTapers in turn.
 func TestTileWalkerMatchesGoBody(t *testing.T) {
 	if !Vector {
 		t.Skip("no 8-lane walker on this host")
@@ -353,45 +357,138 @@ func TestTileWalkerMatchesGoBody(t *testing.T) {
 	d := walkerDims
 	m := makeMedium(t, heteroQuerier(), d, 200)
 	dt := m.StableDt(0.5)
-	specials := func() *State {
-		s := NewState(d)
-		for fi, f := range s.Velocities() {
-			for n := range f.Data() {
-				f.Data()[n] = walkerSpecials[(n+3*fi)%len(walkerSpecials)]
-			}
-		}
-		return s
-	}
-	states := []struct {
-		name   string
-		state  func() *State
-		stress bool
-	}{
-		{"filled", func() *State { return randomState(d, 42) }, true},
-		{"front", func() *State { return frontState(d, 42) }, true},
-		{"specials", specials, false},
-	}
-	for _, tc := range states {
-		for _, box := range walkerBoxes() {
+	tapers := testTapers(d, 9)
+	for _, tc := range walkerStates(d) {
+		for bi, box := range walkerBoxes() {
 			label := fmt.Sprintf("%s %v", tc.name, box)
-			ref, s := tc.state(), tc.state()
-			fillOutside(ref.Velocities(), box)
-			fillOutside(s.Velocities(), box)
-			velocitySweep(ref, m, dt, box, false)
-			velocitySweep(s, m, dt, box, true)
-			expectBits(t, "velocity "+label, s.Fields(), ref.Fields(), FieldNames)
-			expectSentinels(t, "velocity "+label, s.Velocities(), box)
+			if tc.velocity {
+				ref, s := tc.state(), tc.state()
+				fillOutside(ref.Velocities(), box)
+				fillOutside(s.Velocities(), box)
+				velocitySweep(ref, m, dt, box, false)
+				velocitySweep(s, m, dt, box, true)
+				expectBits(t, "velocity "+label, s.Fields(), ref.Fields(), FieldNames)
+				expectSentinels(t, "velocity "+label, s.Velocities(), box)
+			}
 			if !tc.stress {
 				continue
 			}
-			// Fresh states: the stencil reads velocities outside the tile.
-			ref, s = tc.state(), tc.state()
-			fillOutside(ref.Stresses(), box)
-			fillOutside(s.Stresses(), box)
-			stressSweep(ref, m, dt, box, false)
-			stressSweep(s, m, dt, box, true)
-			expectBits(t, "stress "+label, s.Fields(), ref.Fields(), FieldNames)
-			expectSentinels(t, "stress "+label, s.Stresses(), box)
+			for _, tp := range []namedTaper{tapers[0], tapers[1+bi%3]} {
+				// Fresh states: the stencil reads velocities outside the tile.
+				ref, s := tc.state(), tc.state()
+				fillOutside(ref.Stresses(), box)
+				fillOutside(s.Stresses(), box)
+				stressSweep(ref, m, dt, box, tp.tp, false)
+				stressSweep(s, m, dt, box, tp.tp, true)
+				expectBits(t, "stress "+tp.name+" "+label, s.Fields(), ref.Fields(), FieldNames)
+				expectSentinels(t, "stress "+tp.name+" "+label, s.Stresses(), box)
+			}
+		}
+	}
+}
+
+// walkerStates are the states of the walker tests and the sweeps each runs
+// on: a filled state and a front run both; walkerSpecials in the velocities
+// at rest run the velocity sweep (the stress sweep's sums would meet NaNs of
+// both signs), and walkerSpecials in the stresses with the velocities at
+// rest run the stress sweep, whose update adds +0 to each special and hands
+// it to the taper.
+func walkerStates(d grid.Dims) []walkerState {
+	fill := func(pick func(*State) []*grid.Field3) func() *State {
+		return func() *State {
+			s := NewState(d)
+			for fi, f := range pick(s) {
+				for n := range f.Data() {
+					f.Data()[n] = walkerSpecials[(n+3*fi)%len(walkerSpecials)]
+				}
+			}
+			return s
+		}
+	}
+	return []walkerState{
+		{"filled", func() *State { return randomState(d, 42) }, true, true},
+		{"front", func() *State { return frontState(d, 42) }, true, true},
+		{"specials", fill((*State).Velocities), true, false},
+		{"stress specials", fill((*State).Stresses), false, true},
+	}
+}
+
+type walkerState struct {
+	name             string
+	state            func() *State
+	velocity, stress bool
+}
+
+// namedTaper is one of testTapers.
+type namedTaper struct {
+	name string
+	tp   Taper
+}
+
+// testTapers are the tapers the stress sweeps are held under: none; random
+// factors in (0, 1]; a sponge's shape, factors in (0, 1] on the first and
+// last three padded cells of each axis and exactly 1 between, so that whole
+// rows, and the middles of rows, multiply by 1 exactly; and 1 everywhere.
+func testTapers(d grid.Dims, seed int64) []namedTaper {
+	rng := rand.New(rand.NewSource(seed))
+	axis := func(n, edge int) []float32 {
+		f := make([]float32, n+2*grid.Ghost)
+		for i := range f {
+			f[i] = 1
+			if i < edge || i >= len(f)-edge {
+				f[i] = 1 - rng.Float32()
+			}
+		}
+		return f
+	}
+	taper := func(edge int) Taper { return Taper{axis(d.NX, edge), axis(d.NY, edge), axis(d.NZ, edge)} }
+	return []namedTaper{{"untapered", Taper{}}, {"random", taper(1 << 20)}, {"sponge", taper(3)}, {"ones", taper(0)}}
+}
+
+// dampAfter is the sponge's pass over the stresses in b as boundary's row
+// walker runs it in Go: each value times fx[i]·fyz, fyz = fy[j]·fz[k] formed
+// once a row.
+func dampAfter(s *State, b Box, tp Taper) {
+	g := grid.Ghost
+	for _, f := range s.Stresses() {
+		for k := b.K0; k < b.K1; k++ {
+			for j := b.J0; j < b.J1; j++ {
+				fyz := tp.Y[j+g] * tp.Z[k+g]
+				for i := b.I0; i < b.I1; i++ {
+					f.Set(i, j, k, f.At(i, j, k)*(tp.X[i+g]*fyz))
+				}
+			}
+		}
+	}
+}
+
+// TestTaperGoBodyMatchesSpongePass holds the tapered Go body to the
+// untapered one followed by the sponge's pass (dampAfter), bit for bit, over
+// rowBoxes and walkerBoxes: the test that sees the order of the taper's
+// products and that the taper multiplies the updated stress. The walker
+// answers to the Go body (TestTileWalkerMatchesGoBody).
+func TestTaperGoBodyMatchesSpongePass(t *testing.T) {
+	for _, d := range []grid.Dims{rowDims, walkerDims} {
+		m := makeMedium(t, heteroQuerier(), d, 200)
+		dt := m.StableDt(0.5)
+		boxes := rowBoxes()
+		if d == walkerDims {
+			boxes = walkerBoxes()
+		}
+		for _, tc := range walkerStates(d) {
+			if !tc.stress {
+				continue
+			}
+			for _, tp := range testTapers(d, 3)[1:] {
+				for _, box := range boxes {
+					label := fmt.Sprintf("%s %s %v", tc.name, tp.name, box)
+					ref, s := tc.state(), tc.state()
+					stressSweep(ref, m, dt, box, Taper{}, false)
+					dampAfter(ref, box, tp.tp)
+					stressSweep(s, m, dt, box, tp.tp, false)
+					expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
+				}
+			}
 		}
 	}
 }

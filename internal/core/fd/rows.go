@@ -123,16 +123,52 @@ func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 // attenuation.FusedStress instead, which folds the memory-variable update
 // into the same i-loop.
 func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
-	stressSweep(s, m, dt, b, Vector)
+	stressSweep(s, m, dt, b, Taper{}, Vector)
+}
+
+// UpdateStressTapered is the production stress kernel over tile b in one
+// sweep, each of the six stresses multiplied by tp's factor before it is
+// stored: the bits of UpdateStress(Blocked) over b followed by damping the
+// six stresses over b by tp, a row at a time as the sponge does.
+func UpdateStressTapered(s *State, m *medium.Medium, dt float64, b Box, tp Taper) {
+	if b.Empty() {
+		return
+	}
+	stressSweep(s, m, dt, b, tp, Vector)
+}
+
+// DampRow is the Go bodies' taper on row r of plane q of a tile whose taper
+// windows are fx, fy and fz (Taper.Windows): right after the row's update it
+// multiplies value i of each of the six stress rows by fx[i]·(fy[r]·fz[q]),
+// which stores what multiplying each value before its store does. The row
+// factor is formed once, as the sponge forms it; the explicit check spares
+// the row its two implicit ones.
+func DampRow(fx, fy, fz []float32, r, q int, xx, yy, zz, xy, xz, yz []float32) {
+	if uint(r) >= uint(len(fy)) || uint(q) >= uint(len(fz)) {
+		panic("fd: row outside the taper's windows")
+	}
+	fyz := fy[r] * fz[q]
+	n := len(fx)
+	xx, yy, zz, xy, xz, yz = xx[:n], yy[:n], zz[:n], xy[:n], xz[:n], yz[:n]
+	for i, x := range fx {
+		a := x * fyz
+		xx[i] *= a
+		yy[i] *= a
+		zz[i] *= a
+		xy[i] *= a
+		xz[i] *= a
+		yz[i] *= a
+	}
 }
 
 // stressSweep is stressRows with the body chosen by vec, as in
-// velocitySweep.
-func stressSweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
+// velocitySweep, and each stress multiplied by tp before it is stored.
+func stressSweep(s *State, m *medium.Medium, dt float64, b Box, tp Taper, vec bool) {
 	ni := b.I1 - b.I0
 	if ni <= 0 {
 		return
 	}
+	fx, fy, fz := tp.Windows(b)
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -192,12 +228,13 @@ func stressSweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 				_, _, _ = u[n0+2*dz:][:span], v[n0+2*dz:][:span], w[n0+dz:][:span]
 				_, _, _, _, _, _ = xx[n0:][:span], yy[n0:][:span], zz[n0:][:span], xy[n0:][:span], xz[n0:][:span], yz[n0:][:span]
 				_, _, _, _, _ = lam[n0:][:span], l2m[n0:][:span], mxy[n0:][:span], mxz[n0:][:span], myz[n0:][:span]
+				px, py, pz := tp.Args(b)
 				stressTile(ni, b.J1-b.J0, b.K1-b.K0, dy, dz, dth, c1, c2,
 					&uc[0], &um2x[0], &um1x[0], &up1x[0], &um1y[0], &up1y[0], &up2y[0], &um1z[0], &up1z[0], &up2z[0],
 					&vc[0], &vm1x[0], &vp1x[0], &vp2x[0], &vm2y[0], &vm1y[0], &vp1y[0], &vm1z[0], &vp1z[0], &vp2z[0],
 					&wc[0], &wm1x[0], &wp1x[0], &wp2x[0], &wm1y[0], &wp1y[0], &wp2y[0], &wm2z[0], &wm1z[0], &wp1z[0],
 					&xxr[0], &yyr[0], &zzr[0], &xyr[0], &xzr[0], &yzr[0],
-					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0])
+					&lamr[0], &l2mr[0], &mxyr[0], &mxzr[0], &myzr[0], px, py, pz)
 				return
 			}
 			for i := range uc {
@@ -213,6 +250,9 @@ func stressSweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 					c1*(wp1x[i]-wc[i]) + c2*(wp2x[i]-wm1x[i]))
 				yzr[i] += dth * myzr[i] * (c1*(vp1z[i]-vc[i]) + c2*(vp2z[i]-vm1z[i]) +
 					c1*(wp1y[i]-wc[i]) + c2*(wp2y[i]-wm1y[i]))
+			}
+			if fx != nil {
+				DampRow(fx, fy, fz, j-b.J0, k-b.K0, xxr, yyr, zzr, xyr, xzr, yzr)
 			}
 		}
 	}

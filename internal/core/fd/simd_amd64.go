@@ -47,7 +47,8 @@ func velocityTile(n, nj, nk, dy, dz int, dth, c1, c2 float32,
 	zzc, zzm1z, zzp1z, zzp2z *float32)
 
 // stressTile runs stressRows' cell body over a tile, under velocityTile's
-// contract.
+// contract. With fx non-nil it multiplies each stress by fx[i]·(fy[r]·fz[q])
+// before storing it, reading n values at fx, nj at fy and nk at fz.
 //
 //go:noescape
 func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32,
@@ -55,4 +56,5 @@ func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32,
 	vc, vm1x, vp1x, vp2x, vm2y, vm1y, vp1y, vm1z, vp1z, vp2z,
 	wc, wm1x, wp1x, wp2x, wm1y, wp1y, wp2y, wm2z, wm1z, wp1z,
 	xx, yy, zz, xy, xz, yz,
-	lam, l2m, mxy, mxz, myz *float32)
+	lam, l2m, mxy, mxz, myz,
+	fx, fy, fz *float32)

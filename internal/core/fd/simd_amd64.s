@@ -182,8 +182,20 @@ done:
 	VADDPS Y3, Y4, Y4; \
 	ST(Y4)
 
-// func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, uc, um2x, ... *float32)
-TEXT ·stressTile(SB), NOSPLIT, $0-384
+// The tapered stores, full chunk and masked tail: src times the chunk's
+// taper in Y8, then STF's or STM's store.
+#define STFT(src) VMULPS Y8, src, src; STF(src)
+#define STMT(src) VMULPS Y8, src, src; STM(src)
+
+// func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32, uc, um2x, ... *float32, fx, fy, fz *float32)
+//
+// With fx non-nil the walk is tapered: every stress is multiplied by
+// α = fx[i]·fyz just before its store, fyz = fy[r]·fz[q] formed once a row,
+// in that order and in float32 as the sponge forms them. X11 = the plane's
+// fz, DI = fy at the row, Y5 = fyz on 8 lanes, R14 = fx less the row's first
+// byte (fx at R14+SI), Y8 = the chunk's α; the tail loads fx under the mask,
+// since fx ends with the row.
+TEXT ·stressTile(SB), NOSPLIT, $0-408
 
 // STRESS is stressRows' cell program on the 8 lanes at SI, inside its
 // TEXT block as VELOCITY is.
@@ -225,6 +237,9 @@ TEXT ·stressTile(SB), NOSPLIT, $0-384
 	VBROADCASTSS dth+40(FP), Y13
 	VBROADCASTSS c1+44(FP), Y15
 	VBROADCASTSS c2+48(FP), Y14
+	MOVQ fx+384(FP), AX
+	TESTQ AX, AX
+	JNE tplane
 
 splane:
 	MOVQ nj+8(FP), R8
@@ -257,6 +272,52 @@ snext:
 	VZEROUPPER
 
 done:
+	RET
+
+tplane:
+	MOVQ nj+8(FP), R8
+	MOVQ nk+16(FP), AX
+	SUBQ R9, AX
+	MOVQ fz+400(FP), BX
+	VMOVSS (BX)(AX*4), X11
+	MOVQ fy+392(FP), DI
+
+trow:
+	VMOVSS (DI), X5
+	VMULSS X11, X5, X5
+	VBROADCASTSS X5, Y5
+	ADDQ $4, DI
+	MOVQ fx+384(FP), R14
+	SUBQ DX, R14
+	MOVQ DX, SI
+	LEAQ (DX)(R12*1), CX
+	CMPQ SI, CX
+	JGE ttail
+	PCALIGN $32
+
+tfull:
+	VMOVUPS (R14)(SI*1), Y8
+	VMULPS Y5, Y8, Y8
+	STRESS(LDF, OPF, STFT)
+	ADDQ $32, SI
+	CMPQ SI, CX
+	JLT tfull
+
+ttail:
+	TESTQ R13, R13
+	JEQ tnext
+	VMASKMOVPS (R14)(SI*1), Y10, Y8
+	VMULPS Y5, Y8, Y8
+	STRESS(LDM, OPM, STMT)
+
+tnext:
+	ADDQ R10, DX
+	DECQ R8
+	JNZ trow
+	ADDQ R11, DX
+	DECQ R9
+	JNZ tplane
+	VZEROUPPER
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -22,6 +22,7 @@ func stressTile(n, nj, nk, dy, dz int, dth, c1, c2 float32,
 	vc, vm1x, vp1x, vp2x, vm2y, vm1y, vp1y, vm1z, vp1z, vp2z,
 	wc, wm1x, wp1x, wp2x, wm1y, wp1y, wp2y, wm2z, wm1z, wp1z,
 	xx, yy, zz, xy, xz, yz,
-	lam, l2m, mxy, mxz, myz *float32) {
+	lam, l2m, mxy, mxz, myz,
+	fx, fy, fz *float32) {
 	panic("fd: no vector body on this platform")
 }

@@ -207,7 +207,7 @@ func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps []
 // the default path (Variant unset) under every comm model, pool size,
 // decomposition and stepping scheme to twoPassOracle — pointwise kernels over
 // the whole subgrid, none of the production path's code — on every field and
-// memory variable after every step. Five scenarios: the filled wavefield of
+// memory variable after every step. Six scenarios: the filled wavefield of
 // baseOptions; a front that reaches the rank seams inside the window, so
 // that the quiescence floor decides what is stored where the comparison is
 // made, cut into 3 x 5 tiles so that the row sweeps start and end at odd j
@@ -217,11 +217,14 @@ func holdToOracle(t *testing.T, tag string, q cvm.Querier, opt Options, snaps []
 // strips and inner boxes, split across tiles row by row, against the oracle's
 // whole-plane passes, the fault's own state compared as well; boxScenario's
 // sponge, whose second source sits in the y-low taper, so that its tile adds
-// it before damping the plane or the bits move; and a DFR fault under that
-// sponge, where attenuation must run before the damping. The sponge scenarios
-// are where a tile's order — update, source, damping — and the velocity pass's
-// place in the step — after the inner tiles read the velocities — are seen:
-// the oracle damps all nine fields as one pass at the end of the step. LTS is
+// it before damping the plane or the bits move, under the fused attenuation
+// walker and, as sponge-elastic, under the elastic one — the farm's path —
+// each beside the tiles that damp in their one tapered sweep; and a DFR fault
+// under that sponge, where attenuation must run before the damping. The
+// sponge scenarios are where a tile's order — update, source, damping — and
+// the velocity pass's place in the step — after the inner tiles read the
+// velocities — are seen: the oracle damps all nine fields as one pass at the
+// end of the step. LTS is
 // held where it is this scheme on another schedule — every rank at rate 1,
 // which this model gives all three decompositions; mixed rates are another
 // scheme and answer to TestLTSMixedRateAccuracy. A fault excludes LTS.
@@ -244,6 +247,8 @@ func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 	fault.Fault = overstressedFault(12, 1, 16, 3, 10)
 	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
 	sponge := boxScenario(SpongeABC)
+	spongeElastic := sponge
+	spongeElastic.Attenuation = false
 	spongeFault := sponge
 	spongeFault.Sources = nil
 	spongeFault.Fault = overstressedFault(11, 10, 10, 2, 6)
@@ -266,6 +271,7 @@ func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 		{"front", q, front, topos, threadCounts, []bool{false, true}},
 		{"fault", q, fault, faultTopos, threadCounts, []bool{false}},
 		{"sponge", boxQ, sponge, spongeTopos, spongeThreads, []bool{false}},
+		{"sponge-elastic", boxQ, spongeElastic, spongeTopos, spongeThreads, []bool{false}},
 		{"sponge-fault", boxQ, spongeFault, spongeTopos, spongeThreads, []bool{false}},
 	} {
 		t.Run(sc.name, func(t *testing.T) { sc.hold(t, comms) })

@@ -369,11 +369,15 @@ type queue struct {
 //
 // With a sponge, velDamp is the sponge's velocity pass: the owned k-planes of
 // the subgrid — clipped, their intersection with the active box — each
-// damping the three velocities (the stresses are damped inside their tiles).
+// damping the three velocities (the stresses are damped inside their tiles),
+// and planeLoop marks, over the tiles of stressPre then stressInner, those
+// whose stress body runs a k-plane at a time rather than as one tapered sweep
+// (stressTile); a clipped tile runs its whole tile's body.
 type tilePlan struct {
 	velPre, velInner       queue
 	stressPre, stressInner queue
 	velDamp                queue
+	planeLoop              []bool
 }
 
 // buildTilePlan fixes the zones' coefficient rows for dt, the rank's local
@@ -387,7 +391,8 @@ type tilePlan struct {
 // rows — per-cell work that reads only what its phase does not write — so the
 // fault runs wherever its cells' tiles run, before the post or after it. So
 // do the sources: every stress tile ends by adding the sources whose node it
-// holds (stressTile), and with a sponge damps its stresses after them.
+// holds (stressTile), and with a sponge damps its stresses after them — in
+// one tapered sweep where it can (planeLoop), decided here once a tile.
 func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	for _, z := range rs.zones {
 		z.Prepare(dt)
@@ -404,35 +409,54 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		stressZone = tileHook(rs.addSources).after(stressZone)
 	}
 	velocity := rs.kernelTile(opt, dt, rs.tel, telemetry.Velocity, fd.UpdateVelocity, velHook)
-	stress := rs.stressTile(opt, dt, stressHook)
+	planes, tapered := rs.stressTile(opt, dt, stressHook)
+	// stress picks each stress tile's body, noting the plane loops.
+	var loops []bool
+	stress := func(tl tile) func(fd.Box) {
+		loop := tapered == nil || !rs.unitAtSources(tl.b)
+		loops = append(loops, loop)
+		if loop {
+			return planes
+		}
+		return tapered
+	}
+	vel := func(tile) func(fd.Box) { return velocity }
 	// mk binds tiles to a phase's bodies twice: whole, and with every tile cut
 	// to the active box — a tile outside it returns at once. Only a rank that
 	// still has its box drains the clipped queues.
-	mk := func(tiles []tile, interior func(fd.Box), zone zoneBody) (whole, clipped queue) {
-		run := func(z *boundary.PML, b fd.Box) {
+	mk := func(tiles []tile, interior func(tile) func(fd.Box), zone zoneBody) (whole, clipped queue) {
+		bodies := make([]func(fd.Box), len(tiles))
+		for i, tl := range tiles {
+			if tl.zone == nil {
+				bodies[i] = interior(tl)
+			}
+		}
+		run := func(i int, b fd.Box) {
+			z := tiles[i].zone
 			if z == nil {
-				interior(b)
+				bodies[i](b)
 				return
 			}
 			sp := rs.tel.Span(telemetry.Boundary)
 			zone(z, rs.st, rs.med, dt, b)
 			sp.End()
 		}
-		whole = queue{len(tiles), func(i int) { run(tiles[i].zone, tiles[i].b) }}
+		whole = queue{len(tiles), func(i int) { run(i, tiles[i].b) }}
 		clipped = queue{len(tiles), func(i int) {
 			if b := tiles[i].b.Intersect(rs.box.Box); !b.Empty() {
 				rs.swept.Add(int64(b.Cells()))
-				run(tiles[i].zone, b)
+				run(i, b)
 			}
 		}}
 		return whole, clipped
 	}
 	w, p := &rs.whole, &rs.plan
-	w.velPre, p.velPre = mk(pre, velocity, velZone)
-	w.velInner, p.velInner = mk(inner, velocity, nil)
+	w.velPre, p.velPre = mk(pre, vel, velZone)
+	w.velInner, p.velInner = mk(inner, vel, nil)
 	w.stressPre, p.stressPre = mk(pre, stress, stressZone)
 	w.stressInner, p.stressInner = mk(inner, stress, nil)
 	if rs.sponge != nil {
+		w.planeLoop, p.planeLoop = loops, loops
 		owned := fd.FullBox(rs.sub.Local)
 		plane := func(k int) fd.Box { b := owned; b.K0, b.K1 = k, k+1; return b }
 		w.velDamp = queue{owned.K1, func(k int) { rs.sponge.DampBox(rs.velocities, plane(k)) }}
@@ -642,17 +666,26 @@ func (rs *rankState) kernelTile(opt Options, dt float64, tel *telemetry.Recorder
 	}
 }
 
-// stressTile returns the stress tile body: stressBody, then the sources whose
-// node the tile holds, then, with a sponge, the damping of the six stresses.
-// With a sponge the tile runs a k-plane at a time — the update on the plane,
-// the plane's sources and Sponge.DampBox while the plane is in cache — and is
-// timed whole under Stress, not a span a pass and a plane. Per cell that is
-// the order of the passes it replaces: update, source, damping.
-func (rs *rankState) stressTile(opt Options, dt float64, hook tileHook) func(fd.Box) {
+// stressTile returns the stress tile bodies: stressBody, then the sources
+// whose node the tile holds, then, with a sponge, the damping of the six
+// stresses — per cell the order of the passes they replace: update, source,
+// damping. With a sponge, tapered is the tile in one production walker call
+// that multiplies each stress by the sponge's factor before storing it
+// (fd.UpdateStressTapered, attenuation's FusedStressTapered), then the
+// sources: the bits of that order wherever each source node in the tile has
+// a factor of exactly 1, since (u·1)+s = (u+s)·1. planes runs the tile a
+// k-plane at a time — the update on the plane, the plane's sources and
+// Sponge.DampBox while the plane is in cache — for the tiles where something
+// must run between update and damping: a source node the taper scales
+// (buildTilePlan decides per tile), and every tile when tapered is nil —
+// under a fault hook, whose correction and attenuation pass come between, and
+// under an elastic body no walker runs (Naive, Precomp). Both are timed whole
+// under Stress. Without a sponge planes is the plain body and tapered nil.
+func (rs *rankState) stressTile(opt Options, dt float64, hook tileHook) (planes, tapered func(fd.Box)) {
 	src := rs.srcs.Count() > 0
 	if rs.sponge != nil {
 		update := rs.stressBody(opt, dt, nil, hook)
-		return func(b fd.Box) {
+		planes = func(b fd.Box) {
 			sp := rs.tel.Span(telemetry.Stress)
 			for k := b.K0; k < b.K1; k++ {
 				p := b
@@ -665,15 +698,49 @@ func (rs *rankState) stressTile(opt Options, dt float64, hook tileHook) func(fd.
 			}
 			sp.End()
 		}
+		tp := rs.sponge.Taper()
+		var sweep func(fd.Box)
+		switch {
+		case hook != nil: // the correction, and attenuation, come between
+		case rs.atten == nil && opt.Variant == fd.Blocked:
+			sweep = func(b fd.Box) { fd.UpdateStressTapered(rs.st, rs.med, dt, b, tp) }
+		case rs.atten != nil && opt.Variant.Precomputed():
+			sweep = func(b fd.Box) { rs.atten.FusedStressTapered(rs.st, rs.med, dt, b, tp) }
+		}
+		if sweep != nil {
+			tapered = func(b fd.Box) {
+				sp := rs.tel.Span(telemetry.Stress)
+				sweep(b)
+				if src {
+					rs.srcs.AddBox(rs.st, b)
+				}
+				sp.End()
+			}
+		}
+		return planes, tapered
 	}
 	body := rs.stressBody(opt, dt, rs.tel, hook)
 	if src {
 		return func(b fd.Box) {
 			body(b)
 			rs.srcs.AddBox(rs.st, b)
+		}, nil
+	}
+	return body, nil
+}
+
+// unitAtSources reports whether the sponge's factor is exactly 1 at every
+// source node in b, so that b's sources may be added after its tapered
+// sweep.
+func (rs *rankState) unitAtSources(b fd.Box) bool {
+	tp := rs.sponge.Taper()
+	for n := range rs.srcs.Count() {
+		i, j, k := rs.srcs.Node(n)
+		if b.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) && tp.At(i, j, k) != 1 {
+			return false
 		}
 	}
-	return body
+	return true
 }
 
 // stressBody is a stress tile's update. With attenuation on, every variant

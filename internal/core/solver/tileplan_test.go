@@ -2,11 +2,15 @@ package solver
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core/boundary"
 	"repro/internal/core/fd"
+	"repro/internal/core/source"
+	"repro/internal/cvm"
 	"repro/internal/grid"
+	"repro/internal/mpi"
 )
 
 // TestTilePlanPartitionsSubgrid holds the derived tile plan on the rank
@@ -109,6 +113,95 @@ func checkTilePlan(t *testing.T, tag string, d grid.Dims, width int, faces bound
 		want := min(opt.Threads, rows)
 		if opt.Threads == 1 && n != 1 || opt.Threads > 1 && n < want {
 			t.Fatalf("%s: box %v cut into %d tiles, want %d", tag, box, n, want)
+		}
+	}
+}
+
+// stressPlan builds the one-rank Stepper of opt and returns its stress tiles
+// — those of stressPre, then stressInner — and which of them its plan runs as
+// the plane loop.
+func stressPlan(t *testing.T, q cvm.Querier, opt Options) (tiles []fd.Box, planeLoop []bool) {
+	t.Helper()
+	opt.Topo = mpi.NewCart(1, 1, 1)
+	dc, opt, err := Prepare(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		st, err := NewStepper(c, q, dc, opt)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer st.Close()
+		pre, inner, _ := st.rs.cutTiles(opt)
+		for _, tl := range append(pre, inner...) {
+			tiles = append(tiles, tl.b)
+		}
+		planeLoop = st.rs.plan.planeLoop
+		if !slices.Equal(planeLoop, st.rs.whole.planeLoop) {
+			t.Errorf("the clipped plan's plane loops %v differ from the whole plan's %v", planeLoop, st.rs.whole.planeLoop)
+		}
+	})
+	if len(planeLoop) != len(tiles) {
+		t.Fatalf("%d stress tiles, %d marked", len(tiles), len(planeLoop))
+	}
+	return tiles, planeLoop
+}
+
+// TestStressTilesTakeTheTaperedSweep pins which stress tiles buildTilePlan
+// runs as one tapered walker sweep and which as the plane loop. A plan that
+// ran every tile as the plane loop would store the same bits, slower, so no
+// bit test sees it. boxScenario's tile that holds its source in the y-low
+// taper takes the plane loop, under the fused and under the elastic walker,
+// and every other tile the one sweep; under a DFR fault every tile takes the
+// plane loop; a farm job (20×20×14, a sponge of 4 cells, its hypocentre
+// anywhere in the ensemble's range) takes the one sweep on every tile.
+func TestStressTilesTakeTheTaperedSweep(t *testing.T) {
+	in := func(b fd.Box, n [3]int) bool {
+		return b.Contains(fd.Box{I0: n[0], I1: n[0] + 1, J0: n[1], J1: n[1] + 1, K0: n[2], K1: n[2] + 1})
+	}
+	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
+	for _, atten := range []bool{true, false} {
+		for _, comm := range []CommModel{AsyncReduced, AsyncOverlap} {
+			for _, threads := range []int{1, 3} {
+				opt := boxScenario(SpongeABC)
+				opt.Attenuation, opt.Comm, opt.Threads = atten, comm, threads
+				src := opt.Sources[1]
+				tiles, loop := stressPlan(t, boxQ, opt)
+				for i, b := range tiles {
+					if want := in(b, [3]int{src.GI, src.GJ, src.GK}); loop[i] != want {
+						t.Errorf("attenuation %v %v threads %d: tile %v plane loop %v, want %v", atten, comm, threads, b, loop[i], want)
+					}
+				}
+			}
+		}
+	}
+
+	fault := boxScenario(SpongeABC)
+	fault.Sources = nil
+	fault.Fault = overstressedFault(11, 10, 10, 2, 6)
+	fault.Threads = 3
+	if _, loop := stressPlan(t, boxQ, fault); slices.Contains(loop, false) {
+		t.Errorf("DFR under the sponge: plane loops %v, want all", loop)
+	}
+
+	// The farm's grid and ensemble range (farm.DefaultSpec, DefaultRange):
+	// hypocentres at 0.25–0.75 of x and y and 0.3–0.7 of z.
+	d := grid.Dims{NX: 20, NY: 20, NZ: 14}
+	farmQ := cvm.SoCal(1900, 1900, 1300, 400)
+	for _, hypo := range [][3]int{{5, 5, 4}, {10, 10, 7}, {14, 14, 9}} {
+		for _, atten := range []bool{false, true} {
+			opt := Options{
+				Global: d, H: 100, Steps: 1, Comm: AsyncReduced,
+				ABC: SpongeABC, SpongeWidth: 4, FreeSurface: true, Attenuation: atten,
+				Sources: []source.SampledSource{source.PointSource{GI: hypo[0], GJ: hypo[1], GK: hypo[2], M0: 1e9,
+					Tensor: source.StrikeSlipXY, STF: source.GaussianPulse(0.08, 0.02)}.Sample(0.002, 120)},
+				TrackPGV: true,
+			}
+			if _, loop := stressPlan(t, farmQ, opt); slices.Contains(loop, true) {
+				t.Errorf("farm job, hypocentre %v, attenuation %v: plane loops %v, want none", hypo, atten, loop)
+			}
 		}
 	}
 }

@@ -168,6 +168,12 @@ func Localize(all []SampledSource, sub decomp.Sub, h float64) *Set {
 // Count returns the number of locally owned sub-faults.
 func (st *Set) Count() int { return len(st.local) }
 
+// Node returns the local indices of source n's node, n < Count.
+func (st *Set) Node(n int) (i, j, k int) {
+	ls := &st.local[n]
+	return ls.li, ls.lj, ls.lk
+}
+
 // Rates evaluates, once a step, every source's stress increment for the step
 // of length dt ending at time t — sigma_ij -= dt * Mdot_ij(t) / V_cell, the
 // standard staggered-grid moment insertion — for AddBox to add. It reports

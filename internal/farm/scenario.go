@@ -159,6 +159,17 @@ func (m scaledModel) Query(x, y, z float64) cvm.Material {
 	return mat
 }
 
+// QueryRow implements cvm.RowQuerier: the base model's row, each Vp and Vs
+// then scaled as Query scales them, so a job's medium is sampled a row per
+// call (FuzzScaledQueryRow holds it to Query).
+func (m scaledModel) QueryRow(y, z float64, xs []float64, out []cvm.Material) {
+	cvm.QueryRow(m.base, y, z, xs, out)
+	for i := range out[:len(xs)] {
+		out[i].Vp *= m.s
+		out[i].Vs *= m.s
+	}
+}
+
 // hypoIndex maps a fractional coordinate to a grid index kept off the
 // boundary cells.
 func hypoIndex(frac float64, n int) int {
