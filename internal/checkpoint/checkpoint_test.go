@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"unsafe"
@@ -118,6 +119,50 @@ func TestLoadErrors(t *testing.T) {
 	s2 := fd.NewState(grid.Dims{NX: 4, NY: 4, NZ: 4})
 	if err := Load(fsys, "c", 0, 1, s2, nil); err == nil {
 		t.Error("dims mismatch accepted")
+	}
+}
+
+// TestGhostFramedPMLCheckpointRejected: a checkpoint written while a zone's
+// splits carried a ghost frame lists its pml.* sections at the padded length.
+// Read into a rank whose splits hold only the zone's cells, it must fail as a
+// section table mismatch and fill nothing, the wavefield included.
+func TestGhostFramedPMLCheckpointRejected(t *testing.T) {
+	d := grid.Dims{NX: 14, NY: 8, NZ: 6}
+	box := fd.Box{I0: 0, I1: 4, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}
+	framedLen := (4 + 2*grid.Ghost) * (d.NY + 2*grid.Ghost) * (d.NZ + 2*grid.Ghost)
+	old := fd.NewState(d).Sections()
+	for _, sec := range boundary.NewPML(box, grid.X, grid.Low, 4, 0.1, 1e-5, 6000, 100).Sections() {
+		if len(sec.F32) != box.Cells() {
+			t.Fatalf("%s holds %d values, want the zone's %d cells", sec.Name, len(sec.F32), box.Cells())
+		}
+		old = append(old, grid.Section{Name: sec.Name, F32: make([]float32, framedLen)})
+	}
+	for si, sec := range old {
+		for n := range sec.F32 {
+			sec.F32[n] = float32(si*1000 + n)
+		}
+	}
+	fsys := testFS()
+	if _, err := Write(fsys, "ckpt", 0, 8, old); err != nil {
+		t.Fatal(err)
+	}
+
+	s := fd.NewState(d)
+	secs := append(s.Sections(), boundary.NewPML(box, grid.X, grid.Low, 4, 0.1, 1e-5, 6000, 100).Sections()...)
+	for _, sec := range secs {
+		for n := range sec.F32 {
+			sec.F32[n] = -1
+		}
+	}
+	if err := Read(fsys, "ckpt", 0, 8, secs); !errors.Is(err, ErrTable) {
+		t.Fatalf("Read of a ghost-framed M-PML checkpoint: %v, want ErrTable", err)
+	}
+	for _, sec := range secs {
+		for n, v := range sec.F32 {
+			if v != -1 {
+				t.Fatalf("%s[%d] = %g filled from a rejected checkpoint", sec.Name, n, v)
+			}
+		}
 	}
 }
 

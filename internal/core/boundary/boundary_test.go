@@ -121,6 +121,44 @@ func TestBuildPMLPanicsWhenZonesConsumeGrid(t *testing.T) {
 	BuildPML(grid.Dims{NX: 12, NY: 12, NZ: 12}, AllAbsorbing(), 6, 0.1, 1e-5, 6000, 100)
 }
 
+// TestPMLSplitsHoldOnlyZoneCells: no stencil reads a split, so every one of
+// the 24 split arrays of every zone BuildPML makes — x, y and z faces, both
+// sides — holds exactly the zone's cells, with no ghost frame, and so does
+// its restart section.
+func TestPMLSplitsHoldOnlyZoneCells(t *testing.T) {
+	d := grid.Dims{NX: 23, NY: 21, NZ: 19}
+	all := FaceSet{XLo: true, XHi: true, YLo: true, YHi: true, ZLo: true, ZHi: true}
+	zones, _ := BuildPML(d, all, 5, DefaultMPMLRatio, DefaultPMLReflection, 6000, 100)
+	if len(zones) != 6 {
+		t.Fatalf("zone count = %d, want 6", len(zones))
+	}
+	for _, z := range zones {
+		cells := z.Zone.Cells()
+		secs := z.Sections()
+		if len(secs) != 24 {
+			t.Fatalf("%v%v zone: %d sections, want 24", z.Axis, z.Side, len(secs))
+		}
+		held := 0
+		for _, sec := range secs {
+			if len(sec.F32) != cells {
+				t.Errorf("%v%v zone %v: %s holds %d values, want the zone's %d cells", z.Axis, z.Side, z.Zone, sec.Name, len(sec.F32), cells)
+			}
+			held += len(sec.F32)
+		}
+		if held != 24*cells {
+			t.Errorf("%v%v zone: sections hold %d values, want 24 × %d", z.Axis, z.Side, held, cells)
+		}
+		zd := grid.Dims{NX: z.Zone.I1 - z.Zone.I0, NY: z.Zone.J1 - z.Zone.J0, NZ: z.Zone.K1 - z.Zone.K0}
+		for si, sp := range z.Splits() {
+			for fi, f := range sp.Fields() {
+				if f != nil && (f.Dims != zd || f.G() != 0 || len(f.Data()) != cells) {
+					t.Errorf("%v%v zone: split %d %s is %v ghost %d over %d values, want %v dense", z.Axis, z.Side, si, fd.FieldNames[fi], f.Dims, f.G(), len(f.Data()), zd)
+				}
+			}
+		}
+	}
+}
+
 // pWaveState initializes a rightward-travelling P pulse centred at x0 (m).
 func pWaveState(d grid.Dims, mat cvm.Material, h, dt, x0, sigma float64) *fd.State {
 	s := fd.NewState(d)

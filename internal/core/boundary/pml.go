@@ -35,7 +35,8 @@ type PML struct {
 	P     float64 // M-PML parallel damping ratio
 
 	// split[s] holds the s-direction split of the nine components, stored
-	// on a zone-sized grid (local index = global - zone origin). The shear
+	// densely on the zone's own cells (local index = global - zone origin,
+	// no ghost frame: a split is read and written at its cell only). The shear
 	// stress whose strain has no s-derivative takes no term of split s, so
 	// that field is nil: split x has no YZ, split y no XZ, split z no XY.
 	split [3]*fd.State
@@ -66,8 +67,9 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
 	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
 	// A row sweep streams the same offset of all 24 split fields, so they are
-	// placed apart in the L1 set period (grid.LaneFields).
-	field := grid.LaneFields(zd, grid.Ghost, grid.LanePML, 24)
+	// placed apart in the L1 set period (grid.LaneFields). No stencil reads a
+	// split, so they hold the zone's cells and nothing more (ghost 0).
+	field := grid.LaneFields(zd, 0, grid.LanePML, 24)
 	for s := range pm.split {
 		sp := &fd.State{
 			Dims: zd,
@@ -90,12 +92,13 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	return pm
 }
 
-// Splits returns the zone's three directional split states, each on the
-// zone-sized grid, with the one shear field of each that takes no term nil.
+// Splits returns the zone's three directional split states, each dense on
+// the zone's cells, with the one shear field of each that takes no term nil.
 func (pm *PML) Splits() [3]*fd.State { return pm.split }
 
 // Sections names the zone's 24 split arrays as restart sections after its
 // face, of which a rank has one zone at most: "pml.xlow.y.vx" is vx's y split.
+// Each holds the zone's Zone.Cells() values.
 func (pm *PML) Sections() []grid.Section {
 	var secs []grid.Section
 	for s, sp := range pm.split {

@@ -14,8 +14,10 @@ import (
 //   - the nine global fields and the medium, at n0 on the padded grid: the
 //     stencil of one field family, the medium and the other family's cell,
 //     which is written;
-//   - the zone's 24 splits, at l0 on the zone-sized grid (local index =
-//     global − zone origin): read and written at the cell only;
+//   - the zone's 24 splits, at l0 on the zone's own cells (local index =
+//     global − zone origin): read and written at the cell only, so they are
+//     dense, with no ghost frame — a row is nx values apart and a plane
+//     nx·ny, and on an x zone a tile's rows are one contiguous stream;
 //   - the coefficient row of the row's plane along the zone's normal (see
 //     Prepare), at coefAt(j,k): read at the cell's x-offset only.
 //

@@ -52,16 +52,13 @@ var zoneValues = []struct {
 	{"zeros", func(r *rand.Rand) float32 { return float32(math.Copysign(0, float64(r.Intn(2)*2-1))) }},
 }
 
-// walkerZone is a zone of the walker test: its box and face, how far its
-// Zone is widened past the box after NewPML (so that a tile reaches the last
-// value of the split arrays, which only a box past the zone can), and the
-// tiles swept in it.
+// walkerZone is a zone of the walker test: its box and face, and the tiles
+// swept in it.
 type walkerZone struct {
 	box   fd.Box
 	axis  grid.Axis
 	side  grid.Side
 	width int
-	widen int
 	tiles []fd.Box
 }
 
@@ -73,8 +70,8 @@ var walkerZoneDims = grid.Dims{NX: 38, NY: 6, NZ: 6}
 // the y and z zones one plane thicker than their width, so the depth clamps
 // inside every zone — each swept by tiles of 1×1, 1×3, 3×1 and 4×3 rows
 // (j×k) of 1–17, 20 and 36 cells, from odd and even origins in turn; and on
-// each axis a zone widened to reach past the grid's last cell, whose tiles
-// end at the last value of the global, split and coefficient arrays.
+// each axis a zone reaching past the grid's last cell, whose tiles end at the
+// last value of the global, split and coefficient arrays.
 func walkerZones() []walkerZone {
 	d := walkerZoneDims
 	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 36}
@@ -114,27 +111,24 @@ func walkerZones() []walkerZone {
 		}
 		zones = append(zones, walkerZone{box: box, axis: f.axis, side: f.side, width: width, tiles: tiles(box)})
 	}
-	// Widened by 2, the zone ends where the tile's last row ends: at the last
-	// row of the split arrays' ghost frame, the coefficient rows' last value
-	// and, two planes on, the global arrays' last value.
-	corner := fd.Box{I0: d.NX - 22, I1: d.NX, J0: d.NY - 3, J1: d.NY, K0: d.NZ - 5, K1: d.NZ - 2}
+	// Two cells into the global ghost frame in x and y, the zone ends where
+	// the tile's last row ends: at the split arrays' last value (they hold the
+	// zone's cells), the coefficient rows' last value and, two planes on, the
+	// global arrays' last value.
+	corner := fd.Box{I0: d.NX - 22, I1: d.NX + 2, J0: d.NY - 3, J1: d.NY + 2, K0: d.NZ - 5, K1: d.NZ}
 	for _, ax := range []grid.Axis{grid.X, grid.Y, grid.Z} {
 		var ct []fd.Box
 		for _, n := range []int{5, 12, 21} {
 			ct = append(ct, fd.Box{I0: d.NX + 2 - n, I1: d.NX + 2, J0: d.NY - 1, J1: d.NY + 2, K0: d.NZ - 3, K1: d.NZ})
 		}
-		zones = append(zones, walkerZone{box: corner, axis: ax, side: grid.High, width: 3, widen: 2, tiles: ct})
+		zones = append(zones, walkerZone{box: corner, axis: ax, side: grid.High, width: 3, tiles: ct})
 	}
 	return zones
 }
 
-// newWalkerZone builds z's PML, widened as z says, with its coefficients
-// for dt.
+// newWalkerZone builds z's PML with its coefficients for dt.
 func newWalkerZone(z walkerZone, p, vpMax, h, dt float64) *PML {
 	pm := NewPML(z.box, z.axis, z.side, z.width, p, DefaultPMLReflection, vpMax, h)
-	pm.Zone.I1 += z.widen
-	pm.Zone.J1 += z.widen
-	pm.Zone.K1 += z.widen
 	pm.Prepare(dt)
 	return pm
 }
@@ -186,10 +180,11 @@ func coefWindows(pm *PML, b fd.Box) []bool {
 // body without AVX2 — bit for bit, over walkerZones with p = 0 and the
 // multi-axial ratio and over every zoneValues state: full chunks and masked
 // tails alone and together, the three cursors' row and plane steps, and
-// arrays that end where the tile does. Every field and split a sweep writes
-// holds zoneSentinel outside the tile — past I1, in the stride gap, in the
-// ghost frame — which must come back untouched, and every coefficient the
-// tile does not read holds it too.
+// arrays that end where the tile does. Every field a sweep writes holds
+// zoneSentinel outside the tile — past I1, in the stride gap, in the ghost
+// frame — and so does every split, in the zone cells outside the tile; all
+// must come back untouched, and every coefficient the tile does not read
+// holds it too.
 func TestPMLWalkerMatchesGoBody(t *testing.T) {
 	if !fd.Vector {
 		t.Skip("no 8-lane walker on this host")
@@ -340,31 +335,42 @@ func sentinels(n int) []byte {
 	return sentinelBytes[:4*n]
 }
 
-// TestZoneSweepRejectsTilesPastTheArray: a zone tile whose windows run past
-// the global arrays, the splits or the coefficient rows must panic, and
-// under the walker before anything is stored.
+// TestZoneSweepRejectsTilesPastTheArray: a zone tile past the zone, or whose
+// windows run past the global arrays, the splits or the coefficient rows,
+// must panic, and under the walker before anything is stored.
 func TestZoneSweepRejectsTilesPastTheArray(t *testing.T) {
 	d := grid.Dims{NX: 12, NY: 6, NZ: 6}
 	h := 100.0
 	m := makeMedium(t, cvm.SoCal(1200, 600, 600, 400), d, h)
 	dt := m.StableDt(0.45)
 	cases := []struct {
-		name      string
-		z         walkerZone
-		widenCoef int // rows the zone grows after Prepare
+		name       string
+		z          walkerZone
+		widenSplit int // cells the zone grows on every axis after NewPML
+		widenCoef  int // rows the zone grows after Prepare
+		past       int // cells the tile reaches past the zone in x
 	}{
+		// The tile ends a cell past the zone.
+		{"zone", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: 3}, axis: grid.Z, side: grid.Low, width: 3}, 0, 0, 1},
 		// The last planes' +2 stencil windows run past the global arrays.
-		{"global", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: d.NY, K0: d.NZ - 3, K1: d.NZ + 1}, axis: grid.Z, side: grid.High, width: 3}, 0},
-		// Widened by 3 planes, the last rows run past the split arrays.
-		{"splits", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: 3}, axis: grid.Z, side: grid.Low, width: 3, widen: 3}, 0},
+		{"global", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: d.NY, K0: d.NZ - 3, K1: d.NZ + 1}, axis: grid.Z, side: grid.High, width: 3}, 0, 0, 0},
+		// Widened by a cell on every axis after NewPML, the tile runs past the
+		// split arrays.
+		{"splits", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: 3}, axis: grid.Z, side: grid.Low, width: 3}, 1, 0, 0},
 		// Widened by a row after Prepare, the last row has no coefficients.
-		{"coefficients", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: d.NZ}, axis: grid.Y, side: grid.Low, width: 3}, 1},
+		{"coefficients", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: d.NZ}, axis: grid.Y, side: grid.Low, width: 3}, 0, 1, 0},
 	}
 	for _, c := range cases {
 		for _, sw := range zoneSweeps {
 			for _, vec := range []bool{false, fd.Vector} {
-				pm := newWalkerZone(c.z, DefaultMPMLRatio, m.MaxVp, h, dt)
+				pm := NewPML(c.z.box, c.z.axis, c.z.side, c.z.width, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, h)
+				pm.Zone.I1 += c.widenSplit
+				pm.Zone.J1 += c.widenSplit
+				pm.Zone.K1 += c.widenSplit
+				pm.Prepare(dt)
 				pm.Zone.J1 += c.widenCoef
+				tile := pm.Zone
+				tile.I1 += c.past
 				s := fd.NewState(d)
 				fields, names := pmlFields(s, []*PML{pm})
 				rng := rand.New(rand.NewSource(7))
@@ -376,17 +382,17 @@ func TestZoneSweepRejectsTilesPastTheArray(t *testing.T) {
 				func() {
 					defer func() {
 						if recover() == nil {
-							t.Errorf("%s %s sweep vec=%v over %v: no panic", c.name, sw.name, vec, pm.Zone)
+							t.Errorf("%s %s sweep vec=%v over %v: no panic", c.name, sw.name, vec, tile)
 						}
 					}()
-					sw.run(pm, s, m, dt, pm.Zone, vec)
+					sw.run(pm, s, m, dt, tile, vec)
 				}()
 				if !vec {
 					continue
 				}
 				for fi, f := range fields {
 					if !slices.EqualFunc(f.Data(), before[fi], func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
-						t.Errorf("%s %s walker over %v: %s stored before the panic", c.name, sw.name, pm.Zone, names[fi])
+						t.Errorf("%s %s walker over %v: %s stored before the panic", c.name, sw.name, tile, names[fi])
 					}
 				}
 			}

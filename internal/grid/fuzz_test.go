@@ -19,14 +19,20 @@ func enumerate(i0, i1, j0, j1, k0, k1 int, fn func(i, j, k int)) {
 // schedule uses: pack `count` interior planes of a face into a sub-slice
 // at an arbitrary offset of a shared buffer, unpack them into a second
 // field's ghost region, and verify both sides touched exactly the cells
-// they own.
+// they own. A nonzero rw%5 narrows both blocks to rows of rw%5 values, each
+// anywhere across the padded x extent (ghosts included): copyBlock's narrow
+// rows on every face.
 func FuzzPackUnpackSection(f *testing.F) {
-	f.Add(uint8(3), uint8(4), uint8(5), uint8(0), uint8(0), uint8(1), uint16(0))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint16(7))
-	f.Add(uint8(8), uint8(2), uint8(3), uint8(2), uint8(0), uint8(2), uint16(31))
-	f.Add(uint8(4), uint8(4), uint8(4), uint8(0), uint8(1), uint8(2), uint16(13))
-	f.Add(uint8(2), uint8(7), uint8(1), uint8(1), uint8(0), uint8(1), uint16(3))
-	f.Fuzz(func(t *testing.T, rnx, rny, rnz, rax, rsd, rcount uint8, roff uint16) {
+	f.Add(uint8(3), uint8(4), uint8(5), uint8(0), uint8(0), uint8(1), uint16(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), uint16(7), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(8), uint8(2), uint8(3), uint8(2), uint8(0), uint8(2), uint16(31), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), uint8(0), uint8(1), uint8(2), uint16(13), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(2), uint8(7), uint8(1), uint8(1), uint8(0), uint8(1), uint16(3), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(6), uint8(3), uint8(2), uint8(1), uint8(1), uint8(1), uint16(5), uint8(1), uint8(9), uint8(0))
+	f.Add(uint8(7), uint8(2), uint8(4), uint8(2), uint8(0), uint8(2), uint16(2), uint8(2), uint8(0), uint8(3))
+	f.Add(uint8(3), uint8(5), uint8(3), uint8(0), uint8(1), uint8(1), uint16(9), uint8(3), uint8(4), uint8(1))
+	f.Add(uint8(5), uint8(1), uint8(6), uint8(2), uint8(1), uint8(2), uint16(0), uint8(4), uint8(2), uint8(7))
+	f.Fuzz(func(t *testing.T, rnx, rny, rnz, rax, rsd, rcount uint8, roff uint16, rw, rpi, rui uint8) {
 		d := Dims{NX: int(rnx%8) + 1, NY: int(rny%8) + 1, NZ: int(rnz%8) + 1}
 		ax := Axis(rax % 3)
 		sd := Side(rsd % 2)
@@ -37,16 +43,23 @@ func FuzzPackUnpackSection(f *testing.F) {
 		for n := range src.data {
 			src.data[n] = float32(n) + 0.5
 		}
+		i0, i1, j0, j1, k0, k1 := src.planeExtents(ax, sd, count, false)
+		g0, g1, h0, h1, l0, l1 := src.planeExtents(ax, sd, count, true)
 		faceLen := src.FaceLen(ax, count)
+		if w, sx := int(rw%5), d.NX+2*Ghost; w > 0 && w <= sx {
+			i0 = int(rpi)%(sx-w+1) - Ghost
+			g0 = int(rui)%(sx-w+1) - Ghost
+			i1, g1 = i0+w, g0+w
+			faceLen = RangeLen(i0, i1, j0, j1, k0, k1)
+		}
 		const sentinel = float32(-1e30)
 		buf := make([]float32, off+faceLen+8)
 		for n := range buf {
 			buf[n] = sentinel
 		}
 
-		i0, i1, j0, j1, k0, k1 := src.planeExtents(ax, sd, count, false)
 		if n := src.PackRange(i0, i1, j0, j1, k0, k1, buf[off:off+faceLen]); n != faceLen {
-			t.Fatalf("pack wrote %d values, want FaceLen %d", n, faceLen)
+			t.Fatalf("pack wrote %d values, want %d", n, faceLen)
 		}
 		for n := 0; n < off; n++ {
 			if buf[n] != sentinel {
@@ -75,9 +88,8 @@ func FuzzPackUnpackSection(f *testing.F) {
 			dst.data[n] = float32(n) - 0.25
 		}
 		before := append([]float32(nil), dst.data...)
-		g0, g1, h0, h1, l0, l1 := dst.planeExtents(ax, sd, count, true)
 		if n := dst.UnpackRange(g0, g1, h0, h1, l0, l1, buf[off:off+faceLen]); n != faceLen {
-			t.Fatalf("unpack consumed %d values, want FaceLen %d", n, faceLen)
+			t.Fatalf("unpack consumed %d values, want %d", n, faceLen)
 		}
 		pos = off
 		touched := make(map[int]bool, faceLen)

@@ -2,7 +2,8 @@
 // solver component. Fields are stored in x-fastest order (the analogue of
 // the original Fortran code's column-major layout) with a fixed-width ghost
 // padding on all six faces so that 4th-order stencils can be applied at
-// every interior point without bounds checks.
+// every interior point without bounds checks; a field no stencil reads is
+// dense, with no padding at all.
 package grid
 
 import (
@@ -28,10 +29,10 @@ func (d Dims) Valid() bool { return d.NX > 0 && d.NY > 0 && d.NZ > 0 }
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.NX, d.NY, d.NZ) }
 
 // Field3 is a 3D scalar field of float32 with ghost padding (Ghost wide
-// unless the caller chose deeper). Interior indices run
-// i in [0,NX), j in [0,NY), k in [0,NZ); ghost indices extend to
-// [-G(), N+G()). The backing slice is contiguous with x fastest, then y,
-// then z.
+// unless the caller chose deeper, or none for a dense field). Interior
+// indices run i in [0,NX), j in [0,NY), k in [0,NZ); ghost indices extend
+// to [-G(), N+G()). The backing slice is contiguous with x fastest, then
+// y, then z.
 type Field3 struct {
 	Dims
 	g          int // ghost width on every face
@@ -43,7 +44,9 @@ type Field3 struct {
 // default Ghost padding width.
 func NewField3(d Dims) *Field3 { return NewField3G(d, Ghost) }
 
-// NewField3G allocates a zeroed field with a caller-chosen ghost width.
+// NewField3G allocates a zeroed field with a caller-chosen ghost width: at
+// least Ghost for a field a stencil reads, or 0 for a dense field read and
+// written only at its own cells.
 func NewField3G(d Dims, ghost int) *Field3 {
 	return newField3Over(d, ghost, make([]float32, paddedLen(d, ghost)))
 }
@@ -109,13 +112,14 @@ func LaneFields(d Dims, ghost, first, count int) func() *Field3 {
 }
 
 // paddedLen returns the length of the backing array of a field of interior
-// dims d padded by ghost cells on every face.
+// dims d padded by ghost cells on every face. A ghost width between 0 and
+// Ghost is a bug: a stencil field with too thin a frame reads past it.
 func paddedLen(d Dims, ghost int) int {
 	if !d.Valid() {
 		panic(fmt.Sprintf("grid: invalid dims %v", d))
 	}
-	if ghost < Ghost {
-		panic(fmt.Sprintf("grid: ghost width %d < minimum %d", ghost, Ghost))
+	if ghost != 0 && ghost < Ghost {
+		panic(fmt.Sprintf("grid: ghost width %d: a stencil needs at least %d, a field no stencil reads 0", ghost, Ghost))
 	}
 	return (d.NX + 2*ghost) * (d.NY + 2*ghost) * (d.NZ + 2*ghost)
 }
@@ -139,7 +143,7 @@ func (f *Field3) Set(i, j, k int, v float32) { f.data[f.Idx(i, j, k)] = v }
 func (f *Field3) Add(i, j, k int, v float32) { f.data[f.Idx(i, j, k)] += v }
 
 // Data exposes the raw backing slice (including ghosts). Intended for
-// kernels and checkpointing; the layout is x-fastest with Ghost padding.
+// kernels and checkpointing; the layout is x-fastest with G() padding.
 func (f *Field3) Data() []float32 { return f.data }
 
 // Strides returns the flat-index strides (dx, dy, dz) such that
@@ -305,8 +309,17 @@ func (f *Field3) UnpackRange(i0, i1, j0, j1, k0, k1 int, src []float32) int {
 }
 
 // copyBlock copies the block [i0,i1)x[j0,j1)x[k0,k1) to buf (pack=true)
-// or from buf (pack=false), returning the element count.
+// or from buf (pack=false), returning the element count: a copy call a
+// row, or for rows of at most narrowRow values copyNarrow's stores.
 func (f *Field3) copyBlock(i0, i1, j0, j1, k0, k1 int, buf []float32, pack bool) int {
+	if i1-i0 <= narrowRow {
+		return f.copyNarrow(i0, i1, j0, j1, k0, k1, buf, pack)
+	}
+	return f.copyRows(i0, i1, j0, j1, k0, k1, buf, pack)
+}
+
+// copyRows is copyBlock with one copy call a row.
+func (f *Field3) copyRows(i0, i1, j0, j1, k0, k1 int, buf []float32, pack bool) int {
 	n := 0
 	w := i1 - i0
 	for k := k0; k < k1; k++ {

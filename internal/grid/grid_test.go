@@ -1,10 +1,13 @@
 package grid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestDims(t *testing.T) {
@@ -34,37 +37,83 @@ func TestNewField3PanicsOnInvalidDims(t *testing.T) {
 	NewField3(Dims{0, 1, 1})
 }
 
+// A field no stencil reads is dense: ghost 0 holds the interior cells and
+// nothing more, with Idx, Strides and At agreeing on them. Any other width
+// below Ghost is a stencil field with too thin a frame, and panics.
+func TestGhostWidths(t *testing.T) {
+	d := Dims{5, 4, 3}
+	f := NewField3G(d, 0)
+	if f.G() != 0 || len(f.Data()) != d.Cells() {
+		t.Fatalf("ghost 0: G %d, %d values, want 0 and %d", f.G(), len(f.Data()), d.Cells())
+	}
+	if sx, sy, sz := f.PaddedDims(); sx != d.NX || sy != d.NY || sz != d.NZ {
+		t.Fatalf("ghost 0: PaddedDims %d,%d,%d, want %v", sx, sy, sz, d)
+	}
+	for n := range f.Data() {
+		f.Data()[n] = float32(n)
+	}
+	dx, dy, dz := f.Strides()
+	n := 0
+	for k := 0; k < d.NZ; k++ {
+		for j := 0; j < d.NY; j++ {
+			for i := 0; i < d.NX; i++ {
+				if f.Idx(i, j, k) != n || i*dx+j*dy+k*dz != n || f.At(i, j, k) != float32(n) {
+					t.Fatalf("ghost 0: (%d,%d,%d) at Idx %d, strides %d, holds %g; want flat index %d",
+						i, j, k, f.Idx(i, j, k), i*dx+j*dy+k*dz, f.At(i, j, k), n)
+				}
+				n++
+			}
+		}
+	}
+	for _, g := range []int{1, -1} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, fmt.Sprintf("ghost width %d", g)) {
+					t.Errorf("ghost %d: panic %q, want one naming the width", g, msg)
+				}
+			}()
+			NewField3G(d, g)
+		}()
+	}
+}
+
 // LaneFields moves where its fields' storage starts and nothing else: the
 // fields have the length, indices and contents of any other, no spare
-// capacity an append could grow into, and no storage in common.
+// capacity an append could grow into, and no storage in common; dense fields
+// (ghost 0) as well as padded ones.
 func TestLaneFieldsAreOrdinaryFields(t *testing.T) {
 	d := Dims{5, 4, 3}
 	const count = 3
-	next := LaneFields(d, 3, Lanes-count, count)
-	for k := 0; k < count; k++ {
-		f := next()
-		if f.G() != 3 || f.Dims != d {
-			t.Fatalf("field %d: ghost %d dims %v", k, f.G(), f.Dims)
-		}
-		if n := paddedLen(d, 3); len(f.Data()) != n || cap(f.Data()) != n {
-			t.Fatalf("field %d: len %d cap %d, want %d", k, len(f.Data()), cap(f.Data()), n)
-		}
-		for _, v := range f.Data() {
-			if v != 0 {
-				t.Fatalf("field %d: not zeroed, or it shares storage with an earlier field", k)
+	var next func() *Field3
+	for _, ghost := range []int{3, 0} {
+		next = LaneFields(d, ghost, Lanes-count, count)
+		for k := 0; k < count; k++ {
+			f := next()
+			if f.G() != ghost || f.Dims != d {
+				t.Fatalf("ghost %d field %d: ghost %d dims %v", ghost, k, f.G(), f.Dims)
 			}
-		}
-		f.Fill(float32(k + 1))
-		f.Set(-3, -3, -3, -1)
-		f.Set(d.NX+2, d.NY+2, d.NZ+2, -2)
-		if f.Data()[0] != -1 || f.Data()[len(f.Data())-1] != -2 {
-			t.Fatalf("field %d: corners of the ghost frame are not the ends of Data()", k)
+			if n := paddedLen(d, ghost); len(f.Data()) != n || cap(f.Data()) != n {
+				t.Fatalf("ghost %d field %d: len %d cap %d, want %d", ghost, k, len(f.Data()), cap(f.Data()), n)
+			}
+			for _, v := range f.Data() {
+				if v != 0 {
+					t.Fatalf("ghost %d field %d: not zeroed, or it shares storage with an earlier field", ghost, k)
+				}
+			}
+			f.Fill(float32(k + 1))
+			f.Set(-ghost, -ghost, -ghost, -1)
+			f.Set(d.NX+ghost-1, d.NY+ghost-1, d.NZ+ghost-1, -2)
+			if f.Data()[0] != -1 || f.Data()[len(f.Data())-1] != -2 {
+				t.Fatalf("ghost %d field %d: the corners of the padded box are not the ends of Data()", ghost, k)
+			}
 		}
 	}
 	for _, bad := range []func(){
 		func() { next() }, // a fourth field of three
 		func() { LaneFields(d, 3, Lanes-count+1, count) }, // past the last lane
 		func() { LaneFields(d, 3, -1, count) },
+		func() { LaneFields(d, 1, 0, count) }, // a stencil field's frame too thin
 	} {
 		func() {
 			defer func() {
@@ -74,6 +123,38 @@ func TestLaneFieldsAreOrdinaryFields(t *testing.T) {
 			}()
 			bad()
 		}()
+	}
+}
+
+// LaneFields places field m of a shape stride·m cache lines past a 4 KiB
+// boundary, stride odd — dense or padded: the M-PML zones' splits (ghost 0,
+// numbered from LanePML) land on distinct lines of the L1 set period as the
+// padded wavefield does. The shapes are larger than 32 KiB a field, so the
+// allocator page-aligns the allocation the fields are cut from.
+func TestLaneFieldsPlacement(t *testing.T) {
+	for _, c := range []struct {
+		d            Dims
+		ghost, first int
+		count        int
+	}{
+		{Dims{NX: 10, NY: 28, NZ: 20}, 0, LanePML, 24},
+		{Dims{NX: 48, NY: 10, NZ: 24}, 0, LanePML, 24},
+		{Dims{NX: 28, NY: 28, NZ: 20}, Ghost, LaneState, 9},
+	} {
+		strideLines := (paddedLen(c.d, c.ghost)+cacheLine-1)/cacheLine | 1
+		next := LaneFields(c.d, c.ghost, c.first, c.count)
+		seen := map[int]bool{}
+		for k := 0; k < c.count; k++ {
+			addr := uintptr(unsafe.Pointer(&next().Data()[0]))
+			line := int(addr % 4096 / 64)
+			if want := (c.first + k) * strideLines % Lanes; addr%64 != 0 || line != want {
+				t.Errorf("%v ghost %d field %d: starts %d bytes into line %d, want the start of line %d", c.d, c.ghost, k, addr%64, line, want)
+			}
+			if seen[line] {
+				t.Errorf("%v ghost %d field %d: line %d taken", c.d, c.ghost, k, line)
+			}
+			seen[line] = true
+		}
 	}
 }
 

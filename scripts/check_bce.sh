@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Bounds-check-elimination, inlining and loop-alignment guard for the
 # production kernel pair, the attenuation row sweeps, the PML row kernels, the
-# sponge's row walker, the free surface and the set-up row sweeps (the velocity
-# model's rows, the medium's and the deficits').
+# sponge's row walker, the free surface, the set-up row sweeps (the velocity
+# model's rows, the medium's and the deficits') and the halo's narrow-row
+# copies.
 #
 # The production inner loops (fd/rows.go), and the attenuation, PML zone and
-# medium.finalize sweeps modelled on them, and the set-up rows of cvm, medium
-# and the attenuation deficits, are written against explicit per-offset subslice
-# windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
-# eliminate every per-point bounds check; a regression here silently costs
-# kernel throughput. This script rebuilds the kernel packages with
+# medium.finalize sweeps modelled on them, the set-up rows of cvm, medium and
+# the attenuation deficits, and grid's narrow-row copies, are written against
+# explicit per-offset subslice windows (ap := a[n0+off:][:ni]) precisely so
+# the compiler's prove pass can eliminate every per-point bounds check; a
+# regression here silently costs kernel throughput. This script rebuilds the kernel packages with
 # -d=ssa/check_bce and fails if any per-point IsInBounds check appears in a
 # guarded file. IsSliceInBounds diagnostics are allowed: they are the
 # once-per-row window creations, not per-point checks.
@@ -29,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/core/boundary/sponge_rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go'
+GUARDED='internal/core/fd/rows.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/pml_rows.go internal/core/boundary/sponge_rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go internal/grid/narrow.go'
 
 # Assembly walkers (file:symbol:loops) whose 8-lane full-chunk loops — one,
 # or the given number: the stress walkers walk a tapered and an untapered
@@ -45,7 +46,8 @@ diag=$(GOCACHE="$tmpcache" go build \
     -gcflags="repro/internal/core/boundary=-d=ssa/check_bce" \
     -gcflags="repro/internal/medium=-d=ssa/check_bce" \
     -gcflags="repro/internal/cvm=-d=ssa/check_bce" \
-    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium ./internal/cvm 2>&1 || true)
+    -gcflags="repro/internal/grid=-d=ssa/check_bce" \
+    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium ./internal/cvm ./internal/grid 2>&1 || true)
 
 status=0
 for f in $GUARDED; do
