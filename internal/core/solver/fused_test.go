@@ -9,76 +9,6 @@ import (
 	"repro/internal/mpi"
 )
 
-// expectResultsExact asserts exact float equality of seismograms and all
-// four PGV maps — the rank-0 observables of every wavefield the run
-// touches.
-func expectResultsExact(t *testing.T, label string, ref, res *Result) {
-	t.Helper()
-	for r := range ref.Seismograms {
-		for n := range ref.Seismograms[r] {
-			if ref.Seismograms[r][n] != res.Seismograms[r][n] {
-				t.Fatalf("%s: receiver %d sample %d differs from reference", label, r, n)
-			}
-		}
-	}
-	maps := [][2][]float64{{ref.PGVH, res.PGVH}, {ref.PGVX, res.PGVX}, {ref.PGVY, res.PGVY}, {ref.PGVZ, res.PGVZ}}
-	for mi, m := range maps {
-		for i := range m[0] {
-			if m[0][i] != m[1][i] {
-				t.Fatalf("%s: PGV map %d mismatch at %d: %g != %g", label, mi, i, m[0][i], m[1][i])
-			}
-		}
-	}
-}
-
-// matrixBlockings is the tile-shape axis of the identity matrices: the shapes
-// buildTilePlan derives from each box and the pool size (the zero value), and
-// one explicit override, the 8/16 panels bench's traced redrive still sets.
-var matrixBlockings = []fd.Blocking{{}, {JBlock: 8, KBlock: 16}}
-
-// The production kernels (row-window sweeps per tile) must reproduce the
-// serial pointwise Precomp run bit-exactly across every comm model, threading
-// level — each with the tile shapes derived for it — and the tile-shape
-// override: they only change how memory is streamed and in what order, never
-// a single arithmetic result. Both sides run the one-pass stress +
-// attenuation sweep; the reference that cannot is
-// TestDefaultPathMatchesTwoPassOracle.
-func TestFusedBitIdentityMatrix(t *testing.T) {
-	q := cvm.SoCal(2400, 2400, 1600, 400)
-	ref, err := Run(q, baseOptions(mpi.NewCart(1, 1, 1))) // serial Precomp
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Serial production first: isolates the kernel restructuring from the
-	// decomposition.
-	serial := baseOptions(mpi.NewCart(1, 1, 1))
-	serial.Variant = fd.Production
-	res, err := Run(q, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectResultsExact(t, "serial production", ref, res)
-
-	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
-		for _, threads := range []int{1, 2, 3, 4} {
-			for _, blk := range matrixBlockings {
-				opt := baseOptions(mpi.NewCart(2, 2, 1))
-				opt.Comm = model
-				opt.Threads = threads
-				opt.Blocking = blk
-				opt.Variant = fd.Production
-				label := fmt.Sprintf("%v threads=%d blocking=%d/%d", model, threads, blk.JBlock, blk.KBlock)
-				res, err := Run(q, opt)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				expectResultsExact(t, label, ref, res)
-			}
-		}
-	}
-}
-
 // Unknown enum values must be rejected at configuration time: a bad Comm
 // or ABC must not silently run as some other model (a bad Variant is
 // TestPrepareRejectsRemovedAxes').

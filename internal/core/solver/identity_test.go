@@ -1,0 +1,1113 @@
+package solver
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/agg"
+	"repro/internal/checkpoint"
+	"repro/internal/core/fd"
+	"repro/internal/core/rupture"
+	"repro/internal/core/source"
+	"repro/internal/cvm"
+	"repro/internal/grid"
+	"repro/internal/mpi"
+	"repro/internal/mpiio"
+	"repro/internal/pfs"
+	"repro/internal/telemetry"
+)
+
+// The identity harness holds every way of executing a scenario to one
+// reference, bit for bit (the paper's aVal acceptance, §III.H).
+//
+// A physics row is a scenario — medium, boundaries, sources, fault, rate plan
+// — and picks its reference: the production stepper on one rank and one
+// thread, whole sweeps, telemetry off and the Go row bodies, held after every
+// step to the two-pass oracle (oracle_test.go); for mixed rates, which have no
+// oracle, the same serial run on 2x1x1. The execution axes must not change a
+// bit: comm model, threads, topology (uneven cuts included), tile shape,
+// active box or whole sweeps, telemetry, Surface output, a checkpoint and
+// rollback mid-run, and the 8-lane walkers. identityArray covers them and the
+// physics row pairwise. After every Step each row compares every rank's
+// Stepper.Sections() with the reference's in global coordinates — the whole
+// padded arrays, ghosts included, on the reference's own topology under a
+// comm model that ships every ghost — and at the end every Result field by
+// its bits. Each row runs once per test binary; the seed-era identity tests
+// are views of the rows that vary their axes.
+
+var (
+	identityComms  = []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
+	identityTopos  = []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2), mpi.NewCart(1, 3, 1), mpi.NewCart(2, 1, 2)}
+	identityShapes = []fd.Blocking{{}, {JBlock: 8, KBlock: 16}, {JBlock: 3, KBlock: 5}}
+	hostVector     = fd.Vector
+)
+
+// The array's axes; a row holds an index into each axis's values, and the
+// last five are off (0) or on (1).
+const (
+	axPhysics = iota
+	axComm
+	axThreads
+	axTopo
+	axShape
+	axBox
+	axTelemetry
+	axSurface
+	axCheckpoint
+	axVector
+)
+
+func axisSizes() []int {
+	return []int{len(identityPhysics()), len(identityComms), 4, len(identityTopos), len(identityShapes), 2, 2, 2, 2, 2}
+}
+
+// physicsRow is a scenario; its options leave every execution axis unset.
+// Without oracle its rates are mixed.
+type physicsRow struct {
+	name   string
+	q      cvm.Querier
+	opt    Options
+	oracle bool
+	check  func(ref *reference) string // why the reference misses the row's mechanism, or ""
+}
+
+var identityPhysics = sync.OnceValue(func() []*physicsRow {
+	soCal := cvm.SoCal(2400, 2400, 1600, 400)
+	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
+	rock, soft := ltsContrast()
+	contrast := splitXModel{split: 16 * 100, rock: rock, soft: soft}
+
+	filled := baseOptions(mpi.Cart{})
+	filled.Variant, filled.Steps = fd.Default, 32
+	front := filled
+	// Off the seams at 12/12/8, so the front has to travel to them.
+	front.Sources = []source.SampledSource{source.PointSource{GI: 6, GJ: 7, GK: 4, M0: 1e15,
+		Tensor: source.Explosion, STF: source.GaussianPulse(0.08, 0.02)}.Sample(0.002, 200)}
+	front.Steps = 16
+	mpml := front
+	mpml.ABC, mpml.PMLWidth = MPMLABC, 3
+	// The window's first two columns lie in the x-low zone, so zone tiles
+	// carry fault nodes and correction rows.
+	mpmlFault := mpml
+	mpmlFault.Sources, mpmlFault.Fault = nil, overstressedFault(12, 1, 16, 3, 10)
+	sponge := boxScenario(SpongeABC)
+	elastic := sponge
+	elastic.Attenuation = false
+	spongeFault := sponge
+	spongeFault.Sources, spongeFault.Fault = nil, overstressedFault(11, 10, 10, 2, 6)
+	rate1 := ltsOptions(grid.Dims{NX: 28, NY: 24, NZ: 16}, 12, mpi.Cart{})
+	rate1.LTS = LTSOptions{Enabled: true, WorkBalance: true}
+	mixed := func(abc ABCKind) Options {
+		opt := boxScenario(abc)
+		opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
+		return opt
+	}
+	return []*physicsRow{
+		{"filled", soCal, filled, true, nil},
+		{"front", soCal, front, true, reachesXSeam},
+		{"mpml", soCal, mpml, true, splitsMove},
+		{"fault", soCal, mpmlFault, true, func(ref *reference) string { return cmp.Or(splitsMove(ref), faultSlips(ref)) }},
+		{"sponge", boxQ, sponge, true, nil},
+		{"sponge-elastic", boxQ, elastic, true, nil},
+		{"sponge-fault", boxQ, spongeFault, true, faultSlips},
+		{"rupture", cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), ruptureOptions(), true,
+			func(ref *reference) string { return cmp.Or(faultSlips(ref), ruptureSpreads(ref)) }},
+		{"lts-rate1", cvm.Homogeneous(rock), rate1, true, ratesAre("[1]")},
+		{"rates-sponge", contrast, mixed(SpongeABC), false, ratesAre("[1 4]")},
+		{"rates-mpml", contrast, mixed(MPMLABC), false, ratesAre("[1 4]")},
+	}
+})
+
+// boxScenario is a 32x28x20 grid whose explosion sits two cells inside the
+// 2x2x2 seams at 16/14/10, so its first values cross into three neighbors in
+// step one while its own rank's box still has 16 cells to grow toward the
+// far faces. A second, weaker source of pure sxy sits at depth 1 in the y-low
+// absorbing zone, three cells from the x seam — outside the planes a stress
+// exchange ships: the first its x neighbor sees of it is vy(k=1) in its
+// ghosts, a hull one plane thick. Under the sponge its stress tile must add
+// it before damping the plane.
+func boxScenario(abc ABCKind) Options {
+	stf := source.GaussianPulse(0.08, 0.02)
+	return Options{
+		Global: grid.Dims{NX: 32, NY: 28, NZ: 20}, H: 100, Steps: 12,
+		ABC: abc, PMLWidth: 3, SpongeWidth: 4, FreeSurface: true, Attenuation: true,
+		Sources: []source.SampledSource{
+			source.PointSource{GI: 13, GJ: 11, GK: 7, M0: 1e15, Tensor: source.Explosion, STF: stf}.Sample(0.002, 200),
+			source.PointSource{GI: 13, GJ: 2, GK: 1, M0: 1e14, Tensor: source.StrikeSlipXY, STF: stf}.Sample(0.002, 200),
+		},
+		Receivers: [][3]int{{13, 11, 2}, {20, 11, 7}, {13, 20, 12}},
+		TrackPGV:  true,
+	}
+}
+
+// ruptureOptions is a spontaneous rupture from a nucleation patch off the
+// seams at x = 16 and z = 10, which its front has to cross, with slip rates
+// recorded every other step.
+func ruptureOptions() Options {
+	f := overstressedFault(6, 4, 24, 3, 14)
+	for k, row := range f.Tau0 {
+		for i := range row {
+			if di, dk := f.I0+i-10, f.K0+k-7; di*di+dk*dk > 16 {
+				row[i] = 74e6
+			}
+		}
+	}
+	f.RecordEvery = 2
+	return Options{
+		Global: grid.Dims{NX: 32, NY: 12, NZ: 20}, H: 100, Steps: 100,
+		ABC: SpongeABC, SpongeWidth: 4, Fault: f,
+		Receivers: [][3]int{{8, 3, 6}, {24, 9, 14}, {16, 6, 10}},
+		TrackPGV:  true,
+	}
+}
+
+// overstressedFault is a fault window of ni x nk nodes from (i0, k0) on the
+// plane y = j0, overstressed everywhere, so it slips from the first step.
+func overstressedFault(j0, i0, ni, k0, nk int) *FaultSpec {
+	tau := make([][]float64, nk)
+	sn := make([][]float64, nk)
+	fr := make([][]rupture.Friction, nk)
+	for k := range tau {
+		tau[k] = make([]float64, ni)
+		sn[k] = make([]float64, ni)
+		fr[k] = make([]rupture.Friction, ni)
+		for i := range tau[k] {
+			sn[k][i], tau[k][i] = 120e6, 84e6
+			fr[k][i] = rupture.Friction{MuS: 0.677, MuD: 0.525, Dc: 0.02}
+		}
+	}
+	return &FaultSpec{J0: j0, I0: i0, I1: i0 + ni, K0: k0, K1: k0 + nk,
+		Tau0: tau, SigmaN: sn, Friction: fr}
+}
+
+// reachesXSeam: vx on the seam plane i = NX/2 is at rest after the first
+// step and moving by the last, so the floor decides what the seams store.
+func reachesXSeam(ref *reference) string {
+	g := ref.opt.Global
+	moving := func(step int) bool {
+		for n := 0; n < g.NY*g.NZ; n++ {
+			if ref.at(step, "vx", g.NX/2, n%g.NY, n/g.NY) != 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if moving(0) || !moving(ref.opt.Steps-1) {
+		return "the front does not reach the x seam inside the window"
+	}
+	return ""
+}
+
+// splitsMove: each of the 24 stored splits moves in some zone by the end.
+func splitsMove(ref *reference) string {
+	moving := map[string]bool{}
+	for _, sec := range ref.snaps[ref.opt.Steps-1][0] {
+		if zone, ok := strings.CutPrefix(sec.Name, "pml."); ok {
+			split := zone[strings.Index(zone, ".")+1:]
+			moving[split] = moving[split] || slices.ContainsFunc(sec.F32, func(v float32) bool { return v != 0 })
+		}
+	}
+	for split, m := range moving {
+		if !m || len(moving) != 24 {
+			return fmt.Sprintf("%d stored splits, %s moving %v", len(moving), split, m)
+		}
+	}
+	return ""
+}
+
+func faultSlips(ref *reference) string {
+	if st := ref.res.FaultStats; st.MaxSlip == 0 || st.RupturedFraction == 0 {
+		return fmt.Sprintf("the fault did not slip: %+v", st)
+	}
+	return ""
+}
+
+// ruptureSpreads: the front crosses the x and the z seam of 2x1x2 by two
+// nodes, and slip rates are recorded.
+func ruptureSpreads(ref *reference) string {
+	f, g := ref.opt.Fault, ref.opt.Global
+	var pastX, pastZ bool
+	for k, row := range ref.res.FaultRupTime {
+		for i, t := range row {
+			pastX = pastX || t >= 0 && f.I0+i >= g.NX/2+2
+			pastZ = pastZ || t >= 0 && f.K0+k >= g.NZ/2+2
+		}
+	}
+	if !pastX || !pastZ || len(ref.res.SlipSeries) == 0 {
+		return fmt.Sprintf("rupture past the x seam %v, the z seam %v; %d slip-rate series", pastX, pastZ, len(ref.res.SlipSeries))
+	}
+	return ""
+}
+
+// ratesAre checks the reference's distinct rates and, when they are mixed,
+// that the receiver in the rate-4 half records signal.
+func ratesAre(want string) func(*reference) string {
+	return func(ref *reference) string {
+		if rateSet(ref.rates) != want || ref.opt.LTS.MaxRateRatio == 4 && maxSeriesAbs(ref.res.Seismograms[1]) == 0 {
+			return fmt.Sprintf("rates %v, want %s with signal in the rate-4 half", ref.rates, want)
+		}
+		return ""
+	}
+}
+
+// rateSet prints a run's distinct rates in increasing order.
+func rateSet(rates []int) string {
+	set := slices.Clone(rates)
+	slices.Sort(set)
+	return fmt.Sprint(slices.Compact(set))
+}
+
+// allowedPairs lists, in a fixed order, each pair of values (a, u, b, v) of
+// axes a <= b that required asks for and allowed admits — with a == b, value
+// u alone.
+func allowedPairs(sizes []int, allowed func([]int) bool, required func(a, b int) bool) [][4]int {
+	var pairs [][4]int
+	for a := range sizes {
+		for b := a; b < len(sizes); b++ {
+			for u := range sizes[a] {
+				for v := range sizes[b] {
+					row := unsetRow(len(sizes))
+					row[a], row[b] = u, v
+					if required(a, b) && (a != b || u == v) && allowed(row) {
+						pairs = append(pairs, [4]int{a, u, b, v})
+					}
+				}
+			}
+		}
+	}
+	return pairs
+}
+
+// rowPairs lists the pairs of values a row holds, each value alone among
+// them.
+func rowPairs(row []int) (pairs [][4]int) {
+	for a := range row {
+		for b := a; b < len(row); b++ {
+			pairs = append(pairs, [4]int{a, row[a], b, row[b]})
+		}
+	}
+	return pairs
+}
+
+// unsetRow is a row of n axes, none set (-1).
+func unsetRow(n int) []int {
+	row := make([]int, n)
+	for a := range row {
+		row[a] = -1
+	}
+	return row
+}
+
+// coveringArray returns rows that allowed admits and that hold every pair:
+// a covering array of strength 2 (Kuhn, Kacker & Lei, NIST SP 800-142),
+// built greedily as AETG is but without its random candidates. Each row
+// starts from the first pair still uncovered and takes, axis by axis, the
+// allowed value that covers the most uncovered pairs with the axes already
+// set — on a tie the one the rows so far hold least, then the lowest — so
+// the values spread over the rows that only fill a pair, and the array is a
+// function of its arguments.
+func coveringArray(sizes []int, pairs [][4]int, allowed func([]int) bool) [][]int {
+	uncovered := map[[4]int]bool{}
+	for _, p := range pairs {
+		uncovered[p] = true
+	}
+	gain := func(row []int, a int) (n int) {
+		for b, v := range row {
+			if lo, hi := min(a, b), max(a, b); v >= 0 && uncovered[[4]int{lo, row[lo], hi, row[hi]}] {
+				n++
+			}
+		}
+		return n
+	}
+	used := make([][]int, len(sizes))
+	for a, n := range sizes {
+		used[a] = make([]int, n)
+	}
+	var rows [][]int
+	for _, p := range pairs {
+		if !uncovered[p] {
+			continue
+		}
+		row := unsetRow(len(sizes))
+		row[p[0]], row[p[2]] = p[1], p[3]
+		for a := range sizes {
+			if row[a] >= 0 {
+				continue
+			}
+			best, most := 0, -1
+			for u := range sizes[a] {
+				if row[a] = u; allowed(row) {
+					if n := gain(row, a); n > most || n == most && used[a][u] < used[a][best] {
+						best, most = u, n
+					}
+				}
+			}
+			row[a] = best
+		}
+		for _, p := range rowPairs(row) {
+			delete(uncovered, p)
+		}
+		for a, u := range row {
+			used[a][u]++
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// identityAllowed is the array's constraints on a row whose unset axes are
+// -1: exactly stepExclusions, DFR mode's PY = 1, and a mixed-rate row's x
+// cut at its contrast, x = NX/2, so PX = 2.
+func identityAllowed(row []int) bool {
+	if row[axPhysics] < 0 {
+		return true
+	}
+	p := identityPhysics()[row[axPhysics]]
+	opt := p.opt
+	if row[axSurface] == 1 {
+		opt.Surface = &SurfaceOptions{}
+	}
+	for _, x := range stepExclusions {
+		if x.hit(&opt) {
+			return false
+		}
+	}
+	if t := row[axTopo]; t >= 0 {
+		topo := identityTopos[t]
+		return (opt.Fault == nil || topo.PY == 1) && (p.oracle || topo.PX == 2)
+	}
+	return true
+}
+
+// identityRequired is the array's strength: every pair of axes; with short,
+// every pair of execution axes and each physics row once.
+func identityRequired(short bool) func(a, b int) bool {
+	return func(a, b int) bool { return !short || a != axPhysics || b == axPhysics }
+}
+
+// identityRow is a row of the array, decoded.
+type identityRow struct {
+	name                                string
+	phys                                *physicsRow
+	comm                                CommModel
+	threads                             int
+	topo                                mpi.Cart
+	shape                               fd.Blocking
+	box, tel, surface, ckpt, vectorized bool
+}
+
+// identityArray is the array's rows, grouped by physics row; -short asks
+// only the execution axes' pairs.
+var identityArray = sync.OnceValue(func() []identityRow {
+	pairs := allowedPairs(axisSizes(), identityAllowed, identityRequired(testing.Short()))
+	raw := coveringArray(axisSizes(), pairs, identityAllowed)
+	slices.SortStableFunc(raw, func(a, b []int) int { return a[axPhysics] - b[axPhysics] })
+	var rows []identityRow
+	for _, v := range raw {
+		r := identityRow{phys: identityPhysics()[v[axPhysics]], comm: identityComms[v[axComm]], threads: v[axThreads] + 1,
+			topo: identityTopos[v[axTopo]], shape: identityShapes[v[axShape]], box: v[axBox] == 1, tel: v[axTelemetry] == 1,
+			surface: v[axSurface] == 1, ckpt: v[axCheckpoint] == 1, vectorized: v[axVector] == 1}
+		name := []string{r.phys.name, r.comm.String(), fmt.Sprintf("t%d.%dx%dx%d.tiles%dx%d", r.threads,
+			r.topo.PX, r.topo.PY, r.topo.PZ, r.shape.JBlock, r.shape.KBlock)}
+		for n, onOff := range [][2]string{{"whole", "box"}, {"quiet", "tel"}, {"nosurf", "surf"}, {"run", "ckpt"}, {"go", "avx"}} {
+			name = append(name, onOff[v[axBox+n]])
+		}
+		r.name = strings.Join(name, ".")
+		rows = append(rows, r)
+	}
+	return rows
+})
+
+// TestIdentityArrayCoversPairs: both arrays, full and -short, hold only
+// allowed rows and every allowed pair they ask for.
+func TestIdentityArrayCoversPairs(t *testing.T) {
+	for _, short := range []bool{false, true} {
+		pairs := allowedPairs(axisSizes(), identityAllowed, identityRequired(short))
+		rows := coveringArray(axisSizes(), pairs, identityAllowed)
+		seen := map[[4]int]bool{}
+		for _, row := range rows {
+			if !identityAllowed(row) || slices.Contains(row, -1) {
+				t.Fatalf("short %v: row %v is not allowed", short, row)
+			}
+			for _, p := range rowPairs(row) {
+				seen[p] = true
+			}
+		}
+		for _, p := range pairs {
+			if !seen[p] {
+				t.Errorf("short %v: allowed pair %v lies in no row", short, p)
+			}
+		}
+		t.Logf("short %v: %d rows hold %d allowed pairs", short, len(rows), len(pairs))
+	}
+}
+
+// region places a section's values in the global grid: the cells of box,
+// stored as the padded array of a subgrid of dims pad whose cell (0, 0, 0)
+// is org or, with pad zero, densely over box. A fault section's box is its
+// (i, k) window at j = 0.
+type region struct {
+	box fd.Box
+	org [3]int
+	pad grid.Dims
+}
+
+// index is the offset of global cell (i, j, k) in the section.
+func (r region) index(i, j, k int) int {
+	if d, g := r.pad, grid.Ghost; d.NX > 0 {
+		return ((k-r.org[2]+g)*(d.NY+2*g)+j-r.org[1]+g)*(d.NX+2*g) + i - r.org[0] + g
+	}
+	b := r.box
+	return ((k-b.K0)*(b.J1-b.J0)+j-b.J0)*(b.I1-b.I0) + i - b.I0
+}
+
+// framed is r with a padded section's ghost frame.
+func (r region) framed() region {
+	if g, b := grid.Ghost, r.box; r.pad.NX > 0 {
+		r.box = fd.Box{I0: b.I0 - g, I1: b.I1 + g, J0: b.J0 - g, J1: b.J1 + g, K0: b.K0 - g, K1: b.K1 + g}
+	}
+	return r
+}
+
+// sectionRegions places each of st's Sections(), found by name through its
+// owner.
+func sectionRegions(st *Stepper) ([]region, error) {
+	rs, sub := st.rs, st.rs.sub
+	o := [3]int{sub.OffX, sub.OffY, sub.OffZ}
+	at := func(b fd.Box) fd.Box {
+		return fd.Box{I0: b.I0 + o[0], I1: b.I1 + o[0], J0: b.J0 + o[1], J1: b.J1 + o[1], K0: b.K0 + o[2], K1: b.K1 + o[2]}
+	}
+	where := map[string]region{}
+	padded := rs.st.Sections()
+	if rs.atten != nil {
+		padded = append(padded, rs.atten.Sections()...)
+	}
+	for _, s := range padded {
+		where[s.Name] = region{at(fd.FullBox(sub.Local)), o, sub.Local}
+	}
+	for _, z := range rs.zones {
+		for _, s := range z.Sections() {
+			where[s.Name] = region{box: at(z.Zone)}
+		}
+	}
+	if f := st.opt.Fault; rs.fault != nil {
+		w := at(fd.FullBox(sub.Local)).Intersect(fd.Box{I0: f.I0, I1: f.I1, J0: f.J0, J1: f.J0 + 1, K0: f.K0, K1: f.K1})
+		w.J0, w.J1 = 0, 1
+		for _, s := range rs.fault.Sections() {
+			where[s.Name] = region{box: w}
+		}
+		where["fault.clock"] = region{box: fd.Box{I1: 1, J1: 1, K1: 1}} // one value, on every fault rank
+	}
+	var regs []region
+	for _, s := range st.Sections() {
+		r, ok := where[s.Name]
+		if !ok {
+			return nil, fmt.Errorf("section %s has no owner", s.Name)
+		}
+		regs = append(regs, r)
+	}
+	return regs, nil
+}
+
+// valueAt returns value n of s as its bits and as a float64.
+func valueAt(s grid.Section, n int) (uint64, float64) {
+	if s.F64 != nil {
+		return math.Float64bits(s.F64[n]), s.F64[n]
+	}
+	return uint64(math.Float32bits(s.F32[n])), float64(s.F32[n])
+}
+
+// diffState compares one rank's sections, placed by regs, with the value
+// want's ranks hold at the same global cell, and describes the first
+// difference; every value must meet one. With rank >= 0 the state is held to
+// want's rank rank alone, on the whole padded arrays.
+func diffState(secs []grid.Section, regs []region, want [][]grid.Section, wregs [][]region, rank int) string {
+	for si, sec := range secs {
+		r, n := regs[si], 0
+		if rank >= 0 {
+			r = r.framed()
+		}
+		for wr, wsecs := range want {
+			for wi, w := range wsecs {
+				if w.Name != sec.Name || rank >= 0 && wr != rank {
+					continue
+				}
+				q := wregs[wr][wi]
+				if rank >= 0 {
+					q = q.framed()
+				}
+				b := r.box.Intersect(q.box)
+				for k := b.K0; k < b.K1; k++ {
+					for j := b.J0; j < b.J1; j++ {
+						for i := b.I0; i < b.I1; i++ {
+							got, v := valueAt(sec, r.index(i, j, k))
+							if exp, x := valueAt(w, q.index(i, j, k)); got != exp {
+								return fmt.Sprintf("%s(%d,%d,%d) = %g (%#x), reference %g (%#x)", sec.Name, i, j, k, v, got, x, exp)
+							}
+							n++
+						}
+					}
+				}
+			}
+		}
+		if n < r.box.Cells() {
+			return fmt.Sprintf("%s: %d of %d values lie in no reference section", sec.Name, r.box.Cells()-n, r.box.Cells())
+		}
+	}
+	return ""
+}
+
+// reference is a physics row's reference run: every rank's sections after
+// each Step by the step it reached (nil inside an LTS cycle), placed by regs,
+// its Result and its rates.
+type reference struct {
+	opt   Options // as run
+	snaps [][][]grid.Section
+	regs  [][]region
+	res   *Result
+	rates []int
+	fail  string // why the reference itself does not hold
+}
+
+// at is the reference's value of section name at global cell (i, j, k) after
+// step.
+func (ref *reference) at(step int, name string, i, j, k int) float64 {
+	for r, secs := range ref.snaps[step] {
+		for si, s := range secs {
+			if q := ref.regs[r][si]; s.Name == name && q.box.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) {
+				_, v := valueAt(s, q.index(i, j, k))
+				return v
+			}
+		}
+	}
+	return math.NaN()
+}
+
+// useVector sets fd.Vector for a run — on only where the host has the
+// walkers — and returns what restores it.
+func useVector(on bool) func() {
+	old := fd.Vector
+	fd.Vector = on && hostVector
+	return func() { fd.Vector = old }
+}
+
+// failures keeps the first failure a world's ranks report.
+type failures struct {
+	once sync.Once
+	msg  string
+}
+
+func (f *failures) add(format string, args ...any) {
+	f.once.Do(func() { f.msg = fmt.Sprintf(format, args...) })
+}
+
+// build runs p's reference: a thread a rank, Asynchronous, whole sweeps,
+// telemetry off, the Go row bodies; with an oracle on one rank beside the
+// two-pass oracle, which it must match on the interior of every section after
+// every step, otherwise on 2x1x1. Some receiver must record signal.
+func (p *physicsRow) build() *reference {
+	opt := p.opt
+	opt.Topo, opt.Comm, opt.Threads = mpi.NewCart(2, 1, 1), Asynchronous, 1
+	if p.oracle {
+		opt.Topo = mpi.NewCart(1, 1, 1)
+	}
+	defer useVector(false)()
+	ref := &reference{opt: opt, snaps: make([][][]grid.Section, opt.Steps), regs: make([][]region, opt.Topo.Size())}
+	var fail failures
+	var mu sync.Mutex
+	var orc *Stepper
+	var orcRegs []region
+	res, rates, err := runWorld(p.q, opt, func(c *mpi.Comm, st *Stepper) {
+		st.rs.dropBox()
+		var err error
+		ref.regs[c.Rank()], err = sectionRegions(st)
+		if p.oracle && err == nil {
+			o := opt
+			o.LTS = LTSOptions{} // every rate of an oracle row is 1
+			dc, o, perr := Prepare(o)
+			if err = perr; err == nil {
+				orc, err = NewStepper(c, p.q, dc, o)
+			}
+			if err == nil {
+				orcRegs, err = sectionRegions(orc)
+			}
+		}
+		if err != nil {
+			fail.add("%v", err)
+		}
+	}, func(c *mpi.Comm, st *Stepper) {
+		step, secs := st.StepIndex()-1, st.Sections()
+		if orc != nil {
+			twoPassOracle(orc.rs, orc.Dt(), step)
+			if msg := diffState(secs, ref.regs[0], [][]grid.Section{orc.Sections()}, [][]region{orcRegs}, -1); msg != "" {
+				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
+			}
+			if st.Done() {
+				orc.Close()
+			}
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if ref.snaps[step] == nil {
+			ref.snaps[step] = make([][]grid.Section, len(ref.regs))
+		}
+		for _, s := range secs {
+			ref.snaps[step][c.Rank()] = append(ref.snaps[step][c.Rank()], grid.Section{Name: s.Name, F32: slices.Clone(s.F32), F64: slices.Clone(s.F64)})
+		}
+	})
+	ref.res, ref.rates, ref.fail = res, rates, fail.msg
+	if err != nil {
+		ref.fail = err.Error()
+	}
+	if ref.fail == "" && !slices.ContainsFunc(res.Seismograms, func(s [][3]float32) bool { return maxSeriesAbs(s) > 0 }) {
+		ref.fail = "no receiver records signal"
+	}
+	if ref.fail == "" && p.check != nil {
+		ref.fail = p.check(ref)
+	}
+	return ref
+}
+
+// identityMemo holds each row's verdict, the first value each key of
+// firstOf was given, and the reference of the physics row last asked for:
+// the rows are grouped by physics row, so a test that asks for them in order
+// builds each reference once.
+var identityMemo = struct {
+	verdicts map[string]string
+	first    map[string]any
+	phys     *physicsRow
+	ref      *reference
+}{verdicts: map[string]string{}, first: map[string]any{}}
+
+// firstOf returns the value the first row to run gave key, v if none has.
+func firstOf[T any](key string, v T) T {
+	if w, ok := identityMemo.first[key]; ok {
+		return w.(T)
+	}
+	identityMemo.first[key] = v
+	return v
+}
+
+// identityResult runs r once per test binary and returns why it fails, or "".
+func identityResult(r identityRow) string {
+	m := &identityMemo
+	if v, ok := m.verdicts[r.name]; ok {
+		return v
+	}
+	if m.phys != r.phys {
+		m.phys, m.ref = r.phys, nil // drop the last reference before the next is built
+		m.ref = r.phys.build()
+	}
+	v := "reference: " + m.ref.fail
+	if m.ref.fail == "" {
+		v = r.run(m.ref)
+	}
+	m.verdicts[r.name] = v
+	return v
+}
+
+// run executes the row and holds it to ref.
+func (r identityRow) run(ref *reference) string {
+	// Every row with the same physics row, topology, box and rollback reports
+	// the same share: telemetry, comm model, threads and tiles must not move
+	// it. A telemetry row whose key no row has set yet runs its twin without
+	// telemetry first, so the share it is held to comes from a run without a
+	// recorder.
+	shareKey := fmt.Sprint("share", r.phys.name, r.topo, r.box, r.ckpt)
+	if _, ok := identityMemo.first[shareKey]; r.tel && !ok {
+		twin := r
+		twin.tel = false
+		if msg := twin.run(ref); msg != "" {
+			return "without telemetry: " + msg
+		}
+	}
+	opt := r.phys.opt
+	opt.Topo, opt.Comm, opt.Threads, opt.Blocking = r.topo, r.comm, r.threads, r.shape
+	if r.tel {
+		opt.Telemetry = &telemetry.Options{TraceEvents: 256}
+	}
+	fsys := surfaceFS()
+	if r.surface {
+		fsys.SetStripe("out/", 4, 1<<12)
+		// The flush interval rides the threads axis: a flush a frame up to one
+		// at Finish.
+		opt.Surface = &SurfaceOptions{FS: fsys, Path: "out/surface.bin", Every: 2,
+			FlushEvery: []int{1, 3, 6, 100}[r.threads-1], Agg: agg.Config{Aggregators: 2}}
+	}
+	defer useVector(r.vectorized)()
+	same, ranks := r.topo == ref.opt.Topo, r.topo.Size()
+	// The reduced exchanges (AsyncReduced, AsyncOverlap) leave a stress's
+	// ghosts across an axis it is not shipped along unwritten: their padded
+	// arrays are the reference's in the interior only.
+	framed := same && (r.comm == Synchronous || r.comm == Asynchronous)
+	var fail failures
+	var mu sync.Mutex
+	var calls, clipping int
+	var sourceless, arrived bool
+	regs, rolled, owned := make([][]region, ranks), make([]bool, ranks), make([]int64, ranks)
+	res, rates, err := runWorld(r.phys.q, opt, func(c *mpi.Comm, st *Stepper) {
+		if !r.box {
+			st.rs.dropBox()
+		}
+		var err error
+		if regs[c.Rank()], err = sectionRegions(st); err != nil {
+			fail.add("%v", err)
+		}
+	}, func(c *mpi.Comm, st *Stepper) {
+		rank, rs, n := c.Rank(), st.rs, st.StepIndex()
+		if r.box && rs.srcs.Count() == 0 && rs.fault == nil {
+			mu.Lock()
+			sourceless, arrived = true, arrived || rs.box != nil && !rs.box.Empty()
+			mu.Unlock()
+		}
+		only := -1
+		if framed {
+			only = rank
+		}
+		if msg := diffState(st.Sections(), regs[rank], ref.snaps[n-1], ref.regs, only); msg != "" {
+			fail.add("rank %d after step %d: %s", rank, n, msg)
+		}
+		// Checkpoint on the cycle boundary mid-run, step a cycle on, restore
+		// and roll back: the replay must store the same bits.
+		cycle := st.StepAlign()
+		at := cycle * max(opt.Steps/(2*cycle), 1)
+		switch {
+		case !r.ckpt || rolled[rank]:
+		case n == at:
+			if _, err := checkpoint.Write(fsys, "ckpt", rank, at, st.Sections()); err != nil {
+				fail.add("rank %d: checkpoint: %v", rank, err)
+			}
+		case n == at+cycle:
+			rolled[rank] = true
+			err := cmp.Or(checkpoint.Read(fsys, "ckpt", rank, at, st.Sections()), st.SetStepIndex(at))
+			if err != nil || rs.box != nil {
+				fail.add("rank %d: rollback: %v; box after SetStepIndex %v", rank, err, rs.box)
+			}
+		}
+		if rank == 0 {
+			calls++
+		}
+		if st.Done() {
+			_, owned[rank] = rs.sweptCells()
+			if rs.box != nil {
+				mu.Lock()
+				clipping++
+				mu.Unlock()
+			}
+		}
+	})
+	switch {
+	case err != nil:
+		return err.Error()
+	case fail.msg != "":
+		return fail.msg
+	case rateSet(rates) != rateSet(ref.rates):
+		return fmt.Sprintf("rates %v, reference %v", rates, ref.rates)
+	case !r.box && res.ActiveShare != 1:
+		return fmt.Sprintf("whole sweeps report ActiveShare %g, want exactly 1", res.ActiveShare)
+	case r.box && !(res.ActiveShare > 0 && res.ActiveShare < 1):
+		return fmt.Sprintf("ActiveShare %g, want inside (0, 1)", res.ActiveShare)
+	case r.box && r.phys.oracle && clipping > 0: // at rate 1 every box fills its subgrid in the run
+		return fmt.Sprintf("%d of %d ranks still clip after %d steps", clipping, ranks, opt.Steps)
+	case sourceless && !arrived:
+		return "no rank without a source ever held a live box: the halo rule went unexercised"
+	case r.tel != (res.Telemetry != nil):
+		return fmt.Sprintf("telemetry %v, report %v", r.tel, res.Telemetry != nil)
+	}
+	if share := firstOf(shareKey, res.ActiveShare); math.Float64bits(share) != math.Float64bits(res.ActiveShare) {
+		return fmt.Sprintf("ActiveShare %g, %g on the first row of this physics row, topology, box and rollback", res.ActiveShare, share)
+	}
+	msg := cmp.Or(resultDiff(ref.res, res), r.momentDiff(ref, res.MomentRate, same))
+	if r.tel {
+		msg = cmp.Or(msg, telemetryDiff(res.Telemetry, opt, rates, calls, owned, r.box, res.ActiveShare))
+	}
+	if r.surface {
+		msg = cmp.Or(msg, ref.surfaceDiff(fsys, opt, res, r.ckpt))
+	}
+	return msg
+}
+
+// momentDiff holds the moment rate — each rank's sum over its nodes, reduced
+// in rank order — to the reference's bits on the reference's topology; on
+// another, to within 1e-12 of them and to the bits of the first row of the
+// physics row that ran there.
+func (r identityRow) momentDiff(ref *reference, mr []float64, same bool) string {
+	want := ref.res.MomentRate
+	if len(mr) != len(want) {
+		return fmt.Sprintf("%d moment-rate samples, reference %d", len(mr), len(want))
+	}
+	for n, v := range want {
+		if !(math.Abs(mr[n]-v) <= 1e-12*math.Abs(v)) {
+			return fmt.Sprintf("moment rate at step %d = %g, reference %g", n, mr[n], v)
+		}
+	}
+	if !same {
+		want = firstOf(fmt.Sprint("moment", r.phys.name, r.topo), mr)
+	}
+	return bitsDiff("MomentRate", reflect.ValueOf(want), reflect.ValueOf(mr))
+}
+
+// resultDiff describes the first Result field of res whose bits differ from
+// ref's, or returns "". It leaves out the wall-clock Timing, the Telemetry and
+// Surface reports, ActiveShare, which the active box moves (run holds it to
+// the first row of its key), and MomentRate (momentDiff); it matches
+// slip-rate series by node, since the gather orders them by rank.
+func resultDiff(ref, res *Result) string {
+	a, b := *ref, *res
+	for _, r := range []*Result{&a, &b} {
+		r.Timing, r.Telemetry, r.Surface, r.ActiveShare, r.MomentRate = Timing{}, nil, nil, 0, nil
+		r.SlipNodes, r.SlipSeries = nil, nil
+	}
+	series := map[[3]int][]float32{}
+	for n, node := range ref.SlipNodes {
+		series[node] = ref.SlipSeries[n]
+	}
+	for n, node := range res.SlipNodes {
+		a.SlipSeries = append(a.SlipSeries, series[node])
+		b.SlipSeries = append(b.SlipSeries, res.SlipSeries[n])
+	}
+	if len(res.SlipNodes) != len(series) {
+		return fmt.Sprintf("%d slip-rate series, reference %d", len(res.SlipNodes), len(series))
+	}
+	return bitsDiff("Result", reflect.ValueOf(a), reflect.ValueOf(b))
+}
+
+// bitsDiff describes the first place b differs from the reference a, floats
+// by their bits.
+func bitsDiff(path string, a, b reflect.Value) string {
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		if floatBits(a) != floatBits(b) {
+			return fmt.Sprintf("%s = %g, reference %g", path, b.Float(), a.Float())
+		}
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() {
+			return fmt.Sprintf("%s has %d elements, reference %d", path, b.Len(), a.Len())
+		}
+		for i := range a.Len() {
+			if msg := bitsDiff(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i)); msg != "" {
+				return msg
+			}
+		}
+	case reflect.Struct:
+		for i := range a.NumField() {
+			if msg := bitsDiff(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i)); msg != "" {
+				return msg
+			}
+		}
+	default:
+		if a.Interface() != b.Interface() {
+			return fmt.Sprintf("%s = %v, reference %v", path, b, a)
+		}
+	}
+	return ""
+}
+
+func floatBits(v reflect.Value) uint64 {
+	if v.Kind() == reflect.Float32 {
+		return uint64(math.Float32bits(float32(v.Float())))
+	}
+	return math.Float64bits(v.Float())
+}
+
+// telemetryDiff checks a telemetry report against the run it describes: a
+// snapshot a rank, a step window a Step call, spans in every compute phase,
+// message phases exactly when there are neighbors, and their counters, Sync
+// spans exactly when the Synchronous model ran its barrier (every rate 1), an
+// event trace that exports as Chrome trace-event JSON, and per-rank active
+// shares — exactly 1 with whole sweeps, inside (0, 1) with the box — whose
+// mean, weighted by the cells each rank would have swept whole, is
+// Result.ActiveShare.
+func telemetryDiff(rep *telemetry.Report, opt Options, rates []int, calls int, owned []int64, box bool, share float64) string {
+	ranks := opt.Topo.Size()
+	if rep.Ranks != ranks || rep.StepWindows != calls || len(rep.ActiveShare) != ranks {
+		return fmt.Sprintf("telemetry: %d ranks, %d step windows, %d active shares; want %d, %d, %d", rep.Ranks, rep.StepWindows, len(rep.ActiveShare), ranks, calls, ranks)
+	}
+	barrier := opt.Comm == Synchronous && slices.Max(rates) == 1
+	for p, want := range map[telemetry.Phase]bool{telemetry.Velocity: true, telemetry.Stress: true, telemetry.Boundary: true,
+		telemetry.Output: true, telemetry.Pack: ranks > 1, telemetry.Send: ranks > 1, telemetry.Recv: ranks > 1,
+		telemetry.Unpack: ranks > 1, telemetry.Sync: barrier} {
+		if spans := rep.Stat(p).Spans; (spans > 0) != want {
+			return fmt.Sprintf("telemetry: %d spans of %v under %v on %d ranks at rates %v", spans, p, opt.Comm, ranks, rates)
+		}
+	}
+	if len(rep.Neighbors) == 0 && ranks > 1 || len(rep.Events) == 0 {
+		return fmt.Sprintf("telemetry: %d neighbor counters on %d ranks, %d events", len(rep.Neighbors), ranks, len(rep.Events))
+	}
+	var trace bytes.Buffer
+	if err := rep.WriteChromeTrace(&trace); err != nil || !bytes.Contains(trace.Bytes(), []byte(`"traceEvents"`)) {
+		return fmt.Sprintf("telemetry: the trace exports %d bytes without traceEvents (%v)", trace.Len(), err)
+	}
+	var swept, whole float64
+	for r, s := range rep.ActiveShare {
+		if box && !(s > 0 && s < 1) || !box && s != 1 {
+			return fmt.Sprintf("telemetry: rank %d's active share %g, box %v", r, s, box)
+		}
+		swept, whole = swept+s*float64(owned[r]), whole+float64(owned[r])
+	}
+	if math.Abs(swept/whole-share) > 1e-12 {
+		return fmt.Sprintf("telemetry: active shares %v of %v cells average %g, Result.ActiveShare %g", rep.ActiveShare, owned, swept/whole, share)
+	}
+	return ""
+}
+
+// surfaceDiff holds the surface file to the reference: frame f is vx, vy and
+// vz of every surface point after step f·Every. Its stats count each frame
+// once, flush every FlushEvery frames and at Finish, and open the file once
+// for each aggregator that writes, under the open throttle — except after a
+// rollback, whose replay writes a frame flushed before it again and counts
+// it twice.
+func (ref *reference) surfaceDiff(fsys *pfs.FS, opt Options, res *Result, replayed bool) string {
+	g, e := opt.Global, opt.Surface.Every
+	frames := (opt.Steps + e - 1) / e
+	raw := make([]byte, fsys.Size(opt.Surface.Path))
+	if err := fsys.ReadAt(opt.Surface.Path, 0, raw); err != nil || len(raw) != frames*g.NX*g.NY*SurfaceRecBytes {
+		return fmt.Sprintf("surface file of %d bytes (%v), want %d frames", len(raw), err, frames)
+	}
+	flushes, writers := (frames+opt.Surface.FlushEvery-1)/opt.Surface.FlushEvery, opt.Surface.Agg.Aggregators
+	if st := res.Surface; !replayed && (st.Frames != frames || st.Bytes != len(raw) || st.Flushes != flushes ||
+		st.Opens < flushes || st.Opens > writers*flushes || st.MaxConcurrentOpens > agg.DefaultOpenThrottle) {
+		return fmt.Sprintf("surface stats: %d frames of %d bytes in %d flushes, %d opens, %d at once; want %d of %d in %d",
+			st.Frames, st.Bytes, st.Flushes, st.Opens, st.MaxConcurrentOpens, frames, len(raw), flushes)
+	}
+	for n, v := range mpiio.GetFloat32s(raw) {
+		f, i, j, c := n/(3*g.NX*g.NY), n/3%g.NX, n/(3*g.NX)%g.NY, n%3
+		if w := ref.at(f*e, fd.FieldNames[c], i, j, 0); math.Float32bits(v) != math.Float32bits(float32(w)) {
+			return fmt.Sprintf("surface frame %d: %s(%d,%d) = %g, reference %g", f, fd.FieldNames[c], i, j, v, w)
+		}
+	}
+	return ""
+}
+
+// runWorld runs opt as Run does — PlanLTS, Prepare, a Stepper a rank — and
+// calls before on each rank's goroutine once its Stepper is built and after
+// following each Step; hooks report through their own state, never
+// t.Fatal. It returns rank 0's Result and the run's rates.
+func runWorld(q cvm.Querier, opt Options, before, after func(*mpi.Comm, *Stepper)) (*Result, []int, error) {
+	opt, err := PlanLTS(q, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	dc, opt, err := Prepare(opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	var fail failures
+	var result *Result
+	var rates []int
+	mpi.NewWorld(opt.Topo.Size()).Run(func(c *mpi.Comm) {
+		st, err := NewStepper(c, q, dc, opt)
+		if err != nil {
+			fail.add("%v", err)
+			return
+		}
+		defer st.Close()
+		if before != nil {
+			before(c, st)
+		}
+		for !st.Done() {
+			st.Step()
+			if after != nil {
+				after(c, st)
+			}
+		}
+		res, err := st.Finish()
+		if err != nil {
+			fail.add("%v", err)
+		}
+		if c.Rank() == 0 {
+			result, rates = res, st.LTSRates()
+		}
+	})
+	if fail.msg != "" {
+		return nil, nil, fmt.Errorf("%s", fail.msg)
+	}
+	return result, rates, nil
+}
+
+// TestIdentity runs every row of the array.
+func TestIdentity(t *testing.T) {
+	for _, r := range identityArray() {
+		t.Run(r.name, func(t *testing.T) {
+			if msg := identityResult(r); msg != "" {
+				t.Error(msg)
+			}
+		})
+	}
+}
+
+// identityView fails if a row that every keep selects fails, or if they
+// select none.
+func identityView(t *testing.T, keep ...func(identityRow) bool) {
+	t.Helper()
+	n := 0
+	for _, r := range identityArray() {
+		if !slices.ContainsFunc(keep, func(k func(identityRow) bool) bool { return !k(r) }) {
+			n++
+			if msg := identityResult(r); msg != "" {
+				t.Errorf("%s: %s", r.name, msg)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no row of the identity array varies this test's axes")
+	}
+}
+
+// The views' row selectors.
+func of(names ...string) func(identityRow) bool {
+	return func(r identityRow) bool { return slices.Contains(names, r.phys.name) }
+}
+func multiRank(r identityRow) bool { return r.topo.Size() > 1 }
+func pooled(r identityRow) bool    { return r.threads > 1 }
+func faulted(r identityRow) bool   { return r.phys.opt.Fault != nil }
+func traced(r identityRow) bool    { return r.tel }
+func surfaced(r identityRow) bool  { return r.surface }
+
+// The seed-era identity tests, as views of the array's rows.
+func TestFusedBitIdentityMatrix(t *testing.T) { identityView(t, of("filled")) }
+func TestDecompositionInvariantAllCommModels(t *testing.T) {
+	identityView(t, of("filled", "front"), multiRank)
+}
+func TestThreadedAllCommModelsBitIdentical(t *testing.T) {
+	identityView(t, of("filled", "front"), pooled)
+}
+func TestHybridThreadsBitIdentical(t *testing.T)     { identityView(t, multiRank, pooled) }
+func TestDFRModeMultiRankMatchesSingle(t *testing.T) { identityView(t, faulted, multiRank) }
+func TestDFRThreadedBitIdentical(t *testing.T)       { identityView(t, faulted, pooled) }
+func TestLTSRate1BitIdentityMatrix(t *testing.T)     { identityView(t, of("lts-rate1")) }
+func TestLTSMixedRateCommModelsBitIdentical(t *testing.T) {
+	identityView(t, of("rates-sponge", "rates-mpml"))
+}
+func TestMPMLBitIdentityMatrix(t *testing.T)    { identityView(t, of("mpml", "fault", "rates-mpml")) }
+func TestFrontCrossesSeamsExactly(t *testing.T) { identityView(t, of("front"), multiRank) }
+func TestCoalescedBitIdenticalAllModels(t *testing.T) {
+	identityView(t, func(r identityRow) bool { return r.topo == mpi.NewCart(2, 2, 1) })
+}
+func TestTelemetryBitIdentity(t *testing.T)          { identityView(t, traced) }
+func TestTelemetryTraceExport(t *testing.T)          { identityView(t, traced) }
+func TestSurfaceOutputMatchesReceivers(t *testing.T) { identityView(t, surfaced) }
+func TestSurfaceOutputInvariants(t *testing.T)       { identityView(t, surfaced) }
+func TestActiveBoxMatchesWholeSweeps(t *testing.T) {
+	identityView(t, func(r identityRow) bool { return r.box })
+}
+func TestLTSCheckpointRollbackBitIdentity(t *testing.T) {
+	identityView(t, of("rates-sponge", "rates-mpml"), func(r identityRow) bool { return r.ckpt })
+}
+
+// TestDefaultPathMatchesTwoPassOracle: the rows whose reference is held to
+// the two-pass oracle, by physics row.
+func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
+	for _, p := range identityPhysics() {
+		if p.oracle {
+			t.Run(p.name, func(t *testing.T) { identityView(t, of(p.name)) })
+		}
+	}
+}

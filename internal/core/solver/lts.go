@@ -65,14 +65,13 @@ func PlanLTS(q cvm.Querier, opt Options) (Options, error) {
 	if err := checkSpacing(opt.H); err != nil {
 		return opt, err
 	}
-	cfl := opt.CFL
-	if cfl == 0 {
-		cfl = 0.5
+	// Prepare's defaults and limits, before the scan: a bad MaxK fails here
+	// with Prepare's message.
+	resolved := opt
+	if err := resolveStepping(&resolved); err != nil {
+		return opt, err
 	}
-	maxK := opt.LTS.MaxK
-	if maxK == 0 {
-		maxK = 2
-	}
+	cfl, maxK := resolved.CFL, resolved.LTS.MaxK
 	nx, ny, nz := opt.Global.NX, opt.Global.NY, opt.Global.NZ
 	maxVpX := make([]float64, nx)
 	maxVpY := make([]float64, ny)

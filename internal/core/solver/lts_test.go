@@ -1,9 +1,8 @@
 package solver
 
 import (
-	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"testing"
 
 	"repro/internal/core/source"
@@ -64,62 +63,6 @@ func ltsOptions(g grid.Dims, steps int, topo mpi.Cart) Options {
 	}
 }
 
-// runStepperWorld runs opt via rank-local Steppers and returns the rank-0
-// result along with the (all-rank-identical) LTS rate vector.
-func runStepperWorld(t *testing.T, q cvm.Querier, opt Options) (*Result, []int) {
-	t.Helper()
-	return stepWorld(t, q, opt, nil)
-}
-
-// stepWorld is runStepperWorld with a hook: after, when not nil, runs on
-// every rank's goroutine following each Step (a step or an
-// LTS cycle). It must use t.Error, not t.Fatal.
-func stepWorld(t *testing.T, q cvm.Querier, opt Options, after func(c *mpi.Comm, st *Stepper)) (*Result, []int) {
-	t.Helper()
-	opt, err := PlanLTS(q, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, opt, err := Prepare(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var result *Result
-	var rates []int
-	var worldErr error
-	world := mpi.NewWorld(opt.Topo.Size())
-	world.Run(func(c *mpi.Comm) {
-		st, err := NewStepper(c, q, dc, opt)
-		if err != nil {
-			mu.Lock()
-			worldErr = err
-			mu.Unlock()
-			return
-		}
-		defer st.Close()
-		for !st.Done() {
-			st.Step()
-			if after != nil {
-				after(c, st)
-			}
-		}
-		res, err := st.Finish()
-		if c.Rank() == 0 {
-			mu.Lock()
-			result, rates = res, st.LTSRates()
-			if err != nil {
-				worldErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if worldErr != nil {
-		t.Fatal(worldErr)
-	}
-	return result, rates
-}
-
 func TestLTSRateFor(t *testing.T) {
 	cases := []struct {
 		localDt, baseDt float64
@@ -150,32 +93,20 @@ func TestLTSGradeRates(t *testing.T) {
 	topo := mpi.NewCart(4, 1, 1)
 	rates := []int{4, 4, 1, 1}
 	ltsGradeRates(rates, topo, 2)
-	if want := []int{4, 2, 1, 1}; !equalInts(rates, want) {
+	if want := []int{4, 2, 1, 1}; !slices.Equal(rates, want) {
 		t.Errorf("ratio 2: got %v, want %v", rates, want)
 	}
 	rates = []int{4, 4, 1, 1}
 	ltsGradeRates(rates, topo, 4)
-	if want := []int{4, 4, 1, 1}; !equalInts(rates, want) {
+	if want := []int{4, 4, 1, 1}; !slices.Equal(rates, want) {
 		t.Errorf("ratio 4: got %v, want %v", rates, want)
 	}
 	// Cascading: [4 1 4] must pull both ends down through the middle.
 	rates = []int{4, 1, 4}
 	ltsGradeRates(rates, mpi.NewCart(3, 1, 1), 2)
-	if want := []int{2, 1, 2}; !equalInts(rates, want) {
+	if want := []int{2, 1, 2}; !slices.Equal(rates, want) {
 		t.Errorf("cascade: got %v, want %v", rates, want)
 	}
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestDtAndCFLValidation pins the new Options validation: explicitly
@@ -184,20 +115,12 @@ func equalInts(a, b []int) bool {
 func TestDtAndCFLValidation(t *testing.T) {
 	base := ltsOptions(grid.Dims{NX: 16, NY: 12, NZ: 12}, 4, mpi.NewCart(1, 1, 1))
 
-	bad := base
-	bad.Dt = -0.001
-	if _, _, err := Prepare(bad); err == nil {
-		t.Error("negative Dt accepted")
-	}
-	bad = base
-	bad.CFL = -0.1
-	if _, _, err := Prepare(bad); err == nil {
-		t.Error("negative CFL accepted")
-	}
-	bad = base
-	bad.CFL = 1.5
-	if _, _, err := Prepare(bad); err == nil {
-		t.Error("CFL above the stability bound accepted")
+	for _, bad := range []struct{ dt, cfl float64 }{{-0.001, 0}, {0, -0.1}, {0, 1.5}} {
+		opt := base
+		opt.Dt, opt.CFL = bad.dt, bad.cfl
+		if _, _, err := Prepare(opt); err == nil {
+			t.Errorf("Dt %g, CFL %g accepted", bad.dt, bad.cfl)
+		}
 	}
 	ok := base
 	ok.CFL = 1.0
@@ -217,29 +140,31 @@ func TestDtAndCFLValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectResultsExact(t, "cfl 0.5 vs default", ref, res)
+	if msg := resultDiff(ref, res); msg != "" {
+		t.Errorf("cfl 0.5 vs default: %s", msg)
+	}
 }
 
-// TestLTSValidation pins Prepare's LTS gating.
+// TestLTSValidation pins Prepare's LTS gating, and that PlanLTS, which Run
+// calls first, defaults and checks the same fields the same way before it
+// samples the model: a bad one is Prepare's error after no query.
 func TestLTSValidation(t *testing.T) {
 	base := ltsOptions(grid.Dims{NX: 16, NY: 12, NZ: 12}, 8, mpi.NewCart(1, 1, 1))
-	base.LTS.Enabled = true
-
-	// M-PML composes with LTS: the zones are tiles of the one plan.
-	mpml := base
-	mpml.ABC, mpml.PMLWidth = MPMLABC, 3
-	if _, err := Run(cvm.HardRock(), mpml); err != nil {
-		t.Errorf("LTS + M-PML rejected: %v", err)
-	}
-	bad := base
-	bad.LTS.MaxK = 3
-	if _, _, err := Prepare(bad); err == nil {
-		t.Error("MaxK 3 accepted")
-	}
-	bad = base
-	bad.LTS.MaxRateRatio = 3
-	if _, _, err := Prepare(bad); err == nil {
-		t.Error("MaxRateRatio 3 accepted")
+	base.LTS = LTSOptions{Enabled: true, WorkBalance: true}
+	rock, _ := ltsContrast()
+	for name, set := range map[string]func(*Options){
+		"MaxK 3":         func(o *Options) { o.LTS.MaxK = 3 },
+		"MaxK 92":        func(o *Options) { o.LTS.MaxK = 92 },
+		"MaxRateRatio 3": func(o *Options) { o.LTS.MaxRateRatio = 3 },
+		"CFL 1.5":        func(o *Options) { o.CFL = 1.5 },
+	} {
+		bad := base
+		set(&bad)
+		calls := 0
+		_, perr := PlanLTS(countingModel{rock, &calls}, bad)
+		if _, _, err := Prepare(bad); err == nil || perr == nil || perr.Error() != err.Error() || calls != 0 {
+			t.Errorf("%s: Prepare says %v, PlanLTS %v after %d queries", name, err, perr, calls)
+		}
 	}
 	ok := base
 	ok.LTS.MaxK = 1
@@ -287,9 +212,7 @@ func TestPlanLTS(t *testing.T) {
 		}
 	}
 
-	uni := ltsOptions(g, 16, mpi.NewCart(2, 1, 1))
-	uni.LTS = LTSOptions{Enabled: true, WorkBalance: true}
-	planned, err = PlanLTS(cvm.Homogeneous(rock), uni)
+	planned, err = PlanLTS(cvm.Homogeneous(rock), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,32 +222,15 @@ func TestPlanLTS(t *testing.T) {
 	}
 }
 
-// TestLTSRate1BitIdentityMatrix pins the acceptance criterion that
-// rate-1-only LTS configs (uniform medium: every rank earns rate 1) are
-// bit-identical to the classic path across all four comm models x Threads
-// {1, 4}. WorkBalance is on, so the test also covers PlanLTS leaving a
-// uniform medium on the classic block layout.
-func TestLTSRate1BitIdentityMatrix(t *testing.T) {
-	g := grid.Dims{NX: 28, NY: 24, NZ: 16}
-	q := cvm.Homogeneous(cvm.Material{Vp: 5200, Vs: 3000, Rho: 2700})
-	topo := mpi.NewCart(2, 2, 1)
-	for _, comm := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
-		for _, threads := range []int{1, 4} {
-			opt := ltsOptions(g, 12, topo)
-			opt.Comm = comm
-			opt.Threads = threads
-			ref, err := Run(q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opt.LTS = LTSOptions{Enabled: true, WorkBalance: true}
-			res, err := Run(q, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			expectResultsExact(t, fmt.Sprintf("comm %d threads %d", comm, threads), ref, res)
-		}
-	}
+// countingModel is a uniform medium that counts the points sampled from it.
+type countingModel struct {
+	mat   cvm.Material
+	calls *int
+}
+
+func (m countingModel) Query(_, _, _ float64) cvm.Material {
+	*m.calls++
+	return m.mat
 }
 
 // relL2 returns ||a-b|| / ||b|| over flattened [3]float32 series.
@@ -391,8 +297,11 @@ func TestLTSMixedRateAccuracy(t *testing.T) {
 			} {
 				opt := mkOpt()
 				opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: tc.ratio}
-				res, rates := runStepperWorld(t, q, opt)
-				if want := []int{1, tc.wantRate}; !equalInts(rates, want) {
+				res, rates, err := runWorld(q, opt, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := []int{1, tc.wantRate}; !slices.Equal(rates, want) {
 					t.Fatalf("ratio %d: rates %v, want %v (test medium no longer drives mixed rates)",
 						tc.ratio, rates, want)
 				}
@@ -424,37 +333,6 @@ func TestLTSMixedRateAccuracy(t *testing.T) {
 	}
 }
 
-// TestLTSMixedRateCommModelsBitIdentical pins that a mixed-rate run honours
-// Options.Comm without the result showing it: rates 1/4 across the x seam of
-// a 2x2x1 world, under all four comm models (the barrier-free Synchronous,
-// full and reduced section sets, the overlap model's strips and inner tiles
-// around windowed messages) x Threads {1, 4}, every seismogram sample and PGV
-// value exact against the serial Asynchronous run.
-func TestLTSMixedRateCommModelsBitIdentical(t *testing.T) {
-	rock, soft := ltsContrast()
-	g := grid.Dims{NX: 32, NY: 16, NZ: 16}
-	q := splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
-	mkOpt := func(comm CommModel, threads int) Options {
-		opt := ltsOptions(g, 32, mpi.NewCart(2, 2, 1))
-		opt.Comm, opt.Threads = comm, threads
-		opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
-		return opt
-	}
-	ref, rates := runStepperWorld(t, q, mkOpt(Asynchronous, 1))
-	if want := []int{1, 4, 1, 4}; !equalInts(rates, want) {
-		t.Fatalf("rates %v, want %v", rates, want)
-	}
-	if maxSeriesAbs(ref.Seismograms[1]) == 0 {
-		t.Fatal("no signal reached the rate-4 half; comparison vacuous")
-	}
-	for _, comm := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
-		for _, threads := range []int{1, 4} {
-			res, _ := runStepperWorld(t, q, mkOpt(comm, threads))
-			expectResultsExact(t, fmt.Sprintf("%v threads=%d", comm, threads), ref, res)
-		}
-	}
-}
-
 // TestLTSMixedRateGrading checks the default MaxRateRatio 2 caps the soft
 // side at rate 2 across the seam.
 func TestLTSMixedRateGrading(t *testing.T) {
@@ -463,8 +341,11 @@ func TestLTSMixedRateGrading(t *testing.T) {
 	q := splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
 	opt := ltsOptions(g, 8, mpi.NewCart(2, 1, 1))
 	opt.LTS.Enabled = true
-	_, rates := runStepperWorld(t, q, opt)
-	if want := []int{1, 2}; !equalInts(rates, want) {
+	_, rates, err := runWorld(q, opt, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2}; !slices.Equal(rates, want) {
 		t.Errorf("rates %v, want %v under default grading", rates, want)
 	}
 }
@@ -475,20 +356,13 @@ func TestLTSMixedRateGrading(t *testing.T) {
 // window position. Correctness is pinned by the accuracy test; this one
 // is about the memory discipline of the window buffers.
 func TestLTSInterpolationSoakRace(t *testing.T) {
-	rock, soft := ltsContrast()
-	g := grid.Dims{NX: 48, NY: 12, NZ: 12}
-	// Three bands: rock | intermediate | soft across a 4-rank x-line,
-	// yielding rates [1 1 2 4] under ratio 4.
-	mid := cvm.Material{Vp: 2500, Vs: 1450, Rho: 2200}
-	q := bandedXModel{
-		edges: []float64{float64(g.NX/2) * 100, float64(3*g.NX/4) * 100},
-		mats:  []cvm.Material{rock, mid, soft},
-	}
-	opt := ltsOptions(g, 16, mpi.NewCart(4, 1, 1))
+	q, opt := bandedRates()
 	opt.Threads = 4
-	opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
-	res, rates := runStepperWorld(t, q, opt)
-	if want := []int{1, 1, 2, 4}; !equalInts(rates, want) {
+	res, rates, err := runWorld(q, opt, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 1, 2, 4}; !slices.Equal(rates, want) {
 		t.Fatalf("rates %v, want %v", rates, want)
 	}
 	for r, s := range res.Seismograms {
@@ -498,6 +372,21 @@ func TestLTSInterpolationSoakRace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// bandedRates is three bands, rock | intermediate | soft, across a 4-rank
+// x-line: rates [1 1 2 4] under ratio 4, so one line holds equal, finer and
+// coarser neighbors.
+func bandedRates() (bandedXModel, Options) {
+	rock, soft := ltsContrast()
+	g := grid.Dims{NX: 48, NY: 12, NZ: 12}
+	q := bandedXModel{
+		edges: []float64{float64(g.NX/2) * 100, float64(3*g.NX/4) * 100},
+		mats:  []cvm.Material{rock, {Vp: 2500, Vs: 1450, Rho: 2200}, soft},
+	}
+	opt := ltsOptions(g, 16, mpi.NewCart(4, 1, 1))
+	opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
+	return q, opt
 }
 
 // bandedXModel maps x-bands to materials: mats[i] applies to
@@ -514,94 +403,6 @@ func (m bandedXModel) Query(x, _, _ float64) cvm.Material {
 		}
 	}
 	return m.mats[len(m.mats)-1]
-}
-
-// TestLTSCheckpointRollbackBitIdentity pins cycle self-containment: a
-// coordinated rollback to an LTS cycle boundary (restore wavefield state,
-// rewind the cursor, replay) reproduces the uninterrupted run exactly.
-func TestLTSCheckpointRollbackBitIdentity(t *testing.T) {
-	rock, soft := ltsContrast()
-	g := grid.Dims{NX: 24, NY: 12, NZ: 12}
-	q := splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
-	topo := mpi.NewCart(2, 1, 1)
-
-	mkOpt := func() Options {
-		opt := ltsOptions(g, 16, topo)
-		opt.Attenuation = false // keep the snapshot to wavefield state
-		opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
-		return opt
-	}
-	ref, _ := runStepperWorld(t, q, mkOpt())
-
-	opt, err := PlanLTS(q, mkOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, opt, err := Prepare(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	var result *Result
-	var worldErr error
-	world := mpi.NewWorld(opt.Topo.Size())
-	world.Run(func(c *mpi.Comm) {
-		st, err := NewStepper(c, q, dc, opt)
-		if err != nil {
-			mu.Lock()
-			worldErr = err
-			mu.Unlock()
-			return
-		}
-		defer st.Close()
-		align := st.StepAlign()
-		if align != 4 {
-			mu.Lock()
-			worldErr = fmt.Errorf("StepAlign = %d, want 4", align)
-			mu.Unlock()
-			return
-		}
-		if err := st.SetStepIndex(align + 1); err == nil {
-			mu.Lock()
-			worldErr = fmt.Errorf("mid-cycle step index accepted")
-			mu.Unlock()
-			return
-		}
-		// Run two cycles, snapshot, run one more, roll back, replay.
-		for st.StepIndex() < 2*align {
-			st.Step()
-		}
-		var snap [][]float32
-		for _, f := range st.State().Fields() {
-			snap = append(snap, append([]float32(nil), f.Data()...))
-		}
-		st.Step()
-		for i, f := range st.State().Fields() {
-			copy(f.Data(), snap[i])
-		}
-		if err := st.SetStepIndex(2 * align); err != nil {
-			mu.Lock()
-			worldErr = err
-			mu.Unlock()
-			return
-		}
-		for !st.Done() {
-			st.Step()
-		}
-		res, err := st.Finish()
-		if c.Rank() == 0 {
-			mu.Lock()
-			result = res
-			if err != nil {
-				worldErr = err
-			}
-			mu.Unlock()
-		}
-	})
-	if worldErr != nil {
-		t.Fatal(worldErr)
-	}
-	expectResultsExact(t, "rollback replay", ref, result)
 }
 
 // A work-balanced cut leaves a rank on an M-PML face its zone and an interior

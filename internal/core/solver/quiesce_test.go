@@ -3,12 +3,11 @@ package solver
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/source"
-	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 )
@@ -54,7 +53,7 @@ func TestNoStoredSubnormals(t *testing.T) {
 					tag := fmt.Sprintf("%v/abc%d/threads%d/lts=%v", variant, abc, threads, lts)
 
 					var once sync.Once
-					_, rates := stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
+					_, rates, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
 						for _, sec := range st.Sections() {
 							if n := countSubnormals(sec.F32); n > 0 {
 								once.Do(func() {
@@ -64,89 +63,14 @@ func TestNoStoredSubnormals(t *testing.T) {
 							}
 						}
 					})
-					if lts && !equalInts(rates, []int{1, 4}) {
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if lts && !slices.Equal(rates, []int{1, 4}) {
 						t.Fatalf("%s: LTS rates %v, want mixed [1 4]", tag, rates)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestFrontCrossesSeamsExactly compares every wavefield value of a 2x2x2
-// run with the single-rank run after each step while the precursor front
-// — where the floor decides what is stored — first reaches and crosses the
-// rank seams: the floor is pointwise, so the decomposition must stay exact
-// there, under the sponge and under M-PML.
-func TestFrontCrossesSeamsExactly(t *testing.T) {
-	q := cvm.SoCal(2400, 2400, 1600, 400)
-	for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
-		opt := baseOptions(mpi.NewCart(1, 1, 1))
-		// Off the seams at 12/12/8, so the front has to travel to them.
-		opt.Sources = []source.SampledSource{source.PointSource{
-			GI: 6, GJ: 7, GK: 4, M0: 1e15, Tensor: source.Explosion,
-			STF: source.GaussianPulse(0.08, 0.02),
-		}.Sample(0.002, 200)}
-		opt.ABC = abc
-		opt.PMLWidth = 3
-		opt.Steps = 16
-		g := opt.Global
-
-		// ref[step][field] is the single-rank interior, x-fastest.
-		ref := make([][][]float32, opt.Steps)
-		stepWorld(t, q, opt, func(_ *mpi.Comm, st *Stepper) {
-			var snap [][]float32
-			for _, f := range st.State().Fields() {
-				vals := make([]float32, 0, g.Cells())
-				for k := 0; k < g.NZ; k++ {
-					for j := 0; j < g.NY; j++ {
-						for i := 0; i < g.NX; i++ {
-							vals = append(vals, f.At(i, j, k))
-						}
-					}
-				}
-				snap = append(snap, vals)
-			}
-			ref[st.StepIndex()-1] = snap
-		})
-		// The window must hold the crossing: the seam plane i = NX/2 at
-		// rest after the first step and moving by the last.
-		seamMoving := func(step int) bool {
-			for k := 0; k < g.NZ; k++ {
-				for j := 0; j < g.NY; j++ {
-					if ref[step][0][(k*g.NY+j)*g.NX+g.NX/2] != 0 {
-						return true
-					}
-				}
-			}
-			return false
-		}
-		if seamMoving(0) || !seamMoving(opt.Steps-1) {
-			t.Fatalf("abc %d: the front does not reach the x seam inside the %d-step window", abc, opt.Steps)
-		}
-
-		opt.Topo = mpi.NewCart(2, 2, 2)
-		var once sync.Once
-		stepWorld(t, q, opt, func(c *mpi.Comm, st *Stepper) {
-			sub := st.rs.sub
-			want := ref[st.StepIndex()-1]
-			for fi, f := range st.State().Fields() {
-				for k := 0; k < sub.Local.NZ; k++ {
-					for j := 0; j < sub.Local.NY; j++ {
-						for i := 0; i < sub.Local.NX; i++ {
-							gi, gj, gk := i+sub.OffX, j+sub.OffY, k+sub.OffZ
-							w := want[fi][(gk*g.NY+gj)*g.NX+gi]
-							if got := f.At(i, j, k); math.Float32bits(got) != math.Float32bits(w) {
-								once.Do(func() {
-									t.Errorf("abc %d step %d rank %d: %s(%d,%d,%d) = %g, single rank %g",
-										abc, st.StepIndex(), c.Rank(), fd.FieldNames[fi], gi, gj, gk, got, w)
-								})
-								return
-							}
-						}
-					}
-				}
-			}
-		})
 	}
 }

@@ -99,16 +99,8 @@ func TestScheduleMatchesExecution(t *testing.T) {
 		}
 	}
 
-	// Mixed-rate LTS: rates [1 1 2 4] put equal, finer and coarser
-	// neighbors in one line; one Step is one 4-base-step cycle.
-	rock, soft := ltsContrast()
-	lg := grid.Dims{NX: 48, NY: 12, NZ: 12}
-	banded := bandedXModel{
-		edges: []float64{float64(lg.NX/2) * 100, float64(3*lg.NX/4) * 100},
-		mats:  []cvm.Material{rock, {Vp: 2500, Vs: 1450, Rho: 2200}, soft},
-	}
-	opt := ltsOptions(lg, 16, mpi.NewCart(4, 1, 1))
-	opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
+	// Mixed-rate LTS: one Step is one 4-base-step cycle.
+	banded, opt := bandedRates()
 	run("lts [1 1 2 4]", banded, opt)
 }
 
@@ -145,30 +137,5 @@ func TestHaloExchangeBenchCountsAndChecksum(t *testing.T) {
 	}
 	if math.IsNaN(r.Checksum) || r.Checksum == 0 || r.SecPerStep <= 0 {
 		t.Fatalf("degenerate result: %+v", r)
-	}
-}
-
-// Every communication model and thread count reproduces the same
-// wavefield on a decomposed grid: packing reads interior cells only,
-// sections are disjoint sub-slices, and unpacked ghost regions are
-// disjoint, so the pool's tile schedule cannot reorder an aliasing pair.
-func TestCoalescedBitIdenticalAllModels(t *testing.T) {
-	q := cvm.SoCal(2400, 2400, 1600, 400)
-	topo := mpi.NewCart(2, 2, 1)
-	ref, err := Run(q, baseOptions(topo))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
-		for _, threads := range []int{1, 4} {
-			opt := baseOptions(topo)
-			opt.Comm = model
-			opt.Threads = threads
-			got, err := Run(q, opt)
-			if err != nil {
-				t.Fatalf("%v threads=%d: %v", model, threads, err)
-			}
-			expectResultsExact(t, fmt.Sprintf("%v threads=%d", model, threads), ref, got)
-		}
 	}
 }

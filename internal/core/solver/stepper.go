@@ -61,11 +61,8 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.Dt < 0 {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: Dt must be positive, or zero for automatic; got %g", opt.Dt)
 	}
-	if opt.CFL < 0 || opt.CFL > 1 {
-		return decomp.Decomp{}, opt, fmt.Errorf("solver: CFL must lie in (0, 1], got %g", opt.CFL)
-	}
-	if opt.CFL == 0 {
-		opt.CFL = 0.5
+	if err := resolveStepping(&opt); err != nil {
+		return decomp.Decomp{}, opt, err
 	}
 	if err := opt.Variant.Validate(); err != nil {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: %w", err)
@@ -124,22 +121,6 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 			return decomp.Decomp{}, opt, fmt.Errorf("solver: %s is not supported: %s", x.pair, x.why)
 		}
 	}
-	if opt.LTS.Enabled {
-		switch opt.LTS.MaxK {
-		case 0:
-			opt.LTS.MaxK = 2
-		case 1, 2:
-		default:
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: LTS.MaxK must be 1 or 2 (0 defaults to 2), got %d", opt.LTS.MaxK)
-		}
-		switch opt.LTS.MaxRateRatio {
-		case 0:
-			opt.LTS.MaxRateRatio = 2
-		case 2, 4:
-		default:
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: LTS.MaxRateRatio must be 2 or 4 (0 defaults to 2), got %d", opt.LTS.MaxRateRatio)
-		}
-	}
 	var dc decomp.Decomp
 	var err error
 	if pr := opt.LTS.PlaneRates; opt.LTS.Enabled && pr != nil {
@@ -181,6 +162,36 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 		}
 	}
 	return dc, opt, nil
+}
+
+// resolveStepping defaults and checks what Prepare and PlanLTS both read of
+// the step: the CFL factor (0 is 0.5) and, with LTS on, the rate exponent
+// cap (0 is 2) and the neighbor rate ratio (0 is 2).
+func resolveStepping(opt *Options) error {
+	if opt.CFL < 0 || opt.CFL > 1 {
+		return fmt.Errorf("solver: CFL must lie in (0, 1], got %g", opt.CFL)
+	}
+	if opt.CFL == 0 {
+		opt.CFL = 0.5
+	}
+	if !opt.LTS.Enabled {
+		return nil
+	}
+	switch opt.LTS.MaxK {
+	case 0:
+		opt.LTS.MaxK = 2
+	case 1, 2:
+	default:
+		return fmt.Errorf("solver: LTS.MaxK must be 1 or 2 (0 defaults to 2), got %d", opt.LTS.MaxK)
+	}
+	switch opt.LTS.MaxRateRatio {
+	case 0:
+		opt.LTS.MaxRateRatio = 2
+	case 2, 4:
+	default:
+		return fmt.Errorf("solver: LTS.MaxRateRatio must be 2 or 4 (0 defaults to 2), got %d", opt.LTS.MaxRateRatio)
+	}
+	return nil
 }
 
 // inGrid reports whether global node (i, j, k) is a cell of g.
@@ -363,16 +374,20 @@ func (s *Stepper) StepIndex() int { return s.step }
 
 // SetStepIndex rewinds (or advances) the step cursor — the rollback half
 // of coordinated recovery, paired with a checkpoint.Read into Sections(). The
-// cursor must land on a cycle boundary: mid-cycle, coarse ranks have no
-// wavefield state to roll back to. It is also the one way to tell the
-// Stepper that its sections were written from outside — between steps
-// they are otherwise read-only — so the rank drops its active box, which
-// describes the state the Stepper itself computed.
+// cursor must lie in [0, Steps] and on a cycle boundary: mid-cycle, coarse
+// ranks have no wavefield state to roll back to. An accepted cursor is also
+// the one way to tell the Stepper that its sections were written from
+// outside — between steps they are otherwise read-only — so the rank drops
+// its active box, which describes the state the Stepper itself computed; a
+// rejected one changes nothing.
 func (s *Stepper) SetStepIndex(n int) error {
-	s.rs.dropBox()
+	if n < 0 || n > s.opt.Steps {
+		return fmt.Errorf("solver: step index %d lies outside the run's steps 0..%d", n, s.opt.Steps)
+	}
 	if l := s.rs.lts; n%l.maxRate != 0 {
 		return fmt.Errorf("solver: step index %d is not an LTS cycle boundary (max rate %d)", n, l.maxRate)
 	}
+	s.rs.dropBox()
 	// Drop what the replay records again: buffered surface frames (flushed
 	// ones are offset-addressed and overwrite identically) and the slip-rate
 	// samples of steps n and on.

@@ -123,18 +123,8 @@ func checkTilePlan(t *testing.T, tag string, d grid.Dims, width int, faces bound
 func stressPlan(t *testing.T, q cvm.Querier, opt Options) (tiles []fd.Box, planeLoop []bool) {
 	t.Helper()
 	opt.Topo = mpi.NewCart(1, 1, 1)
-	dc, opt, err := Prepare(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpi.NewWorld(1).Run(func(c *mpi.Comm) {
-		st, err := NewStepper(c, q, dc, opt)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		defer st.Close()
-		pre, inner, _ := st.rs.cutTiles(opt)
+	_, _, err := runWorld(q, opt, func(_ *mpi.Comm, st *Stepper) {
+		pre, inner, _ := st.rs.cutTiles(st.opt)
 		for _, tl := range append(pre, inner...) {
 			tiles = append(tiles, tl.b)
 		}
@@ -142,7 +132,10 @@ func stressPlan(t *testing.T, q cvm.Querier, opt Options) (tiles []fd.Box, plane
 		if !slices.Equal(planeLoop, st.rs.whole.planeLoop) {
 			t.Errorf("the clipped plan's plane loops %v differ from the whole plan's %v", planeLoop, st.rs.whole.planeLoop)
 		}
-	})
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(planeLoop) != len(tiles) {
 		t.Fatalf("%d stress tiles, %d marked", len(tiles), len(planeLoop))
 	}
