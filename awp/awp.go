@@ -78,9 +78,14 @@ const (
 	MPMLABC   = solver.MPMLABC
 )
 
-// Scenario is a simulation configuration with sane defaults: asynchronous
-// reduced communication, M-PML sides/bottom, FS2 free surface on top, and
-// coarse-grained constant-Q attenuation.
+// Scenario is a simulation configuration. Its zero value runs the plainest
+// solver: Synchronous communication, no absorbing boundary (NoABC), no free
+// surface and no attenuation, on one rank and one thread, with Dt chosen
+// from the CFL limit; the quick start above relies on those zero values.
+// The paper's production set-up — asynchronous reduced communication,
+// M-PML sides and bottom, the FS2 free surface on top and coarse-grained
+// constant-Q attenuation — is Comm: solver.AsyncReduced, ABC: MPMLABC,
+// FreeSurface: true and Attenuation: true, each set by hand.
 type Scenario struct {
 	Dims  Dims
 	H     float64 // grid spacing, m

@@ -24,14 +24,3 @@ func (tp Taper) Windows(b Box) (fx, fy, fz []float32) {
 	g := grid.Ghost
 	return tp.X[b.I0+g : b.I1+g], tp.Y[b.J0+g : b.J1+g], tp.Z[b.K0+g : b.K1+g]
 }
-
-// Args are a walker's taper arguments for tile b: the factors of its first
-// column, row and plane, nil for the zero Taper, which a walker reads as
-// none.
-func (tp Taper) Args(b Box) (px, py, pz *float32) {
-	fx, fy, fz := tp.Windows(b)
-	if fx == nil {
-		return nil, nil, nil
-	}
-	return &fx[0], &fy[0], &fz[0]
-}

@@ -961,9 +961,9 @@ func telemetryDiff(rep *telemetry.Report, opt Options, rates []int, calls int, o
 // surfaceDiff holds the surface file to the reference: frame f is vx, vy and
 // vz of every surface point after step f·Every. Its stats count each frame
 // once, flush every FlushEvery frames and at Finish, and open the file once
-// for each aggregator that writes, under the open throttle — except after a
-// rollback, whose replay writes a frame flushed before it again and counts
-// it twice.
+// for each aggregator that writes, under the open throttle — except that
+// after a rollback the replay writes a frame flushed before it again, so
+// the flushes and opens count that I/O too.
 func (ref *reference) surfaceDiff(fsys *pfs.FS, opt Options, res *Result, replayed bool) string {
 	g, e := opt.Global, opt.Surface.Every
 	frames := (opt.Steps + e - 1) / e
@@ -972,7 +972,7 @@ func (ref *reference) surfaceDiff(fsys *pfs.FS, opt Options, res *Result, replay
 		return fmt.Sprintf("surface file of %d bytes (%v), want %d frames", len(raw), err, frames)
 	}
 	flushes, writers := (frames+opt.Surface.FlushEvery-1)/opt.Surface.FlushEvery, opt.Surface.Agg.Aggregators
-	if st := res.Surface; !replayed && (st.Frames != frames || st.Bytes != len(raw) || st.Flushes != flushes ||
+	if st := res.Surface; st.Frames != frames || st.Bytes != len(raw) || !replayed && (st.Flushes != flushes ||
 		st.Opens < flushes || st.Opens > writers*flushes || st.MaxConcurrentOpens > agg.DefaultOpenThrottle) {
 		return fmt.Sprintf("surface stats: %d frames of %d bytes in %d flushes, %d opens, %d at once; want %d of %d in %d",
 			st.Frames, st.Bytes, st.Flushes, st.Opens, st.MaxConcurrentOpens, frames, len(raw), flushes)

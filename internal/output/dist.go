@@ -32,6 +32,9 @@ type Dist struct {
 	tel        *telemetry.Recorder
 
 	frames []distFrame
+	// counted is one past the highest frame whose bytes Stats.Bytes holds:
+	// a replayed frame below it is on disk and counted already.
+	counted int
 
 	// Stats accumulates over flushes; scalar fields agree on every rank,
 	// Stripes is maintained on rank 0 only (latest write of each stripe
@@ -46,11 +49,11 @@ type distFrame struct {
 
 // DistStats is the accumulated outcome of a Dist writer.
 type DistStats struct {
-	Frames             int // frames appended (per rank == global, appends are collective)
-	Flushes            int
-	Bytes              int // payload bytes written, summed over ranks and flushes
-	Writes             int // coalesced writes issued
-	Opens              int // file opens charged
+	Frames             int // frames the file holds: one past the highest appended, less those rewound
+	Flushes            int // collective writes issued, replays included
+	Bytes              int // payload bytes of the file's frames, summed over ranks; a replayed frame counts once
+	Writes             int // coalesced writes issued, replays included
+	Opens              int // file opens charged, replays included
 	MaxConcurrentOpens int
 	ShippedBytes       int
 	Phase              pfs.PhaseStats // summed virtual cost of all flush phases
@@ -93,7 +96,7 @@ func (d *Dist) AppendFrame(idx int, data []byte) error {
 		return fmt.Errorf("output: frame %d: %d bytes for a %d-byte view", idx, len(data), mpiio.TotalLen(d.segs))
 	}
 	d.frames = append(d.frames, distFrame{idx: idx, data: append([]byte(nil), data...)})
-	d.Stats.Frames++
+	d.Stats.Frames = max(d.Stats.Frames, idx+1)
 	if len(d.frames) >= d.flushEvery {
 		return d.Flush()
 	}
@@ -102,18 +105,17 @@ func (d *Dist) AppendFrame(idx int, data []byte) error {
 
 // Rewind drops buffered (unflushed) frames with index >= idx — the
 // rollback half of coordinated recovery. Flushed frames need no undo:
-// replaying them overwrites identical bytes. Local, not collective; the
-// frame counter rolls back with the buffer.
+// replaying them overwrites identical bytes, which Stats.Bytes does not
+// count again. Local, not collective; it leaves idx frames counted.
 func (d *Dist) Rewind(idx int) {
 	kept := d.frames[:0]
 	for _, f := range d.frames {
 		if f.idx < idx {
 			kept = append(kept, f)
-		} else {
-			d.Stats.Frames--
 		}
 	}
 	d.frames = kept
+	d.Stats.Frames = min(d.Stats.Frames, idx)
 }
 
 // Flush writes all buffered frames in one collective aggregated write.
@@ -126,7 +128,12 @@ func (d *Dist) Flush() error {
 	}
 	var segs []mpiio.Segment
 	var data []byte
+	n, fresh, counted := len(d.frames), 0, d.counted // fresh: frames not on disk before this flush
 	for _, f := range d.frames {
+		if f.idx >= d.counted {
+			fresh++
+		}
+		counted = max(counted, f.idx+1)
 		base := f.idx * d.frameBytes
 		for _, s := range d.segs {
 			segs = append(segs, mpiio.Segment{Off: base + s.Off, Len: s.Len})
@@ -139,7 +146,10 @@ func (d *Dist) Flush() error {
 		return err
 	}
 	d.Stats.Flushes++
-	d.Stats.Bytes += st.Bytes
+	// Every frame carries the same bytes across the ranks, so the fresh
+	// frames' share of the write is exact.
+	d.Stats.Bytes += st.Bytes / n * fresh
+	d.counted = counted
 	d.Stats.Writes += st.Writes
 	d.Stats.Opens += st.Opens
 	d.Stats.ShippedBytes += st.ShippedBytes
