@@ -4,8 +4,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"os"
 
 	"repro/awp"
@@ -114,6 +116,15 @@ func main() {
 		}
 	}
 	fmt.Printf("surface PGVH max: %.4e m/s\n", pgvMax)
+	// The lines above round to four digits; this one is the bits, the
+	// line to compare across -ranks, -threads and -comm or two builds.
+	// (A hash's Write never returns an error.)
+	digest := fnv.New64a()
+	binary.Write(digest, binary.LittleEndian, res.PGVH)
+	for _, s := range res.Seismograms {
+		binary.Write(digest, binary.LittleEndian, awp.PGVH(s))
+	}
+	fmt.Printf("PGVH digest: %016x (FNV-64a of the map's and the receivers' float64 bits)\n", digest.Sum64())
 	fmt.Printf("timing: comp=%.2fs comm=%.2fs sync=%.2fs output=%.2fs active=%.3f\n",
 		res.Timing.Comp, res.Timing.Comm, res.Timing.Sync, res.Timing.Output, res.ActiveShare)
 

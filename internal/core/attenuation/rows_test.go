@@ -98,13 +98,17 @@ func fillStateSeeded(d grid.Dims, seed int64) *fd.State {
 
 // fillMemVarsSeeded fills the six memory variables of a, so that a step
 // reads am as well as cm (from zero memory variables am*zeta is +0 whatever
-// am is).
+// am is). The values span ±500, the scale of one step's drive
+// cm·(δM·ε) on the test media and states (up to ≈ 600 there), so that
+// am·zeta's own rounding moves the sum: memory variables a million times
+// smaller than the drive hide a fused multiply-add in am*zeta + drive from
+// every one-step test.
 func fillMemVarsSeeded(a *Model, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for _, f := range []*grid.Field3{a.ZXX, a.ZYY, a.ZZZ, a.ZXY, a.ZXZ, a.ZYZ} {
 		data := f.Data()
 		for n := range data {
-			data[n] = (rng.Float32() - 0.5) * 1e-3
+			data[n] = (rng.Float32() - 0.5) * 1e3
 		}
 	}
 }

@@ -46,7 +46,8 @@ func forEachPart(nparts int, fn func(p int)) {
 // ParallelMD5 computes MD5 checksums of nparts contiguous sub-arrays of
 // data on at most GOMAXPROCS goroutines — the parallelized integrity pass
 // that "substantially decreases the time needed to generate the checksums
-// for several terabytes" (§III.E).
+// for several terabytes" (§III.E). The parts go in balanced batches, one
+// a goroutine's turn, each batch hashed in the host's MD5 lanes (lanes.go).
 func ParallelMD5(data []byte, nparts int) []string {
 	if nparts <= 0 {
 		nparts = 1
@@ -54,12 +55,17 @@ func ParallelMD5(data []byte, nparts int) []string {
 	if nparts > len(data) && len(data) > 0 {
 		nparts = len(data)
 	}
-	sums := make([]string, nparts)
-	forEachPart(nparts, func(p int) {
-		s := md5.Sum(data[p*len(data)/nparts : (p+1)*len(data)/nparts])
-		sums[p] = hex.EncodeToString(s[:])
-	})
-	return sums
+	spans := make([]span, nparts)
+	for p := range spans {
+		lo := p * len(data) / nparts
+		spans[p] = span{lo, (p+1)*len(data)/nparts - lo}
+	}
+	sums := hashBatches(data, spans, batches(nparts, lanes.width))
+	out := make([]string, nparts)
+	for p, s := range sums {
+		out[p] = hex.EncodeToString(s[:])
+	}
+	return out
 }
 
 // SerialMD5 is the reference implementation for verification.
@@ -83,15 +89,23 @@ func SerialMD5(data []byte, nparts int) []string {
 // HashListMD5 is the archive's one-string digest of data, hashed on all
 // cores: the hex MD5 of the MD5s of data's consecutive 1 MiB chunks, in
 // order (an MD5 hash list; the last chunk may be short, and empty data has
-// no chunks). It is not the MD5 of data.
+// no chunks). It is not the MD5 of data. The whole chunks are hashed in the
+// host's MD5 lanes, in balanced batches; the short last chunk runs on its
+// own.
 func HashListMD5(data []byte) string {
-	n := (len(data) + hashListChunk - 1) / hashListChunk
-	list := make([]byte, n*md5.Size)
-	forEachPart(n, func(c int) {
-		lo := c * hashListChunk
-		s := md5.Sum(data[lo:min(lo+hashListChunk, len(data))])
-		copy(list[c*md5.Size:], s[:])
-	})
+	full := len(data) / hashListChunk
+	spans := make([]span, 0, full+1)
+	for lo := 0; lo < len(data); lo += hashListChunk {
+		spans = append(spans, span{lo, min(hashListChunk, len(data)-lo)})
+	}
+	cut := batches(full, lanes.width)
+	if len(spans) > full {
+		cut = append(cut, len(spans)) // the short chunk: a batch of its own
+	}
+	list := make([]byte, 0, len(spans)*md5.Size)
+	for _, s := range hashBatches(data, spans, cut) {
+		list = append(list, s[:]...)
+	}
 	top := md5.Sum(list)
 	return hex.EncodeToString(top[:])
 }

@@ -13,7 +13,7 @@ func TestParallelMD5MatchesSerial(t *testing.T) {
 	data := make([]byte, 1<<16)
 	rng := rand.New(rand.NewSource(3))
 	rng.Read(data)
-	for _, parts := range []int{1, 3, 8, 64} {
+	for _, parts := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 64} {
 		p := ParallelMD5(data, parts)
 		s := SerialMD5(data, parts)
 		if len(p) != len(s) {

@@ -1,9 +1,8 @@
 package workflow
 
 // The integrity passes hash each file where it lies: no pass copies a file
-// into a buffer of its own except Transfer's one reused source buffer, a
-// replica is exactly its source's length, and a copy that differs from the
-// catalogue never becomes a replica.
+// into a buffer of its own, a replica is exactly its source's length, and a
+// copy that differs from the catalogue never becomes a replica.
 
 import (
 	"bytes"
@@ -26,8 +25,8 @@ func allocated(fn func()) uint64 {
 
 // TestIntegrityPassesHashInPlace: VerifyReplica and Ingest of a 16 MiB
 // file each allocate under 1 MiB (a whole-file buffer per call before),
-// and Transfer allocates the replica's storage and its one source buffer,
-// not a read-back copy per attempt besides.
+// and Transfer allocates the replica's storage only: no source buffer, no
+// read-back copy per attempt.
 func TestIntegrityPassesHashInPlace(t *testing.T) {
 	const size, limit = 16 << 20, 1 << 20
 	src, dst := newSite("src"), newSite("dst")
@@ -35,8 +34,8 @@ func TestIntegrityPassesHashInPlace(t *testing.T) {
 	var err error
 	if a := allocated(func() {
 		_, err = NewTransferer(Link{BandwidthPerStream: 50e6, MaxStreams: 1}, 1).Transfer(src, dst, paths, 1)
-	}); err != nil || a >= 2*size+limit {
-		t.Fatalf("Transfer of a %d B file allocated %d B (err %v), want the replica and one buffer", size, a, err)
+	}); err != nil || a >= size+limit {
+		t.Fatalf("Transfer of a %d B file allocated %d B (err %v), want the replica only", size, a, err)
 	}
 	reg := NewRegistry()
 	if a := allocated(func() { _, err = reg.Ingest(src, paths, 4, 1e9) }); err != nil || a >= limit {
@@ -132,5 +131,21 @@ func TestIngestRejectsMismatchedCopy(t *testing.T) {
 	}
 	if err := reg.VerifyReplica(b, paths[0]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTransferWithinOneFSRejected: Transfer ships from inside a View, which
+// holds the source's lock, so a destination on the same file system is an
+// error, not a deadlock, and nothing is written.
+func TestTransferWithinOneFSRejected(t *testing.T) {
+	src := newSite("src")
+	paths := seedFiles(src, 1, 100)
+	dst := Site{Name: "src-again", FS: src.FS}
+	before := src.FS.List()
+	if _, err := NewTransferer(Link{BandwidthPerStream: 50e6, MaxStreams: 1}, 1).Transfer(src, dst, paths, 1); err == nil {
+		t.Fatal("a transfer within one file system returned no error")
+	}
+	if after := src.FS.List(); len(after) != len(before) {
+		t.Fatalf("files %v after a rejected transfer, %v before", after, before)
 	}
 }

@@ -5,8 +5,8 @@
 // iRODS-like registry with replica and integrity metadata ingested through
 // the aggregated PIPUT path (an order of magnitude faster than serial
 // iPUT). Every integrity pass hashes a file where it lies (pfs View) into
-// one output.HashListMD5 digest, its chunks on all cores; the only copy of a
-// file is the one Transfer writes from.
+// one output.HashListMD5 digest, its chunks in MD5 lanes on all cores, and
+// Transfer writes each replica from the source's own bytes.
 package workflow
 
 import (
@@ -66,101 +66,36 @@ func NewTransferer(link Link, seed int64) *Transferer {
 // Transfer copies the named files from src to dst with up to MaxStreams
 // parallel streams, verifying digests end to end and automatically
 // retransferring failed or corrupted files (§III.I: "transaction records
-// are maintained to allow automatic recovery"). Each source is read once,
-// into one buffer reused across files; a verified replica is exactly the
-// source's length.
+// are maintained to allow automatic recovery"). Each source is hashed and
+// shipped where it lies: one pfs View a file, so one read and one read
+// fault drawn, with every attempt inside it; a verified replica is exactly
+// the source's length. The View holds src's lock, so src and dst must be
+// two file systems.
 func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (TransferStats, error) {
 	if nStreams <= 0 || nStreams > t.Link.MaxStreams {
 		nStreams = t.Link.MaxStreams
 	}
 	var st TransferStats
 	st.Files = len(paths)
-	baseBackoff := t.Link.RetryBackoff
-	if baseBackoff <= 0 {
-		baseBackoff = 0.05
-	}
-	maxBackoff := t.Link.MaxBackoff
-	if maxBackoff <= 0 {
-		maxBackoff = 1.0
+	if src.FS == dst.FS {
+		return st, fmt.Errorf("workflow: transfer from %s to %s within one file system", src.Name, dst.Name)
 	}
 	// Stream-parallel scheduling: files are assigned round-robin; each
 	// stream moves its files serially. Simulated time = slowest stream.
 	streams := make([]float64, nStreams)
-	const maxAttempts = 8
-	var buf []byte
 	for idx, p := range paths {
 		sz := src.FS.Size(p)
 		if sz < 0 {
 			return st, fmt.Errorf("workflow: %s missing at %s", p, src.Name)
 		}
-		if cap(buf) < sz {
-			buf = make([]byte, sz)
+		var err error
+		if viewErr := src.FS.View(p, 0, sz, func(data []byte) {
+			err = t.ship(dst, p, data, &streams[idx%nStreams], &st)
+		}); viewErr != nil {
+			return st, viewErr
 		}
-		data := buf[:sz]
-		if err := src.FS.ReadAt(p, 0, data); err != nil {
+		if err != nil {
 			return st, err
-		}
-		want := output.HashListMD5(data)
-		// A write at offset 0 keeps the tail of a longer file: remove it
-		// first. Re-creating it may draw an MDS fault, which is a failed
-		// attempt like any other.
-		if dst.FS.Size(p) > sz {
-			dst.FS.Remove(p)
-		}
-		stream := idx % nStreams
-		ok := false
-		backoff := baseBackoff
-		for attempt := 0; attempt < maxAttempts; attempt++ {
-			if attempt > 0 {
-				// Bounded exponential backoff before every retransfer,
-				// accounted in simulated time on the file's stream.
-				streams[stream] += backoff
-				st.BackoffSec += backoff
-				backoff *= 2
-				if backoff > maxBackoff {
-					backoff = maxBackoff
-				}
-			}
-			streams[stream] += float64(sz) / t.Link.BandwidthPerStream
-			if t.rng.Float64() < t.Link.FailureRate {
-				st.Retries++
-				continue // failed attempt: retransfer
-			}
-			if err := dst.FS.WriteAt(p, 0, data); err != nil {
-				// A failed destination write is a failed attempt, not a
-				// success-until-checksum: count it and retransfer. Only
-				// transient storage faults are retryable.
-				st.Retries++
-				if !pfs.IsTransient(err) {
-					return st, err
-				}
-				continue
-			}
-			// End-to-end verification (catches torn writes that reported
-			// success and transient read hiccups). A destination file
-			// shorter than the source is the truncated-artifact face of a
-			// torn write — a failed attempt, not a fatal error.
-			if dst.FS.Size(p) < sz {
-				st.Retries++
-				continue
-			}
-			got, err := digest(dst.FS, p, sz)
-			if err != nil {
-				st.Retries++
-				if !pfs.IsTransient(err) {
-					return st, err
-				}
-				continue
-			}
-			if got != want {
-				st.Retries++
-				continue
-			}
-			ok = true
-			break
-		}
-		if !ok {
-			return st, fmt.Errorf("workflow: %s failed after %d attempts", p, maxAttempts)
 		}
 		st.Bytes += sz
 	}
@@ -174,6 +109,74 @@ func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (Tran
 	}
 	st.Verified = true
 	return st, nil
+}
+
+// ship writes data to path p at dst until a read-back digest matches the
+// source's, accruing each attempt's simulated time and backoff on its
+// stream.
+func (t *Transferer) ship(dst Site, p string, data []byte, stream *float64, st *TransferStats) error {
+	const maxAttempts = 8
+	backoff, maxBackoff := t.Link.RetryBackoff, t.Link.MaxBackoff
+	if backoff <= 0 {
+		backoff = 0.05
+	}
+	if maxBackoff <= 0 {
+		maxBackoff = 1.0
+	}
+	sz := len(data)
+	want := output.HashListMD5(data)
+	// A write at offset 0 keeps the tail of a longer file: remove it
+	// first. Re-creating it may draw an MDS fault, which is a failed
+	// attempt like any other.
+	if dst.FS.Size(p) > sz {
+		dst.FS.Remove(p)
+	}
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		if attempt > 0 {
+			// Bounded exponential backoff before every retransfer,
+			// accounted in simulated time on the file's stream.
+			*stream += backoff
+			st.BackoffSec += backoff
+			backoff = min(2*backoff, maxBackoff)
+		}
+		*stream += float64(sz) / t.Link.BandwidthPerStream
+		if t.rng.Float64() < t.Link.FailureRate {
+			st.Retries++
+			continue // failed attempt: retransfer
+		}
+		if err := dst.FS.WriteAt(p, 0, data); err != nil {
+			// A failed destination write is a failed attempt, not a
+			// success-until-checksum: count it and retransfer. Only
+			// transient storage faults are retryable.
+			st.Retries++
+			if !pfs.IsTransient(err) {
+				return err
+			}
+			continue
+		}
+		// End-to-end verification (catches torn writes that reported
+		// success and transient read hiccups). A destination file
+		// shorter than the source is the truncated-artifact face of a
+		// torn write — a failed attempt, not a fatal error.
+		if dst.FS.Size(p) < sz {
+			st.Retries++
+			continue
+		}
+		got, err := digest(dst.FS, p, sz)
+		if err != nil {
+			st.Retries++
+			if !pfs.IsTransient(err) {
+				return err
+			}
+			continue
+		}
+		if got != want {
+			st.Retries++
+			continue
+		}
+		return nil
+	}
+	return fmt.Errorf("workflow: %s failed after %d attempts", p, maxAttempts)
 }
 
 // digest hashes the first n bytes of path in place: one View, so one read
