@@ -21,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/core/boundary"
 	"repro/internal/core/rupture"
 	"repro/internal/core/solver"
 	"repro/internal/core/source"
@@ -113,8 +114,10 @@ type Scenario struct {
 	LTSMaxK, LTSMaxRateRatio int
 
 	// Ranks is the number of MPI ranks (goroutines); 0 or 1 runs single
-	// rank, negative values are rejected. The 3D topology is chosen
-	// automatically (decomp.BestTopo).
+	// rank, negative values are rejected. The 3D topology is the
+	// factorisation with the least predicted step time of the slowest rank
+	// (decomp.StepCost), a function of Dims, Ranks, ABC and DFR mode alone;
+	// Topology reports it.
 	Ranks int
 
 	// Threads is each rank's persistent worker-pool size (the hybrid
@@ -142,25 +145,36 @@ type Scenario struct {
 	Telemetry *TelemetryOptions
 }
 
+// Topology returns the rank topology Run uses for sc: one rank for Ranks 0
+// or 1, else the factorisation of Ranks that decomp.StepCost prices lowest
+// among those that leave each rank on a split axis 2·Ghost cells (what
+// decomp.New needs) or, under M-PML, a zone and an interior plane, and that
+// in DFR mode keep PY = 1 so the fault plane stays on one rank in y.
+func Topology(sc Scenario) (mpi.Cart, error) {
+	if sc.Ranks < 0 {
+		return mpi.Cart{}, fmt.Errorf("awp: Ranks must be positive, or zero for one rank; got %d", sc.Ranks)
+	}
+	if sc.Ranks <= 1 {
+		return mpi.NewCart(1, 1, 1), nil
+	}
+	minCells := 2 * grid.Ghost
+	if sc.ABC == MPMLABC {
+		minCells = boundary.DefaultPMLWidth + 1
+	}
+	return decomp.BestTopo(sc.Dims, sc.Ranks, minCells, sc.Fault != nil, decomp.StepCost)
+}
+
 // Run executes a wave-propagation (AWM) or dynamic-rupture (DFR) scenario.
 func Run(q Model, sc Scenario) (*Result, error) {
 	if sc.Dt < 0 {
 		return nil, fmt.Errorf("awp: Dt must be positive, or zero for automatic; got %g", sc.Dt)
 	}
-	if sc.Ranks < 0 {
-		return nil, fmt.Errorf("awp: Ranks must be positive, or zero for one rank; got %d", sc.Ranks)
+	topo, err := Topology(sc)
+	if err != nil {
+		return nil, err
 	}
 	if sc.SpongeWidth <= 0 {
 		sc.SpongeWidth = 8
-	}
-	topo := mpi.NewCart(1, 1, 1)
-	if sc.Ranks > 1 {
-		// decomp.New needs 2·Ghost cells per rank on a split axis; DFR
-		// mode keeps the fault plane on one rank in y.
-		var err error
-		if topo, err = decomp.BestTopo(sc.Dims, sc.Ranks, 2*grid.Ghost, sc.Fault != nil); err != nil {
-			return nil, err
-		}
 	}
 	opt := solver.Options{
 		Global:      sc.Dims,
@@ -209,7 +223,9 @@ func HomogeneousModel(m Material) Model { return cvm.Homogeneous(m) }
 // stable dt.
 func PointMomentSource(i, j, k int, m0, t0, sigma float64) []source.SampledSource {
 	dt := sigma / 20
-	nt := int((t0+6*sigma)/dt) + 1
+	// The conversion rounds 6σ before the add, so no architecture fuses
+	// the two into a multiply-add that could move nt.
+	nt := int((t0+float64(6*sigma))/dt) + 1
 	ps := source.PointSource{
 		GI: i, GJ: j, GK: k, M0: m0,
 		Tensor: source.StrikeSlipXY,
@@ -221,7 +237,7 @@ func PointMomentSource(i, j, k int, m0, t0, sigma float64) []source.SampledSourc
 // ExplosionSource is PointMomentSource with an isotropic tensor.
 func ExplosionSource(i, j, k int, m0, t0, sigma float64) []source.SampledSource {
 	dt := sigma / 20
-	nt := int((t0+6*sigma)/dt) + 1
+	nt := int((t0+float64(6*sigma))/dt) + 1
 	ps := source.PointSource{
 		GI: i, GJ: j, GK: k, M0: m0,
 		Tensor: source.Explosion,

@@ -155,6 +155,19 @@ func TestMPMLGridTooSmallRejected(t *testing.T) {
 	}
 }
 
+// TestTopologyLeavesPMLInterior: under M-PML, Run's topology leaves each
+// rank on a zone an interior plane. The cheapest cut by step time alone,
+// 1x8x2, would leave 6 cells in y to a 10-cell zone.
+func TestTopologyLeavesPMLInterior(t *testing.T) {
+	sc := Scenario{Dims: Dims{NX: 48, NY: 48, NZ: 32}, H: 200, Steps: 1, Ranks: 16, ABC: MPMLABC}
+	if topo, err := Topology(sc); err != nil || topo != mpi.NewCart(2, 4, 2) {
+		t.Fatalf("16 ranks on %v under M-PML: %+v, %v; want 2x4x2", sc.Dims, topo, err)
+	}
+	if _, err := Run(HomogeneousModel(Material{Vp: 6000, Vs: 3464, Rho: 2700}), sc); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestScenarioCFL checks the CFL pass-through: an out-of-range value is
 // rejected by the solver, and an explicit 0.5 matches the default run.
 func TestScenarioCFL(t *testing.T) {
@@ -325,7 +338,12 @@ func TestDegenerateModelReturnsError(t *testing.T) {
 		m(&mat)
 		return HomogeneousModel(mat)
 	}
-	sc := Scenario{Dims: Dims{NX: 32, NY: 8, NZ: 8}, H: 100, Steps: 4, Sources: ExplosionSource(8, 4, 4, 1e15, 0.06, 0.015)}
+	// Six cells across y and z leave an x cut the only one that gives each
+	// of two ranks 2·Ghost cells, so Run runs them 2×1×1 too.
+	sc := Scenario{Dims: Dims{NX: 32, NY: 6, NZ: 6}, H: 100, Steps: 4, Sources: ExplosionSource(8, 4, 4, 1e15, 0.06, 0.015)}
+	if topo, err := Topology(Scenario{Dims: sc.Dims, Ranks: 2}); err != nil || topo != mpi.NewCart(2, 1, 1) {
+		t.Fatalf("two ranks on %v: %+v, %v; want 2x1x1", sc.Dims, topo, err)
+	}
 	// On 2×1×1, rank 0's padded subgrid ends at x = 17·H: only rank 1 is bad.
 	half := halfBad{cut: 18 * sc.H}
 	viaSolver := func(q Model, dt float64) error {

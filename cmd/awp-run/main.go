@@ -101,12 +101,16 @@ func main() {
 		fail("-abc %q is not one of none|sponge|mpml", *abc)
 	}
 
+	topo, err := awp.Topology(sc)
+	if err != nil {
+		fail("%v", err)
+	}
 	res, err := awp.Run(q, sc)
 	if err != nil {
 		fail("%v", err)
 	}
-	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks x %d threads, comm=%s abc=%s\n",
-		dims, *h, res.Dt, res.Steps, *ranks, *threads, *comm, *abc)
+	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks (%dx%dx%d) x %d threads, comm=%s abc=%s\n",
+		dims, *h, res.Dt, res.Steps, *ranks, topo.PX, topo.PY, topo.PZ, *threads, *comm, *abc)
 	fmt.Printf("epicentral PGVH: %.4e m/s; distant-receiver PGVH: %.4e m/s\n",
 		awp.PGVH(res.Seismograms[0]), awp.PGVH(res.Seismograms[1]))
 	var pgvMax float64

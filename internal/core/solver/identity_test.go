@@ -44,10 +44,18 @@ import (
 
 var (
 	identityComms  = []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
-	identityTopos  = []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2), mpi.NewCart(1, 3, 1), mpi.NewCart(2, 1, 2)}
+	identityTopos  = []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2), mpi.NewCart(1, 3, 1), mpi.NewCart(2, 1, 2), mpi.NewCart(1, 2, 2)}
 	identityShapes = []fd.Blocking{{}, {JBlock: 8, KBlock: 16}, {JBlock: 3, KBlock: 5}}
 	hostVector     = fd.Vector
 )
+
+// identityGrowth is how many of identityTopos each generation of the
+// array draws from. A generation keeps every row of the one before and
+// adds rows for the pairs its new values bring, so appending a topology
+// renames no row (a row's name is its subtest's). 1x2x2 keeps x whole
+// and cuts y and z, the kind of topology decomp.StepCost picks for
+// awp.Run.
+var identityGrowth = []int{6, len(identityTopos)}
 
 // The array's axes; a row holds an index into each axis's values, and the
 // last five are off (0) or on (1).
@@ -305,18 +313,30 @@ func unsetRow(n int) []int {
 	return row
 }
 
-// coveringArray returns rows that allowed admits and that hold every pair:
-// a covering array of strength 2 (Kuhn, Kacker & Lei, NIST SP 800-142),
-// built greedily as AETG is but without its random candidates. Each row
-// starts from the first pair still uncovered and takes, axis by axis, the
-// allowed value that covers the most uncovered pairs with the axes already
-// set — on a tie the one the rows so far hold least, then the lowest — so
-// the values spread over the rows that only fill a pair, and the array is a
-// function of its arguments.
-func coveringArray(sizes []int, pairs [][4]int, allowed func([]int) bool) [][]int {
+// coveringArray returns rows plus rows that allowed admits until they hold
+// every pair: a covering array of strength 2 (Kuhn, Kacker & Lei, NIST SP
+// 800-142), built greedily as AETG is but without its random candidates.
+// Each new row starts from the first pair still uncovered and takes, axis
+// by axis, the allowed value that covers the most uncovered pairs with the
+// axes already set — on a tie the one the rows so far hold least, then the
+// lowest — so the values spread over the rows that only fill a pair, and
+// the array is a function of its arguments.
+func coveringArray(rows [][]int, sizes []int, pairs [][4]int, allowed func([]int) bool) [][]int {
 	uncovered := map[[4]int]bool{}
 	for _, p := range pairs {
 		uncovered[p] = true
+	}
+	used := make([][]int, len(sizes))
+	for a, n := range sizes {
+		used[a] = make([]int, n)
+	}
+	for _, row := range rows {
+		for _, p := range rowPairs(row) {
+			delete(uncovered, p)
+		}
+		for a, u := range row {
+			used[a][u]++
+		}
 	}
 	gain := func(row []int, a int) (n int) {
 		for b, v := range row {
@@ -326,11 +346,6 @@ func coveringArray(sizes []int, pairs [][4]int, allowed func([]int) bool) [][]in
 		}
 		return n
 	}
-	used := make([][]int, len(sizes))
-	for a, n := range sizes {
-		used[a] = make([]int, n)
-	}
-	var rows [][]int
 	for _, p := range pairs {
 		if !uncovered[p] {
 			continue
@@ -406,8 +421,7 @@ type identityRow struct {
 // identityArray is the array's rows, grouped by physics row; -short asks
 // only the execution axes' pairs.
 var identityArray = sync.OnceValue(func() []identityRow {
-	pairs := allowedPairs(axisSizes(), identityAllowed, identityRequired(testing.Short()))
-	raw := coveringArray(axisSizes(), pairs, identityAllowed)
+	raw := grownArray(testing.Short())
 	slices.SortStableFunc(raw, func(a, b []int) int { return a[axPhysics] - b[axPhysics] })
 	var rows []identityRow
 	for _, v := range raw {
@@ -425,12 +439,23 @@ var identityArray = sync.OnceValue(func() []identityRow {
 	return rows
 })
 
+// grownArray is the array through every generation of identityGrowth, in
+// the order its rows were added.
+func grownArray(short bool) (rows [][]int) {
+	for _, topos := range identityGrowth {
+		sizes := axisSizes()
+		sizes[axTopo] = topos
+		rows = coveringArray(rows, sizes, allowedPairs(sizes, identityAllowed, identityRequired(short)), identityAllowed)
+	}
+	return rows
+}
+
 // TestIdentityArrayCoversPairs: both arrays, full and -short, hold only
 // allowed rows and every allowed pair they ask for.
 func TestIdentityArrayCoversPairs(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		pairs := allowedPairs(axisSizes(), identityAllowed, identityRequired(short))
-		rows := coveringArray(axisSizes(), pairs, identityAllowed)
+		rows := grownArray(short)
 		seen := map[[4]int]bool{}
 		for _, row := range rows {
 			if !identityAllowed(row) || slices.Contains(row, -1) {

@@ -166,14 +166,20 @@ func (d Decomp) BoundaryFaces(rank int) map[grid.Axis][2]bool {
 	return out
 }
 
-// BestTopo picks the PX×PY×PZ factorization of nranks with the least halo
-// surface for the global grid, among those that leave every rank at least
-// minCells cells per axis; pinY admits only PY = 1 (dynamic rupture keeps
-// the fault plane on one rank in y). It reports an error when no
-// factorization fits.
-func BestTopo(global grid.Dims, nranks, minCells int, pinY bool) (mpi.Cart, error) {
+// TopoCost prices one factorisation of the ranks over a global grid; lower
+// is better. It is a deterministic function of its arguments, computed in
+// integers, so a seeded run picks the same topology on every host and
+// architecture.
+type TopoCost func(global grid.Dims, topo mpi.Cart) int64
+
+// BestTopo picks the PX×PY×PZ factorization of nranks that cost prices
+// lowest, among those that leave every rank at least minCells cells per
+// axis; pinY admits only PY = 1 (dynamic rupture keeps the fault plane on
+// one rank in y). A tie goes to the first candidate in (PX, PY) order. It
+// reports an error when no factorization fits.
+func BestTopo(global grid.Dims, nranks, minCells int, pinY bool, cost TopoCost) (mpi.Cart, error) {
 	var best mpi.Cart
-	bestCost := -1.0
+	bestCost := int64(-1)
 	for px := 1; px <= nranks; px++ {
 		if nranks%px != 0 {
 			continue
@@ -187,14 +193,9 @@ func BestTopo(global grid.Dims, nranks, minCells int, pinY bool) (mpi.Cart, erro
 			if px*minCells > global.NX || py*minCells > global.NY || pz*minCells > global.NZ {
 				continue
 			}
-			// Total communication volume = sum over axes of
-			// (cuts along axis) x (cut-plane area).
-			cost := float64(px-1)*float64(global.NY)*float64(global.NZ) +
-				float64(py-1)*float64(global.NX)*float64(global.NZ) +
-				float64(pz-1)*float64(global.NX)*float64(global.NY)
-			if bestCost < 0 || cost < bestCost {
-				bestCost = cost
-				best = mpi.Cart{PX: px, PY: py, PZ: pz}
+			topo := mpi.Cart{PX: px, PY: py, PZ: pz}
+			if c := cost(global, topo); bestCost < 0 || c < bestCost {
+				bestCost, best = c, topo
 			}
 		}
 	}
@@ -203,3 +204,49 @@ func BestTopo(global grid.Dims, nranks, minCells int, pinY bool) (mpi.Cart, erro
 	}
 	return best, nil
 }
+
+// CutArea is the total communication volume of topo: over the three axes,
+// the cuts along the axis times the cut-plane area. It is the objective of
+// the paper-scale projections in perfmodel, which keep the paper's
+// near-cubic decompositions.
+func CutArea(global grid.Dims, topo mpi.Cart) int64 {
+	nx, ny, nz := int64(global.NX), int64(global.NY), int64(global.NZ)
+	return int64(topo.PX-1)*ny*nz + int64(topo.PY-1)*nx*nz + int64(topo.PZ-1)*nx*ny
+}
+
+// StepCost's constants: nanoseconds of one step of one rank on the 2-core
+// AVX2 reference host, fitted by least squares to the solve times of all
+// ten 8-rank topologies of a 56×56×40 sponge scenario (EXPERIMENTS.md,
+// "Cut where the rows stay long"). They are fixed here, never probed at run
+// time, so the topology of a seeded run does not depend on its host.
+const (
+	laneWidth   = 8   // cells in one chunk of the 8-lane row walkers
+	chunkNs     = 110 // every sweep of a step over one chunk of a row
+	rowNs       = 88  // a row's fixed cost: set-up and the masked tail
+	faceCellNs  = 8   // packing, shipping and unpacking one cell of a face
+	narrowRowNs = 24  // an x face's rows are two values wide: a copy each
+)
+
+// StepCost predicts one step of topo's slowest rank, in nanoseconds on the
+// reference host, as the paper's Eq. 7 does term by term (Tcomp + Tcomm;
+// the rank's Tsync is its neighbours' skew, which the model leaves out).
+// Compute is the rank's rows (ny·nz) times their chunks of laneWidth cells
+// plus a fixed cost a row: an x cut shortens every row, so its walkers
+// fill fewer lanes and take more row steps. Comm is the cells of each face
+// the rank exchanges (Eq. 8's per-face volumes, two on an axis cut into
+// three or more), plus a copy a row on the x faces, whose rows are narrow.
+func StepCost(global grid.Dims, topo mpi.Cart) int64 {
+	nx, ny, nz := part(global.NX, topo.PX), part(global.NY, topo.PY), part(global.NZ, topo.PZ)
+	fx, fy, fz := faces(topo.PX), faces(topo.PY), faces(topo.PZ)
+	comp := ny * nz * ((nx+laneWidth-1)/laneWidth*chunkNs + rowNs)
+	comm := faceCellNs*(fx*ny*nz+fy*nx*nz+fz*nx*ny) + narrowRowNs*fx*ny*nz
+	return comp + comm
+}
+
+// part is the largest of p parts of n cells (split1 gives the remainder to
+// the leading parts).
+func part(n, p int) int64 { return int64((n + p - 1) / p) }
+
+// faces is how many faces the rank with the most neighbours exchanges along
+// an axis cut into p parts.
+func faces(p int) int64 { return int64(min(p-1, 2)) }

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -141,9 +142,10 @@ func TestSplit1BalancedAndComplete(t *testing.T) {
 	}
 }
 
+// mustBestTopo is BestTopo under the cut-area rule, perfmodel's objective.
 func mustBestTopo(t *testing.T, g grid.Dims, n, minCells int, pinY bool) mpi.Cart {
 	t.Helper()
-	topo, err := BestTopo(g, n, minCells, pinY)
+	topo, err := BestTopo(g, n, minCells, pinY, CutArea)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,23 +191,83 @@ func TestBestTopoRespectsConstraints(t *testing.T) {
 	// 64 ranks need 4 per axis and so 16 cells per axis: no candidate fits
 	// an 8-cube at 4 cells, while 1 cell per rank still places them.
 	small := grid.Dims{NX: 8, NY: 8, NZ: 8}
-	if topo, err := BestTopo(small, 64, 4, false); err == nil {
+	if topo, err := BestTopo(small, 64, 4, false, CutArea); err == nil {
 		t.Fatalf("64 ranks on %v: got topology %+v, want an error", small, topo)
 	}
 	if topo := mustBestTopo(t, small, 64, 1, false); topo != (mpi.Cart{PX: 4, PY: 4, PZ: 4}) {
 		t.Fatalf("64 ranks at 1 cell on %v: %+v, want 4x4x4", small, topo)
 	}
 	// A prime count larger than every axis has no factorization at all.
-	if topo, err := BestTopo(small, 11, 1, false); err == nil {
+	if topo, err := BestTopo(small, 11, 1, false, CutArea); err == nil {
 		t.Fatalf("11 ranks on %v: got topology %+v, want an error", small, topo)
 	}
 	for _, n := range []int{0, -1} {
-		if _, err := BestTopo(small, n, 1, false); err == nil {
+		if _, err := BestTopo(small, n, 1, false, CutArea); err == nil {
 			t.Fatalf("%d ranks: no error", n)
 		}
 	}
 	// The bench's 8-rank topology.
 	if topo := mustBestTopo(t, grid.Dims{NX: 48, NY: 48, NZ: 32}, 8, 4, false); topo != (mpi.Cart{PX: 2, PY: 2, PZ: 2}) {
 		t.Fatalf("8 ranks on 48x48x32: %+v, want 2x2x2", topo)
+	}
+}
+
+// TestStepCostPicks pins StepCost's picks, beside CutArea's, on solve-8rank's
+// grid with and without DFR's PY = 1 pin, pipeline's grid on 4 and 8 ranks,
+// a cube, and a pinned 64x32x32. A change to StepCost's constants that moves
+// one of these picks fails here.
+func TestStepCostPicks(t *testing.T) {
+	for _, tc := range []struct {
+		g    grid.Dims
+		n    int
+		pinY bool
+		want mpi.Cart
+		area mpi.Cart // the cut-area pick, for the record
+	}{
+		{grid.Dims{NX: 56, NY: 56, NZ: 40}, 8, false, mpi.NewCart(1, 4, 2), mpi.NewCart(2, 2, 2)},
+		{grid.Dims{NX: 56, NY: 56, NZ: 40}, 8, true, mpi.NewCart(1, 1, 8), mpi.NewCart(4, 1, 2)},
+		{grid.Dims{NX: 192, NY: 128, NZ: 64}, 4, false, mpi.NewCart(1, 2, 2), mpi.NewCart(2, 2, 1)},
+		{grid.Dims{NX: 192, NY: 128, NZ: 64}, 8, false, mpi.NewCart(1, 4, 2), mpi.NewCart(4, 2, 1)},
+		{grid.Dims{NX: 64, NY: 64, NZ: 64}, 8, false, mpi.NewCart(1, 2, 4), mpi.NewCart(2, 2, 2)},
+		{grid.Dims{NX: 64, NY: 32, NZ: 32}, 8, true, mpi.NewCart(1, 1, 8), mpi.NewCart(4, 1, 2)},
+	} {
+		for _, obj := range []struct {
+			name string
+			cost TopoCost
+			want mpi.Cart
+		}{{"StepCost", StepCost, tc.want}, {"CutArea", CutArea, tc.area}} {
+			got, err := BestTopo(tc.g, tc.n, 2*grid.Ghost, tc.pinY, obj.cost)
+			if err != nil || got != obj.want {
+				t.Errorf("%s: %d ranks on %v (pinY %v) = %+v, %v; want %+v", obj.name, tc.n, tc.g, tc.pinY, got, err, obj.want)
+			}
+		}
+	}
+}
+
+// TestStepCostKeepsRowsLong: on solve-8rank's 56x56x40, every candidate that
+// leaves x whole costs less than every one that halves it — the grouping
+// the measured solve times resolve (1x*x* 0.47-0.52 s, 2x*x* 0.57-0.62 s);
+// the order inside a group is within their noise.
+func TestStepCostKeepsRowsLong(t *testing.T) {
+	g := grid.Dims{NX: 56, NY: 56, NZ: 40}
+	var whole, halved []int64
+	for px := 1; px <= 2; px++ {
+		for py := 1; py <= 8/px; py++ {
+			if (8/px)%py != 0 {
+				continue
+			}
+			c := StepCost(g, mpi.NewCart(px, py, 8/px/py))
+			if px == 1 {
+				whole = append(whole, c)
+			} else {
+				halved = append(halved, c)
+			}
+		}
+	}
+	if len(whole) != 4 || len(halved) != 3 {
+		t.Fatalf("%d and %d candidates, want 4 and 3", len(whole), len(halved))
+	}
+	if slices.Max(whole) >= slices.Min(halved) {
+		t.Fatalf("x whole %v, x halved %v: a halved candidate is predicted no slower", whole, halved)
 	}
 }

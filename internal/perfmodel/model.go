@@ -99,10 +99,11 @@ type Breakdown struct {
 func (b Breakdown) Total() float64 { return b.Comp + b.Comm + b.Sync + b.IO }
 
 // topoFor picks the communication topology for p cores over the global
-// grid: the search awp.Run uses, at one cell per rank and axis. Every
-// modelled job factors; one that does not is a bug in its inputs.
+// grid: the search awp.Run uses, at one cell per rank and axis, under the
+// least cut-plane area, which gives the paper's near-cubic decompositions.
+// Every modelled job factors; one that does not is a bug in its inputs.
 func topoFor(g grid.Dims, p int) (px, py, pz int) {
-	t, err := decomp.BestTopo(g, p, 1, false)
+	t, err := decomp.BestTopo(g, p, 1, false, decomp.CutArea)
 	if err != nil {
 		panic(fmt.Sprintf("perfmodel: %v", err))
 	}
