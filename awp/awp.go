@@ -90,28 +90,12 @@ const (
 type Scenario struct {
 	Dims  Dims
 	H     float64 // grid spacing, m
-	Dt    float64 // 0: automatic at the CFL safety factor; negative rejected
+	Dt    float64 // 0: automatic at the CFL safety factor; negative or non-finite rejected
 	Steps int
 
-	// CFL is the safety factor for the automatic time step (and for LTS
-	// rate assignment). 0 defaults to the historical 0.5; explicit values
-	// must lie in (0, 1].
+	// CFL is the safety factor for the automatic time step. 0 defaults to
+	// the historical 0.5; explicit values must lie in (0, 1].
 	CFL float64
-
-	// LTS enables multi-rate local time stepping: ranks whose subgrid
-	// medium admits a larger stable step advance with dt*2^k (k capped by
-	// LTSMaxK), exchanging rate-boundary halos through time-interpolated
-	// ghost sections, and the decomposition places work-weighted cuts
-	// from a velocity-model scan. Runs whose assigned rates are all 1 are
-	// bit-identical to LTS off; mixed-rate runs trade rate-boundary
-	// accuracy for wall-clock (see DESIGN.md section 12). It composes
-	// with every comm model and both absorbing boundaries; it is mutually
-	// exclusive with DFR mode.
-	LTS bool
-	// LTSMaxK caps the rate exponent (rates up to 2^LTSMaxK); 0 defaults
-	// to 2. LTSMaxRateRatio caps the rate ratio across a rank seam; 0
-	// defaults to 2 (4 allows a rate-1/rate-4 seam).
-	LTSMaxK, LTSMaxRateRatio int
 
 	// Ranks is the number of MPI ranks (goroutines); 0 or 1 runs single
 	// rank, negative values are rejected. The 3D topology is the
@@ -135,7 +119,7 @@ type Scenario struct {
 
 	Sources []source.SampledSource
 	// Fault, when set, runs DFR mode: a spontaneous rupture on the plane
-	// y = J0. The ranks are then never split in y, and LTS is rejected.
+	// y = J0. The ranks are then never split in y.
 	Fault     *FaultSpec
 	Receivers [][3]int
 	TrackPGV  bool
@@ -194,12 +178,6 @@ func Run(q Model, sc Scenario) (*Result, error) {
 		Receivers:   sc.Receivers,
 		TrackPGV:    sc.TrackPGV,
 		Telemetry:   sc.Telemetry,
-		LTS: solver.LTSOptions{
-			Enabled:      sc.LTS,
-			MaxK:         sc.LTSMaxK,
-			MaxRateRatio: sc.LTSMaxRateRatio,
-			WorkBalance:  true,
-		},
 	}
 	return solver.Run(q, opt)
 }

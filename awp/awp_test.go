@@ -200,73 +200,6 @@ func TestScenarioCFL(t *testing.T) {
 	}
 }
 
-// TestScenarioLTS runs a basin-over-rock contrast through the public API
-// with LTS on and off; a uniform medium under LTS must stay bit-identical.
-func TestScenarioLTS(t *testing.T) {
-	mk := func(lts bool) Scenario {
-		return Scenario{
-			Dims: Dims{NX: 32, NY: 12, NZ: 12},
-			H:    100, Steps: 32,
-			Ranks:       2,
-			ABC:         SpongeABC,
-			FreeSurface: true,
-			LTS:         lts,
-			Sources:     ExplosionSource(8, 6, 6, 1e15, 0.06, 0.015),
-			Receivers:   [][3]int{{8, 6, 3}, {24, 6, 3}},
-			TrackPGV:    true,
-		}
-	}
-	uni := HomogeneousModel(Material{Vp: 6000, Vs: 3464, Rho: 2700})
-	ref, err := Run(uni, mk(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(uni, mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range ref.Seismograms {
-		for i, v := range ref.Seismograms[r] {
-			if v != res.Seismograms[r][i] {
-				t.Fatalf("uniform-medium LTS diverges at receiver %d sample %d", r, i)
-			}
-		}
-	}
-
-	// Mixed medium: must run and produce finite motion at both receivers.
-	mixed := &laterallySplitModel{
-		split: 16 * 100,
-		rock:  Material{Vp: 5200, Vs: 3000, Rho: 2700},
-		soft:  Material{Vp: 1200, Vs: 700, Rho: 1900},
-	}
-	mres, err := Run(mixed, mk(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := range mres.Seismograms {
-		for i, v := range mres.Seismograms[r] {
-			for c := 0; c < 3; c++ {
-				if math.IsNaN(float64(v[c])) {
-					t.Fatalf("NaN at receiver %d sample %d", r, i)
-				}
-			}
-		}
-	}
-}
-
-// laterallySplitModel is rock for x < split, soft beyond.
-type laterallySplitModel struct {
-	split      float64
-	rock, soft Material
-}
-
-func (m *laterallySplitModel) Query(x, _, _ float64) Material {
-	if x < m.split {
-		return m.rock
-	}
-	return m.soft
-}
-
 // TestDirectivity runs a scaled ShakeOut-K scenario: a kinematic Haskell
 // rupture on a San Andreas analogue in the SoCal model, nucleating at the
 // SE end and rupturing NW at a sub-shear 2600 m/s. The forward (NW) region
@@ -351,10 +284,10 @@ func TestDegenerateModelReturnsError(t *testing.T) {
 			Topo: mpi.NewCart(2, 1, 1), Sources: sc.Sources})
 		return err
 	}
-	viaAWP := func(q Model, ranks int, dt float64, lts bool) func() error {
+	viaAWP := func(q Model, ranks int, dt float64) func() error {
 		return func() error {
 			s := sc
-			s.Ranks, s.Dt, s.LTS = ranks, dt, lts
+			s.Ranks, s.Dt = ranks, dt
 			_, err := Run(q, s)
 			return err
 		}
@@ -364,12 +297,12 @@ func TestDegenerateModelReturnsError(t *testing.T) {
 		run  func() error
 		want string
 	}{
-		{"Vs 0", viaAWP(bad(func(m *Material) { m.Vs = 0 }), 1, 0, false), "rank 0"},
-		{"Vs -1000", viaAWP(bad(func(m *Material) { m.Vs = -1000 }), 1, 0, false), "rank 0"},
-		{"Vp NaN", viaAWP(bad(func(m *Material) { m.Vp = math.NaN() }), 1, 0, false), "rank 0"},
-		{"Vs 0, Dt given", viaAWP(bad(func(m *Material) { m.Vs = 0 }), 1, 1e-3, false), "rank 0"},
-		{"Vp NaN, 2 ranks", viaAWP(bad(func(m *Material) { m.Vp = math.NaN() }), 2, 0, false), "rank 0"},
-		{"half bad, LTS", viaAWP(half, 2, 0, true), "rank 1"},
+		{"Vs 0", viaAWP(bad(func(m *Material) { m.Vs = 0 }), 1, 0), "rank 0"},
+		{"Vs -1000", viaAWP(bad(func(m *Material) { m.Vs = -1000 }), 1, 0), "rank 0"},
+		{"Vp NaN", viaAWP(bad(func(m *Material) { m.Vp = math.NaN() }), 1, 0), "rank 0"},
+		{"Vs 0, Dt given", viaAWP(bad(func(m *Material) { m.Vs = 0 }), 1, 1e-3), "rank 0"},
+		{"Vp NaN, 2 ranks", viaAWP(bad(func(m *Material) { m.Vp = math.NaN() }), 2, 0), "rank 0"},
+		{"half bad", viaAWP(half, 2, 0), "rank 1"},
 		{"half bad, solver", func() error { return viaSolver(half, 0) }, "rank 1"},
 		{"half bad, solver, Dt given", func() error { return viaSolver(half, 1e-3) }, "rank 1"},
 	} {

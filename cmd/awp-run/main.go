@@ -25,9 +25,6 @@ func main() {
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
 	cfl := flag.Float64("cfl", 0, "CFL safety factor for the automatic time step, in (0, 1] (0: 0.5)")
-	lts := flag.Bool("lts", false, "multi-rate local time stepping: slow-medium ranks advance with dt*2^k and work-weighted cuts")
-	ltsMaxK := flag.Int("lts-max-k", 0, "LTS rate-exponent cap: rates up to 2^k, 1|2 (0: 2)")
-	ltsMaxRatio := flag.Int("lts-max-ratio", 0, "LTS max rate ratio across a rank seam, 2|4 (0: 2)")
 	mw := flag.Float64("m0", 1e16, "seismic moment, N*m")
 	srcI := flag.Int("si", -1, "source i (default center)")
 	srcJ := flag.Int("sj", -1, "source j (default center)")
@@ -64,10 +61,8 @@ func main() {
 
 	sc := awp.Scenario{
 		Dims: dims, H: *h, Steps: *steps, Ranks: *ranks,
-		Threads: *threads,
-		CFL:     *cfl,
-		LTS:     *lts,
-		LTSMaxK: *ltsMaxK, LTSMaxRateRatio: *ltsMaxRatio,
+		Threads:     *threads,
+		CFL:         *cfl,
 		FreeSurface: true, Attenuation: true,
 		Sources: awp.PointMomentSource(*srcI, *srcJ, *srcK, *mw, 0.3, 0.08),
 		// The distant receiver sits ten cells in from the x-high face, or

@@ -1,9 +1,8 @@
 // Command benchtab regenerates the tables and figures of the paper's
 // evaluation (Tables 1-3, Figs 3-23 and the sustained-performance
-// summary) and the three benchmark experiments that still hold a question
-// no bench/ row or test asks (Eq. 7/8 residual, checkpoint interval,
-// multi-rate stepping); -exp selects one by id, or all for the paper
-// set. Petascale quantities come from the validated performance model
+// summary) and the two benchmark experiments that still hold a question
+// no bench/ row or test asks (Eq. 7/8 residual, checkpoint interval);
+// -exp selects one by id, or all for the paper set. Petascale quantities come from the validated performance model
 // (internal/perfmodel); physics quantities come from scaled production
 // runs of the real solver.
 package main
@@ -47,7 +46,6 @@ var exps = map[string]func(out string, short bool){
 	"sustained": paper(sustained),
 	"phases":    report("BENCH_3.json", phases),
 	"ft":        report("BENCH_5.json", ftExp),
-	"lts":       report("BENCH_7.json", ltsExp),
 }
 
 // allOrder is what -exp all runs: every paper table and figure once.
@@ -88,7 +86,7 @@ func resolve(id string) ([]string, error) {
 
 func main() {
 	exp := flag.String("exp", "all", "experiment id ("+expIDs()+")")
-	out := flag.String("out", "", "output path for a benchmark experiment's JSON report (default: BENCH_3.json for phases, BENCH_5.json for ft, BENCH_7.json for lts)")
+	out := flag.String("out", "", "output path for a benchmark experiment's JSON report (default: BENCH_3.json for phases, BENCH_5.json for ft)")
 	short := flag.Bool("short", false, "reduced sweep for CI smoke runs")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")

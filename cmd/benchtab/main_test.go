@@ -33,8 +33,8 @@ func TestExperimentIDs(t *testing.T) {
 		unknown bool
 	}{
 		{"table1", false}, {"fig22", false}, {"sustained", false},
-		{"phases", false}, {"ft", false}, {"lts", false}, {"all", false},
-		{"scale", true}, {"io", true}, {"farm", true}, {"", true},
+		{"phases", false}, {"ft", false}, {"all", false},
+		{"scale", true}, {"io", true}, {"farm", true}, {"lts", true}, {"", true},
 	} {
 		ids, err := resolve(tc.id)
 		if tc.unknown {

@@ -122,8 +122,8 @@ func (sp *Sponge) axisTaper(n, off, nGlobal int, lo, hi bool) (f []float32, ones
 
 // Taper returns the sponge's factors as the production stress sweeps take
 // them (fd.UpdateStressTapered, attenuation's FusedStressTapered): fx, fy and
-// fz over the padded subgrid, Alpha — on a mixed-rate rank the LTS owner's
-// α·√rate — already in them. The sweeps store what DampBox stores.
+// fz over the padded subgrid, Alpha already in them. The sweeps store what
+// DampBox stores.
 func (sp *Sponge) Taper() fd.Taper {
 	t := &sp.axes
 	return fd.Taper{X: t.fx, Y: t.fy, Z: t.fz}

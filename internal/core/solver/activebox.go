@@ -45,12 +45,12 @@ func (a *activeBox) grow() (full bool) {
 
 // takeHalo takes in the hull of the ghost cells the messages of a finished
 // exchange are about to fill with something other than ±0, walking each
-// received (or LTS-blended) buffer by its sections' block geometry. A face
-// whose ghost slab already lies inside the box is not walked.
+// received buffer by its sections' block geometry. A face whose ghost slab
+// already lies inside the box is not walked.
 func (a *activeBox) takeHalo(msgs []message) {
 	for i := range msgs {
 		m := &msgs[i]
-		if m.in == nil || a.Contains(m.slab) {
+		if a.Contains(m.slab) {
 			continue
 		}
 		for si := range m.secs {
@@ -100,7 +100,7 @@ func (rs *rankState) dropBox() {
 }
 
 // sweptCells returns the cells this rank's velocity and stress sweeps covered
-// and the cells whole sweeps would have: the local steps taken with the box
+// and the cells whole sweeps would have: the steps taken with the box
 // live counted tile by tile (rs.swept), the rest whole.
 func (rs *rankState) sweptCells() (swept, owned int64) {
 	perStep := 2 * int64(rs.sub.Local.Cells())

@@ -4,13 +4,11 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/checkpoint"
 	"repro/internal/core/fd"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/pfs"
 )
 
 // TestActiveBoxSaturationIsOneWay runs one rank past saturation: the box and
@@ -22,7 +20,7 @@ func TestActiveBoxSaturationIsOneWay(t *testing.T) {
 	opt := baseOptions(mpi.NewCart(1, 1, 1))
 	opt.Variant, opt.Steps = fd.Production, 400
 	dropAt := 0
-	res, _, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
+	res, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
 		dc, _, err := Prepare(st.opt)
 		var never *Stepper
 		if err == nil {
@@ -71,73 +69,21 @@ func TestActiveBoxSaturationIsOneWay(t *testing.T) {
 	}
 }
 
-// TestSetStepIndexDropsActiveBox restores a checkpoint into a Stepper whose
-// box is still live and rolls the cursor back: the state was written from
-// outside, so the box must go, and the replay must reproduce the
-// uninterrupted run.
-func TestSetStepIndexDropsActiveBox(t *testing.T) {
-	q := cvm.SoCal(3200, 2800, 2000, 400)
-	opt := boxScenario(SpongeABC)
-	opt.Topo = mpi.NewCart(2, 2, 1)
-	want, err := Run(q, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fsys := pfs.New(pfs.Jaguar())
-	rolled := make([]bool, opt.Topo.Size())
-	got, _, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
-		r := c.Rank()
-		switch {
-		case rolled[r]:
-		case st.StepIndex() == 1:
-			if _, err := checkpoint.Write(fsys, "ckpt", r, 1, st.Sections()); err != nil {
-				t.Error(err)
-			}
-		case st.StepIndex() == 2:
-			rolled[r] = true
-			if st.rs.box == nil {
-				t.Errorf("rank %d: box already dropped after two steps: the rollback point is not live", r)
-			}
-			if err := checkpoint.Read(fsys, "ckpt", r, 1, st.Sections()); err != nil {
-				t.Error(err)
-			}
-			if err := st.SetStepIndex(1); err != nil {
-				t.Error(err)
-			}
-			if st.rs.box != nil || st.rs.vel.box != nil || st.rs.stress.box != nil {
-				t.Errorf("rank %d: SetStepIndex left the active box in place", r)
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg := resultDiff(want, got); msg != "" {
-		t.Errorf("rollback with a live box: %s", msg)
-	}
-}
-
 // TestSetStepIndexRejectsCursorsOutsideTheRun: a cursor below 0 or past Steps
-// — even one on a cycle boundary — or inside an LTS cycle is an error, and a
-// rejected cursor leaves the Stepper as it was, its active box included, so
-// the run still reproduces the uninterrupted one. A negative cursor used to
-// be accepted and panic in the next Step; one past Steps ended the run with
-// zero-filled samples.
+// is an error, and a rejected cursor leaves the Stepper as it was, its active
+// box included, so the run still reproduces the uninterrupted one. A negative
+// cursor used to be accepted and panic in the next Step; one past Steps ended
+// the run with zero-filled samples.
 func TestSetStepIndexRejectsCursorsOutsideTheRun(t *testing.T) {
-	rock, soft := ltsContrast()
-	q := splitXModel{split: 1600, rock: rock, soft: soft}
+	q := basinOverRock(1600)
 	opt := boxScenario(SpongeABC)
 	opt.Topo = mpi.NewCart(2, 1, 1)
-	opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
 	want, err := Run(q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
-		if st.StepAlign() != 4 {
-			t.Errorf("rank %d: StepAlign %d, want a cycle of 4", c.Rank(), st.StepAlign())
-		}
-		for _, n := range []int{-4, -2, opt.Steps + 4, opt.Steps + 1, 1, 5} {
+	got, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
+		for _, n := range []int{-4, -1, opt.Steps + 4, opt.Steps + 1} {
 			if err := st.SetStepIndex(n); err == nil {
 				t.Errorf("rank %d: step index %d accepted", c.Rank(), n)
 			}
@@ -175,7 +121,7 @@ func TestSourceJoinsBoxWhenLive(t *testing.T) {
 	node := fd.Box{I0: 12, I1: 13, J0: 12, J1: 13, K0: 8, K1: 9}
 
 	opt.Sources = []source.SampledSource{late, never}
-	res, _, err := runWorld(q, opt, nil, func(_ *mpi.Comm, st *Stepper) {
+	res, err := runWorld(q, opt, nil, func(_ *mpi.Comm, st *Stepper) {
 		b, step := st.rs.box, st.StepIndex()-1
 		switch {
 		case b == nil:
@@ -196,7 +142,7 @@ func TestSourceJoinsBoxWhenLive(t *testing.T) {
 	}
 
 	opt.Sources = []source.SampledSource{never}
-	res, _, err = runWorld(q, opt, nil, func(_ *mpi.Comm, st *Stepper) {
+	res, err = runWorld(q, opt, nil, func(_ *mpi.Comm, st *Stepper) {
 		if b := st.rs.box; b == nil || !b.Empty() {
 			t.Errorf("step %d: box %v with no live source", st.StepIndex()-1, b)
 		}

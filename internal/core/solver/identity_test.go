@@ -27,14 +27,13 @@ import (
 // The identity harness holds every way of executing a scenario to one
 // reference, bit for bit (the paper's aVal acceptance, §III.H).
 //
-// A physics row is a scenario — medium, boundaries, sources, fault, rate plan
-// — and picks its reference: the production stepper on one rank and one
-// thread, whole sweeps, telemetry off and the Go row bodies, held after every
-// step to the two-pass oracle (oracle_test.go); for mixed rates, which have no
-// oracle, the same serial run on 2x1x1. The execution axes must not change a
+// A physics row is a scenario — medium, boundaries, sources, fault — and its
+// reference is the production stepper on one rank and one thread, whole
+// sweeps, telemetry off and the Go row bodies, held after every step to the
+// two-pass oracle (oracle_test.go). The execution axes must not change a
 // bit: comm model, threads, topology (uneven cuts included), tile shape,
 // active box or whole sweeps, telemetry, Surface output, a checkpoint and
-// rollback mid-run, and the 8-lane walkers. identityArray covers them and the
+// rollback, and the 8-lane walkers. identityArray covers them and the
 // physics row pairwise. After every Step each row compares every rank's
 // Stepper.Sections() with the reference's in global coordinates — the whole
 // padded arrays, ghosts included, on the reference's own topology under a
@@ -48,14 +47,6 @@ var (
 	identityShapes = []fd.Blocking{{}, {JBlock: 8, KBlock: 16}, {JBlock: 3, KBlock: 5}}
 	hostVector     = fd.Vector
 )
-
-// identityGrowth is how many of identityTopos each generation of the
-// array draws from. A generation keeps every row of the one before and
-// adds rows for the pairs its new values bring, so appending a topology
-// renames no row (a row's name is its subtest's). 1x2x2 keeps x whole
-// and cuts y and z, the kind of topology decomp.StepCost picks for
-// awp.Run.
-var identityGrowth = []int{6, len(identityTopos)}
 
 // The array's axes; a row holds an index into each axis's values, and the
 // last five are off (0) or on (1).
@@ -77,20 +68,16 @@ func axisSizes() []int {
 }
 
 // physicsRow is a scenario; its options leave every execution axis unset.
-// Without oracle its rates are mixed.
 type physicsRow struct {
-	name   string
-	q      cvm.Querier
-	opt    Options
-	oracle bool
-	check  func(ref *reference) string // why the reference misses the row's mechanism, or ""
+	name  string
+	q     cvm.Querier
+	opt   Options
+	check func(ref *reference) string // why the reference misses the row's mechanism, or ""
 }
 
 var identityPhysics = sync.OnceValue(func() []*physicsRow {
 	soCal := cvm.SoCal(2400, 2400, 1600, 400)
 	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
-	rock, soft := ltsContrast()
-	contrast := splitXModel{split: 16 * 100, rock: rock, soft: soft}
 
 	filled := baseOptions(mpi.Cart{})
 	filled.Variant, filled.Steps = fd.Default, 32
@@ -110,26 +97,16 @@ var identityPhysics = sync.OnceValue(func() []*physicsRow {
 	elastic.Attenuation = false
 	spongeFault := sponge
 	spongeFault.Sources, spongeFault.Fault = nil, overstressedFault(11, 10, 10, 2, 6)
-	rate1 := ltsOptions(grid.Dims{NX: 28, NY: 24, NZ: 16}, 12, mpi.Cart{})
-	rate1.LTS = LTSOptions{Enabled: true, WorkBalance: true}
-	mixed := func(abc ABCKind) Options {
-		opt := boxScenario(abc)
-		opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
-		return opt
-	}
 	return []*physicsRow{
-		{"filled", soCal, filled, true, nil},
-		{"front", soCal, front, true, reachesXSeam},
-		{"mpml", soCal, mpml, true, splitsMove},
-		{"fault", soCal, mpmlFault, true, func(ref *reference) string { return cmp.Or(splitsMove(ref), faultSlips(ref)) }},
-		{"sponge", boxQ, sponge, true, nil},
-		{"sponge-elastic", boxQ, elastic, true, nil},
-		{"sponge-fault", boxQ, spongeFault, true, faultSlips},
-		{"rupture", cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), ruptureOptions(), true,
+		{"filled", soCal, filled, nil},
+		{"front", soCal, front, reachesXSeam},
+		{"mpml", soCal, mpml, splitsMove},
+		{"fault", soCal, mpmlFault, func(ref *reference) string { return cmp.Or(splitsMove(ref), faultSlips(ref)) }},
+		{"sponge", boxQ, sponge, nil},
+		{"sponge-elastic", boxQ, elastic, nil},
+		{"sponge-fault", boxQ, spongeFault, faultSlips},
+		{"rupture", cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), ruptureOptions(),
 			func(ref *reference) string { return cmp.Or(faultSlips(ref), ruptureSpreads(ref)) }},
-		{"lts-rate1", cvm.Homogeneous(rock), rate1, true, ratesAre("[1]")},
-		{"rates-sponge", contrast, mixed(SpongeABC), false, ratesAre("[1 4]")},
-		{"rates-mpml", contrast, mixed(MPMLABC), false, ratesAre("[1 4]")},
 	}
 })
 
@@ -216,7 +193,7 @@ func reachesXSeam(ref *reference) string {
 // splitsMove: each of the 24 stored splits moves in some zone by the end.
 func splitsMove(ref *reference) string {
 	moving := map[string]bool{}
-	for _, sec := range ref.snaps[ref.opt.Steps-1][0] {
+	for _, sec := range ref.snaps[ref.opt.Steps-1] {
 		if zone, ok := strings.CutPrefix(sec.Name, "pml."); ok {
 			split := zone[strings.Index(zone, ".")+1:]
 			moving[split] = moving[split] || slices.ContainsFunc(sec.F32, func(v float32) bool { return v != 0 })
@@ -252,24 +229,6 @@ func ruptureSpreads(ref *reference) string {
 		return fmt.Sprintf("rupture past the x seam %v, the z seam %v; %d slip-rate series", pastX, pastZ, len(ref.res.SlipSeries))
 	}
 	return ""
-}
-
-// ratesAre checks the reference's distinct rates and, when they are mixed,
-// that the receiver in the rate-4 half records signal.
-func ratesAre(want string) func(*reference) string {
-	return func(ref *reference) string {
-		if rateSet(ref.rates) != want || ref.opt.LTS.MaxRateRatio == 4 && maxSeriesAbs(ref.res.Seismograms[1]) == 0 {
-			return fmt.Sprintf("rates %v, want %s with signal in the rate-4 half", ref.rates, want)
-		}
-		return ""
-	}
-}
-
-// rateSet prints a run's distinct rates in increasing order.
-func rateSet(rates []int) string {
-	set := slices.Clone(rates)
-	slices.Sort(set)
-	return fmt.Sprint(slices.Compact(set))
 }
 
 // allowedPairs lists, in a fixed order, each pair of values (a, u, b, v) of
@@ -377,26 +336,11 @@ func coveringArray(rows [][]int, sizes []int, pairs [][4]int, allowed func([]int
 	return rows
 }
 
-// identityAllowed is the array's constraints on a row whose unset axes are
-// -1: exactly stepExclusions, DFR mode's PY = 1, and a mixed-rate row's x
-// cut at its contrast, x = NX/2, so PX = 2.
+// identityAllowed is the array's one constraint on a row whose unset axes are
+// -1: DFR mode's PY = 1.
 func identityAllowed(row []int) bool {
-	if row[axPhysics] < 0 {
-		return true
-	}
-	p := identityPhysics()[row[axPhysics]]
-	opt := p.opt
-	if row[axSurface] == 1 {
-		opt.Surface = &SurfaceOptions{}
-	}
-	for _, x := range stepExclusions {
-		if x.hit(&opt) {
-			return false
-		}
-	}
-	if t := row[axTopo]; t >= 0 {
-		topo := identityTopos[t]
-		return (opt.Fault == nil || topo.PY == 1) && (p.oracle || topo.PX == 2)
+	if p, t := row[axPhysics], row[axTopo]; p >= 0 && t >= 0 {
+		return identityPhysics()[p].opt.Fault == nil || identityTopos[t].PY == 1
 	}
 	return true
 }
@@ -421,33 +365,127 @@ type identityRow struct {
 // identityArray is the array's rows, grouped by physics row; -short asks
 // only the execution axes' pairs.
 var identityArray = sync.OnceValue(func() []identityRow {
-	raw := grownArray(testing.Short())
+	raw := arrayRows(testing.Short())
 	slices.SortStableFunc(raw, func(a, b []int) int { return a[axPhysics] - b[axPhysics] })
 	var rows []identityRow
 	for _, v := range raw {
-		r := identityRow{phys: identityPhysics()[v[axPhysics]], comm: identityComms[v[axComm]], threads: v[axThreads] + 1,
-			topo: identityTopos[v[axTopo]], shape: identityShapes[v[axShape]], box: v[axBox] == 1, tel: v[axTelemetry] == 1,
-			surface: v[axSurface] == 1, ckpt: v[axCheckpoint] == 1, vectorized: v[axVector] == 1}
-		name := []string{r.phys.name, r.comm.String(), fmt.Sprintf("t%d.%dx%dx%d.tiles%dx%d", r.threads,
-			r.topo.PX, r.topo.PY, r.topo.PZ, r.shape.JBlock, r.shape.KBlock)}
-		for n, onOff := range [][2]string{{"whole", "box"}, {"quiet", "tel"}, {"nosurf", "surf"}, {"run", "ckpt"}, {"go", "avx"}} {
-			name = append(name, onOff[v[axBox+n]])
-		}
-		r.name = strings.Join(name, ".")
-		rows = append(rows, r)
+		rows = append(rows, identityRow{name: rowName(v), phys: identityPhysics()[v[axPhysics]], comm: identityComms[v[axComm]],
+			threads: v[axThreads] + 1, topo: identityTopos[v[axTopo]], shape: identityShapes[v[axShape]], box: v[axBox] == 1,
+			tel: v[axTelemetry] == 1, surface: v[axSurface] == 1, ckpt: v[axCheckpoint] == 1, vectorized: v[axVector] == 1})
 	}
 	return rows
 })
 
-// grownArray is the array through every generation of identityGrowth, in
-// the order its rows were added.
-func grownArray(short bool) (rows [][]int) {
-	for _, topos := range identityGrowth {
-		sizes := axisSizes()
-		sizes[axTopo] = topos
-		rows = coveringArray(rows, sizes, allowedPairs(sizes, identityAllowed, identityRequired(short)), identityAllowed)
+// arrayRows is the array: with short, from no rows; otherwise from the seed.
+func arrayRows(short bool) [][]int {
+	var rows [][]int
+	if !short {
+		for _, name := range identitySeed {
+			rows = append(rows, rowOf(name))
+		}
 	}
-	return rows
+	sizes := axisSizes()
+	return coveringArray(rows, sizes, allowedPairs(sizes, identityAllowed, identityRequired(short)), identityAllowed)
+}
+
+// identitySeed is the full array's first rows, by name. A row's name is its
+// subtest's, so they are kept as they were when the array last lost physics
+// rows; coveringArray adds rows for the pairs they leave uncovered, and a
+// value appended to an axis adds rows the same way, renaming none.
+var identitySeed = []string{
+	"fault.async-reduced.t1.2x1x1.tiles0x0.whole.quiet.nosurf.run.go",
+	"fault.async.t2.1x1x1.tiles8x16.box.quiet.surf.run.avx",
+	"fault.overlap.t4.2x1x2.tiles0x0.box.quiet.surf.run.avx",
+	"fault.sync.t3.1x1x1.tiles3x5.whole.tel.nosurf.ckpt.go",
+	"filled.async-reduced.t2.1x3x1.tiles0x0.whole.quiet.surf.run.go",
+	"filled.async-reduced.t3.2x1x1.tiles8x16.whole.quiet.surf.run.go",
+	"filled.async.t3.2x1x2.tiles3x5.whole.tel.surf.ckpt.avx",
+	"filled.overlap.t1.2x2x1.tiles8x16.box.tel.surf.ckpt.avx",
+	"filled.overlap.t4.1x2x2.tiles3x5.box.tel.surf.ckpt.avx",
+	"filled.sync.t1.1x1x1.tiles0x0.whole.quiet.nosurf.run.go",
+	"filled.sync.t4.2x2x2.tiles3x5.whole.quiet.surf.run.go",
+	"front.async-reduced.t1.2x1x2.tiles0x0.box.tel.nosurf.ckpt.go",
+	"front.async.t2.2x1x1.tiles8x16.box.tel.surf.ckpt.avx",
+	"front.async.t3.1x3x1.tiles0x0.box.tel.surf.ckpt.avx",
+	"front.overlap.t2.1x1x1.tiles3x5.box.tel.surf.run.avx",
+	"front.overlap.t4.2x2x1.tiles3x5.box.tel.surf.ckpt.avx",
+	"front.sync.t1.1x2x2.tiles0x0.whole.quiet.nosurf.run.go",
+	"front.sync.t1.2x2x2.tiles0x0.whole.quiet.surf.run.go",
+	"front.sync.t4.2x1x1.tiles3x5.whole.quiet.surf.run.go",
+	"mpml.async-reduced.t3.1x3x1.tiles3x5.whole.quiet.surf.run.go",
+	"mpml.async-reduced.t3.2x2x1.tiles3x5.whole.tel.nosurf.ckpt.go",
+	"mpml.async.t2.1x1x1.tiles8x16.box.tel.surf.ckpt.avx",
+	"mpml.async.t2.1x2x2.tiles8x16.box.tel.surf.ckpt.avx",
+	"mpml.async.t4.2x2x2.tiles0x0.whole.tel.surf.run.go",
+	"mpml.overlap.t1.2x1x1.tiles8x16.whole.quiet.nosurf.ckpt.avx",
+	"mpml.sync.t2.2x1x2.tiles8x16.box.quiet.surf.ckpt.avx",
+	"rupture.async-reduced.t1.2x1x1.tiles0x0.whole.quiet.nosurf.run.go",
+	"rupture.async.t2.1x1x1.tiles8x16.whole.tel.nosurf.ckpt.go",
+	"rupture.overlap.t3.2x1x1.tiles0x0.whole.tel.nosurf.ckpt.go",
+	"rupture.sync.t4.2x1x2.tiles3x5.box.quiet.surf.run.avx",
+	"sponge-elastic.async-reduced.t3.1x1x1.tiles0x0.whole.quiet.nosurf.run.go",
+	"sponge-elastic.async-reduced.t3.2x2x2.tiles8x16.whole.tel.surf.run.go",
+	"sponge-elastic.async.t1.1x3x1.tiles3x5.whole.tel.surf.run.go",
+	"sponge-elastic.overlap.t4.1x2x2.tiles0x0.box.tel.surf.ckpt.avx",
+	"sponge-elastic.overlap.t4.1x3x1.tiles3x5.whole.quiet.nosurf.run.go",
+	"sponge-elastic.overlap.t4.2x1x1.tiles8x16.box.tel.surf.ckpt.avx",
+	"sponge-elastic.sync.t1.2x1x2.tiles3x5.whole.quiet.nosurf.run.go",
+	"sponge-elastic.sync.t2.2x2x1.tiles0x0.box.quiet.nosurf.ckpt.avx",
+	"sponge-fault.async-reduced.t4.1x1x1.tiles8x16.whole.quiet.nosurf.ckpt.avx",
+	"sponge-fault.async.t3.2x1x1.tiles0x0.whole.quiet.nosurf.ckpt.avx",
+	"sponge-fault.overlap.t1.1x1x1.tiles8x16.box.tel.surf.ckpt.avx",
+	"sponge-fault.sync.t2.2x1x2.tiles3x5.box.tel.surf.run.go",
+	"sponge.async-reduced.t3.1x2x2.tiles3x5.whole.quiet.surf.run.go",
+	"sponge.async-reduced.t4.1x3x1.tiles8x16.box.quiet.nosurf.ckpt.avx",
+	"sponge.async.t2.2x1x2.tiles3x5.box.tel.surf.ckpt.avx",
+	"sponge.async.t3.2x2x1.tiles0x0.whole.tel.surf.ckpt.go",
+	"sponge.overlap.t1.2x2x2.tiles3x5.box.tel.surf.run.avx",
+	"sponge.overlap.t4.1x1x1.tiles0x0.box.tel.surf.ckpt.avx",
+	"sponge.sync.t1.2x1x1.tiles8x16.whole.quiet.surf.run.go",
+	"sponge.sync.t2.2x2x2.tiles3x5.box.quiet.nosurf.run.avx",
+}
+
+// axisLabel is value u of axis a as a row's name spells it.
+func axisLabel(a, u int) string {
+	switch a {
+	case axPhysics:
+		return identityPhysics()[u].name
+	case axComm:
+		return identityComms[u].String()
+	case axThreads:
+		return fmt.Sprintf("t%d", u+1)
+	case axTopo:
+		t := identityTopos[u]
+		return fmt.Sprintf("%dx%dx%d", t.PX, t.PY, t.PZ)
+	case axShape:
+		b := identityShapes[u]
+		return fmt.Sprintf("tiles%dx%d", b.JBlock, b.KBlock)
+	}
+	return [...][2]string{{"whole", "box"}, {"quiet", "tel"}, {"nosurf", "surf"}, {"run", "ckpt"}, {"go", "avx"}}[a-axBox][u]
+}
+
+// rowName is a row's subtest name: its values' labels, axis by axis.
+func rowName(row []int) string {
+	labels := make([]string, len(row))
+	for a, u := range row {
+		labels[a] = axisLabel(a, u)
+	}
+	return strings.Join(labels, ".")
+}
+
+// rowOf reads a row back from its name; an axis whose label it does not
+// find is unset (-1).
+func rowOf(name string) []int {
+	labels, sizes := strings.Split(name, "."), axisSizes()
+	row := unsetRow(len(sizes))
+	for a := range row {
+		for u := range sizes[a] {
+			if a < len(labels) && axisLabel(a, u) == labels[a] {
+				row[a] = u
+			}
+		}
+	}
+	return row
 }
 
 // TestIdentityArrayCoversPairs: both arrays, full and -short, hold only
@@ -455,7 +493,7 @@ func grownArray(short bool) (rows [][]int) {
 func TestIdentityArrayCoversPairs(t *testing.T) {
 	for _, short := range []bool{false, true} {
 		pairs := allowedPairs(axisSizes(), identityAllowed, identityRequired(short))
-		rows := grownArray(short)
+		rows := arrayRows(short)
 		seen := map[[4]int]bool{}
 		for _, row := range rows {
 			if !identityAllowed(row) || slices.Contains(row, -1) {
@@ -550,34 +588,32 @@ func valueAt(s grid.Section, n int) (uint64, float64) {
 }
 
 // diffState compares one rank's sections, placed by regs, with the value
-// want's ranks hold at the same global cell, and describes the first
-// difference; every value must meet one. With rank >= 0 the state is held to
-// want's rank rank alone, on the whole padded arrays.
-func diffState(secs []grid.Section, regs []region, want [][]grid.Section, wregs [][]region, rank int) string {
+// want, placed by wregs, holds at the same global cell, and describes the
+// first difference; every value must meet one. With framed the state is held
+// to want on the whole padded arrays.
+func diffState(secs []grid.Section, regs []region, want []grid.Section, wregs []region, framed bool) string {
 	for si, sec := range secs {
 		r, n := regs[si], 0
-		if rank >= 0 {
+		if framed {
 			r = r.framed()
 		}
-		for wr, wsecs := range want {
-			for wi, w := range wsecs {
-				if w.Name != sec.Name || rank >= 0 && wr != rank {
-					continue
-				}
-				q := wregs[wr][wi]
-				if rank >= 0 {
-					q = q.framed()
-				}
-				b := r.box.Intersect(q.box)
-				for k := b.K0; k < b.K1; k++ {
-					for j := b.J0; j < b.J1; j++ {
-						for i := b.I0; i < b.I1; i++ {
-							got, v := valueAt(sec, r.index(i, j, k))
-							if exp, x := valueAt(w, q.index(i, j, k)); got != exp {
-								return fmt.Sprintf("%s(%d,%d,%d) = %g (%#x), reference %g (%#x)", sec.Name, i, j, k, v, got, x, exp)
-							}
-							n++
+		for wi, w := range want {
+			if w.Name != sec.Name {
+				continue
+			}
+			q := wregs[wi]
+			if framed {
+				q = q.framed()
+			}
+			b := r.box.Intersect(q.box)
+			for k := b.K0; k < b.K1; k++ {
+				for j := b.J0; j < b.J1; j++ {
+					for i := b.I0; i < b.I1; i++ {
+						got, v := valueAt(sec, r.index(i, j, k))
+						if exp, x := valueAt(w, q.index(i, j, k)); got != exp {
+							return fmt.Sprintf("%s(%d,%d,%d) = %g (%#x), reference %g (%#x)", sec.Name, i, j, k, v, got, x, exp)
 						}
+						n++
 					}
 				}
 			}
@@ -589,27 +625,23 @@ func diffState(secs []grid.Section, regs []region, want [][]grid.Section, wregs 
 	return ""
 }
 
-// reference is a physics row's reference run: every rank's sections after
-// each Step by the step it reached (nil inside an LTS cycle), placed by regs,
-// its Result and its rates.
+// reference is a physics row's reference run: its one rank's sections after
+// each Step, placed by regs, and its Result.
 type reference struct {
 	opt   Options // as run
-	snaps [][][]grid.Section
-	regs  [][]region
+	snaps [][]grid.Section
+	regs  []region
 	res   *Result
-	rates []int
 	fail  string // why the reference itself does not hold
 }
 
 // at is the reference's value of section name at global cell (i, j, k) after
 // step.
 func (ref *reference) at(step int, name string, i, j, k int) float64 {
-	for r, secs := range ref.snaps[step] {
-		for si, s := range secs {
-			if q := ref.regs[r][si]; s.Name == name && q.box.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) {
-				_, v := valueAt(s, q.index(i, j, k))
-				return v
-			}
+	for si, s := range ref.snaps[step] {
+		if q := ref.regs[si]; s.Name == name && q.box.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) {
+			_, v := valueAt(s, q.index(i, j, k))
+			return v
 		}
 	}
 	return math.NaN()
@@ -633,30 +665,24 @@ func (f *failures) add(format string, args ...any) {
 	f.once.Do(func() { f.msg = fmt.Sprintf(format, args...) })
 }
 
-// build runs p's reference: a thread a rank, Asynchronous, whole sweeps,
-// telemetry off, the Go row bodies; with an oracle on one rank beside the
-// two-pass oracle, which it must match on the interior of every section after
-// every step, otherwise on 2x1x1. Some receiver must record signal.
+// build runs p's reference: one rank on one thread, Asynchronous, whole
+// sweeps, telemetry off, the Go row bodies, beside the two-pass oracle, which
+// it must match on the interior of every section after every step. Some
+// receiver must record signal.
 func (p *physicsRow) build() *reference {
 	opt := p.opt
-	opt.Topo, opt.Comm, opt.Threads = mpi.NewCart(2, 1, 1), Asynchronous, 1
-	if p.oracle {
-		opt.Topo = mpi.NewCart(1, 1, 1)
-	}
+	opt.Topo, opt.Comm, opt.Threads = mpi.NewCart(1, 1, 1), Asynchronous, 1
 	defer useVector(false)()
-	ref := &reference{opt: opt, snaps: make([][][]grid.Section, opt.Steps), regs: make([][]region, opt.Topo.Size())}
+	ref := &reference{opt: opt, snaps: make([][]grid.Section, opt.Steps)}
 	var fail failures
-	var mu sync.Mutex
 	var orc *Stepper
 	var orcRegs []region
-	res, rates, err := runWorld(p.q, opt, func(c *mpi.Comm, st *Stepper) {
+	res, err := runWorld(p.q, opt, func(c *mpi.Comm, st *Stepper) {
 		st.rs.dropBox()
 		var err error
-		ref.regs[c.Rank()], err = sectionRegions(st)
-		if p.oracle && err == nil {
-			o := opt
-			o.LTS = LTSOptions{} // every rate of an oracle row is 1
-			dc, o, perr := Prepare(o)
+		ref.regs, err = sectionRegions(st)
+		if err == nil {
+			dc, o, perr := Prepare(opt)
 			if err = perr; err == nil {
 				orc, err = NewStepper(c, p.q, dc, o)
 			}
@@ -671,23 +697,18 @@ func (p *physicsRow) build() *reference {
 		step, secs := st.StepIndex()-1, st.Sections()
 		if orc != nil {
 			twoPassOracle(orc.rs, orc.Dt(), step)
-			if msg := diffState(secs, ref.regs[0], [][]grid.Section{orc.Sections()}, [][]region{orcRegs}, -1); msg != "" {
+			if msg := diffState(secs, ref.regs, orc.Sections(), orcRegs, false); msg != "" {
 				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
 			}
 			if st.Done() {
 				orc.Close()
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		if ref.snaps[step] == nil {
-			ref.snaps[step] = make([][]grid.Section, len(ref.regs))
-		}
 		for _, s := range secs {
-			ref.snaps[step][c.Rank()] = append(ref.snaps[step][c.Rank()], grid.Section{Name: s.Name, F32: slices.Clone(s.F32), F64: slices.Clone(s.F64)})
+			ref.snaps[step] = append(ref.snaps[step], grid.Section{Name: s.Name, F32: slices.Clone(s.F32), F64: slices.Clone(s.F64)})
 		}
 	})
-	ref.res, ref.rates, ref.fail = res, rates, fail.msg
+	ref.res, ref.fail = res, fail.msg
 	if err != nil {
 		ref.fail = err.Error()
 	}
@@ -775,9 +796,16 @@ func (r identityRow) run(ref *reference) string {
 	var fail failures
 	var mu sync.Mutex
 	var calls, clipping int
-	var sourceless, arrived bool
+	var sourceless, arrived, liveRollback bool
 	regs, rolled, owned := make([][]region, ranks), make([]bool, ranks), make([]int64, ranks)
-	res, rates, err := runWorld(r.phys.q, opt, func(c *mpi.Comm, st *Stepper) {
+	// A row checkpoints, steps on, restores and rolls back, and the replay
+	// must store the same bits: with the box after step 1, while the boxes
+	// are live, and back from step 2; without it mid-run.
+	at := max(opt.Steps/2, 1)
+	if r.box {
+		at = 1
+	}
+	res, err := runWorld(r.phys.q, opt, func(c *mpi.Comm, st *Stepper) {
 		if !r.box {
 			st.rs.dropBox()
 		}
@@ -792,28 +820,25 @@ func (r identityRow) run(ref *reference) string {
 			sourceless, arrived = true, arrived || rs.box != nil && !rs.box.Empty()
 			mu.Unlock()
 		}
-		only := -1
-		if framed {
-			only = rank
-		}
-		if msg := diffState(st.Sections(), regs[rank], ref.snaps[n-1], ref.regs, only); msg != "" {
+		if msg := diffState(st.Sections(), regs[rank], ref.snaps[n-1], ref.regs, framed); msg != "" {
 			fail.add("rank %d after step %d: %s", rank, n, msg)
 		}
-		// Checkpoint on the cycle boundary mid-run, step a cycle on, restore
-		// and roll back: the replay must store the same bits.
-		cycle := st.StepAlign()
-		at := cycle * max(opt.Steps/(2*cycle), 1)
 		switch {
 		case !r.ckpt || rolled[rank]:
 		case n == at:
 			if _, err := checkpoint.Write(fsys, "ckpt", rank, at, st.Sections()); err != nil {
 				fail.add("rank %d: checkpoint: %v", rank, err)
 			}
-		case n == at+cycle:
+		case n == at+1:
 			rolled[rank] = true
+			if rs.box != nil {
+				mu.Lock()
+				liveRollback = true
+				mu.Unlock()
+			}
 			err := cmp.Or(checkpoint.Read(fsys, "ckpt", rank, at, st.Sections()), st.SetStepIndex(at))
-			if err != nil || rs.box != nil {
-				fail.add("rank %d: rollback: %v; box after SetStepIndex %v", rank, err, rs.box)
+			if err != nil || rs.box != nil || rs.vel.box != nil || rs.stress.box != nil {
+				fail.add("rank %d: rollback: %v; boxes after SetStepIndex %v, %v, %v", rank, err, rs.box, rs.vel.box, rs.stress.box)
 			}
 		}
 		if rank == 0 {
@@ -833,15 +858,15 @@ func (r identityRow) run(ref *reference) string {
 		return err.Error()
 	case fail.msg != "":
 		return fail.msg
-	case rateSet(rates) != rateSet(ref.rates):
-		return fmt.Sprintf("rates %v, reference %v", rates, ref.rates)
 	case !r.box && res.ActiveShare != 1:
 		return fmt.Sprintf("whole sweeps report ActiveShare %g, want exactly 1", res.ActiveShare)
 	case r.box && !(res.ActiveShare > 0 && res.ActiveShare < 1):
 		return fmt.Sprintf("ActiveShare %g, want inside (0, 1)", res.ActiveShare)
-	case r.box && r.phys.oracle && clipping > 0: // at rate 1 every box fills its subgrid in the run
+	case r.box && clipping > 0:
 		return fmt.Sprintf("%d of %d ranks still clip after %d steps", clipping, ranks, opt.Steps)
-	case sourceless && !arrived:
+	case r.box && r.ckpt && !liveRollback:
+		return "no rank's box was live at the rollback"
+	case sourceless && !arrived && !r.ckpt: // a rollback drops the boxes at step 2, maybe before the front arrives
 		return "no rank without a source ever held a live box: the halo rule went unexercised"
 	case r.tel != (res.Telemetry != nil):
 		return fmt.Sprintf("telemetry %v, report %v", r.tel, res.Telemetry != nil)
@@ -851,7 +876,7 @@ func (r identityRow) run(ref *reference) string {
 	}
 	msg := cmp.Or(resultDiff(ref.res, res), r.momentDiff(ref, res.MomentRate, same))
 	if r.tel {
-		msg = cmp.Or(msg, telemetryDiff(res.Telemetry, opt, rates, calls, owned, r.box, res.ActiveShare))
+		msg = cmp.Or(msg, telemetryDiff(res.Telemetry, opt, calls, owned, r.box, res.ActiveShare))
 	}
 	if r.surface {
 		msg = cmp.Or(msg, ref.surfaceDiff(fsys, opt, res, r.ckpt))
@@ -945,22 +970,21 @@ func floatBits(v reflect.Value) uint64 {
 // telemetryDiff checks a telemetry report against the run it describes: a
 // snapshot a rank, a step window a Step call, spans in every compute phase,
 // message phases exactly when there are neighbors, and their counters, Sync
-// spans exactly when the Synchronous model ran its barrier (every rate 1), an
-// event trace that exports as Chrome trace-event JSON, and per-rank active
+// spans exactly under the Synchronous model, an event trace that exports as Chrome trace-event JSON, and per-rank active
 // shares — exactly 1 with whole sweeps, inside (0, 1) with the box — whose
 // mean, weighted by the cells each rank would have swept whole, is
 // Result.ActiveShare.
-func telemetryDiff(rep *telemetry.Report, opt Options, rates []int, calls int, owned []int64, box bool, share float64) string {
+func telemetryDiff(rep *telemetry.Report, opt Options, calls int, owned []int64, box bool, share float64) string {
 	ranks := opt.Topo.Size()
 	if rep.Ranks != ranks || rep.StepWindows != calls || len(rep.ActiveShare) != ranks {
 		return fmt.Sprintf("telemetry: %d ranks, %d step windows, %d active shares; want %d, %d, %d", rep.Ranks, rep.StepWindows, len(rep.ActiveShare), ranks, calls, ranks)
 	}
-	barrier := opt.Comm == Synchronous && slices.Max(rates) == 1
+	barrier := opt.Comm == Synchronous
 	for p, want := range map[telemetry.Phase]bool{telemetry.Velocity: true, telemetry.Stress: true, telemetry.Boundary: true,
 		telemetry.Output: true, telemetry.Pack: ranks > 1, telemetry.Send: ranks > 1, telemetry.Recv: ranks > 1,
 		telemetry.Unpack: ranks > 1, telemetry.Sync: barrier} {
 		if spans := rep.Stat(p).Spans; (spans > 0) != want {
-			return fmt.Sprintf("telemetry: %d spans of %v under %v on %d ranks at rates %v", spans, p, opt.Comm, ranks, rates)
+			return fmt.Sprintf("telemetry: %d spans of %v under %v on %d ranks", spans, p, opt.Comm, ranks)
 		}
 	}
 	if len(rep.Neighbors) == 0 && ranks > 1 || len(rep.Events) == 0 {
@@ -1011,22 +1035,17 @@ func (ref *reference) surfaceDiff(fsys *pfs.FS, opt Options, res *Result, replay
 	return ""
 }
 
-// runWorld runs opt as Run does — PlanLTS, Prepare, a Stepper a rank — and
-// calls before on each rank's goroutine once its Stepper is built and after
-// following each Step; hooks report through their own state, never
-// t.Fatal. It returns rank 0's Result and the run's rates.
-func runWorld(q cvm.Querier, opt Options, before, after func(*mpi.Comm, *Stepper)) (*Result, []int, error) {
-	opt, err := PlanLTS(q, opt)
-	if err != nil {
-		return nil, nil, err
-	}
+// runWorld runs opt as Run does — Prepare, a Stepper a rank — and calls
+// before on each rank's goroutine once its Stepper is built and after
+// following each Step; hooks report through their own state, never t.Fatal.
+// It returns rank 0's Result.
+func runWorld(q cvm.Querier, opt Options, before, after func(*mpi.Comm, *Stepper)) (*Result, error) {
 	dc, opt, err := Prepare(opt)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	var fail failures
 	var result *Result
-	var rates []int
 	mpi.NewWorld(opt.Topo.Size()).Run(func(c *mpi.Comm) {
 		st, err := NewStepper(c, q, dc, opt)
 		if err != nil {
@@ -1048,13 +1067,13 @@ func runWorld(q cvm.Querier, opt Options, before, after func(*mpi.Comm, *Stepper
 			fail.add("%v", err)
 		}
 		if c.Rank() == 0 {
-			result, rates = res, st.LTSRates()
+			result = res
 		}
 	})
 	if fail.msg != "" {
-		return nil, nil, fmt.Errorf("%s", fail.msg)
+		return nil, fmt.Errorf("%s", fail.msg)
 	}
-	return result, rates, nil
+	return result, nil
 }
 
 // TestIdentity runs every row of the array.
@@ -1095,6 +1114,7 @@ func pooled(r identityRow) bool    { return r.threads > 1 }
 func faulted(r identityRow) bool   { return r.phys.opt.Fault != nil }
 func traced(r identityRow) bool    { return r.tel }
 func surfaced(r identityRow) bool  { return r.surface }
+func boxed(r identityRow) bool     { return r.box }
 
 // The seed-era identity tests, as views of the array's rows.
 func TestFusedBitIdentityMatrix(t *testing.T) { identityView(t, of("filled")) }
@@ -1107,12 +1127,8 @@ func TestThreadedAllCommModelsBitIdentical(t *testing.T) {
 func TestHybridThreadsBitIdentical(t *testing.T)     { identityView(t, multiRank, pooled) }
 func TestDFRModeMultiRankMatchesSingle(t *testing.T) { identityView(t, faulted, multiRank) }
 func TestDFRThreadedBitIdentical(t *testing.T)       { identityView(t, faulted, pooled) }
-func TestLTSRate1BitIdentityMatrix(t *testing.T)     { identityView(t, of("lts-rate1")) }
-func TestLTSMixedRateCommModelsBitIdentical(t *testing.T) {
-	identityView(t, of("rates-sponge", "rates-mpml"))
-}
-func TestMPMLBitIdentityMatrix(t *testing.T)    { identityView(t, of("mpml", "fault", "rates-mpml")) }
-func TestFrontCrossesSeamsExactly(t *testing.T) { identityView(t, of("front"), multiRank) }
+func TestMPMLBitIdentityMatrix(t *testing.T)         { identityView(t, of("mpml", "fault")) }
+func TestFrontCrossesSeamsExactly(t *testing.T)      { identityView(t, of("front"), multiRank) }
 func TestCoalescedBitIdenticalAllModels(t *testing.T) {
 	identityView(t, func(r identityRow) bool { return r.topo == mpi.NewCart(2, 2, 1) })
 }
@@ -1120,19 +1136,20 @@ func TestTelemetryBitIdentity(t *testing.T)          { identityView(t, traced) }
 func TestTelemetryTraceExport(t *testing.T)          { identityView(t, traced) }
 func TestSurfaceOutputMatchesReceivers(t *testing.T) { identityView(t, surfaced) }
 func TestSurfaceOutputInvariants(t *testing.T)       { identityView(t, surfaced) }
-func TestActiveBoxMatchesWholeSweeps(t *testing.T) {
-	identityView(t, func(r identityRow) bool { return r.box })
-}
-func TestLTSCheckpointRollbackBitIdentity(t *testing.T) {
-	identityView(t, of("rates-sponge", "rates-mpml"), func(r identityRow) bool { return r.ckpt })
+func TestActiveBoxMatchesWholeSweeps(t *testing.T)   { identityView(t, boxed) }
+
+// TestSetStepIndexDropsActiveBox: the rows that keep the box roll back from
+// step 2 to step 1, where some rank's box is live; the restored state was
+// written from outside, so SetStepIndex must drop the box, and the replay
+// must reproduce the uninterrupted run.
+func TestSetStepIndexDropsActiveBox(t *testing.T) {
+	identityView(t, boxed, func(r identityRow) bool { return r.ckpt })
 }
 
-// TestDefaultPathMatchesTwoPassOracle: the rows whose reference is held to
-// the two-pass oracle, by physics row.
+// TestDefaultPathMatchesTwoPassOracle: every row's reference is held to the
+// two-pass oracle; the rows, by physics row.
 func TestDefaultPathMatchesTwoPassOracle(t *testing.T) {
 	for _, p := range identityPhysics() {
-		if p.oracle {
-			t.Run(p.name, func(t *testing.T) { identityView(t, of(p.name)) })
-		}
+		t.Run(p.name, func(t *testing.T) { identityView(t, of(p.name)) })
 	}
 }

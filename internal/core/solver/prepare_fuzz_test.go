@@ -14,40 +14,38 @@ import (
 // FuzzPrepare is the gate on Options → run: whatever the fields hold, the
 // answer is an error (from Prepare, or from a rank's set-up through Run) or a
 // two-step Run that completes — never a panic from inside a rank, where it
-// would take the world down. The seeds
-// reach each row of stepExclusions and each feature the rows mention running
-// alone and composed (M-PML under LTS among them).
+// would take the world down. The seeds reach each feature running alone and
+// composed, and each field's invalid values: Dt and CFL of NaN or +Inf among
+// them, which are Prepare's errors.
 func FuzzPrepare(f *testing.F) {
 	type seed struct {
 		nx, ny, nz, px, py, pz   uint8
 		comm, abc, threads       int8
 		pmlWidth                 uint8
-		lts, balance             bool
-		maxK, ratio              int8
 		fault, surface, fs, attn bool
 		cflPct, dtSign, recvOff  int8
 		stepsOff, hPct, srcOff   int8
 	}
 	for _, s := range []seed{
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, threads: 1, attn: true, fs: true},
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, lts: true, ratio: 4, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, fs: true},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 0, abc: 2, threads: 1, pmlWidth: 3, fault: true},
 		// DFR under the overlap model, once an exclusion, runs: alone, and
 		// with M-PML zones on a pool.
 		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 3, abc: 1, fault: true},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 3, abc: 2, threads: 3, pmlWidth: 3, fault: true, attn: true},
-		// The two exclusions.
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, lts: true, fault: true},
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 2, abc: 1, lts: true, surface: true, fs: true},
-		// Surface output without LTS runs; zones that swallow a rank, a
-		// topology the grid cannot hold, a receiver no rank owns and unknown
-		// enums do not.
+		// DFR with Surface output, and Surface output under M-PML on the
+		// overlap model's pool.
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, fault: true, surface: true, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, surface: true, fs: true},
+		// Surface output runs; zones that swallow a rank, a topology the grid
+		// cannot hold, a receiver no rank owns and unknown enums do not.
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 2, abc: 1, surface: true, fs: true},
 		{nx: 20, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 2, pmlWidth: 10},
 		{nx: 6, ny: 6, nz: 6, px: 4, py: 1, pz: 1, comm: 1, abc: 1},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, recvOff: -10},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, recvOff: 18},
-		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 9, abc: -1, threads: -1, maxK: 3, ratio: 3, lts: true, cflPct: 120, dtSign: -1},
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 9, abc: -1, threads: -1, cflPct: 120, dtSign: -1},
 		{},
 		// What Run cannot execute or would answer with silence: a negative
 		// step count, a grid spacing of zero, a source no rank owns.
@@ -57,17 +55,32 @@ func FuzzPrepare(f *testing.F) {
 		// A grid with an empty axis is rejected as a grid, not as a
 		// misplaced receiver.
 		{nx: 0, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 1, abc: 1},
-		// Run plans work-balanced LTS before it prepares: a NaN spacing has to
-		// stop there too (no rate bound compares above NaN; found by this fuzz).
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, lts: true, balance: true, maxK: 92, hPct: 126},
+		// A NaN spacing, above which no stable step compares.
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, hPct: 126},
+		// A NaN step and a NaN CFL factor, which panicked in the source's
+		// sample index, and a step of 1e300, which did too.
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, dtSign: 126},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, cflPct: 126},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, dtSign: 125},
 	} {
 		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.threads, s.pmlWidth,
-			s.lts, s.balance, s.maxK, s.ratio, s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign, s.recvOff,
+			s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign, s.recvOff,
 			s.stepsOff, s.hPct, s.srcOff)
 	}
-	rock, soft := ltsContrast()
+	// special maps the top values of an int8 to 1e300, NaN and +Inf.
+	special := func(v int8, scale float64) float64 {
+		switch v {
+		case 125:
+			return 1e300
+		case 126:
+			return math.NaN()
+		case 127:
+			return math.Inf(1)
+		}
+		return float64(v) * scale
+	}
 	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz uint8, comm, abc, threads int8, pmlWidth uint8,
-		lts, balance bool, maxK, ratio int8, fault, surface, fs, attn bool, cflPct, dtSign, recvOff int8,
+		fault, surface, fs, attn bool, cflPct, dtSign, recvOff int8,
 		stepsOff, hPct, srcOff int8) {
 		// Bounded so that one input is milliseconds: ≤ 32³ cells, ≤ 27 ranks,
 		// ≤ 5 steps.
@@ -85,12 +98,11 @@ func FuzzPrepare(f *testing.F) {
 			Comm:    CommModel(comm),
 			ABC:     ABCKind(abc),
 			Threads: int(threads),
-			CFL:     float64(cflPct) / 100,
-			Dt:      float64(dtSign) * 1e-3,
+			CFL:     special(cflPct, 1e-2),
+			Dt:      special(dtSign, 1e-3),
 
 			PMLWidth: int(pmlWidth), SpongeWidth: 3,
 			FreeSurface: fs, Attenuation: attn,
-			LTS: LTSOptions{Enabled: lts, WorkBalance: balance, MaxK: int(maxK), MaxRateRatio: int(ratio)},
 			Sources: []source.SampledSource{source.PointSource{
 				GI: g.NX/4 + int(srcOff), GJ: g.NY / 2, GK: g.NZ / 2, M0: 1e15,
 				Tensor: source.Explosion, STF: source.GaussianPulse(0.08, 0.02),
@@ -106,18 +118,14 @@ func FuzzPrepare(f *testing.F) {
 		if surface {
 			opt.Surface = &SurfaceOptions{FS: surfaceFS(), Path: "out/surface.bin"}
 		}
-		var q cvm.Querier = splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
+		q := basinOverRock(float64(g.NX/2) * 100)
 
 		_, _, perr := Prepare(opt)
 		if !g.Valid() && (perr == nil || !strings.Contains(perr.Error(), "grid has an axis of no cells")) {
 			t.Fatalf("the %v grid: Prepare says %v", g, perr)
 		}
-		// Run plans work-balanced LTS before it prepares, as ft.RunWorld does;
-		// the oracle takes the same two steps.
-		if planned, err := PlanLTS(q, opt); err != nil {
-			perr = err
-		} else {
-			_, _, perr = Prepare(planned)
+		if perr == nil && (math.IsNaN(opt.Dt+opt.CFL) || math.IsInf(opt.Dt+opt.CFL, 0)) {
+			t.Fatalf("Prepare accepted Dt %g, CFL %g", opt.Dt, opt.CFL)
 		}
 		res, rerr := Run(q, opt)
 		if (perr == nil) != (rerr == nil) {
@@ -128,11 +136,6 @@ func FuzzPrepare(f *testing.F) {
 		}
 		if rerr == nil && len(res.Seismograms[0]) != opt.Steps {
 			t.Fatalf("receiver %v on the %v grid: no error and a %d-sample seismogram", opt.Receivers[0], g, len(res.Seismograms[0]))
-		}
-		for _, x := range stepExclusions {
-			if x.hit(&opt) && perr == nil {
-				t.Fatalf("%s accepted", x.pair)
-			}
 		}
 	})
 }

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"testing"
 
@@ -30,45 +29,33 @@ func countSubnormals(data []float32) int {
 // variable or PML split — holds a subnormal, ghosts included: the quiescence
 // floor at the velocity stores (fd.Quiesce, DESIGN.md §9) keeps every array
 // either exactly zero or in the normal range, in the production kernel and the
-// ablation's in-loop kernel, under uniform stepping and LTS.
+// ablation's in-loop kernel.
 func TestNoStoredSubnormals(t *testing.T) {
-	rock, soft := ltsContrast()
 	g := grid.Dims{NX: 32, NY: 16, NZ: 16}
-	q := splitXModel{split: float64(g.NX/2) * 100, rock: rock, soft: soft}
+	q := basinOverRock(float64(g.NX/2) * 100)
 	for _, variant := range []fd.Variant{fd.Naive, fd.Production} {
 		for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
 			for _, threads := range []int{1, 4} {
-				for _, lts := range []bool{false, true} {
-					if abc == MPMLABC && lts {
-						continue // Prepare rejects M-PML under LTS
-					}
-					opt := ltsOptions(g, 24, mpi.NewCart(2, 1, 1))
-					opt.Variant = variant
-					opt.ABC = abc
-					opt.PMLWidth = 4
-					opt.Threads = threads
-					if lts {
-						opt.LTS = LTSOptions{Enabled: true, MaxRateRatio: 4}
-					}
-					tag := fmt.Sprintf("%v/abc%d/threads%d/lts=%v", variant, abc, threads, lts)
+				opt := twoSidedOptions(g, 24, mpi.NewCart(2, 1, 1))
+				opt.Variant = variant
+				opt.ABC = abc
+				opt.PMLWidth = 4
+				opt.Threads = threads
+				tag := fmt.Sprintf("%v/abc%d/threads%d", variant, abc, threads)
 
-					var once sync.Once
-					_, rates, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
-						for _, sec := range st.Sections() {
-							if n := countSubnormals(sec.F32); n > 0 {
-								once.Do(func() {
-									t.Errorf("%s: rank %d after step %d: %d subnormal values in %s",
-										tag, c.Rank(), st.StepIndex(), n, sec.Name)
-								})
-							}
+				var once sync.Once
+				_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
+					for _, sec := range st.Sections() {
+						if n := countSubnormals(sec.F32); n > 0 {
+							once.Do(func() {
+								t.Errorf("%s: rank %d after step %d: %d subnormal values in %s",
+									tag, c.Rank(), st.StepIndex(), n, sec.Name)
+							})
 						}
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", tag, err)
 					}
-					if lts && !slices.Equal(rates, []int{1, 4}) {
-						t.Fatalf("%s: LTS rates %v, want mixed [1 4]", tag, rates)
-					}
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", tag, err)
 				}
 			}
 		}

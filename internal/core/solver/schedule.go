@@ -13,13 +13,9 @@ import (
 // from the sender's interior at a fixed offset of one pooled buffer and
 // unpacked into the receiver's ghosts. The schedule is built once per
 // Stepper from (local dims, neighbor ranks, field list) and executed by
-// post and finish:
-//
-//   - the velocity and stress phases are two schedules whose field list
-//     carries the exchange axes (all three, or the §IV.A reduced stress
-//     set);
-//   - multi-rate LTS runs the same two with a per-message action mask set
-//     from the neighbor's rate (lts.go).
+// post and finish. The velocity and stress phases are two schedules whose
+// field list carries the exchange axes (all three, or the §IV.A reduced
+// stress set).
 //
 // Bit-identity across topologies, thread counts and comm models holds by
 // construction: packing reads cells no unpack writes, sections of one
@@ -43,14 +39,6 @@ func haloTag(phase int, ax grid.Axis, dirHigh bool) int {
 	}
 	return t
 }
-
-// Per-message actions of one post/finish pair. Uniform stepping always
-// sends and receives; LTS re-arms the mask every sub-step.
-const (
-	actSend = 1 << iota // pack the sections and send
-	actRecv             // receive; unpack (or keep as a window-end level)
-	actFill             // coarser LTS neighbor: blend the window into the ghosts
-)
 
 // haloEnv is what a schedule is built against: the rank's transport and
 // worker pool, its subgrid and its face-neighbor ranks (-1: none). The
@@ -92,13 +80,6 @@ type message struct {
 	total            int // buffer length: sum of section lengths
 	secs             []section
 	slab             fd.Box // hull of the ghost blocks the sections fill
-
-	act uint8 // actSend | actRecv | actFill for the next post/finish
-
-	// LTS annotations (lts.go): the peer's step rate and, toward a
-	// coarser peer, the window buffers its messages are blended from.
-	nbRate int
-	win    *ltsWindow
 
 	// In flight between post and finish.
 	out []float32
@@ -153,7 +134,6 @@ func newSchedule(env haloEnv, phase int, fields []haloField) *schedule {
 				peer:    peer,
 				sendTag: haloTag(phase, ax, sd == grid.High),
 				recvTag: haloTag(phase, ax, sd == grid.Low),
-				act:     actSend | actRecv,
 			}
 			for _, hf := range fields {
 				if !hf.axes[ax] {
@@ -213,9 +193,9 @@ func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Fie
 	return newSchedule(env, phase, hfs)
 }
 
-// post starts the exchange: receives are posted first, every armed
-// message's sections are packed as one tile queue into a pooled buffer, and
-// the buffers are lent to the runtime. The caller may compute between post
+// post starts the exchange: receives are posted first, every message's
+// sections are packed as one tile queue into a pooled buffer, and the
+// buffers are lent to the runtime. The caller may compute between post
 // and finish — that gap is the AsyncOverlap model.
 func (s *schedule) post() {
 	if len(s.msgs) == 0 {
@@ -224,38 +204,24 @@ func (s *schedule) post() {
 	for i := range s.msgs {
 		m := &s.msgs[i]
 		// Fault recovery (internal/ft) unwinds a rank out of post or
-		// finish and later reuses the Stepper: whatever an aborted exchange
-		// left in flight belongs to the dead exchange.
-		m.req, m.in, m.out = nil, nil, nil
-		if m.act&actRecv != 0 {
-			m.req = s.comm.IrecvTake(m.peer, m.recvTag)
-		}
-		if m.act&actSend != 0 {
-			m.out = mpi.GetBuffer(m.total)
-		}
+		// finish and later reuses the Stepper: every message takes a new
+		// request and buffer, and whatever an aborted exchange left in
+		// flight belongs to the dead exchange.
+		m.req, m.out = s.comm.IrecvTake(m.peer, m.recvTag), mpi.GetBuffer(m.total)
 	}
 	sp := s.tel.Span(telemetry.Pack)
 	s.pool.ForEachN(len(s.tiles), func(t int) {
 		m := &s.msgs[s.tiles[t].mi]
 		sec := &m.secs[s.tiles[t].si]
-		if m.act&actSend != 0 {
-			p := sec.pack
-			sec.f.PackRange(p[0], p[1], p[2], p[3], p[4], p[5], m.out[sec.off:sec.off+sec.n])
-		}
-		if m.win != nil && m.act&actRecv != 0 {
-			// LTS window start: the ghosts still hold the coarser peer's
-			// window-start level; keep it as the interpolation anchor.
-			u := sec.unpack
-			sec.f.PackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.win.old[sec.off:sec.off+sec.n])
-		}
+		p := sec.pack
+		sec.f.PackRange(p[0], p[1], p[2], p[3], p[4], p[5], m.out[sec.off:sec.off+sec.n])
 	})
 	sp.End()
 	sp = s.tel.Span(telemetry.Send)
 	for i := range s.msgs {
-		if m := &s.msgs[i]; m.out != nil {
-			s.comm.SendOwned(m.peer, m.sendTag, m.out)
-			m.out = nil
-		}
+		m := &s.msgs[i]
+		s.comm.SendOwned(m.peer, m.sendTag, m.out)
+		m.out = nil
 	}
 	sp.End()
 }
@@ -268,35 +234,24 @@ func (s *schedule) finish() {
 	}
 	sp := s.tel.Span(telemetry.Recv)
 	for i := range s.msgs {
-		if m := &s.msgs[i]; m.req != nil {
-			m.req.Wait()
-			m.in, m.req = m.req.Data(), nil
-		}
+		m := &s.msgs[i]
+		m.req.Wait()
+		m.in, m.req = m.req.Data(), nil
 	}
 	sp.End()
-	for i := range s.msgs {
-		if m := &s.msgs[i]; m.win != nil {
-			m.in = m.win.level(m.in, m.act&actFill != 0, s.tel)
-		}
-	}
 	sp = s.tel.Span(telemetry.Unpack)
 	if s.box != nil {
 		s.box.takeHalo(s.msgs)
 	}
 	s.pool.ForEachN(len(s.tiles), func(t int) {
 		m := &s.msgs[s.tiles[t].mi]
-		if m.in == nil {
-			return
-		}
 		sec := &m.secs[s.tiles[t].si]
 		u := sec.unpack
 		sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.in[sec.off:sec.off+sec.n])
 	})
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		if m.win == nil {
-			mpi.PutBuffer(m.in) // window levels persist; see ltsWindow
-		}
+		mpi.PutBuffer(m.in)
 		m.in = nil
 	}
 	sp.End()
@@ -308,14 +263,11 @@ func (s *schedule) exchange() {
 	s.finish()
 }
 
-// traffic walks the schedule and returns what one execution with the
-// current action masks sends: messages and float32 values.
+// traffic walks the schedule and returns what one execution sends: messages
+// and float32 values.
 func (s *schedule) traffic() (msgs, floats int) {
 	for mi := range s.msgs {
-		if m := &s.msgs[mi]; m.act&actSend != 0 {
-			msgs++
-			floats += m.total
-		}
+		floats += s.msgs[mi].total
 	}
-	return
+	return len(s.msgs), floats
 }

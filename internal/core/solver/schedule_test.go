@@ -29,8 +29,8 @@ func checkTags(t *testing.T, label string, s *schedule) {
 
 // The schedule agrees with its own execution: on every rank, the messages
 // and floats obtained by walking the schedules the Stepper built equal
-// what the runtime counts at its delivery point over one real Step — a
-// step or an LTS cycle — and no schedule reuses a tag toward one peer.
+// what the runtime counts at its delivery point over one real Step, and no
+// schedule reuses a tag toward one peer.
 func TestScheduleMatchesExecution(t *testing.T) {
 	run := func(label string, q cvm.Querier, opt Options) {
 		t.Helper()
@@ -50,19 +50,11 @@ func TestScheduleMatchesExecution(t *testing.T) {
 			}
 			defer st.Close()
 			rs := st.rs
-			msgs, floats := 0, 0
-			walk := func(s *schedule) {
-				m, f := s.traffic()
-				msgs, floats = msgs+m, floats+f
-			}
 			checkTags(t, label, rs.vel)
 			checkTags(t, label, rs.stress)
-			for l, sub := rs.lts, 0; sub < l.maxRate; sub += l.rate {
-				for _, s := range []*schedule{rs.vel, rs.stress} {
-					l.arm(s, sub)
-					walk(s)
-				}
-			}
+			msgs, floats := rs.vel.traffic()
+			m, f := rs.stress.traffic()
+			msgs, floats = msgs+m, floats+f
 			mu.Lock()
 			walkMsgs, walkFloats = walkMsgs+msgs, walkFloats+floats
 			mu.Unlock()
@@ -93,15 +85,11 @@ func TestScheduleMatchesExecution(t *testing.T) {
 		mpi.NewCart(2, 1, 1), mpi.NewCart(3, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2),
 	} {
 		for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
-			opt := ltsOptions(g, 4, topo)
+			opt := twoSidedOptions(g, 4, topo)
 			opt.Comm = model
 			run(fmt.Sprintf("%dx%dx%d/%v", topo.PX, topo.PY, topo.PZ, model), q, opt)
 		}
 	}
-
-	// Mixed-rate LTS: one Step is one 4-base-step cycle.
-	banded, opt := bandedRates()
-	run("lts [1 1 2 4]", banded, opt)
 }
 
 // The walked traffic follows the one-message-per-neighbor-per-phase rule

@@ -54,7 +54,7 @@ type Options struct {
 	Global grid.Dims
 	H      float64
 	// Dt is the time step. 0 derives it from the medium at the CFL
-	// safety factor; explicitly negative values are rejected.
+	// safety factor; negative and non-finite values are rejected.
 	Dt    float64
 	Steps int
 	Topo  mpi.Cart // zero value: single rank
@@ -63,12 +63,12 @@ type Options struct {
 	// stability bound when Dt is derived automatically. 0 defaults to
 	// the historical 0.5; explicit values must lie in (0, 1] (1 is the
 	// stability bound itself — the cfl4 and sqrt(3) factors are already
-	// part of the bound). LTS rate assignment reuses the same factor for
-	// per-rank stable steps.
+	// part of the bound).
 	CFL float64
 
-	// LTS configures multi-rate local time stepping (see LTSOptions).
-	// Mutually exclusive with DFR mode and Surface output.
+	// LTS selected multi-rate local time stepping, which is gone: every
+	// rank advances by one global step. bench/ still sets it, so it is
+	// accepted and ignored.
 	LTS LTSOptions
 
 	Comm CommModel
@@ -110,9 +110,8 @@ type Options struct {
 
 	// Surface streams decimated free-surface velocity frames to a single
 	// file through the two-phase aggregated I/O layer (internal/agg) —
-	// the production M8 output path. nil disables it. Requires LTS off:
-	// frames are extracted in step lockstep across ranks because each
-	// flush is a collective.
+	// the production M8 output path. nil disables it. Every rank extracts
+	// frame f after step f·Every, since each flush is a collective.
 	Surface *SurfaceOptions
 
 	// Telemetry enables the per-rank instrumentation subsystem
@@ -123,6 +122,14 @@ type Options struct {
 	// unchanged, and results are bit-identical either way.
 	Telemetry *telemetry.Options
 }
+
+// LTSOptions configured multi-rate local time stepping, which is gone (DESIGN.md
+// §12). bench/ still sets WorkBalance, so the type stays; nothing reads it.
+type LTSOptions struct{ WorkBalance bool }
+
+// PlanLTS planned the rate clusters of multi-rate local time stepping, which
+// is gone. bench/ still calls it before Prepare, so it returns opt unchanged.
+func PlanLTS(_ cvm.Querier, opt Options) (Options, error) { return opt, nil }
 
 // Result collects rank-0 outputs of a run.
 type Result struct {
@@ -156,7 +163,7 @@ type Result struct {
 	Timing Timing
 
 	// ActiveShare is the cells the velocity and stress sweeps covered over
-	// the cells the ranks own, summed over ranks and local steps: below 1 for
+	// the cells the ranks own, summed over ranks and steps: below 1 for
 	// as long as some rank's active box had not filled its subgrid (DESIGN.md
 	// §7), exactly 1 for the steps after every rank's had.
 	ActiveShare float64
@@ -198,10 +205,6 @@ type Timing struct {
 
 // Run executes the simulation and returns the rank-0 result.
 func Run(q cvm.Querier, opt Options) (*Result, error) {
-	opt, err := PlanLTS(q, opt)
-	if err != nil {
-		return nil, err
-	}
 	dc, opt, err := Prepare(opt)
 	if err != nil {
 		return nil, err
@@ -240,7 +243,7 @@ type rankState struct {
 	plan    tilePlan // the step's tile queues over compBox and zones
 	// box is the rank's active box and plan the tile plan clipped to it,
 	// until dropBox sets box nil and plan = whole (activebox.go). steps counts
-	// the local steps taken (replays included), liveSteps those taken with the
+	// the steps taken (replays included), liveSteps those taken with the
 	// box and swept the cells their clipped tiles covered (Result.ActiveShare).
 	box              *activeBox
 	whole            tilePlan
@@ -256,8 +259,6 @@ type rankState struct {
 	// The state's velocities and stresses: the field lists the sponge damps.
 	velocities, stresses []*grid.Field3
 
-	lts *ltsRank // the rank's rate, local dt and cycle; all ones with LTS off
-
 	surf *output.Dist // aggregated surface output (nil: disabled)
 
 	receivers []ownedReceiver
@@ -271,9 +272,6 @@ type ownedReceiver struct {
 	idx        int
 	li, lj, lk int
 	series     [][3]float32
-	// sampled marks the indices a rate-2^k LTS rank actually recorded;
-	// the gaps are interpolated in Finish. Nil on rate-1 ranks.
-	sampled []bool
 }
 
 func runRank(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Result, error) {
@@ -354,10 +352,10 @@ type queue struct {
 	run func(i int)
 }
 
-// tilePlan is the rank's decomposition of a local step's kernel work, built
-// once per Stepper — as the whole-tile plan and, over the same tiles, as the
-// plan whose tile bodies run on their intersection with the rank's active box
-// — so that a step, at any rate, tiles and allocates nothing.
+// tilePlan is the rank's decomposition of a step's kernel work, built once
+// per Stepper — as the whole-tile plan and, over the same tiles, as the plan
+// whose tile bodies run on their intersection with the rank's active box — so
+// that a step tiles and allocates nothing.
 // Each phase drains its pre queue — every tile of compBox and of the zones
 // or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
 // — before its halo post, and under AsyncOverlap its inner queue, the tiles
@@ -380,12 +378,11 @@ type tilePlan struct {
 	planeLoop              []bool
 }
 
-// buildTilePlan fixes the zones' coefficient rows for dt, the rank's local
-// step (base dt × its rate), so that no tile builds them while another reads
-// them, and binds the tiles of cutTiles to the phases' bodies.
-// A zone's split fields live on its rank and never cross a seam, so a zone is
-// a tile like any other at every rate. It needs rs.atten and rs.fault set:
-// they decide the tile bodies. In DFR mode the fault hooks onto every tile:
+// buildTilePlan fixes the zones' coefficient rows for dt, so that no tile
+// builds them while another reads them, and binds the tiles of cutTiles to
+// the phases' bodies. A zone's split fields live on its rank and never cross
+// a seam, so a zone is a tile like any other. It needs rs.atten and rs.fault
+// set: they decide the tile bodies. In DFR mode the fault hooks onto every tile:
 // the split-node update ends each velocity tile, the stress correction each
 // stress tile's elastic pass, on the tile's own fault nodes and correction
 // rows — per-cell work that reads only what its phase does not write — so the
@@ -516,21 +513,17 @@ func (rs *rankState) cutTiles(opt Options) (pre, inner []tile, innerBox fd.Box) 
 // drain runs one queue of the tile plan on the pool.
 func (rs *rankState) drain(q queue) { rs.pool.ForEachN(q.n, q.run) }
 
-// advance performs one local step of this rank, at global base-step index
-// sub (a multiple of the rank's rate), by its local dt — the one step
-// program of every comm model and every rate, accumulating the Eq. 7 timing
-// decomposition. Each phase drains its pre queue, arms and posts its halo
-// messages, drains its inner queue while they fly and finishes the exchange.
-// Without AsyncOverlap the inner queues are empty, so post and finish are
-// adjacent but for the sponge's velocity pass; with every rate 1 arm leaves
-// each message a send and a receive and armAbsorb finds nothing to absorb —
-// uniform stepping is the multi-rate cycle of length one. All bulk work runs
-// as tile queues on the rank's persistent worker pool; with Threads=1 the
-// pool degenerates to inline serial execution.
-func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
-	l, plan := rs.lts, &rs.plan
-	dt := l.localDt
-	tNow := float64(sub+l.rate) * l.baseDt
+// advance performs step number step of this rank by dt — the one step
+// program of every comm model, accumulating the Eq. 7 timing decomposition.
+// Each phase drains its pre queue, posts its halo messages, drains its inner
+// queue while they fly and finishes the exchange. Without AsyncOverlap the
+// inner queues are empty, so post and finish are adjacent but for the
+// sponge's velocity pass. All bulk work runs as tile queues on the rank's
+// persistent worker pool; with Threads=1 the pool degenerates to inline
+// serial execution.
+func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
+	plan := &rs.plan
+	tNow := float64(step+1) * dt
 
 	// --- Velocity phase ---
 	t0 := time.Now()
@@ -543,7 +536,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 	}
 	rs.drain(plan.velPre)
 	lap(&tm.Comp, &t0)
-	l.arm(rs.vel, sub)
 	rs.vel.post()
 	lap(&tm.Comm, &t0)
 	rs.drain(plan.velInner)
@@ -577,7 +569,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 	}
 	rs.drain(plan.stressPre)
 	lap(&tm.Comp, &t0)
-	l.arm(rs.stress, sub)
 	rs.stress.post()
 	lap(&tm.Comm, &t0)
 	rs.drain(plan.stressInner)
@@ -596,16 +587,6 @@ func (rs *rankState) advance(opt Options, sub int, tm *Timing) {
 		sp.End()
 	}
 	lap(&tm.Comp, &t0)
-
-	// Absorb finer neighbors' window-end faces last, leaving the ghost
-	// region at the new time level for the next step.
-	if l.armAbsorb(rs.vel) {
-		rs.vel.exchange()
-	}
-	if l.armAbsorb(rs.stress) {
-		rs.stress.exchange()
-	}
-	lap(&tm.Comm, &t0)
 }
 
 // lap adds the time since *t0 to acc and restarts the clock.
@@ -616,11 +597,9 @@ func lap(acc *float64, t0 *time.Time) {
 }
 
 // syncBarrier is the Synchronous model's global barrier after a phase's
-// exchange. It runs only when every rank steps at rate 1: ranks of different
-// rates take different numbers of local steps per cycle, so there is no
-// per-step collective a barrier could pair with (DESIGN.md §12).
+// exchange.
 func (rs *rankState) syncBarrier(opt Options, tm *Timing, t0 *time.Time) {
-	if opt.Comm != Synchronous || rs.lts.maxRate > 1 {
+	if opt.Comm != Synchronous {
 		return
 	}
 	sp := rs.tel.Span(telemetry.Sync)

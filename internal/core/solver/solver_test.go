@@ -40,6 +40,105 @@ func baseOptions(topo mpi.Cart) Options {
 	}
 }
 
+// splitXModel is a basin-over-rock toy: hard rock for x < split, a soft
+// low-velocity block at x >= split, constant in y and depth.
+type splitXModel struct {
+	split      float64
+	rock, soft cvm.Material
+}
+
+func (m splitXModel) Query(x, _, _ float64) cvm.Material {
+	if x < m.split {
+		return m.rock
+	}
+	return m.soft
+}
+
+// basinOverRock is a Vp contrast of 5200 to 1200 m/s at x = split metres.
+func basinOverRock(split float64) splitXModel {
+	return splitXModel{split: split,
+		rock: cvm.Material{Vp: 5200, Vs: 3000, Rho: 2700},
+		soft: cvm.Material{Vp: 1200, Vs: 700, Rho: 1900}}
+}
+
+// twoSidedOptions builds a wave problem with its source in the x-low
+// quarter and receivers in both x halves.
+func twoSidedOptions(g grid.Dims, steps int, topo mpi.Cart) Options {
+	src := source.PointSource{
+		GI: g.NX / 4, GJ: g.NY / 2, GK: g.NZ / 2,
+		M0:     1e15,
+		Tensor: source.Explosion,
+		STF:    source.GaussianPulse(0.08, 0.02),
+	}
+	return Options{
+		Global:      g,
+		H:           100,
+		Steps:       steps,
+		Topo:        topo,
+		Comm:        Asynchronous,
+		ABC:         SpongeABC,
+		SpongeWidth: 4,
+		FreeSurface: true,
+		Attenuation: true,
+		Sources:     []source.SampledSource{src.Sample(0.002, 400)},
+		Receivers: [][3]int{
+			{g.NX / 4, g.NY / 2, 2},
+			{3 * g.NX / 4, g.NY / 2, 2},
+			{g.NX / 2, g.NY / 4, g.NZ / 2},
+		},
+		TrackPGV: true,
+	}
+}
+
+// TestDtAndCFLValidation pins the Options validation of the step: a negative
+// or non-finite Dt and a CFL outside [0, 1], NaN included, are rejected by
+// Prepare and by Run, which panicked on a NaN or +Inf Dt or a NaN CFL (the
+// source's sample index int(t/dt) out of range), and took a Dt of 1e300 to
+// the same panic; CFL 0 defaults to the historical 0.5 bit-identically.
+func TestDtAndCFLValidation(t *testing.T) {
+	base := twoSidedOptions(grid.Dims{NX: 16, NY: 12, NZ: 12}, 4, mpi.NewCart(1, 1, 1))
+	q := cvm.HardRock()
+
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct{ dt, cfl float64 }{{-0.001, 0}, {0, -0.1}, {0, 1.5},
+		{nan, 0}, {inf, 0}, {-inf, 0}, {0, nan}, {0, inf}} {
+		opt := base
+		opt.Dt, opt.CFL = bad.dt, bad.cfl
+		if _, _, err := Prepare(opt); err == nil {
+			t.Errorf("Dt %g, CFL %g accepted", bad.dt, bad.cfl)
+		}
+		if _, err := Run(q, opt); err == nil {
+			t.Errorf("Dt %g, CFL %g: Run returned no error", bad.dt, bad.cfl)
+		}
+	}
+	ok := base
+	ok.CFL = 1.0
+	if _, _, err := Prepare(ok); err != nil {
+		t.Errorf("CFL 1.0 rejected: %v", err)
+	}
+	// A finite step however large runs: what it radiates is no concern here.
+	huge := base
+	huge.Dt = 1e300
+	if _, err := Run(q, huge); err != nil {
+		t.Errorf("Dt 1e300: %v", err)
+	}
+
+	// Explicit CFL 0.5 must reproduce the default run exactly.
+	ref, err := Run(q, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCFL := base
+	withCFL.CFL = 0.5
+	res, err := Run(q, withCFL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := resultDiff(ref, res); msg != "" {
+		t.Errorf("cfl 0.5 vs default: %s", msg)
+	}
+}
+
 func maxSeriesAbs(s [][3]float32) float64 {
 	var m float64
 	for _, v := range s {
@@ -211,7 +310,7 @@ func TestDtIsRanksExactMinimum(t *testing.T) {
 			opt.H, opt.Steps = h, 2
 			var mu sync.Mutex
 			want := math.Inf(1)
-			res, _, err := runWorld(cvm.SoCal(24*h, 24*h, 16*h, 500), opt, func(_ *mpi.Comm, st *Stepper) {
+			res, err := runWorld(cvm.SoCal(24*h, 24*h, 16*h, 500), opt, func(_ *mpi.Comm, st *Stepper) {
 				mu.Lock()
 				defer mu.Unlock()
 				want = math.Min(want, st.rs.med.StableDt(st.opt.CFL))

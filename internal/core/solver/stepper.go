@@ -21,22 +21,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// stepExclusions is the table of option pairs the one step program cannot
-// run, each with the reason it cannot; Prepare rejects a hit with that
-// reason. Everything else composes.
-var stepExclusions = []struct {
-	pair string
-	hit  func(*Options) bool
-	why  string
-}{
-	{"LTS with DFR fault mode",
-		func(o *Options) bool { return o.LTS.Enabled && o.Fault != nil },
-		"the moment rate is recorded per base step, and ranks of different rates hold the fault at different times"},
-	{"Surface output with LTS",
-		func(o *Options) bool { return o.Surface != nil && o.LTS.Enabled },
-		"frame f is the state after step f·Every on every rank and each flush is a collective, and no step inside a cycle is a state of every rank"},
-}
-
 // Prepare normalizes opt (defaulting exactly as Run does) and builds the
 // domain decomposition. External harnesses (internal/ft) call it once
 // before spawning ranks so every rank sees identical resolved options.
@@ -58,11 +42,17 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if err := checkSpacing(opt.H); err != nil {
 		return decomp.Decomp{}, opt, err
 	}
-	if opt.Dt < 0 {
-		return decomp.Decomp{}, opt, fmt.Errorf("solver: Dt must be positive, or zero for automatic; got %g", opt.Dt)
+	// NaN fails every comparison, so it is rejected with the out-of-range
+	// values: a step or a CFL factor of NaN or +Inf has no source sample
+	// index int(t/dt).
+	if !(opt.Dt >= 0) || math.IsInf(opt.Dt, 1) {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: Dt must be positive and finite, or zero for automatic; got %g", opt.Dt)
 	}
-	if err := resolveStepping(&opt); err != nil {
-		return decomp.Decomp{}, opt, err
+	if !(opt.CFL >= 0 && opt.CFL <= 1) {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: CFL must lie in (0, 1], got %g", opt.CFL)
+	}
+	if opt.CFL == 0 {
+		opt.CFL = 0.5
 	}
 	if err := opt.Variant.Validate(); err != nil {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: %w", err)
@@ -116,26 +106,7 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 			return decomp.Decomp{}, opt, fmt.Errorf("solver: source %d at (%d,%d,%d) lies outside the %v grid", i, s.GI, s.GJ, s.GK, opt.Global)
 		}
 	}
-	for _, x := range stepExclusions {
-		if x.hit(&opt) {
-			return decomp.Decomp{}, opt, fmt.Errorf("solver: %s is not supported: %s", x.pair, x.why)
-		}
-	}
-	var dc decomp.Decomp
-	var err error
-	if pr := opt.LTS.PlaneRates; opt.LTS.Enabled && pr != nil {
-		// An end rank on a face with an M-PML zone holds it and an interior plane.
-		var ends [3][2]int
-		if w := opt.PMLWidth + 1; opt.ABC == MPMLABC {
-			ends = [3][2]int{{w, w}, {w, w}, {w, w}}
-			if opt.FreeSurface {
-				ends[2][0] = 0
-			}
-		}
-		dc, err = decomp.NewWorkBalanced(opt.Global, opt.Topo, pr.X, pr.Y, pr.Z, ends)
-	} else {
-		dc, err = decomp.New(opt.Global, opt.Topo)
-	}
+	dc, err := decomp.New(opt.Global, opt.Topo)
 	if err != nil {
 		return decomp.Decomp{}, opt, err
 	}
@@ -162,36 +133,6 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 		}
 	}
 	return dc, opt, nil
-}
-
-// resolveStepping defaults and checks what Prepare and PlanLTS both read of
-// the step: the CFL factor (0 is 0.5) and, with LTS on, the rate exponent
-// cap (0 is 2) and the neighbor rate ratio (0 is 2).
-func resolveStepping(opt *Options) error {
-	if opt.CFL < 0 || opt.CFL > 1 {
-		return fmt.Errorf("solver: CFL must lie in (0, 1], got %g", opt.CFL)
-	}
-	if opt.CFL == 0 {
-		opt.CFL = 0.5
-	}
-	if !opt.LTS.Enabled {
-		return nil
-	}
-	switch opt.LTS.MaxK {
-	case 0:
-		opt.LTS.MaxK = 2
-	case 1, 2:
-	default:
-		return fmt.Errorf("solver: LTS.MaxK must be 1 or 2 (0 defaults to 2), got %d", opt.LTS.MaxK)
-	}
-	switch opt.LTS.MaxRateRatio {
-	case 0:
-		opt.LTS.MaxRateRatio = 2
-	case 2, 4:
-	default:
-		return fmt.Errorf("solver: LTS.MaxRateRatio must be 2 or 4 (0 defaults to 2), got %d", opt.LTS.MaxRateRatio)
-	}
-	return nil
 }
 
 // inGrid reports whether global node (i, j, k) is a cell of g.
@@ -266,12 +207,6 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if dt <= 0 {
 		dt = agreed[0]
 	}
-	// Assign the per-rank rate-2^k clusters (all rate 1 with LTS off). This
-	// rank's own state (attenuation coefficients, sponge strength, PML
-	// coefficient rows, source injection) is built against its local step
-	// dt·rate below.
-	rs.lts = newLTSRank(c, opt, rs, dt)
-	stepDt := rs.lts.localDt
 
 	// Boundary conditions on the physical faces this rank owns.
 	faces := ownedFaces(dc, c.Rank(), opt)
@@ -286,29 +221,22 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 			XLo: true, XHi: true, YLo: true, YHi: true,
 			ZLo: !opt.FreeSurface, ZHi: true,
 		}
-		// One coarse-step application must damp like `rate` base-step
-		// applications; the exponential taper g = exp(-(αx)²) composes
-		// exactly as g^rate = exp(-(α√rate·x)²) (√1 is exactly 1).
-		alpha := boundary.DefaultSpongeAlpha * math.Sqrt(float64(rs.lts.rate))
 		rs.sponge = boundary.NewSpongeGlobal(rs.sub.Local, opt.Global,
 			[3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ},
-			opt.SpongeWidth, alpha, globalFaces)
+			opt.SpongeWidth, boundary.DefaultSpongeAlpha, globalFaces)
 	}
 	if opt.FreeSurface && rs.sub.OffZ == 0 {
 		rs.fs = boundary.NewFreeSurface(rs.sub.Local)
 	}
 	rs.box = newActiveBox(rs.sub.Local)
 	if opt.Attenuation {
-		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, stepDt)
+		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, dt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
 	}
-	// The two per-step halo phases, armed every local step from the peers'
-	// rates.
+	// The two per-step halo phases.
 	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.pool, rs.tel)
 	rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
 	rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
-	rs.lts.bind(rs.vel)
-	rs.lts.bind(rs.stress)
 	rs.vel.box, rs.stress.box = rs.box, rs.box
 	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
 	rs.velocities, rs.stresses = rs.st.Velocities(), rs.st.Stresses()
@@ -319,20 +247,16 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		}
 	}
 
-	rs.buildTilePlan(opt, stepDt)
+	rs.buildTilePlan(opt, dt)
 
 	// Receiver series are preallocated and sample-indexed so a replayed
 	// step overwrites its own sample instead of appending a duplicate.
 	for idx, r := range opt.Receivers {
 		if li, lj, lk, ok := rs.sub.Contains(r[0], r[1], r[2]); ok {
-			or := ownedReceiver{
+			rs.receivers = append(rs.receivers, ownedReceiver{
 				idx: idx, li: li, lj: lj, lk: lk,
 				series: make([][3]float32, opt.Steps),
-			}
-			if rs.lts.rate > 1 {
-				or.sampled = make([]bool, opt.Steps)
-			}
-			rs.receivers = append(rs.receivers, or)
+			})
 		}
 	}
 	if opt.TrackPGV && rs.sub.OffZ == 0 {
@@ -374,18 +298,14 @@ func (s *Stepper) StepIndex() int { return s.step }
 
 // SetStepIndex rewinds (or advances) the step cursor — the rollback half
 // of coordinated recovery, paired with a checkpoint.Read into Sections(). The
-// cursor must lie in [0, Steps] and on a cycle boundary: mid-cycle, coarse
-// ranks have no wavefield state to roll back to. An accepted cursor is also
-// the one way to tell the Stepper that its sections were written from
-// outside — between steps they are otherwise read-only — so the rank drops
-// its active box, which describes the state the Stepper itself computed; a
-// rejected one changes nothing.
+// cursor must lie in [0, Steps]. An accepted cursor is also the one way to
+// tell the Stepper that its sections were written from outside — between
+// steps they are otherwise read-only — so the rank drops its active box,
+// which describes the state the Stepper itself computed; a rejected one
+// changes nothing.
 func (s *Stepper) SetStepIndex(n int) error {
 	if n < 0 || n > s.opt.Steps {
 		return fmt.Errorf("solver: step index %d lies outside the run's steps 0..%d", n, s.opt.Steps)
-	}
-	if l := s.rs.lts; n%l.maxRate != 0 {
-		return fmt.Errorf("solver: step index %d is not an LTS cycle boundary (max rate %d)", n, l.maxRate)
 	}
 	s.rs.dropBox()
 	// Drop what the replay records again: buffered surface frames (flushed
@@ -402,16 +322,6 @@ func (s *Stepper) SetStepIndex(n int) error {
 	s.step = n
 	return nil
 }
-
-// StepAlign returns the alignment unit of checkpointable step indices: one
-// cycle (the maximum rate — mid-cycle, coarse ranks have no wavefield state
-// to save), which is 1 for uniform stepping. Harnesses round checkpoint
-// intervals up to it.
-func (s *Stepper) StepAlign() int { return s.rs.lts.maxRate }
-
-// LTSRates returns the per-rank step-rate multipliers of the run (identical
-// on every rank; all 1 when LTS is disabled).
-func (s *Stepper) LTSRates() []int { return append([]int(nil), s.rs.lts.rates...) }
 
 // Done reports whether every configured step has executed.
 func (s *Stepper) Done() bool { return s.step >= s.opt.Steps }
@@ -441,56 +351,45 @@ func (s *Stepper) Sections() []grid.Section {
 // disabled) so harnesses can attribute checkpoint and recovery spans.
 func (s *Stepper) Recorder() *telemetry.Recorder { return s.rs.tel }
 
-// Step executes one cycle: maxRate base steps, during which this rank takes
-// maxRate/rate local steps — kernels, halo exchange, sources, boundaries —
-// each followed by index-addressed observable extraction, and the step cursor
-// advances by the cycle length. Uniform stepping is the cycle of length one.
-// All messages a cycle produces are consumed within it, so cycle boundaries
-// are clean checkpoint/rollback points.
+// Step executes one time step — kernels, halo exchange, sources,
+// boundaries — followed by index-addressed observable extraction, and
+// advances the step cursor.
 func (s *Stepper) Step() {
-	rs, l := s.rs, s.rs.lts
-	for sub := s.step; sub < s.step+l.maxRate; sub += l.rate {
-		if rs.fault != nil {
-			// Once a step, before any tile's split-node update stamps a
-			// rupture time with it.
-			rs.fault.Tick(l.localDt)
-		}
-		rs.advance(s.opt, sub, &s.tm)
-		// Observables land on the base-step index this local step reaches
-		// (its post-step state).
-		step := sub + l.rate - 1
-
-		if rs.fault != nil {
-			s.momentRate[step] = rs.fault.MomentRate(rs.med)
-			if rs.recorder != nil && step%s.opt.Fault.RecordEvery == 0 {
-				rs.recorder.Record()
-			}
-		}
-
-		t0 := time.Now()
-		sp := rs.tel.Span(telemetry.Output)
-		for i := range rs.receivers {
-			r := &rs.receivers[i]
-			r.series[step] = [3]float32{
-				rs.st.VX.At(r.li, r.lj, r.lk),
-				rs.st.VY.At(r.li, r.lj, r.lk),
-				rs.st.VZ.At(r.li, r.lj, r.lk),
-			}
-			if r.sampled != nil {
-				r.sampled[step] = true
-			}
-		}
-		rs.trackPGV()
-		sp.End()
-		if rs.surf != nil && step%s.opt.Surface.Every == 0 {
-			if err := rs.surf.AppendFrame(step/s.opt.Surface.Every, rs.packSurfaceFrame()); err != nil && s.surfErr == nil {
-				s.surfErr = err
-			}
-		}
-		s.tm.Output += time.Since(t0).Seconds()
+	rs, step := s.rs, s.step
+	if rs.fault != nil {
+		// Once a step, before any tile's split-node update stamps a rupture
+		// time with it.
+		rs.fault.Tick(s.dt)
 	}
+	rs.advance(s.opt, s.dt, step, &s.tm)
+
+	if rs.fault != nil {
+		s.momentRate[step] = rs.fault.MomentRate(rs.med)
+		if rs.recorder != nil && step%s.opt.Fault.RecordEvery == 0 {
+			rs.recorder.Record()
+		}
+	}
+
+	t0 := time.Now()
+	sp := rs.tel.Span(telemetry.Output)
+	for i := range rs.receivers {
+		r := &rs.receivers[i]
+		r.series[step] = [3]float32{
+			rs.st.VX.At(r.li, r.lj, r.lk),
+			rs.st.VY.At(r.li, r.lj, r.lk),
+			rs.st.VZ.At(r.li, r.lj, r.lk),
+		}
+	}
+	rs.trackPGV()
+	sp.End()
+	if rs.surf != nil && step%s.opt.Surface.Every == 0 {
+		if err := rs.surf.AppendFrame(step/s.opt.Surface.Every, rs.packSurfaceFrame()); err != nil && s.surfErr == nil {
+			s.surfErr = err
+		}
+	}
+	s.tm.Output += time.Since(t0).Seconds()
 	rs.tel.StepEnd()
-	s.step += l.maxRate
+	s.step++
 }
 
 // Finish gathers all per-rank outputs at rank 0 (collective: every rank
@@ -503,9 +402,6 @@ func (s *Stepper) Finish() (*Result, error) {
 			s.surfErr = err
 		}
 	}
-	// Coarse LTS ranks fill the seismogram samples they never computed
-	// by linear interpolation before the gather.
-	s.rs.ltsFillReceivers()
 	res, err := s.rs.collect(s.c, s.opt, s.dt, s.momentRate, s.tm)
 	if err == nil && s.surfErr != nil {
 		err = s.surfErr

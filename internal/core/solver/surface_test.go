@@ -20,11 +20,6 @@ func surfaceOptions(fsys *pfs.FS) Options {
 func TestSurfaceOptionValidation(t *testing.T) {
 	fsys := surfaceFS()
 	opt := surfaceOptions(fsys)
-	opt.LTS.Enabled = true
-	if _, _, err := Prepare(opt); err == nil {
-		t.Error("Surface + LTS accepted")
-	}
-	opt = surfaceOptions(fsys)
 	opt.Surface.FS = nil
 	if _, _, err := Prepare(opt); err == nil {
 		t.Error("Surface without FS accepted")

@@ -123,7 +123,7 @@ func checkTilePlan(t *testing.T, tag string, d grid.Dims, width int, faces bound
 func stressPlan(t *testing.T, q cvm.Querier, opt Options) (tiles []fd.Box, planeLoop []bool) {
 	t.Helper()
 	opt.Topo = mpi.NewCart(1, 1, 1)
-	_, _, err := runWorld(q, opt, func(_ *mpi.Comm, st *Stepper) {
+	_, err := runWorld(q, opt, func(_ *mpi.Comm, st *Stepper) {
 		pre, inner, _ := st.rs.cutTiles(st.opt)
 		for _, tl := range append(pre, inner...) {
 			tiles = append(tiles, tl.b)

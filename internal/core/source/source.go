@@ -94,16 +94,18 @@ func (s *SampledSource) RateAt(t float64) [6]float64 {
 	if t < 0 || len(s.Rate) == 0 {
 		return out
 	}
-	x := t / s.Dt
-	i := int(x)
-	if i >= len(s.Rate)-1 {
-		if i == len(s.Rate)-1 && x == float64(i) {
+	// x is compared with the window before int(x): NaN, ±Inf and values
+	// past the int range convert to no index at all.
+	x, last := t/s.Dt, len(s.Rate)-1
+	if !(x < float64(last)) {
+		if x == float64(last) {
 			for c := 0; c < 6; c++ {
-				out[c] = float64(s.Rate[i][c])
+				out[c] = float64(s.Rate[last][c])
 			}
 		}
 		return out
 	}
+	i := int(x)
 	f := x - float64(i)
 	for c := 0; c < 6; c++ {
 		out[c] = float64(s.Rate[i][c])*(1-f) + float64(s.Rate[i+1][c])*f

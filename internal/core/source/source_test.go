@@ -66,6 +66,18 @@ func TestSampleAndRateAt(t *testing.T) {
 	if r := s.RateAt(10); r[3] != 0 {
 		t.Error("past-end time not zero")
 	}
+	// Times whose sample index is no int — a step of NaN, +Inf or 1e300 —
+	// are outside the window too, not an index out of range.
+	for _, tt := range []float64{math.NaN(), math.Inf(1), 1e300} {
+		if r := s.RateAt(tt); r != [6]float64{} {
+			t.Errorf("RateAt(%g) = %v, want zero", tt, r)
+		}
+	}
+	// The last sample is the window's end, exactly.
+	two := SampledSource{Dt: 0.5, Rate: [][6]float32{{}, {3: 2}}}
+	if a, b := two.RateAt(0.5), two.RateAt(math.Nextafter(0.5, 1)); a[3] != 2 || b[3] != 0 {
+		t.Errorf("at and just past the last sample: %g and %g, want 2 and 0", a[3], b[3])
+	}
 	// Only the xy component is non-zero for strike-slip.
 	at := s.RateAt(0.3)
 	for c, v := range at {

@@ -16,12 +16,6 @@ import (
 type Decomp struct {
 	Global grid.Dims
 	Topo   mpi.Cart
-	// cuts[axis], when non-nil, holds the p+1 monotone plane offsets of an
-	// explicitly placed (work-balanced) partition along that axis; nil
-	// falls back to the balanced block distribution of split1. Only
-	// NewWorkBalanced sets cuts, so plain New decompositions keep the
-	// historical layout bit-for-bit.
-	cuts [3][]int
 }
 
 // New validates the decomposition. Every rank must receive at least four
@@ -67,20 +61,12 @@ func split1(n, p, c int) (size, off int) {
 	return base, rem*(base+1) + (c-rem)*base
 }
 
-// split computes part c along axis, honoring explicit cuts when present.
-func (d Decomp) split(axis, n, p, c int) (size, off int) {
-	if cs := d.cuts[axis]; cs != nil {
-		return cs[c+1] - cs[c], cs[c]
-	}
-	return split1(n, p, c)
-}
-
 // SubFor returns the subgrid owned by rank.
 func (d Decomp) SubFor(rank int) Sub {
 	cx, cy, cz := d.Topo.Coords(rank)
-	nx, ox := d.split(0, d.Global.NX, d.Topo.PX, cx)
-	ny, oy := d.split(1, d.Global.NY, d.Topo.PY, cy)
-	nz, oz := d.split(2, d.Global.NZ, d.Topo.PZ, cz)
+	nx, ox := split1(d.Global.NX, d.Topo.PX, cx)
+	ny, oy := split1(d.Global.NY, d.Topo.PY, cy)
+	nz, oz := split1(d.Global.NZ, d.Topo.PZ, cz)
 	return Sub{
 		Rank:  rank,
 		Local: grid.Dims{NX: nx, NY: ny, NZ: nz},
@@ -91,46 +77,9 @@ func (d Decomp) SubFor(rank int) Sub {
 
 // Owner returns the rank owning global cell (gi, gj, gk).
 func (d Decomp) Owner(gi, gj, gk int) int {
-	return d.Topo.Rank(d.owner(0, d.Global.NX, d.Topo.PX, gi),
-		d.owner(1, d.Global.NY, d.Topo.PY, gj),
-		d.owner(2, d.Global.NZ, d.Topo.PZ, gk))
-}
-
-// owner locates the part containing global index g along axis, honoring
-// explicit cuts when present.
-func (d Decomp) owner(axis, n, p, g int) int {
-	cs := d.cuts[axis]
-	if cs == nil {
-		return owner1(n, p, g)
-	}
-	if g < 0 || g >= n {
-		panic(fmt.Sprintf("decomp: global index %d outside [0,%d)", g, n))
-	}
-	for c := 1; c < len(cs); c++ {
-		if g < cs[c] {
-			return c - 1
-		}
-	}
-	return len(cs) - 2
-}
-
-// Cuts returns the p+1 cut offsets along axis (0=x, 1=y, 2=z), deriving
-// them from the balanced block distribution when no explicit cuts were
-// placed. The returned slice is a copy.
-func (d Decomp) Cuts(axis int) []int {
-	ns := [3]int{d.Global.NX, d.Global.NY, d.Global.NZ}
-	ps := [3]int{d.Topo.PX, d.Topo.PY, d.Topo.PZ}
-	out := make([]int, ps[axis]+1)
-	if cs := d.cuts[axis]; cs != nil {
-		copy(out, cs)
-		return out
-	}
-	for c := 0; c < ps[axis]; c++ {
-		_, off := split1(ns[axis], ps[axis], c)
-		out[c] = off
-	}
-	out[ps[axis]] = ns[axis]
-	return out
+	return d.Topo.Rank(owner1(d.Global.NX, d.Topo.PX, gi),
+		owner1(d.Global.NY, d.Topo.PY, gj),
+		owner1(d.Global.NZ, d.Topo.PZ, gk))
 }
 
 func owner1(n, p, g int) int {

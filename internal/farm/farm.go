@@ -399,7 +399,6 @@ func (f *Farm) compute(sc Scenario) (Product, error) {
 			FS: pfs.New(pfs.Jaguar()), Dir: "ckpt",
 			Interval: interval, Chaos: chaos,
 			PFSFaults: f.cfg.FT.PFSFaults,
-			Logf:      f.cfg.Logf,
 		})
 		f.mu.Lock()
 		f.stats.Recoveries += stats.Recoveries

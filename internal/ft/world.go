@@ -37,7 +37,6 @@ package ft
 import (
 	"errors"
 	"fmt"
-	"log"
 	"sync"
 	"sync/atomic"
 
@@ -69,10 +68,6 @@ type WorldOptions struct {
 	// MaxRecoveries bounds coordinated recoveries before the run is
 	// declared lost (default 16).
 	MaxRecoveries int
-	// Logf routes the harness's diagnostic messages (checkpoint-interval
-	// rounding). nil means log.Printf; the ensemble farm, which runs
-	// hundreds of worlds, installs its own logger (or a no-op).
-	Logf func(format string, args ...any)
 }
 
 // WorldStats reports what the harness did and endured.
@@ -208,17 +203,7 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	if o.MaxRecoveries <= 0 {
 		o.MaxRecoveries = 16
 	}
-	if o.Logf == nil {
-		o.Logf = log.Printf
-	}
-	// Plan LTS rate clusters exactly as solver.Run would, so a
-	// checkpointed world and a failure-free Run share one decomposition
-	// (work-balanced cuts included) and stay bit-comparable.
-	planned, err := solver.PlanLTS(o.Query, o.Solver)
-	if err != nil {
-		return nil, WorldStats{}, err
-	}
-	dc, opt, err := solver.Prepare(planned)
+	dc, opt, err := solver.Prepare(o.Solver)
 	if err != nil {
 		return nil, WorldStats{}, err
 	}
@@ -273,7 +258,7 @@ type rankHarness struct {
 	comm  *mpi.Comm
 	world *mpi.World
 	coord *coordinator
-	o     WorldOptions // this rank's copy: it rounds o.Interval to its cycle
+	o     WorldOptions
 	dc    decomp.Decomp
 	opt   solver.Options
 
@@ -371,18 +356,6 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 			return nil, nerr
 		}
 		*stp = st
-		// Multi-rate LTS only exposes its cycle length after stepper
-		// construction (rate assignment needs the per-rank media);
-		// checkpoints must land on cycle boundaries, where StepIndex is
-		// settable.
-		if a := st.StepAlign(); h.o.Interval%a != 0 {
-			rounded := (h.o.Interval/a + 1) * a
-			if h.comm.Rank() == 0 {
-				h.o.Logf("ft: checkpoint interval %d is not a multiple of the step alignment %d; rounding up to %d",
-					h.o.Interval, a, rounded)
-			}
-			h.o.Interval = rounded
-		}
 	}
 	st := *stp
 	for !st.Done() {

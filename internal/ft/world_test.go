@@ -292,101 +292,35 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	}
 }
 
-// ltsSplitQuerier is rock for x < split metres, soft sediment beyond —
-// enough Vp contrast for a rate-4 LTS cluster on the soft rank.
-type ltsSplitQuerier struct{ split float64 }
-
-func (q ltsSplitQuerier) Query(x, _, _ float64) cvm.Material {
-	if x < q.split {
-		return cvm.Material{Vp: 5200, Vs: 3000, Rho: 2700}
-	}
-	return cvm.Material{Vp: 1200, Vs: 700, Rho: 1900}
-}
-
-func ltsWorldOptions() solver.Options {
-	g := grid.Dims{NX: 32, NY: 12, NZ: 12}
-	src := source.PointSource{
-		GI: 8, GJ: 6, GK: 6,
-		M0:     1e15,
-		Tensor: source.Explosion,
-		STF:    source.GaussianPulse(0.06, 0.015),
-	}
-	return solver.Options{
-		Global:      g,
-		H:           100,
-		Steps:       40,
-		Topo:        mpi.NewCart(2, 1, 1),
-		Comm:        solver.Asynchronous,
-		Variant:     fd.Precomp,
-		ABC:         solver.SpongeABC,
-		SpongeWidth: 4,
-		FreeSurface: true,
-		Sources:     []source.SampledSource{src.Sample(0.002, 200)},
-		Receivers:   [][3]int{{8, 6, 3}, {24, 6, 3}},
-		TrackPGV:    true,
-		LTS:         solver.LTSOptions{Enabled: true, MaxRateRatio: 4, WorkBalance: true},
-	}
-}
-
-// Under multi-rate LTS, checkpoints only exist on cycle boundaries: an
-// unaligned interval must be rounded up to the cycle length, and a clean
-// run must stay bit-identical to solver.Run (which also exercises the
-// PlanLTS parity between RunWorld and Run on work-balanced cuts).
-func TestWorldLTSIntervalAlignment(t *testing.T) {
-	q := ltsSplitQuerier{split: 16 * 100}
-	opt := ltsWorldOptions()
+// A rank can crash at any send — inside either phase's exchange, with its
+// own and its neighbour's messages half posted — and the surviving Steppers
+// are reused after the rollback. The sweep crashes either rank of a 2x1x1
+// world at every send of its first seven steps (two a step), on both sides
+// of the checkpoint at step 4: every recovery must replay to the exact bits
+// of the clean run, whatever the aborted exchange left in flight.
+func TestWorldCrashAtEverySend(t *testing.T) {
+	q := worldQuerier()
+	opt := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
 	ref, err := solver.Run(q, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, stats, err := RunWorld(WorldOptions{
-		Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Recoveries != 0 {
-		t.Fatalf("clean run recovered: %+v", stats)
-	}
-	// Max rate 4 makes the alignment 4, so interval 7 rounds up to 8:
-	// saves at steps 0, 8, 16, 24, 32 on each of 2 ranks.
-	if stats.Checkpoints != 10 {
-		t.Fatalf("checkpoints = %d, want 10 (interval not rounded to cycle length?)", stats.Checkpoints)
-	}
-	assertBitIdentical(t, ref, res)
-}
-
-// Under multi-rate LTS a rank can crash at any point of a cycle — mid
-// window, between a coarse rank's phase exchange and its end-of-step
-// absorb — and the surviving Steppers are reused after the rollback. The
-// sweep crashes either rank at every send of the first half of the run
-// (each rank sends about 24 messages): every recovery must replay to the
-// exact bits of the clean run, whatever the aborted exchange left behind.
-func TestWorldLTSCrashRecovery(t *testing.T) {
-	q := ltsSplitQuerier{split: 16 * 100}
-	opt := ltsWorldOptions()
-	ref, err := solver.Run(q, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recoveries := 0
 	for rank := 0; rank < 2; rank++ {
 		for at := uint64(3); at <= 14; at++ {
 			t.Run(fmt.Sprintf("rank%d/send%d", rank, at), func(t *testing.T) {
 				res, stats, err := RunWorld(WorldOptions{
-					Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
+					Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 4,
 					Chaos: &mpi.ChaosPlan{Seed: 17, CrashAtSend: map[int]uint64{rank: at}},
 				})
 				if err != nil {
 					t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
 				}
-				recoveries += stats.Recoveries
+				if stats.Recoveries == 0 {
+					t.Fatalf("the crash never fired: %+v", stats)
+				}
 				assertBitIdentical(t, ref, res)
 			})
 		}
-	}
-	if recoveries == 0 {
-		t.Fatal("no crash ever fired; sweep vacuous")
 	}
 }
 

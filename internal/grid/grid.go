@@ -294,9 +294,8 @@ func RangeLen(i0, i1, j0, j1, k0, k1 int) int {
 // PackRange copies the block [i0,i1)x[j0,j1)x[k0,k1) — which may extend
 // into the ghost region — into dst in x-fastest order and returns the
 // number of values written. It is the pack primitive of the halo schedule:
-// several sections share one message buffer as disjoint sub-slices (so
-// they pack concurrently), and an LTS window start packs the ghost block a
-// coarser peer filled.
+// several sections share one message buffer as disjoint sub-slices, so
+// they pack concurrently.
 func (f *Field3) PackRange(i0, i1, j0, j1, k0, k1 int, dst []float32) int {
 	return f.copyBlock(i0, i1, j0, j1, k0, k1, dst, true)
 }

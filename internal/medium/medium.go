@@ -120,14 +120,5 @@ const cfl4 = 6.0 / 7.0
 // StableDt returns the largest stable time step for this medium at safety
 // factor sf (use ~0.9 for production, 0.5 for tests).
 func (m *Medium) StableDt(sf float64) float64 {
-	return StableDtFor(m.MaxVp, m.H, sf)
-}
-
-// StableDtFor is the per-cell form of StableDt: the largest stable time
-// step for a single P-wave speed at grid spacing h and safety factor sf.
-// The LTS planner rates grid planes with it before any medium is
-// extracted; because StableDt delegates here, planner and solver agree
-// bit-for-bit on the bound.
-func StableDtFor(vp, h, sf float64) float64 {
-	return sf * cfl4 * h / (math.Sqrt(3) * vp)
+	return sf * cfl4 * m.H / (math.Sqrt(3) * m.MaxVp)
 }

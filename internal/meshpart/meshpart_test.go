@@ -220,34 +220,19 @@ func TestSingleRankDegenerateDecomp(t *testing.T) {
 	}
 }
 
-// workRates builds a per-plane rate vector: rate `hi` for planes >= split,
-// 1 below — the basin-over-rock shape the LTS planner produces.
-func workRates(n, split, hi int) []int {
-	r := make([]int, n)
-	for i := range r {
-		if i >= split {
-			r[i] = hi
-		} else {
-			r[i] = 1
-		}
-	}
-	return r
-}
-
-// Work-weighted cuts put narrow ranks against the global x=0 boundary and
-// wide ranks against x=NX-1. The ghost shells of both extreme ranks must
-// clamp to the boundary planes exactly as direct extraction does.
+// An x axis that does not divide evenly puts a wider rank against the
+// global x=0 boundary than against x=NX-1. The ghost shells of both extreme
+// ranks must clamp to the boundary planes exactly as direct extraction does.
 func TestGhostClampingAtBoundariesWorkBalanced(t *testing.T) {
 	g := grid.Dims{NX: 20, NY: 8, NZ: 8}
 	topo := mpi.NewCart(3, 1, 1)
 	fsys, _, q, h := setup(t, g, topo)
-	dc, err := decomp.NewWorkBalanced(g, topo, workRates(g.NX, 8, 4), nil, nil, [3][2]int{})
+	dc, err := decomp.New(g, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cuts := dc.Cuts(0)
-	if cuts[1]-cuts[0] >= cuts[3]-cuts[2] {
-		t.Fatalf("cuts %v: expected a narrow rate-1 rank at x=0 and a wide rate-4 rank at the far end", cuts)
+	if first, last := dc.SubFor(0).Local.NX, dc.SubFor(topo.Size()-1).Local.NX; first == last {
+		t.Fatalf("the %v grid splits evenly over %d ranks: the end ranks are both %d wide", g, topo.Size(), first)
 	}
 	if _, err := PrePartition(fsys, "in/mesh.bin", "parts", g, dc); err != nil {
 		t.Fatal(err)
@@ -272,13 +257,13 @@ func TestGhostClampingAtBoundariesWorkBalanced(t *testing.T) {
 }
 
 // On-demand partitioning must agree element-for-element with the
-// pre-partitioned files on a cluster-aware (work-balanced, uneven-cut)
-// decomposition, across reader counts and y subdivision.
+// pre-partitioned files on an uneven-cut decomposition (26 planes over 4
+// ranks: 7, 7, 6, 6), across reader counts and y subdivision.
 func TestOnDemandParityOnWorkBalancedDecomp(t *testing.T) {
-	g := grid.Dims{NX: 24, NY: 10, NZ: 8}
+	g := grid.Dims{NX: 26, NY: 10, NZ: 8}
 	topo := mpi.NewCart(4, 1, 1)
 	fsys, _, _, _ := setup(t, g, topo)
-	dc, err := decomp.NewWorkBalanced(g, topo, workRates(g.NX, 12, 4), nil, nil, [3][2]int{})
+	dc, err := decomp.New(g, topo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,20 +82,18 @@ func FuzzBufpoolClasses(f *testing.F) {
 // subnormals and the extremes included — through the binomial-tree
 // Allreduce, where a partial is unpacked, combined and re-packed at every
 // level. Every rank must return, bit for bit, the serial fold in the
-// tree's order (treeFold), so all-zero lanes (the zero-filled vector of
-// solver/lts.go) come back exactly zero.
+// tree's order (treeFold), so all-zero lanes come back exactly zero.
 func FuzzTreeAllreduce(f *testing.F) {
-	// Seed: the LTS rate-assignment case — a Max reduction over a
-	// zero-filled vector where each rank owns one lane holding its (always
-	// positive) stable dt.
-	ltsSeed := make([]byte, 4*8)
-	binary.LittleEndian.PutUint64(ltsSeed[0:], math.Float64bits(3.61e-3))
-	binary.LittleEndian.PutUint64(ltsSeed[8:], math.Float64bits(0))
-	binary.LittleEndian.PutUint64(ltsSeed[16:], math.Float64bits(7.2e-3))
-	binary.LittleEndian.PutUint64(ltsSeed[24:], math.Float64bits(0))
-	f.Add(7, 0, ltsSeed)
+	// Seed: a gather by Max — a zero-filled vector where each rank owns one
+	// lane holding its (always positive) stable dt.
+	laneSeed := make([]byte, 4*8)
+	binary.LittleEndian.PutUint64(laneSeed[0:], math.Float64bits(3.61e-3))
+	binary.LittleEndian.PutUint64(laneSeed[8:], math.Float64bits(0))
+	binary.LittleEndian.PutUint64(laneSeed[16:], math.Float64bits(7.2e-3))
+	binary.LittleEndian.PutUint64(laneSeed[24:], math.Float64bits(0))
+	f.Add(7, 0, laneSeed)
 	f.Add(2, 1, []byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add(8, 2, ltsSeed[:8])
+	f.Add(8, 2, laneSeed[:8])
 	f.Add(9, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
 	f.Fuzz(func(t *testing.T, p, opSel int, raw []byte) {
 		if p < 0 {

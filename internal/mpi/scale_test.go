@@ -67,7 +67,7 @@ func TestWorld10kRanks(t *testing.T) {
 		}
 
 		// Split-float Allreduce across all ranks: Max over a vector
-		// that includes a sentinel-zero lane (the LTS wire format).
+		// that includes a sentinel-zero lane.
 		vals := []float64{float64(c.Rank()), 0, -float64(c.Rank())}
 		out := c.Allreduce(vals, Max)
 		if out[0] != float64(P-1) || out[1] != 0 || out[2] != 0 {

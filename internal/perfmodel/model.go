@@ -55,39 +55,6 @@ type Job struct {
 	// switch moves the per-message latency term of Eq. 7 only; the byte
 	// volume is the same.
 	CoalescedComm bool
-	// LTSShares models multi-rate local time stepping (solver lts.go):
-	// the fraction of cells advancing at each rate-2^k step multiplier. A
-	// rate-r cluster runs its kernels and sends its messages once per r
-	// base steps, so the amortized per-base-step compute AND the
-	// per-message/byte communication terms both scale by
-	// sum(frac/rate)/sum(frac). Nil or empty models a classic run.
-	LTSShares []LTSShare
-}
-
-// LTSShare is one rate cluster's share of the domain.
-type LTSShare struct {
-	Rate int     // step-rate multiplier 2^k
-	Frac float64 // fraction of cells at this rate
-}
-
-// ltsWorkFactor returns sum(frac/rate)/sum(frac), the per-base-step work
-// multiplier of the multi-rate schedule (1 when no shares are given).
-func ltsWorkFactor(shares []LTSShare) float64 {
-	if len(shares) == 0 {
-		return 1
-	}
-	var work, tot float64
-	for _, sh := range shares {
-		if sh.Rate < 1 || sh.Frac <= 0 {
-			continue
-		}
-		work += sh.Frac / float64(sh.Rate)
-		tot += sh.Frac
-	}
-	if tot <= 0 {
-		return 1
-	}
-	return work / tot
 }
 
 // Breakdown is the Eq. 7 decomposition of one time step, in seconds.
@@ -151,9 +118,6 @@ func StepTime(j Job) Breakdown {
 	// between the 2,000-step benchmark (260 Tflop/s) and the 24-hour M8
 	// production run (220 Tflop/s) on the same cores (§V.B).
 	b.Comp *= 1 + j.AuxOverheadFraction
-	// Multi-rate LTS: a rate-r cluster runs once per r base steps.
-	ltsWork := ltsWorkFactor(j.LTSShares)
-	b.Comp *= ltsWork
 
 	// --- Tcomm (Eq. 8 volumes: two ghost planes per face, float32) ---
 	faceXY := nx * ny * float64(GhostWidth) * 4
@@ -179,15 +143,6 @@ func StepTime(j Job) Breakdown {
 	if j.CoalescedComm {
 		msgsStep = 12
 		nMsgsPerPhase = 2 * (1 + 3) // one aggregate per side: velocity + 3 stress axes
-	}
-	if ltsWork < 1 {
-		// LTS thins the exchange the same way it thins compute: a rate-r
-		// rank sends its faces once per r base steps (window-end messages
-		// toward coarser neighbors are likewise 1/r of base-step pairs).
-		bytesX *= ltsWork
-		bytesY *= ltsWork
-		bytesZ *= ltsWork
-		msgsStep *= ltsWork
 	}
 
 	if v.Async {

@@ -291,35 +291,6 @@ func TestHybridThreadsTradeoff(t *testing.T) {
 	}
 }
 
-// TestLTSSharesScaleStepTime pins the multi-rate pricing: half the domain
-// at rate 4 multiplies compute and communication by 0.625; an empty or
-// degenerate share list is a no-op.
-func TestLTSSharesScaleStepTime(t *testing.T) {
-	j := Job{
-		Machine: Jaguar, Version: v(t, "7.2"),
-		Global: grid.Dims{NX: 320, NY: 320, NZ: 320},
-		Cores:  64,
-	}
-	base := StepTime(j)
-	j.LTSShares = []LTSShare{{Rate: 1, Frac: 0.5}, {Rate: 4, Frac: 0.5}}
-	lts := StepTime(j)
-	if want := base.Comp * 0.625; math.Abs(lts.Comp-want) > 1e-12*want {
-		t.Errorf("Comp %.6e, want %.6e", lts.Comp, want)
-	}
-	if lts.Comm >= base.Comm {
-		t.Errorf("Comm did not shrink: %.6e >= %.6e", lts.Comm, base.Comm)
-	}
-	if f := ltsWorkFactor(nil); f != 1 {
-		t.Errorf("nil shares factor %g", f)
-	}
-	if f := ltsWorkFactor([]LTSShare{{Rate: 0, Frac: 1}}); f != 1 {
-		t.Errorf("degenerate shares factor %g", f)
-	}
-	if f := ltsWorkFactor([]LTSShare{{Rate: 2, Frac: 2}, {Rate: 1, Frac: 2}}); f != 0.75 {
-		t.Errorf("unnormalized shares factor %g, want 0.75", f)
-	}
-}
-
 func TestOptimalInterval(t *testing.T) {
 	// Young's formula: sqrt(2*C*MTBF).
 	if got := OptimalInterval(2, 400); got != 40 {

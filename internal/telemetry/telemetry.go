@@ -69,10 +69,6 @@ const (
 	// fault: electing the restart step, reloading the checkpoint, and
 	// resetting the runtime (internal/ft).
 	Recovery
-	// Interp is rate-boundary ghost interpolation time under multi-rate
-	// local time stepping: blending buffered coarse-neighbor face
-	// sections in time and writing them into the ghost region.
-	Interp
 	// Collective is time inside mpi tree collectives (Bcast, Reduce,
 	// Allreduce): the dt/vp-max reductions of solver setup and the
 	// timing/moment-rate reductions of result collection, which were
@@ -101,7 +97,7 @@ const NumPhases = int(numPhases)
 var phaseNames = [NumPhases]string{
 	"velocity", "stress", "attenuation", "boundary", "pack", "send",
 	"recv", "unpack", "sync", "output", "io", "checkpoint",
-	"queue-wait", "execute", "recovery", "interp", "collective", "agg",
+	"queue-wait", "execute", "recovery", "collective", "agg",
 	"job", "serve",
 }
 

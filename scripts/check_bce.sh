@@ -26,7 +26,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/sweeps_gen.go internal/core/attenuation/sweeps_gen.go internal/core/boundary/sweeps_gen.go internal/core/attenuation/rows.go internal/core/fd/lerp.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go internal/grid/narrow.go'
+GUARDED='internal/core/fd/sweeps_gen.go internal/core/attenuation/sweeps_gen.go internal/core/boundary/sweeps_gen.go internal/core/attenuation/rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go internal/grid/narrow.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
