@@ -21,7 +21,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/meshgen"
 	"repro/internal/meshpart"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/srcgen"
 	"repro/internal/workflow"
@@ -64,10 +63,10 @@ func main() {
 		mst.Writers, mst.Opens, mst.WritePhase.Elapsed, mst.WritePhase.Throughput/1e9)
 
 	// --- PetaMeshP (both I/O models) ---
-	topo := mpi.NewCart(2, 2, 1)
-	if topo.Size() != *ranks {
-		topo = mpi.NewCart(*ranks, 1, 1)
-	}
+	// The ranks' topology is the cheapest step by decomp.StepCost, as
+	// awp.Topology picks it for a sponge run.
+	topo, err := decomp.BestTopo(g, *ranks, 2*grid.Ghost, false, decomp.StepCost)
+	check(err)
 	dc, err := decomp.New(g, topo)
 	check(err)
 	pst, sst, err := meshpart.StreamPrePartition(scratch, "in/mesh.bin", "parts", g, dc, *throttle)

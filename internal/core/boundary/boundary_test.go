@@ -121,6 +121,80 @@ func TestBuildPMLPanicsWhenZonesConsumeGrid(t *testing.T) {
 	BuildPML(grid.Dims{NX: 12, NY: 12, NZ: 12}, AllAbsorbing(), 6, 0.1, 1e-5, 6000, 100)
 }
 
+// TestPMLShellOwnership builds the shell for each of the 64 FaceSets and
+// checks, cell by cell against the pointwise ownership rule (refPMLOwner):
+// a cell of some slab lies in exactly one zone and not in the interior, any
+// other cell in the interior alone, so the zones and PMLInterior tile the
+// subgrid; and the six coefficients Prepare lays for a zone cell are those
+// of its owner at its depth, whichever zone holds it.
+func TestPMLShellOwnership(t *testing.T) {
+	sh := refPMLShell{d: grid.Dims{NX: 11, NY: 10, NZ: 9}, width: 3}
+	dt := 1e-3
+	for mask := 0; mask < 64; mask++ {
+		sh.faces = FaceSet{XLo: mask&1 != 0, XHi: mask&2 != 0, YLo: mask&4 != 0, YHi: mask&8 != 0, ZLo: mask&16 != 0, ZHi: mask&32 != 0}
+		zones, interior := BuildPML(sh.d, sh.faces, sh.width, DefaultMPMLRatio, DefaultPMLReflection, 6000, 100)
+		if in := PMLInterior(sh.d, sh.faces, sh.width); interior != in {
+			t.Fatalf("faces %+v: interior %v, PMLInterior %v", sh.faces, interior, in)
+		}
+		for _, z := range zones {
+			z.Prepare(dt)
+		}
+		for k := 0; k < sh.d.NZ; k++ {
+			for j := 0; j < sh.d.NY; j++ {
+				for i := 0; i < sh.d.NX; i++ {
+					cell := fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}
+					var in []*PML
+					for _, z := range zones {
+						if z.Zone.Contains(cell) {
+							in = append(in, z)
+						}
+					}
+					_, _, shell := refPMLOwner(sh, i, j, k)
+					inInterior := interior.Contains(cell)
+					if shell && (len(in) != 1 || inInterior) || !shell && (len(in) != 0 || !inInterior) {
+						t.Fatalf("faces %+v: cell (%d,%d,%d) of the shell %v lies in %d zones, interior %v", sh.faces, i, j, k, shell, len(in), inInterior)
+					}
+					if !shell {
+						continue
+					}
+					z := in[0]
+					want := refPMLCellCoef(refPMLCoefTable(z, dt), sh, i, j, k)
+					nx, c0 := z.Zone.I1-z.Zone.I0, z.coefAt(j, k)+i-z.Zone.I0
+					for s := 0; s < 3; s++ {
+						dec, gain := z.coef[c0+2*s*nx], z.coef[c0+(2*s+1)*nx]
+						if dec != want.dec[s] || gain != want.gain[s] {
+							t.Fatalf("faces %+v: cell (%d,%d,%d) in the %v%v zone: split %d dec/gain %g/%g, owner's %g/%g",
+								sh.faces, i, j, k, z.Axis, z.Side, s, dec, gain, want.dec[s], want.gain[s])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPMLShellZoneCells pins the shell of the benchmark's 56×56×40 grid under
+// a free surface: the x zones hold the x slabs' cells inside the y and z
+// interior, the y zones whole xz slabs and the z zone the y interior's, so
+// every y and z row is 56 cells long.
+func TestPMLShellZoneCells(t *testing.T) {
+	d := grid.Dims{NX: 56, NY: 56, NZ: 40}
+	zones, interior := BuildPML(d, AllAbsorbing(), DefaultPMLWidth, DefaultMPMLRatio, DefaultPMLReflection, 6000, 100)
+	var cells [3]int
+	for _, z := range zones {
+		cells[z.Axis] += z.Zone.Cells()
+		if z.Axis != grid.X && z.Zone.I1-z.Zone.I0 != d.NX {
+			t.Errorf("%v%v zone %v: rows of %d cells, want %d", z.Axis, z.Side, z.Zone, z.Zone.I1-z.Zone.I0, d.NX)
+		}
+	}
+	if want := [3]int{21600, 44800, 20160}; len(zones) != 5 || cells != want {
+		t.Fatalf("%d zones holding %v cells by axis, want 5 holding %v", len(zones), cells, want)
+	}
+	if shell := cells[0] + cells[1] + cells[2]; shell+interior.Cells() != d.Cells() {
+		t.Fatalf("shell %d + interior %d cells, want %d", shell, interior.Cells(), d.Cells())
+	}
+}
+
 // TestPMLSplitsHoldOnlyZoneCells: no stencil reads a split, so every one of
 // the 24 split arrays of every zone BuildPML makes — x, y and z faces, both
 // sides — holds exactly the zone's cells, with no ghost frame, and so does
@@ -764,62 +838,71 @@ func fill2(d grid.Dims) *fd.State {
 	return s
 }
 
-// refPMLCoef and refPMLDampIndex are the coefficient table and the per-cell
-// damping index of the pointwise reference below.
+// refPMLShell is the shell the pointwise reference's zones lie in: the
+// subgrid's dims, its absorbing faces and the slabs' width.
+type refPMLShell struct {
+	d     grid.Dims
+	faces FaceSet
+	width int
+}
+
+// refPMLCoef holds a cell's coefficients, per split.
 type refPMLCoef struct{ dec, gain [3]float32 }
 
-func refPMLCoefTable(pm *PML, dt float64) []refPMLCoef {
-	coef := make([]refPMLCoef, len(pm.damp))
-	for l, d := range pm.damp {
-		c := &coef[l]
-		for s := 0; s < 3; s++ {
-			ds := pm.P * d
-			if grid.Axis(s) == pm.Axis {
-				ds = d
+// refPMLCoefTable returns pm's coefficients at dt by owner axis and depth.
+func refPMLCoefTable(pm *PML, dt float64) [3][]refPMLCoef {
+	var coef [3][]refPMLCoef
+	for ax := range coef {
+		coef[ax] = make([]refPMLCoef, len(pm.damp))
+		for l, d := range pm.damp {
+			c := &coef[ax][l]
+			for s := 0; s < 3; s++ {
+				ds := pm.P * d
+				if s == ax {
+					ds = d
+				}
+				half := float64(ds * dt / 2)
+				den := 1 + half
+				c.dec[s] = float32((1 - half) / den)
+				c.gain[s] = float32(1 / den)
 			}
-			den := 1 + ds*dt/2
-			c.dec[s] = float32((1 - ds*dt/2) / den)
-			c.gain[s] = float32(1 / den)
 		}
 	}
 	return coef
 }
 
-func refPMLDampIndex(pm *PML, i, j, k int) int {
-	var l int
-	switch pm.Axis {
-	case grid.X:
-		if pm.Side == grid.Low {
-			l = i - pm.Zone.I0
-		} else {
-			l = pm.Zone.I1 - 1 - i
+// refPMLOwner returns the slab that owns cell (i,j,k) of the shell — the
+// first of x, y and z whose slab on an absorbing face holds it — and the
+// cell's depth from that face; ok is false for a cell of no slab.
+func refPMLOwner(sh refPMLShell, i, j, k int) (ax grid.Axis, depth int, ok bool) {
+	at := [3]int{i, j, k}
+	n := [3]int{sh.d.NX, sh.d.NY, sh.d.NZ}
+	on := [3][2]bool{{sh.faces.XLo, sh.faces.XHi}, {sh.faces.YLo, sh.faces.YHi}, {sh.faces.ZLo, sh.faces.ZHi}}
+	for a := 0; a < 3; a++ {
+		if on[a][0] && at[a] < sh.width {
+			return grid.Axis(a), at[a], true
 		}
-	case grid.Y:
-		if pm.Side == grid.Low {
-			l = j - pm.Zone.J0
-		} else {
-			l = pm.Zone.J1 - 1 - j
-		}
-	default:
-		if pm.Side == grid.Low {
-			l = k - pm.Zone.K0
-		} else {
-			l = pm.Zone.K1 - 1 - k
+		if on[a][1] && at[a] >= n[a]-sh.width {
+			return grid.Axis(a), n[a] - 1 - at[a], true
 		}
 	}
-	if l < 0 {
-		l = 0
+	return 0, 0, false
+}
+
+// refPMLCellCoef returns the entry of coef for shell cell (i,j,k): its
+// owner's at its depth.
+func refPMLCellCoef(coef [3][]refPMLCoef, sh refPMLShell, i, j, k int) *refPMLCoef {
+	ax, l, ok := refPMLOwner(sh, i, j, k)
+	if !ok {
+		panic(fmt.Sprintf("cell (%d,%d,%d) lies in no slab of the shell", i, j, k))
 	}
-	if l >= len(pm.damp) {
-		l = len(pm.damp) - 1
-	}
-	return l
+	return &coef[ax][l]
 }
 
 // refPMLUpdateVelocity is the pointwise zone update the row kernels
 // replaced (PR 15's body, unchanged): the oracle they must match bit for
 // bit.
-func refPMLUpdateVelocity(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
+func refPMLUpdateVelocity(pm *PML, sh refPMLShell, s *fd.State, m *medium.Medium, dt float64) {
 	c1, c2 := float32(fd.C1), float32(fd.C2)
 	dth := float32(dt / m.H)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -835,7 +918,7 @@ func refPMLUpdateVelocity(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
 			for i := z.I0; i < z.I1; i++ {
 				n := s.VX.Idx(i, j, k)
 				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				cf := &coef[refPMLDampIndex(pm, i, j, k)]
+				cf := refPMLCellCoef(coef, sh, i, j, k)
 
 				// Directional force terms (already scaled by dt/h and 1/rho).
 				uTx := dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
@@ -877,7 +960,7 @@ func refPMLUpdateVelocity(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
 }
 
 // refPMLUpdateStress is the pointwise stress counterpart.
-func refPMLUpdateStress(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
+func refPMLUpdateStress(pm *PML, sh refPMLShell, s *fd.State, m *medium.Medium, dt float64) {
 	c1, c2 := float32(fd.C1), float32(fd.C2)
 	dth := float32(dt / m.H)
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
@@ -894,7 +977,7 @@ func refPMLUpdateStress(pm *PML, s *fd.State, m *medium.Medium, dt float64) {
 			for i := z.I0; i < z.I1; i++ {
 				n := s.VX.Idx(i, j, k)
 				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				cf := &coef[refPMLDampIndex(pm, i, j, k)]
+				cf := refPMLCellCoef(coef, sh, i, j, k)
 
 				exx := dth * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
 				eyy := dth * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
@@ -1042,8 +1125,9 @@ func TestPMLRowsMatchPointwise(t *testing.T) {
 		for _, p := range []float64{0, DefaultMPMLRatio} {
 			for _, vec := range []bool{false, fd.Vector} {
 				label := fmt.Sprintf("%s p=%g vec %v", tc.name, p, vec)
-				refZones, interior := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
-				rowZones, _ := BuildPML(d, tc.faces, 4, p, DefaultPMLReflection, m.MaxVp, h)
+				sh := refPMLShell{d: d, faces: tc.faces, width: 4}
+				refZones, interior := BuildPML(d, tc.faces, sh.width, p, DefaultPMLReflection, m.MaxVp, h)
+				rowZones, _ := BuildPML(d, tc.faces, sh.width, p, DefaultPMLReflection, m.MaxVp, h)
 				if len(refZones) != tc.zones {
 					t.Fatalf("%s: %d zones, want %d", label, len(refZones), tc.zones)
 				}
@@ -1081,7 +1165,7 @@ func TestPMLRowsMatchPointwise(t *testing.T) {
 					fd.UpdateVelocity(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
 					fd.UpdateVelocity(row, m, dt, interior, fd.Precomp, fd.Blocking{})
 					for zi, z := range refZones {
-						refPMLUpdateVelocity(z, ref, m, dt)
+						refPMLUpdateVelocity(z, sh, ref, m, dt)
 						for _, b := range tiles[zi] {
 							rowZones[zi].velocitySweep(row, m, dt, b, vec)
 						}
@@ -1093,7 +1177,7 @@ func TestPMLRowsMatchPointwise(t *testing.T) {
 					fd.UpdateStress(ref, m, dt, interior, fd.Precomp, fd.Blocking{})
 					fd.UpdateStress(row, m, dt, interior, fd.Precomp, fd.Blocking{})
 					for zi, z := range refZones {
-						refPMLUpdateStress(z, ref, m, dt)
+						refPMLUpdateStress(z, sh, ref, m, dt)
 						for _, b := range tiles[zi] {
 							rowZones[zi].stressSweep(row, m, dt, b, vec)
 						}

@@ -109,7 +109,8 @@ func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 			// factors cancel against the dz discretization).
 			div := (u0[i] - u0m1x[i]) + (v0[i] - v0m1y[i])
 			w0i := w0[i]
-			wm1i := w0i + lamr[i]/l2mr[i]*div
+			// The conversion keeps the product out of a fused add (arm64).
+			wm1i := w0i + float32(lamr[i]/l2mr[i]*div)
 			wm1[i] = wm1i
 			wm2[i] = 2*wm1i - w0i
 		}

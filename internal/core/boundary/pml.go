@@ -42,6 +42,11 @@ type PML struct {
 	split [3]*fd.State
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
+	// xSlab counts the cells at the zone's low and high x ends that an x
+	// slab owns: they take x's damping whatever the zone's normal (an x
+	// zone's whole extent; a y or z zone's first and last Width cells where
+	// BuildPML gives it the full x extent next to an absorbing x face).
+	xSlab [2]int
 	// coef holds the split-update coefficients of step coefDt as rows of
 	// 6·nx values (see Prepare); coefRow and coefPlane are the offsets in
 	// coef of one zone row and one zone plane.
@@ -66,6 +71,9 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	}
 	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
 	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
+	if axis == grid.X {
+		pm.xSlab[side] = zd.NX
+	}
 	// A row sweep streams the same offset of all 24 split fields, so they are
 	// placed apart in the L1 set period (grid.LaneFields). No stencil reads a
 	// split, so they hold the zone's cells and nothing more (ghost 0).
@@ -112,43 +120,59 @@ func (pm *PML) Sections() []grid.Section {
 	return secs
 }
 
-// depth returns the index into damp of offset c along the zone's normal
-// axis, n cells long: the distance in cells from the low edge of a Low
-// zone or the high edge of a High zone, clamped to the profile.
-func (pm *PML) depth(c, n int) int {
-	if pm.Side == grid.High {
-		c = n - 1 - c
+// owner returns the axis whose damping a cell of the zone takes and the
+// index into damp of its depth, for the cell at x-offset i of the zone's nx
+// and offset r of n along the zone's normal. The x slabs own their cells
+// first, at the depth from their outer x face; every other cell is the
+// zone's own, at the depth from the zone's outer face. Depths are clamped
+// to the profile.
+func (pm *PML) owner(i, nx, r, n int) (grid.Axis, int) {
+	ax, c := pm.Axis, r
+	switch {
+	case i < pm.xSlab[grid.Low]:
+		ax, c = grid.X, i
+	case i >= nx-pm.xSlab[grid.High]:
+		ax, c = grid.X, nx-1-i
+	case pm.Side == grid.High:
+		c = n - 1 - r
 	}
-	return min(max(c, 0), len(pm.damp)-1)
+	return ax, min(max(c, 0), len(pm.damp)-1)
 }
 
 // Prepare builds the coefficients for time step dt: phi_s' = dec_s·phi_s +
 // gain_s·dt·T_s. They are stored as rows of 6·nx values — dec_x, gain_x,
 // dec_y, gain_y, dec_z, gain_z, each nx long over the zone's x extent — one
-// row per zone-local plane along the zone's normal, in zone order, with the
-// depth clamped to the profile here: an x-normal zone has one row whose
-// entries vary with the x-offset, a y- or z-normal zone one constant row per
-// j or k. A zone row (j,k) reads the row at coefAt(j,k), so the row kernels
-// read coefficient windows and never a depth. The box kernels only read the
-// rows, so whoever runs them concurrently (the solver's tile queue) must
-// have called Prepare first; the whole-zone wrappers call it themselves.
+// row per zone-local plane along the zone's normal, in zone order, each
+// entry the coefficients of its cell's owner and depth (owner): an x zone
+// has one row, a y or z zone one row per j or k whose x-slab entries vary
+// with the x-offset and whose others are constant. A zone row (j,k) reads
+// the row at coefAt(j,k), so the row kernels read coefficient windows and
+// never a depth. The box kernels only read the rows, so whoever runs them
+// concurrently (the solver's tile queue) must have called Prepare first;
+// the whole-zone wrappers call it themselves.
 func (pm *PML) Prepare(dt float64) {
 	if pm.coef != nil && pm.coefDt == dt {
 		return
 	}
-	// The coefficients depend on a cell only through its damping depth, so
-	// the float64 divisions are done Width times per dt.
+	// The coefficients depend on a cell only through its owner and damping
+	// depth, so the float64 divisions are done 3·Width times per dt. The
+	// conversions keep a compiler from fusing a product into the add after
+	// it (arm64 does), so every architecture rounds as amd64 does.
 	type coef struct{ dec, gain [3]float32 }
-	byDepth := make([]coef, len(pm.damp))
-	for l, d := range pm.damp {
-		for s := 0; s < 3; s++ {
-			ds := pm.P * d
-			if grid.Axis(s) == pm.Axis {
-				ds = d
+	var byOwner [3][]coef
+	for ax := range byOwner {
+		byOwner[ax] = make([]coef, len(pm.damp))
+		for l, d := range pm.damp {
+			for s := 0; s < 3; s++ {
+				ds := pm.P * d
+				if s == ax {
+					ds = d
+				}
+				half := float64(ds * dt / 2)
+				den := 1 + half
+				byOwner[ax][l].dec[s] = float32((1 - half) / den)
+				byOwner[ax][l].gain[s] = float32(1 / den)
 			}
-			den := 1 + ds*dt/2
-			byDepth[l].dec[s] = float32((1 - ds*dt/2) / den)
-			byDepth[l].gain[s] = float32(1 / den)
 		}
 	}
 	z := pm.Zone
@@ -165,12 +189,10 @@ func (pm *PML) Prepare(dt float64) {
 	for r := 0; r < nrows; r++ {
 		row := pm.coef[r*6*nx:][:6*nx]
 		for i := 0; i < nx; i++ {
-			l := pm.depth(r, nrows)
-			if pm.Axis == grid.X {
-				l = pm.depth(i, nx)
-			}
+			ax, l := pm.owner(i, nx, r, nrows)
+			c := &byOwner[ax][l]
 			for s := 0; s < 3; s++ {
-				row[2*s*nx+i], row[(2*s+1)*nx+i] = byDepth[l].dec[s], byDepth[l].gain[s]
+				row[2*s*nx+i], row[(2*s+1)*nx+i] = c.dec[s], c.gain[s]
 			}
 		}
 	}
@@ -217,26 +239,42 @@ func PMLInterior(d grid.Dims, faces FaceSet, width int) fd.Box {
 
 // BuildPML constructs the non-overlapping shell of PML zones for a
 // single-rank (or per-rank, with faces masked to owned physical faces)
-// subgrid: x zones span the full y/z extent, y zones exclude the x zones,
-// z zones exclude both. Returns the zones and the remaining interior box.
-// Zones that leave no interior are a caller's bug and panic: solver.Prepare
-// turns a user's too-wide PMLWidth into an error before any rank gets here.
+// subgrid, cut so that every zone's rows run the subgrid's full x extent
+// where they can: y zones span the full x and z extent, z zones the full x
+// extent over the y interior, and x zones keep the x slabs' cells no y or z
+// zone takes (the y and z interior). Each cell keeps the damping of the
+// first slab it lies in, x before y before z, so a y or z zone's cells in
+// an x slab take x's depth and coefficients (PML.owner). Returns the zones
+// and the remaining interior box. Zones that leave no interior are a
+// caller's bug and panic: solver.Prepare turns a user's too-wide PMLWidth
+// into an error before any rank gets here.
 func BuildPML(d grid.Dims, faces FaceSet, width int, p, rcoef, vpMax, h float64) ([]*PML, fd.Box) {
 	in := PMLInterior(d, faces, width)
 	if in.Empty() {
 		panic(fmt.Sprintf("boundary: PML zones (width %d) consume the whole %v subgrid", width, d))
 	}
+	var slab [2]int
+	if faces.XLo {
+		slab[grid.Low] = width
+	}
+	if faces.XHi {
+		slab[grid.High] = width
+	}
 	var zones []*PML
 	add := func(on bool, zone fd.Box, ax grid.Axis, sd grid.Side) {
 		if on {
-			zones = append(zones, NewPML(zone, ax, sd, width, p, rcoef, vpMax, h))
+			pm := NewPML(zone, ax, sd, width, p, rcoef, vpMax, h)
+			if ax != grid.X {
+				pm.xSlab = slab
+			}
+			zones = append(zones, pm)
 		}
 	}
-	add(faces.XLo, fd.Box{I0: 0, I1: width, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}, grid.X, grid.Low)
-	add(faces.XHi, fd.Box{I0: d.NX - width, I1: d.NX, J0: 0, J1: d.NY, K0: 0, K1: d.NZ}, grid.X, grid.High)
-	add(faces.YLo, fd.Box{I0: in.I0, I1: in.I1, J0: 0, J1: width, K0: 0, K1: d.NZ}, grid.Y, grid.Low)
-	add(faces.YHi, fd.Box{I0: in.I0, I1: in.I1, J0: d.NY - width, J1: d.NY, K0: 0, K1: d.NZ}, grid.Y, grid.High)
-	add(faces.ZLo, fd.Box{I0: in.I0, I1: in.I1, J0: in.J0, J1: in.J1, K0: 0, K1: width}, grid.Z, grid.Low)
-	add(faces.ZHi, fd.Box{I0: in.I0, I1: in.I1, J0: in.J0, J1: in.J1, K0: d.NZ - width, K1: d.NZ}, grid.Z, grid.High)
+	add(faces.XLo, fd.Box{I0: 0, I1: width, J0: in.J0, J1: in.J1, K0: in.K0, K1: in.K1}, grid.X, grid.Low)
+	add(faces.XHi, fd.Box{I0: d.NX - width, I1: d.NX, J0: in.J0, J1: in.J1, K0: in.K0, K1: in.K1}, grid.X, grid.High)
+	add(faces.YLo, fd.Box{I0: 0, I1: d.NX, J0: 0, J1: width, K0: 0, K1: d.NZ}, grid.Y, grid.Low)
+	add(faces.YHi, fd.Box{I0: 0, I1: d.NX, J0: d.NY - width, J1: d.NY, K0: 0, K1: d.NZ}, grid.Y, grid.High)
+	add(faces.ZLo, fd.Box{I0: 0, I1: d.NX, J0: in.J0, J1: in.J1, K0: 0, K1: width}, grid.Z, grid.Low)
+	add(faces.ZHi, fd.Box{I0: 0, I1: d.NX, J0: in.J0, J1: in.J1, K0: d.NZ - width, K1: d.NZ}, grid.Z, grid.High)
 	return zones, in
 }

@@ -16,7 +16,8 @@ import (
 // two-step Run that completes — never a panic from inside a rank, where it
 // would take the world down. The seeds reach each feature running alone and
 // composed, and each field's invalid values: Dt and CFL of NaN or +Inf among
-// them, which are Prepare's errors.
+// them, which are Prepare's errors, and a Dt above the stable step, which is
+// every rank's set-up error.
 func FuzzPrepare(f *testing.F) {
 	type seed struct {
 		nx, ny, nz, px, py, pz   uint8
@@ -58,10 +59,12 @@ func FuzzPrepare(f *testing.F) {
 		// A NaN spacing, above which no stable step compares.
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, hPct: 126},
 		// A NaN step and a NaN CFL factor, which panicked in the source's
-		// sample index, and a step of 1e300, which did too.
+		// sample index, and a step of 1e300, which did too and is now above
+		// the stable step, as is 0.1 (dtSign 100).
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, dtSign: 126},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, cflPct: 126},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, dtSign: 125},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 2, pmlWidth: 3, dtSign: 100},
 	} {
 		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.threads, s.pmlWidth,
 			s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign, s.recvOff,
@@ -128,6 +131,16 @@ func FuzzPrepare(f *testing.F) {
 			t.Fatalf("Prepare accepted Dt %g, CFL %g", opt.Dt, opt.CFL)
 		}
 		res, rerr := Run(q, opt)
+		if perr == nil && opt.Dt > 0 {
+			// Prepare builds no medium; every rank's set-up holds an explicit
+			// step to the stable one at safety factor 1.
+			if bound := stableDtBound(t, q, opt); opt.Dt > bound {
+				if rerr == nil || !strings.Contains(rerr.Error(), "stable step") {
+					t.Fatalf("Dt %g above the stable %g: Run says %v", opt.Dt, bound, rerr)
+				}
+				return
+			}
+		}
 		if (perr == nil) != (rerr == nil) {
 			t.Fatalf("Prepare says %v, Run says %v", perr, rerr)
 		}

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,7 +10,9 @@ import (
 	"repro/internal/core/rupture"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
+	"repro/internal/decomp"
 	"repro/internal/grid"
+	"repro/internal/medium"
 	"repro/internal/mpi"
 )
 
@@ -90,11 +93,25 @@ func twoSidedOptions(g grid.Dims, steps int, topo mpi.Cart) Options {
 	}
 }
 
+// stableDtBound is the largest explicit Dt a run of opt on q accepts: the
+// stable step at safety factor 1 of the medium over the whole grid, built
+// on one rank.
+func stableDtBound(t testing.TB, q cvm.Querier, opt Options) float64 {
+	t.Helper()
+	dc, err := decomp.New(opt.Global, mpi.NewCart(1, 1, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return medium.FromCVM(q, dc, dc.SubFor(0), opt.H).StableDt(1)
+}
+
 // TestDtAndCFLValidation pins the Options validation of the step: a negative
 // or non-finite Dt and a CFL outside [0, 1], NaN included, are rejected by
 // Prepare and by Run, which panicked on a NaN or +Inf Dt or a NaN CFL (the
 // source's sample index int(t/dt) out of range), and took a Dt of 1e300 to
-// the same panic; CFL 0 defaults to the historical 0.5 bit-identically.
+// the same panic; an explicit Dt above the stable step at safety factor 1 is
+// rejected by Run, on one rank or two, with one error; CFL 0 defaults to the
+// historical 0.5 bit-identically.
 func TestDtAndCFLValidation(t *testing.T) {
 	base := twoSidedOptions(grid.Dims{NX: 16, NY: 12, NZ: 12}, 4, mpi.NewCart(1, 1, 1))
 	q := cvm.HardRock()
@@ -116,11 +133,32 @@ func TestDtAndCFLValidation(t *testing.T) {
 	if _, _, err := Prepare(ok); err != nil {
 		t.Errorf("CFL 1.0 rejected: %v", err)
 	}
-	// A finite step however large runs: what it radiates is no concern here.
-	huge := base
-	huge.Dt = 1e300
-	if _, err := Run(q, huge); err != nil {
-		t.Errorf("Dt 1e300: %v", err)
+	// Prepare builds no medium, so an unstable step passes it; every rank's
+	// set-up refuses it from the agreed bound. Dt 0.1 ran to a PGVH of +Inf
+	// and NaN seismograms, 1e300 to an all-zero map, both without an error.
+	bound := stableDtBound(t, q, base)
+	for _, dt := range []float64{math.Nextafter(bound, math.Inf(1)), 0.1, 1e300} {
+		var errs []string
+		for _, topo := range []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1)} {
+			opt := base
+			opt.Dt, opt.Topo = dt, topo
+			if _, _, err := Prepare(opt); err != nil {
+				t.Errorf("Dt %g on %v: Prepare: %v", dt, topo, err)
+			}
+			_, err := Run(q, opt)
+			if err == nil || !strings.Contains(err.Error(), "stable step") {
+				t.Fatalf("Dt %g on %v (bound %g): Run says %v", dt, topo, bound, err)
+			}
+			errs = append(errs, err.Error())
+		}
+		if errs[0] != errs[1] {
+			t.Errorf("Dt %g: one rank says %q, two %q", dt, errs[0], errs[1])
+		}
+	}
+	atBound := base
+	atBound.Dt = bound
+	if _, err := Run(q, atBound); err != nil {
+		t.Errorf("Dt at the bound %g: %v", bound, err)
 	}
 
 	// Explicit CFL 0.5 must reproduce the default run exactly.

@@ -193,19 +193,22 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.nbrMask[ax][1] = opt.Topo.Neighbor(c.Rank(), ax, +1) >= 0
 	}
 
-	// One collective, Dt given or not: the stable dt, and the lowest rank whose
-	// medium is Unphysical — every rank returns one error, none waits on another.
+	// One collective, Dt given or not: the stable dt, the lowest rank whose
+	// medium is Unphysical and the stable dt at safety factor 1, the bound on
+	// an explicit Dt — every rank returns one error, none waits on another.
 	bad := math.Inf(1)
 	if rs.med.Unphysical {
 		bad = float64(c.Rank())
 	}
-	agreed := c.Allreduce([]float64{rs.med.StableDt(opt.CFL), bad}, mpi.Min)
+	agreed := c.Allreduce([]float64{rs.med.StableDt(opt.CFL), bad, rs.med.StableDt(1)}, mpi.Min)
 	if bad = agreed[1]; !math.IsInf(bad, 1) {
 		return nil, fmt.Errorf("solver: the velocity model gives rank %d a material that is not finite or has Vp <= 0, Vs < 0 or density <= 0", int(bad))
 	}
 	dt := opt.Dt
 	if dt <= 0 {
 		dt = agreed[0]
+	} else if dt > agreed[2] {
+		return nil, fmt.Errorf("solver: Dt %g exceeds the model's stable step %g (CFL 1): the run would blow up", dt, agreed[2])
 	}
 
 	// Boundary conditions on the physical faces this rank owns.

@@ -94,11 +94,13 @@ const (
 	decideRestart                     // roll back to step and replay
 	decideRebuild                     // rebuild rank state from scratch and replay
 	decideFail                        // recovery budget exhausted
+	decideReject                      // a rank's set-up rejected the options
 )
 
 type decision struct {
 	kind decisionKind
-	step int // restart step for decideRestart
+	step int   // restart step for decideRestart
+	err  error // the rejection for decideReject
 }
 
 // coordinator is the out-of-band rendezvous the recovery protocol runs
@@ -115,8 +117,9 @@ type coordinator struct {
 	arrived  int
 	anyFault bool
 	allDone  bool
-	allStep  bool // every arrived rank has a live Stepper
-	minIdx   int  // lowest current step index among arrived ranks
+	allStep  bool  // every arrived rank has a live Stepper
+	minIdx   int   // lowest current step index among arrived ranks
+	rejected error // a set-up error some rank returned: no replay changes it
 
 	dec          decision
 	recoveries   int
@@ -135,15 +138,19 @@ func newCoordinator(n int, world *mpi.World, o *WorldOptions) *coordinator {
 
 // arrive parks the rank until all n ranks have arrived, then returns the
 // leader's decision for this round. done reports a cleanly completed
-// segment; fault reports any recovered failure; hasStepper reports
+// segment; fault is the rank's recovered failure, nil for none — a
+// rejection ends the run with it on every rank; hasStepper reports
 // whether this rank's solver state exists (a rank that faulted during
 // setup cannot roll back — NewStepper's collectives need all ranks — so
 // the leader must pick a rebuild instead); stepIdx is the rank's current
 // step cursor, bounding the restart election to genuine rollbacks.
-func (c *coordinator) arrive(done, fault, hasStepper bool, stepIdx int) decision {
+func (c *coordinator) arrive(done bool, fault error, hasStepper bool, stepIdx int) decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.anyFault = c.anyFault || fault
+	c.anyFault = c.anyFault || fault != nil
+	if rej := (rejection{}); c.rejected == nil && errors.As(fault, &rej) {
+		c.rejected = rej
+	}
 	c.allDone = c.allDone && done
 	c.allStep = c.allStep && hasStepper
 	if stepIdx < c.minIdx {
@@ -171,6 +178,9 @@ func (c *coordinator) arrive(done, fault, hasStepper bool, stepIdx int) decision
 func (c *coordinator) decide() decision {
 	if !c.anyFault && c.allDone {
 		return decision{kind: decideFinish}
+	}
+	if c.rejected != nil {
+		return decision{kind: decideReject, err: c.rejected}
 	}
 	c.recoveries++
 	if c.recoveries > c.o.MaxRecoveries {
@@ -247,6 +257,9 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 		Chaos:         world.ChaosStats(),
 		Faults:        o.FS.FaultStats(),
 	}
+	if rej := (rejection{}); errors.As(runErr, &rej) {
+		return nil, stats, rej.error // as solver.Run returns it
+	}
 	if runErr != nil {
 		return nil, stats, runErr
 	}
@@ -283,7 +296,7 @@ func (h *rankHarness) run() (*solver.Result, error) {
 		if st != nil {
 			idx = st.StepIndex()
 		}
-		dec := h.coord.arrive(segErr == nil, segErr != nil, st != nil, idx)
+		dec := h.coord.arrive(segErr == nil, segErr, st != nil, idx)
 	decisions:
 		for {
 			switch dec.kind {
@@ -295,6 +308,8 @@ func (h *rankHarness) run() (*solver.Result, error) {
 						ErrRecoveryBudget, h.comm.Rank(), segErr)
 				}
 				return nil, ErrRecoveryBudget
+			case decideReject:
+				return nil, dec.err
 			case decideRebuild:
 				// No coordinated checkpoint usable by every rank: rebuild
 				// rank state from scratch and replay the whole run.
@@ -327,7 +342,7 @@ func (h *rankHarness) run() (*solver.Result, error) {
 					// the next round elects an older step or a rebuild.
 					h.world.Abort()
 					segErr = lerr
-					dec = h.coord.arrive(false, true, true, st.StepIndex())
+					dec = h.coord.arrive(false, lerr, true, st.StepIndex())
 					continue decisions
 				}
 				break decisions
@@ -335,6 +350,12 @@ func (h *rankHarness) run() (*solver.Result, error) {
 		}
 	}
 }
+
+// rejection is an error NewStepper returned rather than panicked with: the
+// options or the model are unusable (an unphysical material, an unstable
+// Dt), every rank returns it from the same agreed values, and a rebuild
+// would meet it again.
+type rejection struct{ error }
 
 // runSegment runs setup (if needed) and the checkpointed step loop to
 // completion, converting every panic the chaos layer can throw — injected
@@ -353,7 +374,7 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 	if *stp == nil {
 		st, nerr := solver.NewStepper(h.comm, h.o.Query, h.dc, h.opt)
 		if nerr != nil {
-			return nil, nerr
+			return nil, rejection{nerr}
 		}
 		*stp = st
 	}

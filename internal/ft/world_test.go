@@ -200,6 +200,35 @@ func TestCrashDuringSetupRebuilds(t *testing.T) {
 	assertBitIdentical(t, ref, res)
 }
 
+// A set-up error every rank returns — here an explicit Dt above the stable
+// step — is a rejection, not a fault: RunWorld returns solver.Run's error
+// without a rebuild, or after the one a crash in the set-up's collective
+// forces, where it used to rebuild until the recovery budget ran out.
+func TestUnstableDtRejectedWithoutReplay(t *testing.T) {
+	q := worldQuerier()
+	opt := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
+	opt.Dt = 0.1
+	_, want := solver.Run(q, opt)
+	if want == nil {
+		t.Fatal("solver.Run accepted Dt 0.1")
+	}
+	for _, tc := range []struct {
+		name     string
+		chaos    *mpi.ChaosPlan
+		rebuilds int
+	}{{"clean", nil, 0}, {"setup crash", &mpi.ChaosPlan{Seed: 3, CrashAtSend: map[int]uint64{1: 1}}, 1}} {
+		_, stats, err := RunWorld(WorldOptions{
+			Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8, Chaos: tc.chaos,
+		})
+		if err == nil || err.Error() != want.Error() || errors.Is(err, ErrRecoveryBudget) {
+			t.Errorf("%s: RunWorld says %v, solver.Run %v", tc.name, err, want)
+		}
+		if stats.Rebuilds != tc.rebuilds || stats.Checkpoints != 0 {
+			t.Errorf("%s: %d rebuilds, %d checkpoints, want %d and 0", tc.name, stats.Rebuilds, stats.Checkpoints, tc.rebuilds)
+		}
+	}
+}
+
 // The acceptance scenario for FindLatestValid at world scope: the
 // newest coordinated checkpoint is damaged — truncated on one rank,
 // bit-flipped on the other — so recovery must elect the PREVIOUS
