@@ -63,10 +63,30 @@ func Read(fsys *pfs.FS, dir string, rank, step int, secs []grid.Section, rec ...
 	case got != int64(step):
 		return fmt.Errorf("checkpoint: %s holds step %d", path, got)
 	case !slices.Equal(tab, tableOf(secs)):
-		return fmt.Errorf("checkpoint: %s: %d sections, not the rank's %d: %w", path, len(tab), len(secs), ErrTable)
+		return fmt.Errorf("checkpoint: %s: %s: %w", path, tableDiff(tab, tableOf(secs)), ErrTable)
 	}
 	fill(secs, vals)
 	return nil
+}
+
+// tableDiff describes the first entry where a file's section table differs
+// from the rank's, which it does.
+func tableDiff(file, rank []entry) string {
+	for i := range min(len(file), len(rank)) {
+		f, r := file[i], rank[i]
+		switch {
+		case f.name != r.name:
+			return fmt.Sprintf("section %d is %q, the rank's is %q", i, f.name, r.name)
+		case f.kind != r.kind:
+			return fmt.Sprintf("section %q holds %d-byte values, the rank's %d-byte", f.name, f.kind, r.kind)
+		case f.count != r.count:
+			return fmt.Sprintf("section %q holds %d values, the rank's %d", f.name, f.count, r.count)
+		}
+	}
+	if len(file) > len(rank) {
+		return fmt.Sprintf("%d sections, the rank's %d: %q is not the rank's", len(file), len(rank), file[len(rank)].name)
+	}
+	return fmt.Sprintf("%d sections, the rank's %d: %q is missing", len(file), len(rank), rank[len(file)].name)
 }
 
 // Save writes one rank's wavefield and, when atten is not nil, its memory

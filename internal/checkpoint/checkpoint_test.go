@@ -2,7 +2,9 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -166,6 +168,86 @@ func TestGhostFramedPMLCheckpointRejected(t *testing.T) {
 	}
 }
 
+// TestGhostFramedMemoryVariableCheckpointRejected: a checkpoint written
+// while the memory variables carried a ghost frame lists zxx…zyz at the
+// padded length. Read into a rank whose memory variables hold only its cells,
+// it must fail as a section table mismatch that names zxx and both of its
+// sizes, and fill nothing.
+func TestGhostFramedMemoryVariableCheckpointRejected(t *testing.T) {
+	d := grid.Dims{NX: 10, NY: 8, NZ: 6}
+	m := makeMedium(t, d)
+	framedLen := len(grid.NewField3(d).Data())
+	old := fd.NewState(d).Sections()
+	for _, sec := range attenuation.New(m, attenuation.DefaultBand, 0.001).Sections() {
+		if len(sec.F32) != d.Cells() {
+			t.Fatalf("%s holds %d values, want the subgrid's %d cells", sec.Name, len(sec.F32), d.Cells())
+		}
+		old = append(old, grid.Section{Name: sec.Name, F32: make([]float32, framedLen)})
+	}
+	fsys := testFS()
+	if _, err := Write(fsys, "ckpt", 0, 4, old); err != nil {
+		t.Fatal(err)
+	}
+	s, a := fd.NewState(d), attenuation.New(m, attenuation.DefaultBand, 0.001)
+	secs := append(s.Sections(), a.Sections()...)
+	for _, sec := range secs {
+		for n := range sec.F32 {
+			sec.F32[n] = -1
+		}
+	}
+	err := Load(fsys, "ckpt", 0, 4, s, a)
+	if !errors.Is(err, ErrTable) {
+		t.Fatalf("Load of a ghost-framed memory-variable checkpoint: %v, want ErrTable", err)
+	}
+	for _, want := range []string{`"zxx"`, fmt.Sprint(framedLen), fmt.Sprint(d.Cells())} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
+		}
+	}
+	for _, sec := range secs {
+		for n, v := range sec.F32 {
+			if v != -1 {
+				t.Fatalf("%s[%d] = %g filled from a rejected checkpoint", sec.Name, n, v)
+			}
+		}
+	}
+}
+
+// TestTableMismatchNamesTheSection: Read's error names the first section
+// where the file's table and the rank's part — by name, value kind, count,
+// an extra section or a missing one.
+func TestTableMismatchNamesTheSection(t *testing.T) {
+	secs := func(names ...string) []grid.Section {
+		var out []grid.Section
+		for _, n := range names {
+			out = append(out, grid.Section{Name: n, F32: make([]float32, 3)})
+		}
+		return out
+	}
+	wide := append(secs("a"), grid.Section{Name: "b", F64: make([]float64, 3)})
+	long := append(secs("a"), grid.Section{Name: "b", F32: make([]float32, 5)})
+	for _, tc := range []struct {
+		name       string
+		file, rank []grid.Section
+		want       string
+	}{
+		{"name", secs("a", "b"), secs("a", "c"), `section 1 is "b", the rank's is "c"`},
+		{"kind", wide, secs("a", "b"), `section "b" holds 8-byte values, the rank's 4-byte`},
+		{"count", long, secs("a", "b"), `section "b" holds 5 values, the rank's 3`},
+		{"extra", secs("a", "b", "c"), secs("a", "b"), `3 sections, the rank's 2: "c" is not the rank's`},
+		{"missing", secs("a"), secs("a", "b"), `1 sections, the rank's 2: "b" is missing`},
+	} {
+		fsys := testFS()
+		if _, err := Write(fsys, "ckpt", 0, 1, tc.file); err != nil {
+			t.Fatal(err)
+		}
+		err := Read(fsys, "ckpt", 0, 1, tc.rank)
+		if !errors.Is(err, ErrTable) || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: %v, want ErrTable saying %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // l1Line returns which of the 64 cache lines of the 4 KiB period of the L1
 // set index f's backing array starts on. unsafe is confined to this test: it
 // reads an address, which the placement code itself never needs to.
@@ -179,14 +261,19 @@ func l1Line(t *testing.T, f *grid.Field3) int {
 }
 
 // TestHotArraysSpreadOverL1Sets pins the placement rule of grid.LaneFields on
-// the arrays a rank's sweeps stream together — the nine wavefield components,
-// the 12 medium arrays and the eight attenuation arrays: all 29 start on
-// different cache lines modulo 4 KiB, so equal offsets of them fall in
-// different L1 sets, and so do the 24 splits of a PML zone among themselves;
-// a second build lands on the same lines (nothing depends on allocation order
-// or a counter); State.Clone keeps them; and an owner's arrays lie within a page plus two cache lines a field of their
-// total size — the whole cost of the placement. A checkpoint round trip then
-// restores a placed state byte for byte, in place.
+// the arrays a rank's sweeps stream together, in their two shapes: the
+// padded group — the nine wavefield components, Rho and Mu — and the dense
+// group — the eight medium coefficients and the eight attenuation arrays.
+// Each group's arrays start on different cache lines modulo 4 KiB, so equal
+// offsets of them fall in different L1 sets, and so do the 24 splits of a
+// PML zone among themselves; the two groups' offsets of one cell differ by a
+// row pitch that varies along the grid, so the test walks every cell and
+// holds each L1 set to at most two of the 27 lines the cell's values lie on.
+// A second build lands on the same lines (nothing depends on allocation
+// order or a counter); State.Clone keeps them; and an owner's arrays lie
+// within a page plus two cache lines a field of their total size — the
+// whole cost of the placement. A checkpoint round trip then restores a
+// placed state byte for byte, in place.
 func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 	type build struct {
 		s   *fd.State
@@ -194,9 +281,11 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		a   *attenuation.Model
 		pml *boundary.PML
 	}
-	// owners lists each owner's arrays in allocation order; the first three
-	// owners are streamed together.
-	owners := func(b build) [4][]*grid.Field3 {
+	const padded, dense, zone = 0, 1, 2
+	// owners lists each owner's arrays in allocation order, and group the
+	// shape each owner's arrays have.
+	group := []int{padded, padded, dense, dense, zone}
+	owners := func(b build) [][]*grid.Field3 {
 		m := b.m
 		var splits []*grid.Field3
 		for _, sp := range b.pml.Splits() {
@@ -206,9 +295,10 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 				}
 			}
 		}
-		return [4][]*grid.Field3{
+		return [][]*grid.Field3{
 			b.s.Fields(),
-			{m.Rho, m.Lam, m.Mu, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS},
+			{m.Rho, m.Mu},
+			{m.Lam, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu},
 			{b.a.ZXX, b.a.ZYY, b.a.ZZZ, b.a.ZXY, b.a.ZXZ, b.a.ZYZ, b.a.DLam, b.a.DMu},
 			splits,
 		}
@@ -230,23 +320,22 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		}
 		first := mk()
 		own, again := owners(first), owners(mk())
-		if n := len(own[0]) + len(own[1]) + len(own[2]); n != 29 || len(own[3]) != 24 {
-			t.Fatalf("%d + %d hot arrays, want 29 + 24", n, len(own[3]))
-		}
-		// Distinct lines: the 29 global arrays as one family, the splits as
-		// another (a zone has its own shape, hence its own stride).
-		global, zone := map[int]bool{}, map[int]bool{}
+		count := [3]int{}
 		for oi, fields := range own {
-			seen := global
-			if oi == 3 {
-				seen = zone
-			}
+			count[group[oi]] += len(fields)
+		}
+		if count != [3]int{11, 16, 24} {
+			t.Fatalf("%v padded, dense and zone hot arrays, want 11, 16 and 24", count)
+		}
+		// Distinct lines within each group.
+		seen := [3]map[int]bool{{}, {}, {}}
+		for oi, fields := range own {
 			for fi, f := range fields {
 				line := l1Line(t, f)
-				if seen[line] {
-					t.Errorf("%s: owner %d array %d starts in an L1 set another hot array starts in", tag, oi, fi)
+				if seen[group[oi]][line] {
+					t.Errorf("%s: owner %d array %d starts in an L1 set another array of its shape starts in", tag, oi, fi)
 				}
-				seen[line] = true
+				seen[group[oi]][line] = true
 				if l1Line(t, again[oi][fi]) != line {
 					t.Errorf("%s: owner %d array %d moved between two builds", tag, oi, fi)
 				}
@@ -259,6 +348,26 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 				t.Errorf("%s: owner %d spends %d bytes on placing %d arrays", tag, oi, over, len(fields))
 			}
 		}
+		// Every cell: the lines its 27 values lie on, at most two a set.
+		var hot []*grid.Field3
+		for oi, fields := range own {
+			if group[oi] != zone {
+				hot = append(hot, fields...)
+			}
+		}
+		for k := 0; k < d.NZ; k++ {
+			for j := 0; j < d.NY; j++ {
+				for i := 0; i < d.NX; i++ {
+					var sets [64]int
+					for fi, f := range hot {
+						set := (l1Line(t, f) + f.Idx(i, j, k)/16) % 64
+						if sets[set]++; sets[set] > 2 {
+							t.Fatalf("%s: cell (%d,%d,%d): array %d is the third line in L1 set %d", tag, i, j, k, fi, set)
+						}
+					}
+				}
+			}
+		}
 		for fi, f := range first.s.Clone().Fields() {
 			if l1Line(t, f) != l1Line(t, own[0][fi]) {
 				t.Errorf("%s: Clone moved %s", tag, fd.FieldNames[fi])
@@ -267,7 +376,7 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 
 		// Save a filled state, load it into a second build: same bytes, and
 		// the arrays stay where they were placed.
-		saved := append(first.s.Fields(), own[2][:6]...) // the memory variables
+		saved := append(first.s.Fields(), own[3][:6]...) // the memory variables
 		for fi, f := range saved {
 			for n := range f.Data() {
 				f.Data()[n] = float32(fi+1) * float32(n%97-48) * 1e-3
@@ -278,7 +387,7 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 			t.Fatal(err)
 		}
 		second := mk()
-		loaded := append(second.s.Fields(), owners(second)[2][:6]...)
+		loaded := append(second.s.Fields(), owners(second)[3][:6]...)
 		var before []int
 		for _, f := range loaded {
 			before = append(before, l1Line(t, f))

@@ -104,18 +104,20 @@ type Model struct {
 	// decomposed run matches a single-rank run exactly.
 	Origin [3]int
 
-	// Memory variables, one per stress component.
+	// Memory variables, one per stress component, and the per-point
+	// coarse-grain-normalized modulus deficits: dense on the subgrid's
+	// cells, as the medium's coefficients are, for a sweep reads each at
+	// the cell it updates only.
 	ZXX, ZYY, ZZZ *grid.Field3
 	ZXY, ZXZ, ZYZ *grid.Field3
-
-	// Per-point coarse-grain-normalized modulus deficits.
-	DLam, DMu *grid.Field3
+	DLam, DMu     *grid.Field3
 }
 
 // New builds the attenuation model for medium m over band, discretized at
-// time step dt (Apply panics if called with a different dt).
+// time step dt (Apply panics if called with a different dt). It reads m.QS,
+// which must still be there.
 func New(m *medium.Medium, band Band, dt float64) *Model {
-	nf := grid.LaneFields(m.Dims, grid.Ghost, grid.LaneAttenuation, 8)
+	nf := grid.LaneFields(m.Dims, 0, grid.LaneAttenuation, 8)
 	a := &Model{
 		Dims: m.Dims,
 		Band: band,
@@ -147,7 +149,8 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 	return a
 }
 
-// Sections names the six padded memory-variable arrays as restart sections.
+// Sections names the six memory-variable arrays, one value a cell of the
+// subgrid, as restart sections.
 func (a *Model) Sections() []grid.Section {
 	return []grid.Section{{Name: "zxx", F32: a.ZXX.Data()}, {Name: "zyy", F32: a.ZYY.Data()},
 		{Name: "zzz", F32: a.ZZZ.Data()}, {Name: "zxy", F32: a.ZXY.Data()},

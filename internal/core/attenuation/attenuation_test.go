@@ -106,7 +106,6 @@ func TestApplyDtMismatchPanics(t *testing.T) {
 func TestZeroQDisablesAttenuation(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 8, NZ: 8}
 	m := makeMedium(t, cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), d, 100)
-	m.QP.Fill(0)
 	m.QS.Fill(0)
 	dt := m.StableDt(0.5)
 	a := New(m, DefaultBand, dt)
@@ -149,7 +148,6 @@ func TestAmplitudeDecayMatchesQ(t *testing.T) {
 	d := grid.Dims{NX: nx, NY: 4, NZ: 4}
 	m := makeMedium(t, cvm.Homogeneous(mat), d, h)
 	targetQ := 50.0
-	m.QP.Fill(float32(2 * targetQ))
 	m.QS.Fill(float32(targetQ))
 
 	L := float64(nx) * h
@@ -239,16 +237,18 @@ func TestNoDecayWithoutAttenuation(t *testing.T) {
 }
 
 // refDeficits is the pointwise form of the deficit sweep — New's loop before
-// it became deficits in rows.go — kept as its oracle.
-func refDeficits(a *Model, m *medium.Medium) {
+// it became deficits in rows.go — kept as its oracle: the quality factors
+// are the model's at each cell of subgrid sub, rounded to float32 one by one
+// as a medium stored them when it held Qp, so it holds the sweep's 2·QS to
+// the Qp it replaced.
+func refDeficits(a *Model, m *medium.Medium, q cvm.Querier, sub decomp.Sub) {
 	norm := float64(NRelax) / ensembleLoss(a.Taus, a.Band.CenterOmega())
-	g := grid.Ghost
 	d := m.Dims
-	for k := -g; k < d.NZ+g; k++ {
-		for j := -g; j < d.NY+g; j++ {
-			for i := -g; i < d.NX+g; i++ {
-				qp := float64(m.QP.At(i, j, k))
-				qs := float64(m.QS.At(i, j, k))
+	for k := 0; k < d.NZ; k++ {
+		for j := 0; j < d.NY; j++ {
+			for i := 0; i < d.NX; i++ {
+				qp64, qs64 := q.Query(float64(sub.OffX+i)*m.H, float64(sub.OffY+j)*m.H, float64(sub.OffZ+k)*m.H).Quality()
+				qp, qs := float64(float32(qp64)), float64(float32(qs64))
 				lam2mu := float64(m.Lam.At(i, j, k)) + 2*float64(m.Mu.At(i, j, k))
 				mu := float64(m.Mu.At(i, j, k))
 				var dl, dm float64
@@ -269,14 +269,14 @@ func refDeficits(a *Model, m *medium.Medium) {
 }
 
 // TestDeficitsRowsMatchPointwise holds New's deficit sweep to refDeficits,
-// bit for bit over the padded DLam and DMu: on every subgrid of 1×1×1, 2×2×2
-// and 2×2×1 of the solve and pipeline benchmarks' SoCal shapes.
+// bit for bit over DLam and DMu: on every subgrid of 1×1×1, 2×2×2 and 2×2×1
+// of the solve and pipeline benchmarks' SoCal shapes.
 func TestDeficitsRowsMatchPointwise(t *testing.T) {
-	expect := func(tag string, m *medium.Medium) {
+	expect := func(tag string, m *medium.Medium, q cvm.Querier, sub decomp.Sub) {
 		t.Helper()
 		dt := m.StableDt(0.5)
 		got, want := New(m, DefaultBand, dt), New(m, DefaultBand, dt)
-		refDeficits(want, m)
+		refDeficits(want, m, q, sub)
 		for _, f := range [][2]*grid.Field3{{got.DLam, want.DLam}, {got.DMu, want.DMu}} {
 			for idx, v := range f[0].Data() {
 				if w := f[1].Data()[idx]; math.Float32bits(v) != math.Float32bits(w) {
@@ -297,7 +297,7 @@ func TestDeficitsRowsMatchPointwise(t *testing.T) {
 				t.Fatal(err)
 			}
 			for r := 0; r < topo.Size(); r++ {
-				expect(fmt.Sprintf("%v %v rank %d", d, topo, r), medium.FromCVM(q, dc, dc.SubFor(r), h))
+				expect(fmt.Sprintf("%v %v rank %d", d, topo, r), medium.FromCVM(q, dc, dc.SubFor(r), h), q, dc.SubFor(r))
 			}
 		}
 	}

@@ -20,27 +20,32 @@ import (
 //go:generate go run repro/scripts/lanegen attenuation
 
 // deficits fills DLam and DMu, norm being the coarse-grain normalization,
-// in one sweep over the padded arrays (the medium's share their layout);
-// refDeficits in attenuation_test.go is the pointwise oracle.
+// a row at a time over the subgrid's cells; refDeficits in
+// attenuation_test.go is the pointwise oracle. Qp is 2·Qs, and
+// float32(2·qs) is 2·float32(qs) wherever both are normal floats (a Vs
+// between 2·10⁻³⁶ and 3·10³⁹ m/s), so 2·QS stands in, bit for bit, for the
+// Qp array a medium no longer stores.
 func (a *Model) deficits(m *medium.Medium, norm float64) {
-	dlam := a.DLam.Data()
-	n := len(dlam)
-	dmu, qpr, qsr, lamr, mur := a.DMu.Data()[:n], m.QP.Data()[:n], m.QS.Data()[:n], m.Lam.Data()[:n], m.Mu.Data()[:n]
-	for i := range dlam {
-		qp, qs, mu, lam2mu := float64(qpr[i]), float64(qsr[i]), float64(mur[i]), float64(lamr[i])+2*float64(mur[i])
-		var dl, dm float64
-		if qs > 0 {
-			dm = norm * mu / qs
-		}
-		if qp > 0 {
-			// Qp controls the P modulus (lam+2mu); subtract the mu part so
-			// lambda's deficit is consistent.
-			dl = norm*lam2mu/qp - 2*dm
-			if dl < 0 {
-				dl = 0
+	d := a.Dims
+	for k := 0; k < d.NZ; k++ {
+		for j := 0; j < d.NY; j++ {
+			q0, n0 := a.DLam.Idx(0, j, k), m.Mu.Idx(0, j, k)
+			dlam, dmu := a.DLam.Data()[q0:][:d.NX], a.DMu.Data()[q0:][:d.NX]
+			qsr, lamr, mur := m.QS.Data()[q0:][:d.NX], m.Lam.Data()[q0:][:d.NX], m.Mu.Data()[n0:][:d.NX]
+			for i := range dlam {
+				qs, mu, lam2mu := float64(qsr[i]), float64(mur[i]), float64(lamr[i])+2*float64(mur[i])
+				var dl, dm float64
+				if qs > 0 {
+					dm = norm * mu / qs
+					// Qp controls the P modulus (lam+2mu); subtract the mu
+					// part so lambda's deficit is consistent.
+					if dl = norm*lam2mu/(2*qs) - 2*dm; dl < 0 {
+						dl = 0
+					}
+				}
+				dlam[i], dmu[i] = float32(dl), float32(dm)
 			}
 		}
-		dlam[i], dmu[i] = float32(dl), float32(dm)
 	}
 }
 
@@ -96,11 +101,13 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	}
 	fx, fy, fz := tp.Windows(box)
 	_, dy, dz := s.VX.Strides()
+	_, my, mz := a.ZXX.Strides()
 	// The walker's coefficient table for the box's first cell serves the Go
 	// loop too: only the x parity varies along a row, so row t of it holds
 	// the row's two mechanisms, alternating with i from lane 0.
 	tab := &a.walk[((box.I0+a.Origin[0])&1|((box.J0+a.Origin[1])&1)<<1|((box.K0+a.Origin[2])&1)<<2)&7]
-	fusedCells(box.I1-box.I0, box.J1-box.J0, box.K1-box.K0, s.VX.Idx(box.I0, box.J0, box.K0), dy, dz, float32(dt/m.H), fd.C1, fd.C2,
+	fusedCells(box.I1-box.I0, box.J1-box.J0, box.K1-box.K0, s.VX.Idx(box.I0, box.J0, box.K0), dy, dz,
+		a.ZXX.Idx(box.I0, box.J0, box.K0), my, mz, float32(dt/m.H), fd.C1, fd.C2,
 		s.VX.Data(), s.VY.Data(), s.VZ.Data(), s.XX.Data(), s.YY.Data(), s.ZZ.Data(), s.XY.Data(), s.XZ.Data(), s.YZ.Data(),
 		m.Lam.Data(), m.Lam2Mu.Data(), m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data(),
 		a.ZXX.Data(), a.ZYY.Data(), a.ZZZ.Data(), a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data(), a.DLam.Data(), a.DMu.Data(),
@@ -141,7 +148,7 @@ func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 			amP := [2]float32{amf[base], amf[base|1]}
 			cmP := [2]float32{cmf[base], cmf[base|1]}
 
-			n0 := s.VX.Idx(box.I0, j, k)
+			n0, q0 := s.VX.Idx(box.I0, j, k), a.ZXX.Idx(box.I0, j, k)
 			uc := u[n0:][:ni]
 			um2x := u[n0-2:][:ni]
 			um1x := u[n0-1:][:ni]
@@ -178,14 +185,14 @@ func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 			xyr := xy[n0:][:ni]
 			xzr := xz[n0:][:ni]
 			yzr := yz[n0:][:ni]
-			zxxr := zxx[n0:][:ni]
-			zyyr := zyy[n0:][:ni]
-			zzzr := zzz[n0:][:ni]
-			zxyr := zxy[n0:][:ni]
-			zxzr := zxz[n0:][:ni]
-			zyzr := zyz[n0:][:ni]
-			dlamr := dlam[n0:][:ni]
-			dmur := dmu[n0:][:ni]
+			zxxr := zxx[q0:][:ni]
+			zyyr := zyy[q0:][:ni]
+			zzzr := zzz[q0:][:ni]
+			zxyr := zxy[q0:][:ni]
+			zxzr := zxz[q0:][:ni]
+			zyzr := zyz[q0:][:ni]
+			dlamr := dlam[q0:][:ni]
+			dmur := dmu[q0:][:ni]
 			for i := range xxr {
 				// Strain increments over this step (dt * strain rate);
 				// shear components are engineering strain, matching the

@@ -20,7 +20,8 @@ func mechAt(i, j, k int) int {
 
 // applyPointwise is the memory-variable pass as it was first written — one
 // Idx, one mechAt, one closure and bounds-checked whole-array indexing per
-// cell — kept as the oracle of the row sweeps in rows.go.
+// cell — kept as the oracle of the row sweeps in rows.go. Cell n of the
+// padded wavefield is cell c of the dense memory variables and deficits.
 func applyPointwise(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
@@ -42,7 +43,7 @@ func applyPointwise(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.
 	for k := box.K0; k < box.K1; k++ {
 		for j := box.J0; j < box.J1; j++ {
 			for i := box.I0; i < box.I1; i++ {
-				n := s.VX.Idx(i, j, k)
+				n, c := s.VX.Idx(i, j, k), a.ZXX.Idx(i, j, k)
 				mm := mechAt(i+a.Origin[0], j+a.Origin[1], k+a.Origin[2])
 				am, cm := amf[mm], cmf[mm]
 
@@ -59,8 +60,8 @@ func applyPointwise(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.
 				eyz := dh * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
 					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
 
-				dl2m := dlam[n] + 2*dmu[n]
-				trace := dlam[n] * (exx + eyy + ezz)
+				dl2m := dlam[c] + 2*dmu[c]
+				trace := dlam[c] * (exx + eyy + ezz)
 
 				// zeta' = am*zeta + cm*deltaM*deps, constitutive-shaped;
 				// the SLS stress is sigma = M_R*eps + zeta (the elastic
@@ -71,12 +72,12 @@ func applyPointwise(a *Model, s *fd.State, m *medium.Medium, dt float64, box fd.
 					*sig += zn - *z
 					*z = zn
 				}
-				upd(&zxx[n], dl2m*exx+trace-dlam[n]*exx, &xx[n])
-				upd(&zyy[n], dl2m*eyy+trace-dlam[n]*eyy, &yy[n])
-				upd(&zzz[n], dl2m*ezz+trace-dlam[n]*ezz, &zz[n])
-				upd(&zxy[n], dmu[n]*exy, &xy[n])
-				upd(&zxz[n], dmu[n]*exz, &xz[n])
-				upd(&zyz[n], dmu[n]*eyz, &yz[n])
+				upd(&zxx[c], dl2m*exx+trace-dlam[c]*exx, &xx[n])
+				upd(&zyy[c], dl2m*eyy+trace-dlam[c]*eyy, &yy[n])
+				upd(&zzz[c], dl2m*ezz+trace-dlam[c]*ezz, &zz[n])
+				upd(&zxy[c], dmu[c]*exy, &xy[n])
+				upd(&zxz[c], dmu[c]*exz, &xz[n])
+				upd(&zyz[c], dmu[c]*eyz, &yz[n])
 			}
 		}
 	}
@@ -281,7 +282,8 @@ var walkerDims = grid.Dims{NX: 58, NY: 6, NZ: 7}
 // walkerBoxes are tiles of 1×1, 1×3, 3×1 and 4×3 rows (j×k) of 1–17, 20,
 // 28 and 56 cells from odd and even starts on all three axes — under
 // parityOrigins, every row parity of the walker's coefficient table — and
-// the tiles that end at the arrays' last value.
+// the tiles that end at the last value of the dense arrays (the medium's
+// coefficients and the memory variables).
 func walkerBoxes() []fd.Box {
 	d := walkerDims
 	var boxes []fd.Box
@@ -293,7 +295,7 @@ func walkerBoxes() []fd.Box {
 		}
 	}
 	for _, n := range []int{5, 12, 21} {
-		boxes = append(boxes, fd.Box{I0: d.NX + 2 - n, I1: d.NX + 2, J0: d.NY - 1, J1: d.NY + 2, K0: d.NZ - 3, K1: d.NZ})
+		boxes = append(boxes, fd.Box{I0: d.NX - n, I1: d.NX, J0: d.NY - 3, J1: d.NY, K0: d.NZ - 3, K1: d.NZ})
 	}
 	return boxes
 }
@@ -534,14 +536,13 @@ func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 		m := makeMedium(t, cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), d, 100)
 		// Random per-point Q scatter, with ~1/8 of points lossless.
 		rng := rand.New(rand.NewSource(seed))
-		qpd, qsd := m.QP.Data(), m.QS.Data()
-		for n := range qpd {
+		qsd := m.QS.Data()
+		for n := range qsd {
 			qs := rng.Float64() * 200
 			if rng.Intn(8) == 0 {
 				qs = 0
 			}
 			qsd[n] = float32(qs)
-			qpd[n] = float32(2 * qs)
 		}
 		dt := m.StableDt(0.5)
 		box := fd.Box{

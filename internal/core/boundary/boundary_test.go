@@ -451,9 +451,20 @@ func refApplyStress(fs *FreeSurface, s *fd.State) {
 	}
 }
 
+// surfaceModuli returns lam and lam+2mu at node (i, j, 0) of a one-rank
+// medium sampled from q at spacing h, as medium computes and rounds them.
+func surfaceModuli(q cvm.Querier, h float64, i, j int) (lam, l2m float32) {
+	mat := q.Query(float64(i)*h, float64(j)*h, 0)
+	mu := mat.Rho * mat.Vs * mat.Vs
+	lam = float32(mat.Rho*mat.Vp*mat.Vp - 2*mu)
+	return lam, lam + 2*float32(mu)
+}
+
 // refApplyVelocity is FreeSurface.ApplyVelocity as it was first written,
-// the oracle of the row windows.
-func refApplyVelocity(fs *FreeSurface, s *fd.State, m *medium.Medium) {
+// the oracle of the row windows, on the one-rank medium of q at spacing h:
+// it reads lam and lam+2mu of each node, which no array holds beyond the
+// subgrid.
+func refApplyVelocity(fs *FreeSurface, s *fd.State, q cvm.Querier, h float64) {
 	d := fs.Dims
 	g := grid.Ghost
 	for j := -g + 1; j < d.NY+g-1; j++ {
@@ -463,8 +474,7 @@ func refApplyVelocity(fs *FreeSurface, s *fd.State, m *medium.Medium) {
 			s.VY.Set(i, j, -1, s.VY.At(i, j, 0))
 			s.VY.Set(i, j, -2, s.VY.At(i, j, 1))
 
-			lam := m.Lam.At(i, j, 0)
-			l2m := m.Lam2Mu.At(i, j, 0)
+			lam, l2m := surfaceModuli(q, h, i, j)
 			div := (s.VX.At(i, j, 0) - s.VX.At(i-1, j, 0)) +
 				(s.VY.At(i, j, 0) - s.VY.At(i, j-1, 0))
 			w0 := s.VZ.At(i, j, 0)
@@ -479,10 +489,19 @@ func refApplyVelocity(fs *FreeSurface, s *fd.State, m *medium.Medium) {
 // pointwise oracles bit for bit, every padded value of the nine fields, over
 // states of random-exponent values (±0, subnormals and values far apart in
 // one divergence) on a heterogeneous medium, on grids whose rows are odd and
-// even and one cell wide.
+// even and one cell wide. The oracle's moduli are the medium's Lam and
+// Lam2Mu on the subgrid's surface cells.
 func TestFreeSurfaceRowsMatchPointwise(t *testing.T) {
 	for _, d := range []grid.Dims{{NX: 7, NY: 5, NZ: 4}, {NX: 12, NY: 9, NZ: 5}, {NX: 1, NY: 3, NZ: 4}} {
-		m := makeMedium(t, cvm.SoCal(float64(d.NX)*100, float64(d.NY)*100, float64(d.NZ)*100, 400), d, 100)
+		q := cvm.SoCal(float64(d.NX)*100, float64(d.NY)*100, float64(d.NZ)*100, 400)
+		m := makeMedium(t, q, d, 100)
+		for j := 0; j < d.NY; j++ {
+			for i := 0; i < d.NX; i++ {
+				if lam, l2m := surfaceModuli(q, 100, i, j); lam != m.Lam.At(i, j, 0) || l2m != m.Lam2Mu.At(i, j, 0) {
+					t.Fatalf("%v (%d,%d): oracle's moduli %g/%g, the medium's %g/%g", d, i, j, lam, l2m, m.Lam.At(i, j, 0), m.Lam2Mu.At(i, j, 0))
+				}
+			}
+		}
 		fs := NewFreeSurface(d)
 		rng := rand.New(rand.NewSource(int64(d.NX)))
 		for round := 0; round < 3; round++ {
@@ -490,7 +509,7 @@ func TestFreeSurfaceRowsMatchPointwise(t *testing.T) {
 			fillFront(rng, ref.Fields())
 			scatter(rng, 5, ref.Fields())
 			got := ref.Clone()
-			refApplyVelocity(fs, ref, m)
+			refApplyVelocity(fs, ref, q, 100)
 			fs.ApplyVelocity(got, m)
 			refApplyStress(fs, ref)
 			fs.ApplyStress(got)
@@ -916,20 +935,20 @@ func refPMLUpdateVelocity(pm *PML, sh refPMLShell, s *fd.State, m *medium.Medium
 	for k := z.K0; k < z.K1; k++ {
 		for j := z.J0; j < z.J1; j++ {
 			for i := z.I0; i < z.I1; i++ {
-				n := s.VX.Idx(i, j, k)
+				n, c := s.VX.Idx(i, j, k), m.Lam.Idx(i, j, k)
 				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
 				cf := refPMLCellCoef(coef, sh, i, j, k)
 
 				// Directional force terms (already scaled by dt/h and 1/rho).
-				uTx := dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
-				uTy := dth * bx[n] * (c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]))
-				uTz := dth * bx[n] * (c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				vTx := dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]))
-				vTy := dth * by[n] * (c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]))
-				vTz := dth * by[n] * (c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				wTx := dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]))
-				wTy := dth * bz[n] * (c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]))
-				wTz := dth * bz[n] * (c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+				uTx := dth * bx[c] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
+				uTy := dth * bx[c] * (c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]))
+				uTz := dth * bx[c] * (c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
+				vTx := dth * by[c] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]))
+				vTy := dth * by[c] * (c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]))
+				vTz := dth * by[c] * (c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
+				wTx := dth * bz[c] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]))
+				wTy := dth * bz[c] * (c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]))
+				wTz := dth * bz[c] * (c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
 
 				var sum [3]float32
 				for sdir := 0; sdir < 3; sdir++ {
@@ -975,7 +994,7 @@ func refPMLUpdateStress(pm *PML, sh refPMLShell, s *fd.State, m *medium.Medium, 
 	for k := z.K0; k < z.K1; k++ {
 		for j := z.J0; j < z.J1; j++ {
 			for i := z.I0; i < z.I1; i++ {
-				n := s.VX.Idx(i, j, k)
+				n, c := s.VX.Idx(i, j, k), m.Lam.Idx(i, j, k)
 				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
 				cf := refPMLCellCoef(coef, sh, i, j, k)
 
@@ -991,12 +1010,12 @@ func refPMLUpdateStress(pm *PML, sh refPMLShell, s *fd.State, m *medium.Medium, 
 
 				// Per-direction contributions to each stress component.
 				type contrib struct{ tx, ty, tz float32 }
-				cXX := contrib{l2m[n] * exx, lam[n] * eyy, lam[n] * ezz}
-				cYY := contrib{lam[n] * exx, l2m[n] * eyy, lam[n] * ezz}
-				cZZ := contrib{lam[n] * exx, lam[n] * eyy, l2m[n] * ezz}
-				cXY := contrib{mxy[n] * dvx, mxy[n] * duy, 0}
-				cXZ := contrib{mxz[n] * dwx, 0, mxz[n] * duz}
-				cYZ := contrib{0, myz[n] * dwy, myz[n] * dvz}
+				cXX := contrib{l2m[c] * exx, lam[c] * eyy, lam[c] * ezz}
+				cYY := contrib{lam[c] * exx, l2m[c] * eyy, lam[c] * ezz}
+				cZZ := contrib{lam[c] * exx, lam[c] * eyy, l2m[c] * ezz}
+				cXY := contrib{mxy[c] * dvx, mxy[c] * duy, 0}
+				cXZ := contrib{mxz[c] * dwx, 0, mxz[c] * duz}
+				cYZ := contrib{0, myz[c] * dwy, myz[c] * dvz}
 
 				var sXX, sYY, sZZ, sXY, sXZ, sYZ float32
 				for sdir := 0; sdir < 3; sdir++ {

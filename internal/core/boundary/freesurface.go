@@ -71,7 +71,8 @@ func (fs *FreeSurface) ApplyStress(s *fd.State) {
 // ApplyVelocity writes the velocity ghost images above the surface. Call
 // after every velocity update. Horizontal velocities are mirrored
 // (d/dz -> 0 at the surface); the vertical velocity image enforces the
-// zero normal traction: (lam+2mu) dw/dz = -lam (du/dx + dv/dy). Rows as in
+// zero normal traction: (lam+2mu) dw/dz = -lam (du/dx + dv/dy), lam/(lam+2mu)
+// read from m.SurfaceRatio, whose rows are this pass's. Rows as in
 // ApplyStress; refApplyVelocity in boundary_test.go is the pointwise oracle.
 func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 	d := fs.Dims
@@ -80,7 +81,6 @@ func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 	// the outermost ghost row and column have no image.
 	ni := d.NX + 2*g - 2
 	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
 	_, dy, dz := s.VX.Strides()
 	for j := -g + 1; j < d.NY+g-1; j++ {
 		n0 := s.VX.Idx(-g+1, j, 0)
@@ -97,9 +97,7 @@ func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 		w0 := w[n0:][:ni]
 		wm1 := w[n0-dz:][:ni]
 		wm2 := w[n0-2*dz:][:ni]
-		nm := m.Lam.Idx(-g+1, j, 0)
-		lamr := lam[nm:][:ni]
-		l2mr := l2m[nm:][:ni]
+		ratio := m.SurfaceRatio[(j+1)*ni:][:ni]
 		for i := range u0 {
 			um1[i] = u0[i]
 			um2[i] = u1[i]
@@ -110,7 +108,7 @@ func (fs *FreeSurface) ApplyVelocity(s *fd.State, m *medium.Medium) {
 			div := (u0[i] - u0m1x[i]) + (v0[i] - v0m1y[i])
 			w0i := w0[i]
 			// The conversion keeps the product out of a fused add (arm64).
-			wm1i := w0i + float32(lamr[i]/l2mr[i]*div)
+			wm1i := w0i + float32(ratio[i]*div)
 			wm1[i] = wm1i
 			wm2[i] = 2*wm1i - w0i
 		}

@@ -10,12 +10,13 @@ import (
 // The PML box kernels sweep a zone tile row by row, as fd's production
 // sweeps do (fd/rows.go): per (j,k) row, one length-ni window a[n0+off:][:ni]
 // per field and stencil offset, so the inner loops carry no bounds check
-// (guarded by scripts/check_bce.sh). A row reads three kinds of array, each
+// (guarded by scripts/check_bce.sh). A row reads four kinds of array, each
 // with its own row and plane strides:
 //
-//   - the nine global fields and the medium, at n0 on the padded grid: the
-//     stencil of one field family, the medium and the other family's cell,
-//     which is written;
+//   - the nine global fields, at n0 on the padded grid: the stencil of one
+//     field family and the other family's cell, which is written;
+//   - the medium's coefficients, at m0 on the subgrid's cells: dense, read
+//     at the cell only;
 //   - the zone's 24 splits, at l0 on the zone's own cells (local index =
 //     global − zone origin): read and written at the cell only, so they are
 //     dense, with no ghost frame — a row is nx values apart and a plane
@@ -59,17 +60,18 @@ func (pm *PML) velocitySweep(s *fd.State, m *medium.Medium, dt float64, b fd.Box
 	pm.checkBox(dt, b)
 	sx, sy, sz := pm.split[0], pm.split[1], pm.split[2]
 	n0, dy, dz, l0, ldy, ldz, c0 := pm.origins(s, b)
-	pmlVelocityCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, n0, dy, dz, l0, ldy, ldz, c0, pm.coefRow, pm.coefPlane,
-		pm.Zone.I1-pm.Zone.I0, float32(dt/m.H), fd.C1, fd.C2,
-		s.VX.Data(), s.VY.Data(), s.VZ.Data(), m.BX.Data(), m.BY.Data(), m.BZ.Data(),
-		s.XX.Data(), s.XY.Data(), s.XZ.Data(), s.YY.Data(), s.YZ.Data(), s.ZZ.Data(),
+	_, my, mz := m.BX.Strides()
+	pmlVelocityCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, n0, dy, dz, m.BX.Idx(b.I0, b.J0, b.K0), my, mz,
+		l0, ldy, ldz, c0, pm.coefRow, pm.coefPlane, pm.Zone.I1-pm.Zone.I0, float32(dt/m.H), fd.C1, fd.C2,
+		s.VX.Data(), s.VY.Data(), s.VZ.Data(), s.XX.Data(), s.XY.Data(), s.XZ.Data(), s.YY.Data(), s.YZ.Data(), s.ZZ.Data(),
+		m.BX.Data(), m.BY.Data(), m.BZ.Data(),
 		sx.VX.Data(), sx.VY.Data(), sx.VZ.Data(), sy.VX.Data(), sy.VY.Data(), sy.VZ.Data(),
 		sz.VX.Data(), sz.VY.Data(), sz.VZ.Data(), pm.coef, vec)
 }
 
-// origins returns tile b's first cell and the row and plane strides on the
-// three grids a zone sweep reads: the global fields, the zone's splits and
-// the coefficient rows.
+// origins returns tile b's first cell and the row and plane strides on
+// three of the grids a zone sweep reads: the global fields, the zone's
+// splits and the coefficient rows.
 func (pm *PML) origins(s *fd.State, b fd.Box) (n0, dy, dz, l0, ldy, ldz, c0 int) {
 	z, sx := pm.Zone, pm.split[0]
 	_, dy, dz = s.VX.Strides()
@@ -94,8 +96,9 @@ func (pm *PML) stressSweep(s *fd.State, m *medium.Medium, dt float64, b fd.Box, 
 	pm.checkBox(dt, b)
 	sx, sy, sz := pm.split[0], pm.split[1], pm.split[2]
 	n0, dy, dz, l0, ldy, ldz, c0 := pm.origins(s, b)
-	pmlStressCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, n0, dy, dz, l0, ldy, ldz, c0, pm.coefRow, pm.coefPlane,
-		pm.Zone.I1-pm.Zone.I0, float32(dt/m.H), fd.C1, fd.C2,
+	_, my, mz := m.Lam.Strides()
+	pmlStressCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, n0, dy, dz, m.Lam.Idx(b.I0, b.J0, b.K0), my, mz,
+		l0, ldy, ldz, c0, pm.coefRow, pm.coefPlane, pm.Zone.I1-pm.Zone.I0, float32(dt/m.H), fd.C1, fd.C2,
 		s.VX.Data(), s.VY.Data(), s.VZ.Data(), s.XX.Data(), s.YY.Data(), s.ZZ.Data(), s.XY.Data(), s.XZ.Data(), s.YZ.Data(),
 		m.Lam.Data(), m.Lam2Mu.Data(), m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data(),
 		sx.XX.Data(), sx.YY.Data(), sx.ZZ.Data(), sx.XY.Data(), sx.XZ.Data(),

@@ -70,8 +70,8 @@ var walkerZoneDims = grid.Dims{NX: 38, NY: 6, NZ: 6}
 // the y and z zones one plane thicker than their width, so the depth clamps
 // inside every zone — each swept by tiles of 1×1, 1×3, 3×1 and 4×3 rows
 // (j×k) of 1–17, 20 and 36 cells, from odd and even origins in turn; and on
-// each axis a zone reaching past the grid's last cell, whose tiles end at the
-// last value of the global, split and coefficient arrays.
+// each axis a zone in the grid's last corner, whose tiles end at the last
+// value of the medium's, split and coefficient arrays.
 func walkerZones() []walkerZone {
 	d := walkerZoneDims
 	lengths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 20, 36}
@@ -111,15 +111,15 @@ func walkerZones() []walkerZone {
 		}
 		zones = append(zones, walkerZone{box: box, axis: f.axis, side: f.side, width: width, tiles: tiles(box)})
 	}
-	// Two cells into the global ghost frame in x and y, the zone ends where
-	// the tile's last row ends: at the split arrays' last value (they hold the
-	// zone's cells), the coefficient rows' last value and, two planes on, the
-	// global arrays' last value.
-	corner := fd.Box{I0: d.NX - 22, I1: d.NX + 2, J0: d.NY - 3, J1: d.NY + 2, K0: d.NZ - 5, K1: d.NZ}
+	// In the grid's last corner, the zone ends where the tile's last row
+	// ends: at the last value of the medium's arrays (they hold the
+	// subgrid's cells), of the split arrays (the zone's cells) and of the
+	// coefficient rows.
+	corner := fd.Box{I0: d.NX - 22, I1: d.NX, J0: d.NY - 3, J1: d.NY, K0: d.NZ - 5, K1: d.NZ}
 	for _, ax := range []grid.Axis{grid.X, grid.Y, grid.Z} {
 		var ct []fd.Box
 		for _, n := range []int{5, 12, 21} {
-			ct = append(ct, fd.Box{I0: d.NX + 2 - n, I1: d.NX + 2, J0: d.NY - 1, J1: d.NY + 2, K0: d.NZ - 3, K1: d.NZ})
+			ct = append(ct, fd.Box{I0: d.NX - n, I1: d.NX, J0: d.NY - 3, J1: d.NY, K0: d.NZ - 3, K1: d.NZ})
 		}
 		zones = append(zones, walkerZone{box: corner, axis: ax, side: grid.High, width: 3, tiles: ct})
 	}
@@ -336,8 +336,10 @@ func sentinels(n int) []byte {
 }
 
 // TestZoneSweepRejectsTilesPastTheArray: a zone tile past the zone, or whose
-// windows run past the global arrays, the splits or the coefficient rows,
-// must panic, and under the walker before anything is stored.
+// windows run past the medium's arrays, the splits or the coefficient rows,
+// must panic, and under the walker before anything is stored. The global
+// arrays' ghost frame holds every stencil window of a tile inside the
+// medium's, so a tile past them is past the medium's first.
 func TestZoneSweepRejectsTilesPastTheArray(t *testing.T) {
 	d := grid.Dims{NX: 12, NY: 6, NZ: 6}
 	h := 100.0
@@ -352,8 +354,9 @@ func TestZoneSweepRejectsTilesPastTheArray(t *testing.T) {
 	}{
 		// The tile ends a cell past the zone.
 		{"zone", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: 3}, axis: grid.Z, side: grid.Low, width: 3}, 0, 0, 1},
-		// The last planes' +2 stencil windows run past the global arrays.
-		{"global", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: d.NY, K0: d.NZ - 3, K1: d.NZ + 1}, axis: grid.Z, side: grid.High, width: 3}, 0, 0, 0},
+		// The last plane runs past the medium's arrays, which hold the
+		// subgrid's cells (and its +2 stencil windows past the global ones).
+		{"medium", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: d.NY, K0: d.NZ - 3, K1: d.NZ + 1}, axis: grid.Z, side: grid.High, width: 3}, 0, 0, 0},
 		// Widened by a cell on every axis after NewPML, the tile runs past the
 		// split arrays.
 		{"splits", walkerZone{box: fd.Box{I0: 2, I1: 10, J0: 0, J1: 3, K0: 0, K1: 3}, axis: grid.Z, side: grid.Low, width: 3}, 1, 0, 0},

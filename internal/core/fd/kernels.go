@@ -142,7 +142,9 @@ func forEachBlock(box Box, blk Blocking, fn func(Box)) {
 }
 
 // velocityPrecomp is the pointwise velocity kernel: all material
-// coefficients are precomputed staggered arrays, no divisions.
+// coefficients are precomputed staggered arrays, no divisions. They are
+// dense on the subgrid's cells, so a row's cell n of the padded wavefield is
+// cell n+c of the coefficients.
 func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -155,14 +157,15 @@ func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
+			c := m.BX.Idx(b.I0, j, k) - n0
 			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
-				u[n] = Quiesce(u[n] + dth*bx[n]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
+				u[n] = Quiesce(u[n] + dth*bx[n+c]*(c1*(xx[n+dx]-xx[n])+c2*(xx[n+2*dx]-xx[n-dx])+
 					c1*(xy[n]-xy[n-dy])+c2*(xy[n+dy]-xy[n-2*dy])+
 					c1*(xz[n]-xz[n-dz])+c2*(xz[n+dz]-xz[n-2*dz])))
-				v[n] = Quiesce(v[n] + dth*by[n]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
+				v[n] = Quiesce(v[n] + dth*by[n+c]*(c1*(xy[n]-xy[n-dx])+c2*(xy[n+dx]-xy[n-2*dx])+
 					c1*(yy[n+dy]-yy[n])+c2*(yy[n+2*dy]-yy[n-dy])+
 					c1*(yz[n]-yz[n-dz])+c2*(yz[n+dz]-yz[n-2*dz])))
-				w[n] = Quiesce(w[n] + dth*bz[n]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
+				w[n] = Quiesce(w[n] + dth*bz[n+c]*(c1*(xz[n]-xz[n-dx])+c2*(xz[n+dx]-xz[n-2*dx])+
 					c1*(yz[n]-yz[n-dy])+c2*(yz[n+dy]-yz[n-2*dy])+
 					c1*(zz[n+dz]-zz[n])+c2*(zz[n+2*dz]-zz[n-dz])))
 			}
@@ -170,7 +173,8 @@ func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	}
 }
 
-// stressPrecomp is the pointwise stress kernel.
+// stressPrecomp is the pointwise stress kernel, its coefficients indexed
+// as velocityPrecomp's.
 func stressPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -184,18 +188,19 @@ func stressPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
+			c := m.Lam.Idx(b.I0, j, k) - n0
 			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
 				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
 				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
 				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				xx[n] += dth * (l2m[n]*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m[n]*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m[n]*ezz + lam[n]*(exx+eyy))
-				xy[n] += dth * mxy[n] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
+				xx[n] += dth * (l2m[n+c]*exx + lam[n+c]*(eyy+ezz))
+				yy[n] += dth * (l2m[n+c]*eyy + lam[n+c]*(exx+ezz))
+				zz[n] += dth * (l2m[n+c]*ezz + lam[n+c]*(exx+eyy))
+				xy[n] += dth * mxy[n+c] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
 					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				xz[n] += dth * mxz[n] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
+				xz[n] += dth * mxz[n+c] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
 					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				yz[n] += dth * myz[n] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
+				yz[n] += dth * myz[n+c] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
 					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
 			}
 		}
@@ -236,7 +241,8 @@ func velocityNaive(s *State, m *medium.Medium, dt float64, b Box) {
 }
 
 // stressNaive implements the Naive variant of the stress kernel: harmonic
-// means of mu are formed in the loop, with a division per operand.
+// means of mu are formed in the loop, with a division per operand, from the
+// padded Mu; the dense Lam is indexed as in velocityPrecomp.
 func stressNaive(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -249,14 +255,15 @@ func stressNaive(s *State, m *medium.Medium, dt float64, b Box) {
 	for k := b.K0; k < b.K1; k++ {
 		for j := b.J0; j < b.J1; j++ {
 			n0 := s.VX.Idx(b.I0, j, k)
+			c := m.Lam.Idx(b.I0, j, k) - n0
 			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
 				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
 				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
 				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				l2m := lam[n] + 2*mu[n]
-				xx[n] += dth * (l2m*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m*ezz + lam[n]*(exx+eyy))
+				l2m := lam[n+c] + 2*mu[n]
+				xx[n] += dth * (l2m*exx + lam[n+c]*(eyy+ezz))
+				yy[n] += dth * (l2m*eyy + lam[n+c]*(exx+ezz))
+				zz[n] += dth * (l2m*ezz + lam[n+c]*(exx+eyy))
 				hxy := hmeanNaive(mu, n, dx, dy)
 				hxz := hmeanNaive(mu, n, dx, dz)
 				hyz := hmeanNaive(mu, n, dy, dz)

@@ -283,14 +283,16 @@ func TestSweepRejectsTilesPastTheArray(t *testing.T) {
 	}
 }
 
-// walkerDims holds rows of up to 56 cells from an odd I0, and a box whose
-// last window ends at the padded arrays' last value.
+// walkerDims holds rows of up to 56 cells from an odd I0, and boxes whose
+// last cell is the coefficient arrays' last value.
 var walkerDims = grid.Dims{NX: 58, NY: 6, NZ: 7}
 
 // walkerBoxes are tiles of 1×1, 1×3, 3×1 and 4×3 rows (j×k) of 1–17, 20, 28
 // and 56 cells from odd and even starts on all three axes, and the tiles
-// whose highest windows (zz's +2 plane in the velocity sweep, u's and v's in
-// the stress sweep) end at the padded arrays' last value.
+// that end at the last value of the medium's coefficient arrays, dense on
+// the subgrid's cells, their highest stencil windows (zz's +2 plane in the
+// velocity sweep, u's and v's in the stress sweep) in the padded arrays'
+// last plane.
 func walkerBoxes() []Box {
 	d := walkerDims
 	var boxes []Box
@@ -303,7 +305,7 @@ func walkerBoxes() []Box {
 		}
 	}
 	for _, n := range []int{5, 12, 21} {
-		boxes = append(boxes, Box{I0: d.NX + 2 - n, I1: d.NX + 2, J0: d.NY - 1, J1: d.NY + 2, K0: d.NZ - 3, K1: d.NZ})
+		boxes = append(boxes, Box{I0: d.NX - n, I1: d.NX, J0: d.NY - 3, J1: d.NY, K0: d.NZ - 3, K1: d.NZ})
 	}
 	return boxes
 }

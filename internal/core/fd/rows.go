@@ -22,9 +22,11 @@ import "repro/internal/medium"
 // cannot reduce). Verified by scripts/check_bce.sh (on sweeps_gen.go) with
 // -gcflags=-d=ssa/check_bce; the remaining IsSliceInBounds checks fire once
 // per row, not per point. The arithmetic is operand-for-operand that of
-// velocityPrecomp/stressPrecomp, so results are bit-identical. The ghost
-// frame (grid.Ghost = 2) guarantees every window of an interior box stays
-// inside the backing array.
+// velocityPrecomp/stressPrecomp, so results are bit-identical. A body
+// walks two grids, each with its own row and plane strides: the wavefield's,
+// whose ghost frame (grid.Ghost = 2) keeps every stencil window of an
+// interior box inside the backing array, and the medium's coefficients',
+// dense on the subgrid's cells and read at the cell only.
 
 // velocityRows is the production velocity kernel: velocityPrecomp with
 // per-row subslice windows, the whole tile in one call of the 8-lane walker
@@ -38,9 +40,10 @@ func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
 // runs the Go loop, what a host without AVX2 runs and the walker's oracle.
 func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 	_, dy, dz := s.VX.Strides()
-	velocityCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, s.VX.Idx(b.I0, b.J0, b.K0), dy, dz, float32(dt/m.H), C1, C2,
-		s.VX.Data(), s.VY.Data(), s.VZ.Data(), m.BX.Data(), m.BY.Data(), m.BZ.Data(),
-		s.XX.Data(), s.XY.Data(), s.XZ.Data(), s.YY.Data(), s.YZ.Data(), s.ZZ.Data(), vec)
+	_, my, mz := m.BX.Strides()
+	velocityCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, s.VX.Idx(b.I0, b.J0, b.K0), dy, dz, m.BX.Idx(b.I0, b.J0, b.K0), my, mz,
+		float32(dt/m.H), C1, C2, s.VX.Data(), s.VY.Data(), s.VZ.Data(),
+		s.XX.Data(), s.XY.Data(), s.XZ.Data(), s.YY.Data(), s.YZ.Data(), s.ZZ.Data(), m.BX.Data(), m.BY.Data(), m.BZ.Data(), vec)
 }
 
 // stressRows is the production elastic stress kernel: stressPrecomp with
@@ -67,7 +70,9 @@ func UpdateStressTapered(s *State, m *medium.Medium, dt float64, b Box, tp Taper
 func stressSweep(s *State, m *medium.Medium, dt float64, b Box, tp Taper, vec bool) {
 	fx, fy, fz := tp.Windows(b)
 	_, dy, dz := s.VX.Strides()
-	stressCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, s.VX.Idx(b.I0, b.J0, b.K0), dy, dz, float32(dt/m.H), C1, C2,
+	_, my, mz := m.Lam.Strides()
+	stressCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, s.VX.Idx(b.I0, b.J0, b.K0), dy, dz, m.Lam.Idx(b.I0, b.J0, b.K0), my, mz,
+		float32(dt/m.H), C1, C2,
 		s.VX.Data(), s.VY.Data(), s.VZ.Data(), s.XX.Data(), s.YY.Data(), s.ZZ.Data(), s.XY.Data(), s.XZ.Data(), s.YZ.Data(),
 		m.Lam.Data(), m.Lam2Mu.Data(), m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data(), fx, fy, fz, vec)
 }

@@ -548,12 +548,13 @@ func sectionRegions(st *Stepper) ([]region, error) {
 		return fd.Box{I0: b.I0 + o[0], I1: b.I1 + o[0], J0: b.J0 + o[1], J1: b.J1 + o[1], K0: b.K0 + o[2], K1: b.K1 + o[2]}
 	}
 	where := map[string]region{}
-	padded := rs.st.Sections()
-	if rs.atten != nil {
-		padded = append(padded, rs.atten.Sections()...)
-	}
-	for _, s := range padded {
+	for _, s := range rs.st.Sections() {
 		where[s.Name] = region{at(fd.FullBox(sub.Local)), o, sub.Local}
+	}
+	if rs.atten != nil {
+		for _, s := range rs.atten.Sections() {
+			where[s.Name] = region{box: at(fd.FullBox(sub.Local))}
+		}
 	}
 	for _, z := range rs.zones {
 		for _, s := range z.Sections() {

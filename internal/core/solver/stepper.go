@@ -236,6 +236,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, dt)
 		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
 	}
+	rs.med.QS = nil // read by the deficits alone
 	// The two per-step halo phases.
 	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.pool, rs.tel)
 	rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())

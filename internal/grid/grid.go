@@ -75,16 +75,20 @@ func newField3Over(d Dims, ghost int, storage []float32) *Field3 {
 // length rounded up to an odd number of lines — and array m starts m·stride
 // lines past a 4 KiB boundary. An odd stride is a unit modulo 64, so the 64
 // numbers land on 64 different lines of the period: no two arrays of one
-// shape hold equal offsets in the same set.
+// shape hold equal offsets in the same set. A rank's arrays come in two
+// shapes — padded (the wavefield, Rho, Mu) and dense on its own cells (the
+// coefficients and memory variables) — whose offsets of one cell differ, so
+// each shape is spread among itself and a set holds at most one line of each.
 const (
 	cacheLine = 16 // float32 values per 64-byte cache line
 	// Lanes is how many arrays can be placed apart: cache lines per set period.
 	Lanes = 64
 
-	LaneState       = 0  // fd.State: 9 components
-	LaneMedium      = 9  // medium.Medium: 12 arrays
-	LaneAttenuation = 21 // attenuation.Model: 6 memory variables, DLam, DMu
-	LanePML         = 29 // boundary.PML: 24 splits of one zone
+	LaneState        = 0  // fd.State: 9 components, padded
+	LaneMedium       = 9  // medium.Medium: Rho, Mu, padded
+	LaneCoefficients = 11 // medium.Medium: Lam, BX, BY, BZ, MuXY, MuXZ, MuYZ, Lam2Mu, dense
+	LaneAttenuation  = 19 // attenuation.Model: 6 memory variables, DLam, DMu, dense
+	LanePML          = 27 // boundary.PML: 24 splits of one zone, dense on the zone
 )
 
 // LaneFields returns a constructor of count zeroed fields of one shape, the

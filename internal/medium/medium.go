@@ -15,26 +15,36 @@ import (
 	"repro/internal/grid"
 )
 
-// Medium is the material state for one subgrid, including ghost cells so
-// staggered averages near subgrid edges need no communication (ghosts are
-// filled directly from the velocity model, with clamping at the physical
-// domain edge).
+// Medium is the material state for one subgrid. Rho and Mu carry the ghost
+// frame, filled directly from the velocity model (clamped at the physical
+// domain edge), so the staggered averages near subgrid edges need no
+// communication; every array a step reads at its own cell only is dense on
+// the subgrid's cells, with no frame (DESIGN.md §7, "Set-up a row at a
+// time").
 type Medium struct {
 	Dims grid.Dims
 	H    float64 // grid spacing, m
 
-	// Node-centered properties.
+	// Node-centered properties: padded, read at neighbours by the staggered
+	// averages, the Naive ablation and rupture.Fault.
 	Rho *grid.Field3 // density
-	Lam *grid.Field3 // Lamé lambda
 	Mu  *grid.Field3 // Lamé mu
 
-	// Precomputed staggered coefficients.
+	// Lamé lambda at nodes and the precomputed staggered coefficients, dense.
+	Lam              *grid.Field3 // Lamé lambda
 	BX, BY, BZ       *grid.Field3 // 1/rho averaged at vx, vy, vz points
 	MuXY, MuXZ, MuYZ *grid.Field3 // harmonic-mean mu at shear-stress points
 	Lam2Mu           *grid.Field3 // lambda + 2*mu at normal-stress points
 
-	// Quality factors for anelastic attenuation.
-	QP, QS *grid.Field3
+	// QS is the shear quality factor, dense, read only by the attenuation
+	// set-up; a stepper drops it once that has run (nil after). Qp is 2·Qs
+	// (cvm.Material.Quality), so it is not stored.
+	QS *grid.Field3
+
+	// SurfaceRatio is the float32 lam/(lam+2mu) of the nodes of plane k = 0
+	// one beyond the subgrid on both horizontal axes — (i, j) in [-1, NX] ×
+	// [-1, NY], x fastest — which the free surface's vz image reads.
+	SurfaceRatio []float32
 
 	// Extremes over the interior, for stability and dispersion checks.
 	MinVs, MaxVp float64
@@ -93,15 +103,17 @@ func FromArrays(dims grid.Dims, h float64, vp, vs, rho []float32) (*Medium, erro
 }
 
 func alloc(d grid.Dims, h float64) *Medium {
-	f := grid.LaneFields(d, grid.Ghost, grid.LaneMedium, 12)
+	p := grid.LaneFields(d, grid.Ghost, grid.LaneMedium, 2)
+	c := grid.LaneFields(d, 0, grid.LaneCoefficients, 8)
 	return &Medium{
 		Dims: d, H: h,
-		Rho: f(), Lam: f(), Mu: f(),
-		BX: f(), BY: f(), BZ: f(),
-		MuXY: f(), MuXZ: f(), MuYZ: f(),
-		Lam2Mu: f(),
-		QP:     f(), QS: f(),
-		MinVs: math.Inf(1),
+		Rho: p(), Mu: p(),
+		Lam: c(), BX: c(), BY: c(), BZ: c(),
+		MuXY: c(), MuXZ: c(), MuYZ: c(),
+		Lam2Mu:       c(),
+		QS:           grid.NewField3G(d, 0),
+		SurfaceRatio: make([]float32, (d.NX+2)*(d.NY+2)),
+		MinVs:        math.Inf(1),
 	}
 }
 

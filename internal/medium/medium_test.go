@@ -180,13 +180,14 @@ func rel(got, want float64) float64 {
 }
 
 // refFinalize is the pointwise form of finalize — the body it had before it
-// became row sweeps — kept as its oracle.
+// became row sweeps — kept as its oracle: the staggered coefficients over
+// the subgrid's cells, then the free surface's ratios from the lam
+// SurfaceRatio holds.
 func refFinalize(m *Medium) {
 	d := m.Dims
-	g := grid.Ghost - 1 // staggered averages reach one node beyond; keep 1-ghost margin
-	for k := -g; k < d.NZ+g; k++ {
-		for j := -g; j < d.NY+g; j++ {
-			for i := -g; i < d.NX+g; i++ {
+	for k := 0; k < d.NZ; k++ {
+		for j := 0; j < d.NY; j++ {
+			for i := 0; i < d.NX; i++ {
 				lam := m.Lam.At(i, j, k)
 				mu := m.Mu.At(i, j, k)
 				m.Lam2Mu.Set(i, j, k, lam+2*mu)
@@ -210,6 +211,14 @@ func refFinalize(m *Medium) {
 			}
 		}
 	}
+	for j := -1; j <= d.NY; j++ {
+		for i := -1; i <= d.NX; i++ {
+			n := (j+1)*(d.NX+2) + i + 1
+			lam := m.SurfaceRatio[n]
+			l2m := lam + 2*m.Mu.At(i, j, 0)
+			m.SurfaceRatio[n] = lam / l2m
+		}
+	}
 }
 
 func harmonic4(a, b, c, d float32) float32 {
@@ -217,23 +226,37 @@ func harmonic4(a, b, c, d float32) float32 {
 }
 
 // TestFinalizeRowsMatchPointwise holds the row-sweep finalize to the
-// pointwise oracle on the whole padded Data() of all twelve arrays: a
+// pointwise oracle on the whole Data() of every array and on SurfaceRatio: a
 // heterogeneous model with a water layer's zero rigidity (1/mu = +Inf, a
 // harmonic mean of exactly 0) on a cube, a pencil and a slab of a subgrid.
 func TestFinalizeRowsMatchPointwise(t *testing.T) {
 	for _, d := range []grid.Dims{{NX: 13, NY: 9, NZ: 7}, {NX: 40, NY: 1, NZ: 2}, {NX: 1, NY: 6, NZ: 11}} {
 		got, want := alloc(d, 50), alloc(d, 50)
 		for _, m := range []*Medium{got, want} {
-			for idx := range m.Rho.Data() {
-				// A deterministic scramble: properties vary node to node along
-				// every axis, and every seventh node is fluid.
-				x := float64((idx*2654435761)%1000) / 1000
-				vs := 400 + 3000*x
-				if idx%7 == 3 {
-					vs = 0
+			g := grid.Ghost
+			for k := -g; k < d.NZ+g; k++ {
+				for j := -g; j < d.NY+g; j++ {
+					for i := -g; i < d.NX+g; i++ {
+						// A deterministic scramble: properties vary node to
+						// node along every axis, and every seventh node is
+						// fluid.
+						idx := m.Rho.Idx(i, j, k)
+						x := float64((idx*2654435761)%1000) / 1000
+						vs := 400 + 3000*x
+						if idx%7 == 3 {
+							vs = 0
+						}
+						rho, lam, mu := convert(cvm.Material{Vp: 1500 + 5000*x, Vs: vs, Rho: 1000 + 1800*x})
+						m.Rho.Set(i, j, k, float32(rho))
+						m.Mu.Set(i, j, k, float32(mu))
+						if i >= 0 && i < d.NX && j >= 0 && j < d.NY && k >= 0 && k < d.NZ {
+							m.Lam.Set(i, j, k, float32(lam))
+						}
+						if k == 0 && i >= -1 && i <= d.NX && j >= -1 && j <= d.NY {
+							m.SurfaceRatio[(j+1)*(d.NX+2)+i+1] = float32(lam)
+						}
+					}
 				}
-				rho, lam, mu := convert(cvm.Material{Vp: 1500 + 5000*x, Vs: vs, Rho: 1000 + 1800*x})
-				m.Rho.Data()[idx], m.Lam.Data()[idx], m.Mu.Data()[idx] = float32(rho), float32(lam), float32(mu)
 			}
 		}
 		got.finalize()
@@ -251,21 +274,30 @@ func TestFinalizeRowsMatchPointwise(t *testing.T) {
 	}
 }
 
-// fieldNames names the twelve arrays of a Medium in allocation order.
-var fieldNames = []string{"Rho", "Lam", "Mu", "BX", "BY", "BZ", "MuXY", "MuXZ", "MuYZ", "Lam2Mu", "QP", "QS"}
+// fieldNames names the arrays of a Medium in allocation order, and the
+// free surface's ratios.
+var fieldNames = []string{"Rho", "Mu", "Lam", "BX", "BY", "BZ", "MuXY", "MuXZ", "MuYZ", "Lam2Mu", "QS", "SurfaceRatio"}
 
-func fields(m *Medium) []*grid.Field3 {
-	return []*grid.Field3{m.Rho, m.Lam, m.Mu, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QP, m.QS}
+func fields(m *Medium) [][]float32 {
+	var out [][]float32
+	for _, f := range []*grid.Field3{m.Rho, m.Mu, m.Lam, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu, m.QS} {
+		out = append(out, f.Data())
+	}
+	return append(out, m.SurfaceRatio)
 }
 
 // expectSameBits fails unless got and want hold the same bits in the whole
-// padded Data() of all twelve arrays.
+// Data() of every array, ghosts included where there are any, and in
+// SurfaceRatio.
 func expectSameBits(t *testing.T, tag string, got, want *Medium) {
 	t.Helper()
 	gf, wf := fields(got), fields(want)
 	for fi := range gf {
-		for idx, v := range gf[fi].Data() {
-			if w := wf[fi].Data()[idx]; math.Float32bits(v) != math.Float32bits(w) {
+		if len(gf[fi]) != len(wf[fi]) {
+			t.Fatalf("%s: %s holds %d values, pointwise %d", tag, fieldNames[fi], len(gf[fi]), len(wf[fi]))
+		}
+		for idx, v := range gf[fi] {
+			if w := wf[fi][idx]; math.Float32bits(v) != math.Float32bits(w) {
 				t.Fatalf("%s: %s[%d] = %g (%#x), pointwise %g (%#x)", tag, fieldNames[fi], idx, v, math.Float32bits(v), w, math.Float32bits(w))
 			}
 		}
@@ -287,14 +319,16 @@ func refFromCVM(q cvm.Querier, s decomp.Sub, h float64) *Medium {
 				mat := q.Query(x, y, z)
 				rho, lam, mu := convert(mat)
 				m.Rho.Set(i, j, k, float32(rho))
-				m.Lam.Set(i, j, k, float32(lam))
 				m.Mu.Set(i, j, k, float32(mu))
-				qp, qs := mat.Quality()
-				m.QP.Set(i, j, k, float32(qp))
-				m.QS.Set(i, j, k, float32(qs))
 				if i >= 0 && i < s.Local.NX && j >= 0 && j < s.Local.NY && k >= 0 && k < s.Local.NZ {
+					m.Lam.Set(i, j, k, float32(lam))
+					_, qs := mat.Quality()
+					m.QS.Set(i, j, k, float32(qs))
 					minVs = math.Min(minVs, mat.Vs)
 					maxVp = math.Max(maxVp, mat.Vp)
+				}
+				if k == 0 && i >= -1 && i <= s.Local.NX && j >= -1 && j <= s.Local.NY {
+					m.SurfaceRatio[(j+1)*(s.Local.NX+2)+i+1] = float32(lam)
 				}
 			}
 		}
@@ -333,7 +367,8 @@ func paddedArrays(q cvm.Querier, s decomp.Sub, h float64) (vp, vs, rho []float32
 }
 
 // TestFromCVMRowsMatchPointwise holds FromCVM and FromArrays to refFromCVM —
-// all twelve arrays, ghosts included, and the interior extremes, bit for bit
+// every array, ghosts included where there are any, the free surface's
+// ratios and the interior extremes, bit for bit
 // — on every subgrid of 1×1×1, 2×2×2 and 2×2×1 at the solve and pipeline
 // benchmark shapes of the SoCal model, and on models cvm.QueryRow samples
 // point by point (Layered, and a SoCal seen through Query alone). FromArrays

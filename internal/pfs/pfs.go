@@ -9,6 +9,7 @@ package pfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -175,13 +176,17 @@ func (fs *FS) WriteAt(path string, off int, data []byte) error {
 	return nil
 }
 
-// writeLocked persists data at offset; caller holds the lock.
+// writeLocked persists data at offset; caller holds the lock. A write past
+// EOF extends the file within its capacity, which grows as append's does, so
+// a file written a chunk at a time is copied O(log n) times, not once a chunk;
+// the gap between the old EOF and off reads as zeros. A slice readLocked
+// handed out before stays as it was: it ends at or before the old EOF, and
+// its capacity with it.
 func (fs *FS) writeLocked(path string, off int, data []byte) {
 	f := fs.create(path)
-	if need := off + len(data); need > len(f.data) {
-		grown := make([]byte, need)
-		copy(grown, f.data)
-		f.data = grown
+	if need, old := off+len(data), len(f.data); need > old {
+		f.data = slices.Grow(f.data, need-old)[:need]
+		clear(f.data[old:max(old, off)])
 	}
 	copy(f.data[off:], data)
 }

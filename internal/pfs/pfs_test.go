@@ -56,6 +56,48 @@ func TestOverlappingWrites(t *testing.T) {
 	}
 }
 
+// TestWritePastEOFGrowsInPlace: a file written a chunk at a time past EOF
+// keeps every earlier byte and reads zeros in each gap a write leaves; a
+// slice View handed out before a growth still holds what it held; and the
+// file's storage grows geometrically — far fewer reallocations than writes.
+func TestWritePastEOFGrowsInPlace(t *testing.T) {
+	fs := testFS()
+	var want []byte
+	var held [][]byte // a View of every chunk, taken right after its write
+	var heldWant [][]byte
+	grows, last := 0, 0
+	for c := 0; c < 400; c++ {
+		gap := c % 3 // 0, 1 or 2 bytes left unwritten ahead of the chunk
+		chunk := bytes.Repeat([]byte{byte(c%251 + 1)}, 100+c%7)
+		off := len(want) + gap
+		if err := fs.WriteAt("f", off, chunk); err != nil {
+			t.Fatal(err)
+		}
+		want = append(append(want, make([]byte, gap)...), chunk...)
+		fs.mu.Lock()
+		if c := cap(fs.files["f"].data); c != last {
+			grows, last = grows+1, c
+		}
+		fs.mu.Unlock()
+		if err := fs.View("f", off, len(chunk), func(b []byte) { held = append(held, b) }); err != nil {
+			t.Fatal(err)
+		}
+		heldWant = append(heldWant, chunk)
+	}
+	got := make([]byte, len(want))
+	if err := fs.ReadAt("f", 0, got); err != nil || !bytes.Equal(got, want) || fs.Size("f") != len(want) {
+		t.Fatalf("file of %d bytes differs from what was written (%v)", fs.Size("f"), err)
+	}
+	for c, b := range held {
+		if !bytes.Equal(b, heldWant[c]) {
+			t.Fatalf("the View of chunk %d changed after later writes", c)
+		}
+	}
+	if grows > 40 {
+		t.Errorf("400 writes past EOF reallocated the file %d times", grows)
+	}
+}
+
 func TestListRemoveExists(t *testing.T) {
 	fs := testFS()
 	fs.WriteAt("b", 0, []byte{1})

@@ -7,7 +7,9 @@
 package srcgen
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/core/source"
 	"repro/internal/mpiio"
@@ -16,19 +18,27 @@ import (
 
 // WriteSourceFile stores sources in the dSrcG binary format: for each
 // sub-fault a header (gi, gj, gk, nt, dt) followed by nt records of six
-// moment-rate components.
+// moment-rate components, every value a little-endian float32, encoded into
+// one buffer sized from the sources.
 func WriteSourceFile(fsys *pfs.FS, path string, srcs []source.SampledSource) pfs.PhaseStats {
-	var buf []float32
-	buf = append(buf, float32(len(srcs)))
+	n := 1
 	for i := range srcs {
-		s := &srcs[i]
-		buf = append(buf, float32(s.GI), float32(s.GJ), float32(s.GK),
-			float32(len(s.Rate)), float32(s.Dt))
-		for _, r := range s.Rate {
-			buf = append(buf, r[0], r[1], r[2], r[3], r[4], r[5])
+		n += 5 + 6*len(srcs[i].Rate)
+	}
+	data := make([]byte, 0, 4*n)
+	put := func(vs ...float32) {
+		for _, v := range vs {
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
 		}
 	}
-	data := mpiio.PutFloat32s(buf)
+	put(float32(len(srcs)))
+	for i := range srcs {
+		s := &srcs[i]
+		put(float32(s.GI), float32(s.GJ), float32(s.GK), float32(len(s.Rate)), float32(s.Dt))
+		for _, r := range s.Rate {
+			put(r[:]...)
+		}
+	}
 	fsys.WriteAt(path, 0, data)
 	return fsys.SimulatePhase([]pfs.Op{{Path: path, Bytes: len(data), Write: true, Open: true}})
 }

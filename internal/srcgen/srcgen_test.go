@@ -1,10 +1,12 @@
 package srcgen
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
 	"repro/internal/core/source"
+	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
 
@@ -46,6 +48,66 @@ func TestSourceFileRoundTrip(t *testing.T) {
 		for n := range a.Rate {
 			if a.Rate[n] != b.Rate[n] {
 				t.Fatalf("source %d sample %d differs", i, n)
+			}
+		}
+	}
+}
+
+// refEncode is WriteSourceFile's encoding as first written — the values
+// gathered into a []float32, then encoded by mpiio.PutFloat32s — kept as the
+// oracle of its one-buffer encoder.
+func refEncode(srcs []source.SampledSource) []byte {
+	var buf []float32
+	buf = append(buf, float32(len(srcs)))
+	for i := range srcs {
+		s := &srcs[i]
+		buf = append(buf, float32(s.GI), float32(s.GJ), float32(s.GK),
+			float32(len(s.Rate)), float32(s.Dt))
+		for _, r := range s.Rate {
+			buf = append(buf, r[0], r[1], r[2], r[3], r[4], r[5])
+		}
+	}
+	return mpiio.PutFloat32s(buf)
+}
+
+// TestSourceFileMatchesFloatEncoding: the file WriteSourceFile stores is
+// byte for byte refEncode's — on the demo rupture, on sources whose rates
+// hold −0, a subnormal, ±Inf and a NaN, with and without samples, and on no
+// sources — and reads back through ReadSourceFile to the same bits.
+func TestSourceFileMatchesFloatEncoding(t *testing.T) {
+	odd := []source.SampledSource{
+		{GI: 3, GJ: 4, GK: 5, Dt: 0.013, Rate: [][6]float32{
+			{float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), -2.5e7},
+			{1, 2, 3, 4, 5, 6},
+		}},
+		{GI: 0, GJ: 1, GK: 2, Dt: 0.5},
+	}
+	for _, tc := range []struct {
+		name string
+		srcs []source.SampledSource
+	}{{"demo", demoSources(t)}, {"specials", odd}, {"none", nil}} {
+		fsys := pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
+		st := WriteSourceFile(fsys, "in/source.bin", tc.srcs)
+		want := refEncode(tc.srcs)
+		got := make([]byte, fsys.Size("in/source.bin"))
+		if err := fsys.ReadAt("in/source.bin", 0, got); err != nil || !bytes.Equal(got, want) || st.Bytes != len(want) {
+			t.Fatalf("%s: file of %d bytes (priced %d) differs from the float encoding's %d (%v)", tc.name, len(got), st.Bytes, len(want), err)
+		}
+		back, err := ReadSourceFile(fsys, "in/source.bin")
+		if err != nil || len(back) != len(tc.srcs) {
+			t.Fatalf("%s: read back %d sources of %d (%v)", tc.name, len(back), len(tc.srcs), err)
+		}
+		for i := range back {
+			a, b := &tc.srcs[i], &back[i]
+			if a.GI != b.GI || a.GJ != b.GJ || a.GK != b.GK || b.Dt != float64(float32(a.Dt)) || len(a.Rate) != len(b.Rate) {
+				t.Fatalf("%s: source %d header %+v, wrote %+v", tc.name, i, b, a)
+			}
+			for n := range a.Rate {
+				for c := range a.Rate[n] {
+					if math.Float32bits(a.Rate[n][c]) != math.Float32bits(b.Rate[n][c]) {
+						t.Fatalf("%s: source %d sample %d component %d: %g, wrote %g", tc.name, i, n, c, b.Rate[n][c], a.Rate[n][c])
+					}
+				}
 			}
 		}
 	}

@@ -31,7 +31,7 @@ const (
 var tables = []*table{{
 	pkg: "fd", body: "velocityCells", walker: "velocityTile",
 	doc:     "the production velocity kernel, velocityPrecomp's arithmetic",
-	grids:   []grid{{"g", "u v w bx by bz xx xy xz yy yz zz"}},
+	grids:   []grid{{"g", "u v w xx xy xz yy yz zz"}, {"m", "bx by bz"}},
 	scalars: "dth c1 c2",
 	windows: velocityWindows,
 	program: `
@@ -47,7 +47,7 @@ wr[i] = Quiesce(wr[i] + dth*bzr[i]*(c1*(xzc[i]-xzm1x[i])+c2*(xzp1x[i]-xzm2x[i])+
 }, {
 	pkg: "fd", body: "stressCells", walker: "stressTile",
 	doc:     "the production elastic stress kernel, stressPrecomp's arithmetic",
-	grids:   []grid{{"g", "u v w xx yy zz xy xz yz lam l2m mxy mxz myz"}},
+	grids:   []grid{{"g", "u v w xx yy zz xy xz yz"}, {"m", "lam l2m mxy mxz myz"}},
 	scalars: "dth c1 c2",
 	windows: stressWindows,
 	taper:   stresses,
@@ -68,8 +68,8 @@ yzr[i] += dth * myzr[i] * (c1*(vp1z[i]-vc[i]) + c2*(vp2z[i]-vm1z[i]) +
 }, {
 	pkg: "attenuation", body: "fusedCells", walker: "fusedStressTile",
 	doc: "FusedStress, the elastic update and the memory variables' in one pass",
-	grids: []grid{{"g", "u v w xx yy zz xy xz yz lam l2m mxy mxz myz " +
-		"zxx zyy zzz zxy zxz zyz dlam dmu"}},
+	grids: []grid{{"g", "u v w xx yy zz xy xz yz"},
+		{"m", "lam l2m mxy mxz myz zxx zyy zzz zxy zxz zyz dlam dmu"}},
 	scalars:    "dth c1 c2",
 	parity:     "tab",
 	parityVals: "am cm",
@@ -130,7 +130,7 @@ zyzr[i] = zn`,
 }, {
 	pkg: "boundary", body: "pmlVelocityCells", walker: "pmlVelocityTile",
 	doc: "the M-PML velocity update of a zone tile, split by split",
-	grids: []grid{{"g", "u v w bx by bz xx xy xz yy yz zz"},
+	grids: []grid{{"g", "u v w xx xy xz yy yz zz"}, {"m", "bx by bz"},
 		{"s", "xu xv xw yu yv yw zu zv zw"}, {"c", "coef"}},
 	ints:    "nx",
 	scalars: "dth c1 c2",
@@ -174,7 +174,7 @@ wr[i] = fd.Quiesce(qx + qy + qz)`,
 }, {
 	pkg: "boundary", body: "pmlStressCells", walker: "pmlStressTile",
 	doc: "the M-PML stress update of a zone tile, split by split",
-	grids: []grid{{"g", "u v w xx yy zz xy xz yz lam l2m mxy mxz myz"},
+	grids: []grid{{"g", "u v w xx yy zz xy xz yz"}, {"m", "lam l2m mxy mxz myz"},
 		{"s", "xxx xyy xzz xxy xxz yxx yyy yzz yxy yyz zxx zyy zzz zxz zyz"}, {"c", "coef"}},
 	ints:    "nx",
 	scalars: "dth c1 c2",
