@@ -41,6 +41,9 @@ func main() {
 	if *ranks < 1 {
 		check(fmt.Errorf("-ranks must be >= 1, got %d", *ranks))
 	}
+	if *steps < 1 {
+		check(fmt.Errorf("-steps must be >= 1, got %d", *steps))
+	}
 
 	aggCfg := agg.Config{Aggregators: *aggs, OpenThrottle: *throttle}
 	h := 400.0

@@ -164,32 +164,6 @@ func (p Placement) splitByOwner(segs []mpiio.Segment, data []byte) [][]piece {
 	return out
 }
 
-// Coalesce sorts a segment list by offset and merges contiguous
-// neighbors (next.Off == prev.Off+prev.Len) — the writer-side extent
-// merge, exposed pure so it can be fuzzed against the naive write path.
-// Overlapping segments are invalid views and panic.
-func Coalesce(segs []mpiio.Segment) []mpiio.Segment {
-	if len(segs) == 0 {
-		return nil
-	}
-	sorted := append([]mpiio.Segment(nil), segs...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].Off < sorted[b].Off })
-	out := sorted[:1]
-	for _, s := range sorted[1:] {
-		last := &out[len(out)-1]
-		switch {
-		case s.Off == last.Off+last.Len:
-			last.Len += s.Len
-		case s.Off > last.Off+last.Len:
-			out = append(out, s)
-		default:
-			panic(fmt.Sprintf("agg: overlapping segments [%d,%d) and [%d,%d)",
-				last.Off, last.Off+last.Len, s.Off, s.Off+s.Len))
-		}
-	}
-	return out
-}
-
 // crcTable is the CRC64-ECMA table shared with the checkpoint format.
 var crcTable = crc64.MakeTable(crc64.ECMA)
 

@@ -57,32 +57,35 @@ func TestPlacementOneWriterPerColumn(t *testing.T) {
 }
 
 func TestCoalesceMergesAdjacent(t *testing.T) {
-	segs := []mpiio.Segment{
-		{Off: 100, Len: 10},
-		{Off: 0, Len: 50},
-		{Off: 50, Len: 50}, // adjacent to the previous two: 0..110 minus nothing
-		{Off: 200, Len: 5},
+	fsys := testFS()
+	pieces := []piece{
+		{off: 100, data: bytes.Repeat([]byte{3}, 10)},
+		{off: 0, data: bytes.Repeat([]byte{1}, 50)},
+		{off: 50, data: bytes.Repeat([]byte{2}, 50)}, // adjacent to the previous two: 0..110
+		{off: 200, data: bytes.Repeat([]byte{4}, 5)},
 	}
-	out := Coalesce(segs)
+	runs, err := writeCoalesced(fsys, "f", pieces)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []mpiio.Segment{{Off: 0, Len: 110}, {Off: 200, Len: 5}}
-	if len(out) != len(want) {
-		t.Fatalf("coalesced to %v, want %v", out, want)
+	if !reflect.DeepEqual(runs, want) {
+		t.Fatalf("coalesced to %v, want %v", runs, want)
 	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("coalesced to %v, want %v", out, want)
-		}
+	got := make([]byte, 205)
+	if err := fsys.ReadAt("f", 0, got); err != nil {
+		t.Fatal(err)
 	}
-	if Coalesce(nil) != nil {
-		t.Fatal("empty input should coalesce to nil")
+	if got[49] != 1 || got[50] != 2 || got[109] != 3 || got[150] != 0 || got[204] != 4 {
+		t.Fatalf("file holds %v", got)
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("overlap should panic")
-		}
-	}()
-	Coalesce([]mpiio.Segment{{Off: 0, Len: 10}, {Off: 5, Len: 10}})
+	if runs, err := writeCoalesced(fsys, "g", nil); runs != nil || err != nil {
+		t.Fatalf("empty input wrote %v, %v", runs, err)
+	}
+	overlap := []piece{{off: 0, data: make([]byte, 10)}, {off: 5, data: make([]byte, 10)}}
+	if _, err := writeCoalesced(fsys, "h", overlap); err == nil {
+		t.Fatal("overlapping pieces accepted")
+	}
 }
 
 func TestThrottledPhaseWaves(t *testing.T) {

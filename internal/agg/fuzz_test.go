@@ -10,11 +10,11 @@ import (
 
 // FuzzCoalesceWriteIdentity drives random non-overlapping segment
 // layouts through both write paths — one WriteAt per segment (the naive
-// per-rank path) and one WriteAt per coalesced run (the aggregator
-// path) — and requires the resulting files to be byte-identical,
-// zero-filled gaps included. It also pins the Coalesce invariants:
-// offsets strictly increasing, no two mergeable neighbors left, total
-// length preserved.
+// per-rank path) and writeCoalesced, the aggregator's merge and write,
+// fed the segments as pieces in reverse order — and requires the
+// resulting files to be byte-identical, zero-filled gaps included. It
+// also pins writeCoalesced's runs: offsets strictly increasing, no two
+// mergeable neighbors left, total length preserved.
 func FuzzCoalesceWriteIdentity(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(7))
 	f.Add([]byte{0, 8, 0, 8, 0, 8}, uint8(0)) // fully adjacent: one run
@@ -54,9 +54,18 @@ func FuzzCoalesceWriteIdentity(f *testing.F) {
 			p += s.Len
 		}
 
-		// Aggregator path: coalesce, then one write per run. Segments are
-		// already offset-ordered by construction, so data is in file order.
-		runs := Coalesce(segs)
+		// Aggregator path: the segments as pieces, last first, through
+		// the writer's merge.
+		var pieces []piece
+		p = 0
+		for _, s := range segs {
+			pieces = append([]piece{{off: s.Off, data: data[p : p+s.Len]}}, pieces...)
+			p += s.Len
+		}
+		runs, err := writeCoalesced(fsys, "agg", pieces)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if mpiio.TotalLen(runs) != mpiio.TotalLen(segs) {
 			t.Fatalf("coalesce changed total length: %d != %d", mpiio.TotalLen(runs), mpiio.TotalLen(segs))
 		}
@@ -64,13 +73,6 @@ func FuzzCoalesceWriteIdentity(f *testing.F) {
 			if runs[i].Off <= runs[i-1].Off+runs[i-1].Len {
 				t.Fatalf("runs %v not strictly separated", runs)
 			}
-		}
-		p = 0
-		for _, r := range runs {
-			if err := fsys.WriteAt("agg", r.Off, data[p:p+r.Len]); err != nil {
-				t.Fatal(err)
-			}
-			p += r.Len
 		}
 
 		na, ag := fsys.Size("naive"), fsys.Size("agg")

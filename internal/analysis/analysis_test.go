@@ -52,10 +52,6 @@ func TestSeriesPGVAndPGVH(t *testing.T) {
 	if got := PGVHFromSeries(series); math.Abs(got-6) > 1e-9 {
 		t.Errorf("PGVH = %g, want 6", got)
 	}
-	// Geometric mean uses per-component peaks: px=6, py=4 -> sqrt(24).
-	if got := GeomMeanPGV(series); math.Abs(got-math.Sqrt(24)) > 1e-9 {
-		t.Errorf("GeomMeanPGV = %g", got)
-	}
 	if GeomMeanFromPeaks(4, 9) != 6 {
 		t.Error("GeomMeanFromPeaks wrong")
 	}
@@ -66,7 +62,7 @@ func TestGeomMeanBelowRSS(t *testing.T) {
 	// peak for strongly polarized motion; it can never exceed it.
 	prop := func(a, b float32) bool {
 		s := [][3]float32{{a, b, 0}}
-		return GeomMeanPGV(s) <= PGVHFromSeries(s)+1e-9
+		return GeomMeanFromPeaks(math.Abs(float64(a)), math.Abs(float64(b))) <= PGVHFromSeries(s)+1e-9
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)

@@ -28,7 +28,6 @@ func (BooreAtkinson2008) Name() string { return "B&A08" }
 
 // PGV coefficients from Boore & Atkinson (2008), Earthquake Spectra 24(1).
 const (
-	baE1   = 5.00121 // unspecified mechanism
 	baE2   = 5.04727 // strike-slip
 	baE5   = 0.18322
 	baE6   = -0.12736

@@ -18,22 +18,6 @@ func PGVHFromSeries(series [][3]float32) float64 {
 	return m
 }
 
-// GeomMeanPGV returns the geometric mean of the two horizontal component
-// peaks — the measure used by the NGA relations (§VII.C: "typically
-// 1.5-2 times smaller" than the RSS peak).
-func GeomMeanPGV(series [][3]float32) float64 {
-	var px, py float64
-	for _, v := range series {
-		if a := math.Abs(float64(v[0])); a > px {
-			px = a
-		}
-		if a := math.Abs(float64(v[1])); a > py {
-			py = a
-		}
-	}
-	return math.Sqrt(px * py)
-}
-
 // GeomMeanFromPeaks combines per-component peak maps.
 func GeomMeanFromPeaks(pgvx, pgvy float64) float64 {
 	return math.Sqrt(pgvx * pgvy)

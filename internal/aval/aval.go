@@ -34,10 +34,6 @@ func L2Misfit(got, ref [][3]float32) float64 {
 	return math.Sqrt(num / den)
 }
 
-// DefaultTolerance is the acceptance threshold for same-algorithm
-// regression tests (different kernels, decompositions, comm models).
-const DefaultTolerance = 1e-5
-
 // CrossCodeTolerance is the acceptance threshold when comparing
 // independent discretizations (4th-order vs 2nd-order on a resolved
 // problem), per the Fig. 3 "nearly identical" standard.

@@ -12,6 +12,10 @@ import (
 	"repro/internal/mpi"
 )
 
+// defaultTolerance is the acceptance threshold for same-algorithm
+// regression tests (different kernels, decompositions, comm models).
+const defaultTolerance = 1e-5
+
 func TestL2MisfitBasics(t *testing.T) {
 	a := [][3]float32{{1, 0, 0}, {0, 1, 0}}
 	if m := L2Misfit(a, a); m != 0 {
@@ -75,7 +79,7 @@ func TestAcceptanceAcrossKernelVariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		for r := range ref.Seismograms {
-			rep := Check(variant.String(), got.Seismograms[r], ref.Seismograms[r], DefaultTolerance)
+			rep := Check(variant.String(), got.Seismograms[r], ref.Seismograms[r], defaultTolerance)
 			if !rep.Pass {
 				t.Errorf("variant %v receiver %d: %s", variant, r, rep)
 			}

@@ -156,19 +156,3 @@ func (a *Model) Sections() []grid.Section {
 		{Name: "zzz", F32: a.ZZZ.Data()}, {Name: "zxy", F32: a.ZXY.Data()},
 		{Name: "zxz", F32: a.ZXZ.Data()}, {Name: "zyz", F32: a.ZYZ.Data()}}
 }
-
-// FlopsPerCell is the approximate flop count of the attenuation pass per
-// cell per step, for the performance model.
-const FlopsPerCell = 90
-
-// QPredicted returns the effective quality factor the relaxation ensemble
-// produces at angular frequency omega for a target Q — the verification
-// quantity of Day (1998). A perfect constant-Q model would return targetQ
-// at every frequency in the band.
-func (a *Model) QPredicted(omega, targetQ float64) float64 {
-	if targetQ <= 0 {
-		return math.Inf(1)
-	}
-	loss := ensembleLoss(a.Taus, omega) / ensembleLoss(a.Taus, a.Band.CenterOmega())
-	return targetQ / loss
-}

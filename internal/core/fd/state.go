@@ -28,13 +28,6 @@ const (
 	C2 = -1.0 / 24.0
 )
 
-// Flop counts per cell per step for the two kernels, used by the analytic
-// performance model (factor C of Eq. 8).
-const (
-	FlopsVelocityPerCell = 54 // 3 components x (3 derivatives + scale)
-	FlopsStressPerCell   = 72 // 9 derivatives + 6 constitutive updates
-)
-
 // State holds the nine wavefield components on one subgrid.
 type State struct {
 	Dims       grid.Dims

@@ -268,18 +268,6 @@ func (f *Fault) MomentRate(m *medium.Medium) float64 {
 	return mr
 }
 
-// Moment returns the cumulative seismic moment sum(mu * slip * dA), N*m.
-func (f *Fault) Moment(m *medium.Medium) float64 {
-	var m0 float64
-	area := f.h * f.h
-	for k := f.cfg.K0; k < f.cfg.K1; k++ {
-		for i := f.cfg.I0; i < f.cfg.I1; i++ {
-			m0 += float64(m.Mu.At(i, f.cfg.J0, k)) * f.Slip[f.idx(i, k)] * area
-		}
-	}
-	return m0
-}
-
 // Stats summarizes the rupture for Fig 19-style reporting.
 type Stats struct {
 	MaxSlip, MeanSlip   float64

@@ -85,43 +85,3 @@ func boundaryStrips(d grid.Dims, mask [3][2]bool, w int) ([]fd.Box, fd.Box) {
 	}
 	return strips, interior
 }
-
-// MessageStats describes one rank's halo traffic: the float32 volume and
-// the message counts per phase — the quantity the extended performance
-// model (perfmodel, Eq. 7/8 with the α·nmsgs term) prices.
-type MessageStats struct {
-	Floats     int // float32 values sent (both phases)
-	VelMsgs    int // messages sent in the velocity phase
-	StressMsgs int // messages sent in the stress phase
-}
-
-// Msgs returns the total messages sent.
-func (s MessageStats) Msgs() int { return s.VelMsgs + s.StressMsgs }
-
-// statsEnv is the transport-less env the traffic accounting builds its
-// schedules on — the same builders the Stepper uses, over nil fields, with
-// placeholder peers on the faces that have a neighbor.
-func statsEnv(d grid.Dims, nbrMask [3][2]bool) haloEnv {
-	e := haloEnv{d: d}
-	for ax := range e.nbr {
-		for sd := range e.nbr[ax] {
-			if !nbrMask[ax][sd] {
-				e.nbr[ax][sd] = -1
-			}
-		}
-	}
-	return e
-}
-
-// HaloStats returns the per-step halo traffic of a rank with the given
-// subgrid under the model, read off the velocity and stress schedules a
-// Stepper of that shape executes.
-func HaloStats(d grid.Dims, nbrMask [3][2]bool, model CommModel) MessageStats {
-	env := statsEnv(d, nbrMask)
-	var st MessageStats
-	var vf, sf int
-	st.VelMsgs, vf = classicSchedule(env, phaseVelocity, model, make([]*grid.Field3, 3)).traffic()
-	st.StressMsgs, sf = classicSchedule(env, phaseStress, model, make([]*grid.Field3, 6)).traffic()
-	st.Floats = vf + sf
-	return st
-}

@@ -697,7 +697,7 @@ func (p *physicsRow) build() *reference {
 	}, func(c *mpi.Comm, st *Stepper) {
 		step, secs := st.StepIndex()-1, st.Sections()
 		if orc != nil {
-			twoPassOracle(orc.rs, orc.Dt(), step)
+			twoPassOracle(orc.rs, orc.dt, step)
 			if msg := diffState(secs, ref.regs, orc.Sections(), orcRegs, false); msg != "" {
 				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
 			}

@@ -26,6 +26,7 @@ func FuzzPrepare(f *testing.F) {
 		fault, surface, fs, attn bool
 		cflPct, dtSign, recvOff  int8
 		stepsOff, hPct, srcOff   int8
+		srcM0, srcDt             int8
 	}
 	for _, s := range []seed{
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, threads: 1, attn: true, fs: true},
@@ -65,10 +66,17 @@ func FuzzPrepare(f *testing.F) {
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, cflPct: 126},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, dtSign: 125},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 2, pmlWidth: 3, dtSign: 100},
+		// A source that cannot radiate: a NaN moment ran to a PGV of 0 and
+		// one of 1e300 to +Inf, both without an error; a sample step of
+		// zero or NaN.
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, srcM0: 126},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, srcM0: 125},
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 1, abc: 1, srcDt: -1},
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 1, abc: 1, srcDt: 126},
 	} {
 		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.threads, s.pmlWidth,
 			s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign, s.recvOff,
-			s.stepsOff, s.hPct, s.srcOff)
+			s.stepsOff, s.hPct, s.srcOff, s.srcM0, s.srcDt)
 	}
 	// special maps the top values of an int8 to 1e300, NaN and +Inf.
 	special := func(v int8, scale float64) float64 {
@@ -84,7 +92,7 @@ func FuzzPrepare(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz uint8, comm, abc, threads int8, pmlWidth uint8,
 		fault, surface, fs, attn bool, cflPct, dtSign, recvOff int8,
-		stepsOff, hPct, srcOff int8) {
+		stepsOff, hPct, srcOff, srcM0, srcDt int8) {
 		// Bounded so that one input is milliseconds: ≤ 32³ cells, ≤ 27 ranks,
 		// ≤ 5 steps.
 		g := grid.Dims{NX: int(nx % 33), NY: int(ny % 33), NZ: int(nz % 33)}
@@ -94,6 +102,14 @@ func FuzzPrepare(f *testing.F) {
 			h = math.NaN()
 		case 127:
 			h = math.Inf(1)
+		}
+		// A zero srcM0 or srcDt keeps the source's moment or sample step.
+		m0, sdt := 1e15, 0.002
+		if srcM0 != 0 {
+			m0 = special(srcM0, 1e13)
+		}
+		if srcDt != 0 {
+			sdt = special(srcDt, 2e-3)
 		}
 		opt := Options{
 			Global: g, H: h, Steps: 2 + int(stepsOff%4),
@@ -107,9 +123,9 @@ func FuzzPrepare(f *testing.F) {
 			PMLWidth: int(pmlWidth), SpongeWidth: 3,
 			FreeSurface: fs, Attenuation: attn,
 			Sources: []source.SampledSource{source.PointSource{
-				GI: g.NX/4 + int(srcOff), GJ: g.NY / 2, GK: g.NZ / 2, M0: 1e15,
+				GI: g.NX/4 + int(srcOff), GJ: g.NY / 2, GK: g.NZ / 2, M0: m0,
 				Tensor: source.Explosion, STF: source.GaussianPulse(0.08, 0.02),
-			}.Sample(0.002, 50)},
+			}.Sample(sdt, 50)},
 			Receivers: [][3]int{{g.NX/4 + int(recvOff), g.NY / 2, 0}},
 			TrackPGV:  true,
 		}
@@ -129,6 +145,16 @@ func FuzzPrepare(f *testing.F) {
 		}
 		if perr == nil && (math.IsNaN(opt.Dt+opt.CFL) || math.IsInf(opt.Dt+opt.CFL, 0)) {
 			t.Fatalf("Prepare accepted Dt %g, CFL %g", opt.Dt, opt.CFL)
+		}
+		if src := opt.Sources[0]; perr == nil && !(src.Dt > 0 && src.Dt < math.Inf(1)) {
+			t.Fatalf("Prepare accepted a source sampled at Dt %g", src.Dt)
+		}
+		for _, r := range opt.Sources[0].Rate {
+			for _, v := range r {
+				if perr == nil && (math.IsNaN(float64(v)) || math.IsInf(float64(v), 0)) {
+					t.Fatalf("Prepare accepted a source rate of %g (M0 %g)", v, m0)
+				}
+			}
 		}
 		res, rerr := Run(q, opt)
 		if perr == nil && opt.Dt > 0 {
@@ -157,7 +183,9 @@ func FuzzPrepare(f *testing.F) {
 // inside the world, a non-positive or non-finite grid spacing ran every step
 // at dt = 0, and a source outside the grid belonged to no rank — the last two
 // returned an all-zero PGV map and no error. A grid with an empty axis was
-// reported as a misplaced receiver.
+// reported as a misplaced receiver. A source sampled at a step that is not
+// positive and finite, or holding a NaN or infinite rate, ran: a NaN
+// wavefield reports a PGV of 0.
 func TestPrepareRejectsWhatRunCannotExecute(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	for name, mutate := range map[string]func(*Options){
@@ -169,6 +197,13 @@ func TestPrepareRejectsWhatRunCannotExecute(t *testing.T) {
 		"source past NX":      func(o *Options) { o.Sources[0].GI = o.Global.NX },
 		"source above k = 0":  func(o *Options) { o.Sources[0].GK = -1 },
 		"second source at -1": func(o *Options) { o.Sources = append(o.Sources, o.Sources[0]); o.Sources[1].GJ = -1 },
+		"source Dt 0":         func(o *Options) { o.Sources[0].Dt = 0 },
+		"source Dt -0.002":    func(o *Options) { o.Sources[0].Dt = -0.002 },
+		"source Dt NaN":       func(o *Options) { o.Sources[0].Dt = math.NaN() },
+		"source Dt +Inf":      func(o *Options) { o.Sources[0].Dt = math.Inf(1) },
+		"source rate NaN":     func(o *Options) { o.Sources[0].Rate[3][0] = float32(math.NaN()) },
+		"source rate +Inf":    func(o *Options) { o.Sources[0].Rate[0][5] = float32(math.Inf(1)) },
+		"source rate -Inf":    func(o *Options) { o.Sources[0].Rate[7][2] = float32(math.Inf(-1)) },
 		"NX 0":                func(o *Options) { o.Global.NX = 0 },
 		"NZ -4":               func(o *Options) { o.Global.NZ = -4 },
 	} {

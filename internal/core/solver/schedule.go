@@ -262,12 +262,3 @@ func (s *schedule) exchange() {
 	s.post()
 	s.finish()
 }
-
-// traffic walks the schedule and returns what one execution sends: messages
-// and float32 values.
-func (s *schedule) traffic() (msgs, floats int) {
-	for mi := range s.msgs {
-		floats += s.msgs[mi].total
-	}
-	return len(s.msgs), floats
-}

@@ -102,8 +102,23 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	for i := range opt.Sources {
 		// Like a receiver: source.Localize would hand it to no rank, and the
 		// run would radiate nothing.
-		if s := &opt.Sources[i]; !inGrid(opt.Global, s.GI, s.GJ, s.GK) {
+		s := &opt.Sources[i]
+		if !inGrid(opt.Global, s.GI, s.GJ, s.GK) {
 			return decomp.Decomp{}, opt, fmt.Errorf("solver: source %d at (%d,%d,%d) lies outside the %v grid", i, s.GI, s.GJ, s.GK, opt.Global)
+		}
+		// A source must radiate: a sample step that is not positive and
+		// finite has no sample index int(t/dt), and a NaN rate fails every
+		// comparison of the PGV fold, so a NaN wavefield would report a PGV
+		// of 0 (an overflowed one, +Inf).
+		if !(s.Dt > 0) || math.IsInf(s.Dt, 1) {
+			return decomp.Decomp{}, opt, fmt.Errorf("solver: source %d samples at Dt %g; it must be positive and finite", i, s.Dt)
+		}
+		for n := range s.Rate {
+			for _, v := range s.Rate[n] {
+				if math.Float32bits(v)&0x7f800000 == 0x7f800000 { // all exponent bits: ±Inf or NaN
+					return decomp.Decomp{}, opt, fmt.Errorf("solver: source %d holds %g at sample %d; every rate must be finite", i, v, n)
+				}
+			}
 		}
 	}
 	dc, err := decomp.New(opt.Global, opt.Topo)
@@ -293,9 +308,6 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	ok = true
 	return s, nil
 }
-
-// Dt returns the resolved global time step.
-func (s *Stepper) Dt() float64 { return s.dt }
 
 // StepIndex returns the index of the next step to execute.
 func (s *Stepper) StepIndex() int { return s.step }

@@ -75,26 +75,6 @@ func (d Decomp) SubFor(rank int) Sub {
 	}
 }
 
-// Owner returns the rank owning global cell (gi, gj, gk).
-func (d Decomp) Owner(gi, gj, gk int) int {
-	return d.Topo.Rank(owner1(d.Global.NX, d.Topo.PX, gi),
-		owner1(d.Global.NY, d.Topo.PY, gj),
-		owner1(d.Global.NZ, d.Topo.PZ, gk))
-}
-
-func owner1(n, p, g int) int {
-	if g < 0 || g >= n {
-		panic(fmt.Sprintf("decomp: global index %d outside [0,%d)", g, n))
-	}
-	base := n / p
-	rem := n % p
-	cut := rem * (base + 1)
-	if g < cut {
-		return g / (base + 1)
-	}
-	return rem + (g-cut)/base
-}
-
 // Contains reports whether the subgrid owns global cell (gi,gj,gk) and, if
 // so, its local coordinates.
 func (s Sub) Contains(gi, gj, gk int) (li, lj, lk int, ok bool) {

@@ -61,33 +61,6 @@ func TestSubgridsTileGlobalExactly(t *testing.T) {
 	}
 }
 
-func TestOwnerMatchesSubFor(t *testing.T) {
-	g := grid.Dims{NX: 10, NY: 10, NZ: 10}
-	topo := mpi.NewCart(2, 2, 1)
-	d := mustNew(t, g, topo)
-	for gi := 0; gi < g.NX; gi++ {
-		for gj := 0; gj < g.NY; gj++ {
-			for gk := 0; gk < g.NZ; gk++ {
-				r := d.Owner(gi, gj, gk)
-				s := d.SubFor(r)
-				if _, _, _, ok := s.Contains(gi, gj, gk); !ok {
-					t.Fatalf("Owner(%d,%d,%d)=%d but sub does not contain it", gi, gj, gk, r)
-				}
-			}
-		}
-	}
-}
-
-func TestOwnerPanicsOutside(t *testing.T) {
-	d := mustNew(t, grid.Dims{NX: 8, NY: 8, NZ: 8}, mpi.NewCart(2, 1, 1))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	d.Owner(8, 0, 0)
-}
-
 func TestContainsLocalCoords(t *testing.T) {
 	d := mustNew(t, grid.Dims{NX: 8, NY: 8, NZ: 8}, mpi.NewCart(2, 2, 2))
 	s := d.SubFor(d.Topo.Rank(1, 1, 1))

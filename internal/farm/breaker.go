@@ -157,14 +157,6 @@ func (bs *Breakers) Ready(class string) bool {
 	return bs.get(class).state == Closed
 }
 
-// State returns the class's current state (Open past cooldown still
-// reports Open until a request arrives to probe).
-func (bs *Breakers) State(class string) BreakerState {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	return bs.get(class).state
-}
-
 // Trips returns the total Closed/HalfOpen→Open transitions across classes.
 func (bs *Breakers) Trips() int {
 	bs.mu.Lock()

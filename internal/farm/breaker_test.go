@@ -5,6 +5,14 @@ import (
 	"time"
 )
 
+// State returns the class's current state (Open past cooldown still
+// reports Open until a request arrives to probe).
+func (bs *Breakers) State(class string) BreakerState {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	return bs.get(class).state
+}
+
 // fakeClock is an injectable breaker clock.
 type fakeClock struct{ t time.Time }
 

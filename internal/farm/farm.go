@@ -49,8 +49,6 @@ type FTConfig struct {
 	// Chaos arms in-world message-layer fault injection; the plan's Seed
 	// is re-derived per job so different scenarios see different faults.
 	Chaos *mpi.ChaosPlan
-	// PFSFaults arms transient checkpoint-storage faults.
-	PFSFaults *pfs.FaultPlan
 }
 
 // Stats snapshots the supervisor's counters.
@@ -398,7 +396,6 @@ func (f *Farm) compute(sc Scenario) (Product, error) {
 			Solver: opt, Query: model,
 			FS: pfs.New(pfs.Jaguar()), Dir: "ckpt",
 			Interval: interval, Chaos: chaos,
-			PFSFaults: f.cfg.FT.PFSFaults,
 		})
 		f.mu.Lock()
 		f.stats.Recoveries += stats.Recoveries
@@ -546,17 +543,6 @@ func (f *Farm) Audit(rounds int) int {
 		f.Wait()
 	}
 	return healed
-}
-
-// Scenario returns the submitted scenario for a key.
-func (f *Farm) Scenario(key string) (Scenario, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	js := f.jobs[key]
-	if js == nil {
-		return Scenario{}, false
-	}
-	return js.sc, true
 }
 
 // Resubmit re-queues a known scenario whose artifact was found corrupt at

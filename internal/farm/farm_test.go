@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -242,6 +243,21 @@ func TestFarmRejectedSpecFailsOnce(t *testing.T) {
 	f.Wait()
 	if st := f.Stats(); st.Completed != 1 || st.BreakerParks != 0 {
 		t.Fatalf("valid job behind the rejected ones: %+v", st)
+	}
+}
+
+// A scenario whose source cannot radiate (its moment overflows, or is NaN)
+// reaches the farm only through Submit — /hazard refuses it — and
+// solver.Prepare rejects the job: one attempt each, no retry, no breaker
+// feedback.
+func TestFarmUnradiatingScenarioFailsOnce(t *testing.T) {
+	f := newTestFarm(t, Config{Workers: 1, Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour}})
+	for _, mw := range []float64{math.NaN(), 1e300, math.Inf(1)} {
+		f.Submit(Scenario{Mw: mw, HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1})
+	}
+	f.Wait()
+	if st := f.Stats(); st.Attempts != 3 || st.Retries != 0 || st.BreakerTrips != 0 || st.Failed != 3 {
+		t.Fatalf("unradiating scenarios: %+v", st)
 	}
 }
 

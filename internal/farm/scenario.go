@@ -51,6 +51,33 @@ func (s Scenario) Key() string {
 	return hex.EncodeToString(sum[:8])
 }
 
+// The magnitudes a scenario may ask for: from a small felt event to the
+// largest earthquake recorded (Mw 9.5, Chile 1960).
+const minMw, maxMw = 3.0, 9.5
+
+// Validate rejects a scenario no job can answer: a value that is not
+// finite, a hypocentre fraction outside [0, 1], a velocity scale that is
+// not positive, or a magnitude outside [minMw, maxMw].
+func (s Scenario) Validate() error {
+	for _, v := range []float64{s.Mw, s.HypoX, s.HypoY, s.HypoZ, s.VsScale} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("scenario %+v: every value must be finite", s)
+		}
+	}
+	for _, v := range []float64{s.HypoX, s.HypoY, s.HypoZ} {
+		if v < 0 || v > 1 {
+			return fmt.Errorf("scenario %+v: hypocentre fractions must lie in [0, 1]", s)
+		}
+	}
+	if s.VsScale <= 0 {
+		return fmt.Errorf("scenario %+v: vs must be positive", s)
+	}
+	if s.Mw < minMw || s.Mw > maxMw {
+		return fmt.Errorf("scenario %+v: mw must lie in [%g, %g]", s, minMw, maxMw)
+	}
+	return nil
+}
+
 // Class buckets scenarios for failure isolation: the circuit breaker trips
 // per class, so a pathological magnitude band cannot take down serving of
 // the others.
@@ -114,8 +141,9 @@ func LatinHypercube(n int, seed int64, r ScenarioRange) []Scenario {
 }
 
 // EnsembleSpec fixes the simulation configuration shared by every member:
-// the grid and physics options; the base velocity model is the SoCal
+// the grid and the run length; the base velocity model is the SoCal
 // synthetic sized to the grid. Scenario parameters perturb around it.
+// Every job is elastic (no attenuation), which keeps the ensemble cheap.
 type EnsembleSpec struct {
 	Dims  grid.Dims
 	H     float64 // grid spacing, m
@@ -123,9 +151,6 @@ type EnsembleSpec struct {
 	// Ranks is the per-job world size (1 = single-rank solver.Run; >1
 	// runs each job as a multi-rank in-process world).
 	Ranks int
-	// Attenuation toggles the anelastic update (off keeps demonstration
-	// jobs cheap).
-	Attenuation bool
 }
 
 // DefaultSpec is the laptop-scale demonstration ensemble configuration.
@@ -207,8 +232,8 @@ func (e EnsembleSpec) Options(sc Scenario) solver.Options {
 		Global: e.Dims, H: e.H, Steps: e.Steps, Topo: topo,
 		Comm: solver.AsyncReduced,
 		ABC:  solver.SpongeABC, SpongeWidth: 4,
-		FreeSurface: true, Attenuation: e.Attenuation,
-		Sources:  []source.SampledSource{ps.Sample(0.002, 120)},
-		TrackPGV: true,
+		FreeSurface: true,
+		Sources:     []source.SampledSource{ps.Sample(0.002, 120)},
+		TrackPGV:    true,
 	}
 }

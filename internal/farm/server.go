@@ -143,7 +143,7 @@ func parseScenario(r *http.Request) (Scenario, error) {
 	if sc.VsScale, err = get("vs", 1.0); err != nil {
 		return sc, err
 	}
-	return sc, nil
+	return sc, sc.Validate()
 }
 
 // handleHazard is the main query path with admission control.
@@ -280,11 +280,4 @@ func (s *Server) handleStatus(w http.ResponseWriter) {
 		Shed:       shed,
 		SurrogateN: surN,
 	})
-}
-
-// ServedCounts reports (served, degraded, shed) for benchmarks.
-func (s *Server) ServedCounts() (served, degraded, shed int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served, s.degraded, s.shed
 }

@@ -9,6 +9,13 @@ import (
 	"time"
 )
 
+// ServedCounts reports (served, degraded, shed).
+func (s *Server) ServedCounts() (served, degraded, shed int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.served, s.degraded, s.shed
+}
+
 func getJSON(t *testing.T, s *Server, url string, out any) int {
 	t.Helper()
 	req := httptest.NewRequest("GET", url, nil)
@@ -122,6 +129,29 @@ func TestServerNeverServesCorrupt(t *testing.T) {
 
 // TestServerLoadShedding: with MaxConcurrent 1 and a slow in-flight
 // query, concurrent queries are shed to degraded answers, never errors.
+// A query no job can answer is the caller's error: a 400 with a JSON
+// error, no job queued and no breaker moved.
+func TestServerRejectsUnanswerableScenarios(t *testing.T) {
+	f := newTestFarm(t, Config{Workers: 1})
+	srv := NewServer(f, ServerConfig{})
+	for _, q := range []string{
+		"mw=NaN", "mw=Inf", "mw=-Inf", "mw=1e300", "mw=2.9", "mw=9.6", "hz=NaN", "vs=NaN",
+		"hx=5", "hx=-3", "hy=1.01", "vs=0", "vs=-1", "vs=Inf",
+	} {
+		var body map[string]string
+		if code := getJSON(t, srv, "/hazard?"+q, &body); code != 400 || body["error"] == "" {
+			t.Errorf("%s: HTTP %d, body %v; want 400 with an error", q, code, body)
+		}
+	}
+	if st := f.Stats(); st.Submitted != 0 || st.BreakerTrips != 0 || st.BreakerParks != 0 {
+		t.Fatalf("rejected queries moved the farm: %+v", st)
+	}
+	var body HazardResponse
+	if code := getJSON(t, srv, "/hazard?mw=3&hx=0&hy=1&hz=0.5&vs=0.5", &body); code != 200 {
+		t.Fatalf("edge of the valid box: HTTP %d", code)
+	}
+}
+
 func TestServerLoadShedding(t *testing.T) {
 	f := newTestFarm(t, Config{Workers: 1})
 	srv := NewServer(f, ServerConfig{MaxConcurrent: 1})

@@ -273,31 +273,6 @@ func (s *Store) CorruptAtRest(key string) bool {
 	return s.Retry.Do(func() error { return s.fs.WriteAt(path, off, buf) }) == nil
 }
 
-// Checksum returns the artifact's CRC64 trailer (for external audit and
-// the benchmark's wrong-result gate). Second return is false if missing
-// or unreadably short.
-func (s *Store) Checksum(key string) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	path := artifactPath(key)
-	sz := s.fs.Size(path)
-	if sz < 8 {
-		return 0, false
-	}
-	trailer := make([]byte, 8)
-	if err := s.fs.ReadAt(path, sz-8, trailer); err != nil {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint64(trailer), true
-}
-
-// ProductChecksum computes the CRC64 a clean encoding of p would carry —
-// the reference value for the zero-wrong-results gate.
-func ProductChecksum(p Product) uint64 {
-	data := p.encode()
-	return binary.LittleEndian.Uint64(data[len(data)-8:])
-}
-
 // SanePGV rejects products with NaN/Inf peaks (defense against a solver
 // gone numerically unstable under perturbation).
 func SanePGV(p Product) bool {

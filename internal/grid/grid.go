@@ -154,18 +154,12 @@ func (f *Field3) Data() []float32 { return f.data }
 // Idx(i+1,j,k) = Idx(i,j,k)+dx, etc.
 func (f *Field3) Strides() (dx, dy, dz int) { return 1, f.sx, f.sx * f.sy }
 
-// PaddedDims returns the padded extents of the backing array.
-func (f *Field3) PaddedDims() (sx, sy, sz int) { return f.sx, f.sy, f.sz }
-
 // Fill sets every element, ghosts included, to v.
 func (f *Field3) Fill(v float32) {
 	for i := range f.data {
 		f.data[i] = v
 	}
 }
-
-// Zero resets every element to zero.
-func (f *Field3) Zero() { f.Fill(0) }
 
 // CopyFrom copies the full padded contents of src, which must have
 // identical dims and ghost width.
@@ -174,13 +168,6 @@ func (f *Field3) CopyFrom(src *Field3) {
 		panic(fmt.Sprintf("grid: CopyFrom mismatch %v/g%d != %v/g%d", f.Dims, f.g, src.Dims, src.g))
 	}
 	copy(f.data, src.data)
-}
-
-// Clone returns a deep copy of f, preserving its ghost width.
-func (f *Field3) Clone() *Field3 {
-	g := NewField3G(f.Dims, f.g)
-	copy(g.data, f.data)
-	return g
 }
 
 // Section is one named array of a rank's restart state, aliasing its owner's
@@ -338,20 +325,6 @@ func (f *Field3) copyRows(i0, i1, j0, j1, k0, k1 int, buf []float32, pack bool) 
 		}
 	}
 	return n
-}
-
-// ExtractBlock copies the interior block [i0,i1)x[j0,j1)x[k0,k1) into a
-// newly allocated slice in x-fastest order.
-func (f *Field3) ExtractBlock(i0, i1, j0, j1, k0, k1 int) []float32 {
-	out := make([]float32, (i1-i0)*(j1-j0)*(k1-k0))
-	f.copyBlock(i0, i1, j0, j1, k0, k1, out, true)
-	return out
-}
-
-// InsertBlock copies src (x-fastest order) into the block
-// [i0,i1)x[j0,j1)x[k0,k1).
-func (f *Field3) InsertBlock(i0, i1, j0, j1, k0, k1 int, src []float32) {
-	f.copyBlock(i0, i1, j0, j1, k0, k1, src, false)
 }
 
 // MaxAbs returns the maximum absolute interior value.

@@ -46,8 +46,8 @@ func TestGhostWidths(t *testing.T) {
 	if f.G() != 0 || len(f.Data()) != d.Cells() {
 		t.Fatalf("ghost 0: G %d, %d values, want 0 and %d", f.G(), len(f.Data()), d.Cells())
 	}
-	if sx, sy, sz := f.PaddedDims(); sx != d.NX || sy != d.NY || sz != d.NZ {
-		t.Fatalf("ghost 0: PaddedDims %d,%d,%d, want %v", sx, sy, sz, d)
+	if dx, dy, dz := f.Strides(); dx != 1 || dy != d.NX || dz != d.NX*d.NY {
+		t.Fatalf("ghost 0: strides %d,%d,%d, want those of %v", dx, dy, dz, d)
 	}
 	for n := range f.Data() {
 		f.Data()[n] = float32(n)
@@ -171,9 +171,9 @@ func TestIdxStrides(t *testing.T) {
 	if f.Idx(1, 2, 4)-base != dz {
 		t.Errorf("z stride mismatch")
 	}
-	sx, sy, sz := f.PaddedDims()
-	if sx != 4+2*Ghost || sy != 5+2*Ghost || sz != 6+2*Ghost {
-		t.Errorf("PaddedDims = %d,%d,%d", sx, sy, sz)
+	sx, sy, sz := 4+2*Ghost, 5+2*Ghost, 6+2*Ghost
+	if dy != sx || dz != sx*sy {
+		t.Errorf("strides %d,%d, want %d,%d", dy, dz, sx, sx*sy)
 	}
 	if len(f.Data()) != sx*sy*sz {
 		t.Errorf("backing size = %d, want %d", len(f.Data()), sx*sy*sz)
@@ -219,22 +219,13 @@ func TestSetAtAdd(t *testing.T) {
 	}
 }
 
-func TestFillZeroClone(t *testing.T) {
+func TestFill(t *testing.T) {
 	f := NewField3(Dims{2, 2, 2})
 	f.Fill(3)
 	for _, v := range f.Data() {
 		if v != 3 {
 			t.Fatal("Fill did not set all values")
 		}
-	}
-	g := f.Clone()
-	g.Set(0, 0, 0, -1)
-	if f.At(0, 0, 0) != 3 {
-		t.Fatal("Clone is not a deep copy")
-	}
-	f.Zero()
-	if f.MaxAbs() != 0 {
-		t.Fatal("Zero did not clear field")
 	}
 }
 
@@ -332,26 +323,6 @@ func dims(f *Field3, ax Axis) int {
 		return f.NY
 	default:
 		return f.NZ
-	}
-}
-
-func TestExtractInsertBlockRoundTrip(t *testing.T) {
-	f := NewField3(Dims{5, 4, 3})
-	fillPattern(f)
-	blk := f.ExtractBlock(1, 4, 0, 2, 1, 3)
-	if len(blk) != 3*2*2 {
-		t.Fatalf("block len = %d", len(blk))
-	}
-	g := NewField3(f.Dims)
-	g.InsertBlock(1, 4, 0, 2, 1, 3, blk)
-	for k := 1; k < 3; k++ {
-		for j := 0; j < 2; j++ {
-			for i := 1; i < 4; i++ {
-				if g.At(i, j, k) != f.At(i, j, k) {
-					t.Fatalf("block mismatch at %d,%d,%d", i, j, k)
-				}
-			}
-		}
 	}
 }
 

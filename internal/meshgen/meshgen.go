@@ -5,14 +5,11 @@
 // file at computed offsets via MPI-IO — the scheme that cut extraction
 // from hundreds of hours to minutes.
 //
-// Two write paths are provided. Generate is the original one-shot path:
-// each core materializes all of its planes and writes them itself (one
-// open per core). GenerateStreamed is the out-of-core M8 pipeline: cores
-// hold at most ChunkPlanes z-planes at a time — peak live mesh bytes per
-// core are O(chunk), independent of NZ — and each round's chunks are
-// written collectively through the internal/agg two-phase aggregator, so
-// the file sees a few large stripe-aligned streams instead of one stream
-// per core.
+// GenerateStreamed is the out-of-core M8 pipeline: cores hold at most
+// ChunkPlanes z-planes at a time — peak live mesh bytes per core are
+// O(chunk), independent of NZ — and each round's chunks are written
+// collectively through the internal/agg two-phase aggregator, so the file
+// sees a few large stripe-aligned streams instead of one stream per core.
 package meshgen
 
 import (
@@ -56,7 +53,7 @@ func (sp Spec) check() error {
 
 // extractPlane fills vals with plane k of the mesh (x fastest, then y), an
 // x-row per cvm.QueryRow call — the one place that defines the record
-// layout, shared by both write paths so they are bit-identical.
+// layout.
 func extractPlane(q cvm.Querier, sp Spec, k int, vals []float32) {
 	xs, mats := make([]float64, sp.Global.NX), make([]cvm.Material, sp.Global.NX)
 	for i := range xs {
@@ -72,46 +69,6 @@ func extractPlane(q cvm.Querier, sp Spec, k int, vals []float32) {
 			idx += 3
 		}
 	}
-}
-
-// Generate extracts the mesh in parallel and writes the global mesh file,
-// one writer stream per core. A failed plane write (after the bounded
-// retry of the indexed-write path) fails the whole extraction.
-func Generate(fsys *pfs.FS, q cvm.Querier, sp Spec) (Stats, error) {
-	if err := sp.check(); err != nil {
-		return Stats{}, err
-	}
-	planeBytes := sp.Global.NX * sp.Global.NY * RecBytes
-	views := make([][]mpiio.Segment, sp.Cores)
-
-	world := mpi.NewWorld(sp.Cores)
-	err := world.RunErr(func(c *mpi.Comm) error {
-		rank := c.Rank()
-		var view []mpiio.Segment
-		vals := make([]float32, sp.Global.NX*sp.Global.NY*3)
-		// Round-robin z-slice assignment.
-		for k := rank; k < sp.Global.NZ; k += sp.Cores {
-			extractPlane(q, sp, k, vals)
-			// Seek to the slice offset and write — one contiguous chunk.
-			seg := []mpiio.Segment{{Off: k * planeBytes, Len: planeBytes}}
-			if err := mpiio.WriteIndexed(fsys, sp.Path, seg, mpiio.PutFloat32s(vals)); err != nil {
-				return fmt.Errorf("meshgen: plane %d: %w", k, err)
-			}
-			view = append(view, seg[0])
-		}
-		views[rank] = view
-		return nil
-	})
-	if err != nil {
-		return Stats{}, err
-	}
-
-	st := Stats{
-		Points: sp.Global.Cells(),
-		Bytes:  sp.Global.Cells() * RecBytes,
-	}
-	st.WritePhase = fsys.SimulatePhase(mpiio.PhaseOps(sp.Path, views, true))
-	return st, nil
 }
 
 // StreamSpec tunes the out-of-core streaming extraction.
@@ -139,7 +96,7 @@ type StreamStats struct {
 // GenerateStreamed extracts the mesh out-of-core: cores sweep the z
 // range in rounds of Cores×ChunkPlanes planes, each core holding only
 // its current chunk, and every round is written collectively through the
-// two-phase aggregator. The file is bit-identical to Generate's.
+// two-phase aggregator. The file does not depend on Cores or ChunkPlanes.
 func GenerateStreamed(fsys *pfs.FS, q cvm.Querier, ssp StreamSpec) (StreamStats, error) {
 	sp := ssp.Spec
 	if err := sp.check(); err != nil {

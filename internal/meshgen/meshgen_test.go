@@ -1,6 +1,7 @@
 package meshgen
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/cvm"
@@ -16,31 +17,23 @@ func TestGenerateCoreCountInvariance(t *testing.T) {
 	var ref []byte
 	for _, cores := range []int{1, 2, 4, 8} {
 		fsys := pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
-		st, err := Generate(fsys, q, Spec{Path: "mesh", Global: g, H: 500, Cores: cores})
+		st, err := GenerateStreamed(fsys, q, StreamSpec{Spec: Spec{Path: "mesh", Global: g, H: 500, Cores: cores}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Points != g.Cells() || st.Bytes != g.Cells()*RecBytes {
-			t.Fatalf("stats %+v", st)
+			t.Fatalf("stats %+v", st.Stats)
 		}
 		if st.WritePhase.Bytes == 0 {
 			t.Error("write phase not priced")
 		}
-		raw := make([]byte, fsys.Size("mesh"))
-		if err := fsys.ReadAt("mesh", 0, raw); err != nil {
-			t.Fatal(err)
-		}
+		raw := readAll(t, fsys, "mesh")
 		if ref == nil {
 			ref = raw
 			continue
 		}
-		if len(raw) != len(ref) {
-			t.Fatalf("cores=%d: size differs", cores)
-		}
-		for i := range raw {
-			if raw[i] != ref[i] {
-				t.Fatalf("cores=%d: byte %d differs", cores, i)
-			}
+		if !bytes.Equal(raw, ref) {
+			t.Fatalf("cores=%d: mesh differs from cores=1", cores)
 		}
 	}
 }

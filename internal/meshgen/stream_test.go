@@ -7,6 +7,7 @@ import (
 	"repro/internal/agg"
 	"repro/internal/cvm"
 	"repro/internal/grid"
+	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
 
@@ -27,14 +28,31 @@ func readAll(t *testing.T, fsys *pfs.FS, path string) []byte {
 	return raw
 }
 
+// generate is the one-shot reference mesh: the whole volume in memory,
+// each record the CVM's material at its node, written with one WriteAt.
+func generate(t *testing.T, fsys *pfs.FS, q cvm.Querier, sp Spec) {
+	t.Helper()
+	g := sp.Global
+	vals := make([]float32, 0, g.Cells()*3)
+	for k := 0; k < g.NZ; k++ {
+		for j := 0; j < g.NY; j++ {
+			for i := 0; i < g.NX; i++ {
+				m := q.Query(float64(i)*sp.H, float64(j)*sp.H, float64(k)*sp.H)
+				vals = append(vals, float32(m.Vp), float32(m.Vs), float32(m.Rho))
+			}
+		}
+	}
+	if err := fsys.WriteAt(sp.Path, 0, mpiio.PutFloat32s(vals)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGenerateStreamedBitIdenticalToGenerate(t *testing.T) {
 	g := grid.Dims{NX: 7, NY: 5, NZ: 12}
 	q := cvm.SoCal(3000, 2500, 4000, 400)
 	fsys := streamFS()
 	fsys.SetStripe("m/", 4, 1<<9)
-	if _, err := Generate(fsys, q, Spec{Path: "m/ref", Global: g, H: 500, Cores: 3}); err != nil {
-		t.Fatal(err)
-	}
+	generate(t, fsys, q, Spec{Path: "m/ref", Global: g, H: 500})
 	for _, chunk := range []int{1, 2, 5} {
 		for _, cores := range []int{1, 3, 4} {
 			st, err := GenerateStreamed(fsys, q, StreamSpec{
@@ -94,28 +112,28 @@ func TestGenerateStreamedBoundedMemoryInNZ(t *testing.T) {
 }
 
 // TestGenerateWriteFaultPropagates is the regression test for the
-// silently dropped WriteAt error: a permanently failing PFS must fail
-// Generate, and a transiently failing one must heal through retry with
+// silently dropped WriteAt error: a permanently failing PFS must fail mesh
+// generation, and a transiently failing one must heal through retry with
 // the file intact.
 func TestGenerateWriteFaultPropagates(t *testing.T) {
 	g := grid.Dims{NX: 5, NY: 4, NZ: 6}
 	q := cvm.SoCal(3000, 2500, 4000, 400)
-	sp := Spec{Path: "mesh", Global: g, H: 500, Cores: 2}
+	ssp := StreamSpec{Spec: Spec{Path: "mesh", Global: g, H: 500, Cores: 2}}
 
 	fsys := streamFS()
 	fsys.InjectFaults(pfs.FaultPlan{Seed: 3, WriteFailProb: 1, MaxConsecutive: 1 << 30})
-	if _, err := Generate(fsys, q, sp); err == nil {
-		t.Fatal("Generate succeeded on a permanently failing PFS")
+	if _, err := GenerateStreamed(fsys, q, ssp); err == nil {
+		t.Fatal("GenerateStreamed succeeded on a permanently failing PFS")
 	}
 
 	ref := streamFS()
-	if _, err := Generate(ref, q, sp); err != nil {
+	if _, err := GenerateStreamed(ref, q, ssp); err != nil {
 		t.Fatal(err)
 	}
 	healed := streamFS()
 	healed.InjectFaults(pfs.FaultPlan{Seed: 3, WriteFailProb: 0.5, MaxConsecutive: 1})
-	if _, err := Generate(healed, q, sp); err != nil {
-		t.Fatalf("Generate did not heal transient faults: %v", err)
+	if _, err := GenerateStreamed(healed, q, ssp); err != nil {
+		t.Fatalf("GenerateStreamed did not heal transient faults: %v", err)
 	}
 	if !bytes.Equal(readAll(t, ref, "mesh"), readAll(t, healed, "mesh")) {
 		t.Fatal("mesh written under transient faults differs")

@@ -83,34 +83,6 @@ func PartFileName(dir string, rank int) string {
 	return fmt.Sprintf("%s/submesh.%06d", dir, rank)
 }
 
-// PrePartition reads the global mesh once and writes one pre-partitioned
-// padded sub-mesh file per rank (I/O model 1).
-func PrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims, dc decomp.Decomp) (pfs.PhaseStats, error) {
-	nranks := dc.Topo.Size()
-	// Read the full mesh once (the serial partitioner).
-	segs := []mpiio.Segment{{Off: 0, Len: global.Cells() * meshgen.RecBytes}}
-	raw, err := mpiio.ReadIndexed(fsys, meshPath, segs)
-	if err != nil {
-		return pfs.PhaseStats{}, err
-	}
-	vals := mpiio.GetFloat32s(raw)
-	rec := func(gi, gj, gk int) (float32, float32, float32) {
-		base := ((gk*global.NY+gj)*global.NX + gi) * 3
-		return vals[base], vals[base+1], vals[base+2]
-	}
-	var ops []pfs.Op
-	for r := 0; r < nranks; r++ {
-		sm := extract(global, dc.SubFor(r), rec)
-		path := PartFileName(outDir, r)
-		n, err := writePart(fsys, path, sm)
-		if err != nil {
-			return pfs.PhaseStats{}, err
-		}
-		ops = append(ops, pfs.Op{Path: path, Bytes: n, Write: true, Open: true})
-	}
-	return fsys.SimulatePhase(ops), nil
-}
-
 // writePart writes one rank's padded sub-mesh file (VP‖VS‖Rho) with
 // bounded retry, returning the byte count.
 func writePart(fsys *pfs.FS, path string, sm SubMesh) (int, error) {
@@ -132,14 +104,14 @@ type StreamStats struct {
 	Waves     int // open-throttle waves of the priced write phase
 }
 
-// StreamPrePartition is the out-of-core pre-partitioner: instead of
-// materializing the whole global mesh (PrePartition's O(NX·NY·NZ)
-// footprint — 21 TB for the M8 mesh), it reads, for one rank at a time,
-// only the clamped ghost-padded block that rank needs, assembles and
-// writes its sub-mesh file, and moves on. Peak memory is one padded
-// sub-block, independent of NZ, and the output files are bit-identical
-// to PrePartition's. The write phase is priced under the concurrent-open
-// throttle (the M8 run kept 223,074 part-file opens at ≤650 in flight).
+// StreamPrePartition is the out-of-core pre-partitioner (I/O model 1):
+// instead of materializing the whole global mesh (O(NX·NY·NZ) — 21 TB for
+// the M8 mesh), it reads, for one rank at a time, only the clamped
+// ghost-padded block that rank needs, assembles and writes its padded
+// sub-mesh file (VP‖VS‖Rho), and moves on. Peak memory is one padded
+// sub-block, independent of NZ. The write phase is priced under the
+// concurrent-open throttle (the M8 run kept 223,074 part-file opens at
+// ≤650 in flight).
 func StreamPrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims, dc decomp.Decomp, throttle int) (pfs.PhaseStats, StreamStats, error) {
 	nranks := dc.Topo.Size()
 	g := grid.Ghost
@@ -180,23 +152,6 @@ func StreamPrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims,
 	st, waves := agg.ThrottledPhase(fsys, ops, throttle)
 	sst.Waves = waves
 	return st, sst, nil
-}
-
-// ReadPrePartitioned loads one rank's pre-partitioned sub-mesh (the
-// fast-path solver input; M8 read 223,074 of these in 4 minutes with open
-// throttling).
-func ReadPrePartitioned(fsys *pfs.FS, dir string, global grid.Dims, dc decomp.Decomp, rank int) (SubMesh, error) {
-	sub := dc.SubFor(rank)
-	n := paddedLen(sub.Local)
-	raw := make([]byte, 3*n*4)
-	if err := fsys.ReadAt(PartFileName(dir, rank), 0, raw); err != nil {
-		return SubMesh{}, err
-	}
-	vals := mpiio.GetFloat32s(raw)
-	return SubMesh{
-		Rank: rank, Dims: sub.Local,
-		VP: vals[:n], VS: vals[n : 2*n], Rho: vals[2*n : 3*n],
-	}, nil
 }
 
 // OnDemand performs the reader/receiver MPI-IO partitioning (I/O model 2):

@@ -12,8 +12,26 @@ import (
 	"repro/internal/medium"
 	"repro/internal/meshgen"
 	"repro/internal/mpi"
+	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
+
+// ReadPrePartitioned loads one rank's pre-partitioned sub-mesh (the
+// fast-path solver input; M8 read 223,074 of these in 4 minutes with open
+// throttling).
+func ReadPrePartitioned(fsys *pfs.FS, dir string, global grid.Dims, dc decomp.Decomp, rank int) (SubMesh, error) {
+	sub := dc.SubFor(rank)
+	n := paddedLen(sub.Local)
+	raw := make([]byte, 3*n*4)
+	if err := fsys.ReadAt(PartFileName(dir, rank), 0, raw); err != nil {
+		return SubMesh{}, err
+	}
+	vals := mpiio.GetFloat32s(raw)
+	return SubMesh{
+		Rank: rank, Dims: sub.Local,
+		VP: vals[:n], VS: vals[n : 2*n], Rho: vals[2*n : 3*n],
+	}, nil
+}
 
 func setup(t *testing.T, g grid.Dims, topo mpi.Cart) (*pfs.FS, decomp.Decomp, cvm.Querier, float64) {
 	t.Helper()
@@ -26,8 +44,8 @@ func setup(t *testing.T, g grid.Dims, topo mpi.Cart) (*pfs.FS, decomp.Decomp, cv
 	// (direct CVM extraction) and index clamping (partitioned files) see
 	// the same edge values.
 	q := cvm.SoCal(float64(g.NX-1)*500, float64(g.NY-1)*500, float64(g.NZ-1)*500, 400)
-	if _, err := meshgen.Generate(fsys, q, meshgen.Spec{
-		Path: "in/mesh.bin", Global: g, H: 500, Cores: 3,
+	if _, err := meshgen.GenerateStreamed(fsys, q, meshgen.StreamSpec{
+		Spec: meshgen.Spec{Path: "in/mesh.bin", Global: g, H: 500, Cores: 3},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +70,10 @@ func TestMeshgenMatchesCVM(t *testing.T) {
 func TestMeshgenValidation(t *testing.T) {
 	fsys := pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
 	q := cvm.HardRock()
-	if _, err := meshgen.Generate(fsys, q, meshgen.Spec{Path: "m", Global: grid.Dims{NX: 4, NY: 4, NZ: 4}, H: 100, Cores: 9}); err == nil {
+	if _, err := meshgen.GenerateStreamed(fsys, q, meshgen.StreamSpec{Spec: meshgen.Spec{Path: "m", Global: grid.Dims{NX: 4, NY: 4, NZ: 4}, H: 100, Cores: 9}}); err == nil {
 		t.Error("cores > NZ accepted")
 	}
-	if _, err := meshgen.Generate(fsys, q, meshgen.Spec{Path: "m", Global: grid.Dims{NX: 4, NY: 4, NZ: 4}, H: 0, Cores: 2}); err == nil {
+	if _, err := meshgen.GenerateStreamed(fsys, q, meshgen.StreamSpec{Spec: meshgen.Spec{Path: "m", Global: grid.Dims{NX: 4, NY: 4, NZ: 4}, H: 0, Cores: 2}}); err == nil {
 		t.Error("h=0 accepted")
 	}
 }
@@ -64,7 +82,7 @@ func TestPrePartitionRoundTrip(t *testing.T) {
 	g := grid.Dims{NX: 12, NY: 10, NZ: 8}
 	topo := mpi.NewCart(2, 2, 1)
 	fsys, dc, q, h := setup(t, g, topo)
-	if _, err := PrePartition(fsys, "in/mesh.bin", "parts", g, dc); err != nil {
+	if _, _, err := StreamPrePartition(fsys, "in/mesh.bin", "parts", g, dc, 0); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < topo.Size(); r++ {
@@ -91,7 +109,7 @@ func TestOnDemandMatchesPrePartitioned(t *testing.T) {
 	g := grid.Dims{NX: 12, NY: 10, NZ: 8}
 	topo := mpi.NewCart(2, 1, 2)
 	fsys, dc, _, _ := setup(t, g, topo)
-	if _, err := PrePartition(fsys, "in/mesh.bin", "parts", g, dc); err != nil {
+	if _, _, err := StreamPrePartition(fsys, "in/mesh.bin", "parts", g, dc, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []struct{ readers, ysplit int }{{1, 1}, {2, 1}, {4, 1}, {2, 2}, {3, 5}} {
@@ -191,7 +209,7 @@ func TestSingleRankDegenerateDecomp(t *testing.T) {
 	g := grid.Dims{NX: 9, NY: 7, NZ: 6}
 	topo := mpi.NewCart(1, 1, 1)
 	fsys, dc, q, h := setup(t, g, topo)
-	if _, err := PrePartition(fsys, "in/mesh.bin", "parts", g, dc); err != nil {
+	if _, _, err := StreamPrePartition(fsys, "in/mesh.bin", "parts", g, dc, 0); err != nil {
 		t.Fatal(err)
 	}
 	pre, err := ReadPrePartitioned(fsys, "parts", g, dc, 0)
@@ -234,7 +252,7 @@ func TestGhostClampingAtBoundariesWorkBalanced(t *testing.T) {
 	if first, last := dc.SubFor(0).Local.NX, dc.SubFor(topo.Size()-1).Local.NX; first == last {
 		t.Fatalf("the %v grid splits evenly over %d ranks: the end ranks are both %d wide", g, topo.Size(), first)
 	}
-	if _, err := PrePartition(fsys, "in/mesh.bin", "parts", g, dc); err != nil {
+	if _, _, err := StreamPrePartition(fsys, "in/mesh.bin", "parts", g, dc, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []int{0, topo.Size() - 1} {
@@ -267,7 +285,7 @@ func TestOnDemandParityOnWorkBalancedDecomp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PrePartition(fsys, "in/mesh.bin", "parts", g, dc); err != nil {
+	if _, _, err := StreamPrePartition(fsys, "in/mesh.bin", "parts", g, dc, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range []struct{ readers, ysplit int }{{1, 1}, {2, 1}, {4, 2}, {3, 3}} {

@@ -4,18 +4,40 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/mpiio"
+	"repro/internal/pfs"
 )
+
+// prePartition is the one-shot reference partitioner: it reads the whole
+// global mesh at once and writes every rank's padded sub-mesh file from
+// that single in-memory copy.
+func prePartition(t *testing.T, fsys *pfs.FS, meshPath, outDir string, global grid.Dims, dc decomp.Decomp) {
+	t.Helper()
+	raw := make([]byte, fsys.Size(meshPath))
+	if err := fsys.ReadAt(meshPath, 0, raw); err != nil {
+		t.Fatal(err)
+	}
+	vals := mpiio.GetFloat32s(raw)
+	rec := func(gi, gj, gk int) (float32, float32, float32) {
+		base := ((gk*global.NY+gj)*global.NX + gi) * 3
+		return vals[base], vals[base+1], vals[base+2]
+	}
+	for r := 0; r < dc.Topo.Size(); r++ {
+		if _, err := writePart(fsys, PartFileName(outDir, r), extract(global, dc.SubFor(r), rec)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
 func TestStreamPrePartitionBitIdenticalToPrePartition(t *testing.T) {
 	g := grid.Dims{NX: 12, NY: 12, NZ: 8}
 	fsys, dc, _, _ := setup(t, g, mpi.NewCart(2, 3, 2))
 	nranks := dc.Topo.Size()
 
-	if _, err := PrePartition(fsys, "in/mesh.bin", "full", g, dc); err != nil {
-		t.Fatal(err)
-	}
+	prePartition(t, fsys, "in/mesh.bin", "full", g, dc)
 	st, sst, err := StreamPrePartition(fsys, "in/mesh.bin", "stream", g, dc, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -36,7 +58,7 @@ func TestStreamPrePartitionBitIdenticalToPrePartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ba, bb) {
-			t.Fatalf("rank %d: streamed part file differs from PrePartition's", r)
+			t.Fatalf("rank %d: streamed part file differs from the one-shot partitioner's", r)
 		}
 	}
 
@@ -54,8 +76,8 @@ func TestStreamPrePartitionBitIdenticalToPrePartition(t *testing.T) {
 
 func TestStreamPrePartitionBoundedMemoryInNZ(t *testing.T) {
 	// Growing the mesh in z with fixed per-rank block size must not grow
-	// the partitioner's live set — the out-of-core property PrePartition
-	// lacks (its footprint is the whole mesh).
+	// the partitioner's live set — the out-of-core property a one-shot
+	// partitioner lacks (its footprint is the whole mesh).
 	// p=4 already contains interior ranks (full ±ghost z-blocks), so the
 	// per-rank block shape is identical at every larger p.
 	var peak int

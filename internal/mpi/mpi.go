@@ -125,9 +125,6 @@ func (w *World) inboxAt(r int) *inbox {
 	return b
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return w.size }
-
 // MessageStats returns the total point-to-point messages and float32
 // values delivered since creation (or the last ResetMessageStats),
 // summed over all ranks. Used by the halo benchmarks and tests to verify
@@ -583,7 +580,6 @@ const (
 	tagBcast  = -100
 	tagReduce = -101
 	tagGather = -102
-	tagAll    = -103
 )
 
 // Op is a reduction operator.

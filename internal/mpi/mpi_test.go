@@ -12,8 +12,8 @@ import (
 
 func TestWorldSize(t *testing.T) {
 	w := NewWorld(4)
-	if w.Size() != 4 {
-		t.Fatalf("Size = %d", w.Size())
+	if w.size != 4 {
+		t.Fatalf("size = %d", w.size)
 	}
 }
 

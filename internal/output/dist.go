@@ -168,31 +168,3 @@ func (d *Dist) Flush() error {
 	}
 	return nil
 }
-
-// VerifyStripes recomputes the per-stripe checksums of the written file
-// and compares them with the accumulated flush-time checksums (rank 0
-// only; other ranks return nil immediately). A mismatch means a torn or
-// lost write slipped past the write-time read-back.
-func (d *Dist) VerifyStripes() error {
-	if d.c.Rank() != 0 || len(d.Stats.Stripes) == 0 {
-		return nil
-	}
-	ref, err := agg.FileStripeChecksums(d.fsys, d.path)
-	if err != nil {
-		return err
-	}
-	if len(ref) != len(d.Stats.Stripes) {
-		return fmt.Errorf("output: %d stripes on disk, %d recorded", len(ref), len(d.Stats.Stripes))
-	}
-	for _, r := range ref {
-		got, ok := d.Stats.Stripes[r.Index]
-		if !ok {
-			return fmt.Errorf("output: stripe %d never recorded", r.Index)
-		}
-		if got != r {
-			return fmt.Errorf("output: stripe %d checksum mismatch: recorded %x/%s, on disk %x/%s",
-				r.Index, got.CRC64, got.MD5, r.CRC64, r.MD5)
-		}
-	}
-	return nil
-}

@@ -2,6 +2,7 @@ package srcgen
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
@@ -9,6 +10,73 @@ import (
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
+
+// ReadSourceFile loads a dSrcG file.
+func ReadSourceFile(fsys *pfs.FS, path string) ([]source.SampledSource, error) {
+	sz := fsys.Size(path)
+	if sz < 4 {
+		return nil, fmt.Errorf("srcgen: %s missing or empty", path)
+	}
+	raw := make([]byte, sz)
+	if err := fsys.ReadAt(path, 0, raw); err != nil {
+		return nil, err
+	}
+	vals := mpiio.GetFloat32s(raw)
+	n := int(vals[0])
+	p := 1
+	out := make([]source.SampledSource, 0, n)
+	for s := 0; s < n; s++ {
+		if p+5 > len(vals) {
+			return nil, fmt.Errorf("srcgen: truncated header at source %d", s)
+		}
+		src := source.SampledSource{
+			GI: int(vals[p]), GJ: int(vals[p+1]), GK: int(vals[p+2]),
+			Dt: float64(vals[p+4]),
+		}
+		nt := int(vals[p+3])
+		p += 5
+		if p+6*nt > len(vals) {
+			return nil, fmt.Errorf("srcgen: truncated rates at source %d", s)
+		}
+		src.Rate = make([][6]float32, nt)
+		for t := 0; t < nt; t++ {
+			copy(src.Rate[t][:], vals[p:p+6])
+			p += 6
+		}
+		out = append(out, src)
+	}
+	return out, nil
+}
+
+// Reassemble restores full histories from temporal segments (inverse of
+// PartitionTemporal), for verification.
+func Reassemble(segs []Segment) []source.SampledSource {
+	type key [3]int
+	order := []key{}
+	acc := map[key]*source.SampledSource{}
+	for _, seg := range segs {
+		for i := range seg.Sources {
+			s := &seg.Sources[i]
+			k := key{s.GI, s.GJ, s.GK}
+			a := acc[k]
+			if a == nil {
+				a = &source.SampledSource{GI: s.GI, GJ: s.GJ, GK: s.GK, Dt: s.Dt}
+				acc[k] = a
+				order = append(order, k)
+			}
+			// Segments arrive in loop order; pad any gap with zeros.
+			for len(a.Rate) < seg.StartStep {
+				a.Rate = append(a.Rate, [6]float32{})
+			}
+			a.Rate = append(a.Rate, s.Rate...)
+		}
+	}
+	out := make([]source.SampledSource, 0, len(acc))
+	for _, k := range order {
+		out = append(out, *acc[k])
+	}
+	return out
+}
 
 func demoSources(t *testing.T) []source.SampledSource {
 	t.Helper()

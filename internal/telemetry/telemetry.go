@@ -201,14 +201,6 @@ func NewRecorder(rank, traceEvents int) *Recorder {
 	return r
 }
 
-// Rank returns the recorder's rank, or -1 for the nil recorder.
-func (r *Recorder) Rank() int {
-	if r == nil {
-		return -1
-	}
-	return r.rank
-}
-
 // Span is an open interval started by Recorder.Span. The zero Span (from
 // a nil recorder) is a no-op.
 type Span struct {

@@ -30,9 +30,6 @@ func TestPhaseNames(t *testing.T) {
 
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
-	if r.Rank() != -1 {
-		t.Errorf("nil Rank = %d", r.Rank())
-	}
 	sp := r.Span(Velocity)
 	sp.End() // must not panic
 	r.AddDur(Stress, time.Second)
@@ -92,8 +89,8 @@ func TestEnabledProbesDoNotAllocate(t *testing.T) {
 
 func TestSpanAccumulation(t *testing.T) {
 	r := NewRecorder(2, 0)
-	if r.Rank() != 2 {
-		t.Fatalf("Rank = %d", r.Rank())
+	if r.rank != 2 {
+		t.Fatalf("rank = %d", r.rank)
 	}
 	sp := r.Span(Velocity)
 	time.Sleep(2 * time.Millisecond)

@@ -1,0 +1,5 @@
+package main
+
+import "fixture/awp"
+
+func main() { println(awp.Run()) }
