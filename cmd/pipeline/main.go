@@ -21,6 +21,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/meshgen"
 	"repro/internal/meshpart"
+	"repro/internal/output"
 	"repro/internal/pfs"
 	"repro/internal/srcgen"
 	"repro/internal/workflow"
@@ -32,17 +33,24 @@ func main() {
 	nz := flag.Int("nz", 16, "grid cells in z")
 	ranks := flag.Int("ranks", 4, "solver ranks")
 	steps := flag.Int("steps", 200, "time steps")
-	aggs := flag.Int("aggregators", 2, "aggregator (writer) ranks for two-phase collective output")
-	throttle := flag.Int("throttle", agg.DefaultOpenThrottle, "max concurrent file opens per I/O phase")
+	aggs := flag.Int("aggregators", 2, "aggregator (writer) ranks for two-phase collective output (0: one per stripe, up to the ranks)")
+	throttle := flag.Int("throttle", agg.DefaultOpenThrottle, "max concurrent file opens per I/O phase (0: 650)")
 	stripeCount := flag.Int("stripe-count", 0, "stripe count for output files (0: all OSTs)")
 	stripeSize := flag.Int("stripe-size", 4<<20, "stripe size in bytes for output files")
 	chunkPlanes := flag.Int("chunk-planes", 2, "z-planes held live per core in streaming mesh extraction")
 	flag.Parse()
-	if *ranks < 1 {
-		check(fmt.Errorf("-ranks must be >= 1, got %d", *ranks))
-	}
-	if *steps < 1 {
-		check(fmt.Errorf("-steps must be >= 1, got %d", *steps))
+	for _, f := range []struct {
+		name string
+		v    int
+		min  int
+	}{
+		{"nx", *nx, 1}, {"ny", *ny, 1}, {"nz", *nz, 1}, {"ranks", *ranks, 1}, {"steps", *steps, 1},
+		{"aggregators", *aggs, 0}, {"throttle", *throttle, 0}, {"stripe-count", *stripeCount, 0},
+		{"stripe-size", *stripeSize, 1}, {"chunk-planes", *chunkPlanes, 1},
+	} {
+		if f.v < f.min {
+			check(fmt.Errorf("-%s must be >= %d, got %d", f.name, f.min, f.v))
+		}
 	}
 
 	aggCfg := agg.Config{Aggregators: *aggs, OpenThrottle: *throttle}
@@ -126,6 +134,8 @@ func main() {
 		"(%d opens, max %d concurrent), %d stripe checksums, I/O time %.3fs\n",
 		float64(so.Bytes)/1e6, so.Frames, so.Flushes,
 		so.Opens, so.MaxConcurrentOpens, len(so.Stripes), so.Phase.Elapsed)
+	check(output.VerifyStripes(scratch, "out/surface.bin", so.Stripes))
+	fmt.Printf("Output:    surface stripes verified: all %d match a read-back of the file\n", len(so.Stripes))
 
 	// --- E2EaW archive: transfer to the archive site and ingest ---
 	src := workflow.Site{Name: "jaguar-scratch", FS: scratch}

@@ -3,9 +3,10 @@
 // output file itself (hundreds of thousands of concurrent opens — the
 // MDS-degradation pathology), ranks ship their mpiio.Segment file views
 // over internal/mpi to a small set of aggregator ("writer") ranks, which
-// coalesce adjacent extents into large stripe-aligned writes, pay the
-// only file opens of the phase, and emit per-stripe CRC64/MD5 checksums
-// for the end-to-end output-verification story.
+// coalesce adjacent extents into large stripe-aligned writes and pay the
+// only file opens of the phase. The aggregator hashes nothing: a caller
+// that keeps per-stripe CRC64/MD5 checksums (output.Dist) takes them with
+// StripeChecksums after the write, over the stripes it covered.
 //
 // Placement is striping-aware: the stripe columns of the target file
 // (column c holds every stripe with index ≡ c mod stripeCount, and all
@@ -74,7 +75,7 @@ type StripeChecksum struct {
 }
 
 // WriteStats summarizes one collective aggregated write. Every rank
-// returns identical scalar stats; Stripes is populated on rank 0 only.
+// returns identical stats.
 type WriteStats struct {
 	Bytes              int // payload bytes of the collective view
 	Segments           int // input segments across all ranks
@@ -85,7 +86,6 @@ type WriteStats struct {
 	Waves              int // open-throttle waves of the priced phase
 	MaxConcurrentOpens int
 	Phase              pfs.PhaseStats // virtual cost of the aggregated phase
-	Stripes            []StripeChecksum
 }
 
 // Placement maps file offsets to writer ranks, striping-aware.
@@ -232,13 +232,10 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 			}
 		}
 		out.Runs, writeErr = writeCoalesced(fsys, path, pieces)
-		if writeErr == nil {
-			out.Stripes, writeErr = stripeChecksums(fsys, path, out.Runs, size, fileLen)
-		}
 		out.Failed = writeErr != nil
 	}
 
-	// Gather write outcomes, run lists and stripe checksums at rank 0.
+	// Gather write outcomes and run lists at rank 0.
 	// Every rank participates (non-writers contribute an empty outcome),
 	// so a failed writer cannot deadlock the collective. Rank 0 prices the
 	// aggregated phase under the open throttle — one open per writer with
@@ -253,9 +250,7 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 				st.Opens += boolInt(k == 0)
 			}
 			failed += boolInt(o.Failed)
-			st.Stripes = append(st.Stripes, o.Stripes...)
 		}
-		sort.Slice(st.Stripes, func(a, b int) bool { return st.Stripes[a].Index < st.Stripes[b].Index })
 		st.Writes = len(ops)
 		st.Phase, st.Waves = ThrottledPhase(fsys, ops, cfg.throttle())
 		st.MaxConcurrentOpens = min(st.Opens, cfg.throttle())
@@ -265,10 +260,8 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 		Failed int
 		Stats  WriteStats
 	}
-	stripes := st.Stripes
-	st.Stripes = nil
 	sum, bcastErr := mpi.BcastValue(c, summary{failed, st}, 0)
-	st, st.Stripes = sum.Stats, stripes
+	st = sum.Stats
 	st.ShippedBytes = int(c.Allreduce([]float64{float64(shipped)}, mpi.Sum)[0])
 
 	switch {
@@ -285,12 +278,10 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 }
 
 // writerOutcome is what one rank reports to rank 0 after phase 2: whether
-// its writes failed, the runs it wrote and their stripe checksums (empty
-// on non-writers).
+// its writes failed and the runs it wrote (empty on non-writers).
 type writerOutcome struct {
-	Failed  bool
-	Runs    []mpiio.Segment
-	Stripes []StripeChecksum
+	Failed bool
+	Runs   []mpiio.Segment
 }
 
 // appendShipment lays a writer's pieces out as one byte string: per piece,
@@ -376,37 +367,35 @@ func writeCoalesced(fsys *pfs.FS, path string, pieces []piece) ([]mpiio.Segment,
 	return runs, nil
 }
 
-// stripeChecksums reads back the stripes covered by runs and computes
-// their CRC64/MD5 — an end-to-end pass over what actually landed, so a
-// torn write is caught here rather than trusted.
-func stripeChecksums(fsys *pfs.FS, path string, runs []mpiio.Segment, stripeSize, fileLen int) ([]StripeChecksum, error) {
-	seen := map[int]bool{}
-	var out []StripeChecksum
-	retry := pfs.DefaultRetry()
-	for _, r := range runs {
-		for s := r.Off / stripeSize; s <= (r.Off+r.Len-1)/stripeSize; s++ {
-			if seen[s] {
-				continue
-			}
-			seen[s] = true
-			lo := s * stripeSize
-			hi := lo + stripeSize
-			if hi > fileLen {
-				hi = fileLen
-			}
-			buf := make([]byte, hi-lo)
-			if err := retry.Do(func() error { return fsys.ReadAt(path, lo, buf) }); err != nil {
-				return nil, fmt.Errorf("agg: checksum read-back stripe %d: %w", s, err)
-			}
-			md := md5.Sum(buf)
-			out = append(out, StripeChecksum{
-				Index: s,
-				CRC64: crc64.Checksum(buf, crcTable),
-				MD5:   hex.EncodeToString(md[:]),
-			})
-		}
+// StripeChecksums hashes stripes [s0, s1) of the file at path as it
+// stands, the last one cut at EOF and stripes past EOF left out, each read
+// in place (pfs.View) with bounded retry. It is the one hash of a stripe:
+// output.Dist takes it over the stripes a flush covered, and
+// FileStripeChecksums over the whole file, so a stripe that changed after
+// its flush shows as a difference between the two.
+func StripeChecksums(fsys *pfs.FS, path string, s0, s1 int) ([]StripeChecksum, error) {
+	n := fsys.Size(path)
+	if n < 0 {
+		return nil, fmt.Errorf("agg: %s: no such file", path)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Index < out[b].Index })
+	_, size := fsys.Stripe(path)
+	s1 = min(s1, (n+size-1)/size)
+	out := make([]StripeChecksum, 0, max(0, s1-s0))
+	retry := pfs.DefaultRetry()
+	for s := s0; s < s1; s++ {
+		lo := s * size
+		sum := StripeChecksum{Index: s}
+		err := retry.Do(func() error {
+			return fsys.View(path, lo, min(size, n-lo), func(b []byte) {
+				md := md5.Sum(b)
+				sum.CRC64, sum.MD5 = crc64.Checksum(b, crcTable), hex.EncodeToString(md[:])
+			})
+		})
+		if err != nil {
+			return nil, fmt.Errorf("agg: checksum stripe %d of %s: %w", s, path, err)
+		}
+		out = append(out, sum)
+	}
 	return out, nil
 }
 
@@ -414,30 +403,7 @@ func stripeChecksums(fsys *pfs.FS, path string, runs []mpiio.Segment, stripeSize
 // existing file (stripe geometry from the FS) — the reference side of
 // the aggregated-vs-per-rank verification gate.
 func FileStripeChecksums(fsys *pfs.FS, path string) ([]StripeChecksum, error) {
-	n := fsys.Size(path)
-	if n < 0 {
-		return nil, fmt.Errorf("agg: %s: no such file", path)
-	}
-	_, size := fsys.Stripe(path)
-	var out []StripeChecksum
-	for s := 0; s*size < n; s++ {
-		lo := s * size
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		buf := make([]byte, hi-lo)
-		if err := fsys.ReadAt(path, lo, buf); err != nil {
-			return nil, err
-		}
-		md := md5.Sum(buf)
-		out = append(out, StripeChecksum{
-			Index: s,
-			CRC64: crc64.Checksum(buf, crcTable),
-			MD5:   hex.EncodeToString(md[:]),
-		})
-	}
-	return out, nil
+	return StripeChecksums(fsys, path, 0, math.MaxInt)
 }
 
 // ThrottledPhase prices a synchronized I/O phase under a concurrent-open

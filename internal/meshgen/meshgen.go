@@ -51,24 +51,19 @@ func (sp Spec) check() error {
 	return nil
 }
 
-// extractPlane fills vals with plane k of the mesh (x fastest, then y), an
-// x-row per cvm.QueryRow call — the one place that defines the record
-// layout.
-func extractPlane(q cvm.Querier, sp Spec, k int, vals []float32) {
+// extractPlane appends plane k of the mesh (x fastest, then y) to b as
+// records, an x-row per cvm.QueryRow call — the one place that defines the
+// record layout.
+func extractPlane(q cvm.Querier, sp Spec, k int, b []byte) []byte {
 	xs, mats := make([]float64, sp.Global.NX), make([]cvm.Material, sp.Global.NX)
 	for i := range xs {
 		xs[i] = float64(i) * sp.H
 	}
-	idx := 0
 	for j := 0; j < sp.Global.NY; j++ {
 		cvm.QueryRow(q, float64(j)*sp.H, float64(k)*sp.H, xs, mats)
-		for _, m := range mats {
-			vals[idx] = float32(m.Vp)
-			vals[idx+1] = float32(m.Vs)
-			vals[idx+2] = float32(m.Rho)
-			idx += 3
-		}
+		b = appendRecords(b, mats)
 	}
+	return b
 }
 
 // StreamSpec tunes the out-of-core streaming extraction.
@@ -116,10 +111,11 @@ func GenerateStreamed(fsys *pfs.FS, q cvm.Querier, ssp StreamSpec) (StreamStats,
 	st.Bytes = sp.Global.Cells() * RecBytes
 	st.Rounds = rounds
 
+	fsys.Reserve(sp.Path, st.Bytes)
 	world := mpi.NewWorld(sp.Cores)
 	err := world.RunErr(func(c *mpi.Comm) error {
 		rank := c.Rank()
-		vals := make([]float32, 0, chunk*sp.Global.NX*sp.Global.NY*3)
+		buf := make([]byte, 0, chunk*planeBytes)
 		for round := 0; round < rounds; round++ {
 			k0 := round*stride + rank*chunk
 			k1 := k0 + chunk
@@ -129,15 +125,13 @@ func GenerateStreamed(fsys *pfs.FS, q cvm.Querier, ssp StreamSpec) (StreamStats,
 			if k1 > sp.Global.NZ {
 				k1 = sp.Global.NZ
 			}
-			vals = vals[:(k1-k0)*sp.Global.NX*sp.Global.NY*3]
+			data := buf[:0]
 			for k := k0; k < k1; k++ {
-				extractPlane(q, sp, k, vals[(k-k0)*sp.Global.NX*sp.Global.NY*3:(k-k0+1)*sp.Global.NX*sp.Global.NY*3])
+				data = extractPlane(q, sp, k, data)
 			}
 			var segs []mpiio.Segment
-			var data []byte
 			if k1 > k0 {
 				segs = []mpiio.Segment{{Off: k0 * planeBytes, Len: (k1 - k0) * planeBytes}}
-				data = mpiio.PutFloat32s(vals)
 			}
 			if live := len(data); live > peaks[rank] {
 				peaks[rank] = live
@@ -177,15 +171,4 @@ func GenerateStreamed(fsys *pfs.FS, q cvm.Querier, ssp StreamSpec) (StreamStats,
 		st.WritePhase.Throughput = float64(st.WritePhase.Bytes) / st.WritePhase.Elapsed
 	}
 	return st, nil
-}
-
-// ReadPoint fetches one mesh record, for verification.
-func ReadPoint(fsys *pfs.FS, path string, g grid.Dims, i, j, k int) (cvm.Material, error) {
-	off := ((k*g.NY+j)*g.NX + i) * RecBytes
-	buf := make([]byte, RecBytes)
-	if err := fsys.ReadAt(path, off, buf); err != nil {
-		return cvm.Material{}, err
-	}
-	v := mpiio.GetFloat32s(buf)
-	return cvm.Material{Vp: float64(v[0]), Vs: float64(v[1]), Rho: float64(v[2])}, nil
 }

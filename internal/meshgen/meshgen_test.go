@@ -37,10 +37,3 @@ func TestGenerateCoreCountInvariance(t *testing.T) {
 		}
 	}
 }
-
-func TestReadPointMissing(t *testing.T) {
-	fsys := pfs.New(pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8})
-	if _, err := ReadPoint(fsys, "none", grid.Dims{NX: 2, NY: 2, NZ: 2}, 0, 0, 0); err == nil {
-		t.Fatal("missing mesh accepted")
-	}
-}

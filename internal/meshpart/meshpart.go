@@ -53,44 +53,19 @@ func clamp(g, n int) int {
 	return g
 }
 
-// extract assembles the padded sub-mesh for sub from a plane lookup
-// function returning the (vp,vs,rho) record at a global point.
-func extract(global grid.Dims, sub decomp.Sub, rec func(gi, gj, gk int) (float32, float32, float32)) SubMesh {
-	g := grid.Ghost
-	d := sub.Local
-	sm := SubMesh{
-		Rank: sub.Rank, Dims: d,
-		VP: make([]float32, paddedLen(d)), VS: make([]float32, paddedLen(d)), Rho: make([]float32, paddedLen(d)),
-	}
-	n := 0
-	for k := -g; k < d.NZ+g; k++ {
-		gk := clamp(sub.OffZ+k, global.NZ)
-		for j := -g; j < d.NY+g; j++ {
-			gj := clamp(sub.OffY+j, global.NY)
-			for i := -g; i < d.NX+g; i++ {
-				gi := clamp(sub.OffX+i, global.NX)
-				vp, vs, rho := rec(gi, gj, gk)
-				sm.VP[n], sm.VS[n], sm.Rho[n] = vp, vs, rho
-				n++
-			}
-		}
-	}
-	return sm
-}
-
 // PartFileName is the per-rank pre-partitioned file naming scheme.
 func PartFileName(dir string, rank int) string {
 	return fmt.Sprintf("%s/submesh.%06d", dir, rank)
 }
 
-// writePart writes one rank's padded sub-mesh file (VP‖VS‖Rho) with
-// bounded retry, returning the byte count.
+// writePart encodes one rank's padded sub-mesh (VP‖VS‖Rho) into one byte
+// image and writes it as the rank's file with bounded retry, returning the
+// byte count. The file is reserved first, so it is allocated once whatever
+// a short write and its retry leave behind.
 func writePart(fsys *pfs.FS, path string, sm SubMesh) (int, error) {
-	buf := make([]float32, 0, 3*len(sm.VP))
-	buf = append(buf, sm.VP...)
-	buf = append(buf, sm.VS...)
-	buf = append(buf, sm.Rho...)
-	raw := mpiio.PutFloat32s(buf)
+	raw := make([]byte, 0, 3*4*len(sm.VP))
+	raw = appendFloat32s(appendFloat32s(appendFloat32s(raw, sm.VP), sm.VS), sm.Rho)
+	fsys.Reserve(path, len(raw))
 	retry := pfs.DefaultRetry()
 	if err := retry.Do(func() error { return fsys.WriteAt(path, 0, raw) }); err != nil {
 		return 0, fmt.Errorf("meshpart: write %s: %w", path, err)
@@ -130,13 +105,13 @@ func StreamPrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims,
 		if err != nil {
 			return pfs.PhaseStats{}, sst, fmt.Errorf("meshpart: rank %d block: %w", r, err)
 		}
-		vals := mpiio.GetFloat32s(raw)
+		// Each row is decoded from the block's bytes when extract asks for it.
 		nxr, nyr := i1-i0+1, j1-j0+1
-		rec := func(gi, gj, gk int) (float32, float32, float32) {
-			base := (((gk-k0)*nyr+(gj-j0))*nxr + (gi - i0)) * 3
-			return vals[base], vals[base+1], vals[base+2]
-		}
-		sm := extract(global, sub, rec)
+		recs := make([]float32, 3*nxr)
+		sm := extract(global, sub, func(gj, gk int) ([]float32, int) {
+			decodeFloat32s(recs, raw[((gk-k0)*nyr+(gj-j0))*nxr*meshgen.RecBytes:])
+			return recs, i0
+		})
 		path := PartFileName(outDir, r)
 		n, err := writePart(fsys, path, sm)
 		if err != nil {
@@ -203,7 +178,6 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 						world.Abort()
 						return readErrs[rank]
 					}
-					vals := mpiio.GetFloat32s(raw)
 					view = append(view, mpiio.Segment{Off: segOff, Len: segLen})
 					// Distribute to every receiver whose padded range needs
 					// rows in [yb, ye) of plane k.
@@ -222,17 +196,16 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 						if ly0 > ly1 {
 							continue
 						}
-						// Payload: header + the needed rectangle.
-						rect := make([]float32, 0, 6+(ly1-ly0+1)*(ri1-ri0+1)*3)
-						rect = append(rect, float32(k), float32(ly0), float32(ly1), float32(ri0), float32(ri1), 0)
+						// Payload: plane and rows (k, ly0, ly1), then the
+						// rows' records over the receiver's x range, each
+						// decoded from the bytes read.
+						cols := 3 * (ri1 - ri0 + 1)
+						rect := make([]float32, 3+(ly1-ly0+1)*cols)
+						rect[0], rect[1], rect[2] = float32(k), float32(ly0), float32(ly1)
 						for j := ly0; j <= ly1; j++ {
-							rowBase := ((j - yb) * global.NX * 3)
-							for i := ri0; i <= ri1; i++ {
-								b := rowBase + i*3
-								rect = append(rect, vals[b], vals[b+1], vals[b+2])
-							}
+							decodeFloat32s(rect[3+(j-ly0)*cols:][:cols], raw[((j-yb)*global.NX+ri0)*meshgen.RecBytes:])
 						}
-						c.Send(r, 7000+k*ySplit+ys, rect)
+						c.SendOwned(r, 7000+k*ySplit+ys, rect)
 					}
 				}
 			}
@@ -240,12 +213,12 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 		}
 
 		// Phase 2: every rank receives its rectangles and assembles the
-		// padded cube.
-		type plane struct {
-			j0, j1, i0, i1 int
-			vals           []float32
+		// padded cube, finding one rectangle a row.
+		type rectangle struct {
+			j0, j1 int
+			vals   []float32 // rows j0..j1 of records over x i0..i1
 		}
-		need := map[int][]plane{} // global k -> rectangles
+		planes := make([][]rectangle, k1-k0+1) // global k-k0 -> rectangles
 		expected := 0
 		for k := k0; k <= k1; k++ {
 			for ys := 0; ys < ySplit; ys++ {
@@ -256,25 +229,21 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 				}
 			}
 		}
-		buf := make([]float32, 6+(j1-j0+1)*(i1-i0+1)*3+16)
 		for e := 0; e < expected; e++ {
-			st := c.MustRecv(buf, mpi.AnySource, mpi.AnyTag)
-			v := buf[:st.Count]
+			v, _ := c.MustRecvTake(mpi.AnySource, mpi.AnyTag)
 			k := int(v[0])
-			p := plane{j0: int(v[1]), j1: int(v[2]), i0: int(v[3]), i1: int(v[4])}
-			p.vals = append([]float32(nil), v[6:]...)
-			need[k] = append(need[k], p)
+			planes[k-k0] = append(planes[k-k0], rectangle{j0: int(v[1]), j1: int(v[2]), vals: v[3:]})
 		}
-		rec := func(gi, gj, gk int) (float32, float32, float32) {
-			for _, p := range need[gk] {
-				if gj >= p.j0 && gj <= p.j1 && gi >= p.i0 && gi <= p.i1 {
-					b := ((gj-p.j0)*(p.i1-p.i0+1) + (gi - p.i0)) * 3
-					return p.vals[b], p.vals[b+1], p.vals[b+2]
+		cols := 3 * (i1 - i0 + 1)
+		row := func(gj, gk int) ([]float32, int) {
+			for _, p := range planes[gk-k0] {
+				if gj >= p.j0 && gj <= p.j1 {
+					return p.vals[(gj-p.j0)*cols:][:cols], i0
 				}
 			}
-			panic(fmt.Sprintf("meshpart: rank %d missing record (%d,%d,%d)", rank, gi, gj, gk))
+			panic(fmt.Sprintf("meshpart: rank %d missing row (%d,%d)", rank, gj, gk))
 		}
-		out[rank] = extract(global, sub, rec)
+		out[rank] = extract(global, sub, row)
 		return nil
 	})
 	if err := errors.Join(readErrs...); err != nil {

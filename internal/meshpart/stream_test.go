@@ -13,7 +13,8 @@ import (
 
 // prePartition is the one-shot reference partitioner: it reads the whole
 // global mesh at once and writes every rank's padded sub-mesh file from
-// that single in-memory copy.
+// that single in-memory copy, a point at a time, each padded index
+// clamped to the grid on its own — the pointwise oracle of extract's rows.
 func prePartition(t *testing.T, fsys *pfs.FS, meshPath, outDir string, global grid.Dims, dc decomp.Decomp) {
 	t.Helper()
 	raw := make([]byte, fsys.Size(meshPath))
@@ -21,12 +22,21 @@ func prePartition(t *testing.T, fsys *pfs.FS, meshPath, outDir string, global gr
 		t.Fatal(err)
 	}
 	vals := mpiio.GetFloat32s(raw)
-	rec := func(gi, gj, gk int) (float32, float32, float32) {
-		base := ((gk*global.NY+gj)*global.NX + gi) * 3
-		return vals[base], vals[base+1], vals[base+2]
-	}
+	g := grid.Ghost
 	for r := 0; r < dc.Topo.Size(); r++ {
-		if _, err := writePart(fsys, PartFileName(outDir, r), extract(global, dc.SubFor(r), rec)); err != nil {
+		sub := dc.SubFor(r)
+		d := sub.Local
+		var vp, vs, rho []float32
+		for k := -g; k < d.NZ+g; k++ {
+			for j := -g; j < d.NY+g; j++ {
+				for i := -g; i < d.NX+g; i++ {
+					gi, gj, gk := clamp(sub.OffX+i, global.NX), clamp(sub.OffY+j, global.NY), clamp(sub.OffZ+k, global.NZ)
+					base := ((gk*global.NY+gj)*global.NX + gi) * 3
+					vp, vs, rho = append(vp, vals[base]), append(vs, vals[base+1]), append(rho, vals[base+2])
+				}
+			}
+		}
+		if err := fsys.WriteAt(PartFileName(outDir, r), 0, mpiio.PutFloat32s(append(append(vp, vs...), rho...))); err != nil {
 			t.Fatal(err)
 		}
 	}

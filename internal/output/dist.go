@@ -37,8 +37,9 @@ type Dist struct {
 	counted int
 
 	// Stats accumulates over flushes; scalar fields agree on every rank,
-	// Stripes is maintained on rank 0 only (latest write of each stripe
-	// wins, so it matches the final file).
+	// Stripes is maintained on rank 0 only: after each flush it hashes the
+	// stripes the flush covered as they stand on the FS, so the latest
+	// hash of each stripe is the final file's.
 	Stats DistStats
 }
 
@@ -118,8 +119,10 @@ func (d *Dist) Rewind(idx int) {
 	d.Stats.Frames = min(d.Stats.Frames, idx)
 }
 
-// Flush writes all buffered frames in one collective aggregated write.
-// Collective even when this rank's buffer holds no bytes. No-ops (on
+// Flush writes all buffered frames in one collective aggregated write,
+// then rank 0 hashes the stripes the flushed frames span into
+// Stats.Stripes; a hash read that fails past its retries is rank 0's error
+// alone. Collective even when this rank's buffer holds no bytes. No-ops (on
 // every rank, by the collective-append contract) when no frames are
 // buffered anywhere.
 func (d *Dist) Flush() error {
@@ -129,11 +132,13 @@ func (d *Dist) Flush() error {
 	var segs []mpiio.Segment
 	var data []byte
 	n, fresh, counted := len(d.frames), 0, d.counted // fresh: frames not on disk before this flush
+	lo, hi := d.frames[0].idx, d.frames[0].idx       // the frames the flush spans
 	for _, f := range d.frames {
 		if f.idx >= d.counted {
 			fresh++
 		}
 		counted = max(counted, f.idx+1)
+		lo, hi = min(lo, f.idx), max(hi, f.idx+1)
 		base := f.idx * d.frameBytes
 		for _, s := range d.segs {
 			segs = append(segs, mpiio.Segment{Off: base + s.Off, Len: s.Len})
@@ -163,8 +168,35 @@ func (d *Dist) Flush() error {
 	if st.Phase.MaxOSTLoad > d.Stats.Phase.MaxOSTLoad {
 		d.Stats.Phase.MaxOSTLoad = st.Phase.MaxOSTLoad
 	}
-	for _, s := range st.Stripes {
-		d.Stats.Stripes[s.Index] = s
+	if d.c.Rank() == 0 {
+		_, size := d.fsys.Stripe(d.path)
+		sums, err := agg.StripeChecksums(d.fsys, d.path, lo*d.frameBytes/size, (hi*d.frameBytes+size-1)/size)
+		if err != nil {
+			return fmt.Errorf("output: %w", err)
+		}
+		for _, s := range sums {
+			d.Stats.Stripes[s.Index] = s
+		}
+	}
+	return nil
+}
+
+// VerifyStripes compares stripe checksums taken at flush time (rank 0's
+// DistStats.Stripes) with a read-back of the whole file at path: the same
+// stripes, each with the same CRC64 and MD5. A difference means a stripe
+// changed after the flush that covered it was hashed.
+func VerifyStripes(fsys *pfs.FS, path string, recorded map[int]agg.StripeChecksum) error {
+	back, err := agg.FileStripeChecksums(fsys, path)
+	if err != nil {
+		return err
+	}
+	if len(back) != len(recorded) {
+		return fmt.Errorf("output: %s: %d stripes on disk, %d recorded", path, len(back), len(recorded))
+	}
+	for _, b := range back {
+		if w, ok := recorded[b.Index]; !ok || w != b {
+			return fmt.Errorf("output: %s: stripe %d reads back %x/%s, recorded %x/%s", path, b.Index, b.CRC64, b.MD5, w.CRC64, w.MD5)
+		}
 	}
 	return nil
 }

@@ -11,32 +11,13 @@ import (
 	"repro/internal/pfs"
 )
 
-// VerifyStripes recomputes the per-stripe checksums of the written file
-// and compares them with the accumulated flush-time checksums (rank 0
-// only; other ranks return nil immediately). A mismatch means a torn or
-// lost write slipped past the write-time read-back.
-func (d *Dist) VerifyStripes() error {
-	if d.c.Rank() != 0 || len(d.Stats.Stripes) == 0 {
+// verifyStripes holds rank 0's flush-time checksums to a read-back of the
+// file (other ranks return nil).
+func (d *Dist) verifyStripes() error {
+	if d.c.Rank() != 0 {
 		return nil
 	}
-	ref, err := agg.FileStripeChecksums(d.fsys, d.path)
-	if err != nil {
-		return err
-	}
-	if len(ref) != len(d.Stats.Stripes) {
-		return fmt.Errorf("output: %d stripes on disk, %d recorded", len(ref), len(d.Stats.Stripes))
-	}
-	for _, r := range ref {
-		got, ok := d.Stats.Stripes[r.Index]
-		if !ok {
-			return fmt.Errorf("output: stripe %d never recorded", r.Index)
-		}
-		if got != r {
-			return fmt.Errorf("output: stripe %d checksum mismatch: recorded %x/%s, on disk %x/%s",
-				r.Index, got.CRC64, got.MD5, r.CRC64, r.MD5)
-		}
-	}
-	return nil
+	return VerifyStripes(d.fsys, d.path, d.Stats.Stripes)
 }
 
 func distFS() *pfs.FS {
@@ -89,7 +70,7 @@ func TestDistFlushGroupingAndContent(t *testing.T) {
 		if err := d.Flush(); err != nil { // final partial flush
 			panic(err)
 		}
-		if err := d.VerifyStripes(); err != nil {
+		if err := d.verifyStripes(); err != nil {
 			panic(err)
 		}
 		if c.Rank() == 0 {
@@ -153,7 +134,7 @@ func TestDistRewindReplayIdentity(t *testing.T) {
 		if err := d.Flush(); err != nil {
 			panic(err)
 		}
-		if err := d.VerifyStripes(); err != nil {
+		if err := d.verifyStripes(); err != nil {
 			panic(err)
 		}
 		// Frames and Bytes describe the file: its 6 frames, each counted

@@ -40,6 +40,9 @@ type FS struct {
 	// Directory-level stripe settings (longest-prefix match), the
 	// `lfs setstripe` emulation.
 	dirStripes map[string][2]int
+	// reserved holds the capacity Reserve set aside for files not yet
+	// created; create takes it.
+	reserved map[string]int
 	// faults, when non-nil, injects transient I/O failures (faults.go).
 	faults *faultEngine
 }
@@ -65,6 +68,7 @@ func New(cfg Config) *FS {
 		defStripeCount: 1,
 		defStripeSize:  1 << 20,
 		dirStripes:     map[string][2]int{},
+		reserved:       map[string]int{},
 	}
 }
 
@@ -123,9 +127,31 @@ func (fs *FS) create(path string) *file {
 	if f == nil {
 		count, size := fs.stripeFor(path)
 		f = &file{stripeCount: count, stripeSize: size, ostBase: hashPath(path) % fs.cfg.OSTs}
+		if n := fs.reserved[path]; n > 0 {
+			f.data = make([]byte, 0, n)
+			delete(fs.reserved, path)
+		}
 		fs.files[path] = f
 	}
 	return f
+}
+
+// Reserve sets aside capacity for n bytes of the file at path, as
+// MPI_File_preallocate does, so a file written a chunk at a time up to n
+// bytes is allocated once instead of regrown. It creates nothing: Size and
+// Exists do not change, and the first write still creates the file and
+// draws its create fault. A file that exists keeps its bytes and grows its
+// capacity to n.
+func (fs *FS) Reserve(path string, n int) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if f := fs.files[path]; f != nil {
+		if n > len(f.data) {
+			f.data = slices.Grow(f.data, n-len(f.data))
+		}
+		return
+	}
+	fs.reserved[path] = n
 }
 
 func hashPath(p string) int {
@@ -178,7 +204,8 @@ func (fs *FS) WriteAt(path string, off int, data []byte) error {
 
 // writeLocked persists data at offset; caller holds the lock. A write past
 // EOF extends the file within its capacity, which grows as append's does, so
-// a file written a chunk at a time is copied O(log n) times, not once a chunk;
+// a file written a chunk at a time is copied O(log n) times, not once a chunk
+// (none, up to the capacity Reserve set aside);
 // the gap between the old EOF and off reads as zeros. A slice readLocked
 // handed out before stays as it was: it ends at or before the old EOF, and
 // its capacity with it.
@@ -286,6 +313,7 @@ func (fs *FS) Remove(path string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	delete(fs.files, path)
+	delete(fs.reserved, path)
 	fs.faults.forget(path)
 }
 

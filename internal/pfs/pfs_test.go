@@ -98,6 +98,52 @@ func TestWritePastEOFGrowsInPlace(t *testing.T) {
 	}
 }
 
+// TestReserveAllocatesOnce: a reservation creates no file — Size, Exists
+// and List do not see it, and the first write still draws the create fault
+// — and a file then written a chunk at a time up to the reserved size is
+// never regrown. Reserving an existing file keeps its bytes.
+func TestReserveAllocatesOnce(t *testing.T) {
+	fs := testFS()
+	const n = 40 << 10
+	fs.Reserve("f", n)
+	if fs.Exists("f") || fs.Size("f") != -1 || len(fs.List()) != 0 {
+		t.Fatal("a reservation created the file")
+	}
+	fs.InjectFaults(FaultPlan{Seed: 2, MDSTimeoutProb: 1, MaxConsecutive: 1})
+	if err := fs.WriteAt("f", 0, []byte{1}); !IsTransient(err) {
+		t.Fatalf("first write to a reserved path: err = %v, want the create fault", err)
+	}
+	if fs.Exists("f") {
+		t.Fatal("a timed-out create of a reserved path left a file")
+	}
+	want := make([]byte, n)
+	var first *byte
+	for off := 0; off < n; off += 1000 {
+		chunk := want[off:min(off+1000, n)]
+		for i := range chunk {
+			chunk[i] = byte(off/1000 + i)
+		}
+		if err := fs.WriteAt("f", off, chunk); err != nil {
+			t.Fatal(err)
+		}
+		fs.mu.Lock()
+		if d := fs.files["f"].data; first == nil {
+			first = &d[:1][0]
+		} else if &d[:1][0] != first {
+			t.Fatalf("the reserved file moved at offset %d", off)
+		}
+		fs.mu.Unlock()
+	}
+	got := make([]byte, n)
+	if err := fs.ReadAt("f", 0, got); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("reserved file differs from what was written (%v)", err)
+	}
+	fs.Reserve("f", 2*n)
+	if err := fs.ReadAt("f", 0, got); err != nil || !bytes.Equal(got, want) || fs.Size("f") != n {
+		t.Fatalf("reserving an existing file changed it (%v, size %d)", err, fs.Size("f"))
+	}
+}
+
 func TestListRemoveExists(t *testing.T) {
 	fs := testFS()
 	fs.WriteAt("b", 0, []byte{1})

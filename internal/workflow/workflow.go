@@ -131,6 +131,9 @@ func (t *Transferer) ship(dst Site, p string, data []byte, stream *float64, st *
 	if dst.FS.Size(p) > sz {
 		dst.FS.Remove(p)
 	}
+	// The replica is allocated once, whatever prefixes failed attempts
+	// leave behind.
+	dst.FS.Reserve(p, sz)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			// Bounded exponential backoff before every retransfer,

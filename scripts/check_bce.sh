@@ -3,7 +3,8 @@
 # (the production kernel pair, the fused attenuation sweep, the PML row
 # kernels and the sponge's rows: sweeps_gen.go, from scripts/lanegen),
 # attenuation's Apply, the free surface, the set-up row sweeps (the velocity
-# model's rows, the medium's and the deficits') and the halo's narrow-row
+# model's rows, the medium's and the deficits', the mesh generator's record
+# encoding and the partitioner's sub-mesh rows) and the halo's narrow-row
 # copies.
 #
 # They are written against explicit per-offset subslice windows
@@ -26,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/sweeps_gen.go internal/core/attenuation/sweeps_gen.go internal/core/boundary/sweeps_gen.go internal/core/attenuation/rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go internal/grid/narrow.go'
+GUARDED='internal/core/fd/sweeps_gen.go internal/core/attenuation/sweeps_gen.go internal/core/boundary/sweeps_gen.go internal/core/attenuation/rows.go internal/core/boundary/freesurface.go internal/medium/rows.go internal/cvm/rows.go internal/grid/narrow.go internal/meshgen/rows.go internal/meshpart/rows.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -38,7 +39,10 @@ diag=$(GOCACHE="$tmpcache" go build \
     -gcflags="repro/internal/medium=-d=ssa/check_bce" \
     -gcflags="repro/internal/cvm=-d=ssa/check_bce" \
     -gcflags="repro/internal/grid=-d=ssa/check_bce" \
-    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium ./internal/cvm ./internal/grid 2>&1 || true)
+    -gcflags="repro/internal/meshgen=-d=ssa/check_bce" \
+    -gcflags="repro/internal/meshpart=-d=ssa/check_bce" \
+    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary ./internal/medium ./internal/cvm ./internal/grid \
+    ./internal/meshgen ./internal/meshpart 2>&1 || true)
 
 status=0
 for f in $GUARDED; do
