@@ -25,7 +25,6 @@ package agg
 
 import (
 	"crypto/md5"
-	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"hash/crc64"
@@ -117,16 +116,20 @@ func (p Placement) Owner(off int) int {
 	return col * p.Writers / p.StripeCount
 }
 
-// piece is one contiguous extent with its payload.
+// piece is one contiguous extent of a rank's view with its payload, a
+// window of the caller's data.
 type piece struct {
 	off  int
 	data []byte
 }
 
 // splitByOwner cuts a rank's view into per-writer piece lists, splitting
-// segments only where stripe ownership changes.
+// segments only where stripe ownership changes. A piece grows only over an
+// extent that follows it both in the file and in data, so every piece stays
+// a window of data and no piece overlaps another.
 func (p Placement) splitByOwner(segs []mpiio.Segment, data []byte) [][]piece {
 	out := make([][]piece, p.Writers)
+	ends := make([]int, p.Writers) // where in data each writer's last piece ends
 	pos := 0
 	for _, s := range segs {
 		off, remaining := s.Off, s.Len
@@ -149,14 +152,15 @@ func (p Placement) splitByOwner(segs []mpiio.Segment, data []byte) [][]piece {
 				n += next
 			}
 			pl := out[owner]
-			if k := len(pl) - 1; k >= 0 && pl[k].off+len(pl[k].data) == off {
-				// Contiguous with the previous piece for this owner:
-				// extend in place so the wire header stays small.
-				pl[k].data = append(pl[k].data, data[pos:pos+n]...)
+			if k := len(pl) - 1; k >= 0 && pl[k].off+len(pl[k].data) == off && ends[owner] == pos {
+				// Contiguous with this owner's last piece in the file and
+				// in data: reslice, so the wire header stays small.
+				pl[k].data = data[pos-len(pl[k].data) : pos+n]
 			} else {
 				out[owner] = append(pl, piece{off: off, data: data[pos : pos+n]})
 			}
 			pos += n
+			ends[owner] = pos
 			off += n
 			remaining -= n
 		}
@@ -214,14 +218,14 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 				shipped += len(pc.data)
 			}
 		}
-		c.SendOwned(w, shipTag, mpi.EncodeBytes(appendShipment(byWriter[w])))
+		c.SendOwned(w, shipTag, encodeShipment(byWriter[w]))
 	}
 
 	// Phase 2: writers drain the shipments, coalesce, write.
 	var out writerOutcome
 	var writeErr error
 	if c.Rank() < pl.Writers {
-		var pieces []piece
+		var pieces []arrival
 		for src := 0; src < c.Size(); src++ {
 			msg, _, err := c.RecvTake(src, shipTag)
 			if err == nil {
@@ -284,38 +288,64 @@ type writerOutcome struct {
 	Runs   []mpiio.Segment
 }
 
-// appendShipment lays a writer's pieces out as one byte string: per piece,
-// its offset and length (little-endian uint64s), then its bytes.
-func appendShipment(pieces []piece) []byte {
+// The shipment wire format: a writer's pieces back to back in one message,
+// each as its offset and its length — two words apiece, the high and the low
+// half of a uint64 — then its bytes four to a little-endian word, the last
+// word zero-padded (mpi.PutBytes). The bytes are encoded straight into the
+// message words and decoded straight into the writer's run buffer
+// (mpi.GetBytes): one copy each way.
+const pieceHeaderWords = 4
+
+// encodeShipment lays a writer's pieces out as one message.
+func encodeShipment(pieces []piece) []float32 {
 	n := 0
 	for _, pc := range pieces {
-		n += 16 + len(pc.data)
+		n += pieceHeaderWords + (len(pc.data)+3)/4
 	}
-	b := make([]byte, 0, n)
+	w := make([]float32, n)
+	at := 0
 	for _, pc := range pieces {
-		b = binary.LittleEndian.AppendUint64(b, uint64(pc.off))
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(pc.data)))
-		b = append(b, pc.data...)
+		off, size := uint64(pc.off), uint64(len(pc.data))
+		w[at] = math.Float32frombits(uint32(off >> 32))
+		w[at+1] = math.Float32frombits(uint32(off))
+		w[at+2] = math.Float32frombits(uint32(size >> 32))
+		w[at+3] = math.Float32frombits(uint32(size))
+		at += pieceHeaderWords
+		at += mpi.PutBytes(w[at:], pc.data)
 	}
-	return b
+	return w
 }
 
-// readShipment decodes one shipment message and appends its pieces, which
-// alias the decoded bytes, to pieces.
-func readShipment(pieces []piece, msg []float32) ([]piece, error) {
-	b, err := mpi.DecodeBytes(msg)
-	for err == nil && len(b) > 0 {
-		if len(b) < 16 {
-			return pieces, fmt.Errorf("agg: shipment ends in a %d-byte piece header", len(b))
-		}
-		off, n := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
-		if b = b[16:]; off > math.MaxInt || n > uint64(len(b)) {
-			return pieces, fmt.Errorf("agg: shipment piece [%d,+%d) with %d bytes left", off, n, len(b))
-		}
-		pieces = append(pieces, piece{off: int(off), data: b[:n:n]})
-		b = b[n:]
+// arrival is one piece as it arrived at its writer: its extent and the
+// message words that hold its bytes.
+type arrival struct {
+	off, n int
+	words  []float32
+}
+
+// readShipment decodes the piece headers of one shipment message and
+// appends its pieces, whose words alias the message, to pieces. A piece of
+// no bytes is dropped: it writes nothing.
+func readShipment(pieces []arrival, msg []float32) ([]arrival, error) {
+	u64 := func(w []float32) uint64 {
+		return uint64(math.Float32bits(w[0]))<<32 | uint64(math.Float32bits(w[1]))
 	}
-	return pieces, err
+	for len(msg) > 0 {
+		if len(msg) < pieceHeaderWords {
+			return pieces, fmt.Errorf("agg: shipment ends in a %d-word piece header", len(msg))
+		}
+		off, n := u64(msg), u64(msg[2:])
+		msg = msg[pieceHeaderWords:]
+		if off > math.MaxInt || n > 4*uint64(len(msg)) {
+			return pieces, fmt.Errorf("agg: shipment piece [%d,+%d) with %d words left", off, n, len(msg))
+		}
+		nw := (int(n) + 3) / 4
+		if n > 0 {
+			pieces = append(pieces, arrival{off: int(off), n: int(n), words: msg[:nw:nw]})
+		}
+		msg = msg[nw:]
+	}
+	return pieces, nil
 }
 
 func boolInt(b bool) int {
@@ -326,43 +356,37 @@ func boolInt(b bool) int {
 }
 
 // writeCoalesced merges pieces into maximal contiguous runs and writes
-// each run with bounded retry, returning the run extents.
-func writeCoalesced(fsys *pfs.FS, path string, pieces []piece) ([]mpiio.Segment, error) {
-	if len(pieces) == 0 {
-		return nil, nil
-	}
+// each run with bounded retry, returning the run extents. Each run's bytes
+// are decoded from the pieces' words into a buffer sized to the run, reused
+// by the runs after it that fit.
+func writeCoalesced(fsys *pfs.FS, path string, pieces []arrival) ([]mpiio.Segment, error) {
 	sort.Slice(pieces, func(a, b int) bool { return pieces[a].off < pieces[b].off })
 	var runs []mpiio.Segment
 	var buf []byte
-	runOff := pieces[0].off
 	retry := pfs.DefaultRetry()
-	flush := func() error {
-		if len(buf) == 0 {
-			return nil
+	for lo := 0; lo < len(pieces); {
+		// The run is pieces[lo:hi], each starting where the one before ends.
+		off, end, hi := pieces[lo].off, pieces[lo].off+pieces[lo].n, lo+1
+		for ; hi < len(pieces) && pieces[hi].off == end; hi++ {
+			end += pieces[hi].n
 		}
-		chunk := buf
-		off := runOff
+		if hi < len(pieces) && pieces[hi].off < end {
+			return runs, fmt.Errorf("agg: overlapping extents at offset %d (run end %d)", pieces[hi].off, end)
+		}
+		if cap(buf) < end-off {
+			buf = make([]byte, end-off)
+		}
+		chunk := buf[:end-off]
+		at := 0
+		for _, pc := range pieces[lo:hi] {
+			mpi.GetBytes(chunk[at:at+pc.n], pc.words)
+			at += pc.n
+		}
 		if err := retry.Do(func() error { return fsys.WriteAt(path, off, chunk) }); err != nil {
-			return fmt.Errorf("agg: write %s run [%d,%d): %w", path, off, off+len(chunk), err)
+			return runs, fmt.Errorf("agg: write %s run [%d,%d): %w", path, off, end, err)
 		}
-		runs = append(runs, mpiio.Segment{Off: off, Len: len(chunk)})
-		return nil
-	}
-	for _, pc := range pieces {
-		switch end := runOff + len(buf); {
-		case pc.off == end:
-			buf = append(buf, pc.data...)
-		case pc.off > end:
-			if err := flush(); err != nil {
-				return runs, err
-			}
-			runOff, buf = pc.off, append(buf[:0], pc.data...)
-		default:
-			return runs, fmt.Errorf("agg: overlapping extents at offset %d (run end %d)", pc.off, end)
-		}
-	}
-	if err := flush(); err != nil {
-		return runs, err
+		runs = append(runs, mpiio.Segment{Off: off, Len: end - off})
+		lo = hi
 	}
 	return runs, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -64,7 +65,7 @@ func TestCoalesceMergesAdjacent(t *testing.T) {
 		{off: 50, data: bytes.Repeat([]byte{2}, 50)}, // adjacent to the previous two: 0..110
 		{off: 200, data: bytes.Repeat([]byte{4}, 5)},
 	}
-	runs, err := writeCoalesced(fsys, "f", pieces)
+	runs, err := writeCoalesced(fsys, "f", arrive(t, pieces))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,8 +84,80 @@ func TestCoalesceMergesAdjacent(t *testing.T) {
 		t.Fatalf("empty input wrote %v, %v", runs, err)
 	}
 	overlap := []piece{{off: 0, data: make([]byte, 10)}, {off: 5, data: make([]byte, 10)}}
-	if _, err := writeCoalesced(fsys, "h", overlap); err == nil {
+	if _, err := writeCoalesced(fsys, "h", arrive(t, overlap)); err == nil {
 		t.Fatal("overlapping pieces accepted")
+	}
+}
+
+// arrive passes pieces through the shipment wire format as their writer
+// receives them.
+func arrive(t testing.TB, pieces []piece) []arrival {
+	t.Helper()
+	got, err := readShipment(nil, encodeShipment(pieces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// A shipment whose piece headers do not fit the message is an error, not a
+// panic or a short write.
+func TestReadShipmentRejects(t *testing.T) {
+	good := encodeShipment([]piece{{off: 3, data: []byte("abcdefg")}})
+	huge := slices.Clone(good)
+	huge[0] = math.Float32frombits(1 << 31) // offset past MaxInt
+	for name, msg := range map[string][]float32{
+		"header cut short":  good[:3],
+		"bytes cut short":   good[:len(good)-1],
+		"offset past int":   huge,
+		"trailing words":    append(slices.Clone(good), 0),
+		"length past words": {0, 0, 0, math.Float32frombits(5)},
+	} {
+		if got, err := readShipment(nil, msg); err == nil {
+			t.Errorf("%s: read %d pieces without an error", name, len(got))
+		}
+	}
+	if got, err := readShipment(nil, good); err != nil || len(got) != 1 || got[0].off != 3 || got[0].n != 7 {
+		t.Fatalf("well-formed shipment read as %+v, %v", got, err)
+	}
+}
+
+// TestWriteIndexedViewOutOfOrder: a view whose extents are not in file
+// order — {0,8}, {16,8}, {8,8} on stripes of 16 over 2 writers — lands as
+// the per-rank path writes it. Extending a writer's piece by appending to
+// a window of the caller's data once overwrote the piece cut before it for
+// the other writer: the file read AAAAAAAACCCCCCCCCCCCCCCC.
+func TestWriteIndexedViewOutOfOrder(t *testing.T) {
+	fsys := testFS()
+	fsys.SetStripe("out/", 2, 16)
+	segs := []mpiio.Segment{{Off: 0, Len: 8}, {Off: 16, Len: 8}, {Off: 8, Len: 8}}
+	data := []byte("AAAAAAAABBBBBBBBCCCCCCCC")
+	mpi.NewWorld(2).Run(func(c *mpi.Comm) {
+		var s []mpiio.Segment
+		var d []byte
+		if c.Rank() == 0 {
+			s, d = segs, slices.Clone(data)
+		}
+		st, err := WriteIndexed(c, fsys, "out/agg", s, d, Config{Aggregators: 2})
+		if err != nil {
+			panic(err)
+		}
+		if st.Writers != 2 {
+			panic(fmt.Sprintf("%d writers, want 2", st.Writers))
+		}
+	})
+	if err := mpiio.WriteIndexed(fsys, "out/ref", segs, data); err != nil {
+		t.Fatal(err)
+	}
+	got, ref := make([]byte, 24), make([]byte, 24)
+	if err := fsys.ReadAt("out/agg", 0, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.ReadAt("out/ref", 0, ref); err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "AAAAAAAACCCCCCCCBBBBBBBB" || !bytes.Equal(got, ref) {
+		t.Fatalf("aggregated file %q, per-rank file %q", got, ref)
 	}
 }
 

@@ -2,41 +2,43 @@ package agg
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/mpiio"
 	"repro/internal/pfs"
 )
 
-// FuzzCoalesceWriteIdentity drives random non-overlapping segment
-// layouts through both write paths — one WriteAt per segment (the naive
-// per-rank path) and writeCoalesced, the aggregator's merge and write,
-// fed the segments as pieces in reverse order — and requires the
-// resulting files to be byte-identical, zero-filled gaps included. It
-// also pins writeCoalesced's runs: offsets strictly increasing, no two
-// mergeable neighbors left, total length preserved.
+// FuzzCoalesceWriteIdentity drives random non-overlapping views — odd
+// lengths, zero-length extents, extents in any order — through both write
+// paths: one WriteAt per extent (the per-rank path) and the aggregator's,
+// where the view is split across writers, each writer's pieces (plus one of
+// no bytes) are encoded as a shipment, read back as they arrive and
+// written coalesced. The files must be byte-identical, zero-filled gaps
+// included. It also pins each writer's runs — offsets strictly increasing,
+// no two mergeable neighbors left — and that the pieces cover the view
+// exactly once, each within one writer's columns.
 func FuzzCoalesceWriteIdentity(f *testing.F) {
-	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(7))
-	f.Add([]byte{0, 8, 0, 8, 0, 8}, uint8(0)) // fully adjacent: one run
-	f.Add([]byte{200, 1}, uint8(255))
-	f.Fuzz(func(t *testing.T, layout []byte, fill uint8) {
-		// Alternating gap/run lengths; gaps of zero make runs adjacent,
-		// which is exactly what Coalesce must merge.
+	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6}, uint8(7), uint64(0))
+	f.Add([]byte{0, 8, 0, 8, 0, 8}, uint8(0), uint64(0)) // fully adjacent: one run
+	f.Add([]byte{200, 1}, uint8(255), uint64(0))
+	f.Add([]byte{0, 7, 0, 0, 3, 5, 0, 16, 1, 13}, uint8(1), uint64(3)) // odd and empty extents, shuffled
+	f.Add([]byte{0, 16, 0, 16, 0, 16, 0, 16}, uint8('A'), uint64(11))
+	f.Fuzz(func(t *testing.T, layout []byte, fill uint8, order uint64) {
+		// Alternating gap/extent lengths; gaps of zero make extents
+		// adjacent, which is exactly what the writer must merge.
 		var segs []mpiio.Segment
 		off := 0
-		for idx := 0; idx < len(layout); idx += 2 {
+		for idx := 0; idx+1 < len(layout); idx += 2 {
 			off += int(layout[idx] % 17)
-			if idx+1 >= len(layout) {
-				break
-			}
-			if n := int(layout[idx+1] % 17); n > 0 {
-				segs = append(segs, mpiio.Segment{Off: off, Len: n})
-				off += n
-			}
+			n := int(layout[idx+1] % 17)
+			segs = append(segs, mpiio.Segment{Off: off, Len: n})
+			off += n
 		}
-		if len(segs) == 0 {
+		if mpiio.TotalLen(segs) == 0 {
 			return
 		}
+		rand.New(rand.NewPCG(order, 0)).Shuffle(len(segs), func(a, b int) { segs[a], segs[b] = segs[b], segs[a] })
 		data := make([]byte, mpiio.TotalLen(segs))
 		for i := range data {
 			data[i] = fill + byte(i*37)
@@ -45,34 +47,50 @@ func FuzzCoalesceWriteIdentity(f *testing.F) {
 		cfg := pfs.Config{OSTs: 4, OSTBandwidth: 1e8, MDSLatency: 1e-4, MDSConcurrent: 8}
 		fsys := pfs.New(cfg)
 
-		// Naive path: one write per segment.
+		// Per-rank path: one write per extent; an empty one writes nothing.
 		p := 0
 		for _, s := range segs {
-			if err := fsys.WriteAt("naive", s.Off, data[p:p+s.Len]); err != nil {
-				t.Fatal(err)
+			if s.Len > 0 {
+				if err := fsys.WriteAt("naive", s.Off, data[p:p+s.Len]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			p += s.Len
 		}
 
-		// Aggregator path: the segments as pieces, last first, through
-		// the writer's merge.
-		var pieces []piece
-		p = 0
-		for _, s := range segs {
-			pieces = append([]piece{{off: s.Off, data: data[p : p+s.Len]}}, pieces...)
-			p += s.Len
-		}
-		runs, err := writeCoalesced(fsys, "agg", pieces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mpiio.TotalLen(runs) != mpiio.TotalLen(segs) {
-			t.Fatalf("coalesce changed total length: %d != %d", mpiio.TotalLen(runs), mpiio.TotalLen(segs))
-		}
-		for i := 1; i < len(runs); i++ {
-			if runs[i].Off <= runs[i-1].Off+runs[i-1].Len {
-				t.Fatalf("runs %v not strictly separated", runs)
+		// Aggregator path.
+		pl := NewPlacement(4, 16, 0, 4)
+		covered := 0
+		for w, pieces := range pl.splitByOwner(segs, data) {
+			for _, pc := range pieces {
+				covered += len(pc.data)
+				if own := pl.Owner(pc.off); own != w || own != pl.Owner(pc.off+len(pc.data)-1) {
+					t.Fatalf("writer %d's piece [%d,%d) spans owners %d..%d", w, pc.off, pc.off+len(pc.data), own, pl.Owner(pc.off+len(pc.data)-1))
+				}
 			}
+			arrived, err := readShipment(nil, encodeShipment(append(pieces, piece{off: 5})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs, err := writeCoalesced(fsys, "agg", arrived)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, pc := range pieces {
+				n += len(pc.data)
+			}
+			if mpiio.TotalLen(runs) != n {
+				t.Fatalf("writer %d: runs %v hold %d bytes, its pieces %d", w, runs, mpiio.TotalLen(runs), n)
+			}
+			for i := 1; i < len(runs); i++ {
+				if runs[i].Off <= runs[i-1].Off+runs[i-1].Len {
+					t.Fatalf("writer %d: runs %v not strictly separated", w, runs)
+				}
+			}
+		}
+		if covered != len(data) {
+			t.Fatalf("split covered %d bytes, want %d", covered, len(data))
 		}
 
 		na, ag := fsys.Size("naive"), fsys.Size("agg")
@@ -88,46 +106,7 @@ func FuzzCoalesceWriteIdentity(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a, b) {
-			t.Fatal("coalesced writes differ from naive per-segment writes")
-		}
-
-		// The split/ship/merge pipeline must reproduce the same extents:
-		// splitting the view across writers and re-coalescing each
-		// writer's pieces covers the view exactly once.
-		pl := NewPlacement(4, 16, 0, 4)
-		covered := 0
-		for _, pieces := range pl.splitByOwner(segs, data) {
-			for _, pc := range pieces {
-				covered += len(pc.data)
-				for j, bb := range pc.data {
-					want := data[dataIndex(segs, pc.off+j)]
-					if bb != want {
-						t.Fatalf("piece byte at file off %d is %d, want %d", pc.off+j, bb, want)
-					}
-				}
-				if own := pl.Owner(pc.off); own != pl.Owner(pc.off+len(pc.data)-1) {
-					// A piece may span columns only when every spanned
-					// column has the same owner; endpoints agree by
-					// construction of splitByOwner.
-					t.Fatalf("piece [%d,%d) spans owners %d..%d", pc.off, pc.off+len(pc.data), own, pl.Owner(pc.off+len(pc.data)-1))
-				}
-			}
-		}
-		if covered != len(data) {
-			t.Fatalf("split covered %d bytes, want %d", covered, len(data))
+			t.Fatalf("aggregated write %v differs from per-extent writes %v of view %v", b, a, segs)
 		}
 	})
-}
-
-// dataIndex maps a file offset back to its index in the packed view
-// buffer of segs (offset-ordered).
-func dataIndex(segs []mpiio.Segment, off int) int {
-	p := 0
-	for _, s := range segs {
-		if off >= s.Off && off < s.Off+s.Len {
-			return p + (off - s.Off)
-		}
-		p += s.Len
-	}
-	panic("offset outside view")
 }

@@ -45,8 +45,9 @@ func (a *activeBox) grow() (full bool) {
 
 // takeHalo takes in the hull of the ghost cells the messages of a finished
 // exchange are about to fill with something other than ±0, walking each
-// received buffer by its sections' block geometry. A face whose ghost slab
-// already lies inside the box is not walked.
+// received section's clipped block (takeHeader laid them out) — outside it
+// the ghosts stay +0. A face whose ghost slab already lies inside the box is
+// not walked.
 func (a *activeBox) takeHalo(msgs []message) {
 	for i := range msgs {
 		m := &msgs[i]
@@ -55,7 +56,9 @@ func (a *activeBox) takeHalo(msgs []message) {
 		}
 		for si := range m.secs {
 			sec := &m.secs[si]
-			a.Box = a.Hull(nonzeroHull(m.in[sec.off:sec.off+sec.n], sec.unpack))
+			if n := blockLen(sec.got); n > 0 {
+				a.Box = a.Hull(nonzeroHull(m.in[sec.gotOff:][:n], sec.got))
+			}
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package solver
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/core/fd"
 	"repro/internal/core/sched"
 	"repro/internal/grid"
@@ -10,12 +13,16 @@ import (
 
 // One halo-exchange engine. A schedule is at most one message per face
 // neighbor; a message is a list of sections — one field's block, packed
-// from the sender's interior at a fixed offset of one pooled buffer and
-// unpacked into the receiver's ghosts. The schedule is built once per
-// Stepper from (local dims, neighbor ranks, field list) and executed by
-// post and finish. The velocity and stress phases are two schedules whose
-// field list carries the exchange axes (all three, or the §IV.A reduced
-// stress set).
+// from the sender's interior into one pooled buffer and unpacked into the
+// receiver's ghosts. The schedule is built once per Stepper from (local
+// dims, neighbor ranks, field list) and executed by post and finish. The
+// velocity and stress phases are two schedules whose field list carries the
+// exchange axes (all three, or the §IV.A reduced stress set).
+//
+// A message ships only what the sender's active box covers (DESIGN.md §7,
+// "The halo schedule"): a hdrWords header holding the clip, then each
+// section's block cut to it. Outside the clip the sender's cells are +0 and
+// so are the receiver's ghosts, which only ever took +0 there.
 //
 // Bit-identity across topologies, thread counts and comm models holds by
 // construction: packing reads cells no unpack writes, sections of one
@@ -67,18 +74,29 @@ type haloField struct {
 	axes  [3]bool      // axes the field is exchanged along
 }
 
+// hdrWords is the length of a message's header: the clip — the part of the
+// message's pack block the sender's active box covers — as six int32
+// offsets from the block's low corner (i0, i1, j0, j1, k0, k1), all zero
+// when the box misses the block.
+const hdrWords = 6
+
 // section is one field's slot in a message.
 type section struct {
 	f            *grid.Field3
-	pack, unpack [6]int // interior block sent, ghost block filled
-	off, n       int    // buf[off:off+n]
+	pack, unpack [6]int // whole interior block sent, ghost block filled
+
+	// In flight: this exchange's clipped blocks and their offsets in the
+	// outgoing and the incoming buffer.
+	sent, got       [6]int
+	sentOff, gotOff int
 }
 
 type message struct {
 	peer             int
 	sendTag, recvTag int
-	total            int // buffer length: sum of section lengths
+	total            int // the whole faces' payload: sum of section lengths
 	secs             []section
+	face             fd.Box // hull of the pack blocks: the header is relative to it
 	slab             fd.Box // hull of the ghost blocks the sections fill
 
 	// In flight between post and finish.
@@ -143,14 +161,11 @@ func newSchedule(env haloEnv, phase int, fields []haloField) *schedule {
 					f:      hf.f,
 					pack:   env.faceBlock(ax, sd, hf.depth, false),
 					unpack: env.faceBlock(ax, sd, hf.depth, true),
-					off:    m.total,
 				}
-				p := sec.pack
-				sec.n = grid.RangeLen(p[0], p[1], p[2], p[3], p[4], p[5])
-				m.total += sec.n
+				m.total += blockLen(sec.pack)
 				m.secs = append(m.secs, sec)
-				u := sec.unpack
-				m.slab = m.slab.Hull(fd.Box{I0: u[0], I1: u[1], J0: u[2], J1: u[3], K0: u[4], K1: u[5]})
+				m.face = m.face.Hull(blockBox(sec.pack))
+				m.slab = m.slab.Hull(blockBox(sec.unpack))
 			}
 			if len(m.secs) == 0 {
 				continue
@@ -194,27 +209,42 @@ func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Fie
 }
 
 // post starts the exchange: receives are posted first, every message's
-// sections are packed as one tile queue into a pooled buffer, and the
-// buffers are lent to the runtime. The caller may compute between post
-// and finish — that gap is the AsyncOverlap model.
+// sections are cut to the rank's active box (whole once it has none) and
+// packed as one tile queue into a pooled buffer behind the header, and the
+// buffers are lent to the runtime. The caller may compute between post and
+// finish — that gap is the AsyncOverlap model.
 func (s *schedule) post() {
 	if len(s.msgs) == 0 {
 		return
 	}
 	for i := range s.msgs {
 		m := &s.msgs[i]
+		clip := m.face
+		if s.box != nil {
+			clip = clip.Intersect(s.box.Box)
+		}
+		n := hdrWords
+		for si := range m.secs {
+			sec := &m.secs[si]
+			sec.sent, sec.sentOff = clipBlock(sec.pack, clip), n
+			n += blockLen(sec.sent)
+		}
 		// Fault recovery (internal/ft) unwinds a rank out of post or
 		// finish and later reuses the Stepper: every message takes a new
 		// request and buffer, and whatever an aborted exchange left in
-		// flight belongs to the dead exchange.
-		m.req, m.out = s.comm.IrecvTake(m.peer, m.recvTag), mpi.GetBuffer(m.total)
+		// flight belongs to the dead exchange. The buffer is sized for
+		// whole faces, so a face's messages keep to one size class of
+		// the pool however the clip grows.
+		m.req, m.out = s.comm.IrecvTake(m.peer, m.recvTag), mpi.GetBuffer(hdrWords + m.total)[:n]
+		putHeader(m.out, clip, m.face)
 	}
 	sp := s.tel.Span(telemetry.Pack)
 	s.pool.ForEachN(len(s.tiles), func(t int) {
 		m := &s.msgs[s.tiles[t].mi]
 		sec := &m.secs[s.tiles[t].si]
-		p := sec.pack
-		sec.f.PackRange(p[0], p[1], p[2], p[3], p[4], p[5], m.out[sec.off:sec.off+sec.n])
+		if b := sec.sent; blockLen(b) > 0 {
+			sec.f.PackRange(b[0], b[1], b[2], b[3], b[4], b[5], m.out[sec.sentOff:])
+		}
 	})
 	sp.End()
 	sp = s.tel.Span(telemetry.Send)
@@ -226,8 +256,11 @@ func (s *schedule) post() {
 	sp.End()
 }
 
-// finish completes the posted exchange: wait for every receive, unpack all
-// sections as one tile queue, recycle the buffers.
+// finish completes the posted exchange: wait for every receive, check each
+// header against its message, unpack the clipped sections as one tile
+// queue, recycle the buffers. A header that does not fit its message panics
+// with an error naming the peer and the tag, which World.RunErr reports as
+// the rank's failure.
 func (s *schedule) finish() {
 	if len(s.msgs) == 0 {
 		return
@@ -240,14 +273,21 @@ func (s *schedule) finish() {
 	}
 	sp.End()
 	sp = s.tel.Span(telemetry.Unpack)
+	for i := range s.msgs {
+		m := &s.msgs[i]
+		if err := m.takeHeader(); err != nil {
+			panic(fmt.Errorf("solver: halo message from rank %d, tag %d: %w", m.peer, m.recvTag, err))
+		}
+	}
 	if s.box != nil {
 		s.box.takeHalo(s.msgs)
 	}
 	s.pool.ForEachN(len(s.tiles), func(t int) {
 		m := &s.msgs[s.tiles[t].mi]
 		sec := &m.secs[s.tiles[t].si]
-		u := sec.unpack
-		sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.in[sec.off:sec.off+sec.n])
+		if u := sec.got; blockLen(u) > 0 {
+			sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.in[sec.gotOff:])
+		}
 	})
 	for i := range s.msgs {
 		m := &s.msgs[i]
@@ -256,6 +296,70 @@ func (s *schedule) finish() {
 	}
 	sp.End()
 }
+
+// putHeader writes the header of a message whose pack blocks' hull is face
+// and whose clip is clip into h.
+func putHeader(h []float32, clip, face fd.Box) {
+	rel := [hdrWords]int{}
+	if !clip.Empty() {
+		rel = [hdrWords]int{clip.I0 - face.I0, clip.I1 - face.I0, clip.J0 - face.J0, clip.J1 - face.J0, clip.K0 - face.K0, clip.K1 - face.K0}
+	}
+	for x, v := range rel {
+		h[x] = math.Float32frombits(uint32(int32(v)))
+	}
+}
+
+// takeHeader reads the clip off the received message and lays this
+// exchange's clipped ghost blocks out behind the header, or says why the
+// header does not fit the message's ghost blocks or its length.
+func (m *message) takeHeader() error {
+	if len(m.in) < hdrWords {
+		return fmt.Errorf("%d words, shorter than the %d-word header", len(m.in), hdrWords)
+	}
+	var rel [hdrWords]int
+	var clip fd.Box
+	for x := range rel {
+		rel[x] = int(int32(math.Float32bits(m.in[x])))
+	}
+	if rel != [hdrWords]int{} {
+		s := m.slab
+		ext := [3]int{s.I1 - s.I0, s.J1 - s.J0, s.K1 - s.K0}
+		for ax, n := range ext {
+			if lo, hi := rel[2*ax], rel[2*ax+1]; lo < 0 || lo >= hi || hi > n {
+				return fmt.Errorf("header %v does not fit the %dx%dx%d ghost block", rel, ext[0], ext[1], ext[2])
+			}
+		}
+		clip = fd.Box{I0: s.I0 + rel[0], I1: s.I0 + rel[1], J0: s.J0 + rel[2], J1: s.J0 + rel[3], K0: s.K0 + rel[4], K1: s.K0 + rel[5]}
+	}
+	n := hdrWords
+	for si := range m.secs {
+		sec := &m.secs[si]
+		sec.got, sec.gotOff = clipBlock(sec.unpack, clip), n
+		n += blockLen(sec.got)
+	}
+	if n != len(m.in) {
+		return fmt.Errorf("header %v makes %d words, the message has %d", rel, n, len(m.in))
+	}
+	return nil
+}
+
+// blockBox returns the block [i0,i1)x[j0,j1)x[k0,k1) as a box.
+func blockBox(b [6]int) fd.Box {
+	return fd.Box{I0: b[0], I1: b[1], J0: b[2], J1: b[3], K0: b[4], K1: b[5]}
+}
+
+// clipBlock returns the part of block b inside c, the zero block when there
+// is none.
+func clipBlock(b [6]int, c fd.Box) [6]int {
+	x := blockBox(b).Intersect(c)
+	if x.Empty() {
+		return [6]int{}
+	}
+	return [6]int{x.I0, x.I1, x.J0, x.J1, x.K0, x.K1}
+}
+
+// blockLen returns the number of values in block b.
+func blockLen(b [6]int) int { return grid.RangeLen(b[0], b[1], b[2], b[3], b[4], b[5]) }
 
 // exchange is post and finish with nothing in between.
 func (s *schedule) exchange() {

@@ -1,11 +1,15 @@
 package solver
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core/fd"
+	"repro/internal/core/source"
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
@@ -28,9 +32,11 @@ func checkTags(t *testing.T, label string, s *schedule) {
 }
 
 // The schedule agrees with its own execution: on every rank, the messages
-// and floats obtained by walking the schedules the Stepper built equal
-// what the runtime counts at its delivery point over one real Step, and no
-// schedule reuses a tag toward one peer.
+// obtained by walking the schedules the Stepper built equal what the runtime
+// counts at its delivery point over one real Step, and so do the floats once
+// every box is dropped — the whole faces plus a hdrWords header a message.
+// While a box is live the payload behind the headers is at most the whole
+// faces. No schedule reuses a tag toward one peer.
 func TestScheduleMatchesExecution(t *testing.T) {
 	run := func(label string, q cvm.Querier, opt Options) {
 		t.Helper()
@@ -40,7 +46,7 @@ func TestScheduleMatchesExecution(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var walkMsgs, walkFloats int
-		var gotMsgs, gotFloats uint64
+		var got [2][2]uint64 // [live, dropped][msgs, floats]
 		world := mpi.NewWorld(opt.Topo.Size())
 		world.Run(func(c *mpi.Comm) {
 			st, err := NewStepper(c, q, dc, opt)
@@ -59,23 +65,33 @@ func TestScheduleMatchesExecution(t *testing.T) {
 			walkMsgs, walkFloats = walkMsgs+msgs, walkFloats+floats
 			mu.Unlock()
 
-			c.Barrier()
-			if c.Rank() == 0 {
-				world.ResetMessageStats()
-			}
-			c.Barrier()
-			st.Step()
-			c.Barrier()
-			if c.Rank() == 0 {
-				gotMsgs, gotFloats = world.MessageStats()
+			for pass := range got {
+				if pass == 1 {
+					rs.dropBox()
+				}
+				c.Barrier()
+				if c.Rank() == 0 {
+					world.ResetMessageStats()
+				}
+				c.Barrier()
+				st.Step()
+				c.Barrier()
+				if c.Rank() == 0 {
+					got[pass][0], got[pass][1] = world.MessageStats()
+				}
 			}
 		})
 		if walkMsgs == 0 {
 			t.Errorf("%s: schedule walk found no messages", label)
 		}
-		if uint64(walkMsgs) != gotMsgs || uint64(walkFloats) != gotFloats {
-			t.Errorf("%s: schedule says %d msgs / %d floats, runtime delivered %d / %d",
-				label, walkMsgs, walkFloats, gotMsgs, gotFloats)
+		hdr := uint64(hdrWords * walkMsgs)
+		if live := got[0]; live[0] != uint64(walkMsgs) || live[1] < hdr || live[1]-hdr > uint64(walkFloats) {
+			t.Errorf("%s: live boxes: schedule says %d msgs / at most %d floats and %d header words, runtime delivered %d / %d",
+				label, walkMsgs, walkFloats, hdr, live[0], live[1])
+		}
+		if whole := got[1]; whole[0] != uint64(walkMsgs) || whole[1] != uint64(walkFloats)+hdr {
+			t.Errorf("%s: boxes dropped: schedule says %d msgs / %d floats + %d header words, runtime delivered %d / %d",
+				label, walkMsgs, walkFloats, hdr, whole[0], whole[1])
 		}
 	}
 
@@ -92,8 +108,8 @@ func TestScheduleMatchesExecution(t *testing.T) {
 	}
 }
 
-// traffic walks the schedule and returns what one execution sends: messages
-// and float32 values.
+// traffic walks the schedule and returns what one execution sends at most:
+// messages and the float32 values of their whole faces, headers aside.
 func (s *schedule) traffic() (msgs, floats int) {
 	for mi := range s.msgs {
 		floats += s.msgs[mi].total
@@ -154,8 +170,9 @@ func TestHaloStatsCounts(t *testing.T) {
 	}
 }
 
-// The communication-only benchmark must observe the schedule's counts at
-// the runtime's delivery point and a non-degenerate checksum.
+// The communication-only benchmark has no active box, so it must observe
+// the schedule's counts at the runtime's delivery point — whole faces behind
+// a hdrWords header a message — and a non-degenerate checksum.
 func TestHaloExchangeBenchCountsAndChecksum(t *testing.T) {
 	r := RunHaloExchangeBench(HaloBenchConfig{
 		Topo: mpi.NewCart(2, 2, 1), Local: grid.Dims{NX: 12, NY: 12, NZ: 8},
@@ -165,11 +182,158 @@ func TestHaloExchangeBenchCountsAndChecksum(t *testing.T) {
 	if r.VelMsgs != 8 || r.StressMsgs != 8 {
 		t.Fatalf("counts %g/%g, want 8/8", r.VelMsgs, r.StressMsgs)
 	}
-	if r.VelFloats <= 0 || r.StressFloats != 2*r.VelFloats {
-		t.Fatalf("float volume %g/%g: six full stress faces must be twice three velocity faces",
-			r.VelFloats, r.StressFloats)
+	// Each rank's faces: one x and one y neighbor, three velocities or six
+	// stresses on both, and a header a message.
+	st := HaloStats(grid.Dims{NX: 12, NY: 12, NZ: 8}, [3][2]bool{{true, false}, {true, false}}, Asynchronous)
+	want := [2]float64{
+		4 * float64(st.Floats/3+hdrWords*st.VelMsgs),
+		4 * float64(2*st.Floats/3+hdrWords*st.StressMsgs),
+	}
+	if r.VelFloats != want[0] || r.StressFloats != want[1] {
+		t.Fatalf("float volume %g/%g, want %g/%g: whole faces, three velocities and six stresses, and a %d-word header a message",
+			r.VelFloats, r.StressFloats, want[0], want[1], hdrWords)
 	}
 	if math.IsNaN(r.Checksum) || r.Checksum == 0 || r.SecPerStep <= 0 {
 		t.Fatalf("degenerate result: %+v", r)
+	}
+}
+
+// TestHaloShipsOnlyTheBox runs 2x2x1 with the source inside one rank. A rank
+// whose box is empty ships headers alone; every message's clip only grows;
+// every ghost a message leaves out of its clip holds +0, bit for bit; and
+// once SetStepIndex drops the boxes the messages carry whole faces. A header
+// that does not fit its message panics with an error naming the peer and
+// the tag, not an index panic inside the copy.
+func TestHaloShipsOnlyTheBox(t *testing.T) {
+	g := grid.Dims{NX: 32, NY: 32, NZ: 16}
+	opt := twoSidedOptions(g, 14, mpi.NewCart(2, 2, 1))
+	opt.Sources[0] = source.PointSource{GI: 6, GJ: 7, GK: 8, M0: 1e15, Tensor: source.Explosion,
+		STF: source.GaussianPulse(0.08, 0.02)}.Sample(0.002, 400)
+	const dropAfter = 10 // steps taken when SetStepIndex drops the boxes
+	q := cvm.SoCal(3200, 3200, 1600, 400)
+
+	type rankLog struct {
+		clips                           [2][]fd.Box // last clip sent, per schedule and message
+		headerOnly, clipped, wholeAfter int
+	}
+	logs := make([]rankLog, 4)
+	_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
+		rs, lg := st.rs, &logs[c.Rank()]
+		step := st.StepIndex()
+		for p, s := range []*schedule{rs.vel, rs.stress} {
+			if lg.clips[p] == nil {
+				lg.clips[p] = make([]fd.Box, len(s.msgs))
+			}
+			for mi := range s.msgs {
+				m := &s.msgs[mi]
+				var clip fd.Box
+				whole := true
+				for si := range m.secs {
+					sec := &m.secs[si]
+					clip = clip.Hull(blockBox(sec.sent))
+					whole = whole && sec.sent == sec.pack && sec.got == sec.unpack
+					checkGhostsOutsideClip(t, c.Rank(), step, sec)
+				}
+				if prev := lg.clips[p][mi]; !clip.Contains(prev) {
+					t.Errorf("rank %d step %d: clip toward rank %d shrank from %v to %v", c.Rank(), step, m.peer, prev, clip)
+				}
+				lg.clips[p][mi] = clip
+				switch {
+				case rs.box != nil && rs.box.Empty():
+					if !clip.Empty() {
+						t.Errorf("rank %d step %d: empty box, yet clip %v toward rank %d", c.Rank(), step, clip, m.peer)
+					}
+					lg.headerOnly++
+				case rs.box != nil && !clip.Empty() && clip != m.face:
+					lg.clipped++
+				}
+				if step > dropAfter {
+					if !whole {
+						t.Errorf("rank %d step %d: box dropped, yet a message toward rank %d is clipped to %v", c.Rank(), step, m.peer, clip)
+					}
+					lg.wholeAfter++
+				}
+			}
+		}
+		if step == dropAfter {
+			if err := st.SetStepIndex(step); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total rankLog
+	for _, lg := range logs {
+		total.headerOnly += lg.headerOnly
+		total.clipped += lg.clipped
+		total.wholeAfter += lg.wholeAfter
+	}
+	t.Logf("header-only %d, clipped %d, whole after the drop %d", total.headerOnly, total.clipped, total.wholeAfter)
+	if total.headerOnly == 0 || total.clipped == 0 || total.wholeAfter == 0 {
+		t.Errorf("the run never shipped a header alone (%d), a clipped face (%d) or whole faces after the drop (%d)",
+			total.headerOnly, total.clipped, total.wholeAfter)
+	}
+
+	// Headers that do not fit, fed to rank 1's velocity receive from rank 0
+	// on 2x1x1: x faces are 2 deep and 6x4 wide, three sections of 48 values.
+	d := grid.Dims{NX: 5, NY: 6, NZ: 4}
+	header := func(rel [hdrWords]int, payload int) []float32 {
+		w := make([]float32, hdrWords+payload)
+		for x, v := range rel {
+			w[x] = math.Float32frombits(uint32(int32(v)))
+		}
+		return w
+	}
+	for _, tc := range []struct {
+		name string
+		msg  []float32
+	}{
+		{"overruns the block", header([hdrWords]int{0, 3, 0, 6, 0, 4}, 3*72)},
+		{"negative offset", header([hdrWords]int{-1, 2, 0, 6, 0, 4}, 3*72)},
+		{"one axis empty", header([hdrWords]int{0, 2, 3, 3, 0, 4}, 0)},
+		{"one word short", header([hdrWords]int{0, 2, 0, 6, 0, 4}, 3*48-1)},
+		{"payload behind an empty clip", header([hdrWords]int{}, 5)},
+		{"shorter than a header", make([]float32, 3)},
+	} {
+		topo := mpi.NewCart(2, 1, 1)
+		err := mpi.NewWorld(2).RunErr(func(c *mpi.Comm) error {
+			if c.Rank() == 0 {
+				c.SendOwned(1, haloTag(phaseVelocity, grid.X, true), tc.msg)
+				return nil
+			}
+			st := fd.NewState(d)
+			s := classicSchedule(newHaloEnv(c, topo, d, nil, nil), phaseVelocity, Asynchronous, st.Velocities())
+			s.post()
+			s.finish()
+			return nil
+		})
+		var re *mpi.RankError
+		want := fmt.Sprintf("halo message from rank 0, tag %d", haloTag(phaseVelocity, grid.X, true))
+		switch {
+		case !errors.As(err, &re) || re.Rank != 1 || !re.Panicked:
+			t.Errorf("%s: got %v, want rank 1 to panic", tc.name, err)
+		case !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "index out of range"):
+			t.Errorf("%s: %v, want a panic naming %q", tc.name, err, want)
+		}
+	}
+}
+
+// checkGhostsOutsideClip fails unless every ghost of sec's block that the
+// last message left out of its clip holds +0.
+func checkGhostsOutsideClip(t *testing.T, rank, step int, sec *section) {
+	t.Helper()
+	u, got := sec.unpack, blockBox(sec.got)
+	for k := u[4]; k < u[5]; k++ {
+		for j := u[2]; j < u[3]; j++ {
+			for i := u[0]; i < u[1]; i++ {
+				c := fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}
+				if v := sec.f.At(i, j, k); !got.Contains(c) && math.Float32bits(v) != 0 {
+					t.Fatalf("rank %d step %d: ghost (%d,%d,%d) outside the clip %v holds %g (%#x)",
+						rank, step, i, j, k, got, v, math.Float32bits(v))
+				}
+			}
+		}
 	}
 }

@@ -17,11 +17,13 @@ import (
 // cores, 2 chunk planes, 2 aggregators) → StreamPrePartition → OnDemand —
 // to a ceiling of bytes allocated per mesh byte in each stage, read from
 // runtime.MemStats.TotalAlloc around it. At 48×32×16 the stages allocate
-// 8.4×, 7.1× and 4.4× the mesh; they allocated 11.9×, 10.2× and 8.2× when
-// the aggregator read back and hashed every stripe it wrote, meshgen staged
-// each round as float32s before encoding it, and the partitioner decoded
-// whole blocks and planes into float32s. Each ceiling sits between the two,
-// below what either copy would add back.
+// 4.3×, 4.2× and 4.4× the mesh. They allocated 8.5× and 7.1× (the first
+// two) while the aggregator copied every shipped byte three times on the
+// wire and StreamPrePartition allocated each rank's padded arrays and byte
+// image afresh; and 11.9×, 10.2× and 8.2× when the aggregator read back and
+// hashed every stripe it wrote, meshgen staged each round as float32s before
+// encoding it, and the partitioner decoded whole blocks and planes into
+// float32s. Each ceiling sits below what one such copy would add back.
 func TestSetupChainAllocBudget(t *testing.T) {
 	g := grid.Dims{NX: 48, NY: 32, NZ: 16}
 	fsys := pfs.New(pfs.Jaguar())
@@ -37,14 +39,14 @@ func TestSetupChainAllocBudget(t *testing.T) {
 		ceiling float64
 		run     func() error
 	}{
-		{"meshgen.GenerateStreamed", 9.0, func() error {
+		{"meshgen.GenerateStreamed", 4.8, func() error {
 			_, err := meshgen.GenerateStreamed(fsys, q, meshgen.StreamSpec{
 				Spec:        meshgen.Spec{Path: "in/mesh.bin", Global: g, H: 400, Cores: 4},
 				ChunkPlanes: 2, Agg: agg.Config{Aggregators: 2},
 			})
 			return err
 		}},
-		{"StreamPrePartition", 7.6, func() error {
+		{"StreamPrePartition", 4.8, func() error {
 			_, _, err := StreamPrePartition(fsys, "in/mesh.bin", "parts", g, dc, 0)
 			return err
 		}},

@@ -59,12 +59,12 @@ func PartFileName(dir string, rank int) string {
 }
 
 // writePart encodes one rank's padded sub-mesh (VP‖VS‖Rho) into one byte
-// image and writes it as the rank's file with bounded retry, returning the
-// byte count. The file is reserved first, so it is allocated once whatever
-// a short write and its retry leave behind.
-func writePart(fsys *pfs.FS, path string, sm SubMesh) (int, error) {
-	raw := make([]byte, 0, 3*4*len(sm.VP))
-	raw = appendFloat32s(appendFloat32s(appendFloat32s(raw, sm.VP), sm.VS), sm.Rho)
+// image, in image's storage when it holds the image, and writes it as the
+// rank's file with bounded retry, returning the byte count. The file is
+// reserved first, so it is allocated once whatever a short write and its
+// retry leave behind.
+func writePart(fsys *pfs.FS, path string, sm SubMesh, image []byte) (int, error) {
+	raw := appendFloat32s(appendFloat32s(appendFloat32s(image[:0], sm.VP), sm.VS), sm.Rho)
 	fsys.Reserve(path, len(raw))
 	retry := pfs.DefaultRetry()
 	if err := retry.Do(func() error { return fsys.WriteAt(path, 0, raw) }); err != nil {
@@ -84,14 +84,21 @@ type StreamStats struct {
 // the M8 mesh), it reads, for one rank at a time, only the clamped
 // ghost-padded block that rank needs, assembles and writes its padded
 // sub-mesh file (VP‖VS‖Rho), and moves on. Peak memory is one padded
-// sub-block, independent of NZ. The write phase is priced under the
-// concurrent-open throttle (the M8 run kept 223,074 part-file opens at
-// ≤650 in flight).
+// sub-block, independent of NZ: one padded sub-mesh and one byte image,
+// sized for the largest rank, stage every rank's part in turn. The write
+// phase is priced under the concurrent-open throttle (the M8 run kept
+// 223,074 part-file opens at ≤650 in flight).
 func StreamPrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims, dc decomp.Decomp, throttle int) (pfs.PhaseStats, StreamStats, error) {
 	nranks := dc.Topo.Size()
 	g := grid.Ghost
 	var ops []pfs.Op
 	var sst StreamStats
+	most := 0
+	for r := 0; r < nranks; r++ {
+		most = max(most, paddedLen(dc.SubFor(r).Local))
+	}
+	stage := make([]float32, 3*most)
+	image := make([]byte, 3*4*most)
 	for r := 0; r < nranks; r++ {
 		sub := dc.SubFor(r)
 		k0 := clamp(sub.OffZ-g, global.NZ)
@@ -108,12 +115,14 @@ func StreamPrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims,
 		// Each row is decoded from the block's bytes when extract asks for it.
 		nxr, nyr := i1-i0+1, j1-j0+1
 		recs := make([]float32, 3*nxr)
-		sm := extract(global, sub, func(gj, gk int) ([]float32, int) {
+		np := paddedLen(sub.Local)
+		sm := SubMesh{Rank: sub.Rank, Dims: sub.Local, VP: stage[:np], VS: stage[most:][:np], Rho: stage[2*most:][:np]}
+		extract(global, sub, sm.VP, sm.VS, sm.Rho, func(gj, gk int) ([]float32, int) {
 			decodeFloat32s(recs, raw[((gk-k0)*nyr+(gj-j0))*nxr*meshgen.RecBytes:])
 			return recs, i0
 		})
 		path := PartFileName(outDir, r)
-		n, err := writePart(fsys, path, sm)
+		n, err := writePart(fsys, path, sm, image)
 		if err != nil {
 			return pfs.PhaseStats{}, sst, err
 		}
@@ -243,7 +252,10 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 			}
 			panic(fmt.Sprintf("meshpart: rank %d missing row (%d,%d)", rank, gj, gk))
 		}
-		out[rank] = extract(global, sub, row)
+		np := paddedLen(sub.Local)
+		sm := SubMesh{Rank: sub.Rank, Dims: sub.Local, VP: make([]float32, np), VS: make([]float32, np), Rho: make([]float32, np)}
+		extract(global, sub, sm.VP, sm.VS, sm.Rho, row)
+		out[rank] = sm
 		return nil
 	})
 	if err := errors.Join(readErrs...); err != nil {

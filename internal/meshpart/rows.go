@@ -8,21 +8,18 @@ import (
 	"repro/internal/grid"
 )
 
-// extract assembles the padded sub-mesh for sub a padded x-row at a time.
-// row(gj, gk) returns the records of global row (gj, gk) — Vp, Vs and rho
-// interleaved, three float32s a point — starting at global x index first;
-// they must cover the sub-mesh's clamped x range. Padded rows and planes
-// outside the global grid ask for the nearest one, and the cells of a row
-// left of x = 0 or past NX-1 take its first or last record: the coordinate
-// clamping of direct CVM extraction. Like cvm/rows.go it works through
-// per-row windows, so its loops carry no bounds checks:
+// extract assembles the padded sub-mesh for sub into vp, vs and rho (each
+// at least paddedLen(sub.Local) long; every cell is written) a padded x-row
+// at a time. row(gj, gk) returns the records of global row (gj, gk) — Vp,
+// Vs and rho interleaved, three float32s a point — starting at global x
+// index first; they must cover the sub-mesh's clamped x range. Padded rows
+// and planes outside the global grid ask for the nearest one, and the cells
+// of a row left of x = 0 or past NX-1 take its first or last record: the
+// coordinate clamping of direct CVM extraction. Like cvm/rows.go it works
+// through per-row windows, so its loops carry no bounds checks:
 // scripts/check_bce.sh guards this file.
-func extract(global grid.Dims, sub decomp.Sub, row func(gj, gk int) (recs []float32, first int)) SubMesh {
+func extract(global grid.Dims, sub decomp.Sub, vp, vs, rho []float32, row func(gj, gk int) (recs []float32, first int)) {
 	g, d := grid.Ghost, sub.Local
-	sm := SubMesh{
-		Rank: sub.Rank, Dims: d,
-		VP: make([]float32, paddedLen(d)), VS: make([]float32, paddedLen(d)), Rho: make([]float32, paddedLen(d)),
-	}
 	// Padded cell i of a row sits at global x x0+i: lead cells clamp to
 	// x = 0, tail cells to NX-1, and the mid cells between read their own
 	// records.
@@ -36,14 +33,13 @@ func extract(global grid.Dims, sub decomp.Sub, row func(gj, gk int) (recs []floa
 		for j := -g; j < d.NY+g; j++ {
 			recs, first := row(clamp(sub.OffY+j, global.NY), gk)
 			src := recs[3*(x0+lead-first):][:3*mid]
-			vp, vs, rho := sm.VP[n:][:w], sm.VS[n:][:w], sm.Rho[n:][:w]
-			fillRec(vp[:lead], vs[:lead], rho[:lead], src)
-			setRecs(vp[lead:], vs[lead:], rho[lead:], src)
-			fillRec(vp[lead+mid:], vs[lead+mid:], rho[lead+mid:], src[len(src)-3:])
+			p, s, r := vp[n:][:w], vs[n:][:w], rho[n:][:w]
+			fillRec(p[:lead], s[:lead], r[:lead], src)
+			setRecs(p[lead:], s[lead:], r[lead:], src)
+			fillRec(p[lead+mid:], s[lead+mid:], r[lead+mid:], src[len(src)-3:])
 			n += w
 		}
 	}
-	return sm
 }
 
 // setRecs stores the records of src, in order, into vp, vs and rho until

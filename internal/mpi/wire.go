@@ -12,7 +12,8 @@ import (
 // Messages are []float32 and the runtime moves them word for word, never
 // through float arithmetic, so a word can carry any 32-bit pattern: float64
 // reduction operands travel as the two halves of their IEEE bit pattern,
-// bytes travel four to a word, and a Go value travels as its encoding/gob
+// bytes travel four to a word (PutBytes, GetBytes: agg's shipments carry
+// their payload that way), and a Go value travels as its encoding/gob
 // bytes.
 
 // packF64 stores each value of src as two words, the high and low halves of
@@ -32,27 +33,48 @@ func unpackF64(src []float32, dst []float64) {
 	}
 }
 
-// EncodeBytes returns b as a message: one word holding the number of pad
-// bytes (0–3), then b four bytes to a little-endian word, the last word
-// zero-padded.
-func EncodeBytes(b []byte) []float32 {
-	full := len(b) / 4 * 4
-	w := make([]float32, 1, 1+(len(b)+3)/4)
-	w[0] = math.Float32frombits(uint32((4 - len(b)%4) % 4))
-	for p := 0; p < full; p += 4 {
-		w = append(w, math.Float32frombits(binary.LittleEndian.Uint32(b[p:])))
+// PutBytes stores b four to a little-endian word into w, the last word
+// zero-padded, and returns the words used: (len(b)+3)/4.
+func PutBytes(w []float32, b []byte) int {
+	full := len(b) / 4
+	w = w[:(len(b)+3)/4]
+	for i := range full {
+		w[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 	}
-	if full < len(b) {
+	if full < len(w) {
 		var last [4]byte
-		copy(last[:], b[full:])
-		w = append(w, math.Float32frombits(binary.LittleEndian.Uint32(last[:])))
+		copy(last[:], b[4*full:])
+		w[full] = math.Float32frombits(binary.LittleEndian.Uint32(last[:]))
 	}
+	return len(w)
+}
+
+// GetBytes inverts PutBytes: it fills b from the first (len(b)+3)/4 words
+// of w.
+func GetBytes(b []byte, w []float32) {
+	full := len(b) / 4
+	for i := range full {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(w[i]))
+	}
+	if full*4 < len(b) {
+		var last [4]byte
+		binary.LittleEndian.PutUint32(last[:], math.Float32bits(w[full]))
+		copy(b[4*full:], last[:])
+	}
+}
+
+// encodeBytes returns b as a message: one word holding the number of pad
+// bytes (0–3), then b through PutBytes.
+func encodeBytes(b []byte) []float32 {
+	w := make([]float32, 1+(len(b)+3)/4)
+	w[0] = math.Float32frombits(uint32((4 - len(b)%4) % 4))
+	PutBytes(w[1:], b)
 	return w
 }
 
-// DecodeBytes inverts EncodeBytes. A message that EncodeBytes cannot have
+// decodeBytes inverts encodeBytes. A message that encodeBytes cannot have
 // produced is an error.
-func DecodeBytes(w []float32) ([]byte, error) {
+func decodeBytes(w []float32) ([]byte, error) {
 	if len(w) == 0 {
 		return nil, fmt.Errorf("mpi: bytes message has no header word")
 	}
@@ -60,11 +82,9 @@ func DecodeBytes(w []float32) ([]byte, error) {
 	if pad > 3 || (pad > 0 && len(w) == 1) {
 		return nil, fmt.Errorf("mpi: bytes message of %d words claims %d pad bytes", len(w), pad)
 	}
-	out := make([]byte, 4*(len(w)-1))
-	for i, v := range w[1:] {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out[:len(out)-int(pad)], nil
+	out := make([]byte, 4*(len(w)-1)-int(pad))
+	GetBytes(out, w[1:])
+	return out, nil
 }
 
 // encodeValue returns v's gob encoding as a message.
@@ -73,12 +93,12 @@ func encodeValue(v any) ([]float32, error) {
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return nil, err
 	}
-	return EncodeBytes(buf.Bytes()), nil
+	return encodeBytes(buf.Bytes()), nil
 }
 
 // decodeValue decodes a message encodeValue produced into *dst.
 func decodeValue(w []float32, dst any) error {
-	b, err := DecodeBytes(w)
+	b, err := decodeBytes(w)
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func TestReductionsExact(t *testing.T) {
 	}
 }
 
-// FuzzBytesWords: EncodeBytes then DecodeBytes is the identity on any byte
+// FuzzBytesWords: encodeBytes then decodeBytes is the identity on any byte
 // string, and any word message decodes to bytes or to an error, never a
 // panic.
 func FuzzBytesWords(f *testing.F) {
@@ -84,18 +84,18 @@ func FuzzBytesWords(f *testing.F) {
 		f.Add([]byte("abcdefgh")[:n])
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		w := EncodeBytes(b)
+		w := encodeBytes(b)
 		if len(w) != 1+(len(b)+3)/4 {
 			t.Fatalf("%d bytes encoded into %d words", len(b), len(w))
 		}
-		if got, err := DecodeBytes(w); err != nil || !bytes.Equal(got, b) {
+		if got, err := decodeBytes(w); err != nil || !bytes.Equal(got, b) {
 			t.Fatalf("round trip of %d bytes: %v, %v", len(b), got, err)
 		}
 		words := make([]float32, len(b)/4)
 		for i := range words {
 			words[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
 		}
-		if out, err := DecodeBytes(words); err == nil && len(out) > 4*len(words) {
+		if out, err := decodeBytes(words); err == nil && len(out) > 4*len(words) {
 			t.Fatalf("%d words decoded to %d bytes", len(words), len(out))
 		}
 	})
