@@ -150,9 +150,6 @@ func Topology(sc Scenario) (mpi.Cart, error) {
 
 // Run executes a wave-propagation (AWM) or dynamic-rupture (DFR) scenario.
 func Run(q Model, sc Scenario) (*Result, error) {
-	if sc.Dt < 0 {
-		return nil, fmt.Errorf("awp: Dt must be positive, or zero for automatic; got %g", sc.Dt)
-	}
 	topo, err := Topology(sc)
 	if err != nil {
 		return nil, err

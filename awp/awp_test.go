@@ -124,8 +124,8 @@ func TestPointSourceSampling(t *testing.T) {
 	}
 }
 
-// TestNegativeDtRejected pins the Scenario-layer validation (the solver
-// layer has its own identical check).
+// TestNegativeDtRejected: a negative Dt reaches solver.Prepare through Run
+// and comes back as its error (Prepare also rejects NaN and ±Inf).
 func TestNegativeDtRejected(t *testing.T) {
 	q := HomogeneousModel(Material{Vp: 6000, Vs: 3464, Rho: 2700})
 	_, err := Run(q, Scenario{
@@ -133,8 +133,8 @@ func TestNegativeDtRejected(t *testing.T) {
 		H:    100, Dt: -0.001, Steps: 4,
 		ABC: SpongeABC,
 	})
-	if err == nil {
-		t.Fatal("negative Dt accepted")
+	if err == nil || !strings.Contains(err.Error(), "Dt must be positive") {
+		t.Fatalf("negative Dt: err = %v", err)
 	}
 }
 

@@ -33,14 +33,15 @@ func main() {
 	attempts := flag.Int("attempts", 6, "max attempts per scenario")
 	deadline := flag.Duration("deadline", 10*time.Second, "per-job deadline")
 	audit := flag.Int("audit", 2, "store audit rounds after the ensemble")
-	ftRanks := flag.Int("ft", 0, "run each job as a checkpointed world with this many ranks (0 = plain solver)")
+	ftRanks := flag.Int("ft", 0, "run each job as a checkpointed world with this many ranks (0: plain solver)")
 	chaos := flag.Bool("chaos", false, "arm the service-level fault storm (crash/hang/corrupt)")
 	pfsFaults := flag.Bool("pfs-faults", false, "arm PFS fault injection under the artifact store")
 	serve := flag.String("serve", "", "address to serve HTTP on after the ensemble (empty: batch mode)")
 	jsonOut := flag.Bool("json", false, "print stats as JSON")
 	flag.Parse()
-	if *n < 0 {
-		fmt.Fprintf(os.Stderr, "farm: -n must be >= 0, got %d\n", *n)
+	if *n < 0 || *workers < 1 || *attempts < 1 || *deadline <= 0 || *audit < 0 || *ftRanks < 0 {
+		fmt.Fprintf(os.Stderr, "farm: want -n >= 0, -workers >= 1, -attempts >= 1, -deadline > 0, -audit >= 0, -ft >= 0; got %d, %d, %d, %v, %d, %d\n",
+			*n, *workers, *attempts, *deadline, *audit, *ftRanks)
 		os.Exit(1)
 	}
 
@@ -54,7 +55,7 @@ func main() {
 	store := farm.NewStore(fs, nil)
 
 	spec := farm.DefaultSpec()
-	if *ftRanks > 1 {
+	if *ftRanks > 0 {
 		spec.Ranks = *ftRanks
 	}
 	cfg := farm.Config{
@@ -71,7 +72,7 @@ func main() {
 			HangDur: *deadline * 2, CorruptProb: 0.08, MaxFaultsPerJob: 2,
 		}
 	}
-	if *ftRanks > 1 {
+	if *ftRanks > 0 {
 		cfg.FT = &farm.FTConfig{Interval: 10}
 	}
 

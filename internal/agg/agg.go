@@ -78,7 +78,6 @@ type StripeChecksum struct {
 type WriteStats struct {
 	Bytes              int // payload bytes of the collective view
 	Segments           int // input segments across all ranks
-	ShippedBytes       int // payload bytes shipped to a remote writer rank
 	Writers            int // aggregator ranks that issued writes
 	Writes             int // coalesced writes issued to the PFS
 	Opens              int // file opens charged (= Writers)
@@ -211,13 +210,7 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 	// message (possibly empty) to every writer, so receive counts are
 	// deterministic without a handshake.
 	byWriter := pl.splitByOwner(segs, data)
-	shipped := 0
 	for w := 0; w < pl.Writers; w++ {
-		if w != c.Rank() {
-			for _, pc := range byWriter[w] {
-				shipped += len(pc.data)
-			}
-		}
 		c.SendOwned(w, shipTag, encodeShipment(byWriter[w]))
 	}
 
@@ -227,7 +220,7 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 	if c.Rank() < pl.Writers {
 		var pieces []arrival
 		for src := 0; src < c.Size(); src++ {
-			msg, _, err := c.RecvTake(src, shipTag)
+			msg, err := c.RecvTake(src, shipTag)
 			if err == nil {
 				pieces, err = readShipment(pieces, msg)
 			}
@@ -266,7 +259,6 @@ func WriteIndexed(c *mpi.Comm, fsys *pfs.FS, path string, segs []mpiio.Segment,
 	}
 	sum, bcastErr := mpi.BcastValue(c, summary{failed, st}, 0)
 	st = sum.Stats
-	st.ShippedBytes = int(c.Allreduce([]float64{float64(shipped)}, mpi.Sum)[0])
 
 	switch {
 	case writeErr != nil:

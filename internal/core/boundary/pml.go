@@ -28,11 +28,10 @@ import (
 //
 // rising from ~0 at the interior interface to d0 at the outer boundary.
 type PML struct {
-	Zone  fd.Box
-	Axis  grid.Axis
-	Side  grid.Side
-	Width int
-	P     float64 // M-PML parallel damping ratio
+	Zone fd.Box
+	Axis grid.Axis
+	Side grid.Side
+	P    float64 // M-PML parallel damping ratio
 
 	// split[s] holds the s-direction split of the nine components, stored
 	// densely on the zone's own cells (local index = global - zone origin,
@@ -40,11 +39,11 @@ type PML struct {
 	// stress whose strain has no s-derivative takes no term of split s, so
 	// that field is nil: split x has no YZ, split y no XZ, split z no XY.
 	split [3]*fd.State
-	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
+	// damp[l] is d(l) for depth-from-boundary l in [0, width).
 	damp []float64
 	// xSlab counts the cells at the zone's low and high x ends that an x
 	// slab owns: they take x's damping whatever the zone's normal (an x
-	// zone's whole extent; a y or z zone's first and last Width cells where
+	// zone's whole extent; a y or z zone's first and last width cells where
 	// BuildPML gives it the full x extent next to an absorbing x face).
 	xSlab [2]int
 	// coef holds the split-update coefficients of step coefDt as rows of
@@ -70,7 +69,7 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 		panic(fmt.Sprintf("boundary: invalid PML zone %v width %d", zone, width))
 	}
 	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
-	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
+	pm := &PML{Zone: zone, Axis: axis, Side: side, P: p}
 	if axis == grid.X {
 		pm.xSlab[side] = zd.NX
 	}
@@ -155,7 +154,7 @@ func (pm *PML) Prepare(dt float64) {
 		return
 	}
 	// The coefficients depend on a cell only through its owner and damping
-	// depth, so the float64 divisions are done 3·Width times per dt. The
+	// depth, so the float64 divisions are done 3·width times per dt. The
 	// conversions keep a compiler from fusing a product into the add after
 	// it (arm64 does), so every architecture rounds as amd64 does.
 	type coef struct{ dec, gain [3]float32 }

@@ -13,12 +13,12 @@ import (
 // inside a layer of Width cells along each absorbing face, every wavefield
 // component is multiplied per step by a taper
 //
-//	g(d) = exp(-(Alpha * (Width - d))^2)
+//	g(d) = exp(-(alpha * (Width - d))^2)
 //
-// where d is the distance in cells from the physical domain boundary. The
-// sponge is unconditionally stable but absorbs less effectively than PML —
-// the fallback AWP-ODC uses when split-field PMLs go unstable on strong
-// media gradients.
+// where alpha is NewSpongeGlobal's and d is the distance in cells from the
+// physical domain boundary. The sponge is unconditionally stable but absorbs
+// less effectively than PML — the fallback AWP-ODC uses when split-field
+// PMLs go unstable on strong media gradients.
 //
 // The taper is defined in global coordinates, so the factor of a cell does
 // not depend on which rank holds it: a rank that damps its own cells stores
@@ -26,12 +26,8 @@ import (
 // the solver damps owned cells only (DESIGN.md §7, "The sponge rides the
 // tiles").
 type Sponge struct {
-	Local  grid.Dims
-	Global grid.Dims
-	Off    [3]int // global index of local (0,0,0)
-	Width  int
-	Alpha  float64
-	Faces  FaceSet // faces of the *global* domain that absorb
+	Width int
+	Faces FaceSet // faces of the *global* domain that absorb
 
 	taper []float32 // taper[d] for d in [0, Width)
 
@@ -63,7 +59,7 @@ func NewSpongeGlobal(local, global grid.Dims, off [3]int, width int, alpha float
 	if width <= 0 {
 		panic(fmt.Sprintf("boundary: invalid sponge width %d", width))
 	}
-	sp := &Sponge{Local: local, Global: global, Off: off, Width: width, Alpha: alpha, Faces: faces}
+	sp := &Sponge{Width: width, Faces: faces}
 	sp.taper = make([]float32, width)
 	for dd := 0; dd < width; dd++ {
 		x := alpha * float64(width-dd)
@@ -122,7 +118,7 @@ func (sp *Sponge) axisTaper(n, off, nGlobal int, lo, hi bool) (f []float32, ones
 
 // Taper returns the sponge's factors as the production stress sweeps take
 // them (fd.UpdateStressTapered, attenuation's FusedStressTapered): fx, fy and
-// fz over the padded subgrid, Alpha already in them. The sweeps store what
+// fz over the padded subgrid, alpha already in them. The sweeps store what
 // DampBox stores.
 func (sp *Sponge) Taper() fd.Taper {
 	t := &sp.axes

@@ -91,9 +91,8 @@ func (c Config) Validate(d grid.Dims) error {
 
 // Fault is the runtime state of the dynamic rupture.
 type Fault struct {
-	cfg  Config
-	dims grid.Dims
-	h    float64
+	cfg Config
+	h   float64
 
 	ni, nk int
 	// Split along-strike velocities at fault nodes [k][i].
@@ -119,7 +118,7 @@ func NewFault(cfg Config, d grid.Dims, h float64) (*Fault, error) {
 	}
 	ni, nk := cfg.I1-cfg.I0, cfg.K1-cfg.K0
 	f := &Fault{
-		cfg: cfg, dims: d, h: h, ni: ni, nk: nk,
+		cfg: cfg, h: h, ni: ni, nk: nk,
 		vxP: make([]float64, ni*nk), vxM: make([]float64, ni*nk),
 		Slip: make([]float64, ni*nk), SlipRate: make([]float64, ni*nk),
 		PeakRate: make([]float64, ni*nk), RupTime: make([]float64, ni*nk),

@@ -45,8 +45,6 @@ type Sub struct {
 	Local grid.Dims // local interior extent
 	// Off is the global index of the local (0,0,0) cell.
 	OffX, OffY, OffZ int
-	// Coords in the topology.
-	CX, CY, CZ int
 }
 
 // split1 computes the size and offset of part c out of p along an axis of
@@ -71,7 +69,6 @@ func (d Decomp) SubFor(rank int) Sub {
 		Rank:  rank,
 		Local: grid.Dims{NX: nx, NY: ny, NZ: nz},
 		OffX:  ox, OffY: oy, OffZ: oz,
-		CX: cx, CY: cy, CZ: cz,
 	}
 }
 

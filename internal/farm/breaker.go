@@ -30,27 +30,27 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
-// BreakerConfig tunes a breaker set.
-type BreakerConfig struct {
-	// Threshold is the consecutive-failure count that trips Closed→Open
+// breakerConfig tunes a breaker set; its zero value is production's.
+type breakerConfig struct {
+	// threshold is the consecutive-failure count that trips Closed→Open
 	// (default 3).
-	Threshold int
-	// Cooldown is how long an Open breaker rejects before admitting a
+	threshold int
+	// cooldown is how long an Open breaker rejects before admitting a
 	// half-open probe (default 250ms).
-	Cooldown time.Duration
-	// Now is an injectable clock for tests; nil means time.Now.
-	Now func() time.Time
+	cooldown time.Duration
+	// now is the clock; nil means time.Now.
+	now func() time.Time
 }
 
-func (c BreakerConfig) withDefaults() BreakerConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 3
+func (c breakerConfig) withDefaults() breakerConfig {
+	if c.threshold <= 0 {
+		c.threshold = 3
 	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 250 * time.Millisecond
+	if c.cooldown <= 0 {
+		c.cooldown = 250 * time.Millisecond
 	}
-	if c.Now == nil {
-		c.Now = time.Now
+	if c.now == nil {
+		c.now = time.Now
 	}
 	return c
 }
@@ -60,7 +60,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // class open, shedding its work while the other classes keep flowing —
 // the failure-isolation half of the farm's robustness story.
 type Breakers struct {
-	cfg BreakerConfig
+	cfg breakerConfig
 	mu  sync.Mutex
 	m   map[string]*breaker
 }
@@ -73,8 +73,8 @@ type breaker struct {
 	trips    int
 }
 
-// NewBreakers creates a breaker set.
-func NewBreakers(cfg BreakerConfig) *Breakers {
+// newBreakers creates a breaker set.
+func newBreakers(cfg breakerConfig) *Breakers {
 	return &Breakers{cfg: cfg.withDefaults(), m: map[string]*breaker{}}
 }
 
@@ -98,7 +98,7 @@ func (bs *Breakers) Allow(class string) bool {
 	case Closed:
 		return true
 	case Open:
-		if bs.cfg.Now().Sub(b.openedAt) >= bs.cfg.Cooldown {
+		if bs.cfg.now().Sub(b.openedAt) >= bs.cfg.cooldown {
 			b.state = HalfOpen
 			b.probing = true
 			return true
@@ -135,13 +135,13 @@ func (bs *Breakers) OnFailure(class string) {
 	switch b.state {
 	case HalfOpen:
 		b.state = Open
-		b.openedAt = bs.cfg.Now()
+		b.openedAt = bs.cfg.now()
 		b.trips++
 	case Closed:
 		b.failures++
-		if b.failures >= bs.cfg.Threshold {
+		if b.failures >= bs.cfg.threshold {
 			b.state = Open
-			b.openedAt = bs.cfg.Now()
+			b.openedAt = bs.cfg.now()
 			b.trips++
 		}
 	}

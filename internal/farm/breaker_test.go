@@ -21,8 +21,8 @@ func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
 func newTestBreakers(threshold int, cooldown time.Duration) (*Breakers, *fakeClock) {
 	clk := &fakeClock{t: time.Unix(0, 0)}
-	return NewBreakers(BreakerConfig{
-		Threshold: threshold, Cooldown: cooldown, Now: clk.now,
+	return newBreakers(breakerConfig{
+		threshold: threshold, cooldown: cooldown, now: clk.now,
 	}), clk
 }
 

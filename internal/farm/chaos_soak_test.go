@@ -34,9 +34,8 @@ func TestFarmChaosSoakRace(t *testing.T) {
 	rec := telemetry.NewRecorder(0, 0)
 	cfg := Config{
 		Spec: testSpec(), Workers: 4, MaxAttempts: 10,
-		Deadline:  500 * time.Millisecond,
-		RetryBase: time.Millisecond, RetryMax: 10 * time.Millisecond,
-		Breaker: BreakerConfig{Threshold: 4, Cooldown: 30 * time.Millisecond},
+		Deadline: 500 * time.Millisecond,
+		breaker:  breakerConfig{threshold: 4, cooldown: 30 * time.Millisecond},
 		Chaos: &ChaosPlan{
 			Seed: 99, CrashProb: 0.15, HangProb: 0.2,
 			HangDur: 900 * time.Millisecond, CorruptProb: 0.15,
@@ -142,9 +141,8 @@ func TestFarmCleanVsStormThroughput(t *testing.T) {
 		st := NewStore(pfs.New(pfs.Jaguar()), nil)
 		f := New(Config{
 			Spec: testSpec(), Workers: 4, MaxAttempts: 10,
-			Deadline:  500 * time.Millisecond,
-			RetryBase: time.Millisecond, RetryMax: 10 * time.Millisecond,
-			Chaos: chaos,
+			Deadline: 500 * time.Millisecond,
+			Chaos:    chaos,
 		}, st, nil)
 		defer f.Close()
 		for _, sc := range scs {

@@ -25,11 +25,6 @@ type Config struct {
 	// abandoned and retried (default 10s — generous for clean jobs,
 	// tightened by the benchmark from a pilot run).
 	Deadline time.Duration
-	// RetryBase/RetryMax bound the exponential requeue backoff
-	// (defaults 2ms / 50ms; pfs.RetryPolicy semantics).
-	RetryBase, RetryMax time.Duration
-	// Breaker tunes the per-class circuit breakers.
-	Breaker BreakerConfig
 	// Chaos, when non-nil, arms the farm-level fault injector.
 	Chaos *ChaosPlan
 	// FT, when non-nil, runs each job as a fault-tolerant multi-rank
@@ -40,15 +35,22 @@ type Config struct {
 	Rec *telemetry.Recorder
 	// Logf routes diagnostics; nil silences them.
 	Logf func(format string, args ...any)
+
+	// breaker overrides the per-class circuit breakers' tuning; the zero
+	// value is production's. This package's tests set it to trip or hold
+	// a breaker within one test.
+	breaker breakerConfig
 }
 
 // FTConfig configures fault-tolerant in-world execution of each job.
 type FTConfig struct {
 	// Interval is the checkpoint cadence in steps (default 15).
 	Interval int
-	// Chaos arms in-world message-layer fault injection; the plan's Seed
+
+	// chaos arms in-world message-layer fault injection; the plan's Seed
 	// is re-derived per job so different scenarios see different faults.
-	Chaos *mpi.ChaosPlan
+	// This package's tests set it to crash a rank inside a job's world.
+	chaos *mpi.ChaosPlan
 }
 
 // Stats snapshots the supervisor's counters.
@@ -81,12 +83,15 @@ const (
 
 type jobState struct {
 	sc       Scenario
-	key      string
 	status   jobStatus
 	attempts int
 	parks    int // consecutive breaker parks
 	backoff  time.Duration
 }
+
+// retryBase and retryMax bound the exponential requeue backoff
+// (pfs.RetryPolicy semantics).
+const retryBase, retryMax = 2 * time.Millisecond, 50 * time.Millisecond
 
 // maxParks bounds how many times one job may be parked behind its class's
 // open breaker before it is failed fast, so Wait always terminates even if
@@ -131,19 +136,13 @@ func New(cfg Config, store *Store, sur *Surrogate) *Farm {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 10 * time.Second
 	}
-	if cfg.RetryBase <= 0 {
-		cfg.RetryBase = 2 * time.Millisecond
-	}
-	if cfg.RetryMax <= 0 {
-		cfg.RetryMax = 50 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	f := &Farm{
 		cfg:      cfg,
 		store:    store,
-		breakers: NewBreakers(cfg.Breaker),
+		breakers: newBreakers(cfg.breaker),
 		sur:      sur,
 		jobs:     map[string]*jobState{},
 	}
@@ -183,11 +182,11 @@ func (f *Farm) Submit(sc Scenario) string {
 		return key
 	}
 	if f.store.Has(key) {
-		f.jobs[key] = &jobState{sc: sc, key: key, status: jobDone}
+		f.jobs[key] = &jobState{sc: sc, status: jobDone}
 		f.stats.Duplicates++
 		return key
 	}
-	f.jobs[key] = &jobState{sc: sc, key: key, status: jobQueued}
+	f.jobs[key] = &jobState{sc: sc, status: jobQueued}
 	f.enqueueLocked(key)
 	return key
 }
@@ -285,7 +284,7 @@ func (f *Farm) worker(id int) {
 				f.mu.Unlock()
 				continue
 			}
-			d := f.cfg.RetryMax
+			d := retryMax
 			f.mu.Unlock()
 			f.requeueAfter(key, d)
 			continue
@@ -381,10 +380,10 @@ func (f *Farm) compute(sc Scenario) (Product, error) {
 			interval = 15
 		}
 		var chaos *mpi.ChaosPlan
-		if f.cfg.FT.Chaos != nil {
+		if f.cfg.FT.chaos != nil {
 			// Re-derive the seed per scenario so each world sees its own
 			// fault pattern, deterministically.
-			cp := *f.cfg.FT.Chaos
+			cp := *f.cfg.FT.chaos
 			cp.Seed ^= int64(len(sc.Key())) // stable mix-in below
 			for _, b := range []byte(sc.Key()) {
 				cp.Seed = cp.Seed*131 + int64(b)
@@ -488,12 +487,9 @@ func (f *Farm) attemptFailed(key string, cause error) {
 	}
 	// Bounded exponential backoff, pfs.RetryPolicy semantics.
 	if js.backoff <= 0 {
-		js.backoff = f.cfg.RetryBase
+		js.backoff = retryBase
 	} else {
-		js.backoff *= 2
-		if js.backoff > f.cfg.RetryMax {
-			js.backoff = f.cfg.RetryMax
-		}
+		js.backoff = min(2*js.backoff, retryMax)
 	}
 	d := js.backoff
 	js.status = jobQueued

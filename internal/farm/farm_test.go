@@ -187,8 +187,7 @@ func TestFarmBreakerTrips(t *testing.T) {
 	// jobs exhaust MaxAttempts and fail — tripping breakers fast.
 	f := newTestFarm(t, Config{
 		Workers: 2, MaxAttempts: 2, Deadline: 20 * time.Millisecond,
-		RetryBase: time.Millisecond, RetryMax: 2 * time.Millisecond,
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour},
+		breaker: breakerConfig{threshold: 2, cooldown: time.Hour},
 		Chaos: &ChaosPlan{Seed: 7, HangProb: 1.0, HangDur: 200 * time.Millisecond,
 			MaxFaultsPerJob: 1000},
 	})
@@ -224,7 +223,7 @@ func TestFarmRejectedSpecFailsOnce(t *testing.T) {
 	bad := testSpec()
 	bad.Ranks = 64
 	f := newTestFarm(t, Config{Spec: bad, Workers: 2,
-		Breaker: BreakerConfig{Threshold: 2, Cooldown: time.Hour}})
+		breaker: breakerConfig{threshold: 2, cooldown: time.Hour}})
 	const n = 4
 	for i := 0; i < n; i++ {
 		f.Submit(Scenario{Mw: 6.1 + 0.1*float64(i), HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1})
@@ -251,7 +250,7 @@ func TestFarmRejectedSpecFailsOnce(t *testing.T) {
 // solver.Prepare rejects the job: one attempt each, no retry, no breaker
 // feedback.
 func TestFarmUnradiatingScenarioFailsOnce(t *testing.T) {
-	f := newTestFarm(t, Config{Workers: 1, Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour}})
+	f := newTestFarm(t, Config{Workers: 1, breaker: breakerConfig{threshold: 1, cooldown: time.Hour}})
 	for _, mw := range []float64{math.NaN(), 1e300, math.Inf(1)} {
 		f.Submit(Scenario{Mw: mw, HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1})
 	}
@@ -281,7 +280,7 @@ func TestFarmFTWorldRecovery(t *testing.T) {
 	crash := mpi.ChaosPlan{Seed: 11, CrashAtSend: map[int]uint64{1: 9}}
 	f := newTestFarm(t, Config{Spec: spec, Workers: 1, MaxAttempts: 4,
 		Deadline: time.Minute,
-		FT:       &FTConfig{Interval: 4, Chaos: &crash}})
+		FT:       &FTConfig{Interval: 4, chaos: &crash}})
 	f.Submit(sc)
 	f.Wait()
 	st := f.Stats()

@@ -31,7 +31,6 @@ const curvePoints = 16
 // Corrupted artifacts are never served; they are deleted and re-queued.
 type Server struct {
 	farm *Farm
-	cfg  ServerConfig
 	sem  chan struct{}
 
 	mu       sync.Mutex
@@ -45,7 +44,7 @@ func NewServer(f *Farm, cfg ServerConfig) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 16
 	}
-	return &Server{farm: f, cfg: cfg, sem: make(chan struct{}, cfg.MaxConcurrent)}
+	return &Server{farm: f, sem: make(chan struct{}, cfg.MaxConcurrent)}
 }
 
 // HazardResponse is the /hazard reply.

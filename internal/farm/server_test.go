@@ -193,7 +193,7 @@ func TestServerLoadShedding(t *testing.T) {
 // miss must not enqueue compute — it serves degraded immediately.
 func TestServerBreakerOpenServesDegraded(t *testing.T) {
 	f := newTestFarm(t, Config{
-		Breaker: BreakerConfig{Threshold: 1, Cooldown: time.Hour},
+		breaker: breakerConfig{threshold: 1, cooldown: time.Hour},
 	})
 	srv := NewServer(f, ServerConfig{})
 	sc := Scenario{Mw: 7.3, HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1}

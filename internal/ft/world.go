@@ -61,13 +61,9 @@ type WorldOptions struct {
 	Dir string
 	// Interval is the checkpoint cadence in steps (default 10).
 	Interval int
-	// Chaos, when non-nil, arms message-layer fault injection.
+	// Chaos, when non-nil, arms message-layer fault injection. Storage
+	// faults are FS's own (pfs.(*FS).InjectFaults).
 	Chaos *mpi.ChaosPlan
-	// PFSFaults, when non-nil, arms transient storage-fault injection.
-	PFSFaults *pfs.FaultPlan
-	// MaxRecoveries bounds coordinated recoveries before the run is
-	// declared lost (default 16).
-	MaxRecoveries int
 }
 
 // WorldStats reports what the harness did and endured.
@@ -76,13 +72,15 @@ type WorldStats struct {
 	Rebuilds      int   // recoveries with no usable coordinated checkpoint
 	RestartSteps  []int // elected rollback steps, in recovery order
 	Checkpoints   int   // successful per-rank checkpoint commits
-	SaveErrors    int   // checkpoint saves lost to storage faults (survivable)
 	ReplayedSteps int   // step executions repeated due to rollback
 	Chaos         mpi.ChaosStats
-	Faults        pfs.FaultStats
 }
 
-// ErrRecoveryBudget is wrapped by RunWorld's error when MaxRecoveries
+// maxRecoveries bounds coordinated recoveries before a run is declared
+// lost.
+const maxRecoveries = 16
+
+// ErrRecoveryBudget is wrapped by RunWorld's error when maxRecoveries
 // coordinated recoveries did not produce a completed run.
 var ErrRecoveryBudget = errors.New("ft: recovery budget exhausted")
 
@@ -183,7 +181,7 @@ func (c *coordinator) decide() decision {
 		return decision{kind: decideReject, err: c.rejected}
 	}
 	c.recoveries++
-	if c.recoveries > c.o.MaxRecoveries {
+	if c.recoveries > maxRecoveries {
 		return decision{kind: decideFail}
 	}
 	c.world.Reset()
@@ -210,9 +208,6 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	if o.Interval <= 0 {
 		o.Interval = 10
 	}
-	if o.MaxRecoveries <= 0 {
-		o.MaxRecoveries = 16
-	}
 	dc, opt, err := solver.Prepare(o.Solver)
 	if err != nil {
 		return nil, WorldStats{}, err
@@ -221,20 +216,17 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 	if o.Chaos != nil {
 		world.InjectChaos(*o.Chaos)
 	}
-	if o.PFSFaults != nil {
-		o.FS.InjectFaults(*o.PFSFaults)
-	}
 	coord := newCoordinator(opt.Topo.Size(), world, &o)
 
 	var (
-		mu                        sync.Mutex
-		result                    *solver.Result
-		saved, saveErrs, replayed atomic.Int64
+		mu              sync.Mutex
+		result          *solver.Result
+		saved, replayed atomic.Int64
 	)
 
 	runErr := world.RunErr(func(c *mpi.Comm) error {
 		h := &rankHarness{comm: c, world: world, coord: coord, o: o, dc: dc, opt: opt,
-			saved: &saved, saveErrs: &saveErrs, replayed: &replayed}
+			saved: &saved, replayed: &replayed}
 		res, err := h.run()
 		if err != nil {
 			return err
@@ -252,10 +244,8 @@ func RunWorld(o WorldOptions) (*solver.Result, WorldStats, error) {
 		Rebuilds:      coord.rebuilds,
 		RestartSteps:  coord.restartSteps,
 		Checkpoints:   int(saved.Load()),
-		SaveErrors:    int(saveErrs.Load()),
 		ReplayedSteps: int(replayed.Load()),
 		Chaos:         world.ChaosStats(),
-		Faults:        o.FS.FaultStats(),
 	}
 	if rej := (rejection{}); errors.As(runErr, &rej) {
 		return nil, stats, rej.error // as solver.Run returns it
@@ -275,7 +265,7 @@ type rankHarness struct {
 	dc    decomp.Decomp
 	opt   solver.Options
 
-	saved, saveErrs, replayed *atomic.Int64
+	saved, replayed *atomic.Int64
 }
 
 func (h *rankHarness) run() (*solver.Result, error) {
@@ -382,10 +372,8 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 	for !st.Done() {
 		idx := st.StepIndex()
 		if idx%h.o.Interval == 0 {
-			if _, serr := checkpoint.Write(h.o.FS, h.o.Dir, h.comm.Rank(), idx, st.Sections(), st.Recorder()); serr != nil {
-				// Survivable: recovery rolls back further instead.
-				h.saveErrs.Add(1)
-			} else {
+			// A failed save is survivable: recovery rolls back further.
+			if _, serr := checkpoint.Write(h.o.FS, h.o.Dir, h.comm.Rank(), idx, st.Sections(), st.Recorder()); serr == nil {
 				h.saved.Add(1)
 			}
 		}

@@ -152,9 +152,13 @@ func TestChaosSoakMatrix(t *testing.T) {
 		}
 		for _, tc := range classes {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, model), func(t *testing.T) {
+				fs := testFS()
+				if tc.faults != nil {
+					fs.InjectFaults(*tc.faults)
+				}
 				res, stats, err := RunWorld(WorldOptions{
-					Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
-					Chaos: tc.chaos, PFSFaults: tc.faults,
+					Solver: opt, Query: q, FS: fs, Dir: "ckpt", Interval: 8,
+					Chaos: tc.chaos,
 				})
 				if err != nil {
 					t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
@@ -168,8 +172,8 @@ func TestChaosSoakMatrix(t *testing.T) {
 				if tc.chaos.CorruptProb > 0 && stats.Chaos.ChecksumRejects == 0 {
 					t.Fatalf("corruption never rejected by checksum: %+v", stats.Chaos)
 				}
-				if tc.faults != nil && stats.Faults.TornWrites == 0 {
-					t.Fatalf("torn-write class tore nothing: %+v", stats.Faults)
+				if tc.faults != nil && fs.FaultStats().TornWrites == 0 {
+					t.Fatalf("torn-write class tore nothing: %+v", fs.FaultStats())
 				}
 				assertBitIdentical(t, ref, res)
 			})
@@ -305,7 +309,6 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	opt := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
 	_, stats, err := RunWorld(WorldOptions{
 		Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
-		MaxRecoveries: 3,
 		Chaos: &mpi.ChaosPlan{
 			Seed: 17, DropProb: 1, MaxRetries: 2, MaxConsecutiveFaults: 1 << 20,
 		},
@@ -313,8 +316,8 @@ func TestRecoveryBudgetExhausted(t *testing.T) {
 	if !errors.Is(err, ErrRecoveryBudget) {
 		t.Fatalf("err = %v, want ErrRecoveryBudget", err)
 	}
-	if stats.Recoveries != 4 {
-		t.Fatalf("recoveries = %d, want MaxRecoveries+1 = 4", stats.Recoveries)
+	if stats.Recoveries != maxRecoveries+1 {
+		t.Fatalf("recoveries = %d, want maxRecoveries+1 = %d", stats.Recoveries, maxRecoveries+1)
 	}
 	if stats.Chaos.Dropped == 0 || stats.Chaos.Retries == 0 {
 		t.Fatalf("exhaustion without drops/retries is vacuous: %+v", stats.Chaos)

@@ -35,9 +35,9 @@ func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.NX, d.NY, d.NZ)
 // y, then z.
 type Field3 struct {
 	Dims
-	g          int // ghost width on every face
-	sx, sy, sz int // padded extents
-	data       []float32
+	g      int // ghost width on every face
+	sx, sy int // padded x and y extents
+	data   []float32
 }
 
 // NewField3 allocates a zeroed field with the given interior dims and the
@@ -57,7 +57,7 @@ func newField3Over(d Dims, ghost int, storage []float32) *Field3 {
 	return &Field3{
 		Dims: d,
 		g:    ghost,
-		sx:   d.NX + 2*ghost, sy: d.NY + 2*ghost, sz: d.NZ + 2*ghost,
+		sx:   d.NX + 2*ghost, sy: d.NY + 2*ghost,
 		data: storage[:n:n],
 	}
 }

@@ -82,10 +82,8 @@ type StreamStats struct {
 	Rounds             int // collective write rounds
 	PeakCoreBytes      int // max live mesh bytes on any one core at any time
 	Writers            int // aggregator ranks per round
-	Writes             int // coalesced writes issued, summed over rounds
 	Opens              int // file opens, summed over rounds
 	MaxConcurrentOpens int // max opens in flight at any point of any round
-	ShippedBytes       int // bytes shipped core→aggregator, summed over rounds
 }
 
 // GenerateStreamed extracts the mesh out-of-core: cores sweep the z
@@ -142,9 +140,7 @@ func GenerateStreamed(fsys *pfs.FS, q cvm.Querier, ssp StreamSpec) (StreamStats,
 			}
 			if rank == 0 {
 				st.Writers = ws.Writers
-				st.Writes += ws.Writes
 				st.Opens += ws.Opens
-				st.ShippedBytes += ws.ShippedBytes
 				if ws.MaxConcurrentOpens > st.MaxConcurrentOpens {
 					st.MaxConcurrentOpens = ws.MaxConcurrentOpens
 				}

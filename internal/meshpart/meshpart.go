@@ -239,7 +239,7 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 			}
 		}
 		for e := 0; e < expected; e++ {
-			v, _ := c.MustRecvTake(mpi.AnySource, mpi.AnyTag)
+			v := c.MustRecvTake(mpi.AnySource, mpi.AnyTag)
 			k := int(v[0])
 			planes[k-k0] = append(planes[k-k0], rectangle{j0: int(v[1]), j1: int(v[2]), vals: v[3:]})
 		}

@@ -48,14 +48,9 @@ type ChaosPlan struct {
 	// of the wire copy is flipped (caught by the per-message checksum).
 	CorruptProb float64
 	// DelayProb is the per-transmission probability that the send stalls
-	// for a random duration up to MaxDelay.
+	// for a random duration up to maxDelay.
 	DelayProb float64
-	// MaxDelay bounds injected delays. 0 defaults to 200µs.
-	MaxDelay time.Duration
 
-	// RetryBackoff is the base sender backoff after a lost or rejected
-	// transmission; it doubles per consecutive retry. 0 defaults to 20µs.
-	RetryBackoff time.Duration
 	// MaxRetries bounds the sender's retransmissions per message; past
 	// it the sender gives up with a *RetryExhaustedError panic (converted
 	// to an error at the Run boundary). 0 defaults to 8.
@@ -145,13 +140,12 @@ const (
 	fateDelay
 )
 
+// maxDelay bounds injected delays; retryBackoff is the base sender
+// backoff after a lost or rejected transmission, doubled per consecutive
+// retry.
+const maxDelay, retryBackoff = 200 * time.Microsecond, 20 * time.Microsecond
+
 func newChaosEngine(plan ChaosPlan, size int) *chaosEngine {
-	if plan.MaxDelay <= 0 {
-		plan.MaxDelay = 200 * time.Microsecond
-	}
-	if plan.RetryBackoff <= 0 {
-		plan.RetryBackoff = 20 * time.Microsecond
-	}
 	if plan.MaxRetries <= 0 {
 		plan.MaxRetries = 8
 	}
@@ -212,7 +206,7 @@ func (e *chaosEngine) draw(rank, consec, payloadLen int) (fate, time.Duration) {
 	case u < e.plan.DropProb+e.plan.CorruptProb && payloadLen > 0:
 		return fateCorrupt, 0
 	case u < e.plan.DropProb+e.plan.CorruptProb+e.plan.DelayProb:
-		return fateDelay, time.Duration(cr.rng.Int63n(int64(e.plan.MaxDelay) + 1))
+		return fateDelay, time.Duration(cr.rng.Int63n(int64(maxDelay) + 1))
 	}
 	return fateOK, 0
 }

@@ -87,22 +87,23 @@ func TestConcurrentTaggedReceives(t *testing.T) {
 				wg.Add(1)
 				go func(tag int) {
 					defer wg.Done()
-					buf := make([]float32, 3)
+					buf := make([]float32, 4)
 					for round := 0; round < rounds; round++ {
 						var got []float32
 						// Alternate the copying and zero-copy receive
 						// paths; both must preserve FIFO order.
 						if round%2 == 0 {
-							st := c.MustRecv(buf, 0, tag)
-							if st.Count != 3 {
-								t.Errorf("tag %d: count %d", tag, st.Count)
+							buf[3] = -1 // a sentinel past the payload
+							c.MustRecv(buf, 0, tag)
+							if buf[3] != -1 {
+								t.Errorf("tag %d: payload longer than 3", tag)
 								return
 							}
 							got = buf
 						} else {
-							taken, st := c.MustRecvTake(0, tag)
-							if st.Count != 3 {
-								t.Errorf("tag %d: count %d", tag, st.Count)
+							taken := c.MustRecvTake(0, tag)
+							if len(taken) != 3 {
+								t.Errorf("tag %d: count %d", tag, len(taken))
 								return
 							}
 							got = taken

@@ -39,7 +39,6 @@ const AnyTag = -1
 type message struct {
 	src, tag int
 	data     []float32
-	seq      uint64 // per-destination arrival sequence, for FIFO matching
 	sent     int64  // telemetry.Now() at submission; 0 when telemetry is off
 	sum      uint64 // per-message checksum; 0 on chaos-free worlds (unchecked)
 }
@@ -57,7 +56,6 @@ type inbox struct {
 	cond   *sync.Cond
 	queue  []message
 	head   int
-	seq    uint64
 	closed bool
 }
 
@@ -349,7 +347,7 @@ func (c *Comm) deliver(dst, tag int, data []float32) {
 		panic(&CrashError{Rank: c.rank, SendOp: op})
 	}
 	sum := checksum(data)
-	backoff := ch.plan.RetryBackoff
+	backoff := retryBackoff
 	consec := 0
 	for attempt := 0; ; attempt++ {
 		f, delay := ch.draw(c.rank, consec, len(data))
@@ -406,80 +404,70 @@ func (c *Comm) enqueue(dst, tag int, data []float32, sum uint64) {
 		b.queue = b.queue[:n]
 		b.head = 0
 	}
-	b.seq++
-	b.queue = append(b.queue, message{src: c.rank, tag: tag, data: data, seq: b.seq, sent: sent, sum: sum})
+	b.queue = append(b.queue, message{src: c.rank, tag: tag, data: data, sent: sent, sum: sum})
 	b.cond.Broadcast()
 	b.mu.Unlock()
 	c.world.sentMsgs.Add(1)
 	c.world.sentFloats.Add(uint64(len(data)))
 }
 
-// Status describes a completed receive.
-type Status struct {
-	Source int
-	Tag    int
-	Count  int
-}
-
 // Recv blocks until a message matching (src, tag) is available, copies
-// its payload into buf, and returns the receive status. src may be
+// its payload into buf. src may be
 // AnySource and tag may be AnyTag. It returns an error — never panics —
 // when src is not a valid rank, when the message is longer than buf
 // (the message is consumed and lost, matching MPI_ERR_TRUNCATE), or
 // when the world is aborted mid-wait; a chaos-crashed peer therefore
 // surfaces as an error at this rank instead of taking the whole process
 // down. Hot paths that treat these as programming errors use MustRecv.
-func (c *Comm) Recv(buf []float32, src, tag int) (Status, error) {
+func (c *Comm) Recv(buf []float32, src, tag int) error {
 	if src != AnySource && (src < 0 || src >= c.world.size) {
-		return Status{}, fmt.Errorf("mpi: Recv from invalid rank %d (size %d)", src, c.world.size)
+		return fmt.Errorf("mpi: Recv from invalid rank %d (size %d)", src, c.world.size)
 	}
 	m, err := c.takeMatch(src, tag)
 	if err != nil {
-		return Status{}, err
+		return err
 	}
 	c.noteRecv(m)
 	if len(m.data) > len(buf) {
-		return Status{}, fmt.Errorf("mpi: Recv overflow: message %d > buffer %d", len(m.data), len(buf))
+		return fmt.Errorf("mpi: Recv overflow: message %d > buffer %d", len(m.data), len(buf))
 	}
 	copy(buf, m.data)
-	return Status{Source: m.src, Tag: m.tag, Count: len(m.data)}, nil
+	return nil
 }
 
 // MustRecv is Recv for call sites where a receive failure is a
 // programming error or is handled at the Run/RunErr boundary: it panics
 // on any Recv error (the runner converts the panic back into a per-rank
 // error instead of crashing the process).
-func (c *Comm) MustRecv(buf []float32, src, tag int) Status {
-	st, err := c.Recv(buf, src, tag)
-	if err != nil {
+func (c *Comm) MustRecv(buf []float32, src, tag int) {
+	if err := c.Recv(buf, src, tag); err != nil {
 		panic(err)
 	}
-	return st
 }
 
 // RecvTake blocks until a message matching (src, tag) is available and
 // returns its payload without copying — the receiver takes ownership of
 // the sender's lent buffer. Recycle it with PutBuffer when done. Errors
 // follow the Recv contract (minus overflow, which cannot occur).
-func (c *Comm) RecvTake(src, tag int) ([]float32, Status, error) {
+func (c *Comm) RecvTake(src, tag int) ([]float32, error) {
 	if src != AnySource && (src < 0 || src >= c.world.size) {
-		return nil, Status{}, fmt.Errorf("mpi: RecvTake from invalid rank %d (size %d)", src, c.world.size)
+		return nil, fmt.Errorf("mpi: RecvTake from invalid rank %d (size %d)", src, c.world.size)
 	}
 	m, err := c.takeMatch(src, tag)
 	if err != nil {
-		return nil, Status{}, err
+		return nil, err
 	}
 	c.noteRecv(m)
-	return m.data, Status{Source: m.src, Tag: m.tag, Count: len(m.data)}, nil
+	return m.data, nil
 }
 
 // MustRecvTake is RecvTake with the MustRecv panic contract.
-func (c *Comm) MustRecvTake(src, tag int) ([]float32, Status) {
-	data, st, err := c.RecvTake(src, tag)
+func (c *Comm) MustRecvTake(src, tag int) []float32 {
+	data, err := c.RecvTake(src, tag)
 	if err != nil {
 		panic(err)
 	}
-	return data, st
+	return data
 }
 
 // noteRecv records a matched message on the telemetry recorder. Called
@@ -497,7 +485,7 @@ func (c *Comm) noteRecv(m message) {
 
 // takeMatch removes and returns the earliest-arrived message matching
 // (src, tag) from this rank's inbox, blocking until one exists. The
-// queue is in arrival (seq) order, so the first match is the earliest;
+// queue is in arrival order, so the first match is the earliest;
 // the scan stops there. A head-of-queue match — the common case — pops
 // in O(1) by advancing the head cursor; an interior match (out-of-order
 // tag arrival) shifts only the messages ahead of it.
@@ -543,12 +531,11 @@ rescan:
 
 // Request is a posted zero-copy receive (IrecvTake).
 type Request struct {
-	done   bool
-	comm   *Comm
-	data   []float32
-	src    int
-	tag    int
-	status Status
+	done bool
+	comm *Comm
+	data []float32
+	src  int
+	tag  int
 }
 
 // IrecvTake posts a non-blocking zero-copy receive: no buffer is supplied,
@@ -558,15 +545,14 @@ func (c *Comm) IrecvTake(src, tag int) *Request {
 	return &Request{comm: c, src: src, tag: tag}
 }
 
-// Wait blocks until the receive completes and returns its status. Like
-// MustRecv, it panics on receive errors (aborted world); the Run/RunErr
-// boundary converts the panic into a per-rank error.
-func (r *Request) Wait() Status {
+// Wait blocks until the receive completes. Like MustRecv, it panics on
+// receive errors (aborted world); the Run/RunErr boundary converts the
+// panic into a per-rank error.
+func (r *Request) Wait() {
 	if !r.done {
-		r.data, r.status = r.comm.MustRecvTake(r.src, r.tag)
+		r.data = r.comm.MustRecvTake(r.src, r.tag)
 		r.done = true
 	}
-	return r.status
 }
 
 // Data returns the payload of a completed receive; nil before Wait.

@@ -82,7 +82,7 @@ func TestWorld10kRanks(t *testing.T) {
 			buf[i] = float32(c.Rank())
 		}
 		c.SendOwned(next, 7, buf)
-		got, _ := c.MustRecvTake(prev, 7)
+		got := c.MustRecvTake(prev, 7)
 		if got[0] != float32(prev) {
 			panic("ring halo wrong at scale")
 		}
@@ -288,7 +288,7 @@ func TestLazyInboxAbortRace(t *testing.T) {
 			err := w.RunErr(func(c *Comm) error {
 				// Every rank sends to a previously untouched inbox.
 				c.Send((c.Rank()+31)%64, 1, []float32{1})
-				_, err := c.Recv(make([]float32, 1), AnySource, 1)
+				err := c.Recv(make([]float32, 1), AnySource, 1)
 				return err
 			})
 			select {

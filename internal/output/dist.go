@@ -53,10 +53,8 @@ type DistStats struct {
 	Frames             int // frames the file holds: one past the highest appended, less those rewound
 	Flushes            int // collective writes issued, replays included
 	Bytes              int // payload bytes of the file's frames, summed over ranks; a replayed frame counts once
-	Writes             int // coalesced writes issued, replays included
 	Opens              int // file opens charged, replays included
 	MaxConcurrentOpens int
-	ShippedBytes       int
 	Phase              pfs.PhaseStats // summed virtual cost of all flush phases
 	Stripes            map[int]agg.StripeChecksum
 }
@@ -155,9 +153,7 @@ func (d *Dist) Flush() error {
 	// frames' share of the write is exact.
 	d.Stats.Bytes += st.Bytes / n * fresh
 	d.counted = counted
-	d.Stats.Writes += st.Writes
 	d.Stats.Opens += st.Opens
-	d.Stats.ShippedBytes += st.ShippedBytes
 	if st.MaxConcurrentOpens > d.Stats.MaxConcurrentOpens {
 		d.Stats.MaxConcurrentOpens = st.MaxConcurrentOpens
 	}

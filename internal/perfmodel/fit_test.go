@@ -59,27 +59,3 @@ func TestFitAlphaBetaRejectsDegenerateInputs(t *testing.T) {
 		t.Error("fit succeeded on junk-only samples")
 	}
 }
-
-// Eq. 7/8 extension: the coalesced layout sends 12 messages per step instead
-// of 54 (or 36 reduced), so on latency-bound machines the modeled comm term
-// must drop while compute is untouched.
-func TestCoalescedCommReducesModeledStepTime(t *testing.T) {
-	for _, ver := range []string{"5.0", "6.0", "7.2"} {
-		j := M8Job(v(t, ver))
-		j.Cores = 223074
-		per := StepTime(j)
-		j.CoalescedComm = true
-		co := StepTime(j)
-		if co.Comm >= per.Comm {
-			t.Errorf("v%s: coalesced comm %g not below per-field %g", ver, co.Comm, per.Comm)
-		}
-		if co.Comp != per.Comp {
-			t.Errorf("v%s: coalescing changed compute time", ver)
-		}
-		// The latency saving is alpha*(Δmsgs); check the async models drop
-		// by at least half that (the link volume term is unchanged).
-		if per.Comm-co.Comm <= 0 {
-			t.Errorf("v%s: no latency saving", ver)
-		}
-	}
-}

@@ -87,11 +87,9 @@ var Machines = []Machine{DataStar, Ranger, BGL, Intrepid, Kraken, Jaguar}
 // Version is one row of Table 2: which optimizations a code version has.
 type Version struct {
 	Name string
-	Year int
 
 	Async        bool // asynchronous communication (v5.0)
 	ReducedComm  bool // algorithm-level communication reduction (v7.2)
-	Overlap      bool // computation/communication overlap (§IV.C)
 	SingleCPUOpt bool // reduced divisions (+31%, v6.0)
 	Unrolled     bool // loop unrolling (+2%, v6.0)
 	CacheBlocked bool // cache blocking (+7%, v7.1)
@@ -99,16 +97,17 @@ type Version struct {
 	TunedMPI     bool // MPI tuning of v2.0
 }
 
-// Versions is the Table 2 evolution: TeraShake-K (v1.0) through M8 (v7.2).
+// Versions is the Table 2 evolution: TeraShake-K (v1.0, 2004) through M8
+// (v7.2, 2010).
 var Versions = []Version{
-	{Name: "1.0", Year: 2004},
-	{Name: "2.0", Year: 2005, TunedMPI: true},
-	{Name: "3.0", Year: 2006, TunedMPI: true, IOAggregated: true},
-	{Name: "4.0", Year: 2007, TunedMPI: true, IOAggregated: true},
-	{Name: "5.0", Year: 2008, TunedMPI: true, IOAggregated: true, Async: true},
-	{Name: "6.0", Year: 2009, TunedMPI: true, IOAggregated: true, Async: true, SingleCPUOpt: true, Unrolled: true},
-	{Name: "7.1", Year: 2010, TunedMPI: true, IOAggregated: true, Async: true, SingleCPUOpt: true, Unrolled: true, CacheBlocked: true},
-	{Name: "7.2", Year: 2010, TunedMPI: true, IOAggregated: true, Async: true, SingleCPUOpt: true, Unrolled: true, CacheBlocked: true, ReducedComm: true},
+	{Name: "1.0"},
+	{Name: "2.0", TunedMPI: true},
+	{Name: "3.0", TunedMPI: true, IOAggregated: true},
+	{Name: "4.0", TunedMPI: true, IOAggregated: true},
+	{Name: "5.0", TunedMPI: true, IOAggregated: true, Async: true},
+	{Name: "6.0", TunedMPI: true, IOAggregated: true, Async: true, SingleCPUOpt: true, Unrolled: true},
+	{Name: "7.1", TunedMPI: true, IOAggregated: true, Async: true, SingleCPUOpt: true, Unrolled: true, CacheBlocked: true},
+	{Name: "7.2", TunedMPI: true, IOAggregated: true, Async: true, SingleCPUOpt: true, Unrolled: true, CacheBlocked: true, ReducedComm: true},
 }
 
 // VersionByName finds a Table 2 row.

@@ -43,18 +43,6 @@ type Job struct {
 	// boundary zones, aggregation, checksums) relative to the bare wave
 	// kernels; ~0 in dedicated benchmarks.
 	AuxOverheadFraction float64
-	// HybridThreads > 1 models the MPI/OpenMP hybrid (§IV.D): OpenMP
-	// threads within each MPI process. The hybrid trims load imbalance by
-	// ~35% but pays idle-thread overhead that grows as the per-process
-	// subdomain approaches the arithmetic limits of the decomposition.
-	HybridThreads int
-	// CoalescedComm models this repo's halo schedule (solver schedule.go):
-	// one message per neighbor per wavefield phase. False prices the
-	// paper's own per-field code — one message per (field, axis, side),
-	// 54 or 36 per step — for the Table 2 / figure reproductions. The
-	// switch moves the per-message latency term of Eq. 7 only; the byte
-	// volume is the same.
-	CoalescedComm bool
 }
 
 // Breakdown is the Eq. 7 decomposition of one time step, in seconds.
@@ -134,16 +122,12 @@ func StepTime(j Job) Breakdown {
 	bytesX := (velMsgs + strMsgsX) * 2 * faceYZ
 	bytesY := (velMsgs + strMsgsY) * 2 * faceXZ
 	bytesZ := (velMsgs + strMsgsZ) * 2 * faceXY
-	// Messages an interior rank sends per step: one per (component, axis,
-	// side), i.e. velocities 3x3x2 = 18 plus stresses per the axis sets —
-	// 54 total, 36 under reduced communication. Coalescing collapses this
-	// to one message per neighbor per phase: 6 neighbors x 2 phases = 12.
+	// Messages an interior rank sends per step, as the paper's per-field
+	// code sends them: one per (component, axis, side), i.e. velocities
+	// 3x3x2 = 18 plus stresses per the axis sets — 54 total, 36 under
+	// reduced communication.
 	msgsStep := 2 * (3*velMsgs + strMsgsX + strMsgsY + strMsgsZ)
 	nMsgsPerPhase := 2 * (velMsgs + strMsgsX + strMsgsY + strMsgsZ) // both sides
-	if j.CoalescedComm {
-		msgsStep = 12
-		nMsgsPerPhase = 2 * (1 + 3) // one aggregate per side: velocity + 3 stress axes
-	}
 
 	if v.Async {
 		// Asynchronous: transfers of all faces proceed concurrently; the
@@ -159,14 +143,6 @@ func StepTime(j Job) Breakdown {
 			skew = 0.035
 		}
 		skew *= 1 + math.Log10(float64(j.Cores)+1)/4
-		if j.HybridThreads > 1 {
-			// §IV.D: thread/data collocation cuts load imbalance ~35%...
-			skew *= 0.65
-			// ...but idle-thread overhead grows as subdomains shrink
-			// toward the decomposition's arithmetic limits.
-			idle := 0.02 * float64(j.HybridThreads-1) * (2e5 / cells)
-			b.Comp *= 1 + idle
-		}
 		b.Comm += skew * b.Comp
 		if !v.TunedMPI {
 			b.Comm *= 1.5
@@ -183,12 +159,6 @@ func StepTime(j Job) Breakdown {
 		if !v.TunedMPI {
 			b.Comm *= 1.5
 		}
-	}
-	if v.Overlap {
-		// §IV.C: overlap hides communication behind interior computation;
-		// gains are bounded by boundary/interior skew (~60% hidable).
-		hidden := math.Min(0.6*b.Comm, 0.5*b.Comp)
-		b.Comm -= hidden
 	}
 
 	// --- Tsync ---
@@ -296,7 +266,6 @@ type ScalingPoint struct {
 	StepTime   float64
 	Speedup    float64
 	Efficiency float64
-	Tflops     float64
 }
 
 // StrongScaling sweeps core counts for a fixed problem.
@@ -312,7 +281,6 @@ func StrongScaling(m Machine, v Version, g grid.Dims, cores []int) []ScalingPoin
 			StepTime:   st,
 			Speedup:    t0 / st * float64(cores[0]),
 			Efficiency: Efficiency(j),
-			Tflops:     SustainedTflops(j),
 		})
 	}
 	return out

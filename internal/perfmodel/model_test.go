@@ -267,30 +267,6 @@ func TestSpeedupConsistency(t *testing.T) {
 	}
 }
 
-// §IV.D: the MPI/OpenMP hybrid helps at moderate scale (less imbalance)
-// but loses to pure MPI when subdomains approach the decomposition's
-// arithmetic limits — the paper's conclusion for large-scale runs.
-func TestHybridThreadsTradeoff(t *testing.T) {
-	ver := v(t, "7.2")
-	// Moderate scale: big subgrids, imbalance reduction wins.
-	moderate := Job{Machine: Jaguar, Version: ver, Global: shakeOut, Cores: 4096}
-	hybridM := moderate
-	hybridM.HybridThreads = 12
-	if !(StepTime(hybridM).Total() < StepTime(moderate).Total()) {
-		t.Errorf("hybrid should win at moderate scale: %g vs %g",
-			StepTime(hybridM).Total(), StepTime(moderate).Total())
-	}
-	// Extreme scale: tiny subgrids, idle-thread overhead dominates.
-	extreme := Job{Machine: Jaguar, Version: ver,
-		Global: grid.Dims{NX: 1500, NY: 750, NZ: 400}, Cores: 223074}
-	hybridX := extreme
-	hybridX.HybridThreads = 12
-	if !(StepTime(hybridX).Total() > StepTime(extreme).Total()) {
-		t.Errorf("pure MPI should win at the arithmetic limits: %g vs %g",
-			StepTime(hybridX).Total(), StepTime(extreme).Total())
-	}
-}
-
 func TestOptimalInterval(t *testing.T) {
 	// Young's formula: sqrt(2*C*MTBF).
 	if got := OptimalInterval(2, 400); got != 40 {

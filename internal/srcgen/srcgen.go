@@ -46,7 +46,6 @@ func WriteSourceFile(fsys *pfs.FS, path string, srcs []source.SampledSource) pfs
 // only the samples of [StartStep, EndStep), to be injected with the time
 // offset StartStep*Dt.
 type Segment struct {
-	Loop               int
 	StartStep, EndStep int
 	Sources            []source.SampledSource
 }
@@ -71,7 +70,7 @@ func PartitionTemporal(srcs []source.SampledSource, nLoops int) ([]Segment, erro
 	for l := 0; l < nLoops; l++ {
 		s0 := l * nt / nLoops
 		s1 := (l + 1) * nt / nLoops
-		seg := Segment{Loop: l, StartStep: s0, EndStep: s1}
+		seg := Segment{StartStep: s0, EndStep: s1}
 		for i := range srcs {
 			src := &srcs[i]
 			if s0 >= len(src.Rate) {

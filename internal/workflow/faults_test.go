@@ -98,8 +98,7 @@ func TestTransferTornWriteHealed(t *testing.T) {
 func TestTransferBackoffAccounted(t *testing.T) {
 	src, dst := newSite("a"), newSite("b")
 	paths := seedFiles(src, 10, 1<<10)
-	link := Link{BandwidthPerStream: 50e6, MaxStreams: 2, FailureRate: 0.4,
-		RetryBackoff: 0.1, MaxBackoff: 0.4}
+	link := Link{BandwidthPerStream: 50e6, MaxStreams: 2, FailureRate: 0.4}
 	tr := NewTransferer(link, 7)
 	st, err := tr.Transfer(src, dst, paths, 2)
 	if err != nil {
@@ -111,7 +110,7 @@ func TestTransferBackoffAccounted(t *testing.T) {
 	if st.BackoffSec <= 0 {
 		t.Fatal("retries accrued no backoff time")
 	}
-	if st.BackoffSec < 0.1*float64(st.Retries) {
+	if st.BackoffSec < retryBackoff*float64(st.Retries) {
 		t.Fatalf("backoff %g s below base*retries (%d retries)", st.BackoffSec, st.Retries)
 	}
 	// Backoff is part of the simulated elapsed time: the slowest stream

@@ -30,13 +30,11 @@ type Link struct {
 	BandwidthPerStream float64 // bytes/s of one GridFTP stream
 	MaxStreams         int     // parallel streams available
 	FailureRate        float64 // probability a stream transfer attempt fails
-	// RetryBackoff is the simulated-time pause before the first
-	// retransfer of a file; it doubles per consecutive retry and is
-	// capped at MaxBackoff. 0 defaults to 0.05 s.
-	RetryBackoff float64
-	// MaxBackoff caps the backoff growth. 0 defaults to 1 s.
-	MaxBackoff float64
 }
+
+// retryBackoff is the simulated-time pause before the first retransfer of
+// a file, in seconds; it doubles per consecutive retry up to maxBackoff.
+const retryBackoff, maxBackoff = 0.05, 1.0
 
 // TransferStats reports one transfer job.
 type TransferStats struct {
@@ -116,13 +114,7 @@ func (t *Transferer) Transfer(src, dst Site, paths []string, nStreams int) (Tran
 // stream.
 func (t *Transferer) ship(dst Site, p string, data []byte, stream *float64, st *TransferStats) error {
 	const maxAttempts = 8
-	backoff, maxBackoff := t.Link.RetryBackoff, t.Link.MaxBackoff
-	if backoff <= 0 {
-		backoff = 0.05
-	}
-	if maxBackoff <= 0 {
-		maxBackoff = 1.0
-	}
+	backoff := retryBackoff
 	sz := len(data)
 	want := output.HashListMD5(data)
 	// A write at offset 0 keeps the tail of a longer file: remove it

@@ -6,13 +6,26 @@
 //     bench/ imports;
 //   - a package-level function, method, constant or variable, exported or
 //     not, declared in a non-test file under internal/ that nothing
-//     references except its own package's tests.
+//     references except its own package's tests;
+//   - an exported field of an exported package-level struct type declared
+//     in a non-test file under internal/ that nothing sets except its own
+//     package's tests (a setting only a test chooses is not a setting);
+//   - a named unexported field of a package-level struct type declared
+//     there that nothing reads, tests included.
 //
-// A reference counts from a non-test file of any package, bench/ included,
-// and from a test file of another package (a helper another package's tests
-// use must be exported to be used). A method that implements an interface
-// counts as referenced: a caller may hold the interface. awp, the public
-// API, is only held to the package rule.
+// A reference, or a set, counts from a non-test file of any package,
+// bench/ included, and from a test file of another package (a helper
+// another package's tests use must be exported to be used). A method that
+// implements an interface counts as referenced: a caller may hold the
+// interface. awp, the public API, is only held to the package rule.
+//
+// A field is set by a composite-literal key or position, by being the
+// target of an assignment or ++/-- or a prefix of it (x.F.G += 1 and
+// x.F[i] = v set F), the operand of &, or the receiver of a pointer-method
+// call or value. A default, x.F = d right under if x.F == 0 (or <= 0, or
+// == nil), is no set. Every use but a composite-literal key or position
+// and the whole target of = reads it: x.F += 1, &x.F and x.F.Lock() read F
+// too.
 //
 // Usage, from the module root: go run ./scripts/check_exports
 package main
@@ -45,7 +58,7 @@ func main() {
 	if len(problems) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("ok: every package under internal/, and awp, has a non-test importer outside bench/, and every declaration under internal/ a caller")
+	fmt.Println("ok: every package under internal/, and awp, has a non-test importer outside bench/, every declaration under internal/ a caller, every exported field a setter beyond its own package's tests and every unexported field a reader")
 }
 
 // module is one type-checking pass over the module rooted at root.
@@ -55,7 +68,7 @@ type module struct {
 	std        types.Importer
 	dirs       map[string]*build.Package // by import path
 	prod       map[string]*types.Package
-	refs       map[string]string         // object key -> "prod" or "own" (own package's tests only)
+	refs       map[string]string         // object key, or "set "/"read " + field position -> "prod" or "own" (own package's tests only)
 	ifaces     map[*types.Interface]bool // see collectInterfaces
 }
 
@@ -122,6 +135,7 @@ func check(root string) ([]string, error) {
 		}
 		if strings.HasPrefix(rel, "internal/") {
 			problems = append(problems, m.unreferenced(m.prod[p])...)
+			problems = append(problems, m.fields(m.prod[p])...)
 		}
 	}
 	return problems, nil
@@ -157,13 +171,22 @@ func (m *module) typeCheck(path, dir string, names []string) (*types.Package, er
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
 	pkg, err := (&types.Config{Importer: m}).Check(path, m.fset, files, info)
 	if err != nil {
 		return nil, err
 	}
 	for _, f := range files {
 		test := strings.HasSuffix(m.fset.Position(f.Pos()).Filename, "_test.go")
+		mark := func(k string, obj types.Object) {
+			switch {
+			case !test || obj.Pkg().Path() != strings.TrimSuffix(path, "_test"):
+				m.refs[k] = "prod"
+			case m.refs[k] == "":
+				m.refs[k] = "own"
+			}
+		}
 		for _, d := range f.Decls {
 			self := ""
 			if fd, ok := d.(*ast.FuncDecl); ok {
@@ -174,18 +197,138 @@ func (m *module) typeCheck(path, dir string, names []string) (*types.Package, er
 				if !ok {
 					return true
 				}
-				switch k := key(info.Uses[id]); {
-				case k == "", k == self:
-				case !test || info.Uses[id].Pkg().Path() != strings.TrimSuffix(path, "_test"):
-					m.refs[k] = "prod"
-				case m.refs[k] == "":
-					m.refs[k] = "own"
+				if k := key(info.Uses[id]); k != "" && k != self {
+					mark(k, info.Uses[id])
 				}
 				return true
 			})
+			for v, how := range fieldUses(d, info) {
+				for bit, word := range map[int]string{set: "set ", read: "read "} {
+					if how&bit != 0 {
+						mark(word+m.pos(v), v)
+					}
+				}
+			}
 		}
 	}
 	return pkg, nil
+}
+
+const (
+	set = 1 << iota
+	read
+)
+
+// fieldUses returns how the code in n uses each field it names, as the
+// package comment defines set and read.
+func fieldUses(n ast.Node, info *types.Info) map[*types.Var]int {
+	uses := map[*types.Var]int{}
+	targets := map[*ast.Ident]int{} // field names a set reaches, and how
+	fills := map[ast.Stmt]bool{}    // defaults: x.F = d under if x.F == 0 (or <= 0)
+	target := func(e ast.Expr, how int) {
+		for {
+			switch x := e.(type) {
+			case *ast.SelectorExpr:
+				targets[x.Sel] |= how
+				e, how = x.X, set|read
+			case *ast.IndexExpr:
+				e, how = x.X, set|read
+			case *ast.StarExpr:
+				e, how = x.X, set|read
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.IfStmt:
+			c, _ := x.Cond.(*ast.BinaryExpr)
+			if c == nil || (c.Op != token.EQL && c.Op != token.LEQ) || !slices.Contains([]string{"0", `""`, "nil"}, types.ExprString(c.Y)) {
+				break
+			}
+			for _, st := range x.Body.List {
+				if as, ok := st.(*ast.AssignStmt); ok && len(as.Lhs) == 1 && types.ExprString(as.Lhs[0]) == types.ExprString(c.X) {
+					fills[as] = true
+				}
+			}
+		case *ast.AssignStmt:
+			if fills[x] {
+				break // a default is not a setting: the field reads as set nowhere
+			}
+			for _, lhs := range x.Lhs {
+				target(lhs, map[bool]int{true: set, false: set | read}[x.Tok == token.ASSIGN])
+			}
+		case *ast.IncDecStmt:
+			target(x.X, set|read)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				target(x.X, set|read)
+			}
+		case *ast.SelectorExpr: // a pointer method on an addressable value takes its address
+			if sel := info.Selections[x]; sel != nil && sel.Kind() == types.MethodVal {
+				_, ptrRecv := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer)
+				if _, ptr := sel.Recv().Underlying().(*types.Pointer); ptrRecv && !ptr {
+					target(x.X, set|read)
+				}
+			}
+		case *ast.CompositeLit:
+			if st, ok := info.Types[x].Type.Underlying().(*types.Struct); ok {
+				for i, elt := range x.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						targets[kv.Key.(*ast.Ident)] |= set
+					} else {
+						uses[st.Field(i)] |= set
+					}
+				}
+			}
+		case *ast.Ident:
+			if v, ok := info.Uses[x].(*types.Var); ok && v.IsField() {
+				if how, ok := targets[x]; ok {
+					uses[v] |= how
+				} else {
+					uses[v] |= read
+				}
+			}
+		}
+		return true
+	})
+	return uses
+}
+
+// pos names a field by its file, line and column, which are the same in
+// every type-checking pass that includes its file.
+func (m *module) pos(obj types.Object) string { return m.fset.Position(obj.Pos()).String() }
+
+// fields lists the fields of pkg's package-level struct types that fail a
+// field rule: an exported field of an exported type that only its own
+// package's tests, or nothing, set, and a named unexported field that
+// nothing reads.
+func (m *module) fields(pkg *types.Package) []string {
+	var out []string
+	for _, name := range pkg.Scope().Names() {
+		tn, _ := pkg.Scope().Lookup(name).(*types.TypeName)
+		if tn == nil || tn.IsAlias() {
+			continue
+		}
+		st, _ := tn.Type().Underlying().(*types.Struct)
+		for i := 0; st != nil && i < st.NumFields(); i++ {
+			v, why := st.Field(i), ""
+			switch set := m.refs["set "+m.pos(v)]; {
+			case v.Embedded() || v.Name() == "_":
+			case v.Exported() && tn.Exported() && set == "":
+				why = "nothing sets it"
+			case v.Exported() && tn.Exported() && set == "own":
+				why = "only its own package's tests set it"
+			case !v.Exported() && m.refs["read "+m.pos(v)] == "":
+				why = "nothing reads it"
+			}
+			if why != "" {
+				out = append(out, m.where(v, pkg.Name()+"."+name+"."+v.Name(), why))
+			}
+		}
+	}
+	return out
 }
 
 // imported reports whether a non-test package outside bench/ imports path.
@@ -228,12 +371,17 @@ func (m *module) unreferenced(pkg *types.Package) []string {
 		case "own":
 			why = "only its own package's tests reference it"
 		}
-		pos := m.fset.Position(obj.Pos())
-		file, _ := filepath.Rel(m.root, pos.Filename)
-		name := strings.TrimPrefix(key(obj), pkg.Path()+".")
-		out = append(out, fmt.Sprintf("%s:%d: %s.%s: %s", filepath.ToSlash(file), pos.Line, pkg.Name(), name, why))
+		out = append(out, m.where(obj, pkg.Name()+"."+strings.TrimPrefix(key(obj), pkg.Path()+"."), why))
 	}
 	return out
+}
+
+// where formats one failure: the declaration's file and line, its name and
+// why it fails.
+func (m *module) where(obj types.Object, name, why string) string {
+	pos := m.fset.Position(obj.Pos())
+	file, _ := filepath.Rel(m.root, pos.Filename)
+	return fmt.Sprintf("%s:%d: %s: %s", filepath.ToSlash(file), pos.Line, name, why)
 }
 
 // collectInterfaces adds error, the errors package's unnamed interfaces,

@@ -17,6 +17,10 @@ func TestFixture(t *testing.T) {
 		"internal/core/core.go:13: core.Unused: nothing references it",
 		"internal/core/core.go:19: core.selfOnly: nothing references it",
 		"internal/core/core.go:27: core.unusedConst: nothing references it",
+		"internal/core/fields.go:5: core.Settings.OwnTest: only its own package's tests set it",
+		"internal/core/fields.go:6: core.Settings.Nowhere: nothing sets it",
+		"internal/core/fields.go:15: core.Settings.Defaulted: nothing sets it",
+		"internal/core/fields.go:31: core.counter.dead: nothing reads it",
 		"internal/orphan: no non-test importer outside bench/",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

@@ -1,5 +1,5 @@
-// Package main is the fixture's benchmark: its calls count, its imports
-// do not.
+// Package main is the fixture's benchmark: its calls and sets count, its
+// imports do not.
 package main
 
 import (
@@ -10,4 +10,5 @@ import (
 func main() {
 	core.BenchOnly()
 	orphan.F()
+	println(core.Settings{BenchOnly: 1}.BenchOnly)
 }

@@ -2,4 +2,4 @@ package main
 
 import "fixture/awp"
 
-func main() { println(awp.Run()) }
+func main() { println(awp.Run(awp.Options{})) }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestHelper(t *testing.T) {
-	if core.Helper() != 2 {
+	if core.Helper() != 2 || (core.Settings{OtherTest: 1}).OtherTest != 1 {
 		t.Fatal("fixture")
 	}
 }
