@@ -29,7 +29,6 @@ type DistanceBin struct {
 	Count      int
 	Median     float64
 	P16, P84   float64 // 16th/84th percentiles
-	MeanLogPGV float64
 }
 
 // Site is one surface sample for binning.
@@ -68,11 +67,6 @@ func BinByDistance(sites []Site, edges []float64) []DistanceBin {
 		bins[i].Median = quantile(v, 0.5)
 		bins[i].P16 = quantile(v, 0.16)
 		bins[i].P84 = quantile(v, 0.84)
-		var s float64
-		for _, x := range v {
-			s += math.Log(x)
-		}
-		bins[i].MeanLogPGV = s / float64(len(v))
 	}
 	return bins
 }

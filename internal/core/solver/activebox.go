@@ -57,7 +57,7 @@ func (a *activeBox) takeHalo(msgs []message) {
 		for si := range m.secs {
 			sec := &m.secs[si]
 			if n := blockLen(sec.got); n > 0 {
-				a.Box = a.Hull(nonzeroHull(m.in[sec.gotOff:][:n], sec.got))
+				a.Box = a.Hull(nonzeroHull(m.buf[sec.gotOff:][:n], sec.got))
 			}
 		}
 	}

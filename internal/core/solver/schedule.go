@@ -13,7 +13,7 @@ import (
 
 // One halo-exchange engine. A schedule is at most one message per face
 // neighbor; a message is a list of sections — one field's block, packed
-// from the sender's interior into one pooled buffer and unpacked into the
+// from the sender's interior into one buffer and unpacked into the
 // receiver's ghosts. The schedule is built once per Stepper from (local
 // dims, neighbor ranks, field list) and executed by post and finish. The
 // velocity and stress phases are two schedules whose field list carries the
@@ -29,6 +29,13 @@ import (
 // buffer are disjoint sub-slices, and the ghost blocks of distinct (field,
 // axis, side) sections are disjoint — so neither the message layout nor the
 // pool's tile order can reorder a load/store pair that aliases.
+//
+// Each link circulates two buffers (DESIGN.md §7, "The halo schedule"): a
+// message packs into its spare, lends it to the peer, and keeps the peer's
+// message to it as the next spare. Face neighbors share the other two axes'
+// extents and build their schedules from one field list, so the two
+// directions of a link carry the same whole-face payload and each side's
+// buffer fits the other's.
 
 // Exchange phases: the phase coordinate of the tag space.
 const (
@@ -99,10 +106,10 @@ type message struct {
 	face             fd.Box // hull of the pack blocks: the header is relative to it
 	slab             fd.Box // hull of the ghost blocks the sections fill
 
-	// In flight between post and finish.
-	out []float32
-	req *mpi.Request
-	in  []float32
+	// buf is the spare post packs into and lends (nil from then on), and
+	// from finish on the peer's message to this rank, kept as the next
+	// spare.
+	buf []float32
 }
 
 type schedule struct {
@@ -208,11 +215,11 @@ func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Fie
 	return newSchedule(env, phase, hfs)
 }
 
-// post starts the exchange: receives are posted first, every message's
-// sections are cut to the rank's active box (whole once it has none) and
-// packed as one tile queue into a pooled buffer behind the header, and the
-// buffers are lent to the runtime. The caller may compute between post and
-// finish — that gap is the AsyncOverlap model.
+// post starts the exchange: every message's sections are cut to the rank's
+// active box (whole once it has none) and packed as one tile queue into the
+// message's spare behind the header, and the spares are lent to the runtime.
+// The caller may compute between post and finish — that gap is the
+// AsyncOverlap model.
 func (s *schedule) post() {
 	if len(s.msgs) == 0 {
 		return
@@ -229,38 +236,43 @@ func (s *schedule) post() {
 			sec.sent, sec.sentOff = clipBlock(sec.pack, clip), n
 			n += blockLen(sec.sent)
 		}
-		// Fault recovery (internal/ft) unwinds a rank out of post or
-		// finish and later reuses the Stepper: every message takes a new
-		// request and buffer, and whatever an aborted exchange left in
-		// flight belongs to the dead exchange. The buffer is sized for
-		// whole faces, so a face's messages keep to one size class of
-		// the pool however the clip grows.
-		m.req, m.out = s.comm.IrecvTake(m.peer, m.recvTag), mpi.GetBuffer(hdrWords + m.total)[:n]
-		putHeader(m.out, clip, m.face)
+		// A new buffer holds whole faces, so the link's two buffers fit
+		// however the clip grows. A spare too short for that is replaced,
+		// never overrun: it is nil on the first post, and after fault
+		// recovery (internal/ft) reuses the Stepper where an aborted
+		// exchange lost the lent buffer.
+		if cap(m.buf) < hdrWords+m.total {
+			m.buf = make([]float32, hdrWords+m.total)
+		}
+		m.buf = m.buf[:n]
+		putHeader(m.buf, clip, m.face)
 	}
 	sp := s.tel.Span(telemetry.Pack)
 	s.pool.ForEachN(len(s.tiles), func(t int) {
 		m := &s.msgs[s.tiles[t].mi]
 		sec := &m.secs[s.tiles[t].si]
 		if b := sec.sent; blockLen(b) > 0 {
-			sec.f.PackRange(b[0], b[1], b[2], b[3], b[4], b[5], m.out[sec.sentOff:])
+			sec.f.PackRange(b[0], b[1], b[2], b[3], b[4], b[5], m.buf[sec.sentOff:])
 		}
 	})
 	sp.End()
 	sp = s.tel.Span(telemetry.Send)
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		s.comm.SendOwned(m.peer, m.sendTag, m.out)
-		m.out = nil
+		// Forget the buffer before lending it: one a crash or an aborted
+		// world loses is never touched again.
+		out := m.buf
+		m.buf = nil
+		s.comm.SendOwned(m.peer, m.sendTag, out)
 	}
 	sp.End()
 }
 
-// finish completes the posted exchange: wait for every receive, check each
+// finish completes the posted exchange: receive every message, check each
 // header against its message, unpack the clipped sections as one tile
-// queue, recycle the buffers. A header that does not fit its message panics
-// with an error naming the peer and the tag, which World.RunErr reports as
-// the rank's failure.
+// queue; each received buffer stays as its message's next spare. A header
+// that does not fit its message panics with an error naming the peer and the
+// tag, which World.RunErr reports as the rank's failure.
 func (s *schedule) finish() {
 	if len(s.msgs) == 0 {
 		return
@@ -268,8 +280,7 @@ func (s *schedule) finish() {
 	sp := s.tel.Span(telemetry.Recv)
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		m.req.Wait()
-		m.in, m.req = m.req.Data(), nil
+		m.buf = s.comm.MustRecvTake(m.peer, m.recvTag)
 	}
 	sp.End()
 	sp = s.tel.Span(telemetry.Unpack)
@@ -286,14 +297,9 @@ func (s *schedule) finish() {
 		m := &s.msgs[s.tiles[t].mi]
 		sec := &m.secs[s.tiles[t].si]
 		if u := sec.got; blockLen(u) > 0 {
-			sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.in[sec.gotOff:])
+			sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.buf[sec.gotOff:])
 		}
 	})
-	for i := range s.msgs {
-		m := &s.msgs[i]
-		mpi.PutBuffer(m.in)
-		m.in = nil
-	}
 	sp.End()
 }
 
@@ -313,13 +319,13 @@ func putHeader(h []float32, clip, face fd.Box) {
 // exchange's clipped ghost blocks out behind the header, or says why the
 // header does not fit the message's ghost blocks or its length.
 func (m *message) takeHeader() error {
-	if len(m.in) < hdrWords {
-		return fmt.Errorf("%d words, shorter than the %d-word header", len(m.in), hdrWords)
+	if len(m.buf) < hdrWords {
+		return fmt.Errorf("%d words, shorter than the %d-word header", len(m.buf), hdrWords)
 	}
 	var rel [hdrWords]int
 	var clip fd.Box
 	for x := range rel {
-		rel[x] = int(int32(math.Float32bits(m.in[x])))
+		rel[x] = int(int32(math.Float32bits(m.buf[x])))
 	}
 	if rel != [hdrWords]int{} {
 		s := m.slab
@@ -337,8 +343,8 @@ func (m *message) takeHeader() error {
 		sec.got, sec.gotOff = clipBlock(sec.unpack, clip), n
 		n += blockLen(sec.got)
 	}
-	if n != len(m.in) {
-		return fmt.Errorf("header %v makes %d words, the message has %d", rel, n, len(m.in))
+	if n != len(m.buf) {
+		return fmt.Errorf("header %v makes %d words, the message has %d", rel, n, len(m.buf))
 	}
 	return nil
 }

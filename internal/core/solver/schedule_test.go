@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core/fd"
 	"repro/internal/core/source"
@@ -316,6 +317,100 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 			t.Errorf("%s: got %v, want rank 1 to panic", tc.name, err)
 		case !strings.Contains(err.Error(), want) || strings.Contains(err.Error(), "index out of range"):
 			t.Errorf("%s: %v, want a panic naming %q", tc.name, err, want)
+		}
+	}
+
+	// A fitting message shorter than a whole face becomes rank 1's spare:
+	// 2x3x4 of the 2x6x4 faces, 72 words behind the header, no slack. The
+	// whole-face exchange after it must replace that spare, not overrun it,
+	// and deliver rank 0's faces into rank 1's ghosts.
+	short := header([hdrWords]int{0, 2, 0, 3, 0, 4}, 3*24)
+	value := func(fi, i, j, k int) float32 { return float32(1 + fi*1000 + k*100 + j*10 + i) }
+	err = mpi.NewWorld(2).RunErr(func(c *mpi.Comm) error {
+		st := fd.NewState(d)
+		for fi, f := range st.Velocities() {
+			for k := 0; k < d.NZ; k++ {
+				for j := 0; j < d.NY; j++ {
+					for i := 0; i < d.NX; i++ {
+						f.Set(i, j, k, value(fi, i, j, k))
+					}
+				}
+			}
+		}
+		s := classicSchedule(newHaloEnv(c, mpi.NewCart(2, 1, 1), d, nil, nil), phaseVelocity, Asynchronous, st.Velocities())
+		if c.Rank() == 0 {
+			c.SendOwned(1, haloTag(phaseVelocity, grid.X, true), short)
+			c.MustRecvTake(1, haloTag(phaseVelocity, grid.X, false))
+		} else {
+			s.exchange()
+			if m := &s.msgs[0]; cap(m.buf) != len(short) {
+				return fmt.Errorf("rank 1 kept a %d-word spare, want the %d-word short message", cap(m.buf), len(short))
+			}
+		}
+		s.exchange()
+		if c.Rank() == 0 {
+			return nil
+		}
+		for fi, f := range st.Velocities() {
+			for k := 0; k < d.NZ; k++ {
+				for j := 0; j < d.NY; j++ {
+					for i := -grid.Ghost; i < 0; i++ {
+						if got, want := f.At(i, j, k), value(fi, d.NX+i, j, k); got != want {
+							return fmt.Errorf("field %d ghost (%d,%d,%d) = %g, want %g", fi, i, j, k, got, want)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Errorf("a whole-face exchange after a short spare: %v", err)
+	}
+}
+
+// TestEachLinkKeepsTwoBuffers runs 2x1x1 and holds each link — a rank's
+// message to its peer and the peer's message back — to two backing arrays
+// over the steps after the first: every post packs into the spare its
+// message kept at the last finish (the peer receives that very array), and
+// no exchange brings in a third.
+func TestEachLinkKeepsTwoBuffers(t *testing.T) {
+	const steps = 12
+	g := grid.Dims{NX: 24, NY: 16, NZ: 12}
+	opt := twoSidedOptions(g, steps, mpi.NewCart(2, 1, 1))
+	q := cvm.SoCal(2400, 1600, 1200, 400)
+	// spare[rank][phase][step-1]: the backing array of the one message's
+	// spare after each step.
+	var spare [2][2][steps]*float32
+	_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
+		for p, s := range []*schedule{st.rs.vel, st.rs.stress} {
+			if len(s.msgs) != 1 {
+				t.Errorf("rank %d phase %d: %d messages, want 1", c.Rank(), p, len(s.msgs))
+				return
+			}
+			spare[c.Rank()][p][st.StepIndex()-1] = unsafe.SliceData(s.msgs[0].buf)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range 2 {
+		seen := map[*float32]bool{}
+		for step := 1; step <= steps; step++ {
+			for r := range 2 {
+				got := spare[r][p][step-1]
+				if got == nil {
+					t.Fatalf("phase %d step %d: rank %d holds no spare", p, step, r)
+				}
+				seen[got] = true
+				if step > 1 && got != spare[1-r][p][step-2] {
+					t.Errorf("phase %d step %d: rank %d received %p, not the spare %p rank %d kept after step %d",
+						p, step, r, got, spare[1-r][p][step-2], 1-r, step-1)
+				}
+			}
+		}
+		if len(seen) > 2 {
+			t.Errorf("phase %d: the link circulated %d buffers over %d steps, want 2", p, len(seen), steps)
 		}
 	}
 }

@@ -301,7 +301,9 @@ func (f *Farm) worker(id int) {
 
 // runAttempt executes one attempt under the deadline. The compute runs in
 // an inner goroutine so a hang is abandoned (its eventual result
-// discarded) rather than blocking the worker past the deadline.
+// discarded) rather than blocking the worker past the deadline. The Job
+// span ends on every outcome before the job's status changes, so a Wait
+// that returns sees every span of the jobs it waited for.
 func (f *Farm) runAttempt(key string) {
 	f.mu.Lock()
 	js := f.jobs[key]
@@ -317,12 +319,12 @@ func (f *Farm) runAttempt(key string) {
 	f.mu.Unlock()
 
 	sp := f.cfg.Rec.Span(telemetry.Job)
-	defer sp.End()
 
 	// Chaos: a crash panics this worker (the supervisor replaces it); a
 	// hang stalls the compute goroutine past the deadline.
 	action, hang := f.chaos.preAttempt(key)
 	if action == chaosCrash {
+		sp.End()
 		panic("chaos: worker crash mid-job " + key)
 	}
 
@@ -346,12 +348,18 @@ func (f *Farm) runAttempt(key string) {
 
 	select {
 	case out := <-done:
-		if out.err != nil {
-			f.attemptFailed(key, out.err)
+		err := out.err
+		if err == nil {
+			_, err = f.store.Put(out.p) // verified by read-back
+		}
+		sp.End()
+		if err != nil {
+			f.attemptFailed(key, err)
 			return
 		}
 		f.attemptSucceeded(key, out.p)
 	case <-time.After(f.cfg.Deadline):
+		sp.End()
 		f.mu.Lock()
 		f.stats.DeadlineMisses++
 		f.cfg.Rec.AddCount("farm.deadline_misses", 1)
@@ -420,13 +428,9 @@ func (f *Farm) compute(sc Scenario) (Product, error) {
 	return p, nil
 }
 
-// attemptSucceeded stores the product (with read-back verification),
-// applies post-store chaos, trains the surrogate and resolves the job.
+// attemptSucceeded applies post-store chaos to the stored product, trains
+// the surrogate and resolves the job.
 func (f *Farm) attemptSucceeded(key string, p Product) {
-	if _, err := f.store.Put(p); err != nil {
-		f.attemptFailed(key, err)
-		return
-	}
 	// Chaos: at-rest corruption right after the store. The audit (or a
 	// serving read) catches it by CRC and re-queues.
 	if f.chaos.postStore(key) {

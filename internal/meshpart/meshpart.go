@@ -30,7 +30,6 @@ import (
 // SubMesh is one rank's ghost-padded material arrays, in grid.Field3
 // padded layout (x-fastest over the padded extents).
 type SubMesh struct {
-	Rank        int
 	Dims        grid.Dims // interior dims
 	VP, VS, Rho []float32 // padded arrays
 }
@@ -116,7 +115,7 @@ func StreamPrePartition(fsys *pfs.FS, meshPath, outDir string, global grid.Dims,
 		nxr, nyr := i1-i0+1, j1-j0+1
 		recs := make([]float32, 3*nxr)
 		np := paddedLen(sub.Local)
-		sm := SubMesh{Rank: sub.Rank, Dims: sub.Local, VP: stage[:np], VS: stage[most:][:np], Rho: stage[2*most:][:np]}
+		sm := SubMesh{Dims: sub.Local, VP: stage[:np], VS: stage[most:][:np], Rho: stage[2*most:][:np]}
 		extract(global, sub, sm.VP, sm.VS, sm.Rho, func(gj, gk int) ([]float32, int) {
 			decodeFloat32s(recs, raw[((gk-k0)*nyr+(gj-j0))*nxr*meshgen.RecBytes:])
 			return recs, i0
@@ -253,7 +252,7 @@ func OnDemand(fsys *pfs.FS, meshPath string, global grid.Dims, dc decomp.Decomp,
 			panic(fmt.Sprintf("meshpart: rank %d missing row (%d,%d)", rank, gj, gk))
 		}
 		np := paddedLen(sub.Local)
-		sm := SubMesh{Rank: sub.Rank, Dims: sub.Local, VP: make([]float32, np), VS: make([]float32, np), Rho: make([]float32, np)}
+		sm := SubMesh{Dims: sub.Local, VP: make([]float32, np), VS: make([]float32, np), Rho: make([]float32, np)}
 		extract(global, sub, sm.VP, sm.VS, sm.Rho, row)
 		out[rank] = sm
 		return nil

@@ -27,10 +27,7 @@ func ReadPrePartitioned(fsys *pfs.FS, dir string, global grid.Dims, dc decomp.De
 		return SubMesh{}, err
 	}
 	vals := mpiio.GetFloat32s(raw)
-	return SubMesh{
-		Rank: rank, Dims: sub.Local,
-		VP: vals[:n], VS: vals[n : 2*n], Rho: vals[2*n : 3*n],
-	}, nil
+	return SubMesh{Dims: sub.Local, VP: vals[:n], VS: vals[n : 2*n], Rho: vals[2*n : 3*n]}, nil
 }
 
 func setup(t *testing.T, g grid.Dims, topo mpi.Cart) (*pfs.FS, decomp.Decomp, cvm.Querier, float64) {

@@ -6,78 +6,6 @@ import (
 	"testing"
 )
 
-// FuzzBufpoolClasses checks the half-step size-class arithmetic that the
-// buffer-lending pool relies on: a Get must always receive enough
-// capacity, round-up waste must stay under 50%, and a buffer returned by
-// PutBuffer must land in a class whose nominal capacity a future Get can
-// trust.
-func FuzzBufpoolClasses(f *testing.F) {
-	f.Add(1)
-	f.Add(2)
-	f.Add(3)
-	f.Add(4)
-	f.Add(1023)
-	f.Add(1024)
-	f.Add(1025)
-	f.Add(3 << 10)
-	f.Add(3<<10 + 1)
-	f.Add(2 * 34 * 18) // a typical coalesced X-face: 2 planes of 34x18
-	f.Fuzz(func(t *testing.T, n int) {
-		if n < 1 {
-			n = 1 - n
-		}
-		n = n%(1<<22) + 1
-
-		c := classFor(n)
-		capc := classCapacity(c)
-		if capc < n {
-			t.Fatalf("classFor(%d) = %d with capacity %d < n", n, c, capc)
-		}
-		// Class 1 (nominal capacity 3/2) is a phantom: classFor and
-		// putClassFor both skip it, and classCapacity is undefined there.
-		if prev := c - 1; prev >= 0 && prev != 1 && classCapacity(prev) >= n {
-			t.Fatalf("classFor(%d) = %d not minimal: class %d capacity %d suffices",
-				n, c, prev, classCapacity(prev))
-		}
-		// Half steps cap the round-up waste: 2*cap < 3*n for n >= 2.
-		if n >= 2 && 2*capc >= 3*n {
-			t.Fatalf("class capacity %d wastes more than 50%% over n=%d", capc, n)
-		}
-		// A pooled buffer is stored at exactly its nominal capacity, so
-		// put(get(n)) must be the identity on classes.
-		if got := putClassFor(capc); got != c {
-			t.Fatalf("putClassFor(classCapacity(%d)) = %d, want %d", c, got, c)
-		}
-		// One value short of nominal must demote to a smaller class —
-		// otherwise a Get could hand out undersized capacity.
-		if capc > 1 {
-			if got := putClassFor(capc - 1); got >= c {
-				t.Fatalf("putClassFor(%d) = %d, want < %d", capc-1, got, c)
-			}
-		}
-		if pc := putClassFor(n); classCapacity(pc) > n {
-			t.Fatalf("putClassFor(%d) = %d overstates capacity %d",
-				n, pc, classCapacity(pc))
-		}
-
-		b := GetBuffer(n)
-		if len(b) != n {
-			t.Fatalf("GetBuffer(%d) len = %d", n, len(b))
-		}
-		if cap(b) < n {
-			t.Fatalf("GetBuffer(%d) cap = %d", n, cap(b))
-		}
-		PutBuffer(b)
-		// Round trip: the recycled buffer must come back with full
-		// length available for any request its class covers.
-		b2 := GetBuffer(capc)
-		if len(b2) != capc {
-			t.Fatalf("GetBuffer(%d) after recycle: len = %d", capc, len(b2))
-		}
-		PutBuffer(b2)
-	})
-}
-
 // FuzzTreeAllreduce drives arbitrary float64 vectors — NaN, ±Inf,
 // subnormals and the extremes included — through the binomial-tree
 // Allreduce, where a partial is unpacked, combined and re-packed at every

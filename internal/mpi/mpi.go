@@ -2,9 +2,9 @@
 // semantics. It is the substrate standing in for the MPI library the paper's
 // AWP-ODC code runs on: ranks are goroutines, point-to-point messages are
 // matched by (source, tag) with per-pair FIFO ordering, and blocking
-// (Send/Recv), zero-copy (SendOwned/RecvTake/IrecvTake) and collective
-// operations are provided. Messages are []float32; anything else crosses
-// as bytes or as a Go value through the one codec of wire.go.
+// (Send/Recv), zero-copy (SendOwned/RecvTake) and collective operations are
+// provided. Messages are []float32; anything else crosses as bytes or as a
+// Go value through the one codec of wire.go.
 //
 // Send has buffered (eager) semantics: it copies the payload and returns
 // immediately, exactly like a small-message MPI_Send on a real
@@ -321,9 +321,9 @@ func (c *Comm) Send(dst, tag int, data []float32) {
 
 // SendOwned delivers data to dst without copying: ownership of the slice
 // transfers to the runtime and then to the receiver. The caller must not
-// touch data after the call. Paired with RecvTake/IrecvTake and the
-// GetBuffer/PutBuffer pool, a message costs one pack and zero further
-// copies — the zero-copy halo path of the execution-engine redesign.
+// touch data after the call. Paired with RecvTake, a message costs one pack
+// and zero further copies — the zero-copy halo path, where each link keeps
+// the two buffers it trades (solver's schedule).
 func (c *Comm) SendOwned(dst, tag int, data []float32) {
 	c.deliver(dst, tag, data)
 }
@@ -447,8 +447,9 @@ func (c *Comm) MustRecv(buf []float32, src, tag int) {
 
 // RecvTake blocks until a message matching (src, tag) is available and
 // returns its payload without copying — the receiver takes ownership of
-// the sender's lent buffer. Recycle it with PutBuffer when done. Errors
-// follow the Recv contract (minus overflow, which cannot occur).
+// the sender's lent buffer, and may reuse it (the halo keeps it as the next
+// buffer it lends back). Errors follow the Recv contract (minus overflow,
+// which cannot occur).
 func (c *Comm) RecvTake(src, tag int) ([]float32, error) {
 	if src != AnySource && (src < 0 || src >= c.world.size) {
 		return nil, fmt.Errorf("mpi: RecvTake from invalid rank %d (size %d)", src, c.world.size)
@@ -527,37 +528,6 @@ rescan:
 		}
 		b.cond.Wait()
 	}
-}
-
-// Request is a posted zero-copy receive (IrecvTake).
-type Request struct {
-	done bool
-	comm *Comm
-	data []float32
-	src  int
-	tag  int
-}
-
-// IrecvTake posts a non-blocking zero-copy receive: no buffer is supplied,
-// and after Wait the message payload is available from Data(). The
-// receiver owns the buffer; recycle it with PutBuffer after unpacking.
-func (c *Comm) IrecvTake(src, tag int) *Request {
-	return &Request{comm: c, src: src, tag: tag}
-}
-
-// Wait blocks until the receive completes. Like MustRecv, it panics on
-// receive errors (aborted world); the Run/RunErr boundary converts the
-// panic into a per-rank error.
-func (r *Request) Wait() {
-	if !r.done {
-		r.data = r.comm.MustRecvTake(r.src, r.tag)
-		r.done = true
-	}
-}
-
-// Data returns the payload of a completed receive; nil before Wait.
-func (r *Request) Data() []float32 {
-	return r.data
 }
 
 // Reserved internal tag space for collectives; user tags must be >= 0, so

@@ -173,27 +173,6 @@ func TestRecvInvalidRankError(t *testing.T) {
 	}
 }
 
-func TestWaitIdempotent(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(c *Comm) {
-		if c.Rank() == 0 {
-			c.Send(1, 0, []float32{5})
-			c.Send(1, 0, []float32{6})
-		} else {
-			r := c.IrecvTake(0, 0)
-			r.Wait()
-			first := r.Data()
-			r.Wait()
-			if len(r.Data()) != 1 || &r.Data()[0] != &first[0] || first[0] != 5 {
-				t.Errorf("Wait not idempotent: data %v after %v", r.Data(), first)
-			}
-			if got := c.MustRecvTake(0, 0); got[0] != 6 {
-				t.Errorf("a second Wait consumed a message: next is %v", got)
-			}
-		}
-	})
-}
-
 func TestBarrier(t *testing.T) {
 	w := NewWorld(8)
 	var phase atomic.Int32

@@ -36,8 +36,7 @@ func heapAlloc() uint64 {
 // steady-state heap attributable to the world is gated at < 10 KB per
 // rank. The gate measures heap after Run returns (rank goroutines dead,
 // their stacks returned), so what remains is the World's own state:
-// lazy inboxes, the barrier tree, and whatever the bounded buffer pool
-// retained.
+// lazy inboxes and the barrier tree.
 func TestWorld10kRanks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-rank smoke skipped in -short")
@@ -74,10 +73,10 @@ func TestWorld10kRanks(t *testing.T) {
 			panic("allreduce wrong at scale")
 		}
 
-		// Ring halo: each rank lends a pooled buffer to its successor
-		// and takes one from its predecessor — the zero-copy path.
+		// Ring halo: each rank lends a buffer to its successor and takes
+		// one from its predecessor — the zero-copy path.
 		next, prev := (c.Rank()+1)%P, (c.Rank()-1+P)%P
-		buf := GetBuffer(16)
+		buf := make([]float32, 16)
 		for i := range buf {
 			buf[i] = float32(c.Rank())
 		}
@@ -86,7 +85,6 @@ func TestWorld10kRanks(t *testing.T) {
 		if got[0] != float32(prev) {
 			panic("ring halo wrong at scale")
 		}
-		PutBuffer(got)
 	})
 
 	steady := heapAlloc()
