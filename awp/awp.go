@@ -104,9 +104,12 @@ type Scenario struct {
 	// Topology reports it.
 	Ranks int
 
-	// Threads is each rank's persistent worker-pool size (the hybrid
-	// MPI/OpenMP mode, §IV.D); 0 or 1 runs each rank serially, negative
-	// values are rejected. Results are bit-identical across Threads.
+	// Threads is the cores each rank may use (the hybrid MPI/OpenMP mode
+	// of §IV.D, whose conclusion is that pure MPI wins on small
+	// subdomains): Run folds them into Ranks×Threads ranks of one goroutine
+	// each, or into Ranks where that many do not fit the grid (Topology).
+	// 0 counts as 1; negative values are rejected. Results are
+	// bit-identical across Threads.
 	Threads int
 
 	// Comm is the communication model (§IV.A); every model composes with
@@ -129,23 +132,46 @@ type Scenario struct {
 	Telemetry *TelemetryOptions
 }
 
-// Topology returns the rank topology Run uses for sc: one rank for Ranks 0
-// or 1, else the factorisation of Ranks that decomp.StepCost prices lowest
-// among those that leave each rank on a split axis 2·Ghost cells (what
-// decomp.New needs) or, under M-PML, a zone and an interior plane, and that
-// in DFR mode keep PY = 1 so the fault plane stays on one rank in y.
+// Topology returns the rank topology Run uses for sc: the factorisation of
+// Ranks×Threads ranks that decomp.StepCost prices lowest among those that
+// leave each rank on a split axis 2·Ghost cells (what decomp.New needs) or,
+// under M-PML, a zone and an interior plane, and that in DFR mode keep
+// PY = 1 so the fault plane stays on one rank in y. When no factorisation
+// of Ranks×Threads fits, it falls back to one of Ranks, so a scenario that
+// runs at one core a rank runs at any Threads. Ranks and Threads of 0
+// count as 1; negative values are rejected.
 func Topology(sc Scenario) (mpi.Cart, error) {
 	if sc.Ranks < 0 {
 		return mpi.Cart{}, fmt.Errorf("awp: Ranks must be positive, or zero for one rank; got %d", sc.Ranks)
 	}
-	if sc.Ranks <= 1 {
-		return mpi.NewCart(1, 1, 1), nil
+	if sc.Threads < 0 {
+		return mpi.Cart{}, fmt.Errorf("awp: Threads must be positive, or zero for one core a rank; got %d", sc.Threads)
 	}
+	ranks, threads := max(sc.Ranks, 1), max(sc.Threads, 1)
 	minCells := 2 * grid.Ghost
 	if sc.ABC == MPMLABC {
 		minCells = boundary.DefaultPMLWidth + 1
 	}
-	return decomp.BestTopo(sc.Dims, sc.Ranks, minCells, sc.Fault != nil, decomp.StepCost)
+	// No factorisation fits more ranks than the grid has minCells-cubes, so
+	// a larger count is refused without the search, which takes time linear
+	// in the count.
+	cubes := (sc.Dims.NX / minCells) * (sc.Dims.NY / minCells) * (sc.Dims.NZ / minCells)
+	best := func(n int) (mpi.Cart, error) {
+		switch {
+		case n == 1:
+			return mpi.NewCart(1, 1, 1), nil
+		case n > cubes:
+			return mpi.Cart{}, fmt.Errorf("awp: no topology of %d ranks leaves each rank %d cells per axis of the %v grid", n, minCells, sc.Dims)
+		}
+		return decomp.BestTopo(sc.Dims, n, minCells, sc.Fault != nil, decomp.StepCost)
+	}
+	// threads <= cubes/ranks keeps Ranks×Threads from overflowing.
+	if threads > 1 && threads <= cubes/ranks {
+		if topo, err := best(ranks * threads); err == nil {
+			return topo, nil
+		}
+	}
+	return best(ranks)
 }
 
 // Run executes a wave-propagation (AWM) or dynamic-rupture (DFR) scenario.
@@ -165,7 +191,6 @@ func Run(q Model, sc Scenario) (*Result, error) {
 		Steps:       sc.Steps,
 		Topo:        topo,
 		Comm:        sc.Comm,
-		Threads:     sc.Threads,
 		ABC:         sc.ABC,
 		SpongeWidth: sc.SpongeWidth,
 		FreeSurface: sc.FreeSurface,

@@ -3,6 +3,7 @@ package awp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +112,11 @@ func TestBadRanksRejected(t *testing.T) {
 			t.Errorf("Run accepted %d ranks on %v", sc.Ranks, sc.Dims)
 		}
 	}
+	// A count past the grid's cells is refused without the factorisation
+	// search, whose time is linear in the count.
+	if _, err := Topology(Scenario{Dims: Dims{NX: 16, NY: 16, NZ: 12}, Ranks: 1 << 40}); err == nil {
+		t.Error("Topology accepted 2^40 ranks")
+	}
 }
 
 func TestPointSourceSampling(t *testing.T) {
@@ -165,6 +171,79 @@ func TestTopologyLeavesPMLInterior(t *testing.T) {
 	}
 	if _, err := Run(HomogeneousModel(Material{Vp: 6000, Vs: 3464, Rho: 2700}), sc); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTopologyFoldsThreads: Threads are cores per rank, folded into
+// Ranks×Threads ranks where that many fit the grid and into Ranks where they
+// do not, and a negative count is an error before any rank starts. The fold
+// moves no bit: Threads 2 stores Threads 1's PGVH, under the sponge and under
+// M-PML, on every comm model.
+func TestTopologyFoldsThreads(t *testing.T) {
+	topo := func(sc Scenario) mpi.Cart {
+		t.Helper()
+		c, err := Topology(sc)
+		if err != nil {
+			t.Fatalf("%d ranks x %d threads on %v: %v", sc.Ranks, sc.Threads, sc.Dims, err)
+		}
+		return c
+	}
+	d := Dims{NX: 48, NY: 48, NZ: 32}
+	// 4×2 fits: the topology of 8 ranks. 8×8 under M-PML does not (32 ranks
+	// leave each its 11 cells; 64 do not): the topology of 8.
+	for _, c := range []struct {
+		ranks, threads, as int
+		abc                solver.ABCKind
+	}{
+		{4, 2, 8, SpongeABC},
+		{1, 2, 2, MPMLABC},
+		{8, 8, 8, MPMLABC},
+		{0, 0, 1, SpongeABC},
+	} {
+		sc := Scenario{Dims: d, Ranks: c.ranks, Threads: c.threads, ABC: c.abc}
+		want := topo(Scenario{Dims: d, Ranks: c.as, ABC: c.abc})
+		if got := topo(sc); got != want || got.Size() != c.as {
+			t.Errorf("%d ranks x %d threads, ABC %d: topology %+v, want %+v", c.ranks, c.threads, c.abc, got, want)
+		}
+	}
+	q := SoCalModel(3200, 3200, 2400, 500)
+	bad := Scenario{Dims: Dims{NX: 32, NY: 32, NZ: 24}, H: 100, Steps: 2, Threads: -1}
+	if _, err := Topology(bad); err == nil {
+		t.Error("Topology accepted Threads -1")
+	}
+	if _, err := Run(q, bad); err == nil {
+		t.Error("Run accepted Threads -1")
+	}
+
+	for _, abc := range []solver.ABCKind{SpongeABC, MPMLABC} {
+		sc := Scenario{
+			Dims: Dims{NX: 32, NY: 32, NZ: 24}, H: 100, Steps: 30,
+			ABC: abc, FreeSurface: true, Attenuation: true,
+			Sources:  PointMomentSource(13, 17, 9, 1e15, 0.06, 0.015),
+			TrackPGV: true,
+		}
+		ref, err := Run(q, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Max(ref.PGVH) <= 0 {
+			t.Fatalf("ABC %d: the reference records no motion", abc)
+		}
+		for _, comm := range []solver.CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
+			sc.Comm, sc.Threads = comm, 2
+			if n := topo(sc).Size(); n != 2 {
+				t.Fatalf("ABC %d, %v: Threads 2 runs %d ranks, want 2", abc, comm, n)
+			}
+			res, err := Run(q, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range res.PGVH {
+				if math.Float64bits(v) != math.Float64bits(ref.PGVH[i]) {
+					t.Fatalf("ABC %d, %v: Threads 2 PGVH[%d] = %g, Threads 1 %g", abc, comm, i, v, ref.PGVH[i])
+				}
+			}
+		}
 	}
 }
 

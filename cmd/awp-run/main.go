@@ -20,7 +20,7 @@ func main() {
 	h := flag.Float64("h", 200, "grid spacing, m")
 	steps := flag.Int("steps", 300, "time steps")
 	ranks := flag.Int("ranks", 1, "MPI ranks (goroutines)")
-	threads := flag.Int("threads", 1, "worker threads per rank (persistent pool, §IV.D)")
+	threads := flag.Int("threads", 1, "cores per rank: runs ranks×threads single-goroutine ranks (§IV.D)")
 	comm := flag.String("comm", "async-reduced", "comm model: sync|async|async-reduced|overlap")
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
@@ -104,8 +104,8 @@ func main() {
 	if err != nil {
 		fail("%v", err)
 	}
-	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks (%dx%dx%d) x %d threads, comm=%s abc=%s\n",
-		dims, *h, res.Dt, res.Steps, *ranks, topo.PX, topo.PY, topo.PZ, *threads, *comm, *abc)
+	fmt.Printf("awp-run: %v grid, h=%.0f m, dt=%.4f s, %d steps, %d ranks (%dx%dx%d), comm=%s abc=%s\n",
+		dims, *h, res.Dt, res.Steps, topo.Size(), topo.PX, topo.PY, topo.PZ, *comm, *abc)
 	fmt.Printf("epicentral PGVH: %.4e m/s; distant-receiver PGVH: %.4e m/s\n",
 		awp.PGVH(res.Seismograms[0]), awp.PGVH(res.Seismograms[1]))
 	var pgvMax float64

@@ -64,16 +64,6 @@ type phaseFit struct {
 	Samples        int     `json:"samples"`
 }
 
-// phasePoolRun reports the worker-pool queue-wait/execute split of a hybrid
-// (Threads > 1) run — measured only; Eq. 7 has no term for it.
-type phasePoolRun struct {
-	Threads          int     `json:"threads"`
-	QueueWaitSecStep float64 `json:"queue_wait_sec_per_step"`
-	ExecuteSecStep   float64 `json:"execute_sec_per_step"`
-	QueueWaitSpans   int64   `json:"queue_wait_spans"`
-	ExecuteSpans     int64   `json:"execute_spans"`
-}
-
 // phaseIODemo reports the IO/Checkpoint span attribution over the simulated
 // parallel file system (measured only).
 type phaseIODemo struct {
@@ -95,7 +85,6 @@ type phaseReport struct {
 	Calibration phaseCalibration          `json:"calibration"`
 	Fit         *phaseFit                 `json:"fit,omitempty"`
 	Runs        []phaseModelRun           `json:"runs"`
-	Pool        []phasePoolRun            `json:"pool"`
 	IO          phaseIODemo               `json:"io"`
 	Neighbors   []telemetry.NeighborStats `json:"neighbors,omitempty"`
 }
@@ -114,7 +103,7 @@ var commPhases = []telemetry.Phase{
 // aggregated report. The scenario mirrors the solver test fixture: sponge
 // ABC, free surface, attenuation, explosion source, receivers, PGV maps —
 // every instrumented phase is exercised.
-func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, threads, steps int) *telemetry.Report {
+func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, steps int) *telemetry.Report {
 	g := grid.Dims{NX: sub.NX * topo.PX, NY: sub.NY * topo.PY, NZ: sub.NZ * topo.PZ}
 	q := cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700})
 	src := source.PointSource{
@@ -123,7 +112,7 @@ func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, threads, st
 	}
 	res, err := solver.Run(q, solver.Options{
 		Global: g, H: 100, Steps: steps, Topo: topo,
-		Comm: model, Threads: threads,
+		Comm:     model,
 		Blocking: fd.DefaultBlocking,
 		ABC:      solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
@@ -186,7 +175,7 @@ func phases(outPath string, short bool) {
 	// land in the relative error on purpose.
 	calRep := phasesRun(mpi.NewCart(1, 1, 1), grid.Dims{
 		NX: sub.NX * topo.PX, NY: sub.NY * topo.PY, NZ: sub.NZ * topo.PZ,
-	}, solver.Asynchronous, 1, calSteps)
+	}, solver.Asynchronous, calSteps)
 	cal := phaseCalibration{
 		Global:        fmt.Sprintf("%dx%dx%d", sub.NX*topo.PX, sub.NY*topo.PY, sub.NZ*topo.PZ),
 		Steps:         calSteps,
@@ -205,7 +194,7 @@ func phases(outPath string, short bool) {
 	var samples []perfmodel.CommSample
 	for _, ft := range []mpi.Cart{mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2)} {
 		for _, fs := range []grid.Dims{{NX: 12, NY: 12, NZ: 12}, {NX: 16, NY: 16, NZ: 16}} {
-			r := phasesRun(ft, fs, solver.Asynchronous, 1, fitSteps)
+			r := phasesRun(ft, fs, solver.Asynchronous, fitSteps)
 			msgs, bytes := msgTraffic(r, ft.Size(), fitSteps)
 			samples = append(samples, perfmodel.CommSample{
 				Msgs:  int(msgs + 0.5),
@@ -238,7 +227,7 @@ func phases(outPath string, short bool) {
 	}
 	fmt.Printf("\n%-14s %-8s %14s %14s %10s\n", "model", "term", "measured_s", "predicted_s", "rel_err")
 	for _, m := range models {
-		r := phasesRun(topo, sub, m.model, 1, mainSteps)
+		r := phasesRun(topo, sub, m.model, mainSteps)
 		msgs, bytes := msgTraffic(r, topo.Size(), mainSteps)
 		run := phaseModelRun{
 			Model:   m.name,
@@ -284,21 +273,6 @@ func phases(outPath string, short bool) {
 		if m.model == solver.Asynchronous {
 			rep.Neighbors = r.Neighbors
 		}
-	}
-
-	// --- Worker-pool split (hybrid mode, §IV.D): queue wait vs execute per
-	// step, measured only — Eq. 7 has no pool term; the split shows where
-	// hybrid time goes when subdomains shrink.
-	fmt.Printf("\n%-8s %18s %18s\n", "threads", "queue-wait_s/step", "execute_s/step")
-	for _, threads := range []int{1, 4} {
-		r := phasesRun(topo, sub, solver.Asynchronous, threads, mainSteps/2)
-		qw, ex := r.Stat(telemetry.QueueWait), r.Stat(telemetry.Execute)
-		rep.Pool = append(rep.Pool, phasePoolRun{
-			Threads:          threads,
-			QueueWaitSecStep: qw.MeanSec, ExecuteSecStep: ex.MeanSec,
-			QueueWaitSpans: qw.Spans, ExecuteSpans: ex.Spans,
-		})
-		fmt.Printf("%-8d %18.3g %18.3g\n", threads, qw.MeanSec, ex.MeanSec)
 	}
 
 	// --- IO/Checkpoint attribution over the simulated parallel file

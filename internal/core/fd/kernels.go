@@ -77,7 +77,7 @@ type Blocking struct {
 }
 
 // DefaultBlocking is the panel of bench's kernel probes and the fall-back of a
-// non-positive factor; the solver derives its own from each box and its pool.
+// non-positive factor; the solver sweeps each box as one block.
 var DefaultBlocking = Blocking{JBlock: 8, KBlock: 16}
 
 // UpdateVelocity advances the three velocity components over box by one

@@ -5,14 +5,14 @@ import (
 	"repro/internal/medium"
 )
 
-// Hybrid MPI/OpenMP mode (§IV.D): within one rank, the kernel loops are
-// split over worker goroutines sharing the rank's memory — the analogue of
-// OpenMP threads spawned from a single MPI process. Cells are independent
-// within one kernel application, so any decomposition into j/k tiles is
-// bit-identical to the serial kernel. The j/k panels of the cache-blocking
-// scheme become a tile queue drained by a fixed worker pool (sched.Pool), so
-// a call costs no goroutine spawns and uneven tiles (PML trimming)
-// load-balance dynamically.
+// Hybrid MPI/OpenMP mode (§IV.D): within one rank, the kernel loops split
+// over worker goroutines sharing the rank's memory — the analogue of OpenMP
+// threads spawned from a single MPI process. Cells are independent within
+// one kernel application, so any decomposition into j/k tiles is
+// bit-identical to the serial kernel. The solver runs none of this — its
+// ranks are single goroutines (DESIGN.md §7) — and the benchmark's sched
+// probe times it: the j/k panels of the cache-blocking scheme as a tile
+// queue drained by a fixed worker pool (sched.Pool).
 
 // UpdateStressTiled runs UpdateStress over box as a tile queue on the
 // persistent pool. Results are bit-identical to the serial kernel for
@@ -24,8 +24,8 @@ func UpdateStressTiled(s *State, m *medium.Medium, dt float64, box Box, v Varian
 }
 
 // Tiles splits box into j/k panels of at most blk.JBlock x blk.KBlock
-// cells (full x extent, the same panels forEachBlock visits), the work
-// units of the pooled execution engine. Non-positive blocking factors fall
+// cells (full x extent, the same panels forEachBlock visits): the solver's
+// tiles and the pooled sweep's work units. Non-positive blocking factors fall
 // back to DefaultBlocking. An empty box yields no tiles.
 func Tiles(box Box, blk Blocking) []Box {
 	if box.Empty() {

@@ -1,11 +1,11 @@
-// Package sched provides the per-rank persistent execution engine of the
-// hybrid MPI/OpenMP mode (§IV.D). A Pool is a fixed set of worker
-// goroutines created once per rank — the analogue of the OpenMP thread
-// team the paper's Fortran code keeps alive across kernel calls — that
-// executes kernel work as a queue of tiles. Workers pull tile indices
-// from a shared atomic counter (dynamic scheduling), so uneven tiles
-// (e.g. k-slabs trimmed by PML zones) load-balance automatically, and no
-// goroutine is spawned per kernel call.
+// Package sched provides a persistent worker pool — the analogue of the
+// OpenMP thread team the paper's Fortran code keeps alive across kernel
+// calls (§IV.D) — that executes kernel work as a queue of tiles. The solver
+// does not run on it (its ranks are its only parallelism); fd's tiled sweeps
+// and the sponge's padded pass take a Pool, for the benchmark's probes.
+// Workers pull tile indices from a shared atomic counter (dynamic
+// scheduling), so uneven tiles load-balance automatically, and no goroutine
+// is spawned per kernel call.
 //
 // Determinism: a batch's work function receives each index exactly once;
 // which worker runs which index is unspecified. Kernel tiles are
@@ -17,9 +17,6 @@ package sched
 import (
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"repro/internal/telemetry"
 )
 
 // batch is one data-parallel work queue: indices [0,n) drained through an
@@ -51,17 +48,6 @@ type Pool struct {
 	size int         // total concurrency (workers + caller)
 	jobs chan *batch // wake channel; each batch is enqueued once per worker
 	done chan struct{}
-	tel  *telemetry.Recorder
-}
-
-// SetTelemetry attaches a recorder: each subsequent batch reports its
-// queue-wait (submission to first tile start) and execute (first tile
-// start to completion) intervals. nil detaches; the off path adds one nil
-// check per batch, nothing per tile.
-func (p *Pool) SetTelemetry(rec *telemetry.Recorder) {
-	if p != nil {
-		p.tel = rec
-	}
 }
 
 // NewPool creates a pool with total concurrency n (n-1 resident workers;
@@ -133,11 +119,6 @@ func (p *Pool) ForEachN(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if p != nil && p.tel != nil {
-		var finish func()
-		fn, finish = p.instrument(fn)
-		defer finish()
-	}
 	if p == nil || p.jobs == nil || n == 1 || p.closed() {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -155,34 +136,4 @@ func (p *Pool) ForEachN(n int, fn func(int)) {
 	}
 	b.run()
 	b.wg.Wait()
-}
-
-// instrument wraps a batch's work function to split its wall time into
-// queue-wait (submission until the first tile starts, on any executor)
-// and execute (first tile start until the batch completes). The first
-// tile may run on a worker goroutine while the finish closure runs on the
-// caller, so the split point travels through an atomic.
-func (p *Pool) instrument(fn func(int)) (wrapped func(int), finish func()) {
-	submit := time.Now()
-	var firstNs atomic.Int64
-	wrapped = func(i int) {
-		if firstNs.Load() == 0 {
-			d := int64(time.Since(submit))
-			if d < 1 {
-				d = 1
-			}
-			firstNs.CompareAndSwap(0, d)
-		}
-		fn(i)
-	}
-	finish = func() {
-		total := int64(time.Since(submit))
-		wait := firstNs.Load()
-		if wait == 0 || wait > total {
-			wait = total
-		}
-		p.tel.AddDur(telemetry.QueueWait, time.Duration(wait))
-		p.tel.AddDur(telemetry.Execute, time.Duration(total-wait))
-	}
-	return wrapped, finish
 }

@@ -107,5 +107,5 @@ func (rs *rankState) dropBox() {
 // live counted tile by tile (rs.swept), the rest whole.
 func (rs *rankState) sweptCells() (swept, owned int64) {
 	perStep := 2 * int64(rs.sub.Local.Cells())
-	return rs.swept.Load() + (rs.steps-rs.liveSteps)*perStep, rs.steps * perStep
+	return rs.swept + (rs.steps-rs.liveSteps)*perStep, rs.steps * perStep
 }

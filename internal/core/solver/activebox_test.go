@@ -30,7 +30,6 @@ func TestActiveBoxSaturationIsOneWay(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		defer never.Close()
 		never.rs.dropBox()
 		if st.rs.box == nil || !st.rs.box.Empty() {
 			t.Errorf("a new Stepper's box is %v, want empty", st.rs.box)
@@ -49,13 +48,13 @@ func TestActiveBoxSaturationIsOneWay(t *testing.T) {
 		if dropAt < 4 {
 			t.Errorf("box dropped after %d steps", dropAt)
 		}
-		swept, live := rs.swept.Load(), rs.liveSteps
+		swept, live := rs.swept, rs.liveSteps
 		if got, want := testing.AllocsPerRun(20, st.Step), testing.AllocsPerRun(20, never.Step); got != want {
 			t.Errorf("a saturated Step allocates %v times, a Step without the box %v", got, want)
 		}
-		if rs.swept.Load() != swept || rs.liveSteps != live {
+		if rs.swept != swept || rs.liveSteps != live {
 			t.Errorf("clipped-tile counters moved after saturation: swept %d -> %d, live steps %d -> %d",
-				swept, rs.swept.Load(), live, rs.liveSteps)
+				swept, rs.swept, live, rs.liveSteps)
 		}
 	}, nil)
 	if err != nil {

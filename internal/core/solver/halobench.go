@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 )
@@ -13,12 +12,10 @@ import (
 // multi-rank world exchanging both wavefield phases with no kernel work,
 // so the exchange cost can be measured in isolation.
 type HaloBenchConfig struct {
-	Topo    mpi.Cart
-	Local   grid.Dims // per-rank subgrid
-	Model   CommModel
-	Threads int
-	Steps   int // measured exchange steps (velocity + stress per step)
-
+	Topo  mpi.Cart
+	Local grid.Dims // per-rank subgrid
+	Model CommModel
+	Steps int // measured exchange steps (velocity + stress per step)
 }
 
 // HaloBenchResult reports the measured exchange cost and the observed
@@ -44,18 +41,13 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 1
 	}
-	if cfg.Threads < 1 {
-		cfg.Threads = 1
-	}
 	var res HaloBenchResult
 	world := mpi.NewWorld(cfg.Topo.Size())
 	steps := cfg.Steps
 	world.Run(func(c *mpi.Comm) {
 		st := fd.NewState(cfg.Local)
 		fillDeterministic(st, c.Rank())
-		pool := sched.NewPool(cfg.Threads)
-		defer pool.Close()
-		env := newHaloEnv(c, cfg.Topo, cfg.Local, pool, nil)
+		env := newHaloEnv(c, cfg.Topo, cfg.Local, nil)
 		vel := classicSchedule(env, phaseVelocity, cfg.Model, st.Velocities())
 		stress := classicSchedule(env, phaseStress, cfg.Model, st.Stresses())
 
@@ -66,7 +58,7 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 			}
 		}
 
-		// Warm up the buffer pool, then count each phase separately:
+		// Warm up the links' buffers, then count each phase separately:
 		// exchanges are idempotent (fields never change), so phase-only
 		// loops measure exactly the traffic the schedule produces.
 		exchange(2)

@@ -28,11 +28,11 @@ import (
 // reference, bit for bit (the paper's aVal acceptance, §III.H).
 //
 // A physics row is a scenario — medium, boundaries, sources, fault — and its
-// reference is the production stepper on one rank and one thread, whole
-// sweeps, telemetry off and the Go row bodies, held after every step to the
-// two-pass oracle (oracle_test.go). The execution axes must not change a
-// bit: comm model, threads, topology (uneven cuts included), tile shape,
-// active box or whole sweeps, telemetry, Surface output, a checkpoint and
+// reference is the production stepper on one rank, whole sweeps, telemetry
+// off and the Go row bodies, held after every step to the two-pass oracle
+// (oracle_test.go). The execution axes must not change a bit: comm model,
+// topology (uneven cuts included), tile shape, active box or whole sweeps,
+// telemetry, Surface output and its flush interval, a checkpoint and
 // rollback, and the 8-lane walkers. identityArray covers them and the
 // physics row pairwise. After every Step each row compares every rank's
 // Stepper.Sections() with the reference's in global coordinates — the whole
@@ -45,7 +45,10 @@ var (
 	identityComms  = []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap}
 	identityTopos  = []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1), mpi.NewCart(2, 2, 1), mpi.NewCart(2, 2, 2), mpi.NewCart(1, 3, 1), mpi.NewCart(2, 1, 2), mpi.NewCart(1, 2, 2)}
 	identityShapes = []fd.Blocking{{}, {JBlock: 8, KBlock: 16}, {JBlock: 3, KBlock: 5}}
-	hostVector     = fd.Vector
+	// identityFlushes are the Surface rows' frames a flush: one a frame up
+	// to one at Finish.
+	identityFlushes = []int{1, 3, 6, 100}
+	hostVector      = fd.Vector
 )
 
 // The array's axes; a row holds an index into each axis's values, and the
@@ -53,7 +56,7 @@ var (
 const (
 	axPhysics = iota
 	axComm
-	axThreads
+	axFlush
 	axTopo
 	axShape
 	axBox
@@ -64,7 +67,7 @@ const (
 )
 
 func axisSizes() []int {
-	return []int{len(identityPhysics()), len(identityComms), 4, len(identityTopos), len(identityShapes), 2, 2, 2, 2, 2}
+	return []int{len(identityPhysics()), len(identityComms), len(identityFlushes), len(identityTopos), len(identityShapes), 2, 2, 2, 2, 2}
 }
 
 // physicsRow is a scenario; its options leave every execution axis unset.
@@ -356,7 +359,7 @@ type identityRow struct {
 	name                                string
 	phys                                *physicsRow
 	comm                                CommModel
-	threads                             int
+	flush                               int
 	topo                                mpi.Cart
 	shape                               fd.Blocking
 	box, tel, surface, ckpt, vectorized bool
@@ -370,7 +373,7 @@ var identityArray = sync.OnceValue(func() []identityRow {
 	var rows []identityRow
 	for _, v := range raw {
 		rows = append(rows, identityRow{name: rowName(v), phys: identityPhysics()[v[axPhysics]], comm: identityComms[v[axComm]],
-			threads: v[axThreads] + 1, topo: identityTopos[v[axTopo]], shape: identityShapes[v[axShape]], box: v[axBox] == 1,
+			flush: identityFlushes[v[axFlush]], topo: identityTopos[v[axTopo]], shape: identityShapes[v[axShape]], box: v[axBox] == 1,
 			tel: v[axTelemetry] == 1, surface: v[axSurface] == 1, ckpt: v[axCheckpoint] == 1, vectorized: v[axVector] == 1})
 	}
 	return rows
@@ -452,7 +455,10 @@ func axisLabel(a, u int) string {
 		return identityPhysics()[u].name
 	case axComm:
 		return identityComms[u].String()
-	case axThreads:
+	case axFlush:
+		// t1–t4: the labels the rows had when this axis set the per-rank
+		// thread count, which is gone; a row's name is its subtest's, so
+		// they are kept.
 		return fmt.Sprintf("t%d", u+1)
 	case axTopo:
 		t := identityTopos[u]
@@ -666,13 +672,13 @@ func (f *failures) add(format string, args ...any) {
 	f.once.Do(func() { f.msg = fmt.Sprintf(format, args...) })
 }
 
-// build runs p's reference: one rank on one thread, Asynchronous, whole
-// sweeps, telemetry off, the Go row bodies, beside the two-pass oracle, which
-// it must match on the interior of every section after every step. Some
-// receiver must record signal.
+// build runs p's reference: one rank, Asynchronous, whole sweeps, telemetry
+// off, the Go row bodies, beside the two-pass oracle, which it must match on
+// the interior of every section after every step. Some receiver must record
+// signal.
 func (p *physicsRow) build() *reference {
 	opt := p.opt
-	opt.Topo, opt.Comm, opt.Threads = mpi.NewCart(1, 1, 1), Asynchronous, 1
+	opt.Topo, opt.Comm = mpi.NewCart(1, 1, 1), Asynchronous
 	defer useVector(false)()
 	ref := &reference{opt: opt, snaps: make([][]grid.Section, opt.Steps)}
 	var fail failures
@@ -700,9 +706,6 @@ func (p *physicsRow) build() *reference {
 			twoPassOracle(orc.rs, orc.dt, step)
 			if msg := diffState(secs, ref.regs, orc.Sections(), orcRegs, false); msg != "" {
 				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
-			}
-			if st.Done() {
-				orc.Close()
 			}
 		}
 		for _, s := range secs {
@@ -763,8 +766,8 @@ func identityResult(r identityRow) string {
 // run executes the row and holds it to ref.
 func (r identityRow) run(ref *reference) string {
 	// Every row with the same physics row, topology, box and rollback reports
-	// the same share: telemetry, comm model, threads and tiles must not move
-	// it. A telemetry row whose key no row has set yet runs its twin without
+	// the same share: telemetry, comm model, flush interval and tiles must not
+	// move it. A telemetry row whose key no row has set yet runs its twin without
 	// telemetry first, so the share it is held to comes from a run without a
 	// recorder.
 	shareKey := fmt.Sprint("share", r.phys.name, r.topo, r.box, r.ckpt)
@@ -776,17 +779,15 @@ func (r identityRow) run(ref *reference) string {
 		}
 	}
 	opt := r.phys.opt
-	opt.Topo, opt.Comm, opt.Threads, opt.Blocking = r.topo, r.comm, r.threads, r.shape
+	opt.Topo, opt.Comm, opt.Blocking = r.topo, r.comm, r.shape
 	if r.tel {
 		opt.Telemetry = &telemetry.Options{TraceEvents: 256}
 	}
 	fsys := surfaceFS()
 	if r.surface {
 		fsys.SetStripe("out/", 4, 1<<12)
-		// The flush interval rides the threads axis: a flush a frame up to one
-		// at Finish.
 		opt.Surface = &SurfaceOptions{FS: fsys, Path: "out/surface.bin", Every: 2,
-			FlushEvery: []int{1, 3, 6, 100}[r.threads-1], Agg: agg.Config{Aggregators: 2}}
+			FlushEvery: r.flush, Agg: agg.Config{Aggregators: 2}}
 	}
 	defer useVector(r.vectorized)()
 	same, ranks := r.topo == ref.opt.Topo, r.topo.Size()
@@ -1053,7 +1054,6 @@ func runWorld(q cvm.Querier, opt Options, before, after func(*mpi.Comm, *Stepper
 			fail.add("%v", err)
 			return
 		}
-		defer st.Close()
 		if before != nil {
 			before(c, st)
 		}
@@ -1111,7 +1111,6 @@ func of(names ...string) func(identityRow) bool {
 	return func(r identityRow) bool { return slices.Contains(names, r.phys.name) }
 }
 func multiRank(r identityRow) bool { return r.topo.Size() > 1 }
-func pooled(r identityRow) bool    { return r.threads > 1 }
 func faulted(r identityRow) bool   { return r.phys.opt.Fault != nil }
 func traced(r identityRow) bool    { return r.tel }
 func surfaced(r identityRow) bool  { return r.surface }
@@ -1122,12 +1121,7 @@ func TestFusedBitIdentityMatrix(t *testing.T) { identityView(t, of("filled")) }
 func TestDecompositionInvariantAllCommModels(t *testing.T) {
 	identityView(t, of("filled", "front"), multiRank)
 }
-func TestThreadedAllCommModelsBitIdentical(t *testing.T) {
-	identityView(t, of("filled", "front"), pooled)
-}
-func TestHybridThreadsBitIdentical(t *testing.T)     { identityView(t, multiRank, pooled) }
 func TestDFRModeMultiRankMatchesSingle(t *testing.T) { identityView(t, faulted, multiRank) }
-func TestDFRThreadedBitIdentical(t *testing.T)       { identityView(t, faulted, pooled) }
 func TestMPMLBitIdentityMatrix(t *testing.T)         { identityView(t, of("mpml", "fault")) }
 func TestFrontCrossesSeamsExactly(t *testing.T)      { identityView(t, of("front"), multiRank) }
 func TestCoalescedBitIdenticalAllModels(t *testing.T) {

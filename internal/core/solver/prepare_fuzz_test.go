@@ -21,7 +21,7 @@ import (
 func FuzzPrepare(f *testing.F) {
 	type seed struct {
 		nx, ny, nz, px, py, pz   uint8
-		comm, abc, threads       int8
+		comm, abc                int8
 		pmlWidth                 uint8
 		fault, surface, fs, attn bool
 		cflPct, dtSign, recvOff  int8
@@ -29,17 +29,17 @@ func FuzzPrepare(f *testing.F) {
 		srcM0, srcDt             int8
 	}
 	for _, s := range []seed{
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, threads: 1, attn: true, fs: true},
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, fs: true},
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 0, abc: 2, threads: 1, pmlWidth: 3, fault: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, attn: true, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 3, abc: 2, pmlWidth: 3, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 0, abc: 2, pmlWidth: 3, fault: true},
 		// DFR under the overlap model, once an exclusion, runs: alone, and
-		// with M-PML zones on a pool.
+		// with M-PML zones on four ranks.
 		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 3, abc: 1, fault: true},
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 3, abc: 2, threads: 3, pmlWidth: 3, fault: true, attn: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 2, comm: 3, abc: 2, pmlWidth: 3, fault: true, attn: true},
 		// DFR with Surface output, and Surface output under M-PML on the
-		// overlap model's pool.
+		// overlap model.
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, fault: true, surface: true, fs: true},
-		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 3, abc: 2, threads: 2, pmlWidth: 3, surface: true, fs: true},
+		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 3, abc: 2, pmlWidth: 3, surface: true, fs: true},
 		// Surface output runs; zones that swallow a rank, a topology the grid
 		// cannot hold, a receiver no rank owns and unknown enums do not.
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 2, pz: 1, comm: 2, abc: 1, surface: true, fs: true},
@@ -47,7 +47,7 @@ func FuzzPrepare(f *testing.F) {
 		{nx: 6, ny: 6, nz: 6, px: 4, py: 1, pz: 1, comm: 1, abc: 1},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, recvOff: -10},
 		{nx: 24, ny: 16, nz: 16, px: 2, py: 1, pz: 1, comm: 1, abc: 1, recvOff: 18},
-		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 9, abc: -1, threads: -1, cflPct: 120, dtSign: -1},
+		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 9, abc: -1, cflPct: 120, dtSign: -1},
 		{},
 		// What Run cannot execute or would answer with silence: a negative
 		// step count, a grid spacing of zero, a source no rank owns.
@@ -74,7 +74,7 @@ func FuzzPrepare(f *testing.F) {
 		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 1, abc: 1, srcDt: -1},
 		{nx: 24, ny: 16, nz: 16, px: 1, py: 1, pz: 1, comm: 1, abc: 1, srcDt: 126},
 	} {
-		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.threads, s.pmlWidth,
+		f.Add(s.nx, s.ny, s.nz, s.px, s.py, s.pz, s.comm, s.abc, s.pmlWidth,
 			s.fault, s.surface, s.fs, s.attn, s.cflPct, s.dtSign, s.recvOff,
 			s.stepsOff, s.hPct, s.srcOff, s.srcM0, s.srcDt)
 	}
@@ -90,7 +90,7 @@ func FuzzPrepare(f *testing.F) {
 		}
 		return float64(v) * scale
 	}
-	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz uint8, comm, abc, threads int8, pmlWidth uint8,
+	f.Fuzz(func(t *testing.T, nx, ny, nz, px, py, pz uint8, comm, abc int8, pmlWidth uint8,
 		fault, surface, fs, attn bool, cflPct, dtSign, recvOff int8,
 		stepsOff, hPct, srcOff, srcM0, srcDt int8) {
 		// Bounded so that one input is milliseconds: ≤ 32³ cells, ≤ 27 ranks,
@@ -113,12 +113,11 @@ func FuzzPrepare(f *testing.F) {
 		}
 		opt := Options{
 			Global: g, H: h, Steps: 2 + int(stepsOff%4),
-			Topo:    mpi.Cart{PX: int(px % 4), PY: int(py % 4), PZ: int(pz % 4)},
-			Comm:    CommModel(comm),
-			ABC:     ABCKind(abc),
-			Threads: int(threads),
-			CFL:     special(cflPct, 1e-2),
-			Dt:      special(dtSign, 1e-3),
+			Topo: mpi.Cart{PX: int(px % 4), PY: int(py % 4), PZ: int(pz % 4)},
+			Comm: CommModel(comm),
+			ABC:  ABCKind(abc),
+			CFL:  special(cflPct, 1e-2),
+			Dt:   special(dtSign, 1e-3),
 
 			PMLWidth: int(pmlWidth), SpongeWidth: 3,
 			FreeSurface: fs, Attenuation: attn,

@@ -35,28 +35,25 @@ func TestNoStoredSubnormals(t *testing.T) {
 	q := basinOverRock(float64(g.NX/2) * 100)
 	for _, variant := range []fd.Variant{fd.Naive, fd.Production} {
 		for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
-			for _, threads := range []int{1, 4} {
-				opt := twoSidedOptions(g, 24, mpi.NewCart(2, 1, 1))
-				opt.Variant = variant
-				opt.ABC = abc
-				opt.PMLWidth = 4
-				opt.Threads = threads
-				tag := fmt.Sprintf("%v/abc%d/threads%d", variant, abc, threads)
+			opt := twoSidedOptions(g, 24, mpi.NewCart(2, 1, 1))
+			opt.Variant = variant
+			opt.ABC = abc
+			opt.PMLWidth = 4
+			tag := fmt.Sprintf("%v/abc%d", variant, abc)
 
-				var once sync.Once
-				_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
-					for _, sec := range st.Sections() {
-						if n := countSubnormals(sec.F32); n > 0 {
-							once.Do(func() {
-								t.Errorf("%s: rank %d after step %d: %d subnormal values in %s",
-									tag, c.Rank(), st.StepIndex(), n, sec.Name)
-							})
-						}
+			var once sync.Once
+			_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
+				for _, sec := range st.Sections() {
+					if n := countSubnormals(sec.F32); n > 0 {
+						once.Do(func() {
+							t.Errorf("%s: rank %d after step %d: %d subnormal values in %s",
+								tag, c.Rank(), st.StepIndex(), n, sec.Name)
+						})
 					}
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", tag, err)
 				}
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tag, err)
 			}
 		}
 	}

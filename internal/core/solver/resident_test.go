@@ -80,7 +80,6 @@ func TestRankResidentBytes(t *testing.T) {
 				mu.Unlock()
 				return
 			}
-			defer st.Close()
 			rs := st.rs
 			d := rs.sub.Local
 			padded, owned := (d.NX+2*grid.Ghost)*(d.NY+2*grid.Ghost)*(d.NZ+2*grid.Ghost), d.Cells()

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
@@ -24,11 +23,11 @@ import (
 // section's block cut to it. Outside the clip the sender's cells are +0 and
 // so are the receiver's ghosts, which only ever took +0 there.
 //
-// Bit-identity across topologies, thread counts and comm models holds by
-// construction: packing reads cells no unpack writes, sections of one
-// buffer are disjoint sub-slices, and the ghost blocks of distinct (field,
-// axis, side) sections are disjoint — so neither the message layout nor the
-// pool's tile order can reorder a load/store pair that aliases.
+// Bit-identity across topologies and comm models holds by construction:
+// packing reads cells no unpack writes, sections of one buffer are disjoint
+// sub-slices, and the ghost blocks of distinct (field, axis, side) sections
+// are disjoint — so the message layout cannot reorder a load/store pair that
+// aliases.
 //
 // Each link circulates two buffers (DESIGN.md §7, "The halo schedule"): a
 // message packs into its spare, lends it to the peer, and keeps the peer's
@@ -54,19 +53,18 @@ func haloTag(phase int, ax grid.Axis, dirHigh bool) int {
 	return t
 }
 
-// haloEnv is what a schedule is built against: the rank's transport and
-// worker pool, its subgrid and its face-neighbor ranks (-1: none). The
-// traffic accounting builds schedules on an env with no comm.
+// haloEnv is what a schedule is built against: the rank's transport, its
+// subgrid and its face-neighbor ranks (-1: none). The traffic accounting
+// builds schedules on an env with no comm.
 type haloEnv struct {
 	comm *mpi.Comm
-	pool *sched.Pool         // nil packs serially
 	tel  *telemetry.Recorder // nil disables the pack/send/recv/unpack spans
 	d    grid.Dims
 	nbr  [3][2]int
 }
 
-func newHaloEnv(c *mpi.Comm, topo mpi.Cart, d grid.Dims, pool *sched.Pool, tel *telemetry.Recorder) haloEnv {
-	e := haloEnv{comm: c, pool: pool, tel: tel, d: d}
+func newHaloEnv(c *mpi.Comm, topo mpi.Cart, d grid.Dims, tel *telemetry.Recorder) haloEnv {
+	e := haloEnv{comm: c, tel: tel, d: d}
 	for ax := 0; ax < 3; ax++ {
 		e.nbr[ax][0] = topo.Neighbor(c.Rank(), ax, -1)
 		e.nbr[ax][1] = topo.Neighbor(c.Rank(), ax, +1)
@@ -115,9 +113,6 @@ type message struct {
 type schedule struct {
 	haloEnv
 	msgs []message
-	// tiles flattens (message, section) so pack and unpack run as one tile
-	// queue on the pool.
-	tiles []struct{ mi, si int }
 	// box, while the rank has an active box, learns in finish where the
 	// ghosts stopped being zero; nil once the rank dropped it.
 	box *activeBox
@@ -177,9 +172,6 @@ func newSchedule(env haloEnv, phase int, fields []haloField) *schedule {
 			if len(m.secs) == 0 {
 				continue
 			}
-			for si := range m.secs {
-				s.tiles = append(s.tiles, struct{ mi, si int }{len(s.msgs), si})
-			}
 			s.msgs = append(s.msgs, m)
 		}
 	}
@@ -216,8 +208,8 @@ func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Fie
 }
 
 // post starts the exchange: every message's sections are cut to the rank's
-// active box (whole once it has none) and packed as one tile queue into the
-// message's spare behind the header, and the spares are lent to the runtime.
+// active box (whole once it has none) and packed into the message's spare
+// behind the header, and the spares are lent to the runtime.
 // The caller may compute between post and finish — that gap is the
 // AsyncOverlap model.
 func (s *schedule) post() {
@@ -248,13 +240,15 @@ func (s *schedule) post() {
 		putHeader(m.buf, clip, m.face)
 	}
 	sp := s.tel.Span(telemetry.Pack)
-	s.pool.ForEachN(len(s.tiles), func(t int) {
-		m := &s.msgs[s.tiles[t].mi]
-		sec := &m.secs[s.tiles[t].si]
-		if b := sec.sent; blockLen(b) > 0 {
-			sec.f.PackRange(b[0], b[1], b[2], b[3], b[4], b[5], m.buf[sec.sentOff:])
+	for i := range s.msgs {
+		m := &s.msgs[i]
+		for si := range m.secs {
+			if sec := &m.secs[si]; blockLen(sec.sent) > 0 {
+				b := sec.sent
+				sec.f.PackRange(b[0], b[1], b[2], b[3], b[4], b[5], m.buf[sec.sentOff:])
+			}
 		}
-	})
+	}
 	sp.End()
 	sp = s.tel.Span(telemetry.Send)
 	for i := range s.msgs {
@@ -269,8 +263,8 @@ func (s *schedule) post() {
 }
 
 // finish completes the posted exchange: receive every message, check each
-// header against its message, unpack the clipped sections as one tile
-// queue; each received buffer stays as its message's next spare. A header
+// header against its message, unpack the clipped sections; each received
+// buffer stays as its message's next spare. A header
 // that does not fit its message panics with an error naming the peer and the
 // tag, which World.RunErr reports as the rank's failure.
 func (s *schedule) finish() {
@@ -293,13 +287,15 @@ func (s *schedule) finish() {
 	if s.box != nil {
 		s.box.takeHalo(s.msgs)
 	}
-	s.pool.ForEachN(len(s.tiles), func(t int) {
-		m := &s.msgs[s.tiles[t].mi]
-		sec := &m.secs[s.tiles[t].si]
-		if u := sec.got; blockLen(u) > 0 {
-			sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.buf[sec.gotOff:])
+	for i := range s.msgs {
+		m := &s.msgs[i]
+		for si := range m.secs {
+			if sec := &m.secs[si]; blockLen(sec.got) > 0 {
+				u := sec.got
+				sec.f.UnpackRange(u[0], u[1], u[2], u[3], u[4], u[5], m.buf[sec.gotOff:])
+			}
 		}
-	})
+	}
 	sp.End()
 }
 

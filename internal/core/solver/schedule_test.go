@@ -55,7 +55,6 @@ func TestScheduleMatchesExecution(t *testing.T) {
 				t.Errorf("%s: %v", label, err)
 				return
 			}
-			defer st.Close()
 			rs := st.rs
 			checkTags(t, label, rs.vel)
 			checkTags(t, label, rs.stress)
@@ -305,7 +304,7 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 				return nil
 			}
 			st := fd.NewState(d)
-			s := classicSchedule(newHaloEnv(c, topo, d, nil, nil), phaseVelocity, Asynchronous, st.Velocities())
+			s := classicSchedule(newHaloEnv(c, topo, d, nil), phaseVelocity, Asynchronous, st.Velocities())
 			s.post()
 			s.finish()
 			return nil
@@ -337,7 +336,7 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 				}
 			}
 		}
-		s := classicSchedule(newHaloEnv(c, mpi.NewCart(2, 1, 1), d, nil, nil), phaseVelocity, Asynchronous, st.Velocities())
+		s := classicSchedule(newHaloEnv(c, mpi.NewCart(2, 1, 1), d, nil), phaseVelocity, Asynchronous, st.Velocities())
 		if c.Rank() == 0 {
 			c.SendOwned(1, haloTag(phaseVelocity, grid.X, true), short)
 			c.MustRecvTake(1, haloTag(phaseVelocity, grid.X, false))

@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/agg"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/core/boundary"
 	"repro/internal/core/fd"
 	"repro/internal/core/rupture"
-	"repro/internal/core/sched"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
 	"repro/internal/decomp"
@@ -82,15 +80,10 @@ type Options struct {
 	// TemporalDepth selected temporal tiling, which is gone. bench/ still
 	// sets it to 1, so Prepare accepts 0 and 1 and rejects anything else.
 	TemporalDepth int
-	// Threads sets the per-rank worker-pool size of the hybrid MPI/OpenMP
-	// mode (§IV.D): a persistent pool of Threads goroutines executes the
-	// kernel loops as a queue of j/k tiles (tileShape). 0 defaults to
-	// 1 (pure MPI); negative values are rejected by Run. Every comm model
-	// honors Threads: Synchronous, Asynchronous and AsyncReduced run the
-	// tiles of the bulk kernels — attenuation, sources and the sponge's
-	// stress damping ride them — the sponge's velocity pass and PGV tracking
-	// on the pool; AsyncOverlap additionally runs the boundary strips and the
-	// interior update on the pool while halo messages are in flight.
+	// bench-only: bench/solve.go's redriveOptions sets Threads. Every rank
+	// runs on its one goroutine whatever it holds, and Prepare rejects only
+	// a negative value. Cores per rank are awp.Scenario.Threads, which
+	// awp.Topology folds into the rank count.
 	Threads int
 
 	ABC         ABCKind
@@ -231,7 +224,6 @@ type rankState struct {
 	sub  decomp.Sub
 	med  *medium.Medium
 	st   *fd.State
-	pool *sched.Pool
 	tel  *telemetry.Recorder // nil: telemetry disabled
 
 	nbrMask [3][2]bool
@@ -245,10 +237,9 @@ type rankState struct {
 	// until dropBox sets box nil and plan = whole (activebox.go). steps counts
 	// the steps taken (replays included), liveSteps those taken with the
 	// box and swept the cells their clipped tiles covered (Result.ActiveShare).
-	box              *activeBox
-	whole            tilePlan
-	swept            atomic.Int64
-	steps, liveSteps int64
+	box                     *activeBox
+	whole                   tilePlan
+	swept, steps, liveSteps int64
 
 	sponge   *boundary.Sponge
 	fs       *boundary.FreeSurface
@@ -279,7 +270,6 @@ func runRank(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Result
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	for !s.Done() {
 		s.Step()
 	}
@@ -346,7 +336,7 @@ type tile struct {
 	zone *boundary.PML
 }
 
-// queue is one pool batch of a phase: run(i) executes the i-th of n tiles.
+// queue is one tile queue of a phase: run(i) executes the i-th of n tiles.
 type queue struct {
 	n   int
 	run func(i int)
@@ -441,7 +431,7 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		whole = queue{len(tiles), func(i int) { run(i, tiles[i].b) }}
 		clipped = queue{len(tiles), func(i int) {
 			if b := tiles[i].b.Intersect(rs.box.Box); !b.Empty() {
-				rs.swept.Add(int64(b.Cells()))
+				rs.swept += int64(b.Cells())
 				run(i, b)
 			}
 		}}
@@ -461,24 +451,14 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 	}
 }
 
-// tileShape is the j/k shape box is cut into unless opt.Blocking overrides
-// it: halving the longer extent in turn, the largest tile that gives each of
-// the Threads executors one (the whole box at Threads 1), and the cache block
-// its body sweeps (EXPERIMENTS.md, "Tile shapes from the box and the pool").
+// tileShape is the j/k shape box is cut into: the whole box, one tile,
+// unless opt.Blocking sets the §IV.B cache block (EXPERIMENTS.md, "Tile
+// shapes from the box and the pool").
 func tileShape(opt Options, box fd.Box) fd.Blocking {
 	if opt.Blocking != (fd.Blocking{}) {
 		return opt.Blocking
 	}
-	nj, nk := max(box.J1-box.J0, 1), max(box.K1-box.K0, 1)
-	jb, kb := nj, nk
-	for ((nj+jb-1)/jb)*((nk+kb-1)/kb) < opt.Threads && max(jb, kb) > 1 {
-		if jb >= kb {
-			jb = (jb + 1) / 2
-		} else {
-			kb = (kb + 1) / 2
-		}
-	}
-	return fd.Blocking{JBlock: jb, KBlock: kb}
+	return fd.Blocking{JBlock: max(box.J1-box.J0, 1), KBlock: max(box.K1-box.K0, 1)}
 }
 
 // shapeOf is the blocking that sweeps tile b as one block.
@@ -510,17 +490,19 @@ func (rs *rankState) cutTiles(opt Options) (pre, inner []tile, innerBox fd.Box) 
 	return pre, inner, innerBox
 }
 
-// drain runs one queue of the tile plan on the pool.
-func (rs *rankState) drain(q queue) { rs.pool.ForEachN(q.n, q.run) }
+// drain runs the queue's tiles in order.
+func (q queue) drain() {
+	for i := range q.n {
+		q.run(i)
+	}
+}
 
 // advance performs step number step of this rank by dt — the one step
 // program of every comm model, accumulating the Eq. 7 timing decomposition.
 // Each phase drains its pre queue, posts its halo messages, drains its inner
 // queue while they fly and finishes the exchange. Without AsyncOverlap the
 // inner queues are empty, so post and finish are adjacent but for the
-// sponge's velocity pass. All bulk work runs as tile queues on the rank's
-// persistent worker pool; with Threads=1 the pool degenerates to inline
-// serial execution.
+// sponge's velocity pass. The rank's one goroutine drains every queue.
 func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
 	plan := &rs.plan
 	tNow := float64(step+1) * dt
@@ -534,11 +516,11 @@ func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
 	if rs.box != nil {
 		rs.liveSteps++
 	}
-	rs.drain(plan.velPre)
+	plan.velPre.drain()
 	lap(&tm.Comp, &t0)
 	rs.vel.post()
 	lap(&tm.Comm, &t0)
-	rs.drain(plan.velInner)
+	plan.velInner.drain()
 	lap(&tm.Comp, &t0)
 	rs.vel.finish()
 	lap(&tm.Comm, &t0)
@@ -561,20 +543,20 @@ func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
 	if rs.box != nil && rs.box.grow() {
 		// Filled between the sweeps of a step counted as clipped: its stress
 		// sweep is whole.
-		rs.swept.Add(int64(rs.sub.Local.Cells()))
+		rs.swept += int64(rs.sub.Local.Cells())
 		rs.dropBox()
 	}
 	if live := rs.srcs.Rates(dt, tNow); rs.box != nil {
 		rs.box.join(live)
 	}
-	rs.drain(plan.stressPre)
+	plan.stressPre.drain()
 	lap(&tm.Comp, &t0)
 	rs.stress.post()
 	lap(&tm.Comm, &t0)
-	rs.drain(plan.stressInner)
+	plan.stressInner.drain()
 	if plan.velDamp.n > 0 {
 		sp := rs.tel.Span(telemetry.Boundary)
-		rs.drain(plan.velDamp)
+		plan.velDamp.drain()
 		sp.End()
 	}
 	lap(&tm.Comp, &t0)
@@ -731,8 +713,7 @@ func (rs *rankState) unitAtSources(b fd.Box) bool {
 // §IV.B ablation of the in-loop coefficient arithmetic FusedStress does not
 // have, and DFR mode, whose stress correction (hook) must see the purely
 // elastic stress, so attenuation runs after it on the same tile. Each pass is
-// timed on tel under its own span (none with a nil tel); Span.End is safe
-// from concurrent pool workers.
+// timed on tel under its own span (none with a nil tel).
 func (rs *rankState) stressBody(opt Options, dt float64, tel *telemetry.Recorder, hook tileHook) func(fd.Box) {
 	elastic := rs.kernelTile(opt, dt, tel, telemetry.Stress, fd.UpdateStress, hook)
 	switch {
@@ -759,10 +740,9 @@ func (rs *rankState) addSources(s *fd.State, _ *medium.Medium, _ float64, b fd.B
 	rs.srcs.AddBox(s, b)
 }
 
-// trackPGV folds the current surface velocities into the peak maps,
-// row-sliced over the pool (rows are disjoint, so the parallel fold is
-// race-free and bit-identical to the serial one). Outside the active box the
-// velocities are zero and fold to what the maps hold.
+// trackPGV folds the current surface velocities into the peak maps, a row
+// at a time. Outside the active box the velocities are zero and fold to
+// what the maps hold.
 func (rs *rankState) trackPGV() {
 	if rs.pgvh == nil {
 		return
@@ -774,7 +754,9 @@ func (rs *rankState) trackPGV() {
 	if b.Empty() {
 		return
 	}
-	rs.pool.ForEachN(b.J1-b.J0, func(n int) { rs.trackPGVRow(b.J0+n, b.I0, b.I1) })
+	for j := b.J0; j < b.J1; j++ {
+		rs.trackPGVRow(j, b.I0, b.I1)
+	}
 }
 
 // trackPGVRow folds columns [i0, i1) of surface row j through contiguous row

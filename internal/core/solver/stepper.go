@@ -9,7 +9,6 @@ import (
 	"repro/internal/core/boundary"
 	"repro/internal/core/fd"
 	"repro/internal/core/rupture"
-	"repro/internal/core/sched"
 	"repro/internal/core/source"
 	"repro/internal/cvm"
 	"repro/internal/decomp"
@@ -65,9 +64,6 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	}
 	if opt.ABC < NoABC || opt.ABC > MPMLABC {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: unknown absorbing boundary kind %d", int(opt.ABC))
-	}
-	if opt.Threads == 0 {
-		opt.Threads = 1
 	}
 	if opt.PMLWidth <= 0 {
 		opt.PMLWidth = boundary.DefaultPMLWidth
@@ -186,22 +182,14 @@ type Stepper struct {
 }
 
 // NewStepper builds one rank's solver state inside a world body. opt and
-// dc must come from Prepare. Callers must Close the Stepper.
+// dc must come from Prepare.
 func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Stepper, error) {
 	rs := &rankState{comm: c, sub: dc.SubFor(c.Rank())}
 	rs.med = medium.FromCVM(q, dc, rs.sub, opt.H)
 	rs.st = fd.NewState(rs.sub.Local)
-	rs.pool = sched.NewPool(opt.Threads)
-	ok := false
-	defer func() {
-		if !ok {
-			rs.pool.Close()
-		}
-	}()
 	if opt.Telemetry != nil {
 		rs.tel = telemetry.NewRecorder(c.Rank(), opt.Telemetry.TraceEvents)
 		c.SetTelemetry(rs.tel)
-		rs.pool.SetTelemetry(rs.tel)
 	}
 	for ax := 0; ax < 3; ax++ {
 		rs.nbrMask[ax][0] = opt.Topo.Neighbor(c.Rank(), ax, -1) >= 0
@@ -253,7 +241,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	}
 	rs.med.QS = nil // read by the deficits alone
 	// The two per-step halo phases.
-	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.pool, rs.tel)
+	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.tel)
 	rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
 	rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
 	rs.vel.box, rs.stress.box = rs.box, rs.box
@@ -305,7 +293,6 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if opt.Fault != nil {
 		s.momentRate = make([]float64, opt.Steps)
 	}
-	ok = true
 	return s, nil
 }
 
@@ -431,5 +418,7 @@ func (s *Stepper) Finish() (*Result, error) {
 	return res, nil
 }
 
-// Close releases the rank's worker pool.
-func (s *Stepper) Close() { s.rs.pool.Close() }
+// Close releases nothing: a Stepper holds no goroutine or file.
+//
+// bench-only: bench/solve.go's redrive calls it.
+func (s *Stepper) Close() {}

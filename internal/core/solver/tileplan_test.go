@@ -17,10 +17,10 @@ import (
 // subgrids of the benchmark workloads (solve-1rank and solve-mpml 56x56x40,
 // solve-8rank 28x28x20, pipeline 96x64x64, a farm job 20x20x14), without
 // zones and under M-PML at widths 3 and 10, with and without the AsyncOverlap
-// strips, at 1, 2, 3 and 8 threads: every cell of compBox and of each zone —
-// which partition the subgrid — lies in exactly one tile, a zone's tiles lie
-// in their zone, one thread makes each box one tile, and more threads cut
-// each box into a tile an executor unless its rows run out.
+// strips, derived and at two cache blocks: every cell of compBox and of each
+// zone — which partition the subgrid — lies in exactly one tile, a zone's
+// tiles lie in their zone, the derived shape makes each box one tile, and a
+// cache block cuts each box into its j/k blocks.
 func TestTilePlanPartitionsSubgrid(t *testing.T) {
 	// alone owns every face but the free surface and has no neighbour;
 	// corner owns x-low, y-low and z-high and has neighbours past the others.
@@ -40,9 +40,9 @@ func TestTilePlanPartitionsSubgrid(t *testing.T) {
 					continue
 				}
 				for _, comm := range []CommModel{AsyncReduced, AsyncOverlap} {
-					for _, threads := range []int{1, 2, 3, 8} {
-						tag := fmt.Sprintf("%v/pml%d/%s/%v/threads%d", d, width, r.name, comm, threads)
-						checkTilePlan(t, tag, d, width, r.faces, r.nbr, Options{Comm: comm, Threads: threads})
+					for _, blk := range []fd.Blocking{{}, {JBlock: 8, KBlock: 16}, {JBlock: 3, KBlock: 5}} {
+						tag := fmt.Sprintf("%v/pml%d/%s/%v/tiles%dx%d", d, width, r.name, comm, blk.JBlock, blk.KBlock)
+						checkTilePlan(t, tag, d, width, r.faces, r.nbr, Options{Comm: comm, Blocking: blk})
 					}
 				}
 			}
@@ -109,13 +109,18 @@ func checkTilePlan(t *testing.T, tag string, d grid.Dims, width int, faces bound
 		}
 	}
 	for box, n := range boxes {
-		rows := (box.J1 - box.J0) * (box.K1 - box.K0)
-		want := min(opt.Threads, rows)
-		if opt.Threads == 1 && n != 1 || opt.Threads > 1 && n < want {
+		want := 1
+		if blk := opt.Blocking; blk != (fd.Blocking{}) {
+			want = ceilDiv(box.J1-box.J0, blk.JBlock) * ceilDiv(box.K1-box.K0, blk.KBlock)
+		}
+		if n != want {
 			t.Fatalf("%s: box %v cut into %d tiles, want %d", tag, box, n, want)
 		}
 	}
 }
+
+// ceilDiv is a/b rounded up.
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // stressPlan builds the one-rank Stepper of opt and returns its stress tiles
 // — those of stressPre, then stressInner — and which of them its plan runs as
@@ -157,14 +162,14 @@ func TestStressTilesTakeTheTaperedSweep(t *testing.T) {
 	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
 	for _, atten := range []bool{true, false} {
 		for _, comm := range []CommModel{AsyncReduced, AsyncOverlap} {
-			for _, threads := range []int{1, 3} {
+			for _, blk := range []fd.Blocking{{}, {JBlock: 3, KBlock: 5}} {
 				opt := boxScenario(SpongeABC)
-				opt.Attenuation, opt.Comm, opt.Threads = atten, comm, threads
+				opt.Attenuation, opt.Comm, opt.Blocking = atten, comm, blk
 				src := opt.Sources[1]
 				tiles, loop := stressPlan(t, boxQ, opt)
 				for i, b := range tiles {
 					if want := in(b, [3]int{src.GI, src.GJ, src.GK}); loop[i] != want {
-						t.Errorf("attenuation %v %v threads %d: tile %v plane loop %v, want %v", atten, comm, threads, b, loop[i], want)
+						t.Errorf("attenuation %v %v blocking %v: tile %v plane loop %v, want %v", atten, comm, blk, b, loop[i], want)
 					}
 				}
 			}
@@ -174,7 +179,7 @@ func TestStressTilesTakeTheTaperedSweep(t *testing.T) {
 	fault := boxScenario(SpongeABC)
 	fault.Sources = nil
 	fault.Fault = overstressedFault(11, 10, 10, 2, 6)
-	fault.Threads = 3
+	fault.Blocking = fd.Blocking{JBlock: 3, KBlock: 5}
 	if _, loop := stressPlan(t, boxQ, fault); slices.Contains(loop, false) {
 		t.Errorf("DFR under the sponge: plane loops %v, want all", loop)
 	}

@@ -270,11 +270,6 @@ type rankHarness struct {
 
 func (h *rankHarness) run() (*solver.Result, error) {
 	var st *solver.Stepper
-	defer func() {
-		if st != nil {
-			st.Close()
-		}
-	}()
 	for {
 		res, segErr := h.runSegment(&st)
 		if segErr != nil {
@@ -307,7 +302,6 @@ func (h *rankHarness) run() (*solver.Result, error) {
 				// computation.
 				if st != nil {
 					h.replayed.Add(int64(st.StepIndex()))
-					st.Close()
 					st = nil
 				}
 				break decisions

@@ -392,10 +392,10 @@ func TestWorldMPMLAndDFRCrashRollback(t *testing.T) {
 	dfr.Fault = &solver.FaultSpec{J0: 10, I0: 4, I1: 4 + ni, K0: 3, K1: 3 + nk,
 		Tau0: tau, SigmaN: sn, Friction: fr, RecordEvery: 2}
 
-	// The same fault under the overlap model on a two-thread pool: its nodes
-	// in the seam strips are updated before the post, the rest after it.
+	// The same fault under the overlap model: its nodes in the seam strips
+	// are updated before the post, the rest after it.
 	dfrOverlap := dfr
-	dfrOverlap.Comm, dfrOverlap.Threads = solver.AsyncOverlap, 2
+	dfrOverlap.Comm = solver.AsyncOverlap
 
 	q := worldQuerier()
 	for _, tc := range []struct {

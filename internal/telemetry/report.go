@@ -226,8 +226,8 @@ type chromeEvent struct {
 
 // WriteChromeTrace writes the merged event trace in Chrome trace-event
 // JSON (load in chrome://tracing or Perfetto). Each rank is one process;
-// each phase gets its own thread track so concurrent tile spans from the
-// worker pool stay readable.
+// each phase gets its own thread track so nested spans of different phases
+// stay readable.
 func (r *Report) WriteChromeTrace(w io.Writer) error {
 	events := make([]chromeEvent, 0, 2*NumPhases+len(r.Events))
 	seen := map[int]bool{}

@@ -10,7 +10,7 @@
 // receiver check and returns immediately without reading the clock or
 // allocating, so instrumented hot loops cost one predictable branch when
 // telemetry is off. When enabled, span totals go to per-phase atomic
-// accumulators (safe for concurrent Ends from worker-pool goroutines),
+// accumulators (safe for concurrent Ends from several goroutines),
 // trace events to a fixed-capacity mutex-guarded ring that overwrites the
 // oldest events when full, and message counters to a per-peer table.
 package telemetry
@@ -59,12 +59,6 @@ const (
 	IO
 	// Checkpoint is checkpoint save/restore serialization time.
 	Checkpoint
-	// QueueWait is the worker-pool interval between batch submission and
-	// the first tile starting (internal/core/sched).
-	QueueWait
-	// Execute is the worker-pool interval between the first tile
-	// starting and the batch completing.
-	Execute
 	// Recovery is coordinated rollback time after an injected or real
 	// fault: electing the restart step, reloading the checkpoint, and
 	// resetting the runtime (internal/ft).
@@ -97,7 +91,7 @@ const NumPhases = int(numPhases)
 var phaseNames = [NumPhases]string{
 	"velocity", "stress", "attenuation", "boundary", "pack", "send",
 	"recv", "unpack", "sync", "output", "io", "checkpoint",
-	"queue-wait", "execute", "recovery", "collective", "agg",
+	"recovery", "collective", "agg",
 	"job", "serve",
 }
 
@@ -155,8 +149,8 @@ type phaseAccum struct {
 }
 
 // Recorder is one rank's telemetry sink. All probe methods are safe on a
-// nil receiver (the disabled path) and safe for concurrent use from the
-// rank's worker-pool goroutines. StepEnd and the snapshot methods must be
+// nil receiver (the disabled path) and safe for concurrent use from
+// several goroutines. StepEnd and the snapshot methods must be
 // called from the rank's main goroutine.
 type Recorder struct {
 	rank int
@@ -248,9 +242,8 @@ func (r *Recorder) push(e Event) {
 }
 
 // AddDur folds an externally measured duration into a phase accumulator
-// without emitting a trace event — used by the scheduler's queue-wait /
-// execute split, where the interval endpoints are observed by different
-// goroutines.
+// without emitting a trace event — the mpi collectives' time, which they
+// measure themselves.
 func (r *Recorder) AddDur(p Phase, d time.Duration) {
 	if r == nil || d <= 0 {
 		return
