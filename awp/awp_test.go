@@ -293,7 +293,7 @@ func TestDirectivity(t *testing.T) {
 		GJ: 16, I0: 14, I1: 50, K0: 1, K1: 6,
 		HypoI: 48, HypoK: 3,
 		H: h, Mw: 6.6, Vr: 2600, RiseTime: 1.0,
-		Mu: 3.3e10, Dt: 0.02, NT: 900, TaperCells: 2,
+		Dt: 0.02, NT: 900, TaperCells: 2,
 	}.Generate()
 	if err != nil {
 		t.Fatal(err)

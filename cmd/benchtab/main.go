@@ -200,7 +200,7 @@ func table3() {
 		spec := source.HaskellSpec{
 			GJ: s.dims.NY / 2, I0: 8, I1: s.dims.NX - 8, K0: 2, K1: 10,
 			HypoI: 12, HypoK: 5, H: s.h, Mw: 6.3, Vr: 2800, RiseTime: 1.2,
-			Mu: 3e10, Dt: 0.02, NT: 400, TaperCells: 2,
+			Dt: 0.02, NT: 400, TaperCells: 2,
 		}
 		srcs, err := spec.Generate()
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core/fd"
 	"repro/internal/grid"
-	"repro/internal/medium"
 )
 
 // PML implements a split-field multi-axial perfectly matched layer zone
@@ -212,21 +211,6 @@ func (pm *PML) checkBox(dt float64, b fd.Box) {
 	if pm.coef == nil || pm.coefDt != dt {
 		panic(fmt.Sprintf("boundary: PML coefficients prepared for dt %g, stepped with %g", pm.coefDt, dt))
 	}
-}
-
-// UpdateVelocity advances the velocity splits in the whole zone and writes
-// the recombined velocities back to the global state. Must be called in
-// place of the interior kernel for zone cells.
-func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
-	pm.Prepare(dt)
-	pm.UpdateVelocityBox(s, m, dt, pm.Zone)
-}
-
-// UpdateStress advances the stress splits in the whole zone and writes the
-// recombined stresses back to the global state.
-func (pm *PML) UpdateStress(s *fd.State, m *medium.Medium, dt float64) {
-	pm.Prepare(dt)
-	pm.UpdateStressBox(s, m, dt, pm.Zone)
 }
 
 // PMLInterior returns the box BuildPML's zones leave of a subgrid of dims d:

@@ -35,10 +35,6 @@ const (
 // Production is the kernel Default resolves to.
 const Production = Blocked
 
-// Fused is the former name of the row sweep that is now Blocked. The
-// benchmark under bench/ compiles against it; nothing else may.
-const Fused = Blocked
-
 func (v Variant) String() string {
 	switch v {
 	case Default:
@@ -114,6 +110,28 @@ func UpdateStress(s *State, m *medium.Medium, dt float64, box Box, v Variant, bl
 	default:
 		panic("fd: unknown variant")
 	}
+}
+
+// Tiles splits box into j/k panels of at most blk.JBlock x blk.KBlock
+// cells (full x extent, the same panels forEachBlock visits): the solver's
+// tiles. Non-positive blocking factors fall back to DefaultBlocking. An
+// empty box yields no tiles.
+func Tiles(box Box, blk Blocking) []Box {
+	if box.Empty() {
+		return nil
+	}
+	jb, kb := blk.JBlock, blk.KBlock
+	if jb <= 0 {
+		jb = DefaultBlocking.JBlock
+	}
+	if kb <= 0 {
+		kb = DefaultBlocking.KBlock
+	}
+	nj := (box.J1 - box.J0 + jb - 1) / jb
+	nk := (box.K1 - box.K0 + kb - 1) / kb
+	tiles := make([]Box, 0, nj*nk)
+	forEachBlock(box, blk, func(b Box) { tiles = append(tiles, b) })
+	return tiles
 }
 
 // forEachBlock tiles box into jblock x kblock panels (full x extent, as in

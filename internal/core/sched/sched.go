@@ -80,14 +80,6 @@ func (p *Pool) worker() {
 	}
 }
 
-// Size returns the pool's total concurrency (1 for a serial or nil pool).
-func (p *Pool) Size() int {
-	if p == nil || p.size < 1 {
-		return 1
-	}
-	return p.size
-}
-
 // Close stops the resident workers. ForEachN on a closed pool runs
 // serially. Close is idempotent; it must not be called concurrently with
 // an in-flight ForEachN.

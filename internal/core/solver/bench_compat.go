@@ -1,12 +1,39 @@
 package solver
 
+// What only the benchmark reaches, kept until it stops calling it:
+//
+//	bench/solve.go:275   solver.PlanLTS(q, redriveOptions(s))
+//	bench/solve.go:318   st.Close()
+//	bench/solve.go:332   countDenormals(st.State())
+//	bench/probes.go:281  solver.RunHaloExchangeBench(solver.HaloBenchConfig{...})
+//
+// The fields Options.LTS, TemporalDepth and Threads and
+// LTSOptions.WorkBalance are bench's too; they stay in solver.go, marked.
+
 import (
 	"time"
 
 	"repro/internal/core/fd"
+	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 )
+
+// PlanLTS planned the rate clusters of multi-rate local time stepping, which
+// is gone. It returns opt unchanged.
+func PlanLTS(_ cvm.Querier, opt Options) (Options, error) { return opt, nil }
+
+// State exposes the rank's wavefield state.
+func (s *Stepper) State() *fd.State { return s.rs.st }
+
+// Close releases nothing: a Stepper holds no goroutine or file.
+func (s *Stepper) Close() {}
+
+// exchange is post and finish with nothing in between.
+func (s *schedule) exchange() {
+	s.post()
+	s.finish()
+}
 
 // HaloBenchConfig configures a communication-only benchmark run: a full
 // multi-rank world exchanging both wavefield phases with no kernel work,

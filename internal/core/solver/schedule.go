@@ -362,9 +362,3 @@ func clipBlock(b [6]int, c fd.Box) [6]int {
 
 // blockLen returns the number of values in block b.
 func blockLen(b [6]int) int { return grid.RangeLen(b[0], b[1], b[2], b[3], b[4], b[5]) }
-
-// exchange is post and finish with nothing in between.
-func (s *schedule) exchange() {
-	s.post()
-	s.finish()
-}

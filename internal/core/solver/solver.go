@@ -65,9 +65,8 @@ type Options struct {
 	CFL float64
 
 	// LTS selected multi-rate local time stepping, which is gone: every
-	// rank advances by one global step. bench/ still sets it, so it is
-	// accepted and ignored.
-	LTS LTSOptions
+	// rank advances by one global step. It is accepted and ignored.
+	LTS LTSOptions // bench-only: bench/solve.go:263
 
 	Comm CommModel
 	// Variant is left unset by every caller but tests and benchmarks: zero
@@ -77,14 +76,13 @@ type Options struct {
 	// Blocking, when non-zero, overrides the derived tile shape (tileShape); it
 	// goes when bench's traced redrive, its one setter outside tests, does.
 	Blocking fd.Blocking
-	// TemporalDepth selected temporal tiling, which is gone. bench/ still
-	// sets it to 1, so Prepare accepts 0 and 1 and rejects anything else.
-	TemporalDepth int
-	// bench-only: bench/solve.go's redriveOptions sets Threads. Every rank
-	// runs on its one goroutine whatever it holds, and Prepare rejects only
-	// a negative value. Cores per rank are awp.Scenario.Threads, which
-	// awp.Topology folds into the rank count.
-	Threads int
+	// TemporalDepth selected temporal tiling, which is gone: Prepare
+	// accepts 0 and 1 and rejects anything else.
+	TemporalDepth int // bench-only: bench/solve.go:258
+	// Threads is ignored: every rank runs on its one goroutine, and
+	// Prepare rejects only a negative value. Cores per rank are
+	// awp.Scenario.Threads, which awp.Topology folds into the rank count.
+	Threads int // bench-only: bench/solve.go:257
 
 	ABC         ABCKind
 	PMLWidth    int
@@ -117,12 +115,10 @@ type Options struct {
 }
 
 // LTSOptions configured multi-rate local time stepping, which is gone (DESIGN.md
-// §12). bench/ still sets WorkBalance, so the type stays; nothing reads it.
-type LTSOptions struct{ WorkBalance bool }
-
-// PlanLTS planned the rate clusters of multi-rate local time stepping, which
-// is gone. bench/ still calls it before Prepare, so it returns opt unchanged.
-func PlanLTS(_ cvm.Querier, opt Options) (Options, error) { return opt, nil }
+// §12); nothing reads it.
+type LTSOptions struct {
+	WorkBalance bool // bench-only: bench/solve.go:263
+}
 
 // Result collects rank-0 outputs of a run.
 type Result struct {

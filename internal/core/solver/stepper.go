@@ -329,9 +329,6 @@ func (s *Stepper) SetStepIndex(n int) error {
 // Done reports whether every configured step has executed.
 func (s *Stepper) Done() bool { return s.step >= s.opt.Steps }
 
-// State exposes the rank's wavefield state.
-func (s *Stepper) State() *fd.State { return s.rs.st }
-
 // Sections lists the rank's restart state by walking its owners — wavefield,
 // memory variables, M-PML zone splits, fault — each aliasing live state, for
 // checkpoint.Write to save and checkpoint.Read to restore in place.
@@ -417,8 +414,3 @@ func (s *Stepper) Finish() (*Result, error) {
 	}
 	return res, nil
 }
-
-// Close releases nothing: a Stepper holds no goroutine or file.
-//
-// bench-only: bench/solve.go's redrive calls it.
-func (s *Stepper) Close() {}

@@ -238,7 +238,7 @@ type HaskellSpec struct {
 	Mw             float64
 	Vr             float64 // rupture speed, m/s
 	RiseTime       float64
-	Mu             float64 // rigidity for moment bookkeeping
+	Mu             float64 // bench-only: bench/pipeline.go:108; nothing reads it
 	Dt             float64
 	NT             int
 	TaperCells     int // cosine slip taper width at fault edges

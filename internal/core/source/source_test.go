@@ -207,7 +207,7 @@ func TestRatesReportLiveNodes(t *testing.T) {
 
 func TestHaskellValidate(t *testing.T) {
 	good := HaskellSpec{GJ: 4, I0: 2, I1: 20, K0: 0, K1: 10, HypoI: 5, HypoK: 5,
-		H: 100, Mw: 7, Vr: 2800, RiseTime: 1, Mu: 3e10, Dt: 0.01, NT: 100}
+		H: 100, Mw: 7, Vr: 2800, RiseTime: 1, Dt: 0.01, NT: 100}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
@@ -230,7 +230,7 @@ func TestHaskellValidate(t *testing.T) {
 
 func TestHaskellGenerateMomentAndTiming(t *testing.T) {
 	spec := HaskellSpec{GJ: 4, I0: 0, I1: 30, K0: 0, K1: 12, HypoI: 5, HypoK: 6,
-		H: 200, Mw: 7.0, Vr: 2800, RiseTime: 0.8, Mu: 3e10, Dt: 0.02, NT: 600, TaperCells: 3}
+		H: 200, Mw: 7.0, Vr: 2800, RiseTime: 0.8, Dt: 0.02, NT: 600, TaperCells: 3}
 	srcs, err := spec.Generate()
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@
 // run-time aggregation of decimated velocity output in memory buffers
 // flushed at a controlled frequency (Dist; the optimization that cut I/O
 // overhead from 49% to under 2%, priced by perfmodel's Eq. 7 I/O term), and
-// parallel MD5 checksumming for integrity tracking: ParallelMD5 of a
-// buffer's sub-arrays, and HashListMD5, the archive workflow's digest of a
-// whole file.
+// parallel MD5 checksumming for integrity tracking: HashListMD5, the
+// archive workflow's digest of a whole file, hashed in MD5 lanes on all
+// cores.
 package output
 
 import (
@@ -41,49 +41,6 @@ func forEachPart(nparts int, fn func(p int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ParallelMD5 computes MD5 checksums of nparts contiguous sub-arrays of
-// data on at most GOMAXPROCS goroutines — the parallelized integrity pass
-// that "substantially decreases the time needed to generate the checksums
-// for several terabytes" (§III.E). The parts go in balanced batches, one
-// a goroutine's turn, each batch hashed in the host's MD5 lanes (lanes.go).
-func ParallelMD5(data []byte, nparts int) []string {
-	if nparts <= 0 {
-		nparts = 1
-	}
-	if nparts > len(data) && len(data) > 0 {
-		nparts = len(data)
-	}
-	spans := make([]span, nparts)
-	for p := range spans {
-		lo := p * len(data) / nparts
-		spans[p] = span{lo, (p+1)*len(data)/nparts - lo}
-	}
-	sums := hashBatches(data, spans, batches(nparts, lanes.width))
-	out := make([]string, nparts)
-	for p, s := range sums {
-		out[p] = hex.EncodeToString(s[:])
-	}
-	return out
-}
-
-// SerialMD5 is the reference implementation for verification.
-func SerialMD5(data []byte, nparts int) []string {
-	if nparts <= 0 {
-		nparts = 1
-	}
-	if nparts > len(data) && len(data) > 0 {
-		nparts = len(data)
-	}
-	sums := make([]string, nparts)
-	for p := 0; p < nparts; p++ {
-		lo := p * len(data) / nparts
-		hi := (p + 1) * len(data) / nparts
-		s := md5.Sum(data[lo:hi])
-		sums[p] = hex.EncodeToString(s[:])
-	}
-	return sums
 }
 
 // HashListMD5 is the archive's one-string digest of data, hashed on all

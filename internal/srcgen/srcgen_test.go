@@ -82,7 +82,7 @@ func demoSources(t *testing.T) []source.SampledSource {
 	t.Helper()
 	spec := source.HaskellSpec{
 		GJ: 8, I0: 2, I1: 22, K0: 1, K1: 9, HypoI: 10, HypoK: 5,
-		H: 200, Mw: 6.5, Vr: 2800, RiseTime: 0.6, Mu: 3e10,
+		H: 200, Mw: 6.5, Vr: 2800, RiseTime: 0.6,
 		Dt: 0.02, NT: 150, TaperCells: 2,
 	}
 	srcs, err := spec.Generate()

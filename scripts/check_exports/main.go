@@ -11,13 +11,23 @@
 //     in a non-test file under internal/ that nothing sets except its own
 //     package's tests (a setting only a test chooses is not a setting);
 //   - a named unexported field of a package-level struct type declared
-//     there that nothing reads, tests included.
+//     there that nothing reads, tests included;
+//   - a declaration under internal/ that only bench reaches (and perhaps
+//     its own package's tests) outside its package's bench_compat.go, or a
+//     field only bench sets that carries no "// bench-only" comment on its
+//     line;
+//   - a declaration in a bench_compat.go, or a field declared there or
+//     marked "// bench-only", that anything but bench and its own
+//     package's tests reaches.
 //
-// A reference, or a set, counts from a non-test file of any package,
-// bench/ included, and from a test file of another package (a helper
-// another package's tests use must be exported to be used). A method that
-// implements an interface counts as referenced: a caller may hold the
-// interface. awp, the public API, is only held to the package rule.
+// A reference, or a set, counts from a non-test file of any package and
+// from a test file of another package (a helper another package's tests
+// use must be exported to be used). It is bench's when it comes from
+// bench/ or from a non-test file named bench_compat.go, the declaring
+// package's own when it comes from that package's tests, and production's
+// otherwise. A field is reached by its sets. A method that implements an interface
+// counts as referenced: a caller may hold the interface. awp, the public
+// API, is only held to the package rule.
 //
 // A field is set by a composite-literal key or position, by being the
 // target of an assignment or ++/-- or a prefix of it (x.F.G += 1 and
@@ -43,7 +53,20 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
+)
+
+// compatFile names the one file of a package that holds what only bench/
+// reaches; a field, which cannot move there, carries marker on its line.
+const compatFile, marker = "bench_compat.go", "// bench-only"
+
+// Who reaches a declaration, or sets or reads a field: the bits of
+// module.refs.
+const (
+	prod  = 1 << iota // a non-test file outside bench/ and the compat files, or another package's test
+	bench             // bench/, or a non-test compat file
+	own               // the declaring package's own tests
 )
 
 func main() {
@@ -58,7 +81,7 @@ func main() {
 	if len(problems) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("ok: every package under internal/, and awp, has a non-test importer outside bench/, every declaration under internal/ a caller, every exported field a setter beyond its own package's tests and every unexported field a reader")
+	fmt.Println("ok: every package under internal/, and awp, has a non-test importer outside bench/, every declaration under internal/ a caller, every exported field a setter beyond its own package's tests and every unexported field a reader; what only bench reaches is in a bench_compat.go or marked // bench-only, and nothing else reaches it")
 }
 
 // module is one type-checking pass over the module rooted at root.
@@ -68,7 +91,8 @@ type module struct {
 	std        types.Importer
 	dirs       map[string]*build.Package // by import path
 	prod       map[string]*types.Package
-	refs       map[string]string         // object key, or "set "/"read " + field position -> "prod" or "own" (own package's tests only)
+	refs       map[string]int            // object key, or "set "/"read " + field position -> prod|bench|own
+	marked     map[string]bool           // file:line of each marker comment
 	ifaces     map[*types.Interface]bool // see collectInterfaces
 }
 
@@ -79,7 +103,7 @@ func check(root string) ([]string, error) {
 		return nil, err
 	}
 	m := &module{root: root, fset: token.NewFileSet(), dirs: map[string]*build.Package{},
-		prod: map[string]*types.Package{}, refs: map[string]string{}, ifaces: map[*types.Interface]bool{}}
+		prod: map[string]*types.Package{}, refs: map[string]int{}, marked: map[string]bool{}, ifaces: map[*types.Interface]bool{}}
 	m.path = strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(gomod), "\n", 2)[0], "module"))
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
@@ -165,11 +189,18 @@ func (m *module) Import(path string) (*types.Package, error) {
 func (m *module) typeCheck(path, dir string, names []string) (*types.Package, error) {
 	var files []*ast.File
 	for _, n := range names {
-		f, err := parser.ParseFile(m.fset, filepath.Join(dir, n), nil, 0)
+		f, err := parser.ParseFile(m.fset, filepath.Join(dir, n), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
 		files = append(files, f)
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if strings.HasPrefix(c.Text, marker) {
+					m.marked[m.line(c)] = true
+				}
+			}
+		}
 	}
 	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
@@ -178,13 +209,20 @@ func (m *module) typeCheck(path, dir string, names []string) (*types.Package, er
 		return nil, err
 	}
 	for _, f := range files {
-		test := strings.HasSuffix(m.fset.Position(f.Pos()).Filename, "_test.go")
+		name := m.fset.Position(f.Pos()).Filename
+		test := strings.HasSuffix(name, "_test.go")
+		from := prod
+		switch {
+		case m.inBench(path) || (!test && filepath.Base(name) == compatFile):
+			from = bench
+		case test:
+			from = own
+		}
 		mark := func(k string, obj types.Object) {
-			switch {
-			case !test || obj.Pkg().Path() != strings.TrimSuffix(path, "_test"):
-				m.refs[k] = "prod"
-			case m.refs[k] == "":
-				m.refs[k] = "own"
+			if from == own && obj.Pkg().Path() != strings.TrimSuffix(path, "_test") {
+				m.refs[k] |= prod // another package's test
+			} else {
+				m.refs[k] |= from
 			}
 		}
 		for _, d := range f.Decls {
@@ -300,10 +338,29 @@ func fieldUses(n ast.Node, info *types.Info) map[*types.Var]int {
 // every type-checking pass that includes its file.
 func (m *module) pos(obj types.Object) string { return m.fset.Position(obj.Pos()).String() }
 
+// line names the file and line of n, as marked keys them.
+func (m *module) line(n interface{ Pos() token.Pos }) string {
+	p := m.fset.Position(n.Pos())
+	return p.Filename + ":" + strconv.Itoa(p.Line)
+}
+
+// inCompat reports whether obj is declared in a compat file.
+func (m *module) inCompat(obj types.Object) bool {
+	return filepath.Base(m.fset.Position(obj.Pos()).Filename) == compatFile
+}
+
+// inBench reports whether the package, or test package, path is bench/ or
+// below it.
+func (m *module) inBench(path string) bool {
+	path = strings.TrimSuffix(path, "_test")
+	return path == m.path+"/bench" || strings.HasPrefix(path, m.path+"/bench/")
+}
+
 // fields lists the fields of pkg's package-level struct types that fail a
 // field rule: an exported field of an exported type that only its own
-// package's tests, or nothing, set, and a named unexported field that
-// nothing reads.
+// package's tests, or nothing, set, or that only bench sets while it is
+// neither declared in the compat file nor marked; a named unexported field
+// that nothing reads; and a compat or marked field that production sets.
 func (m *module) fields(pkg *types.Package) []string {
 	var out []string
 	for _, name := range pkg.Scope().Names() {
@@ -314,13 +371,19 @@ func (m *module) fields(pkg *types.Package) []string {
 		st, _ := tn.Type().Underlying().(*types.Struct)
 		for i := 0; st != nil && i < st.NumFields(); i++ {
 			v, why := st.Field(i), ""
-			switch set := m.refs["set "+m.pos(v)]; {
+			set, exported := m.refs["set "+m.pos(v)], v.Exported() && tn.Exported()
+			benchOnly := m.inCompat(v) || m.marked[m.line(v)]
+			switch {
 			case v.Embedded() || v.Name() == "_":
-			case v.Exported() && tn.Exported() && set == "":
+			case set&prod != 0 && benchOnly:
+				why = "bench-only, but production sets it"
+			case exported && set == 0:
 				why = "nothing sets it"
-			case v.Exported() && tn.Exported() && set == "own":
+			case exported && set == own:
 				why = "only its own package's tests set it"
-			case !v.Exported() && m.refs["read "+m.pos(v)] == "":
+			case exported && set&prod == 0 && !benchOnly:
+				why = "only bench sets it, and it is neither in " + compatFile + " nor marked " + marker
+			case !v.Exported() && m.refs["read "+m.pos(v)] == 0:
 				why = "nothing reads it"
 			}
 			if why != "" {
@@ -334,10 +397,7 @@ func (m *module) fields(pkg *types.Package) []string {
 // imported reports whether a non-test package outside bench/ imports path.
 func (m *module) imported(path string) bool {
 	for p, bp := range m.dirs {
-		if p == m.path+"/bench" || strings.HasPrefix(p, m.path+"/bench/") {
-			continue
-		}
-		if slices.Contains(bp.Imports, path) {
+		if !m.inBench(p) && slices.Contains(bp.Imports, path) {
 			return true
 		}
 	}
@@ -345,7 +405,9 @@ func (m *module) imported(path string) bool {
 }
 
 // unreferenced lists pkg's package-level functions, methods, constants and
-// variables that only its own tests, or nothing, reference.
+// variables that only its own tests, or nothing, reference, that only
+// bench reaches outside the compat file, or that production reaches inside
+// it.
 func (m *module) unreferenced(pkg *types.Package) []string {
 	var objs []types.Object
 	for _, name := range pkg.Scope().Names() {
@@ -364,14 +426,22 @@ func (m *module) unreferenced(pkg *types.Package) []string {
 	}
 	var out []string
 	for _, obj := range objs {
-		why := "nothing references it"
-		switch m.refs[key(obj)] {
-		case "prod":
-			continue
-		case "own":
+		why, refs, compat := "", m.refs[key(obj)], m.inCompat(obj)
+		switch {
+		case refs&prod != 0 && compat:
+			why = "in " + compatFile + ", but production reaches it"
+		case refs&prod != 0:
+		case refs&bench != 0 && !compat:
+			why = "only bench reaches it, outside " + compatFile
+		case refs&bench != 0:
+		case refs == own:
 			why = "only its own package's tests reference it"
+		default:
+			why = "nothing references it"
 		}
-		out = append(out, m.where(obj, pkg.Name()+"."+strings.TrimPrefix(key(obj), pkg.Path()+"."), why))
+		if why != "" {
+			out = append(out, m.where(obj, pkg.Name()+"."+strings.TrimPrefix(key(obj), pkg.Path()+"."), why))
+		}
 	}
 	return out
 }

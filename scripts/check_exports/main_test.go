@@ -13,14 +13,19 @@ func TestFixture(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
+		"internal/core/core.go:33: core.BenchStray: only bench reaches it, outside bench_compat.go",
+		"internal/core/bench_compat.go:16: core.Leaked: in bench_compat.go, but production reaches it",
 		"internal/core/core.go:16: core.OnlyOwnTest: only its own package's tests reference it",
 		"internal/core/core.go:13: core.Unused: nothing references it",
+		"internal/core/core.go:37: core.compatHelper: only bench reaches it, outside bench_compat.go",
 		"internal/core/core.go:19: core.selfOnly: nothing references it",
 		"internal/core/core.go:27: core.unusedConst: nothing references it",
 		"internal/core/fields.go:5: core.Settings.OwnTest: only its own package's tests set it",
 		"internal/core/fields.go:6: core.Settings.Nowhere: nothing sets it",
-		"internal/core/fields.go:15: core.Settings.Defaulted: nothing sets it",
-		"internal/core/fields.go:31: core.counter.dead: nothing reads it",
+		"internal/core/fields.go:12: core.Settings.BenchBare: only bench sets it, and it is neither in bench_compat.go nor marked // bench-only",
+		"internal/core/fields.go:13: core.Settings.Marked: bench-only, but production sets it",
+		"internal/core/fields.go:17: core.Settings.Defaulted: nothing sets it",
+		"internal/core/fields.go:33: core.counter.dead: nothing reads it",
 		"internal/orphan: no non-test importer outside bench/",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {

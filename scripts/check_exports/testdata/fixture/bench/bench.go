@@ -9,6 +9,9 @@ import (
 
 func main() {
 	core.BenchOnly()
+	core.BenchStray()
+	println(core.Compat())
 	orphan.F()
-	println(core.Settings{BenchOnly: 1}.BenchOnly)
+	println(core.Settings{BenchOnly: 1, BenchBare: 1}.BenchOnly)
+	println(core.CompatSettings{N: 1}.N)
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Used is called by awp: passes.
-func Used() string { return fmt.Sprint(name{}, errors.Unwrap(wrapped{})) }
+func Used() string { return fmt.Sprint(name{}, errors.Unwrap(wrapped{}), Leaked()) }
 
 // Unused has no reference at all: fails.
 func Unused() {}
@@ -29,8 +29,12 @@ const unusedConst = 1
 // Helper is used by orphan's test: passes.
 func Helper() int { return 2 }
 
-// BenchOnly is called by bench/ only: passes.
-func BenchOnly() {}
+// BenchStray is called by bench/ only, outside bench_compat.go: fails.
+func BenchStray() {}
+
+// compatHelper is called by bench_compat.go only, so it is bench's and
+// belongs there too: fails.
+func compatHelper() int { return 1 }
 
 type name struct{}
 

@@ -8,7 +8,9 @@ type Settings struct {
 	List      []int  // set through s.List[0] = 1: passes
 	Addr      int    // set through &s.Addr: passes
 	Gauge     Gauge  // set through s.Gauge.Bump(), a pointer method: passes
-	BenchOnly int    // set by bench/ only: passes
+	BenchOnly int    // bench-only: set by bench/ only, and marked: passes
+	BenchBare int    // set by bench/ only, unmarked: fails
+	Marked    int    // bench-only: but Apply sets it: fails
 	OtherTest int    // set by orphan's test: passes
 	Pair      Pair   // set by the keyed literal below: passes
 	Note      string // set by the keyed literal below: passes
@@ -34,7 +36,7 @@ type counter struct {
 
 // Apply sets and reads the fields above.
 func Apply() int {
-	s := Settings{Pair: Pair{1, 2}, Note: "n"}
+	s := Settings{Pair: Pair{1, 2}, Note: "n", Marked: 1}
 	s.Nested.A += 1
 	s.List[0] = 1
 	p := &s.Addr
