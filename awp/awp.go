@@ -246,7 +246,8 @@ func ExplosionSource(i, j, k int, m0, t0, sigma float64) []source.SampledSource 
 	return []source.SampledSource{ps.Sample(dt, nt)}
 }
 
-// HaskellRupture generates a kinematic finite-fault source (dSrcG).
+// HaskellRupture generates a kinematic finite-fault source (dSrcG). Its
+// moment comes from Mw; nothing reads Mu.
 type HaskellRupture = source.HaskellSpec
 
 // M8FaultSpec builds a DFR fault specification with the paper's M8 initial

@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"repro/awp"
+	"repro/internal/telemetry"
 )
 
 func main() {
@@ -29,7 +30,7 @@ func main() {
 	srcI := flag.Int("si", -1, "source i (default center)")
 	srcJ := flag.Int("sj", -1, "source j (default center)")
 	srcK := flag.Int("sk", -1, "source k (default center)")
-	trace := flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing) of the run to this file; implies telemetry")
+	trace := flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing) of the run to this file")
 	traceEvents := flag.Int("trace-events", 1<<15, "per-rank trace ring capacity (oldest events overwritten)")
 	flag.Parse()
 
@@ -70,8 +71,10 @@ func main() {
 		Receivers: [][3]int{{*srcI, *srcJ, 0}, {max(*nx-10, 0), *srcJ, 0}},
 		TrackPGV:  true,
 	}
+	// Telemetry is the run's one clock: it times the timing line below.
+	sc.Telemetry = &awp.TelemetryOptions{}
 	if *trace != "" {
-		sc.Telemetry = &awp.TelemetryOptions{TraceEvents: *traceEvents}
+		sc.Telemetry.TraceEvents = *traceEvents
 	}
 	switch *comm {
 	case "sync":
@@ -124,8 +127,15 @@ func main() {
 		binary.Write(digest, binary.LittleEndian, awp.PGVH(s))
 	}
 	fmt.Printf("PGVH digest: %016x (FNV-64a of the map's and the receivers' float64 bits)\n", digest.Sum64())
+	// Each Eq. 7 term is its phases' slowest-rank seconds, summed.
+	term := func(phases ...telemetry.Phase) (sec float64) {
+		for _, p := range phases {
+			sec += res.Telemetry.Stat(p).MaxRankSec
+		}
+		return sec
+	}
 	fmt.Printf("timing: comp=%.2fs comm=%.2fs sync=%.2fs output=%.2fs active=%.3f\n",
-		res.Timing.Comp, res.Timing.Comm, res.Timing.Sync, res.Timing.Output, res.ActiveShare)
+		term(telemetry.CompPhases...), term(telemetry.CommPhases...), term(telemetry.Sync), term(telemetry.Output), res.ActiveShare)
 
 	if *trace != "" {
 		if err := writeTrace(*trace, res.Telemetry); err != nil {

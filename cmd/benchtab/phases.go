@@ -89,16 +89,6 @@ type phaseReport struct {
 	Neighbors   []telemetry.NeighborStats `json:"neighbors,omitempty"`
 }
 
-// compPhases groups the telemetry phases that make up Eq. 7's Tcomp.
-var compPhases = []telemetry.Phase{
-	telemetry.Velocity, telemetry.Stress, telemetry.Attenuation, telemetry.Boundary,
-}
-
-// commPhases groups the phases that make up the per-message Tcomm.
-var commPhases = []telemetry.Phase{
-	telemetry.Pack, telemetry.Send, telemetry.Recv, telemetry.Unpack,
-}
-
 // phasesRun executes one telemetry-instrumented solver run and returns the
 // aggregated report. The scenario mirrors the solver test fixture: sponge
 // ABC, free surface, attenuation, explosion source, receivers, PGV maps —
@@ -179,7 +169,7 @@ func phases(outPath string, short bool) {
 	cal := phaseCalibration{
 		Global:        fmt.Sprintf("%dx%dx%d", sub.NX*topo.PX, sub.NY*topo.PY, sub.NZ*topo.PZ),
 		Steps:         calSteps,
-		CompSecStep:   calRep.MeanStepSec(compPhases...),
+		CompSecStep:   calRep.MeanStepSec(telemetry.CompPhases...),
 		OutputSecStep: calRep.MeanStepSec(telemetry.Output),
 	}
 	rep.Calibration = cal
@@ -199,7 +189,7 @@ func phases(outPath string, short bool) {
 			samples = append(samples, perfmodel.CommSample{
 				Msgs:  int(msgs + 0.5),
 				Bytes: bytes,
-				Sec:   r.MeanStepSec(commPhases...),
+				Sec:   r.MeanStepSec(telemetry.CommPhases...),
 			})
 		}
 	}
@@ -245,10 +235,10 @@ func phases(outPath string, short bool) {
 		}
 		terms := []phaseTerm{
 			{Term: "comp",
-				MeasuredSec:  r.MeanStepSec(compPhases...),
+				MeasuredSec:  r.MeanStepSec(telemetry.CompPhases...),
 				PredictedSec: cal.CompSecStep / float64(topo.Size())},
 			{Term: "comm",
-				MeasuredSec:  r.MeanStepSec(commPhases...),
+				MeasuredSec:  r.MeanStepSec(telemetry.CommPhases...),
 				PredictedSec: perfmodel.MessageCost(alpha, beta, int(msgs+0.5), bytes)},
 			{Term: "sync",
 				MeasuredSec:  r.MeanStepSec(telemetry.Sync),

@@ -55,8 +55,14 @@ func main() {
 	for _, v := range res.PGVH {
 		pgvMax = max(pgvMax, v)
 	}
-	fmt.Printf("AWM:       %d steps on %d ranks; PGVH max %.3f m/s; comp %.2fs comm %.2fs active %.3f\n",
-		res.Steps, r.Topo.Size(), pgvMax, res.Timing.Comp, res.Timing.Comm, res.ActiveShare)
+	var solveSec float64
+	for _, st := range r.Stages {
+		if st.Name == "solver.Run" {
+			solveSec = st.Seconds
+		}
+	}
+	fmt.Printf("AWM:       %d steps on %d ranks; PGVH max %.3f m/s; solve %.2fs active %.3f\n",
+		res.Steps, r.Topo.Size(), pgvMax, solveSec, res.ActiveShare)
 	so := res.Surface
 	fmt.Printf("Output:    %.1f MB surface velocity in %d frames -> %d aggregated flushes "+
 		"(%d opens, max %d concurrent), %d stripe checksums, I/O time %.3fs\n",

@@ -11,12 +11,14 @@ package solver
 // LTSOptions.WorkBalance are bench's too; they stay in solver.go, marked.
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core/fd"
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // PlanLTS planned the rate clusters of multi-rate local time stepping, which
@@ -46,7 +48,7 @@ type HaloBenchConfig struct {
 }
 
 // HaloBenchResult reports the measured exchange cost and the observed
-// (not modeled) message traffic, counted at the runtime's delivery point.
+// (not modeled) message traffic, counted by per-rank telemetry recorders.
 type HaloBenchResult struct {
 	SecPerStep float64 // wall time per (velocity+stress) exchange step
 
@@ -71,6 +73,7 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 	var res HaloBenchResult
 	world := mpi.NewWorld(cfg.Topo.Size())
 	steps := cfg.Steps
+	var sent [2][2]atomic.Int64 // [vel, stress][msgs, floats], summed over ranks
 	world.Run(func(c *mpi.Comm) {
 		st := fd.NewState(cfg.Local)
 		fillDeterministic(st, c.Rank())
@@ -85,35 +88,23 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 			}
 		}
 
-		// Warm up the links' buffers, then count each phase separately:
-		// exchanges are idempotent (fields never change), so phase-only
-		// loops measure exactly the traffic the schedule produces.
+		// Warm up the links' buffers, then count each phase separately on
+		// a recorder of its own: exchanges are idempotent (fields never
+		// change), so phase-only loops measure exactly the traffic the
+		// schedule produces.
 		exchange(2)
-		c.Barrier()
-		if c.Rank() == 0 {
-			world.ResetMessageStats()
+		for ph, s := range []*schedule{vel, stress} {
+			rec := telemetry.NewRecorder(c.Rank(), 0)
+			c.SetTelemetry(rec)
+			for range steps {
+				s.exchange()
+			}
+			for _, nb := range rec.Neighbors() {
+				sent[ph][0].Add(nb.SentMsgs)
+				sent[ph][1].Add(nb.SentFloats)
+			}
 		}
-		c.Barrier()
-		for s := 0; s < steps; s++ {
-			vel.exchange()
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			m, f := world.MessageStats()
-			res.VelMsgs = float64(m) / float64(steps)
-			res.VelFloats = float64(f) / float64(steps)
-			world.ResetMessageStats()
-		}
-		c.Barrier()
-		for s := 0; s < steps; s++ {
-			stress.exchange()
-		}
-		c.Barrier()
-		if c.Rank() == 0 {
-			m, f := world.MessageStats()
-			res.StressMsgs = float64(m) / float64(steps)
-			res.StressFloats = float64(f) / float64(steps)
-		}
+		c.SetTelemetry(nil)
 
 		// Timed section: both phases per step, best of five repetitions
 		// (the robust estimator under scheduler noise — GOMAXPROCS=1 runs
@@ -142,6 +133,9 @@ func RunHaloExchangeBench(cfg HaloBenchConfig) HaloBenchResult {
 			res.Checksum = total
 		}
 	})
+	perStep := func(n *atomic.Int64) float64 { return float64(n.Load()) / float64(steps) }
+	res.VelMsgs, res.VelFloats = perStep(&sent[0][0]), perStep(&sent[0][1])
+	res.StressMsgs, res.StressFloats = perStep(&sent[1][0]), perStep(&sent[1][1])
 	return res
 }
 

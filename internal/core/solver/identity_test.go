@@ -799,7 +799,7 @@ func (r identityRow) run(ref *reference) string {
 	var mu sync.Mutex
 	var calls, clipping int
 	var sourceless, arrived, liveRollback bool
-	regs, rolled, owned := make([][]region, ranks), make([]bool, ranks), make([]int64, ranks)
+	regs, rolled := make([][]region, ranks), make([]bool, ranks)
 	// A row checkpoints, steps on, restores and rolls back, and the replay
 	// must store the same bits: with the box after step 1, while the boxes
 	// are live, and back from step 2; without it mid-run.
@@ -846,13 +846,10 @@ func (r identityRow) run(ref *reference) string {
 		if rank == 0 {
 			calls++
 		}
-		if st.Done() {
-			_, owned[rank] = rs.sweptCells()
-			if rs.box != nil {
-				mu.Lock()
-				clipping++
-				mu.Unlock()
-			}
+		if st.Done() && rs.box != nil {
+			mu.Lock()
+			clipping++
+			mu.Unlock()
 		}
 	})
 	switch {
@@ -878,7 +875,7 @@ func (r identityRow) run(ref *reference) string {
 	}
 	msg := cmp.Or(resultDiff(ref.res, res), r.momentDiff(ref, res.MomentRate, same))
 	if r.tel {
-		msg = cmp.Or(msg, telemetryDiff(res.Telemetry, opt, calls, owned, r.box, res.ActiveShare))
+		msg = cmp.Or(msg, telemetryDiff(res.Telemetry, opt, calls))
 	}
 	if r.surface {
 		msg = cmp.Or(msg, ref.surfaceDiff(fsys, opt, res, r.ckpt))
@@ -907,14 +904,14 @@ func (r identityRow) momentDiff(ref *reference, mr []float64, same bool) string 
 }
 
 // resultDiff describes the first Result field of res whose bits differ from
-// ref's, or returns "". It leaves out the wall-clock Timing, the Telemetry and
-// Surface reports, ActiveShare, which the active box moves (run holds it to
-// the first row of its key), and MomentRate (momentDiff); it matches
-// slip-rate series by node, since the gather orders them by rank.
+// ref's, or returns "". It leaves out the Telemetry and Surface reports,
+// ActiveShare, which the active box moves (run holds it to the first row of
+// its key), and MomentRate (momentDiff); it matches slip-rate series by
+// node, since the gather orders them by rank.
 func resultDiff(ref, res *Result) string {
 	a, b := *ref, *res
 	for _, r := range []*Result{&a, &b} {
-		r.Timing, r.Telemetry, r.Surface, r.ActiveShare, r.MomentRate = Timing{}, nil, nil, 0, nil
+		r.Telemetry, r.Surface, r.ActiveShare, r.MomentRate = nil, nil, 0, nil
 		r.SlipNodes, r.SlipSeries = nil, nil
 	}
 	series := map[[3]int][]float32{}
@@ -972,14 +969,12 @@ func floatBits(v reflect.Value) uint64 {
 // telemetryDiff checks a telemetry report against the run it describes: a
 // snapshot a rank, a step window a Step call, spans in every compute phase,
 // message phases exactly when there are neighbors, and their counters, Sync
-// spans exactly under the Synchronous model, an event trace that exports as Chrome trace-event JSON, and per-rank active
-// shares — exactly 1 with whole sweeps, inside (0, 1) with the box — whose
-// mean, weighted by the cells each rank would have swept whole, is
-// Result.ActiveShare.
-func telemetryDiff(rep *telemetry.Report, opt Options, calls int, owned []int64, box bool, share float64) string {
+// spans exactly under the Synchronous model, and an event trace that exports
+// as Chrome trace-event JSON.
+func telemetryDiff(rep *telemetry.Report, opt Options, calls int) string {
 	ranks := opt.Topo.Size()
-	if rep.Ranks != ranks || rep.StepWindows != calls || len(rep.ActiveShare) != ranks {
-		return fmt.Sprintf("telemetry: %d ranks, %d step windows, %d active shares; want %d, %d, %d", rep.Ranks, rep.StepWindows, len(rep.ActiveShare), ranks, calls, ranks)
+	if rep.Ranks != ranks || rep.StepWindows != calls {
+		return fmt.Sprintf("telemetry: %d ranks, %d step windows; want %d, %d", rep.Ranks, rep.StepWindows, ranks, calls)
 	}
 	barrier := opt.Comm == Synchronous
 	for p, want := range map[telemetry.Phase]bool{telemetry.Velocity: true, telemetry.Stress: true, telemetry.Boundary: true,
@@ -995,16 +990,6 @@ func telemetryDiff(rep *telemetry.Report, opt Options, calls int, owned []int64,
 	var trace bytes.Buffer
 	if err := rep.WriteChromeTrace(&trace); err != nil || !bytes.Contains(trace.Bytes(), []byte(`"traceEvents"`)) {
 		return fmt.Sprintf("telemetry: the trace exports %d bytes without traceEvents (%v)", trace.Len(), err)
-	}
-	var swept, whole float64
-	for r, s := range rep.ActiveShare {
-		if box && !(s > 0 && s < 1) || !box && s != 1 {
-			return fmt.Sprintf("telemetry: rank %d's active share %g, box %v", r, s, box)
-		}
-		swept, whole = swept+s*float64(owned[r]), whole+float64(owned[r])
-	}
-	if math.Abs(swept/whole-share) > 1e-12 {
-		return fmt.Sprintf("telemetry: active shares %v of %v cells average %g, Result.ActiveShare %g", rep.ActiveShare, owned, swept/whole, share)
 	}
 	return ""
 }

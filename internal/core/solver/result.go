@@ -20,9 +20,8 @@ type rankReport struct {
 	Fault       *faultBlock          // nil on ranks that own no fault nodes
 	Slip        []slipSeries
 	Telemetry   *telemetry.Snapshot // nil with telemetry off
-	Timing      Timing
-	Swept       int64 // cells the sweeps covered (Result.ActiveShare)
-	Owned       int64 // cells whole sweeps would have covered
+	Swept       int64               // cells the sweeps covered (Result.ActiveShare)
+	Owned       int64               // cells whole sweeps would have covered
 }
 
 // pgvBlock is a rank's NX×NY surface block of the four PGV maps at (X, Y).
@@ -52,10 +51,9 @@ func float32s(v []float64) []float32 {
 }
 
 // report assembles this rank's rankReport.
-func (rs *rankState) report(opt Options, tm Timing) rankReport {
-	rep := rankReport{Seismograms: map[int][][3]float32{}, Timing: tm}
+func (rs *rankState) report(opt Options) rankReport {
+	rep := rankReport{Seismograms: map[int][][3]float32{}}
 	rep.Swept, rep.Owned = rs.sweptCells()
-	rs.tel.SetSweptCells(rep.Swept, rep.Owned)
 	for _, r := range rs.receivers {
 		rep.Seismograms[r.idx] = slices.Clone(r.series)
 	}
@@ -100,7 +98,7 @@ func (rs *rankState) report(opt Options, tm Timing) rankReport {
 }
 
 // collect gathers all per-rank outputs at rank 0 and assembles the Result.
-func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []float64, tm Timing) (*Result, error) {
+func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []float64) (*Result, error) {
 	// Moment rate: sum across ranks per step, in the tree's fixed order.
 	if opt.Fault != nil {
 		if len(momentRate) < opt.Steps {
@@ -110,11 +108,11 @@ func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []
 		momentRate = c.Reduce(momentRate, mpi.Sum, 0)
 	}
 
-	// Seismograms, PGV maps, fault arrays, slip-rate histories, timings,
-	// swept cells and the telemetry snapshot (step samples, neighbor
-	// counters, event trace — the way the paper aggregates Jaguar timings)
-	// travel as one value.
-	reports, err := mpi.GatherValue(c, rs.report(opt, tm), 0)
+	// Seismograms, PGV maps, fault arrays, slip-rate histories, swept cells
+	// and the telemetry snapshot (step samples, neighbor counters, event
+	// trace — the way the paper aggregates Jaguar timings) travel as one
+	// value.
+	reports, err := mpi.GatherValue(c, rs.report(opt), 0)
 	if c.Rank() != 0 {
 		return nil, err
 	}
@@ -125,10 +123,6 @@ func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []
 	res := &Result{Steps: opt.Steps, Dt: dt}
 	var swept, owned int64
 	for _, r := range reports {
-		// Timing: max across ranks (the slowest rank sets the pace).
-		t := &res.Timing
-		t.Comp, t.Comm = max(t.Comp, r.Timing.Comp), max(t.Comm, r.Timing.Comm)
-		t.Sync, t.Output = max(t.Sync, r.Timing.Sync), max(t.Output, r.Timing.Output)
 		swept, owned = swept+r.Swept, owned+r.Owned
 	}
 	if owned > 0 {

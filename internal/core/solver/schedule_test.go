@@ -14,6 +14,7 @@ import (
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // checkTags fails when two messages of one schedule would be
@@ -33,8 +34,8 @@ func checkTags(t *testing.T, label string, s *schedule) {
 }
 
 // The schedule agrees with its own execution: on every rank, the messages
-// obtained by walking the schedules the Stepper built equal what the runtime
-// counts at its delivery point over one real Step, and so do the floats once
+// obtained by walking the schedules the Stepper built equal what per-rank
+// telemetry recorders count over one real Step, and so do the floats once
 // every box is dropped — the whole faces plus a hdrWords header a message.
 // While a box is live the payload behind the headers is at most the whole
 // faces. No schedule reuses a tag toward one peer.
@@ -69,16 +70,15 @@ func TestScheduleMatchesExecution(t *testing.T) {
 				if pass == 1 {
 					rs.dropBox()
 				}
-				c.Barrier()
-				if c.Rank() == 0 {
-					world.ResetMessageStats()
-				}
-				c.Barrier()
+				rec := telemetry.NewRecorder(c.Rank(), 0)
+				c.SetTelemetry(rec)
 				st.Step()
-				c.Barrier()
-				if c.Rank() == 0 {
-					got[pass][0], got[pass][1] = world.MessageStats()
+				mu.Lock()
+				for _, nb := range rec.Neighbors() {
+					got[pass][0] += uint64(nb.SentMsgs)
+					got[pass][1] += uint64(nb.SentFloats)
 				}
+				mu.Unlock()
 			}
 		})
 		if walkMsgs == 0 {

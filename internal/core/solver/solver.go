@@ -2,7 +2,6 @@ package solver
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/agg"
 	"repro/internal/core/attenuation"
@@ -148,9 +147,6 @@ type Result struct {
 	SlipSeries [][]float32
 	SlipDt     float64
 
-	// Timing is the per-phase max across ranks (the Eq. 7 decomposition).
-	Timing Timing
-
 	// ActiveShare is the cells the velocity and stress sweeps covered over
 	// the cells the ranks own, summed over ranks and steps: below 1 for
 	// as long as some rank's active box had not filled its subgrid (DESIGN.md
@@ -186,11 +182,6 @@ type SurfaceOptions struct {
 // SurfaceRecBytes is the per-point record of a surface frame: vx, vy, vz
 // as float32.
 const SurfaceRecBytes = 12
-
-// Timing is the measured Eq. 7 decomposition.
-type Timing struct {
-	Comp, Comm, Sync, Output float64 // seconds
-}
 
 // Run executes the simulation and returns the rank-0 result.
 func Run(q cvm.Querier, opt Options) (*Result, error) {
@@ -494,17 +485,16 @@ func (q queue) drain() {
 }
 
 // advance performs step number step of this rank by dt — the one step
-// program of every comm model, accumulating the Eq. 7 timing decomposition.
+// program of every comm model; its telemetry spans are the Eq. 7 terms.
 // Each phase drains its pre queue, posts its halo messages, drains its inner
 // queue while they fly and finishes the exchange. Without AsyncOverlap the
 // inner queues are empty, so post and finish are adjacent but for the
 // sponge's velocity pass. The rank's one goroutine drains every queue.
-func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
+func (rs *rankState) advance(opt Options, dt float64, step int) {
 	plan := &rs.plan
 	tNow := float64(step+1) * dt
 
 	// --- Velocity phase ---
-	t0 := time.Now()
 	rs.steps++
 	if rs.box != nil && rs.box.grow() {
 		rs.dropBox()
@@ -513,14 +503,10 @@ func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
 		rs.liveSteps++
 	}
 	plan.velPre.drain()
-	lap(&tm.Comp, &t0)
 	rs.vel.post()
-	lap(&tm.Comm, &t0)
 	plan.velInner.drain()
-	lap(&tm.Comp, &t0)
 	rs.vel.finish()
-	lap(&tm.Comm, &t0)
-	rs.syncBarrier(opt, tm, &t0)
+	rs.syncBarrier(opt)
 	if rs.fs != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
 		rs.fs.ApplyVelocity(rs.st, rs.med)
@@ -546,44 +532,31 @@ func (rs *rankState) advance(opt Options, dt float64, step int, tm *Timing) {
 		rs.box.join(live)
 	}
 	plan.stressPre.drain()
-	lap(&tm.Comp, &t0)
 	rs.stress.post()
-	lap(&tm.Comm, &t0)
 	plan.stressInner.drain()
 	if plan.velDamp.n > 0 {
 		sp := rs.tel.Span(telemetry.Boundary)
 		plan.velDamp.drain()
 		sp.End()
 	}
-	lap(&tm.Comp, &t0)
 	rs.stress.finish()
-	lap(&tm.Comm, &t0)
-	rs.syncBarrier(opt, tm, &t0)
+	rs.syncBarrier(opt)
 	if rs.fs != nil {
 		sp := rs.tel.Span(telemetry.Boundary)
 		rs.fs.ApplyStress(rs.st)
 		sp.End()
 	}
-	lap(&tm.Comp, &t0)
-}
-
-// lap adds the time since *t0 to acc and restarts the clock.
-func lap(acc *float64, t0 *time.Time) {
-	now := time.Now()
-	*acc += now.Sub(*t0).Seconds()
-	*t0 = now
 }
 
 // syncBarrier is the Synchronous model's global barrier after a phase's
 // exchange.
-func (rs *rankState) syncBarrier(opt Options, tm *Timing, t0 *time.Time) {
+func (rs *rankState) syncBarrier(opt Options) {
 	if opt.Comm != Synchronous {
 		return
 	}
 	sp := rs.tel.Span(telemetry.Sync)
 	rs.comm.Barrier()
 	sp.End()
-	lap(&tm.Sync, t0)
 }
 
 // tileHook is a cell-local pass over one box that ends a tile body:

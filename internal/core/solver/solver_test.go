@@ -14,6 +14,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/medium"
 	"repro/internal/mpi"
+	"repro/internal/telemetry"
 )
 
 // baseOptions builds a small wave-propagation problem with a central
@@ -190,8 +191,9 @@ func maxSeriesAbs(s [][3]float32) float64 {
 }
 
 func TestPointSourceRadiates(t *testing.T) {
-	res, err := Run(cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}),
-		baseOptions(mpi.NewCart(1, 1, 1)))
+	opt := baseOptions(mpi.NewCart(1, 1, 1))
+	opt.Telemetry = &telemetry.Options{}
+	res, err := Run(cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +229,9 @@ func TestPointSourceRadiates(t *testing.T) {
 	if pgvMax == 0 {
 		t.Error("surface PGV all zero (free-surface wave should arrive)")
 	}
-	if res.Timing.Comp <= 0 {
-		t.Error("timing not recorded")
+	if rep := res.Telemetry; rep.Stat(telemetry.Output).Spans != int64(opt.Steps) || rep.Stat(telemetry.Velocity).Spans == 0 {
+		t.Errorf("phases not recorded: %d output and %d velocity spans over %d steps",
+			rep.Stat(telemetry.Output).Spans, rep.Stat(telemetry.Velocity).Spans, opt.Steps)
 	}
 }
 

@@ -3,7 +3,6 @@ package solver
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core/attenuation"
 	"repro/internal/core/boundary"
@@ -177,7 +176,6 @@ type Stepper struct {
 	dt         float64
 	step       int
 	momentRate []float64
-	tm         Timing
 	surfErr    error
 }
 
@@ -361,7 +359,7 @@ func (s *Stepper) Step() {
 		// time with it.
 		rs.fault.Tick(s.dt)
 	}
-	rs.advance(s.opt, s.dt, step, &s.tm)
+	rs.advance(s.opt, s.dt, step)
 
 	if rs.fault != nil {
 		s.momentRate[step] = rs.fault.MomentRate(rs.med)
@@ -370,7 +368,6 @@ func (s *Stepper) Step() {
 		}
 	}
 
-	t0 := time.Now()
 	sp := rs.tel.Span(telemetry.Output)
 	for i := range rs.receivers {
 		r := &rs.receivers[i]
@@ -387,7 +384,6 @@ func (s *Stepper) Step() {
 			s.surfErr = err
 		}
 	}
-	s.tm.Output += time.Since(t0).Seconds()
 	rs.tel.StepEnd()
 	s.step++
 }
@@ -402,7 +398,7 @@ func (s *Stepper) Finish() (*Result, error) {
 			s.surfErr = err
 		}
 	}
-	res, err := s.rs.collect(s.c, s.opt, s.dt, s.momentRate, s.tm)
+	res, err := s.rs.collect(s.c, s.opt, s.dt, s.momentRate)
 	if err == nil && s.surfErr != nil {
 		err = s.surfErr
 	}

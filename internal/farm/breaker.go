@@ -125,26 +125,27 @@ func (bs *Breakers) OnSuccess(class string) {
 	b.state = Closed
 }
 
-// OnFailure records a failure: a half-open probe failure re-opens
-// immediately; in Closed the streak counts toward the threshold.
-func (bs *Breakers) OnFailure(class string) {
+// OnFailure records a failure and reports whether it tripped the breaker:
+// a half-open probe failure re-opens immediately; in Closed the streak
+// counts toward the threshold.
+func (bs *Breakers) OnFailure(class string) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
 	b := bs.get(class)
 	b.probing = false
 	switch b.state {
-	case HalfOpen:
-		b.state = Open
-		b.openedAt = bs.cfg.now()
-		b.trips++
 	case Closed:
 		b.failures++
-		if b.failures >= bs.cfg.threshold {
-			b.state = Open
-			b.openedAt = bs.cfg.now()
-			b.trips++
+		if b.failures < bs.cfg.threshold {
+			return false
 		}
+	case Open:
+		return false
 	}
+	b.state = Open
+	b.openedAt = bs.cfg.now()
+	b.trips++
+	return true
 }
 
 // Ready reports whether the class would admit work, without consuming a

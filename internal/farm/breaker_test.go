@@ -33,7 +33,9 @@ func TestBreakerTripAndRecover(t *testing.T) {
 		if !bs.Allow(class) {
 			t.Fatalf("closed breaker rejected request %d", i)
 		}
-		bs.OnFailure(class)
+		if tripped := bs.OnFailure(class); tripped != (i == 2) {
+			t.Fatalf("failure %d reported trip %v", i, tripped)
+		}
 	}
 	if bs.State(class) != Open {
 		t.Fatalf("state after threshold failures = %v", bs.State(class))
@@ -76,8 +78,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if !bs.Allow(class) {
 		t.Fatal("probe rejected")
 	}
-	bs.OnFailure(class)
-	if bs.State(class) != Open {
+	if !bs.OnFailure(class) || bs.State(class) != Open {
 		t.Fatal("probe failure did not re-open")
 	}
 	if bs.Trips() != 2 {

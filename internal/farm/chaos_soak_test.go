@@ -119,10 +119,9 @@ func TestFarmChaosSoakRace(t *testing.T) {
 	if non200 != 0 {
 		t.Fatalf("%d of %d queries errored under the storm", non200, queries)
 	}
-	// Telemetry saw the storm.
-	if rec.Count("farm.worker_crashes") == 0 || rec.Count("farm.attempts") == 0 {
-		t.Fatalf("telemetry counters empty: crashes %d, attempts %d",
-			rec.Count("farm.worker_crashes"), rec.Count("farm.attempts"))
+	// The supervisor counted the storm, and telemetry timed the serving.
+	if st.WorkerCrashes == 0 || st.Attempts == 0 {
+		t.Fatalf("stats missed the storm: crashes %d, attempts %d", st.WorkerCrashes, st.Attempts)
 	}
 	if _, n := rec.PhaseTotal(telemetry.Serve); n == 0 {
 		t.Fatal("no Serve spans recorded")

@@ -30,8 +30,8 @@ type Config struct {
 	// FT, when non-nil, runs each job as a fault-tolerant multi-rank
 	// world (checkpoint/recover) instead of a plain solver.Run.
 	FT *FTConfig
-	// Rec, when non-nil, receives Job/Serve phase spans and named
-	// counters (queue depth, retries, breaker trips, sheds).
+	// Rec, when non-nil, receives Job/Serve phase spans; the counts are
+	// Stats' and the Server's /status.
 	Rec *telemetry.Recorder
 	// Logf routes diagnostics; nil silences them.
 	Logf func(format string, args ...any)
@@ -195,7 +195,6 @@ func (f *Farm) Submit(sc Scenario) string {
 func (f *Farm) enqueueLocked(key string) {
 	f.queue = append(f.queue, key)
 	f.inflight++
-	f.cfg.Rec.MaxCount("farm.queue_depth_max", int64(len(f.queue)))
 	f.cond.Broadcast()
 }
 
@@ -214,7 +213,6 @@ func (f *Farm) requeueAfter(key string, d time.Duration) {
 			return
 		}
 		f.queue = append(f.queue, key)
-		f.cfg.Rec.MaxCount("farm.queue_depth_max", int64(len(f.queue)))
 		f.cond.Broadcast()
 	})
 }
@@ -231,7 +229,6 @@ func (f *Farm) worker(id int) {
 			f.mu.Lock()
 			f.stats.WorkerCrashes++
 			f.stats.WorkersReplaced++
-			f.cfg.Rec.AddCount("farm.worker_crashes", 1)
 			f.cfg.Logf("farm: worker %d crashed (%v); replacing", id, r)
 			key := current
 			f.mu.Unlock()
@@ -271,12 +268,10 @@ func (f *Farm) worker(id int) {
 		if !f.breakers.Allow(class) {
 			f.mu.Lock()
 			f.stats.BreakerParks++
-			f.cfg.Rec.AddCount("farm.breaker_parks", 1)
 			js.parks++
 			if js.parks > maxParks {
 				js.status = jobFailed
 				f.stats.Failed++
-				f.cfg.Rec.AddCount("farm.failed", 1)
 				f.cfg.Logf("farm: job %s shed after %d parks (class %s open)",
 					key, js.parks, class)
 				f.inflight--
@@ -314,7 +309,6 @@ func (f *Farm) runAttempt(key string) {
 	js.status = jobRunning
 	js.attempts++
 	f.stats.Attempts++
-	f.cfg.Rec.AddCount("farm.attempts", 1)
 	sc := js.sc
 	f.mu.Unlock()
 
@@ -362,7 +356,6 @@ func (f *Farm) runAttempt(key string) {
 		sp.End()
 		f.mu.Lock()
 		f.stats.DeadlineMisses++
-		f.cfg.Rec.AddCount("farm.deadline_misses", 1)
 		f.mu.Unlock()
 		f.attemptFailed(key, fmt.Errorf("deadline %v exceeded", f.cfg.Deadline))
 	}
@@ -407,7 +400,6 @@ func (f *Farm) compute(sc Scenario) (Product, error) {
 		f.mu.Lock()
 		f.stats.Recoveries += stats.Recoveries
 		f.mu.Unlock()
-		f.cfg.Rec.AddCount("farm.world_recoveries", int64(stats.Recoveries))
 	} else {
 		res, err = solver.Run(model, opt)
 	}
@@ -445,7 +437,6 @@ func (f *Farm) attemptSucceeded(key string, p Product) {
 	if js != nil && js.status != jobDone {
 		js.status = jobDone
 		f.stats.Completed++
-		f.cfg.Rec.AddCount("farm.completed", 1)
 		f.inflight--
 		f.cond.Broadcast()
 	}
@@ -465,23 +456,12 @@ func (f *Farm) attemptFailed(key string, cause error) {
 		f.mu.Unlock()
 		return
 	}
-	if !rejected {
-		trips0 := f.breakers.Trips()
-		f.mu.Unlock()
-
-		f.breakers.OnFailure(js.sc.Class())
-
-		f.mu.Lock()
-		if t := f.breakers.Trips(); t > trips0 {
-			f.stats.BreakerTrips = t
-			f.cfg.Rec.AddCount("farm.breaker_trips", int64(t-trips0))
-			f.cfg.Logf("farm: breaker tripped for class %s (%s)", js.sc.Class(), cause)
-		}
+	if !rejected && f.breakers.OnFailure(js.sc.Class()) {
+		f.cfg.Logf("farm: breaker tripped for class %s (%s)", js.sc.Class(), cause)
 	}
 	if rejected || js.attempts >= f.cfg.MaxAttempts {
 		js.status = jobFailed
 		f.stats.Failed++
-		f.cfg.Rec.AddCount("farm.failed", 1)
 		f.cfg.Logf("farm: job %s failed permanently after %d attempts: %v",
 			key, js.attempts, cause)
 		f.inflight--
@@ -499,7 +479,6 @@ func (f *Farm) attemptFailed(key string, cause error) {
 	js.status = jobQueued
 	f.stats.Retries++
 	f.stats.BackoffSec += d.Seconds()
-	f.cfg.Rec.AddCount("farm.retries", 1)
 	f.mu.Unlock()
 	f.requeueAfter(key, d)
 }
@@ -574,7 +553,6 @@ func (f *Farm) withdrawLocked(js *jobState) {
 		f.stats.Failed--
 	}
 	f.stats.CorruptRequeued++
-	f.cfg.Rec.AddCount("farm.corrupt_requeued", 1)
 	js.status = jobQueued
 	js.attempts = 0
 	js.parks = 0

@@ -54,9 +54,6 @@ func TestFarmRunsCleanEnsemble(t *testing.T) {
 	if f.Surrogate().N() != 6 {
 		t.Fatalf("surrogate trained on %d points", f.Surrogate().N())
 	}
-	if rec.Count("farm.completed") != 6 {
-		t.Fatalf("telemetry completed = %d", rec.Count("farm.completed"))
-	}
 	if sec, n := rec.PhaseTotal(telemetry.Job); n != 6 || sec <= 0 {
 		t.Fatalf("Job phase: %g s over %d spans", sec, n)
 	}

@@ -163,7 +163,6 @@ func (s *Server) handleHazard(w http.ResponseWriter, r *http.Request) {
 		s.degraded++
 		s.served++
 		s.mu.Unlock()
-		s.farm.cfg.Rec.AddCount("farm.sheds", 1)
 		writeJSON(w, http.StatusOK, s.degradedAnswer(sc, false))
 		return
 	}
@@ -182,7 +181,6 @@ func (s *Server) handleHazard(w http.ResponseWriter, r *http.Request) {
 		if !s.farm.Resubmit(key) {
 			s.farm.Store().Delete(key)
 		}
-		s.farm.cfg.Rec.AddCount("farm.serve_corrupt", 1)
 		resp = s.degradedAnswer(sc, true)
 	default:
 		// Plain miss: enqueue the compute only if the class's breaker is
@@ -200,9 +198,6 @@ func (s *Server) handleHazard(w http.ResponseWriter, r *http.Request) {
 		s.degraded++
 	}
 	s.mu.Unlock()
-	if resp.Degraded {
-		s.farm.cfg.Rec.AddCount("farm.degraded_answers", 1)
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -20,14 +20,14 @@ import (
 // convoying on one mutex and one condvar (the centralized barrier this
 // replaced; BENCH_8.json holds the comparison). The tree barrier sends
 // no messages: it never touches the
-// inbox path, never appears in MessageStats, and composes with chaos injection trivially (there is
+// inbox path, never appears in the telemetry message counters, and composes with chaos injection trivially (there is
 // nothing to drop or corrupt).
 //
 // bcast (under Allreduce and BcastValue) and Reduce are binomial trees
 // (the classic MPICH recursive-halving schedule), and Allreduce is
 // tree-Reduce-to-0 plus tree-bcast. Each carries exactly the message count
 // and float volume of the flat versions they replace — P-1 messages for
-// bcast/Reduce, 2(P-1) for Allreduce — so MessageStats-based tests and
+// bcast/Reduce, 2(P-1) for Allreduce — so message-count tests and
 // the perfmodel fit are unaffected; only the critical path drops from
 // O(P) to O(log P). The payloads ride the ordinary Send path, so link-latency
 // charging, telemetry counters, and chaos (drop/corrupt/delay/crash +

@@ -78,12 +78,6 @@ type World struct {
 	chaos   *chaosEngine // nil: fault-free transport
 	aborted atomic.Bool
 
-	// Message-traffic counters (point-to-point only, collectives
-	// included): the measured side of the perfmodel's per-message
-	// latency term. Read with MessageStats, zero with ResetMessageStats.
-	sentMsgs   atomic.Uint64
-	sentFloats atomic.Uint64
-
 	// Barrier's combining tree (collectives.go), built lazily under
 	// barrierMu.
 	barrierMu sync.Mutex
@@ -121,20 +115,6 @@ func (w *World) inboxAt(r int) *inbox {
 		b.mu.Unlock()
 	}
 	return b
-}
-
-// MessageStats returns the total point-to-point messages and float32
-// values delivered since creation (or the last ResetMessageStats),
-// summed over all ranks. Used by the halo benchmarks and tests to verify
-// message-count claims (coalescing reduces counts, never float volume).
-func (w *World) MessageStats() (msgs, floats uint64) {
-	return w.sentMsgs.Load(), w.sentFloats.Load()
-}
-
-// ResetMessageStats zeroes the message-traffic counters.
-func (w *World) ResetMessageStats() {
-	w.sentMsgs.Store(0)
-	w.sentFloats.Store(0)
 }
 
 // RankError is one rank's failure inside RunErr: either the error the
@@ -407,8 +387,6 @@ func (c *Comm) enqueue(dst, tag int, data []float32, sum uint64) {
 	b.queue = append(b.queue, message{src: c.rank, tag: tag, data: data, sent: sent, sum: sum})
 	b.cond.Broadcast()
 	b.mu.Unlock()
-	c.world.sentMsgs.Add(1)
-	c.world.sentFloats.Add(uint64(len(data)))
 }
 
 // Recv blocks until a message matching (src, tag) is available, copies

@@ -223,13 +223,30 @@ func TestBarrierAbortReleasesTree(t *testing.T) {
 	}
 }
 
+// sent runs body on every rank of w with a fresh telemetry recorder
+// attached and returns the messages and float32 values all ranks sent.
+func sent(w *World, body func(c *Comm)) (msgs, floats int64) {
+	var mu sync.Mutex
+	w.Run(func(c *Comm) {
+		rec := telemetry.NewRecorder(c.Rank(), 0)
+		c.SetTelemetry(rec)
+		body(c)
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nb := range rec.Neighbors() {
+			msgs, floats = msgs+nb.SentMsgs, floats+nb.SentFloats
+		}
+	})
+	return msgs, floats
+}
+
 // TestTreeCollectivesMessageStats pins the wire-compatibility claim:
 // the binomial bcast/Reduce and the tree Allreduce carry exactly the
 // message counts and float volumes of the flat schedules they replaced.
 func TestTreeCollectivesMessageStats(t *testing.T) {
 	for _, P := range []int{2, 5, 8, 13} {
 		w := NewWorld(P)
-		w.Run(func(c *Comm) {
+		msgs, floats := sent(w, func(c *Comm) {
 			buf := make([]float32, 3)
 			if c.Rank() == 1%P {
 				buf = []float32{1, 2, 3}
@@ -239,20 +256,17 @@ func TestTreeCollectivesMessageStats(t *testing.T) {
 				panic("bcast payload wrong")
 			}
 		})
-		msgs, floats := w.MessageStats()
-		if msgs != uint64(P-1) || floats != uint64(3*(P-1)) {
+		if msgs != int64(P-1) || floats != int64(3*(P-1)) {
 			t.Fatalf("P=%d Bcast: %d msgs %d floats, want %d/%d", P, msgs, floats, P-1, 3*(P-1))
 		}
-		w.ResetMessageStats()
-		w.Run(func(c *Comm) {
+		msgs, floats = sent(w, func(c *Comm) {
 			out := c.Allreduce([]float64{float64(c.Rank() + 1)}, Sum)
 			want := float64(P*(P+1)) / 2
 			if math.Abs(out[0]-want) > 1e-9 {
 				panic("allreduce sum wrong")
 			}
 		})
-		msgs, floats = w.MessageStats()
-		if msgs != uint64(2*(P-1)) || floats != uint64(2*2*(P-1)) {
+		if msgs != int64(2*(P-1)) || floats != int64(2*2*(P-1)) {
 			t.Fatalf("P=%d Allreduce: %d msgs %d floats, want %d/%d", P, msgs, floats, 2*(P-1), 4*(P-1))
 		}
 	}
@@ -261,13 +275,11 @@ func TestTreeCollectivesMessageStats(t *testing.T) {
 // TestBarrierSendsNoMessages pins the property the halo benchmarks
 // depend on: Barrier never touches the message path or its counters.
 func TestBarrierSendsNoMessages(t *testing.T) {
-	w := NewWorld(32)
-	w.Run(func(c *Comm) {
+	if msgs, floats := sent(NewWorld(32), func(c *Comm) {
 		for i := 0; i < 5; i++ {
 			c.Barrier()
 		}
-	})
-	if msgs, floats := w.MessageStats(); msgs != 0 || floats != 0 {
+	}); msgs != 0 || floats != 0 {
 		t.Fatalf("barrier sent messages: %d msgs %d floats", msgs, floats)
 	}
 }

@@ -51,10 +51,6 @@ type Report struct {
 	Neighbors     []NeighborStats `json:"neighbors,omitempty"`
 	Events        []Event         `json:"-"` // merged trace, time-ordered
 	DroppedEvents uint64          `json:"dropped_events,omitempty"`
-	// ActiveShare holds, per rank in snapshot order, the cells its kernel
-	// sweeps covered over the cells whole sweeps would have (1: every sweep
-	// was whole; 0 also for a rank that reported no sweeps).
-	ActiveShare []float64 `json:"active_share,omitempty"`
 }
 
 // Snapshot is one rank's telemetry, the unit of cross-rank aggregation: it
@@ -71,8 +67,6 @@ type Snapshot struct {
 	// overwrites.
 	Events  []Event
 	Dropped uint64
-	// SweptCells and OwnedCells are the rank's SetSweptCells pair.
-	SweptCells, OwnedCells int64
 }
 
 // Snapshot copies the recorder's rank, step samples, span counts,
@@ -82,11 +76,9 @@ func (r *Recorder) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		Rank:       r.rank,
-		Steps:      append([][NumPhases]int64(nil), r.steps...),
-		Neighbors:  r.Neighbors(),
-		SweptCells: r.swept,
-		OwnedCells: r.owned,
+		Rank:      r.rank,
+		Steps:     append([][NumPhases]int64(nil), r.steps...),
+		Neighbors: r.Neighbors(),
 	}
 	for p := range s.Counts {
 		s.Counts[p] = r.acc[p].n.Load()
@@ -111,11 +103,6 @@ func BuildReport(snaps []Snapshot) (*Report, error) {
 		if len(s.Steps) > rep.StepWindows {
 			rep.StepWindows = len(s.Steps)
 		}
-		share := 0.0
-		if s.OwnedCells > 0 {
-			share = float64(s.SweptCells) / float64(s.OwnedCells)
-		}
-		rep.ActiveShare = append(rep.ActiveShare, share)
 		rankTotal := make([]float64, NumPhases)
 		for _, row := range s.Steps {
 			for p := 0; p < NumPhases; p++ {

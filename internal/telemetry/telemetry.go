@@ -1,10 +1,11 @@
 // Package telemetry is the per-rank instrumentation subsystem: monotonic
-// span timers and counters keyed by solver phase, a ring-buffered event
-// trace exportable as Chrome trace-event JSON, and cross-rank aggregation
-// (min/max/mean/p99 per phase per step window) assembled from snapshots
-// gathered over the in-process MPI runtime — the measured side of the
-// paper's Eq. 7 decomposition (Tstep = Tcomp + Tcomm + Tsync + γTout),
-// which until now the repo validated only through end-to-end timings.
+// span timers and span counts keyed by solver phase, per-peer message
+// counters, a ring-buffered event trace exportable as Chrome trace-event
+// JSON, and cross-rank aggregation (min/max/mean/p99 per phase per step
+// window) assembled from snapshots gathered over the in-process MPI
+// runtime. It is the one measured side of the paper's Eq. 7 decomposition
+// (Tstep = Tcomp + Tcomm + Tsync + γTout): the solver keeps no other clock
+// and the runtime no other message count.
 //
 // The disabled path is a nil *Recorder: every probe method has a nil
 // receiver check and returns immediately without reading the clock or
@@ -88,6 +89,13 @@ const (
 // NumPhases is the number of defined phases.
 const NumPhases = int(numPhases)
 
+// CompPhases and CommPhases group the phases of Eq. 7's Tcomp and of its
+// per-message Tcomm; Tsync is Sync and Tout is Output.
+var (
+	CompPhases = []Phase{Velocity, Stress, Attenuation, Boundary}
+	CommPhases = []Phase{Pack, Send, Recv, Unpack}
+)
+
 var phaseNames = [NumPhases]string{
 	"velocity", "stress", "attenuation", "boundary", "pack", "send",
 	"recv", "unpack", "sync", "output", "io", "checkpoint",
@@ -170,17 +178,6 @@ type Recorder struct {
 	// Per-neighbor message counters.
 	nbrMu sync.Mutex
 	nbr   map[int]*Neighbor
-
-	// Named counters (queue depth high-water, retries, breaker trips,
-	// shed queries, ...). Process-local: they are NOT part of the gathered
-	// snapshot encoding — the ensemble farm that uses them runs its
-	// supervisor in one process.
-	cntMu sync.Mutex
-	cnt   map[string]int64
-
-	// Cells the rank's kernel sweeps covered and the cells whole sweeps
-	// would have (SetSweptCells); owner goroutine only.
-	swept, owned int64
 }
 
 // NewRecorder creates a recorder for the given rank. traceEvents sets the
@@ -318,56 +315,6 @@ func (r *Recorder) Neighbors() []Neighbor {
 		}
 	}
 	return out
-}
-
-// AddCount adds n to the named counter, creating it at zero on first use.
-// Safe for concurrent use; a nil recorder discards the count.
-func (r *Recorder) AddCount(name string, n int64) {
-	if r == nil {
-		return
-	}
-	r.cntMu.Lock()
-	if r.cnt == nil {
-		r.cnt = map[string]int64{}
-	}
-	r.cnt[name] += n
-	r.cntMu.Unlock()
-}
-
-// MaxCount raises the named counter to v if v exceeds its current value —
-// the high-water-mark fold used for queue depth.
-func (r *Recorder) MaxCount(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.cntMu.Lock()
-	if r.cnt == nil {
-		r.cnt = map[string]int64{}
-	}
-	if v > r.cnt[name] {
-		r.cnt[name] = v
-	}
-	r.cntMu.Unlock()
-}
-
-// Count returns the named counter's value (0 if never touched or nil
-// recorder).
-func (r *Recorder) Count(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.cntMu.Lock()
-	defer r.cntMu.Unlock()
-	return r.cnt[name]
-}
-
-// SetSweptCells records, once at the end of a run, the cells the rank's
-// velocity and stress sweeps covered and the cells whole sweeps of its
-// subgrid would have — its row of Report.ActiveShare.
-func (r *Recorder) SetSweptCells(swept, owned int64) {
-	if r != nil {
-		r.swept, r.owned = swept, owned
-	}
 }
 
 // StepEnd closes one step window: the per-phase deltas since the previous

@@ -28,12 +28,19 @@ func TestPhaseNames(t *testing.T) {
 	}
 }
 
+func TestFarmPhasesNamed(t *testing.T) {
+	for p, want := range map[Phase]string{Job: "job", Serve: "serve"} {
+		if got := p.String(); got != want {
+			t.Fatalf("%d.String() = %q, want %q", p, got, want)
+		}
+	}
+}
+
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	sp := r.Span(Velocity)
 	sp.End() // must not panic
 	r.AddDur(Stress, time.Second)
-	r.SetSweptCells(1, 2)
 	r.CountSent(1, 10)
 	r.CountRecv(1, 10, 5)
 	r.StepEnd()
@@ -191,7 +198,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	r.CountSent(1, 100)
 	r.CountRecv(1, 50, 1000)
 	r.CountRecv(2, 10, 0)
-	r.SetSweptCells(123456789012, 987654321098)
 	for i := 0; i < 3; i++ {
 		sp := r.Span(Pack)
 		sp.End()
@@ -230,9 +236,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(s.Events) != 3 || s.Dropped != 0 {
 		t.Errorf("events = %d, dropped %d", len(s.Events), s.Dropped)
 	}
-	if s.SweptCells != 123456789012 || s.OwnedCells != 987654321098 {
-		t.Errorf("swept %d of %d cells", s.SweptCells, s.OwnedCells)
-	}
 	for _, e := range s.Events {
 		if e.Rank != 3 || e.Phase != Pack {
 			t.Errorf("event %+v", e)
@@ -261,10 +264,6 @@ func TestBuildReportAggregation(t *testing.T) {
 			r.AddDur(Velocity, time.Duration(ms)*time.Millisecond)
 			r.StepEnd()
 		}
-		// Rank 0 swept a quarter of its cells; rank 1 never reports.
-		if rank == 0 {
-			r.SetSweptCells(250, 1000)
-		}
 		return r.Snapshot()
 	}
 	rep, err := BuildReport([]Snapshot{
@@ -276,9 +275,6 @@ func TestBuildReportAggregation(t *testing.T) {
 	}
 	if rep.Ranks != 2 || rep.StepWindows != 4 {
 		t.Fatalf("ranks %d windows %d", rep.Ranks, rep.StepWindows)
-	}
-	if len(rep.ActiveShare) != 2 || rep.ActiveShare[0] != 0.25 || rep.ActiveShare[1] != 0 {
-		t.Errorf("ActiveShare = %v, want [0.25 0]", rep.ActiveShare)
 	}
 	v := rep.Stat(Velocity)
 	tol := 1e-9

@@ -32,10 +32,10 @@ type ChainConfig struct {
 	ChunkPlanes int // z-planes held live per core in streaming mesh extraction
 }
 
-// ChainReport is what each stage of one RunChain produced. Stages and
-// Solve.Timing are wall-clock measures; everything else is a count, a
-// checksum or priced by the simulated file systems and link, so the same
-// ChainConfig reproduces it.
+// ChainReport is what each stage of one RunChain produced. Stages is the
+// wall-clock measure; everything else is a count, a checksum or priced by
+// the simulated file systems and link, so the same ChainConfig reproduces
+// it.
 type ChainReport struct {
 	Topo          mpi.Cart
 	Mesh          meshgen.StreamStats

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/agg"
-	"repro/internal/core/solver"
 )
 
 // smallChain is cmd/pipeline's default config at 20 steps.
@@ -75,7 +74,6 @@ func TestChainDeterministic(t *testing.T) {
 		if !reflect.DeepEqual(names, want) {
 			t.Fatalf("stages %q, want %q", names, want)
 		}
-		r.Solve.Timing = solver.Timing{}
 		reports[i] = r
 	}
 	r := reports[0]
