@@ -137,11 +137,16 @@ func TestZeroQDisablesAttenuation(t *testing.T) {
 func exchangePeriodic(s *fd.State) {
 	for _, f := range s.Fields() {
 		for _, ax := range []grid.Axis{grid.X, grid.Y, grid.Z} {
-			buf := make([]float32, f.FaceLen(ax, grid.Ghost))
-			f.PackFace(ax, grid.High, grid.Ghost, buf)
-			f.UnpackFace(ax, grid.Low, grid.Ghost, buf)
-			f.PackFace(ax, grid.Low, grid.Ghost, buf)
-			f.UnpackFace(ax, grid.High, grid.Ghost, buf)
+			// The Ghost planes at each end fill the ghosts past the other end.
+			n := [3]int{f.NX, f.NY, f.NZ}[ax]
+			for _, p := range [2][2]int{{n - grid.Ghost, -grid.Ghost}, {0, n}} {
+				b := [6]int{0, f.NX, 0, f.NY, 0, f.NZ}
+				b[2*ax], b[2*ax+1] = p[0], p[0]+grid.Ghost
+				buf := make([]float32, grid.RangeLen(b[0], b[1], b[2], b[3], b[4], b[5]))
+				f.PackRange(b[0], b[1], b[2], b[3], b[4], b[5], buf)
+				b[2*ax], b[2*ax+1] = p[1], p[1]+grid.Ghost
+				f.UnpackRange(b[0], b[1], b[2], b[3], b[4], b[5], buf)
+			}
 		}
 	}
 }

@@ -11,14 +11,16 @@ import (
 // box"): a box of local, ghost-inclusive indices outside which every value of
 // the padded arrays — the nine fields, the memory variables, the zone splits —
 // is a zero no sweep of the step can change (the free-surface images aside:
-// they are written whole, and no clipped pass touches them). While a rank has
-// one, every tile of its plan — with the fault, the sources and the sponge's
-// stress damping riding it — the sponge's velocity pass and the PGV fold run
-// on their intersection with it. It starts empty and only grows: by the stencil
-// radius ahead of each sweep (grow), by the source nodes that went live and
-// the fault window (join), and by the hull of the ghost values that arrived
-// nonzero (takeHalo). Once it fills the padded subgrid the rank drops it
-// (rankState.dropBox) and steps on the whole-tile plan for good.
+// they are written whole, and no clipped pass touches them). Every tile of the
+// rank's plan — with the fault, the sources and the sponge's stress damping
+// riding it — the sponge's velocity pass, the PGV fold and the halo messages
+// run on their intersection with it. It starts empty and only grows: by the
+// stencil radius ahead of each sweep (grow), by the source nodes that went
+// live and the fault window (join), and by the hull of the ghost values that
+// arrived nonzero (takeHalo). Once it fills the padded subgrid, every tile is
+// its own intersection with it, every message ships whole faces and takeHalo
+// walks no buffer; a state rewritten from outside, which the box no longer
+// describes, fills it at once (fill).
 type activeBox struct {
 	fd.Box
 	padded fd.Box // the padded subgrid: growth clamps to it
@@ -32,15 +34,16 @@ func newActiveBox(d grid.Dims) *activeBox {
 // join takes b into the box.
 func (a *activeBox) join(b fd.Box) { a.Box = a.Hull(b.Intersect(a.padded)) }
 
-// grow dilates the box by the stencil radius — what one sweep can reach —
-// and reports whether it now fills the padded subgrid.
-func (a *activeBox) grow() (full bool) {
+// fill makes the box the whole padded subgrid.
+func (a *activeBox) fill() { a.Box = a.padded }
+
+// grow dilates the box by the stencil radius: what one sweep can reach.
+func (a *activeBox) grow() {
 	if a.Empty() {
-		return false
+		return
 	}
 	g := grid.Ghost
 	a.Box = fd.Box{I0: a.I0 - g, I1: a.I1 + g, J0: a.J0 - g, J1: a.J1 + g, K0: a.K0 - g, K1: a.K1 + g}.Intersect(a.padded)
-	return a.Box == a.padded
 }
 
 // takeHalo takes in the hull of the ghost cells the messages of a finished
@@ -90,22 +93,4 @@ func nonzeroHull(buf []float32, blk [6]int) fd.Box {
 		}
 	}
 	return hull
-}
-
-// dropBox ends clipping on this rank for good: the step runs the whole-tile
-// plan and the whole sponge and finish walks no buffer — the instructions of
-// a solver without the mechanism. Saturation is one reason; the other is a
-// state rewritten from outside (SetStepIndex after a checkpoint.Load), which
-// the box no longer describes.
-func (rs *rankState) dropBox() {
-	rs.box, rs.vel.box, rs.stress.box = nil, nil, nil
-	rs.plan = rs.whole
-}
-
-// sweptCells returns the cells this rank's velocity and stress sweeps covered
-// and the cells whole sweeps would have: the steps taken with the box
-// live counted tile by tile (rs.swept), the rest whole.
-func (rs *rankState) sweptCells() (swept, owned int64) {
-	perStep := 2 * int64(rs.sub.Local.Cells())
-	return rs.swept + (rs.steps-rs.liveSteps)*perStep, rs.steps * perStep
 }

@@ -11,60 +11,61 @@ import (
 	"repro/internal/mpi"
 )
 
-// TestActiveBoxSaturationIsOneWay runs one rank past saturation: the box and
-// both schedules' pointers to it are gone, the clipped tile counter stops, a
-// Step allocates exactly what a Step of a Stepper that never had a box does,
-// and the steps from then on count as whole in ActiveShare.
+// TestActiveBoxSaturationIsOneWay runs one rank past saturation: the box
+// fills the padded subgrid, which both schedules share; each step from then
+// on sweeps every cell twice, a Step allocates exactly what a Step of a
+// Stepper whose box was filled at construction does, and ActiveShare counts
+// the steps after saturation as whole.
 func TestActiveBoxSaturationIsOneWay(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	opt := baseOptions(mpi.NewCart(1, 1, 1))
 	opt.Variant, opt.Steps = fd.Production, 400
-	dropAt := 0
+	fullAt := 0
 	res, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
 		dc, _, err := Prepare(st.opt)
-		var never *Stepper
+		var filled *Stepper
 		if err == nil {
-			never, err = NewStepper(c, q, dc, st.opt)
+			filled, err = NewStepper(c, q, dc, st.opt)
 		}
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		never.rs.dropBox()
-		if st.rs.box == nil || !st.rs.box.Empty() {
-			t.Errorf("a new Stepper's box is %v, want empty", st.rs.box)
+		filled.box.fill()
+		b := st.box
+		if !b.Empty() {
+			t.Errorf("a new Stepper's box is %v, want empty", b.Box)
 		}
-		for st.rs.box != nil && st.StepIndex() < 40 {
+		for b.Box != b.padded && st.StepIndex() < 40 {
 			st.Step()
-			never.Step()
-			dropAt = st.StepIndex()
+			filled.Step()
+			fullAt = st.StepIndex()
 		}
-		rs := st.rs
-		if rs.box != nil || rs.vel.box != nil || rs.stress.box != nil {
-			t.Errorf("box still live after %d steps on a %v grid", dropAt, opt.Global)
+		if b.Box != b.padded || st.vel.box != b || st.stress.box != b {
+			t.Errorf("after %d steps on a %v grid the box is %v of %v, or a schedule holds another", fullAt, opt.Global, b.Box, b.padded)
 		}
 		// The source sits 12 cells from the x and y faces and the box grows
 		// 4 a step: it cannot have filled the padded grid before step 4.
-		if dropAt < 4 {
-			t.Errorf("box dropped after %d steps", dropAt)
+		if fullAt < 4 {
+			t.Errorf("box filled after %d steps", fullAt)
 		}
-		swept, live := rs.swept, rs.liveSteps
-		if got, want := testing.AllocsPerRun(20, st.Step), testing.AllocsPerRun(20, never.Step); got != want {
-			t.Errorf("a saturated Step allocates %v times, a Step without the box %v", got, want)
+		swept := st.swept
+		st.Step()
+		if got, want := st.swept-swept, 2*int64(st.sub.Local.Cells()); got != want {
+			t.Errorf("a saturated step swept %d cells, want %d", got, want)
 		}
-		if rs.swept != swept || rs.liveSteps != live {
-			t.Errorf("clipped-tile counters moved after saturation: swept %d -> %d, live steps %d -> %d",
-				swept, rs.swept, live, rs.liveSteps)
+		if got, want := testing.AllocsPerRun(20, st.Step), testing.AllocsPerRun(20, filled.Step); got != want {
+			t.Errorf("a saturated Step allocates %v times, a Step of a box filled from the start %v", got, want)
 		}
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every step after dropAt swept every cell, and the steps before it
+	// Every step after fullAt swept every cell, and the steps before it
 	// swept some: the share is below 1 by less than their fraction.
-	if lo := 1 - float64(dropAt)/float64(opt.Steps); res.ActiveShare <= lo || res.ActiveShare >= 1 {
-		t.Errorf("ActiveShare %g after dropping the box at step %d of %d, want inside (%g, 1)",
-			res.ActiveShare, dropAt, opt.Steps, lo)
+	if lo := 1 - float64(fullAt)/float64(opt.Steps); res.ActiveShare <= lo || res.ActiveShare >= 1 {
+		t.Errorf("ActiveShare %g with the box filled at step %d of %d, want inside (%g, 1)",
+			res.ActiveShare, fullAt, opt.Steps, lo)
 	}
 }
 
@@ -82,13 +83,14 @@ func TestSetStepIndexRejectsCursorsOutsideTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
+		box := st.box.Box
 		for _, n := range []int{-4, -1, opt.Steps + 4, opt.Steps + 1} {
 			if err := st.SetStepIndex(n); err == nil {
 				t.Errorf("rank %d: step index %d accepted", c.Rank(), n)
 			}
 		}
-		if st.StepIndex() != 0 || st.rs.box == nil {
-			t.Errorf("rank %d: rejected cursors left step index %d and box %v", c.Rank(), st.StepIndex(), st.rs.box)
+		if st.StepIndex() != 0 || st.box.Box != box {
+			t.Errorf("rank %d: rejected cursors left step index %d and box %v", c.Rank(), st.StepIndex(), st.box.Box)
 		}
 	}, nil)
 	if err != nil {
@@ -121,10 +123,10 @@ func TestSourceJoinsBoxWhenLive(t *testing.T) {
 
 	opt.Sources = []source.SampledSource{late, never}
 	res, err := runWorld(q, opt, nil, func(_ *mpi.Comm, st *Stepper) {
-		b, step := st.rs.box, st.StepIndex()-1
+		b, step := st.box, st.StepIndex()-1
 		switch {
-		case b == nil:
-			t.Errorf("step %d: box dropped on a 24x24x16 grid %d steps after the onset", step, step-onsetStep)
+		case b.Box == b.padded:
+			t.Errorf("step %d: box filled a 24x24x16 grid %d steps after the onset", step, step-onsetStep)
 		case step < onsetStep && !b.Empty():
 			t.Errorf("step %d: box %v before the source's onset at step %d", step, b.Box, onsetStep)
 		case step == onsetStep && b.Box != node:
@@ -142,8 +144,8 @@ func TestSourceJoinsBoxWhenLive(t *testing.T) {
 
 	opt.Sources = []source.SampledSource{never}
 	res, err = runWorld(q, opt, nil, func(_ *mpi.Comm, st *Stepper) {
-		if b := st.rs.box; b == nil || !b.Empty() {
-			t.Errorf("step %d: box %v with no live source", st.StepIndex()-1, b)
+		if b := st.box; !b.Empty() {
+			t.Errorf("step %d: box %v with no live source", st.StepIndex()-1, b.Box)
 		}
 	})
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 func PlanLTS(_ cvm.Querier, opt Options) (Options, error) { return opt, nil }
 
 // State exposes the rank's wavefield state.
-func (s *Stepper) State() *fd.State { return s.rs.st }
+func (s *Stepper) State() *fd.State { return s.st }
 
 // Close releases nothing: a Stepper holds no goroutine or file.
 func (s *Stepper) Close() {}

@@ -548,7 +548,7 @@ func (r region) framed() region {
 // sectionRegions places each of st's Sections(), found by name through its
 // owner.
 func sectionRegions(st *Stepper) ([]region, error) {
-	rs, sub := st.rs, st.rs.sub
+	rs, sub := st, st.sub
 	o := [3]int{sub.OffX, sub.OffY, sub.OffZ}
 	at := func(b fd.Box) fd.Box {
 		return fd.Box{I0: b.I0 + o[0], I1: b.I1 + o[0], J0: b.J0 + o[1], J1: b.J1 + o[1], K0: b.K0 + o[2], K1: b.K1 + o[2]}
@@ -685,7 +685,7 @@ func (p *physicsRow) build() *reference {
 	var orc *Stepper
 	var orcRegs []region
 	res, err := runWorld(p.q, opt, func(c *mpi.Comm, st *Stepper) {
-		st.rs.dropBox()
+		st.box.fill()
 		var err error
 		ref.regs, err = sectionRegions(st)
 		if err == nil {
@@ -703,7 +703,7 @@ func (p *physicsRow) build() *reference {
 	}, func(c *mpi.Comm, st *Stepper) {
 		step, secs := st.StepIndex()-1, st.Sections()
 		if orc != nil {
-			twoPassOracle(orc.rs, orc.dt, step)
+			twoPassOracle(orc, orc.dt, step)
 			if msg := diffState(secs, ref.regs, orc.Sections(), orcRegs, false); msg != "" {
 				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
 			}
@@ -809,17 +809,18 @@ func (r identityRow) run(ref *reference) string {
 	}
 	res, err := runWorld(r.phys.q, opt, func(c *mpi.Comm, st *Stepper) {
 		if !r.box {
-			st.rs.dropBox()
+			st.box.fill()
 		}
 		var err error
 		if regs[c.Rank()], err = sectionRegions(st); err != nil {
 			fail.add("%v", err)
 		}
 	}, func(c *mpi.Comm, st *Stepper) {
-		rank, rs, n := c.Rank(), st.rs, st.StepIndex()
+		rank, rs, n := c.Rank(), st, st.StepIndex()
+		full := rs.box.Box == rs.box.padded
 		if r.box && rs.srcs.Count() == 0 && rs.fault == nil {
 			mu.Lock()
-			sourceless, arrived = true, arrived || rs.box != nil && !rs.box.Empty()
+			sourceless, arrived = true, arrived || !rs.box.Empty()
 			mu.Unlock()
 		}
 		if msg := diffState(st.Sections(), regs[rank], ref.snaps[n-1], ref.regs, framed); msg != "" {
@@ -833,20 +834,20 @@ func (r identityRow) run(ref *reference) string {
 			}
 		case n == at+1:
 			rolled[rank] = true
-			if rs.box != nil {
+			if !full {
 				mu.Lock()
 				liveRollback = true
 				mu.Unlock()
 			}
 			err := cmp.Or(checkpoint.Read(fsys, "ckpt", rank, at, st.Sections()), st.SetStepIndex(at))
-			if err != nil || rs.box != nil || rs.vel.box != nil || rs.stress.box != nil {
-				fail.add("rank %d: rollback: %v; boxes after SetStepIndex %v, %v, %v", rank, err, rs.box, rs.vel.box, rs.stress.box)
+			if b := rs.box; err != nil || b.Box != b.padded || rs.vel.box != b || rs.stress.box != b {
+				fail.add("rank %d: rollback: %v; box after SetStepIndex %v, padded %v", rank, err, b.Box, b.padded)
 			}
 		}
 		if rank == 0 {
 			calls++
 		}
-		if st.Done() && rs.box != nil {
+		if st.Done() && !full {
 			mu.Lock()
 			clipping++
 			mu.Unlock()
@@ -865,7 +866,7 @@ func (r identityRow) run(ref *reference) string {
 		return fmt.Sprintf("%d of %d ranks still clip after %d steps", clipping, ranks, opt.Steps)
 	case r.box && r.ckpt && !liveRollback:
 		return "no rank's box was live at the rollback"
-	case sourceless && !arrived && !r.ckpt: // a rollback drops the boxes at step 2, maybe before the front arrives
+	case sourceless && !arrived && !r.ckpt: // a rollback fills the boxes at step 2, maybe before the front arrives
 		return "no rank without a source ever held a live box: the halo rule went unexercised"
 	case r.tel != (res.Telemetry != nil):
 		return fmt.Sprintf("telemetry %v, report %v", r.tel, res.Telemetry != nil)
@@ -1120,7 +1121,7 @@ func TestActiveBoxMatchesWholeSweeps(t *testing.T)   { identityView(t, boxed) }
 
 // TestSetStepIndexDropsActiveBox: the rows that keep the box roll back from
 // step 2 to step 1, where some rank's box is live; the restored state was
-// written from outside, so SetStepIndex must drop the box, and the replay
+// written from outside, so SetStepIndex must fill the box, and the replay
 // must reproduce the uninterrupted run.
 func TestSetStepIndexDropsActiveBox(t *testing.T) {
 	identityView(t, boxed, func(r identityRow) bool { return r.ckpt })

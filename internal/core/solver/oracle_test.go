@@ -19,11 +19,11 @@ import (
 // damps all nine fields after them as one padded pass (Sponge.ApplyPool:
 // ghosts and images included, velocities at step end) before the free surface
 // writes the stress images — the order of the passes the production tiles
-// replaced. rs is the state of a one-rank Stepper that never Steps: the
+// replaced. rs is a one-rank Stepper that never Steps: the
 // oracle borrows its set-up (medium, sponge, zones, free surface, memory
 // variables, localized sources, fault) only. It is the reference of every
 // identity row it applies to (identity_test.go).
-func twoPassOracle(rs *rankState, dt float64, n int) {
+func twoPassOracle(rs *Stepper, dt float64, n int) {
 	box, whole := rs.compBox, fd.FullBox(rs.sub.Local)
 	fd.UpdateVelocity(rs.st, rs.med, dt, box, fd.Precomp, fd.Blocking{})
 	for _, z := range rs.zones {

@@ -80,7 +80,7 @@ func TestRankResidentBytes(t *testing.T) {
 				mu.Unlock()
 				return
 			}
-			rs := st.rs
+			rs := st
 			d := rs.sub.Local
 			padded, owned := (d.NX+2*grid.Ghost)*(d.NY+2*grid.Ghost)*(d.NZ+2*grid.Ghost), d.Cells()
 			dense := 16

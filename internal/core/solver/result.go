@@ -51,68 +51,67 @@ func float32s(v []float64) []float32 {
 }
 
 // report assembles this rank's rankReport.
-func (rs *rankState) report(opt Options) rankReport {
+func (s *Stepper) report() rankReport {
 	rep := rankReport{Seismograms: map[int][][3]float32{}}
-	rep.Swept, rep.Owned = rs.sweptCells()
-	for _, r := range rs.receivers {
+	rep.Swept, rep.Owned = s.swept, s.steps*2*int64(s.sub.Local.Cells())
+	for _, r := range s.receivers {
 		rep.Seismograms[r.idx] = slices.Clone(r.series)
 	}
-	if rs.pgvh != nil {
+	if s.pgvh != nil {
 		rep.PGV = &pgvBlock{
-			X: rs.sub.OffX, Y: rs.sub.OffY, NX: rs.sub.Local.NX, NY: rs.sub.Local.NY,
-			H: float32s(rs.pgvh), PX: float32s(rs.pgvx), PY: float32s(rs.pgvy), PZ: float32s(rs.pgvz),
+			X: s.sub.OffX, Y: s.sub.OffY, NX: s.sub.Local.NX, NY: s.sub.Local.NY,
+			H: float32s(s.pgvh), PX: float32s(s.pgvx), PY: float32s(s.pgvy), PZ: float32s(s.pgvz),
 		}
 	}
-	if rs.fault != nil {
-		f := opt.Fault
+	if s.fault != nil {
+		f := s.opt.Fault
 		b := &faultBlock{
-			I0: max(f.I0, rs.sub.OffX), I1: min(f.I1, rs.sub.OffX+rs.sub.Local.NX),
-			K0: max(f.K0, rs.sub.OffZ), K1: min(f.K1, rs.sub.OffZ+rs.sub.Local.NZ),
-			Slip: float32s(rs.fault.Slip), PeakRate: float32s(rs.fault.PeakRate), RupTime: float32s(rs.fault.RupTime),
+			I0: max(f.I0, s.sub.OffX), I1: min(f.I1, s.sub.OffX+s.sub.Local.NX),
+			K0: max(f.K0, s.sub.OffZ), K1: min(f.K1, s.sub.OffZ+s.sub.Local.NZ),
+			Slip: float32s(s.fault.Slip), PeakRate: float32s(s.fault.PeakRate), RupTime: float32s(s.fault.RupTime),
 		}
-		j0 := f.J0 - rs.sub.OffY
+		j0 := f.J0 - s.sub.OffY
 		for k := b.K0; k < b.K1; k++ {
 			for i := b.I0; i < b.I1; i++ {
-				li, lk := i-rs.sub.OffX, k-rs.sub.OffZ
-				mu := float64(rs.med.Mu.At(li, j0, lk))
-				rho := float64(rs.med.Rho.At(li, j0, lk))
+				li, lk := i-s.sub.OffX, k-s.sub.OffZ
+				mu := float64(s.med.Mu.At(li, j0, lk))
+				rho := float64(s.med.Rho.At(li, j0, lk))
 				b.Vs = append(b.Vs, float32(math.Sqrt(mu/rho)))
 			}
 		}
 		rep.Fault = b
 	}
-	if rs.recorder != nil && opt.Fault.RecordEvery > 0 {
-		for n, series := range rs.recorder.Series {
+	if s.recorder != nil && s.opt.Fault.RecordEvery > 0 {
+		for n, series := range s.recorder.Series {
 			if len(series) == 0 {
 				continue
 			}
-			gi, _, gk := rs.recorder.NodeGlobal(n)
-			rep.Slip = append(rep.Slip, slipSeries{I: gi + rs.sub.OffX, K: gk + rs.sub.OffZ, Series: slices.Clone(series)})
+			gi, _, gk := s.recorder.NodeGlobal(n)
+			rep.Slip = append(rep.Slip, slipSeries{I: gi + s.sub.OffX, K: gk + s.sub.OffZ, Series: slices.Clone(series)})
 		}
 	}
-	if rs.tel != nil {
-		snap := rs.tel.Snapshot()
+	if s.tel != nil {
+		snap := s.tel.Snapshot()
 		rep.Telemetry = &snap
 	}
 	return rep
 }
 
 // collect gathers all per-rank outputs at rank 0 and assembles the Result.
-func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []float64) (*Result, error) {
-	// Moment rate: sum across ranks per step, in the tree's fixed order.
+func (s *Stepper) collect() (*Result, error) {
+	c, opt := s.comm, s.opt
+	// Moment rate: sum across ranks per step, in the tree's fixed order; ranks
+	// without fault nodes contribute zeros.
+	var momentRate []float64
 	if opt.Fault != nil {
-		if len(momentRate) < opt.Steps {
-			// Ranks without fault nodes contribute zeros.
-			momentRate = make([]float64, opt.Steps)
-		}
-		momentRate = c.Reduce(momentRate, mpi.Sum, 0)
+		momentRate = c.Reduce(s.momentRate, mpi.Sum, 0)
 	}
 
 	// Seismograms, PGV maps, fault arrays, slip-rate histories, swept cells
 	// and the telemetry snapshot (step samples, neighbor counters, event
 	// trace — the way the paper aggregates Jaguar timings) travel as one
 	// value.
-	reports, err := mpi.GatherValue(c, rs.report(opt), 0)
+	reports, err := mpi.GatherValue(c, s.report(), 0)
 	if c.Rank() != 0 {
 		return nil, err
 	}
@@ -120,7 +119,7 @@ func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []
 		return nil, fmt.Errorf("solver: collect: %w", err)
 	}
 
-	res := &Result{Steps: opt.Steps, Dt: dt}
+	res := &Result{Steps: opt.Steps, Dt: s.dt}
 	var swept, owned int64
 	for _, r := range reports {
 		swept, owned = swept+r.Swept, owned+r.Owned
@@ -129,7 +128,7 @@ func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []
 		res.ActiveShare = float64(swept) / float64(owned)
 	}
 
-	if rs.tel != nil {
+	if s.tel != nil {
 		snaps := make([]telemetry.Snapshot, 0, len(reports))
 		for _, r := range reports {
 			if r.Telemetry != nil {
@@ -145,8 +144,8 @@ func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []
 
 	res.Seismograms = make([][][3]float32, len(opt.Receivers))
 	for _, r := range reports {
-		for idx, s := range r.Seismograms {
-			res.Seismograms[idx] = s
+		for idx, ser := range r.Seismograms {
+			res.Seismograms[idx] = ser
 		}
 	}
 
@@ -199,12 +198,12 @@ func (rs *rankState) collect(c *mpi.Comm, opt Options, dt float64, momentRate []
 
 		if f.RecordEvery > 0 {
 			for _, r := range reports {
-				for _, s := range r.Slip {
-					res.SlipNodes = append(res.SlipNodes, [3]int{s.I, f.J0, s.K})
-					res.SlipSeries = append(res.SlipSeries, s.Series)
+				for _, sl := range r.Slip {
+					res.SlipNodes = append(res.SlipNodes, [3]int{sl.I, f.J0, sl.K})
+					res.SlipSeries = append(res.SlipSeries, sl.Series)
 				}
 			}
-			res.SlipDt = dt * float64(f.RecordEvery)
+			res.SlipDt = s.dt * float64(f.RecordEvery)
 		}
 	}
 

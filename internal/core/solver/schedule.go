@@ -20,8 +20,9 @@ import (
 //
 // A message ships only what the sender's active box covers (DESIGN.md §7,
 // "The halo schedule"): a hdrWords header holding the clip, then each
-// section's block cut to it. Outside the clip the sender's cells are +0 and
-// so are the receiver's ghosts, which only ever took +0 there.
+// section's block cut to it — the whole block once the box fills the padded
+// subgrid. Outside the clip the sender's cells are +0 and so are the
+// receiver's ghosts, which only ever took +0 there.
 //
 // Bit-identity across topologies and comm models holds by construction:
 // packing reads cells no unpack writes, sections of one buffer are disjoint
@@ -54,17 +55,21 @@ func haloTag(phase int, ax grid.Axis, dirHigh bool) int {
 }
 
 // haloEnv is what a schedule is built against: the rank's transport, its
-// subgrid and its face-neighbor ranks (-1: none). The traffic accounting
-// builds schedules on an env with no comm.
+// subgrid, its face-neighbor ranks (-1: none) and the active box its messages
+// are cut to and its finished exchanges grow — full unless the Stepper sets
+// its own. The traffic accounting (HaloStats in schedule_test.go) builds
+// schedules on an env with no comm.
 type haloEnv struct {
 	comm *mpi.Comm
 	tel  *telemetry.Recorder // nil disables the pack/send/recv/unpack spans
 	d    grid.Dims
 	nbr  [3][2]int
+	box  *activeBox
 }
 
 func newHaloEnv(c *mpi.Comm, topo mpi.Cart, d grid.Dims, tel *telemetry.Recorder) haloEnv {
-	e := haloEnv{comm: c, tel: tel, d: d}
+	e := haloEnv{comm: c, tel: tel, d: d, box: newActiveBox(d)}
+	e.box.fill()
 	for ax := 0; ax < 3; ax++ {
 		e.nbr[ax][0] = topo.Neighbor(c.Rank(), ax, -1)
 		e.nbr[ax][1] = topo.Neighbor(c.Rank(), ax, +1)
@@ -74,7 +79,7 @@ func newHaloEnv(c *mpi.Comm, topo mpi.Cart, d grid.Dims, tel *telemetry.Recorder
 
 // haloField is one entry of a schedule's field list.
 type haloField struct {
-	f     *grid.Field3 // nil when the schedule is only walked for its traffic (halo.go)
+	f     *grid.Field3 // nil when the schedule is only walked for its traffic (HaloStats)
 	depth int          // planes exchanged per face
 	axes  [3]bool      // axes the field is exchanged along
 }
@@ -113,9 +118,6 @@ type message struct {
 type schedule struct {
 	haloEnv
 	msgs []message
-	// box, while the rank has an active box, learns in finish where the
-	// ghosts stopped being zero; nil once the rank dropped it.
-	box *activeBox
 }
 
 // faceBlock returns the block of a depth-df section on face (ax, sd): the
@@ -208,8 +210,8 @@ func classicSchedule(env haloEnv, phase int, model CommModel, fields []*grid.Fie
 }
 
 // post starts the exchange: every message's sections are cut to the rank's
-// active box (whole once it has none) and packed into the message's spare
-// behind the header, and the spares are lent to the runtime.
+// active box and packed into the message's spare behind the header, and the
+// spares are lent to the runtime.
 // The caller may compute between post and finish — that gap is the
 // AsyncOverlap model.
 func (s *schedule) post() {
@@ -218,10 +220,7 @@ func (s *schedule) post() {
 	}
 	for i := range s.msgs {
 		m := &s.msgs[i]
-		clip := m.face
-		if s.box != nil {
-			clip = clip.Intersect(s.box.Box)
-		}
+		clip := m.face.Intersect(s.box.Box)
 		n := hdrWords
 		for si := range m.secs {
 			sec := &m.secs[si]
@@ -263,7 +262,8 @@ func (s *schedule) post() {
 }
 
 // finish completes the posted exchange: receive every message, check each
-// header against its message, unpack the clipped sections; each received
+// header against its message, take the ghosts that arrive nonzero into the
+// active box, unpack the clipped sections; each received
 // buffer stays as its message's next spare. A header
 // that does not fit its message panics with an error naming the peer and the
 // tag, which World.RunErr reports as the rank's failure.
@@ -284,9 +284,7 @@ func (s *schedule) finish() {
 			panic(fmt.Errorf("solver: halo message from rank %d, tag %d: %w", m.peer, m.recvTag, err))
 		}
 	}
-	if s.box != nil {
-		s.box.takeHalo(s.msgs)
-	}
+	s.box.takeHalo(s.msgs)
 	for i := range s.msgs {
 		m := &s.msgs[i]
 		for si := range m.secs {

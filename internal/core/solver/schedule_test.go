@@ -36,7 +36,7 @@ func checkTags(t *testing.T, label string, s *schedule) {
 // The schedule agrees with its own execution: on every rank, the messages
 // obtained by walking the schedules the Stepper built equal what per-rank
 // telemetry recorders count over one real Step, and so do the floats once
-// every box is dropped — the whole faces plus a hdrWords header a message.
+// every box is filled — the whole faces plus a hdrWords header a message.
 // While a box is live the payload behind the headers is at most the whole
 // faces. No schedule reuses a tag toward one peer.
 func TestScheduleMatchesExecution(t *testing.T) {
@@ -48,7 +48,7 @@ func TestScheduleMatchesExecution(t *testing.T) {
 		}
 		var mu sync.Mutex
 		var walkMsgs, walkFloats int
-		var got [2][2]uint64 // [live, dropped][msgs, floats]
+		var got [2][2]uint64 // [live, filled][msgs, floats]
 		world := mpi.NewWorld(opt.Topo.Size())
 		world.Run(func(c *mpi.Comm) {
 			st, err := NewStepper(c, q, dc, opt)
@@ -56,7 +56,7 @@ func TestScheduleMatchesExecution(t *testing.T) {
 				t.Errorf("%s: %v", label, err)
 				return
 			}
-			rs := st.rs
+			rs := st
 			checkTags(t, label, rs.vel)
 			checkTags(t, label, rs.stress)
 			msgs, floats := rs.vel.traffic()
@@ -68,7 +68,7 @@ func TestScheduleMatchesExecution(t *testing.T) {
 
 			for pass := range got {
 				if pass == 1 {
-					rs.dropBox()
+					rs.box.fill()
 				}
 				rec := telemetry.NewRecorder(c.Rank(), 0)
 				c.SetTelemetry(rec)
@@ -90,7 +90,7 @@ func TestScheduleMatchesExecution(t *testing.T) {
 				label, walkMsgs, walkFloats, hdr, live[0], live[1])
 		}
 		if whole := got[1]; whole[0] != uint64(walkMsgs) || whole[1] != uint64(walkFloats)+hdr {
-			t.Errorf("%s: boxes dropped: schedule says %d msgs / %d floats + %d header words, runtime delivered %d / %d",
+			t.Errorf("%s: boxes filled: schedule says %d msgs / %d floats + %d header words, runtime delivered %d / %d",
 				label, walkMsgs, walkFloats, hdr, whole[0], whole[1])
 		}
 	}
@@ -170,7 +170,7 @@ func TestHaloStatsCounts(t *testing.T) {
 	}
 }
 
-// The communication-only benchmark has no active box, so it must observe
+// The communication-only benchmark's box is full, so it must observe
 // the schedule's counts at the runtime's delivery point — whole faces behind
 // a hdrWords header a message — and a non-degenerate checksum.
 func TestHaloExchangeBenchCountsAndChecksum(t *testing.T) {
@@ -201,7 +201,7 @@ func TestHaloExchangeBenchCountsAndChecksum(t *testing.T) {
 // TestHaloShipsOnlyTheBox runs 2x2x1 with the source inside one rank. A rank
 // whose box is empty ships headers alone; every message's clip only grows;
 // every ghost a message leaves out of its clip holds +0, bit for bit; and
-// once SetStepIndex drops the boxes the messages carry whole faces. A header
+// once SetStepIndex fills the boxes the messages carry whole faces. A header
 // that does not fit its message panics with an error naming the peer and
 // the tag, not an index panic inside the copy.
 func TestHaloShipsOnlyTheBox(t *testing.T) {
@@ -209,7 +209,7 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 	opt := twoSidedOptions(g, 14, mpi.NewCart(2, 2, 1))
 	opt.Sources[0] = source.PointSource{GI: 6, GJ: 7, GK: 8, M0: 1e15, Tensor: source.Explosion,
 		STF: source.GaussianPulse(0.08, 0.02)}.Sample(0.002, 400)
-	const dropAfter = 10 // steps taken when SetStepIndex drops the boxes
+	const fillAfter = 10 // steps taken when SetStepIndex fills the boxes
 	q := cvm.SoCal(3200, 3200, 1600, 400)
 
 	type rankLog struct {
@@ -218,7 +218,7 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 	}
 	logs := make([]rankLog, 4)
 	_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
-		rs, lg := st.rs, &logs[c.Rank()]
+		rs, lg := st, &logs[c.Rank()]
 		step := st.StepIndex()
 		for p, s := range []*schedule{rs.vel, rs.stress} {
 			if lg.clips[p] == nil {
@@ -239,23 +239,23 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 				}
 				lg.clips[p][mi] = clip
 				switch {
-				case rs.box != nil && rs.box.Empty():
+				case rs.box.Empty():
 					if !clip.Empty() {
 						t.Errorf("rank %d step %d: empty box, yet clip %v toward rank %d", c.Rank(), step, clip, m.peer)
 					}
 					lg.headerOnly++
-				case rs.box != nil && !clip.Empty() && clip != m.face:
+				case !clip.Empty() && clip != m.face:
 					lg.clipped++
 				}
-				if step > dropAfter {
+				if step > fillAfter {
 					if !whole {
-						t.Errorf("rank %d step %d: box dropped, yet a message toward rank %d is clipped to %v", c.Rank(), step, m.peer, clip)
+						t.Errorf("rank %d step %d: box filled, yet a message toward rank %d is clipped to %v", c.Rank(), step, m.peer, clip)
 					}
 					lg.wholeAfter++
 				}
 			}
 		}
-		if step == dropAfter {
+		if step == fillAfter {
 			if err := st.SetStepIndex(step); err != nil {
 				t.Error(err)
 			}
@@ -270,9 +270,9 @@ func TestHaloShipsOnlyTheBox(t *testing.T) {
 		total.clipped += lg.clipped
 		total.wholeAfter += lg.wholeAfter
 	}
-	t.Logf("header-only %d, clipped %d, whole after the drop %d", total.headerOnly, total.clipped, total.wholeAfter)
+	t.Logf("header-only %d, clipped %d, whole after the fill %d", total.headerOnly, total.clipped, total.wholeAfter)
 	if total.headerOnly == 0 || total.clipped == 0 || total.wholeAfter == 0 {
-		t.Errorf("the run never shipped a header alone (%d), a clipped face (%d) or whole faces after the drop (%d)",
+		t.Errorf("the run never shipped a header alone (%d), a clipped face (%d) or whole faces after the fill (%d)",
 			total.headerOnly, total.clipped, total.wholeAfter)
 	}
 
@@ -382,7 +382,7 @@ func TestEachLinkKeepsTwoBuffers(t *testing.T) {
 	// spare after each step.
 	var spare [2][2][steps]*float32
 	_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
-		for p, s := range []*schedule{st.rs.vel, st.rs.stress} {
+		for p, s := range []*schedule{st.vel, st.stress} {
 			if len(s.msgs) != 1 {
 				t.Errorf("rank %d phase %d: %d messages, want 1", c.Rank(), p, len(s.msgs))
 				return

@@ -1,10 +1,10 @@
 package solver
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/agg"
-	"repro/internal/core/attenuation"
 	"repro/internal/core/boundary"
 	"repro/internal/core/fd"
 	"repro/internal/core/rupture"
@@ -14,7 +14,6 @@ import (
 	"repro/internal/grid"
 	"repro/internal/medium"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/output"
 	"repro/internal/pfs"
 	"repro/internal/telemetry"
@@ -194,9 +193,16 @@ func Run(q cvm.Querier, opt Options) (*Result, error) {
 	var runErr error
 	world := mpi.NewWorld(opt.Topo.Size())
 	world.Run(func(c *mpi.Comm) {
-		r, e := runRank(c, q, dc, opt)
+		s, err := NewStepper(c, q, dc, opt)
+		var r *Result
+		if err == nil {
+			for !s.Done() {
+				s.Step()
+			}
+			r, err = s.Finish()
+		}
 		if c.Rank() == 0 {
-			result, runErr = r, e
+			result, runErr = r, err
 		}
 	})
 	if runErr != nil {
@@ -205,62 +211,10 @@ func Run(q cvm.Querier, opt Options) (*Result, error) {
 	return result, nil
 }
 
-// rank-local solver state.
-type rankState struct {
-	comm *mpi.Comm
-	sub  decomp.Sub
-	med  *medium.Medium
-	st   *fd.State
-	tel  *telemetry.Recorder // nil: telemetry disabled
-
-	nbrMask [3][2]bool
-	// Halo schedules of the two per-step phases.
-	vel, stress *schedule
-
-	zones   []*boundary.PML
-	compBox fd.Box   // non-PML region the bulk kernels cover
-	plan    tilePlan // the step's tile queues over compBox and zones
-	// box is the rank's active box and plan the tile plan clipped to it,
-	// until dropBox sets box nil and plan = whole (activebox.go). steps counts
-	// the steps taken (replays included), liveSteps those taken with the
-	// box and swept the cells their clipped tiles covered (Result.ActiveShare).
-	box                     *activeBox
-	whole                   tilePlan
-	swept, steps, liveSteps int64
-
-	sponge   *boundary.Sponge
-	fs       *boundary.FreeSurface
-	atten    *attenuation.Model
-	srcs     *source.Set
-	fault    *rupture.Fault
-	recorder *rupture.SlipRateHistoryRecorder
-	// The state's velocities and stresses: the field lists the sponge damps.
-	velocities, stresses []*grid.Field3
-
-	surf *output.Dist // aggregated surface output (nil: disabled)
-
-	receivers []ownedReceiver
-	pgvh      []float64
-	pgvx      []float64
-	pgvy      []float64
-	pgvz      []float64
-}
-
 type ownedReceiver struct {
 	idx        int
 	li, lj, lk int
 	series     [][3]float32
-}
-
-func runRank(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Result, error) {
-	s, err := NewStepper(c, q, dc, opt)
-	if err != nil {
-		return nil, err
-	}
-	for !s.Done() {
-		s.Step()
-	}
-	return s.Finish()
 }
 
 // ownedFaces reduces the ABC face set to the physical faces of this rank,
@@ -276,13 +230,13 @@ func ownedFaces(dc decomp.Decomp, rank int, opt Options) boundary.FaceSet {
 	return fs
 }
 
-func (rs *rankState) setupFault(opt Options) error {
-	f := opt.Fault
+func (s *Stepper) setupFault() error {
+	f := s.opt.Fault
 	// Clip the global window to this rank's x/z extent.
-	i0 := max(f.I0, rs.sub.OffX)
-	i1 := min(f.I1, rs.sub.OffX+rs.sub.Local.NX)
-	k0 := max(f.K0, rs.sub.OffZ)
-	k1 := min(f.K1, rs.sub.OffZ+rs.sub.Local.NZ)
+	i0 := max(f.I0, s.sub.OffX)
+	i1 := min(f.I1, s.sub.OffX+s.sub.Local.NX)
+	k0 := max(f.K0, s.sub.OffZ)
+	k1 := min(f.K1, s.sub.OffZ+s.sub.Local.NZ)
 	if i1 <= i0 || k1 <= k0 {
 		return nil // no fault nodes on this rank
 	}
@@ -297,21 +251,21 @@ func (rs *rankState) setupFault(opt Options) error {
 		fr[k] = f.Friction[gk][i0-f.I0 : i0-f.I0+ni]
 	}
 	cfg := rupture.Config{
-		J0: f.J0 - rs.sub.OffY,
-		I0: i0 - rs.sub.OffX, I1: i1 - rs.sub.OffX,
-		K0: k0 - rs.sub.OffZ, K1: k1 - rs.sub.OffZ,
+		J0: f.J0 - s.sub.OffY,
+		I0: i0 - s.sub.OffX, I1: i1 - s.sub.OffX,
+		K0: k0 - s.sub.OffZ, K1: k1 - s.sub.OffZ,
 		Tau0: tau, SigmaN: sn, Friction: fr,
 	}
-	ft, err := rupture.NewFault(cfg, rs.sub.Local, rs.med.H)
+	ft, err := rupture.NewFault(cfg, s.sub.Local, s.med.H)
 	if err != nil {
 		return err
 	}
-	rs.fault = ft
+	s.fault = ft
 	// The window radiates from step 0: the split-node passes write vx on the
 	// plane and sxy on the two rows either side of it.
-	rs.box.join(fd.Box{I0: cfg.I0, I1: cfg.I1, J0: cfg.J0 - 2, J1: cfg.J0 + 2, K0: cfg.K0, K1: cfg.K1})
+	s.box.join(fd.Box{I0: cfg.I0, I1: cfg.I1, J0: cfg.J0 - 2, J1: cfg.J0 + 2, K0: cfg.K0, K1: cfg.K1})
 	if f.RecordEvery > 0 {
-		rs.recorder = rupture.NewRecorder(ft)
+		s.recorder = rupture.NewRecorder(ft)
 	}
 	return nil
 }
@@ -330,9 +284,8 @@ type queue struct {
 }
 
 // tilePlan is the rank's decomposition of a step's kernel work, built once
-// per Stepper — as the whole-tile plan and, over the same tiles, as the plan
-// whose tile bodies run on their intersection with the rank's active box — so
-// that a step tiles and allocates nothing.
+// per Stepper so that a step tiles and allocates nothing; every tile body runs
+// on the tile's intersection with the rank's active box.
 // Each phase drains its pre queue — every tile of compBox and of the zones
 // or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
 // — before its halo post, and under AsyncOverlap its inner queue, the tiles
@@ -343,11 +296,11 @@ type queue struct {
 // independent and any schedule stores the same bits as the serial sweep.
 //
 // With a sponge, velDamp is the sponge's velocity pass: the owned k-planes of
-// the subgrid — clipped, their intersection with the active box — each
-// damping the three velocities (the stresses are damped inside their tiles),
-// and planeLoop marks, over the tiles of stressPre then stressInner, those
-// whose stress body runs a k-plane at a time rather than as one tapered sweep
-// (stressTile); a clipped tile runs its whole tile's body.
+// the subgrid, cut to the active box, each damping the three velocities (the
+// stresses are damped inside their tiles), and planeLoop marks, over the tiles
+// of stressPre then stressInner, those whose stress body runs a k-plane at a
+// time rather than as one tapered sweep (stressTile); a clipped tile runs its
+// whole tile's body.
 type tilePlan struct {
 	velPre, velInner       queue
 	stressPre, stressInner queue
@@ -358,7 +311,7 @@ type tilePlan struct {
 // buildTilePlan fixes the zones' coefficient rows for dt, so that no tile
 // builds them while another reads them, and binds the tiles of cutTiles to
 // the phases' bodies. A zone's split fields live on its rank and never cross
-// a seam, so a zone is a tile like any other. It needs rs.atten and rs.fault
+// a seam, so a zone is a tile like any other. It needs s.atten and s.fault
 // set: they decide the tile bodies. In DFR mode the fault hooks onto every tile:
 // the split-node update ends each velocity tile, the stress correction each
 // stress tile's elastic pass, on the tile's own fault nodes and correction
@@ -367,27 +320,27 @@ type tilePlan struct {
 // do the sources: every stress tile ends by adding the sources whose node it
 // holds (stressTile), and with a sponge damps its stresses after them — in
 // one tapered sweep where it can (planeLoop), decided here once a tile.
-func (rs *rankState) buildTilePlan(opt Options, dt float64) {
-	for _, z := range rs.zones {
-		z.Prepare(dt)
+func (s *Stepper) buildTilePlan() {
+	for _, z := range s.zones {
+		z.Prepare(s.dt)
 	}
-	pre, inner, _ := rs.cutTiles(opt)
+	pre, inner, _ := s.cutTiles()
 
 	var velHook, stressHook tileHook
 	velZone, stressZone := zoneBody((*boundary.PML).UpdateVelocityBox), zoneBody((*boundary.PML).UpdateStressBox)
-	if f := rs.fault; f != nil {
+	if f := s.fault; f != nil {
 		velHook, stressHook = f.UpdateVelocity, f.CorrectStress
 		velZone, stressZone = velHook.after(velZone), stressHook.after(stressZone)
 	}
-	if rs.srcs.Count() > 0 {
-		stressZone = tileHook(rs.addSources).after(stressZone)
+	if s.srcs.Count() > 0 {
+		stressZone = tileHook(s.addSources).after(stressZone)
 	}
-	velocity := rs.kernelTile(opt, dt, rs.tel, telemetry.Velocity, fd.UpdateVelocity, velHook)
-	planes, tapered := rs.stressTile(opt, dt, stressHook)
+	velocity := s.kernelTile(s.tel, telemetry.Velocity, fd.UpdateVelocity, velHook)
+	planes, tapered := s.stressTile(stressHook)
 	// stress picks each stress tile's body, noting the plane loops.
 	var loops []bool
 	stress := func(tl tile) func(fd.Box) {
-		loop := tapered == nil || !rs.unitAtSources(tl.b)
+		loop := tapered == nil || !s.unitAtSources(tl.b)
 		loops = append(loops, loop)
 		if loop {
 			return planes
@@ -395,46 +348,42 @@ func (rs *rankState) buildTilePlan(opt Options, dt float64) {
 		return tapered
 	}
 	vel := func(tile) func(fd.Box) { return velocity }
-	// mk binds tiles to a phase's bodies twice: whole, and with every tile cut
-	// to the active box — a tile outside it returns at once. Only a rank that
-	// still has its box drains the clipped queues.
-	mk := func(tiles []tile, interior func(tile) func(fd.Box), zone zoneBody) (whole, clipped queue) {
+	// mk binds tiles to a phase's bodies, each cut to the active box: a tile
+	// outside it returns at once, and the cells of one inside count as swept.
+	mk := func(tiles []tile, interior func(tile) func(fd.Box), zone zoneBody) queue {
 		bodies := make([]func(fd.Box), len(tiles))
 		for i, tl := range tiles {
 			if tl.zone == nil {
 				bodies[i] = interior(tl)
 			}
 		}
-		run := func(i int, b fd.Box) {
+		return queue{len(tiles), func(i int) {
+			b := tiles[i].b.Intersect(s.box.Box)
+			if b.Empty() {
+				return
+			}
+			s.swept += int64(b.Cells())
 			z := tiles[i].zone
 			if z == nil {
 				bodies[i](b)
 				return
 			}
-			sp := rs.tel.Span(telemetry.Boundary)
-			zone(z, rs.st, rs.med, dt, b)
+			sp := s.tel.Span(telemetry.Boundary)
+			zone(z, s.st, s.med, s.dt, b)
 			sp.End()
-		}
-		whole = queue{len(tiles), func(i int) { run(i, tiles[i].b) }}
-		clipped = queue{len(tiles), func(i int) {
-			if b := tiles[i].b.Intersect(rs.box.Box); !b.Empty() {
-				rs.swept += int64(b.Cells())
-				run(i, b)
-			}
 		}}
-		return whole, clipped
 	}
-	w, p := &rs.whole, &rs.plan
-	w.velPre, p.velPre = mk(pre, vel, velZone)
-	w.velInner, p.velInner = mk(inner, vel, nil)
-	w.stressPre, p.stressPre = mk(pre, stress, stressZone)
-	w.stressInner, p.stressInner = mk(inner, stress, nil)
-	if rs.sponge != nil {
-		w.planeLoop, p.planeLoop = loops, loops
-		owned := fd.FullBox(rs.sub.Local)
-		plane := func(k int) fd.Box { b := owned; b.K0, b.K1 = k, k+1; return b }
-		w.velDamp = queue{owned.K1, func(k int) { rs.sponge.DampBox(rs.velocities, plane(k)) }}
-		p.velDamp = queue{owned.K1, func(k int) { rs.sponge.DampBox(rs.velocities, plane(k).Intersect(rs.box.Box)) }}
+	p := &s.plan
+	p.velPre, p.velInner = mk(pre, vel, velZone), mk(inner, vel, nil)
+	p.stressPre, p.stressInner = mk(pre, stress, stressZone), mk(inner, stress, nil)
+	if s.sponge != nil {
+		p.planeLoop = loops
+		owned := fd.FullBox(s.sub.Local)
+		p.velDamp = queue{owned.K1, func(k int) {
+			b := owned
+			b.K0, b.K1 = k, k+1
+			s.sponge.DampBox(s.velocities, b.Intersect(s.box.Box))
+		}}
 	}
 }
 
@@ -453,25 +402,25 @@ func shapeOf(b fd.Box) fd.Blocking { return fd.Blocking{JBlock: b.J1 - b.J0, KBl
 
 // cutTiles cuts compBox (under AsyncOverlap, its halo-adjacent strips and,
 // for the inner queue, innerBox) and the zones into tiles of their tileShape.
-func (rs *rankState) cutTiles(opt Options) (pre, inner []tile, innerBox fd.Box) {
+func (s *Stepper) cutTiles() (pre, inner []tile, innerBox fd.Box) {
 	add := func(dst []tile, box fd.Box, z *boundary.PML) []tile {
-		for _, b := range fd.Tiles(box, tileShape(opt, box)) {
+		for _, b := range fd.Tiles(box, tileShape(s.opt, box)) {
 			dst = append(dst, tile{b, z})
 		}
 		return dst
 	}
-	if opt.Comm == AsyncOverlap {
+	if s.opt.Comm == AsyncOverlap {
 		var strips []fd.Box
-		strips, innerBox = boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
-		for _, s := range strips {
-			pre = add(pre, s.Intersect(rs.compBox), nil)
+		strips, innerBox = boundaryStrips(s.sub.Local, s.nbrMask, grid.Ghost)
+		for _, strip := range strips {
+			pre = add(pre, strip.Intersect(s.compBox), nil)
 		}
-		innerBox = innerBox.Intersect(rs.compBox)
+		innerBox = innerBox.Intersect(s.compBox)
 		inner = add(nil, innerBox, nil)
 	} else {
-		pre = add(nil, rs.compBox, nil)
+		pre = add(nil, s.compBox, nil)
 	}
-	for _, z := range rs.zones {
+	for _, z := range s.zones {
 		pre = add(pre, z.Zone, z)
 	}
 	return pre, inner, innerBox
@@ -484,32 +433,27 @@ func (q queue) drain() {
 	}
 }
 
-// advance performs step number step of this rank by dt — the one step
-// program of every comm model; its telemetry spans are the Eq. 7 terms.
-// Each phase drains its pre queue, posts its halo messages, drains its inner
-// queue while they fly and finishes the exchange. Without AsyncOverlap the
-// inner queues are empty, so post and finish are adjacent but for the
-// sponge's velocity pass. The rank's one goroutine drains every queue.
-func (rs *rankState) advance(opt Options, dt float64, step int) {
-	plan := &rs.plan
-	tNow := float64(step+1) * dt
+// advance performs the rank's next step — the one step program of every comm
+// model; its telemetry spans are the Eq. 7 terms. Each phase grows the active
+// box by what its sweep can reach, drains its pre queue, posts its halo
+// messages, drains its inner queue while they fly and finishes the exchange.
+// Without AsyncOverlap the inner queues are empty, so post and finish are
+// adjacent but for the sponge's velocity pass. The rank's one goroutine drains
+// every queue.
+func (s *Stepper) advance() {
+	plan := &s.plan
 
 	// --- Velocity phase ---
-	rs.steps++
-	if rs.box != nil && rs.box.grow() {
-		rs.dropBox()
-	}
-	if rs.box != nil {
-		rs.liveSteps++
-	}
+	s.steps++
+	s.box.grow()
 	plan.velPre.drain()
-	rs.vel.post()
+	s.vel.post()
 	plan.velInner.drain()
-	rs.vel.finish()
-	rs.syncBarrier(opt)
-	if rs.fs != nil {
-		sp := rs.tel.Span(telemetry.Boundary)
-		rs.fs.ApplyVelocity(rs.st, rs.med)
+	s.vel.finish()
+	s.syncBarrier()
+	if s.fs != nil {
+		sp := s.tel.Span(telemetry.Boundary)
+		s.fs.ApplyVelocity(s.st, s.med)
 		sp.End()
 	}
 
@@ -522,40 +466,33 @@ func (rs *rankState) advance(opt Options, dt float64, step int) {
 	// before any tile is clipped to it. The velocities are damped by one
 	// queue after the inner tiles, the last that read them: under
 	// AsyncOverlap while the messages fly.
-	if rs.box != nil && rs.box.grow() {
-		// Filled between the sweeps of a step counted as clipped: its stress
-		// sweep is whole.
-		rs.swept += int64(rs.sub.Local.Cells())
-		rs.dropBox()
-	}
-	if live := rs.srcs.Rates(dt, tNow); rs.box != nil {
-		rs.box.join(live)
-	}
+	s.box.grow()
+	s.box.join(s.srcs.Rates(s.dt, float64(s.step+1)*s.dt))
 	plan.stressPre.drain()
-	rs.stress.post()
+	s.stress.post()
 	plan.stressInner.drain()
 	if plan.velDamp.n > 0 {
-		sp := rs.tel.Span(telemetry.Boundary)
+		sp := s.tel.Span(telemetry.Boundary)
 		plan.velDamp.drain()
 		sp.End()
 	}
-	rs.stress.finish()
-	rs.syncBarrier(opt)
-	if rs.fs != nil {
-		sp := rs.tel.Span(telemetry.Boundary)
-		rs.fs.ApplyStress(rs.st)
+	s.stress.finish()
+	s.syncBarrier()
+	if s.fs != nil {
+		sp := s.tel.Span(telemetry.Boundary)
+		s.fs.ApplyStress(s.st)
 		sp.End()
 	}
 }
 
 // syncBarrier is the Synchronous model's global barrier after a phase's
 // exchange.
-func (rs *rankState) syncBarrier(opt Options) {
-	if opt.Comm != Synchronous {
+func (s *Stepper) syncBarrier() {
+	if s.opt.Comm != Synchronous {
 		return
 	}
-	sp := rs.tel.Span(telemetry.Sync)
-	rs.comm.Barrier()
+	sp := s.tel.Span(telemetry.Sync)
+	s.comm.Barrier()
 	sp.End()
 }
 
@@ -579,19 +516,19 @@ func (h tileHook) after(zone zoneBody) zoneBody {
 // phase from inside the tile, so the zone tiles of the same queue (timed as
 // Boundary) are not counted as kernel time. A nil tel leaves the timing to
 // the caller.
-func (rs *rankState) kernelTile(opt Options, dt float64, tel *telemetry.Recorder, phase telemetry.Phase,
+func (s *Stepper) kernelTile(tel *telemetry.Recorder, phase telemetry.Phase,
 	kernel func(*fd.State, *medium.Medium, float64, fd.Box, fd.Variant, fd.Blocking), hook tileHook) func(fd.Box) {
 	if hook != nil {
 		return func(b fd.Box) {
 			sp := tel.Span(phase)
-			kernel(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
-			hook(rs.st, rs.med, dt, b)
+			kernel(s.st, s.med, s.dt, b, s.opt.Variant, shapeOf(b))
+			hook(s.st, s.med, s.dt, b)
 			sp.End()
 		}
 	}
 	return func(b fd.Box) {
 		sp := tel.Span(phase)
-		kernel(rs.st, rs.med, dt, b, opt.Variant, shapeOf(b))
+		kernel(s.st, s.med, s.dt, b, s.opt.Variant, shapeOf(b))
 		sp.End()
 	}
 }
@@ -611,49 +548,49 @@ func (rs *rankState) kernelTile(opt Options, dt float64, tel *telemetry.Recorder
 // under a fault hook, whose correction and attenuation pass come between, and
 // under an elastic body no walker runs (Naive, Precomp). Both are timed whole
 // under Stress. Without a sponge planes is the plain body and tapered nil.
-func (rs *rankState) stressTile(opt Options, dt float64, hook tileHook) (planes, tapered func(fd.Box)) {
-	src := rs.srcs.Count() > 0
-	if rs.sponge != nil {
-		update := rs.stressBody(opt, dt, nil, hook)
+func (s *Stepper) stressTile(hook tileHook) (planes, tapered func(fd.Box)) {
+	src := s.srcs.Count() > 0
+	if s.sponge != nil {
+		update := s.stressBody(nil, hook)
 		planes = func(b fd.Box) {
-			sp := rs.tel.Span(telemetry.Stress)
+			sp := s.tel.Span(telemetry.Stress)
 			for k := b.K0; k < b.K1; k++ {
 				p := b
 				p.K0, p.K1 = k, k+1
 				update(p)
 				if src {
-					rs.srcs.AddBox(rs.st, p)
+					s.srcs.AddBox(s.st, p)
 				}
-				rs.sponge.DampBox(rs.stresses, p)
+				s.sponge.DampBox(s.stresses, p)
 			}
 			sp.End()
 		}
-		tp := rs.sponge.Taper()
+		tp := s.sponge.Taper()
 		var sweep func(fd.Box)
 		switch {
 		case hook != nil: // the correction, and attenuation, come between
-		case rs.atten == nil && opt.Variant == fd.Blocked:
-			sweep = func(b fd.Box) { fd.UpdateStressTapered(rs.st, rs.med, dt, b, tp) }
-		case rs.atten != nil && opt.Variant.Precomputed():
-			sweep = func(b fd.Box) { rs.atten.FusedStressTapered(rs.st, rs.med, dt, b, tp) }
+		case s.atten == nil && s.opt.Variant == fd.Blocked:
+			sweep = func(b fd.Box) { fd.UpdateStressTapered(s.st, s.med, s.dt, b, tp) }
+		case s.atten != nil && s.opt.Variant.Precomputed():
+			sweep = func(b fd.Box) { s.atten.FusedStressTapered(s.st, s.med, s.dt, b, tp) }
 		}
 		if sweep != nil {
 			tapered = func(b fd.Box) {
-				sp := rs.tel.Span(telemetry.Stress)
+				sp := s.tel.Span(telemetry.Stress)
 				sweep(b)
 				if src {
-					rs.srcs.AddBox(rs.st, b)
+					s.srcs.AddBox(s.st, b)
 				}
 				sp.End()
 			}
 		}
 		return planes, tapered
 	}
-	body := rs.stressBody(opt, dt, rs.tel, hook)
+	body := s.stressBody(s.tel, hook)
 	if src {
 		return func(b fd.Box) {
 			body(b)
-			rs.srcs.AddBox(rs.st, b)
+			s.srcs.AddBox(s.st, b)
 		}, nil
 	}
 	return body, nil
@@ -662,10 +599,10 @@ func (rs *rankState) stressTile(opt Options, dt float64, hook tileHook) (planes,
 // unitAtSources reports whether the sponge's factor is exactly 1 at every
 // source node in b, so that b's sources may be added after its tapered
 // sweep.
-func (rs *rankState) unitAtSources(b fd.Box) bool {
-	tp := rs.sponge.Taper()
-	for n := range rs.srcs.Count() {
-		i, j, k := rs.srcs.Node(n)
+func (s *Stepper) unitAtSources(b fd.Box) bool {
+	tp := s.sponge.Taper()
+	for n := range s.srcs.Count() {
+		i, j, k := s.srcs.Node(n)
 		if b.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) && tp.At(i, j, k) != 1 {
 			return false
 		}
@@ -683,64 +620,61 @@ func (rs *rankState) unitAtSources(b fd.Box) bool {
 // have, and DFR mode, whose stress correction (hook) must see the purely
 // elastic stress, so attenuation runs after it on the same tile. Each pass is
 // timed on tel under its own span (none with a nil tel).
-func (rs *rankState) stressBody(opt Options, dt float64, tel *telemetry.Recorder, hook tileHook) func(fd.Box) {
-	elastic := rs.kernelTile(opt, dt, tel, telemetry.Stress, fd.UpdateStress, hook)
+func (s *Stepper) stressBody(tel *telemetry.Recorder, hook tileHook) func(fd.Box) {
+	elastic := s.kernelTile(tel, telemetry.Stress, fd.UpdateStress, hook)
 	switch {
-	case rs.atten == nil:
+	case s.atten == nil:
 		return elastic
-	case hook == nil && opt.Variant.Precomputed():
+	case hook == nil && s.opt.Variant.Precomputed():
 		return func(b fd.Box) {
 			sp := tel.Span(telemetry.Stress)
-			rs.atten.FusedStress(rs.st, rs.med, dt, b)
+			s.atten.FusedStress(s.st, s.med, s.dt, b)
 			sp.End()
 		}
 	}
 	return func(b fd.Box) {
 		elastic(b)
 		sp := tel.Span(telemetry.Attenuation)
-		rs.atten.Apply(rs.st, rs.med, dt, b)
+		s.atten.Apply(s.st, s.med, s.dt, b)
 		sp.End()
 	}
 }
 
 // addSources is the sources' tileHook: it adds the step's increments of the
 // sources whose node lies in b (source.Set.AddBox).
-func (rs *rankState) addSources(s *fd.State, _ *medium.Medium, _ float64, b fd.Box) {
-	rs.srcs.AddBox(s, b)
+func (s *Stepper) addSources(st *fd.State, _ *medium.Medium, _ float64, b fd.Box) {
+	s.srcs.AddBox(st, b)
 }
 
 // trackPGV folds the current surface velocities into the peak maps, a row
 // at a time. Outside the active box the velocities are zero and fold to
 // what the maps hold.
-func (rs *rankState) trackPGV() {
-	if rs.pgvh == nil {
+func (s *Stepper) trackPGV() {
+	if s.pgvh == nil {
 		return
 	}
-	b := fd.Box{I1: rs.sub.Local.NX, J1: rs.sub.Local.NY, K1: 1}
-	if rs.box != nil {
-		b = b.Intersect(rs.box.Box)
-	}
+	b := fd.Box{I1: s.sub.Local.NX, J1: s.sub.Local.NY, K1: 1}.Intersect(s.box.Box)
 	if b.Empty() {
 		return
 	}
 	for j := b.J0; j < b.J1; j++ {
-		rs.trackPGVRow(j, b.I0, b.I1)
+		s.trackPGVRow(j, b.I0, b.I1)
 	}
 }
 
 // trackPGVRow folds columns [i0, i1) of surface row j through contiguous row
 // slices instead of per-point bounds-checked At() calls.
-func (rs *rankState) trackPGVRow(j, i0, i1 int) {
+func (s *Stepper) trackPGVRow(j, i0, i1 int) {
 	n := i1 - i0
-	base := rs.st.VX.Idx(i0, j, 0) // identical layout across components
-	vxr := rs.st.VX.Data()[base : base+n]
-	vyr := rs.st.VY.Data()[base : base+n]
-	vzr := rs.st.VZ.Data()[base : base+n]
-	o := j*rs.sub.Local.NX + i0
-	ph := rs.pgvh[o : o+n]
-	px := rs.pgvx[o : o+n]
-	py := rs.pgvy[o : o+n]
-	pz := rs.pgvz[o : o+n]
+	base := s.st.VX.Idx(i0, j, 0) // identical layout across components
+	vxr := s.st.VX.Data()[base : base+n]
+	vyr := s.st.VY.Data()[base : base+n]
+	vzr := s.st.VZ.Data()[base : base+n]
+	o := j*s.sub.Local.NX + i0
+	ph := s.pgvh[o : o+n]
+	px := s.pgvx[o : o+n]
+	py := s.pgvy[o : o+n]
+	pz := s.pgvz[o : o+n]
 	for i := 0; i < n; i++ {
 		vx, vy, vz := float64(vxr[i]), float64(vyr[i]), float64(vzr[i])
 		if h := math.Hypot(vx, vy); h > ph[i] {
@@ -758,28 +692,26 @@ func (rs *rankState) trackPGVRow(j, i0, i1 int) {
 	}
 }
 
-// packSurfaceFrame serializes this rank's free-surface velocity
-// rectangle for one output frame: vx, vy, vz per point, x fastest then
-// y, matching the in-frame file view built in NewStepper. Returns nil on
-// ranks that own no surface points.
-func (rs *rankState) packSurfaceFrame() []byte {
-	if rs.sub.OffZ != 0 {
-		return nil
+// packSurfaceFrame writes this rank's free-surface velocity rectangle into
+// dst, its slot of one output frame: vx, vy, vz per point as little-endian
+// float32, x fastest then y, matching the in-frame file view built in
+// NewStepper. dst is empty on ranks that own no surface points.
+func (s *Stepper) packSurfaceFrame(dst []byte) {
+	if len(dst) == 0 {
+		return
 	}
-	nx, ny := rs.sub.Local.NX, rs.sub.Local.NY
-	buf := make([]float32, nx*ny*3)
-	for j := 0; j < ny; j++ {
-		base := rs.st.VX.Idx(0, j, 0)
-		vxr := rs.st.VX.Data()[base : base+nx]
-		vyr := rs.st.VY.Data()[base : base+nx]
-		vzr := rs.st.VZ.Data()[base : base+nx]
-		o := j * nx * 3
-		for i := 0; i < nx; i++ {
-			buf[o] = vxr[i]
-			buf[o+1] = vyr[i]
-			buf[o+2] = vzr[i]
-			o += 3
+	nx := s.sub.Local.NX
+	for j := range s.sub.Local.NY {
+		base := s.st.VX.Idx(0, j, 0)
+		vxr := s.st.VX.Data()[base : base+nx]
+		vyr := s.st.VY.Data()[base : base+nx]
+		vzr := s.st.VZ.Data()[base : base+nx]
+		row := dst[j*nx*SurfaceRecBytes:][:nx*SurfaceRecBytes]
+		for i := range nx {
+			rec := row[i*SurfaceRecBytes:]
+			binary.LittleEndian.PutUint32(rec, math.Float32bits(vxr[i]))
+			binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(vyr[i]))
+			binary.LittleEndian.PutUint32(rec[8:], math.Float32bits(vzr[i]))
 		}
 	}
-	return mpiio.PutFloat32s(buf)
 }

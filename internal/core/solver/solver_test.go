@@ -354,7 +354,7 @@ func TestDtIsRanksExactMinimum(t *testing.T) {
 			res, err := runWorld(cvm.SoCal(24*h, 24*h, 16*h, 500), opt, func(_ *mpi.Comm, st *Stepper) {
 				mu.Lock()
 				defer mu.Unlock()
-				want = math.Min(want, st.rs.med.StableDt(st.opt.CFL))
+				want = math.Min(want, st.med.StableDt(st.opt.CFL))
 			}, nil)
 			if err != nil {
 				t.Fatal(err)

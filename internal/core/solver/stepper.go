@@ -160,136 +160,166 @@ func checkSpacing(h float64) error {
 	return nil
 }
 
-// Stepper drives one rank of a prepared run one time step at a time —
-// the re-entrant core of runRank, exposed so the fault-tolerance harness
-// can interleave stepping with checkpointing and roll the step cursor
-// back after a coordinated recovery. All per-step observables are
+// Stepper is one rank of a prepared run, stepped one time step at a time:
+// Run steps every rank's to the end, and the fault-tolerance harness
+// interleaves stepping with checkpointing and rolls the step cursor back
+// after a coordinated recovery. All per-step observables are
 // index-addressed (receiver samples by sample index, moment rate by step,
 // PGV by monotone max-fold), so replaying a step range after a rollback
 // overwrites identical values and the final outputs stay bit-identical
 // to an uninterrupted run; the one appending observable, the DFR slip-rate
 // history, is cut back to the rollback step by SetStepIndex.
 type Stepper struct {
-	rs         *rankState
-	opt        Options
-	c          *mpi.Comm
-	dt         float64
-	step       int
+	opt  Options
+	dt   float64
+	comm *mpi.Comm
+	sub  decomp.Sub
+	med  *medium.Medium
+	st   *fd.State
+	tel  *telemetry.Recorder // nil: telemetry disabled
+
+	nbrMask [3][2]bool
+	// Halo schedules of the two per-step phases.
+	vel, stress *schedule
+
+	zones   []*boundary.PML
+	compBox fd.Box   // non-PML region the bulk kernels cover
+	plan    tilePlan // the step's tile queues over compBox and zones
+	// box is the rank's active box (activebox.go), which the plan's tiles and
+	// both schedules are cut to. steps counts the steps taken (replays
+	// included) and swept the cells their tiles covered (Result.ActiveShare).
+	box          *activeBox
+	swept, steps int64
+
+	sponge   *boundary.Sponge
+	fs       *boundary.FreeSurface
+	atten    *attenuation.Model
+	srcs     *source.Set
+	fault    *rupture.Fault
+	recorder *rupture.SlipRateHistoryRecorder
+	// The state's velocities and stresses: the field lists the sponge damps.
+	velocities, stresses []*grid.Field3
+
+	surf    *output.Dist // aggregated surface output (nil: disabled)
+	surfErr error
+
+	receivers  []ownedReceiver
+	pgvh       []float64
+	pgvx       []float64
+	pgvy       []float64
+	pgvz       []float64
 	momentRate []float64
-	surfErr    error
+
+	step int // the next step to execute
 }
 
 // NewStepper builds one rank's solver state inside a world body. opt and
 // dc must come from Prepare.
 func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Stepper, error) {
-	rs := &rankState{comm: c, sub: dc.SubFor(c.Rank())}
-	rs.med = medium.FromCVM(q, dc, rs.sub, opt.H)
-	rs.st = fd.NewState(rs.sub.Local)
+	s := &Stepper{opt: opt, comm: c, sub: dc.SubFor(c.Rank())}
+	s.med = medium.FromCVM(q, dc, s.sub, opt.H)
+	s.st = fd.NewState(s.sub.Local)
 	if opt.Telemetry != nil {
-		rs.tel = telemetry.NewRecorder(c.Rank(), opt.Telemetry.TraceEvents)
-		c.SetTelemetry(rs.tel)
+		s.tel = telemetry.NewRecorder(c.Rank(), opt.Telemetry.TraceEvents)
+		c.SetTelemetry(s.tel)
 	}
 	for ax := 0; ax < 3; ax++ {
-		rs.nbrMask[ax][0] = opt.Topo.Neighbor(c.Rank(), ax, -1) >= 0
-		rs.nbrMask[ax][1] = opt.Topo.Neighbor(c.Rank(), ax, +1) >= 0
+		s.nbrMask[ax][0] = opt.Topo.Neighbor(c.Rank(), ax, -1) >= 0
+		s.nbrMask[ax][1] = opt.Topo.Neighbor(c.Rank(), ax, +1) >= 0
 	}
 
 	// One collective, Dt given or not: the stable dt, the lowest rank whose
 	// medium is Unphysical and the stable dt at safety factor 1, the bound on
 	// an explicit Dt — every rank returns one error, none waits on another.
 	bad := math.Inf(1)
-	if rs.med.Unphysical {
+	if s.med.Unphysical {
 		bad = float64(c.Rank())
 	}
-	agreed := c.Allreduce([]float64{rs.med.StableDt(opt.CFL), bad, rs.med.StableDt(1)}, mpi.Min)
+	agreed := c.Allreduce([]float64{s.med.StableDt(opt.CFL), bad, s.med.StableDt(1)}, mpi.Min)
 	if bad = agreed[1]; !math.IsInf(bad, 1) {
 		return nil, fmt.Errorf("solver: the velocity model gives rank %d a material that is not finite or has Vp <= 0, Vs < 0 or density <= 0", int(bad))
 	}
-	dt := opt.Dt
-	if dt <= 0 {
-		dt = agreed[0]
-	} else if dt > agreed[2] {
-		return nil, fmt.Errorf("solver: Dt %g exceeds the model's stable step %g (CFL 1): the run would blow up", dt, agreed[2])
+	s.dt = opt.Dt
+	if s.dt <= 0 {
+		s.dt = agreed[0]
+	} else if s.dt > agreed[2] {
+		return nil, fmt.Errorf("solver: Dt %g exceeds the model's stable step %g (CFL 1): the run would blow up", s.dt, agreed[2])
 	}
 
 	// Boundary conditions on the physical faces this rank owns.
 	faces := ownedFaces(dc, c.Rank(), opt)
-	rs.compBox = fd.FullBox(rs.sub.Local)
+	s.compBox = fd.FullBox(s.sub.Local)
 	switch opt.ABC {
 	case MPMLABC:
-		vpMax := c.Allreduce([]float64{rs.med.MaxVp}, mpi.Max)[0]
-		rs.zones, rs.compBox = boundary.BuildPML(rs.sub.Local, faces, opt.PMLWidth,
+		vpMax := c.Allreduce([]float64{s.med.MaxVp}, mpi.Max)[0]
+		s.zones, s.compBox = boundary.BuildPML(s.sub.Local, faces, opt.PMLWidth,
 			boundary.DefaultMPMLRatio, boundary.DefaultPMLReflection, vpMax, opt.H)
 	case SpongeABC:
 		globalFaces := boundary.FaceSet{
 			XLo: true, XHi: true, YLo: true, YHi: true,
 			ZLo: !opt.FreeSurface, ZHi: true,
 		}
-		rs.sponge = boundary.NewSpongeGlobal(rs.sub.Local, opt.Global,
-			[3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ},
+		s.sponge = boundary.NewSpongeGlobal(s.sub.Local, opt.Global,
+			[3]int{s.sub.OffX, s.sub.OffY, s.sub.OffZ},
 			opt.SpongeWidth, boundary.DefaultSpongeAlpha, globalFaces)
 	}
-	if opt.FreeSurface && rs.sub.OffZ == 0 {
-		rs.fs = boundary.NewFreeSurface(rs.sub.Local)
+	if opt.FreeSurface && s.sub.OffZ == 0 {
+		s.fs = boundary.NewFreeSurface(s.sub.Local)
 	}
-	rs.box = newActiveBox(rs.sub.Local)
 	if opt.Attenuation {
-		rs.atten = attenuation.New(rs.med, attenuation.DefaultBand, dt)
-		rs.atten.Origin = [3]int{rs.sub.OffX, rs.sub.OffY, rs.sub.OffZ}
+		s.atten = attenuation.New(s.med, attenuation.DefaultBand, s.dt)
+		s.atten.Origin = [3]int{s.sub.OffX, s.sub.OffY, s.sub.OffZ}
 	}
-	rs.med.QS = nil // read by the deficits alone
-	// The two per-step halo phases.
-	env := newHaloEnv(c, opt.Topo, rs.sub.Local, rs.tel)
-	rs.vel = classicSchedule(env, phaseVelocity, opt.Comm, rs.st.Velocities())
-	rs.stress = classicSchedule(env, phaseStress, opt.Comm, rs.st.Stresses())
-	rs.vel.box, rs.stress.box = rs.box, rs.box
-	rs.srcs = source.Localize(opt.Sources, rs.sub, opt.H)
-	rs.velocities, rs.stresses = rs.st.Velocities(), rs.st.Stresses()
+	s.med.QS = nil // read by the deficits alone
+	// The two per-step halo phases, cut to the rank's box.
+	env := newHaloEnv(c, opt.Topo, s.sub.Local, s.tel)
+	s.box = newActiveBox(s.sub.Local)
+	env.box = s.box
+	s.vel = classicSchedule(env, phaseVelocity, opt.Comm, s.st.Velocities())
+	s.stress = classicSchedule(env, phaseStress, opt.Comm, s.st.Stresses())
+	s.srcs = source.Localize(opt.Sources, s.sub, opt.H)
+	s.velocities, s.stresses = s.st.Velocities(), s.st.Stresses()
 
 	if opt.Fault != nil {
-		if err := rs.setupFault(opt); err != nil {
+		if err := s.setupFault(); err != nil {
 			return nil, err
 		}
+		s.momentRate = make([]float64, opt.Steps)
 	}
 
-	rs.buildTilePlan(opt, dt)
+	s.buildTilePlan()
 
 	// Receiver series are preallocated and sample-indexed so a replayed
 	// step overwrites its own sample instead of appending a duplicate.
 	for idx, r := range opt.Receivers {
-		if li, lj, lk, ok := rs.sub.Contains(r[0], r[1], r[2]); ok {
-			rs.receivers = append(rs.receivers, ownedReceiver{
+		if li, lj, lk, ok := s.sub.Contains(r[0], r[1], r[2]); ok {
+			s.receivers = append(s.receivers, ownedReceiver{
 				idx: idx, li: li, lj: lj, lk: lk,
 				series: make([][3]float32, opt.Steps),
 			})
 		}
 	}
-	if opt.TrackPGV && rs.sub.OffZ == 0 {
-		n := rs.sub.Local.NX * rs.sub.Local.NY
-		rs.pgvh = make([]float64, n)
-		rs.pgvx = make([]float64, n)
-		rs.pgvy = make([]float64, n)
-		rs.pgvz = make([]float64, n)
+	if opt.TrackPGV && s.sub.OffZ == 0 {
+		n := s.sub.Local.NX * s.sub.Local.NY
+		s.pgvh = make([]float64, n)
+		s.pgvx = make([]float64, n)
+		s.pgvy = make([]float64, n)
+		s.pgvz = make([]float64, n)
 	}
 
 	if so := opt.Surface; so != nil {
 		var segs []mpiio.Segment
-		if rs.sub.OffZ == 0 {
+		if s.sub.OffZ == 0 {
 			segs = mpiio.BlockSegments(grid.Dims{NX: opt.Global.NX, NY: opt.Global.NY, NZ: 1},
-				rs.sub.OffX, rs.sub.OffX+rs.sub.Local.NX,
-				rs.sub.OffY, rs.sub.OffY+rs.sub.Local.NY, 0, 1, SurfaceRecBytes)
+				s.sub.OffX, s.sub.OffX+s.sub.Local.NX,
+				s.sub.OffY, s.sub.OffY+s.sub.Local.NY, 0, 1, SurfaceRecBytes)
 		}
 		frameBytes := opt.Global.NX * opt.Global.NY * SurfaceRecBytes
-		d, err := output.NewDist(c, so.FS, so.Path, frameBytes, segs, so.FlushEvery, so.Agg, rs.tel)
+		d, err := output.NewDist(c, so.FS, so.Path, frameBytes, segs, so.FlushEvery, so.Agg, s.tel)
 		if err != nil {
 			return nil, err
 		}
-		rs.surf = d
-	}
-
-	s := &Stepper{rs: rs, opt: opt, c: c, dt: dt}
-	if opt.Fault != nil {
-		s.momentRate = make([]float64, opt.Steps)
+		s.surf = d
 	}
 	return s, nil
 }
@@ -301,24 +331,24 @@ func (s *Stepper) StepIndex() int { return s.step }
 // of coordinated recovery, paired with a checkpoint.Read into Sections(). The
 // cursor must lie in [0, Steps]. An accepted cursor is also the one way to
 // tell the Stepper that its sections were written from outside — between
-// steps they are otherwise read-only — so the rank drops its active box,
-// which describes the state the Stepper itself computed; a rejected one
-// changes nothing.
+// steps they are otherwise read-only — so the rank's active box, which
+// describes the state the Stepper itself computed, fills its subgrid; a
+// rejected one changes nothing.
 func (s *Stepper) SetStepIndex(n int) error {
 	if n < 0 || n > s.opt.Steps {
 		return fmt.Errorf("solver: step index %d lies outside the run's steps 0..%d", n, s.opt.Steps)
 	}
-	s.rs.dropBox()
+	s.box.fill()
 	// Drop what the replay records again: buffered surface frames (flushed
 	// ones are offset-addressed and overwrite identically) and the slip-rate
 	// samples of steps n and on.
-	if s.rs.surf != nil {
+	if s.surf != nil {
 		e := s.opt.Surface.Every
-		s.rs.surf.Rewind((n + e - 1) / e)
+		s.surf.Rewind((n + e - 1) / e)
 	}
-	if s.rs.recorder != nil {
+	if s.recorder != nil {
 		e := s.opt.Fault.RecordEvery
-		s.rs.recorder.Truncate((n + e - 1) / e)
+		s.recorder.Truncate((n + e - 1) / e)
 	}
 	s.step = n
 	return nil
@@ -331,60 +361,65 @@ func (s *Stepper) Done() bool { return s.step >= s.opt.Steps }
 // memory variables, M-PML zone splits, fault — each aliasing live state, for
 // checkpoint.Write to save and checkpoint.Read to restore in place.
 func (s *Stepper) Sections() []grid.Section {
-	rs := s.rs
-	secs := rs.st.Sections()
-	if rs.atten != nil {
-		secs = append(secs, rs.atten.Sections()...)
+	secs := s.st.Sections()
+	if s.atten != nil {
+		secs = append(secs, s.atten.Sections()...)
 	}
-	for _, z := range rs.zones {
+	for _, z := range s.zones {
 		secs = append(secs, z.Sections()...)
 	}
-	if rs.fault != nil {
-		secs = append(secs, rs.fault.Sections()...)
+	if s.fault != nil {
+		secs = append(secs, s.fault.Sections()...)
 	}
 	return secs
 }
 
 // Recorder exposes the rank's telemetry recorder (nil when telemetry is
 // disabled) so harnesses can attribute checkpoint and recovery spans.
-func (s *Stepper) Recorder() *telemetry.Recorder { return s.rs.tel }
+func (s *Stepper) Recorder() *telemetry.Recorder { return s.tel }
 
 // Step executes one time step — kernels, halo exchange, sources,
 // boundaries — followed by index-addressed observable extraction, and
-// advances the step cursor.
+// advances the step cursor. A surface frame is packed into its slot of the
+// output buffer inside the Output span; a flush it completes is the
+// collective Agg phase after it.
 func (s *Stepper) Step() {
-	rs, step := s.rs, s.step
-	if rs.fault != nil {
+	step := s.step
+	if s.fault != nil {
 		// Once a step, before any tile's split-node update stamps a rupture
 		// time with it.
-		rs.fault.Tick(s.dt)
+		s.fault.Tick(s.dt)
 	}
-	rs.advance(s.opt, s.dt, step)
+	s.advance()
 
-	if rs.fault != nil {
-		s.momentRate[step] = rs.fault.MomentRate(rs.med)
-		if rs.recorder != nil && step%s.opt.Fault.RecordEvery == 0 {
-			rs.recorder.Record()
+	if s.fault != nil {
+		s.momentRate[step] = s.fault.MomentRate(s.med)
+		if s.recorder != nil && step%s.opt.Fault.RecordEvery == 0 {
+			s.recorder.Record()
 		}
 	}
 
-	sp := rs.tel.Span(telemetry.Output)
-	for i := range rs.receivers {
-		r := &rs.receivers[i]
+	sp := s.tel.Span(telemetry.Output)
+	for i := range s.receivers {
+		r := &s.receivers[i]
 		r.series[step] = [3]float32{
-			rs.st.VX.At(r.li, r.lj, r.lk),
-			rs.st.VY.At(r.li, r.lj, r.lk),
-			rs.st.VZ.At(r.li, r.lj, r.lk),
+			s.st.VX.At(r.li, r.lj, r.lk),
+			s.st.VY.At(r.li, r.lj, r.lk),
+			s.st.VZ.At(r.li, r.lj, r.lk),
 		}
 	}
-	rs.trackPGV()
+	s.trackPGV()
+	frame := s.surf != nil && step%s.opt.Surface.Every == 0
+	if frame {
+		s.packSurfaceFrame(s.surf.Frame(step / s.opt.Surface.Every))
+	}
 	sp.End()
-	if rs.surf != nil && step%s.opt.Surface.Every == 0 {
-		if err := rs.surf.AppendFrame(step/s.opt.Surface.Every, rs.packSurfaceFrame()); err != nil && s.surfErr == nil {
+	if frame {
+		if err := s.surf.Commit(); err != nil && s.surfErr == nil {
 			s.surfErr = err
 		}
 	}
-	rs.tel.StepEnd()
+	s.tel.StepEnd()
 	s.step++
 }
 
@@ -393,20 +428,20 @@ func (s *Stepper) Step() {
 func (s *Stepper) Finish() (*Result, error) {
 	// Final surface flush first — a collective, like the gathers below,
 	// so every rank takes it in the same order.
-	if s.rs.surf != nil {
-		if err := s.rs.surf.Flush(); err != nil && s.surfErr == nil {
+	if s.surf != nil {
+		if err := s.surf.Flush(); err != nil && s.surfErr == nil {
 			s.surfErr = err
 		}
 	}
-	res, err := s.rs.collect(s.c, s.opt, s.dt, s.momentRate)
+	res, err := s.collect()
 	if err == nil && s.surfErr != nil {
 		err = s.surfErr
 	}
 	if err != nil {
 		return nil, err
 	}
-	if res != nil && s.rs.surf != nil {
-		res.Surface = &s.rs.surf.Stats
+	if res != nil && s.surf != nil {
+		res.Surface = &s.surf.Stats
 	}
 	return res, nil
 }

@@ -52,13 +52,13 @@ func TestTilePlanPartitionsSubgrid(t *testing.T) {
 
 func checkTilePlan(t *testing.T, tag string, d grid.Dims, width int, faces boundary.FaceSet, nbr [3][2]bool, opt Options) {
 	t.Helper()
-	rs := &rankState{nbrMask: nbr, compBox: fd.FullBox(d)}
+	rs := &Stepper{opt: opt, nbrMask: nbr, compBox: fd.FullBox(d)}
 	rs.sub.Local = d
 	if width > 0 {
 		rs.zones, rs.compBox = boundary.BuildPML(d, faces, width, boundary.DefaultMPMLRatio,
 			boundary.DefaultPMLReflection, 6000, 100)
 	}
-	pre, inner, innerBox := rs.cutTiles(opt)
+	pre, inner, innerBox := rs.cutTiles()
 
 	// The boxes the plan cuts, and how many tiles each got.
 	boxes := map[fd.Box]int{}
@@ -129,14 +129,11 @@ func stressPlan(t *testing.T, q cvm.Querier, opt Options) (tiles []fd.Box, plane
 	t.Helper()
 	opt.Topo = mpi.NewCart(1, 1, 1)
 	_, err := runWorld(q, opt, func(_ *mpi.Comm, st *Stepper) {
-		pre, inner, _ := st.rs.cutTiles(st.opt)
+		pre, inner, _ := st.cutTiles()
 		for _, tl := range append(pre, inner...) {
 			tiles = append(tiles, tl.b)
 		}
-		planeLoop = st.rs.plan.planeLoop
-		if !slices.Equal(planeLoop, st.rs.whole.planeLoop) {
-			t.Errorf("the clipped plan's plane loops %v differ from the whole plan's %v", planeLoop, st.rs.whole.planeLoop)
-		}
+		planeLoop = st.plan.planeLoop
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

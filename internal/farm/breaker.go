@@ -148,14 +148,24 @@ func (bs *Breakers) OnFailure(class string) bool {
 	return true
 }
 
-// Ready reports whether the class would admit work, without consuming a
-// half-open probe slot or transitioning state — the read-only check used
-// by the serving path to decide whether to enqueue a compute (the worker
-// path's Allow does the actual probing).
+// Ready reports whether Allow would admit the class now — Closed, Open past
+// its cooldown, or HalfOpen with no probe in flight — without taking the
+// probe slot or changing state: the serving path's check before it enqueues
+// a compute, whose worker's Allow does the probing. An Open class heals only
+// through a probe, so one that tripped with nothing queued behind it waits
+// for the next miss to bring one.
 func (bs *Breakers) Ready(class string) bool {
 	bs.mu.Lock()
 	defer bs.mu.Unlock()
-	return bs.get(class).state == Closed
+	switch b := bs.get(class); b.state {
+	case Closed:
+		return true
+	case Open:
+		return bs.cfg.now().Sub(b.openedAt) >= bs.cfg.cooldown
+	case HalfOpen:
+		return !b.probing
+	}
+	return false
 }
 
 // Trips returns the total Closed/HalfOpen→Open transitions across classes.

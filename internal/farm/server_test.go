@@ -217,6 +217,30 @@ func TestServerBreakerOpenServesDegraded(t *testing.T) {
 	f.Wait()
 }
 
+// TestServerBreakerHealsWithNothingQueued: a class that tripped with no job
+// queued behind it still heals. Past the cooldown a miss queues its scenario,
+// whose job is the half-open probe, and the job's success closes the class.
+func TestServerBreakerHealsWithNothingQueued(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	f := newTestFarm(t, Config{breaker: breakerConfig{threshold: 1, cooldown: time.Minute, now: clk.now}})
+	srv := NewServer(f, ServerConfig{})
+	sc := Scenario{Mw: 7.3, HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1}
+	f.Breakers().OnFailure(sc.Class()) // trip M7+ with nothing queued
+
+	var r HazardResponse
+	if getJSON(t, srv, scenarioURL(sc), &r); r.Queued {
+		t.Fatalf("queued inside the cooldown: %+v", r)
+	}
+	clk.advance(time.Minute)
+	if getJSON(t, srv, scenarioURL(sc), &r); !r.Queued {
+		t.Fatalf("past the cooldown the class still sheds its compute: %+v", r)
+	}
+	f.Wait()
+	if st := f.Breakers().State(sc.Class()); st != Closed || f.Stats().Completed != 1 {
+		t.Fatalf("after the probe job: breaker %v, stats %+v", st, f.Stats())
+	}
+}
+
 func TestServerStatus(t *testing.T) {
 	f := newTestFarm(t, Config{Workers: 2})
 	srv := NewServer(f, ServerConfig{})

@@ -43,9 +43,9 @@ func FuzzPackUnpackSection(f *testing.F) {
 		for n := range src.data {
 			src.data[n] = float32(n) + 0.5
 		}
-		i0, i1, j0, j1, k0, k1 := src.planeExtents(ax, sd, count, false)
-		g0, g1, h0, h1, l0, l1 := src.planeExtents(ax, sd, count, true)
-		faceLen := src.FaceLen(ax, count)
+		i0, i1, j0, j1, k0, k1 := faceBlock(d, ax, sd, count, false)
+		g0, g1, h0, h1, l0, l1 := faceBlock(d, ax, sd, count, true)
+		faceLen := RangeLen(i0, i1, j0, j1, k0, k1)
 		if w, sx := int(rw%5), d.NX+2*Ghost; w > 0 && w <= sx {
 			i0 = int(rpi)%(sx-w+1) - Ghost
 			g0 = int(rui)%(sx-w+1) - Ghost

@@ -215,67 +215,6 @@ func (s Side) String() string {
 	return "high"
 }
 
-// planeExtents computes the loop bounds of `count` planes of the interior
-// adjacent to a face (for packing to send) or of the ghost region adjacent
-// to a face (for unpacking after receive).
-func (f *Field3) planeExtents(ax Axis, sd Side, count int, ghost bool) (i0, i1, j0, j1, k0, k1 int) {
-	i0, i1 = 0, f.NX
-	j0, j1 = 0, f.NY
-	k0, k1 = 0, f.NZ
-	set := func(lo, hi *int, n int) {
-		if sd == Low {
-			if ghost {
-				*lo, *hi = -count, 0
-			} else {
-				*lo, *hi = 0, count
-			}
-		} else {
-			if ghost {
-				*lo, *hi = n, n+count
-			} else {
-				*lo, *hi = n-count, n
-			}
-		}
-	}
-	switch ax {
-	case X:
-		set(&i0, &i1, f.NX)
-	case Y:
-		set(&j0, &j1, f.NY)
-	case Z:
-		set(&k0, &k1, f.NZ)
-	}
-	return
-}
-
-// FaceLen returns the number of values in `count` planes of the face
-// perpendicular to ax.
-func (f *Field3) FaceLen(ax Axis, count int) int {
-	switch ax {
-	case X:
-		return count * f.NY * f.NZ
-	case Y:
-		return f.NX * count * f.NZ
-	default:
-		return f.NX * f.NY * count
-	}
-}
-
-// PackFace copies `count` interior planes adjacent to the (ax, sd) face
-// into dst and returns the number of values written. dst must have
-// capacity FaceLen(ax, count).
-func (f *Field3) PackFace(ax Axis, sd Side, count int, dst []float32) int {
-	i0, i1, j0, j1, k0, k1 := f.planeExtents(ax, sd, count, false)
-	return f.copyBlock(i0, i1, j0, j1, k0, k1, dst, true)
-}
-
-// UnpackFace copies src into `count` ghost planes adjacent to the (ax, sd)
-// face and returns the number of values consumed.
-func (f *Field3) UnpackFace(ax Axis, sd Side, count int, src []float32) int {
-	i0, i1, j0, j1, k0, k1 := f.planeExtents(ax, sd, count, true)
-	return f.copyBlock(i0, i1, j0, j1, k0, k1, src, false)
-}
-
 // RangeLen returns the number of values in the block
 // [i0,i1)x[j0,j1)x[k0,k1).
 func RangeLen(i0, i1, j0, j1, k0, k1 int) int {

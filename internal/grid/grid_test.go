@@ -252,6 +252,24 @@ func fillPattern(f *Field3) {
 	}
 }
 
+// faceBlock returns the block of `count` planes at the (ax, sd) face of a
+// field of dims d: the interior planes a neighbor exchange packs, or
+// (ghost) the ghost planes it unpacks into.
+func faceBlock(d Dims, ax Axis, sd Side, count int, ghost bool) (i0, i1, j0, j1, k0, k1 int) {
+	b := [6]int{0, d.NX, 0, d.NY, 0, d.NZ}
+	lo, n := 0, b[2*ax+1]
+	switch {
+	case sd == Low && ghost:
+		lo = -count
+	case sd == High && ghost:
+		lo = n
+	case sd == High:
+		lo = n - count
+	}
+	b[2*ax], b[2*ax+1] = lo, lo+count
+	return b[0], b[1], b[2], b[3], b[4], b[5]
+}
+
 func TestPackUnpackFaceRoundTrip(t *testing.T) {
 	// The pack/unpack pair is the heart of halo exchange: packing `count`
 	// interior planes on one side and unpacking them into the ghost planes
@@ -262,8 +280,9 @@ func TestPackUnpackFaceRoundTrip(t *testing.T) {
 		for _, sd := range []Side{Low, High} {
 			for count := 1; count <= Ghost; count++ {
 				dst := NewField3(src.Dims)
-				buf := make([]float32, src.FaceLen(ax, count))
-				n := src.PackFace(ax, sd, count, buf)
+				i0, i1, j0, j1, k0, k1 := faceBlock(src.Dims, ax, sd, count, false)
+				buf := make([]float32, RangeLen(i0, i1, j0, j1, k0, k1))
+				n := src.PackRange(i0, i1, j0, j1, k0, k1, buf)
 				if n != len(buf) {
 					t.Fatalf("%v/%v: packed %d, want %d", ax, sd, n, len(buf))
 				}
@@ -273,7 +292,8 @@ func TestPackUnpackFaceRoundTrip(t *testing.T) {
 				if sd == High {
 					opp = Low
 				}
-				m := dst.UnpackFace(ax, opp, count, buf)
+				g0, g1, h0, h1, l0, l1 := faceBlock(src.Dims, ax, opp, count, true)
+				m := dst.UnpackRange(g0, g1, h0, h1, l0, l1, buf)
 				if m != len(buf) {
 					t.Fatalf("%v/%v: unpacked %d, want %d", ax, sd, m, len(buf))
 				}
@@ -381,17 +401,18 @@ func TestQuickPackUnpackConsistency(t *testing.T) {
 		for idx := range f.Data() {
 			f.Data()[idx] = rng.Float32()
 		}
-		buf := make([]float32, f.FaceLen(ax, count))
-		if n := f.PackFace(ax, sd, count, buf); n != len(buf) {
+		i0, i1, j0, j1, k0, k1 := faceBlock(f.Dims, ax, sd, count, false)
+		buf := make([]float32, RangeLen(i0, i1, j0, j1, k0, k1))
+		if n := f.PackRange(i0, i1, j0, j1, k0, k1, buf); n != len(buf) {
 			return false
 		}
 		g := NewField3(f.Dims)
-		if n := g.UnpackFace(ax, sd, count, buf); n != len(buf) {
+		i0, i1, j0, j1, k0, k1 = faceBlock(f.Dims, ax, sd, count, true)
+		if n := g.UnpackRange(i0, i1, j0, j1, k0, k1, buf); n != len(buf) {
 			return false
 		}
 		buf2 := make([]float32, len(buf))
 		// Re-extract from the ghost region of g: it must equal buf.
-		i0, i1, j0, j1, k0, k1 := g.planeExtents(ax, sd, count, true)
 		g.copyBlock(i0, i1, j0, j1, k0, k1, buf2, true)
 		for idx := range buf {
 			if buf[idx] != buf2[idx] {
@@ -406,15 +427,15 @@ func TestQuickPackUnpackConsistency(t *testing.T) {
 }
 
 func TestFaceLen(t *testing.T) {
-	f := NewField3(Dims{3, 4, 5})
-	if got := f.FaceLen(X, 2); got != 2*4*5 {
-		t.Errorf("FaceLen(X,2) = %d", got)
+	d := Dims{3, 4, 5}
+	if got := RangeLen(faceBlock(d, X, Low, 2, false)); got != 2*4*5 {
+		t.Errorf("x face, 2 planes: %d values", got)
 	}
-	if got := f.FaceLen(Y, 1); got != 3*1*5 {
-		t.Errorf("FaceLen(Y,1) = %d", got)
+	if got := RangeLen(faceBlock(d, Y, High, 1, true)); got != 3*1*5 {
+		t.Errorf("y face, 1 plane: %d values", got)
 	}
-	if got := f.FaceLen(Z, 2); got != 3*4*2 {
-		t.Errorf("FaceLen(Z,2) = %d", got)
+	if got := RangeLen(faceBlock(d, Z, High, 2, false)); got != 3*4*2 {
+		t.Errorf("z face, 2 planes: %d values", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package output
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/mpi"
@@ -31,7 +32,10 @@ type Dist struct {
 	cfg        agg.Config
 	tel        *telemetry.Recorder
 
-	frames []distFrame
+	// The buffered frames: their indices, increasing, and their bytes, this
+	// rank's view of each in turn.
+	frames []int
+	buf    []byte
 	// counted is one past the highest frame whose bytes Stats.Bytes holds:
 	// a replayed frame below it is on disk and counted already.
 	counted int
@@ -41,11 +45,6 @@ type Dist struct {
 	// stripes the flush covered as they stand on the FS, so the latest
 	// hash of each stripe is the final file's.
 	Stats DistStats
-}
-
-type distFrame struct {
-	idx  int
-	data []byte
 }
 
 // DistStats is the accumulated outcome of a Dist writer.
@@ -86,16 +85,21 @@ func NewDist(c *mpi.Comm, fsys *pfs.FS, path string, frameBytes int,
 	}, nil
 }
 
-// AppendFrame buffers this rank's part of frame idx (data length must
-// equal the rank's view length; both may be zero on non-owning ranks).
-// Collective: every rank must append the same frame sequence — when the
-// buffer reaches flushEvery frames the flush runs as a collective write.
-func (d *Dist) AppendFrame(idx int, data []byte) error {
-	if len(data) != mpiio.TotalLen(d.segs) {
-		return fmt.Errorf("output: frame %d: %d bytes for a %d-byte view", idx, len(data), mpiio.TotalLen(d.segs))
-	}
-	d.frames = append(d.frames, distFrame{idx: idx, data: append([]byte(nil), data...)})
+// Frame buffers frame idx, whose index must exceed every buffered one's, and
+// returns this rank's slot of it — view-length bytes, none on a rank that
+// owns no output points — to fill before Commit. Local.
+func (d *Dist) Frame(idx int) []byte {
+	d.frames = append(d.frames, idx)
+	n, view := len(d.buf), mpiio.TotalLen(d.segs)
+	d.buf = slices.Grow(d.buf, view)[:n+view]
 	d.Stats.Frames = max(d.Stats.Frames, idx+1)
+	return d.buf[n:]
+}
+
+// Commit ends the frame Frame returned: once flushEvery frames are buffered
+// it flushes them. Collective: every rank must buffer the same frame
+// sequence, so they flush together.
+func (d *Dist) Commit() error {
 	if len(d.frames) >= d.flushEvery {
 		return d.Flush()
 	}
@@ -107,13 +111,8 @@ func (d *Dist) AppendFrame(idx int, data []byte) error {
 // replaying them overwrites identical bytes, which Stats.Bytes does not
 // count again. Local, not collective; it leaves idx frames counted.
 func (d *Dist) Rewind(idx int) {
-	kept := d.frames[:0]
-	for _, f := range d.frames {
-		if f.idx < idx {
-			kept = append(kept, f)
-		}
-	}
-	d.frames = kept
+	n, _ := slices.BinarySearch(d.frames, idx)
+	d.frames, d.buf = d.frames[:n], d.buf[:n*mpiio.TotalLen(d.segs)]
 	d.Stats.Frames = min(d.Stats.Frames, idx)
 }
 
@@ -124,27 +123,22 @@ func (d *Dist) Rewind(idx int) {
 // every rank, by the collective-append contract) when no frames are
 // buffered anywhere.
 func (d *Dist) Flush() error {
-	if len(d.frames) == 0 {
+	n := len(d.frames)
+	if n == 0 {
 		return nil
 	}
-	var segs []mpiio.Segment
-	var data []byte
-	n, fresh, counted := len(d.frames), 0, d.counted // fresh: frames not on disk before this flush
-	lo, hi := d.frames[0].idx, d.frames[0].idx       // the frames the flush spans
+	segs := make([]mpiio.Segment, 0, n*len(d.segs))
 	for _, f := range d.frames {
-		if f.idx >= d.counted {
-			fresh++
-		}
-		counted = max(counted, f.idx+1)
-		lo, hi = min(lo, f.idx), max(hi, f.idx+1)
-		base := f.idx * d.frameBytes
 		for _, s := range d.segs {
-			segs = append(segs, mpiio.Segment{Off: base + s.Off, Len: s.Len})
+			segs = append(segs, mpiio.Segment{Off: f*d.frameBytes + s.Off, Len: s.Len})
 		}
-		data = append(data, f.data...)
 	}
-	d.frames = d.frames[:0]
-	st, err := agg.WriteIndexed(d.c, d.fsys, d.path, segs, data, d.cfg, d.tel)
+	// The frames the flush spans, and those not on disk before it.
+	lo, hi := d.frames[0], d.frames[n-1]+1
+	onDisk, _ := slices.BinarySearch(d.frames, d.counted)
+	fresh, counted := n-onDisk, max(d.counted, hi)
+	st, err := agg.WriteIndexed(d.c, d.fsys, d.path, segs, d.buf, d.cfg, d.tel)
+	d.frames, d.buf = d.frames[:0], d.buf[:0]
 	if err != nil {
 		return err
 	}
