@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core/solver"
 	"repro/internal/mpi"
+	"repro/internal/testkit"
 )
 
 func TestQuickstartScenario(t *testing.T) {
@@ -124,7 +125,7 @@ func TestPointSourceSampling(t *testing.T) {
 	if len(srcs) != 1 {
 		t.Fatal("want one source")
 	}
-	m := srcs[0].Moment()
+	m := testkit.Moment(srcs[0].Rate, srcs[0].Dt)
 	if math.Abs(m-2e18)/2e18 > 0.01 {
 		t.Fatalf("sampled moment %g, want 2e18", m)
 	}

@@ -135,7 +135,7 @@ func ftExp(outPath string, short bool) {
 		_, pilot, err := ft.RunWorld(ft.WorldOptions{
 			Solver: opt, Query: cvm.SoCal(2000, 2000, 1400, 400),
 			FS: ftFS(), Dir: "ckpt", Interval: 8,
-			Chaos: &mpi.ChaosPlan{Seed: 1},
+			Chaos: &mpi.ChaosPlan{},
 		})
 		if err != nil {
 			panic(err)
@@ -144,7 +144,6 @@ func ftExp(outPath string, short bool) {
 
 		for _, k := range intervals {
 			chaos := &mpi.ChaosPlan{
-				Seed: 41,
 				CrashAtSend: map[int]uint64{
 					0: uint64(perRankSends * 0.45),
 					1: uint64(perRankSends * 0.80),

@@ -49,7 +49,7 @@ func main() {
 	if *pfsFaults {
 		fs.InjectFaults(pfs.FaultPlan{
 			Seed: 7, WriteFailProb: 0.05, ShortWriteProb: 0.03,
-			TornWriteProb: 0.03, ReadFailProb: 0.02, MaxConsecutive: 2,
+			TornWriteProb: 0.03, MDSTimeoutProb: 0.02, ReadFailProb: 0.02, MaxConsecutive: 2,
 		})
 	}
 	store := farm.NewStore(fs, nil)
@@ -104,6 +104,11 @@ func main() {
 		fmt.Printf("supervision: %d attempts, %d retries, %d worker crashes, %d deadline misses, %d breaker trips, %d corrupt re-queued (%d healed by audit)\n",
 			st.Attempts, st.Retries, st.WorkerCrashes, st.DeadlineMisses,
 			st.BreakerTrips, st.CorruptRequeued, healed)
+		if *pfsFaults {
+			pst := fs.FaultStats()
+			fmt.Printf("pfs faults: %d failed, %d short, %d torn writes, %d MDS timeouts, %d failed reads\n",
+				pst.FailedWrites, pst.ShortWrites, pst.TornWrites, pst.MDSTimeouts, pst.FailedReads)
+		}
 	}
 	if bad := store.VerifyAll(); len(bad) != 0 {
 		fmt.Fprintf(os.Stderr, "farm: %d corrupt artifacts survived the audit: %v\n", len(bad), bad)

@@ -176,7 +176,7 @@ func TestGhostFramedPMLCheckpointRejected(t *testing.T) {
 func TestGhostFramedMemoryVariableCheckpointRejected(t *testing.T) {
 	d := grid.Dims{NX: 10, NY: 8, NZ: 6}
 	m := makeMedium(t, d)
-	framedLen := len(grid.NewField3(d).Data())
+	framedLen := len(grid.NewField3G(d, grid.Ghost).Data())
 	old := fd.NewState(d).Sections()
 	for _, sec := range attenuation.New(m, attenuation.DefaultBand, 0.001).Sections() {
 		if len(sec.F32) != d.Cells() {
@@ -251,9 +251,9 @@ func TestTableMismatchNamesTheSection(t *testing.T) {
 // l1Line returns which of the 64 cache lines of the 4 KiB period of the L1
 // set index f's backing array starts on. unsafe is confined to this test: it
 // reads an address, which the placement code itself never needs to.
-func l1Line(t *testing.T, f *grid.Field3) int {
+func l1Line(t *testing.T, f []float32) int {
 	t.Helper()
-	addr := uintptr(unsafe.Pointer(&f.Data()[0]))
+	addr := uintptr(unsafe.Pointer(&f[0]))
 	if addr%64 != 0 {
 		t.Fatalf("array starts %d bytes into a cache line", addr%64)
 	}
@@ -282,26 +282,33 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		pml *boundary.PML
 	}
 	const padded, dense, zone = 0, 1, 2
-	// owners lists each owner's arrays in allocation order, and group the
-	// shape each owner's arrays have.
+	// owners lists each owner's arrays in allocation order, fields the
+	// fields of all but the zone, and group the shape each owner's arrays
+	// have.
 	group := []int{padded, padded, dense, dense, zone}
-	owners := func(b build) [][]*grid.Field3 {
+	fields := func(b build) [][]*grid.Field3 {
 		m := b.m
-		var splits []*grid.Field3
-		for _, sp := range b.pml.Splits() {
-			for _, f := range sp.Fields() {
-				if f != nil { // the three splits that take no term are not stored
-					splits = append(splits, f)
-				}
-			}
-		}
 		return [][]*grid.Field3{
 			b.s.Fields(),
 			{m.Rho, m.Mu},
 			{m.Lam, m.BX, m.BY, m.BZ, m.MuXY, m.MuXZ, m.MuYZ, m.Lam2Mu},
 			{b.a.ZXX, b.a.ZYY, b.a.ZZZ, b.a.ZXY, b.a.ZXZ, b.a.ZYZ, b.a.DLam, b.a.DMu},
-			splits,
 		}
+	}
+	owners := func(b build) [][][]float32 {
+		var out [][][]float32
+		for _, fs := range fields(b) {
+			var arrays [][]float32
+			for _, f := range fs {
+				arrays = append(arrays, f.Data())
+			}
+			out = append(out, arrays)
+		}
+		var splits [][]float32 // the three splits that take no term are not stored
+		for _, sec := range b.pml.Sections() {
+			splits = append(splits, sec.F32)
+		}
+		return append(out, splits)
 	}
 	for _, d := range []grid.Dims{{NX: 56, NY: 56, NZ: 40}, {NX: 28, NY: 28, NZ: 20}} {
 		tag := d.String()
@@ -321,16 +328,16 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 		first := mk()
 		own, again := owners(first), owners(mk())
 		count := [3]int{}
-		for oi, fields := range own {
-			count[group[oi]] += len(fields)
+		for oi, arrays := range own {
+			count[group[oi]] += len(arrays)
 		}
 		if count != [3]int{11, 16, 24} {
 			t.Fatalf("%v padded, dense and zone hot arrays, want 11, 16 and 24", count)
 		}
 		// Distinct lines within each group.
 		seen := [3]map[int]bool{{}, {}, {}}
-		for oi, fields := range own {
-			for fi, f := range fields {
+		for oi, arrays := range own {
+			for fi, f := range arrays {
 				line := l1Line(t, f)
 				if seen[group[oi]][line] {
 					t.Errorf("%s: owner %d array %d starts in an L1 set another array of its shape starts in", tag, oi, fi)
@@ -341,26 +348,24 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 				}
 			}
 			// Cost: first start to last end, against the arrays' own bytes.
-			last := fields[len(fields)-1].Data()
-			span := uintptr(unsafe.Pointer(&last[len(last)-1])) + 4 - uintptr(unsafe.Pointer(&fields[0].Data()[0]))
-			lead := uintptr(l1Line(t, fields[0])) * 64
-			if over := lead + span - uintptr(len(fields)*len(last)*4); over > uintptr(4096+128*len(fields)) {
-				t.Errorf("%s: owner %d spends %d bytes on placing %d arrays", tag, oi, over, len(fields))
+			last := arrays[len(arrays)-1]
+			span := uintptr(unsafe.Pointer(&last[len(last)-1])) + 4 - uintptr(unsafe.Pointer(&arrays[0][0]))
+			lead := uintptr(l1Line(t, arrays[0])) * 64
+			if over := lead + span - uintptr(len(arrays)*len(last)*4); over > uintptr(4096+128*len(arrays)) {
+				t.Errorf("%s: owner %d spends %d bytes on placing %d arrays", tag, oi, over, len(arrays))
 			}
 		}
 		// Every cell: the lines its 27 values lie on, at most two a set.
 		var hot []*grid.Field3
-		for oi, fields := range own {
-			if group[oi] != zone {
-				hot = append(hot, fields...)
-			}
+		for _, fs := range fields(first) {
+			hot = append(hot, fs...)
 		}
 		for k := 0; k < d.NZ; k++ {
 			for j := 0; j < d.NY; j++ {
 				for i := 0; i < d.NX; i++ {
 					var sets [64]int
 					for fi, f := range hot {
-						set := (l1Line(t, f) + f.Idx(i, j, k)/16) % 64
+						set := (l1Line(t, f.Data()) + f.Idx(i, j, k)/16) % 64
 						if sets[set]++; sets[set] > 2 {
 							t.Fatalf("%s: cell (%d,%d,%d): array %d is the third line in L1 set %d", tag, i, j, k, fi, set)
 						}
@@ -369,14 +374,14 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 			}
 		}
 		for fi, f := range first.s.Clone().Fields() {
-			if l1Line(t, f) != l1Line(t, own[0][fi]) {
+			if l1Line(t, f.Data()) != l1Line(t, own[0][fi]) {
 				t.Errorf("%s: Clone moved %s", tag, fd.FieldNames[fi])
 			}
 		}
 
 		// Save a filled state, load it into a second build: same bytes, and
 		// the arrays stay where they were placed.
-		saved := append(first.s.Fields(), own[3][:6]...) // the memory variables
+		saved := append(first.s.Fields(), fields(first)[3][:6]...) // the memory variables
 		for fi, f := range saved {
 			for n := range f.Data() {
 				f.Data()[n] = float32(fi+1) * float32(n%97-48) * 1e-3
@@ -387,16 +392,16 @@ func TestHotArraysSpreadOverL1Sets(t *testing.T) {
 			t.Fatal(err)
 		}
 		second := mk()
-		loaded := append(second.s.Fields(), owners(second)[3][:6]...)
+		loaded := append(second.s.Fields(), fields(second)[3][:6]...)
 		var before []int
 		for _, f := range loaded {
-			before = append(before, l1Line(t, f))
+			before = append(before, l1Line(t, f.Data()))
 		}
 		if err := Load(fsys, "ckpt", 0, 1, second.s, second.a); err != nil {
 			t.Fatal(err)
 		}
 		for fi, f := range loaded {
-			if l1Line(t, f) != before[fi] {
+			if l1Line(t, f.Data()) != before[fi] {
 				t.Errorf("%s: Load moved array %d", tag, fi)
 			}
 			want := saved[fi].Data()

@@ -10,8 +10,8 @@ import (
 
 	"repro/internal/core/fd"
 	"repro/internal/grid"
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 )
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -115,7 +115,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // Legacy v1 files (float32 header, no magic, no CRC) must be rejected
 // with ErrNotCheckpoint, not silently mis-parsed.
 func TestLegacyV1Rejected(t *testing.T) {
-	v1 := mpiio.PutFloat32s([]float32{10, 6, 6, 6, 0, 1, 2, 3})
+	v1 := testkit.PutFloat32s([]float32{10, 6, 6, 6, 0, 1, 2, 3})
 	if _, _, _, err := decode(v1); !errors.Is(err, ErrNotCheckpoint) {
 		t.Fatalf("err = %v, want ErrNotCheckpoint", err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/medium"
 	"repro/internal/mpi"
+	"repro/internal/testkit"
 )
 
 func makeMedium(t testing.TB, q cvm.Querier, d grid.Dims, h float64) *medium.Medium {
@@ -114,7 +115,7 @@ func TestApplyDtMismatchPanics(t *testing.T) {
 func TestZeroQDisablesAttenuation(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 8, NZ: 8}
 	m := makeMedium(t, cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), d, 100)
-	m.QS.Fill(0)
+	testkit.Fill(m.QS, 0)
 	dt := m.StableDt(0.5)
 	a := New(m, DefaultBand, dt)
 	s := fd.NewState(d)
@@ -161,7 +162,7 @@ func TestAmplitudeDecayMatchesQ(t *testing.T) {
 	d := grid.Dims{NX: nx, NY: 4, NZ: 4}
 	m := makeMedium(t, cvm.Homogeneous(mat), d, h)
 	targetQ := 50.0
-	m.QS.Fill(float32(targetQ))
+	testkit.Fill(m.QS, float32(targetQ))
 
 	L := float64(nx) * h
 	kw := 2 * math.Pi / L
@@ -184,7 +185,7 @@ func TestAmplitudeDecayMatchesQ(t *testing.T) {
 	}
 
 	rms := func() float64 {
-		return math.Sqrt(s.VY.SumSq() / float64(d.Cells()))
+		return math.Sqrt(testkit.SumSq(s.VY) / float64(d.Cells()))
 	}
 	box := fd.FullBox(d)
 	step := func(n int) {
@@ -234,7 +235,7 @@ func TestNoDecayWithoutAttenuation(t *testing.T) {
 			}
 		}
 	}
-	rms := func() float64 { return math.Sqrt(s.VY.SumSq() / float64(d.Cells())) }
+	rms := func() float64 { return math.Sqrt(testkit.SumSq(s.VY) / float64(d.Cells())) }
 	box := fd.FullBox(d)
 	a0 := rms()
 	for i := 0; i < 1000; i++ {

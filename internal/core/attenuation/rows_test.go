@@ -10,6 +10,7 @@ import (
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/medium"
+	"repro/internal/testkit"
 )
 
 // mechAt returns the relaxation mechanism index for point (i,j,k), cycling
@@ -492,7 +493,7 @@ func written(s *fd.State, a *Model) []*grid.Field3 {
 
 // forOutside calls fn with the index of every value of f outside box.
 func forOutside(f *grid.Field3, box fd.Box, fn func(n int)) {
-	g := f.G()
+	g := testkit.Ghost(f)
 	for k := -g; k < f.NZ+g; k++ {
 		for j := -g; j < f.NY+g; j++ {
 			for i := -g; i < f.NX+g; i++ {

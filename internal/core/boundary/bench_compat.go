@@ -7,6 +7,7 @@ package boundary
 
 import (
 	"repro/internal/core/fd"
+	"repro/internal/core/sched"
 	"repro/internal/medium"
 )
 
@@ -23,4 +24,22 @@ func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
 func (pm *PML) UpdateStress(s *fd.State, m *medium.Medium, dt float64) {
 	pm.Prepare(dt)
 	pm.UpdateStressBox(s, m, dt, pm.Zone)
+}
+
+// ApplyPool damps all nine components over the padded subgrid, ghosts
+// included, one (field, k-plane) of DampBox per item of a pool queue (nil or
+// serial pool: inline). The solver no longer runs it: it is the padded pass
+// of the tests' two-pass oracle and of bench's sponge probe, and moves into
+// bench/ with the probe when the benchmark is next revised.
+func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
+	t := &sp.axes
+	if t.ones.Contains(t.padded) {
+		return // subgrid nowhere near an absorbing zone
+	}
+	fields := s.Fields()
+	nz := t.padded.K1 - t.padded.K0
+	p.ForEachN(len(fields)*nz, func(idx int) {
+		k := t.padded.K0 + idx%nz
+		t.dampPlane(fields[idx/nz], t.padded, k)
+	})
 }

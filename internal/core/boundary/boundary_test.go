@@ -15,6 +15,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/medium"
 	"repro/internal/mpi"
+	"repro/internal/testkit"
 )
 
 func makeMedium(t testing.TB, q cvm.Querier, d grid.Dims, h float64) *medium.Medium {
@@ -73,7 +74,7 @@ func TestSpongeOnlyDampsSelectedFaces(t *testing.T) {
 	sp := NewSponge(d, 5, 0.1, FaceSet{XHi: true})
 	s := fd.NewState(d)
 	for _, f := range s.Fields() {
-		f.Fill(1)
+		testkit.Fill(f, 1)
 	}
 	sp.ApplyPool(s, nil)
 	if s.VX.At(2, 4, 4) != 1 {
@@ -228,10 +229,10 @@ func TestPMLSplitsHoldOnlyZoneCells(t *testing.T) {
 			t.Errorf("%v%v zone: sections hold %d values, want 24 × %d", z.Axis, z.Side, held, cells)
 		}
 		zd := grid.Dims{NX: z.Zone.I1 - z.Zone.I0, NY: z.Zone.J1 - z.Zone.J0, NZ: z.Zone.K1 - z.Zone.K0}
-		for si, sp := range z.Splits() {
+		for si, sp := range z.split {
 			for fi, f := range sp.Fields() {
-				if f != nil && (f.Dims != zd || f.G() != 0 || len(f.Data()) != cells) {
-					t.Errorf("%v%v zone: split %d %s is %v ghost %d over %d values, want %v dense", z.Axis, z.Side, si, fd.FieldNames[fi], f.Dims, f.G(), len(f.Data()), zd)
+				if f != nil && (f.Dims != zd || testkit.Ghost(f) != 0 || len(f.Data()) != cells) {
+					t.Errorf("%v%v zone: split %d %s is %v ghost %d over %d values, want %v dense", z.Axis, z.Side, si, fd.FieldNames[fi], f.Dims, testkit.Ghost(f), len(f.Data()), zd)
 				}
 			}
 		}
@@ -370,7 +371,7 @@ func layeredPMLRun(t *testing.T, p float64, steps int, stopAbove float64) float6
 	s := fd.NewState(d)
 	s.VZ.Set(20, 20, 8, 1)
 	fsf := NewFreeSurface(d)
-	energy := func() float64 { return s.VX.SumSq() + s.VY.SumSq() + s.VZ.SumSq() }
+	energy := func() float64 { return testkit.SumSq(s.VX) + testkit.SumSq(s.VY) + testkit.SumSq(s.VZ) }
 	for n := 1; n <= steps; n++ {
 		fd.UpdateVelocity(s, m, dt, interior, fd.Precomp, fd.Blocking{})
 		for _, z := range zones {
@@ -1100,7 +1101,7 @@ func pmlFields(s *fd.State, zones []*PML) (fields []*grid.Field3, names []string
 	fields = s.Fields()
 	names = append(names, fd.FieldNames...)
 	for zi, z := range zones {
-		for si, sp := range z.Splits() {
+		for si, sp := range z.split {
 			for fi, f := range sp.Fields() {
 				if f == nil {
 					continue // a split that takes no term is not stored

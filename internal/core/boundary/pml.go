@@ -98,10 +98,6 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 	return pm
 }
 
-// Splits returns the zone's three directional split states, each dense on
-// the zone's cells, with the one shear field of each that takes no term nil.
-func (pm *PML) Splits() [3]*fd.State { return pm.split }
-
 // Sections names the zone's 24 split arrays as restart sections after its
 // face, of which a rank has one zone at most: "pml.xlow.y.vx" is vx's y split.
 // Each holds the zone's Zone.Cells() values.

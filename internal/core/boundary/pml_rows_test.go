@@ -13,6 +13,7 @@ import (
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/medium"
+	"repro/internal/testkit"
 )
 
 // zoneSentinel marks the values a zone sweep must not store, and the
@@ -150,7 +151,7 @@ var zoneSweeps = []zoneSweep{
 // splitWrites returns the split fields sw writes, x split first.
 func splitWrites(pm *PML, sw zoneSweep) []*grid.Field3 {
 	var fs []*grid.Field3
-	for _, sp := range pm.Splits() {
+	for _, sp := range pm.split {
 		for _, f := range sw.writes(sp) {
 			if f != nil {
 				fs = append(fs, f)
@@ -223,7 +224,7 @@ func TestPMLWalkerMatchesGoBody(t *testing.T) {
 					}
 					for side := range pms {
 						for _, f := range append(sw.writes(states[side]), splitWrites(pms[side], sw)...) {
-							f.Fill(zoneSentinel)
+							testkit.Fill(f, zoneSentinel)
 						}
 					}
 					coef := slices.Clone(pms[0].coef)
@@ -302,7 +303,7 @@ func expectZoneBits(t *testing.T, label string, got, want []*grid.Field3, b fd.B
 		if bytes.Equal(asBytes(gd), asBytes(wd)) && bytes.Equal(asBytes(image), sentinels(len(image))) {
 			continue
 		}
-		g := f.G()
+		g := testkit.Ghost(f)
 		for k := -g; k < f.NZ+g; k++ {
 			for j := -g; j < f.NY+g; j++ {
 				for i := -g; i < f.NX+g; i++ {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core/fd"
-	"repro/internal/core/sched"
 	"repro/internal/grid"
 )
 
@@ -142,24 +141,6 @@ func (sp *Sponge) DampBox(fields []*grid.Field3, b fd.Box) {
 			t.dampPlane(f, b, k)
 		}
 	}
-}
-
-// ApplyPool damps all nine components over the padded subgrid, ghosts
-// included, one (field, k-plane) of DampBox per item of a pool queue (nil or
-// serial pool: inline). The solver no longer runs it: it is the padded pass
-// of the tests' two-pass oracle and of bench's sponge probe, and moves into
-// bench/ with the probe when the benchmark is next revised.
-func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
-	t := &sp.axes
-	if t.ones.Contains(t.padded) {
-		return // subgrid nowhere near an absorbing zone
-	}
-	fields := s.Fields()
-	nz := t.padded.K1 - t.padded.K0
-	p.ForEachN(len(fields)*nz, func(idx int) {
-		k := t.padded.K0 + idx%nz
-		t.dampPlane(fields[idx/nz], t.padded, k)
-	})
 }
 
 // dampPlane damps plane k of f inside b. Rows whose fy·fz is 1 — those in

@@ -8,6 +8,8 @@ package fd
 //	bench/probes.go:232  fd.UpdateStressTiled(..., two)
 
 import (
+	"math"
+
 	"repro/internal/core/sched"
 	"repro/internal/medium"
 )
@@ -38,4 +40,37 @@ func ForEachTile(box Box, blk Blocking, p *sched.Pool, fn func(Box)) {
 	}
 	tiles := Tiles(box, blk)
 	p.ForEachN(len(tiles), func(i int) { fn(tiles[i]) })
+}
+
+// Clone deep-copies the state into fields placed as NewState places them.
+func (s *State) Clone() *State {
+	c := NewState(s.Dims)
+	src := s.Fields()
+	for i, f := range c.Fields() {
+		f.CopyFrom(src[i])
+	}
+	return c
+}
+
+// L2Diff returns the root-sum-square difference over all nine components.
+func (s *State) L2Diff(o *State) float64 {
+	var sum float64
+	sf, of := s.Fields(), o.Fields()
+	for i := range sf {
+		d := sf[i].L2Diff(of[i])
+		sum += d * d
+	}
+	// sqrt of sum of squared L2 norms.
+	return math.Sqrt(sum)
+}
+
+// MaxAbs returns the largest absolute value across all components.
+func (s *State) MaxAbs() float32 {
+	var m float32
+	for _, f := range s.Fields() {
+		if v := f.MaxAbs(); v > m {
+			m = v
+		}
+	}
+	return m
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/medium"
 	"repro/internal/mpi"
+	"repro/internal/testkit"
 )
 
 func makeMedium(t testing.TB, q cvm.Querier, d grid.Dims, h float64) *medium.Medium {
@@ -171,7 +172,7 @@ func TestVariantsAgree(t *testing.T) {
 					}
 				}
 				diff := s.L2Diff(ref)
-				norm := math.Sqrt(ref.VX.SumSq() + 1)
+				norm := math.Sqrt(testkit.SumSq(ref.VX) + 1)
 				if diff/norm > 2e-6 {
 					t.Errorf("%s %v: variant %v differs from precomp: rel %g", tc.name, box, v, diff/norm)
 				}
@@ -324,7 +325,7 @@ var sentinel = math.Float32frombits(0x7fa5a5a5)
 
 // forOutside calls fn with the index of every value of f outside box.
 func forOutside(f *grid.Field3, box Box, fn func(n int)) {
-	g := f.G()
+	g := testkit.Ghost(f)
 	for k := -g; k < f.NZ+g; k++ {
 		for j := -g; j < f.NY+g; j++ {
 			for i := -g; i < f.NX+g; i++ {
@@ -719,7 +720,7 @@ func TestStability(t *testing.T) {
 		// Judge stability on the velocity energy: initial |v| <= 1, so a
 		// stable run stays O(1) while an unstable one grows exponentially
 		// (SumSq propagates NaN/Inf, unlike a max of failed comparisons).
-		return s.VX.SumSq() + s.VY.SumSq() + s.VZ.SumSq()
+		return testkit.SumSq(s.VX) + testkit.SumSq(s.VY) + testkit.SumSq(s.VZ)
 	}
 
 	cells := float64(d.Cells())

@@ -17,7 +17,6 @@ package fd
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/grid"
 )
@@ -72,39 +71,6 @@ func (s *State) Velocities() []*grid.Field3 { return []*grid.Field3{s.VX, s.VY, 
 // Stresses returns only the stress components.
 func (s *State) Stresses() []*grid.Field3 {
 	return []*grid.Field3{s.XX, s.YY, s.ZZ, s.XY, s.XZ, s.YZ}
-}
-
-// Clone deep-copies the state into fields placed as NewState places them.
-func (s *State) Clone() *State {
-	c := NewState(s.Dims)
-	src := s.Fields()
-	for i, f := range c.Fields() {
-		f.CopyFrom(src[i])
-	}
-	return c
-}
-
-// L2Diff returns the root-sum-square difference over all nine components.
-func (s *State) L2Diff(o *State) float64 {
-	var sum float64
-	sf, of := s.Fields(), o.Fields()
-	for i := range sf {
-		d := sf[i].L2Diff(of[i])
-		sum += d * d
-	}
-	// sqrt of sum of squared L2 norms.
-	return math.Sqrt(sum)
-}
-
-// MaxAbs returns the largest absolute value across all components.
-func (s *State) MaxAbs() float32 {
-	var m float32
-	for _, f := range s.Fields() {
-		if v := f.MaxAbs(); v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Box is a half-open index region [I0,I1)x[J0,J1)x[K0,K1) in local indices.

@@ -68,9 +68,9 @@ func TestPrepareRejectsRemovedAxes(t *testing.T) {
 	}
 }
 
-// A PMLWidth whose zones would swallow some rank's subgrid is user input,
-// so Prepare and Run must answer it with an error, not with BuildPML's
-// panic from inside a rank.
+// A PML width whose zones would swallow some rank's subgrid — the default
+// width on a small grid is one — must be answered by Prepare and Run with an
+// error, not with BuildPML's panic from inside a rank.
 func TestPMLWidthWithoutInteriorRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name        string
@@ -99,7 +99,7 @@ func TestPMLWidthWithoutInteriorRejected(t *testing.T) {
 		opt := baseOptions(tc.topo)
 		opt.ABC = MPMLABC
 		opt.FreeSurface = tc.freeSurface
-		opt.PMLWidth = tc.width
+		opt.pmlWidth = tc.width
 		opt.Steps = 2
 		_, _, perr := Prepare(opt)
 		_, rerr := Run(cvm.HardRock(), opt)

@@ -19,9 +19,9 @@ import (
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
 	"repro/internal/telemetry"
+	"repro/internal/testkit"
 )
 
 // The identity harness holds every way of executing a scenario to one
@@ -90,7 +90,7 @@ var identityPhysics = sync.OnceValue(func() []*physicsRow {
 		Tensor: source.Explosion, STF: source.GaussianPulse(0.08, 0.02)}.Sample(0.002, 200)}
 	front.Steps = 16
 	mpml := front
-	mpml.ABC, mpml.PMLWidth = MPMLABC, 3
+	mpml.ABC, mpml.pmlWidth = MPMLABC, 3
 	// The window's first two columns lie in the x-low zone, so zone tiles
 	// carry fault nodes and correction rows.
 	mpmlFault := mpml
@@ -125,7 +125,7 @@ func boxScenario(abc ABCKind) Options {
 	stf := source.GaussianPulse(0.08, 0.02)
 	return Options{
 		Global: grid.Dims{NX: 32, NY: 28, NZ: 20}, H: 100, Steps: 12,
-		ABC: abc, PMLWidth: 3, SpongeWidth: 4, FreeSurface: true, Attenuation: true,
+		ABC: abc, pmlWidth: 3, SpongeWidth: 4, FreeSurface: true, Attenuation: true,
 		Sources: []source.SampledSource{
 			source.PointSource{GI: 13, GJ: 11, GK: 7, M0: 1e15, Tensor: source.Explosion, STF: stf}.Sample(0.002, 200),
 			source.PointSource{GI: 13, GJ: 2, GK: 1, M0: 1e14, Tensor: source.StrikeSlipXY, STF: stf}.Sample(0.002, 200),
@@ -1014,7 +1014,7 @@ func (ref *reference) surfaceDiff(fsys *pfs.FS, opt Options, res *Result, replay
 		return fmt.Sprintf("surface stats: %d frames of %d bytes in %d flushes, %d opens, %d at once; want %d of %d in %d",
 			st.Frames, st.Bytes, st.Flushes, st.Opens, st.MaxConcurrentOpens, frames, len(raw), flushes)
 	}
-	for n, v := range mpiio.GetFloat32s(raw) {
+	for n, v := range testkit.GetFloat32s(raw) {
 		f, i, j, c := n/(3*g.NX*g.NY), n/3%g.NX, n/(3*g.NX)%g.NY, n%3
 		if w := ref.at(f*e, fd.FieldNames[c], i, j, 0); math.Float32bits(v) != math.Float32bits(float32(w)) {
 			return fmt.Sprintf("surface frame %d: %s(%d,%d) = %g, reference %g", f, fd.FieldNames[c], i, j, v, w)

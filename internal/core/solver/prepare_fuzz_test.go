@@ -119,7 +119,7 @@ func FuzzPrepare(f *testing.F) {
 			CFL:  special(cflPct, 1e-2),
 			Dt:   special(dtSign, 1e-3),
 
-			PMLWidth: int(pmlWidth), SpongeWidth: 3,
+			pmlWidth: int(pmlWidth), SpongeWidth: 3,
 			FreeSurface: fs, Attenuation: attn,
 			Sources: []source.SampledSource{source.PointSource{
 				GI: g.NX/4 + int(srcOff), GJ: g.NY / 2, GK: g.NZ / 2, M0: m0,

@@ -38,7 +38,7 @@ func TestNoStoredSubnormals(t *testing.T) {
 			opt := twoSidedOptions(g, 24, mpi.NewCart(2, 1, 1))
 			opt.Variant = variant
 			opt.ABC = abc
-			opt.PMLWidth = 4
+			opt.pmlWidth = 4
 			tag := fmt.Sprintf("%v/abc%d", variant, abc)
 
 			var once sync.Once

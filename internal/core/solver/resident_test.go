@@ -91,12 +91,8 @@ func TestRankResidentBytes(t *testing.T) {
 			got := fieldBytes(rs.st) + fieldBytes(rs.med) + fieldBytes(rs.atten)
 			for _, z := range rs.zones {
 				want += 4 * 24 * z.Zone.Cells()
-				for _, sp := range z.Splits() {
-					for _, f := range sp.Fields() {
-						if f != nil {
-							got += 4 * len(f.Data())
-						}
-					}
+				for _, sec := range z.Sections() {
+					got += 4 * len(sec.F32)
 				}
 			}
 			if tc.mpml != (len(rs.zones) > 0) {

@@ -82,8 +82,10 @@ type Options struct {
 	// awp.Scenario.Threads, which awp.Topology folds into the rank count.
 	Threads int // bench-only: bench/solve.go:257
 
-	ABC         ABCKind
-	PMLWidth    int
+	ABC ABCKind
+	// pmlWidth is the M-PML zone width in cells, boundary.DefaultPMLWidth
+	// when 0. This package's tests set narrower zones to fit small grids.
+	pmlWidth    int
 	SpongeWidth int
 	FreeSurface bool
 

@@ -244,7 +244,7 @@ func TestMPMLInSolver(t *testing.T) {
 	}).Sample(0.002, 200)}
 	opt.Receivers = [][3]int{{16, 16, 6}}
 	opt.ABC = MPMLABC
-	opt.PMLWidth = 6
+	opt.pmlWidth = 6
 	opt.Steps = 120
 	res, err := Run(cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), opt)
 	if err != nil {

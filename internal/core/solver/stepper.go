@@ -64,8 +64,8 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.ABC < NoABC || opt.ABC > MPMLABC {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: unknown absorbing boundary kind %d", int(opt.ABC))
 	}
-	if opt.PMLWidth <= 0 {
-		opt.PMLWidth = boundary.DefaultPMLWidth
+	if opt.pmlWidth <= 0 {
+		opt.pmlWidth = boundary.DefaultPMLWidth
 	}
 	if opt.SpongeWidth <= 0 {
 		opt.SpongeWidth = boundary.DefaultSpongeWidth
@@ -123,9 +123,9 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.ABC == MPMLABC {
 		for r := 0; r < opt.Topo.Size(); r++ {
 			// The condition boundary.BuildPML would panic on inside the rank.
-			if local := dc.SubFor(r).Local; boundary.PMLInterior(local, ownedFaces(dc, r, opt), opt.PMLWidth).Empty() {
-				return decomp.Decomp{}, opt, fmt.Errorf("solver: PMLWidth %d leaves rank %d no interior: its zones consume the %v subgrid along some axis",
-					opt.PMLWidth, r, local)
+			if local := dc.SubFor(r).Local; boundary.PMLInterior(local, ownedFaces(dc, r, opt), opt.pmlWidth).Empty() {
+				return decomp.Decomp{}, opt, fmt.Errorf("solver: PML width %d leaves rank %d no interior: its zones consume the %v subgrid along some axis",
+					opt.pmlWidth, r, local)
 			}
 		}
 	}
@@ -252,7 +252,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	switch opt.ABC {
 	case MPMLABC:
 		vpMax := c.Allreduce([]float64{s.med.MaxVp}, mpi.Max)[0]
-		s.zones, s.compBox = boundary.BuildPML(s.sub.Local, faces, opt.PMLWidth,
+		s.zones, s.compBox = boundary.BuildPML(s.sub.Local, faces, opt.pmlWidth,
 			boundary.DefaultMPMLRatio, boundary.DefaultPMLReflection, vpMax, opt.H)
 	case SpongeABC:
 		globalFaces := boundary.FaceSet{

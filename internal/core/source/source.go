@@ -113,25 +113,6 @@ func (s *SampledSource) RateAt(t float64) [6]float64 {
 	return out
 }
 
-// Moment returns the total scalar moment of the history: the integral of
-// the tensor rate, reduced to a scalar via the double-couple norm
-// sqrt(sum Mij^2 / 2) (counting off-diagonals twice).
-func (s *SampledSource) Moment() float64 {
-	var acc [6]float64
-	for n := range s.Rate {
-		w := 1.0
-		if n == 0 || n == len(s.Rate)-1 {
-			w = 0.5
-		}
-		for c := 0; c < 6; c++ {
-			acc[c] += w * float64(s.Rate[n][c]) * s.Dt
-		}
-	}
-	sum := acc[0]*acc[0] + acc[1]*acc[1] + acc[2]*acc[2] +
-		2*(acc[3]*acc[3]+acc[4]*acc[4]+acc[5]*acc[5])
-	return math.Sqrt(sum / 2)
-}
-
 // Set is a collection of sampled sources owned by one rank, with local
 // indices resolved, ordered by local k (in the given order within a plane, so
 // sources on one node add in that order).

@@ -9,6 +9,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/mpi"
+	"repro/internal/testkit"
 )
 
 func integrate(f STF, t0, t1, dt float64) float64 {
@@ -91,7 +92,7 @@ func TestMomentRecovery(t *testing.T) {
 	m0 := 1.5e19
 	p := PointSource{M0: m0, Tensor: StrikeSlipXY, STF: Triangle(0.2, 1.0)}
 	s := p.Sample(0.005, 400)
-	if got := s.Moment(); math.Abs(got-m0)/m0 > 0.01 {
+	if got := testkit.Moment(s.Rate, s.Dt); math.Abs(got-m0)/m0 > 0.01 {
 		t.Errorf("moment = %g, want %g", got, m0)
 	}
 }
@@ -242,7 +243,7 @@ func TestHaskellGenerateMomentAndTiming(t *testing.T) {
 	// subfaults share the same mechanism so moments add linearly).
 	var total float64
 	for i := range srcs {
-		total += srcs[i].Moment()
+		total += testkit.Moment(srcs[i].Rate, srcs[i].Dt)
 	}
 	want := Mw2M0(7.0)
 	if math.Abs(total-want)/want > 0.02 {

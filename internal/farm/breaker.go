@@ -70,7 +70,6 @@ type breaker struct {
 	failures int
 	openedAt time.Time
 	probing  bool // a half-open probe is in flight
-	trips    int
 }
 
 // newBreakers creates a breaker set.
@@ -144,7 +143,6 @@ func (bs *Breakers) OnFailure(class string) bool {
 	}
 	b.state = Open
 	b.openedAt = bs.cfg.now()
-	b.trips++
 	return true
 }
 
@@ -166,17 +164,6 @@ func (bs *Breakers) Ready(class string) bool {
 		return !b.probing
 	}
 	return false
-}
-
-// Trips returns the total Closed/HalfOpen→Open transitions across classes.
-func (bs *Breakers) Trips() int {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	n := 0
-	for _, b := range bs.m {
-		n += b.trips
-	}
-	return n
 }
 
 // States snapshots every class's state (for /status).

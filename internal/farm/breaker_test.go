@@ -43,9 +43,6 @@ func TestBreakerTripAndRecover(t *testing.T) {
 	if bs.Allow(class) {
 		t.Fatal("open breaker admitted inside cooldown")
 	}
-	if bs.Trips() != 1 {
-		t.Fatalf("trips = %d", bs.Trips())
-	}
 
 	// Cooldown elapses: exactly one probe is admitted.
 	clk.advance(time.Second)
@@ -80,9 +77,6 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	}
 	if !bs.OnFailure(class) || bs.State(class) != Open {
 		t.Fatal("probe failure did not re-open")
-	}
-	if bs.Trips() != 2 {
-		t.Fatalf("trips = %d, want 2", bs.Trips())
 	}
 	// Second cooldown must be honored afresh.
 	if bs.Allow(class) {

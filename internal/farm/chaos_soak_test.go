@@ -29,7 +29,6 @@ func TestFarmChaosSoakRace(t *testing.T) {
 	})
 	store := NewStore(fs, nil)
 	store.Retry.MaxAttempts = 10
-	store.Retry.Sleep = func(time.Duration) {}
 
 	rec := telemetry.NewRecorder(0, 0)
 	cfg := Config{
@@ -103,7 +102,7 @@ func TestFarmChaosSoakRace(t *testing.T) {
 		t.Fatalf("ensemble incomplete under storm: %+v", st)
 	}
 	// Zero wrong results: every artifact verifies after the audit.
-	fs.ClearFaults()
+	fs.InjectFaults(pfs.FaultPlan{}) // disarm
 	if bad := store.VerifyAll(); len(bad) != 0 {
 		t.Fatalf("corrupt artifacts survived the audit: %v", bad)
 	}

@@ -47,9 +47,8 @@ type FTConfig struct {
 	// Interval is the checkpoint cadence in steps (default 15).
 	Interval int
 
-	// chaos arms in-world message-layer fault injection; the plan's Seed
-	// is re-derived per job so different scenarios see different faults.
-	// This package's tests set it to crash a rank inside a job's world.
+	// chaos schedules a rank crash inside each job's world. This
+	// package's tests set it.
 	chaos *mpi.ChaosPlan
 }
 
@@ -380,22 +379,11 @@ func (f *Farm) compute(sc Scenario) (Product, error) {
 		if interval <= 0 {
 			interval = 15
 		}
-		var chaos *mpi.ChaosPlan
-		if f.cfg.FT.chaos != nil {
-			// Re-derive the seed per scenario so each world sees its own
-			// fault pattern, deterministically.
-			cp := *f.cfg.FT.chaos
-			cp.Seed ^= int64(len(sc.Key())) // stable mix-in below
-			for _, b := range []byte(sc.Key()) {
-				cp.Seed = cp.Seed*131 + int64(b)
-			}
-			chaos = &cp
-		}
 		var stats ft.WorldStats
 		res, stats, err = ft.RunWorld(ft.WorldOptions{
 			Solver: opt, Query: model,
 			FS: pfs.New(pfs.Jaguar()), Dir: "ckpt",
-			Interval: interval, Chaos: chaos,
+			Interval: interval, Chaos: f.cfg.FT.chaos,
 		})
 		f.mu.Lock()
 		f.stats.Recoveries += stats.Recoveries
@@ -457,6 +445,7 @@ func (f *Farm) attemptFailed(key string, cause error) {
 		return
 	}
 	if !rejected && f.breakers.OnFailure(js.sc.Class()) {
+		f.stats.BreakerTrips++
 		f.cfg.Logf("farm: breaker tripped for class %s (%s)", js.sc.Class(), cause)
 	}
 	if rejected || js.attempts >= f.cfg.MaxAttempts {
@@ -572,7 +561,6 @@ func (f *Farm) Stats() Stats {
 	defer f.mu.Unlock()
 	st := f.stats
 	st.Chaos = f.chaos.Stats()
-	st.BreakerTrips = f.breakers.Trips()
 	return st
 }
 

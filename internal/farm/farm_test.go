@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -211,6 +213,33 @@ func TestFarmBreakerTrips(t *testing.T) {
 	}
 }
 
+// TestAttemptFailedCountsBreakerTrips: Stats' breaker trips are the ones
+// attemptFailed hears OnFailure report. Two failures trip a threshold-2
+// breaker once, a third inside the cooldown trips nothing, and a rejected
+// job between them says nothing to the breaker.
+func TestAttemptFailedCountsBreakerTrips(t *testing.T) {
+	f := newTestFarm(t, Config{Workers: 1, MaxAttempts: 1,
+		breaker: breakerConfig{threshold: 2, cooldown: time.Hour}})
+	sc := Scenario{Mw: 6.6, HypoX: 0.5, HypoY: 0.5, HypoZ: 0.5, VsScale: 1}
+	causes := []error{errors.New("crash"), rejectedError{errors.New("bad options")},
+		errors.New("crash"), errors.New("crash")}
+	f.mu.Lock()
+	for i := range causes {
+		f.jobs[fmt.Sprint("job", i)] = &jobState{sc: sc, status: jobRunning, attempts: 1}
+		f.inflight++
+	}
+	f.mu.Unlock()
+	for i, cause := range causes {
+		f.attemptFailed(fmt.Sprint("job", i), cause)
+	}
+	if st := f.Stats(); st.BreakerTrips != 1 || st.Failed != len(causes) {
+		t.Fatalf("stats %+v, want 1 breaker trip and %d failed", st, len(causes))
+	}
+	if f.Breakers().States()[sc.Class()] != "open" {
+		t.Fatalf("class %s not open: %v", sc.Class(), f.Breakers().States())
+	}
+}
+
 // TestFarmRejectedSpecFailsOnce: a configuration solver.Prepare refuses
 // (64 ranks on a 12-cell axis) can never heal, so each job fails on its
 // first attempt with no retry, and the class's breaker hears nothing — a
@@ -274,7 +303,7 @@ func TestFarmFTWorldRecovery(t *testing.T) {
 		t.Fatalf("clean FT run: %v (stats %+v)", err, clean.Stats())
 	}
 
-	crash := mpi.ChaosPlan{Seed: 11, CrashAtSend: map[int]uint64{1: 9}}
+	crash := mpi.ChaosPlan{CrashAtSend: map[int]uint64{1: 9}}
 	f := newTestFarm(t, Config{Spec: spec, Workers: 1, MaxAttempts: 4,
 		Deadline: time.Minute,
 		FT:       &FTConfig{Interval: 4, chaos: &crash}})

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/pfs"
 	"repro/internal/workflow"
@@ -118,7 +117,6 @@ func TestStorePutUnderFaultStorm(t *testing.T) {
 	})
 	st := NewStore(fs, nil)
 	st.Retry.MaxAttempts = 12
-	st.Retry.Sleep = func(time.Duration) {} // simulated time: no real sleeping
 	var injected uint64
 	for i := 0; i < 8; i++ {
 		sc := Scenario{Mw: 5.5 + float64(i)*0.25, HypoX: 0.5, HypoY: 0.5,
@@ -129,7 +127,7 @@ func TestStorePutUnderFaultStorm(t *testing.T) {
 		}
 		fst := fs.FaultStats()
 		injected += fst.FailedWrites + fst.TornWrites + fst.ShortWrites + fst.FailedReads
-		fs.ClearFaults()
+		fs.InjectFaults(pfs.FaultPlan{}) // disarm
 		got, err := st.Get(key)
 		if err != nil {
 			t.Fatalf("Get %d after faulty Put: %v", i, err)

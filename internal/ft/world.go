@@ -3,9 +3,8 @@
 // since the last checkpoint every rank holds, the run resumes from saved
 // state, and the recovered result is identical to a failure-free run.
 // RunWorld drives the real solver across an in-process MPI world under
-// injected chaos — message drop/corrupt/delay, whole-rank crash, and
-// transient or silent PFS faults — and recovers from every fault class by
-// coordinated rollback: all ranks return to the newest step for which
+// injected faults — whole-rank crash, and transient or silent PFS faults
+// — and recovers from every fault class by coordinated rollback: all ranks return to the newest step for which
 // every rank has a CRC-valid checkpoint (checkpoint.FindLatestValid) and
 // replay.
 //
@@ -15,7 +14,7 @@
 //     restart state its owners hand over — as a checkpoint every Interval
 //     steps (step 0 included, so rollback always has a floor);
 //  2. a rank that faults — injected crash panic, aborted-world panic
-//     after a peer crashed, send-retry exhaustion — aborts the world so
+//     after a peer crashed, any other panic — aborts the world so
 //     blocked peers unwind, then parks at an out-of-band coordinator;
 //  3. once every rank has parked, the last arriver (the leader) resets
 //     the MPI runtime, elects the restart step, and broadcasts the
@@ -61,8 +60,8 @@ type WorldOptions struct {
 	Dir string
 	// Interval is the checkpoint cadence in steps (default 10).
 	Interval int
-	// Chaos, when non-nil, arms message-layer fault injection. Storage
-	// faults are FS's own (pfs.(*FS).InjectFaults).
+	// Chaos, when non-nil, schedules whole-rank crashes. Storage faults
+	// are FS's own (pfs.(*FS).InjectFaults).
 	Chaos *mpi.ChaosPlan
 }
 
@@ -342,9 +341,9 @@ func (h *rankHarness) run() (*solver.Result, error) {
 type rejection struct{ error }
 
 // runSegment runs setup (if needed) and the checkpointed step loop to
-// completion, converting every panic the chaos layer can throw — injected
-// rank crash, aborted-world unwind, send-retry exhaustion — into an
-// error for the recovery protocol.
+// completion, converting every panic — injected rank crash,
+// aborted-world unwind, a fault in set-up — into an error for the
+// recovery protocol.
 func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

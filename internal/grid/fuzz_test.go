@@ -39,7 +39,7 @@ func FuzzPackUnpackSection(f *testing.F) {
 		count := int(rcount%Ghost) + 1
 		off := int(roff % 32)
 
-		src := NewField3(d)
+		src := NewField3G(d, Ghost)
 		for n := range src.data {
 			src.data[n] = float32(n) + 0.5
 		}
@@ -83,7 +83,7 @@ func FuzzPackUnpackSection(f *testing.F) {
 			t.Fatalf("pack extents cover %d cells, want %d", pos-off, faceLen)
 		}
 
-		dst := NewField3(d)
+		dst := NewField3G(d, Ghost)
 		for n := range dst.data {
 			dst.data[n] = float32(n) - 0.25
 		}

@@ -6,10 +6,7 @@
 // dense, with no padding at all.
 package grid
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Ghost is the ghost-cell padding width required by the 4th-order
 // staggered-grid stencil (two cells on each side, §III.A of the paper).
@@ -31,18 +28,14 @@ func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.NX, d.NY, d.NZ)
 // Field3 is a 3D scalar field of float32 with ghost padding (Ghost wide
 // unless the caller chose deeper, or none for a dense field). Interior
 // indices run i in [0,NX), j in [0,NY), k in [0,NZ); ghost indices extend
-// to [-G(), N+G()). The backing slice is contiguous with x fastest, then
-// y, then z.
+// to [-g, N+g) for ghost width g. The backing slice is contiguous with x
+// fastest, then y, then z.
 type Field3 struct {
 	Dims
 	g      int // ghost width on every face
 	sx, sy int // padded x and y extents
 	data   []float32
 }
-
-// NewField3 allocates a zeroed field with the given interior dims and the
-// default Ghost padding width.
-func NewField3(d Dims) *Field3 { return NewField3G(d, Ghost) }
 
 // NewField3G allocates a zeroed field with a caller-chosen ghost width: at
 // least Ghost for a field a stencil reads, or 0 for a dense field read and
@@ -128,11 +121,8 @@ func paddedLen(d Dims, ghost int) int {
 	return (d.NX + 2*ghost) * (d.NY + 2*ghost) * (d.NZ + 2*ghost)
 }
 
-// G returns the ghost width of the field.
-func (f *Field3) G() int { return f.g }
-
 // Idx returns the flat index of (i,j,k). Indices may range over the ghost
-// region [-G(), N+G()).
+// region [-g, N+g) of ghost width g.
 func (f *Field3) Idx(i, j, k int) int {
 	return ((k+f.g)*f.sy+(j+f.g))*f.sx + (i + f.g)
 }
@@ -147,28 +137,12 @@ func (f *Field3) Set(i, j, k int, v float32) { f.data[f.Idx(i, j, k)] = v }
 func (f *Field3) Add(i, j, k int, v float32) { f.data[f.Idx(i, j, k)] += v }
 
 // Data exposes the raw backing slice (including ghosts). Intended for
-// kernels and checkpointing; the layout is x-fastest with G() padding.
+// kernels and checkpointing; the layout is x-fastest with the ghost padding.
 func (f *Field3) Data() []float32 { return f.data }
 
 // Strides returns the flat-index strides (dx, dy, dz) such that
 // Idx(i+1,j,k) = Idx(i,j,k)+dx, etc.
 func (f *Field3) Strides() (dx, dy, dz int) { return 1, f.sx, f.sx * f.sy }
-
-// Fill sets every element, ghosts included, to v.
-func (f *Field3) Fill(v float32) {
-	for i := range f.data {
-		f.data[i] = v
-	}
-}
-
-// CopyFrom copies the full padded contents of src, which must have
-// identical dims and ghost width.
-func (f *Field3) CopyFrom(src *Field3) {
-	if f.Dims != src.Dims || f.g != src.g {
-		panic(fmt.Sprintf("grid: CopyFrom mismatch %v/g%d != %v/g%d", f.Dims, f.g, src.Dims, src.g))
-	}
-	copy(f.data, src.data)
-}
 
 // Section is one named array of a rank's restart state, aliasing its owner's
 // live values: F32 for float32 arrays, F64 (set, even when empty) for float64
@@ -264,57 +238,4 @@ func (f *Field3) copyRows(i0, i1, j0, j1, k0, k1 int, buf []float32, pack bool) 
 		}
 	}
 	return n
-}
-
-// MaxAbs returns the maximum absolute interior value.
-func (f *Field3) MaxAbs() float32 {
-	var m float32
-	for k := 0; k < f.NZ; k++ {
-		for j := 0; j < f.NY; j++ {
-			base := f.Idx(0, j, k)
-			for _, v := range f.data[base : base+f.NX] {
-				if v < 0 {
-					v = -v
-				}
-				if v > m {
-					m = v
-				}
-			}
-		}
-	}
-	return m
-}
-
-// SumSq returns the sum of squares of the interior values in float64.
-func (f *Field3) SumSq() float64 {
-	var s float64
-	for k := 0; k < f.NZ; k++ {
-		for j := 0; j < f.NY; j++ {
-			base := f.Idx(0, j, k)
-			for _, v := range f.data[base : base+f.NX] {
-				s += float64(v) * float64(v)
-			}
-		}
-	}
-	return s
-}
-
-// L2Diff returns the root-sum-square difference between the interiors of
-// f and g, which must have identical dims.
-func (f *Field3) L2Diff(g *Field3) float64 {
-	if f.Dims != g.Dims {
-		panic(fmt.Sprintf("grid: L2Diff dims mismatch %v != %v", f.Dims, g.Dims))
-	}
-	var s float64
-	for k := 0; k < f.NZ; k++ {
-		for j := 0; j < f.NY; j++ {
-			a := f.Idx(0, j, k)
-			b := g.Idx(0, j, k)
-			for i := 0; i < f.NX; i++ {
-				d := float64(f.data[a+i]) - float64(g.data[b+i])
-				s += d * d
-			}
-		}
-	}
-	return math.Sqrt(s)
 }

@@ -2,7 +2,6 @@ package grid
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,7 +33,7 @@ func TestNewField3PanicsOnInvalidDims(t *testing.T) {
 			t.Fatal("expected panic for invalid dims")
 		}
 	}()
-	NewField3(Dims{0, 1, 1})
+	NewField3G(Dims{0, 1, 1}, Ghost)
 }
 
 // A field no stencil reads is dense: ghost 0 holds the interior cells and
@@ -43,8 +42,8 @@ func TestNewField3PanicsOnInvalidDims(t *testing.T) {
 func TestGhostWidths(t *testing.T) {
 	d := Dims{5, 4, 3}
 	f := NewField3G(d, 0)
-	if f.G() != 0 || len(f.Data()) != d.Cells() {
-		t.Fatalf("ghost 0: G %d, %d values, want 0 and %d", f.G(), len(f.Data()), d.Cells())
+	if f.g != 0 || len(f.Data()) != d.Cells() {
+		t.Fatalf("ghost 0: G %d, %d values, want 0 and %d", f.g, len(f.Data()), d.Cells())
 	}
 	if dx, dy, dz := f.Strides(); dx != 1 || dy != d.NX || dz != d.NX*d.NY {
 		t.Fatalf("ghost 0: strides %d,%d,%d, want those of %v", dx, dy, dz, d)
@@ -90,8 +89,8 @@ func TestLaneFieldsAreOrdinaryFields(t *testing.T) {
 		next = LaneFields(d, ghost, Lanes-count, count)
 		for k := 0; k < count; k++ {
 			f := next()
-			if f.G() != ghost || f.Dims != d {
-				t.Fatalf("ghost %d field %d: ghost %d dims %v", ghost, k, f.G(), f.Dims)
+			if f.g != ghost || f.Dims != d {
+				t.Fatalf("ghost %d field %d: ghost %d dims %v", ghost, k, f.g, f.Dims)
 			}
 			if n := paddedLen(d, ghost); len(f.Data()) != n || cap(f.Data()) != n {
 				t.Fatalf("ghost %d field %d: len %d cap %d, want %d", ghost, k, len(f.Data()), cap(f.Data()), n)
@@ -101,7 +100,7 @@ func TestLaneFieldsAreOrdinaryFields(t *testing.T) {
 					t.Fatalf("ghost %d field %d: not zeroed, or it shares storage with an earlier field", ghost, k)
 				}
 			}
-			f.Fill(float32(k + 1))
+			fill(f, float32(k+1))
 			f.Set(-ghost, -ghost, -ghost, -1)
 			f.Set(d.NX+ghost-1, d.NY+ghost-1, d.NZ+ghost-1, -2)
 			if f.Data()[0] != -1 || f.Data()[len(f.Data())-1] != -2 {
@@ -159,7 +158,7 @@ func TestLaneFieldsPlacement(t *testing.T) {
 }
 
 func TestIdxStrides(t *testing.T) {
-	f := NewField3(Dims{4, 5, 6})
+	f := NewField3G(Dims{4, 5, 6}, Ghost)
 	dx, dy, dz := f.Strides()
 	base := f.Idx(1, 2, 3)
 	if f.Idx(2, 2, 3)-base != dx {
@@ -181,7 +180,7 @@ func TestIdxStrides(t *testing.T) {
 }
 
 func TestIdxUniqueIncludingGhosts(t *testing.T) {
-	f := NewField3(Dims{3, 4, 2})
+	f := NewField3G(Dims{3, 4, 2}, Ghost)
 	seen := make(map[int]bool)
 	for k := -Ghost; k < f.NZ+Ghost; k++ {
 		for j := -Ghost; j < f.NY+Ghost; j++ {
@@ -203,7 +202,7 @@ func TestIdxUniqueIncludingGhosts(t *testing.T) {
 }
 
 func TestSetAtAdd(t *testing.T) {
-	f := NewField3(Dims{3, 3, 3})
+	f := NewField3G(Dims{3, 3, 3}, Ghost)
 	f.Set(1, 2, 0, 2.5)
 	if got := f.At(1, 2, 0); got != 2.5 {
 		t.Fatalf("At = %v", got)
@@ -219,19 +218,16 @@ func TestSetAtAdd(t *testing.T) {
 	}
 }
 
-func TestFill(t *testing.T) {
-	f := NewField3(Dims{2, 2, 2})
-	f.Fill(3)
-	for _, v := range f.Data() {
-		if v != 3 {
-			t.Fatal("Fill did not set all values")
-		}
+// fill sets every element of f, ghosts included, to v.
+func fill(f *Field3, v float32) {
+	for i := range f.data {
+		f.data[i] = v
 	}
 }
 
 func TestCopyFromMismatchPanics(t *testing.T) {
-	f := NewField3(Dims{2, 2, 2})
-	g := NewField3(Dims{2, 2, 3})
+	f := NewField3G(Dims{2, 2, 2}, Ghost)
+	g := NewField3G(Dims{2, 2, 3}, Ghost)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for dims mismatch")
@@ -274,12 +270,12 @@ func TestPackUnpackFaceRoundTrip(t *testing.T) {
 	// The pack/unpack pair is the heart of halo exchange: packing `count`
 	// interior planes on one side and unpacking them into the ghost planes
 	// of a neighbor must move exactly the right values.
-	src := NewField3(Dims{4, 5, 6})
+	src := NewField3G(Dims{4, 5, 6}, Ghost)
 	fillPattern(src)
 	for _, ax := range []Axis{X, Y, Z} {
 		for _, sd := range []Side{Low, High} {
 			for count := 1; count <= Ghost; count++ {
-				dst := NewField3(src.Dims)
+				dst := NewField3G(src.Dims, Ghost)
 				i0, i1, j0, j1, k0, k1 := faceBlock(src.Dims, ax, sd, count, false)
 				buf := make([]float32, RangeLen(i0, i1, j0, j1, k0, k1))
 				n := src.PackRange(i0, i1, j0, j1, k0, k1, buf)
@@ -347,7 +343,7 @@ func dims(f *Field3, ax Axis) int {
 }
 
 func TestMaxAbsIgnoresGhosts(t *testing.T) {
-	f := NewField3(Dims{3, 3, 3})
+	f := NewField3G(Dims{3, 3, 3}, Ghost)
 	f.Set(-1, 0, 0, 100) // ghost
 	f.Set(1, 1, 1, -5)
 	if got := f.MaxAbs(); got != 5 {
@@ -355,25 +351,9 @@ func TestMaxAbsIgnoresGhosts(t *testing.T) {
 	}
 }
 
-func TestSumSqAndL2Diff(t *testing.T) {
-	f := NewField3(Dims{2, 2, 1})
-	g := NewField3(Dims{2, 2, 1})
-	f.Set(0, 0, 0, 3)
-	f.Set(1, 1, 0, 4)
-	if got := f.SumSq(); got != 25 {
-		t.Fatalf("SumSq = %v, want 25", got)
-	}
-	if got := f.L2Diff(g); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("L2Diff = %v, want 5", got)
-	}
-	if got := f.L2Diff(f); got != 0 {
-		t.Fatalf("self L2Diff = %v, want 0", got)
-	}
-}
-
 func TestL2DiffMismatchPanics(t *testing.T) {
-	f := NewField3(Dims{2, 2, 2})
-	g := NewField3(Dims{3, 2, 2})
+	f := NewField3G(Dims{2, 2, 2}, Ghost)
+	g := NewField3G(Dims{3, 2, 2}, Ghost)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -396,7 +376,7 @@ func TestQuickPackUnpackConsistency(t *testing.T) {
 			sd = High
 		}
 		count := int(cnt8%Ghost) + 1
-		f := NewField3(Dims{nx, ny, nz})
+		f := NewField3G(Dims{nx, ny, nz}, Ghost)
 		rng := rand.New(rand.NewSource(seed))
 		for idx := range f.Data() {
 			f.Data()[idx] = rng.Float32()
@@ -406,7 +386,7 @@ func TestQuickPackUnpackConsistency(t *testing.T) {
 		if n := f.PackRange(i0, i1, j0, j1, k0, k1, buf); n != len(buf) {
 			return false
 		}
-		g := NewField3(f.Dims)
+		g := NewField3G(f.Dims, Ghost)
 		i0, i1, j0, j1, k0, k1 = faceBlock(f.Dims, ax, sd, count, true)
 		if n := g.UnpackRange(i0, i1, j0, j1, k0, k1, buf); n != len(buf) {
 			return false

@@ -48,7 +48,7 @@ func TestNarrowCopyMatchesRowCopies(t *testing.T) {
 		label := fmt.Sprintf("%v block [%d,%d)x[%d,%d)x[%d,%d)", b.d, b.i0, b.i1, b.j0, b.j1, b.k0, b.k1)
 		n := RangeLen(b.i0, b.i1, b.j0, b.j1, b.k0, b.k1)
 		const off = 3
-		f := NewField3(b.d)
+		f := NewField3G(b.d, Ghost)
 		for i := range f.data {
 			f.data[i] = float32(i) + 0.5
 		}
@@ -76,8 +76,8 @@ func TestNarrowCopyMatchesRowCopies(t *testing.T) {
 		}
 		var fields [2]*Field3
 		for side := range fields {
-			fields[side] = NewField3(b.d)
-			fields[side].Fill(narrowSentinel)
+			fields[side] = NewField3G(b.d, Ghost)
+			fill(fields[side], narrowSentinel)
 		}
 		if got := fields[0].copyBlock(b.i0, b.i1, b.j0, b.j1, b.k0, b.k1, src, false); got != n {
 			t.Fatalf("%s: unpack moved %d values, want %d", label, got, n)
@@ -85,7 +85,7 @@ func TestNarrowCopyMatchesRowCopies(t *testing.T) {
 		fields[1].copyRows(b.i0, b.i1, b.j0, b.j1, b.k0, b.k1, src, false)
 		expectSameBits(t, label+" unpack", fields[0].data, fields[1].data)
 		inside := 0
-		g := fields[0].G()
+		g := fields[0].g
 		for k := -g; k < b.d.NZ+g; k++ {
 			for j := -g; j < b.d.NY+g; j++ {
 				for i := -g; i < b.d.NX+g; i++ {

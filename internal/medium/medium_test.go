@@ -132,7 +132,7 @@ func TestMultiRankConsistentWithGlobal(t *testing.T) {
 
 func TestFromArraysRoundTrip(t *testing.T) {
 	d := grid.Dims{NX: 4, NY: 4, NZ: 4}
-	f := grid.NewField3(d)
+	f := grid.NewField3G(d, grid.Ghost)
 	n := len(f.Data())
 	vp := make([]float32, n)
 	vs := make([]float32, n)
@@ -353,7 +353,7 @@ func (q float32Model) Query(x, y, z float64) cvm.Material {
 // paddedArrays samples q over sub's padded extent into the three arrays
 // FromArrays takes, in grid.Field3 layout.
 func paddedArrays(q cvm.Querier, s decomp.Sub, h float64) (vp, vs, rho []float32) {
-	f, g := grid.NewField3(s.Local), grid.Ghost
+	f, g := grid.NewField3G(s.Local, grid.Ghost), grid.Ghost
 	vp, vs, rho = make([]float32, len(f.Data())), make([]float32, len(f.Data())), make([]float32, len(f.Data()))
 	for k := -g; k < s.Local.NZ+g; k++ {
 		for j := -g; j < s.Local.NY+g; j++ {
@@ -425,7 +425,7 @@ func TestFromCVMRowsMatchPointwise(t *testing.T) {
 // Unphysical, but not in MinVs/MaxVp, which fold the interior alone.
 func TestFromArraysGhosts(t *testing.T) {
 	d := grid.Dims{NX: 5, NY: 4, NZ: 3}
-	f := grid.NewField3(d)
+	f := grid.NewField3G(d, grid.Ghost)
 	build := func(ghost, odd [3]float32) *Medium {
 		t.Helper()
 		n := len(f.Data())

@@ -7,8 +7,8 @@ import (
 	"repro/internal/agg"
 	"repro/internal/cvm"
 	"repro/internal/grid"
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 )
 
 func streamFS() *pfs.FS {
@@ -42,7 +42,7 @@ func generate(t *testing.T, fsys *pfs.FS, q cvm.Querier, sp Spec) {
 			}
 		}
 	}
-	if err := fsys.WriteAt(sp.Path, 0, mpiio.PutFloat32s(vals)); err != nil {
+	if err := fsys.WriteAt(sp.Path, 0, testkit.PutFloat32s(vals)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"repro/internal/medium"
 	"repro/internal/meshgen"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 )
 
 // ReadPrePartitioned loads one rank's pre-partitioned sub-mesh (the
@@ -26,7 +26,7 @@ func ReadPrePartitioned(fsys *pfs.FS, dir string, global grid.Dims, dc decomp.De
 	if err := fsys.ReadAt(PartFileName(dir, rank), 0, raw); err != nil {
 		return SubMesh{}, err
 	}
-	vals := mpiio.GetFloat32s(raw)
+	vals := testkit.GetFloat32s(raw)
 	return SubMesh{Dims: sub.Local, VP: vals[:n], VS: vals[n : 2*n], Rho: vals[2*n : 3*n]}, nil
 }
 
@@ -57,7 +57,7 @@ func TestMeshgenMatchesCVM(t *testing.T) {
 		if err := fsys.ReadAt("in/mesh.bin", ((p[2]*g.NY+p[1])*g.NX+p[0])*meshgen.RecBytes, raw); err != nil {
 			t.Fatal(err)
 		}
-		got := mpiio.GetFloat32s(raw)
+		got := testkit.GetFloat32s(raw)
 		want := q.Query(float64(p[0])*h, float64(p[1])*h, float64(p[2])*h)
 		if math.Abs(float64(got[0])-want.Vp) > 0.5 || math.Abs(float64(got[1])-want.Vs) > 0.5 {
 			t.Fatalf("point %v: got %v want %+v", p, got, want)

@@ -7,8 +7,8 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/mpi"
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 )
 
 // prePartition is the one-shot reference partitioner: it reads the whole
@@ -21,7 +21,7 @@ func prePartition(t *testing.T, fsys *pfs.FS, meshPath, outDir string, global gr
 	if err := fsys.ReadAt(meshPath, 0, raw); err != nil {
 		t.Fatal(err)
 	}
-	vals := mpiio.GetFloat32s(raw)
+	vals := testkit.GetFloat32s(raw)
 	g := grid.Ghost
 	for r := 0; r < dc.Topo.Size(); r++ {
 		sub := dc.SubFor(r)
@@ -36,7 +36,7 @@ func prePartition(t *testing.T, fsys *pfs.FS, meshPath, outDir string, global gr
 				}
 			}
 		}
-		if err := fsys.WriteAt(PartFileName(outDir, r), 0, mpiio.PutFloat32s(append(append(vp, vs...), rho...))); err != nil {
+		if err := fsys.WriteAt(PartFileName(outDir, r), 0, testkit.PutFloat32s(append(append(vp, vs...), rho...))); err != nil {
 			t.Fatal(err)
 		}
 	}

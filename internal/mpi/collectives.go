@@ -19,9 +19,8 @@ import (
 // a barrier is O(log P) lock handoffs deep instead of P-1 waiters
 // convoying on one mutex and one condvar (the centralized barrier this
 // replaced; BENCH_8.json holds the comparison). The tree barrier sends
-// no messages: it never touches the
-// inbox path, never appears in the telemetry message counters, and composes with chaos injection trivially (there is
-// nothing to drop or corrupt).
+// no messages: it never touches the inbox path, never appears in the
+// telemetry message counters, and no scheduled crash counts it as a send.
 //
 // bcast (under Allreduce and BcastValue) and Reduce are binomial trees
 // (the classic MPICH recursive-halving schedule), and Allreduce is
@@ -29,9 +28,8 @@ import (
 // and float volume of the flat versions they replace — P-1 messages for
 // bcast/Reduce, 2(P-1) for Allreduce — so message-count tests and
 // the perfmodel fit are unaffected; only the critical path drops from
-// O(P) to O(log P). The payloads ride the ordinary Send path, so link-latency
-// charging, telemetry counters, and chaos (drop/corrupt/delay/crash +
-// checksum retransmission) all apply to collectives exactly as to
+// O(P) to O(log P). The payloads ride the ordinary Send path, so telemetry
+// counters and scheduled crashes apply to collectives exactly as to
 // point-to-point traffic.
 
 // barrierNode is one rank's slot in the combining tree.

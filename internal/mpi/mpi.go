@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/telemetry"
 )
@@ -39,8 +38,7 @@ const AnyTag = -1
 type message struct {
 	src, tag int
 	data     []float32
-	sent     int64  // telemetry.Now() at submission; 0 when telemetry is off
-	sum      uint64 // per-message checksum; 0 on chaos-free worlds (unchecked)
+	sent     int64 // telemetry.Now() at submission; 0 when telemetry is off
 }
 
 // inbox holds undelivered messages and pending receivers for one rank.
@@ -75,7 +73,7 @@ type World struct {
 	// talk to a handful of peers. An idle rank costs one atomic pointer
 	// word here plus one barrier-tree node — well under 1 KB.
 	inboxes []atomic.Pointer[inbox]
-	chaos   *chaosEngine // nil: fault-free transport
+	chaos   *chaosEngine // nil: no crash scheduled
 	aborted atomic.Bool
 
 	// Barrier's combining tree (collectives.go), built lazily under
@@ -250,9 +248,8 @@ func (w *World) Abort() {
 // discarded, inboxes reopen, and the barrier state clears. The caller
 // must guarantee no rank is inside an mpi operation during Reset (the
 // ft recovery coordinator resets only after every rank has quiesced).
-// Chaos state is preserved: already-fired scheduled crashes stay fired
-// and the per-rank decision streams continue, so a replay does not
-// re-suffer identical faults forever.
+// Chaos state is preserved: already-fired scheduled crashes stay fired,
+// so a replay does not re-suffer the same crash forever.
 func (w *World) Reset() {
 	for i := range w.inboxes {
 		b := w.inboxes[i].Load()
@@ -308,63 +305,20 @@ func (c *Comm) SendOwned(dst, tag int, data []float32) {
 	c.deliver(dst, tag, data)
 }
 
-// deliver enqueues data (already owned by the runtime) at dst's inbox.
-// On a chaos-armed world it runs the reliable-transport simulation:
-// checksum stamping, seeded drop/corrupt/delay decisions, sender-side
-// retransmission with exponential backoff, and scheduled rank crashes.
+// deliver enqueues data (already owned by the runtime) at dst's inbox,
+// first firing the rank's scheduled crash on a chaos-armed world.
 func (c *Comm) deliver(dst, tag int, data []float32) {
 	if dst < 0 || dst >= c.world.size {
 		panic(fmt.Sprintf("mpi: Send to invalid rank %d (size %d)", dst, c.world.size))
 	}
-	ch := c.world.chaos
-	if ch == nil {
-		c.enqueue(dst, tag, data, 0)
-		return
+	if ch := c.world.chaos; ch != nil {
+		ch.beginSend(c.rank)
 	}
-	op, crash := ch.beginSend(c.rank)
-	if crash {
-		ch.crashes.Add(1)
-		panic(&CrashError{Rank: c.rank, SendOp: op})
-	}
-	sum := checksum(data)
-	backoff := retryBackoff
-	consec := 0
-	for attempt := 0; ; attempt++ {
-		f, delay := ch.draw(c.rank, consec, len(data))
-		switch f {
-		case fateDrop:
-			// Lost on the wire: the sender times out and retransmits
-			// after backoff.
-			ch.dropped.Add(1)
-		case fateCorrupt:
-			// Bit flip on the wire: the corrupted copy is enqueued with
-			// the original checksum, the receiver detects the mismatch
-			// and discards it, and the sender retransmits.
-			ch.corrupted.Add(1)
-			c.enqueue(dst, tag, ch.corruptCopy(c.rank, data), sum)
-		case fateDelay:
-			ch.delayed.Add(1)
-			time.Sleep(delay)
-			fallthrough
-		default:
-			ch.delivered.Add(1)
-			c.enqueue(dst, tag, data, sum)
-			return
-		}
-		if attempt >= ch.plan.MaxRetries {
-			panic(&RetryExhaustedError{Rank: c.rank, Dst: dst, Tag: tag, Attempts: attempt + 1})
-		}
-		consec++
-		ch.retries.Add(1)
-		time.Sleep(backoff)
-		if backoff < time.Millisecond {
-			backoff *= 2
-		}
-	}
+	c.enqueue(dst, tag, data)
 }
 
 // enqueue appends one wire payload to dst's inbox.
-func (c *Comm) enqueue(dst, tag int, data []float32, sum uint64) {
+func (c *Comm) enqueue(dst, tag int, data []float32) {
 	var sent int64
 	if c.tel != nil {
 		sent = telemetry.Now()
@@ -384,7 +338,7 @@ func (c *Comm) enqueue(dst, tag int, data []float32, sum uint64) {
 		b.queue = b.queue[:n]
 		b.head = 0
 	}
-	b.queue = append(b.queue, message{src: c.rank, tag: tag, data: data, sent: sent, sum: sum})
+	b.queue = append(b.queue, message{src: c.rank, tag: tag, data: data, sent: sent})
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
@@ -468,16 +422,10 @@ func (c *Comm) noteRecv(m message) {
 // the scan stops there. A head-of-queue match — the common case — pops
 // in O(1) by advancing the head cursor; an interior match (out-of-order
 // tag arrival) shifts only the messages ahead of it.
-//
-// On a chaos-armed world each matched payload is verified against its
-// per-message checksum first; a corrupted message is discarded and the
-// scan resumes, waiting for the sender's retransmission — the receiver
-// half of the reliable-transport simulation.
 func (c *Comm) takeMatch(src, tag int) (message, error) {
 	b := c.world.inboxAt(c.rank)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-rescan:
 	for {
 		for i := b.head; i < len(b.queue); i++ {
 			m := b.queue[i]
@@ -493,10 +441,6 @@ rescan:
 					copy(b.queue[b.head+1:i+1], b.queue[b.head:i])
 					b.queue[b.head] = message{}
 					b.head++
-				}
-				if ch := c.world.chaos; ch != nil && m.sum != 0 && checksum(m.data) != m.sum {
-					ch.checksumRejects.Add(1)
-					continue rescan // discard; the retransmission follows
 				}
 				return m, nil
 			}

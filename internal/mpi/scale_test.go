@@ -17,7 +17,7 @@ import (
 // state makes full scale needlessly slow in CI's -race lane (the
 // bounded soak there still runs the same code paths).
 func scaleRanks() int {
-	if telemetry.RaceEnabled {
+	if raceEnabled {
 		return 2048
 	}
 	return 10240

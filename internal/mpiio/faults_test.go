@@ -68,7 +68,7 @@ func TestWriteIndexedRetriesTransientFaults(t *testing.T) {
 	if err := WriteIndexed(fsys, "out", segs, data); err != nil {
 		t.Fatalf("WriteIndexed did not survive transient write faults: %v", err)
 	}
-	fsys.ClearFaults()
+	fsys.InjectFaults(pfs.FaultPlan{}) // disarm
 	got, err := ReadIndexed(fsys, "out", segs)
 	if err != nil {
 		t.Fatal(err)

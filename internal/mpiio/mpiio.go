@@ -7,9 +7,7 @@
 package mpiio
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/grid"
 	"repro/internal/pfs"
@@ -113,25 +111,4 @@ func PhaseOps(path string, views [][]Segment, write bool) []pfs.Op {
 		}
 	}
 	return ops
-}
-
-// Float32 codecs for record files (little-endian, matching the real
-// AWP-ODC binary formats).
-
-// PutFloat32s encodes vals into a new byte slice.
-func PutFloat32s(vals []float32) []byte {
-	out := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-	}
-	return out
-}
-
-// GetFloat32s decodes a byte slice into float32 values.
-func GetFloat32s(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
 }

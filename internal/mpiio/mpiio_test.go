@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/grid"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 )
 
 func testFS() *pfs.FS {
@@ -43,14 +44,14 @@ func TestIndexedRoundTrip(t *testing.T) {
 	for i := range all {
 		all[i] = float32(i)
 	}
-	fsys.WriteAt("f", 0, PutFloat32s(all))
+	fsys.WriteAt("f", 0, testkit.PutFloat32s(all))
 
 	segs := BlockSegments(g, 1, 4, 2, 5, 1, 3, 4)
 	raw, err := ReadIndexed(fsys, "f", segs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := GetFloat32s(raw)
+	vals := testkit.GetFloat32s(raw)
 	// First value should be global (k=1, j=2, i=1).
 	want := float32((1*6+2)*6 + 1)
 	if vals[0] != want {
@@ -108,9 +109,11 @@ func TestPhaseOpsOpenAccounting(t *testing.T) {
 	}
 }
 
+// TestFloat32Codec: the record files' little-endian float32 codec, which
+// the tests here write and read files with, round-trips every value.
 func TestFloat32Codec(t *testing.T) {
 	in := []float32{0, 1.5, -3.25e7, 1e-20}
-	out := GetFloat32s(PutFloat32s(in))
+	out := testkit.GetFloat32s(testkit.PutFloat32s(in))
 	for i := range in {
 		if in[i] != out[i] {
 			t.Fatalf("codec mismatch at %d", i)

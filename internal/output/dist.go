@@ -36,6 +36,9 @@ type Dist struct {
 	// rank's view of each in turn.
 	frames []int
 	buf    []byte
+	// view is the flush's file view, a segment of each buffered frame for
+	// each of segs; it is empty between flushes and keeps its array.
+	view []mpiio.Segment
 	// counted is one past the highest frame whose bytes Stats.Bytes holds:
 	// a replayed frame below it is on disk and counted already.
 	counted int
@@ -127,18 +130,17 @@ func (d *Dist) Flush() error {
 	if n == 0 {
 		return nil
 	}
-	segs := make([]mpiio.Segment, 0, n*len(d.segs))
 	for _, f := range d.frames {
 		for _, s := range d.segs {
-			segs = append(segs, mpiio.Segment{Off: f*d.frameBytes + s.Off, Len: s.Len})
+			d.view = append(d.view, mpiio.Segment{Off: f*d.frameBytes + s.Off, Len: s.Len})
 		}
 	}
 	// The frames the flush spans, and those not on disk before it.
 	lo, hi := d.frames[0], d.frames[n-1]+1
 	onDisk, _ := slices.BinarySearch(d.frames, d.counted)
 	fresh, counted := n-onDisk, max(d.counted, hi)
-	st, err := agg.WriteIndexed(d.c, d.fsys, d.path, segs, d.buf, d.cfg, d.tel)
-	d.frames, d.buf = d.frames[:0], d.buf[:0]
+	st, err := agg.WriteIndexed(d.c, d.fsys, d.path, d.view, d.buf, d.cfg, d.tel)
+	d.frames, d.buf, d.view = d.frames[:0], d.buf[:0], d.view[:0]
 	if err != nil {
 		return err
 	}

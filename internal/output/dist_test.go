@@ -79,6 +79,9 @@ func TestDistFlushGroupingAndContent(t *testing.T) {
 		if err := d.verifyStripes(); err != nil {
 			panic(err)
 		}
+		if len(d.view) != 0 || cap(d.view) < 3*len(mine) { // kept from the 3-frame flushes
+			panic(fmt.Sprintf("flush view %d of %d segments kept, want 0 of %d", len(d.view), cap(d.view), 3*len(mine)))
+		}
 		if c.Rank() == 0 {
 			flushes, opens = d.Stats.Flushes, d.Stats.Opens
 		}

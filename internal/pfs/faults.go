@@ -199,18 +199,12 @@ func Roll(seed int64, key string, site byte, n uint64) float64 {
 	return float64(x>>11) / (1 << 53)
 }
 
-// InjectFaults arms the file system with a transient-fault plan.
+// InjectFaults arms the file system with a transient-fault plan, resetting
+// its counters; the zero plan faults nothing.
 func (fs *FS) InjectFaults(plan FaultPlan) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.faults = newFaultEngine(plan)
-}
-
-// ClearFaults disarms fault injection.
-func (fs *FS) ClearFaults() {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.faults = nil
 }
 
 // FaultStats returns cumulative injected-fault counters (zero when no

@@ -125,11 +125,11 @@ func TestMaxConsecutiveBoundsFaultRuns(t *testing.T) {
 func TestRetryHealsTransientFaults(t *testing.T) {
 	fs := New(Jaguar())
 	fs.InjectFaults(FaultPlan{Seed: 4, WriteFailProb: 0.6, ShortWriteProb: 0.3, MaxConsecutive: 2})
-	var slept []time.Duration
-	pol := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond, Sleep: func(d time.Duration) { slept = append(slept, d) }}
+	calls := 0
+	pol := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Microsecond}
 	data := []byte{10, 20, 30, 40}
 	for i := 0; i < 50; i++ {
-		if err := pol.Do(func() error { return fs.WriteAt("f", 0, data) }); err != nil {
+		if err := pol.Do(func() error { calls++; return fs.WriteAt("f", 0, data) }); err != nil {
 			t.Fatalf("write %d not healed by retry: %v", i, err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestRetryHealsTransientFaults(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("content = %v, want %v", got, data)
 	}
-	if len(slept) == 0 {
+	if calls == 50 {
 		t.Fatal("no retries happened at 90% fault probability")
 	}
 	if st := fs.FaultStats(); st.FailedWrites+st.ShortWrites == 0 {
@@ -150,7 +150,7 @@ func TestRetryHealsTransientFaults(t *testing.T) {
 
 func TestRetryGivesUpBounded(t *testing.T) {
 	calls := 0
-	pol := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {}}
+	pol := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Nanosecond}
 	err := pol.Do(func() error { calls++; return &TransientError{Op: "write", Path: "f"} })
 	if calls != 3 {
 		t.Fatalf("calls = %d, want 3", calls)
@@ -200,7 +200,7 @@ func TestConcurrentOpensUnderRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pol := RetryPolicy{MaxAttempts: 8, BaseDelay: time.Nanosecond, Sleep: func(time.Duration) {}}
+			pol := RetryPolicy{MaxAttempts: 8, BaseDelay: time.Nanosecond}
 			for i := 0; i < 20; i++ {
 				path := "dir/file" + string(rune('a'+w))
 				if err := pol.Do(func() error { return fs.WriteAt(path, i*4, []byte{1, 2, 3, 4}) }); err != nil {
@@ -287,9 +287,7 @@ func TestReadFaultTransientAndRetryable(t *testing.T) {
 	}
 	// MaxConsecutive=1 guarantees the immediate retry succeeds, so the
 	// default retry policy heals the fault.
-	p := DefaultRetry()
-	p.Sleep = func(time.Duration) {}
-	if err := p.Do(func() error { return fs.ReadAt("f", 0, buf) }); err != nil {
+	if err := DefaultRetry().Do(func() error { return fs.ReadAt("f", 0, buf) }); err != nil {
 		t.Fatalf("retry did not heal read fault: %v", err)
 	}
 	if !bytes.Equal(buf, data) {
@@ -499,7 +497,6 @@ func TestFaultStateCollapsesWithFile(t *testing.T) {
 		fs := New(Jaguar())
 		fs.InjectFaults(FaultPlan{Seed: 3, WriteFailProb: 0.3, MDSTimeoutProb: 0.3, ReadFailProb: 0.3})
 		retry := DefaultRetry()
-		retry.Sleep = func(time.Duration) {}
 		must := func(op func() error) {
 			t.Helper()
 			if err := retry.Do(op); err != nil {

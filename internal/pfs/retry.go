@@ -15,8 +15,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff (default 5ms).
 	MaxDelay time.Duration
-	// Sleep is a test hook; nil means time.Sleep.
-	Sleep func(time.Duration)
 }
 
 // DefaultRetry is the policy used by checkpoint and mpiio.
@@ -41,10 +39,6 @@ func (p RetryPolicy) Do(op func() error) error {
 	if maxDelay <= 0 {
 		maxDelay = 5 * time.Millisecond
 	}
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
 	var err error
 	for i := 0; i < attempts; i++ {
 		if err = op(); err == nil {
@@ -54,7 +48,7 @@ func (p RetryPolicy) Do(op func() error) error {
 			return err
 		}
 		if i < attempts-1 {
-			sleep(delay)
+			time.Sleep(delay)
 			delay *= 2
 			if delay > maxDelay {
 				delay = maxDelay

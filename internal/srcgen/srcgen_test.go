@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/core/source"
-	"repro/internal/mpiio"
 	"repro/internal/pfs"
+	"repro/internal/testkit"
 )
 
 // ReadSourceFile loads a dSrcG file.
@@ -21,7 +21,7 @@ func ReadSourceFile(fsys *pfs.FS, path string) ([]source.SampledSource, error) {
 	if err := fsys.ReadAt(path, 0, raw); err != nil {
 		return nil, err
 	}
-	vals := mpiio.GetFloat32s(raw)
+	vals := testkit.GetFloat32s(raw)
 	n := int(vals[0])
 	p := 1
 	out := make([]source.SampledSource, 0, n)
@@ -122,7 +122,7 @@ func TestSourceFileRoundTrip(t *testing.T) {
 }
 
 // refEncode is WriteSourceFile's encoding as first written — the values
-// gathered into a []float32, then encoded by mpiio.PutFloat32s — kept as the
+// gathered into a []float32, then encoded by testkit.PutFloat32s — kept as the
 // oracle of its one-buffer encoder.
 func refEncode(srcs []source.SampledSource) []byte {
 	var buf []float32
@@ -135,7 +135,7 @@ func refEncode(srcs []source.SampledSource) []byte {
 			buf = append(buf, r[0], r[1], r[2], r[3], r[4], r[5])
 		}
 	}
-	return mpiio.PutFloat32s(buf)
+	return testkit.PutFloat32s(buf)
 }
 
 // TestSourceFileMatchesFloatEncoding: the file WriteSourceFile stores is

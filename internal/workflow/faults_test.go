@@ -52,7 +52,7 @@ func TestTransferDestinationWriteFaultRetried(t *testing.T) {
 	}
 	// Content must be intact despite the faults.
 	buf := make([]byte, 1<<10)
-	dst.FS.ClearFaults()
+	dst.FS.InjectFaults(pfs.FaultPlan{}) // disarm
 	if err := dst.FS.ReadAt(paths[7], 0, buf); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestTransferTornWriteHealed(t *testing.T) {
 	if st.Retries == 0 {
 		t.Fatal("torn writes were served without checksum-triggered retransfer")
 	}
-	dst.FS.ClearFaults()
+	dst.FS.InjectFaults(pfs.FaultPlan{}) // disarm
 	reg := NewRegistry()
 	if _, err := reg.Ingest(src, paths, 2, 1e6); err != nil {
 		t.Fatal(err)
@@ -225,7 +225,7 @@ func TestVerifyReplicaTornArtifact(t *testing.T) {
 	if torn.FS.FaultStats().TornWrites != 1 {
 		t.Fatal("torn write not injected")
 	}
-	torn.FS.ClearFaults()
+	torn.FS.InjectFaults(pfs.FaultPlan{}) // disarm
 	if torn.FS.Size(paths[0]) >= len(data) {
 		t.Fatal("torn write persisted full payload; test is vacuous")
 	}
@@ -238,7 +238,7 @@ func TestVerifyReplicaTornArtifact(t *testing.T) {
 	if err := short.FS.WriteAt(paths[0], 0, data); !pfs.IsTransient(err) {
 		t.Fatalf("short write error = %v, want transient", err)
 	}
-	short.FS.ClearFaults()
+	short.FS.InjectFaults(pfs.FaultPlan{}) // disarm
 	if err := reg.VerifyReplica(short, paths[0]); err == nil {
 		t.Fatal("short replica passed verification")
 	}

@@ -3,31 +3,29 @@
 // go/types: there is no golang.org/x/tools to lean on) and fails on
 //
 //   - a package under internal/, or awp, that no non-test file outside
-//     bench/ imports;
+//     bench/ imports, and internal/testkit, the home of helpers that
+//     several packages' tests share, if a non-test file imports it;
 //   - a package-level function, method, constant or variable, exported or
 //     not, declared in a non-test file under internal/ that nothing
-//     references except its own package's tests;
+//     references except tests (testkit's need only a reference);
 //   - an exported field of an exported package-level struct type declared
-//     in a non-test file under internal/ that nothing sets except its own
-//     package's tests (a setting only a test chooses is not a setting);
+//     in a non-test file under internal/ that nothing sets except tests (a
+//     setting only a test chooses is not a setting);
 //   - a named unexported field of a package-level struct type declared
 //     there that nothing reads, tests included;
 //   - a declaration under internal/ that only bench reaches (and perhaps
-//     its own package's tests) outside its package's bench_compat.go, or a
-//     field only bench sets that carries no "// bench-only" comment on its
-//     line;
+//     tests) outside its package's bench_compat.go, or a field only bench
+//     sets that carries no "// bench-only" comment on its line;
 //   - a declaration in a bench_compat.go, or a field declared there or
-//     marked "// bench-only", that anything but bench and its own
-//     package's tests reaches.
+//     marked "// bench-only", that anything but bench and tests reaches.
 //
-// A reference, or a set, counts from a non-test file of any package and
-// from a test file of another package (a helper another package's tests
-// use must be exported to be used). It is bench's when it comes from
-// bench/ or from a non-test file named bench_compat.go, the declaring
-// package's own when it comes from that package's tests, and production's
-// otherwise. A field is reached by its sets. A method that implements an interface
+// A reference, or a set, is bench's when it comes from bench/ or from a
+// non-test file named bench_compat.go, a test's when it comes from any
+// _test.go file, and production's otherwise: a test is not a caller. A
+// field is reached by its sets. A method that implements an interface
 // counts as referenced: a caller may hold the interface. awp, the public
-// API, is only held to the package rule.
+// API, is only held to the package rule. What only tests may reach is
+// listed in allowed, each with its reason.
 //
 // A field is set by a composite-literal key or position, by being the
 // target of an assignment or ++/-- or a prefix of it (x.F.G += 1 and
@@ -64,10 +62,18 @@ const compatFile, marker = "bench_compat.go", "// bench-only"
 // Who reaches a declaration, or sets or reads a field: the bits of
 // module.refs.
 const (
-	prod  = 1 << iota // a non-test file outside bench/ and the compat files, or another package's test
+	prod  = 1 << iota // a non-test file outside bench/ and the compat files
 	bench             // bench/, or a non-test compat file
-	own               // the declaring package's own tests
+	tests             // a test file, of any package
 )
+
+// testkit is the package only test files may import.
+const testkit = "internal/testkit"
+
+// allowed names each declaration that only tests may reach, and why.
+var allowed = map[string]string{
+	"medium.FromArrays": "the data chain's reader of part-file arrays will call it; tests build media with it meanwhile",
+}
 
 func main() {
 	problems, err := check(".")
@@ -81,7 +87,7 @@ func main() {
 	if len(problems) > 0 {
 		os.Exit(1)
 	}
-	fmt.Println("ok: every package under internal/, and awp, has a non-test importer outside bench/, every declaration under internal/ a caller, every exported field a setter beyond its own package's tests and every unexported field a reader; what only bench reaches is in a bench_compat.go or marked // bench-only, and nothing else reaches it")
+	fmt.Println("ok: every package under internal/, and awp, has a non-test importer outside bench/ and only tests import testkit, every declaration under internal/ a caller, every exported field a setter beyond tests and every unexported field a reader; what only bench reaches is in a bench_compat.go or marked // bench-only, and nothing else reaches it")
 }
 
 // module is one type-checking pass over the module rooted at root.
@@ -91,9 +97,10 @@ type module struct {
 	std        types.Importer
 	dirs       map[string]*build.Package // by import path
 	prod       map[string]*types.Package
-	refs       map[string]int            // object key, or "set "/"read " + field position -> prod|bench|own
+	refs       map[string]int            // object key, or "set "/"read " + field position -> prod|bench|tests
 	marked     map[string]bool           // file:line of each marker comment
 	ifaces     map[*types.Interface]bool // see collectInterfaces
+	excused    map[string]bool           // the allowed entries that excused a failure
 }
 
 // check returns the module's failures, one line each, in package order.
@@ -103,7 +110,7 @@ func check(root string) ([]string, error) {
 		return nil, err
 	}
 	m := &module{root: root, fset: token.NewFileSet(), dirs: map[string]*build.Package{},
-		prod: map[string]*types.Package{}, refs: map[string]int{}, marked: map[string]bool{}, ifaces: map[*types.Interface]bool{}}
+		prod: map[string]*types.Package{}, refs: map[string]int{}, marked: map[string]bool{}, ifaces: map[*types.Interface]bool{}, excused: map[string]bool{}}
 	m.path = strings.TrimSpace(strings.TrimPrefix(strings.SplitN(string(gomod), "\n", 2)[0], "module"))
 	m.std = importer.ForCompiler(m.fset, "source", nil)
 	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
@@ -152,14 +159,19 @@ func check(root string) ([]string, error) {
 	var problems []string
 	for _, p := range paths {
 		rel := strings.TrimPrefix(p, m.path+"/")
-		if rel == "awp" || strings.HasPrefix(rel, "internal/") {
-			if !m.imported(p) {
-				problems = append(problems, rel+": no non-test importer outside bench/")
-			}
+		if imp := m.importers(p); rel == testkit && len(imp) > 0 {
+			problems = append(problems, rel+": imported by non-test files of "+strings.Join(imp, ", "))
+		} else if (rel == "awp" || strings.HasPrefix(rel, "internal/")) && rel != testkit && !slices.ContainsFunc(imp, func(q string) bool { return !m.inBench(q) }) {
+			problems = append(problems, rel+": no non-test importer outside bench/")
 		}
 		if strings.HasPrefix(rel, "internal/") {
 			problems = append(problems, m.unreferenced(m.prod[p])...)
 			problems = append(problems, m.fields(m.prod[p])...)
+		}
+	}
+	for name := range allowed {
+		if !m.excused[name] {
+			problems = append(problems, name+": allowed only-tests entry, but it no longer fails")
 		}
 	}
 	return problems, nil
@@ -216,14 +228,7 @@ func (m *module) typeCheck(path, dir string, names []string) (*types.Package, er
 		case m.inBench(path) || (!test && filepath.Base(name) == compatFile):
 			from = bench
 		case test:
-			from = own
-		}
-		mark := func(k string, obj types.Object) {
-			if from == own && obj.Pkg().Path() != strings.TrimSuffix(path, "_test") {
-				m.refs[k] |= prod // another package's test
-			} else {
-				m.refs[k] |= from
-			}
+			from = tests
 		}
 		for _, d := range f.Decls {
 			self := ""
@@ -236,14 +241,14 @@ func (m *module) typeCheck(path, dir string, names []string) (*types.Package, er
 					return true
 				}
 				if k := key(info.Uses[id]); k != "" && k != self {
-					mark(k, info.Uses[id])
+					m.refs[k] |= from
 				}
 				return true
 			})
 			for v, how := range fieldUses(d, info) {
 				for bit, word := range map[int]string{set: "set ", read: "read "} {
 					if how&bit != 0 {
-						mark(word+m.pos(v), v)
+						m.refs[word+m.pos(v)] |= from
 					}
 				}
 			}
@@ -357,8 +362,8 @@ func (m *module) inBench(path string) bool {
 }
 
 // fields lists the fields of pkg's package-level struct types that fail a
-// field rule: an exported field of an exported type that only its own
-// package's tests, or nothing, set, or that only bench sets while it is
+// field rule: an exported field of an exported type that only tests, or
+// nothing, set, or that only bench sets while it is
 // neither declared in the compat file nor marked; a named unexported field
 // that nothing reads; and a compat or marked field that production sets.
 func (m *module) fields(pkg *types.Package) []string {
@@ -379,8 +384,8 @@ func (m *module) fields(pkg *types.Package) []string {
 				why = "bench-only, but production sets it"
 			case exported && set == 0:
 				why = "nothing sets it"
-			case exported && set == own:
-				why = "only its own package's tests set it"
+			case exported && set == tests:
+				why = "only tests set it"
 			case exported && set&prod == 0 && !benchOnly:
 				why = "only bench sets it, and it is neither in " + compatFile + " nor marked " + marker
 			case !v.Exported() && m.refs["read "+m.pos(v)] == 0:
@@ -394,20 +399,22 @@ func (m *module) fields(pkg *types.Package) []string {
 	return out
 }
 
-// imported reports whether a non-test package outside bench/ imports path.
-func (m *module) imported(path string) bool {
+// importers lists, sorted, the packages whose non-test files import path.
+func (m *module) importers(path string) []string {
+	var out []string
 	for p, bp := range m.dirs {
-		if !m.inBench(p) && slices.Contains(bp.Imports, path) {
-			return true
+		if slices.Contains(bp.Imports, path) {
+			out = append(out, p)
 		}
 	}
-	return false
+	slices.Sort(out)
+	return out
 }
 
 // unreferenced lists pkg's package-level functions, methods, constants and
-// variables that only its own tests, or nothing, reference, that only
-// bench reaches outside the compat file, or that production reaches inside
-// it.
+// variables that only tests, or nothing, reference (testkit's: nothing),
+// that only bench reaches outside the compat file, or that production
+// reaches inside it.
 func (m *module) unreferenced(pkg *types.Package) []string {
 	var objs []types.Object
 	for _, name := range pkg.Scope().Names() {
@@ -425,8 +432,10 @@ func (m *module) unreferenced(pkg *types.Package) []string {
 		}
 	}
 	var out []string
+	kit := pkg.Path() == m.path+"/"+testkit
 	for _, obj := range objs {
 		why, refs, compat := "", m.refs[key(obj)], m.inCompat(obj)
+		name := pkg.Name() + "." + strings.TrimPrefix(key(obj), pkg.Path()+".")
 		switch {
 		case refs&prod != 0 && compat:
 			why = "in " + compatFile + ", but production reaches it"
@@ -434,13 +443,16 @@ func (m *module) unreferenced(pkg *types.Package) []string {
 		case refs&bench != 0 && !compat:
 			why = "only bench reaches it, outside " + compatFile
 		case refs&bench != 0:
-		case refs == own:
-			why = "only its own package's tests reference it"
+		case refs == tests && allowed[name] != "":
+			m.excused[name] = true
+		case refs == tests && !kit:
+			why = "only tests reference it"
+		case refs == tests:
 		default:
 			why = "nothing references it"
 		}
 		if why != "" {
-			out = append(out, m.where(obj, pkg.Name()+"."+strings.TrimPrefix(key(obj), pkg.Path()+"."), why))
+			out = append(out, m.where(obj, name, why))
 		}
 	}
 	return out

@@ -26,7 +26,7 @@ func selfOnly(n int) int {
 // unusedConst is referenced nowhere: fails.
 const unusedConst = 1
 
-// Helper is used by orphan's test: passes.
+// Helper is used by orphan's test only: fails.
 func Helper() int { return 2 }
 
 // BenchStray is called by bench/ only, outside bench_compat.go: fails.

@@ -1,9 +1,13 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"fixture/internal/testkit"
+)
 
 func TestOnlyOwnTest(t *testing.T) {
-	if OnlyOwnTest() != 0 {
+	if OnlyOwnTest() != testkit.Fill()-3 {
 		t.Fatal("fixture")
 	}
 	if (Settings{OwnTest: 1}).OwnTest != 1 {

@@ -11,7 +11,7 @@ type Settings struct {
 	BenchOnly int    // bench-only: set by bench/ only, and marked: passes
 	BenchBare int    // set by bench/ only, unmarked: fails
 	Marked    int    // bench-only: but Apply sets it: fails
-	OtherTest int    // set by orphan's test: passes
+	OtherTest int    // set by orphan's test only: fails
 	Pair      Pair   // set by the keyed literal below: passes
 	Note      string // set by the keyed literal below: passes
 	Defaulted int    // set only by the default below: fails
