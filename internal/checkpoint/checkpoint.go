@@ -21,7 +21,7 @@ func FileName(dir string, rank, step int) string {
 	return fmt.Sprintf("%s/ckpt.%06d.step%09d", dir, rank, step)
 }
 
-// Write saves one rank's sections at step as a v3 file, written under a temp
+// Write saves one rank's sections at step as a v4 file, written under a temp
 // name and renamed, so a concurrent scan never sees half a file. Transient PFS
 // faults are retried with bounded backoff; a torn write that slips through
 // fails the CRC in Read and FindLatestValid. An optional telemetry recorder

@@ -1,9 +1,9 @@
-// Checkpoint file format v3 — the on-disk contract of the coordinated
+// Checkpoint file format v4 — the on-disk contract of the coordinated
 // restart protocol (§III.F). A file is one rank's list of named sections
 // (grid.Section) at one step, laid out by a table ahead of the values, as a
 // DMPlex checkpoint is by its section layout. Little-endian throughout:
 //
-//	magic "AWPC" uint32 | version 3 uint32 | step int64 | sections n uint32
+//	magic "AWPC" uint32 | version 4 uint32 | step int64 | sections n uint32
 //	n × { name length uint32 | name | kind uint32 (4: float32, 8: float64) | count uint64 }
 //	the sections' values, in table order
 //	CRC64-ECMA of every byte before it, uint64
@@ -11,8 +11,12 @@
 // No field names an owner: Read refuses a file whose table differs from the
 // sections the reader hands over. The trailer covers the table too, and a
 // file whose length is not what its table implies is refused. v1 files
-// (float32 step and dims, no magic) and v2 files (a fixed wavefield and
-// memory-variable layout) are refused, not read.
+// (float32 step and dims, no magic), v2 files (a fixed wavefield and
+// memory-variable layout) and v3 files are refused, not read. v4 has v3's
+// layout; what changed is what a velocity section holds under a sponge: the
+// velocities before the sponge's damping of the step, which the solver now
+// applies as the next step loads them. A v3 file holds them damped, and
+// read into the solver it would be damped twice without a word.
 package checkpoint
 
 import (
@@ -27,7 +31,7 @@ import (
 
 const (
 	magic      = uint32(0x43505741) // "AWPC"
-	version    = uint32(3)
+	version    = uint32(4)
 	headerLen  = 20
 	entryLen   = 16 // an entry less its name
 	trailerLen = 8
@@ -36,7 +40,7 @@ const (
 // Failure classes of the errors Read returns; classify with errors.Is.
 var (
 	ErrNotCheckpoint = errors.New("not a checkpoint file")                 // no magic: v1 files too
-	ErrVersion       = errors.New("unsupported checkpoint format version") // v2 files too
+	ErrVersion       = errors.New("unsupported checkpoint format version") // v2 and v3 files too
 	ErrTruncated     = errors.New("truncated checkpoint file")             // shorter than its header or table
 	ErrChecksum      = errors.New("checkpoint CRC64 mismatch")             // bit rot, torn write
 	ErrTable         = errors.New("checkpoint section table mismatch")     // malformed, or not the reader's
@@ -62,7 +66,7 @@ func tableOf(secs []grid.Section) []entry {
 	return tab
 }
 
-// encode serializes secs at step into one v3 file image.
+// encode serializes secs at step into one v4 file image.
 func encode(step int, secs []grid.Section) []byte {
 	tab := tableOf(secs)
 	n := headerLen + trailerLen
@@ -94,7 +98,7 @@ func encode(step int, secs []grid.Section) []byte {
 	return le.AppendUint64(out, crc64.Checksum(out, crcTable))
 }
 
-// decode parses a whole v3 file image, verifying the CRC64 trailer before it
+// decode parses a whole v4 file image, verifying the CRC64 trailer before it
 // reads the table, and returns the step, the table and the values' bytes.
 // Every length is checked against the bytes left before it is used, so what
 // decode allocates is bounded by the file's length.
@@ -104,7 +108,7 @@ func decode(raw []byte) (step int64, tab []entry, vals []byte, err error) {
 		return 0, nil, nil, fmt.Errorf("checkpoint: "+format+": %w", append(args, class)...)
 	}
 	// Magic screens first: a legacy v1 file (float32 header, often shorter
-	// than the v3 header) must report ErrNotCheckpoint, not ErrTruncated.
+	// than the v4 header) must report ErrNotCheckpoint, not ErrTruncated.
 	if len(raw) >= 4 && le.Uint32(raw) != magic {
 		return fail(ErrNotCheckpoint, "magic %#x", le.Uint32(raw))
 	}

@@ -56,7 +56,8 @@ func resum(b []byte) []byte {
 }
 
 // TestDecodeRejectsCorruption runs every class of damage through decode and
-// through Read of the file on the file system: the v2 format, torn and
+// through Read of the file on the file system: the v2 format, a v3 file
+// (v4's layout, but its velocities already damped by the sponge), torn and
 // flipped bytes, and section tables — resummed, so only the table is wrong —
 // whose names, kinds or counts do not describe the file.
 func TestDecodeRejectsCorruption(t *testing.T) {
@@ -89,6 +90,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{"future version", func(b []byte) []byte { b[4] = 99; return b }, ErrVersion},
 		{"empty", func(b []byte) []byte { return nil }, ErrTruncated},
 		{"v2 image", func([]byte) []byte { return resum(v2) }, ErrVersion},
+		{"v3 image", func(b []byte) []byte { b[4] = 3; return resum(b) }, ErrVersion},
 		{"negative step", func(b []byte) []byte { b[15] = 0x80; return resum(b) }, ErrTable},
 		{"section count past the file", func(b []byte) []byte { b[19] = 0x7f; return resum(b) }, ErrTruncated},
 		{"name length past the file", func(b []byte) []byte { b[headerLen+3] = 0x7f; return resum(b) }, ErrTruncated},

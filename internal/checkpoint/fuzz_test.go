@@ -32,7 +32,7 @@ func dfrSections(t testing.TB) []grid.Section {
 	return f.Sections()
 }
 
-// FuzzDecode throws arbitrary bytes at the v3 decoder. The invariants: never
+// FuzzDecode throws arbitrary bytes at the v4 decoder. The invariants: never
 // panic, never accept a file whose CRC does not verify or whose table —
 // names, kinds, counts — does not describe exactly its length, never hold
 // more values than the file's bytes, and accept-then-reencode is stable.

@@ -192,7 +192,7 @@ func TestGoRowBodyMatchesPrecomp(t *testing.T) {
 			label := fmt.Sprintf("%s %v", tc.name, box)
 			ref, s := tc.state(), tc.state()
 			velocityPrecomp(ref, m, dt, box)
-			velocitySweep(s, m, dt, box, false)
+			velocitySweep(s, m, dt, box, Taper{}, false)
 			expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
 			stressPrecomp(ref, m, dt, box)
 			stressSweep(s, m, dt, box, Taper{}, false)
@@ -260,7 +260,9 @@ func TestSweepRejectsTilesPastTheArray(t *testing.T) {
 	sweeps := []struct {
 		name  string
 		sweep func(*State, *medium.Medium, float64, Box, bool)
-	}{{"velocity", velocitySweep}, {"stress", func(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
+	}{{"velocity", func(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
+		velocitySweep(s, m, dt, b, Taper{}, vec)
+	}}, {"stress", func(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
 		stressSweep(s, m, dt, b, Taper{}, vec)
 	}}}
 	for _, sw := range sweeps {
@@ -349,10 +351,11 @@ func fillOutside(fs []*grid.Field3, box Box) {
 // masked tails alone and together, row, plane and tile steps, and the last
 // value of the arrays. The fields a sweep writes hold a sentinel everywhere
 // outside the tile, past I1 and in the stride gap, which must come back
-// untouched. A state of walkerSpecials at rest runs Quiesce in every lane of
-// the masked tail; one with walkerSpecials in the stresses and the
-// velocities at rest runs them through the taper. The stress walker is held
-// untapered and under one of the other testTapers in turn.
+// untouched. A state of walkerSpecials in the velocities at rest runs Quiesce
+// in every lane of the masked tail, and the taper on the loads; one with
+// walkerSpecials in the stresses and the velocities at rest runs them through
+// the taper at the stores. Each walker is held untapered and under one of the
+// other testTapers in turn.
 func TestTileWalkerMatchesGoBody(t *testing.T) {
 	if !Vector {
 		t.Skip("no 8-lane walker on this host")
@@ -364,14 +367,17 @@ func TestTileWalkerMatchesGoBody(t *testing.T) {
 	for _, tc := range walkerStates(d) {
 		for bi, box := range walkerBoxes() {
 			label := fmt.Sprintf("%s %v", tc.name, box)
-			if tc.velocity {
+			for _, tp := range []namedTaper{tapers[0], tapers[1+bi%3]} {
+				if !tc.velocity {
+					break
+				}
 				ref, s := tc.state(), tc.state()
 				fillOutside(ref.Velocities(), box)
 				fillOutside(s.Velocities(), box)
-				velocitySweep(ref, m, dt, box, false)
-				velocitySweep(s, m, dt, box, true)
-				expectBits(t, "velocity "+label, s.Fields(), ref.Fields(), FieldNames)
-				expectSentinels(t, "velocity "+label, s.Velocities(), box)
+				velocitySweep(ref, m, dt, box, tp.tp, false)
+				velocitySweep(s, m, dt, box, tp.tp, true)
+				expectBits(t, "velocity "+tp.name+" "+label, s.Fields(), ref.Fields(), FieldNames)
+				expectSentinels(t, "velocity "+tp.name+" "+label, s.Velocities(), box)
 			}
 			if !tc.stress {
 				continue
@@ -428,7 +434,7 @@ type namedTaper struct {
 	tp   Taper
 }
 
-// testTapers are the tapers the stress sweeps are held under: none; random
+// testTapers are the tapers the sweeps are held under: none; random
 // factors in (0, 1]; a sponge's shape, factors in (0, 1] on the first and
 // last three padded cells of each axis and exactly 1 between, so that whole
 // rows, and the middles of rows, multiply by 1 exactly; and 1 everywhere.
@@ -448,12 +454,11 @@ func testTapers(d grid.Dims, seed int64) []namedTaper {
 	return []namedTaper{{"untapered", Taper{}}, {"random", taper(1 << 20)}, {"sponge", taper(3)}, {"ones", taper(0)}}
 }
 
-// dampAfter is the sponge's pass over the stresses in b as boundary's row
-// walker runs it in Go: each value times fx[i]·fyz, fyz = fy[j]·fz[k] formed
-// once a row.
-func dampAfter(s *State, b Box, tp Taper) {
+// damp is the sponge's pass over fields in b as boundary's row walker runs
+// it in Go: each value times fx[i]·fyz, fyz = fy[j]·fz[k] formed once a row.
+func damp(fields []*grid.Field3, b Box, tp Taper) {
 	g := grid.Ghost
-	for _, f := range s.Stresses() {
+	for _, f := range fields {
 		for k := b.K0; k < b.K1; k++ {
 			for j := b.J0; j < b.J1; j++ {
 				fyz := tp.Y[j+g] * tp.Z[k+g]
@@ -466,7 +471,7 @@ func dampAfter(s *State, b Box, tp Taper) {
 }
 
 // TestTaperGoBodyMatchesSpongePass holds the tapered Go body to the
-// untapered one followed by the sponge's pass (dampAfter), bit for bit, over
+// untapered one followed by the sponge's pass (damp), bit for bit, over
 // rowBoxes and walkerBoxes: the test that sees the order of the taper's
 // products and that the taper multiplies the updated stress. The walker
 // answers to the Go body (TestTileWalkerMatchesGoBody).
@@ -487,8 +492,40 @@ func TestTaperGoBodyMatchesSpongePass(t *testing.T) {
 					label := fmt.Sprintf("%s %s %v", tc.name, tp.name, box)
 					ref, s := tc.state(), tc.state()
 					stressSweep(ref, m, dt, box, Taper{}, false)
-					dampAfter(ref, box, tp.tp)
+					damp(ref.Stresses(), box, tp.tp)
 					stressSweep(s, m, dt, box, tp.tp, false)
+					expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
+				}
+			}
+		}
+	}
+}
+
+// TestVelocityTaperGoBodyMatchesSpongePass holds the tapered velocity Go body
+// to the sponge's pass over the three velocities (damp) followed by the
+// untapered body, bit for bit, over rowBoxes and walkerBoxes: the test that
+// sees the order of the taper's products and that the taper multiplies the
+// velocity before the update adds to it. The walker answers to the Go body
+// (TestTileWalkerMatchesGoBody).
+func TestVelocityTaperGoBodyMatchesSpongePass(t *testing.T) {
+	for _, d := range []grid.Dims{rowDims, walkerDims} {
+		m := makeMedium(t, heteroQuerier(), d, 200)
+		dt := m.StableDt(0.5)
+		boxes := rowBoxes()
+		if d == walkerDims {
+			boxes = walkerBoxes()
+		}
+		for _, tc := range walkerStates(d) {
+			if !tc.velocity {
+				continue
+			}
+			for _, tp := range testTapers(d, 5)[1:] {
+				for _, box := range boxes {
+					label := fmt.Sprintf("%s %s %v", tc.name, tp.name, box)
+					ref, s := tc.state(), tc.state()
+					damp(ref.Velocities(), box, tp.tp)
+					velocitySweep(ref, m, dt, box, Taper{}, false)
+					velocitySweep(s, m, dt, box, tp.tp, false)
 					expectBits(t, label, s.Fields(), ref.Fields(), FieldNames)
 				}
 			}

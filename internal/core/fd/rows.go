@@ -32,18 +32,35 @@ import "repro/internal/medium"
 // per-row subslice windows, the whole tile in one call of the 8-lane walker
 // where the host has one.
 func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
-	velocitySweep(s, m, dt, b, Vector)
+	velocitySweep(s, m, dt, b, Taper{}, Vector)
 }
 
-// velocitySweep is velocityRows with the body chosen by vec: true walks the
-// tile in one velocityTile call, from the windows of its first row; false
-// runs the Go loop, what a host without AVX2 runs and the walker's oracle.
-func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, vec bool) {
+// UpdateVelocityTapered is the production velocity kernel over tile b in one
+// sweep, each of the three velocities multiplied by tp's factor as the sweep
+// loads it: the bits of damping the three velocities over b by tp, a row at a
+// time as the sponge does, followed by UpdateVelocity(Blocked) over b. A
+// velocity update reads the velocity at its own cell only, so the sweep
+// stores what the sponge's pass at the end of the last step followed by
+// this step's update stored.
+func UpdateVelocityTapered(s *State, m *medium.Medium, dt float64, b Box, tp Taper) {
+	if b.Empty() {
+		return
+	}
+	velocitySweep(s, m, dt, b, tp, Vector)
+}
+
+// velocitySweep is velocityRows with the body chosen by vec, each velocity
+// multiplied by tp as it is loaded: true walks the tile in one velocityTile
+// call, from the windows of its first row; false runs the Go loop, what a
+// host without AVX2 runs and the walker's oracle.
+func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, tp Taper, vec bool) {
+	fx, fy, fz := tp.Windows(b)
 	_, dy, dz := s.VX.Strides()
 	_, my, mz := m.BX.Strides()
 	velocityCells(b.I1-b.I0, b.J1-b.J0, b.K1-b.K0, s.VX.Idx(b.I0, b.J0, b.K0), dy, dz, m.BX.Idx(b.I0, b.J0, b.K0), my, mz,
 		float32(dt/m.H), C1, C2, s.VX.Data(), s.VY.Data(), s.VZ.Data(),
-		s.XX.Data(), s.XY.Data(), s.XZ.Data(), s.YY.Data(), s.YZ.Data(), s.ZZ.Data(), m.BX.Data(), m.BY.Data(), m.BZ.Data(), vec)
+		s.XX.Data(), s.XY.Data(), s.XZ.Data(), s.YY.Data(), s.YZ.Data(), s.ZZ.Data(), m.BX.Data(), m.BY.Data(), m.BZ.Data(),
+		fx, fy, fz, vec)
 }
 
 // stressRows is the production elastic stress kernel: stressPrecomp with

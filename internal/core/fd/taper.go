@@ -3,8 +3,9 @@ package fd
 import "repro/internal/grid"
 
 // Taper is a separable factor the stress sweeps multiply each stress by just
-// before storing it: fx[i]·(fy[j]·fz[k]) at local cell (i, j, k), the row's
-// factor fy·fz formed first, as the sponge's own pass forms it. Each axis
+// before storing it, and the velocity sweep each velocity by as it loads it:
+// fx[i]·(fy[j]·fz[k]) at local cell (i, j, k), the row's factor fy·fz formed
+// first, as the sponge's own pass forms it. Each axis
 // covers the local range padded by grid.Ghost, so X[i+grid.Ghost] is column
 // i's factor. The zero Taper multiplies nothing.
 type Taper struct{ X, Y, Z []float32 }

@@ -26,10 +26,10 @@ func guardedAxis(t *testing.T, n int) []float32 {
 	return unsafe.Slice((*float32)(unsafe.Pointer(&mem[size-4*n])), n)
 }
 
-// TestTaperTailReadsNoFxPastTheRow runs the tapered stress walker over tiles
-// whose rows end at the padded x axis' last cell, with fx ending there too
-// and nothing mapped after it: a masked tail that loaded fx whole would fault.
-// The walker must also store the Go body's bits.
+// TestTaperTailReadsNoFxPastTheRow runs the tapered stress and velocity
+// walkers over tiles whose rows end at the padded x axis' last cell, with fx
+// ending there too and nothing mapped after it: a masked tail that loaded fx
+// whole would fault. The walkers must also store the Go body's bits.
 func TestTaperTailReadsNoFxPastTheRow(t *testing.T) {
 	if !Vector {
 		t.Skip("no 8-lane walker on this host")
@@ -46,6 +46,16 @@ func TestTaperTailReadsNoFxPastTheRow(t *testing.T) {
 		ref, s := randomState(d, 6), randomState(d, 6)
 		stressSweep(ref, m, dt, box, tp, false)
 		stressSweep(s, m, dt, box, guarded, true)
-		expectBits(t, fmt.Sprintf("%v", box), s.Fields(), ref.Fields(), FieldNames)
+		expectBits(t, fmt.Sprintf("stress %v", box), s.Fields(), ref.Fields(), FieldNames)
+		// The velocity stencil reads xx two cells past the row, so its rows
+		// end one ghost cell short of the padded axis; fx ends with them.
+		vbox := box
+		vbox.I0, vbox.I1 = box.I0-g, box.I1-g
+		vfx := guardedAxis(t, vbox.I1+g)
+		copy(vfx, tp.X)
+		ref, s = randomState(d, 7), randomState(d, 7)
+		velocitySweep(ref, m, dt, vbox, tp, false)
+		velocitySweep(s, m, dt, vbox, Taper{X: vfx, Y: tp.Y, Z: tp.Z}, true)
+		expectBits(t, fmt.Sprintf("velocity %v", vbox), s.Fields(), ref.Fields(), FieldNames)
 	}
 }

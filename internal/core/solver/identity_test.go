@@ -137,7 +137,9 @@ func boxScenario(abc ABCKind) Options {
 
 // ruptureOptions is a spontaneous rupture from a nucleation patch off the
 // seams at x = 16 and z = 10, which its front has to cross, with slip rates
-// recorded every other step.
+// recorded every other step. Its last receiver sits in a corner of the
+// sponge, where all three axis factors are below 1, so a step-end reader
+// that formed the factor as (fx·fy)·fz would store other bits.
 func ruptureOptions() Options {
 	f := overstressedFault(6, 4, 24, 3, 14)
 	for k, row := range f.Tau0 {
@@ -151,7 +153,7 @@ func ruptureOptions() Options {
 	return Options{
 		Global: grid.Dims{NX: 32, NY: 12, NZ: 20}, H: 100, Steps: 100,
 		ABC: SpongeABC, SpongeWidth: 4, Fault: f,
-		Receivers: [][3]int{{8, 3, 6}, {24, 9, 14}, {16, 6, 10}},
+		Receivers: [][3]int{{8, 3, 6}, {24, 9, 14}, {16, 6, 10}, {2, 3, 1}},
 		TrackPGV:  true,
 	}
 }
@@ -633,25 +635,115 @@ func diffState(secs []grid.Section, regs []region, want []grid.Section, wregs []
 }
 
 // reference is a physics row's reference run: its one rank's sections after
-// each Step, placed by regs, and its Result.
+// each Step, placed by regs, as stored (snaps) and as a step-end reader sees
+// them (seen, pendingTaper's), and its Result.
 type reference struct {
-	opt   Options // as run
-	snaps [][]grid.Section
-	regs  []region
-	res   *Result
-	fail  string // why the reference itself does not hold
+	opt         Options // as run
+	snaps, seen [][]grid.Section
+	regs        []region
+	res         *Result
+	fail        string // why the reference itself does not hold
 }
 
-// at is the reference's value of section name at global cell (i, j, k) after
-// step.
+// at is the value a step-end reader sees of section name at global cell
+// (i, j, k) after step.
 func (ref *reference) at(step int, name string, i, j, k int) float64 {
-	for si, s := range ref.snaps[step] {
+	for si, s := range ref.seen[step] {
 		if q := ref.regs[si]; s.Name == name && q.box.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) {
 			_, v := valueAt(s, q.index(i, j, k))
 			return v
 		}
 	}
 	return math.NaN()
+}
+
+// pendingTaper returns st's sections as a step-end reader sees them: each
+// velocity times the sponge's factor at its cell, which the next step's
+// velocity tiles multiply it by as they load it and the two-pass oracle's
+// sponge pass multiplies it by at step end; the velocities are cloned, every
+// other section is secs'. Without a sponge it returns secs.
+func pendingTaper(st *Stepper, secs []grid.Section) []grid.Section {
+	if st.sponge == nil {
+		return secs
+	}
+	tp, d, g := st.sponge.Taper(), st.sub.Local, grid.Ghost
+	nx, ny := d.NX+2*g, d.NY+2*g
+	out := slices.Clone(secs)
+	for si, sec := range out {
+		if !slices.Contains(fd.FieldNames[:3], sec.Name) {
+			continue
+		}
+		v := slices.Clone(sec.F32)
+		for n := range v {
+			v[n] *= tp.X[n%nx] * (tp.Y[n/nx%ny] * tp.Z[n/(nx*ny)])
+		}
+		out[si].F32 = v
+	}
+	return out
+}
+
+// oracleOutputs is what a one-rank run's outputs must hold, read off the
+// two-pass oracle's wavefield after each step, where its sponge pass has
+// damped it: each receiver's sample, and the surface peak maps, PGVH =
+// float32(√max fl(vx²+vy²)) and the others float32 max |v|.
+type oracleOutputs struct {
+	opt        Options
+	seis       [][][3]float32
+	h2         []float64
+	px, py, pz []float32
+}
+
+func newOracleOutputs(opt Options) *oracleOutputs {
+	o := &oracleOutputs{opt: opt, seis: make([][][3]float32, len(opt.Receivers))}
+	if n := opt.Global.NX * opt.Global.NY; opt.TrackPGV {
+		o.h2, o.px, o.py, o.pz = make([]float64, n), make([]float32, n), make([]float32, n), make([]float32, n)
+	}
+	return o
+}
+
+// add reads the oracle's velocities after a step.
+func (o *oracleOutputs) add(orc *Stepper) {
+	st := orc.st
+	for r, p := range o.opt.Receivers {
+		o.seis[r] = append(o.seis[r], [3]float32{st.VX.At(p[0], p[1], p[2]), st.VY.At(p[0], p[1], p[2]), st.VZ.At(p[0], p[1], p[2])})
+	}
+	for n := range o.h2 {
+		i, j := n%o.opt.Global.NX, n/o.opt.Global.NX
+		vx, vy, vz := st.VX.At(i, j, 0), st.VY.At(i, j, 0), st.VZ.At(i, j, 0)
+		o.h2[n] = max(o.h2[n], float64(vx)*float64(vx)+float64(vy)*float64(vy))
+		o.px[n] = max(o.px[n], float32(math.Abs(float64(vx))))
+		o.py[n] = max(o.py[n], float32(math.Abs(float64(vy))))
+		o.pz[n] = max(o.pz[n], float32(math.Abs(float64(vz))))
+	}
+}
+
+// diff describes the first output of res that differs from o's.
+func (o *oracleOutputs) diff(res *Result) string {
+	for r, series := range o.seis {
+		for n, v := range series {
+			if got := res.Seismograms[r][n]; got != v {
+				return fmt.Sprintf("receiver %d sample %d = %v, the oracle's damped velocities %v", r, n, got, v)
+			}
+		}
+	}
+	maps := []struct {
+		name      string
+		got, want []float64
+	}{{"PGVH", res.PGVH, nil}, {"PGVX", res.PGVX, nil}, {"PGVY", res.PGVY, nil}, {"PGVZ", res.PGVZ, nil}}
+	for n := range o.h2 {
+		maps[0].want = append(maps[0].want, float64(float32(math.Sqrt(o.h2[n]))))
+		maps[1].want = append(maps[1].want, float64(o.px[n]))
+		maps[2].want = append(maps[2].want, float64(o.py[n]))
+		maps[3].want = append(maps[3].want, float64(o.pz[n]))
+	}
+	for _, m := range maps {
+		for n, w := range m.want {
+			if math.Float64bits(m.got[n]) != math.Float64bits(w) {
+				return fmt.Sprintf("%s[%d] = %g, from the oracle's damped velocities %g", m.name, n, m.got[n], w)
+			}
+		}
+	}
+	return ""
 }
 
 // useVector sets fd.Vector for a run — on only where the host has the
@@ -674,13 +766,16 @@ func (f *failures) add(format string, args ...any) {
 
 // build runs p's reference: one rank, Asynchronous, whole sweeps, telemetry
 // off, the Go row bodies, beside the two-pass oracle, which it must match on
-// the interior of every section after every step. Some receiver must record
-// signal.
+// the interior of every section after every step, its velocities times the
+// damping they have pending (pendingTaper); its receivers and peak maps must
+// hold what the oracle's velocities give them (oracleOutputs). Some receiver
+// must record signal.
 func (p *physicsRow) build() *reference {
 	opt := p.opt
 	opt.Topo, opt.Comm = mpi.NewCart(1, 1, 1), Asynchronous
 	defer useVector(false)()
-	ref := &reference{opt: opt, snaps: make([][]grid.Section, opt.Steps)}
+	ref := &reference{opt: opt, snaps: make([][]grid.Section, opt.Steps), seen: make([][]grid.Section, opt.Steps)}
+	want := newOracleOutputs(opt)
 	var fail failures
 	var orc *Stepper
 	var orcRegs []region
@@ -702,19 +797,24 @@ func (p *physicsRow) build() *reference {
 		}
 	}, func(c *mpi.Comm, st *Stepper) {
 		step, secs := st.StepIndex()-1, st.Sections()
-		if orc != nil {
-			twoPassOracle(orc, orc.dt, step)
-			if msg := diffState(secs, ref.regs, orc.Sections(), orcRegs, false); msg != "" {
-				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
-			}
-		}
 		for _, s := range secs {
 			ref.snaps[step] = append(ref.snaps[step], grid.Section{Name: s.Name, F32: slices.Clone(s.F32), F64: slices.Clone(s.F64)})
+		}
+		ref.seen[step] = pendingTaper(st, ref.snaps[step])
+		if orc != nil {
+			twoPassOracle(orc, orc.dt, step)
+			want.add(orc)
+			if msg := diffState(ref.seen[step], ref.regs, orc.Sections(), orcRegs, false); msg != "" {
+				fail.add("step %d against the two-pass oracle: %s", step+1, msg)
+			}
 		}
 	})
 	ref.res, ref.fail = res, fail.msg
 	if err != nil {
 		ref.fail = err.Error()
+	}
+	if ref.fail == "" {
+		ref.fail = want.diff(res)
 	}
 	if ref.fail == "" && !slices.ContainsFunc(res.Seismograms, func(s [][3]float32) bool { return maxSeriesAbs(s) > 0 }) {
 		ref.fail = "no receiver records signal"
@@ -968,8 +1068,10 @@ func floatBits(v reflect.Value) uint64 {
 }
 
 // telemetryDiff checks a telemetry report against the run it describes: a
-// snapshot a rank, a step window a Step call, spans in every compute phase,
-// message phases exactly when there are neighbors, and their counters, Sync
+// snapshot a rank, a step window a Step call, spans in every compute phase
+// (Boundary exactly when a free surface or M-PML zones run: the sponge's
+// damping is inside the velocity and stress tiles), message phases exactly
+// when there are neighbors, and their counters, Sync
 // spans exactly under the Synchronous model, and an event trace that exports
 // as Chrome trace-event JSON.
 func telemetryDiff(rep *telemetry.Report, opt Options, calls int) string {
@@ -978,8 +1080,9 @@ func telemetryDiff(rep *telemetry.Report, opt Options, calls int) string {
 		return fmt.Sprintf("telemetry: %d ranks, %d step windows; want %d, %d", rep.Ranks, rep.StepWindows, ranks, calls)
 	}
 	barrier := opt.Comm == Synchronous
-	for p, want := range map[telemetry.Phase]bool{telemetry.Velocity: true, telemetry.Stress: true, telemetry.Boundary: true,
-		telemetry.Output: true, telemetry.Pack: ranks > 1, telemetry.Send: ranks > 1, telemetry.Recv: ranks > 1,
+	for p, want := range map[telemetry.Phase]bool{telemetry.Velocity: true, telemetry.Stress: true,
+		telemetry.Boundary: opt.FreeSurface || opt.ABC == MPMLABC,
+		telemetry.Output:   true, telemetry.Pack: ranks > 1, telemetry.Send: ranks > 1, telemetry.Recv: ranks > 1,
 		telemetry.Unpack: ranks > 1, telemetry.Sync: barrier} {
 		if spans := rep.Stat(p).Spans; (spans > 0) != want {
 			return fmt.Sprintf("telemetry: %d spans of %v under %v on %d ranks", spans, p, opt.Comm, ranks)

@@ -50,6 +50,16 @@ func float32s(v []float64) []float32 {
 	return out
 }
 
+// sqrt32s is the horizontal peak map: the square root of each cell's largest
+// vx²+vy², rounded to float32 once.
+func sqrt32s(h2 []float64) []float32 {
+	out := make([]float32, len(h2))
+	for i, x := range h2 {
+		out[i] = float32(math.Sqrt(x))
+	}
+	return out
+}
+
 // report assembles this rank's rankReport.
 func (s *Stepper) report() rankReport {
 	rep := rankReport{Seismograms: map[int][][3]float32{}}
@@ -60,7 +70,7 @@ func (s *Stepper) report() rankReport {
 	if s.pgvh != nil {
 		rep.PGV = &pgvBlock{
 			X: s.sub.OffX, Y: s.sub.OffY, NX: s.sub.Local.NX, NY: s.sub.Local.NY,
-			H: float32s(s.pgvh), PX: float32s(s.pgvx), PY: float32s(s.pgvy), PZ: float32s(s.pgvz),
+			H: sqrt32s(s.pgvh), PX: slices.Clone(s.pgvx), PY: slices.Clone(s.pgvy), PZ: slices.Clone(s.pgvz),
 		}
 	}
 	if s.fault != nil {

@@ -297,17 +297,17 @@ type queue struct {
 // the other (plus its zone's splits) on itself only, so tiles are
 // independent and any schedule stores the same bits as the serial sweep.
 //
-// With a sponge, velDamp is the sponge's velocity pass: the owned k-planes of
-// the subgrid, cut to the active box, each damping the three velocities (the
-// stresses are damped inside their tiles), and planeLoop marks, over the tiles
-// of stressPre then stressInner, those whose stress body runs a k-plane at a
-// time rather than as one tapered sweep (stressTile); a clipped tile runs its
-// whole tile's body.
+// With a sponge, planeLoop marks, over the tiles of stressPre then
+// stressInner, those whose stress body runs a k-plane at a time rather than
+// as one tapered sweep (stressTile); a clipped tile runs its whole tile's
+// body. The sponge has no pass of its own: the stresses are damped inside
+// their tiles, the velocities as the next step's tiles load them
+// (velocityTile), in one tapered walker sweep a tile where velTapered is set.
 type tilePlan struct {
 	velPre, velInner       queue
 	stressPre, stressInner queue
-	velDamp                queue
 	planeLoop              []bool
+	velTapered             bool
 }
 
 // buildTilePlan fixes the zones' coefficient rows for dt, so that no tile
@@ -321,7 +321,8 @@ type tilePlan struct {
 // fault runs wherever its cells' tiles run, before the post or after it. So
 // do the sources: every stress tile ends by adding the sources whose node it
 // holds (stressTile), and with a sponge damps its stresses after them — in
-// one tapered sweep where it can (planeLoop), decided here once a tile.
+// one tapered sweep where it can (planeLoop), decided here once a tile — and
+// every velocity tile damps the velocities it loads (velocityTile).
 func (s *Stepper) buildTilePlan() {
 	for _, z := range s.zones {
 		z.Prepare(s.dt)
@@ -337,7 +338,7 @@ func (s *Stepper) buildTilePlan() {
 	if s.srcs.Count() > 0 {
 		stressZone = tileHook(s.addSources).after(stressZone)
 	}
-	velocity := s.kernelTile(s.tel, telemetry.Velocity, fd.UpdateVelocity, velHook)
+	velocity, velTapered := s.velocityTile(velHook)
 	planes, tapered := s.stressTile(stressHook)
 	// stress picks each stress tile's body, noting the plane loops.
 	var loops []bool
@@ -379,13 +380,7 @@ func (s *Stepper) buildTilePlan() {
 	p.velPre, p.velInner = mk(pre, vel, velZone), mk(inner, vel, nil)
 	p.stressPre, p.stressInner = mk(pre, stress, stressZone), mk(inner, stress, nil)
 	if s.sponge != nil {
-		p.planeLoop = loops
-		owned := fd.FullBox(s.sub.Local)
-		p.velDamp = queue{owned.K1, func(k int) {
-			b := owned
-			b.K0, b.K1 = k, k+1
-			s.sponge.DampBox(s.velocities, b.Intersect(s.box.Box))
-		}}
+		p.planeLoop, p.velTapered = loops, velTapered
 	}
 }
 
@@ -440,8 +435,7 @@ func (q queue) drain() {
 // box by what its sweep can reach, drains its pre queue, posts its halo
 // messages, drains its inner queue while they fly and finishes the exchange.
 // Without AsyncOverlap the inner queues are empty, so post and finish are
-// adjacent but for the sponge's velocity pass. The rank's one goroutine drains
-// every queue.
+// adjacent. The rank's one goroutine drains every queue.
 func (s *Stepper) advance() {
 	plan := &s.plan
 
@@ -465,19 +459,15 @@ func (s *Stepper) advance() {
 	// (stressTile), so a strip's cells are final when the post packs them and
 	// a neighbour's ghost copies arrive damped. The sources' rates are
 	// evaluated once, here, and the nodes gone live join the active box
-	// before any tile is clipped to it. The velocities are damped by one
-	// queue after the inner tiles, the last that read them: under
-	// AsyncOverlap while the messages fly.
+	// before any tile is clipped to it. The velocities leave the step
+	// undamped: the next step's velocity tiles damp them as they load them,
+	// and the step-end readers read them times the same factor (sample,
+	// surfaceTaper).
 	s.box.grow()
 	s.box.join(s.srcs.Rates(s.dt, float64(s.step+1)*s.dt))
 	plan.stressPre.drain()
 	s.stress.post()
 	plan.stressInner.drain()
-	if plan.velDamp.n > 0 {
-		sp := s.tel.Span(telemetry.Boundary)
-		plan.velDamp.drain()
-		sp.End()
-	}
 	s.stress.finish()
 	s.syncBarrier()
 	if s.fs != nil {
@@ -535,6 +525,35 @@ func (s *Stepper) kernelTile(tel *telemetry.Recorder, phase telemetry.Phase,
 	}
 }
 
+// velocityTile returns the velocity tile body: the kernel, then in DFR mode
+// the fault's split-node update, timed whole under Velocity (kernelTile).
+// With a sponge the kernel first damps each velocity in the tile by the
+// sponge's factor — the damping the step before left pending. A velocity's
+// update reads the velocity at its own cell only, and nothing reads a
+// velocity between the end of one step's stress phase and this, so the tile
+// stores the bits of the sponge's pass at step end followed by the update.
+// The production kernel damps as it loads (fd.UpdateVelocityTapered), and
+// tapered reports it; an ablation rung (Naive, Precomp) runs Sponge.DampBox
+// over the tile, then its kernel.
+func (s *Stepper) velocityTile(hook tileHook) (body func(fd.Box), tapered bool) {
+	kernel := fd.UpdateVelocity
+	if sp := s.sponge; sp != nil {
+		if tapered = s.opt.Variant == fd.Blocked; tapered {
+			tp := sp.Taper()
+			kernel = func(st *fd.State, m *medium.Medium, dt float64, b fd.Box, _ fd.Variant, _ fd.Blocking) {
+				fd.UpdateVelocityTapered(st, m, dt, b, tp)
+			}
+		} else {
+			vels := s.st.Velocities()
+			kernel = func(st *fd.State, m *medium.Medium, dt float64, b fd.Box, v fd.Variant, blk fd.Blocking) {
+				sp.DampBox(vels, b)
+				fd.UpdateVelocity(st, m, dt, b, v, blk)
+			}
+		}
+	}
+	return s.kernelTile(s.tel, telemetry.Velocity, kernel, hook), tapered
+}
+
 // stressTile returns the stress tile bodies: stressBody, then the sources
 // whose node the tile holds, then, with a sponge, the damping of the six
 // stresses — per cell the order of the passes they replace: update, source,
@@ -554,6 +573,7 @@ func (s *Stepper) stressTile(hook tileHook) (planes, tapered func(fd.Box)) {
 	src := s.srcs.Count() > 0
 	if s.sponge != nil {
 		update := s.stressBody(nil, hook)
+		stresses := s.st.Stresses()
 		planes = func(b fd.Box) {
 			sp := s.tel.Span(telemetry.Stress)
 			for k := b.K0; k < b.K1; k++ {
@@ -563,7 +583,7 @@ func (s *Stepper) stressTile(hook tileHook) (planes, tapered func(fd.Box)) {
 				if src {
 					s.srcs.AddBox(s.st, p)
 				}
-				s.sponge.DampBox(s.stresses, p)
+				s.sponge.DampBox(stresses, p)
 			}
 			sp.End()
 		}
@@ -648,8 +668,33 @@ func (s *Stepper) addSources(st *fd.State, _ *medium.Medium, _ float64, b fd.Box
 	s.srcs.AddBox(st, b)
 }
 
-// trackPGV folds the current surface velocities into the peak maps, a row
-// at a time. Outside the active box the velocities are zero and fold to
+// surfaceTaper returns the sponge's factors of surface row j — fx[i] column
+// i's, fyz the row's fy·fz — which the next step's velocity tiles multiply the
+// row's velocities by as they load them; fx is nil without a sponge. A reader
+// of the velocities at step end (trackPGV, packSurfaceFrame, and the
+// receivers through sample) reads v·(fx[i]·fyz), the bits the sponge's pass
+// stored there before the taper rode the velocity tiles.
+func (s *Stepper) surfaceTaper(j int) (fx []float32, fyz float32) {
+	if s.sponge == nil {
+		return nil, 1
+	}
+	tp, g := s.sponge.Taper(), grid.Ghost
+	return tp.X[g:], tp.Y[j+g] * tp.Z[g]
+}
+
+// sample returns the step's damped velocities at local cell (i, j, k), as
+// surfaceTaper's readers read them.
+func (s *Stepper) sample(i, j, k int) [3]float32 {
+	v := [3]float32{s.st.VX.At(i, j, k), s.st.VY.At(i, j, k), s.st.VZ.At(i, j, k)}
+	if s.sponge != nil {
+		a := s.sponge.Taper().At(i, j, k)
+		v = [3]float32{v[0] * a, v[1] * a, v[2] * a}
+	}
+	return v
+}
+
+// trackPGV folds the step's damped surface velocities into the peak maps, a
+// row at a time. Outside the active box the velocities are zero and fold to
 // what the maps hold.
 func (s *Stepper) trackPGV() {
 	if s.pgvh == nil {
@@ -665,7 +710,10 @@ func (s *Stepper) trackPGV() {
 }
 
 // trackPGVRow folds columns [i0, i1) of surface row j through contiguous row
-// slices instead of per-point bounds-checked At() calls.
+// slices instead of per-point bounds-checked At() calls. The horizontal map
+// keeps vx²+vy² in float64: the squares of float32 values are exact there and
+// the sum rounds once, so the fold stores the same bits with or without a
+// fused multiply-add, and report takes one square root a cell.
 func (s *Stepper) trackPGVRow(j, i0, i1 int) {
 	n := i1 - i0
 	base := s.st.VX.Idx(i0, j, 0) // identical layout across components
@@ -677,27 +725,39 @@ func (s *Stepper) trackPGVRow(j, i0, i1 int) {
 	px := s.pgvx[o : o+n]
 	py := s.pgvy[o : o+n]
 	pz := s.pgvz[o : o+n]
+	fx, fyz := s.surfaceTaper(j)
+	if fx != nil {
+		fx = fx[i0:i1]
+	}
 	for i := 0; i < n; i++ {
-		vx, vy, vz := float64(vxr[i]), float64(vyr[i]), float64(vzr[i])
-		if h := math.Hypot(vx, vy); h > ph[i] {
+		vx, vy, vz := vxr[i], vyr[i], vzr[i]
+		if fx != nil {
+			a := fx[i] * fyz
+			vx, vy, vz = vx*a, vy*a, vz*a
+		}
+		x, y := float64(vx), float64(vy)
+		if h := x*x + y*y; h > ph[i] {
 			ph[i] = h
 		}
-		if a := math.Abs(vx); a > px[i] {
+		if a := abs32(vx); a > px[i] {
 			px[i] = a
 		}
-		if a := math.Abs(vy); a > py[i] {
+		if a := abs32(vy); a > py[i] {
 			py[i] = a
 		}
-		if a := math.Abs(vz); a > pz[i] {
+		if a := abs32(vz); a > pz[i] {
 			pz[i] = a
 		}
 	}
 }
 
-// packSurfaceFrame writes this rank's free-surface velocity rectangle into
-// dst, its slot of one output frame: vx, vy, vz per point as little-endian
-// float32, x fastest then y, matching the in-frame file view built in
-// NewStepper. dst is empty on ranks that own no surface points.
+// abs32 is |v|, exactly: v with its sign bit cleared.
+func abs32(v float32) float32 { return math.Float32frombits(math.Float32bits(v) &^ (1 << 31)) }
+
+// packSurfaceFrame writes this rank's free-surface damped velocity rectangle
+// into dst, its slot of one output frame: vx, vy, vz per point as
+// little-endian float32, x fastest then y, matching the in-frame file view
+// built in NewStepper. dst is empty on ranks that own no surface points.
 func (s *Stepper) packSurfaceFrame(dst []byte) {
 	if len(dst) == 0 {
 		return
@@ -708,12 +768,18 @@ func (s *Stepper) packSurfaceFrame(dst []byte) {
 		vxr := s.st.VX.Data()[base : base+nx]
 		vyr := s.st.VY.Data()[base : base+nx]
 		vzr := s.st.VZ.Data()[base : base+nx]
+		fx, fyz := s.surfaceTaper(j)
 		row := dst[j*nx*SurfaceRecBytes:][:nx*SurfaceRecBytes]
 		for i := range nx {
+			vx, vy, vz := vxr[i], vyr[i], vzr[i]
+			if fx != nil {
+				a := fx[i] * fyz
+				vx, vy, vz = vx*a, vy*a, vz*a
+			}
 			rec := row[i*SurfaceRecBytes:]
-			binary.LittleEndian.PutUint32(rec, math.Float32bits(vxr[i]))
-			binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(vyr[i]))
-			binary.LittleEndian.PutUint32(rec[8:], math.Float32bits(vzr[i]))
+			binary.LittleEndian.PutUint32(rec, math.Float32bits(vx))
+			binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(vy))
+			binary.LittleEndian.PutUint32(rec[8:], math.Float32bits(vz))
 		}
 	}
 }

@@ -2,6 +2,7 @@ package solver
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -362,6 +363,56 @@ func TestDtIsRanksExactMinimum(t *testing.T) {
 			if math.Float64bits(res.Dt) != math.Float64bits(want) {
 				t.Errorf("%v h=%g: Dt = %.17g, minimum over ranks %.17g", topo, h, res.Dt, want)
 			}
+		}
+	}
+}
+
+// TestPGVFoldDefinition pins the surface peak maps: PGVH is
+// float32(√max fl(vx²+vy²)) — the squares exact in float64, their sum
+// rounded once, one correctly rounded square root — and PGVX/Y/Z the
+// float32 max |v|. (5795, 16791012) is a Pythagorean pair whose root,
+// 16791013, is the midpoint of two float32s: it rounds to even, 16791012,
+// where float32(math.Hypot) on amd64 reads 16791014.
+func TestPGVFoldDefinition(t *testing.T) {
+	d := grid.Dims{NX: 5, NY: 3, NZ: 3}
+	s := &Stepper{st: fd.NewState(d), box: newActiveBox(d)}
+	s.sub.Local = d
+	s.box.fill()
+	n := d.NX * d.NY
+	s.pgvh, s.pgvx, s.pgvy, s.pgvz = make([]float64, n), make([]float32, n), make([]float32, n), make([]float32, n)
+	want := struct {
+		h2         []float64
+		px, py, pz []float32
+	}{make([]float64, n), make([]float32, n), make([]float32, n), make([]float32, n)}
+	rng := rand.New(rand.NewSource(5))
+	for step := range 6 {
+		for c := range n {
+			i, j := c%d.NX, c/d.NX
+			v := [3]float32{float32(rng.NormFloat64()), float32(rng.NormFloat64() * 1e-3), float32(rng.NormFloat64() * 1e3)}
+			if c == 0 && step == 2 {
+				v = [3]float32{5795, -16791012, 1}
+			}
+			for k, f := range s.st.Velocities() {
+				f.Set(i, j, 0, v[k])
+			}
+			x, y := float64(v[0]), float64(v[1])
+			want.h2[c] = max(want.h2[c], x*x+y*y)
+			want.px[c] = max(want.px[c], float32(math.Abs(x)))
+			want.py[c] = max(want.py[c], float32(math.Abs(y)))
+			want.pz[c] = max(want.pz[c], float32(math.Abs(float64(v[2]))))
+		}
+		s.trackPGV()
+	}
+	got := s.report().PGV
+	if got.H[0] != 16791012 {
+		t.Errorf("PGVH of the midpoint pair = %v, want 16791012 (the root 16791013 rounded to even)", got.H[0])
+	}
+	for c := range n {
+		if h := float32(math.Sqrt(want.h2[c])); math.Float32bits(got.H[c]) != math.Float32bits(h) {
+			t.Errorf("cell %d: PGVH %v, want %v", c, got.H[c], h)
+		}
+		if got.PX[c] != want.px[c] || got.PY[c] != want.py[c] || got.PZ[c] != want.pz[c] {
+			t.Errorf("cell %d: PGVX/Y/Z %v %v %v, want %v %v %v", c, got.PX[c], got.PY[c], got.PZ[c], want.px[c], want.py[c], want.pz[c])
 		}
 	}
 }

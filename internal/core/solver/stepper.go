@@ -197,18 +197,16 @@ type Stepper struct {
 	srcs     *source.Set
 	fault    *rupture.Fault
 	recorder *rupture.SlipRateHistoryRecorder
-	// The state's velocities and stresses: the field lists the sponge damps.
-	velocities, stresses []*grid.Field3
 
 	surf    *output.Dist // aggregated surface output (nil: disabled)
 	surfErr error
 
-	receivers  []ownedReceiver
-	pgvh       []float64
-	pgvx       []float64
-	pgvy       []float64
-	pgvz       []float64
-	momentRate []float64
+	receivers []ownedReceiver
+	// The surface peak maps: pgvh the largest vx²+vy², the others the
+	// largest |v| of their component.
+	pgvh             []float64
+	pgvx, pgvy, pgvz []float32
+	momentRate       []float64
 
 	step int // the next step to execute
 }
@@ -278,7 +276,6 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	s.vel = classicSchedule(env, phaseVelocity, opt.Comm, s.st.Velocities())
 	s.stress = classicSchedule(env, phaseStress, opt.Comm, s.st.Stresses())
 	s.srcs = source.Localize(opt.Sources, s.sub, opt.H)
-	s.velocities, s.stresses = s.st.Velocities(), s.st.Stresses()
 
 	if opt.Fault != nil {
 		if err := s.setupFault(); err != nil {
@@ -302,9 +299,9 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	if opt.TrackPGV && s.sub.OffZ == 0 {
 		n := s.sub.Local.NX * s.sub.Local.NY
 		s.pgvh = make([]float64, n)
-		s.pgvx = make([]float64, n)
-		s.pgvy = make([]float64, n)
-		s.pgvz = make([]float64, n)
+		s.pgvx = make([]float32, n)
+		s.pgvy = make([]float32, n)
+		s.pgvz = make([]float32, n)
 	}
 
 	if so := opt.Surface; so != nil {
@@ -402,11 +399,7 @@ func (s *Stepper) Step() {
 	sp := s.tel.Span(telemetry.Output)
 	for i := range s.receivers {
 		r := &s.receivers[i]
-		r.series[step] = [3]float32{
-			s.st.VX.At(r.li, r.lj, r.lk),
-			s.st.VY.At(r.li, r.lj, r.lk),
-			s.st.VZ.At(r.li, r.lj, r.lk),
-		}
+		r.series[step] = s.sample(r.li, r.lj, r.lk)
 	}
 	s.trackPGV()
 	frame := s.surf != nil && step%s.opt.Surface.Every == 0

@@ -144,6 +144,87 @@ func stressPlan(t *testing.T, q cvm.Querier, opt Options) (tiles []fd.Box, plane
 	return tiles, planeLoop
 }
 
+// TestVelocityTilesTakeTheTaperedSweep pins the velocity tiles' bodies under
+// every absorbing boundary and kernel rung, with and without the AsyncOverlap
+// strips and a cache block. A production plan that damped its velocities by
+// the sponge's own pass ahead of the kernel would store the same bits,
+// slower, so no bit test sees it: under the sponge the production kernel's
+// plan must take the one tapered sweep, under DFR too, and no other plan
+// may. And every velocity tile of compBox must damp what it loads: with the
+// velocities 1 and the stresses at rest, each cell's update must store the
+// sponge's factor there — 1 without a sponge, and under an ablation rung,
+// whose tile runs Sponge.DampBox ahead of its kernel, too.
+func TestVelocityTilesTakeTheTaperedSweep(t *testing.T) {
+	boxQ := cvm.SoCal(3200, 2800, 2000, 400)
+	for _, abc := range []ABCKind{SpongeABC, MPMLABC, NoABC} {
+		for _, variant := range []fd.Variant{fd.Production, fd.Precomp, fd.Naive} {
+			for _, comm := range []CommModel{AsyncReduced, AsyncOverlap} {
+				for _, blk := range []fd.Blocking{{}, {JBlock: 3, KBlock: 5}} {
+					opt := boxScenario(abc)
+					opt.Topo, opt.Variant, opt.Comm, opt.Blocking, opt.Steps = mpi.NewCart(1, 1, 1), variant, comm, blk, 1
+					tag := fmt.Sprintf("abc %d %v %v blocking %v", abc, variant, comm, blk)
+					var msg string
+					_, err := runWorld(boxQ, opt, func(_ *mpi.Comm, st *Stepper) {
+						msg = velocityTilesDamp(st, abc == SpongeABC && variant == fd.Production)
+					}, nil)
+					if err != nil {
+						t.Fatalf("%s: %v", tag, err)
+					}
+					if msg != "" {
+						t.Errorf("%s: %s", tag, msg)
+					}
+				}
+			}
+		}
+	}
+	fault := boxScenario(SpongeABC)
+	fault.Topo, fault.Sources, fault.Steps = mpi.NewCart(1, 1, 1), nil, 1
+	fault.Fault = overstressedFault(11, 10, 10, 2, 6)
+	_, err := runWorld(boxQ, fault, func(_ *mpi.Comm, st *Stepper) {
+		if !st.plan.velTapered {
+			t.Errorf("DFR under the sponge: the velocity tiles take no tapered sweep")
+		}
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// velocityTilesDamp runs st's velocity queues over its filled box with every
+// velocity 1 and the stresses at rest, and describes the first cell of
+// compBox that does not hold the sponge's factor, or a plan whose velTapered
+// is not tapered.
+func velocityTilesDamp(st *Stepper, tapered bool) string {
+	if st.plan.velTapered != tapered {
+		return fmt.Sprintf("velTapered %v, want %v", st.plan.velTapered, tapered)
+	}
+	for _, f := range st.st.Velocities() {
+		for n := range f.Data() {
+			f.Data()[n] = 1
+		}
+	}
+	st.box.fill()
+	st.plan.velPre.drain()
+	st.plan.velInner.drain()
+	b := st.compBox
+	for k := b.K0; k < b.K1; k++ {
+		for j := b.J0; j < b.J1; j++ {
+			for i := b.I0; i < b.I1; i++ {
+				want := float32(1)
+				if st.sponge != nil {
+					want = st.sponge.Taper().At(i, j, k)
+				}
+				for c, f := range st.st.Velocities() {
+					if got := f.At(i, j, k); got != want {
+						return fmt.Sprintf("%s(%d,%d,%d) = %g after the velocity tiles, want %g", fd.FieldNames[c], i, j, k, got, want)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // TestStressTilesTakeTheTaperedSweep pins which stress tiles buildTilePlan
 // runs as one tapered walker sweep and which as the plane loop. A plan that
 // ran every tile as the plane loop would store the same bits, slower, so no

@@ -52,11 +52,12 @@ type step struct {
 // build turns the cell program into steps, with each value placed when its
 // statement evaluates it and its operands ordered so the larger subtree goes
 // first. A window stored and read again is read from the stored register;
-// only its last store is kept; with taper, the tapered windows' last stores
-// are multiplied by α (a tapered window the program does not store is loaded
-// and stored at the end).
+// only its last store is kept; with taper, a pretapered window's load is
+// multiplied by α before the program reads it, and the tapered windows' last
+// stores are multiplied by α (a tapered window the program does not store is
+// loaded and stored at the end).
 func (t *table) build(invs map[string]*inv, taper bool) ([]step, map[string]bool, error) {
-	b := &builder{t: t, invs: invs, locals: map[string]*node{}, stored: map[*window]*node{},
+	b := &builder{t: t, invs: invs, taper: taper, locals: map[string]*node{}, stored: map[*window]*node{},
 		used: map[string]bool{"%α": taper, "%fyz": taper}}
 	for _, s := range t.stmts {
 		var text bytes.Buffer
@@ -116,6 +117,7 @@ func (t *table) build(invs map[string]*inv, taper bool) ([]step, map[string]bool
 type builder struct {
 	t      *table
 	invs   map[string]*inv
+	taper  bool
 	locals map[string]*node
 	stored map[*window]*node
 	used   map[string]bool // the invariants read
@@ -152,7 +154,12 @@ func (b *builder) expr(e ast.Expr) (*node, error) {
 			if n := b.stored[w]; n != nil {
 				return n, nil
 			}
-			return &node{op: 'L', win: w, last: -1}, nil
+			l := &node{op: 'L', win: w, last: -1}
+			if b.taper && slices.Contains(b.t.pretapered, w) {
+				// α·w, the load its right operand so that it folds.
+				return b.mk('*', b.inv("%α"), l), nil
+			}
+			return l, nil
 		}
 	case *ast.CallExpr:
 		name := ""

@@ -55,23 +55,33 @@ func walkers(t *testing.T) map[string]string {
 
 // TestFullChunkLoopsAligned: a full-chunk loop that is not 32-byte aligned
 // moves with whatever the linker places before it, and the walker's speed
-// with it. Every walker has one such loop an expansion.
+// with it. Every walker has one such loop an expansion: full where its table
+// has a cell program, and tfull where it takes a taper, on its stores or on
+// its loads.
 func TestFullChunkLoopsAligned(t *testing.T) {
-	for pkg, s := range walkers(t) {
+	ws := walkers(t)
+	for pkg, s := range ws {
 		lines := strings.Split(s, "\n")
-		loops := 0
 		for i, l := range lines {
-			if l != "full:" && l != "tfull:" {
-				continue
-			}
-			loops++
-			if i < 2 || strings.TrimSpace(lines[i-2]) != "PCALIGN $32" {
+			if (l == "full:" || l == "tfull:") && (i < 2 || strings.TrimSpace(lines[i-2]) != "PCALIGN $32") {
 				t.Errorf("%s: loop %q at line %d has no PCALIGN $32 ahead of it", pkg, l, i+1)
 			}
 		}
-		texts := strings.Count(s, "\nTEXT ")
-		if loops < texts {
-			t.Errorf("%s: %d full-chunk loops for %d walkers", pkg, loops, texts)
+	}
+	for _, tb := range tables {
+		_, text, _ := strings.Cut(ws[tb.pkg], "\nTEXT ·"+tb.walker+"(SB)")
+		text, _, _ = strings.Cut(text, "\nTEXT ")
+		var loops []string
+		if strings.TrimSpace(tb.program) != "" {
+			loops = append(loops, "full:")
+		}
+		if tb.tapers() {
+			loops = append(loops, "tfull:")
+		}
+		for _, l := range loops {
+			if !strings.Contains(text, "\n"+l+"\n") {
+				t.Errorf("%s: walker %s has no %q loop", tb.pkg, tb.walker, l)
+			}
 		}
 	}
 }

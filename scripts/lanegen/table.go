@@ -46,6 +46,10 @@ type table struct {
 	// program when the taper is on (fx non-nil): the Go body damps the row
 	// after its loop, the walker multiplies at the window's last store.
 	taper string
+	// pretaper lists windows multiplied by the same factor before the cell
+	// program reads them: the Go body damps the row ahead of its loop, the
+	// walker multiplies each load of the window by α before its first use.
+	pretaper string
 
 	program string // the cell program; window w's cell is w[i]
 
@@ -55,12 +59,13 @@ type table struct {
 	scalarTail bool
 
 	// Parsed.
-	gridOf  map[string]*grid // array → grid
-	wins    []*window
-	winOf   map[string]*window
-	tapered []*window
-	stmts   []ast.Stmt
-	fset    *token.FileSet
+	gridOf     map[string]*grid // array → grid
+	wins       []*window
+	winOf      map[string]*window
+	tapered    []*window
+	pretapered []*window
+	stmts      []ast.Stmt
+	fset       *token.FileSet
 }
 
 type grid struct {
@@ -75,7 +80,7 @@ type window struct {
 }
 
 func (t *table) parse() error {
-	t.gridOf, t.winOf, t.wins, t.tapered = map[string]*grid{}, map[string]*window{}, nil, nil
+	t.gridOf, t.winOf, t.wins, t.tapered, t.pretapered = map[string]*grid{}, map[string]*window{}, nil, nil, nil
 	for i := range t.grids {
 		for _, a := range strings.Fields(t.grids[i].arrays) {
 			t.gridOf[a] = &t.grids[i]
@@ -101,6 +106,12 @@ func (t *table) parse() error {
 		}
 		t.tapered = append(t.tapered, t.winOf[name])
 	}
+	for _, name := range strings.Fields(t.pretaper) {
+		if t.winOf[name] == nil {
+			return fmt.Errorf("pretaper names no window %q", name)
+		}
+		t.pretapered = append(t.pretapered, t.winOf[name])
+	}
 	if t.scalarTail && t.parity != "" {
 		return fmt.Errorf("a scalar tail cannot read the x-parity table's lanes")
 	}
@@ -120,14 +131,23 @@ func (t *table) parse() error {
 			}
 		}
 	}
-	for _, w := range append(t.tapered, t.wins...) {
+	for _, w := range t.wins {
 		for _, o := range t.wins {
-			if (w.stored || slices.Contains(t.tapered, w)) && o != w && o.array == w.array {
+			if (w.stored || t.damps(w)) && o != w && o.array == w.array {
 				return fmt.Errorf("window %s writes array %s, which window %s reads", w.name, w.array, o.name)
 			}
 		}
 	}
 	return nil
+}
+
+// tapers reports whether the table takes a taper, on its loads or on its
+// stores.
+func (t *table) tapers() bool { return t.taper != "" || t.pretaper != "" }
+
+// damps reports whether the taper multiplies window w.
+func (t *table) damps(w *window) bool {
+	return slices.Contains(t.tapered, w) || slices.Contains(t.pretapered, w)
 }
 
 // statements parses the cell program.
@@ -278,7 +298,7 @@ func (t *table) goParams() string {
 	if t.parity != "" {
 		ps = append(ps, fmt.Sprintf("%s *[%d][4][8]float32", t.parity, len(strings.Fields(t.parityVals))))
 	}
-	if t.taper != "" {
+	if t.tapers() {
 		ps = append(ps, "fx, fy, fz []float32")
 	}
 	return fill(append(ps, "vec bool"), ", ", "\t", 6+len(t.body), 100)
@@ -307,7 +327,7 @@ func (t *table) goBody(b *bytes.Buffer) error {
 	for _, w := range t.wins {
 		args = append(args, fmt.Sprintf("&%s[%s0%s:][:%sspan][:ni][0]", w.array, w.grid.name, w.off, w.grid.name))
 	}
-	if t.taper != "" {
+	if t.tapers() {
 		fmt.Fprintf(b, "var px, py, pz *float32\nif fx != nil {\npx, py, pz = &fx[:ni][0], &fy[:nj][0], &fz[:nk][0]\n}\n")
 		args = append(args, "px, py, pz")
 	}
@@ -319,6 +339,7 @@ func (t *table) goBody(b *bytes.Buffer) error {
 	for _, w := range t.wins {
 		fmt.Fprintf(b, "%s := %s[%s%s:][:ni]\n", w.name, w.array, w.grid.name, w.off)
 	}
+	t.dampRow(b, t.pretapered)
 	// The Go loop.
 	if len(t.stmts) > 0 {
 		vals := strings.Fields(t.parityVals)
@@ -346,17 +367,25 @@ func (t *table) goBody(b *bytes.Buffer) error {
 		}
 		fmt.Fprintf(b, "}\n")
 	}
-	if t.taper != "" {
-		fmt.Fprintf(b, "if fx != nil {\n")
-		fmt.Fprintf(b, "if uint(j) >= uint(len(fy)) || uint(k) >= uint(len(fz)) {\npanic(\"%s: row outside the taper's windows\")\n}\n", t.pkg)
-		fmt.Fprintf(b, "fyz := float32(fy[j] * fz[k])\nfor i, f := range fx[:ni] {\na := float32(f * fyz)\n")
-		for _, w := range t.tapered {
-			fmt.Fprintf(b, "%s[i] *= a\n", w.name)
-		}
-		fmt.Fprintf(b, "}\n}\n")
-	}
+	t.dampRow(b, t.tapered)
 	fmt.Fprintf(b, "}\n}\n}\n")
 	return nil
+}
+
+// dampRow writes the Go body's pass that multiplies the row of each window
+// of ws by fx[i]·(fy[j]·fz[k]) when the taper is on, the row factor formed
+// first, as the sponge's row walker forms it.
+func (t *table) dampRow(b *bytes.Buffer, ws []*window) {
+	if len(ws) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "if fx != nil {\n")
+	fmt.Fprintf(b, "if uint(j) >= uint(len(fy)) || uint(k) >= uint(len(fz)) {\npanic(\"%s: row outside the taper's windows\")\n}\n", t.pkg)
+	fmt.Fprintf(b, "fyz := float32(fy[j] * fz[k])\nfor i, f := range fx[:ni] {\na := float32(f * fyz)\n")
+	for _, w := range ws {
+		fmt.Fprintf(b, "%s[i] *= a\n", w.name)
+	}
+	fmt.Fprintf(b, "}\n}\n")
 }
 
 // walkerArgs returns the walker's arguments in order: its ints, float32
@@ -370,7 +399,7 @@ func (t *table) walkerArgs() (ints, floats, ptrs []string) {
 		ptrs = append(ptrs, t.parity)
 	}
 	ptrs = append(ptrs, t.winNames()...)
-	if t.taper != "" {
+	if t.tapers() {
 		ptrs = append(ptrs, "fx", "fy", "fz")
 	}
 	return ints, strings.Fields(t.scalars), ptrs
@@ -425,8 +454,11 @@ func goStubs(pkg string, ts []*table, amd64 bool) []byte {
 		if t.parity != "" {
 			doc += fmt.Sprintf(" %s is the x-parity table, read at each row's (j, k) parity.", t.parity)
 		}
-		if t.taper != "" {
+		switch {
+		case t.taper != "":
 			doc += " With fx non-nil each tapered window's last store is multiplied by fx[i]·(fy[r]·fz[q]), reading n values at fx, nj at fy and nk at fz."
+		case t.pretaper != "":
+			doc += " With fx non-nil each pretapered window is multiplied by fx[i]·(fy[r]·fz[q]) as it is loaded, before the program reads it, reading n values at fx, nj at fy and nk at fz."
 		}
 		fmt.Fprintf(&b, "\n// %s\n", fill(strings.Fields(doc), " ", "// ", 3, 76))
 		fmt.Fprintf(&b, "//\n//go:noescape\n%s\n", t.walkerSig())

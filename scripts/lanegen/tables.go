@@ -30,10 +30,11 @@ const (
 
 var tables = []*table{{
 	pkg: "fd", body: "velocityCells", walker: "velocityTile",
-	doc:     "the production velocity kernel, velocityPrecomp's arithmetic",
-	grids:   []grid{{"g", "u v w xx xy xz yy yz zz"}, {"m", "bx by bz"}},
-	scalars: "dth c1 c2",
-	windows: velocityWindows,
+	doc:      "the production velocity kernel, velocityPrecomp's arithmetic",
+	grids:    []grid{{"g", "u v w xx xy xz yy yz zz"}, {"m", "bx by bz"}},
+	scalars:  "dth c1 c2",
+	windows:  velocityWindows,
+	pretaper: "ur vr wr",
 	program: `
 ur[i] = Quiesce(ur[i] + dth*bxr[i]*(c1*(xxp1x[i]-xxc[i])+c2*(xxp2x[i]-xxm1x[i])+
 	c1*(xyc[i]-xym1y[i])+c2*(xyp1y[i]-xym2y[i])+

@@ -46,7 +46,7 @@ func (t *table) gpRegs() *gp {
 	for _, w := range t.wins {
 		ptrs = append(ptrs, w.name)
 	}
-	if t.taper != "" {
+	if t.tapers() {
 		g.col, g.fyp = take(), take()
 		ptrs = append(ptrs, "fx")
 	}
@@ -393,7 +393,7 @@ func (e *emitter) run(seq []step) (err error) {
 // walkerAsm writes t's walker.
 func (t *table) walkerAsm(b *bytes.Buffer) error {
 	off, size := t.frame()
-	taper := t.taper != ""
+	taper := t.tapers()
 	g := t.gpRegs()
 	var loops [2][2]*loop // [tapered][tail]
 	for tp := 0; tp < 2; tp++ {
