@@ -102,9 +102,8 @@ func phasesRun(topo mpi.Cart, sub grid.Dims, model solver.CommModel, steps int) 
 	}
 	res, err := solver.Run(q, solver.Options{
 		Global: g, H: 100, Steps: steps, Topo: topo,
-		Comm:     model,
-		Blocking: fd.DefaultBlocking,
-		ABC:      solver.SpongeABC, SpongeWidth: 4,
+		Comm: model,
+		ABC:  solver.SpongeABC, SpongeWidth: 4,
 		FreeSurface: true, Attenuation: true,
 		Sources:   []source.SampledSource{src.Sample(0.002, 200)},
 		Receivers: [][3]int{{g.NX / 2, g.NY / 2, 0}, {2, 2, 0}},

@@ -56,8 +56,8 @@ func (a *Model) deficits(m *medium.Medium, norm float64) {
 // instead of twice (one read/modify/write of XX..YZ instead of the
 // UpdateStress + Apply pair re-streaming all six fields).
 //
-// Results are bit-identical to fd.UpdateStress(Precomp/Fused) followed by
-// Apply over the same box:
+// Results are bit-identical to fd.UpdateStress(Precomp or Blocked) followed
+// by Apply over the same box:
 //
 //   - The elastic update at point n reads only velocities and material
 //     arrays and writes stress at n; the memory-variable update reads only
@@ -118,9 +118,8 @@ func (a *Model) fusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 // s (whose spatial differences give the strain increments) and applies the
 // anelastic stress corrections in place: the second of the two passes
 // FusedStress does in one, for the callers that need the elastic stress on
-// its own in between (the DFR split-node correction) or that keep an elastic
-// kernel of their own (the Naive ablation). Call it after the elastic
-// stress update each time step, with the same dt and box.
+// its own in between (the DFR split-node correction). Call it after the
+// elastic stress update each time step, with the same dt and box.
 func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))

@@ -28,20 +28,15 @@ import "repro/internal/medium"
 // interior box inside the backing array, and the medium's coefficients',
 // dense on the subgrid's cells and read at the cell only.
 
-// velocityRows is the production velocity kernel: velocityPrecomp with
-// per-row subslice windows, the whole tile in one call of the 8-lane walker
-// where the host has one.
-func velocityRows(s *State, m *medium.Medium, dt float64, b Box) {
-	velocitySweep(s, m, dt, b, Taper{}, Vector)
-}
-
-// UpdateVelocityTapered is the production velocity kernel over tile b in one
-// sweep, each of the three velocities multiplied by tp's factor as the sweep
-// loads it: the bits of damping the three velocities over b by tp, a row at a
-// time as the sponge does, followed by UpdateVelocity(Blocked) over b. A
-// velocity update reads the velocity at its own cell only, so the sweep
-// stores what the sponge's pass at the end of the last step followed by
-// this step's update stored.
+// UpdateVelocityTapered is the production velocity kernel — velocityPrecomp
+// with per-row subslice windows, the whole tile in one call of the 8-lane
+// walker where the host has one — over tile b in one sweep, each of the three
+// velocities multiplied by tp's factor as the sweep loads it: the bits of
+// damping the three velocities over b by tp, a row at a time as the sponge
+// does, followed by UpdateVelocity(Blocked) over b. A velocity update reads
+// the velocity at its own cell only, so the sweep stores what the sponge's
+// pass at the end of the last step followed by this step's update stored.
+// The zero Taper multiplies nothing: the sweep is UpdateVelocity(Blocked).
 func UpdateVelocityTapered(s *State, m *medium.Medium, dt float64, b Box, tp Taper) {
 	if b.Empty() {
 		return
@@ -49,10 +44,10 @@ func UpdateVelocityTapered(s *State, m *medium.Medium, dt float64, b Box, tp Tap
 	velocitySweep(s, m, dt, b, tp, Vector)
 }
 
-// velocitySweep is velocityRows with the body chosen by vec, each velocity
-// multiplied by tp as it is loaded: true walks the tile in one velocityTile
-// call, from the windows of its first row; false runs the Go loop, what a
-// host without AVX2 runs and the walker's oracle.
+// velocitySweep is the production velocity kernel over b with the body
+// chosen by vec, each velocity multiplied by tp as it is loaded: true walks
+// the tile in one velocityTile call, from the windows of its first row; false
+// runs the Go loop, what a host without AVX2 runs and the walker's oracle.
 func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, tp Taper, vec bool) {
 	fx, fy, fz := tp.Windows(b)
 	_, dy, dz := s.VX.Strides()
@@ -63,18 +58,14 @@ func velocitySweep(s *State, m *medium.Medium, dt float64, b Box, tp Taper, vec 
 		fx, fy, fz, vec)
 }
 
-// stressRows is the production elastic stress kernel: stressPrecomp with
-// per-row subslice windows. When attenuation is enabled the solver calls
-// attenuation.FusedStress instead, which folds the memory-variable update
-// into the same i-loop.
-func stressRows(s *State, m *medium.Medium, dt float64, b Box) {
-	stressSweep(s, m, dt, b, Taper{}, Vector)
-}
-
-// UpdateStressTapered is the production stress kernel over tile b in one
-// sweep, each of the six stresses multiplied by tp's factor before it is
-// stored: the bits of UpdateStress(Blocked) over b followed by damping the
-// six stresses over b by tp, a row at a time as the sponge does.
+// UpdateStressTapered is the production elastic stress kernel — stressPrecomp
+// with per-row subslice windows — over tile b in one sweep, each of the six
+// stresses multiplied by tp's factor before it is stored: the bits of
+// UpdateStress(Blocked) over b followed by damping the six stresses over b by
+// tp, a row at a time as the sponge does; under the zero Taper, those of
+// UpdateStress(Blocked). When attenuation is enabled the solver calls
+// attenuation's FusedStressTapered instead, which folds the memory-variable
+// update into the same i-loop.
 func UpdateStressTapered(s *State, m *medium.Medium, dt float64, b Box, tp Taper) {
 	if b.Empty() {
 		return
@@ -82,8 +73,9 @@ func UpdateStressTapered(s *State, m *medium.Medium, dt float64, b Box, tp Taper
 	stressSweep(s, m, dt, b, tp, Vector)
 }
 
-// stressSweep is stressRows with the body chosen by vec, as in
-// velocitySweep, and each stress multiplied by tp before it is stored.
+// stressSweep is the production elastic stress kernel over b with the body
+// chosen by vec, as in velocitySweep, and each stress multiplied by tp before
+// it is stored.
 func stressSweep(s *State, m *medium.Medium, dt float64, b Box, tp Taper, vec bool) {
 	fx, fy, fz := tp.Windows(b)
 	_, dy, dz := s.VX.Strides()

@@ -12,12 +12,11 @@ import (
 // the padded arrays — the nine fields, the memory variables, the zone splits —
 // is a zero no sweep of the step can change (the free-surface images aside:
 // they are written whole, and no clipped pass touches them). Every tile of the
-// rank's plan — with the fault, the sources and the sponge's stress damping
-// riding it — the sponge's velocity pass, the PGV fold and the halo messages
-// run on their intersection with it. It starts empty and only grows: by the
-// stencil radius ahead of each sweep (grow), by the source nodes that went
-// live and the fault window (join), and by the hull of the ghost values that
-// arrived nonzero (takeHalo). Once it fills the padded subgrid, every tile is
+// rank's plan — with the fault, the sources and the sponge's damping riding
+// it — the PGV fold and the halo messages run on their intersection with it.
+// It starts empty and only grows: by the stencil radius ahead of each sweep
+// (grow), by the source nodes that went live and the fault window (join), and
+// by the hull of the ghost values that arrived nonzero (takeHalo). Once it fills the padded subgrid, every tile is
 // its own intersection with it, every message ships whole faces and takeHalo
 // walks no buffer; a state rewritten from outside, which the box no longer
 // describes, fills it at once (fill).

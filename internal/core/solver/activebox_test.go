@@ -19,7 +19,7 @@ import (
 func TestActiveBoxSaturationIsOneWay(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	opt := baseOptions(mpi.NewCart(1, 1, 1))
-	opt.Variant, opt.Steps = fd.Production, 400
+	opt.Steps = 400
 	fullAt := 0
 	res, err := runWorld(q, opt, func(c *mpi.Comm, st *Stepper) {
 		dc, _, err := Prepare(st.opt)
@@ -107,7 +107,7 @@ func TestSetStepIndexRejectsCursorsOutsideTheRun(t *testing.T) {
 func TestSourceJoinsBoxWhenLive(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
 	opt := baseOptions(mpi.NewCart(1, 1, 1))
-	opt.Variant, opt.Steps = fd.Production, 9 // the box needs four steps from the onset to fill this grid
+	opt.Steps = 9 // the box needs four steps from the onset to fill this grid
 	const dt = 0.003
 	opt.Dt = dt
 

@@ -33,11 +33,13 @@ func TestUnknownEnumsRejected(t *testing.T) {
 	}
 }
 
-// Temporal tiling and the user-facing kernel-variant axis are gone, but
-// Options keeps both fields for bench/: every value either runs what a step
-// always runs (TemporalDepth 0 or 1; the zero Variant and each rung of the
-// ablation) or is an error from Prepare and Run — never a panic, and never a
-// silent fall-back to classic stepping.
+// Temporal tiling, the kernel-variant axis and the cache-block tile shape are
+// gone from the step, but Options keeps their fields for bench/: every value
+// either runs what a step always runs (TemporalDepth 0 or 1; Variant
+// fd.Default or fd.Blocked; any Blocking of non-negative factors, bench's
+// redrive's fd.Blocked at fd.DefaultBlocking among them) or is an error from
+// Prepare and Run — never a panic, and never a silent run of another model:
+// the ablation rungs fd.Naive and fd.Precomp run through fd's kernels only.
 func TestPrepareRejectsRemovedAxes(t *testing.T) {
 	q := cvm.HardRock()
 	try := func(name string, ok bool, set func(*Options)) {
@@ -60,11 +62,15 @@ func TestPrepareRejectsRemovedAxes(t *testing.T) {
 	for _, depth := range []int{2, 4, -1} {
 		try(fmt.Sprintf("TemporalDepth=%d", depth), false, func(o *Options) { o.TemporalDepth = depth })
 	}
-	for v := fd.Default; v <= fd.Blocked; v++ {
+	for _, v := range []fd.Variant{fd.Default, fd.Blocked} {
 		try(fmt.Sprintf("Variant=%v", v), true, func(o *Options) { o.Variant = v })
 	}
-	for _, v := range []fd.Variant{-1, fd.Blocked + 1, 99} {
+	for _, v := range []fd.Variant{fd.Naive, fd.Precomp, -1, fd.Blocked + 1, 99} {
 		try(fmt.Sprintf("Variant=%d", int(v)), false, func(o *Options) { o.Variant = v })
+	}
+	try("bench's redrive", true, func(o *Options) { o.Variant, o.Blocking = fd.Blocked, fd.DefaultBlocking })
+	for _, blk := range []fd.Blocking{{JBlock: -1}, {KBlock: -8}} {
+		try(fmt.Sprintf("Blocking=%+v", blk), false, func(o *Options) { o.Blocking = blk })
 	}
 }
 

@@ -1,12 +1,10 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
 
-	"repro/internal/core/fd"
 	"repro/internal/grid"
 	"repro/internal/mpi"
 )
@@ -28,33 +26,28 @@ func countSubnormals(data []float32) int {
 // after every Step requires that no section of the rank — wavefield, memory
 // variable or PML split — holds a subnormal, ghosts included: the quiescence
 // floor at the velocity stores (fd.Quiesce, DESIGN.md §9) keeps every array
-// either exactly zero or in the normal range, in the production kernel and the
-// ablation's in-loop kernel.
+// either exactly zero or in the normal range.
 func TestNoStoredSubnormals(t *testing.T) {
 	g := grid.Dims{NX: 32, NY: 16, NZ: 16}
 	q := basinOverRock(float64(g.NX/2) * 100)
-	for _, variant := range []fd.Variant{fd.Naive, fd.Production} {
-		for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
-			opt := twoSidedOptions(g, 24, mpi.NewCart(2, 1, 1))
-			opt.Variant = variant
-			opt.ABC = abc
-			opt.pmlWidth = 4
-			tag := fmt.Sprintf("%v/abc%d", variant, abc)
+	for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
+		opt := twoSidedOptions(g, 24, mpi.NewCart(2, 1, 1))
+		opt.ABC = abc
+		opt.pmlWidth = 4
 
-			var once sync.Once
-			_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
-				for _, sec := range st.Sections() {
-					if n := countSubnormals(sec.F32); n > 0 {
-						once.Do(func() {
-							t.Errorf("%s: rank %d after step %d: %d subnormal values in %s",
-								tag, c.Rank(), st.StepIndex(), n, sec.Name)
-						})
-					}
+		var once sync.Once
+		_, err := runWorld(q, opt, nil, func(c *mpi.Comm, st *Stepper) {
+			for _, sec := range st.Sections() {
+				if n := countSubnormals(sec.F32); n > 0 {
+					once.Do(func() {
+						t.Errorf("abc %d: rank %d after step %d: %d subnormal values in %s",
+							abc, c.Rank(), st.StepIndex(), n, sec.Name)
+					})
 				}
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", tag, err)
 			}
+		})
+		if err != nil {
+			t.Fatalf("abc %d: %v", abc, err)
 		}
 	}
 }

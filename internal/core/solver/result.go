@@ -24,10 +24,10 @@ type rankReport struct {
 	Owned       int64               // cells whole sweeps would have covered
 }
 
-// pgvBlock is a rank's NX×NY surface block of the four PGV maps at (X, Y).
+// pgvBlock is a rank's NX×NY surface block of the three PGV maps at (X, Y).
 type pgvBlock struct {
-	X, Y, NX, NY  int
-	H, PX, PY, PZ []float32
+	X, Y, NX, NY int
+	H, PX, PY    []float32
 }
 
 // faultBlock is a rank's [K0,K1)×[I0,I1) part of the fault window, with the
@@ -70,7 +70,7 @@ func (s *Stepper) report() rankReport {
 	if s.pgvh != nil {
 		rep.PGV = &pgvBlock{
 			X: s.sub.OffX, Y: s.sub.OffY, NX: s.sub.Local.NX, NY: s.sub.Local.NY,
-			H: sqrt32s(s.pgvh), PX: slices.Clone(s.pgvx), PY: slices.Clone(s.pgvy), PZ: slices.Clone(s.pgvz),
+			H: sqrt32s(s.pgvh), PX: slices.Clone(s.pgvx), PY: slices.Clone(s.pgvy),
 		}
 	}
 	if s.fault != nil {
@@ -164,14 +164,13 @@ func (s *Stepper) collect() (*Result, error) {
 		res.PGVH = make([]float64, nx*ny)
 		res.PGVX = make([]float64, nx*ny)
 		res.PGVY = make([]float64, nx*ny)
-		res.PGVZ = make([]float64, nx*ny)
 		for _, r := range reports {
 			b := r.PGV
 			if b == nil {
 				continue
 			}
-			for m, src := range [][]float32{b.H, b.PX, b.PY, b.PZ} {
-				dst := [][]float64{res.PGVH, res.PGVX, res.PGVY, res.PGVZ}[m]
+			for m, src := range [][]float32{b.H, b.PX, b.PY} {
+				dst := [][]float64{res.PGVH, res.PGVX, res.PGVY}[m]
 				for j := 0; j < b.NY; j++ {
 					for i := 0; i < b.NX; i++ {
 						dst[(b.Y+j)*nx+(b.X+i)] = float64(src[j*b.NX+i])

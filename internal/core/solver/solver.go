@@ -67,13 +67,13 @@ type Options struct {
 	LTS LTSOptions // bench-only: bench/solve.go:263
 
 	Comm CommModel
-	// Variant is left unset by every caller but tests and benchmarks: zero
-	// runs fd.Production, any other value selects a rung of the §IV.B
-	// ablation. bench/ compiles against the field.
-	Variant fd.Variant
-	// Blocking, when non-zero, overrides the derived tile shape (tileShape); it
-	// goes when bench's traced redrive, its one setter outside tests, does.
-	Blocking fd.Blocking
+	// Variant is bench's: the solver runs the production kernels only, so
+	// Prepare accepts fd.Default and fd.Blocked and rejects the §IV.B
+	// ablation rungs, which run through fd.UpdateVelocity and UpdateStress.
+	Variant fd.Variant // bench-only: bench/solve.go:258
+	// Blocking is ignored: a tile is its box. Prepare rejects a negative
+	// factor.
+	Blocking fd.Blocking // bench-only: bench/solve.go:258
 	// TemporalDepth selected temporal tiling, which is gone: Prepare
 	// accepts 0 and 1 and rejects anything else.
 	TemporalDepth int // bench-only: bench/solve.go:258
@@ -133,7 +133,6 @@ type Result struct {
 	PGVH []float64 // peak root-sum-square horizontal velocity
 	PGVX []float64 // peak |vx|
 	PGVY []float64 // peak |vy|
-	PGVZ []float64 // peak |vz|
 
 	// Fault outputs (DFR mode): global window arrays [K1-K0][I1-I0].
 	FaultSlip     [][]float64
@@ -287,27 +286,22 @@ type queue struct {
 
 // tilePlan is the rank's decomposition of a step's kernel work, built once
 // per Stepper so that a step tiles and allocates nothing; every tile body runs
-// on the tile's intersection with the rank's active box.
-// Each phase drains its pre queue — every tile of compBox and of the zones
-// or, under AsyncOverlap, of compBox's halo-adjacent strips and of the zones
-// — before its halo post, and under AsyncOverlap its inner queue, the tiles
-// of compBox less the strips, while the messages fly. Interior
+// on the tile's intersection with the rank's active box. A tile is a box of
+// the plan: compBox or, under AsyncOverlap, its halo-adjacent strips and the
+// inner box, and each M-PML zone.
+// Each phase drains its pre queue — every tile but, under AsyncOverlap, the
+// inner box — before its halo post, and under AsyncOverlap its inner queue
+// while the messages fly. Interior
 // and zone tiles share a queue: BuildPML's zones and compBox partition the
 // subgrid, and within a phase every cell reads one field family and writes
 // the other (plus its zone's splits) on itself only, so tiles are
 // independent and any schedule stores the same bits as the serial sweep.
-//
-// With a sponge, planeLoop marks, over the tiles of stressPre then
-// stressInner, those whose stress body runs a k-plane at a time rather than
-// as one tapered sweep (stressTile); a clipped tile runs its whole tile's
-// body. The sponge has no pass of its own: the stresses are damped inside
-// their tiles, the velocities as the next step's tiles load them
-// (velocityTile), in one tapered walker sweep a tile where velTapered is set.
+// The sponge has no pass of its own: the stresses are damped inside their
+// tiles (stressTile), the velocities as the next step's tiles load them
+// (velocityTile).
 type tilePlan struct {
 	velPre, velInner       queue
 	stressPre, stressInner queue
-	planeLoop              []bool
-	velTapered             bool
 }
 
 // buildTilePlan fixes the zones' coefficient rows for dt, so that no tile
@@ -320,14 +314,14 @@ type tilePlan struct {
 // rows — per-cell work that reads only what its phase does not write — so the
 // fault runs wherever its cells' tiles run, before the post or after it. So
 // do the sources: every stress tile ends by adding the sources whose node it
-// holds (stressTile), and with a sponge damps its stresses after them — in
-// one tapered sweep where it can (planeLoop), decided here once a tile — and
-// every velocity tile damps the velocities it loads (velocityTile).
+// holds (stressTile), and damps its stresses with them — in one tapered sweep
+// where it can (taperedSweep), decided here once a tile — and every velocity
+// tile damps the velocities it loads (velocityTile).
 func (s *Stepper) buildTilePlan() {
 	for _, z := range s.zones {
 		z.Prepare(s.dt)
 	}
-	pre, inner, _ := s.cutTiles()
+	pre, inner := s.cutTiles()
 
 	var velHook, stressHook tileHook
 	velZone, stressZone := zoneBody((*boundary.PML).UpdateVelocityBox), zoneBody((*boundary.PML).UpdateStressBox)
@@ -338,26 +332,22 @@ func (s *Stepper) buildTilePlan() {
 	if s.srcs.Count() > 0 {
 		stressZone = tileHook(s.addSources).after(stressZone)
 	}
-	velocity, velTapered := s.velocityTile(velHook)
-	planes, tapered := s.stressTile(stressHook)
-	// stress picks each stress tile's body, noting the plane loops.
-	var loops []bool
-	stress := func(tl tile) func(fd.Box) {
-		loop := tapered == nil || !s.unitAtSources(tl.b)
-		loops = append(loops, loop)
-		if loop {
-			return planes
+	velocity := s.velocityTile(velHook)
+	sweep, split := s.stressTile(stressHook)
+	vel := func(fd.Box) func(fd.Box) { return velocity }
+	stress := func(b fd.Box) func(fd.Box) {
+		if s.taperedSweep(b) {
+			return sweep
 		}
-		return tapered
+		return split
 	}
-	vel := func(tile) func(fd.Box) { return velocity }
 	// mk binds tiles to a phase's bodies, each cut to the active box: a tile
 	// outside it returns at once, and the cells of one inside count as swept.
-	mk := func(tiles []tile, interior func(tile) func(fd.Box), zone zoneBody) queue {
+	mk := func(tiles []tile, interior func(fd.Box) func(fd.Box), zone zoneBody) queue {
 		bodies := make([]func(fd.Box), len(tiles))
 		for i, tl := range tiles {
 			if tl.zone == nil {
-				bodies[i] = interior(tl)
+				bodies[i] = interior(tl.b)
 			}
 		}
 		return queue{len(tiles), func(i int) {
@@ -379,48 +369,31 @@ func (s *Stepper) buildTilePlan() {
 	p := &s.plan
 	p.velPre, p.velInner = mk(pre, vel, velZone), mk(inner, vel, nil)
 	p.stressPre, p.stressInner = mk(pre, stress, stressZone), mk(inner, stress, nil)
-	if s.sponge != nil {
-		p.planeLoop, p.velTapered = loops, velTapered
-	}
 }
 
-// tileShape is the j/k shape box is cut into: the whole box, one tile,
-// unless opt.Blocking sets the §IV.B cache block (EXPERIMENTS.md, "Tile
-// shapes from the box and the pool").
-func tileShape(opt Options, box fd.Box) fd.Blocking {
-	if opt.Blocking != (fd.Blocking{}) {
-		return opt.Blocking
-	}
-	return fd.Blocking{JBlock: max(box.J1-box.J0, 1), KBlock: max(box.K1-box.K0, 1)}
-}
-
-// shapeOf is the blocking that sweeps tile b as one block.
-func shapeOf(b fd.Box) fd.Blocking { return fd.Blocking{JBlock: b.J1 - b.J0, KBlock: b.K1 - b.K0} }
-
-// cutTiles cuts compBox (under AsyncOverlap, its halo-adjacent strips and,
-// for the inner queue, innerBox) and the zones into tiles of their tileShape.
-func (s *Stepper) cutTiles() (pre, inner []tile, innerBox fd.Box) {
-	add := func(dst []tile, box fd.Box, z *boundary.PML) []tile {
-		for _, b := range fd.Tiles(box, tileShape(s.opt, box)) {
-			dst = append(dst, tile{b, z})
+// cutTiles lists the plan's tiles: compBox (under AsyncOverlap, its
+// halo-adjacent strips and, for the inner queue, the inner box) and the zones,
+// each box one tile and an empty box none.
+func (s *Stepper) cutTiles() (pre, inner []tile) {
+	add := func(dst []tile, b fd.Box, z *boundary.PML) []tile {
+		if b.Empty() {
+			return dst
 		}
-		return dst
+		return append(dst, tile{b, z})
 	}
 	if s.opt.Comm == AsyncOverlap {
-		var strips []fd.Box
-		strips, innerBox = boundaryStrips(s.sub.Local, s.nbrMask, grid.Ghost)
+		strips, innerBox := boundaryStrips(s.sub.Local, s.nbrMask, grid.Ghost)
 		for _, strip := range strips {
 			pre = add(pre, strip.Intersect(s.compBox), nil)
 		}
-		innerBox = innerBox.Intersect(s.compBox)
-		inner = add(nil, innerBox, nil)
+		inner = add(nil, innerBox.Intersect(s.compBox), nil)
 	} else {
 		pre = add(nil, s.compBox, nil)
 	}
 	for _, z := range s.zones {
 		pre = add(pre, z.Zone, z)
 	}
-	return pre, inner, innerBox
+	return pre, inner
 }
 
 // drain runs the queue's tiles in order.
@@ -503,163 +476,113 @@ func (h tileHook) after(zone zoneBody) zoneBody {
 	}
 }
 
-// kernelTile returns the tile body that runs an fd kernel on the tile and,
-// in DFR mode, the fault's hook on the same box, both timed on tel under
-// phase from inside the tile, so the zone tiles of the same queue (timed as
-// Boundary) are not counted as kernel time. A nil tel leaves the timing to
-// the caller.
-func (s *Stepper) kernelTile(tel *telemetry.Recorder, phase telemetry.Phase,
-	kernel func(*fd.State, *medium.Medium, float64, fd.Box, fd.Variant, fd.Blocking), hook tileHook) func(fd.Box) {
-	if hook != nil {
-		return func(b fd.Box) {
-			sp := tel.Span(phase)
-			kernel(s.st, s.med, s.dt, b, s.opt.Variant, shapeOf(b))
-			hook(s.st, s.med, s.dt, b)
-			sp.End()
-		}
-	}
+// velocityTile returns the velocity tile body: the production kernel, each
+// velocity multiplied by the taper as the kernel loads it — the damping the
+// sponge's step before left pending, or nothing under the zero taper
+// (fd.UpdateVelocityTapered) — then in DFR mode the fault's split-node
+// update, timed whole under Velocity, so the zone tiles of the same queue
+// (timed as Boundary) are not counted as kernel time. A velocity's update
+// reads the velocity at its own cell only, and nothing reads a velocity
+// between the end of one step's stress phase and this, so the tile stores the
+// bits of the sponge's pass at step end followed by the update.
+func (s *Stepper) velocityTile(hook tileHook) func(fd.Box) {
 	return func(b fd.Box) {
-		sp := tel.Span(phase)
-		kernel(s.st, s.med, s.dt, b, s.opt.Variant, shapeOf(b))
+		sp := s.tel.Span(telemetry.Velocity)
+		fd.UpdateVelocityTapered(s.st, s.med, s.dt, b, s.taper)
+		if hook != nil {
+			hook(s.st, s.med, s.dt, b)
+		}
 		sp.End()
 	}
 }
 
-// velocityTile returns the velocity tile body: the kernel, then in DFR mode
-// the fault's split-node update, timed whole under Velocity (kernelTile).
-// With a sponge the kernel first damps each velocity in the tile by the
-// sponge's factor — the damping the step before left pending. A velocity's
-// update reads the velocity at its own cell only, and nothing reads a
-// velocity between the end of one step's stress phase and this, so the tile
-// stores the bits of the sponge's pass at step end followed by the update.
-// The production kernel damps as it loads (fd.UpdateVelocityTapered), and
-// tapered reports it; an ablation rung (Naive, Precomp) runs Sponge.DampBox
-// over the tile, then its kernel.
-func (s *Stepper) velocityTile(hook tileHook) (body func(fd.Box), tapered bool) {
-	kernel := fd.UpdateVelocity
-	if sp := s.sponge; sp != nil {
-		if tapered = s.opt.Variant == fd.Blocked; tapered {
-			tp := sp.Taper()
-			kernel = func(st *fd.State, m *medium.Medium, dt float64, b fd.Box, _ fd.Variant, _ fd.Blocking) {
-				fd.UpdateVelocityTapered(st, m, dt, b, tp)
-			}
-		} else {
-			vels := s.st.Velocities()
-			kernel = func(st *fd.State, m *medium.Medium, dt float64, b fd.Box, v fd.Variant, blk fd.Blocking) {
-				sp.DampBox(vels, b)
-				fd.UpdateVelocity(st, m, dt, b, v, blk)
-			}
-		}
-	}
-	return s.kernelTile(s.tel, telemetry.Velocity, kernel, hook), tapered
-}
-
-// stressTile returns the stress tile bodies: stressBody, then the sources
-// whose node the tile holds, then, with a sponge, the damping of the six
-// stresses — per cell the order of the passes they replace: update, source,
-// damping. With a sponge, tapered is the tile in one production walker call
-// that multiplies each stress by the sponge's factor before storing it
-// (fd.UpdateStressTapered, attenuation's FusedStressTapered), then the
-// sources: the bits of that order wherever each source node in the tile has
-// a factor of exactly 1, since (u·1)+s = (u+s)·1. planes runs the tile a
-// k-plane at a time — the update on the plane, the plane's sources and
-// Sponge.DampBox while the plane is in cache — for the tiles where something
-// must run between update and damping: a source node the taper scales
-// (buildTilePlan decides per tile), and every tile when tapered is nil —
-// under a fault hook, whose correction and attenuation pass come between, and
-// under an elastic body no walker runs (Naive, Precomp). Both are timed whole
-// under Stress. Without a sponge planes is the plain body and tapered nil.
-func (s *Stepper) stressTile(hook tileHook) (planes, tapered func(fd.Box)) {
+// stressTile returns the two stress tile bodies, each a tile's whole stress
+// step in the order of the passes it replaces — update, sources, damping —
+// timed under Stress. sweep is one production walker call that multiplies
+// each stress by the taper before storing it (fd.UpdateStressTapered, or
+// attenuation's FusedStressTapered with attenuation on: the memory-variable
+// update rides in the elastic i-loop, one read/modify/write of the six
+// stresses a cell, bit-identical to the pair of passes it replaces), then the
+// sources whose node the tile holds: the bits of that order wherever each
+// such node has a factor of exactly 1, since (u·1)+s = (u+s)·1. split keeps
+// the passes apart for the tiles where something must run between update and
+// damping (taperedSweep decides per tile): the elastic update, the fault's
+// correction (hook) — which must see the purely elastic stress — and
+// attenuation as a pass of its own (Model.Apply, timed under Attenuation
+// without a sponge), or FusedStress without a hook; then the sources, and with
+// a sponge Sponge.DampBox, a k-plane at a time so that the plane is still in
+// cache.
+func (s *Stepper) stressTile(hook tileHook) (sweep, split func(fd.Box)) {
 	src := s.srcs.Count() > 0
-	if s.sponge != nil {
-		update := s.stressBody(nil, hook)
-		stresses := s.st.Stresses()
-		planes = func(b fd.Box) {
-			sp := s.tel.Span(telemetry.Stress)
-			for k := b.K0; k < b.K1; k++ {
-				p := b
-				p.K0, p.K1 = k, k+1
-				update(p)
-				if src {
-					s.srcs.AddBox(s.st, p)
-				}
-				s.sponge.DampBox(stresses, p)
-			}
-			sp.End()
+	sweep = func(b fd.Box) {
+		sp := s.tel.Span(telemetry.Stress)
+		if s.atten != nil {
+			s.atten.FusedStressTapered(s.st, s.med, s.dt, b, s.taper)
+		} else {
+			fd.UpdateStressTapered(s.st, s.med, s.dt, b, s.taper)
 		}
-		tp := s.sponge.Taper()
-		var sweep func(fd.Box)
-		switch {
-		case hook != nil: // the correction, and attenuation, come between
-		case s.atten == nil && s.opt.Variant == fd.Blocked:
-			sweep = func(b fd.Box) { fd.UpdateStressTapered(s.st, s.med, s.dt, b, tp) }
-		case s.atten != nil && s.opt.Variant.Precomputed():
-			sweep = func(b fd.Box) { s.atten.FusedStressTapered(s.st, s.med, s.dt, b, tp) }
-		}
-		if sweep != nil {
-			tapered = func(b fd.Box) {
-				sp := s.tel.Span(telemetry.Stress)
-				sweep(b)
-				if src {
-					s.srcs.AddBox(s.st, b)
-				}
-				sp.End()
-			}
-		}
-		return planes, tapered
-	}
-	body := s.stressBody(s.tel, hook)
-	if src {
-		return func(b fd.Box) {
-			body(b)
+		if src {
 			s.srcs.AddBox(s.st, b)
-		}, nil
+		}
+		sp.End()
 	}
-	return body, nil
+	// passes runs the split body on p, its spans on tel.
+	stresses := s.st.Stresses()
+	passes := func(tel *telemetry.Recorder, p fd.Box) {
+		sp := tel.Span(telemetry.Stress)
+		if s.atten != nil && hook == nil {
+			s.atten.FusedStress(s.st, s.med, s.dt, p)
+		} else {
+			fd.UpdateStressTapered(s.st, s.med, s.dt, p, fd.Taper{})
+			if hook != nil {
+				hook(s.st, s.med, s.dt, p)
+			}
+			if s.atten != nil {
+				sp.End()
+				sp = tel.Span(telemetry.Attenuation)
+				s.atten.Apply(s.st, s.med, s.dt, p)
+			}
+		}
+		sp.End()
+		if src {
+			s.srcs.AddBox(s.st, p)
+		}
+		if s.sponge != nil {
+			s.sponge.DampBox(stresses, p)
+		}
+	}
+	if s.sponge == nil {
+		return sweep, func(b fd.Box) { passes(s.tel, b) }
+	}
+	return sweep, func(b fd.Box) {
+		sp := s.tel.Span(telemetry.Stress)
+		for k := b.K0; k < b.K1; k++ {
+			p := b
+			p.K0, p.K1 = k, k+1
+			passes(nil, p)
+		}
+		sp.End()
+	}
 }
 
-// unitAtSources reports whether the sponge's factor is exactly 1 at every
-// source node in b, so that b's sources may be added after its tapered
-// sweep.
-func (s *Stepper) unitAtSources(b fd.Box) bool {
-	tp := s.sponge.Taper()
+// taperedSweep reports whether stress tile b runs as one tapered sweep: it
+// has no fault hook, and the taper is exactly 1 at every source node in b,
+// so that b's sources may be added after the sweep — every tile without a
+// sponge, and without a fault.
+func (s *Stepper) taperedSweep(b fd.Box) bool {
+	if s.fault != nil {
+		return false
+	}
+	if s.taper.X == nil {
+		return true
+	}
 	for n := range s.srcs.Count() {
 		i, j, k := s.srcs.Node(n)
-		if b.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) && tp.At(i, j, k) != 1 {
+		if b.Contains(fd.Box{I0: i, I1: i + 1, J0: j, J1: j + 1, K0: k, K1: k + 1}) && s.taper.At(i, j, k) != 1 {
 			return false
 		}
 	}
 	return true
-}
-
-// stressBody is a stress tile's update. With attenuation on, every variant
-// that reads the precomputed coefficients runs attenuation.FusedStress: the
-// memory-variable update rides in the elastic i-loop, one read/modify/write
-// of the six stress fields per cell instead of two, bit-identical to the pair
-// of passes it replaces. Its whole time lands in the Stress span — there is no
-// separate attenuation pass to time. Two bodies keep the pair: Naive, the
-// §IV.B ablation of the in-loop coefficient arithmetic FusedStress does not
-// have, and DFR mode, whose stress correction (hook) must see the purely
-// elastic stress, so attenuation runs after it on the same tile. Each pass is
-// timed on tel under its own span (none with a nil tel).
-func (s *Stepper) stressBody(tel *telemetry.Recorder, hook tileHook) func(fd.Box) {
-	elastic := s.kernelTile(tel, telemetry.Stress, fd.UpdateStress, hook)
-	switch {
-	case s.atten == nil:
-		return elastic
-	case hook == nil && s.opt.Variant.Precomputed():
-		return func(b fd.Box) {
-			sp := tel.Span(telemetry.Stress)
-			s.atten.FusedStress(s.st, s.med, s.dt, b)
-			sp.End()
-		}
-	}
-	return func(b fd.Box) {
-		elastic(b)
-		sp := tel.Span(telemetry.Attenuation)
-		s.atten.Apply(s.st, s.med, s.dt, b)
-		sp.End()
-	}
 }
 
 // addSources is the sources' tileHook: it adds the step's increments of the
@@ -668,17 +591,17 @@ func (s *Stepper) addSources(st *fd.State, _ *medium.Medium, _ float64, b fd.Box
 	s.srcs.AddBox(st, b)
 }
 
-// surfaceTaper returns the sponge's factors of surface row j — fx[i] column
+// surfaceTaper returns the taper's factors of surface row j — fx[i] column
 // i's, fyz the row's fy·fz — which the next step's velocity tiles multiply the
-// row's velocities by as they load them; fx is nil without a sponge. A reader
-// of the velocities at step end (trackPGV, packSurfaceFrame, and the
+// row's velocities by as they load them; fx is nil under the zero taper. A
+// reader of the velocities at step end (trackPGV, packSurfaceFrame, and the
 // receivers through sample) reads v·(fx[i]·fyz), the bits the sponge's pass
 // stored there before the taper rode the velocity tiles.
 func (s *Stepper) surfaceTaper(j int) (fx []float32, fyz float32) {
-	if s.sponge == nil {
+	tp, g := s.taper, grid.Ghost
+	if tp.X == nil {
 		return nil, 1
 	}
-	tp, g := s.sponge.Taper(), grid.Ghost
 	return tp.X[g:], tp.Y[j+g] * tp.Z[g]
 }
 
@@ -686,8 +609,8 @@ func (s *Stepper) surfaceTaper(j int) (fx []float32, fyz float32) {
 // surfaceTaper's readers read them.
 func (s *Stepper) sample(i, j, k int) [3]float32 {
 	v := [3]float32{s.st.VX.At(i, j, k), s.st.VY.At(i, j, k), s.st.VZ.At(i, j, k)}
-	if s.sponge != nil {
-		a := s.sponge.Taper().At(i, j, k)
+	if s.taper.X != nil {
+		a := s.taper.At(i, j, k)
 		v = [3]float32{v[0] * a, v[1] * a, v[2] * a}
 	}
 	return v
@@ -719,21 +642,19 @@ func (s *Stepper) trackPGVRow(j, i0, i1 int) {
 	base := s.st.VX.Idx(i0, j, 0) // identical layout across components
 	vxr := s.st.VX.Data()[base : base+n]
 	vyr := s.st.VY.Data()[base : base+n]
-	vzr := s.st.VZ.Data()[base : base+n]
 	o := j*s.sub.Local.NX + i0
 	ph := s.pgvh[o : o+n]
 	px := s.pgvx[o : o+n]
 	py := s.pgvy[o : o+n]
-	pz := s.pgvz[o : o+n]
 	fx, fyz := s.surfaceTaper(j)
 	if fx != nil {
 		fx = fx[i0:i1]
 	}
 	for i := 0; i < n; i++ {
-		vx, vy, vz := vxr[i], vyr[i], vzr[i]
+		vx, vy := vxr[i], vyr[i]
 		if fx != nil {
 			a := fx[i] * fyz
-			vx, vy, vz = vx*a, vy*a, vz*a
+			vx, vy = vx*a, vy*a
 		}
 		x, y := float64(vx), float64(vy)
 		if h := x*x + y*y; h > ph[i] {
@@ -744,9 +665,6 @@ func (s *Stepper) trackPGVRow(j, i0, i1 int) {
 		}
 		if a := abs32(vy); a > py[i] {
 			py[i] = a
-		}
-		if a := abs32(vz); a > pz[i] {
-			pz[i] = a
 		}
 	}
 }

@@ -34,7 +34,6 @@ func baseOptions(topo mpi.Cart) Options {
 		Steps:       60,
 		Topo:        topo,
 		Comm:        Asynchronous,
-		Variant:     fd.Precomp,
 		ABC:         SpongeABC,
 		SpongeWidth: 4,
 		FreeSurface: true,
@@ -369,7 +368,7 @@ func TestDtIsRanksExactMinimum(t *testing.T) {
 
 // TestPGVFoldDefinition pins the surface peak maps: PGVH is
 // float32(√max fl(vx²+vy²)) — the squares exact in float64, their sum
-// rounded once, one correctly rounded square root — and PGVX/Y/Z the
+// rounded once, one correctly rounded square root — and PGVX/Y the
 // float32 max |v|. (5795, 16791012) is a Pythagorean pair whose root,
 // 16791013, is the midpoint of two float32s: it rounds to even, 16791012,
 // where float32(math.Hypot) on amd64 reads 16791014.
@@ -379,11 +378,11 @@ func TestPGVFoldDefinition(t *testing.T) {
 	s.sub.Local = d
 	s.box.fill()
 	n := d.NX * d.NY
-	s.pgvh, s.pgvx, s.pgvy, s.pgvz = make([]float64, n), make([]float32, n), make([]float32, n), make([]float32, n)
+	s.pgvh, s.pgvx, s.pgvy = make([]float64, n), make([]float32, n), make([]float32, n)
 	want := struct {
-		h2         []float64
-		px, py, pz []float32
-	}{make([]float64, n), make([]float32, n), make([]float32, n), make([]float32, n)}
+		h2     []float64
+		px, py []float32
+	}{make([]float64, n), make([]float32, n), make([]float32, n)}
 	rng := rand.New(rand.NewSource(5))
 	for step := range 6 {
 		for c := range n {
@@ -399,7 +398,6 @@ func TestPGVFoldDefinition(t *testing.T) {
 			want.h2[c] = max(want.h2[c], x*x+y*y)
 			want.px[c] = max(want.px[c], float32(math.Abs(x)))
 			want.py[c] = max(want.py[c], float32(math.Abs(y)))
-			want.pz[c] = max(want.pz[c], float32(math.Abs(float64(v[2]))))
 		}
 		s.trackPGV()
 	}
@@ -411,8 +409,8 @@ func TestPGVFoldDefinition(t *testing.T) {
 		if h := float32(math.Sqrt(want.h2[c])); math.Float32bits(got.H[c]) != math.Float32bits(h) {
 			t.Errorf("cell %d: PGVH %v, want %v", c, got.H[c], h)
 		}
-		if got.PX[c] != want.px[c] || got.PY[c] != want.py[c] || got.PZ[c] != want.pz[c] {
-			t.Errorf("cell %d: PGVX/Y/Z %v %v %v, want %v %v %v", c, got.PX[c], got.PY[c], got.PZ[c], want.px[c], want.py[c], want.pz[c])
+		if got.PX[c] != want.px[c] || got.PY[c] != want.py[c] {
+			t.Errorf("cell %d: PGVX/Y %v %v, want %v %v", c, got.PX[c], got.PY[c], want.px[c], want.py[c])
 		}
 	}
 }

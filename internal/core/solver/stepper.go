@@ -52,11 +52,13 @@ func Prepare(opt Options) (decomp.Decomp, Options, error) {
 	if opt.CFL == 0 {
 		opt.CFL = 0.5
 	}
-	if err := opt.Variant.Validate(); err != nil {
-		return decomp.Decomp{}, opt, fmt.Errorf("solver: %w", err)
+	// The solver runs the production kernels only; no field may run as
+	// another model without a word.
+	if opt.Variant != fd.Default && opt.Variant != fd.Blocked {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: kernel variant %v: a run takes the production kernels only; the §IV.B ablation rungs run through fd.UpdateVelocity and fd.UpdateStress", opt.Variant)
 	}
-	if opt.Variant == fd.Default {
-		opt.Variant = fd.Production
+	if opt.Blocking.JBlock < 0 || opt.Blocking.KBlock < 0 {
+		return decomp.Decomp{}, opt, fmt.Errorf("solver: Blocking %+v: a cache block factor must be >= 0", opt.Blocking)
 	}
 	if opt.Comm < Synchronous || opt.Comm > AsyncOverlap {
 		return decomp.Decomp{}, opt, fmt.Errorf("solver: unknown comm model %d", int(opt.Comm))
@@ -192,6 +194,7 @@ type Stepper struct {
 	swept, steps int64
 
 	sponge   *boundary.Sponge
+	taper    fd.Taper // the sponge's factors, or the zero Taper without one
 	fs       *boundary.FreeSurface
 	atten    *attenuation.Model
 	srcs     *source.Set
@@ -202,11 +205,11 @@ type Stepper struct {
 	surfErr error
 
 	receivers []ownedReceiver
-	// The surface peak maps: pgvh the largest vx²+vy², the others the
-	// largest |v| of their component.
-	pgvh             []float64
-	pgvx, pgvy, pgvz []float32
-	momentRate       []float64
+	// The surface peak maps: pgvh the largest vx²+vy², pgvx and pgvy the
+	// largest |vx| and |vy|.
+	pgvh       []float64
+	pgvx, pgvy []float32
+	momentRate []float64
 
 	step int // the next step to execute
 }
@@ -260,6 +263,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		s.sponge = boundary.NewSpongeGlobal(s.sub.Local, opt.Global,
 			[3]int{s.sub.OffX, s.sub.OffY, s.sub.OffZ},
 			opt.SpongeWidth, boundary.DefaultSpongeAlpha, globalFaces)
+		s.taper = s.sponge.Taper()
 	}
 	if opt.FreeSurface && s.sub.OffZ == 0 {
 		s.fs = boundary.NewFreeSurface(s.sub.Local)
@@ -301,7 +305,6 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		s.pgvh = make([]float64, n)
 		s.pgvx = make([]float32, n)
 		s.pgvy = make([]float32, n)
-		s.pgvz = make([]float32, n)
 	}
 
 	if so := opt.Surface; so != nil {

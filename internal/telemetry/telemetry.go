@@ -35,9 +35,9 @@ const (
 	// (attenuation.FusedStress), so their time is in here too.
 	Stress
 	// Attenuation is the coarse-grained memory-variable update where it is a
-	// pass of its own: dynamic-rupture runs (it follows the fault's stress
-	// correction) and the Naive kernel ablation. On the default path it
-	// reads zero — the work is timed under Stress.
+	// pass of its own: dynamic-rupture runs without a sponge (it follows the
+	// fault's stress correction). On the default path it reads zero — the
+	// work is timed under Stress.
 	Attenuation
 	// Boundary covers absorbing-boundary and free-surface work (PML
 	// zones, sponge taper, FS2 images).

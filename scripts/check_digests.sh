@@ -27,8 +27,10 @@ trap 'rm -rf "$tmp"' EXIT
 go build -o "$tmp/awp-run" ./cmd/awp-run
 
 # digest|active|flags: the default scenario is 48x48x32, 300 steps, sponge. The
-# last three keep the active boxes live across rank seams for the whole run
-# (active=0.557/0.440/0.318), so the halo messages ship clipped faces.
+# 96x64x32 three keep the active boxes live across rank seams for the whole
+# run (active=0.557/0.440/0.318), so the halo messages ship clipped faces. The
+# last three run without an absorbing boundary, so every tile takes the
+# tapered walkers with the zero taper.
 cases=(
     "158ed580e47fa4f6|0.984|-ranks 1"
     "158ed580e47fa4f6|0.979|-ranks 8"
@@ -41,6 +43,9 @@ cases=(
     "91f3a21f3597d21c|0.557|-nx 96 -ny 64 -nz 32 -steps 24 -si 80 -sj 20 -sk 6 -ranks 1"
     "91f3a21f3597d21c|0.440|-nx 96 -ny 64 -nz 32 -steps 24 -si 80 -sj 20 -sk 6 -ranks 4"
     "91f3a21f3597d21c|0.318|-nx 96 -ny 64 -nz 32 -steps 24 -si 80 -sj 20 -sk 6 -ranks 8 -comm overlap -threads 2"
+    "6fead662f1062bb7|0.984|-abc none -ranks 1"
+    "6fead662f1062bb7|0.984|-abc none -ranks 4 -comm overlap"
+    "6fead662f1062bb7|0.976|-abc none -ranks 8 -threads 2"
 )
 
 status=0
